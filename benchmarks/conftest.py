@@ -6,10 +6,10 @@ simulator experiment) is session-scoped so tunings computed for one figure
 are reused by the others, mirroring how the paper's experiment pipeline runs.
 
 Each benchmark also writes a plain-text report with the regenerated
-rows/series to ``benchmarks/results/``, so the paper-vs-measured comparison
-in EXPERIMENTS.md can be re-derived from the files in that directory.
-Scale knobs (benchmark-set size, queries per session, ρ grid) default to
-laptop-friendly values; the paper-scale settings are noted in EXPERIMENTS.md.
+rows/series to ``benchmarks/results/``; the committed copies are the
+paper-vs-measured record (README.md, "Paper-reproduction notes").  Scale
+knobs (benchmark-set size, queries per session, ρ grid) default to
+laptop-friendly values; the paper's own settings are noted next to each knob.
 """
 
 from __future__ import annotations

@@ -228,8 +228,6 @@ def _executor_config(args: argparse.Namespace, **overrides) -> ExecutorConfig:
     config = ExecutorConfig(**overrides)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
-    if getattr(args, "batch_execution", None) is not None:
-        config.batch_execution = args.batch_execution
     if getattr(args, "max_batch_ops", None) is not None:
         config.max_batch_ops = args.max_batch_ops
     if getattr(args, "update_fraction", None) is not None:
@@ -269,16 +267,7 @@ def _add_update_flags(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
-    """Vectorised-execution knobs shared by the simulator subcommands."""
-    subparser.add_argument(
-        "--no-batch-execution",
-        dest="batch_execution",
-        action="store_false",
-        default=True,
-        help="replay traces one operation at a time instead of batching "
-        "write-free GET spans through the vectorised read path "
-        "(same measured I/O, much slower; for parity checks)",
-    )
+    """Trace-replay knob shared by the simulator subcommands."""
     subparser.add_argument(
         "--max-batch-ops",
         type=_positive_int,

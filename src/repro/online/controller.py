@@ -40,9 +40,9 @@ from ..core.uncertainty import UncertaintyRegion
 from ..lsm.policy import CLASSIC_POLICIES, Policy, PolicySpec
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..storage.lsm_tree import POINT_READ_KINDS, SCALAR_SPAN_CUTOFF, LSMTree
+from ..storage.lsm_tree import LSMTree, execute_operations_batched
 from ..storage.run import consolidate_versions
-from ..workloads.traces import Operation
+from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
 from .admission import StepAdmission
 from .drift import DriftDetector
@@ -313,14 +313,21 @@ class OnlineLSMController:
         and the estimator keeps observing, so the loop resumes with a warm
         window once the plan completes.
         """
-        if self._plan is not None:
-            self._plan.apply(operation)
-        else:
-            self.tree.apply(operation)
+        engine = self._plan if self._plan is not None else self.tree
+        engine.apply(operation)
         self.estimator.record_kind(operation.kind)
-        self.position += 1
-        if self._backlog > 0:
-            self._backlog -= 1
+        self._advance(1)
+
+    def _advance(self, count: int) -> None:
+        """Account for ``count`` executed operations, then run boundary work.
+
+        The boundary work — the next admitted migration step, or the drift
+        check every ``check_interval`` operations — is decided from the
+        stream position reached, so callers must not advance past a boundary
+        (see :meth:`_ops_until_boundary`).
+        """
+        self.position += count
+        self._backlog = max(0, self._backlog - count)
         if self._plan is not None:
             if self.admission.should_step(
                 self.position, self._plan_started, self._last_step_position,
@@ -331,16 +338,15 @@ class OnlineLSMController:
             self.maybe_retune()
 
     def execute(self, operations: Iterable[Operation]) -> None:
-        """Execute a stream of operations through the adaptive loop.
+        """Execute a stream one operation at a time through :meth:`apply`.
 
-        The length of the stream seeds the serving backlog the admission
-        policy observes: under ``admission="queue-depth"`` migration steps
-        that fall due while the chunk is still deep are deferred until it has
-        drained to ``admission_max_backlog`` (or the starvation bound).
+        The per-operation reference of :meth:`execute_batched`.  The length
+        of the stream seeds the serving backlog the admission policy
+        observes: under ``admission="queue-depth"`` migration steps that fall
+        due while the chunk is still deep are deferred until it has drained
+        to ``admission_max_backlog`` (or the starvation bound).
         """
-        operations = (
-            operations if isinstance(operations, list) else list(operations)
-        )
+        operations = list(operations)
         self._backlog = len(operations)
         for operation in operations:
             self.apply(operation)
@@ -367,10 +373,10 @@ class OnlineLSMController:
         While a migration plan is in flight the boundary is its next admitted
         step (the admission policy's closed-form
         :meth:`~repro.online.admission.StepAdmission.ops_until_step`);
-        otherwise it is the next drift check (``check_interval``).  A batched
-        GET span must not cross either: the drift detector and the plan have
-        to observe the stream at exactly the per-operation granularity of
-        :meth:`apply`.
+        otherwise it is the next drift check (``check_interval``).  Neither
+        depends on the kinds of the operations in between, so a window of the
+        stream that ends at the boundary can be replayed in one go: the
+        engine it runs on cannot change before the boundary work does.
         """
         if self._plan is not None:
             return self.admission.ops_until_step(
@@ -380,64 +386,30 @@ class OnlineLSMController:
         interval = self.config.check_interval
         return interval - self.position % interval
 
-    def _after_batch(self) -> None:
-        """Run the boundary work :meth:`apply` would have run, if due."""
-        if self._plan is not None:
-            if self.admission.should_step(
-                self.position, self._plan_started, self._last_step_position,
-                self._backlog,
-            ):
-                self.advance_migration()
-        elif self.position % self.config.check_interval == 0:
-            self.maybe_retune()
+    def execute_batched(self, trace: Trace, max_batch_ops: int = 4_096) -> None:
+        """Execute a trace through the adaptive loop, one window at a time.
 
-    def execute_batched(
-        self, operations: Sequence[Operation], max_batch_ops: int = 4_096
-    ) -> None:
-        """Execute a stream through the adaptive loop, batching GET spans.
-
-        Write-free spans of point reads run through the engine's vectorised
-        ``get_many`` — the live tree's, or the mixed migration state's while
-        a plan is in flight.  Batches are additionally bounded by the next
-        adaptive-loop boundary (drift check or migration step), so the
-        detector fires at the same stream positions, migrations start and
-        advance at the same operations, and the estimator folds in the same
-        operation sequence as the scalar :meth:`execute` — the measured
-        stream is bit-identical, just cheaper to replay.
+        The trace is cut into windows that end at the next adaptive-loop
+        boundary; each window replays through
+        :func:`~repro.storage.lsm_tree.execute_operations_batched` on the
+        current engine — the live tree, or the mixed migration state while a
+        plan is in flight — and is folded into the estimator in stream order
+        before the boundary work runs.  The detector therefore fires at the
+        same stream positions, migrations start and advance at the same
+        operations, and the estimator holds the same floats as under the
+        per-operation :meth:`execute`.
         """
-        if max_batch_ops <= 0:
-            raise ValueError("max_batch_ops must be positive")
-        operations = (
-            operations if isinstance(operations, list) else list(operations)
-        )
-        index = 0
-        total = len(operations)
+        total = len(trace)
         self._backlog = total
-        while index < total:
-            operation = operations[index]
-            if operation.kind not in POINT_READ_KINDS:
-                self.apply(operation)
-                index += 1
-                continue
-            stop = min(index + min(self._ops_until_boundary(), max_batch_ops), total)
-            end = index
-            while end < stop and operations[end].kind in POINT_READ_KINDS:
-                end += 1
-            span = operations[index:end]
+        start = 0
+        while start < total:
+            stop = min(start + self._ops_until_boundary(), total)
+            window = trace[start:stop]
             engine = self._plan if self._plan is not None else self.tree
-            if len(span) < SCALAR_SPAN_CUTOFF:
-                for op in span:
-                    engine.get(op.key)
-            else:
-                engine.get_many(
-                    np.fromiter((op.key for op in span), dtype=np.int64, count=len(span))
-                )
-            for op in span:
-                self.estimator.record_kind(op.kind)
-            self.position += len(span)
-            self._backlog = max(0, self._backlog - len(span))
-            index = end
-            self._after_batch()
+            execute_operations_batched(engine, window, max_batch_ops)
+            self.estimator.record_batch(window)
+            self._advance(stop - start)
+            start = stop
         self._backlog = 0
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The offline pipeline works with *declared* workload proportions; the online
 subsystem has to infer them from the operation stream itself.  This module
-folds a stream of :class:`~repro.workloads.traces.Operation`s into a
+folds a :class:`~repro.workloads.traces.Trace` into a
 sliding-window empirical workload: every recorded operation decays all
 previous observations by a constant factor, so the estimate is an
 exponentially weighted average whose effective window is ``window``
@@ -12,16 +12,8 @@ keeps the drift signal smooth across session boundaries.
 
 from __future__ import annotations
 
-from ..workloads.traces import Operation, OperationType
+from ..workloads.traces import Operation, OperationType, Trace
 from ..workloads.workload import Workload
-
-#: Workload-vector index of each operation type, matching ``(z0, z1, q, w)``.
-_COMPONENT_INDEX: dict[OperationType, int] = {
-    OperationType.EMPTY_GET: 0,
-    OperationType.GET: 1,
-    OperationType.RANGE: 2,
-    OperationType.PUT: 3,
-}
 
 
 class ObservedWorkload:
@@ -62,23 +54,22 @@ class ObservedWorkload:
         """Fold one operation into the estimate."""
         self.record_kind(operation.kind)
 
-    def record_kind(self, kind: OperationType) -> None:
-        """Fold one operation of the given type into the estimate."""
-        index = _COMPONENT_INDEX[kind]
+    def record_kind(self, kind: OperationType | int) -> None:
+        """Fold one operation of the given type (or kind code) into the estimate."""
         decay = self.decay
         counts = self._counts
         counts[0] *= decay
         counts[1] *= decay
         counts[2] *= decay
         counts[3] *= decay
-        counts[index] += 1.0
+        counts[kind] += 1.0
         self._weight = self._weight * decay + 1.0
         self._observations += 1
 
-    def record_batch(self, operations) -> None:
-        """Fold a sequence of operations into the estimate, in order."""
-        for operation in operations:
-            self.record_kind(operation.kind)
+    def record_batch(self, trace: Trace) -> None:
+        """Fold a trace into the estimate, in stream order."""
+        for kind in trace.kinds.tolist():
+            self.record_kind(kind)
 
     def reset(self) -> None:
         """Forget everything observed so far."""

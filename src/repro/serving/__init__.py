@@ -8,10 +8,6 @@ top of the existing single-tree executor:
   splitmix64-style mixer and routes operation streams: point operations go
   to their key's owner shard, range scans fan out to every shard (a hash
   partition scatters key intervals).
-* :mod:`~repro.serving.replay` is the per-shard serving loop — it coalesces
-  GET spans across interleaved range scans (reads commute: only writes are
-  reordering barriers), so a shard replays its stream through fewer, longer
-  ``get_many`` batches with bit-identical I/O accounting.
 * :class:`~repro.serving.executor.ShardedExecutor` builds one tree (or one
   :class:`~repro.online.controller.OnlineLSMController`) per shard — each
   persistent shard in its own data dir — replays the sequence per shard,
@@ -23,6 +19,9 @@ With ``num_shards=1`` every measurement is bit-identical to the classic
 :class:`~repro.storage.executor.WorkloadExecutor` — pinned by test.
 """
 
+# Alias kept only because ``bench/`` imports the replay loop under this name;
+# a later benchmark PR can drop it.
+from ..storage.lsm_tree import execute_operations_batched as execute_serving_batched
 from .executor import (
     ShardedComparison,
     ShardedExecutor,
@@ -30,7 +29,6 @@ from .executor import (
     ShardRun,
     fleet_percentiles,
 )
-from .replay import execute_serving_batched
 from .report import format_sharded_comparison
 from .sharding import partition_keys, shard_ids, shard_operations
 

@@ -32,6 +32,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,10 +47,10 @@ from ..storage.executor import (
     SessionMeasurement,
     WorkloadExecutor,
 )
-from ..storage.lsm_tree import LSMTree, TreeStats
+from ..storage.lsm_tree import LSMTree, TreeStats, execute_operations_batched
 from ..workloads.sessions import SessionSequence
+from ..workloads.traces import Trace
 from ..workloads.workload import Workload
-from .replay import execute_serving_batched
 from .sharding import partition_keys, shard_operations
 
 
@@ -195,58 +196,6 @@ def _shard_config(config: ExecutorConfig, shard: int) -> ExecutorConfig:
     )
 
 
-def _measure_shard_sessions(
-    executor: WorkloadExecutor,
-    execute,
-    disk,
-    sequence: SessionSequence,
-    shard: int,
-    num_shards: int,
-    note_idle=None,
-) -> tuple[tuple[SessionMeasurement, ...], float]:
-    """Replay a shard's sub-stream of every session, timing execution only.
-
-    The full global trace is regenerated deterministically and filtered down
-    to this shard's sub-stream, so every shard observes the operations at
-    their global stream positions.  Returns the per-shard session
-    measurements and the summed execution seconds.
-    """
-    config = executor.config
-    trace = executor.trace_generator()
-    measurements = []
-    elapsed = 0.0
-    for session in sequence:
-        before = disk.snapshot()
-        num_queries = 0
-        for workload in session.workloads:
-            operations = trace.operations(workload, config.queries_per_workload)
-            mine = shard_operations(operations, shard, num_shards)
-            num_queries += len(mine)
-            start = time.perf_counter()
-            execute(mine)
-            elapsed += time.perf_counter() - start
-        delta = disk.counters.delta(before)
-        latency = disk.latency_us(delta) / num_queries if num_queries else 0.0
-        measurements.append(
-            SessionMeasurement(
-                label=session.label,
-                workload=session.average,
-                num_queries=num_queries,
-                query_reads=delta.query_reads,
-                query_writes=delta.query_writes,
-                flush_writes=delta.flush_writes,
-                compaction_reads=delta.compaction_reads,
-                compaction_writes=delta.compaction_writes,
-                latency_us_per_query=latency,
-            )
-        )
-        if note_idle is not None:
-            # The inter-session gap is the shard's serving lull: deferred
-            # migration steps drain here, outside the measurement window.
-            note_idle()
-    return tuple(measurements), elapsed
-
-
 def _run_shard(
     system: SystemConfig,
     config: ExecutorConfig,
@@ -264,6 +213,14 @@ def _run_shard(
     tree = executor.build_tree(tuning, keys=shard_keys)
     initial_tuning = tree.tuning
     controller = None
+    # Every shard regenerates the global trace from the executor's seeds and
+    # masks it down to its sub-stream, so operations keep their global stream
+    # positions — on the pool and in the sequential loop alike.
+    generator = executor.trace_generator()
+
+    def operations(workload: Workload, count: int) -> Trace:
+        return shard_operations(generator.operations(workload, count), shard, num_shards)
+
     try:
         if adaptive:
             from ..online.controller import OnlineConfig, OnlineLSMController
@@ -278,41 +235,40 @@ def _run_shard(
                 ),
                 policies=policies,
             )
-            if config.batch_execution:
-                def execute(operations):
-                    controller.execute_batched(
-                        operations, max_batch_ops=config.max_batch_ops
-                    )
-            else:
-                execute = controller.execute
-            sessions, elapsed = _measure_shard_sessions(
-                executor, execute, controller.disk, sequence, shard, num_shards,
-                note_idle=controller.note_idle,
+            replay = controller.execute_batched
+        else:
+            replay = partial(execute_operations_batched, tree)
+        elapsed = 0.0
+
+        def execute(trace: Trace) -> None:
+            nonlocal elapsed
+            start = time.perf_counter()
+            replay(trace, max_batch_ops=config.max_batch_ops)
+            elapsed += time.perf_counter() - start
+
+        sessions = []
+        for session in sequence:
+            # The controller's disk is the tree's: migrations share it.
+            sessions.append(
+                executor._measure_session(tree.disk, execute, session, operations)
             )
+            if controller is not None:
+                # The inter-session gap is the shard's serving lull: deferred
+                # migration steps drain here, outside the measurement window.
+                controller.note_idle()
+        if controller is not None:
             controller.finish_migration()
             final_tree = controller.tree
             measurement: SequenceMeasurement = AdaptiveSequenceMeasurement(
                 tuning=initial_tuning,
-                sessions=sessions,
+                sessions=tuple(sessions),
                 final_tuning=controller.tuning,
                 events=tuple(controller.events),
             )
         else:
-            if config.batch_execution:
-                def execute(operations):
-                    execute_serving_batched(
-                        tree, operations, max_batch_ops=config.max_batch_ops
-                    )
-            else:
-                def execute(operations):
-                    for op in operations:
-                        tree.apply(op)
-            sessions, elapsed = _measure_shard_sessions(
-                executor, execute, tree.disk, sequence, shard, num_shards
-            )
             final_tree = tree
             measurement = SequenceMeasurement(
-                tuning=initial_tuning, sessions=sessions
+                tuning=initial_tuning, sessions=tuple(sessions)
             )
         return ShardRun(
             shard=shard,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..workloads.traces import Operation, OperationType
+from ..workloads.traces import OperationType, Trace
 
 _SPLITMIX_INC = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -56,24 +56,13 @@ def partition_keys(keys: np.ndarray, num_shards: int) -> list[np.ndarray]:
     return [keys[sids == shard] for shard in range(num_shards)]
 
 
-def shard_operations(
-    operations: list[Operation], shard: int, num_shards: int
-) -> list[Operation]:
+def shard_operations(trace: Trace, shard: int, num_shards: int) -> Trace:
     """The sub-stream one shard serves, in original stream order.
 
     Point operations are kept when the shard owns their key; range scans are
-    kept on every shard (see the module docstring).  Returns the full stream
-    unfiltered for a single-shard deployment.
+    kept on every shard (see the module docstring).
     """
     if not 0 <= shard < num_shards:
         raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
-    if num_shards == 1:
-        return list(operations)
-    keys = np.fromiter(
-        (op.key for op in operations), dtype=np.int64, count=len(operations)
-    )
-    mine = shard_ids(keys, num_shards) == shard
-    for index, op in enumerate(operations):
-        if op.kind is OperationType.RANGE:
-            mine[index] = True
-    return [op for op, keep in zip(operations, mine.tolist()) if keep]
+    owned = shard_ids(trace.keys, num_shards) == shard
+    return trace[owned | (trace.kinds == OperationType.RANGE)]

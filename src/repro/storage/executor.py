@@ -14,6 +14,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.sessions import Session, SessionSequence
-from ..workloads.traces import KeySpace, Operation, TraceGenerator
+from ..workloads.traces import KeySpace, Trace, TraceGenerator
 from ..workloads.workload import Workload
 from .disk import VirtualDisk
 from .lsm_tree import LSMTree, execute_operations_batched
@@ -173,11 +174,7 @@ class ExecutorConfig:
     write_latency_us: float = 100.0
     #: Seed controlling trace generation.
     seed: int = 97
-    #: Whether trace replay routes write-free GET spans through the batched
-    #: ``get_many`` read path (bit-identical I/O accounting; disable to fall
-    #: back to the per-operation scalar loop, e.g. for a parity check).
-    batch_execution: bool = True
-    #: Upper bound on the keys of one batched GET span.
+    #: Upper bound on the keys of one batched GET span of trace replay.
     max_batch_ops: int = 4_096
     #: Storage backend the trees run on: ``"simulated"`` keeps runs in memory
     #: (the default virtual-disk engine), ``"persistent"`` builds
@@ -295,48 +292,37 @@ class WorkloadExecutor:
         ``data_dir``) also delete their files; trees under a user-chosen
         ``data_dir`` are closed but left on disk for inspection.
         """
-        if self.config.backend == "persistent" and self.config.data_dir is None:
-            destroy = getattr(tree, "destroy", None)
-            if destroy is not None:
-                destroy()
-                return
-        tree.close()
+        if self.config.data_dir is None:
+            tree.dispose()
+        else:
+            tree.close()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute_operations(
-        self, tree: LSMTree, operations: list[Operation]
-    ) -> None:
-        if self.config.batch_execution:
-            execute_operations_batched(
-                tree, operations, max_batch_ops=self.config.max_batch_ops
-            )
-        else:
-            for op in operations:
-                tree.apply(op)
-
     def _measure_session(
         self,
         disk: VirtualDisk,
-        execute: Callable[[list[Operation]], None],
+        execute: Callable[[Trace], None],
         session: Session,
-        trace: TraceGenerator,
+        operations: Callable[[Workload, int], Trace],
     ) -> SessionMeasurement:
         """Generate one session's traces, run them through ``execute``, and
         measure the I/O delta on ``disk``.
 
-        ``execute`` is whatever consumes the operations — a plain tree replay
-        or the adaptive controller's loop; everything that hits ``disk``
-        between the snapshots (queries, flushes, compactions, migrations) is
-        attributed to the session.
+        ``operations`` produces each workload's trace (a generator's
+        ``operations``, or the serving layer's per-shard mask of it) and
+        ``execute`` is whatever consumes it — a plain tree replay or the
+        adaptive controller's loop; everything that hits ``disk`` between the
+        snapshots (queries, flushes, compactions, migrations) is attributed
+        to the session.
         """
         before = disk.snapshot()
         num_queries = 0
         for workload in session.workloads:
-            operations = trace.operations(workload, self.config.queries_per_workload)
-            num_queries += len(operations)
-            execute(operations)
+            trace = operations(workload, self.config.queries_per_workload)
+            num_queries += len(trace)
+            execute(trace)
         delta = disk.counters.delta(before)
         latency = disk.latency_us(delta) / num_queries if num_queries else 0.0
         return SessionMeasurement(
@@ -357,9 +343,13 @@ class WorkloadExecutor:
         """Execute one session on an existing tree and measure its I/O."""
         return self._measure_session(
             tree.disk,
-            lambda operations: self._execute_operations(tree, operations),
+            partial(
+                execute_operations_batched,
+                tree,
+                max_batch_ops=self.config.max_batch_ops,
+            ),
             session,
-            trace,
+            trace.operations,
         )
 
     def trace_generator(self) -> TraceGenerator:
@@ -461,18 +451,16 @@ class WorkloadExecutor:
                 ),
                 policies=policies,
             )
-            if self.config.batch_execution:
-                def execute(operations):
-                    controller.execute_batched(
-                        operations, max_batch_ops=self.config.max_batch_ops
-                    )
-            else:
-                execute = controller.execute
+            execute = partial(
+                controller.execute_batched, max_batch_ops=self.config.max_batch_ops
+            )
             trace = self.trace_generator()
             measurements = []
             for session in sequence:
                 measurements.append(
-                    self._measure_session(controller.disk, execute, session, trace)
+                    self._measure_session(
+                        controller.disk, execute, session, trace.operations
+                    )
                 )
                 # The gap between sessions is a serving lull: under
                 # queue-depth admission the controller drains deferred

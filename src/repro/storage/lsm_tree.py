@@ -35,7 +35,7 @@ import numpy as np
 from ..lsm.bloom import monkey_bits_per_level
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..workloads.traces import Operation, OperationType
+from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
 from .run import SortedRun
@@ -54,13 +54,13 @@ class TreeStats:
 
 
 def execute_operation(engine, operation: Operation) -> None:
-    """Dispatch one trace operation to an engine's ``put``/``get``/``range_query``.
+    """Dispatch one trace row to an engine's ``put``/``get``/``range_query``.
 
-    The single place :class:`~repro.workloads.traces.Operation` kinds map to
-    engine calls.  ``engine`` is anything exposing the three methods — the
-    live :class:`LSMTree` and the online subsystem's mixed migration state
-    both route through here, so a new operation kind handled in one
-    measurement path can never be silently mis-routed in the other.
+    The scalar reference of :func:`execute_operations_batched`: replaying a
+    trace row by row through here defines the disk counters, tree state and
+    answers the batched loop must reproduce bit for bit.  ``engine`` is
+    anything exposing the three methods — the live :class:`LSMTree` and the
+    online subsystem's mixed migration state both qualify.
     """
     if operation.kind is OperationType.PUT:
         engine.put(operation.key)
@@ -69,9 +69,6 @@ def execute_operation(engine, operation: Operation) -> None:
     else:
         engine.get(operation.key)
 
-
-#: Operation kinds a batched GET span may absorb (both point-read flavours).
-POINT_READ_KINDS = frozenset((OperationType.GET, OperationType.EMPTY_GET))
 
 #: GET spans shorter than this run through the scalar path: per-batch array
 #: overhead beats per-key dict/filter probes only once a span has some width,
@@ -85,7 +82,7 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     Spans below :data:`SCALAR_SPAN_CUTOFF` replay through the engine's scalar
     ``get`` (cheaper than spinning up array ops for a handful of keys);
     longer spans go through the vectorised ``get_many``.  Both produce
-    identical disk counters, so the cutoff is purely a wall-clock knob.
+    identical disk counters, so the cutoff is purely a wall-clock choice.
     """
     if len(span_keys) < SCALAR_SPAN_CUTOFF:
         for key in span_keys:
@@ -95,36 +92,39 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     span_keys.clear()
 
 
-def execute_operations_batched(engine, operations, max_batch_ops: int = 4_096) -> None:
-    """Execute a span of trace operations, batching write-free GET runs.
+def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
+    """Replay a trace against an engine, batching point reads between writes.
 
-    The batched companion of :func:`execute_operation`: maximal spans of
-    consecutive point reads (capped at ``max_batch_ops``) are routed through
-    the engine's vectorised ``get_many``; a PUT or RANGE flushes the pending
-    span first and then runs through the scalar dispatch, since writes mutate
-    the tree structure (flushes, compactions) that subsequent reads must
-    observe.  ``engine`` is anything exposing ``get_many`` alongside the
-    scalar trio — the live :class:`LSMTree` and the online subsystem's mixed
-    migration state both qualify — and the disk counters, tree state and
-    query answers are bit-identical to replaying the span scalar.
+    The one loop that walks a trace: point reads accumulate into a pending
+    span (capped at ``max_batch_ops``) that runs through the engine's
+    vectorised ``get_many``.  Only a PUT fences the span — writes mutate the
+    structure (flushes, compactions) that later reads must observe.  A RANGE
+    runs in stream position while the span keeps growing past it: reads
+    change nothing on any engine (:class:`LSMTree`, the persistent backend,
+    the online subsystem's mixed migration state), so they commute, and only
+    the order of read I/O inside a write-free window shifts — which no
+    measurement observes, sessions measure counter deltas.  Disk counters,
+    tree state and answers are bit-identical to replaying the trace row by
+    row through :func:`execute_operation`.
     """
-    if max_batch_ops <= 0:
-        raise ValueError("max_batch_ops must be positive")
-    # Identity checks against hoisted members: this loop runs once per trace
-    # operation, so even the frozenset's enum hashing shows up at 1M ops.
-    get_kind, empty_get_kind = OperationType.GET, OperationType.EMPTY_GET
+    range_kind = OperationType.RANGE.value
     pending: list[int] = []
     append = pending.append
-    for operation in operations:
-        kind = operation.kind
-        if kind is get_kind or kind is empty_get_kind:
-            append(operation.key)
+    # Plain-int columns: per-window array work would cost more than it saves
+    # on write-dense traces, where spans are a handful of keys.
+    for kind, key, scan_length in zip(
+        trace.kinds.tolist(), trace.keys.tolist(), trace.scan_lengths.tolist()
+    ):
+        if kind < range_kind:  # both point-read codes sort below RANGE
+            append(key)
             if len(pending) >= max_batch_ops:
                 drain_get_span(engine, pending)
+        elif kind == range_kind:
+            engine.range_query(key, key + scan_length)
         else:
             if pending:
                 drain_get_span(engine, pending)
-            execute_operation(engine, operation)
+            engine.put(key)
     if pending:
         drain_get_span(engine, pending)
 
@@ -556,10 +556,8 @@ class LSMTree:
     def apply(self, operation: Operation) -> None:
         """Execute one concrete trace operation against the tree.
 
-        Dispatches through :func:`execute_operation` — the single place the
-        :class:`~repro.workloads.traces.Operation` kinds map to engine calls
-        — so the plain executor replay, the online controller, and the
-        mixed migration state cannot drift apart.
+        Dispatches through :func:`execute_operation`, as the online
+        controller and the mixed migration state do.
         """
         execute_operation(self, operation)
 

@@ -91,6 +91,10 @@ class PersistentLSMTree(LSMTree):
         #: stay correct (newest-wins consolidation is unconditional), only
         #: the structure degrades.  Leave True for backend-parity runs.
         self.compaction_enabled = True
+        #: Every SSTable this tree holds a descriptor on, by file name — the
+        #: installed runs plus those a compaction replaced since the last
+        #: manifest swap.
+        self._tables: dict[str, SSTable] = {}
         super().__init__(tuning=tuning, system=system, disk=disk, seed=seed)
         self._manifest_path = self.data_dir / self.MANIFEST_NAME
         self._wal = WriteAheadLog(self.data_dir / self.WAL_NAME, sync=sync_writes)
@@ -107,7 +111,13 @@ class PersistentLSMTree(LSMTree):
 
     def _new_run(self, keys: np.ndarray, tombstones: np.ndarray, level: int) -> SSTable:
         self._run_counter += 1
-        return SSTable.create(
+        return self._create_table(keys, tombstones, level)
+
+    def _create_table(
+        self, keys: np.ndarray, tombstones: np.ndarray, level: int
+    ) -> SSTable:
+        """Write the SSTable of run number ``_run_counter`` and track it."""
+        table = SSTable.create(
             self._sst_path(self._run_counter),
             keys=keys,
             tombstones=tombstones,
@@ -115,6 +125,8 @@ class PersistentLSMTree(LSMTree):
             bits_per_entry=self._bits_for_level(level),
             seed=self._seed + self._run_counter,
         )
+        self._tables[table.path.name] = table
+        return table
 
     def _merged_run(
         self, runs: list[SSTable], target_level: int, drop_tombstones: bool
@@ -122,8 +134,8 @@ class PersistentLSMTree(LSMTree):
         """Compact by reading the input SSTables and writing a new one.
 
         ``_merge_runs`` already bumped the run counter and owns the I/O
-        accounting; the input files become garbage once the caller installs
-        the output, and are swept at the next manifest sync.
+        accounting; the input tables become garbage once the caller installs
+        the output, and are closed and deleted after the next manifest sync.
         """
         key_parts: list[np.ndarray] = []
         tombstone_parts: list[np.ndarray] = []
@@ -134,14 +146,7 @@ class PersistentLSMTree(LSMTree):
         keys, tombstones = consolidate_versions(
             key_parts, tombstone_parts, drop_tombstones=drop_tombstones
         )
-        return SSTable.create(
-            self._sst_path(self._run_counter),
-            keys=keys,
-            tombstones=tombstones,
-            entries_per_page=self.entries_per_page,
-            bits_per_entry=self._bits_for_level(target_level),
-            seed=self._seed + self._run_counter,
-        )
+        return self._create_table(keys, tombstones, target_level)
 
     def _install_run(self, run, level: int) -> None:
         if self.compaction_enabled:
@@ -224,6 +229,7 @@ class PersistentLSMTree(LSMTree):
             [SSTable.open(self.data_dir / name) for name in level]
             for level in manifest["levels"]
         ]
+        self._tables = {run.path.name: run for runs in self.levels for run in runs}
         # Un-flushed (acknowledged but not yet persisted) writes live in the
         # log; replaying them rebuilds the memtable the crash wiped out.
         for key, tombstone in self._wal.replay():
@@ -235,8 +241,17 @@ class PersistentLSMTree(LSMTree):
         self._collect_garbage()
 
     def _collect_garbage(self) -> None:
-        """Delete SSTable files the manifest no longer references."""
+        """Delete SSTable files the manifest no longer references.
+
+        Called after a manifest swap.  Tables a compaction replaced are
+        closed before their files go — an unlinked file keeps its blocks, and
+        the process its descriptor, for as long as it stays open.  The glob
+        sweep that follows catches files no table of this process owns:
+        orphans of a crash between SSTable creation and manifest swap.
+        """
         live = {run.path.name for runs in self.levels for run in runs}
+        for name in self._tables.keys() - live:
+            self._tables.pop(name).delete_files()
         for data_path in self.data_dir.glob("run-*.sst"):
             if data_path.name not in live:
                 for stale in (
@@ -280,10 +295,12 @@ class PersistentLSMTree(LSMTree):
         (and the disk counters) the trace produced.
         """
         self._sync_manifest()
+        self._close_files()
+
+    def _close_files(self) -> None:
         self._wal.close()
-        for runs in self.levels:
-            for run in runs:
-                run.close()
+        for table in self._tables.values():
+            table.close()
 
     def simulate_crash(self) -> None:
         """Drop every handle *without* syncing anything — a process kill.
@@ -292,10 +309,7 @@ class PersistentLSMTree(LSMTree):
         last flush wrote it, so reopening the directory exercises the real
         recovery path (manifest + WAL replay + orphan sweep).
         """
-        self._wal.close()
-        for runs in self.levels:
-            for run in runs:
-                run.close()
+        self._close_files()
 
     def destroy(self) -> None:
         """Close the tree and delete its entire data directory."""

@@ -17,7 +17,14 @@ from .sessions import (
     SessionSequence,
     SessionType,
 )
-from .traces import KeySpace, Operation, OperationType, TraceGenerator, operation_mix
+from .traces import (
+    KeySpace,
+    Operation,
+    OperationType,
+    Trace,
+    TraceGenerator,
+    operation_mix,
+)
 from .workload import (
     QUERY_NAMES,
     QUERY_TYPES,
@@ -39,6 +46,7 @@ __all__ = [
     "SessionGenerator",
     "SessionSequence",
     "SessionType",
+    "Trace",
     "TraceGenerator",
     "UncertaintyBenchmark",
     "Workload",

@@ -24,35 +24,99 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .workload import Workload
 
 
-class OperationType(enum.Enum):
-    """The concrete operations the simulator understands."""
+class OperationType(enum.IntEnum):
+    """The concrete operations the simulator understands.
 
-    EMPTY_GET = "empty_get"
-    GET = "get"
-    RANGE = "range"
-    PUT = "put"
+    A member's value is both the kind code stored in :attr:`Trace.kinds` and
+    the operation's index in the workload vector ``(z0, z1, q, w)``.
+    """
+
+    EMPTY_GET = 0
+    GET = 1
+    RANGE = 2
+    PUT = 3
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+        return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One concrete query against the store."""
+#: Kind code -> member (a tuple index is cheaper than the enum's value lookup).
+_KINDS = tuple(OperationType)
+
+
+class Operation(NamedTuple):
+    """One concrete query against the store: a row of a :class:`Trace`."""
 
     kind: OperationType
     key: int
     #: Number of consecutive keys scanned; only meaningful for range queries.
     scan_length: int = 0
-    #: Value payload; only meaningful for puts.
-    value: bytes = b""
+
+
+class Trace:
+    """A sequence of operations stored as three parallel columns.
+
+    ``kinds`` holds :class:`OperationType` codes (``uint8``), ``keys`` the
+    operated-on key (``int64``) and ``scan_lengths`` the interval length of
+    range queries (``int32``, 0 elsewhere).  Slicing or masking returns a
+    ``Trace`` over the selected rows; iterating (or indexing with an integer)
+    yields :class:`Operation` rows.
+    """
+
+    __slots__ = ("kinds", "keys", "scan_lengths")
+
+    def __init__(self, kinds, keys, scan_lengths) -> None:
+        self.kinds = np.asarray(kinds, dtype=np.uint8)
+        self.keys = np.asarray(keys, dtype=np.int64)
+        self.scan_lengths = np.asarray(scan_lengths, dtype=np.int32)
+        if not self.kinds.shape == self.keys.shape == self.scan_lengths.shape:
+            raise ValueError("trace columns must have one shape")
+
+    @classmethod
+    def of(cls, operations: Iterable[Operation]) -> "Trace":
+        """Build a trace from :class:`Operation` rows."""
+        rows = list(operations)
+        return cls(
+            [op.kind for op in rows],
+            [op.key for op in rows],
+            [op.scan_length for op in rows],
+        )
+
+    def __len__(self) -> int:
+        return self.kinds.size
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Operation(
+                _KINDS[self.kinds[index]],
+                int(self.keys[index]),
+                int(self.scan_lengths[index]),
+            )
+        return Trace(self.kinds[index], self.keys[index], self.scan_lengths[index])
+
+    def __iter__(self) -> Iterator[Operation]:
+        return map(
+            Operation,
+            map(_KINDS.__getitem__, self.kinds.tolist()),
+            self.keys.tolist(),
+            self.scan_lengths.tolist(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            np.array_equal(self.kinds, other.kinds)
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.scan_lengths, other.scan_lengths)
+        )
 
 
 @dataclass(frozen=True)
@@ -91,15 +155,12 @@ class TraceGenerator:
     def __init__(
         self,
         key_space: KeySpace,
-        value_size_bytes: int = 8,
         range_scan_keys: int = 16,
         long_scan_keys: int = 512,
         seed: int = 23,
         update_fraction: float = 0.0,
         update_skew: float = 0.0,
     ) -> None:
-        if value_size_bytes <= 0:
-            raise ValueError("value_size_bytes must be positive")
         if range_scan_keys <= 0:
             raise ValueError("range_scan_keys must be positive")
         if long_scan_keys < range_scan_keys:
@@ -109,7 +170,6 @@ class TraceGenerator:
         if update_skew < 0.0:
             raise ValueError("update_skew must be non-negative")
         self.key_space = key_space
-        self.value_size_bytes = value_size_bytes
         self.range_scan_keys = range_scan_keys
         self.long_scan_keys = long_scan_keys
         #: Fraction of the writes that *update* an existing key (duplicate
@@ -129,7 +189,7 @@ class TraceGenerator:
     # ------------------------------------------------------------------
     # Trace generation
     # ------------------------------------------------------------------
-    def operations(self, workload: Workload, num_operations: int) -> list[Operation]:
+    def operations(self, workload: Workload, num_operations: int) -> Trace:
         """Materialise ``num_operations`` queries following ``workload``.
 
         The number of operations per type is the multinomial expectation of
@@ -139,64 +199,42 @@ class TraceGenerator:
         if num_operations <= 0:
             raise ValueError("num_operations must be positive")
         counts = self._rng.multinomial(num_operations, workload.as_array())
-        ops: list[Operation] = []
-        ops.extend(self._empty_gets(int(counts[0])))
-        ops.extend(self._gets(int(counts[1])))
-        ops.extend(
-            self._ranges(int(counts[2]), workload.long_range_fraction)
+        empty_gets, gets, ranges, puts = counts.tolist()
+        space = self.key_space
+        # One block per kind, in kind-code order; the draws keep this order
+        # too, so a seeded trace never changes.
+        keys = np.concatenate(
+            [
+                self._rng.choice(space.missing, size=empty_gets, replace=True),
+                self._rng.choice(space.existing, size=gets, replace=True),
+                self._rng.choice(space.existing, size=ranges, replace=True),
+                self._put_keys(puts),
+            ]
         )
-        ops.extend(self._puts(int(counts[3])))
-        self._rng.shuffle(ops)
-        return ops
-
-    def __call__(self, workload: Workload, num_operations: int) -> list[Operation]:
-        return self.operations(workload, num_operations)
-
-    # ------------------------------------------------------------------
-    # Per-type generators
-    # ------------------------------------------------------------------
-    def _empty_gets(self, count: int) -> Iterator[Operation]:
-        if count == 0:
-            return iter(())
-        keys = self._rng.choice(self.key_space.missing, size=count, replace=True)
-        return (Operation(OperationType.EMPTY_GET, int(k)) for k in keys)
-
-    def _gets(self, count: int) -> Iterator[Operation]:
-        if count == 0:
-            return iter(())
-        keys = self._rng.choice(self.key_space.existing, size=count, replace=True)
-        return (Operation(OperationType.GET, int(k)) for k in keys)
-
-    def _ranges(self, count: int, long_fraction: float = 0.0) -> Iterator[Operation]:
-        if count == 0:
-            return iter(())
-        starts = self._rng.choice(self.key_space.existing, size=count, replace=True)
-        # Deterministic split (the operation list is shuffled afterwards, so
+        kinds = np.repeat(np.arange(len(OperationType), dtype=np.uint8), counts)
+        # Deterministic short/long split (the trace is shuffled afterwards, so
         # which draws become long scans carries no ordering information).
-        num_long = int(round(count * long_fraction))
-        return (
-            Operation(
-                OperationType.RANGE,
-                int(k),
-                scan_length=(
-                    self.long_scan_keys if i < num_long else self.range_scan_keys
-                ),
-            )
-            for i, k in enumerate(starts)
-        )
+        scan_lengths = np.zeros(num_operations, dtype=np.int32)
+        first_range = empty_gets + gets
+        num_long = int(round(ranges * workload.long_range_fraction))
+        scan_lengths[first_range : first_range + num_long] = self.long_scan_keys
+        scan_lengths[first_range + num_long : first_range + ranges] = self.range_scan_keys
+        order = self._rng.permutation(num_operations)
+        return Trace(kinds[order], keys[order], scan_lengths[order])
 
-    def _puts(self, count: int) -> list[Operation]:
-        ops = []
-        payload = bytes(self.value_size_bytes)
+    def _put_keys(self, count: int) -> np.ndarray:
+        """Keys of ``count`` writes: the updates first, then fresh inserts."""
         num_updates = (
             int(round(count * self.update_fraction)) if self.update_fraction else 0
         )
-        for key in self._update_keys(num_updates):
-            ops.append(Operation(OperationType.PUT, int(key), value=payload))
-        for _ in range(count - num_updates):
-            ops.append(Operation(OperationType.PUT, self._next_fresh_key, value=payload))
-            self._next_fresh_key += 1
-        return ops
+        first_fresh = self._next_fresh_key
+        self._next_fresh_key += count - num_updates
+        return np.concatenate(
+            [
+                self._update_keys(num_updates),
+                np.arange(first_fresh, self._next_fresh_key, dtype=np.int64),
+            ]
+        )
 
     def _update_keys(self, count: int) -> np.ndarray:
         """Existing keys to overwrite, drawn uniformly or Zipf-skewed."""
@@ -216,27 +254,9 @@ class TraceGenerator:
             self._hot_order, size=count, replace=True, p=self._hot_probabilities
         )
 
-    # ------------------------------------------------------------------
-    # Bulk loading
-    # ------------------------------------------------------------------
-    def bulk_load_items(self) -> list[tuple[int, bytes]]:
-        """Key/value pairs to bulk-load before running any trace."""
-        payload = bytes(self.value_size_bytes)
-        return [(int(key), payload) for key in self.key_space.existing]
 
-
-def operation_mix(operations: Sequence[Operation]) -> Workload:
+def operation_mix(trace: Trace) -> Workload:
     """Recover the workload proportions realised by a concrete trace."""
-    if not operations:
+    if len(trace) == 0:
         raise ValueError("cannot compute the mix of an empty trace")
-    counts = {kind: 0 for kind in OperationType}
-    for op in operations:
-        counts[op.kind] += 1
-    return Workload.from_counts(
-        [
-            counts[OperationType.EMPTY_GET],
-            counts[OperationType.GET],
-            counts[OperationType.RANGE],
-            counts[OperationType.PUT],
-        ]
-    )
+    return Workload.from_counts(np.bincount(trace.kinds, minlength=len(OperationType)))

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import ADMISSION_MODES, OnlineConfig, OnlineLSMController, StepAdmission
-from repro.serving.executor import tree_fingerprint
 from repro.storage import LSMTree
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
@@ -218,72 +216,3 @@ class TestControllerAdmission:
         plan = controller.migration_plan
         after = plan.num_steps if plan is None or plan.completed else plan.steps_completed
         assert after > before
-
-
-class TestBatchedAdmissionParity:
-    """Satellite: ``execute_batched`` boundary math under both policies.
-
-    Scalar and batched execution of the same drifting stream must observe
-    the same drift, fire the same retunings, advance the same migration
-    steps at the same positions, and leave bit-identical trees and disks.
-    """
-
-    def _drifting_stream(self, seed, length):
-        trace = TraceGenerator(_KEY_SPACE, seed=seed)
-        calm = trace.operations(Workload(0.55, 0.25, 0.05, 0.15), length // 2)
-        drift = trace.operations(Workload(0.05, 0.05, 0.05, 0.85), length - length // 2)
-        return calm + drift
-
-    def _run(self, batched, admission, seed, length, max_batch_ops=4_096):
-        expected = Workload(0.55, 0.25, 0.05, 0.15)
-        config = OnlineConfig(**{
-            **_PLAN_KWARGS,
-            "cooldown": 256,
-            "confirm_checks": 2,
-            "admission": admission,
-            "admission_max_backlog": 16,
-            "admission_starvation_ops": 512,
-            "admission_idle_steps": 4,
-        })
-        controller = _controller(config, expected)
-        operations = self._drifting_stream(seed, length)
-        if batched:
-            controller.execute_batched(operations, max_batch_ops=max_batch_ops)
-        else:
-            controller.execute(operations)
-        return controller
-
-    @pytest.mark.parametrize("admission", ADMISSION_MODES)
-    def test_batched_matches_scalar_through_retune_and_migration(
-        self, admission
-    ):
-        scalar = self._run(False, admission, seed=11, length=6_000)
-        batched = self._run(True, admission, seed=11, length=6_000)
-        assert scalar.num_migrations >= 1  # the stream does exercise a plan
-        assert batched.events == scalar.events
-        assert batched.position == scalar.position
-        assert batched.disk.counters == scalar.disk.counters
-        assert batched.tuning == scalar.tuning
-        assert tree_fingerprint(batched.tree) == tree_fingerprint(scalar.tree)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=40),
-        length=st.integers(min_value=500, max_value=2_500),
-        max_batch_ops=st.sampled_from([7, 64, 4_096]),
-        admission=st.sampled_from(ADMISSION_MODES),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_parity_holds_across_random_streams(
-        self, seed, length, max_batch_ops, admission
-    ):
-        scalar = self._run(False, admission, seed, length)
-        batched = self._run(
-            True, admission, seed, length, max_batch_ops=max_batch_ops
-        )
-        assert batched.events == scalar.events
-        assert batched.disk.counters == scalar.disk.counters
-        assert np.array_equal(
-            batched.observed_workload().as_array(),
-            scalar.observed_workload().as_array(),
-        )
-        assert tree_fingerprint(batched.tree) == tree_fingerprint(scalar.tree)

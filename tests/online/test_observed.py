@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from repro.online import ObservedWorkload
-from repro.workloads import KeySpace, Operation, OperationType, TraceGenerator, Workload
+from repro.workloads import (
+    KeySpace,
+    Operation,
+    OperationType,
+    Trace,
+    TraceGenerator,
+    Workload,
+)
 
 
-def _ops(kind: OperationType, count: int) -> list[Operation]:
-    return [Operation(kind, key) for key in range(count)]
+def _ops(kind: OperationType, count: int) -> Trace:
+    return Trace.of(Operation(kind, key) for key in range(count))
 
 
 class TestConstruction:

@@ -15,8 +15,9 @@ from repro.serving import (
     format_sharded_comparison,
 )
 from repro.serving.executor import tree_fingerprint
-from repro.serving.sharding import partition_keys
-from repro.storage import ExecutorConfig, WorkloadExecutor
+from repro.serving.sharding import partition_keys, shard_operations
+from repro.storage import ExecutorConfig, IOCounters, WorkloadExecutor
+from repro.storage.lsm_tree import execute_operation
 from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload
 
 _SYSTEM = simulator_system(num_entries=4_000)
@@ -112,18 +113,37 @@ class TestShardedRuns:
             assert merged.num_queries == 250
             assert sum(p.num_queries for p in parts) >= merged.num_queries
 
-    def test_batched_and_scalar_shard_replay_agree(self, sequence):
-        """Coalescing GET spans across range scans is bit-identical."""
-        batched = ShardedExecutor(
-            _SYSTEM, _config(num_shards=2, batch_execution=True)
-        ).run_sequence(_TUNING, sequence)
-        scalar = ShardedExecutor(
-            _SYSTEM, _config(num_shards=2, batch_execution=False)
-        ).run_sequence(_TUNING, sequence)
-        assert batched.sessions == scalar.sessions
-        for fast, slow in zip(batched.shards, scalar.shards):
-            assert fast.measurement.sessions == slow.measurement.sessions
-            assert fast.fingerprint == slow.fingerprint
+    def test_fleet_counters_equal_scalar_replay_of_the_masked_trace(self, sequence):
+        """Each shard's sessions and final tree equal a row-by-row replay of
+        the global trace masked down to that shard."""
+        num_shards = 2
+        fleet = ShardedExecutor(_SYSTEM, _config(num_shards=num_shards)).run_sequence(
+            _TUNING, sequence
+        )
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        parts = partition_keys(executor.key_space.existing, num_shards)
+        for run, shard_keys in zip(fleet.shards, parts):
+            tree = executor.build_tree(_TUNING, keys=shard_keys)
+            trace = executor.trace_generator()
+            for session, measured in zip(sequence, run.measurement.sessions):
+                before = tree.disk.snapshot()
+                queries = 0
+                for workload in session.workloads:
+                    mine = shard_operations(
+                        trace.operations(workload, 250), run.shard, num_shards
+                    )
+                    queries += len(mine)
+                    for op in mine:
+                        execute_operation(tree, op)
+                assert measured.num_queries == queries
+                assert tree.disk.counters.delta(before) == IOCounters(
+                    query_reads=measured.query_reads,
+                    query_writes=measured.query_writes,
+                    compaction_reads=measured.compaction_reads,
+                    compaction_writes=measured.compaction_writes,
+                    flush_writes=measured.flush_writes,
+                )
+            assert run.fingerprint == tree_fingerprint(tree)
 
     def test_parallel_pool_matches_sequential(self, sequence):
         config = _config(num_shards=2)

@@ -11,7 +11,7 @@ from repro.serving.sharding import (
     shard_of_key,
     shard_operations,
 )
-from repro.workloads import KeySpace, Operation, OperationType
+from repro.workloads import KeySpace, Operation, OperationType, Trace
 
 
 class TestShardIds:
@@ -78,7 +78,9 @@ class TestShardOperations:
     def test_points_route_by_owner_ranges_fan_out(self):
         ops = _ops()
         num_shards = 3
-        streams = [shard_operations(ops, s, num_shards) for s in range(num_shards)]
+        streams = [
+            list(shard_operations(Trace.of(ops), s, num_shards)) for s in range(num_shards)
+        ]
         for shard, stream in enumerate(streams):
             for op in stream:
                 if op.kind is not OperationType.RANGE:
@@ -88,17 +90,31 @@ class TestShardOperations:
             holders = sum(op in stream for stream in streams)
             assert holders == (num_shards if op.kind is OperationType.RANGE else 1)
 
+    def test_mask_equals_the_per_row_rule(self):
+        """The column mask keeps exactly the rows the routing rule keeps:
+        a point operation on its key's owner, a range scan everywhere."""
+        ops = _ops()
+        for num_shards in (1, 2, 3, 5):
+            for shard in range(num_shards):
+                by_row = [
+                    op
+                    for op in ops
+                    if op.kind is OperationType.RANGE
+                    or shard_of_key(op.key, num_shards) == shard
+                ]
+                assert list(shard_operations(Trace.of(ops), shard, num_shards)) == by_row
+
     def test_stream_order_is_preserved(self):
         ops = _ops()
         for shard in range(3):
-            stream = shard_operations(ops, shard, 3)
+            stream = shard_operations(Trace.of(ops), shard, 3)
             indices = [ops.index(op) for op in stream]
             assert indices == sorted(indices)
 
     def test_single_shard_passthrough(self):
-        ops = _ops()
-        assert shard_operations(ops, 0, 1) == ops
+        trace = Trace.of(_ops())
+        assert shard_operations(trace, 0, 1) == trace
 
     def test_rejects_out_of_range_shard(self):
         with pytest.raises(ValueError, match="shard"):
-            shard_operations(_ops(), 3, 3)
+            shard_operations(Trace.of(_ops()), 3, 3)

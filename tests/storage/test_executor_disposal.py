@@ -97,16 +97,16 @@ class TestMidRunDisposal:
     ):
         """A crash while a plan is in flight must release *both* trees."""
         saw_plan = []
-        original = OnlineLSMController.execute
+        original = OnlineLSMController.execute_batched
 
-        def poisoned(self, operations):
-            original(self, operations)
+        def poisoned(self, operations, max_batch_ops):
+            original(self, operations, max_batch_ops)
             if self.migration_in_progress:
                 saw_plan.append(True)
                 raise RuntimeError("crashed while migrating")
 
-        monkeypatch.setattr(OnlineLSMController, "execute", poisoned)
-        executor = _persistent_executor(batch_execution=False)
+        monkeypatch.setattr(OnlineLSMController, "execute_batched", poisoned)
+        executor = _persistent_executor()
         online = OnlineConfig(
             window=150, check_interval=32, min_observations=64,
             cooldown=100_000, confirm_checks=1, rho=0.25, mode="nominal",

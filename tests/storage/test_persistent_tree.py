@@ -470,6 +470,30 @@ class TestPersistentHousekeeping:
         tree.destroy()
         assert not (tmp_path / "db").exists()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc to list descriptors"
+    )
+    def test_compaction_closes_the_tables_it_replaces(self, tmp_path):
+        """Regression: the tables a compaction dropped kept their descriptor
+        open on the deleted file for the life of the process."""
+        tree = PersistentLSMTree(
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "db",
+            disk=VirtualDisk(), seed=3,
+        )
+        for key in range(12 * tree.buffer_entries):
+            tree.put(key)
+        assert tree.disk.counters.compaction_writes > 0  # runs were replaced
+        leaked = []
+        for entry in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{entry}")
+            except OSError:  # the descriptor of the listing itself
+                continue
+            if target.startswith(str(tmp_path)) and target.endswith(" (deleted)"):
+                leaked.append(target)
+        assert leaked == []
+        tree.destroy()
+
     def test_compaction_disabled_stacks_runs(self, tmp_path):
         tree = PersistentLSMTree(
             self._TUNING, _SYSTEM, data_dir=tmp_path / "db",

@@ -1,0 +1,587 @@
+"""Parity suite for the one replay loop and the batched read path under it.
+
+``execute_operations_batched`` is the only function that walks a trace; its
+contract is **bit identity** with the scalar reference — the same trace
+replayed row by row through ``execute_operation``.  Virtual-disk counters,
+tree state, and (under the online controller) the drift events and the
+estimator's floats must come out equal.  These tests pin that contract on
+every engine the loop runs on:
+
+* the simulated ``LSMTree`` under every registered compaction policy —
+  including per-level K_i vector bounds — with pre-seeded tombstones and tiny
+  buffers so flushes and compactions land mid-stream;
+* the ``PersistentLSMTree`` on real files;
+* a ``MigrationPlan`` paused mid-flight, where reads fall through the mixed
+  old/new state;
+* the ``OnlineLSMController`` under ``fixed`` and ``queue-depth`` admission,
+  through a re-tune and an incremental migration;
+* the executors, whose session measurements must equal a scalar replay of the
+  traces they regenerate.
+
+Streams are dense in the shape the loop reorders — GET · RANGE · GET with no
+PUT in between, where the pending GET span keeps growing past the scan.
+Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
+``get``/``lookup_entry`` on hostile probes.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.online import (
+    ADMISSION_MODES,
+    MigrationPlan,
+    OnlineConfig,
+    OnlineLSMController,
+)
+from repro.serving.executor import tree_fingerprint
+from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor
+from repro.storage.lsm_tree import execute_operation, execute_operations_batched
+from repro.storage.persistent import PersistentLSMTree
+from repro.workloads import (
+    KeySpace,
+    Operation,
+    OperationType,
+    SessionGenerator,
+    Trace,
+    TraceGenerator,
+    UncertaintyBenchmark,
+    Workload,
+)
+
+_SYSTEM = simulator_system(num_entries=2_000)
+_KEY_SPACE = KeySpace.build(_SYSTEM.num_entries, seed=7)
+
+#: Every registered policy the simulator can run, including a fluid tuning
+#: with a full per-level K_i bound vector.
+_TUNINGS = [
+    LSMTuning(8.0, 6.0, Policy.LEVELING),
+    LSMTuning(5.0, 5.0, Policy.TIERING),
+    LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING),
+    LSMTuning(6.0, 6.0, Policy.ONE_LEVELING),
+    LSMTuning(5.0, 5.0, Policy.FLUID, k_bound=3, z_bound=2),
+    LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0),
+]
+_TUNING_IDS = [
+    "leveling",
+    "tiering",
+    "lazy-leveling",
+    "1-leveling",
+    "fluid-scalar",
+    "fluid-kvector",
+]
+
+#: Span caps: every read its own span, spans cut mid-window, never cut.
+_BATCH_BOUNDS = [1, 3, 4_096]
+
+#: Kind weights of the random streams: reads and scans dominate so write-free
+#: windows hold several GET · RANGE · GET alternations.
+_STREAM_KINDS = [
+    OperationType.GET,
+    OperationType.GET,
+    OperationType.GET,
+    OperationType.EMPTY_GET,
+    OperationType.RANGE,
+    OperationType.RANGE,
+    OperationType.PUT,
+]
+
+
+@st.composite
+def _operation_streams(draw) -> list[Operation]:
+    """A random mixed op stream over the shared key space.
+
+    Writes hit fresh keys *and* already-resident keys (updates), so flushed
+    runs carry stale versions; gets split between resident and missing keys
+    so both Bloom-positive and Bloom-negative probes occur; range scans
+    interleave with the gets without fencing them.
+    """
+    existing = _KEY_SPACE.existing
+    missing = _KEY_SPACE.missing
+    num_ops = draw(st.integers(min_value=1, max_value=120))
+    ops: list[Operation] = []
+    for _ in range(num_ops):
+        kind = draw(st.sampled_from(_STREAM_KINDS))
+        if kind is OperationType.GET:
+            key = int(existing[draw(st.integers(0, existing.size - 1))])
+        elif kind is OperationType.EMPTY_GET:
+            key = int(missing[draw(st.integers(0, missing.size - 1))])
+        elif kind is OperationType.PUT:
+            if draw(st.booleans()):
+                key = int(existing[draw(st.integers(0, existing.size - 1))])
+            else:
+                key = _KEY_SPACE.fresh_start + draw(st.integers(0, 10_000))
+        else:
+            key = int(existing[draw(st.integers(0, existing.size - 1))])
+            ops.append(Operation(kind=kind, key=key, scan_length=draw(st.integers(1, 32))))
+            continue
+        ops.append(Operation(kind=kind, key=key))
+    return ops
+
+
+def _loaded_tree(tuning: LSMTuning, deletes: np.ndarray | None = None) -> LSMTree:
+    tree = LSMTree(tuning, _SYSTEM, seed=9)
+    tree.bulk_load(_KEY_SPACE.existing)
+    if deletes is not None:
+        for key in deletes:
+            tree.delete(int(key))
+    tree.disk.reset()
+    return tree
+
+
+def _mid_flight_plan() -> tuple[MigrationPlan, np.ndarray, np.ndarray]:
+    """A migration caught mid-flight, with writes and deletes landed on top.
+
+    Returns ``(plan, mid_plan_puts, mid_plan_deletes)``.  Puts are applied
+    before deletes, so any key drawn into both ends up tombstoned — every key
+    in ``mid_plan_deletes`` must read as dead through the mixed state.
+    """
+    source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
+    target = LSMTree(
+        LSMTuning(4.0, 6.0, Policy.TIERING), _SYSTEM, disk=source.disk, seed=33
+    )
+    checkpoint = np.sort(
+        np.concatenate([run.keys for runs in source.levels for run in runs])
+    )
+    plan = MigrationPlan(source, target, checkpoint, max_step_pages=64)
+    plan.run_next_step()
+    plan.run_next_step()
+    # Writes and deletes landing *during* the migration go to the target,
+    # so some keys are resolved there (live or tombstoned) and the rest
+    # fall through to the frozen source.
+    rng = np.random.default_rng(21)
+    puts = rng.choice(checkpoint, size=25, replace=False)
+    deletes = rng.choice(checkpoint, size=25, replace=False)
+    for key in puts:
+        plan.put(int(key))
+    for key in deletes:
+        plan.delete(int(key))
+    plan.source.disk.reset()
+    return plan, puts, deletes
+
+
+def _replay_scalar(engine, ops: list[Operation]) -> None:
+    for op in ops:
+        execute_operation(engine, op)
+
+
+class TestLoopMatchesScalarReference:
+    """execute_operations_batched == per-row execute_operation, bit for bit."""
+
+    @pytest.mark.parametrize("tuning", _TUNINGS, ids=_TUNING_IDS)
+    @given(
+        ops=_operation_streams(),
+        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
+        delete_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_simulated_tree(self, tuning, ops, max_batch_ops, delete_seed):
+        rng = np.random.default_rng(delete_seed)
+        deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
+        scalar = _loaded_tree(tuning, deletes)
+        batched = _loaded_tree(tuning, deletes)
+
+        _replay_scalar(scalar, ops)
+        execute_operations_batched(batched, Trace.of(ops), max_batch_ops=max_batch_ops)
+
+        assert batched.disk.counters == scalar.disk.counters
+        assert batched.stats() == scalar.stats()
+        assert tree_fingerprint(batched) == tree_fingerprint(scalar)
+
+    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @settings(max_examples=10, deadline=None)
+    def test_persistent_tree(self, ops, max_batch_ops):
+        with tempfile.TemporaryDirectory() as root:
+            trees = []
+            for name in ("scalar", "batched"):
+                tree = PersistentLSMTree(_TUNINGS[1], _SYSTEM, Path(root) / name, seed=9)
+                tree.bulk_load(_KEY_SPACE.existing)
+                tree.disk.reset()
+                trees.append(tree)
+            scalar, batched = trees
+            try:
+                _replay_scalar(scalar, ops)
+                execute_operations_batched(
+                    batched, Trace.of(ops), max_batch_ops=max_batch_ops
+                )
+                assert batched.disk.counters == scalar.disk.counters
+                assert batched.stats() == scalar.stats()
+                assert tree_fingerprint(batched) == tree_fingerprint(scalar)
+            finally:
+                for tree in trees:
+                    tree.close()
+
+    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @settings(max_examples=15, deadline=None)
+    def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops):
+        scalar, _, _ = _mid_flight_plan()
+        batched, _, _ = _mid_flight_plan()
+
+        _replay_scalar(scalar, ops)
+        execute_operations_batched(batched, Trace.of(ops), max_batch_ops=max_batch_ops)
+
+        assert batched.source.disk.counters == scalar.source.disk.counters
+        assert batched.target.stats() == scalar.target.stats()
+        assert tree_fingerprint(batched.target) == tree_fingerprint(scalar.target)
+        assert tree_fingerprint(batched.source) == tree_fingerprint(scalar.source)
+
+    def test_a_range_does_not_fence_the_get_span(self):
+        """GET · RANGE · GET: the scan runs in place, the gets run as one span."""
+        calls = []
+
+        class Engine:
+            def get(self, key):
+                calls.append(("get", key))
+
+            def get_many(self, keys):
+                calls.append(("get_many", keys.tolist()))
+
+            def range_query(self, start, end):
+                calls.append(("range", start, end))
+
+            def put(self, key):
+                calls.append(("put", key))
+
+        gets = [Operation(OperationType.GET, key) for key in range(10)]
+        ops = gets[:5] + [Operation(OperationType.RANGE, 40, 3)] + gets[5:]
+        ops += [Operation(OperationType.PUT, 99), Operation(OperationType.EMPTY_GET, 7)]
+        execute_operations_batched(Engine(), Trace.of(ops))
+        assert calls == [
+            ("range", 40, 43),
+            ("get_many", list(range(10))),
+            ("put", 99),
+            ("get", 7),
+        ]
+
+
+_ONLINE = dict(
+    window=150,
+    check_interval=32,
+    min_observations=64,
+    cooldown=256,
+    confirm_checks=2,
+    rho=0.25,
+    mode="nominal",
+    horizon_ops=100_000,
+    migration="incremental",
+    migration_step_ops=64,
+    migration_step_pages=8,
+    admission_max_backlog=16,
+    admission_starvation_ops=512,
+    admission_idle_steps=4,
+)
+
+#: Scan-heavy reads with a trickle of writes, then a write burst: the calm
+#: phase is full of GET · RANGE · GET windows, the burst fires the detector.
+_CALM = Workload(0.40, 0.25, 0.30, 0.05)
+_BURST = Workload(0.05, 0.05, 0.05, 0.85)
+
+
+class TestControllerParity:
+    """``execute_batched`` == per-operation ``execute`` under both admissions.
+
+    The same drifting stream must observe the same drift, fire the same
+    re-tunings, advance the same migration steps at the same positions, and
+    leave bit-identical estimators, trees and disks.
+    """
+
+    def _run(self, batched, admission, seed, length, max_batch_ops=4_096):
+        tree = LSMTree(LSMTuning(20.0, 8.0, Policy.LEVELING), _SYSTEM)
+        tree.bulk_load(_KEY_SPACE.existing)
+        tree.disk.reset()
+        controller = OnlineLSMController(
+            tree=tree,
+            expected=_CALM,
+            config=OnlineConfig(**_ONLINE, admission=admission),
+        )
+        generator = TraceGenerator(_KEY_SPACE, seed=seed)
+        for workload, count in ((_CALM, length // 2), (_BURST, length - length // 2)):
+            trace = generator.operations(workload, count)
+            if batched:
+                controller.execute_batched(trace, max_batch_ops)
+            else:
+                controller.execute(trace)
+        return controller
+
+    def _assert_same(self, batched, scalar):
+        assert batched.events == scalar.events
+        assert batched.position == scalar.position
+        assert batched.migration_in_progress == scalar.migration_in_progress
+        assert batched.disk.counters == scalar.disk.counters
+        assert batched.tuning == scalar.tuning
+        assert batched.estimator._counts == scalar.estimator._counts
+        assert batched.estimator._weight == scalar.estimator._weight
+        assert batched.estimator.observations == scalar.estimator.observations
+        assert tree_fingerprint(batched.tree) == tree_fingerprint(scalar.tree)
+
+    @pytest.mark.parametrize("admission", ADMISSION_MODES)
+    def test_through_retune_and_incremental_migration(self, admission):
+        scalar = self._run(False, admission, seed=11, length=6_000)
+        batched = self._run(True, admission, seed=11, length=6_000)
+        assert scalar.num_migrations >= 1  # the stream does exercise a plan
+        self._assert_same(batched, scalar)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        length=st.integers(min_value=500, max_value=2_500),
+        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
+        admission=st.sampled_from(ADMISSION_MODES),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_across_random_streams(self, seed, length, max_batch_ops, admission):
+        scalar = self._run(False, admission, seed, length)
+        batched = self._run(True, admission, seed, length, max_batch_ops)
+        self._assert_same(batched, scalar)
+
+
+@pytest.fixture(scope="module")
+def sequence():
+    bench = UncertaintyBenchmark(size=100, seed=42)
+    generator = SessionGenerator(bench, seed=3)
+    workload = Workload(z0=0.2, z1=0.4, q=0.1, w=0.3)
+    return generator.paper_sequence(workload, include_writes=True, workloads_per_session=2)
+
+
+def _session_counters(session) -> IOCounters:
+    """The pages a session measurement reports, as a disk delta reports them."""
+    return IOCounters(
+        query_reads=session.query_reads,
+        query_writes=session.query_writes,
+        compaction_reads=session.compaction_reads,
+        compaction_writes=session.compaction_writes,
+        flush_writes=session.flush_writes,
+    )
+
+
+class TestExecutorParity:
+    """Session measurements equal a scalar replay of the regenerated traces."""
+
+    @pytest.mark.parametrize(
+        "tuning", [_TUNINGS[0], _TUNINGS[1], _TUNINGS[5]], ids=["leveling", "tiering", "kvector"]
+    )
+    @pytest.mark.parametrize("max_batch_ops", [1, 13, 4_096])
+    def test_run_sequence_matches_scalar_replay(self, tuning, max_batch_ops, sequence):
+        config = ExecutorConfig(
+            queries_per_workload=200, seed=5, max_batch_ops=max_batch_ops
+        )
+        measured = WorkloadExecutor(_SYSTEM, config).run_sequence(tuning, sequence)
+
+        executor = WorkloadExecutor(_SYSTEM, config)
+        tree = executor.build_tree(tuning)
+        generator = executor.trace_generator()
+        for session, measurement in zip(sequence, measured.sessions):
+            before = tree.disk.snapshot()
+            queries = 0
+            for workload in session.workloads:
+                trace = generator.operations(workload, config.queries_per_workload)
+                queries += len(trace)
+                _replay_scalar(tree, trace)
+            assert measurement.num_queries == queries
+            assert _session_counters(measurement) == tree.disk.counters.delta(before)
+
+    def test_max_batch_ops_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_batch_ops"):
+            ExecutorConfig(max_batch_ops=0)
+
+    def test_adaptive_run_matches_a_scalar_controller(self, sequence):
+        online = OnlineConfig(
+            check_interval=64,
+            min_observations=128,
+            cooldown=256,
+            confirm_checks=2,
+            migration="incremental",
+            migration_step_ops=32,
+            migration_step_pages=8,
+        )
+        config = ExecutorConfig(queries_per_workload=200, seed=5)
+        measured = WorkloadExecutor(_SYSTEM, config).run_sequence_adaptive(
+            _TUNINGS[0], sequence, online=online
+        )
+
+        executor = WorkloadExecutor(_SYSTEM, config)
+        controller = OnlineLSMController(
+            tree=executor.build_tree(_TUNINGS[0]), expected=sequence.expected, config=online
+        )
+        generator = executor.trace_generator()
+        for session, measurement in zip(sequence, measured.sessions):
+            before = controller.disk.snapshot()
+            for workload in session.workloads:
+                controller.execute(generator.operations(workload, 200))
+            assert _session_counters(measurement) == controller.disk.counters.delta(before)
+            controller.note_idle()
+        controller.finish_migration()
+        assert measured.events == tuple(controller.events)
+        assert measured.final_tuning == controller.tuning
+
+
+class TestGetManyParity:
+    """LSMTree.get_many == per-key LSMTree.get, answers and I/O."""
+
+    @given(
+        ops=_operation_streams(),
+        probe_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_get_many_answers_and_io_match_scalar_gets(self, ops, probe_seed):
+        tuning = LSMTuning(6.0, 5.0, Policy.LEVELING)
+        rng = np.random.default_rng(probe_seed)
+        deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
+        scalar = _loaded_tree(tuning, deletes)
+        batched = _loaded_tree(tuning, deletes)
+        for op in ops:
+            execute_operation(scalar, op)
+            execute_operation(batched, op)
+
+        probe = np.concatenate(
+            [
+                rng.choice(_KEY_SPACE.existing, size=30, replace=True),
+                rng.choice(_KEY_SPACE.missing, size=10, replace=True),
+                deletes[:10],
+            ]
+        ).astype(np.int64)
+        before_scalar = scalar.disk.snapshot()
+        before_batched = batched.disk.snapshot()
+        expected = np.array([scalar.get(int(key)) for key in probe])
+        answers = batched.get_many(probe)
+        assert np.array_equal(answers, expected)
+        assert batched.disk.counters.delta(before_batched) == scalar.disk.counters.delta(
+            before_scalar
+        )
+
+
+class TestMixedStateParity:
+    """MigrationPlan.get_many == per-key MigrationPlan.get, I/O included."""
+
+    @given(probe_seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_get_many_matches_scalar_fallthrough(self, probe_seed):
+        scalar_plan, _, _ = _mid_flight_plan()
+        batched_plan, _, _ = _mid_flight_plan()
+        rng = np.random.default_rng(probe_seed)
+        probe = np.concatenate(
+            [
+                rng.choice(_KEY_SPACE.existing, size=40, replace=True),
+                rng.choice(_KEY_SPACE.missing, size=10, replace=True),
+            ]
+        ).astype(np.int64)
+        expected = np.array([scalar_plan.get(int(key)) for key in probe])
+        answers = batched_plan.get_many(probe)
+        assert np.array_equal(answers, expected)
+        assert batched_plan.source.disk.counters == scalar_plan.source.disk.counters
+
+
+class TestAdversarialBatchScalarParity:
+    """Batch == scalar on hostile probes: duplicate keys inside one batch,
+    keys deleted mid-plan, and keys absent from both trees.
+
+    The per-probe I/O charging contract means a key duplicated N times in a
+    batch must cost exactly N scalar lookups — deduplicating probes (a
+    tempting "optimisation") would silently change the simulator's counters.
+    """
+
+    @given(probe_seed=st.integers(0, 2**16), dup_factor=st.integers(2, 5))
+    @settings(max_examples=8, deadline=None)
+    def test_plan_get_many_on_duplicates_deletions_and_misses(
+        self, probe_seed, dup_factor
+    ):
+        scalar_plan, _, deleted = _mid_flight_plan()
+        batched_plan, _, _ = _mid_flight_plan()
+        rng = np.random.default_rng(probe_seed)
+        base = np.concatenate(
+            [
+                deleted,  # tombstoned mid-plan: target's deletion must shadow
+                rng.choice(_KEY_SPACE.missing, size=15, replace=True),  # in neither
+                rng.choice(_KEY_SPACE.existing, size=15, replace=True),
+            ]
+        )
+        # Every key appears dup_factor times, shuffled so duplicates are not
+        # adjacent — the batch path must answer and charge each occurrence.
+        probe = np.repeat(base, dup_factor).astype(np.int64)
+        rng.shuffle(probe)
+
+        expected = np.array([scalar_plan.get(int(key)) for key in probe])
+        answers = batched_plan.get_many(probe)
+
+        assert np.array_equal(answers, expected)
+        assert batched_plan.source.disk.counters == scalar_plan.source.disk.counters
+        # Semantics, not just parity: mid-plan deletions read dead everywhere,
+        # keys absent from both trees read dead everywhere.
+        assert not answers[np.isin(probe, deleted)].any()
+        assert not answers[np.isin(probe, _KEY_SPACE.missing)].any()
+
+    @pytest.mark.parametrize(
+        "tuning", [_TUNINGS[0], _TUNINGS[1], _TUNINGS[5]], ids=["leveling", "tiering", "kvector"]
+    )
+    @given(probe_seed=st.integers(0, 2**16), dup_factor=st.integers(2, 5))
+    @settings(max_examples=8, deadline=None)
+    def test_lookup_entries_matches_scalar_lookup_entry(
+        self, tuning, probe_seed, dup_factor
+    ):
+        rng = np.random.default_rng(probe_seed)
+        deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
+        scalar = _loaded_tree(tuning, deletes)
+        batched = _loaded_tree(tuning, deletes)
+
+        base = np.concatenate(
+            [
+                deletes[:15],  # newest version is a tombstone
+                rng.choice(_KEY_SPACE.missing, size=10, replace=True),  # absent
+                rng.choice(_KEY_SPACE.existing, size=15, replace=True),
+            ]
+        )
+        probe = np.repeat(base, dup_factor).astype(np.int64)
+        rng.shuffle(probe)
+
+        before_scalar = scalar.disk.snapshot()
+        before_batched = batched.disk.snapshot()
+        expected = [scalar.lookup_entry(int(key)) for key in probe]
+        expected_found = np.array([found for found, _ in expected])
+        expected_tombstone = np.array([tomb for _, tomb in expected])
+        found, tombstone = batched.lookup_entries(probe)
+
+        assert np.array_equal(found, expected_found)
+        assert np.array_equal(tombstone, expected_tombstone)
+        assert batched.disk.counters.delta(before_batched) == scalar.disk.counters.delta(
+            before_scalar
+        )
+        # Three-state semantics on the hostile keys themselves.
+        deleted_mask = np.isin(probe, deletes)
+        assert found[deleted_mask].all() and tombstone[deleted_mask].all()
+        missing_mask = np.isin(probe, _KEY_SPACE.missing)
+        assert not found[missing_mask].any() and not tombstone[missing_mask].any()
+
+    def test_single_key_repeated_batch_charges_per_probe(self):
+        """A batch of one key repeated N times costs N scalar lookups."""
+        scalar_plan, _, deleted = _mid_flight_plan()
+        batched_plan, _, _ = _mid_flight_plan()
+        probe = np.full(64, int(deleted[0]), dtype=np.int64)
+        expected = np.array([scalar_plan.get(int(key)) for key in probe])
+        answers = batched_plan.get_many(probe)
+        assert np.array_equal(answers, expected)
+        assert not answers.any()
+        assert batched_plan.source.disk.counters == scalar_plan.source.disk.counters
+
+    def test_all_absent_batch_matches_scalar(self):
+        """Keys absent from both trees: only Bloom false positives pay I/O,
+        and they pay identically on both paths."""
+        scalar_plan, _, _ = _mid_flight_plan()
+        batched_plan, _, _ = _mid_flight_plan()
+        probe = _KEY_SPACE.missing[:80].astype(np.int64)
+        expected = np.array([scalar_plan.get(int(key)) for key in probe])
+        answers = batched_plan.get_many(probe)
+        assert np.array_equal(answers, expected)
+        assert not answers.any()
+        assert batched_plan.source.disk.counters == scalar_plan.source.disk.counters
+
+    def test_empty_batch_is_free(self):
+        plan, _, _ = _mid_flight_plan()
+        answers = plan.get_many(np.empty(0, dtype=np.int64))
+        assert answers.size == 0
+        assert plan.source.disk.counters.total == 0

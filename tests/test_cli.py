@@ -562,15 +562,9 @@ class TestCompareJson:
 
 
 class TestBatchExecutionFlags:
-    def test_compare_defaults_to_batched_execution(self):
+    def test_max_batch_ops_default(self):
         args = build_parser().parse_args(["compare"])
-        assert args.batch_execution is True
         assert args.max_batch_ops == 4_096
-
-    def test_no_batch_execution_flag(self):
-        for command in ("compare", "online"):
-            args = build_parser().parse_args([command, "--no-batch-execution"])
-            assert args.batch_execution is False
 
     def test_max_batch_ops_parses(self):
         args = build_parser().parse_args(["online", "--max-batch-ops", "128"])
@@ -581,11 +575,12 @@ class TestBatchExecutionFlags:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["compare", "--max-batch-ops", bad])
 
-    def test_compare_scalar_matches_batched_output(self, capsys):
+    def test_compare_output_does_not_depend_on_the_batch_bound(self, capsys):
+        """One read per span (the scalar ``get`` path) prints the same JSON."""
         argv = ["compare", "--num-entries", "4000", "--seed", "3", "--json"]
         assert main(argv) == 0
         batched = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--no-batch-execution"]) == 0
+        assert main(argv + ["--max-batch-ops", "1"]) == 0
         scalar = json.loads(capsys.readouterr().out)
         assert batched == scalar
 

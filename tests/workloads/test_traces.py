@@ -1,11 +1,15 @@
 """Tests for concrete query-trace generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.workloads import (
     KeySpace,
+    Operation,
     OperationType,
+    Trace,
     TraceGenerator,
     Workload,
     operation_mix,
@@ -89,18 +93,120 @@ class TestTraceGeneration:
 
     def test_operation_mix_rejects_empty_trace(self):
         with pytest.raises(ValueError):
-            operation_mix([])
-
-    def test_bulk_load_items_cover_existing_keys(self, generator, key_space):
-        items = generator.bulk_load_items()
-        assert len(items) == key_space.num_entries
-        assert {key for key, _ in items} == set(key_space.existing.tolist())
+            operation_mix(Trace.of([]))
 
     def test_invalid_configuration_rejected(self, key_space):
         with pytest.raises(ValueError):
-            TraceGenerator(key_space, value_size_bytes=0)
-        with pytest.raises(ValueError):
             TraceGenerator(key_space, range_scan_keys=0)
+        with pytest.raises(ValueError):
+            TraceGenerator(key_space, range_scan_keys=16, long_scan_keys=8)
+
+
+class TestTraceColumns:
+    """``Trace`` is three parallel columns that read as ``Operation`` rows."""
+
+    ROWS = [
+        Operation(OperationType.GET, 3),
+        Operation(OperationType.RANGE, 10, scan_length=5),
+        Operation(OperationType.PUT, 11),
+        Operation(OperationType.EMPTY_GET, 90),
+    ]
+
+    def test_of_round_trips_rows(self):
+        trace = Trace.of(self.ROWS)
+        assert len(trace) == 4
+        assert list(trace) == self.ROWS
+        assert [trace[i] for i in range(4)] == self.ROWS
+        assert all(op.kind is row.kind for op, row in zip(trace, self.ROWS))
+
+    def test_columns_have_fixed_dtypes_and_kind_codes(self):
+        trace = Trace.of(self.ROWS)
+        assert trace.kinds.dtype == np.uint8
+        assert trace.keys.dtype == np.int64
+        assert trace.scan_lengths.dtype == np.int32
+        # A kind's code is its index in the workload vector (z0, z1, q, w).
+        assert trace.kinds.tolist() == [1, 2, 3, 0]
+        assert [int(kind) for kind in OperationType] == [0, 1, 2, 3]
+
+    def test_slices_and_masks_select_rows(self):
+        trace = Trace.of(self.ROWS)
+        assert list(trace[1:3]) == self.ROWS[1:3]
+        assert list(trace[trace.kinds != OperationType.PUT]) == [
+            row for row in self.ROWS if row.kind is not OperationType.PUT
+        ]
+        assert np.shares_memory(trace[1:3].keys, trace.keys)
+
+    def test_equality_is_column_wise(self):
+        assert Trace.of(self.ROWS) == Trace.of(list(self.ROWS))
+        assert Trace.of(self.ROWS) != Trace.of(self.ROWS[:-1])
+        assert Trace.of(self.ROWS) != Trace.of(self.ROWS[::-1])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            Trace([0, 1], [5], [0, 0])
+
+    def test_operation_mix_counts_kind_codes(self):
+        mix = operation_mix(Trace.of(self.ROWS + [Operation(OperationType.PUT, 12)]))
+        assert mix.as_array().tolist() == [0.2, 0.2, 0.2, 0.4]
+
+
+def _digest(trace: Trace) -> str:
+    digest = hashlib.sha256()
+    digest.update(trace.kinds.astype(np.uint8).tobytes())
+    digest.update(trace.keys.astype("<i8").tobytes())
+    digest.update(trace.scan_lengths.astype("<i4").tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _rng_state_digest(generator: TraceGenerator) -> str:
+    state = (
+        generator._rng.bit_generator.state,
+        generator._update_rng.bit_generator.state,
+        generator._next_fresh_key,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+#: Digests of traces the object-per-operation generator (``rng.shuffle`` over
+#: a list of frozen dataclasses) produced at the last commit that had it:
+#: ``(num_entries, seed, (z0, z1, q, w, long_range_fraction), n, second_n,
+#: update_fraction, update_skew)`` -> sha256 prefixes of the first call's
+#: columns, of a second call's on the same generator, and of both RNG states
+#: plus the fresh-key cursor afterwards.  Seeds 29 and 97 are the ones behind
+#: ``benchmarks/results/vectorized_execute.txt`` and the executor default.
+GOLDEN_TRACES = [
+    ((20000, 29, (0.3, 0.68, 0.01, 0.01, 0.0), 1000000, 200000, 0.0, 0.0), "cc782e095571e7b2", "0a4eef4ec3b8ffe1", "202606059296b025"),
+    ((20000, 29, (0.2, 0.3, 0.2, 0.3, 0.0), 70000, 20000, 0.0, 0.0), "2d9d217b7792839b", "21ad70dcd5e81df7", "bf8d6f4379c36973"),
+    ((2000, 97, (0.25, 0.25, 0.25, 0.25, 0.0), 2000, 2000, 0.0, 0.0), "53a3619289ba0f5c", "48c4ecfe7fb814b8", "fdc643062967335f"),
+    ((2000, 97, (0.05, 0.05, 0.01, 0.89, 0.0), 6000, 1000, 0.5, 1.2), "8ce74dde5cecb9e0", "faffc8584668d747", "c174f869a31c310f"),
+    ((2000, 5, (0.1, 0.1, 0.7, 0.1, 0.2), 5000, 7, 0.3, 0.0), "8cde60791a6159d6", "0fbe6d1aa1a67200", "c8c31d78f1d96638"),
+    ((2000, 11, (0.0, 0.0, 0.0, 1.0, 0.0), 1000, 2, 1.0, 0.0), "cbb646473f4b5eee", "8f6d09c7c84bb1c2", "06752c0b11d1fbe8"),
+    ((500, 3, (0.0, 1.0, 0.0, 0.0, 0.0), 1, 1, 0.0, 0.0), "04b9c90d18c8f99a", "bdda8085882cd8dd", "b2d43bebc2335b73"),
+    ((500, 3, (0.4, 0.3, 0.1, 0.2, 0.5), 7, 2, 0.25, 2.0), "9642e8f1ff36138e", "9d6879ca06831505", "7236ea21794b3778"),
+    ((500, 23, (0.5, 0.0, 0.5, 0.0, 1.0), 1000, 1000, 0.0, 0.0), "fb820f8095bc875f", "b391421b7f59e009", "59fb01b17f67ffca"),
+]
+
+
+class TestGoldenTraces:
+    """Every seeded trace is bit-identical to the pre-columnar generator's."""
+
+    @pytest.mark.parametrize(
+        "case, first, second, state", GOLDEN_TRACES, ids=[str(i) for i in range(9)]
+    )
+    def test_columns_and_rng_state_match_the_recorded_digests(
+        self, case, first, second, state
+    ):
+        num_entries, seed, mix, n, second_n, update_fraction, update_skew = case
+        generator = TraceGenerator(
+            KeySpace.build(num_entries, seed=seed),
+            seed=seed,
+            update_fraction=update_fraction,
+            update_skew=update_skew,
+        )
+        workload = Workload(*mix[:4], long_range_fraction=mix[4])
+        assert _digest(generator.operations(workload, n)) == first
+        assert _digest(generator.operations(workload, second_n)) == second
+        assert _rng_state_digest(generator) == state
 
 
 class TestUpdateHeavyTraces:

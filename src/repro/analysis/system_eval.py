@@ -153,22 +153,17 @@ class SystemExperiment:
     # ------------------------------------------------------------------
     # Experiment execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        expected: Workload,
-        rho: float,
-        include_writes: bool = True,
-        workloads_per_session: int = 2,
-    ) -> SequenceComparison:
-        """Execute the six-session comparison of Figures 8–18.
+    def _paper_sequence(
+        self, expected: Workload, include_writes: bool, workloads_per_session: int
+    ) -> SessionSequence:
+        """The six-session sequence of Figures 8–18 around ``expected``.
 
         When ``expected`` carries a long-range fraction, the same split is
         applied to every session workload: the benchmark set is sampled over
         the four query types only, so the short/long range regime is a
         property of the experiment, not of the sampling.
         """
-        generator = SessionGenerator(self.benchmark, seed=self.seed)
-        sequence = generator.paper_sequence(
+        sequence = SessionGenerator(self.benchmark, seed=self.seed).paper_sequence(
             expected,
             include_writes=include_writes,
             workloads_per_session=workloads_per_session,
@@ -177,6 +172,17 @@ class SystemExperiment:
             sequence = sequence.with_long_range_fraction(
                 expected.long_range_fraction
             )
+        return sequence
+
+    def run(
+        self,
+        expected: Workload,
+        rho: float,
+        include_writes: bool = True,
+        workloads_per_session: int = 2,
+    ) -> SequenceComparison:
+        """Execute the six-session comparison of Figures 8–18."""
+        sequence = self._paper_sequence(expected, include_writes, workloads_per_session)
         tunings = self.tunings_for(expected, rho)
         return self._compare(expected, rho, sequence, tunings)
 
@@ -198,16 +204,7 @@ class SystemExperiment:
         # Imported here: analysis stays importable without the serving layer.
         from ..serving import ShardedComparison, ShardedExecutor
 
-        generator = SessionGenerator(self.benchmark, seed=self.seed)
-        sequence = generator.paper_sequence(
-            expected,
-            include_writes=include_writes,
-            workloads_per_session=workloads_per_session,
-        )
-        if expected.long_range_fraction > 0.0:
-            sequence = sequence.with_long_range_fraction(
-                expected.long_range_fraction
-            )
+        sequence = self._paper_sequence(expected, include_writes, workloads_per_session)
         tunings = self.tunings_for(expected, rho)
         sharded = ShardedExecutor(self.system, self.executor_config)
         measurements = sharded.compare(tunings, sequence, parallel=parallel)

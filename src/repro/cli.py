@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from .analysis.model_eval import TuningCatalog, tuning_table
@@ -87,6 +87,10 @@ _run_bound = _validated_number(float, lambda v: v >= 1, "at least 1")
 _fraction = _validated_number(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
 _positive_fraction = _validated_number(
     float, lambda v: 0 < v <= 1, "a fraction in (0, 1]"
+)
+_LAST_EXPECTED = len(expected_workloads()) - 1
+_expected_index = _validated_number(
+    int, lambda v: 0 <= v <= _LAST_EXPECTED, f"a Table 2 index in 0..{_LAST_EXPECTED}"
 )
 
 
@@ -223,28 +227,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _executor_config(args: argparse.Namespace, **overrides) -> ExecutorConfig:
-    """Executor knobs from CLI flags; ``--seed`` makes runs reproducible."""
-    config = ExecutorConfig(**overrides)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "max_batch_ops", None) is not None:
-        config.max_batch_ops = args.max_batch_ops
-    if getattr(args, "update_fraction", None) is not None:
-        config.update_fraction = args.update_fraction
-    if getattr(args, "update_skew", None) is not None:
-        config.update_skew = args.update_skew
-    if getattr(args, "backend", None) is not None:
-        config.backend = args.backend
-    if getattr(args, "data_dir", None) is not None:
-        config.data_dir = args.data_dir
-    if getattr(args, "sync_writes", False):
-        config.sync_writes = True
-    if getattr(args, "num_shards", None) is not None:
-        config.num_shards = args.num_shards
-    if getattr(args, "admission", None) is not None:
-        config.admission = args.admission
-    return config
+def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
+    """Executor knobs from CLI flags; ``--seed`` makes runs reproducible.
+
+    Every :class:`ExecutorConfig` field a subcommand exposes is a flag of
+    the same name; fields it does not expose (or leaves at ``None``) keep
+    their defaults.
+    """
+    values = {f.name: getattr(args, f.name, None) for f in fields(ExecutorConfig)}
+    return ExecutorConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def _add_update_flags(subparser: argparse.ArgumentParser) -> None:
@@ -282,7 +273,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         expected = expected.with_long_range_fraction(args.long_range_fraction)
     experiment = SystemExperiment(
         system=simulator_system(num_entries=args.num_entries),
-        executor_config=_executor_config(args, long_scan_keys=args.long_scan_keys),
+        executor_config=_executor_config(args),
         policies=_policies_from_arg(args.policy),
         **({"seed": args.seed} if args.seed is not None else {}),
     )
@@ -331,9 +322,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     )
     experiment = AdaptiveExperiment(
         system=simulator_system(num_entries=args.num_entries),
-        executor_config=_executor_config(
-            args, queries_per_workload=args.queries_per_workload
-        ),
+        executor_config=_executor_config(args),
         online=online,
         policies=_policies_from_arg(args.policy),
         parallel=args.parallel,
@@ -369,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("Z0", "Z1", "Q", "W"),
         help="workload proportions (empty reads, non-empty reads, ranges, writes)",
     )
-    tune.add_argument("--rho", type=float, default=1.0, help="uncertainty radius")
+    tune.add_argument(
+        "--rho", type=_non_negative_float, default=1.0, help="uncertainty radius"
+    )
     tune.add_argument(
         "--policy",
         choices=_POLICY_CHOICES,
@@ -434,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     workloads.set_defaults(func=_cmd_workloads)
 
     table = subparsers.add_parser("table", help="nominal vs robust tunings (all workloads)")
-    table.add_argument("--rho", type=float, default=1.0)
+    table.add_argument("--rho", type=_non_negative_float, default=1.0)
     table.set_defaults(func=_cmd_table)
 
     compare = subparsers.add_parser(
         "compare", help="run the simulator comparison for one expected workload"
     )
-    compare.add_argument("--expected-index", type=int, default=11)
-    compare.add_argument("--rho", type=float, default=0.25)
+    compare.add_argument("--expected-index", type=_expected_index, default=11)
+    compare.add_argument("--rho", type=_non_negative_float, default=0.25)
     compare.add_argument("--num-entries", type=int, default=30_000)
     compare.add_argument(
         "--policy",
@@ -511,12 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     online.add_argument(
         "--expected-index",
-        type=int,
+        type=_expected_index,
         default=11,
         help="Table 2 index of the workload the static tunings expect",
     )
     online.add_argument(
-        "--rho", type=float, default=0.5, help="radius of the static robust tuning"
+        "--rho",
+        type=_non_negative_float,
+        default=0.5,
+        help="radius of the static robust tuning",
     )
     online.add_argument("--num-entries", type=_positive_int, default=10_000)
     online.add_argument(
@@ -574,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     online.add_argument(
         "--retune-rho",
-        type=float,
+        type=_non_negative_float,
         default=1.0,
         help="uncertainty radius of robust re-tunings (and the default "
         "drift threshold)",

@@ -1,19 +1,21 @@
 """Shard-per-worker serving layer over the LSM measurement harness.
 
 Production Endure serves live traffic from many shards while each shard's
-tuner adapts independently; this package reproduces that deployment shape on
-top of the existing single-tree executor:
+tuner adapts independently; this package reproduces that deployment shape
+with the one executor — a shard is a
+:meth:`~repro.storage.executor.WorkloadExecutor.run_shard` call, of which the
+classic single tree is shard 0 of 1:
 
 * :mod:`~repro.serving.sharding` hash-partitions the int64 key space with a
   splitmix64-style mixer and routes operation streams: point operations go
   to their key's owner shard, range scans fan out to every shard (a hash
   partition scatters key intervals).
-* :class:`~repro.serving.executor.ShardedExecutor` builds one tree (or one
-  :class:`~repro.online.controller.OnlineLSMController`) per shard — each
-  persistent shard in its own data dir — replays the sequence per shard,
-  and merges per-shard :class:`~repro.storage.disk.VirtualDisk` counters
-  into global session measurements plus fleet-style percentiles
-  (p50/p95/worst shard).
+* :class:`~repro.serving.executor.ShardedExecutor` runs one shard per
+  partition — each persistent shard in its own data dir — sequentially or
+  on the executor's process pool, and sums the per-shard
+  :class:`~repro.storage.disk.IOCounters` deltas into global session
+  measurements (priced by the one :class:`~repro.storage.disk.VirtualDisk`
+  latency formula) plus fleet-style percentiles (p50/p95/worst shard).
 
 With ``num_shards=1`` every measurement is bit-identical to the classic
 :class:`~repro.storage.executor.WorkloadExecutor` — pinned by test.

@@ -9,29 +9,32 @@ ownership, range scans fanned out to every shard.  Persistent shards build
 into per-shard data directories (``shard-NN/`` under a configured
 ``data_dir``, or independent temp dirs).
 
-Shards are independent, so the harness replays them one after another and
-reports two wall-clock views: ``total_cpu_s`` (the sum — what this
-single-process harness actually spent) and ``critical_path_s`` (the slowest
-shard — what a one-worker-per-shard fleet would take, since the workers
-share nothing).  An optional process pool (``parallel=True``) runs shards in
-separate workers with bit-identical results.
+There is no second runner here: a shard is one call of
+:meth:`~repro.storage.executor.WorkloadExecutor.run_shard` — the method
+behind the classic ``run_sequence`` / ``run_sequence_adaptive`` — given the
+shard's key partition and its :func:`~repro.serving.sharding.shard_operations`
+route, and the fan-out (sequential, or ``parallel=True`` on the process pool
+with bit-identical results) is the classic executor's ``_map_tasks``.
 
-Measurements merge the per-shard :class:`~repro.storage.disk.VirtualDisk`
+Shards are independent, so a fleet reports two wall-clock views:
+``total_cpu_s`` (the sum — what a single-process harness spends) and
+``critical_path_s`` (the slowest shard — what a one-worker-per-shard fleet
+would take, since the workers share nothing).
+
+Measurements sum the per-shard :class:`~repro.storage.disk.IOCounters`
 deltas into global :class:`~repro.storage.executor.SessionMeasurement` rows
-(counter sums over the fleet, amortised over the global query count) and
-into fleet-style percentiles (p50/p95/worst shard) via
-:func:`fleet_percentiles`.  With ``num_shards=1`` the merged sessions are
-bit-identical to :class:`~repro.storage.executor.WorkloadExecutor` — same
-counters, same latency floats, same final tree state.
+(priced by the same :class:`~repro.storage.disk.VirtualDisk` latencies,
+amortised over the global query count) and into fleet-style percentiles
+(p50/p95/worst shard) via :func:`fleet_percentiles`.  With ``num_shards=1``
+the merged sessions are bit-identical to
+:class:`~repro.storage.executor.WorkloadExecutor` — same counters, same
+latency floats, same final tree state.
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
 import os
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -40,39 +43,19 @@ import numpy as np
 from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
+from ..storage.disk import IOCounters
 from ..storage.executor import (
-    AdaptiveSequenceMeasurement,
     ExecutorConfig,
     SequenceMeasurement,
     SessionMeasurement,
+    ShardRun,
     WorkloadExecutor,
+    _map_tasks,
+    tree_fingerprint,  # noqa: F401 -- re-exported: bench/ and the tests import it from here
 )
-from ..storage.lsm_tree import LSMTree, TreeStats, execute_operations_batched
 from ..workloads.sessions import SessionSequence
-from ..workloads.traces import Trace
 from ..workloads.workload import Workload
 from .sharding import partition_keys, shard_operations
-
-
-def tree_fingerprint(tree: LSMTree) -> str:
-    """Deterministic digest of a tree's logical state (runs + memtable).
-
-    Backend-agnostic — run contents are read through ``entries()`` — so a
-    simulated and a persistent tree holding the same data fingerprint alike.
-    Used to pin that two execution paths left a tree in identical state.
-    """
-    digest = hashlib.sha256()
-    for level_index, runs in enumerate(tree.levels):
-        for run in runs:
-            keys, tombstones = run.entries()
-            digest.update(f"L{level_index}:{keys.size};".encode())
-            digest.update(np.ascontiguousarray(keys, dtype=np.int64).tobytes())
-            digest.update(np.ascontiguousarray(tombstones, dtype=bool).tobytes())
-    buffered_keys, buffered_tombstones = tree.memtable.sorted_items()
-    digest.update(f"M:{buffered_keys.size};".encode())
-    digest.update(np.ascontiguousarray(buffered_keys, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(buffered_tombstones, dtype=bool).tobytes())
-    return digest.hexdigest()
 
 
 def fleet_percentiles(values: Sequence[float]) -> dict[str, float]:
@@ -88,31 +71,12 @@ def fleet_percentiles(values: Sequence[float]) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class ShardRun:
-    """One shard's complete replay of a session sequence."""
-
-    shard: int
-    #: Per-shard sessions: counters of this shard's disk, query counts of the
-    #: sub-stream it served.  An :class:`~repro.storage.executor.
-    #: AdaptiveSequenceMeasurement` when the run was adaptive.
-    measurement: SequenceMeasurement
-    #: Structure of the shard's tree after the run.
-    stats: TreeStats
-    #: Digest of the shard tree's final logical state.
-    fingerprint: str
-    #: Seconds this shard spent executing operations (trace generation and
-    #: routing excluded — those costs are the harness's, identical in shape
-    #: across shard counts, and not part of a worker's serving path).
-    elapsed_s: float
-
-
-@dataclass(frozen=True)
 class ShardedSequenceMeasurement(SequenceMeasurement):
     """A sequence measured across a shard fleet.
 
     The inherited ``sessions`` hold the *merged* fleet view: counter sums
-    over every shard, query counts of the global stream, latency recomputed
-    from the summed counters.  The inherited averages therefore read exactly
+    over every shard, query counts of the global stream, latency priced from
+    the summed counters.  The inherited averages therefore read exactly
     like the unsharded executor's.  ``shards`` keeps each shard's own run for
     percentile and imbalance analysis.
     """
@@ -187,133 +151,35 @@ class ShardedComparison:
         }
 
 
-def _shard_config(config: ExecutorConfig, shard: int) -> ExecutorConfig:
-    """The executor config one shard runs under (its own data dir)."""
-    if config.data_dir is None:
-        return config
-    return replace(
-        config, data_dir=os.path.join(config.data_dir, f"shard-{shard:02d}")
-    )
-
-
 def _run_shard(
     system: SystemConfig,
     config: ExecutorConfig,
-    sequence: SessionSequence,
     tuning: LSMTuning,
+    sequence: SessionSequence,
     shard: int,
-    adaptive: bool,
-    online,
-    policies: Sequence[Policy],
+    **run_options,
 ) -> ShardRun:
-    """Build, replay and dispose one shard; the unit of the process pool."""
-    num_shards = config.num_shards
-    executor = WorkloadExecutor(system, _shard_config(config, shard))
-    shard_keys = partition_keys(executor.key_space.existing, num_shards)[shard]
-    tree = executor.build_tree(tuning, keys=shard_keys)
-    initial_tuning = tree.tuning
-    controller = None
-    # Every shard regenerates the global trace from the executor's seeds and
-    # masks it down to its sub-stream, so operations keep their global stream
-    # positions — on the pool and in the sequential loop alike.
-    generator = executor.trace_generator()
+    """Build, replay and dispose one shard; the unit of the process pool.
 
-    def operations(workload: Workload, count: int) -> Trace:
-        return shard_operations(generator.operations(workload, count), shard, num_shards)
-
-    try:
-        if adaptive:
-            from ..online.controller import OnlineConfig, OnlineLSMController
-
-            controller = OnlineLSMController(
-                tree=tree,
-                expected=sequence.expected,
-                config=(
-                    online
-                    if online is not None
-                    else OnlineConfig(admission=config.admission)
-                ),
-                policies=policies,
-            )
-            replay = controller.execute_batched
-        else:
-            replay = partial(execute_operations_batched, tree)
-        elapsed = 0.0
-
-        def execute(trace: Trace) -> None:
-            nonlocal elapsed
-            start = time.perf_counter()
-            replay(trace, max_batch_ops=config.max_batch_ops)
-            elapsed += time.perf_counter() - start
-
-        sessions = []
-        for session in sequence:
-            # The controller's disk is the tree's: migrations share it.
-            sessions.append(
-                executor._measure_session(tree.disk, execute, session, operations)
-            )
-            if controller is not None:
-                # The inter-session gap is the shard's serving lull: deferred
-                # migration steps drain here, outside the measurement window.
-                controller.note_idle()
-        if controller is not None:
-            controller.finish_migration()
-            final_tree = controller.tree
-            measurement: SequenceMeasurement = AdaptiveSequenceMeasurement(
-                tuning=initial_tuning,
-                sessions=tuple(sessions),
-                final_tuning=controller.tuning,
-                events=tuple(controller.events),
-            )
-        else:
-            final_tree = tree
-            measurement = SequenceMeasurement(
-                tuning=initial_tuning, sessions=tuple(sessions)
-            )
-        return ShardRun(
-            shard=shard,
-            measurement=measurement,
-            stats=final_tree.stats(),
-            fingerprint=tree_fingerprint(final_tree),
-            elapsed_s=elapsed,
-        )
-    finally:
-        if controller is not None:
-            plan = controller.migration_plan
-            if plan is not None:
-                executor.dispose_tree(plan.target)
-            executor.dispose_tree(controller.tree)
-        else:
-            executor.dispose_tree(tree)
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Picklable per-shard work item of the parallel serving path.
-
-    Like the executor's ``_SequenceTask``, the worker rebuilds everything
-    from ``(system, config)`` seeds, so pooled shards replay bit-identical
-    sub-streams to the sequential loop.
+    The shard's executor builds into its own data dir (``shard-NN/`` under a
+    configured ``data_dir``), loads the shard's hash partition of the key
+    space and masks every regenerated global trace down to the shard's
+    sub-stream.
     """
-
-    system: SystemConfig
-    config: ExecutorConfig
-    sequence: SessionSequence
-    tuning: LSMTuning
-    shard: int
-    adaptive: bool = False
-    online: object = None
-    policies: tuple = tuple(CLASSIC_POLICIES)
-
-    def __call__(self) -> ShardRun:
-        return _run_shard(
-            self.system, self.config, self.sequence, self.tuning, self.shard,
-            self.adaptive, self.online, self.policies,
+    if config.data_dir is not None:
+        config = replace(
+            config, data_dir=os.path.join(config.data_dir, f"shard-{shard:02d}")
         )
-
-
-def _call_shard_task(task: _ShardTask) -> ShardRun:
-    return task()
+    executor = WorkloadExecutor(system, config)
+    num_shards = config.num_shards
+    return executor.run_shard(
+        tuning,
+        sequence,
+        keys=partition_keys(executor.key_space.existing, num_shards)[shard],
+        route=partial(shard_operations, shard=shard, num_shards=num_shards),
+        shard=shard,
+        **run_options,
+    )
 
 
 class ShardedExecutor:
@@ -332,73 +198,64 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run_tasks(
-        self, tasks: list[_ShardTask], parallel: bool, processes: int | None
-    ) -> list[ShardRun]:
-        if not parallel or len(tasks) <= 1:
-            return [task() for task in tasks]
-        worker_count = min(len(tasks), processes or os.cpu_count() or 1)
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=worker_count) as pool:
-            return pool.map(_call_shard_task, tasks)
-
     def _merge_sessions(
-        self, sequence: SessionSequence, runs: list[ShardRun]
+        self, sequence: SessionSequence, runs: Sequence[ShardRun]
     ) -> tuple[SessionMeasurement, ...]:
-        """Fleet view: counter sums, global query counts, recomputed latency.
+        """Fleet view: counter sums over the shards, global query counts.
 
         ``num_queries`` counts the *global* stream (range scans once, not
         once per shard they fanned out to), so the merged amortisation
         matches the unsharded executor's definition exactly.
         """
-        config = self.config
+        disk = self.config.disk()
         merged = []
         for index, session in enumerate(sequence):
             parts = [run.measurement.sessions[index] for run in runs]
-            num_queries = config.queries_per_workload * len(session.workloads)
-            query_reads = sum(p.query_reads for p in parts)
-            query_writes = sum(p.query_writes for p in parts)
-            flush_writes = sum(p.flush_writes for p in parts)
-            compaction_reads = sum(p.compaction_reads for p in parts)
-            compaction_writes = sum(p.compaction_writes for p in parts)
-            total_reads = query_reads + compaction_reads
-            total_writes = query_writes + flush_writes + compaction_writes
-            latency = (
-                (
-                    total_reads * config.read_latency_us
-                    + total_writes * config.write_latency_us
-                )
-                / num_queries
-                if num_queries
-                else 0.0
+            delta = IOCounters(
+                **{
+                    field.name: sum(getattr(part, field.name) for part in parts)
+                    for field in fields(IOCounters)
+                }
             )
-            merged.append(
-                SessionMeasurement(
-                    label=session.label,
-                    workload=session.average,
-                    num_queries=num_queries,
-                    query_reads=query_reads,
-                    query_writes=query_writes,
-                    flush_writes=flush_writes,
-                    compaction_reads=compaction_reads,
-                    compaction_writes=compaction_writes,
-                    latency_us_per_query=latency,
-                )
-            )
+            num_queries = self.config.queries_per_workload * len(session.workloads)
+            merged.append(SessionMeasurement.of(session, num_queries, delta, disk))
         return tuple(merged)
 
-    def _measure(
+    def _run_fleets(
         self,
-        tuning: LSMTuning,
+        tunings: Sequence[LSMTuning],
         sequence: SessionSequence,
-        runs: list[ShardRun],
-    ) -> ShardedSequenceMeasurement:
-        return ShardedSequenceMeasurement(
-            tuning=tuning,
-            sessions=self._merge_sessions(sequence, runs),
-            num_shards=self.config.num_shards,
-            shards=tuple(runs),
+        parallel: bool,
+        processes: int | None,
+        **run_options,
+    ) -> list[ShardedSequenceMeasurement]:
+        """One fleet per tuning; every tuning x shard task shares one pool."""
+        num_shards = self.config.num_shards
+        runs = _map_tasks(
+            [
+                partial(
+                    _run_shard,
+                    self.system, self.config, tuning, sequence, shard,
+                    **run_options,
+                )
+                for tuning in tunings
+                for shard in range(num_shards)
+            ],
+            parallel,
+            processes,
         )
+        fleets = []
+        for index, tuning in enumerate(tunings):
+            fleet = runs[index * num_shards : (index + 1) * num_shards]
+            fleets.append(
+                ShardedSequenceMeasurement(
+                    tuning=tuning,
+                    sessions=self._merge_sessions(sequence, fleet),
+                    num_shards=num_shards,
+                    shards=tuple(fleet),
+                )
+            )
+        return fleets
 
     def run_sequence(
         self,
@@ -408,18 +265,7 @@ class ShardedExecutor:
         processes: int | None = None,
     ) -> ShardedSequenceMeasurement:
         """Replay a sequence over the shard fleet under one static tuning."""
-        tasks = [
-            _ShardTask(
-                system=self.system,
-                config=self.config,
-                sequence=sequence,
-                tuning=tuning,
-                shard=shard,
-            )
-            for shard in range(self.config.num_shards)
-        ]
-        runs = self._run_tasks(tasks, parallel, processes)
-        return self._measure(tuning, sequence, runs)
+        return self._run_fleets([tuning], sequence, parallel, processes)[0]
 
     def run_sequence_adaptive(
         self,
@@ -434,25 +280,14 @@ class ShardedExecutor:
 
         Each shard detects drift and migrates independently — exactly the
         fleet deployment, where a shard's reorganisation is paced by *its*
-        load.  ``online`` defaults to an
-        :class:`~repro.online.controller.OnlineConfig` carrying the
-        executor's ``admission`` policy.
+        load.  ``online`` (an
+        :class:`~repro.online.controller.OnlineConfig`, defaults when
+        omitted) configures every shard's controller.
         """
-        tasks = [
-            _ShardTask(
-                system=self.system,
-                config=self.config,
-                sequence=sequence,
-                tuning=initial_tuning,
-                shard=shard,
-                adaptive=True,
-                online=online,
-                policies=tuple(policies),
-            )
-            for shard in range(self.config.num_shards)
-        ]
-        runs = self._run_tasks(tasks, parallel, processes)
-        return self._measure(initial_tuning, sequence, runs)
+        return self._run_fleets(
+            [initial_tuning], sequence, parallel, processes,
+            adaptive=True, online=online, policies=tuple(policies),
+        )[0]
 
     def compare(
         self,
@@ -462,9 +297,7 @@ class ShardedExecutor:
         processes: int | None = None,
     ) -> dict[str, ShardedSequenceMeasurement]:
         """Run the same sequence under several tunings, fleet-style."""
-        return {
-            name: self.run_sequence(
-                tuning, sequence, parallel=parallel, processes=processes
-            )
-            for name, tuning in tunings.items()
-        }
+        fleets = self._run_fleets(
+            list(tunings.values()), sequence, parallel, processes
+        )
+        return dict(zip(tunings, fleets))

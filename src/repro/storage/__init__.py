@@ -7,6 +7,7 @@ from .executor import (
     ExecutorConfig,
     SequenceMeasurement,
     SessionMeasurement,
+    ShardRun,
     WorkloadExecutor,
 )
 from .lsm_tree import LSMTree, TreeStats
@@ -26,6 +27,7 @@ __all__ = [
     "SSTable",
     "SequenceMeasurement",
     "SessionMeasurement",
+    "ShardRun",
     "SortedRun",
     "TreeStats",
     "VirtualDisk",

@@ -5,15 +5,23 @@ database instance per tuning, replays session sequences of concrete queries,
 and reports the same quantities the paper reads out of RocksDB's statistics
 module — average I/Os per query (with compaction traffic amortised over the
 writes of the session) and a simulated per-query latency.
+
+:meth:`WorkloadExecutor.run_shard` is the one runner, static or adaptive:
+``run_sequence`` and ``run_sequence_adaptive`` are shard 0 of a 1-shard
+fleet, and :mod:`repro.serving` calls it once per shard with a key partition
+and a route.  :func:`_map_tasks` is the one process pool both fan out on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -25,8 +33,8 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.sessions import Session, SessionSequence
 from ..workloads.traces import KeySpace, Trace, TraceGenerator
 from ..workloads.workload import Workload
-from .disk import VirtualDisk
-from .lsm_tree import LSMTree, execute_operations_batched
+from .disk import IOCounters, VirtualDisk
+from .lsm_tree import LSMTree, TreeStats, execute_operations_batched
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,23 @@ class SessionMeasurement:
     compaction_reads: int
     compaction_writes: int
     latency_us_per_query: float
+
+    @classmethod
+    def of(
+        cls, session: Session, num_queries: int, delta: IOCounters, disk: VirtualDisk
+    ) -> "SessionMeasurement":
+        """``session`` measured by the pages it moved: ``delta`` is what one
+        disk counted over it (or the sum over every shard's disk), priced by
+        ``disk`` and amortised over ``num_queries``."""
+        return cls(
+            label=session.label,
+            workload=session.average,
+            num_queries=num_queries,
+            latency_us_per_query=(
+                disk.latency_us(delta) / num_queries if num_queries else 0.0
+            ),
+            **asdict(delta),
+        )
 
     @property
     def ios_per_query(self) -> float:
@@ -150,6 +175,47 @@ class AdaptiveSequenceMeasurement(SequenceMeasurement):
         return sum(event.migration_pages for event in self.events)
 
 
+def tree_fingerprint(tree: LSMTree) -> str:
+    """Deterministic digest of a tree's logical state (runs + memtable).
+
+    Backend-agnostic — run contents are read through ``entries()`` — so a
+    simulated and a persistent tree holding the same data fingerprint alike.
+    Used to pin that two execution paths left a tree in identical state.
+    """
+    digest = hashlib.sha256()
+    for level_index, runs in enumerate(tree.levels):
+        for run in runs:
+            keys, tombstones = run.entries()
+            digest.update(f"L{level_index}:{keys.size};".encode())
+            digest.update(np.ascontiguousarray(keys, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(tombstones, dtype=bool).tobytes())
+    buffered_keys, buffered_tombstones = tree.memtable.sorted_items()
+    digest.update(f"M:{buffered_keys.size};".encode())
+    digest.update(np.ascontiguousarray(buffered_keys, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(buffered_tombstones, dtype=bool).tobytes())
+    return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class ShardRun:
+    """One tree's complete replay of a session sequence (the classic
+    executor's is shard 0 of a 1-shard fleet)."""
+
+    shard: int
+    #: Per-shard sessions: counters of this shard's disk, query counts of the
+    #: sub-stream it served.  An :class:`AdaptiveSequenceMeasurement` when
+    #: the run was adaptive.
+    measurement: SequenceMeasurement
+    #: Structure of the shard's tree after the run.
+    stats: TreeStats
+    #: Digest of the shard tree's final logical state.
+    fingerprint: str
+    #: Seconds this shard spent executing operations (trace generation and
+    #: routing excluded — those costs are the harness's, identical in shape
+    #: across shard counts, and not part of a worker's serving path).
+    elapsed_s: float
+
+
 @dataclass
 class ExecutorConfig:
     """Knobs of the system-measurement harness."""
@@ -196,13 +262,6 @@ class ExecutorConfig:
     #: The classic single-tree :class:`WorkloadExecutor` ignores it; 1 is the
     #: unsharded deployment either way.
     num_shards: int = 1
-    #: Default admission policy of incremental migration steps in adaptive
-    #: runs: ``"fixed"`` paces one step every ``migration_step_ops``
-    #: operations, ``"queue-depth"`` defers steps while the serving backlog
-    #: is deep and drains them during idle gaps (see
-    #: :mod:`repro.online.admission`).  An explicit ``OnlineConfig`` passed
-    #: to the adaptive entry points overrides this.
-    admission: str = "fixed"
 
     def __post_init__(self) -> None:
         if self.max_batch_ops <= 0:
@@ -213,14 +272,13 @@ class ExecutorConfig:
             )
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        # Imported lazily: the online package builds on storage, so a
-        # module-level import would be circular.
-        from ..online.admission import ADMISSION_MODES
 
-        if self.admission not in ADMISSION_MODES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_MODES}, got {self.admission!r}"
-            )
+    def disk(self) -> VirtualDisk:
+        """A zeroed virtual disk charging the configured page latencies."""
+        return VirtualDisk(
+            read_latency_us=self.read_latency_us,
+            write_latency_us=self.write_latency_us,
+        )
 
 
 class WorkloadExecutor:
@@ -253,10 +311,7 @@ class WorkloadExecutor:
         a crashed build must not leak ``tree-*`` dirs into the temp dir (or a
         shared user ``data_dir``).
         """
-        disk = VirtualDisk(
-            read_latency_us=self.config.read_latency_us,
-            write_latency_us=self.config.write_latency_us,
-        )
+        disk = self.config.disk()
         if keys is None:
             keys = self.key_space.existing
         if self.config.backend == "persistent":
@@ -323,18 +378,8 @@ class WorkloadExecutor:
             trace = operations(workload, self.config.queries_per_workload)
             num_queries += len(trace)
             execute(trace)
-        delta = disk.counters.delta(before)
-        latency = disk.latency_us(delta) / num_queries if num_queries else 0.0
-        return SessionMeasurement(
-            label=session.label,
-            workload=session.average,
-            num_queries=num_queries,
-            query_reads=delta.query_reads,
-            query_writes=delta.query_writes,
-            flush_writes=delta.flush_writes,
-            compaction_reads=delta.compaction_reads,
-            compaction_writes=delta.compaction_writes,
-            latency_us_per_query=latency,
+        return SessionMeasurement.of(
+            session, num_queries, disk.counters.delta(before), disk
         )
 
     def run_session(
@@ -367,19 +412,138 @@ class WorkloadExecutor:
             seed=self.config.seed,
         )
 
+    def run_shard(
+        self,
+        tuning: LSMTuning,
+        sequence: SessionSequence,
+        *,
+        keys: np.ndarray | None = None,
+        route: Callable[[Trace], Trace] | None = None,
+        shard: int = 0,
+        adaptive: bool = False,
+        online=None,
+        policies: Sequence[Policy] = CLASSIC_POLICIES,
+    ) -> ShardRun:
+        """Bulk-load a fresh tree for ``tuning``, replay ``sequence`` on it,
+        dispose it: the one runner behind every sequence entry point.
+
+        ``keys`` is the key set the tree is loaded with (default: the whole
+        key space) and ``route`` maps each generated trace to the sub-stream
+        this tree serves (default: all of it, so operations keep their global
+        stream positions either way); the serving layer passes a shard's hash
+        partition and its ``shard_operations`` mask, and ``shard`` labels the
+        result.
+
+        With ``adaptive`` the operations flow through an
+        :class:`~repro.online.controller.OnlineLSMController`: it watches the
+        stream, re-tunes on drift, and migrates the live tree when the
+        predicted gain pays for the move.  Migration I/O lands on the same
+        virtual disk the session deltas are read from, so the measurements
+        charge adaptivity at full price.  ``online`` is its
+        :class:`~repro.online.controller.OnlineConfig` (defaults when
+        omitted) and ``policies`` bounds what re-tunings may deploy.
+        """
+        tree = self.build_tree(tuning, keys=keys)
+        # A migration swaps the live tree for a successor on the same disk,
+        # so this one disk sees every page of the run.
+        initial_tuning, disk = tree.tuning, tree.disk
+        controller = None
+        generator = self.trace_generator()
+
+        def operations(workload: Workload, count: int) -> Trace:
+            trace = generator.operations(workload, count)
+            return trace if route is None else route(trace)
+
+        try:
+            if adaptive:
+                # Imported here so the storage layer stays loadable without
+                # the online subsystem (which itself builds on storage).
+                from ..online.controller import OnlineConfig, OnlineLSMController
+
+                controller = OnlineLSMController(
+                    tree=tree,
+                    expected=sequence.expected,
+                    config=online if online is not None else OnlineConfig(),
+                    policies=policies,
+                )
+                replay = controller.execute_batched
+            else:
+                replay = partial(execute_operations_batched, tree)
+            elapsed = 0.0
+
+            def execute(trace: Trace) -> None:
+                nonlocal elapsed
+                start = time.perf_counter()
+                replay(trace, max_batch_ops=self.config.max_batch_ops)
+                elapsed += time.perf_counter() - start
+
+            sessions = []
+            for session in sequence:
+                sessions.append(
+                    self._measure_session(disk, execute, session, operations)
+                )
+                if controller is not None:
+                    # The gap between sessions is a serving lull: under
+                    # queue-depth admission the controller drains deferred
+                    # migration steps here, outside any session's measurement
+                    # window (a no-op under the default fixed cadence).
+                    controller.note_idle()
+            if controller is None:
+                measurement = SequenceMeasurement(
+                    tuning=initial_tuning, sessions=tuple(sessions)
+                )
+            else:
+                # A migration plan still in flight at stream end is drained
+                # now, as an operator would during quiescence: the trailing
+                # steps land on the shared disk (after the last session's
+                # window — per-session metrics keep their in-stream shape) so
+                # the events' page totals are fully charged, ``final_tuning``
+                # reports the tuning actually reached, and the target's
+                # tombstone hold is released.
+                controller.finish_migration()
+                tree = controller.tree
+                measurement = AdaptiveSequenceMeasurement(
+                    tuning=initial_tuning,
+                    sessions=tuple(sessions),
+                    final_tuning=controller.tuning,
+                    events=tuple(controller.events),
+                )
+            return ShardRun(
+                shard=shard,
+                measurement=measurement,
+                stats=tree.stats(),
+                fingerprint=tree_fingerprint(tree),
+                elapsed_s=elapsed,
+            )
+        finally:
+            # Migrations may have swapped the live tree; dispose the one the
+            # controller currently owns — and, when an exception left an
+            # incremental plan in flight, the plan's half-built target tree
+            # as well (otherwise its backend directory leaks).
+            if controller is not None:
+                tree = controller.tree
+                if controller.migration_plan is not None:
+                    self.dispose_tree(controller.migration_plan.target)
+            self.dispose_tree(tree)
+
     def run_sequence(
         self, tuning: LSMTuning, sequence: SessionSequence
     ) -> SequenceMeasurement:
         """Bulk-load a fresh tree for ``tuning`` and execute a full sequence."""
-        tree = self.build_tree(tuning)
-        try:
-            trace = self.trace_generator()
-            measurements = tuple(
-                self.run_session(tree, session, trace) for session in sequence
-            )
-            return SequenceMeasurement(tuning=tree.tuning, sessions=measurements)
-        finally:
-            self.dispose_tree(tree)
+        return self.run_shard(tuning, sequence).measurement
+
+    def run_sequence_adaptive(
+        self,
+        initial_tuning: LSMTuning,
+        sequence: SessionSequence,
+        online=None,
+        policies: Sequence[Policy] = CLASSIC_POLICIES,
+    ) -> AdaptiveSequenceMeasurement:
+        """:meth:`run_sequence` with the online adaptive-tuning loop enabled
+        (see :meth:`run_shard` for ``online`` and ``policies``)."""
+        return self.run_shard(
+            initial_tuning, sequence, adaptive=True, online=online, policies=policies
+        ).measurement
 
     def compare(
         self,
@@ -391,108 +555,16 @@ class WorkloadExecutor:
         """Run the same sequence under several tunings (nominal vs robust).
 
         The per-tuning simulations are independent, so with ``parallel=True``
-        they run on a multiprocessing pool (one worker per tuning, capped at
-        ``processes`` or the CPU count).  Each worker rebuilds the executor
-        from the same ``(system, config)`` pair, which reproduces the key
-        space and traces exactly: the parallel path returns measurements
-        identical to the sequential one.
+        they run on the process pool (one worker per tuning, capped at
+        ``processes`` or the CPU count) with measurements identical to the
+        sequential path's — see :func:`_map_tasks`.
         """
-        if not parallel or len(tunings) <= 1:
-            return {
-                name: self.run_sequence(tuning, sequence)
-                for name, tuning in tunings.items()
-            }
-        names = list(tunings)
-        worker_count = min(len(names), processes or os.cpu_count() or 1)
-        task = _SequenceTask(system=self.system, config=self.config, sequence=sequence)
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=worker_count) as pool:
-            measurements = pool.map(task, [tunings[name] for name in names])
-        return dict(zip(names, measurements))
-
-    # ------------------------------------------------------------------
-    # Adaptive execution (online re-tuning)
-    # ------------------------------------------------------------------
-    def run_sequence_adaptive(
-        self,
-        initial_tuning: LSMTuning,
-        sequence: SessionSequence,
-        online=None,
-        policies: Sequence[Policy] = CLASSIC_POLICIES,
-    ) -> AdaptiveSequenceMeasurement:
-        """Execute a sequence with the online adaptive-tuning loop enabled.
-
-        The tree starts under ``initial_tuning`` exactly like
-        :meth:`run_sequence`, but operations flow through an
-        :class:`~repro.online.controller.OnlineLSMController`: the controller
-        watches the stream, re-tunes on drift, and migrates the live tree
-        when the predicted gain pays for the move.  Migration I/O lands on
-        the same virtual disk the session deltas are read from, so the
-        returned measurements charge adaptivity at full price.
-
-        ``online`` is an :class:`~repro.online.controller.OnlineConfig`
-        (defaults apply, with the executor's ``admission`` policy, when
-        omitted); ``policies`` bounds what re-tunings may deploy.
-        """
-        # Imported here so the storage layer stays loadable without the
-        # online subsystem (which itself builds on storage).
-        from ..online.controller import OnlineConfig, OnlineLSMController
-
-        tree = self.build_tree(initial_tuning)
-        controller = None
-        try:
-            controller = OnlineLSMController(
-                tree=tree,
-                expected=sequence.expected,
-                config=(
-                    online
-                    if online is not None
-                    else OnlineConfig(admission=self.config.admission)
-                ),
-                policies=policies,
-            )
-            execute = partial(
-                controller.execute_batched, max_batch_ops=self.config.max_batch_ops
-            )
-            trace = self.trace_generator()
-            measurements = []
-            for session in sequence:
-                measurements.append(
-                    self._measure_session(
-                        controller.disk, execute, session, trace.operations
-                    )
-                )
-                # The gap between sessions is a serving lull: under
-                # queue-depth admission the controller drains deferred
-                # migration steps here, outside any session's measurement
-                # window (a no-op under the default fixed cadence).
-                controller.note_idle()
-            # A migration plan still in flight at stream end is drained now,
-            # as an operator would during quiescence: the trailing steps land
-            # on the shared disk (after the last session's window —
-            # per-session metrics keep their in-stream shape) so the events'
-            # page totals are fully charged, ``final_tuning`` reports the
-            # tuning actually reached, and the target's tombstone hold is
-            # released.
-            controller.finish_migration()
-            return AdaptiveSequenceMeasurement(
-                tuning=tree.tuning,
-                sessions=tuple(measurements),
-                final_tuning=controller.tuning,
-                events=tuple(controller.events),
-            )
-        finally:
-            # Migrations may have swapped the live tree; dispose the one the
-            # controller currently owns — and, when an exception left an
-            # incremental plan in flight, the plan's half-built target tree
-            # as well (otherwise its backend directory leaks).
-            if controller is not None:
-                plan = controller.migration_plan
-                if plan is not None:
-                    self.dispose_tree(plan.target)
-                self.dispose_tree(controller.tree)
-            else:
-                self.dispose_tree(tree)
+        tasks = [
+            partial(_run_tuning, self.system, self.config, tuning, sequence)
+            for tuning in tunings.values()
+        ]
+        runs = _map_tasks(tasks, parallel, processes)
+        return {name: run.measurement for name, run in zip(tunings, runs)}
 
     def compare_adaptive(
         self,
@@ -526,27 +598,39 @@ class WorkloadExecutor:
         return results
 
 
-@dataclass(frozen=True)
-class _SequenceTask:
-    """Picklable worker of the parallel :meth:`WorkloadExecutor.compare` path.
+def _run_tuning(
+    system: SystemConfig,
+    config: ExecutorConfig,
+    tuning: LSMTuning,
+    sequence: SessionSequence,
+) -> ShardRun:
+    """One pooled :meth:`WorkloadExecutor.compare` task (see :func:`_map_tasks`)."""
+    return WorkloadExecutor(system, config).run_shard(tuning, sequence)
 
-    Rebuilding the executor inside the worker (instead of shipping the parent
-    instance) keeps the task lightweight and deterministic: the key space and
-    trace generator are reconstructed from the same seeds, so workers produce
-    bit-identical measurements to the sequential path.
 
-    Persistent-backend hygiene across processes: each worker's tree gets its
-    own ``mkdtemp``-fresh ``tree-*`` directory (collision-free even when a
-    user-chosen ``data_dir`` is shared by every worker), ``run_sequence``
-    disposes it in ``try/finally``, and ``build_tree`` removes a half-built
-    directory if construction or bulk-loading raises — a failing worker
-    reports its exception without orphaning directories.
+def _map_tasks(
+    tasks: Sequence[Callable[[], ShardRun]], parallel: bool, processes: int | None
+) -> list[ShardRun]:
+    """Call every task, results in task order: the one process pool.
+
+    With ``parallel`` the tasks run on at most ``processes`` workers (default:
+    the CPU count).  A task is picklable and rebuilds its executor in the
+    worker from ``(system, config)`` instead of shipping the parent's: key
+    space and traces come from the same seeds, so pooled runs are
+    bit-identical to sequential ones.  Each worker's persistent tree gets its
+    own ``mkdtemp``-fresh ``tree-*`` directory (collision-free even under a
+    shared ``data_dir``) and ``run_shard`` disposes it in ``try/finally``, so
+    the first failing task re-raises here without orphaning directories.  A
+    worker that dies (``os._exit``, OOM kill) raises ``BrokenProcessPool`` —
+    ``Pool.map`` would block the parent forever.
     """
-
-    system: SystemConfig
-    config: ExecutorConfig
-    sequence: SessionSequence
-
-    def __call__(self, tuning: LSMTuning) -> SequenceMeasurement:
-        executor = WorkloadExecutor(self.system, self.config)
-        return executor.run_sequence(tuning, self.sequence)
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
+    if not parallel or len(tasks) <= 1:
+        return [task() for task in tasks]
+    workers = min(len(tasks), processes or os.cpu_count() or 1)
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context()
+    ) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -16,13 +17,25 @@ from repro.serving import (
 )
 from repro.serving.executor import tree_fingerprint
 from repro.serving.sharding import partition_keys, shard_operations
-from repro.storage import ExecutorConfig, IOCounters, WorkloadExecutor
+from repro.storage import (
+    AdaptiveSequenceMeasurement,
+    ExecutorConfig,
+    IOCounters,
+    SequenceMeasurement,
+    VirtualDisk,
+    WorkloadExecutor,
+)
 from repro.storage.lsm_tree import execute_operation
 from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload
 
 _SYSTEM = simulator_system(num_entries=4_000)
 _TUNING = LSMTuning(size_ratio=5.0, bits_per_entry=5.0, policy=Policy.LEVELING)
 _EXPECTED = Workload(z0=0.25, z1=0.55, q=0.05, w=0.15)
+_ONLINE = OnlineConfig(
+    window=400, check_interval=64, min_observations=128, cooldown=512,
+    confirm_checks=2, mode="nominal", horizon_ops=12_000,
+    migration="incremental", migration_step_ops=32, migration_step_pages=8,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +75,7 @@ class TestSingleShardBitIdentity:
 
     @pytest.mark.parametrize("admission", ["fixed", "queue-depth"])
     def test_adaptive_run_matches_unsharded(self, sequence, admission):
-        online = OnlineConfig(
-            window=400, check_interval=64, min_observations=128, cooldown=512,
-            confirm_checks=2, mode="nominal", horizon_ops=12_000,
-            migration="incremental", migration_step_ops=32,
-            migration_step_pages=8, admission=admission,
-        )
+        online = replace(_ONLINE, admission=admission)
         base = WorkloadExecutor(_SYSTEM, _config()).run_sequence_adaptive(
             _TUNING, sequence, online=online
         )
@@ -79,6 +87,58 @@ class TestSingleShardBitIdentity:
         assert shard.events == base.events
         assert shard.final_tuning == base.final_tuning
         assert one.sessions == base.sessions
+
+
+class TestOneRunner:
+    """``run_sequence*`` are ``run_shard(...).measurement`` — one code path."""
+
+    def test_run_sequence_is_shard_zero_of_one(self, sequence):
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        run = executor.run_shard(_TUNING, sequence)
+        assert run.shard == 0
+        assert type(run.measurement) is SequenceMeasurement
+        assert executor.run_sequence(_TUNING, sequence) == run.measurement
+
+    def test_run_sequence_adaptive_is_the_adaptive_shard(self, sequence):
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        run = executor.run_shard(_TUNING, sequence, adaptive=True, online=_ONLINE)
+        measured = executor.run_sequence_adaptive(_TUNING, sequence, online=_ONLINE)
+        assert isinstance(measured, AdaptiveSequenceMeasurement)
+        assert measured.events  # the comparison below is not vacuous
+        assert measured.sessions == run.measurement.sessions
+        assert measured.events == run.measurement.events
+        assert measured.final_tuning == run.measurement.final_tuning
+        assert measured == run.measurement
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_fleet_latency_is_the_disk_price_of_the_summed_counters(
+        self, sequence, num_shards
+    ):
+        """Reads and writes priced differently: the merged latency must come
+        from ``VirtualDisk.latency_us`` over the fleet's summed delta."""
+        config = _config(
+            num_shards=num_shards, read_latency_us=50.0, write_latency_us=200.0
+        )
+        fleet = ShardedExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+        disk = VirtualDisk(read_latency_us=50.0, write_latency_us=200.0)
+        for index, merged in enumerate(fleet.sessions):
+            parts = [run.measurement.sessions[index] for run in fleet.shards]
+            summed = IOCounters(
+                query_reads=sum(p.query_reads for p in parts),
+                query_writes=sum(p.query_writes for p in parts),
+                compaction_reads=sum(p.compaction_reads for p in parts),
+                compaction_writes=sum(p.compaction_writes for p in parts),
+                flush_writes=sum(p.flush_writes for p in parts),
+            )
+            assert merged.latency_us_per_query == (
+                disk.latency_us(summed) / merged.num_queries
+            )
+        # Both prices matter: the sequence reads and writes pages.
+        assert sum(s.query_reads for s in fleet.sessions) > 0
+        assert sum(s.flush_writes for s in fleet.sessions) > 0
+        if num_shards == 1:
+            base = WorkloadExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+            assert fleet.sessions == base.sessions
 
 
 class TestShardedRuns:
@@ -157,6 +217,30 @@ class TestShardedRuns:
         for a, b in zip(pooled.shards, sequential.shards):
             assert a.measurement == b.measurement
             assert a.fingerprint == b.fingerprint
+
+    def test_parallel_compare_matches_sequential_on_one_pool(self, sequence):
+        """Every tuning x shard task shares one pool; results come back in
+        task order, so each tuning gets its own shards."""
+        tunings = {
+            "nominal": _TUNING,
+            "robust": LSMTuning(8.0, 6.0, Policy.TIERING),
+        }
+        executor = ShardedExecutor(_SYSTEM, _config(num_shards=2))
+        sequential = executor.compare(tunings, sequence)
+        pooled = executor.compare(tunings, sequence, parallel=True, processes=2)
+        assert list(pooled) == list(sequential) == list(tunings)
+        for name in tunings:
+            assert pooled[name].tuning == sequential[name].tuning == tunings[name]
+            assert pooled[name].sessions == sequential[name].sessions
+            for a, b in zip(pooled[name].shards, sequential[name].shards, strict=True):
+                assert a.shard == b.shard
+                assert a.measurement == b.measurement
+                assert a.stats == b.stats
+                assert a.fingerprint == b.fingerprint
+        assert (
+            pooled["nominal"].shards[0].fingerprint
+            != pooled["robust"].shards[0].fingerprint
+        )
 
     def test_wall_clock_views(self, sequence):
         measurement = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
@@ -250,6 +334,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="num_shards"):
             ExecutorConfig(num_shards=0)
 
-    def test_rejects_unknown_admission(self):
-        with pytest.raises(ValueError, match="admission"):
+    def test_rejects_unknown_admission(self, sequence):
+        """``admission`` lives on ``OnlineConfig`` only: the executor config
+        has no such field, and an unknown mode dies where the adaptive entry
+        point's ``OnlineConfig`` is built."""
+        with pytest.raises(TypeError, match="admission"):
             ExecutorConfig(admission="asap")
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        with pytest.raises(ValueError, match="admission"):
+            executor.run_sequence_adaptive(
+                _TUNING, sequence, online=OnlineConfig(admission="asap")
+            )

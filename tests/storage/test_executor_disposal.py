@@ -8,13 +8,17 @@ leaked ``tree-*`` directory in the system temp dir is a regression.
 
 from __future__ import annotations
 
+import os
 import tempfile
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, OnlineLSMController
-from repro.storage import ExecutorConfig, WorkloadExecutor
+from repro.serving import ShardedExecutor
+from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
 from repro.storage.persistent import PersistentLSMTree
 from repro.workloads import Session, SessionSequence, SessionType, Workload
 
@@ -167,3 +171,67 @@ class TestParallelCompareHygiene:
         with pytest.raises(RuntimeError, match="worker down"):
             executor.compare(self._TUNINGS, sequence, parallel=True, processes=2)
         assert list(private_tmp.iterdir()) == []
+
+
+class TestWorkerDeath:
+    """A killed worker (``os._exit``, OOM kill) must fail the run promptly.
+
+    ``multiprocessing.Pool.map`` blocks forever when a worker dies; the pool
+    raises ``BrokenProcessPool`` instead.  The call runs on a daemon thread so
+    a regression shows up as a 30 s timeout here, not as a hung test suite.
+    """
+
+    _TUNINGS = TestParallelCompareHygiene._TUNINGS
+
+    @staticmethod
+    def _outcome_within(seconds, call):
+        outcome = []
+
+        def target():
+            try:
+                outcome.append(call())
+            except BaseException as error:  # reported to the asserting thread
+                outcome.append(error)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        assert not thread.is_alive(), f"still blocked after {seconds} s"
+        return outcome[0]
+
+    _CONFIG = ExecutorConfig(queries_per_workload=150, seed=11, num_shards=2)
+
+    @pytest.fixture
+    def dying_bulk_load(self, monkeypatch):
+        # Workers are forked, so they inherit the patched class; the simulated
+        # backend keeps a worker that cannot clean up from leaving a directory.
+        monkeypatch.setattr(LSMTree, "bulk_load", lambda self, keys: os._exit(1))
+
+    def test_compare_raises_when_a_worker_dies(self, dying_bulk_load):
+        executor = WorkloadExecutor(_SYSTEM, self._CONFIG)
+        sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
+        outcome = self._outcome_within(
+            30,
+            lambda: executor.compare(
+                self._TUNINGS, sequence, parallel=True, processes=2
+            ),
+        )
+        assert isinstance(outcome, BrokenProcessPool)
+
+    def test_sharded_run_raises_when_a_worker_dies(self, dying_bulk_load):
+        executor = ShardedExecutor(_SYSTEM, self._CONFIG)
+        sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
+        outcome = self._outcome_within(
+            30, lambda: executor.run_sequence(_TUNING, sequence, parallel=True)
+        )
+        assert isinstance(outcome, BrokenProcessPool)
+
+    @pytest.mark.parametrize("processes", [0, -1])
+    def test_rejects_a_non_positive_worker_count(self, processes):
+        executor = WorkloadExecutor(_SYSTEM, ExecutorConfig(queries_per_workload=50))
+        sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
+        with pytest.raises(ValueError, match="processes"):
+            executor.compare(self._TUNINGS, sequence, processes=processes)
+        fleet = ShardedExecutor(_SYSTEM, ExecutorConfig(queries_per_workload=50))
+        with pytest.raises(ValueError, match="processes"):
+            fleet.run_sequence(_TUNING, sequence, processes=processes)

@@ -119,6 +119,49 @@ class TestFractionValidation:
         assert args.update_fraction == 0.0
 
 
+class TestRadiusAndIndexValidation:
+    """``--rho`` / ``--retune-rho`` / ``--expected-index`` die at the parser.
+
+    They used to be plain ``float`` / ``int``: a negative radius surfaced as a
+    ``RobustTuner`` traceback (or, on ``tune``, silently dropped the robust
+    tuning), index 99 as an ``IndexError`` and index -1 silently as w14.
+    """
+
+    _TUNE = ["tune", "--workload", "0.25", "0.25", "0.25", "0.25"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _TUNE + ["--rho", "-1"],
+            ["table", "--rho", "-0.5"],
+            ["compare", "--rho", "-0.5"],
+            ["online", "--rho", "-0.5"],
+            ["online", "--retune-rho", "-1"],
+        ],
+    )
+    def test_rejects_a_negative_radius(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "online"])
+    @pytest.mark.parametrize("value", ["99", "15", "-1", "1.5"])
+    def test_rejects_an_expected_index_off_table_2(self, capsys, command, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--expected-index", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--expected-index" in err
+        assert "Table 2 index in 0..14" in err or "expected an integer" in err
+
+    def test_boundary_values_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["compare", "--expected-index", "0"]).expected_index == 0
+        assert parser.parse_args(["online", "--expected-index", "14"]).expected_index == 14
+        assert parser.parse_args(["compare", "--rho", "0"]).rho == 0.0
+
+
 class TestBackendFlag:
     def test_compare_backend_defaults_to_simulated(self):
         args = build_parser().parse_args(["compare"])

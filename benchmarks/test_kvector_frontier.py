@@ -26,7 +26,7 @@ from conftest import run_once
 
 from repro.analysis import kvector_frontier
 from repro.core import NominalTuner
-from repro.lsm import Policy, PolicySpec, SystemConfig
+from repro.lsm import CompactionPolicy, SystemConfig
 from repro.workloads import Workload
 
 #: Paper-default memory (10 bits/entry total) with a mild write asymmetry:
@@ -109,8 +109,8 @@ def test_uniform_families_recover_the_scalar_corners_exactly():
     every scalar (K, Z) fluid optimum exactly: same objective, same (T, h)."""
     workload = FRONTIER_WORKLOADS[0][1]
     for k, z in ((1.0, 1.0), (2.0, 1.0), (4.0, 2.0), (8.0, 8.0)):
-        scalar_spec = PolicySpec(Policy.FLUID, k_bound=k, z_bound=z)
-        uniform_spec = PolicySpec(Policy.FLUID, k_bounds=(k,) * 4, z_bound=z)
+        scalar_spec = CompactionPolicy.fluid((k,), z)
+        uniform_spec = CompactionPolicy.fluid((k,) * 4, z)
         results = [
             NominalTuner(
                 system=FRONTIER_SYSTEM,

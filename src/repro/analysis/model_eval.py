@@ -517,9 +517,7 @@ def kvector_frontier(
                 # (``None`` when it stayed scalar): the continuous polish
                 # output rounded and clamped exactly as the simulator would
                 # deploy it.
-                "vector_k_bounds": (
-                    None if deployed.k_bounds is None else list(deployed.k_bounds)
-                ),
+                "vector_k_bounds": deployed.to_dict().get("k_bounds"),
                 "vector_z_bound": deployed.z_bound,
             }
         )

@@ -44,7 +44,7 @@ from .analysis.online_eval import AdaptiveExperiment, format_adaptive_comparison
 from .analysis.system_eval import SystemExperiment, format_comparison
 from .core.nominal import NominalTuner
 from .core.robust import RobustTuner
-from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, Policy, PolicySpec
+from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, CompactionPolicy, Policy
 from .lsm.system import SystemConfig, simulator_system
 from .online.admission import ADMISSION_MODES
 from .online.controller import MIGRATION_MODES, OnlineConfig
@@ -150,7 +150,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         system = system.scaled(args.num_entries)
     if args.long_range_selectivity is not None:
         system = replace(system, long_range_selectivity=args.long_range_selectivity)
-    policies: tuple[Policy | PolicySpec, ...] = _policies_from_arg(args.policy)
+    policies: tuple[Policy | CompactionPolicy, ...] = _policies_from_arg(args.policy)
     if args.k_bounds is not None:
         if args.policy != Policy.FLUID.value:
             args.subparser.error(
@@ -164,9 +164,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             )
         # Pin the search to the explicit per-level vector: the tuners still
         # optimise (T, h) but deploy exactly these bounds.
-        policies = (
-            PolicySpec(Policy.FLUID, k_bounds=args.k_bounds, z_bound=args.z_bound),
-        )
+        policies = (CompactionPolicy.fluid(args.k_bounds, args.z_bound),)
     elif args.z_bound is not None:
         args.subparser.error("--z-bound is only meaningful alongside --k-bounds")
     seed = args.seed if args.seed is not None else 0
@@ -194,7 +192,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     output = {
         "workload": workload.as_dict(),
         "policies": list(
-            dict.fromkeys(PolicySpec.of(p).policy.value for p in policies)
+            dict.fromkeys(CompactionPolicy.of(p).policy.value for p in policies)
         ),
         "num_entries": system.num_entries,
         "nominal": nominal.tuning.to_dict(),

@@ -32,8 +32,8 @@ from ..lsm.cost_model import LSMCostModel
 from ..lsm.policy import (
     CLASSIC_POLICIES,
     DEFAULT_VECTOR_LEVELS,
+    CompactionPolicy,
     Policy,
-    PolicySpec,
     expand_policy_specs,
 )
 from ..lsm.system import SystemConfig
@@ -86,10 +86,10 @@ class BaseTuner(abc.ABC):
         leveling and tiering — by default; pass
         :data:`~repro.lsm.policy.ALL_POLICIES` to include the hybrids).
         Entries may be enum members, strings, or explicit
-        :class:`~repro.lsm.policy.PolicySpec` instances pinning fluid
-        ``K``/``Z`` run bounds; ``Policy.FLUID`` expands into the default
-        ``(K, Z)`` candidate grid, so the sweep optimises the fluid bounds
-        alongside ``(T, h, π)``.
+        :class:`~repro.lsm.policy.CompactionPolicy` values pinning the run
+        bounds; ``Policy.FLUID`` expands into the default ``(K, Z)``
+        candidate grid, so the sweep optimises the fluid bounds alongside
+        ``(T, h, π)``.
     fluid_k_grid / fluid_z_grid:
         Fluid run-bound candidates used when ``Policy.FLUID`` is expanded
         (defaults: :data:`~repro.lsm.policy.DEFAULT_FLUID_K_GRID` /
@@ -132,7 +132,7 @@ class BaseTuner(abc.ABC):
     def __init__(
         self,
         system: SystemConfig | None = None,
-        policies: Sequence[Policy | str | PolicySpec] = CLASSIC_POLICIES,
+        policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         ratio_candidates: Sequence[float] | None = None,
         starts_per_policy: int = 2,
         polish: bool = True,
@@ -150,10 +150,10 @@ class BaseTuner(abc.ABC):
             raise ValueError("k_vector_levels must be at least 1")
         self.k_vector_search = bool(k_vector_search)
         self.k_vector_levels = int(k_vector_levels)
-        # The concrete candidates the sweeps iterate: one spec per classical
-        # policy, a (K, Z) grid of specs for Policy.FLUID (plus the
-        # structured K_i vector families when enabled).  An empty policy
-        # list is rejected by the expansion itself.
+        # The concrete candidates the sweeps iterate: one per named policy,
+        # a (K, Z) grid for Policy.FLUID (plus the structured K_i vector
+        # families when enabled).  An empty policy list is rejected by the
+        # expansion itself.
         self.policy_specs = expand_policy_specs(
             policies,
             max_size_ratio=self.system.max_size_ratio,
@@ -182,7 +182,7 @@ class BaseTuner(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _optimize_inner(
-        self, size_ratio: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, policy: CompactionPolicy, workload: Workload
     ) -> tuple[np.ndarray, float]:
         """Optimise the non-ratio design variables at a fixed size ratio.
 
@@ -193,7 +193,7 @@ class BaseTuner(abc.ABC):
 
     @abc.abstractmethod
     def _objective(
-        self, size_ratio: float, inner: np.ndarray, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, inner: np.ndarray, policy: CompactionPolicy, workload: Workload
     ) -> float:
         """Objective value at one fully specified design point (for the polish)."""
 
@@ -206,7 +206,7 @@ class BaseTuner(abc.ABC):
         self,
         size_ratio: float,
         inner: np.ndarray,
-        policy: PolicySpec,
+        policy: CompactionPolicy,
         workload: Workload,
         objective: float,
         solver_info: dict,
@@ -226,13 +226,13 @@ class BaseTuner(abc.ABC):
 
     @abc.abstractmethod
     def _value_at(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> float:
         """Scalar objective at one ``(T, h)`` point (for the Brent refine)."""
 
     @abc.abstractmethod
     def _inner_from_design(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> np.ndarray:
         """Recover the inner-variable vector of a swept ``(T, h)`` design."""
 
@@ -258,24 +258,15 @@ class BaseTuner(abc.ABC):
         return np.linspace(lo, hi, grid_points)
 
     def _tuning_from(
-        self, size_ratio: float, bits: float, policy: Policy | PolicySpec
+        self, size_ratio: float, bits: float, policy: Policy | CompactionPolicy
     ) -> LSMTuning:
-        """Build a tuning, clamping the design into the legal box.
-
-        ``policy`` may be a bare enum member or a
-        :class:`~repro.lsm.policy.PolicySpec`; fluid specs carry their
-        ``K``/``Z`` run bounds onto the tuning.
-        """
-        spec = PolicySpec.of(policy)
+        """Build a tuning, clamping the design into the legal box."""
         t_lo, t_hi = self.size_ratio_bounds
         h_lo, h_hi = self.bits_per_entry_bounds
         return LSMTuning(
-            size_ratio=float(np.clip(size_ratio, t_lo, t_hi)),
-            bits_per_entry=float(np.clip(bits, h_lo, h_hi)),
-            policy=spec.policy,
-            k_bound=spec.k_bound,
-            z_bound=spec.z_bound,
-            k_bounds=spec.k_bounds,
+            float(np.clip(size_ratio, t_lo, t_hi)),
+            float(np.clip(bits, h_lo, h_hi)),
+            policy,
         )
 
     def _minimize_scalar(self, objective, bounds: tuple[float, float]):
@@ -335,7 +326,7 @@ class BaseTuner(abc.ABC):
             options={"maxiter": 200, "ftol": 1e-10},
         )
 
-    def _polish_jacobian(self, policy: PolicySpec, workload: Workload):
+    def _polish_jacobian(self, policy: CompactionPolicy, workload: Workload):
         """Gradient callable of the polish objective, or ``None``.
 
         Returning ``None`` (the default) lets SLSQP fall back to its own
@@ -352,13 +343,13 @@ class BaseTuner(abc.ABC):
     def _sweep_scalar(
         self, workload: Workload
     ) -> tuple[
-        float | None, np.ndarray | None, PolicySpec | None, float, dict[str, float]
+        float | None, np.ndarray | None, CompactionPolicy | None, float, dict[str, float]
     ]:
         """Reference sweep: one Brent inner solve per (policy spec, size ratio)."""
         best_value = np.inf
         best_ratio: float | None = None
         best_inner: np.ndarray | None = None
-        best_policy: PolicySpec | None = None
+        best_policy: CompactionPolicy | None = None
         per_policy: dict[str, float] = {}
 
         for policy in self.policy_specs:
@@ -380,7 +371,7 @@ class BaseTuner(abc.ABC):
     def _sweep_vectorized(
         self, workload: Workload
     ) -> tuple[
-        float | None, np.ndarray | None, PolicySpec | None, float, dict[str, float]
+        float | None, np.ndarray | None, CompactionPolicy | None, float, dict[str, float]
     ]:
         """Batched sweep: one cost-matrix pass per policy + pruned refinement.
 
@@ -393,7 +384,7 @@ class BaseTuner(abc.ABC):
         best_value = np.inf
         best_ratio: float | None = None
         best_bits: float | None = None
-        best_policy: PolicySpec | None = None
+        best_policy: CompactionPolicy | None = None
         per_policy: dict[str, float] = {}
         bits_grid = self._bits_grid()
 
@@ -484,36 +475,28 @@ class BaseTuner(abc.ABC):
     # Per-level K_i refinement (vector search only)
     # ------------------------------------------------------------------
     def _materialised_vector(
-        self, spec: PolicySpec, size_ratio: float
+        self, spec: CompactionPolicy, size_ratio: float
     ) -> tuple[list[float], float]:
-        """The explicit ``(K_i…, Z)`` of a fluid spec at one size ratio.
+        """The explicit ``(K_i…, Z)`` of a fluid policy at one size ratio.
 
-        Scalar and tracking specs materialise to the uniform vector they
-        denote (length :attr:`k_vector_levels`); explicit vectors are padded
-        to that length with their last element, matching the deep-level
-        extension rule.
+        The bound vector is padded to :attr:`k_vector_levels` with its last
+        element, matching the deep-level extension rule (so a single shared
+        or tracking ``K`` materialises to the uniform vector it denotes),
+        and clamped to ``T - 1``.
         """
         cap = max(1.0, float(size_ratio) - 1.0)
-        if spec.k_bounds is not None:
-            base = list(spec.k_bounds)
-        elif spec.k_bound is not None:
-            base = [float(spec.k_bound)]
-        else:
-            base = [cap]
-        while len(base) < self.k_vector_levels:
-            base.append(base[-1])
-        vector = [float(np.clip(bound, 1.0, cap)) for bound in base]
-        z = 1.0 if spec.z_bound is None else float(np.clip(spec.z_bound, 1.0, cap))
-        return vector, z
+        base = list(spec.bounds)
+        base += base[-1:] * (self.k_vector_levels - len(base))
+        return [min(bound, cap) for bound in base], min(spec.z_bound, cap)
 
     def _descend_k_vector(
         self,
         size_ratio: float,
         inner: np.ndarray,
-        spec: PolicySpec,
+        spec: CompactionPolicy,
         workload: Workload,
         current_value: float,
-    ) -> tuple[PolicySpec, np.ndarray, float]:
+    ) -> tuple[CompactionPolicy, np.ndarray, float]:
         """Coordinate-descent refinement of the fluid bound vector.
 
         At the sweep winner's ``(T, h)``, each level's bound (and ``Z``) is
@@ -530,9 +513,7 @@ class BaseTuner(abc.ABC):
         vector, z = self._materialised_vector(spec, size_ratio)
 
         def value_of(trial_vector: list[float], trial_z: float) -> float:
-            trial = PolicySpec(
-                Policy.FLUID, k_bounds=tuple(trial_vector), z_bound=trial_z
-            )
+            trial = CompactionPolicy.fluid(trial_vector, trial_z)
             return self._value_at(size_ratio, bits, trial, workload)
 
         # The materialised vector reproduces the winning spec at this (T, h),
@@ -563,14 +544,14 @@ class BaseTuner(abc.ABC):
                 break
 
         if not (np.isfinite(best_value) and best_value < current_value - 1e-15):
-            if spec.k_bounds is None:
+            if len(spec.bounds) == 1:
                 # No strict win: keep the sweep winner's scalar/tracking
                 # representation so uniform optima stay uniform.
                 return spec, np.asarray(inner, dtype=float), current_value
             # A winning vector spec is normalised to its clamp at the
             # current ratio (a ladder peaking above T - 1 behaves as the
             # clamped vector; report the bounds that are actually in force).
-        refined = PolicySpec(Policy.FLUID, k_bounds=tuple(vector), z_bound=z)
+        refined = CompactionPolicy.fluid(vector, z)
         return (
             refined,
             self._inner_from_design(size_ratio, bits, refined, workload),
@@ -581,10 +562,10 @@ class BaseTuner(abc.ABC):
         self,
         size_ratio: float,
         inner: np.ndarray,
-        spec: PolicySpec,
+        spec: CompactionPolicy,
         workload: Workload,
         current_value: float,
-    ) -> tuple[float, np.ndarray, PolicySpec, float]:
+    ) -> tuple[float, np.ndarray, CompactionPolicy, float]:
         """Continuous SLSQP polish over ``(T, inner, K_1…K_m, Z)``.
 
         The per-level run bounds join the design vector as continuous
@@ -599,13 +580,9 @@ class BaseTuner(abc.ABC):
         vector, z = self._materialised_vector(spec, size_ratio)
         n_inner = len(inner)
 
-        def spec_of(design: np.ndarray) -> PolicySpec:
+        def spec_of(design: np.ndarray) -> CompactionPolicy:
             bounds = np.maximum(design[1 + n_inner :], 1.0)
-            return PolicySpec(
-                Policy.FLUID,
-                k_bounds=tuple(float(b) for b in bounds[:-1]),
-                z_bound=float(bounds[-1]),
-            )
+            return CompactionPolicy.fluid(bounds[:-1], bounds[-1])
 
         def full_objective(design: np.ndarray) -> float:
             return self._objective(
@@ -674,7 +651,7 @@ class BaseTuner(abc.ABC):
         self,
         size_ratio: float,
         inner: np.ndarray,
-        policy: PolicySpec,
+        policy: CompactionPolicy,
         workload: Workload,
         current_value: float,
     ) -> tuple[float, np.ndarray, float]:

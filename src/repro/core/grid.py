@@ -20,7 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from ..lsm.cost_model import LSMCostModel
-from ..lsm.policy import CLASSIC_POLICIES, Policy, PolicySpec, expand_policy_specs
+from ..lsm.policy import (
+    CLASSIC_POLICIES,
+    CompactionPolicy,
+    Policy,
+    expand_policy_specs,
+)
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.workload import Workload
@@ -47,8 +52,8 @@ class GridTuner:
         default; pass :data:`~repro.lsm.policy.ALL_POLICIES` to include the
         hybrids).  ``Policy.FLUID`` expands into its default ``(K, Z)``
         candidate grid, exactly like the continuous tuners; explicit
-        :class:`~repro.lsm.policy.PolicySpec` entries — including per-level
-        ``k_bounds`` vector specs — pass through untouched.
+        :class:`~repro.lsm.policy.CompactionPolicy` entries — including
+        per-level bound vectors — pass through untouched.
     k_vector_search:
         Whether the fluid expansion additionally sweeps the structured
         per-level ``K_i`` vector families (front-loaded ladders,
@@ -61,7 +66,7 @@ class GridTuner:
         size_ratios: np.ndarray | None = None,
         bits_grid_points: int = 33,
         rho: float = 0.0,
-        policies: Sequence[Policy | str | PolicySpec] = CLASSIC_POLICIES,
+        policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         k_vector_search: bool = False,
     ) -> None:
         if rho < 0:
@@ -121,12 +126,7 @@ class GridTuner:
             if values[row, col] < best_value:
                 best_value = float(values[row, col])
                 best_tuning = LSMTuning(
-                    size_ratio=float(self.size_ratios[row]),
-                    bits_per_entry=float(self.bits_grid[col]),
-                    policy=spec.policy,
-                    k_bound=spec.k_bound,
-                    z_bound=spec.z_bound,
-                    k_bounds=spec.k_bounds,
+                    float(self.size_ratios[row]), float(self.bits_grid[col]), spec
                 )
         if best_tuning is None or not np.isfinite(best_value):
             raise RuntimeError("grid search evaluated no configurations")

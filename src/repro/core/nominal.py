@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lsm.policy import PolicySpec
+from ..lsm.policy import CompactionPolicy
 from ..workloads.workload import Workload
 from .base import BaseTuner
 from .results import TuningResult
@@ -22,7 +22,7 @@ class NominalTuner(BaseTuner):
     INNER_DIMENSION = 1
 
     def _cost(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> float:
         try:
             tuning = self._tuning_from(size_ratio, bits, policy)
@@ -31,7 +31,7 @@ class NominalTuner(BaseTuner):
             return float("inf")
 
     def _value_at(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> float:
         return self._cost(size_ratio, bits, policy, workload)
 
@@ -45,12 +45,12 @@ class NominalTuner(BaseTuner):
         return cost_matrix[..., support] @ weights[support]
 
     def _inner_from_design(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> np.ndarray:
         return np.array([bits])
 
     def _optimize_inner(
-        self, size_ratio: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, policy: CompactionPolicy, workload: Workload
     ) -> tuple[np.ndarray, float]:
         bits, value = self._grid_then_refine(
             lambda bits: self._cost(size_ratio, float(bits), policy, workload),
@@ -59,7 +59,7 @@ class NominalTuner(BaseTuner):
         return np.array([bits]), value
 
     def _objective(
-        self, size_ratio: float, inner: np.ndarray, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, inner: np.ndarray, policy: CompactionPolicy, workload: Workload
     ) -> float:
         return self._cost(size_ratio, float(inner[0]), policy, workload)
 
@@ -70,7 +70,7 @@ class NominalTuner(BaseTuner):
         self,
         size_ratio: float,
         inner: np.ndarray,
-        policy: PolicySpec,
+        policy: CompactionPolicy,
         workload: Workload,
         objective: float,
         solver_info: dict,

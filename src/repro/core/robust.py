@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from ..lsm.policy import PolicySpec
+from ..lsm.policy import CompactionPolicy
 from ..workloads.workload import Workload
 from .base import BaseTuner
 from .nominal import NominalTuner
@@ -145,7 +145,7 @@ class RobustTuner(BaseTuner):
         return self._worst_case_batch(cost_matrix, workload)
 
     def _value_at(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> float:
         try:
             tuning = self._tuning_from(size_ratio, bits, policy)
@@ -157,7 +157,7 @@ class RobustTuner(BaseTuner):
         return self._worst_case_of_cost(cost_vector, workload)[0]
 
     def _inner_from_design(
-        self, size_ratio: float, bits: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, bits: float, policy: CompactionPolicy, workload: Workload
     ) -> np.ndarray:
         tuning = self._tuning_from(size_ratio, bits, policy)
         _, lam = self._worst_case_of_cost(
@@ -169,7 +169,7 @@ class RobustTuner(BaseTuner):
     # Inner optimisation at a fixed size ratio
     # ------------------------------------------------------------------
     def _optimize_inner(
-        self, size_ratio: float, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, policy: CompactionPolicy, workload: Workload
     ) -> tuple[np.ndarray, float]:
         bits, value = self._grid_then_refine(
             lambda b: self._value_at(size_ratio, float(b), policy, workload),
@@ -180,7 +180,7 @@ class RobustTuner(BaseTuner):
     # ------------------------------------------------------------------
     # Batched finite differences (used by the SLSQP polish)
     # ------------------------------------------------------------------
-    def _polish_jacobian(self, policy: PolicySpec, workload: Workload):
+    def _polish_jacobian(self, policy: CompactionPolicy, workload: Workload):
         """Batched finite-difference gradient of the polish objective.
 
         SLSQP's own finite differences evaluate the scalar objective once per
@@ -202,7 +202,7 @@ class RobustTuner(BaseTuner):
         return jacobian
 
     def _batched_polish_gradient(
-        self, design: np.ndarray, policy: PolicySpec, workload: Workload
+        self, design: np.ndarray, policy: CompactionPolicy, workload: Workload
     ) -> np.ndarray:
         size_ratio, bits, lam = design
         t_lo, t_hi = self.size_ratio_bounds
@@ -255,7 +255,7 @@ class RobustTuner(BaseTuner):
     # Full-design objective (used by the SLSQP polish)
     # ------------------------------------------------------------------
     def _objective(
-        self, size_ratio: float, inner: np.ndarray, policy: PolicySpec, workload: Workload
+        self, size_ratio: float, inner: np.ndarray, policy: CompactionPolicy, workload: Workload
     ) -> float:
         bits, lam = float(inner[0]), float(inner[1])
         try:
@@ -278,7 +278,7 @@ class RobustTuner(BaseTuner):
         self,
         size_ratio: float,
         inner: np.ndarray,
-        policy: PolicySpec,
+        policy: CompactionPolicy,
         workload: Workload,
         objective: float,
         solver_info: dict,

@@ -15,17 +15,11 @@ from .policy import (
     DEFAULT_FLUID_Z_GRID,
     DEFAULT_LADDER_PEAKS,
     DEFAULT_VECTOR_LEVELS,
+    NAMED_POLICIES,
     CompactionPolicy,
-    FluidPolicy,
-    LazyLevelingPolicy,
-    LevelingPolicy,
-    OneLevelingPolicy,
     Policy,
-    PolicySpec,
-    TieringPolicy,
     expand_policy_specs,
     fluid_vector_specs,
-    get_policy,
     halving_ladder,
 )
 from .system import DEFAULT_SYSTEM, SystemConfig, simulator_system
@@ -42,19 +36,13 @@ __all__ = [
     "DEFAULT_LADDER_PEAKS",
     "DEFAULT_SYSTEM",
     "DEFAULT_VECTOR_LEVELS",
-    "FluidPolicy",
     "LSMCostModel",
     "LSMTuning",
-    "LazyLevelingPolicy",
-    "LevelingPolicy",
-    "OneLevelingPolicy",
+    "NAMED_POLICIES",
     "Policy",
-    "PolicySpec",
     "SystemConfig",
-    "TieringPolicy",
     "expand_policy_specs",
     "fluid_vector_specs",
-    "get_policy",
     "halving_ladder",
     "monkey_bits_per_level",
     "monkey_false_positive_rates",

@@ -30,12 +30,12 @@ A workload's ``long_range_fraction`` ``ν`` blends the two:
 identical to the pre-split model.
 
 All per-policy structure enters through exactly two quantities supplied by
-the :class:`~repro.lsm.policy.CompactionPolicy` strategy objects — the
-expected number of runs per level and the per-level merge amortisation
-factor — so adding a policy never touches the equations here.  Both
+the :class:`~repro.lsm.policy.CompactionPolicy` value — the expected number
+of runs per level and the per-level merge amortisation factor — so a new
+policy is a new bound vector and never touches the equations here.  Both
 quantities are evaluated along an explicit level axis and *summed per
-level* (never via a closed-form scalar ``K``), which is what lets fluid
-tunings carry a per-level run-bound vector ``K_i``: the strategy answers
+level* (never via a closed-form scalar ``K``), which is what lets a
+policy carry a per-level run-bound vector ``K_i``: the policy answers
 each level from its vector, and every cost term — the false-positive sum of
 ``Z0``/``Z1``, the per-run seeks and worst-case scan pages of ``Q``, the
 merge amortisation of ``W`` — picks the per-level bound up unchanged.  The
@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .bloom import monkey_false_positive_rates, monkey_false_positive_rates_batch
-from .policy import CompactionPolicy, Policy, PolicySpec
+from .policy import CompactionPolicy, Policy
 from .system import SystemConfig
 from .tuning import LSMTuning
 
@@ -120,7 +120,7 @@ class LSMCostModel:
         rates = self.false_positive_rates(tuning)
         indices = np.arange(1, levels + 1, dtype=float)
         runs = np.asarray(
-            tuning.strategy.runs_per_level(
+            tuning.compaction.runs_per_level(
                 tuning.size_ratio, indices, float(levels)
             ),
             dtype=float,
@@ -237,7 +237,7 @@ class LSMCostModel:
         levels = self.num_levels(tuning)
         indices = np.arange(1, levels + 1, dtype=float)
         merges = np.asarray(
-            tuning.strategy.merge_factor(
+            tuning.compaction.merge_factor(
                 tuning.size_ratio, indices, float(levels)
             ),
             dtype=float,
@@ -273,7 +273,7 @@ class LSMCostModel:
         self,
         size_ratios: Sequence[float] | np.ndarray,
         bits_per_entry: Sequence[float] | np.ndarray,
-        policy: Policy | str | PolicySpec,
+        policy: Policy | str | CompactionPolicy,
         long_range_fraction: float = 0.0,
     ) -> np.ndarray:
         """Cost vectors of a whole ``(T, h)`` candidate grid in one pass.
@@ -293,9 +293,9 @@ class LSMCostModel:
             1-D array of candidate Bloom-filter budgets (each ``>= 0`` and
             small enough to leave room for a write buffer).
         policy:
-            The compaction policy of every candidate — an enum member, a
-            string, or a :class:`~repro.lsm.policy.PolicySpec` carrying fluid
-            ``K``/``Z`` run bounds.
+            The compaction policy of every candidate — a
+            :class:`~repro.lsm.policy.CompactionPolicy`, or the enum member
+            or string naming one.
         long_range_fraction:
             The workload's ``ν``: fraction of range lookups that are long
             (scan-dominated).  ``0`` skips the long-range term entirely.
@@ -309,7 +309,7 @@ class LSMCostModel:
             scalar :meth:`cost_vector` to ~1e-12 relative error.
         """
         system = self.system
-        strategy = _resolve_strategy(policy)
+        compaction = CompactionPolicy.of(policy)
         ratios = np.asarray(size_ratios, dtype=float).reshape(-1, 1, 1)
         bits = np.asarray(bits_per_entry, dtype=float).reshape(1, -1, 1)
         if ratios.size == 0 or bits.size == 0:
@@ -335,7 +335,7 @@ class LSMCostModel:
 
         rates = monkey_false_positive_rates_batch(ratios, bits, levels, index)
         runs = np.where(
-            mask, strategy.runs_per_level(ratios, index, levels), 0.0
+            mask, compaction.runs_per_level(ratios, index, levels), 0.0
         )
 
         # Z0: every run may cost one false-positive probe.
@@ -372,7 +372,7 @@ class LSMCostModel:
             range_read = seeks + (1.0 - nu) * short_scan + nu * long_scan
 
         # W: per-level merge amortisation, per page, weighted by asymmetry.
-        merges = np.where(mask, strategy.merge_factor(ratios, index, levels), 0.0)
+        merges = np.where(mask, compaction.merge_factor(ratios, index, levels), 0.0)
         write = (
             np.sum(merges, axis=-1)
             / system.entries_per_page
@@ -401,7 +401,7 @@ class LSMCostModel:
         workload,
         size_ratios: Sequence[float] | np.ndarray,
         bits_per_entry: Sequence[float] | np.ndarray,
-        policy: Policy | str | PolicySpec,
+        policy: Policy | str | CompactionPolicy,
     ) -> np.ndarray:
         """``C(w, Φ)`` over a whole ``(T, h)`` grid in one broadcasted pass."""
         weights = _workload_array(workload)
@@ -451,11 +451,3 @@ def _support_dot(costs: np.ndarray, weights: np.ndarray) -> np.ndarray | float:
         return float(result)
     return result
 
-
-def _resolve_strategy(policy: Policy | str | PolicySpec | CompactionPolicy):
-    """Resolve any policy-like value to a concrete strategy object."""
-    if isinstance(policy, CompactionPolicy):
-        return policy
-    if isinstance(policy, PolicySpec):
-        return policy.strategy
-    return Policy.from_value(policy).strategy

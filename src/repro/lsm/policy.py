@@ -1,63 +1,58 @@
-"""Compaction policies: first-class strategy objects shared by the cost
-model and the storage engine.
+"""Compaction policies: one run-bound value shared by the cost model, the
+tuners and the storage engine.
 
-The paper's design space contains the two classical merge policies; this
-reproduction additionally supports the hybrid designs of Dostoevsky
-(Dayan & Idreos, SIGMOD'18):
+A compaction policy is a run bound per level.  The paper's design space
+contains the two classical merge policies; this reproduction additionally
+supports the hybrid designs of Dostoevsky (Dayan & Idreos, SIGMOD'18), and
+all of them are instances of the single :class:`CompactionPolicy` value — a
+per-level bound vector ``(K_1, K_2, …)`` (shallowest level first, levels
+deeper than the vector reusing its last element), an *optional* override
+``Z`` for the largest level, and one behavioural bit: whether a level that
+hits its bound spills into the next level or merges in place.  Bounds are
+clamped to the feasible range ``[1, T - 1]`` wherever they are read, so an
+infinite bound means "``T - 1`` at every size ratio".  The named policies
+are four rows of a table (:data:`NAMED_POLICIES`):
 
-* **Leveling** — each level holds at most one sorted run; a run arriving from
-  the level above is immediately sort-merged into the resident run.  Reads are
-  cheap (one run per level), writes pay repeated merges.
-* **Tiering** — each level accumulates up to ``T - 1`` runs before compacting
-  them together into the next level.  Writes are cheap, reads have to examine
-  several runs per level.
-* **Lazy leveling** — tiering on every level except the largest, which is
-  kept as a single leveled run.  Point reads stay close to leveling (the
-  largest level dominates the residence probability) while writes avoid most
-  of leveling's repeated merges.
-* **1-leveling** — the mirror image of lazy leveling: leveling on the first
-  disk level only, tiering below it.  The smallest level absorbs the flush
-  churn as a single run while the bulk of the tree keeps tiering's cheap
-  writes.
-* **Fluid** — Dostoevsky's fluid LSM: a run *bound* ``K`` on every level but
-  the largest and a separate bound ``Z`` on the largest level, both tunable.
-  ``K = Z = 1`` recovers leveling exactly, ``K = Z = T - 1`` recovers
-  tiering, and ``K = T - 1, Z = 1`` recovers lazy leveling, so the fluid
-  family is a superset of every other policy here; the tuners sweep a
-  ``(K, Z)`` grid alongside ``(T, h)``.  In full Dostoevsky generality the
-  single upper-level bound ``K`` becomes a per-level vector ``K_i``
-  (``k_bounds``): one independent run bound per upper level, shallowest
-  first, with levels deeper than the vector reusing its last element.  The
-  uniform vector reproduces the scalar ``K`` exactly; non-uniform vectors
-  (e.g. front-loaded "lazy ladders" — tiered shallow levels descending to
-  leveled deep ones) open the part of the design space no scalar ``(K, Z)``
-  pair reaches.
+=================  ==========  ====  ==========================================
+policy             bounds      Z     behaviour
+=================  ==========  ====  ==========================================
+**leveling**       ``(1,)``    —     one run per level; an arriving run is
+                                     sort-merged into the resident run.  Cheap
+                                     reads, repeated merges on writes.
+**tiering**        ``(∞,)``    —     up to ``T - 1`` runs per level, compacted
+                                     together into the next level.  Cheap
+                                     writes, several runs per level to read.
+**lazy leveling**  ``(∞,)``    1     tiering on every level but the largest,
+                                     which stays a single run: point reads
+                                     close to leveling, most merges avoided.
+**1-leveling**     ``(1, ∞)``  —     the mirror image: a single run on the
+                                     first level (absorbing the flush churn
+                                     cheaply), tiering below it.
+=================  ==========  ====  ==========================================
 
-Two views of a policy coexist:
+"No ``Z``" means the largest level reads its own ``K_i`` — which is what
+keeps 1-leveling leveled when the tree has a single level, exactly like lazy
+leveling is.  All four spill a full level down.  **Fluid** policies
+(:meth:`CompactionPolicy.fluid`) carry arbitrary bounds and merge in place:
+a level that hits a bound below ``T - 1`` still has entry headroom, so it
+restores the bound within the level and only spills once its capacity is
+exhausted.  ``K = Z = 1`` recovers leveling's costs exactly, ``K = Z = T - 1``
+tiering's and ``K = T - 1, Z = 1`` lazy leveling's; non-uniform vectors (e.g.
+front-loaded "lazy ladders" — tiered shallow levels descending to leveled
+deep ones) open the part of the design space no scalar ``(K, Z)`` pair
+reaches.  The tuners sweep a sequence of these values:
+:func:`expand_policy_specs` unfolds ``Policy.FLUID`` into the default
+``(K, Z)`` candidate grid.
 
-* :class:`Policy` — a lightweight enum used as the *identity* of a policy in
-  tunings, dictionaries and CLI flags.
-* :class:`CompactionPolicy` — the strategy object carrying the actual
-  per-policy logic.  It supplies the analytical quantities the cost model
-  needs (runs per level, merge amortisation factors, both NumPy
-  broadcastable) and the runtime hooks the simulated LSM tree needs
-  (merge-on-arrival levels, per-level compaction triggers, bulk-load fill
-  fractions).  ``Policy.strategy`` resolves the enum to its singleton
-  strategy, so no other module ever branches on the enum value.
-
-Parameterised policies (fluid's ``K``/``Z``) add a third, lightweight view:
-
-* :class:`PolicySpec` — a hashable ``(policy, k_bound, z_bound)`` triple the
-  tuners sweep.  ``CompactionPolicy.for_tuning`` binds a strategy to the
-  bounds carried on a concrete :class:`~repro.lsm.tuning.LSMTuning`, and
-  :func:`expand_policy_specs` unfolds ``Policy.FLUID`` into the default
-  ``(K, Z)`` candidate grid.
+:class:`Policy` is only the *name* of a policy — the enum used by CLI flags,
+dictionary keys, ``LSMTuning(T, h, Policy.X)`` and ``tuning.policy is
+Policy.X``; neither the cost model nor the storage engine branches on it.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,7 +60,7 @@ import numpy as np
 
 
 class Policy(enum.Enum):
-    """Merge/compaction policy of an LSM tree."""
+    """Name of a merge/compaction policy of an LSM tree."""
 
     LEVELING = "leveling"
     TIERING = "tiering"
@@ -75,11 +70,6 @@ class Policy(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-    @property
-    def strategy(self) -> "CompactionPolicy":
-        """The singleton :class:`CompactionPolicy` implementing this policy."""
-        return _STRATEGIES[self]
 
     @classmethod
     def from_value(cls, value: "Policy | str") -> "Policy":
@@ -93,100 +83,171 @@ class Policy(enum.Enum):
             return value
         if not isinstance(value, str):
             raise TypeError(f"cannot interpret {value!r} as a compaction policy")
-        norm = value.strip().lower()
-        aliases = {
-            "leveling": cls.LEVELING,
-            "level": cls.LEVELING,
-            "levelled": cls.LEVELING,
-            "leveled": cls.LEVELING,
-            "l": cls.LEVELING,
-            "tiering": cls.TIERING,
-            "tier": cls.TIERING,
-            "tiered": cls.TIERING,
-            "t": cls.TIERING,
-            "lazy-leveling": cls.LAZY_LEVELING,
-            "lazy_leveling": cls.LAZY_LEVELING,
-            "lazyleveling": cls.LAZY_LEVELING,
-            "lazy": cls.LAZY_LEVELING,
-            "ll": cls.LAZY_LEVELING,
-            "1-leveling": cls.ONE_LEVELING,
-            "1_leveling": cls.ONE_LEVELING,
-            "1leveling": cls.ONE_LEVELING,
-            "one-leveling": cls.ONE_LEVELING,
-            "one_leveling": cls.ONE_LEVELING,
-            "1l": cls.ONE_LEVELING,
-            "fluid": cls.FLUID,
-            "fluid-lsm": cls.FLUID,
-            "k-hybrid": cls.FLUID,
-            "khybrid": cls.FLUID,
-            "f": cls.FLUID,
-        }
         try:
-            return aliases[norm]
+            return _ALIASES[value.strip().lower()]
         except KeyError as exc:
             raise ValueError(f"unknown compaction policy {value!r}") from exc
 
 
-class CompactionPolicy(abc.ABC):
-    """Strategy object carrying all per-policy logic.
+_ALIASES: dict[str, Policy] = {
+    "leveling": Policy.LEVELING,
+    "level": Policy.LEVELING,
+    "levelled": Policy.LEVELING,
+    "leveled": Policy.LEVELING,
+    "l": Policy.LEVELING,
+    "tiering": Policy.TIERING,
+    "tier": Policy.TIERING,
+    "tiered": Policy.TIERING,
+    "t": Policy.TIERING,
+    "lazy-leveling": Policy.LAZY_LEVELING,
+    "lazy_leveling": Policy.LAZY_LEVELING,
+    "lazyleveling": Policy.LAZY_LEVELING,
+    "lazy": Policy.LAZY_LEVELING,
+    "ll": Policy.LAZY_LEVELING,
+    "1-leveling": Policy.ONE_LEVELING,
+    "1_leveling": Policy.ONE_LEVELING,
+    "1leveling": Policy.ONE_LEVELING,
+    "one-leveling": Policy.ONE_LEVELING,
+    "one_leveling": Policy.ONE_LEVELING,
+    "1l": Policy.ONE_LEVELING,
+    "fluid": Policy.FLUID,
+    "fluid-lsm": Policy.FLUID,
+    "k-hybrid": Policy.FLUID,
+    "khybrid": Policy.FLUID,
+    "f": Policy.FLUID,
+}
+
+
+@dataclass(frozen=True)
+class CompactionPolicy:
+    """A compaction policy: a run bound per level.
 
     The analytical methods (:meth:`runs_per_level`, :meth:`merge_factor`)
     accept scalars *or* NumPy arrays and broadcast, so the same definition
     powers both the scalar cost equations and the vectorised
     :meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` grid pass.  The
     runtime methods steer the simulated LSM tree in
-    :mod:`repro.storage.lsm_tree`.
+    :mod:`repro.storage.lsm_tree`.  Values are hashable, so they can key
+    per-policy result dictionaries.
+
+    Parameters
+    ----------
+    policy:
+        The name this value goes by (display, serialisation, CLI).
+    bounds:
+        Per-level run bounds ``(K_1, K_2, …)``, shallowest level first, each
+        at least 1; levels deeper than the vector reuse its last element.
+        Bounds are clamped to ``[1, T - 1]`` where they are read, so
+        ``math.inf`` means "``T - 1`` at every size ratio" and a single
+        ``(K, Z)`` pair stays meaningful across the whole size-ratio grid
+        the tuners sweep.
+    z_bound:
+        Run bound of the largest level, overriding its ``K_i``; ``None``
+        lets the largest level read the vector like any other.
+    in_place:
+        Whether a level that hits its run bound below its entry capacity
+        merges its runs *within* the level (fluid LSM) instead of spilling
+        them into the next one (the classical policies, whose bound
+        coincides with the level being full).
     """
 
-    #: The enum identity of this strategy; set by subclasses.
     policy: Policy
+    bounds: tuple[float, ...]
+    z_bound: float | None = None
+    in_place: bool = False
+
+    def __post_init__(self) -> None:
+        bounds = tuple(float(bound) for bound in self.bounds)
+        if not bounds:
+            raise ValueError("a policy must hold at least one level bound")
+        z = None if self.z_bound is None else float(self.z_bound)
+        if any(bound < 1.0 for bound in bounds) or (z is not None and z < 1.0):
+            raise ValueError(f"run bounds must be at least 1, got K_i={bounds}, Z={z}")
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "z_bound", z)
+
+    @classmethod
+    def fluid(
+        cls, bounds: Sequence[float] = (math.inf,), z_bound: float | None = None
+    ) -> "CompactionPolicy":
+        """A fluid-LSM policy: the given bounds, merging in place.
+
+        The defaults — ``K = T - 1`` on the upper levels and ``Z = 1`` (also
+        what ``z_bound=None`` means here) — make an unparameterised fluid
+        policy lazy-leveling shaped.
+        """
+        return cls(
+            Policy.FLUID, tuple(bounds), 1.0 if z_bound is None else z_bound, True
+        )
+
+    @classmethod
+    def of(cls, value: "CompactionPolicy | Policy | str") -> "CompactionPolicy":
+        """Coerce a policy, a policy name or a string to a policy value."""
+        if isinstance(value, cls):
+            return value
+        return NAMED_POLICIES.get(Policy.from_value(value)) or cls.fluid()
 
     @property
     def name(self) -> str:
-        """Canonical string name of the policy."""
-        return self.policy.value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-    def for_tuning(self, tuning) -> "CompactionPolicy":
-        """Bind this strategy to the per-tuning parameters it needs.
-
-        Stateless policies return themselves; parameterised policies (fluid's
-        ``K``/``Z`` run bounds) return an instance configured with the bounds
-        carried on the :class:`~repro.lsm.tuning.LSMTuning`.
-        """
-        return self
+        """Stable display name, e.g. ``fluid[K=4,Z=1]`` or ``leveling``."""
+        if self.policy is not Policy.FLUID:
+            return self.policy.value
+        k = ",".join("T-1" if b == math.inf else f"{b:g}" for b in self.bounds)
+        if len(self.bounds) > 1:
+            k = f"({k})"
+        return f"fluid[K={k},Z={self.z_bound:g}]"
 
     # ------------------------------------------------------------------
     # Analytical quantities (NumPy broadcastable)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    def _runs(self, size_ratio, level, num_levels):
+        """Clamped bound of each level, not yet broadcast to the full shape."""
+        cap = np.asarray(size_ratio, dtype=float) - 1.0
+        if len(self.bounds) == 1:
+            runs = np.minimum(self.bounds[0], cap)
+        else:
+            vector = np.asarray(self.bounds)
+            index = np.minimum(level, vector.size).astype(np.intp) - 1
+            runs = np.minimum(vector[index], cap)
+        if self.z_bound is not None:
+            runs = np.where(level >= num_levels, np.minimum(self.z_bound, cap), runs)
+        return runs
+
     def runs_per_level(self, size_ratio, level, num_levels):
         """Expected number of sorted runs resident at ``level``.
 
-        All arguments broadcast: ``size_ratio`` is ``T`` (scalar or array),
-        ``level`` the 1-based level index and ``num_levels`` the tree depth
-        ``L``.  This single quantity determines the false-positive probes of
-        point lookups, the seeks of range queries and the worst-case pages a
-        long range scan touches per level.
+        All arguments broadcast: ``size_ratio`` is ``T >= 2`` (scalar or
+        array), ``level`` the 1-based level index and ``num_levels`` the
+        tree depth ``L``.  The answer is the level's bound — ``Z`` on the
+        largest level when one is set — clamped to ``T - 1``.  This single
+        quantity determines the false-positive probes of point lookups, the
+        seeks of range queries and the worst-case pages a long range scan
+        touches per level.
         """
+        runs = self._runs(size_ratio, level, num_levels)
+        return _broadcast(runs, size_ratio, level, num_levels)
 
-    @abc.abstractmethod
     def merge_factor(self, size_ratio, level, num_levels):
         """Expected number of merges an entry takes part in at ``level``.
 
-        Broadcastable like :meth:`runs_per_level`.  Under leveling an entry
-        is rewritten about ``(T-1)/2`` times per level, under tiering
-        ``(T-1)/T`` times (it is merged once when the level fills up); a
-        fluid level with run bound ``m`` interpolates as ``(T-1)/(m+1)``,
-        which recovers both classical values at ``m = 1`` and ``m = T - 1``.
+        Broadcastable like :meth:`runs_per_level`.  A level with run bound
+        ``m`` rewrites an entry about ``(T-1)/(m+1)`` times: ``(T-1)/2``
+        under leveling (``m = 1``) and ``(T-1)/T`` under tiering
+        (``m = T - 1``, merged once when the level fills up).
         """
+        runs = self._runs(size_ratio, level, num_levels)
+        merges = (np.asarray(size_ratio, dtype=float) - 1.0) / (runs + 1.0)
+        return _broadcast(merges, size_ratio, level, num_levels)
 
     # ------------------------------------------------------------------
     # Runtime hooks for the simulated LSM tree
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    def _bound(self, level: int, last_level: int) -> float:
+        """Unclamped bound of ``level`` in a tree ``last_level`` levels deep."""
+        if self.z_bound is not None and level >= last_level:
+            return self.z_bound
+        return self.bounds[min(level, len(self.bounds)) - 1]
+
     def merges_on_arrival(self, level: int, last_level: int) -> bool:
         """Whether ``level`` keeps a single run (leveled behaviour).
 
@@ -194,360 +255,29 @@ class CompactionPolicy(abc.ABC):
         immediately; when ``False`` runs stack up until the compaction
         trigger fires.  ``last_level`` is the tree's current deepest level.
         """
+        return self._bound(level, last_level) == 1.0
 
-    def max_resident_runs(
-        self, size_ratio: int, level: int = 1, last_level: int | None = None
-    ) -> int:
-        """Runs a stacking level may hold before compaction triggers.
+    def max_resident_runs(self, size_ratio: int, level: int, last_level: int) -> int:
+        """Runs ``level`` may hold before compaction triggers.
 
-        ``level``/``last_level`` let per-level policies (fluid's ``K`` on
-        upper levels vs ``Z`` on the largest) answer per level; stateless
-        policies ignore them, so calls without level context keep returning
-        the classical ``T - 1`` trigger.
+        The level's bound (``Z`` on the largest level when one is set),
+        clamped to the classical ``T - 1`` trigger.
         """
-        return max(1, int(size_ratio) - 1)
-
-    def compacts_within_level(self, level: int, last_level: int) -> bool:
-        """Whether hitting the run bound merges *within* the level.
-
-        Classical policies merge a full level into the next one (the run
-        bound coincides with the level being at capacity).  Fluid policies
-        with a bound below ``T - 1`` hit the bound while the level still has
-        entry headroom; they restore the bound by merging the level's runs in
-        place and only spill down once the level's capacity is exhausted.
-        """
-        return False
-
-    def bulk_load_fill_fraction(
-        self, level: int, last_level: int, headroom: float
-    ) -> float:
-        """Fraction of a level's capacity that bulk loading may fill.
-
-        Levels that merge on arrival trigger compaction on *size*, so they
-        are loaded with ``headroom`` (< 1) to keep the first trickle of
-        post-load writes from rewriting the level; stacking levels trigger on
-        the *run count* and can be loaded full.
-        """
-        return headroom if self.merges_on_arrival(level, last_level) else 1.0
+        return int(min(self._bound(level, last_level), max(1, int(size_ratio) - 1)))
 
 
-class LevelingPolicy(CompactionPolicy):
-    """Classical leveling: one sorted run per level."""
-
-    policy = Policy.LEVELING
-
-    def runs_per_level(self, size_ratio, level, num_levels):
-        shape = np.broadcast_shapes(
-            np.shape(size_ratio), np.shape(level), np.shape(num_levels)
-        )
-        return np.ones(shape, dtype=float)
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        size_ratio, _, _ = np.broadcast_arrays(size_ratio, level, num_levels)
-        return (size_ratio - 1.0) / 2.0
-
-    def merges_on_arrival(self, level: int, last_level: int) -> bool:
-        return True
+def _broadcast(values, *operands):
+    """``values`` viewed at the shape its ``operands`` broadcast to."""
+    return np.broadcast_to(values, np.broadcast(*operands).shape)
 
 
-class TieringPolicy(CompactionPolicy):
-    """Classical tiering: up to ``T - 1`` overlapping runs per level."""
-
-    policy = Policy.TIERING
-
-    def runs_per_level(self, size_ratio, level, num_levels):
-        size_ratio, _, _ = np.broadcast_arrays(size_ratio, level, num_levels)
-        return size_ratio - 1.0
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        size_ratio, _, _ = np.broadcast_arrays(size_ratio, level, num_levels)
-        return (size_ratio - 1.0) / size_ratio
-
-    def merges_on_arrival(self, level: int, last_level: int) -> bool:
-        return False
-
-
-class LazyLevelingPolicy(CompactionPolicy):
-    """Lazy leveling: tiering on upper levels, leveling on the largest.
-
-    With a single disk level it degenerates to plain leveling, which the
-    test-suite verifies against :class:`LevelingPolicy` exactly.
-    """
-
-    policy = Policy.LAZY_LEVELING
-
-    def runs_per_level(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        return np.where(level >= num_levels, 1.0, size_ratio - 1.0)
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        return np.where(
-            level >= num_levels,
-            (size_ratio - 1.0) / 2.0,
-            (size_ratio - 1.0) / size_ratio,
-        )
-
-    def merges_on_arrival(self, level: int, last_level: int) -> bool:
-        return level >= last_level
-
-
-class OneLevelingPolicy(CompactionPolicy):
-    """1-leveling: leveling on the first disk level, tiering below it.
-
-    The mirror image of lazy leveling: the *smallest* level is kept as a
-    single run (absorbing the high-frequency flush churn with cheap merges —
-    level 1 is small, so rewriting it is inexpensive) while every deeper
-    level stacks runs like tiering.  With a single disk level it degenerates
-    to plain leveling, exactly like lazy leveling does.
-    """
-
-    policy = Policy.ONE_LEVELING
-
-    def runs_per_level(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        return np.where(level <= 1, 1.0, size_ratio - 1.0)
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        return np.where(
-            level <= 1,
-            (size_ratio - 1.0) / 2.0,
-            (size_ratio - 1.0) / size_ratio,
-        )
-
-    def merges_on_arrival(self, level: int, last_level: int) -> bool:
-        return level <= 1
-
-
-class FluidPolicy(CompactionPolicy):
-    """Dostoevsky's fluid LSM: tunable run bounds ``K`` (upper) and ``Z`` (last).
-
-    Every level but the largest holds at most ``K`` runs, the largest at most
-    ``Z``.  Bounds are clamped per level to the feasible range ``[1, T - 1]``,
-    so a single ``(K, Z)`` pair stays meaningful across the whole size-ratio
-    grid the tuners sweep.  The analytical quantities interpolate the
-    classical formulas:
-
-    * runs per level — the (clamped) bound itself,
-    * merge factor — ``(T - 1) / (bound + 1)``, which equals leveling's
-      ``(T-1)/2`` at bound 1 and tiering's ``(T-1)/T`` at bound ``T - 1``.
-
-    ``k_bound=None`` defaults to ``T - 1`` (tiering-like upper levels) and
-    ``z_bound=None`` to ``1`` (a single leveled run at the largest level), so
-    an unparameterised fluid tuning is lazy leveling.
-
-    Full Dostoevsky generality replaces the shared scalar ``K`` with a
-    per-level vector ``k_bounds = (K_1, K_2, …)``, shallowest level first:
-    ``runs_per_level(level)`` reads ``k_bounds[level - 1]`` (levels deeper
-    than the vector reuse its last element) and the largest level reads
-    ``Z``, so this strategy is a thin view over the vector.  A uniform
-    vector behaves bit-identically to the scalar it repeats.
-    """
-
-    policy = Policy.FLUID
-
-    def __init__(
-        self,
-        k_bound: float | None = None,
-        z_bound: float | None = None,
-        k_bounds: Sequence[float] | None = None,
-    ) -> None:
-        if k_bounds is not None:
-            if k_bound is not None:
-                raise ValueError(
-                    "scalar k_bound and per-level k_bounds are mutually exclusive"
-                )
-            vector = tuple(float(bound) for bound in k_bounds)
-            if not vector:
-                raise ValueError("k_bounds must hold at least one level bound")
-            if any(bound < 1.0 for bound in vector):
-                raise ValueError(f"k_bounds must all be at least 1, got {vector}")
-            self.k_bounds: tuple[float, ...] | None = vector
-        else:
-            self.k_bounds = None
-        if k_bound is not None and k_bound < 1.0:
-            raise ValueError(f"k_bound must be at least 1, got {k_bound}")
-        if z_bound is not None and z_bound < 1.0:
-            raise ValueError(f"z_bound must be at least 1, got {z_bound}")
-        self.k_bound = None if k_bound is None else float(k_bound)
-        self.z_bound = 1.0 if z_bound is None else float(z_bound)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.k_bounds is not None:
-            k = "(" + ",".join(f"{bound:g}" for bound in self.k_bounds) + ")"
-        else:
-            k = "T-1" if self.k_bound is None else f"{self.k_bound:g}"
-        return f"FluidPolicy(K={k}, Z={self.z_bound:g})"
-
-    def for_tuning(self, tuning) -> "FluidPolicy":
-        return FluidPolicy(
-            k_bound=tuning.k_bound,
-            z_bound=tuning.z_bound,
-            k_bounds=getattr(tuning, "k_bounds", None),
-        )
-
-    # ------------------------------------------------------------------
-    # Effective (clamped) bounds
-    # ------------------------------------------------------------------
-    def effective_bounds(self, size_ratio):
-        """Per-``T`` effective ``(K, Z)``: the bounds clamped to ``[1, T-1]``.
-
-        For a per-level vector the ``K`` component is the *first* level's
-        bound (the scalar view of a vector policy is level-dependent; use
-        :meth:`upper_level_bounds` for the whole vector).
-        """
-        cap = np.maximum(np.asarray(size_ratio, dtype=float) - 1.0, 1.0)
-        if self.k_bounds is not None:
-            k = np.clip(self.k_bounds[0], 1.0, cap)
-        elif self.k_bound is None:
-            k = cap
-        else:
-            k = np.clip(self.k_bound, 1.0, cap)
-        z = np.clip(self.z_bound, 1.0, cap)
-        return k, z
-
-    def upper_level_bounds(self, size_ratio, level):
-        """Clamped run bound of each (upper) ``level``, broadcastable.
-
-        Reads the per-level vector when one is present — ``level`` indexes it
-        1-based, levels past its end reuse the last element — and falls back
-        to the scalar ``K`` (or the tracking default ``T - 1``) otherwise.
-        """
-        cap = np.maximum(np.asarray(size_ratio, dtype=float) - 1.0, 1.0)
-        if self.k_bounds is not None:
-            vector = np.asarray(self.k_bounds, dtype=float)
-            index = np.clip(
-                np.asarray(level).astype(np.int64) - 1, 0, vector.size - 1
-            )
-            return np.clip(vector[index], 1.0, cap)
-        if self.k_bound is None:
-            return cap
-        return np.clip(self.k_bound, 1.0, cap)
-
-    def _raw_upper_bound(self, level: int) -> float | None:
-        """Unclamped bound of one upper ``level`` (``None`` = track ``T-1``)."""
-        if self.k_bounds is not None:
-            return self.k_bounds[min(level, len(self.k_bounds)) - 1]
-        return self.k_bound
-
-    # ------------------------------------------------------------------
-    # Analytical quantities
-    # ------------------------------------------------------------------
-    def runs_per_level(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        cap = np.maximum(np.asarray(size_ratio, dtype=float) - 1.0, 1.0)
-        k = self.upper_level_bounds(size_ratio, level)
-        z = np.clip(self.z_bound, 1.0, cap)
-        return np.where(level >= num_levels, z, k)
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        size_ratio, level, num_levels = np.broadcast_arrays(
-            size_ratio, level, num_levels
-        )
-        size_ratio = np.asarray(size_ratio, dtype=float)
-        cap = np.maximum(size_ratio - 1.0, 1.0)
-        k = self.upper_level_bounds(size_ratio, level)
-        z = np.clip(self.z_bound, 1.0, cap)
-        return np.where(
-            level >= num_levels,
-            (size_ratio - 1.0) / (z + 1.0),
-            (size_ratio - 1.0) / (k + 1.0),
-        )
-
-    # ------------------------------------------------------------------
-    # Runtime hooks
-    # ------------------------------------------------------------------
-    def merges_on_arrival(self, level: int, last_level: int) -> bool:
-        if level >= last_level:
-            return self.z_bound == 1.0
-        return self._raw_upper_bound(level) == 1.0
-
-    def max_resident_runs(
-        self, size_ratio: int, level: int = 1, last_level: int | None = None
-    ) -> int:
-        cap = max(1, int(size_ratio) - 1)
-        if last_level is not None and level >= last_level:
-            return int(np.clip(self.z_bound, 1, cap))
-        bound = self._raw_upper_bound(level)
-        if bound is None:
-            return cap
-        return int(np.clip(bound, 1, cap))
-
-    def compacts_within_level(self, level: int, last_level: int) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """A fully specified policy candidate: identity plus fluid run bounds.
-
-    The tuners sweep a sequence of these; for classical policies the bounds
-    are ``None`` and the spec is just the enum.  Fluid specs carry either the
-    scalar ``(K, Z)`` pair or a per-level ``k_bounds`` vector (shallowest
-    level first, deeper levels reusing the last element).  Specs are
-    hashable, so they can key per-policy result dictionaries.
-    """
-
-    policy: Policy
-    k_bound: float | None = None
-    z_bound: float | None = None
-    k_bounds: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "policy", Policy.from_value(self.policy))
-        if self.policy is not Policy.FLUID and (
-            self.k_bound is not None
-            or self.z_bound is not None
-            or self.k_bounds is not None
-        ):
-            raise ValueError("run bounds are only meaningful for the fluid policy")
-        if self.k_bounds is not None:
-            if self.k_bound is not None:
-                raise ValueError(
-                    "scalar k_bound and per-level k_bounds are mutually exclusive"
-                )
-            object.__setattr__(
-                self, "k_bounds", tuple(float(bound) for bound in self.k_bounds)
-            )
-
-    @classmethod
-    def of(cls, value: "Policy | str | PolicySpec") -> "PolicySpec":
-        """Coerce a policy-like value (enum, string or spec) to a spec."""
-        if isinstance(value, cls):
-            return value
-        return cls(policy=Policy.from_value(value))
-
-    @property
-    def name(self) -> str:
-        """Stable display name, e.g. ``fluid[K=4,Z=1]`` or ``leveling``."""
-        if self.policy is not Policy.FLUID:
-            return self.policy.value
-        if self.k_bounds is not None:
-            k = "(" + ",".join(f"{bound:g}" for bound in self.k_bounds) + ")"
-        else:
-            k = "T-1" if self.k_bound is None else f"{self.k_bound:g}"
-        z = "1" if self.z_bound is None else f"{self.z_bound:g}"
-        return f"fluid[K={k},Z={z}]"
-
-    @property
-    def strategy(self) -> CompactionPolicy:
-        """The (possibly parameterised) strategy this spec describes."""
-        if self.policy is Policy.FLUID:
-            return FluidPolicy(
-                k_bound=self.k_bound, z_bound=self.z_bound, k_bounds=self.k_bounds
-            )
-        return self.policy.strategy
+#: The named policies: four rows of bounds, all spilling a full level down.
+NAMED_POLICIES: dict[Policy, CompactionPolicy] = {
+    Policy.LEVELING: CompactionPolicy(Policy.LEVELING, (1.0,)),
+    Policy.TIERING: CompactionPolicy(Policy.TIERING, (math.inf,)),
+    Policy.LAZY_LEVELING: CompactionPolicy(Policy.LAZY_LEVELING, (math.inf,), 1.0),
+    Policy.ONE_LEVELING: CompactionPolicy(Policy.ONE_LEVELING, (1.0, math.inf)),
+}
 
 
 #: Default fluid ``K`` candidates (clamped per ``T`` to ``[1, T-1]``); a
@@ -595,7 +325,7 @@ def fluid_vector_specs(
     ladder_peaks: Sequence[float] | None = None,
     z_grid: Sequence[float] | None = None,
     vector_levels: int = DEFAULT_VECTOR_LEVELS,
-) -> tuple[PolicySpec, ...]:
+) -> tuple[CompactionPolicy, ...]:
     """Structured per-level bound-vector candidates for the fluid sweep.
 
     Two families keep the enumeration polynomial while covering the
@@ -624,45 +354,36 @@ def fluid_vector_specs(
         {float(min(peak, cap)) for peak in ladder_peaks if min(peak, cap) > 1}
     )
     zs = sorted({float(min(z, cap)) for z in z_grid if z >= 1})
-    specs: list[PolicySpec] = []
-    seen: set[PolicySpec] = set()
-
-    def add(spec: PolicySpec) -> None:
-        if spec not in seen:
-            seen.add(spec)
-            specs.append(spec)
-
+    specs: list[CompactionPolicy] = []
     for peak in peaks:
         ladder = halving_ladder(peak)
         if len(set(ladder)) > 1:
-            for z in zs:
-                if z <= peak:
-                    add(PolicySpec(Policy.FLUID, k_bounds=ladder, z_bound=z))
+            specs += [CompactionPolicy.fluid(ladder, z) for z in zs if z <= peak]
         for position in range(max(1, int(vector_levels))):
             bumped = [1.0] * max(position + 1, 2)
             bumped[position] = peak
-            add(PolicySpec(Policy.FLUID, k_bounds=tuple(bumped), z_bound=1.0))
-    return tuple(specs)
+            specs.append(CompactionPolicy.fluid(bumped, 1.0))
+    return tuple(dict.fromkeys(specs))
 
 
 def expand_policy_specs(
-    policies: Iterable["Policy | str | PolicySpec"],
+    policies: Iterable["Policy | str | CompactionPolicy"],
     max_size_ratio: float = 100.0,
     k_grid: Sequence[float] | None = None,
     z_grid: Sequence[float] | None = None,
     include_k_vectors: bool = False,
     vector_levels: int = DEFAULT_VECTOR_LEVELS,
-) -> tuple[PolicySpec, ...]:
-    """Unfold a policy list into the concrete specs a tuner sweeps.
+) -> tuple[CompactionPolicy, ...]:
+    """Unfold a policy list into the concrete policies a tuner sweeps.
 
-    Classical policies map to a single spec each.  ``Policy.FLUID`` expands
-    into the ``(K, Z)`` candidate grid:
+    Named policies map to their :data:`NAMED_POLICIES` row.  ``Policy.FLUID``
+    expands into the ``(K, Z)`` candidate grid:
 
-    * the *K-tracking* specs first — ``k_bound=None`` means ``K = T - 1``
-      at every size ratio, so the lazy-leveling-shaped designs stay coupled
-      to ``T`` through the continuous polish exactly like the dedicated
-      lazy policy does (a fixed ``K`` has a clamp kink at ``T = K + 1``
-      that can stall the polish on a tie);
+    * the *K-tracking* candidates first — an infinite bound means
+      ``K = T - 1`` at every size ratio, so the lazy-leveling-shaped designs
+      stay coupled to ``T`` through the continuous polish exactly like the
+      named lazy policy does (a fixed ``K`` has a clamp kink at
+      ``T = K + 1`` that can stall the polish on a tie);
     * all combinations of ``k_grid`` × ``z_grid`` with ``Z <= K`` (bounds
       above ``K`` never beat the ``Z = K`` diagonal for the workloads a
       bounded largest level targets), plus the ``Z = K`` diagonal itself so
@@ -675,65 +396,38 @@ def expand_policy_specs(
       non-uniform Dostoevsky space while keeping the enumeration
       polynomial.
 
-    Tracking specs precede fixed-``K`` specs so they win exact ties in the
-    sweep.  Explicit :class:`PolicySpec` entries pass through untouched, so
-    callers can pin ``K``/``Z`` — or a whole ``K_i`` vector — by hand.
+    Tracking candidates precede fixed-``K`` ones so they win exact ties in
+    the sweep.  Explicit :class:`CompactionPolicy` entries pass through
+    untouched, so callers can pin ``K``/``Z`` — or a whole ``K_i`` vector —
+    by hand.
     """
     if k_grid is None:
         k_grid = DEFAULT_FLUID_K_GRID
     if z_grid is None:
         z_grid = DEFAULT_FLUID_Z_GRID
     cap = max(1.0, float(max_size_ratio) - 1.0)
-    specs: list[PolicySpec] = []
-    seen: set[PolicySpec] = set()
-
-    def add(spec: PolicySpec) -> None:
-        if spec not in seen:
-            seen.add(spec)
-            specs.append(spec)
-
+    specs: list[CompactionPolicy] = []
     for entry in policies:
-        if isinstance(entry, PolicySpec):
-            add(entry)
-            continue
-        policy = Policy.from_value(entry)
-        if policy is not Policy.FLUID:
-            add(PolicySpec(policy=policy))
+        if isinstance(entry, CompactionPolicy) or (
+            Policy.from_value(entry) is not Policy.FLUID
+        ):
+            specs.append(CompactionPolicy.of(entry))
             continue
         ks = sorted({float(min(k, cap)) for k in k_grid if k >= 1} | {cap})
         zs = sorted({float(min(z, cap)) for z in z_grid if z >= 1})
-        for z in zs:
-            add(PolicySpec(policy=policy, k_bound=None, z_bound=z))
+        specs += [CompactionPolicy.fluid(z_bound=z) for z in zs]
         for k in ks:
-            for z in zs:
-                if z <= k:
-                    add(PolicySpec(policy=policy, k_bound=k, z_bound=z))
-            add(PolicySpec(policy=policy, k_bound=k, z_bound=k))
+            specs += [CompactionPolicy.fluid((k,), z) for z in zs if z <= k]
+            specs.append(CompactionPolicy.fluid((k,), k))
         if include_k_vectors:
-            for spec in fluid_vector_specs(
+            specs += fluid_vector_specs(
                 max_size_ratio=max_size_ratio,
                 z_grid=z_grid,
                 vector_levels=vector_levels,
-            ):
-                add(spec)
+            )
     if not specs:
         raise ValueError("at least one compaction policy is required")
-    return tuple(specs)
-
-
-#: Singleton strategy instances, keyed by their enum identity.
-_STRATEGIES: dict[Policy, CompactionPolicy] = {
-    Policy.LEVELING: LevelingPolicy(),
-    Policy.TIERING: TieringPolicy(),
-    Policy.LAZY_LEVELING: LazyLevelingPolicy(),
-    Policy.ONE_LEVELING: OneLevelingPolicy(),
-    Policy.FLUID: FluidPolicy(),
-}
-
-
-def get_policy(value: Policy | str) -> CompactionPolicy:
-    """Resolve an enum member or string to its :class:`CompactionPolicy`."""
-    return Policy.from_value(value).strategy
+    return tuple(dict.fromkeys(specs))
 
 
 #: The paper's classical design space, in a stable order.  This is the

@@ -2,16 +2,13 @@
 
 A tuning ``Φ = (T, h, π)`` fixes the size ratio between levels, the number of
 Bloom-filter bits allocated per entry (equivalently ``m_filt``) and the
-compaction policy.  Fluid tunings carry further dimensions — the run bounds
-of Dostoevsky's fluid LSM, in either of two representations:
-
-* the scalar pair ``K`` (one bound shared by every level but the largest)
-  and ``Z`` (the largest level), the classical fluid parameterisation; or
-* a per-level bound vector ``K_i`` (``k_bounds``), one independent run bound
-  per upper level, which is the fully general Dostoevsky design space.  The
-  scalar ``K`` is the uniform special case of the vector; levels deeper than
-  the vector's length reuse its last element, so one vector stays meaningful
-  across the whole ``(T, h)`` grid the tuners sweep.
+compaction policy ``π`` — one :class:`~repro.lsm.policy.CompactionPolicy`
+value, i.e. a run bound per level.  A named policy is referred to by its
+:class:`~repro.lsm.policy.Policy` name alone; a fluid tuning spells out its
+bounds: a per-level vector ``K_i`` for the upper levels (a single ``K`` is
+the length-1 vector; levels deeper than the vector reuse its last element,
+so one vector stays meaningful across the whole ``(T, h)`` grid the tuners
+sweep) and ``Z`` for the largest level.
 
 The write-buffer memory is derived from the system's total memory budget:
 ``m_buf = m − m_filt``.
@@ -40,7 +37,7 @@ def round_half_up(value: float) -> int:
     return int(math.floor(float(value) + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LSMTuning:
     """A concrete LSM-tree tuning configuration.
 
@@ -53,82 +50,85 @@ class LSMTuning:
     bits_per_entry:
         Bloom-filter budget ``h = m_filt / N`` in bits per entry.
     policy:
-        Compaction policy (leveling, tiering, lazy leveling, 1-leveling or
-        fluid).
-    k_bound:
-        Fluid run bound ``K`` of every level but the largest — the *uniform*
-        parameterisation.  Only meaningful for :attr:`Policy.FLUID`; defaults
-        to ``T - 1`` there (tiering-like upper levels) and is forced to
-        ``None`` for every other policy so classical tunings compare equal
-        regardless of how they were built.  Forced to ``None`` when a
-        per-level vector is supplied (the vector is authoritative).
-    z_bound:
-        Fluid run bound ``Z`` of the largest level; defaults to ``1`` (a
-        single leveled run) for fluid tunings, ``None`` otherwise.
-    k_bounds:
-        Optional per-level run-bound vector ``(K_1, K_2, …)`` for the upper
-        levels, shallowest first.  Levels deeper than the vector reuse its
-        last element; the largest level always reads ``z_bound``.  ``None``
-        (the default) keeps the scalar representation, so every pre-vector
-        tuning round-trips bit-identically through :meth:`to_dict` /
-        :meth:`from_dict`.
+        Compaction policy: a :class:`~repro.lsm.policy.Policy` name (or its
+        string) — leveling, tiering, lazy leveling, 1-leveling or fluid — or
+        a :class:`~repro.lsm.policy.CompactionPolicy` value, stored as
+        :attr:`compaction`.
+    k_bound, z_bound, k_bounds:
+        Shorthand for the bounds of a tuning built from the *name*
+        ``Policy.FLUID`` (ignored for every other name, so classical tunings
+        compare equal regardless of how they were built): ``k_bounds`` is
+        the per-level vector ``(K_1, K_2, …)`` of the upper levels,
+        shallowest first; ``k_bound`` the single bound shared by all of
+        them (the length-1 vector; ``k_bounds`` wins when both are given),
+        defaulting to ``T - 1`` (tiering-like upper levels); ``z_bound`` the
+        bound of the largest level, defaulting to ``1`` (a single leveled
+        run).  The attributes of the same names read them back — ``None``
+        on non-fluid tunings, and exactly one of ``k_bound`` / ``k_bounds``
+        set on fluid ones.
     """
 
     size_ratio: float
     bits_per_entry: float
-    policy: Policy
-    k_bound: float | None = None
-    z_bound: float | None = None
-    k_bounds: tuple[float, ...] | None = None
+    compaction: CompactionPolicy
 
-    def __post_init__(self) -> None:
-        if self.size_ratio < 2.0:
-            raise ValueError(f"size_ratio must be >= 2, got {self.size_ratio}")
-        if self.bits_per_entry < 0.0:
+    def __init__(
+        self,
+        size_ratio: float,
+        bits_per_entry: float,
+        policy: Policy | str | CompactionPolicy,
+        k_bound: float | None = None,
+        z_bound: float | None = None,
+        k_bounds: Sequence[float] | None = None,
+    ) -> None:
+        if size_ratio < 2.0:
+            raise ValueError(f"size_ratio must be >= 2, got {size_ratio}")
+        if bits_per_entry < 0.0:
             raise ValueError(
-                f"bits_per_entry must be non-negative, got {self.bits_per_entry}"
+                f"bits_per_entry must be non-negative, got {bits_per_entry}"
             )
-        object.__setattr__(self, "policy", Policy.from_value(self.policy))
-        if self.policy is Policy.FLUID:
-            z = 1.0 if self.z_bound is None else float(self.z_bound)
-            if z < 1.0:
-                raise ValueError(f"fluid run bounds must be at least 1, got Z={z}")
-            if self.k_bounds is not None:
-                vector = tuple(float(bound) for bound in self.k_bounds)
-                if not vector:
-                    raise ValueError("k_bounds must hold at least one level bound")
-                if any(bound < 1.0 for bound in vector):
-                    raise ValueError(
-                        f"fluid run bounds must be at least 1, got K_i={vector}"
-                    )
-                # The vector is authoritative: the scalar K is dropped so two
-                # tunings with the same vector compare equal regardless of
-                # what scalar the caller also passed.
-                object.__setattr__(self, "k_bound", None)
-                object.__setattr__(self, "k_bounds", vector)
+        if not isinstance(policy, CompactionPolicy):
+            if Policy.from_value(policy) is Policy.FLUID:
+                if k_bounds is None:
+                    k_bounds = (math.inf if k_bound is None else k_bound,)
+                policy = CompactionPolicy.fluid(k_bounds, z_bound)
             else:
-                k = (
-                    self.size_ratio - 1.0
-                    if self.k_bound is None
-                    else float(self.k_bound)
-                )
-                if k < 1.0:
-                    raise ValueError(
-                        f"fluid run bounds must be at least 1, got K={k}"
-                    )
-                object.__setattr__(self, "k_bound", k)
-            object.__setattr__(self, "z_bound", z)
-        else:
-            # Classical policies carry no run bounds; normalising them to
-            # ``None`` keeps equality and hashing independent of the caller.
-            object.__setattr__(self, "k_bound", None)
-            object.__setattr__(self, "z_bound", None)
-            object.__setattr__(self, "k_bounds", None)
+                policy = CompactionPolicy.of(policy)
+        if policy.policy is Policy.FLUID and math.inf in policy.bounds:
+            # A fluid tuning serialises its bounds, so "T - 1 at every T" is
+            # pinned to this tuning's T.
+            pinned = tuple(
+                size_ratio - 1.0 if bound == math.inf else bound
+                for bound in policy.bounds
+            )
+            policy = replace(policy, bounds=pinned)
+        object.__setattr__(self, "size_ratio", size_ratio)
+        object.__setattr__(self, "bits_per_entry", bits_per_entry)
+        object.__setattr__(self, "compaction", policy)
 
     @property
-    def strategy(self) -> CompactionPolicy:
-        """The :class:`CompactionPolicy` of this tuning, bound to its bounds."""
-        return self.policy.strategy.for_tuning(self)
+    def policy(self) -> Policy:
+        """The name of this tuning's compaction policy."""
+        return self.compaction.policy
+
+    @property
+    def k_bound(self) -> float | None:
+        """Fluid run bound ``K`` shared by every level but the largest."""
+        fluid = self.policy is Policy.FLUID
+        bounds = self.compaction.bounds
+        return bounds[0] if fluid and len(bounds) == 1 else None
+
+    @property
+    def k_bounds(self) -> tuple[float, ...] | None:
+        """Fluid per-level run bounds ``(K_1, K_2, …)`` of the upper levels."""
+        fluid = self.policy is Policy.FLUID
+        bounds = self.compaction.bounds
+        return bounds if fluid and len(bounds) > 1 else None
+
+    @property
+    def z_bound(self) -> float | None:
+        """Fluid run bound ``Z`` of the largest level."""
+        return self.compaction.z_bound if self.policy is Policy.FLUID else None
 
     # ------------------------------------------------------------------
     # Derived memory quantities
@@ -161,24 +161,24 @@ class LSMTuning:
         with ties at the midpoint going up (:func:`round_half_up`; built-in
         ``round`` would send ``T = 2.5`` *down* to 2, where the deployable
         bound range ``[1, T - 1]`` collapses to 1 and crushes every fluid
-        bound).  Fluid run bounds are rounded the same way (runs are counted
-        in whole numbers) and clamped — element-wise for a per-level vector —
-        to the deployable range ``[1, T - 1]``.
+        bound).  Run bounds are rounded the same way (runs are counted in
+        whole numbers) and clamped, element-wise, to the deployable range
+        ``[1, T - 1]``; an infinite bound already means ``T - 1`` and stays.
         """
-        rounded_ratio = max(2, round_half_up(self.size_ratio))
-        changes: dict[str, Any] = {"size_ratio": float(rounded_ratio)}
-        if self.policy is Policy.FLUID:
-            cap = max(1, rounded_ratio - 1)
+        ratio = max(2, round_half_up(self.size_ratio))
+        cap = max(1, ratio - 1)
 
-            def deploy(bound: float) -> float:
-                return float(min(max(1, round_half_up(bound)), cap))
+        def deploy(bound: float | None) -> float | None:
+            if bound is None or bound == math.inf:
+                return bound
+            return float(min(max(1, round_half_up(bound)), cap))
 
-            if self.k_bounds is not None:
-                changes["k_bounds"] = tuple(deploy(bound) for bound in self.k_bounds)
-            else:
-                changes["k_bound"] = deploy(self.k_bound)
-            changes["z_bound"] = deploy(self.z_bound)
-        return replace(self, **changes)
+        compaction = replace(
+            self.compaction,
+            bounds=tuple(deploy(bound) for bound in self.compaction.bounds),
+            z_bound=deploy(self.compaction.z_bound),
+        )
+        return LSMTuning(float(ratio), self.bits_per_entry, compaction)
 
     def with_policy(self, policy: Policy | str) -> "LSMTuning":
         """Return a copy with a different compaction policy.
@@ -186,13 +186,7 @@ class LSMTuning:
         Switching to fluid materialises the default run bounds (``K = T - 1``,
         ``Z = 1``); switching away drops them.
         """
-        return replace(
-            self,
-            policy=Policy.from_value(policy),
-            k_bound=None,
-            z_bound=None,
-            k_bounds=None,
-        )
+        return LSMTuning(self.size_ratio, self.bits_per_entry, policy)
 
     def with_bounds(
         self,
@@ -201,12 +195,8 @@ class LSMTuning:
         k_bounds: Sequence[float] | None = None,
     ) -> "LSMTuning":
         """Return a fluid copy of this tuning with the given run bounds."""
-        return replace(
-            self,
-            policy=Policy.FLUID,
-            k_bound=k_bound,
-            z_bound=z_bound,
-            k_bounds=None if k_bounds is None else tuple(k_bounds),
+        return LSMTuning(
+            self.size_ratio, self.bits_per_entry, Policy.FLUID, k_bound, z_bound, k_bounds
         )
 
     def clamped(self, system: SystemConfig) -> "LSMTuning":
@@ -216,7 +206,7 @@ class LSMTuning:
             max(self.bits_per_entry, system.min_bits_per_entry),
             system.max_bits_per_entry,
         )
-        return replace(self, size_ratio=ratio, bits_per_entry=bits)
+        return LSMTuning(ratio, bits, self.compaction)
 
     # ------------------------------------------------------------------
     # Serialisation / display
@@ -224,9 +214,10 @@ class LSMTuning:
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a plain dictionary.
 
-        The fluid run bounds only appear when present — and the per-level
-        vector only when one was supplied — so serialised classical and
-        scalar-fluid tunings are byte-identical to earlier releases.
+        Only fluid tunings carry run bounds — ``k_bound`` for a single
+        shared bound, ``k_bounds`` for a per-level vector — so serialised
+        classical and scalar-fluid tunings are byte-identical to earlier
+        releases.
         """
         data: dict[str, Any] = {
             "size_ratio": self.size_ratio,
@@ -244,20 +235,13 @@ class LSMTuning:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LSMTuning":
         """Build a tuning from a mapping produced by :meth:`to_dict`."""
-        k_bound = data.get("k_bound")
-        z_bound = data.get("z_bound")
-        k_bounds = data.get("k_bounds")
         return cls(
-            size_ratio=float(data["size_ratio"]),
-            bits_per_entry=float(data["bits_per_entry"]),
-            policy=Policy.from_value(data["policy"]),
-            k_bound=None if k_bound is None else float(k_bound),
-            z_bound=None if z_bound is None else float(z_bound),
-            k_bounds=(
-                None
-                if k_bounds is None
-                else tuple(float(bound) for bound in k_bounds)
-            ),
+            float(data["size_ratio"]),
+            float(data["bits_per_entry"]),
+            data["policy"],
+            data.get("k_bound"),
+            data.get("z_bound"),
+            data.get("k_bounds"),
         )
 
     def describe(self) -> str:
@@ -266,10 +250,9 @@ class LSMTuning:
             f"π: {self.policy.value}, T: {self.size_ratio:.1f}, "
             f"h: {self.bits_per_entry:.1f}"
         )
-        if self.policy is Policy.FLUID:
-            if self.k_bounds is not None:
-                vector = ",".join(f"{bound:.0f}" for bound in self.k_bounds)
-                base += f", K: [{vector}], Z: {self.z_bound:.0f}"
-            else:
-                base += f", K: {self.k_bound:.0f}, Z: {self.z_bound:.0f}"
+        if self.k_bounds is not None:
+            vector = ",".join(f"{bound:.0f}" for bound in self.k_bounds)
+            base += f", K: [{vector}], Z: {self.z_bound:.0f}"
+        elif self.k_bound is not None:
+            base += f", K: {self.k_bound:.0f}, Z: {self.z_bound:.0f}"
         return base

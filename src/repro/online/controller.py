@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core.uncertainty import UncertaintyRegion
-from ..lsm.policy import CLASSIC_POLICIES, Policy, PolicySpec
+from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..storage.lsm_tree import LSMTree, execute_operations_batched
@@ -223,8 +223,8 @@ class OnlineLSMController:
         Online-loop knobs; defaults are reasonable for simulator-scale runs.
     policies:
         Compaction policies re-tunings may deploy (enum members, strings,
-        or explicit :class:`~repro.lsm.policy.PolicySpec` entries — including
-        per-level ``k_bounds`` vector specs).
+        or explicit :class:`~repro.lsm.policy.CompactionPolicy` values —
+        including per-level bound vectors).
     system:
         System configuration; defaults to the tree's own.
     """
@@ -232,7 +232,7 @@ class OnlineLSMController:
     tree: LSMTree
     expected: Workload
     config: OnlineConfig = field(default_factory=OnlineConfig)
-    policies: Sequence[Policy | str | PolicySpec] = CLASSIC_POLICIES
+    policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES
     system: SystemConfig | None = None
 
     def __post_init__(self) -> None:

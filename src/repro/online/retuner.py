@@ -21,7 +21,7 @@ from typing import Sequence
 from ..core.nominal import NominalTuner
 from ..core.robust import RobustTuner
 from ..lsm.cost_model import LSMCostModel
-from ..lsm.policy import CLASSIC_POLICIES, Policy, PolicySpec
+from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.workload import Workload
@@ -104,8 +104,9 @@ class AdaptiveTuner:
         Uncertainty radius of robust re-tunings (ignored in nominal mode).
     policies:
         Compaction policies the re-tuner may deploy.  Entries may be enum
-        members, strings, or explicit :class:`~repro.lsm.policy.PolicySpec`
-        instances — including specs pinning a per-level ``k_bounds`` vector.
+        members, strings, or explicit
+        :class:`~repro.lsm.policy.CompactionPolicy` values — including ones
+        pinning a per-level bound vector.
     k_vector_search:
         Whether fluid re-tunings search per-level ``K_i`` bound vectors
         (structured families + coordinate descent + continuous-bound
@@ -144,7 +145,7 @@ class AdaptiveTuner:
         system: SystemConfig,
         mode: str = "robust",
         rho: float = 0.25,
-        policies: Sequence[Policy | str | PolicySpec] = CLASSIC_POLICIES,
+        policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         horizon_ops: int = 20_000,
         safety_factor: float = 1.0,
         polish: bool = False,

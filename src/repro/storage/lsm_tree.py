@@ -6,15 +6,15 @@ evaluation (§8).  It implements the structure the analytical model assumes:
 * an in-memory write buffer (memtable) holding ``m_buf / E`` entries,
 * exponentially growing disk levels with size ratio ``T``,
 * classic *leveling* and *tiering* compaction plus the *lazy leveling*,
-  *1-leveling* and *fluid* hybrids — the latter with either the scalar
-  ``K``/``Z`` run bounds or a full per-level ``K_i`` bound vector — all
-  driven by the shared :class:`~repro.lsm.policy.CompactionPolicy` strategy
-  objects (the same definitions the analytical cost model uses): the
-  compaction triggers (``max_resident_runs``), the in-place-merge decision
-  (``compacts_within_level``) and the bulk-load run splitting all consult
-  the strategy *per level*, so each level obeys its own bound; fluid
-  levels that hit their run bound below capacity compact in place, and
-  spill down once the level's entry capacity is exhausted,
+  *1-leveling* and *fluid* hybrids — the latter with any per-level ``K_i``
+  bound vector — all driven by the tuning's one
+  :class:`~repro.lsm.policy.CompactionPolicy` value (the same definition
+  the analytical cost model uses): the compaction triggers
+  (``max_resident_runs``), the in-place-merge decision (``in_place``) and
+  the bulk-load run splitting all consult it *per level*, so each level
+  obeys its own bound; fluid levels that hit their run bound below
+  capacity compact in place, and spill down once the level's entry
+  capacity is exhausted,
 * one Bloom filter per run with Monkey-style per-level allocation,
 * fence pointers (one per page) so point lookups read at most one page per
   probed run,
@@ -188,8 +188,7 @@ class LSMTree:
     ) -> None:
         self.system = system
         self.tuning = tuning.clamped(system).rounded()
-        self.policy = self.tuning.policy
-        self.strategy = self.tuning.strategy
+        self.compaction = self.tuning.compaction
         self.size_ratio = int(self.tuning.size_ratio)
         self.disk = disk if disk is not None else VirtualDisk()
         self._seed = seed
@@ -257,11 +256,10 @@ class LSMTree:
     def _merges_on_arrival(self, level: int) -> bool:
         """Whether ``level`` currently keeps a single run (leveled behaviour).
 
-        Delegates to the compaction-policy strategy with the tree's current
-        deepest level, so lazy leveling's single-run largest level tracks the
-        tree as it grows.
+        Asks the compaction policy with the tree's current deepest level, so
+        lazy leveling's single-run largest level tracks the tree as it grows.
         """
-        return self.strategy.merges_on_arrival(level, max(len(self.levels), 1))
+        return self.compaction.merges_on_arrival(level, max(len(self.levels), 1))
 
     # ------------------------------------------------------------------
     # Writes
@@ -393,12 +391,12 @@ class LSMTree:
             self._ensure_level(current)
             runs = self.levels[current - 1]
             last_level = max(len(self.levels), 1)
-            trigger = self.strategy.max_resident_runs(
+            trigger = self.compaction.max_resident_runs(
                 self.size_ratio, current, last_level
             )
             if self._merges_on_arrival(current) or len(runs) <= trigger:
                 return
-            if self.strategy.compacts_within_level(current, last_level):
+            if self.compaction.in_place:
                 total_entries = sum(run.num_entries for run in runs)
                 if total_entries < self.level_capacity_entries(current):
                     merged = self._merge_runs(runs, current)
@@ -598,8 +596,8 @@ class LSMTree:
         # Levels that merge on arrival trigger compaction on *size*, so bulk
         # loading leaves them headroom below capacity; run-stacking levels
         # trigger on the *run count* and can be loaded to full capacity.  The
-        # per-level split is the policy strategy's call (lazy leveling mixes
-        # both kinds in one tree).
+        # per-level split is the compaction policy's call (lazy leveling
+        # mixes both kinds in one tree).
         total = keys.size
         deepest = 1
         while self._bulk_load_capacity(deepest) < total and deepest < 64:
@@ -632,9 +630,8 @@ class LSMTree:
 
     def _bulk_load_level_capacity(self, level: int, deepest: int) -> int:
         """Entries bulk loading may place at ``level`` in a ``deepest``-level tree."""
-        fraction = self.strategy.bulk_load_fill_fraction(
-            level, deepest, self.BULK_LOAD_FILL_FRACTION
-        )
+        merges = self.compaction.merges_on_arrival(level, deepest)
+        fraction = self.BULK_LOAD_FILL_FRACTION if merges else 1.0
         return int(fraction * self.level_capacity_entries(level))
 
     def _bulk_load_capacity(self, deepest: int) -> int:
@@ -655,7 +652,7 @@ class LSMTree:
         same number of runs a naturally filled one would — otherwise measured
         read costs would be unrealistically low.
         """
-        if chunk.size == 0 or self.strategy.merges_on_arrival(level, deepest):
+        if chunk.size == 0 or self.compaction.merges_on_arrival(level, deepest):
             return [chunk]
         natural_run_entries = max(
             self.buffer_entries,
@@ -664,7 +661,7 @@ class LSMTree:
         num_runs = int(np.clip(
             np.ceil(chunk.size / natural_run_entries),
             1,
-            self.strategy.max_resident_runs(self.size_ratio, level, deepest),
+            self.compaction.max_resident_runs(self.size_ratio, level, deepest),
         ))
         # Interleave keys across runs so every run spans the whole key domain,
         # as overlapping tiered runs do in practice.

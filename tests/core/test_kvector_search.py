@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import GridTuner, NominalTuner, RobustTuner
-from repro.lsm import Policy, PolicySpec, SystemConfig
+from repro.lsm import CompactionPolicy, Policy, SystemConfig
 from repro.workloads import Workload
 
 _SYSTEM = SystemConfig(read_write_asymmetry=2.0)
@@ -39,11 +39,11 @@ def _tuner(**kwargs) -> NominalTuner:
 class TestSweepExpansion:
     def test_flag_off_keeps_the_scalar_sweep(self):
         tuner = _tuner()
-        assert all(spec.k_bounds is None for spec in tuner.policy_specs)
+        assert all(len(spec.bounds) == 1 for spec in tuner.policy_specs)
 
     def test_flag_on_adds_vector_families(self):
         tuner = _tuner(k_vector_search=True)
-        assert any(spec.k_bounds is not None for spec in tuner.policy_specs)
+        assert any(len(spec.bounds) > 1 for spec in tuner.policy_specs)
 
     def test_rejects_non_positive_vector_levels(self):
         with pytest.raises(ValueError):
@@ -97,14 +97,14 @@ class TestCoordinateDescent:
         tuner = _tuner(k_vector_search=True, polish=False)
         sweep_only = _tuner(polish=False).tune(_LADDER_WORKLOAD)
         descended = tuner.tune(_LADDER_WORKLOAD)
-        assert descended.objective <= sweep_only.objective + 1e-12
+        assert descended.objective <= sweep_only.objective * (1.0 + 1e-8)
 
     def test_descent_refines_a_pinned_suboptimal_vector(self):
         """Seeded with only a deliberately bad vector spec, the descent must
         walk it to something better at the swept (T, h).  Size ratios start
         at 6 so the bad bounds cannot be clamped into accidental optimality
         (at T = 2 every bound collapses to 1)."""
-        bad = PolicySpec(Policy.FLUID, k_bounds=(1.0, 64.0, 1.0), z_bound=4.0)
+        bad = CompactionPolicy.fluid((1.0, 64.0, 1.0), 4.0)
         cands = np.arange(6.0, 13.0)
         pinned = _tuner(
             policies=(bad,), polish=False, ratio_candidates=cands
@@ -120,7 +120,7 @@ class TestCoordinateDescent:
 
 class TestGridTunerVectors:
     def test_grid_tuner_accepts_explicit_vector_specs(self):
-        spec = PolicySpec(Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0)
+        spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         tuner = GridTuner(
             system=_SYSTEM,
             size_ratios=np.arange(2.0, 9.0),
@@ -139,7 +139,7 @@ class TestGridTunerVectors:
             policies=(Policy.FLUID,),
             k_vector_search=True,
         )
-        assert any(spec.k_bounds is not None for spec in tuner.policy_specs)
+        assert any(len(spec.bounds) > 1 for spec in tuner.policy_specs)
 
 
 class TestRobustVectorSearch:
@@ -160,7 +160,7 @@ class TestRobustVectorSearch:
             k_vector_search=True,
         ).tune(_LADDER_WORKLOAD)
         assert np.isfinite(vector.objective)
-        assert vector.objective <= uniform.objective + 1e-9
+        assert vector.objective <= uniform.objective * (1.0 + 1e-8)
 
     def test_rho_zero_matches_the_nominal_vector_search(self):
         nominal = _tuner(k_vector_search=True, polish=False).tune(_LADDER_WORKLOAD)

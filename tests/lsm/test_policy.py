@@ -1,4 +1,6 @@
-"""Tests for the compaction-policy enumeration and strategy objects."""
+"""Tests for the policy names and the one `CompactionPolicy` value."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,17 +8,17 @@ import pytest
 from repro.lsm import (
     ALL_POLICIES,
     CLASSIC_POLICIES,
+    NAMED_POLICIES,
     CompactionPolicy,
-    FluidPolicy,
-    LazyLevelingPolicy,
-    LevelingPolicy,
-    OneLevelingPolicy,
+    LSMTuning,
     Policy,
-    PolicySpec,
-    TieringPolicy,
     expand_policy_specs,
-    get_policy,
+    fluid_vector_specs,
+    halving_ladder,
 )
+
+of = CompactionPolicy.of
+fluid = CompactionPolicy.fluid
 
 
 class TestPolicyFromValue:
@@ -86,157 +88,81 @@ class TestPolicyCollection:
             assert Policy.from_value(policy.value) is policy
 
 
-class TestStrategyResolution:
-    def test_strategy_property_returns_singletons(self):
-        assert Policy.LEVELING.strategy is Policy.LEVELING.strategy
-        assert isinstance(Policy.LEVELING.strategy, LevelingPolicy)
-        assert isinstance(Policy.TIERING.strategy, TieringPolicy)
-        assert isinstance(Policy.LAZY_LEVELING.strategy, LazyLevelingPolicy)
+#: Closed forms of the classical policies: ``(runs, merges)`` as functions of ``T``.
+_LEVELED = (np.ones_like, lambda t: (t - 1.0) / 2.0)
+_TIERED = (lambda t: t - 1.0, lambda t: (t - 1.0) / t)
 
-    def test_get_policy_accepts_strings(self):
-        assert get_policy("tiered") is Policy.TIERING.strategy
 
-    def test_every_strategy_knows_its_identity(self):
-        for policy in ALL_POLICIES:
-            strategy = policy.strategy
-            assert isinstance(strategy, CompactionPolicy)
-            assert strategy.policy is policy
-            assert strategy.name == policy.value
+def _level_is_leveled(policy: Policy, level: int, num_levels: int) -> bool:
+    return {
+        Policy.LEVELING: True,
+        Policy.TIERING: False,
+        Policy.LAZY_LEVELING: level >= num_levels,
+        Policy.ONE_LEVELING: level <= 1,
+    }[policy]
+
+
+class TestNamedPolicies:
+    def test_the_table_has_one_row_per_classical_name(self):
+        assert set(NAMED_POLICIES) == set(ALL_POLICIES) - {Policy.FLUID}
+        for policy, value in NAMED_POLICIES.items():
+            assert of(policy) is value is of(policy.value)
+            assert value.policy is policy
+            assert value.name == policy.value
+            assert not value.in_place
+        assert of("tiered") is NAMED_POLICIES[Policy.TIERING]
+        assert of(Policy.FLUID) == fluid() and fluid().in_place
+
+    @pytest.mark.parametrize("policy", NAMED_POLICIES)
+    @pytest.mark.parametrize("num_levels", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "size_ratio",
+        [2.0, 5.0, 2.3, 7.75, np.array([[2.0], [3.5], [8.0], [40.0]])],
+        ids=["T=2", "T=5", "T=2.3", "T=7.75", "broadcast"],
+    )
+    def test_analytics_equal_the_closed_forms_bit_for_bit(
+        self, policy, num_levels, size_ratio
+    ):
+        """1, T-1, (T-1)/2 and (T-1)/T exactly — integer and fractional T,
+        scalar and broadcast; at L = 1 the two hybrids are plain leveling."""
+        levels = np.arange(1.0, num_levels + 1.0)
+        runs = of(policy).runs_per_level(size_ratio, levels, float(num_levels))
+        merges = of(policy).merge_factor(size_ratio, levels, float(num_levels))
+        assert runs.shape == merges.shape == np.shape(size_ratio)[:-1] + (num_levels,)
+        ratios = np.ravel(size_ratio)
+        for level in range(1, num_levels + 1):
+            leveled = _level_is_leveled(policy, level, num_levels)
+            want_runs, want_merges = _LEVELED if leveled else _TIERED
+            np.testing.assert_array_equal(runs[..., level - 1], want_runs(ratios))
+            np.testing.assert_array_equal(merges[..., level - 1], want_merges(ratios))
+
+    def test_values_are_hashable_and_validated(self):
+        assert hash(fluid((4, 2, 1), 2)) == hash(fluid([4.0, 2.0, 1.0], 2.0))
+        assert fluid([4, 2]).bounds == (4.0, 2.0)
+        with pytest.raises(ValueError):
+            fluid(())
+        with pytest.raises(ValueError):
+            fluid((2.0, 0.5))
+        with pytest.raises(ValueError):
+            fluid((2.0,), 0.0)
+
+    def test_names_are_stable(self):
+        assert of(Policy.LEVELING).name == "leveling"
+        assert fluid().name == "fluid[K=T-1,Z=1]"
+        assert fluid((4,), 1).name == "fluid[K=4,Z=1]"
+        assert fluid((4.0, 2.0, 1.0), 2.0).name == "fluid[K=(4,2,1),Z=2]"
 
 
 class TestAnalyticalQuantities:
     LEVELS = np.arange(1.0, 6.0)
 
-    def test_leveling_has_one_run_per_level(self):
-        runs = Policy.LEVELING.strategy.runs_per_level(7.0, self.LEVELS, 5.0)
-        assert np.all(runs == 1.0)
-
-    def test_tiering_has_t_minus_one_runs_per_level(self):
-        runs = Policy.TIERING.strategy.runs_per_level(7.0, self.LEVELS, 5.0)
-        assert np.all(runs == 6.0)
-
     def test_lazy_leveling_mixes_both(self):
-        runs = Policy.LAZY_LEVELING.strategy.runs_per_level(7.0, self.LEVELS, 5.0)
+        runs = of(Policy.LAZY_LEVELING).runs_per_level(7.0, self.LEVELS, 5.0)
         assert np.all(runs[:-1] == 6.0)
         assert runs[-1] == 1.0
 
-    def test_merge_factors_match_the_classical_formulas(self):
-        leveling = Policy.LEVELING.strategy.merge_factor(8.0, self.LEVELS, 5.0)
-        tiering = Policy.TIERING.strategy.merge_factor(8.0, self.LEVELS, 5.0)
-        assert np.allclose(leveling, 3.5)
-        assert np.allclose(tiering, 7.0 / 8.0)
-
-    def test_lazy_merge_factor_is_leveled_on_the_largest_level(self):
-        lazy = Policy.LAZY_LEVELING.strategy.merge_factor(8.0, self.LEVELS, 5.0)
-        assert np.allclose(lazy[:-1], 7.0 / 8.0)
-        assert lazy[-1] == pytest.approx(3.5)
-
-    def test_quantities_broadcast_over_size_ratio_grids(self):
-        ratios = np.array([2.0, 5.0, 10.0]).reshape(-1, 1)
-        for policy in ALL_POLICIES:
-            runs = policy.strategy.runs_per_level(ratios, self.LEVELS, 5.0)
-            merges = policy.strategy.merge_factor(ratios, self.LEVELS, 5.0)
-            assert runs.shape == (3, 5)
-            assert merges.shape == (3, 5)
-
-    def test_single_level_lazy_equals_leveling(self):
-        one = np.array([1.0])
-        lazy = Policy.LAZY_LEVELING.strategy
-        leveled = Policy.LEVELING.strategy
-        assert lazy.runs_per_level(9.0, one, 1.0) == leveled.runs_per_level(9.0, one, 1.0)
-        assert lazy.merge_factor(9.0, one, 1.0) == leveled.merge_factor(9.0, one, 1.0)
-
-
-class TestRuntimeHooks:
-    def test_leveling_always_merges_on_arrival(self):
-        strategy = Policy.LEVELING.strategy
-        assert strategy.merges_on_arrival(1, 4)
-        assert strategy.merges_on_arrival(4, 4)
-
-    def test_tiering_never_merges_on_arrival(self):
-        strategy = Policy.TIERING.strategy
-        assert not strategy.merges_on_arrival(1, 4)
-        assert not strategy.merges_on_arrival(4, 4)
-
-    def test_lazy_leveling_merges_only_on_the_last_level(self):
-        strategy = Policy.LAZY_LEVELING.strategy
-        assert not strategy.merges_on_arrival(1, 4)
-        assert not strategy.merges_on_arrival(3, 4)
-        assert strategy.merges_on_arrival(4, 4)
-        assert strategy.merges_on_arrival(5, 4)
-
-    def test_max_resident_runs_tracks_the_size_ratio(self):
-        for policy in ALL_POLICIES:
-            assert policy.strategy.max_resident_runs(5) == 4
-            assert policy.strategy.max_resident_runs(2) == 1
-
-    def test_fill_fractions_follow_the_merge_behaviour(self):
-        headroom = 0.85
-        assert Policy.LEVELING.strategy.bulk_load_fill_fraction(1, 4, headroom) == headroom
-        assert Policy.TIERING.strategy.bulk_load_fill_fraction(1, 4, headroom) == 1.0
-        lazy = Policy.LAZY_LEVELING.strategy
-        assert lazy.bulk_load_fill_fraction(2, 4, headroom) == 1.0
-        assert lazy.bulk_load_fill_fraction(4, 4, headroom) == headroom
-
-    def test_one_leveling_merges_only_on_the_first_level(self):
-        strategy = Policy.ONE_LEVELING.strategy
-        assert isinstance(strategy, OneLevelingPolicy)
-        assert strategy.merges_on_arrival(1, 4)
-        assert not strategy.merges_on_arrival(2, 4)
-        assert not strategy.merges_on_arrival(4, 4)
-        # A single-level tree degenerates to plain leveling.
-        assert strategy.merges_on_arrival(1, 1)
-
-    def test_fluid_merges_on_arrival_tracks_unit_bounds(self):
-        assert FluidPolicy(k_bound=1, z_bound=1).merges_on_arrival(1, 4)
-        assert FluidPolicy(k_bound=1, z_bound=1).merges_on_arrival(4, 4)
-        assert not FluidPolicy(k_bound=3, z_bound=1).merges_on_arrival(1, 4)
-        assert FluidPolicy(k_bound=3, z_bound=1).merges_on_arrival(4, 4)
-        assert not FluidPolicy(k_bound=3, z_bound=2).merges_on_arrival(4, 4)
-        # The default fluid instance is lazy-leveling shaped: tiered upper
-        # levels, one leveled run at the largest.
-        assert not Policy.FLUID.strategy.merges_on_arrival(1, 4)
-        assert Policy.FLUID.strategy.merges_on_arrival(4, 4)
-
-    def test_fluid_per_level_run_triggers(self):
-        fluid = FluidPolicy(k_bound=3, z_bound=2)
-        assert fluid.max_resident_runs(8, level=1, last_level=4) == 3
-        assert fluid.max_resident_runs(8, level=4, last_level=4) == 2
-        # Bounds clamp to the feasible [1, T-1] range.
-        assert fluid.max_resident_runs(3, level=1, last_level=4) == 2
-        assert fluid.max_resident_runs(2, level=1, last_level=4) == 1
-        assert FluidPolicy(k_bound=64).max_resident_runs(5, 1, 4) == 4
-
-    def test_only_fluid_compacts_within_a_level(self):
-        for policy in (
-            Policy.LEVELING, Policy.TIERING, Policy.LAZY_LEVELING, Policy.ONE_LEVELING
-        ):
-            assert not policy.strategy.compacts_within_level(2, 4)
-        assert Policy.FLUID.strategy.compacts_within_level(2, 4)
-
-
-class TestFluidAnalytics:
-    LEVELS = np.arange(1.0, 6.0)
-
-    def test_runs_follow_the_bounds(self):
-        fluid = FluidPolicy(k_bound=3, z_bound=2)
-        runs = fluid.runs_per_level(7.0, self.LEVELS, 5.0)
-        assert np.all(runs[:-1] == 3.0)
-        assert runs[-1] == 2.0
-
-    def test_merge_factor_interpolates_the_classical_formulas(self):
-        fluid = FluidPolicy(k_bound=3, z_bound=1)
-        merges = fluid.merge_factor(9.0, self.LEVELS, 5.0)
-        assert np.allclose(merges[:-1], 8.0 / 4.0)
-        assert merges[-1] == pytest.approx(4.0)
-
-    def test_bounds_clamp_to_the_feasible_range(self):
-        fluid = FluidPolicy(k_bound=64, z_bound=16)
-        runs = fluid.runs_per_level(5.0, self.LEVELS, 5.0)
-        assert np.all(runs == 4.0)  # clamped to T - 1
-
     def test_one_leveling_levels_only_the_first(self):
-        one = Policy.ONE_LEVELING.strategy
+        one = of(Policy.ONE_LEVELING)
         runs = one.runs_per_level(7.0, self.LEVELS, 5.0)
         assert runs[0] == 1.0
         assert np.all(runs[1:] == 6.0)
@@ -244,75 +170,45 @@ class TestFluidAnalytics:
         assert merges[0] == pytest.approx(3.5)
         assert np.allclose(merges[1:], 7.0 / 8.0)
 
+    def test_quantities_broadcast_over_size_ratio_grids(self):
+        ratios = np.array([2.0, 5.0, 10.0]).reshape(-1, 1)
+        for policy in ALL_POLICIES:
+            runs = of(policy).runs_per_level(ratios, self.LEVELS, 5.0)
+            merges = of(policy).merge_factor(ratios, self.LEVELS, 5.0)
+            assert runs.shape == (3, 5)
+            assert merges.shape == (3, 5)
 
-class TestPolicySpecs:
-    def test_spec_of_coerces_strings_and_enums(self):
-        assert PolicySpec.of("tiering").policy is Policy.TIERING
-        spec = PolicySpec(Policy.FLUID, k_bound=4, z_bound=2)
-        assert PolicySpec.of(spec) is spec
+    def test_fluid_runs_follow_the_bounds(self):
+        runs = fluid((3,), 2).runs_per_level(7.0, self.LEVELS, 5.0)
+        assert np.all(runs[:-1] == 3.0)
+        assert runs[-1] == 2.0
 
-    def test_classical_specs_reject_run_bounds(self):
-        with pytest.raises(ValueError):
-            PolicySpec(Policy.LEVELING, k_bound=2)
+    def test_fluid_merge_factor_interpolates_the_classical_formulas(self):
+        merges = fluid((3,), 1).merge_factor(9.0, self.LEVELS, 5.0)
+        assert np.allclose(merges[:-1], 8.0 / 4.0)
+        assert merges[-1] == pytest.approx(4.0)
 
-    def test_spec_names_are_stable(self):
-        assert PolicySpec(Policy.LEVELING).name == "leveling"
-        assert PolicySpec(Policy.FLUID, k_bound=4, z_bound=1).name == "fluid[K=4,Z=1]"
-
-    def test_expansion_covers_the_classical_corners(self):
-        specs = expand_policy_specs([Policy.FLUID], max_size_ratio=20)
-        pairs = {(s.k_bound, s.z_bound) for s in specs}
-        assert (1.0, 1.0) in pairs  # leveling corner
-        assert (19.0, 19.0) in pairs  # tiering corner (K = Z = T - 1)
-        assert (19.0, 1.0) in pairs  # lazy-leveling corner
-        assert all(s.policy is Policy.FLUID for s in specs)
-
-    def test_expansion_passes_classical_policies_through(self):
-        specs = expand_policy_specs([Policy.LEVELING, Policy.TIERING])
-        assert [s.policy for s in specs] == [Policy.LEVELING, Policy.TIERING]
-        assert all(s.k_bound is None for s in specs)
-
-    def test_explicit_specs_are_kept_verbatim(self):
-        pinned = PolicySpec(Policy.FLUID, k_bound=7, z_bound=3)
-        specs = expand_policy_specs([pinned])
-        assert specs == (pinned,)
-
-    def test_strategy_binding_for_tuning(self):
-        from repro.lsm import LSMTuning
-
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3, z_bound=2)
-        strategy = tuning.strategy
-        assert isinstance(strategy, FluidPolicy)
-        assert strategy.k_bound == 3.0
-        assert strategy.z_bound == 2.0
-        # Classical tunings keep their stateless singletons.
-        classic = LSMTuning(8.0, 4.0, Policy.LEVELING)
-        assert classic.strategy is Policy.LEVELING.strategy
-
-
-class TestFluidVectorBounds:
-    """Per-level K_i vectors: FluidPolicy as a thin view over the vector."""
+    def test_bounds_clamp_to_the_feasible_range(self):
+        runs = fluid((64,), 16).runs_per_level(5.0, self.LEVELS, 5.0)
+        assert np.all(runs == 4.0)  # clamped to T - 1
 
     def test_runs_per_level_reads_the_vector(self):
-        fluid = FluidPolicy(k_bounds=(4.0, 2.0, 1.0))
-        runs = fluid.runs_per_level(8.0, np.arange(1.0, 6.0), 5.0)
+        runs = fluid((4.0, 2.0, 1.0)).runs_per_level(8.0, self.LEVELS, 5.0)
         # Levels 1..3 read the vector, level 4 reuses the last element,
         # level 5 (largest) reads Z = 1.
         np.testing.assert_allclose(runs, [4.0, 2.0, 1.0, 1.0, 1.0])
 
     def test_merge_factor_reads_the_vector(self):
-        fluid = FluidPolicy(k_bounds=(3.0, 1.0), z_bound=1.0)
-        merges = fluid.merge_factor(8.0, np.arange(1.0, 5.0), 4.0)
+        merges = fluid((3.0, 1.0), 1.0).merge_factor(8.0, np.arange(1.0, 5.0), 4.0)
         np.testing.assert_allclose(merges, [7.0 / 4.0, 7.0 / 2.0, 7.0 / 2.0, 7.0 / 2.0])
 
     def test_vector_clamps_per_level_to_the_feasible_range(self):
-        fluid = FluidPolicy(k_bounds=(64.0, 2.0))
-        runs = fluid.runs_per_level(4.0, np.arange(1.0, 4.0), 3.0)
+        runs = fluid((64.0, 2.0)).runs_per_level(4.0, np.arange(1.0, 4.0), 3.0)
         np.testing.assert_allclose(runs, [3.0, 2.0, 1.0])  # 64 capped at T - 1
 
     def test_uniform_vector_matches_the_scalar_everywhere(self):
-        scalar = FluidPolicy(k_bound=3.0, z_bound=2.0)
-        vector = FluidPolicy(k_bounds=(3.0,) * 8, z_bound=2.0)
+        scalar = fluid((3.0,), 2.0)
+        vector = fluid((3.0,) * 8, 2.0)
         ratios = np.array([2.0, 3.5, 8.0, 40.0]).reshape(-1, 1)
         levels = np.arange(1.0, 7.0).reshape(1, -1)
         np.testing.assert_array_equal(
@@ -324,112 +220,172 @@ class TestFluidVectorBounds:
             vector.merge_factor(ratios, levels, 6.0),
         )
 
-    def test_runtime_hooks_answer_per_level(self):
-        fluid = FluidPolicy(k_bounds=(4.0, 1.0), z_bound=1.0)
-        assert not fluid.merges_on_arrival(1, 4)  # bound 4: stacks
-        assert fluid.merges_on_arrival(2, 4)  # bound 1: leveled
-        assert fluid.merges_on_arrival(3, 4)  # reuses last element (1)
-        assert fluid.merges_on_arrival(4, 4)  # Z = 1
-        assert fluid.max_resident_runs(8, 1, 4) == 4
-        assert fluid.max_resident_runs(8, 2, 4) == 1
-        assert fluid.max_resident_runs(3, 1, 4) == 2  # clamped to T - 1
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(ValueError):
-            FluidPolicy(k_bounds=())
-        with pytest.raises(ValueError):
-            FluidPolicy(k_bounds=(2.0, 0.5))
-        with pytest.raises(ValueError):
-            FluidPolicy(k_bound=2.0, k_bounds=(2.0,))
-
-    def test_for_tuning_carries_the_vector(self):
-        from repro.lsm import LSMTuning
-
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0), z_bound=2.0)
-        bound = tuning.strategy
-        assert isinstance(bound, FluidPolicy)
-        assert bound.k_bounds == (4.0, 2.0)
-        assert bound.z_bound == 2.0
-
-
-class TestVectorPolicySpecs:
-    def test_vector_specs_are_hashable_and_named(self):
-        spec = PolicySpec(Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=2.0)
-        assert spec.name == "fluid[K=(4,2,1),Z=2]"
-        assert hash(spec) == hash(
-            PolicySpec(Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=2.0)
+    def test_without_z_the_largest_level_reads_its_own_bound(self):
+        no_z = CompactionPolicy(Policy.FLUID, (4.0, 2.0), in_place=True)
+        np.testing.assert_array_equal(
+            no_z.runs_per_level(8.0, np.arange(1.0, 4.0), 3.0), [4.0, 2.0, 2.0]
         )
+        assert no_z.max_resident_runs(8, 3, 3) == 2
 
-    def test_vector_specs_coerce_lists_to_tuples(self):
-        spec = PolicySpec(Policy.FLUID, k_bounds=[4, 2])
-        assert spec.k_bounds == (4.0, 2.0)
 
-    def test_scalar_and_vector_bounds_are_mutually_exclusive(self):
+class TestRuntimeHooks:
+    def test_leveling_always_merges_on_arrival(self):
+        assert of(Policy.LEVELING).merges_on_arrival(1, 4)
+        assert of(Policy.LEVELING).merges_on_arrival(4, 4)
+
+    def test_tiering_never_merges_on_arrival(self):
+        assert not of(Policy.TIERING).merges_on_arrival(1, 4)
+        assert not of(Policy.TIERING).merges_on_arrival(4, 4)
+
+    def test_lazy_leveling_merges_only_on_the_last_level(self):
+        lazy = of(Policy.LAZY_LEVELING)
+        assert not lazy.merges_on_arrival(1, 4)
+        assert not lazy.merges_on_arrival(3, 4)
+        assert lazy.merges_on_arrival(4, 4)
+        assert lazy.merges_on_arrival(5, 4)
+
+    def test_one_leveling_merges_only_on_the_first_level(self):
+        one = of(Policy.ONE_LEVELING)
+        assert one.merges_on_arrival(1, 4)
+        assert not one.merges_on_arrival(2, 4)
+        assert not one.merges_on_arrival(4, 4)
+        # A single-level tree degenerates to plain leveling.
+        assert one.merges_on_arrival(1, 1)
+
+    def test_stacking_levels_trigger_at_t_minus_one(self):
+        """The trigger of every level that does *not* merge on arrival (the
+        only levels the tree asks about) tracks the size ratio."""
+        for policy in ALL_POLICIES:
+            value = of(policy)
+            for level in (1, 2, 4):
+                if not value.merges_on_arrival(level, 4):
+                    assert value.max_resident_runs(5, level, 4) == 4
+                    assert value.max_resident_runs(2, level, 4) == 1
+
+    def test_the_largest_level_answers_with_z_not_k(self):
+        """`level` and `last_level` are required: omitting `last_level` used
+        to answer the largest level's trigger with K instead of Z."""
+        policy = fluid((3,), 2)
+        assert policy.max_resident_runs(8, 4, 4) == 2
+        with pytest.raises(TypeError):
+            policy.max_resident_runs(8)
+        with pytest.raises(TypeError):
+            policy.max_resident_runs(8, 4)
+
+    def test_fluid_merges_on_arrival_tracks_unit_bounds(self):
+        assert fluid((1,), 1).merges_on_arrival(1, 4)
+        assert fluid((1,), 1).merges_on_arrival(4, 4)
+        assert not fluid((3,), 1).merges_on_arrival(1, 4)
+        assert fluid((3,), 1).merges_on_arrival(4, 4)
+        assert not fluid((3,), 2).merges_on_arrival(4, 4)
+        # The default fluid value is lazy-leveling shaped: tiered upper
+        # levels, one leveled run at the largest.
+        assert not fluid().merges_on_arrival(1, 4)
+        assert fluid().merges_on_arrival(4, 4)
+
+    def test_fluid_per_level_run_triggers(self):
+        policy = fluid((3,), 2)
+        assert policy.max_resident_runs(8, level=1, last_level=4) == 3
+        assert policy.max_resident_runs(8, level=4, last_level=4) == 2
+        # Bounds clamp to the feasible [1, T-1] range.
+        assert policy.max_resident_runs(3, level=1, last_level=4) == 2
+        assert policy.max_resident_runs(2, level=1, last_level=4) == 1
+        assert fluid((64,)).max_resident_runs(5, 1, 4) == 4
+
+    def test_vector_hooks_answer_per_level(self):
+        policy = fluid((4.0, 1.0), 1.0)
+        assert not policy.merges_on_arrival(1, 4)  # bound 4: stacks
+        assert policy.merges_on_arrival(2, 4)  # bound 1: leveled
+        assert policy.merges_on_arrival(3, 4)  # reuses last element (1)
+        assert policy.merges_on_arrival(4, 4)  # Z = 1
+        assert policy.max_resident_runs(8, 1, 4) == 4
+        assert policy.max_resident_runs(8, 2, 4) == 1
+        assert policy.max_resident_runs(3, 1, 4) == 2  # clamped to T - 1
+
+    def test_only_fluid_merges_in_place(self):
+        assert not any(value.in_place for value in NAMED_POLICIES.values())
+        assert fluid().in_place and fluid((3, 1), 2).in_place
+
+
+class TestTuningBinding:
+    def test_a_fluid_tuning_carries_its_bounds(self):
+        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3, z_bound=2)
+        assert tuning.compaction == fluid((3,), 2)
+        vector = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0), z_bound=2.0)
+        assert vector.compaction == fluid((4.0, 2.0), 2.0)
+        assert LSMTuning(8.0, 4.0, fluid((4.0, 2.0), 2.0)) == vector
+
+    def test_a_classical_tuning_is_its_table_row(self):
+        classic = LSMTuning(8.0, 4.0, Policy.LEVELING)
+        assert classic.compaction is NAMED_POLICIES[Policy.LEVELING]
+        assert LSMTuning(8.0, 4.0, NAMED_POLICIES[Policy.LEVELING]) == classic
+
+    def test_tracking_bounds_are_pinned_to_the_tunings_ratio(self):
+        assert LSMTuning(8.0, 4.0, fluid()).compaction.bounds == (7.0,)
+        assert LSMTuning(8.0, 4.0, Policy.TIERING).compaction.bounds == (math.inf,)
+
+
+class TestExpansion:
+    def test_expansion_covers_the_classical_corners(self):
+        specs = expand_policy_specs([Policy.FLUID], max_size_ratio=20)
+        pairs = {(s.bounds, s.z_bound) for s in specs}
+        assert ((1.0,), 1.0) in pairs  # leveling corner
+        assert ((19.0,), 19.0) in pairs  # tiering corner (K = Z = T - 1)
+        assert ((19.0,), 1.0) in pairs  # lazy-leveling corner
+        assert all(s.policy is Policy.FLUID and s.in_place for s in specs)
+
+    def test_expansion_maps_classical_names_to_their_rows(self):
+        specs = expand_policy_specs([Policy.LEVELING, "tiering"])
+        assert specs == (NAMED_POLICIES[Policy.LEVELING], NAMED_POLICIES[Policy.TIERING])
+
+    def test_explicit_values_are_kept_verbatim(self):
+        for pinned in (fluid((7,), 3), fluid((9.0, 3.0, 1.0))):
+            assert expand_policy_specs([pinned]) == (pinned,)
+
+    def test_rejects_an_empty_policy_list(self):
         with pytest.raises(ValueError):
-            PolicySpec(Policy.FLUID, k_bound=4.0, k_bounds=(4.0,))
-
-    def test_classical_specs_reject_vectors(self):
-        with pytest.raises(ValueError):
-            PolicySpec(Policy.LEVELING, k_bounds=(2.0,))
-
-    def test_vector_spec_strategy_is_bound_to_the_vector(self):
-        strategy = PolicySpec(Policy.FLUID, k_bounds=(4.0, 1.0)).strategy
-        assert isinstance(strategy, FluidPolicy)
-        assert strategy.k_bounds == (4.0, 1.0)
+            expand_policy_specs([])
 
 
 class TestVectorFamilies:
     def test_halving_ladder_descends_to_one(self):
-        from repro.lsm import halving_ladder
-
         assert halving_ladder(8) == (8.0, 4.0, 2.0, 1.0)
         assert halving_ladder(3) == (3.0, 2.0, 1.0)
         assert halving_ladder(1) == (1.0,)
 
     def test_expansion_without_the_flag_is_unchanged(self):
         flat = expand_policy_specs([Policy.FLUID], max_size_ratio=40.0)
-        assert all(spec.k_bounds is None for spec in flat)
+        assert all(len(spec.bounds) == 1 for spec in flat)
 
     def test_expansion_with_the_flag_adds_vector_families(self):
         specs = expand_policy_specs(
             [Policy.FLUID], max_size_ratio=40.0, include_k_vectors=True
         )
-        vectors = [spec for spec in specs if spec.k_bounds is not None]
+        vectors = [spec.bounds for spec in specs if len(spec.bounds) > 1]
         assert vectors, "vector families must join the sweep"
         # Front-loaded ladders: non-increasing, peak > 1, end at 1.
         ladders = [
-            spec.k_bounds
-            for spec in vectors
-            if len(set(spec.k_bounds)) > 1
-            and tuple(sorted(spec.k_bounds, reverse=True)) == spec.k_bounds
+            bounds
+            for bounds in vectors
+            if len(set(bounds)) > 1 and tuple(sorted(bounds, reverse=True)) == bounds
         ]
         assert ladders
         # Single-level perturbations: exactly one bumped level.
         bumps = [
-            spec.k_bounds
-            for spec in vectors
-            if sum(1 for bound in spec.k_bounds if bound > 1.0) == 1
-            and spec.k_bounds[-1] == 1.0
+            bounds
+            for bounds in vectors
+            if sum(1 for bound in bounds if bound > 1.0) == 1 and bounds[-1] == 1.0
         ]
         assert bumps
         # The scalar grid still precedes the vector families.
-        assert specs[0].k_bounds is None
+        assert len(specs[0].bounds) == 1
 
     def test_vector_families_respect_the_ratio_cap(self):
-        from repro.lsm import fluid_vector_specs
-
         for spec in fluid_vector_specs(max_size_ratio=5.0):
-            assert all(bound <= 4.0 for bound in spec.k_bounds)
+            assert all(bound <= 4.0 for bound in spec.bounds)
 
     def test_degenerate_cap_produces_no_vector_specs(self):
         """At max_size_ratio <= 2 every bound clamps to 1, so the families
         would only duplicate the all-leveled uniform vectors the scalar
         grid already covers — the expansion must emit nothing."""
-        from repro.lsm import fluid_vector_specs
-
         assert fluid_vector_specs(max_size_ratio=2.0) == ()
-
-    def test_explicit_vector_specs_pass_through(self):
-        pinned = PolicySpec(Policy.FLUID, k_bounds=(9.0, 3.0, 1.0))
-        specs = expand_policy_specs([pinned])
-        assert specs == (pinned,)

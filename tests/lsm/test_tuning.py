@@ -1,5 +1,7 @@
 """Tests for the LSM tuning configuration object."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,5 +298,74 @@ class TestSerialisationProperty:
             size_ratio, 4.0, Policy.FLUID, k_bounds=k_vector, z_bound=z_bound
         ).rounded()
         cap = tuning.size_ratio - 1.0
-        assert all(1.0 <= bound <= max(cap, 1.0) for bound in tuning.k_bounds)
+        bounds = tuning.compaction.bounds
+        assert all(1.0 <= bound <= max(cap, 1.0) for bound in bounds)
+        # The stored vector reads back as exactly one of the two views: a
+        # single bound is the scalar K, anything longer the K_i vector.
+        assert (tuning.k_bound, tuning.k_bounds) == (
+            (bounds[0], None) if len(bounds) == 1 else (None, bounds)
+        )
         assert LSMTuning.from_dict(tuning.to_dict()) == tuning
+
+
+#: Payloads written by ``to_dict`` before the bounds became one stored vector
+#: (recorded at the parent of that change), each with the ``describe()`` line,
+#: the ``rounded().to_dict()`` payload and the ``rounded().describe()`` line it
+#: produced there: no bound keys, a scalar ``k_bound``, a ``k_bounds`` vector.
+_RECORDED_PAYLOADS = [
+    (
+        {"size_ratio": 7.5, "bits_per_entry": 3.25, "policy": "tiering"},
+        "π: tiering, T: 7.5, h: 3.2",
+        {"size_ratio": 8.0, "bits_per_entry": 3.25, "policy": "tiering"},
+        "π: tiering, T: 8.0, h: 3.2",
+    ),
+    (
+        {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "lazy-leveling"},
+        "π: lazy-leveling, T: 8.0, h: 4.0",
+        {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "lazy-leveling"},
+        "π: lazy-leveling, T: 8.0, h: 4.0",
+    ),
+    (
+        {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "fluid",
+         "k_bound": 7.0, "z_bound": 1.0},
+        "π: fluid, T: 8.0, h: 4.0, K: 7, Z: 1",
+        {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "fluid",
+         "k_bound": 7.0, "z_bound": 1.0},
+        "π: fluid, T: 8.0, h: 4.0, K: 7, Z: 1",
+    ),
+    (
+        {"size_ratio": 4.4, "bits_per_entry": 4.0, "policy": "fluid",
+         "k_bound": 7.6, "z_bound": 1.4},
+        "π: fluid, T: 4.4, h: 4.0, K: 8, Z: 1",
+        {"size_ratio": 4.0, "bits_per_entry": 4.0, "policy": "fluid",
+         "k_bound": 3.0, "z_bound": 1.0},
+        "π: fluid, T: 4.0, h: 4.0, K: 3, Z: 1",
+    ),
+    (
+        {"size_ratio": 4.4, "bits_per_entry": 4.0, "policy": "fluid",
+         "z_bound": 1.4, "k_bounds": [7.6, 2.4, 1.4]},
+        "π: fluid, T: 4.4, h: 4.0, K: [8,2,1], Z: 1",
+        {"size_ratio": 4.0, "bits_per_entry": 4.0, "policy": "fluid",
+         "z_bound": 1.0, "k_bounds": [3.0, 2.0, 1.0]},
+        "π: fluid, T: 4.0, h: 4.0, K: [3,2,1], Z: 1",
+    ),
+]
+
+
+class TestRecordedPayloads:
+    @pytest.mark.parametrize("payload,described,rounded,rounded_described", _RECORDED_PAYLOADS)
+    def test_old_payloads_round_trip_byte_identically(
+        self, payload, described, rounded, rounded_described
+    ):
+        tuning = LSMTuning.from_dict(payload)
+        assert json.dumps(tuning.to_dict()) == json.dumps(payload)
+        assert tuning.describe() == described
+        assert json.dumps(tuning.rounded().to_dict()) == json.dumps(rounded)
+        assert tuning.rounded().describe() == rounded_described
+        assert LSMTuning.from_dict(rounded) == tuning.rounded()
+
+    def test_a_default_fluid_tuning_serialises_its_materialised_bounds(self):
+        """``LSMTuning(T, h, Policy.FLUID)`` wrote ``K = T - 1, Z = 1``."""
+        assert json.dumps(LSMTuning(8.0, 4.0, Policy.FLUID).to_dict()) == json.dumps(
+            _RECORDED_PAYLOADS[2][0]
+        )

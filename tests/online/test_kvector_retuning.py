@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from repro.lsm import LSMTuning, Policy, PolicySpec, simulator_system
+from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.online import AdaptiveTuner, OnlineConfig, OnlineLSMController
 from repro.storage import LSMTree
 from repro.workloads import KeySpace, Workload
@@ -34,7 +34,7 @@ class TestAdaptiveTunerVectors:
         assert tuner._tuner_for(1.5).k_vector_search
 
     def test_pinned_vector_policy_proposes_a_vector_tuning(self):
-        spec = PolicySpec(Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0)
+        spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         tuner = AdaptiveTuner(
             system=_SYSTEM, mode="nominal", policies=(spec,), polish=False
         )
@@ -48,7 +48,7 @@ class TestAdaptiveTunerVectors:
         assert all(1.0 <= b <= max(cap, 1.0) for b in decision.proposed.k_bounds)
 
     def test_decision_with_vector_proposal_is_json_serialisable(self):
-        spec = PolicySpec(Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0)
+        spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         tuner = AdaptiveTuner(
             system=_SYSTEM, mode="nominal", policies=(spec,), polish=False
         )

@@ -294,6 +294,21 @@ class TestBulkLoadAndStats:
         entries = [e for e in tree.stats().entries_per_level if e > 0]
         assert entries == sorted(entries)
 
+    def test_fill_fractions_follow_the_merge_behaviour(self):
+        """Leveled levels load with headroom, run-stacking levels full."""
+
+        def loads_full(policy, level, deepest=4):
+            tree = make_tree(policy=policy)
+            capacity = tree.level_capacity_entries(level)
+            loaded = tree._bulk_load_level_capacity(level, deepest)
+            assert loaded in (capacity, int(tree.BULK_LOAD_FILL_FRACTION * capacity))
+            return loaded == capacity
+
+        assert not loads_full(Policy.LEVELING, 1)
+        assert loads_full(Policy.TIERING, 1)
+        assert loads_full(Policy.LAZY_LEVELING, 2)
+        assert not loads_full(Policy.LAZY_LEVELING, 4)
+
 
 class TestLazyLeveling:
     def test_largest_level_keeps_a_single_run(self):

@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 from repro.core import GridTuner, NominalTuner, RobustTuner
 from repro.lsm import (
     ALL_POLICIES,
-    FluidPolicy,
+    NAMED_POLICIES,
+    CompactionPolicy,
     LSMCostModel,
     LSMTuning,
     Policy,
-    PolicySpec,
     SystemConfig,
 )
 from repro.workloads import Workload
@@ -61,32 +61,22 @@ _FLUID_VECTORS: tuple[tuple[tuple[float, ...], float], ...] = (
     ((64.0, 16.0, 4.0, 1.0), 4.0),
 )
 
-#: Every policy spec the suite sweeps: one spec per registered policy (the
-#: fluid entry carrying its default bounds) plus the parameterised fluid
-#: variants above — scalar (K, Z) pairs and per-level K_i vectors.
-_ALL_SPECS: tuple[PolicySpec, ...] = (
-    tuple(PolicySpec(policy) for policy in ALL_POLICIES)
-    + tuple(PolicySpec(Policy.FLUID, k_bound=k, z_bound=z) for k, z in _FLUID_BOUNDS)
-    + tuple(
-        PolicySpec(Policy.FLUID, k_bounds=vector, z_bound=z)
-        for vector, z in _FLUID_VECTORS
-    )
+#: Every policy the suite sweeps: one per registered name (the fluid entry
+#: carrying its default bounds) plus the parameterised fluid variants above —
+#: scalar (K, Z) pairs and per-level K_i vectors.
+_ALL_SPECS: tuple[CompactionPolicy, ...] = (
+    tuple(CompactionPolicy.of(policy) for policy in ALL_POLICIES)
+    + tuple(CompactionPolicy.fluid((k,), z) for k, z in _FLUID_BOUNDS)
+    + tuple(CompactionPolicy.fluid(vector, z) for vector, z in _FLUID_VECTORS)
 )
 
 
-def _spec_ids(spec: PolicySpec) -> str:
+def _spec_ids(spec: CompactionPolicy) -> str:
     return spec.name
 
 
-def _tuning_of(spec: PolicySpec, size_ratio: float, bits: float) -> LSMTuning:
-    return LSMTuning(
-        size_ratio=size_ratio,
-        bits_per_entry=bits,
-        policy=spec.policy,
-        k_bound=spec.k_bound,
-        z_bound=spec.z_bound,
-        k_bounds=spec.k_bounds,
-    )
+def _tuning_of(spec: CompactionPolicy, size_ratio: float, bits: float) -> LSMTuning:
+    return LSMTuning(size_ratio, bits, spec)
 
 
 #: Seeded random design grid shared by the non-hypothesis parity sweeps.
@@ -169,7 +159,7 @@ class TestFluidSpecialCases:
     def test_fluid_interpolates_between_its_corners(self, size_ratio, bits):
         """Interior K sits between the leveling and tiering corners on every
         cost component (reads increase with K, writes decrease)."""
-        interior = FluidPolicy(k_bound=min(3.0, size_ratio - 1.0), z_bound=1.0)
+        interior = CompactionPolicy.fluid((min(3.0, size_ratio - 1.0),), 1.0)
         levels = np.arange(1.0, 6.0)
         runs = interior.runs_per_level(size_ratio, levels, 6.0)
         assert np.all(runs >= 1.0 - 1e-12)
@@ -293,7 +283,7 @@ class TestTunerConsistencyAcrossPolicies:
                 polish=False,
             ).tune(workload).objective
         for corner in (Policy.LEVELING, Policy.TIERING, Policy.LAZY_LEVELING):
-            assert costs[Policy.FLUID] <= costs[corner] + 1e-9
+            assert costs[Policy.FLUID] <= costs[corner] * (1.0 + 1e-8)
 
     @pytest.mark.parametrize("index", range(len(workloads)))
     def test_vector_search_dominates_the_uniform_sweep(self, index):
@@ -314,7 +304,7 @@ class TestTunerConsistencyAcrossPolicies:
             polish=False,
             k_vector_search=True,
         ).tune(workload).objective
-        assert vector <= uniform + 1e-12
+        assert vector <= uniform * (1.0 + 1e-8)
 
 
 #: Scalar fluid (K, Z) corner pairs whose uniform-vector twins must behave
@@ -329,6 +319,62 @@ _CORNER_PAIRS: tuple[tuple[float, float], ...] = (
 )
 
 
+def _fluid_twin(policy: Policy, size_ratio: float, bits: float) -> LSMTuning:
+    """The fluid tuning spelling out a named policy's bounds at ``size_ratio``."""
+    cap = size_ratio - 1.0
+    k_bounds, z = {
+        Policy.LEVELING: ((1.0,), 1.0),
+        Policy.TIERING: ((cap,), cap),
+        Policy.LAZY_LEVELING: ((cap,), 1.0),
+        Policy.ONE_LEVELING: ((1.0, cap), cap),
+    }[policy]
+    return LSMTuning(size_ratio, bits, Policy.FLUID, k_bounds=k_bounds, z_bound=z)
+
+
+def _twin_pairs(corners, named):
+    """``pytest.param`` pairs of tunings that must drive the simulator
+    identically at ``T = 6, h = 6``: each scalar ``(K, Z)`` with its
+    uniform-vector twin, and each named policy with its fluid twin."""
+    pairs = [
+        pytest.param(
+            LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=k, z_bound=z),
+            LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(k,) * 6, z_bound=z),
+            id=f"K={k:g},Z={z:g}",
+        )
+        for k, z in corners
+    ]
+    pairs += [
+        pytest.param(
+            LSMTuning(6.0, 6.0, policy), _fluid_twin(policy, 6.0, 6.0), id=policy.value
+        )
+        for policy in named
+    ]
+    return pairs
+
+
+def _replay(tuning: LSMTuning, num_entries: int, puts: int, gets: int, key_span: int):
+    """Bulk-load a seeded tree, then drive ``puts`` updates/inserts and
+    ``gets`` lookups of keys drawn from ``[0, key_span)`` through it; returns
+    the I/O counters of the stream and the final run layout."""
+    from repro.lsm import simulator_system
+    from repro.storage import LSMTree
+    from repro.workloads import KeySpace
+
+    system = simulator_system(num_entries=num_entries)
+    tree = LSMTree(tuning, system, seed=5)
+    tree.bulk_load(KeySpace.build(system.num_entries, seed=11).existing)
+    tree.disk.reset()
+    rng = np.random.default_rng(3)
+    for key in rng.integers(0, key_span, size=puts):
+        tree.put(int(key))
+    for key in rng.integers(0, key_span, size=gets):
+        tree.get(int(key))
+    shape = [
+        (np.asarray(r.keys).tobytes(), r.num_pages) for runs in tree.levels for r in runs
+    ]
+    return tree.disk.snapshot(), shape
+
+
 class TestUniformVectorCornerRecovery:
     """Exact-corner acceptance: uniform K_i vectors reproduce every scalar
     fluid tuning — and through them leveling / tiering / lazy leveling — to
@@ -338,8 +384,8 @@ class TestUniformVectorCornerRecovery:
     @pytest.mark.parametrize("k,z", _CORNER_PAIRS)
     @pytest.mark.parametrize("nu", [0.0, 0.35])
     def test_uniform_vector_cost_matrix_matches_scalar_to_1e12(self, k, z, nu):
-        scalar = PolicySpec(Policy.FLUID, k_bound=k, z_bound=z)
-        vector = PolicySpec(Policy.FLUID, k_bounds=(k,) * 6, z_bound=z)
+        scalar = CompactionPolicy.fluid((k,), z)
+        vector = CompactionPolicy.fluid((k,) * 6, z)
         np.testing.assert_allclose(
             _MODEL.cost_matrix(_RATIOS, _BITS, vector, long_range_fraction=nu),
             _MODEL.cost_matrix(_RATIOS, _BITS, scalar, long_range_fraction=nu),
@@ -347,38 +393,20 @@ class TestUniformVectorCornerRecovery:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize(
-        "vector_tuning,classical",
-        [
-            (
-                LSMTuning(8.0, 5.0, Policy.FLUID, k_bounds=(1.0,) * 5, z_bound=1.0),
-                LSMTuning(8.0, 5.0, Policy.LEVELING),
-            ),
-            (
-                LSMTuning(8.0, 5.0, Policy.FLUID, k_bounds=(7.0,) * 5, z_bound=7.0),
-                LSMTuning(8.0, 5.0, Policy.TIERING),
-            ),
-            (
-                LSMTuning(8.0, 5.0, Policy.FLUID, k_bounds=(7.0,) * 5, z_bound=1.0),
-                LSMTuning(8.0, 5.0, Policy.LAZY_LEVELING),
-            ),
-        ],
-        ids=["leveling", "tiering", "lazy-leveling"],
-    )
+    @pytest.mark.parametrize("policy", NAMED_POLICIES)
     @pytest.mark.parametrize("nu", [0.0, 1.0])
-    def test_uniform_vectors_recover_the_classical_policies(
-        self, vector_tuning, classical, nu
-    ):
+    def test_fluid_twins_recover_the_named_policies(self, policy, nu):
         np.testing.assert_allclose(
-            _MODEL.cost_vector(vector_tuning, nu),
-            _MODEL.cost_vector(classical, nu),
+            _MODEL.cost_vector(_fluid_twin(policy, 8.0, 5.0), nu),
+            _MODEL.cost_vector(LSMTuning(8.0, 5.0, policy), nu),
             rtol=0.0,
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("k,z", _CORNER_PAIRS)
-    def test_simulator_bulk_load_is_bit_identical(self, k, z):
-        """Same seed, scalar vs uniform-vector tuning: identical run keys,
+    @pytest.mark.parametrize("reference,twin", _twin_pairs(_CORNER_PAIRS, NAMED_POLICIES))
+    def test_simulator_bulk_load_is_bit_identical(self, reference, twin):
+        """Same seed, a tuning vs its twin (scalar vs uniform vector, named
+        policy vs the fluid spelling of its bounds): identical run keys,
         identical page counts, identical Bloom filter bits."""
         from repro.lsm import simulator_system
         from repro.storage import LSMTree
@@ -392,12 +420,9 @@ class TestUniformVectorCornerRecovery:
             tree.bulk_load(keys)
             return tree
 
-        scalar = load(LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=k, z_bound=z))
-        vector = load(
-            LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(k,) * 6, z_bound=z)
-        )
-        assert len(scalar.levels) == len(vector.levels)
-        for got, want in zip(vector.levels, scalar.levels):
+        want_tree, got_tree = load(reference), load(twin)
+        assert len(want_tree.levels) == len(got_tree.levels)
+        for got, want in zip(got_tree.levels, want_tree.levels):
             assert len(got) == len(want)
             for got_run, want_run in zip(got, want):
                 assert np.array_equal(got_run.keys, want_run.keys)
@@ -407,37 +432,44 @@ class TestUniformVectorCornerRecovery:
                     got_run.bloom_filter._bits, want_run.bloom_filter._bits
                 ), "Bloom assignments must be byte-identical"
 
-    @pytest.mark.parametrize("k,z", [(1.0, 1.0), (3.0, 2.0), (7.0, 7.0)])
-    def test_simulator_write_stream_is_bit_identical(self, k, z):
-        """Beyond the load: an identical write/read stream drives the scalar
-        and uniform-vector trees through identical compactions and I/O."""
-        from repro.lsm import simulator_system
-        from repro.storage import LSMTree
-        from repro.workloads import KeySpace
-
-        system = simulator_system(num_entries=2_000)
-        keys = KeySpace.build(system.num_entries, seed=11).existing
-
-        def run(tuning: LSMTuning):
-            tree = LSMTree(tuning, system, seed=5)
-            tree.bulk_load(keys)
-            tree.disk.reset()
-            rng = np.random.default_rng(3)
-            for key in rng.integers(0, 2 * system.num_entries, size=2_000):
-                tree.put(int(key))
-            counters = tree.disk.snapshot()
-            shape = [
-                (np.asarray(r.keys).tobytes(), r.num_pages)
-                for runs in tree.levels
-                for r in runs
-            ]
-            return counters, shape
-
-        scalar = run(LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=k, z_bound=z))
-        vector = run(
-            LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(k,) * 6, z_bound=z)
+    @pytest.mark.parametrize(
+        "reference,twin",
+        _twin_pairs([(1.0, 1.0), (3.0, 2.0), (7.0, 7.0)], [Policy.LEVELING]),
+    )
+    def test_simulator_write_stream_is_bit_identical(self, reference, twin):
+        """Beyond the load: an identical write/read stream drives a tuning
+        and its twin through identical compactions and I/O.  Of the named
+        policies only leveling is here — every level merges on arrival, so
+        spilling vs merging in place never comes up; see the next test."""
+        assert _replay(reference, 2_000, 2_000, 0, 4_000) == _replay(
+            twin, 2_000, 2_000, 0, 4_000
         )
-        assert scalar == vector
+
+    @pytest.mark.parametrize(
+        "tuning,recorded",
+        [
+            (LSMTuning(4.0, 6.0, Policy.LEVELING), (4345, 55726, 54046, 4992)),
+            (LSMTuning(4.0, 6.0, Policy.TIERING), (4907, 24681, 23799, 4992)),
+            (LSMTuning(4.0, 6.0, Policy.LAZY_LEVELING), (4876, 24755, 23917, 4992)),
+            (LSMTuning(4.0, 6.0, Policy.ONE_LEVELING), (4924, 30921, 30039, 4992)),
+            (_fluid_twin(Policy.TIERING, 4.0, 6.0), (4753, 27649, 26116, 4992)),
+        ],
+        ids=["leveling", "tiering", "lazy-leveling", "1-leveling", "fluid[K=3,Z=3]"],
+    )
+    def test_update_stream_replays_the_recorded_counters(self, tuning, recorded):
+        """Golden ``(query_reads, compaction_reads, compaction_writes,
+        flush_writes)`` of 20 000 uniform updates + 5 000 gets on a 20 000
+        entry tree, recorded while the named policies were still classes of
+        their own.  Tiering is *not* its fluid twin here: at the same bounds
+        a fluid level below capacity merges in place where tiering spills,
+        which is why ``in_place`` is data on the policy value."""
+        counters, _ = _replay(tuning, 20_000, 20_000, 5_000, 20_000)
+        assert (
+            counters.query_reads,
+            counters.compaction_reads,
+            counters.compaction_writes,
+            counters.flush_writes,
+        ) == recorded
 
 
 class TestNonUniformVectorBehaviour:
@@ -479,7 +511,7 @@ class TestNonUniformVectorBehaviour:
             tree.put(int(key))
         stats = tree.stats()
         caps = [
-            tree.strategy.max_resident_runs(
+            tree.compaction.max_resident_runs(
                 tree.size_ratio, level, stats.num_levels
             )
             for level in range(1, stats.num_levels + 1)
@@ -505,7 +537,7 @@ class TestNonUniformVectorBehaviour:
         stats = tree.stats()
         last = stats.num_levels
         for level, runs in enumerate(stats.runs_per_level, start=1):
-            cap = tree.strategy.max_resident_runs(tree.size_ratio, level, last)
+            cap = tree.compaction.max_resident_runs(tree.size_ratio, level, last)
             assert runs <= cap, (level, runs, cap)
         # Level 2 onwards is leveled (bound 1): a single run each.
         assert all(runs <= 1 for runs in stats.runs_per_level[1:])

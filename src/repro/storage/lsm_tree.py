@@ -38,7 +38,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import SortedRun
+from .run import SortedRun, consolidate_versions
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,11 @@ def execute_operation(engine, operation: Operation) -> None:
 
 #: GET spans shorter than this run through the scalar path: per-batch array
 #: overhead beats per-key dict/filter probes only once a span has some width,
-#: and the two paths are bit-identical either way.
-SCALAR_SPAN_CUTOFF = 8
+#: and the two paths are bit-identical either way.  Measured crossover on the
+#: post-replay ``write_ingest`` and ``point_read`` bench trees (three runs):
+#: a scalar ``get`` costs 3–6 us per key, a ``get_many`` 40–70 us per call,
+#: and the batch wins from 13–15 keys on.
+SCALAR_SPAN_CUTOFF = 14
 
 
 def drain_get_span(engine, span_keys: list[int]) -> None:
@@ -535,18 +538,8 @@ class LSMTree:
                     tombstone_parts.append(tombstones)
         if not key_parts:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        all_keys = np.concatenate(key_parts)
-        all_tombstones = np.concatenate(tombstone_parts)
         # Parts were collected newest-first; keep the most recent version.
-        recency = np.concatenate(
-            [np.full(part.size, rank) for rank, part in enumerate(key_parts)]
-        )
-        order = np.lexsort((recency, all_keys))
-        sorted_keys = all_keys[order]
-        sorted_tombstones = all_tombstones[order]
-        keep = np.ones(sorted_keys.size, dtype=bool)
-        keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        return sorted_keys[keep], sorted_tombstones[keep]
+        return consolidate_versions(key_parts, tombstone_parts)
 
     # ------------------------------------------------------------------
     # Trace operations

@@ -32,11 +32,9 @@ def consolidate_versions(
     """
     all_keys = np.concatenate(key_parts)
     all_tombstones = np.concatenate(tombstone_parts)
-    # Recency rank: entries from key_parts[0] are newest and must win.
-    recency = np.concatenate(
-        [np.full(part.size, rank) for rank, part in enumerate(key_parts)]
-    )
-    order = np.lexsort((recency, all_keys))
+    # Parts are concatenated newest first, so a stable sort on the key alone
+    # leaves each key's newest version first among its duplicates.
+    order = np.argsort(all_keys, kind="stable")
     sorted_keys = all_keys[order]
     sorted_tombstones = all_tombstones[order]
     if sorted_keys.size:
@@ -206,7 +204,7 @@ class SortedRun:
         """Index of the page that would hold ``key`` (via fence pointers)."""
         if self._keys.size == 0:
             raise ValueError("empty run has no pages")
-        page = int(np.searchsorted(self._fences, key, side="right")) - 1
+        page = int(self._fences.searchsorted(key, side="right")) - 1
         return max(0, page)
 
     def lookup(self, key: int) -> tuple[bool, bool, int]:
@@ -219,7 +217,7 @@ class SortedRun:
         """
         if not self.may_contain(key):
             return False, False, 0
-        index = int(np.searchsorted(self._keys, key))
+        index = int(self._keys.searchsorted(key))
         pages_read = 1
         if index < self._keys.size and self._keys[index] == key:
             return True, bool(self._tombstones[index]), pages_read
@@ -251,7 +249,7 @@ class SortedRun:
             probed = keys[probe_idx]
             # One searchsorted over the run's keys resolves every candidate;
             # the bound check above guarantees the indices are in range.
-            indices = np.searchsorted(self._keys, probed)
+            indices = self._keys.searchsorted(probed)
             hit = self._keys[indices] == probed
             hits = probe_idx[hit]
             found[hits] = True
@@ -261,23 +259,32 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
-    def range_span(self, start_key: int, end_key: int) -> PageSpan:
-        """Pages overlapping the key interval ``[start_key, end_key]``."""
-        if self._keys.size == 0 or end_key < start_key:
-            return PageSpan(0, -1)
-        if end_key < self.min_key or start_key > self.max_key:
-            return PageSpan(0, -1)
-        lo = int(np.searchsorted(self._keys, start_key, side="left"))
-        hi = int(np.searchsorted(self._keys, end_key, side="right")) - 1
-        if hi < lo:
+    def _locate(self, start_key: int, end_key: int) -> tuple[int, int, PageSpan]:
+        """Entry slice ``[lo, hi)`` and page span of ``[start_key, end_key]``."""
+        if (
+            self._keys.size == 0
+            or end_key < start_key
+            or end_key < self._min_key
+            or start_key > self._max_key
+        ):
+            return 0, 0, PageSpan(0, -1)
+        lo = int(self._keys.searchsorted(start_key, side="left"))
+        hi = int(self._keys.searchsorted(end_key, side="right"))
+        if hi <= lo:
             # No key inside the interval, but the seek still reads one page:
             # the one holding the largest key below ``start_key`` (``lo`` is
             # at least 1 here — an interval entirely below the run was ruled
             # out above — so the page falls out of the searchsorted already
             # done, without a second pass over the fence pointers).
             page = (lo - 1) // self.entries_per_page
-            return PageSpan(page, page)
-        return PageSpan(lo // self.entries_per_page, hi // self.entries_per_page)
+            return lo, lo, PageSpan(page, page)
+        return lo, hi, PageSpan(
+            lo // self.entries_per_page, (hi - 1) // self.entries_per_page
+        )
+
+    def range_span(self, start_key: int, end_key: int) -> PageSpan:
+        """Pages overlapping the key interval ``[start_key, end_key]``."""
+        return self._locate(start_key, end_key)[2]
 
     def scan(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
         """Return the live keys in ``[start_key, end_key]`` and pages read."""
@@ -293,11 +300,7 @@ class SortedRun:
         boolean mask) rather than dropped — callers that merge several runs
         need a run's deletions to shadow older live versions below it.
         """
-        span = self.range_span(start_key, end_key)
-        if span.num_pages == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0
-        lo = int(np.searchsorted(self._keys, start_key, side="left"))
-        hi = int(np.searchsorted(self._keys, end_key, side="right"))
+        lo, hi, span = self._locate(start_key, end_key)
         return (
             self._keys[lo:hi].copy(),
             self._tombstones[lo:hi].copy(),

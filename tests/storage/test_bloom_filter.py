@@ -1,7 +1,11 @@
 """Tests for the concrete Bloom filter used by the simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import BloomFilter
 
@@ -96,3 +100,77 @@ class TestBatchedMembership:
     def test_degenerate_filter_answers_maybe_for_all(self):
         bf = BloomFilter(expected_entries=100, bits_per_entry=0.0)
         assert bf.might_contain_many(np.arange(5, dtype=np.uint64)).all()
+
+
+def bits_digest(bf: BloomFilter) -> str:
+    return hashlib.sha256(bf._bits.tobytes()).hexdigest()[:16]
+
+
+class TestBitTableBytes:
+    """The packed bit table, byte for byte.
+
+    The digests were recorded with the hash-function-at-a-time
+    ``np.bitwise_or.at`` builder this filter used to have; the table is what
+    ``to_state()`` writes into every ``.filter.npz`` sidecar, and it decides
+    which probes are false positives, i.e. every golden page counter.
+    """
+
+    def test_golden_table_of_a_thousand_keys(self):
+        bf = BloomFilter(1000, 7.3, seed=42)
+        bf.add_many(np.arange(1000, dtype=np.uint64) * 7919 + 13)
+        assert (bf.num_bits, bf.num_hashes) == (7300, 5)
+        assert bits_digest(bf) == "ed63e04249e21cb2"
+
+    def test_golden_table_with_wraparound_and_a_second_batch(self):
+        bf = BloomFilter(64, 10.0, seed=7)
+        wrapped = np.array([-3, -2, -1, 0, 1, 2**63 - 1, -(2**63)], dtype=np.int64)
+        bf.add_many(wrapped.astype(np.uint64))
+        # The second batch ORs into a non-empty table.
+        bf.add_many(np.arange(5, dtype=np.uint64))
+        assert (bf.num_bits, bf.num_hashes, bf.count) == (640, 7, 12)
+        assert bits_digest(bf) == "05dffd0684d07a5b"
+
+    def test_build_is_independent_of_batching(self):
+        # More keys than one scatter block, against one key at a time.
+        keys = (np.arange(9_000, dtype=np.int64) * 48_271 - 2**40).astype(np.uint64)
+        whole = BloomFilter(keys.size, 6.0, seed=5)
+        whole.add_many(keys)
+        single = BloomFilter(keys.size, 6.0, seed=5)
+        for key in keys[:300].tolist():
+            single.add(key)
+        single.add_many(keys[300:4_000])
+        single.add_many(keys[4_000:])
+        assert np.array_equal(whole._bits, single._bits)
+        assert whole.count == single.count == keys.size
+
+    def test_add_wraps_a_negative_key_like_an_array_key(self):
+        by_add = BloomFilter(8, 10.0, seed=3)
+        by_batch = BloomFilter(8, 10.0, seed=3)
+        for key in (-(2**63), -5, 2**63 - 1):
+            by_add.add(key)
+        by_batch.add_many(np.array([-(2**63), -5, 2**63 - 1], dtype=np.int64).astype(np.uint64))
+        assert np.array_equal(by_add._bits, by_batch._bits)
+        assert -5 in by_add
+
+
+int64_keys = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+class TestScalarBatchedParity:
+    @given(
+        members=st.lists(int64_keys, min_size=1, max_size=60),
+        probes=st.lists(int64_keys, min_size=1, max_size=60),
+        # From the degenerate "fewer than 8 bits" filter up to a roomy one.
+        bits_per_entry=st.floats(min_value=0.0, max_value=16.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_probe_equals_batched_probe(self, members, probes, bits_per_entry, seed):
+        bf = BloomFilter(len(members), bits_per_entry, seed=seed)
+        bf.add_many(np.asarray(members, dtype=np.int64).astype(np.uint64))
+        for key in members:
+            assert bf.might_contain(key)
+            assert bf.might_contain_many(np.array([key], dtype=np.int64))[0]
+        for key in probes:
+            batched = bf.might_contain_many(np.array([key], dtype=np.int64))[0]
+            assert bf.might_contain(key) == batched

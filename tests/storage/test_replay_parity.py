@@ -43,7 +43,11 @@ from repro.online import (
 )
 from repro.serving.executor import tree_fingerprint
 from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor
-from repro.storage.lsm_tree import execute_operation, execute_operations_batched
+from repro.storage.lsm_tree import (
+    SCALAR_SPAN_CUTOFF,
+    execute_operation,
+    execute_operations_batched,
+)
 from repro.storage.persistent import PersistentLSMTree
 from repro.workloads import (
     KeySpace,
@@ -249,13 +253,15 @@ class TestLoopMatchesScalarReference:
             def put(self, key):
                 calls.append(("put", key))
 
-        gets = [Operation(OperationType.GET, key) for key in range(10)]
+        # Wide enough for the batched path, wherever the cutoff sits.
+        width = SCALAR_SPAN_CUTOFF + 2
+        gets = [Operation(OperationType.GET, key) for key in range(width)]
         ops = gets[:5] + [Operation(OperationType.RANGE, 40, 3)] + gets[5:]
         ops += [Operation(OperationType.PUT, 99), Operation(OperationType.EMPTY_GET, 7)]
         execute_operations_batched(Engine(), Trace.of(ops))
         assert calls == [
             ("range", 40, 43),
-            ("get_many", list(range(10))),
+            ("get_many", list(range(width))),
             ("put", 99),
             ("get", 7),
         ]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.storage import SortedRun
+from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.storage import LSMTree, SortedRun
+from repro.storage.run import consolidate_versions
 
 
 def make_run(keys, bits=8.0, entries_per_page=4, tombstones=None, seed=0):
@@ -95,6 +97,16 @@ class TestPointLookups:
         assert run.page_of(10) == 1
         assert run.page_of(39) == 3
 
+    @pytest.mark.parametrize("key", [-(2**63), -5, -1, 0, 2**63 - 1])
+    def test_scalar_lookup_of_extreme_and_negative_keys_matches_batched(self, key):
+        # ``lookup`` used to raise OverflowError on a negative key while
+        # ``lookup_many`` answered: the filter probe now wraps both alike.
+        keys = np.array([-(2**63), -5, -1, 3, 9, 2**63 - 1], dtype=np.int64)
+        for bits in (0.0, 2.0, 8.0):
+            run = SortedRun(keys, 2, bits, seed=1)
+            found, tombstone, pages = run.lookup_many(np.array([key], dtype=np.int64))
+            assert run.lookup(key) == (bool(found[0]), bool(tombstone[0]), pages)
+
     def test_may_contain_respects_key_range(self):
         run = make_run(range(10, 20))
         assert not run.may_contain(5)
@@ -137,6 +149,101 @@ class TestRangeScans:
         keys, pages = run.scan(5, 1)
         assert keys.size == 0
         assert pages == 0
+
+
+    def test_scan_entries_against_a_brute_force_reference(self):
+        # Slice and page count of every interval over a gappy run: the pages
+        # are those of the entries inside, or — when none is — the one seek
+        # page holding the predecessor of ``start``.
+        keys = np.array([-40, -7, -6, 0, 3, 4, 5, 19, 20, 21, 22, 50, 90], dtype=np.int64)
+        tombstones = np.arange(keys.size) % 3 == 0
+        for entries_per_page in (1, 2, 4, 5, 32):
+            run = make_run(keys, entries_per_page=entries_per_page, tombstones=tombstones)
+            for start in range(-45, 96):
+                for end in (start - 1, start, start + 1, start + 6, start + 60):
+                    inside = np.flatnonzero((keys >= start) & (keys <= end))
+                    if end < start or end < keys[0] or start > keys[-1]:
+                        pages = 0
+                    elif inside.size:
+                        pages = inside[-1] // entries_per_page - inside[0] // entries_per_page + 1
+                    else:
+                        pages = 1
+                    got_keys, got_tombstones, got_pages = run.scan_entries(start, end)
+                    assert got_keys.tolist() == keys[inside].tolist()
+                    assert got_tombstones.tolist() == tombstones[inside].tolist()
+                    assert got_pages == pages == run.range_span(start, end).num_pages
+                    if pages == 1 and not inside.size:
+                        predecessor = np.flatnonzero(keys < start)[-1]
+                        assert run.range_span(start, end).first_page == (
+                            predecessor // entries_per_page
+                        )
+
+
+def lexsort_reference(key_parts, tombstone_parts, drop_tombstones):
+    """Newest-wins consolidation with an explicit recency rank per entry."""
+    all_keys = np.concatenate(key_parts)
+    all_tombstones = np.concatenate(tombstone_parts)
+    recency = np.concatenate(
+        [np.full(part.size, rank) for rank, part in enumerate(key_parts)]
+    )
+    order = np.lexsort((recency, all_keys))
+    sorted_keys, sorted_tombstones = all_keys[order], all_tombstones[order]
+    keep = np.ones(sorted_keys.size, dtype=bool)
+    keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    sorted_keys, sorted_tombstones = sorted_keys[keep], sorted_tombstones[keep]
+    if drop_tombstones:
+        return sorted_keys[~sorted_tombstones], sorted_tombstones[~sorted_tombstones]
+    return sorted_keys, sorted_tombstones
+
+
+class TestConsolidateVersions:
+    @pytest.mark.parametrize("num_parts", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("drop_tombstones", [False, True])
+    def test_equals_the_recency_ranked_reference(self, num_parts, drop_tombstones):
+        rng = np.random.default_rng(100 * num_parts + drop_tombstones)
+        for _ in range(25):
+            # Forty possible keys, up to thirty per part: most keys have
+            # several versions, a third of them tombstones.
+            key_parts = [
+                np.unique(rng.integers(-20, 20, size=rng.integers(0, 31)))
+                for _ in range(num_parts)
+            ]
+            tombstone_parts = [rng.random(part.size) < 0.35 for part in key_parts]
+            keys, tombstones = consolidate_versions(
+                key_parts, tombstone_parts, drop_tombstones=drop_tombstones
+            )
+            want_keys, want_tombstones = lexsort_reference(
+                key_parts, tombstone_parts, drop_tombstones
+            )
+            assert keys.dtype == want_keys.dtype and tombstones.dtype == bool
+            assert keys.tolist() == want_keys.tolist()
+            assert tombstones.tolist() == want_tombstones.tolist()
+
+    def test_scan_versions_is_the_consolidation_of_the_collected_parts(self):
+        system = simulator_system(num_entries=2_000)
+        tree = LSMTree(LSMTuning(4.0, 6.0, Policy.TIERING), system)
+        rng = np.random.default_rng(9)
+        tree.bulk_load(np.arange(0, 4_000, 2))
+        for key in rng.integers(0, 4_000, size=1_500).tolist():
+            (tree.delete if key % 3 == 0 else tree.put)(key)
+        assert sum(len(runs) for runs in tree.levels) > 3 and len(tree.memtable)
+        for start, end in [(0, 4_000), (100, 160), (1_001, 1_001), (3_990, 5_000), (7, 3)]:
+            parts = [tree.memtable.scan_items(start, end)] + [
+                run.scan_entries(start, end)[:2] for runs in tree.levels for run in runs
+            ]
+            want_keys, want_tombstones = lexsort_reference(
+                [keys for keys, _ in parts], [flags for _, flags in parts], False
+            )
+            before = tree.disk.counters.total
+            keys, tombstones = tree.scan_versions(start, end)
+            assert keys.tolist() == want_keys.tolist()
+            assert tombstones.tolist() == want_tombstones.tolist()
+            assert tree.disk.counters.total - before == sum(
+                run.range_span(start, end).num_pages
+                for runs in tree.levels
+                for run in runs
+            )
+            assert tree.range_query(start, end) == int(np.count_nonzero(~want_tombstones))
 
 
 class TestMerging:

@@ -39,7 +39,7 @@ def model_system() -> SystemConfig:
 @pytest.fixture(scope="session")
 def catalog(model_system) -> TuningCatalog:
     """Session-wide cache of nominal and robust tunings."""
-    return TuningCatalog(system=model_system, starts_per_policy=2)
+    return TuningCatalog(system=model_system)
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,6 @@ def system_experiment() -> SystemExperiment:
         system=simulator_system(num_entries=20_000),
         executor_config=ExecutorConfig(queries_per_workload=1_000, seed=29),
         benchmark=UncertaintyBenchmark(size=500, seed=29),
-        starts_per_policy=2,
         seed=29,
     )
 

@@ -23,7 +23,7 @@ def test_fig01_motivating_example(benchmark, system_experiment, report):
     assert len(comparison.sessions) == 3
 
     # Per-session "perfect" tunings for the second line of the figure.
-    tuner = NominalTuner(system=system_experiment.system, starts_per_policy=2)
+    tuner = NominalTuner(system=system_experiment.system)
     perfect = {
         "expected workload": tuner.tune(expected).tuning,
         "uncertain workload": tuner.tune(shifted).tuning,

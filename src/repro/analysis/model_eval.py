@@ -51,7 +51,6 @@ class TuningCatalog:
     """
 
     system: SystemConfig = field(default_factory=SystemConfig)
-    starts_per_policy: int = 4
     policies: Sequence[Policy] = CLASSIC_POLICIES
     _nominal: dict[int, TuningResult] = field(default_factory=dict, init=False)
     _robust: dict[tuple[int, float], TuningResult] = field(
@@ -68,7 +67,6 @@ class TuningCatalog:
         if expected.index not in self._nominal:
             tuner = NominalTuner(
                 system=self.system,
-                starts_per_policy=self.starts_per_policy,
                 policies=self.policies,
             )
             self._nominal[expected.index] = tuner.tune(expected.workload)
@@ -81,7 +79,6 @@ class TuningCatalog:
             tuner = RobustTuner(
                 rho=float(rho),
                 system=self.system,
-                starts_per_policy=self.starts_per_policy,
                 policies=self.policies,
             )
             self._robust[key] = tuner.tune(expected.workload)
@@ -389,7 +386,6 @@ def policy_table(
         for policy in policies:
             tuner = NominalTuner(
                 system=catalog.system,
-                starts_per_policy=catalog.starts_per_policy,
                 policies=(policy,),
             )
             result = tuner.tune(expected.workload)
@@ -409,7 +405,6 @@ def policy_frontier(
     ratio_candidates: Sequence[float] | None = None,
     fluid_k_grid: Sequence[float] | None = None,
     fluid_z_grid: Sequence[float] | None = None,
-    starts_per_policy: int = 2,
 ) -> list[dict[str, str | float]]:
     """Best nominal tuning of each named workload under every policy alone.
 
@@ -435,7 +430,6 @@ def policy_frontier(
         for policy in policies:
             tuner = NominalTuner(
                 system=system,
-                starts_per_policy=starts_per_policy,
                 policies=(policy,),
                 ratio_candidates=ratio_candidates,
                 fluid_k_grid=fluid_k_grid,
@@ -457,18 +451,18 @@ def kvector_frontier(
     ratio_candidates: Sequence[float] | None = None,
     fluid_k_grid: Sequence[float] | None = None,
     fluid_z_grid: Sequence[float] | None = None,
-    starts_per_policy: int = 2,
     k_vector_levels: int = 4,
-    seed: int = 0,
 ) -> list[dict[str, object]]:
     """Where a non-uniform per-level ``K_i`` ladder beats every uniform hybrid.
 
-    For each named workload two fluid tuners run side by side:
+    For each named workload two fluid tuners run side by side, both on the
+    integer size ratios (``polish=False``) — the deployable space, where no
+    bound is relaxed and the two arms get exactly the same refinement:
 
-    * the **uniform** tuner — the scalar ``(K, Z)`` sweep, i.e. the best
+    * the **uniform** tuner — the scalar ``(K, Z)`` search, i.e. the best
       tuning any single shared upper-level bound can reach;
-    * the **vector** tuner — the same sweep plus the structured ``K_i``
-      families, coordinate descent and the continuous-bound polish
+    * the **vector** tuner — the same search plus the structured ``K_i``
+      families and the coordinate descent over integer bounds
       (``k_vector_search=True``).
 
     The row reports both optima and the vector advantage
@@ -486,8 +480,7 @@ def kvector_frontier(
         ratio_candidates=ratio_candidates,
         fluid_k_grid=fluid_k_grid,
         fluid_z_grid=fluid_z_grid,
-        starts_per_policy=starts_per_policy,
-        seed=seed,
+        polish=False,
     )
     for name, workload in workloads:
         uniform = NominalTuner(**common).tune(workload)
@@ -514,9 +507,8 @@ def kvector_frontier(
                 "vector_tuning": vector.tuning.describe(),
                 "vector_advantage": 1.0 - vector_cost / uniform_cost,
                 # Machine-readable *deployable* bounds of the vector winner
-                # (``None`` when it stayed scalar): the continuous polish
-                # output rounded and clamped exactly as the simulator would
-                # deploy it.
+                # (``None`` when it stayed scalar), rounded and clamped
+                # exactly as the simulator would deploy them.
                 "vector_k_bounds": deployed.to_dict().get("k_bounds"),
                 "vector_z_bound": deployed.z_bound,
             }

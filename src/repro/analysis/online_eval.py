@@ -237,7 +237,6 @@ class AdaptiveExperiment:
         )
     )
     policies: Sequence[Policy] = CLASSIC_POLICIES
-    starts_per_policy: int = 2
     parallel: bool = False
     seed: int = 11
 
@@ -250,11 +249,9 @@ class AdaptiveExperiment:
     # Tunings
     # ------------------------------------------------------------------
     def _nominal_for(self, workload: Workload) -> LSMTuning:
-        tuner = NominalTuner(
-            system=self.system,
-            policies=self.policies,
-            starts_per_policy=self.starts_per_policy,
-        )
+        # Deployed tunings are searched on the integer size ratios: rounding a
+        # fractional optimum down would step off its level cliff.
+        tuner = NominalTuner(system=self.system, policies=self.policies, polish=False)
         return tuner.tune(workload).tuning.rounded()
 
     def static_tunings(
@@ -273,7 +270,7 @@ class AdaptiveExperiment:
                 rho=rho,
                 system=self.system,
                 policies=self.policies,
-                starts_per_policy=self.starts_per_policy,
+                polish=False,
             ).tune(expected).tuning.rounded(),
         }
         num_phases = len(phases)

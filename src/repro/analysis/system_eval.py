@@ -107,8 +107,6 @@ class SystemExperiment:
         Execution knobs (queries per session workload, latency model, seed).
     benchmark:
         Uncertainty benchmark supplying the session workloads.
-    starts_per_policy:
-        Multi-start budget of the tuners.
     policies:
         Compaction policies the tuners may choose from (the paper's
         classical pair by default; include
@@ -119,7 +117,6 @@ class SystemExperiment:
     system: SystemConfig = field(default_factory=simulator_system)
     executor_config: ExecutorConfig = field(default_factory=ExecutorConfig)
     benchmark: UncertaintyBenchmark | None = None
-    starts_per_policy: int = 4
     policies: Sequence[Policy] = CLASSIC_POLICIES
     seed: int = 11
 
@@ -133,21 +130,16 @@ class SystemExperiment:
     # Tunings
     # ------------------------------------------------------------------
     def tunings_for(self, expected: Workload, rho: float) -> dict[str, LSMTuning]:
-        """Nominal and robust tunings (deployable, integer T) for ``expected``."""
-        nominal = NominalTuner(
-            system=self.system,
-            starts_per_policy=self.starts_per_policy,
-            policies=self.policies,
-        ).tune(expected)
-        robust = RobustTuner(
-            rho=rho,
-            system=self.system,
-            starts_per_policy=self.starts_per_policy,
-            policies=self.policies,
-        ).tune(expected)
+        """Nominal and robust tunings (deployable, integer T) for ``expected``.
+
+        Searched on the integer size ratios (``polish=False``): a fractional
+        optimum sits on a level cliff, and rounding it down would deploy a
+        tree one level deeper than the one the tuner priced.
+        """
+        options = dict(system=self.system, policies=self.policies, polish=False)
         return {
-            "nominal": nominal.tuning.rounded(),
-            "robust": robust.tuning.rounded(),
+            "nominal": NominalTuner(**options).tune(expected).tuning.rounded(),
+            "robust": RobustTuner(rho=rho, **options).tune(expected).tuning.rounded(),
         }
 
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ from .uncertainty import (
     UncertaintyRegion,
     dual_objective,
     kl_conjugate,
-    minimize_dual_for_cost,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "UncertaintyRegion",
     "dual_objective",
     "kl_conjugate",
-    "minimize_dual_for_cost",
     "tune_nominal",
     "tune_robust",
 ]

@@ -1,16 +1,16 @@
 """Exhaustive grid-search tuner.
 
-A brute-force baseline used to validate the SLSQP-based tuners: it sweeps an
+A brute-force baseline used to validate the band-aware tuners: it sweeps an
 integer grid of size ratios and a grid of Bloom-filter allocations for every
 policy and keeps the configuration with the smallest objective.  It can
 optimise either the nominal objective or the robust worst-case objective, so
-the test-suite can confirm that the continuous solvers land at (or very near)
-the grid optimum.
+the test-suite can confirm that the tuners land at (or below) the grid
+optimum.
 
 The cost vectors of the whole grid come from one vectorised
-:meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` pass per policy; only
-the exact worst-case solve of the robust objective (``ρ > 0``) remains a
-per-cell scalar computation.
+:meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` pass per policy, and
+the exact worst-case solve of the robust objective (``ρ > 0``) from one
+batched tilting solve over them.
 """
 
 from __future__ import annotations
@@ -101,11 +101,7 @@ class GridTuner:
             weights = workload.as_array()
             support = weights > 0.0
             return costs[..., support] @ weights[support]
-        region = UncertaintyRegion(expected=workload, rho=self.rho)
-        values = np.empty(costs.shape[:-1], dtype=float)
-        for index in np.ndindex(values.shape):
-            values[index] = region.worst_case_cost(costs[index])
-        return values
+        return UncertaintyRegion(expected=workload, rho=self.rho).worst_case_costs(costs)
 
     def tune(self, workload: Workload) -> TuningResult:
         """Exhaustively search the grid and return the best configuration."""

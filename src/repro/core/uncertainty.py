@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..workloads.workload import Workload, kl_divergence
 
@@ -52,75 +51,120 @@ class UncertaintyRegion:
     # ------------------------------------------------------------------
     # Worst-case workload (inner maximisation)
     # ------------------------------------------------------------------
-    def worst_case_workload(self, cost_vector: np.ndarray) -> Workload:
-        """Workload in the region that maximises ``ŵ · c`` for a fixed ``c``.
+    def worst_case_tilt(self, costs: np.ndarray) -> np.ndarray:
+        """Tilting parameter ``θ = 1/λ*`` of every cost vector of a batch.
 
-        The maximiser has the exponential-tilting form
-        ``ŵ_i ∝ w_i · exp(c_i / λ)`` where the single scalar ``λ ≥ 0`` is
-        chosen so the KL constraint is tight (or ``λ → ∞``, i.e. ŵ = w, when
-        ``ρ = 0``).  We solve for ``λ`` by bisection on the KL divergence of
-        the tilted distribution, which is monotone in ``1/λ``.
+        The maximiser of ``ŵ · c`` over the region has the exponential-tilting
+        form ``ŵ_i ∝ w_i · exp(θ c_i)`` where the single scalar ``θ ≥ 0`` makes
+        the KL constraint tight.  The divergence of the tilted workload grows
+        monotonically with ``θ`` from 0 towards ``-log`` of the expected mass
+        on the costliest supported components; a radius at or beyond that
+        limit is answered by ``θ = ∞`` (all mass on those components), a
+        radius of (numerically) zero by ``θ = 0`` (``ŵ = w``), and everything
+        in between by one vectorised safeguarded-Newton solve.  ``costs`` has
+        shape ``(..., 4)``; the result drops the last axis.
         """
+        return self._tilt(*self._supported_spread(costs))
+
+    def _tilt(self, spread: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        if self.rho <= _NO_UNCERTAINTY:
+            return np.zeros(spread.shape[:-1])
+        limit = -np.log(np.where(spread == 0.0, weights, 0.0).sum(axis=-1))
+        theta = np.full(limit.shape, np.inf)
+        inside = self.rho < limit
+        theta[inside] = _solve_tilt(spread[inside], weights, self.rho)
+        return theta
+
+    def worst_case_weights(self, costs: np.ndarray) -> np.ndarray:
+        """Worst-case workloads ``argmax_{ŵ ∈ U} ŵ · c`` of a batch, as arrays.
+
+        ``costs`` has shape ``(..., 4)`` and so has the result.  The maximiser
+        lives on the support of the expected workload (zero-weight components
+        stay zero, whatever their cost), so the stabilising shift is the
+        largest *supported* cost.
+        """
+        spread, weights = self._supported_spread(costs)
+        theta = self._tilt(spread, weights)[..., None]
+        with np.errstate(invalid="ignore"):
+            tilted = weights * np.where(
+                np.isinf(theta), spread == 0.0, np.exp(theta * spread)
+            )
+        result = np.zeros(np.shape(costs))
+        result[..., self.expected.as_array() > 0.0] = tilted / tilted.sum(
+            axis=-1, keepdims=True
+        )
+        return result
+
+    def worst_case_costs(self, costs: np.ndarray) -> np.ndarray:
+        """Value of the inner maximisation for every cost vector of a batch."""
+        costs = np.asarray(costs, dtype=float)
+        support = self.expected.as_array() > 0.0
+        worst = self.worst_case_weights(costs)
+        return (worst[..., support] * costs[..., support]).sum(axis=-1)
+
+    def worst_case_workload(self, cost_vector: np.ndarray) -> Workload:
+        """Workload in the region that maximises ``ŵ · c`` for a fixed ``c``."""
         cost = np.asarray(cost_vector, dtype=float)
         if cost.shape != (4,):
             raise ValueError("cost_vector must have exactly 4 components")
-        base = self.expected.as_array()
-        if self.rho == 0.0 or np.allclose(cost, cost[0]):
+        if self.rho <= _NO_UNCERTAINTY:
             return self.expected
-
-        # The tilted maximiser lives on the support of the expected workload
-        # (zero-weight components stay zero), so the stabilising shift must be
-        # the largest *supported* cost — otherwise a dominating zero-weight
-        # component would underflow every supported term to 0/0.
-        support = base > 0.0
-        cost_shift = float(cost[support].max())
-
-        def tilted(inverse_lambda: float) -> np.ndarray:
-            exponent = np.where(support, inverse_lambda * (cost - cost_shift), -np.inf)
-            weights = base * np.exp(exponent)
-            return weights / weights.sum()
-
-        def divergence_of(inverse_lambda: float) -> float:
-            return kl_divergence(tilted(inverse_lambda), base)
-
-        # The divergence grows monotonically with 1/λ from 0 towards the
-        # divergence of the point mass on argmax(c); cap the search there.
-        upper = 1.0
-        max_divergence = kl_divergence(
-            _argmax_vertex(base, cost), base
+        return Workload.from_array(
+            self.worst_case_weights(cost), self.expected.long_range_fraction
         )
-        target = min(self.rho, max_divergence - 1e-12)
-        if target <= 1e-10:
-            # Effectively no uncertainty (or a degenerate region): the tilted
-            # solution coincides with the expected workload, and the bisection
-            # below would lose the sign change to floating-point noise.
-            return self.expected
-        while divergence_of(upper) < target and upper < 1e6:
-            upper *= 2.0
-        if divergence_of(upper) < target:
-            return Workload.from_array(tilted(upper))
-        solution = optimize.brentq(
-            lambda x: divergence_of(x) - target, 0.0, upper, xtol=1e-12
-        )
-        return Workload.from_array(tilted(solution))
 
     def worst_case_cost(self, cost_vector: np.ndarray) -> float:
         """Value of the inner maximisation ``max_{ŵ ∈ U} ŵ · c``."""
-        worst = self.worst_case_workload(np.asarray(cost_vector, dtype=float))
-        return float(np.dot(worst.as_array(), np.asarray(cost_vector, dtype=float)))
+        return float(self.worst_case_costs(cost_vector))
+
+    def _supported_spread(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Supported costs shifted so the costliest is 0, and their weights."""
+        base = self.expected.as_array()
+        supported = np.asarray(costs, dtype=float)[..., base > 0.0]
+        return supported - supported.max(axis=-1, keepdims=True), base[base > 0.0]
 
 
-def _argmax_vertex(base: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Distribution concentrating all mass (minus support constraints) on the
-    costliest *supported* component; used to bound the reachable KL divergence.
+#: Radii at or below this are answered by the expected workload itself: the
+#: divergence of the tilted workload loses its sign to floating-point noise.
+_NO_UNCERTAINTY = 1e-10
 
-    Tilting can never move mass onto a component the expected workload gives
-    zero weight, so the bound only considers the expected workload's support.
+#: Upper end of the tilting bracket (``λ`` no smaller than ~1e-6).
+_MAX_TILT = 2.0**20
+
+
+def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarray:
+    """``θ`` with ``I_KL(tilted_θ, w) = ρ`` for every row of ``spread``.
+
+    Newton's iteration on the monotone divergence, started from the small-θ
+    expansion ``I_KL ≈ θ² Var_w(c) / 2`` and safeguarded by a bisection
+    bracket: a step that leaves ``[lo, hi]`` is replaced by its midpoint.
     """
-    support = np.flatnonzero(base > 0.0)
-    vertex = np.where(base > 0.0, 1e-12, 0.0)
-    vertex[support[int(np.argmax(cost[support]))]] = 1.0
-    return vertex / vertex.sum()
+    # Components along axis 0: reducing over the (at most four) query types
+    # is then a handful of whole-batch additions.
+    spread, weights = np.ascontiguousarray(spread.T), weights[:, None]
+    squared = spread * spread
+    variance = (weights * squared).sum(axis=0) - (weights * spread).sum(axis=0) ** 2
+    low = np.zeros(variance.shape)
+    high = np.full(variance.shape, _MAX_TILT)
+    with np.errstate(divide="ignore"):  # a vanishing variance starts mid-bracket
+        theta = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
+    for _ in range(100):
+        mass = weights * np.exp(theta * spread)
+        total = mass.sum(axis=0)
+        mean = (mass * spread).sum(axis=0) / total
+        variance = (mass * squared).sum(axis=0) / total - mean * mean
+        excess = theta * mean - np.log(total) - rho
+        low = np.where(excess < 0.0, theta, low)
+        high = np.where(excess < 0.0, high, theta)
+        with np.errstate(all="ignore"):
+            newton = theta - excess / (theta * variance)
+        inside = (newton >= low) & (newton <= high)
+        step = np.where(inside, newton, 0.5 * (low + high))
+        converged = np.abs(step - theta) <= 1e-13 * theta
+        theta = step
+        if converged.all():
+            break
+    return theta
 
 
 def dual_objective(
@@ -146,29 +190,3 @@ def dual_objective(
         return float(eta if overshoot <= 0 else np.inf)
     scaled = np.clip((cost - eta) / lam, -700.0, 700.0)
     return float(eta + rho * lam + lam * np.dot(weights, kl_conjugate(scaled)))
-
-
-def minimize_dual_for_cost(
-    cost_vector: np.ndarray, expected: Workload, rho: float
-) -> tuple[float, float, float]:
-    """Minimise the dual over ``(λ, η)`` for a fixed cost vector.
-
-    Returns ``(value, λ*, η*)``.  Used in tests to confirm strong duality:
-    the optimal dual value equals the exact worst-case cost computed by
-    :meth:`UncertaintyRegion.worst_case_cost`.
-    """
-    cost = np.asarray(cost_vector, dtype=float)
-
-    def objective(params: np.ndarray) -> float:
-        lam, eta = params
-        return dual_objective(cost, expected, rho, max(lam, 1e-12), eta)
-
-    start = np.array([1.0, float(np.mean(cost))])
-    result = optimize.minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000},
-    )
-    lam, eta = result.x
-    return float(result.fun), float(max(lam, 0.0)), float(eta)

@@ -42,8 +42,9 @@ merge amortisation of ``W`` — picks the per-level bound up unchanged.  The
 same definitions power two evaluation paths:
 
 * the scalar methods (:meth:`LSMCostModel.cost_vector` and friends), and
-* :meth:`LSMCostModel.cost_matrix`, which evaluates a whole ``(T, h)``
-  candidate grid in one broadcasted NumPy pass — the tuners' hot path.
+* :meth:`LSMCostModel.cost_points`, which evaluates paired ``(T, h)`` points
+  under a whole stack of policies in one broadcasted NumPy pass — the
+  tuners' hot path (:meth:`LSMCostModel.cost_matrix` is its outer product).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .bloom import monkey_false_positive_rates, monkey_false_positive_rates_batch
-from .policy import CompactionPolicy, Policy
+from .policy import CompactionPolicy, Policy, stacked_run_bounds
 from .system import SystemConfig
 from .tuning import LSMTuning
 
@@ -278,24 +279,43 @@ class LSMCostModel:
     ) -> np.ndarray:
         """Cost vectors of a whole ``(T, h)`` candidate grid in one pass.
 
-        Evaluates ``c(Φ)`` for every combination of the given size ratios and
-        Bloom-filter allocations under one policy, using a single broadcasted
-        NumPy computation over a ``(T, h, level)`` tensor instead of a Python
-        loop of scalar :meth:`cost_vector` calls.  This is the tuners' hot
-        path: the candidate sweep of :class:`~repro.core.base.BaseTuner` and
-        the exhaustive :class:`~repro.core.grid.GridTuner` both run on it.
+        The outer product of :meth:`cost_points`: ``c(Φ)`` for every
+        combination of the given size ratios (1-D, each ``>= 2``) and
+        Bloom-filter allocations (1-D) under one policy.  The result has
+        shape ``(len(size_ratios), len(bits_per_entry), 4)``; its ``[i, j]``
+        slice is ``(Z0, Z1, Q, W)`` of the tuning
+        ``(size_ratios[i], bits_per_entry[j], policy)``.
+        """
+        ratios = np.asarray(size_ratios, dtype=float).reshape(1, -1, 1)
+        bits = np.asarray(bits_per_entry, dtype=float).reshape(1, 1, -1)
+        return self.cost_points(ratios, bits, (policy,), long_range_fraction)[0]
+
+    def cost_points(
+        self,
+        size_ratios: np.ndarray,
+        bits_per_entry: np.ndarray,
+        policies: Sequence[Policy | str | CompactionPolicy],
+        long_range_fraction: float = 0.0,
+    ) -> np.ndarray:
+        """Cost vectors of paired ``(T, h)`` points under a stack of policies.
+
+        One broadcasted NumPy computation over a ``(policy, point…, level)``
+        tensor instead of a Python loop of scalar :meth:`cost_vector` calls
+        — the tuners' hot path.  Everything but the per-level run bounds is
+        policy-independent and computed once for the whole stack.
 
         Parameters
         ----------
-        size_ratios:
-            1-D array of candidate size ratios (each ``>= 2``).
-        bits_per_entry:
-            1-D array of candidate Bloom-filter budgets (each ``>= 0`` and
-            small enough to leave room for a write buffer).
-        policy:
-            The compaction policy of every candidate — a
-            :class:`~repro.lsm.policy.CompactionPolicy`, or the enum member
-            or string naming one.
+        size_ratios, bits_per_entry:
+            Arrays of at least one dimension that broadcast against each
+            other *element-wise* — point ``i`` is ``(T_i, h_i)`` — to a
+            shape whose axis 0 is the policy axis: length 1 prices the same
+            points under every policy, length ``len(policies)`` gives each
+            policy its own points.  Each ``T >= 2``, each ``h >= 0`` and
+            small enough to leave room for a write buffer.
+        policies:
+            The compaction policies — :class:`~repro.lsm.policy.CompactionPolicy`
+            values, or the enum members or strings naming them.
         long_range_fraction:
             The workload's ``ν``: fraction of range lookups that are long
             (scan-dominated).  ``0`` skips the long-range term entirely.
@@ -303,21 +323,27 @@ class LSMCostModel:
         Returns
         -------
         numpy.ndarray
-            Array of shape ``(len(size_ratios), len(bits_per_entry), 4)``
-            whose ``[i, j]`` slice is ``(Z0, Z1, Q, W)`` of the tuning
-            ``(size_ratios[i], bits_per_entry[j], policy)``.  Matches the
-            scalar :meth:`cost_vector` to ~1e-12 relative error.
+            Shape ``(len(policies), *points, 4)``: ``(Z0, Z1, Q, W)`` of
+            every point under every policy.  Matches the scalar
+            :meth:`cost_vector` to ~1e-12 relative error.
         """
         system = self.system
-        compaction = CompactionPolicy.of(policy)
-        ratios = np.asarray(size_ratios, dtype=float).reshape(-1, 1, 1)
-        bits = np.asarray(bits_per_entry, dtype=float).reshape(1, -1, 1)
-        if ratios.size == 0 or bits.size == 0:
-            raise ValueError("size_ratios and bits_per_entry must be non-empty")
+        stack = [CompactionPolicy.of(policy) for policy in policies]
+        ratios = np.asarray(size_ratios, dtype=float)
+        bits = np.asarray(bits_per_entry, dtype=float)
+        points = np.broadcast_shapes(ratios.shape, bits.shape)
+        if not points or 0 in points:
+            raise ValueError("size_ratios and bits_per_entry must be non-empty arrays")
+        if points[0] not in (1, len(stack)):
+            raise ValueError("axis 0 of the points must have length 1 or len(policies)")
         if np.any(ratios < 2.0):
             raise ValueError("every size ratio must be at least 2")
         if np.any(bits < 0.0):
             raise ValueError("bits_per_entry must be non-negative")
+        # Trailing level axis; the two operands stay un-broadcast so an outer
+        # product only pays for its policy-independent terms once per row.
+        ratios = ratios.reshape((1,) * (len(points) - ratios.ndim) + ratios.shape + (1,))
+        bits = bits.reshape((1,) * (len(points) - bits.ndim) + bits.shape + (1,))
 
         buffer_bits = system.total_memory_bits - bits * system.num_entries
         if np.any(buffer_bits <= 0):
@@ -330,13 +356,12 @@ class LSMCostModel:
         levels = np.maximum(1.0, np.ceil(log_ratio / np.log(ratios)))
 
         max_levels = int(levels.max())
-        index = np.arange(1, max_levels + 1, dtype=float).reshape(1, 1, -1)
+        index = np.arange(1, max_levels + 1, dtype=float)
         mask = index <= levels
 
         rates = monkey_false_positive_rates_batch(ratios, bits, levels, index)
-        runs = np.where(
-            mask, compaction.runs_per_level(ratios, index, levels), 0.0
-        )
+        bounds = stacked_run_bounds(stack, ratios, levels, max_levels)
+        runs = np.where(mask, bounds, 0.0)
 
         # Z0: every run may cost one false-positive probe.
         level_fp = np.where(mask, runs * rates, 0.0)
@@ -371,8 +396,9 @@ class LSMCostModel:
             )
             range_read = seeks + (1.0 - nu) * short_scan + nu * long_scan
 
-        # W: per-level merge amortisation, per page, weighted by asymmetry.
-        merges = np.where(mask, compaction.merge_factor(ratios, index, levels), 0.0)
+        # W: per-level merge amortisation ``(T-1)/(m+1)`` of a level bounded
+        # at ``m`` runs, per page, weighted by asymmetry.
+        merges = np.where(mask, (ratios - 1.0) / (bounds + 1.0), 0.0)
         write = (
             np.sum(merges, axis=-1)
             / system.entries_per_page

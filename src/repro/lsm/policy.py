@@ -266,6 +266,37 @@ class CompactionPolicy:
         return int(min(self._bound(level, last_level), max(1, int(size_ratio) - 1)))
 
 
+def stacked_run_bounds(
+    policies: Sequence[CompactionPolicy], size_ratio, num_levels, max_levels: int
+) -> np.ndarray:
+    """Clamped run bound of every level under a stack of policies.
+
+    The batched counterpart of :meth:`CompactionPolicy.runs_per_level` for
+    :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points`: ``size_ratio``
+    and ``num_levels`` have shape ``(1 | P, …, 1)`` — axis 0 is the policy
+    axis, the trailing axis the level axis — and the result has shape
+    ``(P, …, max_levels)`` (or one that broadcasts to it): each level's bound
+    — deeper levels reusing the vector's last element, ``Z`` overriding the
+    largest level when one is set — clamped to ``T - 1``.
+    """
+    lead = (len(policies),) + (1,) * (np.ndim(size_ratio) - 2)
+    vectors = np.array(
+        [
+            [policy.bounds[min(level, len(policy.bounds) - 1)] for level in range(max_levels)]
+            for policy in policies
+        ]
+    ).reshape(lead + (max_levels,))
+    cap = size_ratio - 1.0
+    bounds = np.minimum(vectors, cap)
+    if all(policy.z_bound is None for policy in policies):
+        return bounds
+    z_bounds = np.array(
+        [np.nan if policy.z_bound is None else policy.z_bound for policy in policies]
+    ).reshape(lead + (1,))
+    largest = np.arange(1, max_levels + 1) >= num_levels
+    return np.where(largest & ~np.isnan(z_bounds), np.minimum(z_bounds, cap), bounds)
+
+
 def _broadcast(values, *operands):
     """``values`` viewed at the shape its ``operands`` broadcast to."""
     return np.broadcast_to(values, np.broadcast(*operands).shape)
@@ -282,7 +313,7 @@ NAMED_POLICIES: dict[Policy, CompactionPolicy] = {
 
 #: Default fluid ``K`` candidates (clamped per ``T`` to ``[1, T-1]``); a
 #: geometric-ish ladder so the sweep covers the leveling → tiering spectrum
-#: without a quadratic number of cost-matrix passes.
+#: without a quadratic number of candidates.
 DEFAULT_FLUID_K_GRID: tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: Default fluid ``Z`` candidates for the largest level.  ``Z = 1`` (leveled
@@ -294,7 +325,7 @@ DEFAULT_FLUID_Z_GRID: tuple[float, ...] = (1, 2, 4)
 #: ``K`` peaks of the front-loaded ladder family swept when per-level
 #: vectors are enabled: each peak unrolls into the halving ladder
 #: ``(K, K/2, …, 1)``.  A subset of the scalar grid keeps the vector sweep
-#: polynomial (one cost-matrix pass per spec).
+#: polynomial (every spec is one more row of the priced tensor).
 DEFAULT_LADDER_PEAKS: tuple[float, ...] = (2, 3, 4, 8, 16, 32)
 
 #: Upper levels covered explicitly by generated bound vectors; deeper levels
@@ -381,9 +412,9 @@ def expand_policy_specs(
 
     * the *K-tracking* candidates first — an infinite bound means
       ``K = T - 1`` at every size ratio, so the lazy-leveling-shaped designs
-      stay coupled to ``T`` through the continuous polish exactly like the
-      named lazy policy does (a fixed ``K`` has a clamp kink at
-      ``T = K + 1`` that can stall the polish on a tie);
+      stay coupled to ``T`` across a fractional size-ratio search exactly
+      like the named lazy policy does (a fixed ``K`` has a clamp kink at
+      ``T = K + 1``);
     * all combinations of ``k_grid`` × ``z_grid`` with ``Z <= K`` (bounds
       above ``K`` never beat the ``Z = K`` diagonal for the workloads a
       bounded largest level targets), plus the ``Z = K`` diagonal itself so
@@ -397,7 +428,7 @@ def expand_policy_specs(
       polynomial.
 
     Tracking candidates precede fixed-``K`` ones so they win exact ties in
-    the sweep.  Explicit :class:`CompactionPolicy` entries pass through
+    the search.  Explicit :class:`CompactionPolicy` entries pass through
     untouched, so callers can pin ``K``/``Z`` — or a whole ``K_i`` vector —
     by hand.
     """

@@ -84,8 +84,8 @@ class OnlineConfig:
     safety_factor: float = 1.0
     #: Component floor of the reported observed workload (0 = raw mix).
     smoothing: float = 0.0
-    #: Whether re-tunings run the SLSQP polish (the sweep alone is usually
-    #: enough online, and much faster).
+    #: Whether re-tunings search fractional size ratios inside each level
+    #: band; off, they price the deployable integer rows only.
     polish: bool = False
     #: Migration execution: ``"full"`` rebuilds the whole tree at the firing
     #: (one concentrated I/O spike), ``"incremental"`` spreads a level-by-

@@ -1,15 +1,15 @@
 """Re-tuning policy: solve for a new tuning and price the migration.
 
 When the drift detector fires, the scheduler re-runs the offline machinery —
-the nominal or robust tuner, whose candidate sweep runs on the vectorised
-:meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` pass — on the
+the nominal or robust tuner, whose band-by-band search runs on batched
+:meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes — on the
 *observed* workload, and then decides whether deploying the winner is worth
 it.  The decision is an amortisation argument: migrating rewrites the whole
 tree (every resident page is read once and written once), so the predicted
 per-query saving of the new tuning must recoup that I/O within a bounded
 horizon of future operations.  The current tuning is always part of the
 comparison ("seeded at the current tuning"): its integer size ratio lies on
-the sweep's candidate grid, and the decision explicitly prices staying put,
+the search's candidate rows, and the decision explicitly prices staying put,
 so a re-tuning that cannot beat the deployed configuration never migrates.
 """
 
@@ -109,8 +109,8 @@ class AdaptiveTuner:
         pinning a per-level bound vector.
     k_vector_search:
         Whether fluid re-tunings search per-level ``K_i`` bound vectors
-        (structured families + coordinate descent + continuous-bound
-        polish), exactly like the offline tuners' flag.  A vector proposal
+        (structured families + coordinate descent over integer bounds),
+        exactly like the offline tuners' flag.  A vector proposal
         flows through the migration machinery unchanged: the decision
         serialises the vector, and the rebuilt (or incrementally migrated)
         tree deploys it.
@@ -120,10 +120,10 @@ class AdaptiveTuner:
         Multiplier on the migration cost the predicted savings must clear
         before a migration is accepted.
     polish:
-        Whether the re-tuner runs the SLSQP polish; the candidate sweep alone
-        is usually enough online, and much faster.
-    seed:
-        Seed of the tuner's polish starting points.
+        Whether the re-tuner searches fractional size ratios inside each
+        level band.  Off by default: a deployment rounds ``T`` anyway, so
+        the online search prices the integer rows — the tunings that can
+        actually be deployed — and nothing else.
     rho_adaptive:
         Whether the robust radius is widened with the drift detector's
         observed volatility (see :meth:`effective_rho`).  A cyclic workload
@@ -149,7 +149,6 @@ class AdaptiveTuner:
         horizon_ops: int = 20_000,
         safety_factor: float = 1.0,
         polish: bool = False,
-        seed: int = 0,
         rho_adaptive: bool = False,
         volatility_gain: float = 2.0,
         rho_cap: float = 4.0,
@@ -183,7 +182,6 @@ class AdaptiveTuner:
         self.rho_cap = max(float(rho_cap), self.rho)
         self._policies = tuple(policies)
         self._polish = bool(polish)
-        self._seed = int(seed)
         self.k_vector_search = bool(k_vector_search)
         self.cost_model = LSMCostModel(system)
         if mode == "robust":
@@ -192,7 +190,6 @@ class AdaptiveTuner:
                 system=system,
                 policies=policies,
                 polish=polish,
-                seed=seed,
                 k_vector_search=self.k_vector_search,
             )
         else:
@@ -200,7 +197,6 @@ class AdaptiveTuner:
                 system=system,
                 policies=policies,
                 polish=polish,
-                seed=seed,
                 k_vector_search=self.k_vector_search,
             )
 
@@ -241,7 +237,6 @@ class AdaptiveTuner:
             system=self.system,
             policies=self._policies,
             polish=self._polish,
-            seed=self._seed,
             k_vector_search=self.k_vector_search,
         )
 

@@ -19,7 +19,7 @@ from repro.workloads import UncertaintyBenchmark, WorkloadCategory, expected_wor
 
 @pytest.fixture(scope="module")
 def catalog():
-    return TuningCatalog(starts_per_policy=2)
+    return TuningCatalog()
 
 
 @pytest.fixture(scope="module")

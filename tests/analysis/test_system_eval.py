@@ -14,7 +14,6 @@ def experiment():
         system=simulator_system(num_entries=6_000),
         executor_config=ExecutorConfig(queries_per_workload=300, seed=5),
         benchmark=UncertaintyBenchmark(size=200, seed=5),
-        starts_per_policy=2,
         seed=5,
     )
 

@@ -67,25 +67,25 @@ def w11() -> Workload:
 @pytest.fixture(scope="session")
 def nominal_w11(system: SystemConfig, w11: Workload):
     """Nominal tuning for w11 (solved once per test session)."""
-    return NominalTuner(system=system, starts_per_policy=3, seed=1).tune(w11)
+    return NominalTuner(system=system, seed=1).tune(w11)
 
 
 @pytest.fixture(scope="session")
 def robust_w11_rho1(system: SystemConfig, w11: Workload):
     """Robust tuning for w11 with rho = 1 (solved once per test session)."""
-    return RobustTuner(rho=1.0, system=system, starts_per_policy=3, seed=1).tune(w11)
+    return RobustTuner(rho=1.0, system=system, seed=1).tune(w11)
 
 
 @pytest.fixture(scope="session")
 def nominal_w7(system: SystemConfig, w7: Workload):
     """Nominal tuning for w7 (solved once per test session)."""
-    return NominalTuner(system=system, starts_per_policy=3, seed=1).tune(w7)
+    return NominalTuner(system=system, seed=1).tune(w7)
 
 
 @pytest.fixture(scope="session")
 def robust_w7_rho1(system: SystemConfig, w7: Workload):
     """Robust tuning for w7 with rho = 1 (solved once per test session)."""
-    return RobustTuner(rho=1.0, system=system, starts_per_policy=3, seed=1).tune(w7)
+    return RobustTuner(rho=1.0, system=system, seed=1).tune(w7)
 
 
 @pytest.fixture()

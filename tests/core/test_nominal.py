@@ -32,13 +32,9 @@ class TestNominalTunerBasics:
         best = min(per_policy, key=per_policy.get)
         assert nominal_w11.tuning.policy.value == best
 
-    def test_rejects_zero_starts(self, system):
-        with pytest.raises(ValueError):
-            NominalTuner(system=system, starts_per_policy=0)
-
     def test_restricted_policy_is_honoured(self, system, w7):
         result = NominalTuner(
-            system=system, policies=(Policy.LEVELING,), starts_per_policy=2
+            system=system, policies=(Policy.LEVELING,)
         ).tune(w7)
         assert result.tuning.policy is Policy.LEVELING
 
@@ -51,13 +47,13 @@ class TestNominalTunerQuality:
 
     def test_matches_grid_search_for_write_heavy(self, system):
         workload = expected_workload(4).workload  # 97% writes
-        solver = NominalTuner(system=system, starts_per_policy=3, seed=2).tune(workload)
+        solver = NominalTuner(system=system, seed=2).tune(workload)
         grid = GridTuner(system=system, bits_grid_points=17).tune(workload)
         assert solver.objective <= grid.objective * 1.02
 
     def test_write_heavy_workload_gets_write_friendly_tuning(self, system):
         workload = expected_workload(4).workload  # 97% writes
-        result = NominalTuner(system=system, starts_per_policy=3, seed=2).tune(workload)
+        result = NominalTuner(system=system, seed=2).tune(workload)
         model = LSMCostModel(system)
         # Writes dominate, so the chosen design must keep the write cost low:
         # either tiering, or leveling with a small size ratio.
@@ -68,12 +64,12 @@ class TestNominalTunerQuality:
 
     def test_read_heavy_workload_prefers_leveling(self, system):
         workload = expected_workload(5).workload  # 98% point lookups
-        result = NominalTuner(system=system, starts_per_policy=3, seed=2).tune(workload)
+        result = NominalTuner(system=system, seed=2).tune(workload)
         assert result.tuning.policy is Policy.LEVELING
 
     def test_range_heavy_workload_gets_shallow_tree(self, system):
         workload = expected_workload(3).workload  # 97% range queries
-        result = NominalTuner(system=system, starts_per_policy=3, seed=2).tune(workload)
+        result = NominalTuner(system=system, seed=2).tune(workload)
         # Range cost under leveling is the number of levels, so the optimum
         # pushes the size ratio up to flatten the tree.
         assert result.tuning.policy is Policy.LEVELING
@@ -92,11 +88,11 @@ class TestNominalTunerQuality:
                     ) + 1e-9
 
     def test_deterministic_given_seed(self, system, w7):
-        first = NominalTuner(system=system, starts_per_policy=2, seed=9).tune(w7)
-        second = NominalTuner(system=system, starts_per_policy=2, seed=9).tune(w7)
+        first = NominalTuner(system=system, seed=9).tune(w7)
+        second = NominalTuner(system=system, seed=9).tune(w7)
         assert first.tuning == second.tuning
 
     def test_uniform_workload_balanced_tuning(self, system, w0):
-        result = NominalTuner(system=system, starts_per_policy=3, seed=2).tune(w0)
+        result = NominalTuner(system=system, seed=2).tune(w0)
         # The uniform workload should yield a moderate size ratio (paper: ~5).
         assert 2.0 <= result.tuning.size_ratio <= 12.0

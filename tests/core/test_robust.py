@@ -39,8 +39,8 @@ class TestRobustTunerBasics:
         assert dual == pytest.approx(robust_w11_rho1.objective, rel=0.05)
 
     def test_convenience_wrappers(self, system, w7):
-        nominal = tune_nominal(w7, system=system, starts_per_policy=2, seed=3)
-        robust = tune_robust(w7, rho=0.5, system=system, starts_per_policy=2, seed=3)
+        nominal = tune_nominal(w7, system=system, seed=3)
+        robust = tune_robust(w7, rho=0.5, system=system, seed=3)
         assert nominal.rho == 0.0
         assert robust.rho == 0.5
 
@@ -48,7 +48,7 @@ class TestRobustTunerBasics:
 class TestRobustVersusNominal:
     def test_zero_rho_matches_nominal_cost(self, system, w11, nominal_w11):
         """With no uncertainty, the robust problem reduces to the nominal one."""
-        robust = RobustTuner(rho=0.0, system=system, starts_per_policy=3, seed=1).tune(w11)
+        robust = RobustTuner(rho=0.0, system=system, seed=1).tune(w11)
         model = LSMCostModel(system)
         robust_cost = model.workload_cost(w11, robust.tuning)
         assert robust_cost == pytest.approx(nominal_w11.objective, rel=0.02)
@@ -89,7 +89,7 @@ class TestRobustVersusNominal:
         ratios = []
         for rho in (0.0, 1.0, 2.0):
             result = RobustTuner(
-                rho=rho, system=system, starts_per_policy=3, seed=1
+                rho=rho, system=system, seed=1
             ).tune(w11)
             ratios.append(result.tuning.size_ratio)
         assert ratios[1] < ratios[0]
@@ -99,7 +99,7 @@ class TestRobustVersusNominal:
         values = []
         for rho in (0.0, 0.5, 1.0, 2.0):
             result = RobustTuner(
-                rho=rho, system=system, starts_per_policy=3, seed=1
+                rho=rho, system=system, seed=1
             ).tune(w7)
             values.append(result.objective)
         assert all(b >= a - 1e-6 for a, b in zip(values, values[1:]))

@@ -2,10 +2,36 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from repro.core import UncertaintyRegion, dual_objective, kl_conjugate, minimize_dual_for_cost
+from repro.core import UncertaintyRegion, dual_objective, kl_conjugate
 from repro.core.uncertainty import kl_divergence
 from repro.workloads import Workload, expected_workload
+
+
+def minimize_dual_for_cost(
+    cost_vector: np.ndarray, expected: Workload, rho: float
+) -> tuple[float, float, float]:
+    """Minimise the two-variable dual over ``(λ, η)`` for a fixed cost vector.
+
+    Returns ``(value, λ*, η*)``: an independent (Nelder-Mead) route to the
+    worst-case cost, confirming strong duality against the exact tilting
+    solve of :meth:`UncertaintyRegion.worst_case_cost`.
+    """
+    cost = np.asarray(cost_vector, dtype=float)
+
+    def objective(params: np.ndarray) -> float:
+        lam, eta = params
+        return dual_objective(cost, expected, rho, max(lam, 1e-12), eta)
+
+    result = optimize.minimize(
+        objective,
+        np.array([1.0, float(np.mean(cost))]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000},
+    )
+    lam, eta = result.x
+    return float(result.fun), float(max(lam, 0.0)), float(eta)
 
 
 @pytest.fixture()
@@ -178,6 +204,6 @@ class TestZeroWeightComponents:
         from repro.core import RobustTuner
 
         expected = Workload(z0=0.5, z1=0.0, q=0.0, w=0.5)
-        result = RobustTuner(rho=0.5, system=system, starts_per_policy=2).tune(expected)
+        result = RobustTuner(rho=0.5, system=system).tune(expected)
         assert np.isfinite(result.objective)
         assert result.objective > 0

@@ -14,6 +14,7 @@ import pytest
 
 from repro.lsm import (
     ALL_POLICIES,
+    CompactionPolicy,
     LSMCostModel,
     LSMTuning,
     Policy,
@@ -148,3 +149,41 @@ class TestCostMatrixMatchesScalarPath:
         too_many = model.system.total_bits_per_entry + 1.0
         with pytest.raises(ValueError):
             model.cost_matrix(np.array([4.0]), np.array([too_many]), Policy.LEVELING)
+
+
+class TestCostPointsPairsPointsAndStacksPolicies:
+    """``cost_points`` is the one implementation: paired ``(T_i, h_i)``
+    points, with axis 0 of the points the policy axis."""
+
+    _STACK = (
+        CompactionPolicy.of(Policy.LEVELING),
+        CompactionPolicy.of(Policy.LAZY_LEVELING),
+        CompactionPolicy.fluid((4.0, 2.0, 1.0), 2.0),
+    )
+    _RATIOS = np.array([2.0, 3.7, 9.0, 41.5])
+    _BITS = np.array([0.0, 2.5, 7.0, 11.0])
+
+    @pytest.mark.parametrize("nu", [0.0, 0.4])
+    def test_shared_points_match_the_scalar_path_under_every_policy(self, model, nu):
+        costs = model.cost_points(self._RATIOS[None], self._BITS[None], self._STACK, nu)
+        assert costs.shape == (len(self._STACK), self._RATIOS.size, 4)
+        for p, policy in enumerate(self._STACK):
+            for i, (size_ratio, bits) in enumerate(zip(self._RATIOS, self._BITS)):
+                scalar = model.cost_vector(LSMTuning(size_ratio, bits, policy), nu)
+                np.testing.assert_allclose(costs[p, i], scalar, rtol=1e-9)
+
+    def test_a_leading_policy_axis_gives_each_policy_its_own_points(self, model):
+        ratios = np.array([[2.0, 5.0], [3.0, 8.0], [6.0, 30.0]])
+        bits = np.array([[1.0, 4.0], [0.0, 9.0], [2.0, 6.0]])
+        costs = model.cost_points(ratios, bits, self._STACK)
+        assert costs.shape == (3, 2, 4)
+        for p, policy in enumerate(self._STACK):
+            for i in range(2):
+                scalar = model.cost_vector(LSMTuning(ratios[p, i], bits[p, i], policy))
+                np.testing.assert_allclose(costs[p, i], scalar, rtol=1e-9)
+
+    def test_rejects_points_that_do_not_line_up_with_the_policies(self, model):
+        with pytest.raises(ValueError):
+            model.cost_points(np.full((2, 3), 4.0), np.full((2, 3), 1.0), self._STACK)
+        with pytest.raises(ValueError):
+            model.cost_points(np.float64(4.0), np.float64(1.0), self._STACK)

@@ -254,8 +254,8 @@ def _run_main(capsys, argv):
     return capsys.readouterr().out
 
 
-#: A tune invocation whose solved tuning has 6 levels (5 upper levels), so
-#: a pinned 5-element vector is the matching length.
+#: A fluid tune invocation for pinned ``--k-bounds`` vectors: any non-empty
+#: vector is accepted, levels deeper than it reusing its last element.
 _KBOUNDS_TUNE_ARGS = [
     "tune", "--workload", "0.1", "0.3", "0.1", "0.5",
     "--rho", "0", "--policy", "fluid", "--num-entries", "100000",
@@ -277,13 +277,24 @@ class TestKBoundsFlag:
         assert "k_bound" not in payload["nominal"]
 
     def test_pinned_vector_with_z_bound(self, capsys):
-        # Z = 2 shifts the solved (T, h) to a 7-level tuning, so the pinned
-        # vector needs 6 upper-level bounds here.
         out = _run_main(
             capsys,
             _KBOUNDS_TUNE_ARGS + ["--k-bounds", "4,2,1,1,1,1", "--z-bound", "2"],
         )
         assert json.loads(out)["nominal"]["z_bound"] == 2.0
+
+    def test_pinned_vector_of_any_length_is_deployed_as_given(self, capsys):
+        """The level count is only known after the solve; a short vector
+        extends by its last element, for the nominal and the robust solve
+        alike."""
+        out = _run_main(
+            capsys,
+            [a if a != "0" else "0.25" for a in _KBOUNDS_TUNE_ARGS]
+            + ["--k-bounds", "4,2,1"],
+        )
+        payload = json.loads(out)
+        assert payload["nominal"]["k_bounds"] == [4.0, 2.0, 1.0]
+        assert payload["robust"]["k_bounds"] == [4.0, 2.0, 1.0]
 
     def test_rejects_empty_value(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -309,14 +320,6 @@ class TestKBoundsFlag:
         assert excinfo.value.code == 2
         assert "at least 1" in capsys.readouterr().err
 
-    def test_rejects_wrong_length_for_the_solved_level_count(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_KBOUNDS_TUNE_ARGS + ["--k-bounds", "4,2,1"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "3 per-level bounds" in err
-        assert "6 levels" in err
-
     def test_rejects_k_bounds_without_fluid_policy(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -336,21 +339,6 @@ class TestKBoundsFlag:
             )
         assert excinfo.value.code == 2
         assert "--k-vector-search" in capsys.readouterr().err
-
-    def test_rejects_wrong_length_for_the_robust_solve(self, capsys):
-        """The robust tuner may solve a different level count than the
-        nominal one; a pinned vector must match both deployments.  This
-        vector matches the 7-level nominal solve but the robust solve lands
-        on 6 levels."""
-        argv = [
-            "tune", "--workload", "0.1", "0.3", "0.1", "0.5",
-            "--rho", "0.25", "--policy", "fluid", "--num-entries", "100000",
-            "--k-bounds", "4,4,1,1,1,1",
-        ]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert "robust tuning" in capsys.readouterr().err
 
     def test_rejects_z_bound_without_k_bounds(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -59,8 +59,8 @@ class TestModelPipeline:
         model = LSMCostModel(system)
         for index in (1, 4, 7, 11):
             expected = expected_workload(index).workload
-            nominal = NominalTuner(system=system, starts_per_policy=2, seed=4).tune(expected)
-            robust = RobustTuner(rho=1.0, system=system, starts_per_policy=2, seed=4).tune(expected)
+            nominal = NominalTuner(system=system, seed=4).tune(expected)
+            robust = RobustTuner(rho=1.0, system=system, seed=4).tune(expected)
             region = UncertaintyRegion(expected=expected, rho=1.0)
             nominal_worst = region.worst_case_cost(model.cost_vector(nominal.tuning))
             robust_worst = region.worst_case_cost(model.cost_vector(robust.tuning))
@@ -259,7 +259,6 @@ class TestSystemPipeline:
             system=simulator_system(num_entries=6_000),
             executor_config=ExecutorConfig(queries_per_workload=400, seed=19),
             benchmark=UncertaintyBenchmark(size=300, seed=19),
-            starts_per_policy=2,
             seed=19,
         )
 

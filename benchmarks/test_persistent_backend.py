@@ -1,36 +1,27 @@
-"""Macro-benchmark — the persistent SSTable backend against the cost model.
+"""Macro-benchmark — the tree on real files against the cost model.
 
-The persistent backend puts real files behind the ``LSMTree`` interface:
-every write goes through a write-ahead log, flushes materialise SSTables
-with fence/Bloom sidecars, and compactions rewrite files on disk.  Its
-contract with the simulator is structural bit-identity — same runs, same
-Bloom seeds, same ``VirtualDisk`` page counters — so the one thing it adds
-is a signal the simulator cannot produce: *wall-clock* latency.
-
-Two sections exercise that signal, lsmtreedb ``simple_bench`` style:
+A ``FileStore`` puts real files behind the one ``LSMTree``: every write goes
+through a write-ahead log, flushes materialise SSTables with fence/Bloom
+sidecars, and compactions rewrite files on disk.  The tree itself is the
+simulated one — same runs, same Bloom seeds, same ``VirtualDisk`` page
+counters — so what this table pins is what the engine *moved* on files,
+lsmtreedb ``simple_bench`` style:
 
 * **simple_bench** — fillrandom (N puts from empty) then readrandom
-  (N gets), with compaction on and off, reporting writes/sec and
-  reads/sec.  The page counters of both variants are deterministic and
-  drift-checked; the throughput lines are wall-clock.
+  (N gets), with compaction on and off: the page counters and run counts of
+  both variants.
 * **model vs measured** — a read-tuned and a write-tuned deployment each
   replay a read-heavy and a write-heavy trace.  The analytical cost model
-  (Endure Eqs. 12–16) must rank the two tunings the same way measured
-  wall-clock latency does on both workloads: reproducing the paper's
-  premise that the model's I/O costs track real latency.
+  (Endure Eqs. 12–16) must rank the two tunings the way the pages they
+  moved do, priced by ``VirtualDisk.latency_us``, on both workloads:
+  reproducing the paper's premise that the model's I/O costs track the
+  system's.
 
-The report keeps deterministic rows apart from timing lines (prefixed
-``wall-clock``) so CI can diff the former and ignore the latter via
-``git diff -I '^wall-clock'``.  Set ``REPRO_BENCH_SMOKE=1`` for CI smoke
-runs: op counts (and therefore every deterministic line) are unchanged,
-but timings drop to one repetition and the ranking assertion — too noisy
-on shared runners — is skipped.
+Every line is deterministic.  How long the files take is ``bench/``'s
+business (the ``persistent_mixed`` workload), not Tier-1's.
 """
 
-import gc
-import os
 import tempfile
-import time
 
 import numpy as np
 from conftest import run_once
@@ -40,20 +31,7 @@ from repro.storage import PersistentLSMTree
 from repro.storage.lsm_tree import execute_operation
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
-#: Smoke mode (CI): one timing repetition, no wall-clock ranking assertion.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-#: Interleaved timing repetitions per configuration; reported time is the min.
-REPS = 1 if SMOKE else 2
-
-#: Extra repetitions for the ranking cells: the read-heavy gap between the
-#: two deployments is real but modest (~15% wall-clock), so the min is taken
-#: over more repetitions to keep a transient host load spike from flipping
-#: the measured order.
-RANK_REPS = 1 if SMOKE else 3
-
-#: Operations per simple_bench phase and per ranking trace.  Fixed across
-#: smoke and full mode so the deterministic counter lines never drift.
+#: Operations per simple_bench phase and per ranking trace.
 SIMPLE_BENCH_OPS = 5_000
 RANKING_OPS = 20_000
 
@@ -81,22 +59,9 @@ def _fresh_tree(system, tuning, compaction_enabled=True) -> PersistentLSMTree:
     return tree
 
 
-def _timed(func) -> float:
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        func()
-        return time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
 def _simple_bench(system) -> list[dict[str, object]]:
     """fillrandom then readrandom on an initially empty tree, both
-    compaction modes; returns per-mode counters and phase timings."""
+    compaction modes; returns per-mode counters and run counts."""
     rng = np.random.default_rng(17)
     fill_keys = rng.choice(
         np.arange(4 * system.num_entries), size=SIMPLE_BENCH_OPS, replace=False
@@ -104,35 +69,26 @@ def _simple_bench(system) -> list[dict[str, object]]:
     read_keys = rng.choice(fill_keys, size=SIMPLE_BENCH_OPS, replace=True)
     rows = []
     for compaction in (True, False):
-        fill_times, read_times = [], []
-        counters = None
-        for _ in range(REPS):
-            tree = _fresh_tree(system, BENCH_TUNING, compaction_enabled=compaction)
-            try:
-                fill_times.append(
-                    _timed(lambda: [tree.put(int(k)) for k in fill_keys])
-                )
-                read_times.append(
-                    _timed(lambda: [tree.get(int(k)) for k in read_keys])
-                )
-                counters = tree.disk.counters.snapshot()
-                num_runs = sum(len(runs) for runs in tree.levels)
-            finally:
-                tree.destroy()
-        rows.append(
-            {
-                "compaction": compaction,
-                "counters": counters,
-                "num_runs": num_runs,
-                "fill_s": min(fill_times),
-                "read_s": min(read_times),
-            }
-        )
+        tree = _fresh_tree(system, BENCH_TUNING, compaction_enabled=compaction)
+        try:
+            for key in fill_keys.tolist():
+                tree.put(key)
+            for key in read_keys.tolist():
+                tree.get(key)
+            rows.append(
+                {
+                    "compaction": compaction,
+                    "counters": tree.disk.counters.snapshot(),
+                    "num_runs": sum(len(runs) for runs in tree.levels),
+                }
+            )
+        finally:
+            tree.destroy()
     return rows
 
 
 def _ranking(system) -> dict[str, object]:
-    """Replay each workload trace on each deployment; model + wall-clock."""
+    """Replay each workload trace on each deployment; model + pages moved."""
     space = KeySpace.build(system.num_entries, seed=29)
     trace = TraceGenerator(space, seed=29)
     model = LSMCostModel(system)
@@ -143,29 +99,21 @@ def _ranking(system) -> dict[str, object]:
     cells: dict[tuple[str, str], dict[str, object]] = {}
     for tuning_label, tuning in TUNINGS:
         for workload_label, workload in WORKLOADS:
-            times = []
-            counters = None
-            for _ in range(RANK_REPS):
-                tree = _fresh_tree(system, tuning)
-                try:
-                    tree.bulk_load(space.existing)
-                    tree.disk.reset()
-                    operations = traces[workload_label]
-                    times.append(
-                        _timed(
-                            lambda: [
-                                execute_operation(tree, op) for op in operations
-                            ]
-                        )
-                    )
-                    counters = tree.disk.counters.snapshot()
-                finally:
-                    tree.destroy()
-            cells[tuning_label, workload_label] = {
-                "model_cost": float(workload.as_array() @ model.cost_vector(tuning)),
-                "counters": counters,
-                "seconds": min(times),
-            }
+            tree = _fresh_tree(system, tuning)
+            try:
+                tree.bulk_load(space.existing)
+                tree.disk.reset()
+                for operation in traces[workload_label]:
+                    execute_operation(tree, operation)
+                cells[tuning_label, workload_label] = {
+                    "model_cost": float(
+                        workload.as_array() @ model.cost_vector(tuning)
+                    ),
+                    "counters": tree.disk.counters.snapshot(),
+                    "latency_us": tree.disk.latency_us(),
+                }
+            finally:
+                tree.destroy()
     return cells
 
 
@@ -183,22 +131,15 @@ def _run_benchmark() -> tuple[list, dict]:
 def test_persistent_backend_model_vs_measured(benchmark, report):
     bench_rows, cells = run_once(benchmark, _run_benchmark)
 
-    # The model's verdicts are analytic; the measured ones are wall-clock.
-    agreement = {
-        workload_label: _winner(cells, workload_label, "model_cost")
-        == _winner(cells, workload_label, "seconds")
-        for workload_label, _ in WORKLOADS
-    }
-    if not SMOKE:
-        assert agreement["read-heavy"], (
-            "cost model and wall-clock disagree on the read-heavy workload"
-        )
-        assert agreement["write-heavy"], (
-            "cost model and wall-clock disagree on the write-heavy workload"
-        )
-        # Compaction-off must actually skip compaction I/O.
-        off = next(r for r in bench_rows if not r["compaction"])
-        assert off["counters"].compaction_writes == 0
+    # The model's verdicts are analytic; the measured ones price the pages
+    # each deployment moved on the trace.
+    for workload_label, _ in WORKLOADS:
+        assert _winner(cells, workload_label, "model_cost") == _winner(
+            cells, workload_label, "latency_us"
+        ), f"cost model and counted pages disagree on the {workload_label} workload"
+    # Compaction-off must actually skip compaction I/O.
+    off = next(r for r in bench_rows if not r["compaction"])
+    assert off["counters"].compaction_writes == 0
 
     lines = [
         "persistent SSTable backend — simple_bench + model-vs-measured ranking",
@@ -234,27 +175,6 @@ def test_persistent_backend_model_vs_measured(benchmark, report):
                 f"counters {tuning_label:<11} {workload_label:<11} "
                 f"reads={c.total_reads:>7} writes={c.total_writes:>7}"
             )
-    for row in bench_rows:
-        mode = "on " if row["compaction"] else "off"
-        lines.append(
-            f"wall-clock simple_bench compaction={mode} "
-            f"fill {SIMPLE_BENCH_OPS / row['fill_s']:>9.0f} writes/sec  "
-            f"read {SIMPLE_BENCH_OPS / row['read_s']:>9.0f} reads/sec"
-        )
-    for workload_label, _ in WORKLOADS:
-        parts = [
-            f"{label}={cells[label, workload_label]['seconds']:.2f}s"
-            for label, _ in TUNINGS
-        ]
-        lines.append(
-            f"wall-clock {workload_label:<11} {' '.join(parts)} "
-            f"-> {_winner(cells, workload_label, 'seconds')} first"
-        )
-    lines.append(
-        "wall-clock agreement: "
-        f"read-heavy={agreement['read-heavy']} "
-        f"write-heavy={agreement['write-heavy']}"
-    )
     text = "\n".join(lines)
     report("persistent_backend", text)
     print("\n" + text)

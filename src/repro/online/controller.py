@@ -487,8 +487,8 @@ class OnlineLSMController:
         (via :func:`~repro.storage.run.consolidate_versions`): a tombstone in
         a recent run *shadows* older live versions of its key in deeper runs,
         so deleted keys are not resurrected by the rebuild.  Run contents are
-        read through the backend-agnostic ``entries()`` accessor, so a
-        persistent tree checkpoints the same way the simulated one does.
+        read through ``entries()``, which a run answers wherever its store
+        keeps it.
         """
         tree = self.tree
         key_parts: list[np.ndarray] = []
@@ -504,8 +504,6 @@ class OnlineLSMController:
                 run_keys, run_tombstones = run.entries()
                 key_parts.append(run_keys)
                 tombstone_parts.append(run_tombstones)
-        if not key_parts:
-            return np.empty(0, dtype=np.int64)
         keys, _ = consolidate_versions(key_parts, tombstone_parts, drop_tombstones=True)
         return keys.copy()
 
@@ -536,8 +534,8 @@ class OnlineLSMController:
         """An empty tree under ``new_tuning`` sharing the live disk.
 
         Built through the live tree's ``successor`` factory, so the
-        replacement runs on the same backend (a persistent tree migrates to
-        another persistent tree).
+        replacement lives on a sibling of the same run store (a tree on
+        files migrates to a tree on files).
         """
         return self.tree.successor(
             new_tuning,

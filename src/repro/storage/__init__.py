@@ -12,15 +12,17 @@ from .executor import (
 )
 from .lsm_tree import LSMTree, TreeStats
 from .memtable import Memtable
-from .persistent import PersistentLSMTree, SSTable, WriteAheadLog
-from .run import PageSpan, SortedRun
+from .persistent import FileStore, PersistentLSMTree, SSTable, WriteAheadLog
+from .run import MemoryStore, PageSpan, SortedRun
 
 __all__ = [
     "AdaptiveSequenceMeasurement",
     "BloomFilter",
     "ExecutorConfig",
+    "FileStore",
     "IOCounters",
     "LSMTree",
+    "MemoryStore",
     "Memtable",
     "PageSpan",
     "PersistentLSMTree",

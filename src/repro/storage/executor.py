@@ -35,6 +35,7 @@ from ..workloads.traces import KeySpace, Trace, TraceGenerator
 from ..workloads.workload import Workload
 from .disk import IOCounters, VirtualDisk
 from .lsm_tree import LSMTree, TreeStats, execute_operations_batched
+from .persistent import PersistentLSMTree
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ class AdaptiveSequenceMeasurement(SequenceMeasurement):
 def tree_fingerprint(tree: LSMTree) -> str:
     """Deterministic digest of a tree's logical state (runs + memtable).
 
-    Backend-agnostic — run contents are read through ``entries()`` — so a
-    simulated and a persistent tree holding the same data fingerprint alike.
+    Run contents are read through ``entries()``, so trees holding the same
+    data fingerprint alike whichever run store they are on.
     Used to pin that two execution paths left a tree in identical state.
     """
     digest = hashlib.sha256()
@@ -242,12 +243,13 @@ class ExecutorConfig:
     seed: int = 97
     #: Upper bound on the keys of one batched GET span of trace replay.
     max_batch_ops: int = 4_096
-    #: Storage backend the trees run on: ``"simulated"`` keeps runs in memory
-    #: (the default virtual-disk engine), ``"persistent"`` builds
-    #: :class:`~repro.storage.persistent.PersistentLSMTree` instances on real
-    #: SSTable files.  Both charge identical virtual-disk counters; the
-    #: persistent backend additionally pays real file I/O, so its wall-clock
-    #: time is meaningful.
+    #: Run store the trees are built on: ``"simulated"`` keeps runs in memory
+    #: (the default), ``"persistent"`` puts each tree on a
+    #: :class:`~repro.storage.persistent.FileStore` — SSTable files, a
+    #: write-ahead log and a manifest in a directory of its own.  It is the
+    #: same tree charging identical virtual-disk counters either way; on
+    #: files it additionally pays real I/O, so its wall-clock time is
+    #: meaningful.
     backend: str = "simulated"
     #: Parent directory for the persistent backend's per-tree data
     #: directories.  ``None`` uses the system temp dir and removes each
@@ -302,41 +304,37 @@ class WorkloadExecutor:
         Every tuning gets the exact same initial key set, mirroring the
         paper's identical bulk-loading across database instances; ``keys``
         substitutes a subset (the serving layer loads each shard with its
-        hash partition of the key space).  The configured backend decides the
-        substrate: the simulated tree lives in memory, the persistent one
-        materialises its runs as SSTable files in a fresh per-tree directory.
-        Dispose of the tree through :meth:`dispose_tree` so backend resources
-        are released either way.  A failure while constructing or loading a
-        persistent tree removes its half-built directory before re-raising —
-        a crashed build must not leak ``tree-*`` dirs into the temp dir (or a
-        shared user ``data_dir``).
+        hash partition of the key space).  The configured backend picks the
+        run store: memory, or files in a fresh per-tree directory.  Dispose
+        of the tree through :meth:`dispose_tree` so the store's resources are
+        released either way.  A failure while constructing or loading a tree
+        on files releases its descriptors and removes its half-built
+        directory before re-raising — a crashed build must not leak ``tree-*``
+        dirs into the temp dir (or a shared user ``data_dir``).
         """
         disk = self.config.disk()
         if keys is None:
             keys = self.key_space.existing
+        make_tree, data_dir = LSMTree, None
         if self.config.backend == "persistent":
-            # Imported lazily: the simulated path stays importable even if
-            # the persistent package grows platform-specific dependencies.
-            from .persistent import PersistentLSMTree
-
             if self.config.data_dir is not None:
                 os.makedirs(self.config.data_dir, exist_ok=True)
             data_dir = tempfile.mkdtemp(prefix="tree-", dir=self.config.data_dir)
-            try:
-                tree = PersistentLSMTree(
-                    tuning=tuning,
-                    system=self.system,
-                    data_dir=data_dir,
-                    disk=disk,
-                    sync_writes=self.config.sync_writes,
-                )
-                tree.bulk_load(keys)
-            except BaseException:
-                shutil.rmtree(data_dir, ignore_errors=True)
-                raise
-        else:
-            tree = LSMTree(tuning=tuning, system=self.system, disk=disk)
+            make_tree = partial(
+                PersistentLSMTree,
+                data_dir=data_dir,
+                sync_writes=self.config.sync_writes,
+            )
+        tree = None
+        try:
+            tree = make_tree(tuning=tuning, system=self.system, disk=disk)
             tree.bulk_load(keys)
+        except BaseException:
+            if tree is not None:
+                tree.store.abandon()
+            if data_dir is not None:
+                shutil.rmtree(data_dir, ignore_errors=True)
+            raise
         tree.disk.reset()
         return tree
 

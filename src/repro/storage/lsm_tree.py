@@ -19,7 +19,13 @@ evaluation (§8).  It implements the structure the analytical model assumes:
 * fence pointers (one per page) so point lookups read at most one page per
   probed run,
 * a :class:`~repro.storage.disk.VirtualDisk` that records every page read
-  and written, split into query/flush/compaction traffic.
+  and written, split into query/flush/compaction traffic,
+* a *run store* for whatever depends on where the runs live: in-memory
+  arrays (:class:`~repro.storage.run.MemoryStore`, the default) or SSTable
+  files, a write-ahead log and a manifest
+  (:class:`~repro.storage.persistent.FileStore`).  Every structure decision,
+  filter seed and page charge is the tree's, so for any trace the tree holds
+  the same runs and reports the same counters on either.
 
 Values are not materialised — every entry has the fixed size configured in
 the :class:`~repro.lsm.system.SystemConfig` — because the experiments only
@@ -38,7 +44,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import SortedRun, consolidate_versions
+from .run import MemoryStore, SortedRun, consolidate_versions
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
     vectorised ``get_many``.  Only a PUT fences the span — writes mutate the
     structure (flushes, compactions) that later reads must observe.  A RANGE
     runs in stream position while the span keeps growing past it: reads
-    change nothing on any engine (:class:`LSMTree`, the persistent backend,
-    the online subsystem's mixed migration state), so they commute, and only
+    change nothing on any engine (:class:`LSMTree` on either run store, the
+    online subsystem's mixed migration state), so they commute, and only
     the order of read I/O inside a write-free window shifts — which no
     measurement observes, sessions measure counter deltas.  Disk counters,
     tree state and answers are bit-identical to replaying the trace row by
@@ -177,6 +183,10 @@ class LSMTree:
         Optional pre-existing virtual disk (e.g. shared across measurements).
     seed:
         Seed for the per-run Bloom-filter hashes.
+    store:
+        The run store the tree owns (see :class:`~repro.storage.run.MemoryStore`
+        for the calls); in-memory runs by default.  What the store recovers
+        of an earlier tree — runs, run counter, logged writes — is adopted.
     """
 
     #: Fraction of a level's capacity that bulk loading fills (see class docs).
@@ -188,6 +198,7 @@ class LSMTree:
         system: SystemConfig,
         disk: VirtualDisk | None = None,
         seed: int = 1,
+        store=None,
     ) -> None:
         self.system = system
         self.tuning = tuning.clamped(system).rounded()
@@ -200,6 +211,13 @@ class LSMTree:
         #: incremental migration, whose deeper (not yet installed) runs may
         #: still hold live versions a premature drop would resurrect.
         self.preserve_tombstones = False
+        #: Benchmark knob: when False, arriving runs stack without merging —
+        #: the classic "compaction off" regime of engine benchmarks.  Reads
+        #: stay correct (newest-wins consolidation is unconditional), only
+        #: the structure degrades.
+        self.compaction_enabled = True
+        self.store = store if store is not None else MemoryStore()
+        self._log = self.store.log
 
         self.entries_per_page = system.entries_per_page
         buffer_entries = int(system.buffer_entries(self.tuning.bits_per_entry))
@@ -221,6 +239,17 @@ class LSMTree:
             self._estimated_levels,
             level_entries,
         )
+
+        recovered = self.store.recover()
+        if recovered is not None:
+            self.levels, self._run_counter, logged = recovered
+            # Acknowledged writes no flush had persisted: replaying them
+            # rebuilds the memtable the restart wiped out.
+            for key, tombstone in logged:
+                if tombstone:
+                    self.memtable.delete(key)
+                else:
+                    self.memtable.put(key)
 
     # ------------------------------------------------------------------
     # Structure helpers
@@ -244,11 +273,12 @@ class LSMTree:
 
     def _new_run(self, keys: np.ndarray, tombstones: np.ndarray, level: int) -> SortedRun:
         self._run_counter += 1
-        return SortedRun(
-            keys=keys,
+        return self.store.create_run(
+            keys,
+            tombstones,
+            run_id=self._run_counter,
             entries_per_page=self.entries_per_page,
             bits_per_entry=self._bits_for_level(level),
-            tombstones=tombstones,
             seed=self._seed + self._run_counter,
         )
 
@@ -269,12 +299,14 @@ class LSMTree:
     # ------------------------------------------------------------------
     def put(self, key: int) -> None:
         """Insert or update a key; may trigger a flush and compactions."""
+        self._log(key, False)
         self.memtable.put(key)
         if self.memtable.is_full:
             self.flush()
 
     def delete(self, key: int) -> None:
         """Delete a key by writing a tombstone."""
+        self._log(key, True)
         self.memtable.delete(key)
         if self.memtable.is_full:
             self.flush()
@@ -288,12 +320,16 @@ class LSMTree:
         run = self._new_run(keys, tombstones, level=1)
         self.disk.write_pages(run.num_pages, flush=True)
         self._install_run(run, level=1)
+        # The flushed run now covers everything that was logged.
+        self.store.commit(self.levels, self._run_counter, buffered=())
 
     def _install_run(self, run: SortedRun, level: int) -> None:
         """Add ``run`` to ``level`` and restore the tree's size invariants."""
         self._ensure_level(level)
         runs = self.levels[level - 1]
-        if self._merges_on_arrival(level):
+        if not self.compaction_enabled:
+            runs.insert(0, run)
+        elif self._merges_on_arrival(level):
             if runs:
                 merged = self._merge_runs([run] + runs, level)
                 self.levels[level - 1] = [merged]
@@ -311,35 +347,13 @@ class LSMTree:
         is_last_level = target_level >= len(self.levels) or not any(
             self.levels[target_level:]
         )
-        # Bump-then-use, exactly like _new_run: reading the counter before
-        # incrementing would reuse the Bloom hash seed of the most recently
-        # created run, correlating the two filters' false positives.
-        self._run_counter += 1
-        merged = self._merged_run(
-            runs,
-            target_level,
+        keys, tombstones = consolidate_versions(
+            *zip(*(run.entries() for run in runs)),
             drop_tombstones=is_last_level and not self.preserve_tombstones,
         )
+        merged = self._new_run(keys, tombstones, target_level)
         self.disk.write_pages(merged.num_pages, compaction=True)
         return merged
-
-    def _merged_run(
-        self, runs: list[SortedRun], target_level: int, drop_tombstones: bool
-    ) -> SortedRun:
-        """Materialise the consolidated run of a compaction.
-
-        The backend-specific half of :meth:`_merge_runs` (which owns the I/O
-        accounting and the tombstone-drop decision): the simulated tree
-        sort-merges the in-memory arrays, the persistent backend overrides
-        this to read the input SSTables from disk and write a new one.
-        """
-        return SortedRun.merge(
-            runs,
-            entries_per_page=self.entries_per_page,
-            bits_per_entry=self._bits_for_level(target_level),
-            drop_tombstones=drop_tombstones,
-            seed=self._seed + self._run_counter,
-        )
 
     def _maybe_spill_merging(self, level: int) -> None:
         """Cascade over-full single-run (leveled) levels into deeper levels."""
@@ -536,8 +550,6 @@ class LSMTree:
                 if keys.size:
                     key_parts.append(keys)
                     tombstone_parts.append(tombstones)
-        if not key_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         # Parts were collected newest-first; keep the most recent version.
         return consolidate_versions(key_parts, tombstone_parts)
 
@@ -571,9 +583,13 @@ class LSMTree:
         self._ensure_level(plan.deepest)
         for lvl, piece in plan.placements:
             self.install_bulk_run(piece, lvl)
-        # Anything that still did not fit goes to the memtable (rare).
+        # Anything that still did not fit goes to the memtable (rare), past
+        # the log — so the commit rewrites the log from the memtable.
         for key in plan.leftover:
             self.memtable.put(int(key))
+        buffered_keys, buffered_tombstones = self.memtable.sorted_items()
+        buffered = zip(buffered_keys.tolist(), buffered_tombstones.tolist())
+        self.store.commit(self.levels, self._run_counter, buffered)
 
     def plan_bulk_load(self, keys: np.ndarray) -> BulkLoadPlan:
         """Compute the run placements of a bulk load without applying them.
@@ -620,6 +636,9 @@ class LSMTree:
         self._ensure_level(level)
         run = self._new_run(keys, np.zeros(keys.size, dtype=bool), level)
         self.levels[level - 1].append(run)
+        # The log already covers the memtable (a migration target's holds
+        # acknowledged writes): it stays as it is.
+        self.store.commit(self.levels, self._run_counter, buffered=None)
 
     def _bulk_load_level_capacity(self, level: int, deepest: int) -> int:
         """Entries bulk loading may place at ``level`` in a ``deepest``-level tree."""
@@ -664,32 +683,32 @@ class LSMTree:
     # Lifecycle
     # ------------------------------------------------------------------
     def successor(self, tuning: LSMTuning, seed: int) -> "LSMTree":
-        """An empty tree of the same backend, sharing this tree's disk.
+        """An empty tree on a sibling of this tree's store, sharing its disk.
 
         The online controller rebuilds through this factory when it migrates
-        to a new tuning, so a persistent tree is replaced by another
-        persistent tree (in a fresh sibling directory) rather than silently
-        falling back to the simulated substrate.
+        to a new tuning, so a tree on files is replaced by a tree on files
+        (in a fresh sibling directory) and migration I/O lands on the
+        stream's counters.
         """
-        return LSMTree(tuning=tuning, system=self.system, disk=self.disk, seed=seed)
+        return LSMTree(tuning, self.system, self.disk, seed, store=self.store.sibling())
 
     def close(self) -> None:
-        """Release backend resources.
+        """Release the store's resources, leaving what it persisted in place.
 
-        The simulated tree holds none (everything lives in memory), but the
-        executor closes every tree it builds through this method so the
-        persistent backend's file handles are released uniformly.
+        The memtable is *not* flushed: a durable store's log covers it, so a
+        reopened tree recovers it without perturbing the structure (and the
+        disk counters) the trace produced.
         """
+        self.store.close()
 
     def dispose(self) -> None:
-        """Release the tree at end-of-life, deleting owned backend storage.
+        """Close the tree at end-of-life and delete what its store owns.
 
-        For the simulated tree this is :meth:`close`; the persistent tree
-        also removes its data directory.  Called on trees a migration has
-        fully superseded — every live entry was copied into the replacement,
-        so the storage is garbage.
+        Called on trees a migration has fully superseded — every live entry
+        was copied into the replacement, so the storage is garbage.
         """
         self.close()
+        self.store.destroy()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,15 +1,17 @@
-"""Persistent storage backend: real SSTable files behind the LSMTree interface.
+"""The run store on real files, behind the one LSMTree.
 
-The simulated :class:`~repro.storage.lsm_tree.LSMTree` keeps its runs in
-memory and models I/O as virtual-disk page counts.  This package provides the
-same tree on real storage — a write-ahead log for durability, on-disk SSTable
-files with sparse-index and Bloom-filter sidecars, real compaction I/O — with
-byte-identical structure decisions and disk counters, so measured wall-clock
-time can be compared against the analytical cost model's predictions.
+:class:`~repro.storage.lsm_tree.LSMTree` keeps its runs wherever its run
+store puts them.  This package is the store for real storage —
+:class:`FileStore`: a write-ahead log for durability, on-disk SSTable files
+with sparse-index and Bloom-filter sidecars, a manifest, real compaction I/O
+— under the same tree making the same structure decisions and charging the
+same disk counters, so measured wall-clock time can be compared against the
+analytical cost model's predictions.  :class:`PersistentLSMTree` is that tree
+by its old constructor.
 """
 
 from .sstable import SSTable
-from .tree import PersistentLSMTree
+from .store import FileStore, PersistentLSMTree
 from .wal import WriteAheadLog
 
-__all__ = ["PersistentLSMTree", "SSTable", "WriteAheadLog"]
+__all__ = ["FileStore", "PersistentLSMTree", "SSTable", "WriteAheadLog"]

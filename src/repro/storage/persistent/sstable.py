@@ -1,6 +1,7 @@
 """On-disk SSTables with the exact read interface of an in-memory sorted run.
 
-An :class:`SSTable` is the persistent backend's replacement for
+An :class:`SSTable` is what :class:`~repro.storage.persistent.FileStore`
+creates where the in-memory store creates a
 :class:`~repro.storage.run.SortedRun`: the entries live in a data file
 (9-byte packed records: little-endian ``int64`` key + tombstone byte, laid
 out in pages of ``entries_per_page`` records), and only the acceleration
@@ -12,8 +13,8 @@ Reads answer from the file: a point lookup that survives the Bloom filter
 and the fence bounds ``pread``s exactly one page; a range scan ``pread``s
 the contiguous page span.  The *accounting* (pages charged per probe, span
 arithmetic including the one-page seek of an empty interval) mirrors
-``SortedRun`` operation for operation, so a persistent tree reports disk
-counters byte-identical to the simulated one while its wall-clock time
+``SortedRun`` operation for operation, so a tree on files reports disk
+counters byte-identical to the one in memory while its wall-clock time
 reflects real I/O.
 """
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bloom_filter import BloomFilter
-from ..run import PageSpan
+from ..run import PageSpan, build_run_index
 
 #: One on-disk record: little-endian int64 key + tombstone flag byte.
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
@@ -39,6 +40,11 @@ def index_sidecar_path(data_path: Path) -> Path:
 def filter_sidecar_path(data_path: Path) -> Path:
     """Location of an SSTable's Bloom-filter sidecar."""
     return data_path.with_suffix(".filter.npz")
+
+
+def table_files(data_path: Path) -> tuple[Path, Path, Path]:
+    """Every file of one SSTable: the data file and its two sidecars."""
+    return data_path, index_sidecar_path(data_path), filter_sidecar_path(data_path)
 
 
 class SSTable:
@@ -87,47 +93,29 @@ class SSTable:
     ) -> "SSTable":
         """Write sorted unique keys (+ tombstone mask) as a new table.
 
-        The Bloom filter is built with the same parameters and insertion
-        order ``SortedRun`` uses, so its probe answers — and therefore the
-        false positives the disk counters record — are bit-identical to the
-        simulated run's.
+        Entries are validated, and the fences and Bloom filter built, by the
+        function ``SortedRun`` uses, so the filter's probe answers — and
+        therefore the false positives the disk counters record — are
+        bit-identical to the simulated run's.
         """
         path = Path(path)
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be a one-dimensional array")
-        if keys.size > 1 and np.any(np.diff(keys) <= 0):
-            raise ValueError("keys must be strictly increasing")
-        if entries_per_page <= 0:
-            raise ValueError("entries_per_page must be positive")
-        tombstones = np.asarray(tombstones, dtype=bool)
-        if tombstones.shape != keys.shape:
-            raise ValueError("tombstones mask must match keys")
+        keys, tombstones, fences, bloom = build_run_index(
+            keys, tombstones, entries_per_page, bits_per_entry, seed
+        )
 
         records = np.empty(keys.size, dtype=RECORD_DTYPE)
         records["key"] = keys
         records["tombstone"] = tombstones
         records.tofile(path)
 
-        if keys.size:
-            fences = keys[::entries_per_page].copy()
-            # Largest key of each page: the sparse index needs both page
-            # bounds to reproduce SortedRun's span arithmetic exactly.
-            last = np.minimum(
-                np.arange(fences.size, dtype=np.int64) * entries_per_page
-                + (entries_per_page - 1),
-                keys.size - 1,
-            )
-            page_max = keys[last].copy()
-        else:
-            fences = np.empty(0, dtype=np.int64)
-            page_max = np.empty(0, dtype=np.int64)
-
-        bloom = BloomFilter(
-            expected_entries=int(keys.size), bits_per_entry=bits_per_entry, seed=seed
+        # Largest key of each page: the sparse index needs both page bounds
+        # to reproduce SortedRun's span arithmetic exactly.
+        last = np.minimum(
+            np.arange(fences.size, dtype=np.int64) * entries_per_page
+            + (entries_per_page - 1),
+            keys.size - 1,
         )
-        if keys.size:
-            bloom.add_many(keys.astype(np.uint64))
+        page_max = keys[last].copy()
 
         np.savez(
             index_sidecar_path(path),
@@ -389,9 +377,10 @@ class SSTable:
     def delete_files(self) -> None:
         """Close the table and remove its data file and sidecars."""
         self.close()
-        for stale in (
-            self.path,
-            index_sidecar_path(self.path),
-            filter_sidecar_path(self.path),
-        ):
+        self.remove_files(self.path)
+
+    @staticmethod
+    def remove_files(data_path: Path) -> None:
+        """Remove the files of the table at ``data_path``, open or not."""
+        for stale in table_files(data_path):
             stale.unlink(missing_ok=True)

@@ -26,10 +26,12 @@ def consolidate_versions(
 
     ``key_parts`` are ordered newest first; duplicate keys keep the version
     from the earliest part, matching compaction semantics.  Returns the
-    consolidated ``(keys, tombstones)`` sorted by key.  This is the array
-    core of :meth:`SortedRun.merge`, shared with the persistent backend's
-    on-disk compaction so both consolidate byte-identically.
+    consolidated ``(keys, tombstones)`` sorted by key (empty for no parts).
+    Every merge of versions — a compaction, a range scan, a migration
+    checkpoint — goes through here, whatever store the runs live on.
     """
+    if not key_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     all_keys = np.concatenate(key_parts)
     all_tombstones = np.concatenate(tombstone_parts)
     # Parts are concatenated newest first, so a stable sort on the key alone
@@ -47,6 +49,43 @@ def consolidate_versions(
         sorted_keys = sorted_keys[live]
         sorted_tombstones = sorted_tombstones[live]
     return sorted_keys, sorted_tombstones
+
+
+def build_run_index(
+    keys: np.ndarray,
+    tombstones: np.ndarray | None,
+    entries_per_page: int,
+    bits_per_entry: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
+    """Validate a new run's entries and build what stays resident for it.
+
+    Returns ``(keys, tombstones, fences, bloom)``: the entries as ``int64`` /
+    ``bool`` arrays, the fence pointers (smallest key of each page) and the
+    run's Bloom filter.  The one constructor of both run kinds — the
+    in-memory :class:`SortedRun` and the on-disk ``SSTable`` — so a run
+    created from the same entries, budget and seed holds the same filter
+    bits and fences wherever it lives.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 1:
+        raise ValueError("keys must be a one-dimensional array")
+    if keys.size > 1 and np.any(np.diff(keys) <= 0):
+        raise ValueError("keys must be strictly increasing")
+    if entries_per_page <= 0:
+        raise ValueError("entries_per_page must be positive")
+    if tombstones is None:
+        tombstones = np.zeros(keys.size, dtype=bool)
+    else:
+        tombstones = np.asarray(tombstones, dtype=bool)
+        if tombstones.shape != keys.shape:
+            raise ValueError("tombstones mask must match keys")
+    bloom = BloomFilter(
+        expected_entries=int(keys.size), bits_per_entry=bits_per_entry, seed=seed
+    )
+    if keys.size:
+        bloom.add_many(keys.astype(np.uint64))
+    return keys, tombstones, keys[::entries_per_page].copy(), bloom
 
 
 @dataclass(frozen=True)
@@ -89,38 +128,17 @@ class SortedRun:
         tombstones: np.ndarray | None = None,
         seed: int = 0,
     ) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError("keys must be a one-dimensional array")
-        if keys.size > 1 and np.any(np.diff(keys) <= 0):
-            raise ValueError("keys must be strictly increasing")
-        if entries_per_page <= 0:
-            raise ValueError("entries_per_page must be positive")
-        self._keys = keys
+        self._keys, self._tombstones, self._fences, self._filter = build_run_index(
+            keys, tombstones, entries_per_page, bits_per_entry, seed
+        )
         self.entries_per_page = entries_per_page
         self.bits_per_entry = float(bits_per_entry)
-        if tombstones is None:
-            self._tombstones = np.zeros(keys.size, dtype=bool)
+        # Key bounds cached as plain ints: the lookup hot path compares
+        # against them on every probe.
+        if self._keys.size:
+            self._min_key = int(self._keys[0])
+            self._max_key = int(self._keys[-1])
         else:
-            tombstones = np.asarray(tombstones, dtype=bool)
-            if tombstones.shape != keys.shape:
-                raise ValueError("tombstones mask must match keys")
-            self._tombstones = tombstones
-
-        self._filter = BloomFilter(
-            expected_entries=int(keys.size), bits_per_entry=bits_per_entry, seed=seed
-        )
-        if keys.size:
-            self._filter.add_many(keys.astype(np.uint64))
-        # Fence pointers: smallest key of each page, kept in memory.
-        if keys.size:
-            self._fences = keys[:: entries_per_page].copy()
-            # Key bounds cached as plain ints: the lookup hot path compares
-            # against them on every probe.
-            self._min_key = int(keys[0])
-            self._max_key = int(keys[-1])
-        else:
-            self._fences = np.empty(0, dtype=np.int64)
             self._min_key = self._max_key = 0
 
     # ------------------------------------------------------------------
@@ -177,10 +195,9 @@ class SortedRun:
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The run's full contents as ``(keys, tombstones)``, charging no I/O.
 
-        The backend-agnostic accessor consolidation and migration planning
-        use: the simulated run hands out its in-memory arrays, the persistent
-        backend's SSTable reads its data file.  Callers that model the read
-        cost (a compaction, a migration checkpoint) charge it separately.
+        What compaction, migration planning and fingerprints read; callers
+        that model the read cost (a compaction, a migration checkpoint)
+        charge it separately.
         """
         return self._keys, self._tombstones
 
@@ -326,32 +343,55 @@ class SortedRun:
             seed=seed,
         )
 
-    @staticmethod
-    def merge(
-        runs: list["SortedRun"],
-        entries_per_page: int,
-        bits_per_entry: float = 0.0,
-        drop_tombstones: bool = False,
-        seed: int = 0,
-    ) -> "SortedRun":
-        """Sort-merge several runs into one, newest run first.
 
-        Duplicate keys are consolidated keeping the version from the most
-        recent run (lowest index in ``runs``), matching compaction semantics.
-        """
-        if not runs:
-            return SortedRun(
-                np.empty(0, dtype=np.int64), entries_per_page, bits_per_entry, seed=seed
-            )
-        sorted_keys, sorted_tombstones = consolidate_versions(
-            [run._keys for run in runs],
-            [run._tombstones for run in runs],
-            drop_tombstones=drop_tombstones,
-        )
-        return SortedRun(
-            keys=sorted_keys,
-            entries_per_page=entries_per_page,
-            bits_per_entry=bits_per_entry,
-            tombstones=sorted_tombstones,
-            seed=seed,
-        )
+class MemoryStore:
+    """The run store of the simulated tree: runs are in-memory arrays.
+
+    A run store is everything about an :class:`~repro.storage.lsm_tree.LSMTree`
+    that depends on *where its runs live*; the tree owns one and calls
+
+    * ``create_run(...)`` for every run it builds (flush, compaction output,
+      bulk placement) — ``run_id`` counts 1, 2, 3 … per tree;
+    * ``log(key, tombstone)`` before a write is applied to the memtable — the
+      point at which the write is acknowledged;
+    * ``commit(levels, run_counter, buffered)`` after every structure change
+      (``flush``, ``bulk_load``, ``install_bulk_run``); ``buffered`` is the
+      ``(key, tombstone)`` records the log must hold from now on, or ``None``
+      when the log already covers the memtable and stays as it is;
+    * ``recover()`` once, at construction: ``(levels, run_counter, logged
+      records)`` of an earlier tree on this store, or ``None`` for a fresh one;
+    * ``sibling()`` for the empty store a successor tree is built on;
+    * ``close()``, ``abandon()`` (a process kill: drop every handle, sync
+      nothing) and ``destroy()`` (delete what the store owns).
+
+    Memory keeps nothing across a restart, so all but ``create_run`` are
+    no-ops here; ``repro.storage.persistent.FileStore`` is the one on files.
+    """
+
+    def create_run(
+        self,
+        keys: np.ndarray,
+        tombstones: np.ndarray,
+        run_id: int,
+        entries_per_page: int,
+        bits_per_entry: float,
+        seed: int,
+    ) -> SortedRun:
+        return SortedRun(keys, entries_per_page, bits_per_entry, tombstones, seed)
+
+    def log(self, key: int, tombstone: bool) -> None:
+        pass
+
+    def commit(self, levels, run_counter: int, buffered) -> None:
+        pass
+
+    def recover(self) -> None:
+        return None
+
+    def sibling(self) -> "MemoryStore":
+        return MemoryStore()
+
+    def close(self) -> None:
+        pass
+
+    abandon = destroy = close

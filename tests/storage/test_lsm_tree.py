@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.storage import LSMTree
+from repro.storage import LSMTree, MemoryStore
 
 
 def make_tree(policy=Policy.LEVELING, size_ratio=4.0, bits=6.0, num_entries=4_000):
@@ -410,6 +410,58 @@ class TestBloomSeedAllocation:
         ]
         assert len(tree.levels) >= 2  # compactions actually cascaded
         assert len(seeds) == len(set(seeds))
+
+
+class _RecordingStore(MemoryStore):
+    """In-memory store that writes down every call the tree makes."""
+
+    def __init__(self, tree_of):
+        self.calls, self.tree_of = [], tree_of
+
+    def create_run(self, keys, tombstones, run_id, entries_per_page, bits_per_entry, seed):
+        self.calls.append(("create_run", run_id, seed))
+        return super().create_run(
+            keys, tombstones, run_id, entries_per_page, bits_per_entry, seed
+        )
+
+    def log(self, key, tombstone):
+        self.calls.append(("log", key, tombstone, self.tree_of().memtable.get(key)))
+
+    def commit(self, levels, run_counter, buffered):
+        tree = self.tree_of()
+        assert levels is tree.levels and run_counter == tree._run_counter
+        self.calls.append(("commit", None if buffered is None else list(buffered)))
+
+
+class TestRunStoreProtocol:
+    """What the tree asks of its store, observed through a fake."""
+
+    def test_calls_of_writes_structure_changes_and_reads(self):
+        system = simulator_system(num_entries=4_000)
+        store = _RecordingStore(lambda: tree)
+        tree = LSMTree(LSMTuning(4.0, 6.0, Policy.LEVELING), system, seed=40, store=store)
+        tree.put(5)
+        tree.delete(5)
+        # One log per write, made before the memtable changed.
+        assert store.calls == [
+            ("log", 5, False, (False, False)),
+            ("log", 5, True, (True, False)),
+        ]
+        store.calls.clear()
+        tree.flush()
+        tree.install_bulk_run(np.arange(10, 20), level=2)
+        tree.bulk_load(np.arange(100, 110))
+        # Run ids count 1, 2, 3 … and seed the filter with ``seed + run_id``;
+        # every structure change commits once (a bulk load, once per placed
+        # run and once for the whole), saying what the log must hold.
+        assert store.calls == [
+            ("create_run", 1, 41), ("commit", []),
+            ("create_run", 2, 42), ("commit", None),
+            ("create_run", 3, 43), ("commit", None), ("commit", []),
+        ]
+        store.calls.clear()
+        tree.get(5), tree.get_many(np.arange(0, 200)), tree.range_query(0, 200)
+        assert store.calls == []
 
 
 class TestBatchedGets:

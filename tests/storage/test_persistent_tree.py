@@ -1,25 +1,27 @@
-"""Conformance suite of the persistent SSTable backend.
+"""Conformance suite of the tree on a ``FileStore``.
 
-The persistent tree must be observationally identical to the simulated one:
+The tree on files must be observationally identical to the one in memory:
 same live-key answers, same virtual-disk counters, same tree shape, on any
 trace — and it must additionally survive process restarts and crashes.  The
 tests here drive both backends through identical operation streams (across
 every compaction policy, scalar and batched read paths, bulk loads and the
 online controller's migrations) and assert equality, then exercise the
-durability machinery: WAL replay, torn-record handling, crash-mid-flush
-recovery, orphan sweeping and garbage collection.
+durability machinery: WAL replay, torn-record handling, a kill at every point
+of a commit, orphan sweeping, garbage collection and the on-disk layout.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
-from repro.storage.persistent import SSTable, WriteAheadLog
+from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
 from repro.storage.persistent.sstable import filter_sidecar_path, index_sidecar_path
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -151,16 +153,47 @@ class _FlushCrash(RuntimeError):
     """Injected failure standing in for a process kill."""
 
 
-class _CrashingTree(PersistentLSMTree):
-    """Persistent tree whose next manifest sync can be made to fail."""
+class _StoppableStore(FileStore):
+    """File store whose next commit can be killed at a named point."""
 
-    crash_next_sync = False
+    POINTS = (
+        "tables written",  # nothing of the commit has happened yet
+        "manifest swapped",
+        "log rewritten",  # reached by commits that rewrite the log
+        "before garbage collection",
+    )
+    stop_at = None
 
-    def _sync_manifest(self) -> None:
-        if self.crash_next_sync:
-            self.crash_next_sync = False
-            raise _FlushCrash("killed between SSTable writes and manifest swap")
-        super()._sync_manifest()
+    def _reach(self, point: str) -> None:
+        if self.stop_at == point:
+            self.stop_at = None
+            raise _FlushCrash(f"killed at: {point}")
+
+    def _swap_manifest(self) -> None:
+        self._reach("tables written")
+        super()._swap_manifest()
+        self._reach("manifest swapped")
+
+    def _rewrite_log(self, buffered) -> None:
+        super()._rewrite_log(buffered)
+        self._reach("log rewritten")
+
+    def _collect_garbage(self) -> None:
+        self._reach("before garbage collection")
+        super()._collect_garbage()
+
+
+def _assert_no_orphan_files(tree: PersistentLSMTree) -> None:
+    """The directory's run files are exactly the recovered tree's runs."""
+    referenced = {run.path.name for runs in tree.levels for run in runs}
+    assert {p.name for p in tree.data_dir.glob("run-*.sst")} == referenced
+    assert len(list(tree.data_dir.glob("run-*.npz"))) == 2 * len(referenced)
+
+
+def _assert_same_answers(reference: LSMTree, recovered: LSMTree, probe) -> None:
+    ref_found, ref_tomb = reference.lookup_entries(probe)
+    rec_found, rec_tomb = recovered.lookup_entries(probe)
+    assert np.array_equal(ref_found & ~ref_tomb, rec_found & ~rec_tomb)
 
 
 class TestCrashRecovery:
@@ -168,16 +201,16 @@ class TestCrashRecovery:
 
     _TUNING = LSMTuning(5.0, 5.0, Policy.TIERING)
 
-    def _filled_tree(self, tmp_path, cls=PersistentLSMTree):
-        tree = cls(
+    def _filled_tree(self, tmp_path):
+        tree = PersistentLSMTree(
             self._TUNING, _SYSTEM, data_dir=tmp_path / "db",
             disk=VirtualDisk(), seed=3,
         )
         tree.bulk_load(np.arange(0, 20_000, 11))
         return tree
 
-    def _reference_tree(self, writes):
-        sim = LSMTree(self._TUNING, _SYSTEM, disk=VirtualDisk(), seed=3)
+    def _reference_tree(self, writes, tuning=_TUNING):
+        sim = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3)
         sim.bulk_load(np.arange(0, 20_000, 11))
         for key in writes:
             sim.put(key)
@@ -195,70 +228,99 @@ class TestCrashRecovery:
         assert all(recovered.get(key) for key in writes)
         recovered.destroy()
 
-    def test_crash_mid_flush_loses_no_acknowledged_write(self, tmp_path):
-        """A crash after the flush wrote its SSTables but before the manifest
-        swap: the old manifest plus the intact WAL reproduce every
-        acknowledged write, and the stranded files are swept as orphans."""
-        tree = self._filled_tree(tmp_path, cls=_CrashingTree)
+    @pytest.mark.parametrize("point", _StoppableStore.POINTS)
+    def test_kill_inside_a_flush_commit_loses_no_acknowledged_write(
+        self, tmp_path, point
+    ):
+        """Whatever step of the commit order (tables, manifest, log, garbage)
+        the kill lands on, the reopened tree answers like a reference that
+        saw every write, and every file left behind belongs to it."""
+        store = _StoppableStore(tmp_path / "db")
+        # Leveling: the flush merges into the resident run, so the commit
+        # has replaced tables to collect as well as new ones to publish.
+        tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
+        tree = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3, store=store)
+        tree.bulk_load(np.arange(0, 20_000, 11))
         writes = []
         key = 50_000
-        # Fill to one below the flush trigger, then let the next put crash
-        # mid-flush (the WAL append of that put lands before the flush).
+        # Fill to one below the flush trigger, then let the next put be
+        # killed mid-flush (its log append lands before the flush).
         while len(tree.memtable) < tree.buffer_entries - 1:
             tree.put(key)
             writes.append(key)
             key += 1
-        tree.crash_next_sync = True
-        with pytest.raises(_FlushCrash):
+        store.stop_at = point
+        with pytest.raises(_FlushCrash, match=point):
             tree.put(key)
         writes.append(key)
-        tree.simulate_crash()
+        store.abandon()
 
-        recovered = self._filled_tree(tmp_path)
-        # The crashed flush rolled back: every write is back in the memtable.
-        assert recovered.stats().memtable_entries == len(writes)
-        # Stranded SSTables (the flushed run, any compaction outputs) were
-        # swept: on-disk files are exactly the manifest's runs.
-        on_disk = {p.name for p in (tmp_path / "db").glob("run-*.sst")}
-        referenced = {
-            run.path.name for runs in recovered.levels for run in runs
-        }
-        assert on_disk == referenced
-        # Liveness answers equal a reference that saw every write.
-        reference = self._reference_tree(writes)
-        probe = np.r_[np.arange(0, 22_000, 7), np.array(writes)]
-        ref_found, ref_tomb = reference.lookup_entries(probe)
-        rec_found, rec_tomb = recovered.lookup_entries(probe)
-        assert np.array_equal(ref_found & ~ref_tomb, rec_found & ~rec_tomb)
+        recovered = PersistentLSMTree(
+            tuning, _SYSTEM, data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3
+        )
+        # Before the swap the flush rolled back (every write is back in the
+        # memtable); after it the stale log re-applies what the flushed run
+        # holds, until the rewrite empties it.
+        replayed = 0 if point in self._LOG_IS_REWRITTEN else len(writes)
+        assert recovered.stats().memtable_entries == replayed
+        _assert_no_orphan_files(recovered)
+        _assert_same_answers(
+            self._reference_tree(writes, tuning),
+            recovered,
+            np.r_[np.arange(0, 22_000, 7), np.array(writes)],
+        )
         recovered.destroy()
 
-    def test_crash_between_manifest_swap_and_wal_reset(self, tmp_path):
-        """A crash after the manifest swap but before the WAL truncation:
-        replaying the stale WAL re-applies flushed writes, which newest-wins
-        reads absorb — no answer changes, nothing is lost."""
-        tree = self._filled_tree(tmp_path)
-        real_reset = WriteAheadLog.reset
-        writes = []
-        key = 50_000
-        try:
-            WriteAheadLog.reset = lambda self: (_ for _ in ()).throw(
-                _FlushCrash("killed before WAL truncation")
-            )
-            with pytest.raises(_FlushCrash):
-                while True:
-                    tree.put(key)
-                    writes.append(key)
-                    key += 1
-        finally:
-            WriteAheadLog.reset = real_reset
-        tree.simulate_crash()
+    _LOG_IS_REWRITTEN = ("log rewritten", "before garbage collection")
 
-        recovered = self._filled_tree(tmp_path)
-        reference = self._reference_tree(writes)
-        probe = np.r_[np.arange(0, 22_000, 7), np.array(writes)]
-        ref_found, ref_tomb = reference.lookup_entries(probe)
-        rec_found, rec_tomb = recovered.lookup_entries(probe)
-        assert np.array_equal(ref_found & ~ref_tomb, rec_found & ~rec_tomb)
+    @pytest.mark.parametrize(
+        "point", [p for p in _StoppableStore.POINTS if p != "log rewritten"]
+    )
+    def test_kill_inside_a_migration_step_commit(self, tmp_path, point):
+        """``install_bulk_run`` of an incremental migration commits while the
+        target's memtable holds acknowledged writes of the mixed state; its
+        commit leaves the log alone, so a kill anywhere in it keeps them."""
+        disk = VirtualDisk()
+        checkpoint = np.arange(0, 20_000, 11)
+        source = LSMTree(_TUNINGS[0], _SYSTEM, disk=disk, seed=3)
+        source.bulk_load(checkpoint)
+        new_tuning = self._TUNING  # three placements for this checkpoint
+        writes = list(range(50_000, 50_003))  # fewer than the buffer holds
+
+        def migrate(store, installs, stop_at=None):
+            """Two installs, the mixed state's writes, then the rest."""
+            target = LSMTree(new_tuning, _SYSTEM, disk=disk, seed=17, store=store)
+            plan = MigrationPlan(source, target, checkpoint)
+
+            def install(count):
+                while count:
+                    count -= plan.run_next_step().installs_run
+
+            install(2)
+            for written in writes:
+                plan.put(written)
+            store.stop_at = stop_at
+            install(installs - 2)
+            return target
+
+        store = _StoppableStore(tmp_path / "target")
+        with pytest.raises(_FlushCrash, match=point):
+            migrate(store, installs=3, stop_at=point)
+        store.abandon()
+
+        recovered = PersistentLSMTree(
+            new_tuning, _SYSTEM, data_dir=tmp_path / "target", disk=disk, seed=17
+        )
+        assert recovered.stats().memtable_entries == len(writes)
+        _assert_no_orphan_files(recovered)
+        # The third run is installed exactly when its manifest was swapped in.
+        installed = 2 if point == "tables written" else 3
+        assert sum(len(runs) for runs in recovered.levels) == installed
+        reference = migrate(FileStore(tmp_path / "reference"), installs=installed)
+        _assert_same_answers(
+            reference, recovered, np.r_[np.arange(0, 22_000, 7), np.array(writes)]
+        )
+        reference.dispose()
         recovered.destroy()
 
 
@@ -526,6 +588,104 @@ class TestPersistentHousekeeping:
         recovered.destroy()
 
 
+class _SyscallRecorder:
+    """Records ``os.fsync`` (by the path it hits) and ``os.replace`` calls."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.events: list[tuple[str, str]] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(descriptor):
+            path = os.readlink(f"/proc/self/fd/{descriptor}")
+            self.events.append(("fsync", os.path.basename(path)))
+            return real_fsync(descriptor)
+
+        def replace(source, target):
+            self.events.append(("replace", os.path.basename(target)))
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc to name descriptors"
+)
+class TestFlushDurability:
+    """What one flush syncs, and in which order, under each ``sync_writes``."""
+
+    _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
+
+    def _flush_events(self, tmp_path, monkeypatch, sync_writes):
+        tree = PersistentLSMTree(
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "db",
+            disk=VirtualDisk(), seed=3, sync_writes=sync_writes,
+        )
+        for key in range(tree.buffer_entries):  # a first run for the flush to merge
+            tree.put(key)
+        for key in range(100, 100 + tree.buffer_entries - 1):
+            tree.put(key)
+        recorder = _SyscallRecorder(monkeypatch)
+        tree.flush()
+        tree.simulate_crash()
+        return recorder.events
+
+    def test_sync_writes_syncs_every_table_file_before_the_manifest_names_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the log was synced and truncated, the manifest synced
+        and swapped — but never the tables the flush replaced the log's
+        records with, nor the directory entry of the swap."""
+        events = self._flush_events(tmp_path, monkeypatch, sync_writes=True)
+        swap = events.index(("replace", "MANIFEST.json"))
+        synced_before = {name for kind, name in events[:swap] if kind == "fsync"}
+        for run in ("run-00000002", "run-00000003"):  # the flushed run, the merge
+            for suffix in (".sst", ".index.npz", ".filter.npz"):
+                assert run + suffix in synced_before
+        assert "MANIFEST.tmp" in synced_before
+        # The swap's directory entry, then the truncated log.
+        assert events[swap + 1 :] == [("fsync", "db"), ("fsync", "wal.log")]
+
+    def test_without_sync_writes_a_flush_is_one_fsync(self, tmp_path, monkeypatch):
+        events = self._flush_events(tmp_path, monkeypatch, sync_writes=False)
+        assert events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+
+
+class TestDiskLayout:
+    """The bytes a fixed trace leaves on disk: names, manifest, log."""
+
+    def test_directory_listing_manifest_and_log_after_a_fixed_trace(self, tmp_path):
+        tree = PersistentLSMTree(
+            LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
+            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+        )
+        tree.bulk_load(np.arange(0, 2_000, 7))
+        for key in range(5_000, 5_000 + 2 * tree.buffer_entries + 2):
+            tree.put(key)
+        tree.delete(5_000)
+        tree.close()
+        runs = [[run.path.name for run in runs] for runs in tree.levels]
+        assert runs == [["run-00000004.sst"], [], ["run-00000001.sst"]]
+        files = {"MANIFEST.json", "wal.log"}
+        for level in runs:
+            for name in level:
+                stem = name.removesuffix(".sst")
+                files |= {name, f"{stem}.index.npz", f"{stem}.filter.npz"}
+        assert {path.name for path in (tmp_path / "db").iterdir()} == files
+        manifest = json.loads((tmp_path / "db" / "MANIFEST.json").read_text())
+        assert manifest == {"version": 1, "run_counter": 4, "levels": runs}
+        # Data files are 9-byte records: little-endian int64 key + tombstone.
+        assert (tmp_path / "db" / "run-00000001.sst").stat().st_size == 9 * 286
+        # The log holds exactly the writes since the last flush, in arrival
+        # order and the same record format.
+        last = 5_000 + 2 * tree.buffer_entries
+        expected = b"".join(
+            key.to_bytes(8, "little", signed=True) + bytes([tombstone])
+            for key, tombstone in [(last, 0), (last + 1, 0), (5_000, 1)]
+        )
+        assert (tmp_path / "db" / "wal.log").read_bytes() == expected
+
+
 class TestExecutorIntegration:
     def test_persistent_backend_measurements_match_simulated(
         self, session_generator, w11
@@ -574,8 +734,9 @@ class TestExecutorIntegration:
 
     def test_adaptive_migration_stays_persistent(self, tmp_path):
         """The online controller's replacement trees come from the live
-        tree's ``successor`` factory: a persistent tree migrates to another
-        persistent tree, and the superseded directory is deleted."""
+        tree's ``successor`` factory: a tree on files migrates to a tree on
+        files in a fresh sibling directory, and ``dispose`` deletes a
+        superseded tree's directory."""
         tree = PersistentLSMTree(
             LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
             data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
@@ -583,10 +744,14 @@ class TestExecutorIntegration:
         replacement = tree.successor(
             LSMTuning(4.0, 4.0, Policy.TIERING), seed=17
         )
-        assert isinstance(replacement, PersistentLSMTree)
-        assert replacement.data_dir != tree.data_dir
-        assert replacement.data_dir.parent == tree.data_dir.parent
+        assert isinstance(replacement.store, FileStore)
+        assert replacement.disk is tree.disk
+        sibling_dir = replacement.store.data_dir
+        assert sibling_dir != tree.data_dir
+        assert sibling_dir.parent == tree.data_dir.parent
+        assert (sibling_dir / "MANIFEST.json").exists()
         replaced_dir = tree.data_dir
         tree.dispose()
         assert not replaced_dir.exists()
-        replacement.destroy()
+        replacement.dispose()
+        assert not sibling_dir.exists()

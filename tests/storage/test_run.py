@@ -246,40 +246,51 @@ class TestConsolidateVersions:
             assert tree.range_query(start, end) == int(np.count_nonzero(~want_tombstones))
 
 
+def _consolidate(runs, drop_tombstones=False):
+    """Newest-first consolidation of whole runs, as a compaction does it."""
+    return consolidate_versions(
+        [run.entries()[0] for run in runs],
+        [run.entries()[1] for run in runs],
+        drop_tombstones=drop_tombstones,
+    )
+
+
 class TestMerging:
-    def test_merge_consolidates_duplicates_newest_wins(self):
+    def test_consolidation_keeps_the_newest_version_of_a_duplicate(self):
         newer = make_run([1, 2, 3], tombstones=[False, True, False])
         older = make_run([2, 3, 4])
-        merged = SortedRun.merge([newer, older], entries_per_page=4)
-        assert merged.keys.tolist() == [1, 2, 3, 4]
+        keys, tombstones = _consolidate([newer, older])
+        assert keys.tolist() == [1, 2, 3, 4]
         # Key 2 keeps the newer (tombstoned) version.
-        found, tombstone, _ = merged.lookup(2)
-        assert found and tombstone
+        assert tombstones.tolist() == [False, True, False, False]
 
-    def test_merge_drop_tombstones(self):
+    def test_consolidation_drops_tombstones_on_request(self):
         newer = make_run([1, 2], tombstones=[False, True])
         older = make_run([2, 3])
-        merged = SortedRun.merge([newer, older], entries_per_page=4, drop_tombstones=True)
-        assert merged.keys.tolist() == [1, 3]
+        keys, tombstones = _consolidate([newer, older], drop_tombstones=True)
+        assert keys.tolist() == [1, 3]
+        assert not tombstones.any()
 
-    def test_merge_of_disjoint_runs_preserves_all_keys(self):
-        a = make_run(range(0, 10))
-        b = make_run(range(10, 20))
-        merged = SortedRun.merge([a, b], entries_per_page=4)
-        assert merged.num_entries == 20
+    def test_consolidation_of_disjoint_runs_preserves_all_keys(self):
+        keys, _ = _consolidate([make_run(range(0, 10)), make_run(range(10, 20))])
+        assert keys.tolist() == list(range(20))
 
-    def test_merge_empty_list_gives_empty_run(self):
-        merged = SortedRun.merge([], entries_per_page=4)
-        assert merged.num_entries == 0
+    def test_consolidation_of_nothing_is_empty(self):
+        for parts in ([], [make_run([])]):
+            keys, tombstones = _consolidate(parts)
+            assert keys.dtype == np.int64 and keys.size == 0
+            assert tombstones.dtype == bool and tombstones.size == 0
 
-    def test_merge_result_is_sorted_and_unique(self):
+    def test_consolidation_is_sorted_unique_and_a_valid_run(self):
         rng = np.random.default_rng(5)
         runs = []
         for seed in range(4):
             keys = np.unique(rng.integers(0, 500, size=100))
             runs.append(make_run(keys, seed=seed))
-        merged = SortedRun.merge(runs, entries_per_page=8)
-        assert np.all(np.diff(merged.keys) > 0)
+        keys, tombstones = _consolidate(runs)
+        assert np.all(np.diff(keys) > 0)
+        merged = SortedRun(keys, entries_per_page=8, tombstones=tombstones)
+        assert merged.num_entries == keys.size
 
     def test_from_sorted_keys_constructor(self):
         run = SortedRun.from_sorted_keys(np.array([1, 5, 9]), entries_per_page=2)
@@ -310,7 +321,7 @@ class TestBatchedLookup:
         run = make_run(range(10))
         found, tombstone, pages = run.lookup_many(np.array([], dtype=np.int64))
         assert found.size == 0 and tombstone.size == 0 and pages == 0
-        empty = SortedRun.merge([], entries_per_page=4)
+        empty = make_run([])
         found, tombstone, pages = empty.lookup_many(np.array([1, 2], dtype=np.int64))
         assert not found.any() and not tombstone.any() and pages == 0
 

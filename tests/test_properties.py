@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core import UncertaintyRegion
 from repro.lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
 from repro.storage import BloomFilter, LSMTree, SortedRun
+from repro.storage.run import consolidate_versions
 from repro.workloads import Workload, kl_divergence
 
 _SYSTEM = SystemConfig()
@@ -186,11 +187,13 @@ class TestSortedRunProperties:
         keys_b=st.lists(st.integers(0, 5_000), min_size=1, max_size=200, unique=True),
     )
     @settings(max_examples=40, deadline=None)
-    def test_merge_preserves_key_set(self, keys_a, keys_b):
-        run_a = SortedRun(np.array(sorted(keys_a), dtype=np.int64), entries_per_page=4)
-        run_b = SortedRun(np.array(sorted(keys_b), dtype=np.int64), entries_per_page=4)
-        merged = SortedRun.merge([run_a, run_b], entries_per_page=4)
-        assert set(merged.keys.tolist()) == set(keys_a) | set(keys_b)
+    def test_consolidation_preserves_key_set(self, keys_a, keys_b):
+        parts = [np.array(sorted(keys), dtype=np.int64) for keys in (keys_a, keys_b)]
+        keys, tombstones = consolidate_versions(
+            parts, [np.zeros(part.size, dtype=bool) for part in parts]
+        )
+        assert keys.tolist() == sorted(set(keys_a) | set(keys_b))
+        assert not tombstones.any()
 
 
 class TestLSMTreeProperties:

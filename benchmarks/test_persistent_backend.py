@@ -1,8 +1,9 @@
 """Macro-benchmark — the tree on real files against the cost model.
 
 A ``FileStore`` puts real files behind the one ``LSMTree``: every write goes
-through a write-ahead log, flushes materialise SSTables with fence/Bloom
-sidecars, and compactions rewrite files on disk.  The tree itself is the
+through a write-ahead log, flushes materialise SSTables (one file each:
+records, then fences and Bloom filter in a footer), and compactions rewrite
+files on disk.  The tree itself is the
 simulated one — same runs, same Bloom seeds, same ``VirtualDisk`` page
 counters — so what this table pins is what the engine *moved* on files,
 lsmtreedb ``simple_bench`` style:

@@ -301,10 +301,13 @@ class MigrationPlan:
             )
         # Leftover checkpoint keys live in the memtable, exactly as a bulk
         # load homes them — unless the mixed state already wrote a newer
-        # version (the checkpoint copy is obsolete then).
-        for key in self._leftover:
-            if int(key) not in self._dirty_keys:
-                self.target.memtable.put(int(key))
+        # version (the checkpoint copy is obsolete then).  Logged first, like
+        # any write the target must not lose to a kill; not ``target.put``,
+        # which could flush and move counters.
+        for key in self._leftover.tolist():
+            if key not in self._dirty_keys:
+                self.target.store.log(key, False)
+                self.target.memtable.put(key)
         self.target.preserve_tombstones = False
         self.source.preserve_tombstones = False
 

@@ -170,10 +170,10 @@ class BloomFilter:
         return self.might_contain(int(key))
 
     # ------------------------------------------------------------------
-    # Serialisation (persistent-backend sidecars)
+    # Serialisation (the persistent backend's SSTable footer)
     # ------------------------------------------------------------------
     def to_state(self) -> dict[str, np.ndarray]:
-        """The filter's full state as plain arrays (for an on-disk sidecar).
+        """The filter's full state as plain arrays (for an SSTable's footer).
 
         Everything a filter answers with is captured — parameters, insert
         count and the bit table — so :meth:`from_state` reproduces a filter
@@ -190,7 +190,7 @@ class BloomFilter:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "BloomFilter":
-        """Rebuild a filter from :meth:`to_state` arrays (e.g. a sidecar)."""
+        """Rebuild a filter from :meth:`to_state` arrays (e.g. a table's footer)."""
         expected_entries, seed, count = (int(v) for v in state["params"])
         filt = cls(
             expected_entries=expected_entries,
@@ -200,7 +200,7 @@ class BloomFilter:
         bits = np.asarray(state["bits"], dtype=np.uint8)
         if bits.shape != filt._bits.shape:
             raise ValueError(
-                f"sidecar bit table has {bits.size} bytes but the filter "
+                f"stored bit table has {bits.size} bytes but the filter "
                 f"parameters imply {filt._bits.size}"
             )
         filt._bits = bits.copy()

@@ -316,10 +316,12 @@ class LSMTree:
         if self.memtable.is_empty:
             return
         keys, tombstones = self.memtable.sorted_items()
-        self.memtable.clear()
         run = self._new_run(keys, tombstones, level=1)
         self.disk.write_pages(run.num_pages, flush=True)
         self._install_run(run, level=1)
+        # Emptied only now: if the store fails to write a run, the buffer
+        # still answers for every acknowledged write and the next put retries.
+        self.memtable.clear()
         # The flushed run now covers everything that was logged.
         self.store.commit(self.levels, self._run_counter, buffered=())
 
@@ -582,7 +584,7 @@ class LSMTree:
         plan = self.plan_bulk_load(keys)
         self._ensure_level(plan.deepest)
         for lvl, piece in plan.placements:
-            self.install_bulk_run(piece, lvl)
+            self._place_bulk_run(piece, lvl)
         # Anything that still did not fit goes to the memtable (rare), past
         # the log — so the commit rewrites the log from the memtable.
         for key in plan.leftover:
@@ -633,12 +635,17 @@ class LSMTree:
         free by experimental convention; a migration charges the pages to the
         virtual disk as compaction traffic before installing).
         """
+        self._place_bulk_run(keys, level)
+        # A commit point of its own, so a migration survives a kill between
+        # steps.  The log already covers the memtable (a migration target's
+        # holds acknowledged writes): it stays as it is.
+        self.store.commit(self.levels, self._run_counter, buffered=None)
+
+    def _place_bulk_run(self, keys: np.ndarray, level: int) -> None:
+        """Build a run of live ``keys`` as the oldest of ``level``; no commit."""
         self._ensure_level(level)
         run = self._new_run(keys, np.zeros(keys.size, dtype=bool), level)
         self.levels[level - 1].append(run)
-        # The log already covers the memtable (a migration target's holds
-        # acknowledged writes): it stays as it is.
-        self.store.commit(self.levels, self._run_counter, buffered=None)
 
     def _bulk_load_level_capacity(self, level: int, deepest: int) -> int:
         """Entries bulk loading may place at ``level`` in a ``deepest``-level tree."""

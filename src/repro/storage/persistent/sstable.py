@@ -2,12 +2,14 @@
 
 An :class:`SSTable` is what :class:`~repro.storage.persistent.FileStore`
 creates where the in-memory store creates a
-:class:`~repro.storage.run.SortedRun`: the entries live in a data file
-(9-byte packed records: little-endian ``int64`` key + tombstone byte, laid
-out in pages of ``entries_per_page`` records), and only the acceleration
-structures a real LSM engine also pins in memory — the sparse index (fence
-pointers plus per-page max keys) and the run's Bloom filter — are held
-resident, persisted next to the data file as ``.npz`` sidecars.
+:class:`~repro.storage.run.SortedRun`.  A table is **one file written by one
+``write``**: the entries first (9-byte packed records: little-endian
+``int64`` key + tombstone byte, laid out in pages of ``entries_per_page``
+records from offset 0), then a footer with the acceleration structures a
+real LSM engine pins in memory — the sparse index (fence pointers, then
+per-page max keys) and the Bloom filter's bit table — and last a fixed-size
+trailer (:data:`_TRAILER`) that says how long each part is and ends in a
+magic.  Only the footer's structures are held resident.
 
 Reads answer from the file: a point lookup that survives the Bloom filter
 and the fence bounds ``pread``s exactly one page; a range scan ``pread``s
@@ -20,7 +22,9 @@ reflects real I/O.
 
 from __future__ import annotations
 
+import errno
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -31,52 +35,48 @@ from ..run import PageSpan, build_run_index
 #: One on-disk record: little-endian int64 key + tombstone flag byte.
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
 
-
-def index_sidecar_path(data_path: Path) -> Path:
-    """Location of an SSTable's sparse-index sidecar."""
-    return data_path.with_suffix(".index.npz")
-
-
-def filter_sidecar_path(data_path: Path) -> Path:
-    """Location of an SSTable's Bloom-filter sidecar."""
-    return data_path.with_suffix(".filter.npz")
-
-
-def table_files(data_path: Path) -> tuple[Path, Path, Path]:
-    """Every file of one SSTable: the data file and its two sidecars."""
-    return data_path, index_sidecar_path(data_path), filter_sidecar_path(data_path)
+#: The last bytes of every table file: entry count, entries per page, the
+#: filter's ``to_state()`` parameters (expected entries, seed, insert count,
+#: bits per entry), the footer lengths (pages of the sparse index, bytes of
+#: the filter's bit table) and the magic.
+_TRAILER = struct.Struct("<5qd2q8s")
+_MAGIC = b"ENDURSST"
 
 
 class SSTable:
     """One immutable on-disk sorted run.
 
     Not constructed directly: use :meth:`create` to materialise sorted
-    entries as a new table, or :meth:`open` to attach to files written by a
-    previous process (recovery).
+    entries as a new table, or :meth:`open` to attach to a file written by a
+    previous process (recovery).  Either hands over the descriptor the table
+    reads through until :meth:`close`.
     """
 
     def __init__(
         self,
         path: Path,
+        descriptor: int,
         entries_per_page: int,
         fences: np.ndarray,
         page_max: np.ndarray,
         num_entries: int,
         bloom: BloomFilter,
     ) -> None:
-        self.path = Path(path)
+        self.path = path
+        self._fd: int | None = descriptor
         self.entries_per_page = int(entries_per_page)
         self._fences = fences
         self._page_max = page_max
         self._num_entries = int(num_entries)
         self._filter = bloom
         self._page_bytes = self.entries_per_page * RECORD_DTYPE.itemsize
+        #: Where the records end and the footer starts.
+        self._data_bytes = self._num_entries * RECORD_DTYPE.itemsize
         if num_entries:
             self._min_key = int(fences[0])
             self._max_key = int(page_max[-1])
         else:
             self._min_key = self._max_key = 0
-        self._fd: int | None = os.open(self.path, os.O_RDONLY)
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,80 +96,98 @@ class SSTable:
         Entries are validated, and the fences and Bloom filter built, by the
         function ``SortedRun`` uses, so the filter's probe answers — and
         therefore the false positives the disk counters record — are
-        bit-identical to the simulated run's.
+        bit-identical to the simulated run's.  The file is one ``write``; if
+        it fails or comes up short, nothing of the table is left behind.
         """
         path = Path(path)
         keys, tombstones, fences, bloom = build_run_index(
             keys, tombstones, entries_per_page, bits_per_entry, seed
         )
-
         records = np.empty(keys.size, dtype=RECORD_DTYPE)
         records["key"] = keys
         records["tombstone"] = tombstones
-        records.tofile(path)
-
-        # Largest key of each page: the sparse index needs both page bounds
-        # to reproduce SortedRun's span arithmetic exactly.
-        last = np.minimum(
-            np.arange(fences.size, dtype=np.int64) * entries_per_page
-            + (entries_per_page - 1),
-            keys.size - 1,
+        # Largest key of each page — the last of every full page, then the
+        # run's last: the sparse index needs both page bounds to reproduce
+        # SortedRun's span arithmetic exactly.
+        page_max = np.append(keys[entries_per_page - 1 :: entries_per_page], keys[-1:])
+        page_max = page_max[: fences.size]
+        state = bloom.to_state()
+        image = b"".join(
+            (
+                records.tobytes(),
+                np.concatenate((fences, page_max)).astype("<i8", copy=False).tobytes(),
+                state["bits"].tobytes(),
+                _TRAILER.pack(
+                    keys.size, entries_per_page, *state["params"].tolist(),
+                    state["bits_per_entry"].item(), fences.size, state["bits"].size,
+                    _MAGIC,
+                ),
+            )
         )
-        page_max = keys[last].copy()
-
-        np.savez(
-            index_sidecar_path(path),
-            fences=fences,
-            page_max=page_max,
-            meta=np.array([keys.size, entries_per_page], dtype=np.int64),
-        )
-        np.savez(filter_sidecar_path(path), **bloom.to_state())
-        return cls(
-            path=path,
-            entries_per_page=entries_per_page,
-            fences=fences,
-            page_max=page_max,
-            num_entries=int(keys.size),
-            bloom=bloom,
-        )
+        descriptor = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            if os.write(descriptor, image) != len(image):
+                raise OSError(errno.EIO, "short write of an SSTable", str(path))
+        except BaseException:
+            os.close(descriptor)
+            path.unlink(missing_ok=True)
+            raise
+        return cls(path, descriptor, entries_per_page, fences, page_max, keys.size, bloom)
 
     @classmethod
     def open(cls, path: str | os.PathLike[str]) -> "SSTable":
         """Attach to a table written earlier, rebuilding its resident state
-        (sparse index + Bloom filter) from the sidecars."""
+        (sparse index + Bloom filter) from the footer.
+
+        Raises ``ValueError`` unless the file ends in the trailer magic and is
+        exactly as long as the trailer says its parts are.
+        """
         path = Path(path)
-        with np.load(index_sidecar_path(path)) as index:
-            fences = index["fences"]
-            page_max = index["page_max"]
-            num_entries, entries_per_page = (int(v) for v in index["meta"])
-        with np.load(filter_sidecar_path(path)) as state:
-            bloom = BloomFilter.from_state(dict(state))
-        expected_bytes = num_entries * RECORD_DTYPE.itemsize
-        if path.stat().st_size != expected_bytes:
-            raise ValueError(
-                f"data file {path} holds {path.stat().st_size} bytes but the "
-                f"index sidecar says {expected_bytes}"
+        descriptor = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(descriptor).st_size
+            trailer = os.pread(descriptor, _TRAILER.size, max(size - _TRAILER.size, 0))
+            if len(trailer) != _TRAILER.size or not trailer.endswith(_MAGIC):
+                raise ValueError(f"{path} does not end in an SSTable trailer")
+            (
+                num_entries, entries_per_page, expected_entries, seed, count,
+                bits_per_entry, num_pages, filter_bytes, _,
+            ) = _TRAILER.unpack(trailer)
+            data_bytes = num_entries * RECORD_DTYPE.itemsize
+            footer_bytes = 16 * num_pages + filter_bytes
+            if size != data_bytes + footer_bytes + _TRAILER.size:
+                raise ValueError(
+                    f"{path} holds {size} bytes but its trailer describes "
+                    f"{data_bytes + footer_bytes + _TRAILER.size}"
+                )
+            footer = os.pread(descriptor, footer_bytes, data_bytes)
+            index = np.frombuffer(footer, "<i8", 2 * num_pages)
+            bloom = BloomFilter.from_state(
+                {
+                    "params": (expected_entries, seed, count),
+                    "bits_per_entry": (bits_per_entry,),
+                    "bits": np.frombuffer(footer, np.uint8, filter_bytes, index.nbytes),
+                }
             )
-        return cls(
-            path=path,
-            entries_per_page=entries_per_page,
-            fences=fences,
-            page_max=page_max,
-            num_entries=num_entries,
-            bloom=bloom,
-        )
+            return cls(
+                path, descriptor, entries_per_page,
+                index[:num_pages], index[num_pages:], num_entries, bloom,
+            )
+        except BaseException:
+            os.close(descriptor)
+            raise
 
     # ------------------------------------------------------------------
     # File access
     # ------------------------------------------------------------------
     def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
-        """``pread`` the contiguous page range and unpack it to arrays."""
+        """``pread`` the contiguous page range — clamped to the record region, as
+        the final partial page ends where the footer starts — and unpack it."""
         if self._fd is None:
             raise ValueError(f"SSTable {self.path} is closed")
         offset = first_page * self._page_bytes
-        length = (last_page - first_page + 1) * self._page_bytes
-        data = os.pread(self._fd, length, offset)
-        records = np.frombuffer(data, dtype=RECORD_DTYPE)
+        end = min((last_page + 1) * self._page_bytes, self._data_bytes)
+        records = np.frombuffer(os.pread(self._fd, end - offset, offset), dtype=RECORD_DTYPE)
         return (
             records["key"].astype(np.int64, copy=False),
             records["tombstone"].astype(bool),
@@ -178,12 +196,10 @@ class SSTable:
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The table's full contents as ``(keys, tombstones)``, charging no I/O.
 
-        Reads the whole data file; callers that model the cost (compaction,
-        migration checkpoints) charge the pages separately — exactly the
-        contract of ``SortedRun.entries``.
+        Reads the whole record region; callers that model the cost
+        (compaction, migration checkpoints) charge the pages separately —
+        exactly the contract of ``SortedRun.entries``.
         """
-        if self._num_entries == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         return self._read_pages(0, self.num_pages - 1)
 
     # ------------------------------------------------------------------
@@ -262,7 +278,7 @@ class SSTable:
         """Index of the page that would hold ``key`` (via fence pointers)."""
         if self._num_entries == 0:
             raise ValueError("empty run has no pages")
-        page = int(np.searchsorted(self._fences, key, side="right")) - 1
+        page = int(self._fences.searchsorted(key, side="right")) - 1
         return max(0, page)
 
     def lookup(self, key: int) -> tuple[bool, bool, int]:
@@ -276,7 +292,7 @@ class SSTable:
             return False, False, 0
         page = self.page_of(key)
         page_keys, page_tombstones = self._read_pages(page, page)
-        index = int(np.searchsorted(page_keys, key))
+        index = int(page_keys.searchsorted(key))
         if index < page_keys.size and page_keys[index] == key:
             return True, bool(page_tombstones[index]), 1
         return False, False, 1
@@ -302,13 +318,11 @@ class SSTable:
         pages_read = int(probe_idx.size)
         if pages_read:
             probed = keys[probe_idx]
-            pages = np.maximum(
-                np.searchsorted(self._fences, probed, side="right") - 1, 0
-            )
+            pages = np.maximum(self._fences.searchsorted(probed, side="right") - 1, 0)
             for page in np.unique(pages):
                 page_keys, page_tombstones = self._read_pages(int(page), int(page))
                 on_page = np.flatnonzero(pages == page)
-                indices = np.searchsorted(page_keys, probed[on_page])
+                indices = page_keys.searchsorted(probed[on_page])
                 in_range = indices < page_keys.size
                 hit = np.zeros(on_page.size, dtype=bool)
                 hit[in_range] = page_keys[indices[in_range]] == probed[on_page][in_range]
@@ -333,13 +347,13 @@ class SSTable:
             return PageSpan(0, -1)
         if end_key < self._min_key or start_key > self._max_key:
             return PageSpan(0, -1)
-        first = int(np.searchsorted(self._page_max, start_key, side="left"))
-        last = int(np.searchsorted(self._fences, end_key, side="right")) - 1
+        first = int(self._page_max.searchsorted(start_key, side="left"))
+        last = int(self._fences.searchsorted(end_key, side="right")) - 1
         if last < first:
             # No key inside the interval: the seek still reads the page with
             # the largest key below ``start_key`` (the interval is past that
             # page's max but before the next page's fence).
-            page = int(np.searchsorted(self._fences, start_key, side="left")) - 1
+            page = int(self._fences.searchsorted(start_key, side="left")) - 1
             return PageSpan(page, page)
         return PageSpan(first, last)
 
@@ -361,26 +375,20 @@ class SSTable:
         if span.num_pages == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0
         page_keys, page_tombstones = self._read_pages(span.first_page, span.last_page)
-        lo = int(np.searchsorted(page_keys, start_key, side="left"))
-        hi = int(np.searchsorted(page_keys, end_key, side="right"))
+        lo = int(page_keys.searchsorted(start_key, side="left"))
+        hi = int(page_keys.searchsorted(end_key, side="right"))
         return page_keys[lo:hi].copy(), page_tombstones[lo:hi].copy(), span.num_pages
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the data-file descriptor (files are left on disk)."""
+        """Release the descriptor (the file is left on disk)."""
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
 
     def delete_files(self) -> None:
-        """Close the table and remove its data file and sidecars."""
+        """Close the table and remove its file."""
         self.close()
-        self.remove_files(self.path)
-
-    @staticmethod
-    def remove_files(data_path: Path) -> None:
-        """Remove the files of the table at ``data_path``, open or not."""
-        for stale in table_files(data_path):
-            stale.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)

@@ -23,11 +23,11 @@ from ...lsm.system import SystemConfig
 from ...lsm.tuning import LSMTuning
 from ..disk import VirtualDisk
 from ..lsm_tree import LSMTree
-from .sstable import SSTable, table_files
+from .sstable import SSTable
 from .wal import WriteAheadLog
 
 #: Manifest schema version, bumped on incompatible layout changes.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def _fsync_path(path: Path) -> None:
@@ -60,9 +60,9 @@ class FileStore:
     left over, and recovery sweeps them.
 
     ``sync_writes`` makes that hold across an *operating-system* crash too:
-    the log ``fsync``s every append, each new table's three files are synced
-    before the manifest that names them is swapped in, and the directory is
-    synced after the swap.  Without it (the default, and what the benchmark
+    the log ``fsync``s every append, each new table's file is synced before
+    the manifest that names it is swapped in, and the directory is synced
+    after the swap.  Without it (the default, and what the benchmark
     runs) only the manifest's contents are synced and a flush is one
     ``fsync``: everything survives a process kill, not a power cut.
     """
@@ -98,18 +98,11 @@ class FileStore:
         seed: int,
     ) -> SSTable:
         """Write run number ``run_id`` as an SSTable and track it."""
-        table = SSTable.create(
-            self.data_dir / f"run-{run_id:08d}.sst",
-            keys=keys,
-            tombstones=tombstones,
-            entries_per_page=entries_per_page,
-            bits_per_entry=bits_per_entry,
-            seed=seed,
-        )
+        path = self.data_dir / f"run-{run_id:08d}.sst"
+        table = SSTable.create(path, keys, tombstones, entries_per_page, bits_per_entry, seed)
         self._tables[table.path.name] = table
         if self.sync_writes:
-            for path in table_files(table.path):
-                _fsync_path(path)
+            _fsync_path(table.path)
         return table
 
     def log(self, key: int, tombstone: bool) -> None:
@@ -152,20 +145,16 @@ class FileStore:
         self._wal.append_many(buffered)
 
     def _collect_garbage(self) -> None:
-        """Delete SSTable files the manifest no longer references.
+        """Delete the tables the manifest no longer references.
 
         Tables a compaction replaced are closed before their files go — an
         unlinked file keeps its blocks, and the process its descriptor, for
-        as long as it stays open.  The glob sweep that follows catches files
-        no table of this process owns: orphans of a crash between SSTable
-        creation and manifest swap.
+        as long as it stays open.  Every table this process created is in
+        ``_tables``, so nothing else can be stale after a commit.
         """
         live = {name for level in self._manifest["levels"] for name in level}
         for name in self._tables.keys() - live:
             self._tables.pop(name).delete_files()
-        for data_path in self.data_dir.glob("run-*.sst"):
-            if data_path.name not in live:
-                SSTable.remove_files(data_path)
 
     def recover(self) -> tuple[list[list[SSTable]], int, list[tuple[int, bool]]] | None:
         """Reopen what an earlier tree left in the directory.
@@ -191,8 +180,11 @@ class FileStore:
         ]
         self._tables = {run.path.name: run for runs in levels for run in runs}
         logged = self._wal.replay()
-        # Files a crash stranded between SSTable creation and manifest swap.
-        self._collect_garbage()
+        # Files no table of this process owns: a crash stranded them between
+        # SSTable creation and manifest swap, or before garbage collection.
+        for path in self.data_dir.glob("run-*.sst"):
+            if path.name not in self._tables:
+                path.unlink()
         return levels, int(manifest["run_counter"]), logged
 
     # ------------------------------------------------------------------

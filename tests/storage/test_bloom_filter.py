@@ -111,7 +111,7 @@ class TestBitTableBytes:
 
     The digests were recorded with the hash-function-at-a-time
     ``np.bitwise_or.at`` builder this filter used to have; the table is what
-    ``to_state()`` writes into every ``.filter.npz`` sidecar, and it decides
+    ``to_state()`` hands every SSTable footer, and it decides
     which probes are false positives, i.e. every golden page counter.
     """
 

@@ -452,12 +452,12 @@ class TestRunStoreProtocol:
         tree.install_bulk_run(np.arange(10, 20), level=2)
         tree.bulk_load(np.arange(100, 110))
         # Run ids count 1, 2, 3 … and seed the filter with ``seed + run_id``;
-        # every structure change commits once (a bulk load, once per placed
-        # run and once for the whole), saying what the log must hold.
+        # every structure change commits once (a bulk load, once for all the
+        # runs it places), saying what the log must hold.
         assert store.calls == [
             ("create_run", 1, 41), ("commit", []),
             ("create_run", 2, 42), ("commit", None),
-            ("create_run", 3, 43), ("commit", None), ("commit", []),
+            ("create_run", 3, 43), ("commit", []),
         ]
         store.calls.clear()
         tree.get(5), tree.get_many(np.arange(0, 200)), tree.range_query(0, 200)

@@ -12,6 +12,7 @@ of a commit, orphan sweeping, garbage collection and the on-disk layout.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -22,7 +23,6 @@ from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
-from repro.storage.persistent.sstable import filter_sidecar_path, index_sidecar_path
 
 _SYSTEM = simulator_system(num_entries=2_000)
 
@@ -63,6 +63,24 @@ def _drive(tree, trace):
         else:
             answers.append(tree.range_query(key, key + 700))
     return answers
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc to list descriptors"
+)
+
+
+def _descriptors_under(directory) -> list[str]:
+    """Targets of this process's open descriptors inside ``directory``."""
+    targets = []
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:  # the descriptor of the listing itself
+            continue
+        if target.startswith(str(directory)):
+            targets.append(target)
+    return sorted(targets)
 
 
 def _persistent_pair(tuning, tmp_path, seed=3):
@@ -186,8 +204,7 @@ class _StoppableStore(FileStore):
 def _assert_no_orphan_files(tree: PersistentLSMTree) -> None:
     """The directory's run files are exactly the recovered tree's runs."""
     referenced = {run.path.name for runs in tree.levels for run in runs}
-    assert {p.name for p in tree.data_dir.glob("run-*.sst")} == referenced
-    assert len(list(tree.data_dir.glob("run-*.npz"))) == 2 * len(referenced)
+    assert {p.name for p in tree.data_dir.glob("run-*")} == referenced
 
 
 def _assert_same_answers(reference: LSMTree, recovered: LSMTree, probe) -> None:
@@ -321,6 +338,41 @@ class TestCrashRecovery:
             reference, recovered, np.r_[np.arange(0, 22_000, 7), np.array(writes)]
         )
         reference.dispose()
+        recovered.destroy()
+
+    def test_a_kill_after_the_last_migration_step_keeps_the_leftover_keys(
+        self, tmp_path
+    ):
+        """Regression: finalisation re-homed the checkpoint keys no placement
+        took into the target's memtable without logging them."""
+        disk = VirtualDisk()
+        checkpoint = np.arange(0, 20_000, 11)
+        source = LSMTree(_TUNINGS[0], _SYSTEM, disk=disk, seed=3)
+        source.bulk_load(checkpoint)
+        target = PersistentLSMTree(
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "target", disk=disk, seed=17
+        )
+        plan = MigrationPlan(source, target, checkpoint)
+        # No checkpoint of this size leaves keys over by itself (the plan
+        # deepens the tree until everything fits), so take three out of the
+        # last placement by hand.
+        assert plan._leftover.size == 0
+        level, piece = plan._placements[-1]
+        plan._placements = plan._placements[:-1] + ((level, piece[3:]),)
+        plan._leftover = piece[:3]
+        kept, overwritten, also_kept = piece[:3].tolist()
+        plan.delete(overwritten)  # a newer version: the leftover copy is obsolete
+        plan.run_to_completion()
+        assert target.memtable.get(kept) == (True, False)
+        target.simulate_crash()
+
+        recovered = PersistentLSMTree(
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "target", disk=disk, seed=17
+        )
+        assert recovered.stats().memtable_entries == 3
+        assert recovered.get(kept) and recovered.get(also_kept)
+        assert not recovered.get(overwritten)
+        assert recovered.get_many(checkpoint).sum() == checkpoint.size - 1
         recovered.destroy()
 
 
@@ -467,22 +519,31 @@ class TestSSTable:
             assert run_scan[2] == tab_scan[2]
         table.close()
 
-    def test_open_round_trips_all_state(self, tmp_path):
-        keys = np.arange(0, 300, 2)
+    @pytest.mark.parametrize("count", [0, 3, 150], ids=["empty", "one-partial-page", "many"])
+    def test_open_round_trips_all_state(self, tmp_path, count):
+        keys = np.arange(0, 2 * count, 2)
         tombs = (keys % 10) == 0
-        _, table = self._pair(tmp_path, keys, tombs)
+        run, table = self._pair(tmp_path, keys, tombs)
         table.close()
         reopened = SSTable.open(tmp_path / "t.sst")
-        assert reopened.num_entries == keys.size
-        assert reopened.num_pages == table.num_pages
+        assert reopened.num_entries == count
+        assert reopened.num_pages == run.num_pages == -(-count // 4)
+        assert reopened.entries_per_page == 4
         assert np.array_equal(reopened.keys, keys)
         assert np.array_equal(reopened.tombstones, tombs)
-        # The rebuilt Bloom filter answers bit-identically.
-        probe = np.arange(-100, 400).astype(np.uint64)
-        assert np.array_equal(
-            table.bloom_filter.might_contain_many(probe),
-            reopened.bloom_filter.might_contain_many(probe),
-        )
+        # The resident state is the created table's, bit for bit.
+        for name in ("_fences", "_page_max"):
+            created, read = getattr(table, name), getattr(reopened, name)
+            assert created.dtype == read.dtype == np.int64
+            assert created.tobytes() == read.tobytes()
+        created, read = table.bloom_filter.to_state(), reopened.bloom_filter.to_state()
+        assert created.keys() == read.keys()
+        for name in created:
+            assert created[name].tobytes() == read[name].tobytes()
+        # So every probe answers, and charges, like the in-memory run.
+        for key in range(-3, 2 * count + 3):
+            assert reopened.lookup(key) == run.lookup(key)
+            assert reopened.range_span(key, key + 9) == run.range_span(key, key + 9)
         reopened.close()
 
     def test_empty_table(self, tmp_path):
@@ -494,21 +555,118 @@ class TestSSTable:
             table.min_key
         table.close()
 
-    def test_open_rejects_truncated_data_file(self, tmp_path):
-        keys = np.arange(0, 100, 2)
-        _, table = self._pair(tmp_path, keys)
+    def test_reads_on_the_final_partial_page_stop_at_the_footer(self, tmp_path):
+        """The records of the last page are followed by the footer, not by
+        end-of-file: a read that took a whole page there would unpack fence
+        pointers as entries."""
+        keys = np.arange(0, 60, 2)  # 30 entries: seven full pages and a half
+        run, table = self._pair(tmp_path, keys, (keys % 8) == 0)
+        assert table._read_pages(7, 7)[0].tolist() == [56, 58]
+        assert np.array_equal(table.keys, keys)
+        for key in (55, 56, 57, 58, 59):
+            assert table.lookup(key) == run.lookup(key)
+        for start, end in [(50, 200), (56, 56), (57, 57), (58, 300), (0, 59)]:
+            got, want = table.scan_entries(start, end), run.scan_entries(start, end)
+            assert [part.tolist() for part in got[:2]] == [part.tolist() for part in want[:2]]
+            assert got[2] == want[2]
+        found, _, pages = table.lookup_many(keys[-3:])
+        assert found.all() and pages == run.lookup_many(keys[-3:])[2]
+        # Offsets did not move: the file starts with the bare record array.
+        raw = (tmp_path / "t.sst").read_bytes()[: 30 * 9]
+        assert np.array_equal(np.frombuffer(raw, dtype="<i8, u1")["f0"], keys)
         table.close()
+
+    def _table_bytes(self, tmp_path):
+        _, table = self._pair(tmp_path, np.arange(0, 100, 2))
+        table.close()
+        return (tmp_path / "t.sst").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut", [0, 9 * 20, 9 * 50, 9 * 50 + 8 * 13 + 3, -40, -1],
+        ids=[
+            "empty", "in-the-records", "bare-records-of-the-old-layout",
+            "in-the-footer", "in-the-trailer", "in-the-magic",
+        ],
+    )
+    def test_open_rejects_a_file_without_the_trailer_magic(self, tmp_path, cut):
+        """Truncated anywhere, or what the three-file layout called
+        ``run-N.sst``, a file does not end in the magic."""
         path = tmp_path / "t.sst"
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ValueError, match="index sidecar"):
+        path.write_bytes(self._table_bytes(tmp_path)[:cut])
+        with pytest.raises(ValueError, match="does not end in an SSTable trailer"):
             SSTable.open(path)
 
-    def test_delete_files_removes_sidecars(self, tmp_path):
+    def test_open_rejects_a_file_whose_length_the_trailer_does_not_imply(self, tmp_path):
+        """A record lost (or bytes gained) ahead of an intact trailer."""
+        path = tmp_path / "t.sst"
+        raw = self._table_bytes(tmp_path)
+        for damaged in (raw[9:], b"\0" * 9 + raw):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match=f"holds {len(damaged)} bytes"):
+                SSTable.open(path)
+
+    @needs_proc
+    def test_a_rejected_file_leaves_no_descriptor_open(self, tmp_path):
+        path = tmp_path / "t.sst"
+        path.write_bytes(self._table_bytes(tmp_path)[:-1])
+        before = _descriptors_under(tmp_path)
+        with pytest.raises(ValueError):
+            SSTable.open(path)
+        assert _descriptors_under(tmp_path) == before
+
+    def test_delete_files_removes_the_table(self, tmp_path):
         _, table = self._pair(tmp_path, np.arange(0, 40))
         table.delete_files()
-        assert not (tmp_path / "t.sst").exists()
-        assert not index_sidecar_path(tmp_path / "t.sst").exists()
-        assert not filter_sidecar_path(tmp_path / "t.sst").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+@needs_proc
+class TestFailedTableWrite:
+    """A table whose one ``write`` fails is not there at all."""
+
+    @pytest.mark.parametrize("fault", ["ENOSPC", "short write"])
+    def test_no_file_no_descriptor_and_the_tree_goes_on(
+        self, tmp_path, monkeypatch, fault
+    ):
+        tree = PersistentLSMTree(
+            LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
+            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+        )
+        writes = list(range(2 * tree.buffer_entries - 1))
+        for key in writes:  # one flushed run, then one put short of the next
+            tree.put(key)
+        files = sorted(path.name for path in tree.data_dir.iterdir())
+        descriptors = _descriptors_under(tmp_path)
+        counters = tree.disk.counters.snapshot()
+        real_write = os.write
+
+        def failing_write(descriptor, data):
+            if fault == "ENOSPC":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(descriptor, data[: len(data) // 2])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", failing_write)
+            with pytest.raises(OSError, match="No space left|short write"):
+                tree.put(writes[-1] + 1)
+        writes.append(writes[-1] + 1)  # logged before the flush was tried
+        assert sorted(path.name for path in tree.data_dir.iterdir()) == files
+        assert _descriptors_under(tmp_path) == descriptors
+        assert tree.disk.counters.snapshot() == counters
+        # Still usable: the buffer answers for what the flush did not
+        # persist, and the next put flushes it.
+        assert all(tree.get(key) for key in writes)
+        tree.put(writes[-1] + 1)
+        writes.append(writes[-1] + 1)
+        assert tree.memtable.is_empty
+        tree.simulate_crash()
+        recovered = PersistentLSMTree(
+            LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
+            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+        )
+        assert all(recovered.get(key) for key in writes)
+        _assert_no_orphan_files(recovered)
+        recovered.destroy()
 
 
 class TestPersistentHousekeeping:
@@ -524,17 +682,13 @@ class TestPersistentHousekeeping:
         for key in range(6 * tree.buffer_entries):
             tree.put(key)
         live = {run.path.name for runs in tree.levels for run in runs}
-        on_disk = {p.name for p in (tmp_path / "db").glob("run-*.sst")}
+        # A table is one file: nothing else named after a run exists.
+        on_disk = {p.name for p in (tmp_path / "db").glob("run-*")}
         assert on_disk == live
-        # Sidecars track their data files one to one.
-        npz_count = len(list((tmp_path / "db").glob("run-*.npz")))
-        assert npz_count == 2 * len(live)
         tree.destroy()
         assert not (tmp_path / "db").exists()
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/proc/self/fd"), reason="needs /proc to list descriptors"
-    )
+    @needs_proc
     def test_compaction_closes_the_tables_it_replaces(self, tmp_path):
         """Regression: the tables a compaction dropped kept their descriptor
         open on the deleted file for the life of the process."""
@@ -545,14 +699,7 @@ class TestPersistentHousekeeping:
         for key in range(12 * tree.buffer_entries):
             tree.put(key)
         assert tree.disk.counters.compaction_writes > 0  # runs were replaced
-        leaked = []
-        for entry in os.listdir("/proc/self/fd"):
-            try:
-                target = os.readlink(f"/proc/self/fd/{entry}")
-            except OSError:  # the descriptor of the listing itself
-                continue
-            if target.startswith(str(tmp_path)) and target.endswith(" (deleted)"):
-                leaked.append(target)
+        leaked = [t for t in _descriptors_under(tmp_path) if t.endswith(" (deleted)")]
         assert leaked == []
         tree.destroy()
 
@@ -608,9 +755,7 @@ class _SyscallRecorder:
         monkeypatch.setattr(os, "replace", replace)
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self/fd"), reason="needs /proc to name descriptors"
-)
+@needs_proc
 class TestFlushDurability:
     """What one flush syncs, and in which order, under each ``sync_writes``."""
 
@@ -639,9 +784,8 @@ class TestFlushDurability:
         events = self._flush_events(tmp_path, monkeypatch, sync_writes=True)
         swap = events.index(("replace", "MANIFEST.json"))
         synced_before = {name for kind, name in events[:swap] if kind == "fsync"}
-        for run in ("run-00000002", "run-00000003"):  # the flushed run, the merge
-            for suffix in (".sst", ".index.npz", ".filter.npz"):
-                assert run + suffix in synced_before
+        # The flushed run and the merge, one file each.
+        assert {"run-00000002.sst", "run-00000003.sst"} <= synced_before
         assert "MANIFEST.tmp" in synced_before
         # The swap's directory entry, then the truncated log.
         assert events[swap + 1 :] == [("fsync", "db"), ("fsync", "wal.log")]
@@ -649,6 +793,18 @@ class TestFlushDurability:
     def test_without_sync_writes_a_flush_is_one_fsync(self, tmp_path, monkeypatch):
         events = self._flush_events(tmp_path, monkeypatch, sync_writes=False)
         assert events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+
+    def test_a_bulk_load_swaps_the_manifest_once(self, tmp_path, monkeypatch):
+        """Regression: once per placed run, and once more at the end."""
+        tree = PersistentLSMTree(
+            LSMTuning(5.0, 5.0, Policy.TIERING), _SYSTEM,
+            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+        )
+        recorder = _SyscallRecorder(monkeypatch)
+        tree.bulk_load(np.arange(0, 20_000, 11))
+        assert sum(len(runs) for runs in tree.levels) == 3
+        assert recorder.events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+        tree.destroy()
 
 
 class TestDiskLayout:
@@ -666,16 +822,18 @@ class TestDiskLayout:
         tree.close()
         runs = [[run.path.name for run in runs] for runs in tree.levels]
         assert runs == [["run-00000004.sst"], [], ["run-00000001.sst"]]
-        files = {"MANIFEST.json", "wal.log"}
-        for level in runs:
-            for name in level:
-                stem = name.removesuffix(".sst")
-                files |= {name, f"{stem}.index.npz", f"{stem}.filter.npz"}
+        files = {"MANIFEST.json", "wal.log", *(name for level in runs for name in level)}
         assert {path.name for path in (tmp_path / "db").iterdir()} == files
         manifest = json.loads((tmp_path / "db" / "MANIFEST.json").read_text())
-        assert manifest == {"version": 1, "run_counter": 4, "levels": runs}
-        # Data files are 9-byte records: little-endian int64 key + tombstone.
-        assert (tmp_path / "db" / "run-00000001.sst").stat().st_size == 9 * 286
+        assert manifest == {"version": 2, "run_counter": 4, "levels": runs}
+        # A table file is 9-byte records (little-endian int64 key + tombstone)
+        # from offset 0, two int64 per page of sparse index, the filter's bit
+        # table and the 72-byte trailer.
+        table = tree.levels[2][0]
+        assert (table.num_entries, table.num_pages) == (286, 72)
+        filter_bytes = (table.filter_size_bits + 7) // 8
+        size = (tmp_path / "db" / "run-00000001.sst").stat().st_size
+        assert size == 9 * 286 + 16 * 72 + filter_bytes + 72
         # The log holds exactly the writes since the last flush, in arrival
         # order and the same record format.
         last = 5_000 + 2 * tree.buffer_entries
@@ -684,6 +842,21 @@ class TestDiskLayout:
             for key, tombstone in [(last, 0), (last + 1, 0), (5_000, 1)]
         )
         assert (tmp_path / "db" / "wal.log").read_bytes() == expected
+
+
+    def test_a_version_1_directory_is_refused(self, tmp_path):
+        """The three-file layout is not read any more: its manifest says so
+        before any table is opened."""
+        tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
+        tree = PersistentLSMTree(tuning, _SYSTEM, data_dir=tmp_path / "db")
+        for key in range(tree.buffer_entries):
+            tree.put(key)
+        tree.close()
+        manifest_path = tmp_path / "db" / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(manifest | {"version": 1}))
+        with pytest.raises(ValueError, match="has version 1, expected 2"):
+            PersistentLSMTree(tuning, _SYSTEM, data_dir=tmp_path / "db")
 
 
 class TestExecutorIntegration:

@@ -374,7 +374,9 @@ class MigrationPlan:
         source_keys, source_tombstones = self.source.scan_versions(
             start_key, end_key
         )
-        target_live = target_keys[~target_tombstones]
         source_live = source_keys[~source_tombstones]
         unshadowed = source_live[~np.isin(source_live, target_keys)]
-        return int(np.union1d(target_live, unshadowed).size)
+        # Disjoint by construction — the target's live keys are among
+        # ``target_keys`` and ``unshadowed`` excludes those — so the union's
+        # size is the sum.
+        return int(np.count_nonzero(~target_tombstones)) + int(unshadowed.size)

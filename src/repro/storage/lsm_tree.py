@@ -44,7 +44,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import MemoryStore, SortedRun, consolidate_versions
+from .run import NO_KEYS, NO_TOMBSTONES, MemoryStore, SortedRun, consolidate_versions
 
 
 @dataclass(frozen=True)
@@ -533,25 +533,26 @@ class LSMTree:
         reads as :meth:`range_query`.  Keys whose newest version is a
         tombstone are *returned* (flagged), not dropped: a caller overlaying
         this tree on an older snapshot needs the deletions to shadow it.
+        When a single run answers, the arrays are read-only views of it.
         """
         if end_key < start_key:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+            return NO_KEYS, NO_TOMBSTONES
         key_parts: list[np.ndarray] = []
         tombstone_parts: list[np.ndarray] = []
-        buffered_keys, buffered_tombstones = self.memtable.scan_items(
-            start_key, end_key
-        )
-        if buffered_keys.size:
-            key_parts.append(buffered_keys)
-            tombstone_parts.append(buffered_tombstones)
+        keys, tombstones = self.memtable.scan_items(start_key, end_key)
+        if keys.size:
+            key_parts.append(keys)
+            tombstone_parts.append(tombstones)
+        total_pages = 0
         for runs in self.levels:
             for run in runs:
                 keys, tombstones, pages = run.scan_entries(start_key, end_key)
-                if pages:
-                    self.disk.read_pages(pages)
+                total_pages += pages
                 if keys.size:
                     key_parts.append(keys)
                     tombstone_parts.append(tombstones)
+        if total_pages:
+            self.disk.read_pages(total_pages)
         # Parts were collected newest-first; keep the most recent version.
         return consolidate_versions(key_parts, tombstone_parts)
 

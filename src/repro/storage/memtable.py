@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+
 import numpy as np
+
+from .run import NO_KEYS, NO_TOMBSTONES
 
 
 class Memtable:
@@ -12,6 +16,10 @@ class Memtable:
     entries have the configured fixed size), so the memtable only tracks keys
     and tombstone flags.  Lookups in the memtable cost no I/O, matching a real
     engine where Level 0 lives in RAM.
+
+    A dict holds each key's newest flag and answers point probes; a sorted
+    list of the same keys beside it answers scans and the flush in key order
+    without walking or sorting the buffer.
     """
 
     def __init__(self, capacity_entries: int) -> None:
@@ -19,21 +27,29 @@ class Memtable:
             raise ValueError("capacity_entries must be positive")
         self.capacity_entries = capacity_entries
         self._entries: dict[int, bool] = {}
+        self._sorted_keys: list[int] = []
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
     def put(self, key: int) -> None:
         """Insert or update ``key``."""
-        self._entries[int(key)] = False
+        key = int(key)
+        if key not in self._entries:
+            insort(self._sorted_keys, key)
+        self._entries[key] = False
 
     def delete(self, key: int) -> None:
         """Record a tombstone for ``key``."""
-        self._entries[int(key)] = True
+        key = int(key)
+        if key not in self._entries:
+            insort(self._sorted_keys, key)
+        self._entries[key] = True
 
     def clear(self) -> None:
         """Empty the buffer (after a flush)."""
         self._entries.clear()
+        self._sorted_keys.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -76,14 +92,19 @@ class Memtable:
         Tombstones are returned (flagged) rather than dropped so a buffered
         deletion can shadow older live versions residing in disk runs.
         """
-        items = sorted(
-            (key, tombstone)
-            for key, tombstone in self._entries.items()
-            if start_key <= key <= end_key
+        ordered = self._sorted_keys
+        lo = bisect_left(ordered, start_key)
+        hi = bisect_right(ordered, end_key, lo)
+        if hi <= lo:
+            return NO_KEYS, NO_TOMBSTONES
+        return self._arrays(ordered[lo:hi])
+
+    def _arrays(self, keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``keys`` and their buffered flags as ``int64`` / ``bool`` arrays."""
+        return (
+            np.array(keys, dtype=np.int64),
+            np.array([self._entries[key] for key in keys], dtype=bool),
         )
-        keys = np.array([key for key, _ in items], dtype=np.int64)
-        tombstones = np.array([tombstone for _, tombstone in items], dtype=bool)
-        return keys, tombstones
 
     # ------------------------------------------------------------------
     # State
@@ -103,12 +124,4 @@ class Memtable:
 
     def sorted_items(self) -> tuple[np.ndarray, np.ndarray]:
         """Contents sorted by key: ``(keys, tombstone_mask)``."""
-        if not self._entries:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        keys = np.fromiter(self._entries.keys(), dtype=np.int64, count=len(self._entries))
-        order = np.argsort(keys)
-        keys = keys[order]
-        tombstones = np.fromiter(
-            self._entries.values(), dtype=bool, count=len(self._entries)
-        )[order]
-        return keys, tombstones
+        return self._arrays(self._sorted_keys)

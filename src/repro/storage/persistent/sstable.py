@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bloom_filter import BloomFilter
-from ..run import PageSpan, build_run_index
+from ..run import NO_KEYS, NO_TOMBSTONES, PageSpan, build_run_index
 
 #: One on-disk record: little-endian int64 key + tombstone flag byte.
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
@@ -182,19 +182,19 @@ class SSTable:
     # ------------------------------------------------------------------
     def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
         """``pread`` the contiguous page range — clamped to the record region, as
-        the final partial page ends where the footer starts — and unpack it."""
+        the final partial page ends where the footer starts — and unpack it
+        into read-only ``(keys, tombstones)``."""
         if self._fd is None:
             raise ValueError(f"SSTable {self.path} is closed")
         offset = first_page * self._page_bytes
         end = min((last_page + 1) * self._page_bytes, self._data_bytes)
         records = np.frombuffer(os.pread(self._fd, end - offset, offset), dtype=RECORD_DTYPE)
-        return (
-            records["key"].astype(np.int64, copy=False),
-            records["tombstone"].astype(bool),
-        )
+        tombstones = records["tombstone"].astype(bool)
+        tombstones.setflags(write=False)
+        return records["key"].astype(np.int64, copy=False), tombstones
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table's full contents as ``(keys, tombstones)``, charging no I/O.
+        """The table's full contents as read-only ``(keys, tombstones)``, charging no I/O.
 
         Reads the whole record region; callers that model the cost
         (compaction, migration checkpoints) charge the pages separately —
@@ -237,16 +237,12 @@ class SSTable:
     @property
     def keys(self) -> np.ndarray:
         """The table's keys, read from disk (read-only, no I/O charged)."""
-        keys, _ = self.entries()
-        keys.flags.writeable = False
-        return keys
+        return self.entries()[0]
 
     @property
     def tombstones(self) -> np.ndarray:
         """Tombstone mask, read from disk (read-only, no I/O charged)."""
-        _, tombstones = self.entries()
-        tombstones.flags.writeable = False
-        return tombstones
+        return self.entries()[1]
 
     @property
     def bloom_filter(self) -> BloomFilter:
@@ -334,28 +330,32 @@ class SSTable:
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
-    def range_span(self, start_key: int, end_key: int) -> PageSpan:
-        """Pages overlapping ``[start_key, end_key]``, from the sparse index.
+    def _locate(self, start_key: int, end_key: int) -> tuple[int, int]:
+        """First and last page of ``[start_key, end_key]``, as plain ints.
 
-        Reproduces ``SortedRun.range_span`` exactly without the full key
-        array: the first overlapping page is the first whose max key reaches
-        ``start_key``, the last is the last whose fence stays at or below
-        ``end_key``; an interval that falls in a gap between keys still
-        charges the one seek page holding its predecessor.
+        Reproduces ``SortedRun``'s span arithmetic from the sparse index,
+        without the full key array: the first overlapping page is the first
+        whose max key reaches ``start_key``, the last is the last whose fence
+        stays at or below ``end_key``.  ``(0, -1)`` when the interval misses
+        the table's key bounds.
         """
-        if self._num_entries == 0 or end_key < start_key:
-            return PageSpan(0, -1)
-        if end_key < self._min_key or start_key > self._max_key:
-            return PageSpan(0, -1)
-        first = int(self._page_max.searchsorted(start_key, side="left"))
-        last = int(self._fences.searchsorted(end_key, side="right")) - 1
-        if last < first:
-            # No key inside the interval: the seek still reads the page with
-            # the largest key below ``start_key`` (the interval is past that
-            # page's max but before the next page's fence).
-            page = int(self._fences.searchsorted(start_key, side="left")) - 1
-            return PageSpan(page, page)
-        return PageSpan(first, last)
+        if (
+            end_key < start_key
+            or end_key < self._min_key
+            or start_key > self._max_key
+            or not self._num_entries
+        ):
+            return 0, -1
+        first = int(self._page_max.searchsorted(start_key, "left"))
+        last = int(self._fences.searchsorted(end_key, "right")) - 1
+        # An interval in the gap between two pages holds no key, but its seek
+        # still reads the page with the largest key below ``start_key``: that
+        # is ``last``, the page before the one whose max reaches the interval.
+        return min(first, last), last
+
+    def range_span(self, start_key: int, end_key: int) -> PageSpan:
+        """Pages overlapping ``[start_key, end_key]``, from the sparse index."""
+        return PageSpan(*self._locate(start_key, end_key))
 
     def scan(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
         """Live keys in ``[start_key, end_key]`` and pages read."""
@@ -367,17 +367,19 @@ class SSTable:
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """All versions in ``[start_key, end_key]``: ``(keys, tombstones, pages)``.
 
-        Reads the span's pages from the data file in one ``pread`` and trims
-        to the interval; tombstoned entries are returned flagged, as callers
-        merging runs need deletions to shadow older versions.
+        Reads the span's pages from the data file in one ``pread`` — the seek
+        page too, when the interval falls between keys: a charged page is a
+        read page — and trims to the interval without copying.  Tombstoned
+        entries are returned flagged, as callers merging runs need deletions
+        to shadow older versions.
         """
-        span = self.range_span(start_key, end_key)
-        if span.num_pages == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0
-        page_keys, page_tombstones = self._read_pages(span.first_page, span.last_page)
-        lo = int(page_keys.searchsorted(start_key, side="left"))
-        hi = int(page_keys.searchsorted(end_key, side="right"))
-        return page_keys[lo:hi].copy(), page_tombstones[lo:hi].copy(), span.num_pages
+        first, last = self._locate(start_key, end_key)
+        if last < first:
+            return NO_KEYS, NO_TOMBSTONES, 0
+        page_keys, page_tombstones = self._read_pages(first, last)
+        lo = int(page_keys.searchsorted(start_key, "left"))
+        hi = int(page_keys.searchsorted(end_key, "right"))
+        return page_keys[lo:hi], page_tombstones[lo:hi], last - first + 1
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -17,6 +17,18 @@ import numpy as np
 from .bloom_filter import BloomFilter
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; every slice of it is read-only too."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+#: What every scan that finds nothing returns: shared, so nobody may write.
+NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
+NO_TOMBSTONES = _frozen(np.empty(0, dtype=bool))
+
+
 def consolidate_versions(
     key_parts: list[np.ndarray],
     tombstone_parts: list[np.ndarray],
@@ -29,21 +41,28 @@ def consolidate_versions(
     consolidated ``(keys, tombstones)`` sorted by key (empty for no parts).
     Every merge of versions — a compaction, a range scan, a migration
     checkpoint — goes through here, whatever store the runs live on.
+
+    Each part must be sorted and unique, as a run's or the memtable's
+    contents are; a single part is therefore handed back as it is — possibly
+    a read-only view of a run — and nothing is merged where nothing collides.
     """
     if not key_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    all_keys = np.concatenate(key_parts)
-    all_tombstones = np.concatenate(tombstone_parts)
-    # Parts are concatenated newest first, so a stable sort on the key alone
-    # leaves each key's newest version first among its duplicates.
-    order = np.argsort(all_keys, kind="stable")
-    sorted_keys = all_keys[order]
-    sorted_tombstones = all_tombstones[order]
-    if sorted_keys.size:
-        keep = np.ones(sorted_keys.size, dtype=bool)
-        keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        sorted_keys = sorted_keys[keep]
-        sorted_tombstones = sorted_tombstones[keep]
+        return NO_KEYS, NO_TOMBSTONES
+    if len(key_parts) == 1:
+        sorted_keys, sorted_tombstones = key_parts[0], tombstone_parts[0]
+    else:
+        all_keys = np.concatenate(key_parts)
+        # Parts are concatenated newest first, so a stable sort on the key
+        # alone leaves each key's newest version first among its duplicates.
+        order = np.argsort(all_keys, kind="stable")
+        sorted_keys = all_keys[order]
+        sorted_tombstones = np.concatenate(tombstone_parts)[order]
+        keep = np.empty(sorted_keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+        if not keep.all():
+            sorted_keys = sorted_keys[keep]
+            sorted_tombstones = sorted_tombstones[keep]
     if drop_tombstones:
         live = ~sorted_tombstones
         sorted_keys = sorted_keys[live]
@@ -60,9 +79,10 @@ def build_run_index(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
     """Validate a new run's entries and build what stays resident for it.
 
-    Returns ``(keys, tombstones, fences, bloom)``: the entries as ``int64`` /
-    ``bool`` arrays, the fence pointers (smallest key of each page) and the
-    run's Bloom filter.  The one constructor of both run kinds — the
+    Returns ``(keys, tombstones, fences, bloom)``: the entries as read-only
+    ``int64`` / ``bool`` arrays (a run is immutable, so every slice a scan
+    hands out may be a view), the fence pointers (smallest key of each page)
+    and the run's Bloom filter.  The one constructor of both run kinds — the
     in-memory :class:`SortedRun` and the on-disk ``SSTable`` — so a run
     created from the same entries, budget and seed holds the same filter
     bits and fences wherever it lives.
@@ -85,7 +105,7 @@ def build_run_index(
     )
     if keys.size:
         bloom.add_many(keys.astype(np.uint64))
-    return keys, tombstones, keys[::entries_per_page].copy(), bloom
+    return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), bloom
 
 
 @dataclass(frozen=True)
@@ -133,9 +153,10 @@ class SortedRun:
         )
         self.entries_per_page = entries_per_page
         self.bits_per_entry = float(bits_per_entry)
-        # Key bounds cached as plain ints: the lookup hot path compares
-        # against them on every probe.
-        if self._keys.size:
+        # Size and key bounds cached as plain ints: the lookup and scan hot
+        # paths compare against them on every probe.
+        self._size = int(self._keys.size)
+        if self._size:
             self._min_key = int(self._keys[0])
             self._max_key = int(self._keys[-1])
         else:
@@ -145,47 +166,41 @@ class SortedRun:
     # Size / structure
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return int(self._keys.size)
+        return self._size
 
     @property
     def num_entries(self) -> int:
         """Number of entries stored in the run."""
-        return int(self._keys.size)
+        return self._size
 
     @property
     def num_pages(self) -> int:
         """Number of disk pages the run occupies."""
-        if self._keys.size == 0:
-            return 0
-        return int(np.ceil(self._keys.size / self.entries_per_page))
+        return -(-self._size // self.entries_per_page)
 
     @property
     def min_key(self) -> int:
         """Smallest key in the run (undefined for an empty run)."""
-        if self._keys.size == 0:
+        if not self._size:
             raise ValueError("empty run has no minimum key")
         return self._min_key
 
     @property
     def max_key(self) -> int:
         """Largest key in the run (undefined for an empty run)."""
-        if self._keys.size == 0:
+        if not self._size:
             raise ValueError("empty run has no maximum key")
         return self._max_key
 
     @property
     def keys(self) -> np.ndarray:
-        """The run's keys (read-only view)."""
-        view = self._keys.view()
-        view.flags.writeable = False
-        return view
+        """The run's keys (read-only)."""
+        return self._keys
 
     @property
     def tombstones(self) -> np.ndarray:
-        """Boolean mask of deleted keys (read-only view)."""
-        view = self._tombstones.view()
-        view.flags.writeable = False
-        return view
+        """Boolean mask of deleted keys (read-only)."""
+        return self._tombstones
 
     @property
     def bloom_filter(self) -> BloomFilter:
@@ -193,7 +208,7 @@ class SortedRun:
         return self._filter
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The run's full contents as ``(keys, tombstones)``, charging no I/O.
+        """The run's full contents as read-only ``(keys, tombstones)``, charging no I/O.
 
         What compaction, migration planning and fingerprints read; callers
         that model the read cost (a compaction, a migration checkpoint)
@@ -211,7 +226,7 @@ class SortedRun:
     # ------------------------------------------------------------------
     def may_contain(self, key: int) -> bool:
         """Filter + fence-pointer pre-check, costing no I/O."""
-        if self._keys.size == 0:
+        if not self._size:
             return False
         if key < self._min_key or key > self._max_key:
             return False
@@ -219,7 +234,7 @@ class SortedRun:
 
     def page_of(self, key: int) -> int:
         """Index of the page that would hold ``key`` (via fence pointers)."""
-        if self._keys.size == 0:
+        if not self._size:
             raise ValueError("empty run has no pages")
         page = int(self._fences.searchsorted(key, side="right")) - 1
         return max(0, page)
@@ -236,7 +251,7 @@ class SortedRun:
             return False, False, 0
         index = int(self._keys.searchsorted(key))
         pages_read = 1
-        if index < self._keys.size and self._keys[index] == key:
+        if index < self._size and self._keys[index] == key:
             return True, bool(self._tombstones[index]), pages_read
         return False, False, pages_read
 
@@ -253,7 +268,7 @@ class SortedRun:
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(keys.size, dtype=bool)
         tombstone = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0 or self._keys.size == 0:
+        if keys.size == 0 or not self._size:
             return found, tombstone, 0
         # Fence-bound + Bloom pre-check, both as array ops (no I/O charged).
         in_bounds = np.flatnonzero((keys >= self._min_key) & (keys <= self._max_key))
@@ -276,32 +291,27 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
-    def _locate(self, start_key: int, end_key: int) -> tuple[int, int, PageSpan]:
-        """Entry slice ``[lo, hi)`` and page span of ``[start_key, end_key]``."""
+    def range_span(self, start_key: int, end_key: int) -> PageSpan:
+        """Pages overlapping the key interval ``[start_key, end_key]``.
+
+        Which pages :meth:`scan_entries` charges for: an interval inside the
+        run's bounds that holds no key still seeks, reading the one page
+        with the largest key below ``start_key``.
+        """
         if (
-            self._keys.size == 0
-            or end_key < start_key
+            end_key < start_key
             or end_key < self._min_key
             or start_key > self._max_key
+            or not self._size
         ):
-            return 0, 0, PageSpan(0, -1)
-        lo = int(self._keys.searchsorted(start_key, side="left"))
-        hi = int(self._keys.searchsorted(end_key, side="right"))
+            return PageSpan(0, -1)
+        lo = int(self._keys.searchsorted(start_key, "left"))
+        hi = int(self._keys.searchsorted(end_key, "right"))
         if hi <= lo:
-            # No key inside the interval, but the seek still reads one page:
-            # the one holding the largest key below ``start_key`` (``lo`` is
-            # at least 1 here — an interval entirely below the run was ruled
-            # out above — so the page falls out of the searchsorted already
-            # done, without a second pass over the fence pointers).
-            page = (lo - 1) // self.entries_per_page
-            return lo, lo, PageSpan(page, page)
-        return lo, hi, PageSpan(
-            lo // self.entries_per_page, (hi - 1) // self.entries_per_page
-        )
-
-    def range_span(self, start_key: int, end_key: int) -> PageSpan:
-        """Pages overlapping the key interval ``[start_key, end_key]``."""
-        return self._locate(start_key, end_key)[2]
+            # No key inside: the seek page is the one holding entry ``lo - 1``
+            # (``lo`` is at least 1 — an interval below the run was ruled out).
+            lo, hi = lo - 1, lo
+        return PageSpan(lo // self.entries_per_page, (hi - 1) // self.entries_per_page)
 
     def scan(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
         """Return the live keys in ``[start_key, end_key]`` and pages read."""
@@ -315,13 +325,28 @@ class SortedRun:
 
         Unlike :meth:`scan`, tombstoned entries are returned (flagged in the
         boolean mask) rather than dropped — callers that merge several runs
-        need a run's deletions to shadow older live versions below it.
+        need a run's deletions to shadow older live versions below it.  The
+        two arrays are read-only views of the run, not copies, and the pages
+        are :meth:`range_span`'s, counted in plain ints: a range query runs
+        this once per run, so it builds no span object.
         """
-        lo, hi, span = self._locate(start_key, end_key)
+        if (
+            end_key < start_key
+            or end_key < self._min_key
+            or start_key > self._max_key
+            or not self._size
+        ):
+            return NO_KEYS, NO_TOMBSTONES, 0
+        keys = self._keys
+        lo = int(keys.searchsorted(start_key, "left"))
+        hi = int(keys.searchsorted(end_key, "right"))
+        if hi <= lo:
+            return NO_KEYS, NO_TOMBSTONES, 1
+        per_page = self.entries_per_page
         return (
-            self._keys[lo:hi].copy(),
-            self._tombstones[lo:hi].copy(),
-            span.num_pages,
+            keys[lo:hi],
+            self._tombstones[lo:hi],
+            (hi - 1) // per_page - lo // per_page + 1,
         )
 
     # ------------------------------------------------------------------

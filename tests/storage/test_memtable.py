@@ -1,6 +1,9 @@
 """Tests for the in-memory write buffer."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import Memtable
 
@@ -80,3 +83,88 @@ class TestMemtable:
         table.put(1)
         table.put(2)
         assert len(table) == 2
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+#: Few distinct keys, so puts, deletes and overwrites of one key interleave;
+#: negative keys and both ends of the key type among them.
+_KEYS = st.sampled_from(
+    [INT64_MIN, INT64_MIN + 1, -40, -3, -1, 0, 1, 2, 7, 8, 30, INT64_MAX - 1, INT64_MAX]
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["put", "delete"]), _KEYS),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=60,
+)
+_BOUNDS = st.one_of(_KEYS, st.integers(-50, 50))
+
+
+def _assert_equals_the_dict(table: Memtable, reference: dict[int, bool], capacity: int):
+    assert len(table) == len(reference)
+    assert table.is_empty == (not reference)
+    assert table.is_full == (len(reference) >= capacity)
+    keys, tombstones = table.sorted_items()
+    assert keys.dtype == np.int64 and tombstones.dtype == bool
+    assert keys.tolist() == sorted(reference)
+    assert tombstones.tolist() == [reference[key] for key in sorted(reference)]
+    for key, tombstone in reference.items():
+        assert table.get(key) == (True, tombstone)
+
+
+class TestMemtableAgainstADict:
+    """The sorted key list beside the dict never drifts from it."""
+
+    @given(steps=_STEPS, intervals=st.lists(st.tuples(_BOUNDS, _BOUNDS), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_any_interleaving_of_put_delete_and_clear(self, steps, intervals):
+        capacity = 5
+        table, reference = Memtable(capacity), {}
+        for step, key in steps:
+            if step == "clear":
+                table.clear()
+                reference.clear()
+            else:
+                getattr(table, step)(key)
+                reference[key] = step == "delete"
+            _assert_equals_the_dict(table, reference, capacity)
+        for start, end in intervals:
+            inside = sorted(key for key in reference if start <= key <= end)
+            keys, tombstones = table.scan_items(start, end)
+            assert keys.dtype == np.int64 and tombstones.dtype == bool
+            assert keys.tolist() == inside
+            assert tombstones.tolist() == [reference[key] for key in inside]
+            assert table.scan(start, end).tolist() == [
+                key for key in inside if not reference[key]
+            ]
+
+    def test_a_tombstone_overwritten_by_a_put_reads_live(self):
+        table = Memtable(4)
+        table.put(3)
+        table.delete(-2)
+        table.put(-2)
+        assert len(table) == 2 and not table.is_full
+        assert table.get(-2) == (True, False)
+        keys, tombstones = table.scan_items(-5, 5)
+        assert keys.tolist() == [-2, 3] and tombstones.tolist() == [False, False]
+        assert table.sorted_items()[1].tolist() == [False, False]
+
+    def test_a_scan_of_nothing_buffered_in_range_is_not_writable(self):
+        table = Memtable(4)
+        table.put(10)
+        for interval in [(0, 9), (11, 50), (12, 3)]:
+            keys, tombstones = table.scan_items(*interval)
+            assert keys.size == tombstones.size == 0
+            assert keys.dtype == np.int64 and tombstones.dtype == bool
+            assert not keys.flags.writeable and not tombstones.flags.writeable
+
+    def test_a_cleared_buffer_forgets_its_key_order(self):
+        table = Memtable(4)
+        for key in (5, 1, 9):
+            table.put(key)
+        table.clear()
+        table.put(4)
+        assert table.scan_items(0, 10)[0].tolist() == [4]
+        assert table.sorted_items()[0].tolist() == [4]

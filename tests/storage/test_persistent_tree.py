@@ -15,6 +15,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -518,6 +519,59 @@ class TestSSTable:
             assert np.array_equal(run_scan[1], tab_scan[1])
             assert run_scan[2] == tab_scan[2]
         table.close()
+
+    def test_a_charged_page_is_a_read_page(self, tmp_path, monkeypatch):
+        """Bytes ``pread`` by a scan are the pages it returns, clamped to the
+        record region: a hit reads its span, an interval between two keys
+        reads the one seek page it charges, a miss reads nothing."""
+        keys = np.arange(0, 150, 5)  # 30 entries: seven full pages and a half
+        run, table = self._pair(tmp_path, keys)
+        page_bytes, data_bytes = 4 * 9, 30 * 9
+        reads: list[tuple[int, int]] = []
+        real_pread = os.pread
+
+        def pread(descriptor, length, offset):
+            reads.append((offset, length))
+            return real_pread(descriptor, length, offset)
+
+        monkeypatch.setattr(os, "pread", pread)
+        cases = {
+            "hit": ((22, 61), 3),
+            "hit on the partial last page": ((135, 400), 2),
+            "gap inside a page": ((21, 24), 1),
+            "gap between two pages": ((16, 19), 1),
+            "gap on the partial last page": ((141, 144), 1),
+            "above the table": ((150, 900), 0),
+            "below the table": ((-30, -1), 0),
+            "inverted": ((60, 20), 0),
+        }
+        for name, ((start, end), pages) in cases.items():
+            reads.clear()
+            span = table.range_span(start, end)
+            assert not reads, name  # the sparse index is resident
+            got_keys, _, got_pages = table.scan_entries(start, end)
+            want_keys, _, want_pages = run.scan_entries(start, end)
+            assert got_keys.tolist() == want_keys.tolist(), name
+            assert got_pages == want_pages == pages == span.num_pages, name
+            assert len(reads) == (1 if pages else 0), name
+            first_byte = span.first_page * page_bytes
+            want_bytes = min(first_byte + pages * page_bytes, data_bytes) - first_byte
+            assert reads == ([(first_byte, want_bytes)] if pages else []), name
+        table.close()
+
+    def test_num_pages_is_integer_arithmetic_on_both_run_kinds(self, tmp_path):
+        for count in range(0, 14):
+            keys = np.arange(count)
+            run, table = self._pair(tmp_path, keys)
+            assert run.num_pages == table.num_pages == -(-count // 4)
+            assert type(run.num_pages) is type(table.num_pages) is int
+            table.delete_files()
+        # Past 2**53 a float quotient loses the last entry's page.
+        huge = 2**53 + 1
+        stub_run = SimpleNamespace(_size=huge, entries_per_page=1)
+        stub_table = SimpleNamespace(_num_entries=huge, entries_per_page=1)
+        assert SortedRun.num_pages.fget(stub_run) == huge
+        assert SSTable.num_pages.fget(stub_table) == huge
 
     @pytest.mark.parametrize("count", [0, 3, 150], ids=["empty", "one-partial-page", "many"])
     def test_open_round_trips_all_state(self, tmp_path, count):

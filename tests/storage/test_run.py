@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.storage import LSMTree, SortedRun
+from repro.storage.persistent import SSTable
 from repro.storage.run import consolidate_versions
 
 
@@ -179,6 +182,66 @@ class TestRangeScans:
                         )
 
 
+@pytest.fixture(params=["SortedRun", "SSTable"])
+def run_of(request, tmp_path):
+    """Builds either run kind from the same entries (4 per page, 8 bits)."""
+    tables = []
+
+    def build(keys, tombstones):
+        keys = np.asarray(keys, dtype=np.int64)
+        tombstones = np.asarray(tombstones, dtype=bool)
+        if request.param == "SortedRun":
+            return SortedRun(keys, 4, 8.0, tombstones)
+        tables.append(
+            SSTable.create(tmp_path / f"{len(tables)}.sst", keys, tombstones, 4, 8.0)
+        )
+        return tables[-1]
+
+    yield build
+    for table in tables:
+        table.close()
+
+
+class TestRunArraysAreImmutable:
+    """A scan hands out views of the run, so nobody may write through them."""
+
+    def test_nothing_a_run_hands_out_can_be_written(self, run_of):
+        keys = np.arange(0, 60, 3)
+        run = run_of(keys, keys % 2 == 0)
+        scanned = run.scan_entries(10, 40)
+        assert scanned[0].tolist() == list(range(12, 40, 3)) and scanned[2] == 3
+        handed_out = [*scanned[:2], *run.entries(), run.keys, run.tombstones]
+        for array in handed_out:
+            assert array.size and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert run.keys.tolist() == keys.tolist()
+        assert run.tombstones.tolist() == (keys % 2 == 0).tolist()
+
+    @pytest.mark.parametrize(
+        "interval,pages",
+        [((100, 200), 0), ((-9, -1), 0), ((13, 14), 1), ((11, 11), 1), ((7, 3), 0)],
+        ids=["above", "below", "gap-in-a-page", "gap-between-pages", "inverted"],
+    )
+    def test_a_scan_that_returns_nothing_returns_nothing_writable(
+        self, run_of, interval, pages
+    ):
+        run = run_of(np.arange(0, 60, 3), np.zeros(20, dtype=bool))
+        keys, tombstones, got_pages = run.scan_entries(*interval)
+        assert got_pages == pages
+        assert keys.dtype == np.int64 and tombstones.dtype == bool
+        for array in (keys, tombstones):
+            assert array.size == 0 and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+
+    def test_an_empty_run_scans_to_nothing_writable(self, run_of):
+        run = run_of([], [])
+        keys, tombstones, pages = run.scan_entries(-5, 5)
+        assert (keys.size, tombstones.size, pages) == (0, 0, 0)
+        assert not keys.flags.writeable and not tombstones.flags.writeable
+
+
 def lexsort_reference(key_parts, tombstone_parts, drop_tombstones):
     """Newest-wins consolidation with an explicit recency rank per entry."""
     all_keys = np.concatenate(key_parts)
@@ -244,6 +307,106 @@ class TestConsolidateVersions:
                 for run in runs
             )
             assert tree.range_query(start, end) == int(np.count_nonzero(~want_tombstones))
+
+
+def consolidate_as_before(key_parts, tombstone_parts, drop_tombstones=False):
+    """``consolidate_versions`` as it was before it learnt to skip work: every
+    part concatenated, sorted, masked and copied, however many there are."""
+    if not key_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    all_keys = np.concatenate(key_parts)
+    all_tombstones = np.concatenate(tombstone_parts)
+    order = np.argsort(all_keys, kind="stable")
+    sorted_keys = all_keys[order]
+    sorted_tombstones = all_tombstones[order]
+    if sorted_keys.size:
+        keep = np.ones(sorted_keys.size, dtype=bool)
+        keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        sorted_keys = sorted_keys[keep]
+        sorted_tombstones = sorted_tombstones[keep]
+    if drop_tombstones:
+        live = ~sorted_tombstones
+        sorted_keys = sorted_keys[live]
+        sorted_tombstones = sorted_tombstones[live]
+    return sorted_keys, sorted_tombstones
+
+
+def _assert_consolidates_as_before(key_parts, tombstone_parts):
+    for drop_tombstones in (False, True):
+        keys, tombstones = consolidate_versions(
+            key_parts, tombstone_parts, drop_tombstones=drop_tombstones
+        )
+        want_keys, want_tombstones = consolidate_as_before(
+            key_parts, tombstone_parts, drop_tombstones
+        )
+        assert keys.dtype == np.int64 and tombstones.dtype == bool
+        assert keys.tolist() == want_keys.tolist()
+        assert tombstones.tolist() == want_tombstones.tolist()
+
+
+def _part(entries: dict[int, bool]) -> tuple[np.ndarray, np.ndarray]:
+    keys = sorted(entries)
+    return (
+        np.array(keys, dtype=np.int64),
+        np.array([entries[key] for key in keys], dtype=bool),
+    )
+
+
+#: One sorted, unique part with tombstones; an empty dict is an empty part.
+#: A narrow key range makes parts overlap, a wide one leaves them disjoint.
+_PARTS = st.one_of(
+    st.dictionaries(st.integers(-15, 15), st.booleans(), max_size=20),
+    st.dictionaries(st.integers(-(2**63), 2**63 - 1), st.booleans(), max_size=6),
+)
+
+
+class TestConsolidationAgainstItsOldBody:
+    @given(parts=st.lists(_PARTS, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_newest_first_parts_consolidate_as_before(self, parts):
+        key_parts, tombstone_parts = zip(*(_part(part) for part in parts))
+        _assert_consolidates_as_before(list(key_parts), list(tombstone_parts))
+
+    def test_no_parts(self):
+        keys, tombstones = consolidate_versions([], [])
+        assert keys.dtype == np.int64 and tombstones.dtype == bool
+        assert keys.size == tombstones.size == 0
+        assert not keys.flags.writeable and not tombstones.flags.writeable
+
+    def test_a_single_part_is_handed_back_as_it_is(self):
+        keys, tombstones = _part({-3: False, 0: True, 8: False, 9: True})
+        _assert_consolidates_as_before([keys], [tombstones])
+        got_keys, got_tombstones = consolidate_versions([keys], [tombstones])
+        assert got_keys is keys and got_tombstones is tombstones
+        # Dropping tombstones filters into new arrays: a run's view stays whole.
+        live_keys, live_tombstones = consolidate_versions(
+            [keys], [tombstones], drop_tombstones=True
+        )
+        assert live_keys.tolist() == [-3, 8] and not live_tombstones.any()
+        assert keys.size == 4
+
+    def test_a_single_read_only_run_slice_goes_through(self):
+        run = make_run([1, 2, 3, 4], tombstones=[False, True, False, True])
+        keys, tombstones, _ = run.scan_entries(2, 4)
+        _assert_consolidates_as_before([keys], [tombstones])
+
+    def test_parts_without_a_common_key_interleave(self):
+        parts = [_part({5: True, 1: False}), _part({}), _part({3: False, 2: True, 9: False})]
+        key_parts, tombstone_parts = map(list, zip(*parts))
+        _assert_consolidates_as_before(key_parts, tombstone_parts)
+        keys, tombstones = consolidate_versions(key_parts, tombstone_parts)
+        assert keys.tolist() == [1, 2, 3, 5, 9]
+        assert tombstones.tolist() == [False, True, False, True, False]
+
+    def test_one_shared_key_keeps_only_its_newest_version(self):
+        parts = [_part({4: True, 7: False}), _part({4: False, 6: False})]
+        key_parts, tombstone_parts = map(list, zip(*parts))
+        _assert_consolidates_as_before(key_parts, tombstone_parts)
+        keys, tombstones = consolidate_versions(key_parts, tombstone_parts)
+        assert keys.tolist() == [4, 6, 7] and tombstones.tolist() == [True, False, False]
+
+    def test_only_empty_parts(self):
+        _assert_consolidates_as_before(*map(list, zip(_part({}), _part({}))))
 
 
 def _consolidate(runs, drop_tombstones=False):

@@ -371,3 +371,30 @@ class TestMixedStateScanEdges:
         assert plan.get(deleted[0])
         assert not plan.get(deleted[1])
         assert not plan.get(deleted[2])
+
+    def test_range_count_equals_a_brute_force_set_count(self):
+        """Target-side tombstones — buffered and already flushed into target
+        runs — over migrated and unmigrated source keys, re-puts and brand-new
+        keys: every window counts what a set of the live keys counts."""
+        plan, checkpoint = self._paused_plan()
+        rng = np.random.default_rng(17)
+        live = set(checkpoint.tolist())
+        low, high = int(checkpoint[0]), int(checkpoint[-1])
+        victims = rng.choice(checkpoint, size=400, replace=False).tolist()
+        for key in victims:
+            plan.delete(key)
+            live.discard(key)
+        for key in victims[::3] + rng.integers(low - 50, high + 50, size=150).tolist():
+            plan.put(key)
+            live.add(key)
+        target = plan.target
+        assert len(target.memtable) and any(
+            run.tombstones.any() for runs in target.levels for run in runs
+        )
+        windows = [(low - 100, high + 100), (victims[0], victims[0]), (high + 60, high + 90)]
+        for start in rng.integers(low, high, size=40).tolist():
+            windows.append((start, start + int(rng.integers(0, (high - low) // 20))))
+        for start, end in windows:
+            want = sum(1 for key in live if start <= key <= end)
+            assert plan.range_query(start, end) == want, (start, end)
+

@@ -11,6 +11,7 @@ in a NumPy ``uint8`` array, bit ``p`` at byte ``p // 8``, bit ``p % 8``.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +35,15 @@ _U64_ONE = np.uint64(1)
 #: position matrix and same-sized temporaries, and measured 1.7x slower than
 #: in 4k-key blocks, whose temporaries stay cache-sized.
 _BUILD_BLOCK_KEYS = 4_096
+
+
+@cache
+def _probe_offsets(num_hashes: int) -> np.ndarray:
+    """Probe indices ``0 .. num_hashes - 1`` as a read-only column, one per hash
+    count and shared: a twenty-key filter's own ``arange`` rivals its hashing."""
+    column = np.arange(num_hashes, dtype=np.uint64).reshape(-1, 1)
+    column.setflags(write=False)
+    return column
 
 
 def _hash_pair(keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +95,7 @@ class BloomFilter:
         # Probe-offset column vector and modulus, precomputed so the build and
         # the batched membership test run a fixed number of array ops per
         # call instead of a Python loop over hash functions.
-        self._probe_offsets = np.arange(self.num_hashes, dtype=np.uint64).reshape(-1, 1)
+        self._probe_offsets = _probe_offsets(self.num_hashes)
         self._num_bits_u64 = np.uint64(self.num_bits)
 
     # ------------------------------------------------------------------

@@ -161,6 +161,47 @@ class BulkLoadPlan:
         return sum(piece.size for _, piece in self.placements)
 
 
+class _PendingRun:
+    """Entries on their way down a flush's cascade: a run with an id, not built.
+
+    It stands in the planned levels where the built run would and is sized and
+    merged like one; ``level`` is the level whose filter budget it is built
+    with (a trivially moved run keeps the level it left).
+    """
+
+    __slots__ = ("keys", "tombstones", "level", "num_entries", "num_pages")
+
+    def __init__(self, keys, tombstones, level: int, entries_per_page: int) -> None:
+        self.keys, self.tombstones, self.level = keys, tombstones, level
+        self.num_entries = int(keys.size)
+        self.num_pages = -(-self.num_entries // entries_per_page)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.keys, self.tombstones
+
+
+class _FlushPlan:
+    """What one flush will leave, worked out before anything is built or changed.
+
+    ``levels`` starts as a copy of the tree's run lists and ends as the new
+    structure, the one :class:`_PendingRun` left standing — the newest of its
+    level — where the run to build goes.  Every merge on the way takes a run id
+    as if its output were built (ids seed filters and name files) and adds its
+    pages.
+    """
+
+    def __init__(self, levels: list, run_counter: int, entries_per_page: int) -> None:
+        self.levels = [list(runs) for runs in levels]
+        self.run_counter = run_counter
+        self.entries_per_page = entries_per_page
+        self.reads = self.writes = 0  # compaction pages
+
+    def pend(self, keys: np.ndarray, tombstones: np.ndarray, level: int) -> _PendingRun:
+        """The next run id's entries, travelling; whatever it merged is consumed."""
+        self.run_counter += 1
+        return _PendingRun(keys, tombstones, level, self.entries_per_page)
+
+
 class LSMTree:
     """Simulated LSM tree configured by a tuning and a system description.
 
@@ -271,28 +312,29 @@ class LSMTree:
             return 0.0
         return float(self._bits_per_level[index])
 
-    def _new_run(self, keys: np.ndarray, tombstones: np.ndarray, level: int) -> SortedRun:
-        self._run_counter += 1
+    def _build_run(self, keys, tombstones, run_id: int, level: int) -> SortedRun:
+        """Create run number ``run_id`` on the store, filtered as a run of ``level``."""
         return self.store.create_run(
             keys,
             tombstones,
-            run_id=self._run_counter,
+            run_id=run_id,
             entries_per_page=self.entries_per_page,
             bits_per_entry=self._bits_for_level(level),
-            seed=self._seed + self._run_counter,
+            seed=self._seed + run_id,
         )
 
-    def _ensure_level(self, level: int) -> None:
-        while len(self.levels) < level:
-            self.levels.append([])
+    def _ensure_level(self, level: int, levels: list | None = None) -> None:
+        levels = self.levels if levels is None else levels
+        while len(levels) < level:
+            levels.append([])
 
-    def _merges_on_arrival(self, level: int) -> bool:
-        """Whether ``level`` currently keeps a single run (leveled behaviour).
+    def _merges_on_arrival(self, level: int, levels: list) -> bool:
+        """Whether ``level`` keeps a single run (leveled behaviour) in ``levels``.
 
-        Asks the compaction policy with the tree's current deepest level, so
+        Asks the compaction policy with the deepest level of ``levels``, so
         lazy leveling's single-run largest level tracks the tree as it grows.
         """
-        return self.compaction.merges_on_arrival(level, max(len(self.levels), 1))
+        return self.compaction.merges_on_arrival(level, max(len(levels), 1))
 
     # ------------------------------------------------------------------
     # Writes
@@ -312,86 +354,90 @@ class LSMTree:
             self.flush()
 
     def flush(self) -> None:
-        """Flush the memtable into disk level 1."""
+        """Flush the memtable into disk level 1: plan, build, apply.
+
+        The cascade is first walked on entries (a :class:`_FlushPlan`); then
+        the one run it ends in is built — the only step a store can fail,
+        taken while levels, memtable and counters are untouched, so the
+        buffer still answers for every acknowledged write and the next put
+        retries; only then is the tree changed, charged and committed.
+        """
         if self.memtable.is_empty:
             return
-        keys, tombstones = self.memtable.sorted_items()
-        run = self._new_run(keys, tombstones, level=1)
-        self.disk.write_pages(run.num_pages, flush=True)
-        self._install_run(run, level=1)
-        # Emptied only now: if the store fails to write a run, the buffer
-        # still answers for every acknowledged write and the next put retries.
+        plan = _FlushPlan(self.levels, self._run_counter, self.entries_per_page)
+        arrival = plan.pend(*self.memtable.sorted_items(), level=1)
+        self._install_run(plan, arrival, level=1)
+        rest = next(runs for runs in plan.levels if runs and type(runs[0]) is _PendingRun)
+        rest[0] = self._build_run(*rest[0].entries(), plan.run_counter, rest[0].level)
+        self.levels[:] = plan.levels
+        self._run_counter = plan.run_counter
+        self.disk.write_pages(arrival.num_pages, flush=True)
+        self.disk.read_pages(plan.reads, compaction=True)
+        self.disk.write_pages(plan.writes, compaction=True)
         self.memtable.clear()
         # The flushed run now covers everything that was logged.
         self.store.commit(self.levels, self._run_counter, buffered=())
 
-    def _install_run(self, run: SortedRun, level: int) -> None:
-        """Add ``run`` to ``level`` and restore the tree's size invariants."""
-        self._ensure_level(level)
-        runs = self.levels[level - 1]
+    def _install_run(self, plan: _FlushPlan, run: _PendingRun, level: int) -> None:
+        """Add ``run`` to ``level`` of the plan and restore the size invariants."""
+        levels = plan.levels
+        self._ensure_level(level, levels)
+        runs = levels[level - 1]
         if not self.compaction_enabled:
             runs.insert(0, run)
-        elif self._merges_on_arrival(level):
-            if runs:
-                merged = self._merge_runs([run] + runs, level)
-                self.levels[level - 1] = [merged]
-            else:
-                self.levels[level - 1] = [run]
-            self._maybe_spill_merging(level)
+        elif self._merges_on_arrival(level, levels):
+            levels[level - 1] = [self._merge_runs(plan, [run] + runs, level) if runs else run]
+            self._maybe_spill_merging(plan, level)
         else:
             runs.insert(0, run)
-            self._maybe_compact_stacked(level)
+            self._maybe_compact_stacked(plan, level)
 
-    def _merge_runs(self, runs: list[SortedRun], target_level: int) -> SortedRun:
-        """Sort-merge runs, charging compaction I/O to the virtual disk."""
-        input_pages = sum(r.num_pages for r in runs)
-        self.disk.read_pages(input_pages, compaction=True)
-        is_last_level = target_level >= len(self.levels) or not any(
-            self.levels[target_level:]
-        )
+    def _merge_runs(self, plan: _FlushPlan, runs: list, target_level: int) -> _PendingRun:
+        """Sort-merge runs' entries, adding the compaction I/O to the plan."""
+        plan.reads += sum(r.num_pages for r in runs)
+        is_last_level = not any(plan.levels[target_level:])
         keys, tombstones = consolidate_versions(
             *zip(*(run.entries() for run in runs)),
             drop_tombstones=is_last_level and not self.preserve_tombstones,
         )
-        merged = self._new_run(keys, tombstones, target_level)
-        self.disk.write_pages(merged.num_pages, compaction=True)
+        merged = plan.pend(keys, tombstones, target_level)
+        plan.writes += merged.num_pages
         return merged
 
-    def _maybe_spill_merging(self, level: int) -> None:
+    def _maybe_spill_merging(self, plan: _FlushPlan, level: int) -> None:
         """Cascade over-full single-run (leveled) levels into deeper levels."""
+        levels = plan.levels
         current = level
         while True:
-            self._ensure_level(current)
-            runs = self.levels[current - 1]
+            self._ensure_level(current, levels)
+            runs = levels[current - 1]
             if not runs:
                 return
             run = runs[0]
             if run.num_entries <= self.level_capacity_entries(current):
                 return
             # Move the over-full run one level down, merging if necessary.
-            self.levels[current - 1] = []
+            levels[current - 1] = []
             target = current + 1
-            self._ensure_level(target)
-            below = self.levels[target - 1]
-            if self._merges_on_arrival(target):
-                if below:
-                    merged = self._merge_runs([run] + below, target)
-                else:
-                    # Trivial move: nothing to merge with, so the run is
-                    # adopted by the level below without any I/O (RocksDB
-                    # does the same when the target level is empty).
-                    merged = run
-                self.levels[target - 1] = [merged]
+            self._ensure_level(target, levels)
+            below = levels[target - 1]
+            if self._merges_on_arrival(target, levels):
+                # With nothing below it is a trivial move: the run is adopted
+                # by the level below without any I/O (RocksDB does the same
+                # when the target level is empty).
+                levels[target - 1] = [
+                    self._merge_runs(plan, [run] + below, target) if below else run
+                ]
                 current = target
             else:
                 # Spilling into a run-stacking level (possible when the tree
                 # outgrows a hybrid policy's largest level): stack the run
                 # and let the count-based trigger take over.
-                self.levels[target - 1].insert(0, run)
-                self._maybe_compact_stacked(target)
+                below.insert(0, run)
+                self._maybe_compact_stacked(plan, target)
                 return
 
-    def _maybe_compact_stacked(self, level: int) -> None:
+    def _maybe_compact_stacked(self, plan: _FlushPlan, level: int) -> None:
         """Merge a run-stacking level once its run count exceeds the trigger.
 
         Classic tiering merges the accumulated runs into a new run one level
@@ -405,35 +451,32 @@ class LSMTree:
         (Dostoevsky's fluid LSM restores the bound in place); only a level at
         capacity spills into the next one.
         """
+        levels = plan.levels
         current = level
         while True:
-            self._ensure_level(current)
-            runs = self.levels[current - 1]
-            last_level = max(len(self.levels), 1)
+            self._ensure_level(current, levels)
+            runs = levels[current - 1]
             trigger = self.compaction.max_resident_runs(
-                self.size_ratio, current, last_level
+                self.size_ratio, current, max(len(levels), 1)
             )
-            if self._merges_on_arrival(current) or len(runs) <= trigger:
+            if self._merges_on_arrival(current, levels) or len(runs) <= trigger:
                 return
             if self.compaction.in_place:
                 total_entries = sum(run.num_entries for run in runs)
                 if total_entries < self.level_capacity_entries(current):
-                    merged = self._merge_runs(runs, current)
-                    self.levels[current - 1] = [merged]
+                    levels[current - 1] = [self._merge_runs(plan, runs, current)]
                     return
             target = current + 1
-            self._ensure_level(target)
-            sources = list(runs)
-            if self._merges_on_arrival(target):
-                sources += self.levels[target - 1]
-                merged = self._merge_runs(sources, target)
-                self.levels[current - 1] = []
-                self.levels[target - 1] = [merged]
-                self._maybe_spill_merging(target)
+            self._ensure_level(target, levels)
+            if self._merges_on_arrival(target, levels):
+                merged = self._merge_runs(plan, runs + levels[target - 1], target)
+                levels[current - 1] = []
+                levels[target - 1] = [merged]
+                self._maybe_spill_merging(plan, target)
                 return
-            merged = self._merge_runs(sources, target)
-            self.levels[current - 1] = []
-            self.levels[target - 1].insert(0, merged)
+            merged = self._merge_runs(plan, runs, target)
+            levels[current - 1] = []
+            levels[target - 1].insert(0, merged)
             current = target
 
     # ------------------------------------------------------------------
@@ -645,7 +688,8 @@ class LSMTree:
     def _place_bulk_run(self, keys: np.ndarray, level: int) -> None:
         """Build a run of live ``keys`` as the oldest of ``level``; no commit."""
         self._ensure_level(level)
-        run = self._new_run(keys, np.zeros(keys.size, dtype=bool), level)
+        self._run_counter += 1
+        run = self._build_run(keys, np.zeros(keys.size, dtype=bool), self._run_counter, level)
         self.levels[level - 1].append(run)
 
     def _bulk_load_level_capacity(self, level: int, deepest: int) -> int:

@@ -47,20 +47,20 @@ class FileStore:
     **Acknowledgement point.**  ``log`` appends the write to the log before
     the tree buffers it; a write is acknowledged once ``log`` returns.
 
-    **Commit order.**  The tables of the new structure were written by
-    ``create_run`` before ``commit`` is called; ``commit`` then (1) atomically
-    replaces the manifest, (2) rewrites the log to the records the memtable
-    still holds, (3) deletes the tables the new manifest no longer
+    **Commit order.**  The one table a flush adds (a bulk load: its tables) was
+    written by ``create_run`` before ``commit`` is called; ``commit`` then (1)
+    atomically replaces the manifest, (2) rewrites the log to the records the
+    memtable still holds, (3) deletes the tables the new manifest no longer
     references.  A crash at any point recovers to a consistent tree: before
     (1) the old manifest and the intact log reproduce the previous structure
-    and every acknowledged write, and the freshly written tables are swept as
-    orphans; between (1) and (2) the new manifest is authoritative and the
+    and every acknowledged write, and the freshly written table is swept as
+    an orphan; between (1) and (2) the new manifest is authoritative and the
     stale log re-applies writes the flushed run already holds, which
     newest-wins reads absorb; between (2) and (3) only unreferenced files are
     left over, and recovery sweeps them.
 
     ``sync_writes`` makes that hold across an *operating-system* crash too:
-    the log ``fsync``s every append, each new table's file is synced before
+    the log ``fsync``s every append, the new table's file is synced before
     the manifest that names it is swapped in, and the directory is synced
     after the swap.  Without it (the default, and what the benchmark
     runs) only the manifest's contents are synced and a flush is one
@@ -77,8 +77,8 @@ class FileStore:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.sync_writes = sync_writes
         #: Every SSTable this store holds a descriptor on, by file name — the
-        #: installed runs plus those a compaction replaced since the last
-        #: commit.
+        #: installed runs plus, until the commit, those a flush's merges
+        #: replaced.
         self._tables: dict[str, SSTable] = {}
         #: The structure as last committed; what ``close`` persists again.
         self._manifest = {"version": MANIFEST_VERSION, "run_counter": 0, "levels": []}

@@ -90,7 +90,7 @@ def build_run_index(
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 1:
         raise ValueError("keys must be a one-dimensional array")
-    if keys.size > 1 and np.any(np.diff(keys) <= 0):
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
         raise ValueError("keys must be strictly increasing")
     if entries_per_page <= 0:
         raise ValueError("entries_per_page must be positive")
@@ -375,8 +375,9 @@ class MemoryStore:
     A run store is everything about an :class:`~repro.storage.lsm_tree.LSMTree`
     that depends on *where its runs live*; the tree owns one and calls
 
-    * ``create_run(...)`` for every run it builds (flush, compaction output,
-      bulk placement) — ``run_id`` counts 1, 2, 3 … per tree;
+    * ``create_run(...)`` for every run that comes to rest (the one a flush's
+      cascade ends in, a bulk placement) — ``run_id`` rises per tree, skipping
+      the ids of runs merged away before they were built;
     * ``log(key, tombstone)`` before a write is applied to the memtable — the
       point at which the write is acknowledged;
     * ``commit(levels, run_counter, buffered)`` after every structure change

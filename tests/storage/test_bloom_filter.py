@@ -153,6 +153,20 @@ class TestBitTableBytes:
         assert -5 in by_add
 
 
+class TestSharedProbeOffsets:
+    """Filters of one hash count share one read-only probe-offset column."""
+
+    def test_one_column_per_hash_count_and_nobody_may_write_it(self):
+        first, second = BloomFilter(20, 7.3, seed=1), BloomFilter(500, 7.3, seed=2)
+        other = BloomFilter(20, 3.0, seed=1)
+        assert first._probe_offsets is second._probe_offsets
+        assert first._probe_offsets.tolist() == [[i] for i in range(first.num_hashes)]
+        assert other.num_hashes != first.num_hashes
+        assert other._probe_offsets.shape == (other.num_hashes, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            first._probe_offsets[0, 0] = 9
+
+
 int64_keys = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 

@@ -385,21 +385,26 @@ class TestLazyLeveling:
 
 
 class TestBloomSeedAllocation:
-    """Every run creation bumps the seed counter before using it.
+    """Every run — built or merged away before it was — takes the next id.
 
     Regression: ``_merge_runs`` used to read ``_seed + _run_counter`` before
-    incrementing, while ``_new_run`` increments first — so a merged run
+    incrementing, while a flushed run incremented first — so a merged run
     reused the Bloom hash seed of the most recently created run, correlating
     the two filters' false positives.
     """
 
     def test_consecutive_runs_get_distinct_seeds(self):
-        tree = make_tree()
-        keys = np.arange(0, 20, dtype=np.int64)
-        empty = np.zeros(keys.size, dtype=bool)
-        flushed = tree._new_run(keys, empty, level=1)
-        merged = tree._merge_runs([flushed], target_level=1)
-        assert merged.bloom_filter.seed != flushed.bloom_filter.seed
+        store = _RecordingStore(lambda: tree)
+        system = simulator_system(num_entries=4_000)
+        tree = LSMTree(LSMTuning(4.0, 6.0, Policy.LEVELING), system, seed=40, store=store)
+        for key in range(2 * tree.buffer_entries):
+            tree.put(key)
+        built = [call[1:] for call in store.calls if call[0] == "create_run"]
+        # The second flush merged into the first run: its memtable took id 2
+        # without being built, and the merge's output is run 3, seeded as 3.
+        assert built == [(1, 41), (3, 43)]
+        assert tree._run_counter == 3
+        assert [run.bloom_filter.seed for run in tree.levels[0]] == [43]
 
     def test_all_live_run_seeds_are_pairwise_distinct(self):
         tree = make_tree(policy=Policy.TIERING, size_ratio=3.0, num_entries=2_000)

@@ -676,19 +676,34 @@ class TestSSTable:
 
 @needs_proc
 class TestFailedTableWrite:
-    """A table whose one ``write`` fails is not there at all."""
+    """A table whose one ``write`` fails is not there at all — and neither is
+    anything else of the flush that wanted it: the run is built before the
+    levels, the memtable or the counters are touched."""
+
+    _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
+
+    #: Flushed buffers before the failing flush -> the level shape it meets.
+    #: One: the flush merges into the resident level-1 run.  Nine: level 1 is
+    #: at capacity, so the merge overfills it and cascades into the occupied
+    #: level 2 (two merges planned, one table written).
+    _SCENARIOS = {"merges into level 1": (1, [1]), "cascades into level 2": (9, [1, 1])}
 
     @pytest.mark.parametrize("fault", ["ENOSPC", "short write"])
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
     def test_no_file_no_descriptor_and_the_tree_goes_on(
-        self, tmp_path, monkeypatch, fault
+        self, tmp_path, monkeypatch, fault, scenario
     ):
+        flushed, shape = self._SCENARIOS[scenario]
         tree = PersistentLSMTree(
-            LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
-            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3
         )
-        writes = list(range(2 * tree.buffer_entries - 1))
-        for key in writes:  # one flushed run, then one put short of the next
+        writes = list(range((flushed + 1) * tree.buffer_entries - 1))
+        for key in writes:  # one put short of the next flush
             tree.put(key)
+        assert [len(runs) for runs in tree.levels] == shape
+        levels = [list(runs) for runs in tree.levels]
+        buffered = tree.memtable.sorted_items()[0].tolist()
+        run_counter = tree._run_counter
         files = sorted(path.name for path in tree.data_dir.iterdir())
         descriptors = _descriptors_under(tmp_path)
         counters = tree.disk.counters.snapshot()
@@ -703,20 +718,24 @@ class TestFailedTableWrite:
             patch.setattr(os, "write", failing_write)
             with pytest.raises(OSError, match="No space left|short write"):
                 tree.put(writes[-1] + 1)
-        writes.append(writes[-1] + 1)  # logged before the flush was tried
+        writes.append(writes[-1] + 1)  # logged and buffered before the flush was tried
+        assert [list(runs) for runs in tree.levels] == levels  # the same run objects
+        assert tree.memtable.sorted_items()[0].tolist() == buffered + writes[-1:]
+        assert tree._run_counter == run_counter
+        assert tree.disk.counters.snapshot() == counters
         assert sorted(path.name for path in tree.data_dir.iterdir()) == files
         assert _descriptors_under(tmp_path) == descriptors
-        assert tree.disk.counters.snapshot() == counters
         # Still usable: the buffer answers for what the flush did not
-        # persist, and the next put flushes it.
+        # persist, and the next put flushes it — charged once, not twice.
         assert all(tree.get(key) for key in writes)
         tree.put(writes[-1] + 1)
         writes.append(writes[-1] + 1)
         assert tree.memtable.is_empty
+        flushed_pages = -(-(len(buffered) + 2) // tree.entries_per_page)
+        assert tree.disk.counters.flush_writes == counters.flush_writes + flushed_pages
         tree.simulate_crash()
         recovered = PersistentLSMTree(
-            LSMTuning(5.0, 5.0, Policy.LEVELING), _SYSTEM,
-            data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3,
+            self._TUNING, _SYSTEM, data_dir=tmp_path / "db", disk=VirtualDisk(), seed=3
         )
         assert all(recovered.get(key) for key in writes)
         _assert_no_orphan_files(recovered)
@@ -790,11 +809,13 @@ class TestPersistentHousekeeping:
 
 
 class _SyscallRecorder:
-    """Records ``os.fsync`` (by the path it hits) and ``os.replace`` calls."""
+    """Records ``os.fsync`` (by the path it hits) and ``os.replace`` calls as
+    ``events``, and the name of every file ``os.open`` creates as ``created``."""
 
     def __init__(self, monkeypatch) -> None:
         self.events: list[tuple[str, str]] = []
-        real_fsync, real_replace = os.fsync, os.replace
+        self.created: list[str] = []
+        real_fsync, real_replace, real_open = os.fsync, os.replace, os.open
 
         def fsync(descriptor):
             path = os.readlink(f"/proc/self/fd/{descriptor}")
@@ -805,8 +826,14 @@ class _SyscallRecorder:
             self.events.append(("replace", os.path.basename(target)))
             return real_replace(source, target)
 
+        def open_(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                self.created.append(os.path.basename(path))
+            return real_open(path, flags, *args, **kwargs)
+
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "open", open_)
 
 
 @needs_proc
@@ -815,7 +842,7 @@ class TestFlushDurability:
 
     _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
 
-    def _flush_events(self, tmp_path, monkeypatch, sync_writes):
+    def _flush_recorder(self, tmp_path, monkeypatch, sync_writes):
         tree = PersistentLSMTree(
             self._TUNING, _SYSTEM, data_dir=tmp_path / "db",
             disk=VirtualDisk(), seed=3, sync_writes=sync_writes,
@@ -827,25 +854,26 @@ class TestFlushDurability:
         recorder = _SyscallRecorder(monkeypatch)
         tree.flush()
         tree.simulate_crash()
-        return recorder.events
+        return recorder
 
     def test_sync_writes_syncs_every_table_file_before_the_manifest_names_it(
         self, tmp_path, monkeypatch
     ):
         """Regression: the log was synced and truncated, the manifest synced
-        and swapped — but never the tables the flush replaced the log's
+        and swapped — but never the table the flush replaced the log's
         records with, nor the directory entry of the swap."""
-        events = self._flush_events(tmp_path, monkeypatch, sync_writes=True)
+        recorder = self._flush_recorder(tmp_path, monkeypatch, sync_writes=True)
+        events = recorder.events
         swap = events.index(("replace", "MANIFEST.json"))
-        synced_before = {name for kind, name in events[:swap] if kind == "fsync"}
-        # The flushed run and the merge, one file each.
-        assert {"run-00000002.sst", "run-00000003.sst"} <= synced_before
-        assert "MANIFEST.tmp" in synced_before
+        # One table per flush: the merge's output.  The memtable took run id
+        # 2 on its way into the merge and was never a file.
+        assert events[:swap] == [("fsync", "run-00000003.sst"), ("fsync", "MANIFEST.tmp")]
+        assert recorder.created == ["run-00000003.sst"]
         # The swap's directory entry, then the truncated log.
         assert events[swap + 1 :] == [("fsync", "db"), ("fsync", "wal.log")]
 
     def test_without_sync_writes_a_flush_is_one_fsync(self, tmp_path, monkeypatch):
-        events = self._flush_events(tmp_path, monkeypatch, sync_writes=False)
+        events = self._flush_recorder(tmp_path, monkeypatch, sync_writes=False).events
         assert events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
 
     def test_a_bulk_load_swaps_the_manifest_once(self, tmp_path, monkeypatch):

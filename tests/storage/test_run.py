@@ -37,6 +37,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_run([1, 1, 2])
 
+    @pytest.mark.parametrize(
+        "keys",
+        [[1, 1], [5, 5, 6, 7], [1, 2, 3, 3], [2, 1, 3, 4], [1, 2, 4, 3], [1, 3, 3, 5, 7]],
+        ids=["two equal", "equal at the front", "equal at the back",
+             "descending at the front", "descending at the back", "equal inside"],
+    )
+    def test_the_one_comparison_validation_rejects_what_the_diff_did(self, keys):
+        """``(keys[1:] > keys[:-1]).all()`` is ``np.diff(keys) > 0`` everywhere:
+        same check, same error, on either run kind's shared constructor."""
+        with pytest.raises(ValueError, match="^keys must be strictly increasing$"):
+            make_run(keys)
+
+    @given(st.lists(st.integers(-(2**61), 2**61), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_what_the_diff_expression_accepted(self, keys):
+        """The old check is the reference wherever its subtraction cannot wrap."""
+        array = np.asarray(keys, dtype=np.int64)
+        if array.size > 1 and np.any(np.diff(array) <= 0):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                make_run(array)
+        else:
+            assert make_run(array).num_entries == array.size
+
+    @pytest.mark.parametrize("keys", [[], [7], [-(2**63), 2**63 - 1]])
+    def test_sizes_zero_and_one_and_the_int64_extremes_are_accepted(self, keys):
+        # The one difference: a comparison cannot overflow, where ``np.diff``
+        # of two keys more than 2^63 apart wrapped negative and was refused.
+        assert make_run(keys).keys.tolist() == keys
+
     def test_rejects_bad_page_size(self):
         with pytest.raises(ValueError):
             SortedRun(np.array([1, 2]), entries_per_page=0)

@@ -40,6 +40,18 @@ def delta_throughput(
     return (cand - base) / base
 
 
+def delta_throughputs(
+    model: LSMCostModel,
+    workloads: Iterable[Workload],
+    baseline: LSMTuning,
+    candidate: LSMTuning,
+) -> np.ndarray:
+    """``Δ_w(baseline, candidate)`` on every workload of a collection."""
+    workloads = tuple(workloads)
+    base = throughputs(model, workloads, baseline)
+    return (throughputs(model, workloads, candidate) - base) / base
+
+
 def average_delta_throughput(
     model: LSMCostModel,
     workloads: Iterable[Workload],
@@ -47,12 +59,7 @@ def average_delta_throughput(
     candidate: LSMTuning,
 ) -> float:
     """Mean of ``Δ_w`` over a collection of workloads."""
-    deltas = [
-        delta_throughput(model, workload, baseline, candidate) for workload in workloads
-    ]
-    if not deltas:
-        raise ValueError("at least one workload is required")
-    return float(np.mean(deltas))
+    return float(np.mean(delta_throughputs(model, workloads, baseline, candidate)))
 
 
 def throughput_range(
@@ -63,17 +70,18 @@ def throughput_range(
     Smaller values mean the tuning performs more consistently across the
     benchmark (lower variance in achievable throughput).
     """
-    if not workloads:
-        raise ValueError("at least one workload is required")
-    values = np.array([throughput(model, w, tuning) for w in workloads])
+    values = throughputs(model, workloads, tuning)
     return float(values.max() - values.min())
 
 
 def throughputs(
-    model: LSMCostModel, workloads: Sequence[Workload], tuning: LSMTuning
+    model: LSMCostModel, workloads: Iterable[Workload], tuning: LSMTuning
 ) -> np.ndarray:
     """Throughput of one tuning on every workload of a benchmark set."""
-    return np.array([throughput(model, w, tuning) for w in workloads])
+    values = model.throughputs(workloads, tuning)
+    if not values.size:
+        raise ValueError("at least one workload is required")
+    return values
 
 
 def win_rate(
@@ -88,11 +96,5 @@ def win_rate(
     Used for the §8.4 headline ("robust tunings comprehensively outperform
     the nominal tunings in over 80% of comparisons").
     """
-    if not workloads:
-        raise ValueError("at least one workload is required")
-    wins = sum(
-        1
-        for w in workloads
-        if delta_throughput(model, w, baseline, candidate) > tolerance
-    )
-    return wins / len(workloads)
+    deltas = delta_throughputs(model, workloads, baseline, candidate)
+    return int(np.count_nonzero(deltas > tolerance)) / deltas.size

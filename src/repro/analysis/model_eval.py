@@ -34,7 +34,7 @@ from ..workloads.benchmark import (
 from ..workloads.workload import Workload
 from .metrics import (
     average_delta_throughput,
-    delta_throughput,
+    delta_throughputs,
     throughput_range,
     throughputs,
     win_rate,
@@ -172,12 +172,7 @@ def figure5_rho_impact(
     result: dict[float, dict[str, np.ndarray | str]] = {}
     for rho in rhos:
         robust = catalog.robust(expected, rho).tuning
-        deltas = np.array(
-            [
-                delta_throughput(model, workload, nominal, robust)
-                for workload in benchmark
-            ]
-        )
+        deltas = delta_throughputs(model, benchmark, nominal, robust)
         result[float(rho)] = {
             "kl": divergences.copy(),
             "delta": deltas,
@@ -285,12 +280,7 @@ def figure7_contour(
     grid = np.full((len(rhos), kl_bins), np.nan)
     for i, rho in enumerate(rhos):
         robust = catalog.robust(expected, rho).tuning
-        deltas = np.array(
-            [
-                delta_throughput(model, workload, nominal, robust)
-                for workload in benchmark
-            ]
-        )
+        deltas = delta_throughputs(model, benchmark, nominal, robust)
         for j in range(kl_bins):
             mask = bin_index == j
             if np.any(mask):

@@ -438,10 +438,24 @@ class LSMCostModel:
 
     def throughput(self, workload, tuning: LSMTuning) -> float:
         """Throughput proxy ``1 / C(w, Φ)`` used throughout the evaluation."""
-        cost = self.workload_cost(workload, tuning)
-        if cost <= 0:
+        return float(self.throughputs((workload,), tuning)[0])
+
+    def throughputs(self, workloads, tuning: LSMTuning) -> np.ndarray:
+        """:meth:`throughput` of one tuning on each of ``workloads``.
+
+        ``c(Φ)`` depends on the tuning and a workload's ``ν`` only, so it is
+        built once per distinct ``ν``, not once per workload.
+        """
+        vectors: dict[float, np.ndarray] = {}
+        costs = []
+        for workload in workloads:
+            nu = _long_range_fraction(workload)
+            if nu not in vectors:
+                vectors[nu] = self.cost_vector(tuning, nu)
+            costs.append(_support_dot(vectors[nu], _workload_array(workload)))
+        if costs and min(costs) <= 0:
             raise ValueError("workload cost must be positive to define throughput")
-        return 1.0 / cost
+        return 1.0 / np.array(costs, dtype=float)
 
 
 def _workload_array(workload) -> np.ndarray:

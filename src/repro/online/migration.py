@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..storage.lsm_tree import LSMTree, execute_operation
+from ..storage.lsm_tree import BufferFirstReads, LSMTree, execute_operation
 from ..workloads.traces import Operation
 
 
@@ -76,7 +76,7 @@ class MigrationStep:
         return self.read_pages + self.write_pages
 
 
-class MigrationPlan:
+class MigrationPlan(BufferFirstReads):
     """A resumable, step-bounded rebuild of ``source`` under ``target``'s tuning.
 
     Parameters
@@ -332,34 +332,35 @@ class MigrationPlan:
         self._dirty_keys.add(int(key))
         self.target.delete(key)
 
-    def get(self, key: int) -> bool:
-        """Point lookup across the mixed state.
+    # ``get`` & co. are :class:`BufferFirstReads`' over this buffer and these probes.
+    @property
+    def memtable(self):
+        """The buffer a read consults first: the target's, where writes land."""
+        return self.target.memtable
+
+    def write_room(self) -> int:
+        """Puts that certainly cannot flush the target."""
+        return self.target.write_room()
+
+    def probe_runs(self, key: int) -> tuple[bool, bool]:
+        """Newest version past the buffer: the target's runs, then the source.
 
         The target holds everything written since the plan started plus the
         already-migrated placements, so its verdict (live *or* deleted) is
         authoritative; only a key the target has never seen falls back to the
         frozen source snapshot.
         """
-        found, tombstone = self.target.lookup_entry(key)
-        if found:
-            return not tombstone
-        return self.source.get(key)
+        found, tombstone = self.target.probe_runs(key)
+        return (True, tombstone) if found else self.source.lookup_entry(key)
 
-    def get_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batched point lookups across the mixed state; per-key live masks.
-
-        The vectorised twin of :meth:`get`: the whole batch probes the target
-        first, and only the keys the target has never seen (no live version,
-        no tombstone) fall through to the frozen source snapshot — each side
-        charging exactly the pages the per-key scalar path would have.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        found, tombstone = self.target.lookup_entries(keys)
-        live = found & ~tombstone
-        unresolved = ~found
-        if unresolved.any():
-            live[unresolved] = self.source.get_many(keys[unresolved])
-        return live
+    def probe_runs_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`probe_runs`, each side charging exactly the pages
+        the per-key scalar path would have."""
+        found, tombstone = self.target.probe_runs_many(keys)
+        unseen = np.flatnonzero(~found)
+        if unseen.size:
+            found[unseen], tombstone[unseen] = self.source.lookup_entries(keys[unseen])
+        return found, tombstone
 
     def range_query(self, start_key: int, end_key: int) -> int:
         """Range lookup across the mixed state; counts live keys once.

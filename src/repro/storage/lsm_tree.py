@@ -64,9 +64,9 @@ def execute_operation(engine, operation: Operation) -> None:
 
     The scalar reference of :func:`execute_operations_batched`: replaying a
     trace row by row through here defines the disk counters, tree state and
-    answers the batched loop must reproduce bit for bit.  ``engine`` is
-    anything exposing the three methods — the live :class:`LSMTree` and the
-    online subsystem's mixed migration state both qualify.
+    answers the batched loop must reproduce bit for bit.  ``engine`` is the
+    live :class:`LSMTree` or the online subsystem's mixed migration state;
+    the batched loop asks more of it (see there).
     """
     if operation.kind is OperationType.PUT:
         engine.put(operation.key)
@@ -76,63 +76,84 @@ def execute_operation(engine, operation: Operation) -> None:
         engine.get(operation.key)
 
 
-#: GET spans shorter than this run through the scalar path: per-batch array
-#: overhead beats per-key dict/filter probes only once a span has some width,
-#: and the two paths are bit-identical either way.  Measured crossover on the
-#: post-replay ``write_ingest`` and ``point_read`` bench trees (three runs):
-#: a scalar ``get`` costs 3–6 us per key, a ``get_many`` 40–70 us per call,
-#: and the batch wins from 13–15 keys on.
+#: Fewer pending GETs than this probe the runs one key at a time: per-batch
+#: array overhead beats per-key filter probes only once a batch has some
+#: width, and the two paths are bit-identical either way.  Measured on the
+#: post-replay bench trees, ``probe_runs`` per key vs ``probe_runs_many`` per
+#: call: ``point_read`` 2.9 us vs 41-45 us (batch wins from 15-16 keys),
+#: ``write_ingest`` 5.6 us vs 74-80 us (from 14), ``persistent_mixed`` on
+#: files 5.2 us vs 63-72 us (from 13-14).
 SCALAR_SPAN_CUTOFF = 14
 
 
 def drain_get_span(engine, span_keys: list[int]) -> None:
-    """Execute one write-free GET span and empty it.
+    """Probe the engine's runs for the pending GET keys and empty the list.
 
-    Spans below :data:`SCALAR_SPAN_CUTOFF` replay through the engine's scalar
-    ``get`` (cheaper than spinning up array ops for a handful of keys);
-    longer spans go through the vectorised ``get_many``.  Both produce
-    identical disk counters, so the cutoff is purely a wall-clock choice.
+    The buffer is *not* consulted again: it answered, or did not, at each
+    GET's stream position, and a key put since would wrongly skip the run
+    probes the scalar reference charged.  Fewer than
+    :data:`SCALAR_SPAN_CUTOFF` keys probe one by one, more go through the
+    vectorised walk; the disk counters are identical, so the cutoff is purely
+    a wall-clock choice.
     """
     if len(span_keys) < SCALAR_SPAN_CUTOFF:
         for key in span_keys:
-            engine.get(key)
+            engine.probe_runs(key)
     else:
-        engine.get_many(np.asarray(span_keys, dtype=np.int64))
+        engine.probe_runs_many(np.asarray(span_keys, dtype=np.int64))
     span_keys.clear()
 
 
 def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
-    """Replay a trace against an engine, batching point reads between writes.
+    """Replay a trace against an engine, batching point reads between flushes.
 
-    The one loop that walks a trace: point reads accumulate into a pending
-    span (capped at ``max_batch_ops``) that runs through the engine's
-    vectorised ``get_many``.  Only a PUT fences the span — writes mutate the
-    structure (flushes, compactions) that later reads must observe.  A RANGE
-    runs in stream position while the span keeps growing past it: reads
-    change nothing on any engine (:class:`LSMTree` on either run store, the
-    online subsystem's mixed migration state), so they commute, and only
-    the order of read I/O inside a write-free window shifts — which no
-    measurement observes, sessions measure counter deltas.  Disk counters,
-    tree state and answers are bit-identical to replaying the trace row by
-    row through :func:`execute_operation`.
+    The one loop that walks a trace.  Every PUT and RANGE executes at its
+    stream position.  A GET asks the write buffer at its stream position — a
+    buffered version, live or tombstone, answers with no I/O — and otherwise
+    joins a pending list (capped at ``max_batch_ops``) whose *run-side*
+    probes are issued when the run set is about to change: before a put that
+    may fill the buffer, and when the trace ends.  Between two flushes the
+    runs are immutable and a probe's page charge depends on the key and the
+    runs alone, so only the order of read I/O inside a flush epoch shifts —
+    which no measurement observes, sessions measure counter deltas.  The
+    drain precedes the flushing put because a flush on files unlinks the
+    tables it replaced.  Disk counters, tree state and answers are
+    bit-identical to replaying the trace row by row through
+    :func:`execute_operation`.
+
+    ``engine`` (an :class:`LSMTree`, or a mid-flight ``MigrationPlan``, whose
+    steps run between calls) exposes ``put``, ``range_query``, the
+    ``memtable`` consulted first, ``write_room()`` — puts that certainly
+    cannot flush — and the buffer-skipping ``probe_runs`` /
+    ``probe_runs_many``.
     """
     range_kind = OperationType.RANGE.value
+    buffered = engine.memtable.holds
     pending: list[int] = []
     append = pending.append
+    room = 0
     # Plain-int columns: per-window array work would cost more than it saves
-    # on write-dense traces, where spans are a handful of keys.
+    # on write-dense traces, where epochs hold a handful of reads.
     for kind, key, scan_length in zip(
         trace.kinds.tolist(), trace.keys.tolist(), trace.scan_lengths.tolist()
     ):
         if kind < range_kind:  # both point-read codes sort below RANGE
-            append(key)
-            if len(pending) >= max_batch_ops:
-                drain_get_span(engine, pending)
+            if not buffered(key):
+                append(key)
+                if len(pending) >= max_batch_ops:
+                    drain_get_span(engine, pending)
         elif kind == range_kind:
             engine.range_query(key, key + scan_length)
         else:
-            if pending:
-                drain_get_span(engine, pending)
+            if not room:
+                # Updates do not grow the buffer, so the room is a lower
+                # bound: re-read from the engine when it runs out.
+                room = engine.write_room()
+                if not room:
+                    if pending:
+                        drain_get_span(engine, pending)
+                    room = 1
+            room -= 1
             engine.put(key)
     if pending:
         drain_get_span(engine, pending)
@@ -202,7 +223,61 @@ class _FlushPlan:
         return _PendingRun(keys, tombstones, level, self.entries_per_page)
 
 
-class LSMTree:
+class BufferFirstReads:
+    """Point reads of a ``memtable`` in front of ``probe_runs`` / ``probe_runs_many``.
+
+    What an engine's four read entry points share — the live :class:`LSMTree`
+    and the online subsystem's mixed migration state differ only in what lies
+    past the buffer.
+    """
+
+    def get(self, key: int) -> bool:
+        """Point lookup; returns whether the key is live.
+
+        Probes the memtable first (no I/O), then every run from the smallest
+        to the largest level, newest run first within a level, charging one
+        page read for every run whose Bloom filter and fence pointers fail to
+        rule it out.
+        """
+        found, tombstone = self.lookup_entry(key)
+        return found and not tombstone
+
+    def lookup_entry(self, key: int) -> tuple[bool, bool]:
+        """Newest version of ``key``: ``(found, is_tombstone)``, charging I/O.
+
+        The three-state answer (missing / live / deleted) lets a caller
+        layering two trees — the online subsystem's mixed migration state —
+        distinguish "this tree never heard of the key" (fall through to the
+        older tree) from "this tree deleted it" (the deletion shadows any
+        older version).
+        """
+        present, tombstone = self.memtable.get(key)
+        if present:
+            return True, tombstone
+        return self.probe_runs(key)
+
+    def get_many(self, keys: np.ndarray) -> np.ndarray:
+        """Batched point lookups; returns a per-key liveness mask.
+
+        The vectorised twin of :meth:`get`: the whole batch walks the levels
+        *once*, so a span of reads pays one Python-level pass over the runs
+        instead of one per key, while the disk sees exactly the page counts
+        the scalar loop would have charged.
+        """
+        found, tombstone = self.lookup_entries(keys)
+        return found & ~tombstone
+
+    def lookup_entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`lookup_entry`: per-key ``(found, is_tombstone)`` masks."""
+        keys = np.asarray(keys, dtype=np.int64)
+        found, tombstone = self.memtable.lookup_many(keys)
+        unbuffered = np.flatnonzero(~found)
+        if unbuffered.size:
+            found[unbuffered], tombstone[unbuffered] = self.probe_runs_many(keys[unbuffered])
+        return found, tombstone
+
+
+class LSMTree(BufferFirstReads):
     """Simulated LSM tree configured by a tuning and a system description.
 
     Class attributes
@@ -353,6 +428,10 @@ class LSMTree:
         if self.memtable.is_full:
             self.flush()
 
+    def write_room(self) -> int:
+        """Puts that certainly cannot flush (updates leave more room than this)."""
+        return max(self.buffer_entries - len(self.memtable) - 1, 0)
+
     def flush(self) -> None:
         """Flush the memtable into disk level 1: plan, build, apply.
 
@@ -482,29 +561,8 @@ class LSMTree:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, key: int) -> bool:
-        """Point lookup; returns whether the key is live in the tree.
-
-        Probes the memtable first (no I/O), then every run from the smallest
-        to the largest level, newest run first within a level, charging one
-        page read for every run whose Bloom filter and fence pointers fail to
-        rule it out.
-        """
-        found, tombstone = self.lookup_entry(key)
-        return found and not tombstone
-
-    def lookup_entry(self, key: int) -> tuple[bool, bool]:
-        """Newest version of ``key``: ``(found, is_tombstone)``, charging I/O.
-
-        The three-state answer (missing / live / deleted) lets a caller
-        layering two trees — the online subsystem's mixed migration state —
-        distinguish "this tree never heard of the key" (fall through to the
-        older tree) from "this tree deleted it" (the deletion shadows any
-        older version).
-        """
-        present, tombstone = self.memtable.get(key)
-        if present:
-            return True, tombstone
+    def probe_runs(self, key: int) -> tuple[bool, bool]:
+        """:meth:`lookup_entry` past the buffer: the disk levels' newest version."""
         for runs in self.levels:
             for run in runs:
                 found, tombstone, pages = run.lookup(key)
@@ -514,34 +572,21 @@ class LSMTree:
                     return True, tombstone
         return False, False
 
-    def get_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batched point lookups; returns a per-key liveness mask.
+    def probe_runs_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`probe_runs`: per-key ``(found, is_tombstone)`` masks.
 
-        The vectorised twin of :meth:`get`: the whole batch walks the levels
-        *once*, so a span of reads pays one Python-level pass over the runs
-        instead of one per key, while the disk sees exactly the page counts
-        the scalar loop would have charged.
+        Probes every run from the smallest to the largest level, newest run
+        first within a level, carrying an *unresolved* index: a key stops
+        probing deeper runs the moment a run answers it — the scalar
+        early-exit, applied per key.  Each probed run charges the disk one
+        ``read_pages`` call with the batch's total candidate pages, which
+        sums to exactly what per-key scalar probes would have charged (page
+        counts are per probe, not per unique page).
         """
-        found, tombstone = self.lookup_entries(keys)
-        return found & ~tombstone
-
-    def lookup_entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`lookup_entry`: per-key ``(found, is_tombstone)`` masks.
-
-        Probes the memtable first (no I/O), then every run from the smallest
-        to the largest level, newest run first within a level, carrying an
-        *unresolved* mask: a key stops probing deeper runs the moment a run
-        answers it — the scalar early-exit, applied per key.  Each probed run
-        charges the disk one ``read_pages`` call with the batch's total
-        candidate pages, which sums to exactly what per-key scalar probes
-        would have charged (page counts are per probe, not per unique page).
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-        found, tombstone = self.memtable.lookup_many(keys)
+        found = np.zeros(keys.size, dtype=bool)
+        tombstone = np.zeros(keys.size, dtype=bool)
         # Indices of keys no probe has answered yet; shrinks as runs hit.
-        pending = np.flatnonzero(~found)
+        pending = np.arange(keys.size)
         for runs in self.levels:
             for run in runs:
                 if pending.size == 0:

@@ -28,6 +28,9 @@ class Memtable:
         self.capacity_entries = capacity_entries
         self._entries: dict[int, bool] = {}
         self._sorted_keys: list[int] = []
+        #: ``holds(key)``: whether a version of ``key``, live or tombstone, is
+        #: buffered — the dict's own probe, bound once for the replay loop.
+        self.holds = self._entries.__contains__
 
     # ------------------------------------------------------------------
     # Mutations

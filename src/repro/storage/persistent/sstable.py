@@ -180,15 +180,19 @@ class SSTable:
     # ------------------------------------------------------------------
     # File access
     # ------------------------------------------------------------------
+    def _descriptor(self) -> int:
+        if self._fd is None:
+            raise ValueError(f"SSTable {self.path} is closed")
+        return self._fd
+
     def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
         """``pread`` the contiguous page range — clamped to the record region, as
         the final partial page ends where the footer starts — and unpack it
         into read-only ``(keys, tombstones)``."""
-        if self._fd is None:
-            raise ValueError(f"SSTable {self.path} is closed")
         offset = first_page * self._page_bytes
         end = min((last_page + 1) * self._page_bytes, self._data_bytes)
-        records = np.frombuffer(os.pread(self._fd, end - offset, offset), dtype=RECORD_DTYPE)
+        data = os.pread(self._descriptor(), end - offset, offset)
+        records = np.frombuffer(data, dtype=RECORD_DTYPE)
         tombstones = records["tombstone"].astype(bool)
         tombstones.setflags(write=False)
         return records["key"].astype(np.int64, copy=False), tombstones
@@ -299,7 +303,9 @@ class SSTable:
         Accounting matches ``SortedRun.lookup_many``: the charge is one page
         per surviving probe, not per unique page, so the counters equal the
         scalar path's.  The *physical* reads are deduplicated — each distinct
-        candidate page is ``pread`` once for the whole batch.
+        candidate page is ``pread`` once — and, ascending distinct pages of a
+        run being ascending unique keys, one ``searchsorted`` over the joined
+        pages resolves the batch: a probe hits iff it hits in its own page.
         """
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(keys.size, dtype=bool)
@@ -314,17 +320,21 @@ class SSTable:
         pages_read = int(probe_idx.size)
         if pages_read:
             probed = keys[probe_idx]
-            pages = np.maximum(self._fences.searchsorted(probed, side="right") - 1, 0)
-            for page in np.unique(pages):
-                page_keys, page_tombstones = self._read_pages(int(page), int(page))
-                on_page = np.flatnonzero(pages == page)
-                indices = page_keys.searchsorted(probed[on_page])
-                in_range = indices < page_keys.size
-                hit = np.zeros(on_page.size, dtype=bool)
-                hit[in_range] = page_keys[indices[in_range]] == probed[on_page][in_range]
-                hits = probe_idx[on_page[hit]]
-                found[hits] = True
-                tombstone[hits] = page_tombstones[indices[hit]]
+            pages = np.unique(np.maximum(self._fences.searchsorted(probed, side="right") - 1, 0))
+            fd, size, end = self._descriptor(), self._page_bytes, self._data_bytes
+            # The final partial page ends where the footer starts.
+            chunks = [
+                os.pread(fd, min(size, end - offset), offset)
+                for offset in (pages * size).tolist()
+            ]
+            records = np.frombuffer(b"".join(chunks), dtype=RECORD_DTYPE)
+            page_keys = records["key"]
+            # A probe past its page's last key may index one past the join.
+            indices = np.minimum(page_keys.searchsorted(probed), page_keys.size - 1)
+            hit = page_keys[indices] == probed
+            hits = probe_idx[hit]
+            found[hits] = True
+            tombstone[hits] = records["tombstone"][indices[hit]]
         return found, tombstone, pages_read
 
     # ------------------------------------------------------------------

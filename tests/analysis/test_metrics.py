@@ -113,3 +113,62 @@ class TestWinRate:
     def test_rejects_empty(self, model, read_tuning, write_tuning):
         with pytest.raises(ValueError):
             win_rate(model, [], read_tuning, write_tuning)
+
+
+class TestOneCostVectorPerTuning:
+    """``c(Φ)`` depends on ``(Φ, ν)`` only: built once per call, not per workload."""
+
+    @pytest.fixture()
+    def counting(self, model, monkeypatch):
+        calls = []
+        real = model.cost_vector
+
+        def cost_vector(tuning, long_range_fraction=0.0):
+            calls.append((tuning, long_range_fraction))
+            return real(tuning, long_range_fraction)
+
+        monkeypatch.setattr(model, "cost_vector", cost_vector)
+        return calls
+
+    def test_average_delta_builds_two_vectors_for_a_thousand_workloads(
+        self, model, read_tuning, write_tuning, bench_set, counting
+    ):
+        workloads = list(bench_set) * 2
+        assert len(workloads) == 1_000
+        assert len({w.long_range_fraction for w in workloads}) == 1
+        average_delta_throughput(model, workloads, read_tuning, write_tuning)
+        assert len(counting) <= 2
+
+    def test_one_vector_per_distinct_nu(self, model, read_tuning, bench_set, counting):
+        from dataclasses import replace
+
+        workloads = list(bench_set)[:30]
+        workloads += [replace(w, long_range_fraction=0.5) for w in workloads]
+        throughputs(model, workloads, read_tuning)
+        assert sorted(nu for _, nu in counting) == [0.0, 0.5]
+
+    def test_every_float_is_the_per_workload_one(
+        self, model, read_tuning, write_tuning, bench_set
+    ):
+        from dataclasses import replace
+
+        workloads = list(bench_set)[:40]
+        workloads += [replace(w, long_range_fraction=0.3) for w in workloads[:10]]
+        singles = [throughput(model, w, read_tuning) for w in workloads]
+        assert throughputs(model, workloads, read_tuning).tolist() == singles
+        assert throughput_range(model, workloads, read_tuning) == max(singles) - min(singles)
+        deltas = [delta_throughput(model, w, read_tuning, write_tuning) for w in workloads]
+        mean = average_delta_throughput(model, iter(workloads), read_tuning, write_tuning)
+        assert mean == float(np.mean(deltas))
+        for tolerance in (0.0, 0.1):
+            wins = sum(delta > tolerance for delta in deltas)
+            assert win_rate(
+                model, workloads, read_tuning, write_tuning, tolerance
+            ) == wins / len(workloads)
+
+    def test_a_non_positive_cost_is_refused(self, model, read_tuning, w11, monkeypatch):
+        monkeypatch.setattr(model, "cost_vector", lambda tuning, nu=0.0: np.zeros(4))
+        with pytest.raises(ValueError, match="must be positive"):
+            throughputs(model, [w11], read_tuning)
+        with pytest.raises(ValueError, match="must be positive"):
+            throughput(model, w11, read_tuning)

@@ -122,6 +122,7 @@ class TestMemtableAgainstADict:
     def test_any_interleaving_of_put_delete_and_clear(self, steps, intervals):
         capacity = 5
         table, reference = Memtable(capacity), {}
+        holds = table.holds  # bound once, as the replay loop binds it
         for step, key in steps:
             if step == "clear":
                 table.clear()
@@ -130,6 +131,7 @@ class TestMemtableAgainstADict:
                 getattr(table, step)(key)
                 reference[key] = step == "delete"
             _assert_equals_the_dict(table, reference, capacity)
+            assert holds(key) == (key in reference)
         for start, end in intervals:
             inside = sorted(key for key in reference if start <= key <= end)
             keys, tombstones = table.scan_items(start, end)

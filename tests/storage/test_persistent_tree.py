@@ -15,10 +15,15 @@ from __future__ import annotations
 import errno
 import json
 import os
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
@@ -672,6 +677,99 @@ class TestSSTable:
         _, table = self._pair(tmp_path, np.arange(0, 40))
         table.delete_files()
         assert list(tmp_path.iterdir()) == []
+
+
+_INT64 = np.iinfo(np.int64)
+_ANY_KEY = st.integers(_INT64.min, _INT64.max)
+
+
+@st.composite
+def _run_and_probes(draw):
+    """``(keys, tombstones, bits_per_entry, probe)`` for a run of 4-entry pages.
+
+    Sizes cover the empty run, one entry, one page, a last partial page and
+    many pages; keys are clustered, or anywhere in ``int64``.  Probe batches
+    are empty, all on one page, one per page, or a mix of resident keys (with
+    duplicates), their neighbours in the gaps, and keys anywhere — below,
+    above and between.
+    """
+    size = draw(st.sampled_from([0, 1, 3, 4, 5, 8, 13, 30]))
+    domain = draw(st.sampled_from([st.integers(-60, 60), _ANY_KEY]))
+    keys = sorted(draw(st.lists(domain, min_size=size, max_size=size, unique=True)))
+    tombstones = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["empty", "one page", "every page", "mixed"]))
+    if shape == "empty" or (not keys and shape != "mixed"):
+        probe = []
+    elif shape == "one page":
+        page = draw(st.integers(0, (size - 1) // 4))
+        probe = draw(st.lists(st.sampled_from(keys[4 * page : 4 * page + 4]), min_size=1))
+    elif shape == "every page":
+        probe = draw(st.permutations(keys[::4] + keys[3::4]))
+    else:
+        near = [min(max(key + d, _INT64.min), _INT64.max) for key in keys for d in (-1, 0, 0, 1)]
+        probe = draw(st.lists(st.sampled_from(near) if near else _ANY_KEY, max_size=40))
+        probe += draw(st.lists(_ANY_KEY | st.integers(-70, 70), max_size=10))
+    bits = draw(st.sampled_from([0.0, 3.0, 10.0]))
+    return keys, tombstones, bits, probe
+
+
+class TestSSTableLookupMany:
+    """``SSTable.lookup_many`` is ``SortedRun.lookup_many``, one read a page."""
+
+    @given(case=_run_and_probes())
+    @settings(max_examples=150, deadline=None)
+    def test_answers_charges_and_reads(self, case):
+        keys, tombstones, bits, probe = case
+        keys = np.array(keys, dtype=np.int64)
+        tombstones = np.array(tombstones, dtype=bool)
+        probe = np.array(probe, dtype=np.int64)
+        run = SortedRun(
+            keys, entries_per_page=4, bits_per_entry=bits, tombstones=tombstones, seed=9
+        )
+        with tempfile.TemporaryDirectory() as root:
+            table = SSTable.create(
+                Path(root) / "t.sst", keys, tombstones,
+                entries_per_page=4, bits_per_entry=bits, seed=9,
+            )
+            reads: list[tuple[int, int]] = []
+            real_pread = os.pread
+
+            def pread(descriptor, length, offset):
+                reads.append((offset, length))
+                return real_pread(descriptor, length, offset)
+
+            try:
+                with mock.patch.object(os, "pread", pread):
+                    found, tombstone, pages = table.lookup_many(probe)
+                want_found, want_tombstone, want_pages = run.lookup_many(probe)
+                assert found.tolist() == want_found.tolist()
+                assert tombstone.tolist() == want_tombstone.tolist()
+                assert pages == want_pages
+                scalar = [table.lookup(int(key)) for key in probe]
+                assert list(zip(found.tolist(), tombstone.tolist())) == [s[:2] for s in scalar]
+                assert pages == sum(s[2] for s in scalar)
+                # One pread per distinct candidate page, a page long, except
+                # the last: it ends where the records do.
+                candidates = sorted(
+                    {table.page_of(int(key)) for key in probe if table.may_contain(int(key))}
+                )
+                data_bytes = 9 * keys.size
+                assert reads == [
+                    (36 * page, min(36, data_bytes - 36 * page)) for page in candidates
+                ]
+            finally:
+                table.close()
+
+    def test_a_closed_table_refuses_to_read(self, tmp_path):
+        keys = np.arange(0, 40, 2)
+        table = SSTable.create(
+            tmp_path / "t.sst", keys, np.zeros(keys.size, dtype=bool), entries_per_page=4
+        )
+        table.close()
+        with pytest.raises(ValueError, match="is closed"):
+            table.lookup_many(keys[:5])
+        # Nothing to read, nothing refused: the resident index rules these out.
+        assert table.lookup_many(np.array([-3, 99]))[2] == 0
 
 
 @needs_proc

@@ -18,8 +18,9 @@ every engine the loop runs on:
 * the executors, whose session measurements must equal a scalar replay of the
   traces they regenerate.
 
-Streams are dense in the shape the loop reorders — GET · RANGE · GET with no
-PUT in between, where the pending GET span keeps growing past the scan.
+Streams are dense in the shape the loop reorders — GET · RANGE · GET · PUT with
+no flush in between, where the pending GETs' run-side probes wait past the
+scan and the put — and ``TestEpochFence`` pins the fence itself by name.
 Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
 ``get``/``lookup_entry`` on hostile probes.
 """
@@ -27,6 +28,7 @@ Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,8 @@ from repro.storage.lsm_tree import (
     execute_operation,
     execute_operations_batched,
 )
-from repro.storage.persistent import PersistentLSMTree
+from repro.storage.memtable import Memtable
+from repro.storage.persistent import FileStore, PersistentLSMTree
 from repro.workloads import (
     KeySpace,
     Operation,
@@ -85,15 +88,25 @@ _TUNING_IDS = [
 #: Span caps: every read its own span, spans cut mid-window, never cut.
 _BATCH_BOUNDS = [1, 3, 4_096]
 
-#: Kind weights of the random streams: reads and scans dominate so write-free
-#: windows hold several GET · RANGE · GET alternations.
-_STREAM_KINDS = [
+#: Kind weights of the random streams.  Read-dense: reads and scans dominate so
+#: a flush epoch holds several GET · RANGE · GET alternations.  Put-dense: a
+#: flush every few operations, so epochs open and close around the reads.
+_READ_DENSE_KINDS = [
     OperationType.GET,
     OperationType.GET,
     OperationType.GET,
     OperationType.EMPTY_GET,
     OperationType.RANGE,
     OperationType.RANGE,
+    OperationType.PUT,
+]
+_PUT_DENSE_KINDS = [
+    OperationType.GET,
+    OperationType.EMPTY_GET,
+    OperationType.RANGE,
+    OperationType.PUT,
+    OperationType.PUT,
+    OperationType.PUT,
     OperationType.PUT,
 ]
 
@@ -105,23 +118,31 @@ def _operation_streams(draw) -> list[Operation]:
     Writes hit fresh keys *and* already-resident keys (updates), so flushed
     runs carry stale versions; gets split between resident and missing keys
     so both Bloom-positive and Bloom-negative probes occur; range scans
-    interleave with the gets without fencing them.
+    interleave with the gets without fencing them.  Put-dense streams write
+    their fresh keys into a narrow band the empty gets also ask for, so a key
+    is read before it is put, after, and on both sides of its flush.
     """
     existing = _KEY_SPACE.existing
     missing = _KEY_SPACE.missing
     num_ops = draw(st.integers(min_value=1, max_value=120))
+    kinds, fresh_band = draw(
+        st.sampled_from([(_READ_DENSE_KINDS, 10_000), (_PUT_DENSE_KINDS, 40)])
+    )
     ops: list[Operation] = []
     for _ in range(num_ops):
-        kind = draw(st.sampled_from(_STREAM_KINDS))
+        kind = draw(st.sampled_from(kinds))
         if kind is OperationType.GET:
             key = int(existing[draw(st.integers(0, existing.size - 1))])
         elif kind is OperationType.EMPTY_GET:
-            key = int(missing[draw(st.integers(0, missing.size - 1))])
+            if draw(st.booleans()):
+                key = int(missing[draw(st.integers(0, missing.size - 1))])
+            else:
+                key = _KEY_SPACE.fresh_start + draw(st.integers(0, fresh_band))
         elif kind is OperationType.PUT:
             if draw(st.booleans()):
                 key = int(existing[draw(st.integers(0, existing.size - 1))])
             else:
-                key = _KEY_SPACE.fresh_start + draw(st.integers(0, 10_000))
+                key = _KEY_SPACE.fresh_start + draw(st.integers(0, fresh_band))
         else:
             key = int(existing[draw(st.integers(0, existing.size - 1))])
             ops.append(Operation(kind=kind, key=key, scan_length=draw(st.integers(1, 32))))
@@ -140,7 +161,9 @@ def _loaded_tree(tuning: LSMTuning, deletes: np.ndarray | None = None) -> LSMTre
     return tree
 
 
-def _mid_flight_plan() -> tuple[MigrationPlan, np.ndarray, np.ndarray]:
+def _mid_flight_plan(
+    target_tuning: LSMTuning = LSMTuning(4.0, 6.0, Policy.TIERING),
+) -> tuple[MigrationPlan, np.ndarray, np.ndarray]:
     """A migration caught mid-flight, with writes and deletes landed on top.
 
     Returns ``(plan, mid_plan_puts, mid_plan_deletes)``.  Puts are applied
@@ -148,9 +171,7 @@ def _mid_flight_plan() -> tuple[MigrationPlan, np.ndarray, np.ndarray]:
     in ``mid_plan_deletes`` must read as dead through the mixed state.
     """
     source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
-    target = LSMTree(
-        LSMTuning(4.0, 6.0, Policy.TIERING), _SYSTEM, disk=source.disk, seed=33
-    )
+    target = LSMTree(target_tuning, _SYSTEM, disk=source.disk, seed=33)
     checkpoint = np.sort(
         np.concatenate([run.keys for runs in source.levels for run in runs])
     )
@@ -237,34 +258,254 @@ class TestLoopMatchesScalarReference:
         assert tree_fingerprint(batched.source) == tree_fingerprint(scalar.source)
 
     def test_a_range_does_not_fence_the_get_span(self):
-        """GET · RANGE · GET: the scan runs in place, the gets run as one span."""
+        """Nor does a PUT with room; the drain precedes the PUT that has none.
+
+        A recording engine sees: the scan and the roomy puts in stream
+        position with no probe before them; one batched run-side probe —
+        holding a key put *after* its GET, not the key put *before* its GET —
+        immediately before the put that may flush; the rest when the trace
+        ends.
+        """
         calls = []
 
         class Engine:
-            def get(self, key):
-                calls.append(("get", key))
+            def __init__(self):
+                self.memtable = Memtable(4)
 
-            def get_many(self, keys):
-                calls.append(("get_many", keys.tolist()))
+            def write_room(self):
+                return max(self.memtable.capacity_entries - len(self.memtable) - 1, 0)
+
+            def probe_runs(self, key):
+                calls.append(("probe_runs", key))
+
+            def probe_runs_many(self, keys):
+                calls.append(("probe_runs_many", keys.tolist()))
 
             def range_query(self, start, end):
                 calls.append(("range", start, end))
 
             def put(self, key):
-                calls.append(("put", key))
+                calls.append(("put", key, "room" if self.write_room() else "may flush"))
+                self.memtable.put(key)
+                if self.memtable.is_full:
+                    self.memtable.clear()
+
+        def gets(*keys):
+            return [Operation(OperationType.GET, key) for key in keys]
+
+        def put(key):
+            return Operation(OperationType.PUT, key)
 
         # Wide enough for the batched path, wherever the cutoff sits.
         width = SCALAR_SPAN_CUTOFF + 2
-        gets = [Operation(OperationType.GET, key) for key in range(width)]
-        ops = gets[:5] + [Operation(OperationType.RANGE, 40, 3)] + gets[5:]
-        ops += [Operation(OperationType.PUT, 99), Operation(OperationType.EMPTY_GET, 7)]
+        ops = gets(*range(5)) + [Operation(OperationType.RANGE, 40, 3)]
+        ops += gets(*range(5, width)) + [put(99), put(3)] + gets(99, 3) + [put(100)]
+        ops += gets(200) + [put(101)] + gets(99, 7)
         execute_operations_batched(Engine(), Trace.of(ops))
         assert calls == [
             ("range", 40, 43),
-            ("get_many", list(range(width))),
-            ("put", 99),
-            ("get", 7),
+            ("put", 99, "room"),
+            ("put", 3, "room"),
+            ("put", 100, "room"),
+            ("probe_runs_many", list(range(width)) + [200]),
+            ("put", 101, "may flush"),
+            ("probe_runs", 99),  # flushed since: no longer the buffer's to answer
+            ("probe_runs", 7),
         ]
+
+
+#: Where the epoch-fence cases run: both run stores and the mixed migration state.
+_ENGINE_KINDS = ["memory", "files", "mid-migration"]
+#: Buffer of 6 entries, and of 4 — its floor, one page.
+_ROOMY, _FLOOR = LSMTuning(4.0, 6.0, Policy.TIERING), LSMTuning(4.0, 20.0, Policy.TIERING)
+
+
+class _RunSideAnswers:
+    """Forwards to an engine, noting every answer that came from the runs.
+
+    On the scalar side that is a ``get`` of a key the buffer did not hold, on
+    the loop's side every run-side probe: the two lists hold the same
+    ``(key, live)`` pairs, in another order inside a flush epoch.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.answers: list[tuple[int, bool]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def get(self, key):
+        buffered = self.engine.memtable.holds(key)
+        live = self.engine.get(key)
+        if not buffered:
+            self.answers.append((key, live))
+
+    def probe_runs(self, key):
+        found, tombstone = self.engine.probe_runs(key)
+        self.answers.append((key, found and not tombstone))
+
+    def probe_runs_many(self, keys):
+        found, tombstone = self.engine.probe_runs_many(keys)
+        self.answers += zip(keys.tolist(), (found & ~tombstone).tolist())
+
+
+def _trees(engine) -> list[LSMTree]:
+    """The trees behind an engine; the one that takes the writes first."""
+    return [engine.target, engine.source] if isinstance(engine, MigrationPlan) else [engine]
+
+
+@contextmanager
+def _engine_pair(kind: str, tuning: LSMTuning):
+    """Two identical engines of ``kind`` whose write buffer is ``tuning``'s."""
+    with tempfile.TemporaryDirectory() as root:
+        if kind == "mid-migration":
+            engines = [_mid_flight_plan(tuning)[0] for _ in range(2)]
+        else:
+            engines = []
+            for name in ("scalar", "batched"):
+                store = FileStore(Path(root) / name) if kind == "files" else None
+                engines.append(LSMTree(tuning, _SYSTEM, seed=9, store=store))
+                engines[-1].bulk_load(_KEY_SPACE.existing)
+        try:
+            yield engines
+        finally:
+            for engine in engines:
+                _trees(engine)[0].close()
+
+
+def _gets(*keys: int) -> list[Operation]:
+    return [Operation(OperationType.GET, int(key)) for key in keys]
+
+
+def _puts(*keys: int) -> list[Operation]:
+    return [Operation(OperationType.PUT, int(key)) for key in keys]
+
+
+def _check_windows(engines, windows, max_batch_ops=4_096, between=lambda engine: None):
+    """Replay ``windows`` row by row on one engine and through the loop, one
+    call a window, on the other; everything observable must agree.
+
+    ``between`` is what happens to an engine after each window.  Returns the
+    loop's side's counter delta and the run-side answers.
+    """
+    scalar, batched = (_RunSideAnswers(engine) for engine in engines)
+    disk = _trees(batched.engine)[0].disk
+    before = disk.snapshot()
+    for ops in windows:
+        _replay_scalar(scalar, ops)
+        between(scalar.engine)
+        execute_operations_batched(batched, Trace.of(ops), max_batch_ops)
+        between(batched.engine)
+    for reference, tree in zip(_trees(scalar.engine), _trees(batched.engine)):
+        assert tree.disk.counters == reference.disk.counters
+        assert tree.stats() == reference.stats()
+        assert tree_fingerprint(tree) == tree_fingerprint(reference)
+    assert sorted(batched.answers) == sorted(scalar.answers)
+    delta = disk.counters.delta(before)
+    touched = sorted({op.key for ops in windows for op in ops})
+    assert [batched.engine.get(key) for key in touched] == [
+        scalar.engine.get(key) for key in touched
+    ]
+    return delta, scalar.answers
+
+
+@pytest.mark.parametrize("kind", _ENGINE_KINDS)
+class TestEpochFence:
+    """The GET span is fenced by the next change of the run set, case by case."""
+
+    def test_get_then_put_of_the_key_in_one_epoch(self, kind):
+        """At drain time the key *is* buffered; its run probes are still owed."""
+        key = int(_KEY_SPACE.existing[17])
+        with _engine_pair(kind, _ROOMY) as engines:
+            delta, answers = _check_windows(engines, [_gets(key) + _puts(key) + _gets(key)])
+            assert answers == [(key, True)]  # the second GET was the buffer's
+            assert delta.query_reads >= 1
+
+    def test_put_then_get_of_the_key_in_one_epoch(self, kind):
+        key = int(_KEY_SPACE.existing[17])
+        with _engine_pair(kind, _ROOMY) as engines:
+            delta, answers = _check_windows(engines, [_puts(key) + _gets(key, key)])
+            assert answers == [] and delta.query_reads == 0
+
+    def test_buffered_tombstone_read_back(self, kind):
+        key = int(_KEY_SPACE.existing[23])
+        with _engine_pair(kind, _ROOMY) as engines:
+            for engine in engines:
+                engine.delete(key)
+            delta, answers = _check_windows(engines, [_gets(key) + _puts(key + 1) + _gets(key)])
+            assert answers == [] and delta.query_reads == 0
+            assert not engines[1].get(key)
+
+    def test_updates_of_one_buffered_key_outlast_the_room(self, kind):
+        """No flush may be assumed while updates spin, none missed after them."""
+        key, other = (int(k) for k in _KEY_SPACE.existing[[5, 6]])
+        fresh = _KEY_SPACE.fresh_start + 70_000
+        with _engine_pair(kind, _ROOMY) as engines:
+            room = engines[0].write_room()
+            spin = (_puts(key) + _gets(other)) * (room + 5)
+            delta, answers = _check_windows(engines, [spin])
+            assert delta.flush_writes == 0 and len(answers) == room + 5
+        with _engine_pair(kind, _ROOMY) as engines:
+            burst = range(fresh, fresh + 2 * room + 3)
+            # Asked for while absent, then put: a probe issued after the flush
+            # that holds them would find them.
+            ops = spin + _gets(other, *burst) + _puts(*burst) + _gets(other)
+            delta, _ = _check_windows(engines, [ops])
+            assert delta.flush_writes > 0
+
+    @pytest.mark.parametrize("where", ["first", "last", "only"])
+    def test_flushing_put_at_the_edge_of_a_window(self, kind, where):
+        # The reads ask for the flushed key too: probed after the flush, not
+        # before it, it would be found in the run the flush just built.
+        flushing = _puts(_KEY_SPACE.fresh_start + 90_000)
+        reads = _gets(*_KEY_SPACE.existing[:20], *_KEY_SPACE.missing[:5], flushing[0].key)
+        window = {"first": flushing + reads, "last": reads + flushing, "only": flushing}[where]
+        with _engine_pair(kind, _ROOMY) as engines:
+            for engine in engines:  # one fresh put short of a flush
+                for fresh in range(engine.write_room()):
+                    engine.put(_KEY_SPACE.fresh_start + 50_000 + fresh)
+            # Reads on either side: each window is its own call to the loop.
+            delta, _ = _check_windows(engines, [reads, window, reads])
+            assert delta.flush_writes > 0
+            assert len(engines[1].memtable) == 0
+
+    @pytest.mark.parametrize("max_batch_ops", _BATCH_BOUNDS)
+    def test_more_pending_keys_than_the_cap(self, kind, max_batch_ops):
+        """``max_batch_ops`` bounds the pending list, not the span."""
+        keys = np.random.default_rng(3).choice(_KEY_SPACE.existing, size=40)
+        ops = _gets(*keys[:25]) + _puts(keys[3]) + _gets(*keys[25:], keys[3])
+        with _engine_pair(kind, _ROOMY) as engines:
+            _check_windows(engines, [ops], max_batch_ops)
+
+    def test_buffer_capacity_at_its_floor(self, kind):
+        rng = np.random.default_rng(4)
+        fresh = _KEY_SPACE.fresh_start + 110_000
+        ops = []
+        for index in range(60):
+            key = fresh + index if index % 3 else rng.choice(_KEY_SPACE.existing)
+            ops += _gets(*rng.choice(_KEY_SPACE.existing, size=2), key) + _puts(key)
+            ops += _gets(rng.choice(_KEY_SPACE.missing), key)
+        with _engine_pair(kind, _FLOOR) as engines:
+            tree = _trees(engines[0])[0]
+            assert tree.buffer_entries == tree.entries_per_page
+            delta, _ = _check_windows(engines, [ops])
+            assert delta.flush_writes > 0
+
+
+def test_a_migration_step_between_windows_moves_no_run_under_a_probe():
+    """The end-of-window drain is what lets the plan advance between calls."""
+    rng = np.random.default_rng(6)
+    fresh = _KEY_SPACE.fresh_start + 130_000
+    windows = [
+        _gets(*rng.choice(_KEY_SPACE.existing, size=30)) + _puts(fresh + index)
+        for index in range(5)
+    ]
+    with _engine_pair("mid-migration", _ROOMY) as engines:
+        steps = engines[0].steps_completed
+        _check_windows(engines, windows, between=MigrationPlan.run_next_step)
+        assert engines[1].steps_completed == steps + len(windows)
+        assert not engines[1].completed
 
 
 _ONLINE = dict(

@@ -1,11 +1,12 @@
 """Macro-benchmark — the replay loop against the scalar reference.
 
 The simulator's hot path is trace replay.  The one loop
-(``execute_operations_batched``) routes the point reads between two writes
-through the batched read stack (``might_contain_many`` → ``lookup_many`` →
-``get_many``), whose contract is *bit identity*: the virtual disk must record
-exactly the counters a row-by-row replay through ``execute_operation``
-records.
+(``execute_operations_batched``) routes the run side of the reads between two
+flushes through the batched read stack (``might_contain_many`` →
+``lookup_many`` → ``probe_runs_many`` for point reads, ``locate_many`` →
+``count_runs_many`` for ranges), whose contract is *bit identity*: the virtual
+disk must record exactly the counters a row-by-row replay through
+``execute_operation`` records.
 
 This benchmark replays a million-op read-heavy endurance trace and a mixed
 read/write trace both ways, asserts the I/O counters match byte for byte,

@@ -241,7 +241,7 @@ def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
         "--max-batch-ops",
         type=_positive_int,
         default=4_096,
-        help="largest GET batch handed to the vectorised read path",
+        help="most pending reads (GET keys, ranges) handed to the vectorised read path at once",
     )
 
 

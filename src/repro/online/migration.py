@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..storage.lsm_tree import BufferFirstReads, LSMTree, execute_operation
+from ..storage.run import consolidate_versions
 from ..workloads.traces import Operation
 
 
@@ -362,22 +363,13 @@ class MigrationPlan(BufferFirstReads):
             found[unseen], tombstone[unseen] = self.source.lookup_entries(keys[unseen])
         return found, tombstone
 
-    def range_query(self, start_key: int, end_key: int) -> int:
-        """Range lookup across the mixed state; counts live keys once.
-
-        Both sides are scanned (each charging its own pages); any version the
-        target holds — live or tombstone — shadows the source's copy of that
-        key.
+    def scan_runs(
+        self, start_key: int, end_key: int, buffered: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Versions past the buffer: the target's runs under ``buffered``, then
+        the frozen source (each side charging its own pages).  Any version the
+        target holds — live or tombstone — shadows the source's copy of the key.
         """
-        target_keys, target_tombstones = self.target.scan_versions(
-            start_key, end_key
-        )
-        source_keys, source_tombstones = self.source.scan_versions(
-            start_key, end_key
-        )
-        source_live = source_keys[~source_tombstones]
-        unshadowed = source_live[~np.isin(source_live, target_keys)]
-        # Disjoint by construction — the target's live keys are among
-        # ``target_keys`` and ``unshadowed`` excludes those — so the union's
-        # size is the sum.
-        return int(np.count_nonzero(~target_tombstones)) + int(unshadowed.size)
+        target = self.target.scan_runs(start_key, end_key, buffered)
+        source = self.source.scan_versions(start_key, end_key)
+        return consolidate_versions(*zip(target, source))

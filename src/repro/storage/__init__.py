@@ -13,7 +13,7 @@ from .executor import (
 from .lsm_tree import LSMTree, TreeStats
 from .memtable import Memtable
 from .persistent import FileStore, PersistentLSMTree, SSTable, WriteAheadLog
-from .run import MemoryStore, PageSpan, SortedRun
+from .run import MemoryStore, SortedRun
 
 __all__ = [
     "AdaptiveSequenceMeasurement",
@@ -24,7 +24,6 @@ __all__ = [
     "LSMTree",
     "MemoryStore",
     "Memtable",
-    "PageSpan",
     "PersistentLSMTree",
     "SSTable",
     "SequenceMeasurement",

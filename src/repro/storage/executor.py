@@ -241,7 +241,7 @@ class ExecutorConfig:
     write_latency_us: float = 100.0
     #: Seed controlling trace generation.
     seed: int = 97
-    #: Upper bound on the keys of one batched GET span of trace replay.
+    #: Upper bound on the pending reads (GET keys, ranges) trace replay drains at once.
     max_batch_ops: int = 4_096
     #: Run store the trees are built on: ``"simulated"`` keeps runs in memory
     #: (the default), ``"persistent"`` puts each tree on a

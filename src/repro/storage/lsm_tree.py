@@ -44,7 +44,14 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import NO_KEYS, NO_TOMBSTONES, MemoryStore, SortedRun, consolidate_versions
+from .run import (
+    MemoryStore,
+    SortedRun,
+    consolidate_versions,
+    count_live_versions,
+    live_prefix,
+    locate_many,
+)
 
 
 @dataclass(frozen=True)
@@ -104,32 +111,68 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     span_keys.clear()
 
 
-def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
-    """Replay a trace against an engine, batching point reads between flushes.
+#: Fewer pending ranges than this scan the runs one range at a time, for the
+#: same reason.  In a tight loop on the post-replay ``range_scan`` trees,
+#: ``scan_runs`` per range vs ``count_runs_many`` per range at widths 1 / 8 / 12 /
+#: 64: leveling T=6 h=8 (4 runs) 10 us vs 50 / 12.7 / 9.0 / 3.1 (walk wins from
+#: 11-12 ranges), leveling T=6 h=10 11 us vs 74 / 13.0 / 9.0 / 3.5 (from 10),
+#: tiering T=8 h=1 (6 runs) 18 us vs 98 / 13.8 / 11.0 / 4.7 (from 7-8), 50-100 us
+#: fixed a walk.  Once per flush epoch its ~45 NumPy entry points run cold and
+#: the crossover is later — user ms of one bench call at cutoff 12 / 32 / 48 /
+#: never: ``point_read`` (drains of ~18) 116 / 112 / 110 / 110, ``online_drift``
+#: 118 / 114 / 113 / 117, ``sharded_serving`` 114 / 114 / 116 / 171,
+#: ``range_scan`` 104 / 101 / 104 / 162 (and 137 at 96).
+RANGE_SPAN_CUTOFF = 32
 
-    The one loop that walks a trace.  Every PUT and RANGE executes at its
-    stream position.  A GET asks the write buffer at its stream position — a
-    buffered version, live or tombstone, answers with no I/O — and otherwise
-    joins a pending list (capped at ``max_batch_ops``) whose *run-side*
-    probes are issued when the run set is about to change: before a put that
-    may fill the buffer, and when the trace ends.  Between two flushes the
-    runs are immutable and a probe's page charge depends on the key and the
-    runs alone, so only the order of read I/O inside a flush epoch shifts —
-    which no measurement observes, sessions measure counter deltas.  The
+#: No key lies past it, so a range that ends beyond is cut here at capture.
+_MAX_KEY = 2**63 - 1
+
+
+def drain_range_span(engine, ranges: list[tuple]) -> None:
+    """Scan the engine's runs for the pending ranges and empty the list.
+
+    Each range carries the buffer's versions inside it as captured at its
+    stream position; the buffer is *not* read again — a key put since is not
+    the range's to count.  Either path charges the same pages.
+    """
+    if len(ranges) < RANGE_SPAN_CUTOFF:
+        for start_key, end_key, buffered in ranges:
+            engine.scan_runs(start_key, end_key, buffered)
+    else:
+        engine.count_runs_many(ranges)
+    ranges.clear()
+
+
+def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
+    """Replay a trace against an engine, batching reads between flushes.
+
+    The one loop that walks a trace.  Every PUT executes at its stream
+    position, and so does the buffer's half of every read: a GET asks the
+    write buffer — a buffered version, live or tombstone, answers with no
+    I/O — and a RANGE takes the buffer's versions inside its interval.  The
+    *run side* — the unanswered GET keys, the ranges with their captured
+    parts — joins two pending lists (each capped at ``max_batch_ops``) that
+    are issued when the run set is about to change: before a put that may
+    fill the buffer, and when the trace ends.  Between two flushes the runs
+    are immutable and a read's page charge depends on the key or interval and
+    the runs alone, so only the order of read I/O inside a flush epoch shifts
+    — which no measurement observes, sessions measure counter deltas.  The
     drain precedes the flushing put because a flush on files unlinks the
     tables it replaced.  Disk counters, tree state and answers are
     bit-identical to replaying the trace row by row through
     :func:`execute_operation`.
 
     ``engine`` (an :class:`LSMTree`, or a mid-flight ``MigrationPlan``, whose
-    steps run between calls) exposes ``put``, ``range_query``, the
-    ``memtable`` consulted first, ``write_room()`` — puts that certainly
-    cannot flush — and the buffer-skipping ``probe_runs`` /
-    ``probe_runs_many``.
+    steps run between calls) exposes ``put``, the ``memtable`` consulted
+    first, ``write_room()`` — puts that certainly cannot flush — and the
+    buffer-skipping ``probe_runs`` / ``probe_runs_many`` and ``scan_runs`` /
+    ``count_runs_many``.
     """
     range_kind = OperationType.RANGE.value
     buffered = engine.memtable.holds
+    scan_buffer = engine.memtable.scan_items
     pending: list[int] = []
+    ranges: list[tuple] = []
     append = pending.append
     room = 0
     # Plain-int columns: per-window array work would cost more than it saves
@@ -143,7 +186,10 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
                 if len(pending) >= max_batch_ops:
                     drain_get_span(engine, pending)
         elif kind == range_kind:
-            engine.range_query(key, key + scan_length)
+            end_key = min(key + scan_length, _MAX_KEY)
+            ranges.append((key, end_key, scan_buffer(key, end_key)))
+            if len(ranges) >= max_batch_ops:
+                drain_range_span(engine, ranges)
         else:
             if not room:
                 # Updates do not grow the buffer, so the room is a lower
@@ -152,11 +198,15 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
                 if not room:
                     if pending:
                         drain_get_span(engine, pending)
+                    if ranges:
+                        drain_range_span(engine, ranges)
                     room = 1
             room -= 1
             engine.put(key)
     if pending:
         drain_get_span(engine, pending)
+    if ranges:
+        drain_range_span(engine, ranges)
 
 
 @dataclass(frozen=True)
@@ -224,10 +274,10 @@ class _FlushPlan:
 
 
 class BufferFirstReads:
-    """Point reads of a ``memtable`` in front of ``probe_runs`` / ``probe_runs_many``.
+    """Reads of a ``memtable`` in front of ``probe_runs`` / ``probe_runs_many`` / ``scan_runs``.
 
-    What an engine's four read entry points share — the live :class:`LSMTree`
-    and the online subsystem's mixed migration state differ only in what lies
+    What an engine's read entry points share — the live :class:`LSMTree` and
+    the online subsystem's mixed migration state differ only in what lies
     past the buffer.
     """
 
@@ -275,6 +325,38 @@ class BufferFirstReads:
         if unbuffered.size:
             found[unbuffered], tombstone[unbuffered] = self.probe_runs_many(keys[unbuffered])
         return found, tombstone
+
+    def range_query(self, start_key: int, end_key: int) -> int:
+        """Range lookup; returns the number of live keys in the interval.
+
+        Every overlapping run pays at least one page read (the seek) plus the
+        sequential pages covered by the interval; versions from all runs are
+        consolidated newest-first, so an obsolete version — or a live version
+        shadowed by a more recent tombstone — is never counted.
+        """
+        return int(np.count_nonzero(~self.scan_versions(start_key, end_key)[1]))
+
+    def scan_versions(
+        self, start_key: int, end_key: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Newest surviving version of every key in ``[start_key, end_key]``.
+
+        Returns ``(keys, tombstones)`` sorted by key, charging the same page
+        reads as :meth:`range_query`.  Keys whose newest version is a
+        tombstone are *returned* (flagged), not dropped: a caller overlaying
+        this engine on an older snapshot needs the deletions to shadow it.
+        The buffer's versions inside the interval, then ``scan_runs`` under
+        them; when a single run answers, the arrays are read-only views of it.
+        """
+        return self.scan_runs(start_key, end_key, self.memtable.scan_items(start_key, end_key))
+
+    def count_runs_many(self, ranges: list[tuple]) -> np.ndarray:
+        """What :meth:`range_query` answers, per ``(start_key, end_key, buffered)``
+        range of a non-empty batch whose buffer parts were taken earlier: here
+        one ``scan_runs`` after the other."""
+        return np.array(
+            [np.count_nonzero(~self.scan_runs(*each)[1]) for each in ranges], dtype=np.int64
+        )
 
 
 class LSMTree(BufferFirstReads):
@@ -601,33 +683,17 @@ class LSMTree(BufferFirstReads):
                     pending = pending[~run_found]
         return found, tombstone
 
-    def range_query(self, start_key: int, end_key: int) -> int:
-        """Range lookup; returns the number of live keys in the interval.
-
-        Every overlapping run pays at least one page read (the seek) plus the
-        sequential pages covered by the interval; versions from all runs are
-        consolidated newest-first, so an obsolete version — or a live version
-        shadowed by a more recent tombstone — is never counted.
-        """
-        keys, tombstones = self.scan_versions(start_key, end_key)
-        return int(np.count_nonzero(~tombstones))
-
-    def scan_versions(
-        self, start_key: int, end_key: int
+    def scan_runs(
+        self, start_key: int, end_key: int, buffered: tuple[np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Newest surviving version of every key in ``[start_key, end_key]``.
+        """:meth:`scan_versions` past the buffer, whose part is ``buffered``.
 
-        Returns ``(keys, tombstones)`` sorted by key, charging the same page
-        reads as :meth:`range_query`.  Keys whose newest version is a
-        tombstone are *returned* (flagged), not dropped: a caller overlaying
-        this tree on an older snapshot needs the deletions to shadow it.
-        When a single run answers, the arrays are read-only views of it.
+        The one scalar walk of the levels for ranges: every run is scanned and
+        charged, the parts consolidated under ``buffered`` — the newest part.
         """
-        if end_key < start_key:
-            return NO_KEYS, NO_TOMBSTONES
         key_parts: list[np.ndarray] = []
         tombstone_parts: list[np.ndarray] = []
-        keys, tombstones = self.memtable.scan_items(start_key, end_key)
+        keys, tombstones = buffered
         if keys.size:
             key_parts.append(keys)
             tombstone_parts.append(tombstones)
@@ -643,6 +709,31 @@ class LSMTree(BufferFirstReads):
             self.disk.read_pages(total_pages)
         # Parts were collected newest-first; keep the most recent version.
         return consolidate_versions(key_parts, tombstone_parts)
+
+    def count_runs_many(self, ranges: list[tuple]) -> np.ndarray:
+        """Batched :meth:`scan_runs`, counted: live keys per range.
+
+        Resident runs are walked once for the batch: two ``searchsorted`` a
+        run locate every interval, one ``read_pages`` charges what per-range
+        scans would have, and no slice is touched unless versions of one range
+        lie in two parts.  On files a span needs its own ``pread`` anyway.
+        """
+        if not self.store.runs_resident:
+            return super().count_runs_many(ranges)
+        starts, ends, buffered = zip(*ranges)
+        runs = [run for level in self.levels for run in level]
+        lo, hi, pages = locate_many(
+            runs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+        )
+        self.disk.read_pages(int(pages.sum()))
+        # The buffer's parts, joined: the newest "run", each range its slice.
+        keys, tombstones = (np.concatenate(column) for column in zip(*buffered))
+        top = np.cumsum([part.size for part, _ in buffered])
+        parts = [(keys, tombstones, live_prefix(tombstones))]
+        parts += [(run.keys, run.tombstones, run.live_prefix) for run in runs]
+        return count_live_versions(
+            parts, np.vstack((np.append(0, top[:-1]), lo)), np.vstack((top, hi))
+        )
 
     # ------------------------------------------------------------------
     # Trace operations

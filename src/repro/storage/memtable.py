@@ -84,11 +84,6 @@ class Memtable:
                         tombstone[index] = True
         return found, tombstone
 
-    def scan(self, start_key: int, end_key: int) -> np.ndarray:
-        """Live keys in ``[start_key, end_key]`` currently buffered."""
-        keys, tombstones = self.scan_items(start_key, end_key)
-        return keys[~tombstones]
-
     def scan_items(self, start_key: int, end_key: int) -> tuple[np.ndarray, np.ndarray]:
         """Buffered versions in ``[start_key, end_key]``: ``(keys, tombstones)``.
 

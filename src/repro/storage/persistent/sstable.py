@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bloom_filter import BloomFilter
-from ..run import NO_KEYS, NO_TOMBSTONES, PageSpan, build_run_index
+from ..run import NO_KEYS, NO_TOMBSTONES, build_run_index
 
 #: One on-disk record: little-endian int64 key + tombstone flag byte.
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
@@ -362,15 +362,6 @@ class SSTable:
         # still reads the page with the largest key below ``start_key``: that
         # is ``last``, the page before the one whose max reaches the interval.
         return min(first, last), last
-
-    def range_span(self, start_key: int, end_key: int) -> PageSpan:
-        """Pages overlapping ``[start_key, end_key]``, from the sparse index."""
-        return PageSpan(*self._locate(start_key, end_key))
-
-    def scan(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
-        """Live keys in ``[start_key, end_key]`` and pages read."""
-        keys, tombstones, pages = self.scan_entries(start_key, end_key)
-        return keys[~tombstones], pages
 
     def scan_entries(
         self, start_key: int, end_key: int

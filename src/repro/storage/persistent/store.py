@@ -67,6 +67,7 @@ class FileStore:
     ``fsync``: everything survives a process kill, not a power cut.
     """
 
+    runs_resident = False
     MANIFEST_NAME = "MANIFEST.json"
     WAL_NAME = "wal.log"
 

@@ -10,7 +10,7 @@ caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +70,74 @@ def consolidate_versions(
     return sorted_keys, sorted_tombstones
 
 
+def live_prefix(tombstones: np.ndarray) -> np.ndarray | None:
+    """Live entries before each index; ``None`` when nothing is tombstoned."""
+    if not tombstones.any():
+        return None
+    return np.concatenate(([0], np.cumsum(~tombstones)))
+
+
+def locate_many(runs: list, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """``scan_entries`` of every run for a batch of intervals, entries left in place.
+
+    Returns ``(lo, hi, pages)``, each ``(len(runs), len(starts))``: interval
+    ``i`` holds ``keys[lo[r, i]:hi[r, i]]`` of run ``r`` (``hi >= lo``) and is
+    charged ``pages[r, i]`` pages there — two ``searchsorted`` per resident
+    run for the whole batch, the span arithmetic once for all of them.
+    """
+    lo = np.empty((len(runs), starts.size), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for row, run in enumerate(runs):
+        lo[row] = run.keys.searchsorted(starts, "left")
+        hi[row] = run.keys.searchsorted(ends, "right")
+    np.maximum(hi, lo, out=hi)
+    size = np.array([len(run) for run in runs]).reshape(-1, 1)
+    per_page = np.array([run.entries_per_page for run in runs]).reshape(-1, 1)
+    pages = (hi - 1) // per_page - lo // per_page + 1
+    pages[hi == lo] = 1  # no key inside: the seek page ...
+    # ... unless the interval is inverted or misses the run's bounds.
+    pages[(hi == 0) | (lo == size) | (ends < starts)] = 0
+    return lo, hi, pages
+
+
+def count_live_versions(parts: list[tuple], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Live keys per range, newest-wins, for a whole batch of ranges at once.
+
+    ``parts`` are ``(keys, tombstones, live_prefix)`` newest first, and range
+    ``i`` reads ``keys[lo[p, i]:hi[p, i]]`` of part ``p``.  The sizes of what
+    :func:`consolidate_versions` would return with ``drop_tombstones`` for
+    every range's slices, without building them: a range with at most one
+    non-empty slice has nothing to collide, and the others are resolved
+    together in one sort by ``(range, key)``.
+    """
+    width = hi - lo
+    counts = width.sum(axis=0)
+    for row, (_, _, prefix) in enumerate(parts):
+        if prefix is not None:  # the tombstones inside a slice are not live
+            counts += prefix[hi[row]] - prefix[lo[row]] - width[row]
+    shared = np.flatnonzero(np.count_nonzero(width, axis=0) > 1)
+    if shared.size == 0:
+        return counts
+    # Gather the shared ranges' slices part by part, newest first: entry ``j``
+    # of a slice sits at ``lo + j``.
+    lo, width = lo[:, shared].ravel(), width[:, shared]
+    bounds = np.append(0, np.cumsum(width.sum(axis=1)))
+    width = width.ravel()
+    index = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(bounds[-1])
+    owners = np.repeat(np.tile(np.arange(shared.size), len(parts)), width)
+    slices = [index[a:b] for a, b in zip(bounds, bounds[1:])]
+    keys = np.concatenate([part[0][each] for part, each in zip(parts, slices)])
+    tombstones = np.concatenate([part[1][each] for part, each in zip(parts, slices)])
+    # A stable sort, so the first of each ``(range, key)`` is its newest version.
+    order = np.lexsort((keys, owners))
+    owners, keys, tombstones = owners[order], keys[order], tombstones[order]
+    newest = np.empty(keys.size, dtype=bool)
+    newest[:1] = True
+    newest[1:] = (keys[1:] != keys[:-1]) | (owners[1:] != owners[:-1])
+    counts[shared] = np.bincount(owners[newest & ~tombstones], minlength=shared.size)
+    return counts
+
+
 def build_run_index(
     keys: np.ndarray,
     tombstones: np.ndarray | None,
@@ -106,21 +174,6 @@ def build_run_index(
     if keys.size:
         bloom.add_many(keys.astype(np.uint64))
     return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), bloom
-
-
-@dataclass(frozen=True)
-class PageSpan:
-    """A contiguous range of pages within one run."""
-
-    first_page: int
-    last_page: int
-
-    @property
-    def num_pages(self) -> int:
-        """Number of pages in the span (0 if empty)."""
-        if self.last_page < self.first_page:
-            return 0
-        return self.last_page - self.first_page + 1
 
 
 class SortedRun:
@@ -291,44 +344,18 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
-    def range_span(self, start_key: int, end_key: int) -> PageSpan:
-        """Pages overlapping the key interval ``[start_key, end_key]``.
-
-        Which pages :meth:`scan_entries` charges for: an interval inside the
-        run's bounds that holds no key still seeks, reading the one page
-        with the largest key below ``start_key``.
-        """
-        if (
-            end_key < start_key
-            or end_key < self._min_key
-            or start_key > self._max_key
-            or not self._size
-        ):
-            return PageSpan(0, -1)
-        lo = int(self._keys.searchsorted(start_key, "left"))
-        hi = int(self._keys.searchsorted(end_key, "right"))
-        if hi <= lo:
-            # No key inside: the seek page is the one holding entry ``lo - 1``
-            # (``lo`` is at least 1 — an interval below the run was ruled out).
-            lo, hi = lo - 1, lo
-        return PageSpan(lo // self.entries_per_page, (hi - 1) // self.entries_per_page)
-
-    def scan(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
-        """Return the live keys in ``[start_key, end_key]`` and pages read."""
-        keys, tombstones, pages = self.scan_entries(start_key, end_key)
-        return keys[~tombstones], pages
-
     def scan_entries(
         self, start_key: int, end_key: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """All versions in ``[start_key, end_key]``: ``(keys, tombstones, pages)``.
 
-        Unlike :meth:`scan`, tombstoned entries are returned (flagged in the
-        boolean mask) rather than dropped — callers that merge several runs
-        need a run's deletions to shadow older live versions below it.  The
-        two arrays are read-only views of the run, not copies, and the pages
-        are :meth:`range_span`'s, counted in plain ints: a range query runs
-        this once per run, so it builds no span object.
+        Tombstoned entries are returned (flagged in the boolean mask) rather
+        than dropped — callers that merge several runs need a run's deletions
+        to shadow older live versions below it.  The two arrays are read-only
+        views of the run, not copies.  An interval inside the run's bounds
+        that holds no key still seeks, reading the one page with the largest
+        key below ``start_key``; the pages are counted in plain ints, a range
+        query runs this once per run.
         """
         if (
             end_key < start_key
@@ -348,6 +375,14 @@ class SortedRun:
             self._tombstones[lo:hi],
             (hi - 1) // per_page - lo // per_page + 1,
         )
+
+    @cached_property
+    def live_prefix(self) -> np.ndarray | None:
+        """Live entries before each index, ``None`` for a run without tombstones.
+
+        A run is immutable, so this is built at most once.
+        """
+        return live_prefix(self._tombstones)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -388,11 +423,16 @@ class MemoryStore:
       records)`` of an earlier tree on this store, or ``None`` for a fresh one;
     * ``sibling()`` for the empty store a successor tree is built on;
     * ``close()``, ``abandon()`` (a process kill: drop every handle, sync
-      nothing) and ``destroy()`` (delete what the store owns).
+      nothing) and ``destroy()`` (delete what the store owns);
+
+    and reads ``runs_resident``: whether a run's entries are arrays in memory
+    (a :class:`SortedRun`), which a batch of scans can be located in at once.
 
     Memory keeps nothing across a restart, so all but ``create_run`` are
     no-ops here; ``repro.storage.persistent.FileStore`` is the one on files.
     """
+
+    runs_resident = True
 
     def create_run(
         self,

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.storage import LSMTree, MemoryStore
+from repro.storage import LSMTree, MemoryStore, SortedRun
+from repro.storage.lsm_tree import BufferFirstReads
+from repro.storage.run import consolidate_versions
 
 
 def make_tree(policy=Policy.LEVELING, size_ratio=4.0, bits=6.0, num_entries=4_000):
@@ -507,3 +511,45 @@ class TestBatchedGets:
         answers = tree.get_many(np.array([7, 9], dtype=np.int64))
         assert answers.tolist() == [True, False]
         assert tree.disk.counters.total == 0
+
+
+_SMALL_KEY = st.integers(-12, 12)
+#: One part's versions, ``key -> is_tombstone``: a run's, or the buffer's.
+_VERSIONS = st.dictionaries(_SMALL_KEY, st.booleans(), max_size=10)
+
+
+def _arrays(versions: dict, start=-12, end=12) -> tuple[np.ndarray, np.ndarray]:
+    keys = sorted(key for key in versions if start <= key <= end)
+    return np.array(keys, dtype=np.int64), np.array([versions[k] for k in keys], dtype=bool)
+
+
+class TestBatchedRangeCounts:
+    """The batched count is ``consolidate_versions``, range by range."""
+
+    @given(
+        levels=st.lists(st.lists(_VERSIONS, max_size=3), max_size=3),
+        ranges=st.lists(st.tuples(_SMALL_KEY, _SMALL_KEY, _VERSIONS), min_size=1, max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_pages_of_every_range(self, levels, ranges):
+        """Up to three versions of a key and more, live and tombstoned, across
+        the buffer's part — each range has its own, as captured — and the runs."""
+        tree = make_tree()
+        tree.levels = [
+            [SortedRun(*_arrays(run)[:1], 2, tombstones=_arrays(run)[1]) for run in runs]
+            for runs in levels
+        ]
+        runs = [run for level in tree.levels for run in level]
+        ranges = [(start, end, _arrays(held, start, end)) for start, end, held in ranges]
+        want, pages = [], 0
+        for start, end, buffered in ranges:
+            scans = [run.scan_entries(start, end) for run in runs]
+            parts = [buffered] + [scan[:2] for scan in scans]
+            live, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
+            want.append(live.size)
+            pages += sum(scan[2] for scan in scans)
+        assert tree.count_runs_many(ranges).tolist() == want
+        assert tree.disk.counters.query_reads == tree.disk.counters.total == pages
+        # The loop over the scalar scan — what a tree on files runs — agrees.
+        assert BufferFirstReads.count_runs_many(tree, ranges).tolist() == want
+        assert tree.disk.counters.total == 2 * pages

@@ -29,6 +29,7 @@ from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
+from repro.storage.run import locate_many
 
 _SYSTEM = simulator_system(num_entries=2_000)
 
@@ -517,7 +518,6 @@ class TestSSTable:
             (101, 104), (0, 0), (395, 395), (17, 230),
         ]
         for start, end in intervals:
-            assert run.range_span(start, end) == table.range_span(start, end)
             run_scan = run.scan_entries(start, end)
             tab_scan = table.scan_entries(start, end)
             assert np.array_equal(run_scan[0], tab_scan[0])
@@ -552,14 +552,14 @@ class TestSSTable:
         }
         for name, ((start, end), pages) in cases.items():
             reads.clear()
-            span = table.range_span(start, end)
+            first_page, last_page = table._locate(start, end)
             assert not reads, name  # the sparse index is resident
             got_keys, _, got_pages = table.scan_entries(start, end)
             want_keys, _, want_pages = run.scan_entries(start, end)
             assert got_keys.tolist() == want_keys.tolist(), name
-            assert got_pages == want_pages == pages == span.num_pages, name
+            assert got_pages == want_pages == pages == last_page - first_page + 1, name
             assert len(reads) == (1 if pages else 0), name
-            first_byte = span.first_page * page_bytes
+            first_byte = first_page * page_bytes
             want_bytes = min(first_byte + pages * page_bytes, data_bytes) - first_byte
             assert reads == ([(first_byte, want_bytes)] if pages else []), name
         table.close()
@@ -602,14 +602,16 @@ class TestSSTable:
         # So every probe answers, and charges, like the in-memory run.
         for key in range(-3, 2 * count + 3):
             assert reopened.lookup(key) == run.lookup(key)
-            assert reopened.range_span(key, key + 9) == run.range_span(key, key + 9)
+            scans = reopened.scan_entries(key, key + 9), run.scan_entries(key, key + 9)
+            for got, want in zip(*scans):
+                assert np.array_equal(got, want)
         reopened.close()
 
     def test_empty_table(self, tmp_path):
         run, table = self._pair(tmp_path, np.empty(0, dtype=np.int64))
         assert table.num_pages == 0
         assert table.lookup(5) == (False, False, 0)
-        assert table.range_span(0, 10).num_pages == 0
+        assert table.scan_entries(0, 10)[2] == 0
         with pytest.raises(ValueError):
             table.min_key
         table.close()
@@ -770,6 +772,60 @@ class TestSSTableLookupMany:
             table.lookup_many(keys[:5])
         # Nothing to read, nothing refused: the resident index rules these out.
         assert table.lookup_many(np.array([-3, 99]))[2] == 0
+
+
+@st.composite
+def _run_and_intervals(draw):
+    """``(keys, tombstones, intervals)`` for a run of 4-entry pages.
+
+    Run sizes and key domains as in :func:`_run_and_probes`; interval batches
+    are empty, or mix intervals anchored on the run's keys and their
+    neighbours — whole run, single keys, gaps, duplicates, overlaps — with
+    intervals anywhere: below, above, inverted.
+    """
+    keys, tombstones, _, _ = draw(_run_and_probes())
+    near = [min(max(key + d, _INT64.min), _INT64.max) for key in keys for d in (-1, 0, 1)]
+    bound = (st.sampled_from(near) if near else _ANY_KEY) | _ANY_KEY | st.integers(-70, 70)
+    intervals = draw(st.lists(st.tuples(bound, bound), max_size=30))
+    if keys and draw(st.booleans()):
+        intervals += [(keys[0], keys[-1]), (_INT64.min, _INT64.max)] + intervals[:3]
+    return keys, tombstones, intervals
+
+
+class TestLocateMany:
+    """The vectorised locate is ``scan_entries``, on both run kinds."""
+
+    @given(case=_run_and_intervals(), runs_in_batch=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_slices_and_pages_of_every_interval(self, case, runs_in_batch):
+        keys, tombstones, intervals = case
+        keys = np.array(keys, dtype=np.int64)
+        tombstones = np.array(tombstones, dtype=bool)
+        run = SortedRun(keys, entries_per_page=4, tombstones=tombstones)
+        other = SortedRun(keys[::2], entries_per_page=3)
+        runs = [run, other, run][:runs_in_batch]
+        starts = np.array([start for start, _ in intervals], dtype=np.int64)
+        ends = np.array([end for _, end in intervals], dtype=np.int64)
+        lo, hi, pages = locate_many(runs, starts, ends)
+        assert lo.shape == hi.shape == pages.shape == (len(runs), len(intervals))
+        assert (hi >= lo).all()
+        with tempfile.TemporaryDirectory() as root:
+            table = SSTable.create(Path(root) / "t.sst", keys, tombstones, entries_per_page=4)
+            try:
+                for row, each in enumerate(runs):
+                    for column, (start, end) in enumerate(intervals):
+                        want_keys, want_tombstones, want_pages = each.scan_entries(start, end)
+                        inside = slice(lo[row, column], hi[row, column])
+                        assert each.keys[inside].tolist() == want_keys.tolist()
+                        assert each.tombstones[inside].tolist() == want_tombstones.tolist()
+                        assert pages[row, column] == want_pages
+                        if each is run:
+                            on_file = table.scan_entries(start, end)
+                            assert on_file[0].tolist() == want_keys.tolist()
+                            assert on_file[1].tolist() == want_tombstones.tolist()
+                            assert on_file[2] == want_pages
+            finally:
+                table.close()
 
 
 @needs_proc

@@ -19,8 +19,10 @@ every engine the loop runs on:
   traces they regenerate.
 
 Streams are dense in the shape the loop reorders — GET · RANGE · GET · PUT with
-no flush in between, where the pending GETs' run-side probes wait past the
-scan and the put — and ``TestEpochFence`` pins the fence itself by name.
+no flush in between, where the run side of the pending GETs and RANGEs waits
+past the puts — and ``TestEpochFence`` pins the fence itself by name, down to
+the answer of every single range: a read's buffer half is taken at its stream
+position, and no page counter can see a buffer read at the wrong time.
 Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
 ``get``/``lookup_entry`` on hostile probes.
 """
@@ -29,7 +31,10 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import contextmanager
+from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,9 +49,11 @@ from repro.online import (
     OnlineLSMController,
 )
 from repro.serving.executor import tree_fingerprint
-from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor
+from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor, lsm_tree
 from repro.storage.lsm_tree import (
+    RANGE_SPAN_CUTOFF,
     SCALAR_SPAN_CUTOFF,
+    BufferFirstReads,
     execute_operation,
     execute_operations_batched,
 )
@@ -111,16 +118,24 @@ _PUT_DENSE_KINDS = [
 ]
 
 
+class _Delete(NamedTuple):
+    """A delete between two trace rows — a trace itself has no delete kind."""
+
+    key: int
+
+
 @st.composite
-def _operation_streams(draw) -> list[Operation]:
+def _operation_streams(draw) -> list[Operation | _Delete]:
     """A random mixed op stream over the shared key space.
 
     Writes hit fresh keys *and* already-resident keys (updates), so flushed
     runs carry stale versions; gets split between resident and missing keys
     so both Bloom-positive and Bloom-negative probes occur; range scans
     interleave with the gets without fencing them.  Put-dense streams write
-    their fresh keys into a narrow band the empty gets also ask for, so a key
-    is read before it is put, after, and on both sides of its flush.
+    their fresh keys into a narrow band the empty gets also ask for and the
+    scans also cover, so a key is read before it is put, after, and on both
+    sides of its flush; deletes, of resident keys and of that band, leave
+    tombstones in the buffer and then in the runs.
     """
     existing = _KEY_SPACE.existing
     missing = _KEY_SPACE.missing
@@ -128,26 +143,22 @@ def _operation_streams(draw) -> list[Operation]:
     kinds, fresh_band = draw(
         st.sampled_from([(_READ_DENSE_KINDS, 10_000), (_PUT_DENSE_KINDS, 40)])
     )
-    ops: list[Operation] = []
+    ops: list[Operation | _Delete] = []
     for _ in range(num_ops):
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(kinds + [_Delete]))
+        resident = int(existing[draw(st.integers(0, existing.size - 1))])
+        fresh = _KEY_SPACE.fresh_start + draw(st.integers(0, fresh_band))
         if kind is OperationType.GET:
-            key = int(existing[draw(st.integers(0, existing.size - 1))])
+            ops.append(Operation(kind, resident))
         elif kind is OperationType.EMPTY_GET:
-            if draw(st.booleans()):
-                key = int(missing[draw(st.integers(0, missing.size - 1))])
-            else:
-                key = _KEY_SPACE.fresh_start + draw(st.integers(0, fresh_band))
-        elif kind is OperationType.PUT:
-            if draw(st.booleans()):
-                key = int(existing[draw(st.integers(0, existing.size - 1))])
-            else:
-                key = _KEY_SPACE.fresh_start + draw(st.integers(0, fresh_band))
+            absent = int(missing[draw(st.integers(0, missing.size - 1))])
+            ops.append(Operation(kind, absent if draw(st.booleans()) else fresh))
+        elif kind is OperationType.RANGE:
+            start = resident if draw(st.booleans()) else fresh - 8
+            ops.append(Operation(kind, start, scan_length=draw(st.integers(1, 32))))
         else:
-            key = int(existing[draw(st.integers(0, existing.size - 1))])
-            ops.append(Operation(kind=kind, key=key, scan_length=draw(st.integers(1, 32))))
-            continue
-        ops.append(Operation(kind=kind, key=key))
+            key = resident if draw(st.booleans()) else fresh
+            ops.append(_Delete(key) if kind is _Delete else Operation(kind, key))
     return ops
 
 
@@ -192,132 +203,29 @@ def _mid_flight_plan(
     return plan, puts, deletes
 
 
-def _replay_scalar(engine, ops: list[Operation]) -> None:
+def _replay_scalar(engine, ops) -> None:
     for op in ops:
-        execute_operation(engine, op)
+        if type(op) is _Delete:
+            engine.delete(op.key)
+        else:
+            execute_operation(engine, op)
 
 
-class TestLoopMatchesScalarReference:
-    """execute_operations_batched == per-row execute_operation, bit for bit."""
-
-    @pytest.mark.parametrize("tuning", _TUNINGS, ids=_TUNING_IDS)
-    @given(
-        ops=_operation_streams(),
-        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
-        delete_seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_simulated_tree(self, tuning, ops, max_batch_ops, delete_seed):
-        rng = np.random.default_rng(delete_seed)
-        deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
-        scalar = _loaded_tree(tuning, deletes)
-        batched = _loaded_tree(tuning, deletes)
-
-        _replay_scalar(scalar, ops)
-        execute_operations_batched(batched, Trace.of(ops), max_batch_ops=max_batch_ops)
-
-        assert batched.disk.counters == scalar.disk.counters
-        assert batched.stats() == scalar.stats()
-        assert tree_fingerprint(batched) == tree_fingerprint(scalar)
-
-    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
-    @settings(max_examples=10, deadline=None)
-    def test_persistent_tree(self, ops, max_batch_ops):
-        with tempfile.TemporaryDirectory() as root:
-            trees = []
-            for name in ("scalar", "batched"):
-                tree = PersistentLSMTree(_TUNINGS[1], _SYSTEM, Path(root) / name, seed=9)
-                tree.bulk_load(_KEY_SPACE.existing)
-                tree.disk.reset()
-                trees.append(tree)
-            scalar, batched = trees
-            try:
-                _replay_scalar(scalar, ops)
-                execute_operations_batched(
-                    batched, Trace.of(ops), max_batch_ops=max_batch_ops
-                )
-                assert batched.disk.counters == scalar.disk.counters
-                assert batched.stats() == scalar.stats()
-                assert tree_fingerprint(batched) == tree_fingerprint(scalar)
-            finally:
-                for tree in trees:
-                    tree.close()
-
-    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
-    @settings(max_examples=15, deadline=None)
-    def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops):
-        scalar, _, _ = _mid_flight_plan()
-        batched, _, _ = _mid_flight_plan()
-
-        _replay_scalar(scalar, ops)
-        execute_operations_batched(batched, Trace.of(ops), max_batch_ops=max_batch_ops)
-
-        assert batched.source.disk.counters == scalar.source.disk.counters
-        assert batched.target.stats() == scalar.target.stats()
-        assert tree_fingerprint(batched.target) == tree_fingerprint(scalar.target)
-        assert tree_fingerprint(batched.source) == tree_fingerprint(scalar.source)
-
-    def test_a_range_does_not_fence_the_get_span(self):
-        """Nor does a PUT with room; the drain precedes the PUT that has none.
-
-        A recording engine sees: the scan and the roomy puts in stream
-        position with no probe before them; one batched run-side probe —
-        holding a key put *after* its GET, not the key put *before* its GET —
-        immediately before the put that may flush; the rest when the trace
-        ends.
-        """
-        calls = []
-
-        class Engine:
-            def __init__(self):
-                self.memtable = Memtable(4)
-
-            def write_room(self):
-                return max(self.memtable.capacity_entries - len(self.memtable) - 1, 0)
-
-            def probe_runs(self, key):
-                calls.append(("probe_runs", key))
-
-            def probe_runs_many(self, keys):
-                calls.append(("probe_runs_many", keys.tolist()))
-
-            def range_query(self, start, end):
-                calls.append(("range", start, end))
-
-            def put(self, key):
-                calls.append(("put", key, "room" if self.write_room() else "may flush"))
-                self.memtable.put(key)
-                if self.memtable.is_full:
-                    self.memtable.clear()
-
-        def gets(*keys):
-            return [Operation(OperationType.GET, key) for key in keys]
-
-        def put(key):
-            return Operation(OperationType.PUT, key)
-
-        # Wide enough for the batched path, wherever the cutoff sits.
-        width = SCALAR_SPAN_CUTOFF + 2
-        ops = gets(*range(5)) + [Operation(OperationType.RANGE, 40, 3)]
-        ops += gets(*range(5, width)) + [put(99), put(3)] + gets(99, 3) + [put(100)]
-        ops += gets(200) + [put(101)] + gets(99, 7)
-        execute_operations_batched(Engine(), Trace.of(ops))
-        assert calls == [
-            ("range", 40, 43),
-            ("put", 99, "room"),
-            ("put", 3, "room"),
-            ("put", 100, "room"),
-            ("probe_runs_many", list(range(width)) + [200]),
-            ("put", 101, "may flush"),
-            ("probe_runs", 99),  # flushed since: no longer the buffer's to answer
-            ("probe_runs", 7),
-        ]
+def _replay_loop(engine, ops, max_batch_ops: int = 4_096) -> None:
+    """Through the one loop — a call per stretch of trace rows between deletes."""
+    for deletes, stretch in groupby(ops, key=lambda op: type(op) is _Delete):
+        if deletes:
+            _replay_scalar(engine, stretch)
+        else:
+            execute_operations_batched(engine, Trace.of(list(stretch)), max_batch_ops)
 
 
-#: Where the epoch-fence cases run: both run stores and the mixed migration state.
-_ENGINE_KINDS = ["memory", "files", "mid-migration"]
-#: Buffer of 6 entries, and of 4 — its floor, one page.
-_ROOMY, _FLOOR = LSMTuning(4.0, 6.0, Policy.TIERING), LSMTuning(4.0, 20.0, Policy.TIERING)
+#: The cutoff is a wall-clock choice: parity must hold wherever it sits, and a
+#: low one sends the short random streams' ranges through the batched walk.
+_RANGE_CUTOFFS = [2, RANGE_SPAN_CUTOFF]
+
+
+_MAX_KEY = 2**63 - 1
 
 
 class _RunSideAnswers:
@@ -325,12 +233,15 @@ class _RunSideAnswers:
 
     On the scalar side that is a ``get`` of a key the buffer did not hold, on
     the loop's side every run-side probe: the two lists hold the same
-    ``(key, live)`` pairs, in another order inside a flush epoch.
+    ``(key, live)`` pairs, in another order inside a flush epoch.  ``ranges``
+    holds ``(start, end, count)`` of every range on either side; ranges are
+    drained in the order they were asked, so the two lists are *equal*.
     """
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self.answers: list[tuple[int, bool]] = []
+        self.ranges: list[tuple[int, int, int]] = []
 
     def __getattr__(self, name):
         return getattr(self.engine, name)
@@ -348,6 +259,165 @@ class _RunSideAnswers:
     def probe_runs_many(self, keys):
         found, tombstone = self.engine.probe_runs_many(keys)
         self.answers += zip(keys.tolist(), (found & ~tombstone).tolist())
+
+    def range_query(self, start, end):
+        # The loop cuts a range at the largest key there is.
+        self.ranges.append((start, min(end, _MAX_KEY), self.engine.range_query(start, end)))
+
+    def scan_runs(self, start, end, buffered):
+        _, tombstones = self.engine.scan_runs(start, end, buffered)
+        self.ranges.append((start, end, int(np.count_nonzero(~tombstones))))
+
+    def count_runs_many(self, ranges):
+        counts = self.engine.count_runs_many(ranges)
+        self.ranges += [(start, end, count) for (start, end, _), count in zip(ranges, counts)]
+
+
+def _assert_same_answers(batched: _RunSideAnswers, scalar: _RunSideAnswers) -> None:
+    assert sorted(batched.answers) == sorted(scalar.answers)
+    assert batched.ranges == scalar.ranges
+
+
+class TestLoopMatchesScalarReference:
+    """execute_operations_batched == per-row execute_operation, bit for bit."""
+
+    @pytest.mark.parametrize("tuning", _TUNINGS, ids=_TUNING_IDS)
+    @given(
+        ops=_operation_streams(),
+        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
+        delete_seed=st.integers(0, 2**16),
+        range_cutoff=st.sampled_from(_RANGE_CUTOFFS),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_simulated_tree(self, tuning, ops, max_batch_ops, delete_seed, range_cutoff):
+        rng = np.random.default_rng(delete_seed)
+        deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
+        scalar = _RunSideAnswers(_loaded_tree(tuning, deletes))
+        batched = _RunSideAnswers(_loaded_tree(tuning, deletes))
+
+        _replay_scalar(scalar, ops)
+        with mock.patch.object(lsm_tree, "RANGE_SPAN_CUTOFF", range_cutoff):
+            _replay_loop(batched, ops, max_batch_ops)
+
+        assert batched.disk.counters == scalar.disk.counters
+        assert batched.stats() == scalar.stats()
+        assert tree_fingerprint(batched.engine) == tree_fingerprint(scalar.engine)
+        _assert_same_answers(batched, scalar)
+
+    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @settings(max_examples=10, deadline=None)
+    def test_persistent_tree(self, ops, max_batch_ops):
+        with tempfile.TemporaryDirectory() as root:
+            trees = []
+            for name in ("scalar", "batched"):
+                tree = PersistentLSMTree(_TUNINGS[1], _SYSTEM, Path(root) / name, seed=9)
+                tree.bulk_load(_KEY_SPACE.existing)
+                tree.disk.reset()
+                trees.append(tree)
+            scalar, batched = (_RunSideAnswers(tree) for tree in trees)
+            try:
+                _replay_scalar(scalar, ops)
+                _replay_loop(batched, ops, max_batch_ops)
+                assert batched.disk.counters == scalar.disk.counters
+                assert batched.stats() == scalar.stats()
+                assert tree_fingerprint(batched.engine) == tree_fingerprint(scalar.engine)
+                _assert_same_answers(batched, scalar)
+            finally:
+                for tree in trees:
+                    tree.close()
+
+    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @settings(max_examples=15, deadline=None)
+    def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops):
+        scalar, batched = (_RunSideAnswers(_mid_flight_plan()[0]) for _ in range(2))
+
+        _replay_scalar(scalar, ops)
+        _replay_loop(batched, ops, max_batch_ops)
+
+        assert batched.source.disk.counters == scalar.source.disk.counters
+        assert batched.target.stats() == scalar.target.stats()
+        assert tree_fingerprint(batched.target) == tree_fingerprint(scalar.target)
+        assert tree_fingerprint(batched.source) == tree_fingerprint(scalar.source)
+        _assert_same_answers(batched, scalar)
+
+    def test_a_range_does_not_fence_the_get_span(self):
+        """Nor does a PUT with room; the drain precedes the PUT that has none.
+
+        A recording engine sees: the roomy puts in stream position with no
+        read of the runs before them; the run side of the pending reads — one
+        batched probe holding a key put *after* its GET, not the key put
+        *before* its GET, and the ranges, each carrying the buffer's part as
+        it was at the range's position: a key put *before* it, not one put
+        *after* — immediately before the put that may flush; the rest when
+        the trace ends.  The buffer is scanned for a range once, at its
+        position.
+        """
+        calls = []
+
+        class Buffer(Memtable):
+            def scan_items(self, start, end):
+                calls.append(("buffer scan", start, end))
+                return super().scan_items(start, end)
+
+        class Engine:
+            def __init__(self):
+                self.memtable = Buffer(4)
+
+            def write_room(self):
+                return max(self.memtable.capacity_entries - len(self.memtable) - 1, 0)
+
+            def probe_runs(self, key):
+                calls.append(("probe_runs", key))
+
+            def probe_runs_many(self, keys):
+                calls.append(("probe_runs_many", keys.tolist()))
+
+            def scan_runs(self, start, end, buffered):
+                calls.append(("scan_runs", start, end, buffered[0].tolist()))
+
+            def count_runs_many(self, ranges):
+                parts = [(start, end, held.tolist()) for start, end, (held, _) in ranges]
+                calls.append(("count_runs_many", parts))
+
+            def put(self, key):
+                calls.append(("put", key, "room" if self.write_room() else "may flush"))
+                self.memtable.put(key)
+                if self.memtable.is_full:
+                    self.memtable.clear()
+
+        def gets(*keys):
+            return [Operation(OperationType.GET, key) for key in keys]
+
+        def put(key):
+            return Operation(OperationType.PUT, key)
+
+        scan = Operation(OperationType.RANGE, 95, 10)  # [95, 105]: holds 99, 100, 101
+        # Wide enough for the batched paths, wherever the cutoffs sit.
+        width, scans = SCALAR_SPAN_CUTOFF + 2, RANGE_SPAN_CUTOFF + 1
+        ops = gets(*range(5)) + [scan]
+        ops += gets(*range(5, width)) + [put(99), put(3)] + gets(99, 3) + [scan] * scans
+        ops += [put(100)] + gets(200) + [put(101)] + gets(99, 7) + [scan]
+        execute_operations_batched(Engine(), Trace.of(ops))
+        assert calls == [
+            ("buffer scan", 95, 105),
+            ("put", 99, "room"),
+            ("put", 3, "room"),
+            *[("buffer scan", 95, 105)] * scans,
+            ("put", 100, "room"),
+            ("probe_runs_many", list(range(width)) + [200]),
+            ("count_runs_many", [(95, 105, [])] + [(95, 105, [99])] * scans),
+            ("put", 101, "may flush"),
+            ("buffer scan", 95, 105),
+            ("probe_runs", 99),  # flushed since: no longer the buffer's to answer
+            ("probe_runs", 7),
+            ("scan_runs", 95, 105, []),
+        ]
+
+
+#: Where the epoch-fence cases run: both run stores and the mixed migration state.
+_ENGINE_KINDS = ["memory", "files", "mid-migration"]
+#: Buffer of 6 entries, and of 4 — its floor, one page.
+_ROOMY, _FLOOR = LSMTuning(4.0, 6.0, Policy.TIERING), LSMTuning(4.0, 20.0, Policy.TIERING)
 
 
 def _trees(engine) -> list[LSMTree]:
@@ -382,12 +452,26 @@ def _puts(*keys: int) -> list[Operation]:
     return [Operation(OperationType.PUT, int(key)) for key in keys]
 
 
+def _ranges(*starts: int, length: int = 16) -> list[Operation]:
+    return [Operation(OperationType.RANGE, int(start), length) for start in starts]
+
+
+def _range_pages(engine, start: int, end: int) -> int:
+    """Pages one scan of ``[start, end]`` is charged by the runs as they stand."""
+    return sum(
+        run.scan_entries(start, end)[2]
+        for tree in _trees(engine)
+        for runs in tree.levels
+        for run in runs
+    )
+
+
 def _check_windows(engines, windows, max_batch_ops=4_096, between=lambda engine: None):
     """Replay ``windows`` row by row on one engine and through the loop, one
     call a window, on the other; everything observable must agree.
 
     ``between`` is what happens to an engine after each window.  Returns the
-    loop's side's counter delta and the run-side answers.
+    loop's side's counter delta, the run-side answers and the ranges' answers.
     """
     scalar, batched = (_RunSideAnswers(engine) for engine in engines)
     disk = _trees(batched.engine)[0].disk
@@ -401,31 +485,32 @@ def _check_windows(engines, windows, max_batch_ops=4_096, between=lambda engine:
         assert tree.disk.counters == reference.disk.counters
         assert tree.stats() == reference.stats()
         assert tree_fingerprint(tree) == tree_fingerprint(reference)
-    assert sorted(batched.answers) == sorted(scalar.answers)
+    _assert_same_answers(batched, scalar)
     delta = disk.counters.delta(before)
     touched = sorted({op.key for ops in windows for op in ops})
     assert [batched.engine.get(key) for key in touched] == [
         scalar.engine.get(key) for key in touched
     ]
-    return delta, scalar.answers
+    return delta, scalar.answers, [count for _, _, count in scalar.ranges]
 
 
 @pytest.mark.parametrize("kind", _ENGINE_KINDS)
 class TestEpochFence:
-    """The GET span is fenced by the next change of the run set, case by case."""
+    """A read's run side is fenced by the next change of the run set, its
+    buffer side is taken at its stream position — case by case."""
 
     def test_get_then_put_of_the_key_in_one_epoch(self, kind):
         """At drain time the key *is* buffered; its run probes are still owed."""
         key = int(_KEY_SPACE.existing[17])
         with _engine_pair(kind, _ROOMY) as engines:
-            delta, answers = _check_windows(engines, [_gets(key) + _puts(key) + _gets(key)])
+            delta, answers, _ = _check_windows(engines, [_gets(key) + _puts(key) + _gets(key)])
             assert answers == [(key, True)]  # the second GET was the buffer's
             assert delta.query_reads >= 1
 
     def test_put_then_get_of_the_key_in_one_epoch(self, kind):
         key = int(_KEY_SPACE.existing[17])
         with _engine_pair(kind, _ROOMY) as engines:
-            delta, answers = _check_windows(engines, [_puts(key) + _gets(key, key)])
+            delta, answers, _ = _check_windows(engines, [_puts(key) + _gets(key, key)])
             assert answers == [] and delta.query_reads == 0
 
     def test_buffered_tombstone_read_back(self, kind):
@@ -433,9 +518,56 @@ class TestEpochFence:
         with _engine_pair(kind, _ROOMY) as engines:
             for engine in engines:
                 engine.delete(key)
-            delta, answers = _check_windows(engines, [_gets(key) + _puts(key + 1) + _gets(key)])
+            delta, answers, _ = _check_windows(
+                engines, [_gets(key) + _puts(key + 1) + _gets(key)]
+            )
             assert answers == [] and delta.query_reads == 0
             assert not engines[1].get(key)
+
+    def test_range_then_put_of_a_key_inside_it(self, kind):
+        """At drain time the key *is* buffered, and it is not the range's to count."""
+        start = int(_KEY_SPACE.existing[40])
+        fresh = start + 1
+        assert fresh not in _KEY_SPACE.existing
+        for width in (1, RANGE_SPAN_CUTOFF):  # either side of the cutoff
+            with _engine_pair(kind, _ROOMY) as engines:
+                pages = _range_pages(engines[1], start, start + 16)
+                ops = _ranges(start) * width + _puts(fresh) + _ranges(start) * width
+                delta, _, counts = _check_windows(engines, [ops])
+                # Put before the later scans: counted there, and the buffer is free.
+                assert counts == counts[:1] * width + [counts[0] + 1] * width
+                assert delta.query_reads == 2 * width * pages
+
+    def test_a_resident_key_updated_then_scanned_counts_once(self, kind):
+        start = int(_KEY_SPACE.existing[40])
+        with _engine_pair(kind, _ROOMY) as engines:
+            ops = _ranges(start) + _puts(start, start) + _ranges(start)
+            _, _, (first, second) = _check_windows(engines, [ops])
+            assert second == first >= 1
+
+    def test_a_buffered_tombstone_hides_the_resident_key_from_a_scan(self, kind):
+        start = int(_KEY_SPACE.existing[40])
+        with _engine_pair(kind, _ROOMY) as engines:
+            (before,) = _check_windows(engines, [_ranges(start)])[2]
+            for engine in engines:
+                engine.delete(start)
+            (after,) = _check_windows(engines, [_ranges(start)])[2]
+            assert after == before - 1
+
+    def test_overlapping_and_repeated_ranges_in_one_epoch(self, kind):
+        """Each takes the buffer as it stood when *it* was asked."""
+        start = int(_KEY_SPACE.existing[40])
+        fresh = start + 1
+        for copies in (1, RANGE_SPAN_CUTOFF):  # either side of the cutoff
+            with _engine_pair(kind, _ROOMY) as engines:
+                scans = _ranges(start, start - 5, start, start + 1) * copies
+                ops = scans + _puts(fresh) + scans + _puts(start) + scans
+                _, _, counts = _check_windows(engines, [ops])
+                rounds = [counts[i : i + 4] for i in range(0, len(counts), 4)]
+                unseen, seen = rounds[0], rounds[-1]
+                assert all(each == unseen for each in rounds[:copies])
+                assert seen == [count + 1 for count in unseen]
+                assert all(each == seen for each in rounds[copies:])
 
     def test_updates_of_one_buffered_key_outlast_the_room(self, kind):
         """No flush may be assumed while updates spin, none missed after them."""
@@ -443,40 +575,70 @@ class TestEpochFence:
         fresh = _KEY_SPACE.fresh_start + 70_000
         with _engine_pair(kind, _ROOMY) as engines:
             room = engines[0].write_room()
-            spin = (_puts(key) + _gets(other)) * (room + 5)
-            delta, answers = _check_windows(engines, [spin])
+            spin = (_puts(key) + _gets(other) + _ranges(key)) * (room + 5)
+            delta, answers, _ = _check_windows(engines, [spin])
             assert delta.flush_writes == 0 and len(answers) == room + 5
         with _engine_pair(kind, _ROOMY) as engines:
             burst = range(fresh, fresh + 2 * room + 3)
             # Asked for while absent, then put: a probe issued after the flush
             # that holds them would find them.
-            ops = spin + _gets(other, *burst) + _puts(*burst) + _gets(other)
-            delta, _ = _check_windows(engines, [ops])
-            assert delta.flush_writes > 0
+            ops = spin + _gets(other, *burst) + _ranges(fresh) + _puts(*burst) + _gets(other)
+            delta, _, counts = _check_windows(engines, [ops])
+            assert delta.flush_writes > 0 and counts[-1] == 0
 
     @pytest.mark.parametrize("where", ["first", "last", "only"])
     def test_flushing_put_at_the_edge_of_a_window(self, kind, where):
-        # The reads ask for the flushed key too: probed after the flush, not
-        # before it, it would be found in the run the flush just built.
+        # The reads ask for the flushed key too: probed or scanned after the
+        # flush, not before it, it would be found in the run the flush built.
         flushing = _puts(_KEY_SPACE.fresh_start + 90_000)
         reads = _gets(*_KEY_SPACE.existing[:20], *_KEY_SPACE.missing[:5], flushing[0].key)
+        reads += _ranges(flushing[0].key - 3, *_KEY_SPACE.existing[:RANGE_SPAN_CUTOFF])
         window = {"first": flushing + reads, "last": reads + flushing, "only": flushing}[where]
         with _engine_pair(kind, _ROOMY) as engines:
             for engine in engines:  # one fresh put short of a flush
                 for fresh in range(engine.write_room()):
                     engine.put(_KEY_SPACE.fresh_start + 50_000 + fresh)
             # Reads on either side: each window is its own call to the loop.
-            delta, _ = _check_windows(engines, [reads, window, reads])
+            delta, _, _ = _check_windows(engines, [reads, window, reads])
             assert delta.flush_writes > 0
             assert len(engines[1].memtable) == 0
 
     @pytest.mark.parametrize("max_batch_ops", _BATCH_BOUNDS)
-    def test_more_pending_keys_than_the_cap(self, kind, max_batch_ops):
-        """``max_batch_ops`` bounds the pending list, not the span."""
+    def test_more_pending_reads_than_the_cap(self, kind, max_batch_ops):
+        """``max_batch_ops`` bounds each pending list, not the span."""
         keys = np.random.default_rng(3).choice(_KEY_SPACE.existing, size=40)
-        ops = _gets(*keys[:25]) + _puts(keys[3]) + _gets(*keys[25:], keys[3])
+        ops = _gets(*keys[:25]) + _ranges(*keys[:20]) + _puts(keys[3])
+        ops += _gets(*keys[25:], keys[3]) + _ranges(*keys[20:], keys[3] - 2)
         with _engine_pair(kind, _ROOMY) as engines:
             _check_windows(engines, [ops], max_batch_ops)
+
+    @pytest.mark.parametrize(
+        "width", [1, RANGE_SPAN_CUTOFF - 1, RANGE_SPAN_CUTOFF, 3 * RANGE_SPAN_CUTOFF]
+    )
+    def test_multi_part_ranges_on_either_side_of_the_cutoff(self, kind, width):
+        """Five or more runs, versions of one key in several of them and in
+        the buffer: every count is the scalar walk's, however many ranges
+        share the drain."""
+        rng = np.random.default_rng(5)
+        hot = _KEY_SPACE.existing[100:160]
+        updates = rng.choice(hot, size=30).tolist()
+        with _engine_pair(kind, _ROOMY) as engines:
+            for engine in engines:  # several flushes of updates, a few deletes
+                for key in updates:
+                    engine.put(key)
+                for key in hot[::7].tolist():
+                    engine.delete(key)
+                engine.put(int(hot[3]))
+            tree = _trees(engines[1])[0]
+            assert sum(len(runs) for runs in tree.levels) >= 5 and len(tree.memtable)
+            starts = rng.choice(hot, size=width)
+            versions = [
+                sum(run.scan_entries(int(start), int(start) + 40)[0].size > 0
+                    for runs in tree.levels for run in runs)
+                for start in starts
+            ]
+            assert max(versions) >= 2
+            _check_windows(engines, [_ranges(*starts, length=40) + _ranges(*starts, length=0)])
 
     def test_buffer_capacity_at_its_floor(self, kind):
         rng = np.random.default_rng(4)
@@ -485,27 +647,62 @@ class TestEpochFence:
         for index in range(60):
             key = fresh + index if index % 3 else rng.choice(_KEY_SPACE.existing)
             ops += _gets(*rng.choice(_KEY_SPACE.existing, size=2), key) + _puts(key)
-            ops += _gets(rng.choice(_KEY_SPACE.missing), key)
+            ops += _gets(rng.choice(_KEY_SPACE.missing), key) + _ranges(key - 4, fresh)
         with _engine_pair(kind, _FLOOR) as engines:
             tree = _trees(engines[0])[0]
             assert tree.buffer_entries == tree.entries_per_page
-            delta, _ = _check_windows(engines, [ops])
+            delta, _, _ = _check_windows(engines, [ops])
             assert delta.flush_writes > 0
 
+    @pytest.mark.parametrize("copies", [1, RANGE_SPAN_CUTOFF + 3], ids=["below", "above"])
+    def test_a_range_that_ends_past_int64(self, kind, copies):
+        """``key + scan_length`` is a Python int; an ``int64`` column of ends is not."""
+        top = 2**63 - 1
+        with _engine_pair(kind, _ROOMY) as engines:
+            filling = engines[0].write_room() + 1
+            for engine in engines:  # the last key there is, flushed into a run
+                for key in range(top + 1 - filling, top + 1):
+                    engine.put(key)
+            tree = _trees(engines[1])[0]
+            assert len(tree.memtable) == 0 and tree.levels[0][0].max_key == top
+            ops = [Operation(OperationType.RANGE, top - 9, 512)] * copies
+            delta, _, counts = _check_windows(engines, [ops])
+            assert counts == [min(10, filling)] * copies
+            assert delta.query_reads > 0
 
-def test_a_migration_step_between_windows_moves_no_run_under_a_probe():
+
+def _step_between_windows(windows):
     """The end-of-window drain is what lets the plan advance between calls."""
-    rng = np.random.default_rng(6)
-    fresh = _KEY_SPACE.fresh_start + 130_000
-    windows = [
-        _gets(*rng.choice(_KEY_SPACE.existing, size=30)) + _puts(fresh + index)
-        for index in range(5)
-    ]
     with _engine_pair("mid-migration", _ROOMY) as engines:
         steps = engines[0].steps_completed
         _check_windows(engines, windows, between=MigrationPlan.run_next_step)
         assert engines[1].steps_completed == steps + len(windows)
         assert not engines[1].completed
+
+
+def test_a_migration_step_between_windows_moves_no_run_under_a_probe():
+    rng = np.random.default_rng(6)
+    fresh = _KEY_SPACE.fresh_start + 130_000
+    _step_between_windows(
+        [
+            _gets(*rng.choice(_KEY_SPACE.existing, size=30)) + _puts(fresh + index)
+            for index in range(5)
+        ]
+    )
+
+
+def test_a_migration_step_between_windows_moves_no_run_under_a_scan():
+    """A scan left pending past its window would count, and be charged for,
+    the run the step installed."""
+    rng = np.random.default_rng(7)
+    fresh = _KEY_SPACE.fresh_start + 140_000
+    _step_between_windows(
+        [
+            _ranges(*rng.choice(_KEY_SPACE.existing, size=RANGE_SPAN_CUTOFF + 5))
+            + _puts(fresh + index)
+            for index in range(5)
+        ]
+    )
 
 
 _ONLINE = dict(
@@ -535,7 +732,8 @@ class TestControllerParity:
     """``execute_batched`` == per-operation ``execute`` under both admissions.
 
     The same drifting stream must observe the same drift, fire the same
-    re-tunings, advance the same migration steps at the same positions, and
+    re-tunings, advance the same migration steps at the same positions,
+    answer every range alike — on the live tree and on the mixed state — and
     leave bit-identical estimators, trees and disks.
     """
 
@@ -548,16 +746,32 @@ class TestControllerParity:
             expected=_CALM,
             config=OnlineConfig(**_ONLINE, admission=admission),
         )
+        controller.ranges = []  # (start, end, count) of every range, either way
+        query, drain = BufferFirstReads.range_query, lsm_tree.drain_range_span
+
+        def range_query(engine, start, end):  # the scalar side's one entry point
+            controller.ranges.append((start, end, query(engine, start, end)))
+
+        def drain_range_span(engine, ranges):  # the loop's
+            recorder = _RunSideAnswers(engine)
+            drain(recorder, ranges)
+            controller.ranges += recorder.ranges
+
         generator = TraceGenerator(_KEY_SPACE, seed=seed)
-        for workload, count in ((_CALM, length // 2), (_BURST, length - length // 2)):
-            trace = generator.operations(workload, count)
-            if batched:
-                controller.execute_batched(trace, max_batch_ops)
-            else:
-                controller.execute(trace)
+        with (
+            mock.patch.object(BufferFirstReads, "range_query", range_query),
+            mock.patch.object(lsm_tree, "drain_range_span", drain_range_span),
+        ):
+            for workload, count in ((_CALM, length // 2), (_BURST, length - length // 2)):
+                trace = generator.operations(workload, count)
+                if batched:
+                    controller.execute_batched(trace, max_batch_ops)
+                else:
+                    controller.execute(trace)
         return controller
 
     def _assert_same(self, batched, scalar):
+        assert batched.ranges == scalar.ranges and scalar.ranges
         assert batched.events == scalar.events
         assert batched.position == scalar.position
         assert batched.migration_in_progress == scalar.migration_in_progress
@@ -682,9 +896,8 @@ class TestGetManyParity:
         deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
         scalar = _loaded_tree(tuning, deletes)
         batched = _loaded_tree(tuning, deletes)
-        for op in ops:
-            execute_operation(scalar, op)
-            execute_operation(batched, op)
+        _replay_scalar(scalar, ops)
+        _replay_scalar(batched, ops)
 
         probe = np.concatenate(
             [

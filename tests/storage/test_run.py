@@ -145,43 +145,48 @@ class TestPointLookups:
         assert not run.may_contain(100)
 
 
+def live_scan(run, start, end):
+    """Live keys of ``scan_entries`` and the pages it charges."""
+    keys, tombstones, pages = run.scan_entries(start, end)
+    return keys[~tombstones], pages
+
+
 class TestRangeScans:
     def test_scan_returns_keys_in_interval(self):
         run = make_run(range(0, 100, 2))
-        keys, pages = run.scan(10, 20)
+        keys, pages = live_scan(run, 10, 20)
         assert keys.tolist() == [10, 12, 14, 16, 18, 20]
         assert pages >= 1
 
     def test_scan_excludes_tombstones(self):
         run = make_run([1, 2, 3, 4], tombstones=[False, True, False, False])
-        keys, _ = run.scan(1, 4)
+        keys, _ = live_scan(run, 1, 4)
         assert keys.tolist() == [1, 3, 4]
 
     def test_scan_outside_range_costs_nothing(self):
         run = make_run(range(10, 20))
-        keys, pages = run.scan(100, 200)
+        keys, pages = live_scan(run, 100, 200)
         assert keys.size == 0
         assert pages == 0
 
     def test_scan_page_count_scales_with_interval(self):
         run = make_run(range(0, 1_000), entries_per_page=10)
-        _, small = run.scan(0, 9)
-        _, large = run.scan(0, 499)
+        _, small = live_scan(run, 0, 9)
+        _, large = live_scan(run, 0, 499)
         assert small == 1
         assert large == 50
 
     def test_empty_interval_with_no_matching_keys_still_seeks_one_page(self):
         run = make_run(range(0, 100, 10))
-        keys, pages = run.scan(41, 49)
+        keys, pages = live_scan(run, 41, 49)
         assert keys.size == 0
         assert pages == 1
 
     def test_inverted_interval_returns_nothing(self):
         run = make_run(range(10))
-        keys, pages = run.scan(5, 1)
+        keys, pages = live_scan(run, 5, 1)
         assert keys.size == 0
         assert pages == 0
-
 
     def test_scan_entries_against_a_brute_force_reference(self):
         # Slice and page count of every interval over a gappy run: the pages
@@ -203,12 +208,7 @@ class TestRangeScans:
                     got_keys, got_tombstones, got_pages = run.scan_entries(start, end)
                     assert got_keys.tolist() == keys[inside].tolist()
                     assert got_tombstones.tolist() == tombstones[inside].tolist()
-                    assert got_pages == pages == run.range_span(start, end).num_pages
-                    if pages == 1 and not inside.size:
-                        predecessor = np.flatnonzero(keys < start)[-1]
-                        assert run.range_span(start, end).first_page == (
-                            predecessor // entries_per_page
-                        )
+                    assert got_pages == pages
 
 
 @pytest.fixture(params=["SortedRun", "SSTable"])
@@ -331,9 +331,7 @@ class TestConsolidateVersions:
             assert keys.tolist() == want_keys.tolist()
             assert tombstones.tolist() == want_tombstones.tolist()
             assert tree.disk.counters.total - before == sum(
-                run.range_span(start, end).num_pages
-                for runs in tree.levels
-                for run in runs
+                run.scan_entries(start, end)[2] for runs in tree.levels for run in runs
             )
             assert tree.range_query(start, end) == int(np.count_nonzero(~want_tombstones))
 

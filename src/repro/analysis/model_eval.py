@@ -357,35 +357,19 @@ def policy_table(
 ) -> list[dict[str, str | float]]:
     """Best nominal tuning of every expected workload under each policy alone.
 
-    One row per Table 2 workload with, per policy, the optimal ``(T, h)``
-    and its expected cost — the side-by-side view that shows where lazy
-    leveling's hybrid wins over the two classical policies.
+    :func:`policy_frontier` over the Table 2 workloads: one row per workload
+    with, per policy, the optimal ``(T, h)`` and its expected cost — the
+    side-by-side view that shows where lazy leveling's hybrid wins over the
+    two classical policies.
     """
-    if policies is None:
-        policies = list(Policy)
     table = expected_workloads()
     if expected_indices is None:
         expected_indices = range(len(table))
-    rows: list[dict[str, str | float]] = []
-    for expected in (table[i] for i in expected_indices):
-        row: dict[str, str | float] = {
-            "workload": expected.name,
-            "composition": expected.workload.describe(),
-        }
-        best_policy, best_cost = None, np.inf
-        for policy in policies:
-            tuner = NominalTuner(
-                system=catalog.system,
-                policies=(policy,),
-            )
-            result = tuner.tune(expected.workload)
-            row[f"{policy.value}_tuning"] = result.tuning.describe()
-            row[f"{policy.value}_cost"] = result.objective
-            if result.objective < best_cost:
-                best_policy, best_cost = policy, result.objective
-        row["best_policy"] = best_policy.value if best_policy is not None else ""
-        rows.append(row)
-    return rows
+    return policy_frontier(
+        [(table[i].name, table[i].workload) for i in expected_indices],
+        system=catalog.system,
+        policies=policies,
+    )
 
 
 def policy_frontier(
@@ -393,8 +377,6 @@ def policy_frontier(
     system: SystemConfig | None = None,
     policies: Sequence[Policy] | None = None,
     ratio_candidates: Sequence[float] | None = None,
-    fluid_k_grid: Sequence[float] | None = None,
-    fluid_z_grid: Sequence[float] | None = None,
 ) -> list[dict[str, str | float]]:
     """Best nominal tuning of each named workload under every policy alone.
 
@@ -422,8 +404,6 @@ def policy_frontier(
                 system=system,
                 policies=(policy,),
                 ratio_candidates=ratio_candidates,
-                fluid_k_grid=fluid_k_grid,
-                fluid_z_grid=fluid_z_grid,
             )
             result = tuner.tune(workload)
             row[f"{policy.value}_tuning"] = result.tuning.describe()
@@ -439,9 +419,6 @@ def kvector_frontier(
     workloads: Sequence[tuple[str, Workload]],
     system: SystemConfig | None = None,
     ratio_candidates: Sequence[float] | None = None,
-    fluid_k_grid: Sequence[float] | None = None,
-    fluid_z_grid: Sequence[float] | None = None,
-    k_vector_levels: int = 4,
 ) -> list[dict[str, object]]:
     """Where a non-uniform per-level ``K_i`` ladder beats every uniform hybrid.
 
@@ -468,15 +445,11 @@ def kvector_frontier(
         system=system,
         policies=(Policy.FLUID,),
         ratio_candidates=ratio_candidates,
-        fluid_k_grid=fluid_k_grid,
-        fluid_z_grid=fluid_z_grid,
         polish=False,
     )
     for name, workload in workloads:
         uniform = NominalTuner(**common).tune(workload)
-        vector = NominalTuner(
-            **common, k_vector_search=True, k_vector_levels=k_vector_levels
-        ).tune(workload)
+        vector = NominalTuner(**common, k_vector_search=True).tune(workload)
         uniform_cost = float(uniform.objective)
         # Every uniform design is a member of the vector space, so the
         # vector-space winner is whichever of the two solves came out ahead

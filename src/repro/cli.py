@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from typing import Sequence
 
 from .analysis.model_eval import TuningCatalog, tuning_table
@@ -44,13 +44,10 @@ from .analysis.online_eval import AdaptiveExperiment, format_adaptive_comparison
 from .analysis.system_eval import SystemExperiment, format_comparison
 from .core.nominal import NominalTuner
 from .core.robust import RobustTuner
+from .knobs import FRACTION, NON_NEGATIVE, POSITIVE_INT, Bound, flag_of
 from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, CompactionPolicy, Policy
 from .lsm.system import SystemConfig, simulator_system
-from .online.admission import ADMISSION_MODES
-from .online.controller import MIGRATION_MODES, OnlineConfig
-from .online.retuner import RETUNING_MODES
 from .serving import format_sharded_comparison
-from .storage.executor import ExecutorConfig
 from .workloads.benchmark import expected_workloads
 from .workloads.sessions import SessionType
 from .workloads.workload import Workload
@@ -59,8 +56,8 @@ from .workloads.workload import Workload
 _POLICY_CHOICES = tuple(p.value for p in ALL_POLICIES) + ("classic", "all")
 
 
-def _validated_number(cast, accepts, description):
-    """Argparse type factory: cast ``text`` and bound-check it.
+def _arg_type(bound: Bound):
+    """Argparse type of a bound: cast ``text`` and hold it to the bound.
 
     Rejecting bad values at the parser gives the operator a clear usage
     error instead of a downstream traceback (a zero window, for instance,
@@ -69,29 +66,92 @@ def _validated_number(cast, accepts, description):
 
     def parse(text: str):
         try:
-            value = cast(text)
+            value = bound.cast(text)
         except ValueError:
-            noun = "an integer" if cast is int else "a number"
+            noun = "an integer" if bound.cast is int else "a number"
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
-        if not accepts(value):
-            raise argparse.ArgumentTypeError(f"must be {description}, got {value}")
+        if not bound.accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {bound.description}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _validated_number(int, lambda v: v > 0, "a positive integer")
-_non_negative_int = _validated_number(int, lambda v: v >= 0, "a non-negative integer")
-_non_negative_float = _validated_number(float, lambda v: v >= 0, "non-negative")
-_run_bound = _validated_number(float, lambda v: v >= 1, "at least 1")
-_fraction = _validated_number(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
-_positive_fraction = _validated_number(
-    float, lambda v: 0 < v <= 1, "a fraction in (0, 1]"
-)
+_positive_int = _arg_type(POSITIVE_INT)
+_non_negative_float = _arg_type(NON_NEGATIVE)
+_fraction = _arg_type(FRACTION)
+_run_bound = _arg_type(Bound(float, lambda v: v >= 1, "at least 1"))
+_positive_fraction = _arg_type(Bound(float, lambda v: 0 < v <= 1, "a fraction in (0, 1]"))
 _LAST_EXPECTED = len(expected_workloads()) - 1
-_expected_index = _validated_number(
-    int, lambda v: 0 <= v <= _LAST_EXPECTED, f"a Table 2 index in 0..{_LAST_EXPECTED}"
+_expected_index = _arg_type(
+    Bound(int, lambda v: 0 <= v <= _LAST_EXPECTED, f"a Table 2 index in 0..{_LAST_EXPECTED}")
 )
+
+#: The :class:`~repro.storage.executor.ExecutorConfig` knobs each simulating
+#: subcommand exposes, by its experiment (``online`` also exposes every
+#: ``OnlineConfig`` knob).
+_EXECUTOR_KNOBS = {
+    SystemExperiment: (
+        "long_scan_keys", "backend", "data_dir", "sync_writes", "num_shards",
+        "update_fraction", "update_skew", "max_batch_ops",
+    ),
+    AdaptiveExperiment: (
+        "queries_per_workload", "update_fraction", "update_skew", "max_batch_ops",
+    ),
+}
+
+
+def _default(experiment: type, name: str):
+    """What a default ``experiment()`` holds in ``name``.
+
+    Read off the dataclass field, so building the parser does not pay for the
+    benchmark set and key space an experiment instance builds.
+    """
+    spec = experiment.__dataclass_fields__[name]
+    return spec.default if spec.default is not MISSING else spec.default_factory()
+
+
+def _knob_flags(config, names: Sequence[str] | None = None):
+    """``(field, flag)`` of the knobs of ``config`` a subcommand exposes."""
+    for spec in fields(config):
+        flag = flag_of(spec)
+        if flag is not None and (names is None or spec.name in names):
+            yield spec, flag
+
+
+def _add_knob_flags(subparser, defaults, names: Sequence[str] | None = None) -> None:
+    """One flag per knob of the config instance ``defaults``.
+
+    Help, bound and flag name are the field's metadata, the default is what
+    ``defaults`` holds: a bool is a ``store_true`` switch, a choices tuple
+    becomes ``choices``, a :class:`~repro.knobs.Bound` the argparse type.
+    """
+    for spec, flag in _knob_flags(defaults, names):
+        bound, default = spec.metadata["bound"], getattr(defaults, spec.name)
+        if isinstance(default, bool):
+            options = {"action": "store_true"}
+        elif isinstance(bound, tuple):
+            options = {"choices": bound, "default": default}
+        else:
+            options = {"type": _arg_type(bound) if bound else str, "default": default}
+        subparser.add_argument(flag, help=spec.metadata["help"], **options)
+
+
+def _config_from_flags(args: argparse.Namespace, defaults, names=None, **extra):
+    """``defaults`` with every exposed knob set from its flag.
+
+    A cross-field rule the config rejects (``--rho-adaptive`` without
+    ``--mode robust``, a starvation bound under the step cadence) is a usage
+    error like any single bad value.
+    """
+    values = {
+        spec.name: getattr(args, flag[2:].replace("-", "_"))
+        for spec, flag in _knob_flags(defaults, names)
+    }
+    try:
+        return replace(defaults, **values, **extra)
+    except ValueError as error:
+        args.subparser.error(str(error))
 
 
 def _k_bounds_arg(text: str) -> tuple[float, ...]:
@@ -109,27 +169,12 @@ def _k_bounds_arg(text: str) -> tuple[float, ...]:
         )
     bounds: list[float] = []
     for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
+        if not entry.strip():
             raise argparse.ArgumentTypeError(
                 f"empty entry in k-bounds list {text!r}"
             )
-        try:
-            value = float(entry)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a number, got {entry!r} in k-bounds list {text!r}"
-            )
-        if value < 1.0:
-            raise argparse.ArgumentTypeError(
-                f"per-level run bounds must be at least 1, got {value:g}"
-            )
-        bounds.append(value)
+        bounds.append(_run_bound(entry.strip()))
     return tuple(bounds)
-
-
-def _workload_from_args(values: Sequence[float]) -> Workload:
-    return Workload.from_array([float(v) for v in values])
 
 
 def _policies_from_arg(value: str) -> tuple[Policy, ...]:
@@ -142,7 +187,7 @@ def _policies_from_arg(value: str) -> tuple[Policy, ...]:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    workload = _workload_from_args(args.workload)
+    workload = Workload.from_array(args.workload)
     if args.long_range_fraction > 0:
         workload = workload.with_long_range_fraction(args.long_range_fraction)
     system = SystemConfig()
@@ -205,118 +250,90 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
-    """Executor knobs from CLI flags; ``--seed`` makes runs reproducible.
+def _experiment(args: argparse.Namespace, **extra):
+    """The subcommand's experiment as the flags describe it.
 
-    Every :class:`ExecutorConfig` field a subcommand exposes is a flag of
-    the same name; fields it does not expose (or leaves at ``None``) keep
-    their defaults.
+    The executor knobs start from the experiment's own default config, and
+    without a ``--seed`` every seed keeps its default.
     """
-    values = {f.name: getattr(args, f.name, None) for f in fields(ExecutorConfig)}
-    return ExecutorConfig(**{k: v for k, v in values.items() if v is not None})
-
-
-def _add_update_flags(subparser: argparse.ArgumentParser) -> None:
-    """Write-mix knobs shared by the simulator subcommands."""
-    subparser.add_argument(
-        "--update-fraction",
-        type=_fraction,
-        default=None,
-        help="fraction of the trace's writes that update an existing key "
-        "(creating obsolete versions compactions must consolidate) instead "
-        "of inserting a fresh one",
-    )
-    subparser.add_argument(
-        "--update-skew",
-        type=_non_negative_float,
-        default=None,
-        help="Zipf exponent concentrating updates on a hot key subset "
-        "(0 = uniform over the resident keys)",
+    seed = {} if args.seed is None else {"seed": args.seed}
+    return args.experiment(
+        system=simulator_system(num_entries=args.num_entries),
+        executor_config=_config_from_flags(
+            args, args.executor_defaults, _EXECUTOR_KNOBS[args.experiment], **seed
+        ),
+        policies=_policies_from_arg(args.policy),
+        **seed,
+        **extra,
     )
 
 
-def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
-    """Trace-replay knob shared by the simulator subcommands."""
-    subparser.add_argument(
-        "--max-batch-ops",
-        type=_positive_int,
-        default=4_096,
-        help="most pending reads (GET keys, ranges) handed to the vectorised read path at once",
-    )
+def _emit(args: argparse.Namespace, comparison, render) -> int:
+    """Print ``comparison`` as ``--json`` asks: its dict, or ``render``'s table."""
+    print(json.dumps(comparison.to_dict(), indent=2) if args.json else render(comparison))
+    return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     expected = expected_workloads()[args.expected_index].workload
     if args.long_range_fraction > 0:
         expected = expected.with_long_range_fraction(args.long_range_fraction)
-    experiment = SystemExperiment(
-        system=simulator_system(num_entries=args.num_entries),
-        executor_config=_executor_config(args),
-        policies=_policies_from_arg(args.policy),
-        **({"seed": args.seed} if args.seed is not None else {}),
-    )
+    experiment = _experiment(args)
     if args.num_shards > 1:
         comparison = experiment.run_sharded(expected, rho=args.rho)
-        if args.json:
-            print(json.dumps(comparison.to_dict(), indent=2))
-        else:
-            print(format_sharded_comparison(comparison))
-        return 0
-    comparison = experiment.run(expected, rho=args.rho)
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2))
-    else:
-        print(format_comparison(comparison))
-    return 0
+        return _emit(args, comparison, format_sharded_comparison)
+    return _emit(args, experiment.run(expected, rho=args.rho), format_comparison)
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
-    if args.rho_adaptive and args.mode != "robust":
-        raise SystemExit(
-            "repro-endure online: error: --rho-adaptive requires --mode robust "
-            "(nominal re-tunings have no radius to widen)"
-        )
     expected = expected_workloads()[args.expected_index].workload
-    online = OnlineConfig(
-        window=args.window,
-        check_interval=args.check_interval,
-        min_observations=args.min_observations,
-        cooldown=args.cooldown,
-        confirm_checks=args.confirm_checks,
-        threshold=args.threshold,
-        mode=args.mode,
-        rho=args.retune_rho,
-        horizon_ops=args.horizon,
-        migration=args.migration,
-        migration_step_ops=args.migration_step_ops,
-        migration_step_pages=args.migration_step_pages,
-        admission=args.admission,
-        admission_max_backlog=args.admission_max_backlog,
-        admission_starvation_ops=args.admission_starvation_ops,
-        admission_idle_steps=args.admission_idle_steps,
-        rho_adaptive=args.rho_adaptive,
-        volatility_gain=args.volatility_gain,
-        k_vector_search=args.k_vector_search,
-    )
-    experiment = AdaptiveExperiment(
-        system=simulator_system(num_entries=args.num_entries),
-        executor_config=_executor_config(args),
-        online=online,
-        policies=_policies_from_arg(args.policy),
-        parallel=args.parallel,
-        **({"seed": args.seed} if args.seed is not None else {}),
-    )
+    online = _config_from_flags(args, args.online_defaults)
+    experiment = _experiment(args, online=online, parallel=args.parallel)
     comparison = experiment.run(
-        expected,
-        rho=args.rho,
-        phases=args.phases,
-        sessions_per_phase=args.sessions_per_phase,
+        expected, rho=args.rho, phases=args.phases, sessions_per_phase=args.sessions_per_phase
     )
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2))
-    else:
-        print(format_adaptive_comparison(comparison))
-    return 0
+    return _emit(args, comparison, format_adaptive_comparison)
+
+
+def _add_simulation_flags(
+    subparser: argparse.ArgumentParser, experiment: type, rho: float, num_entries: int
+) -> None:
+    """What the simulating subcommands share: the expected workload, the
+    static radius, the size, the policies, ``experiment``'s executor knobs,
+    ``--seed`` and ``--json``."""
+    subparser.add_argument(
+        "--expected-index",
+        type=_expected_index,
+        default=11,
+        help="Table 2 index of the workload the static tunings expect",
+    )
+    subparser.add_argument(
+        "--rho", type=_non_negative_float, default=rho, help="radius of the static robust tuning"
+    )
+    subparser.add_argument("--num-entries", type=_positive_int, default=num_entries)
+    subparser.add_argument(
+        "--policy",
+        choices=_POLICY_CHOICES,
+        default="classic",
+        help="compaction policies the tuners may deploy on the simulator",
+    )
+    executor_defaults = _default(experiment, "executor_config")
+    _add_knob_flags(subparser, executor_defaults, _EXECUTOR_KNOBS[experiment])
+    subparser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of the key space, traces and session sampling "
+        "(same seed -> identical simulation, end to end)",
+    )
+    subparser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the comparison as machine-readable JSON instead of a table",
+    )
+    subparser.set_defaults(
+        subparser=subparser, experiment=experiment, executor_defaults=executor_defaults
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--num-entries",
-        type=int,
+        type=_positive_int,
         default=None,
         help="scale the system to this many entries (memory budget scales along)",
     )
@@ -409,90 +426,24 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare", help="run the simulator comparison for one expected workload"
     )
-    compare.add_argument("--expected-index", type=_expected_index, default=11)
-    compare.add_argument("--rho", type=_non_negative_float, default=0.25)
-    compare.add_argument("--num-entries", type=int, default=30_000)
-    compare.add_argument(
-        "--policy",
-        choices=_POLICY_CHOICES,
-        default="classic",
-        help="compaction policies the tuners may deploy on the simulator",
-    )
+    _add_simulation_flags(compare, SystemExperiment, rho=0.25, num_entries=30_000)
     compare.add_argument(
         "--long-range-fraction",
         type=_fraction,
         default=0.0,
         help="fraction of range lookups issued (and modelled) as long scans",
     )
-    compare.add_argument(
-        "--long-scan-keys",
-        type=_positive_int,
-        default=512,
-        help="keys covered by one long range scan on the simulator",
-    )
-    compare.add_argument(
-        "--backend",
-        choices=("simulated", "persistent"),
-        default="simulated",
-        help="storage backend the compared trees run on: 'simulated' keeps "
-        "runs in memory, 'persistent' builds real SSTable files (identical "
-        "I/O counters; wall-clock time becomes meaningful)",
-    )
-    compare.add_argument(
-        "--data-dir",
-        default=None,
-        help="parent directory for the persistent backend's per-tree files "
-        "(default: a temp dir, removed after the run; a given directory is "
-        "kept for inspection)",
-    )
-    compare.add_argument(
-        "--sync-writes",
-        action="store_true",
-        help="fsync the persistent backend's write-ahead log on every write",
-    )
-    compare.add_argument(
-        "--num-shards",
-        type=_positive_int,
-        default=1,
-        help="serve the comparison from a hash-partitioned shard fleet "
-        "(one tree per shard, range scans fanned out; merged fleet "
-        "measurements plus p50/p95/worst-shard percentiles)",
-    )
-    _add_update_flags(compare)
-    compare.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed of the key space, traces and session sampling "
-        "(same seed -> identical simulation, end to end)",
-    )
-    compare.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as machine-readable JSON instead of a table",
-    )
-    _add_batch_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     online = subparsers.add_parser(
         "online",
         help="replay a drifting session sequence with online adaptive re-tuning",
     )
-    online.add_argument(
-        "--expected-index",
-        type=_expected_index,
-        default=11,
-        help="Table 2 index of the workload the static tunings expect",
-    )
-    online.add_argument(
-        "--rho",
-        type=_non_negative_float,
-        default=0.5,
-        help="radius of the static robust tuning",
-    )
-    online.add_argument("--num-entries", type=_positive_int, default=10_000)
-    online.add_argument(
-        "--queries-per-workload", type=_positive_int, default=1_000
+    _add_simulation_flags(
+        online,
+        AdaptiveExperiment,
+        rho=0.5,
+        num_entries=_default(AdaptiveExperiment, "system").num_entries,
     )
     online.add_argument(
         "--phases",
@@ -502,156 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="session types of the drift phases, in stream order",
     )
     online.add_argument("--sessions-per-phase", type=_positive_int, default=3)
-    online.add_argument(
-        "--window",
-        type=_positive_int,
-        default=400,
-        help="effective window (operations) of the rolling workload estimator",
-    )
-    online.add_argument(
-        "--check-interval",
-        type=_positive_int,
-        default=64,
-        help="operations between drift checks",
-    )
-    online.add_argument(
-        "--min-observations",
-        type=_non_negative_int,
-        default=256,
-        help="estimator warm-up before drift may fire",
-    )
-    online.add_argument(
-        "--cooldown",
-        type=_non_negative_int,
-        default=2_048,
-        help="operations after a firing during which drift is suppressed",
-    )
-    online.add_argument(
-        "--confirm-checks",
-        type=_positive_int,
-        default=5,
-        help="consecutive out-of-region checks required before drift fires",
-    )
-    online.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="KL drift threshold (default: the re-tuning radius)",
-    )
-    online.add_argument(
-        "--mode",
-        choices=RETUNING_MODES,
-        default="nominal",
-        help="re-tuner run on drift",
-    )
-    online.add_argument(
-        "--retune-rho",
-        type=_non_negative_float,
-        default=1.0,
-        help="uncertainty radius of robust re-tunings (and the default "
-        "drift threshold)",
-    )
-    online.add_argument(
-        "--horizon",
-        type=_positive_int,
-        default=12_000,
-        help="operations over which a migration's cost must be recouped",
-    )
-    online.add_argument(
-        "--migration",
-        choices=MIGRATION_MODES,
-        default="full",
-        help="migration execution: 'full' rebuilds the tree at the firing, "
-        "'incremental' spreads a level-by-level plan over the stream while "
-        "a mixed old/new state serves queries",
-    )
-    online.add_argument(
-        "--migration-step-ops",
-        type=_positive_int,
-        default=256,
-        help="operations between incremental migration steps",
-    )
-    online.add_argument(
-        "--migration-step-pages",
-        type=_positive_int,
-        default=None,
-        help="page cap per incremental migration step "
-        "(default: one run per step)",
-    )
-    online.add_argument(
-        "--admission",
-        choices=ADMISSION_MODES,
-        default="fixed",
-        help="incremental migration-step admission: 'fixed' paces one step "
-        "every --migration-step-ops operations, 'queue-depth' defers steps "
-        "while the serving backlog is deep and drains them in idle gaps",
-    )
-    online.add_argument(
-        "--admission-max-backlog",
-        type=_non_negative_int,
-        default=256,
-        help="backlog (queued operations) at or below which a due step is "
-        "admitted under queue-depth admission",
-    )
-    online.add_argument(
-        "--admission-starvation-ops",
-        type=_positive_int,
-        default=4_096,
-        help="operations after which a migration step is forced regardless "
-        "of backlog (queue-depth admission starvation bound)",
-    )
-    online.add_argument(
-        "--admission-idle-steps",
-        type=_non_negative_int,
-        default=8,
-        help="migration steps drained per inter-session idle gap under "
-        "queue-depth admission",
-    )
-    online.add_argument(
-        "--rho-adaptive",
-        action="store_true",
-        help="widen the robust re-tuning radius with the observed "
-        "KL-trajectory volatility (cyclic workloads get tuned once for the "
-        "whole cycle); requires --mode robust",
-    )
-    online.add_argument(
-        "--volatility-gain",
-        type=_non_negative_float,
-        default=2.0,
-        help="multiplier on the KL-trajectory volatility added to rho",
-    )
-    online.add_argument(
-        "--policy",
-        choices=_POLICY_CHOICES,
-        default="classic",
-        help="compaction policies the tuners (static and online) may deploy",
-    )
-    online.add_argument(
-        "--k-vector-search",
-        action="store_true",
-        help="let fluid re-tunings search per-level K_i bound vectors "
-        "(vector proposals migrate like any other tuning)",
-    )
-    _add_update_flags(online)
+    online_defaults = _default(AdaptiveExperiment, "online")
+    _add_knob_flags(online, online_defaults)
     online.add_argument(
         "--parallel",
         action="store_true",
         help="measure the static tunings on a multiprocessing pool",
     )
-    online.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed of the key space, traces and session sampling "
-        "(same seed -> identical simulation, end to end)",
-    )
-    online.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as machine-readable JSON instead of a table",
-    )
-    _add_batch_flags(online)
-    online.set_defaults(func=_cmd_online)
+    online.set_defaults(func=_cmd_online, online_defaults=online_defaults)
     return parser
 
 

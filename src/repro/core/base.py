@@ -120,9 +120,8 @@ class BaseTuner(abc.ABC):
         hybrids).  Entries may be enum members, strings, or explicit
         :class:`~repro.lsm.policy.CompactionPolicy` values pinning the run
         bounds; ``Policy.FLUID`` expands into the ``(K, Z)`` candidate grid
-        ``fluid_k_grid`` × ``fluid_z_grid`` (defaults:
-        :data:`~repro.lsm.policy.DEFAULT_FLUID_K_GRID` /
-        :data:`~repro.lsm.policy.DEFAULT_FLUID_Z_GRID`), so the search
+        :data:`~repro.lsm.policy.DEFAULT_FLUID_K_GRID` ×
+        :data:`~repro.lsm.policy.DEFAULT_FLUID_Z_GRID`, so the search
         optimises the fluid bounds alongside ``(T, h, π)``.
     ratio_candidates:
         The size ratios searched: exactly these rows with ``polish=False``,
@@ -135,7 +134,8 @@ class BaseTuner(abc.ABC):
         Whether the fluid search covers per-level ``K_i`` bound vectors: the
         candidate enumeration adds the structured vector families of
         :func:`~repro.lsm.policy.fluid_vector_specs` over the first
-        ``k_vector_levels`` levels (deeper levels reuse the last element),
+        :data:`~repro.lsm.policy.DEFAULT_VECTOR_LEVELS` levels (deeper levels
+        reuse the last element),
         and a batched coordinate descent over *integer* ``K_i``/``Z`` — the
         deployed space — refines the winning fluid design.
     seed:
@@ -153,26 +153,17 @@ class BaseTuner(abc.ABC):
         policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         ratio_candidates: Sequence[float] | None = None,
         polish: bool = True,
-        fluid_k_grid: Sequence[float] | None = None,
-        fluid_z_grid: Sequence[float] | None = None,
         k_vector_search: bool = False,
-        k_vector_levels: int = DEFAULT_VECTOR_LEVELS,
         seed: int = 0,
     ) -> None:
         self.system = system if system is not None else SystemConfig()
         self.cost_model = LSMCostModel(self.system)
-        if k_vector_levels < 1:
-            raise ValueError("k_vector_levels must be at least 1")
         self.k_vector_search = bool(k_vector_search)
-        self.k_vector_levels = int(k_vector_levels)
         # An empty policy list is rejected by the expansion itself.
         self.policy_specs = expand_policy_specs(
             policies,
             max_size_ratio=self.system.max_size_ratio,
-            k_grid=fluid_k_grid,
-            z_grid=fluid_z_grid,
             include_k_vectors=self.k_vector_search,
-            vector_levels=self.k_vector_levels,
         )
         # Enum-level view kept for introspection and backwards compatibility.
         self.policies = tuple(dict.fromkeys(spec.policy for spec in self.policy_specs))
@@ -296,7 +287,7 @@ class BaseTuner(abc.ABC):
         """Batched coordinate descent over the integer fluid bound vector.
 
         The winning fluid policy is materialised to the explicit integer
-        ``(K_1 … K_m, Z)`` it deploys as (padded to :attr:`k_vector_levels`
+        ``(K_1 … K_m, Z)`` it deploys as (padded to ``DEFAULT_VECTOR_LEVELS``
         with its last element, clamped to the deployed ``T - 1``).  Each
         level's bound (and ``Z``) is then moved in turn: all candidates of
         the geometric ladder are priced in one pass at the incumbent's
@@ -317,7 +308,7 @@ class BaseTuner(abc.ABC):
 
         cap = cap_at(design.size_ratio)
         bounds = list(design.policy.bounds)
-        bounds += bounds[-1:] * (self.k_vector_levels - len(bounds)) + [design.policy.z_bound]
+        bounds += bounds[-1:] * (DEFAULT_VECTOR_LEVELS - len(bounds)) + [design.policy.z_bound]
         bounds = [float(min(round_half_up(min(bound, cap)), cap)) for bound in bounds]
         incumbent = research(bounds)
         for _ in range(_DESCENT_MAX_PASSES):

@@ -17,12 +17,8 @@ expected workload; this subsystem closes the loop at run time:
 """
 
 from .admission import ADMISSION_MODES, StepAdmission
-from .controller import (
-    MIGRATION_MODES,
-    OnlineConfig,
-    OnlineLSMController,
-    RetuningEvent,
-)
+from .config import MIGRATION_MODES, OnlineConfig
+from .controller import OnlineLSMController, RetuningEvent
 from .drift import DriftCheck, DriftDetector
 from .migration import MigrationInvariantError, MigrationPlan, MigrationStep
 from .observed import ObservedWorkload

@@ -44,127 +44,11 @@ from ..storage.lsm_tree import LSMTree, execute_operations_batched
 from ..storage.run import consolidate_versions
 from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
-from .admission import StepAdmission
+from .config import OnlineConfig
 from .drift import DriftDetector
 from .migration import MigrationPlan
 from .observed import ObservedWorkload
 from .retuner import AdaptiveTuner, RetuningDecision
-
-#: Migration execution modes: rebuild the whole tree in one shot, or spread a
-#: level-by-level :class:`~repro.online.migration.MigrationPlan` over the
-#: operation stream.
-MIGRATION_MODES: tuple[str, ...] = ("full", "incremental")
-
-
-@dataclass
-class OnlineConfig:
-    """Knobs of the online adaptive-tuning loop."""
-
-    #: Effective window (in operations) of the rolling workload estimator.
-    window: int = 2_000
-    #: Operations between drift checks.
-    check_interval: int = 256
-    #: Estimator observations required before drift may fire (warm-up).
-    min_observations: int = 512
-    #: Operations after a firing/migration during which drift is suppressed.
-    cooldown: int = 4_096
-    #: Consecutive out-of-region checks required before drift fires (lets the
-    #: estimator window flush the pre-drift mix before re-tuning).
-    confirm_checks: int = 3
-    #: KL-divergence radius beyond which drift fires; ``None`` uses ``rho``
-    #: (the detector watches the same ball the robust tuner optimised for).
-    threshold: float | None = None
-    #: Re-tuning mode on drift: ``"nominal"`` or ``"robust"``.
-    mode: str = "robust"
-    #: Uncertainty radius of robust re-tunings (and the default threshold).
-    rho: float = 0.25
-    #: Amortisation horizon of migrations, in operations.
-    horizon_ops: int = 20_000
-    #: Multiplier on the migration cost the predicted savings must clear.
-    safety_factor: float = 1.0
-    #: Component floor of the reported observed workload (0 = raw mix).
-    smoothing: float = 0.0
-    #: Whether re-tunings search fractional size ratios inside each level
-    #: band; off, they price the deployable integer rows only.
-    polish: bool = False
-    #: Migration execution: ``"full"`` rebuilds the whole tree at the firing
-    #: (one concentrated I/O spike), ``"incremental"`` spreads a level-by-
-    #: level plan over the stream, serving queries from the mixed state.
-    migration: str = "full"
-    #: Operations between incremental migration steps (after the first step,
-    #: which runs at the firing itself).
-    migration_step_ops: int = 256
-    #: Page cap per incremental step; ``None`` moves one run per step.
-    migration_step_pages: int | None = None
-    #: Whether re-tunings widen ρ with the drift detector's observed
-    #: KL-trajectory volatility (cyclic workloads get tuned once for the
-    #: whole cycle instead of migrating every phase).  Requires
-    #: ``mode="robust"`` — a nominal re-tuning has no radius to widen.
-    rho_adaptive: bool = False
-    #: Multiplier on the KL-trajectory volatility added to ρ.
-    volatility_gain: float = 2.0
-    #: Upper bound of the widened radius.
-    rho_cap: float = 4.0
-    #: Whether fluid re-tunings search per-level ``K_i`` bound vectors (the
-    #: offline tuners' ``k_vector_search`` flag, threaded through the
-    #: re-tuner).  Vector proposals migrate like any other tuning — the
-    #: decision serialises the vector and the migration plan deploys it.
-    k_vector_search: bool = False
-    #: How incremental migration steps are admitted against the stream:
-    #: ``"fixed"`` runs one step every ``migration_step_ops`` operations
-    #: (the classic cadence), ``"queue-depth"`` defers due steps while the
-    #: serving backlog is deeper than ``admission_max_backlog`` and drains
-    #: deferred steps during idle periods (see
-    #: :class:`~repro.online.admission.StepAdmission`).
-    admission: str = "fixed"
-    #: Backlog at or below which a due step is admitted (``"queue-depth"``).
-    admission_max_backlog: int = 256
-    #: Operations after which a step is forced regardless of backlog
-    #: (``"queue-depth"`` starvation bound; must be ≥ ``migration_step_ops``).
-    admission_starvation_ops: int = 4_096
-    #: Steps drained per :meth:`OnlineLSMController.note_idle` call
-    #: (``"queue-depth"``; ``"fixed"`` ignores idle notifications).
-    admission_idle_steps: int = 8
-
-    def __post_init__(self) -> None:
-        if self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-        if self.migration not in MIGRATION_MODES:
-            raise ValueError(
-                f"migration must be one of {MIGRATION_MODES}, got {self.migration!r}"
-            )
-        if self.migration_step_ops <= 0:
-            raise ValueError("migration_step_ops must be positive")
-        if self.migration_step_pages is not None and self.migration_step_pages <= 0:
-            raise ValueError("migration_step_pages must be positive")
-        if self.rho_adaptive and self.mode != "robust":
-            raise ValueError(
-                "rho_adaptive requires mode='robust': nominal re-tunings have "
-                "no radius to widen"
-            )
-        # Constructing the admission policy validates the admission knobs
-        # (mode membership, starvation ≥ step cadence, non-negative bounds).
-        self.step_admission()
-
-    def step_admission(self) -> StepAdmission:
-        """The migration-step admission policy these knobs describe."""
-        return StepAdmission(
-            mode=self.admission,
-            step_ops=self.migration_step_ops,
-            max_backlog=self.admission_max_backlog,
-            starvation_ops=self.admission_starvation_ops,
-            idle_step_burst=self.admission_idle_steps,
-        )
-
-    @property
-    def drift_threshold(self) -> float:
-        """The KL radius the drift detector watches."""
-        return self.rho if self.threshold is None else self.threshold
-
 
 @dataclass(frozen=True)
 class RetuningEvent:
@@ -239,28 +123,14 @@ class OnlineLSMController:
         if self.system is None:
             self.system = self.tree.system
         self.disk = self.tree.disk
-        self.estimator = ObservedWorkload(
-            window=self.config.window, smoothing=self.config.smoothing
-        )
+        self.estimator = ObservedWorkload(window=self.config.window)
         self.detector = DriftDetector(
             UncertaintyRegion(expected=self.expected, rho=self.config.drift_threshold),
             min_observations=self.config.min_observations,
             cooldown=self.config.cooldown,
             confirm_checks=self.config.confirm_checks,
         )
-        self.retuner = AdaptiveTuner(
-            system=self.system,
-            mode=self.config.mode,
-            rho=self.config.rho,
-            policies=self.policies,
-            horizon_ops=self.config.horizon_ops,
-            safety_factor=self.config.safety_factor,
-            polish=self.config.polish,
-            rho_adaptive=self.config.rho_adaptive,
-            volatility_gain=self.config.volatility_gain,
-            rho_cap=self.config.rho_cap,
-            k_vector_search=self.config.k_vector_search,
-        )
+        self.retuner = AdaptiveTuner(self.system, self.config, self.policies)
         self.admission = self.config.step_admission()
         self.position = 0
         self.events: list[RetuningEvent] = []
@@ -446,15 +316,9 @@ class OnlineLSMController:
             volatility=self.detector.volatility(),
         )
         migrated = decision.justified and decision.proposed != self.tree.tuning
-        read_pages = write_pages = 0
-        steps = 1
+        read_pages, write_pages, steps = 0, 0, 1
         if migrated:
-            if self.config.migration == "incremental":
-                read_pages, write_pages, steps = self._begin_incremental_migration(
-                    decision.proposed
-                )
-            else:
-                read_pages, write_pages = self._migrate(decision.proposed)
+            read_pages, write_pages, steps = self._migrate(decision.proposed)
             # The new tuning is nominal for the workload it was computed on:
             # watch for the *next* drift relative to that, with fresh cooldown.
             # A drift-aware re-tuning solved for a widened radius; the
@@ -507,29 +371,6 @@ class OnlineLSMController:
         keys, _ = consolidate_versions(key_parts, tombstone_parts, drop_tombstones=True)
         return keys.copy()
 
-    def _migrate(self, new_tuning: LSMTuning) -> tuple[int, int]:
-        """Rebuild the live tree under ``new_tuning``, charging the I/O.
-
-        Every resident page of the old tree is read and every run page of the
-        rebuilt tree is written, both recorded as compaction traffic on the
-        shared virtual disk — the migration is part of the measured stream,
-        not free.  Buffered (memtable) entries move without I/O, as they
-        would in a real engine where the write buffer lives in RAM.
-        """
-        read_pages = self.resident_pages()
-        keys = self._live_keys()
-        replacement = self._replacement_tree(new_tuning)
-        replacement.bulk_load(keys)
-        write_pages = sum(
-            run.num_pages for runs in replacement.levels for run in runs
-        )
-        self.disk.read_pages(read_pages, compaction=True)
-        self.disk.write_pages(write_pages, compaction=True)
-        replaced = self.tree
-        self.tree = replacement
-        replaced.dispose()
-        return read_pages, write_pages
-
     def _replacement_tree(self, new_tuning: LSMTuning) -> LSMTree:
         """An empty tree under ``new_tuning`` sharing the live disk.
 
@@ -542,30 +383,37 @@ class OnlineLSMController:
             seed=self.tree._seed + self.tree._run_counter + 1,
         )
 
-    def _begin_incremental_migration(
-        self, new_tuning: LSMTuning
-    ) -> tuple[int, int, int]:
-        """Start a level-by-level migration plan towards ``new_tuning``.
+    def _migrate(self, new_tuning: LSMTuning) -> tuple[int, int, int]:
+        """Migrate the live tree to ``new_tuning`` through a level-by-level plan.
 
-        The first step executes at the firing itself (the migration makes
-        observable progress immediately); subsequent steps run every
-        ``migration_step_ops`` operations from :meth:`apply`.  Returns the
-        plan's *planned* read/write page totals — identical to what a full
-        migration would move — and its step count.
+        Every resident page of the old tree is read and every run page of the
+        rebuilt tree is written, both recorded as compaction traffic on the
+        shared virtual disk — the migration is part of the measured stream,
+        not free.  Buffered (memtable) entries move without I/O, as they
+        would in a real engine where the write buffer lives in RAM.
+
+        A ``full`` migration is the plan drained at the firing, reported as
+        one step: it was applied in one go.  An ``incremental`` one runs its
+        first step at the firing (the migration makes observable progress
+        immediately) and the rest every ``migration_step_ops`` operations
+        from :meth:`apply`.  Returns the pages read and written — planned
+        figures, identical for both modes — and the step count.
         """
-        plan = MigrationPlan(
+        incremental = self.config.migration == "incremental"
+        plan = self._plan = MigrationPlan(
             source=self.tree,
             target=self._replacement_tree(new_tuning),
             checkpoint_keys=self._live_keys(),
-            max_step_pages=self.config.migration_step_pages,
+            max_step_pages=self.config.migration_step_pages if incremental else None,
         )
-        totals = (plan.total_read_pages, plan.total_write_pages, plan.num_steps)
-        self._plan = plan
-        self._plan_started = self.position
-        self._last_step_position = self.position
-        plan.run_next_step()
+        self._plan_started = self._last_step_position = self.position
+        if incremental:
+            plan.run_next_step()
+        else:
+            plan.run_to_completion()
         self._maybe_finish_migration()
-        return totals
+        steps = plan.num_steps if incremental else 1
+        return plan.total_read_pages, plan.total_write_pages, steps
 
     def advance_migration(self) -> None:
         """Run the next step of the active plan (no-op without one)."""

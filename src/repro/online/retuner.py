@@ -25,10 +25,11 @@ from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.workload import Workload
+from .config import OnlineConfig
 
-#: Re-tuning modes: re-run the nominal tuner on the observed workload, or the
-#: robust tuner with the configured radius around it.
-RETUNING_MODES: tuple[str, ...] = ("nominal", "robust")
+#: Upper bound of a volatility-widened radius: the paper's ρ grid tops out at
+#: 4, where robust tunings are essentially workload-agnostic.
+RHO_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ class RetuningDecision:
     migration_ios: float
     #: Number of future operations over which the migration is amortised.
     horizon_ops: int
-    #: Multiplier on the migration cost the predicted savings must clear.
-    safety_factor: float = 1.0
     #: Uncertainty radius the proposal was solved for: the configured ρ, or
     #: the volatility-widened radius when drift-aware re-tuning is enabled
     #: (0 for nominal re-tunings of a non-adaptive tuner).
@@ -70,7 +69,7 @@ class RetuningDecision:
         """Whether the predicted savings pay for the migration."""
         return (
             self.predicted_gain > 0.0
-            and self.predicted_savings >= self.safety_factor * self.migration_ios
+            and self.predicted_savings >= self.migration_ios
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -82,7 +81,6 @@ class RetuningDecision:
             "proposed_cost": self.proposed_cost,
             "migration_ios": self.migration_ios,
             "horizon_ops": self.horizon_ops,
-            "safety_factor": self.safety_factor,
             "rho": self.rho,
             "predicted_gain": self.predicted_gain,
             "justified": self.justified,
@@ -92,113 +90,53 @@ class RetuningDecision:
 class AdaptiveTuner:
     """Re-runs the offline tuner on the observed workload and prices migration.
 
+    It reads its knobs off the :class:`~repro.online.config.OnlineConfig` it
+    is handed: ``mode`` and ``rho`` (``"nominal"`` re-tunes for the observed
+    point estimate, ``"robust"`` with radius ``rho`` around it — the stream
+    that drifted once will drift again), ``horizon_ops``, ``rho_adaptive`` /
+    ``volatility_gain`` (:meth:`effective_rho`) and ``k_vector_search``.
+
     Parameters
     ----------
     system:
         System configuration of the running tree.
-    mode:
-        ``"nominal"`` re-tunes for the observed workload point estimate;
-        ``"robust"`` re-tunes robustly with radius ``rho`` around it (the
-        stream that drifted once will drift again).
-    rho:
-        Uncertainty radius of robust re-tunings (ignored in nominal mode).
+    config:
+        The online loop's knobs.
     policies:
         Compaction policies the re-tuner may deploy.  Entries may be enum
         members, strings, or explicit
         :class:`~repro.lsm.policy.CompactionPolicy` values — including ones
         pinning a per-level bound vector.
-    k_vector_search:
-        Whether fluid re-tunings search per-level ``K_i`` bound vectors
-        (structured families + coordinate descent over integer bounds),
-        exactly like the offline tuners' flag.  A vector proposal
-        flows through the migration machinery unchanged: the decision
-        serialises the vector, and the rebuilt (or incrementally migrated)
-        tree deploys it.
-    horizon_ops:
-        Amortisation horizon of migrations, in operations.
-    safety_factor:
-        Multiplier on the migration cost the predicted savings must clear
-        before a migration is accepted.
-    polish:
-        Whether the re-tuner searches fractional size ratios inside each
-        level band.  Off by default: a deployment rounds ``T`` anyway, so
-        the online search prices the integer rows — the tunings that can
-        actually be deployed — and nothing else.
-    rho_adaptive:
-        Whether the robust radius is widened with the drift detector's
-        observed volatility (see :meth:`effective_rho`).  A cyclic workload
-        keeps re-escaping any tuning computed for either of its phases; the
-        widened ball covers the whole cycle, so the stream is re-tuned once
-        for the cycle instead of migrating back and forth every phase.
-        Requires ``mode="robust"`` — a nominal re-tuning has no radius to
-        widen, and silently widening only the *detector* would leave it
-        watching a ball the deployed tuning does not cover.
-    volatility_gain:
-        Multiplier on the KL-trajectory volatility added to ``rho``.
-    rho_cap:
-        Upper bound of the widened radius (the paper's ρ grid tops out at 4,
-        where robust tunings are essentially workload-agnostic).
     """
 
     def __init__(
         self,
         system: SystemConfig,
-        mode: str = "robust",
-        rho: float = 0.25,
+        config: OnlineConfig,
         policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
-        horizon_ops: int = 20_000,
-        safety_factor: float = 1.0,
-        polish: bool = False,
-        rho_adaptive: bool = False,
-        volatility_gain: float = 2.0,
-        rho_cap: float = 4.0,
-        k_vector_search: bool = False,
     ) -> None:
-        if mode not in RETUNING_MODES:
-            raise ValueError(f"mode must be one of {RETUNING_MODES}, got {mode!r}")
-        if rho < 0:
-            raise ValueError("rho must be non-negative")
-        if horizon_ops <= 0:
-            raise ValueError("horizon_ops must be positive")
-        if safety_factor <= 0:
-            raise ValueError("safety_factor must be positive")
-        if volatility_gain < 0:
-            raise ValueError("volatility_gain must be non-negative")
-        if rho_adaptive and mode != "robust":
-            raise ValueError(
-                "rho_adaptive requires mode='robust': nominal re-tunings have "
-                "no radius to widen"
-            )
         self.system = system
-        self.mode = mode
-        self.rho = float(rho)
-        self.horizon_ops = int(horizon_ops)
-        self.safety_factor = float(safety_factor)
-        self.rho_adaptive = bool(rho_adaptive)
-        self.volatility_gain = float(volatility_gain)
-        # Widening can never cut below the configured radius, so a cap under
-        # rho is simply inert — raised rather than rejected (a large
-        # --retune-rho must not crash a non-adaptive run).
-        self.rho_cap = max(float(rho_cap), self.rho)
+        self.config = config
         self._policies = tuple(policies)
-        self._polish = bool(polish)
-        self.k_vector_search = bool(k_vector_search)
         self.cost_model = LSMCostModel(system)
-        if mode == "robust":
-            self.tuner: NominalTuner | RobustTuner = RobustTuner(
-                rho=self.rho,
-                system=system,
-                policies=policies,
-                polish=polish,
-                k_vector_search=self.k_vector_search,
-            )
-        else:
-            self.tuner = NominalTuner(
-                system=system,
-                policies=policies,
-                polish=polish,
-                k_vector_search=self.k_vector_search,
-            )
+        self.tuner = self._tuner_for(config.rho)
+
+    def _tuner_for(self, rho: float) -> NominalTuner | RobustTuner:
+        """A tuner for a re-tuning of radius ``rho`` (unused in nominal mode).
+
+        It searches the integer size ratios only: a deployment rounds ``T``
+        anyway, so the online search prices the tunings that can actually be
+        deployed — and nothing else.
+        """
+        options = dict(
+            system=self.system,
+            policies=self._policies,
+            polish=False,
+            k_vector_search=self.config.k_vector_search,
+        )
+        if self.config.mode == "robust":
+            return RobustTuner(rho=rho, **options)
+        return NominalTuner(**options)
 
     # ------------------------------------------------------------------
     # Re-tuning
@@ -219,26 +157,20 @@ class AdaptiveTuner:
 
         With drift-aware widening enabled, the configured ρ grows by
         ``volatility_gain`` times the detector's KL-trajectory dispersion
-        (capped at ``rho_cap``): the more the stream has been swinging around
-        its nominal centre, the larger the ball the replacement tuning must
-        cover.  On a cyclic workload the widened ball spans both phases, so
-        one migration serves the whole cycle.
+        (capped at :data:`RHO_CAP`): the more the stream has been swinging
+        around its nominal centre, the larger the ball the replacement tuning
+        must cover.  A cyclic workload keeps re-escaping any tuning computed
+        for either of its phases; the widened ball spans the whole cycle, so
+        one migration serves it instead of one per phase.
         """
-        if not self.rho_adaptive or volatility <= 0.0:
-            return self.rho
-        return min(self.rho + self.volatility_gain * float(volatility), self.rho_cap)
-
-    def _tuner_for(self, rho: float) -> NominalTuner | RobustTuner:
-        """The tuner solving a re-tuning of radius ``rho``."""
-        if self.mode != "robust" or rho == self.rho:
-            return self.tuner
-        return RobustTuner(
-            rho=rho,
-            system=self.system,
-            policies=self._policies,
-            polish=self._polish,
-            k_vector_search=self.k_vector_search,
-        )
+        config = self.config
+        if not config.rho_adaptive or volatility <= 0.0:
+            return config.rho
+        # Widening can never cut below the configured radius, so a cap under
+        # rho is simply inert — raised rather than rejected (a large
+        # --retune-rho must not crash a non-adaptive run).
+        cap = max(RHO_CAP, config.rho)
+        return min(config.rho + config.volatility_gain * float(volatility), cap)
 
     def retune(
         self,
@@ -256,7 +188,8 @@ class AdaptiveTuner:
         widens the robust radius when drift-aware re-tuning is enabled.
         """
         rho = self.effective_rho(volatility)
-        result = self._tuner_for(rho).tune(observed)
+        tuner = self.tuner if rho == self.config.rho else self._tuner_for(rho)
+        result = tuner.tune(observed)
         proposed = result.tuning.rounded()
         return RetuningDecision(
             current=current,
@@ -264,7 +197,6 @@ class AdaptiveTuner:
             current_cost=self.cost_model.workload_cost(observed, current),
             proposed_cost=self.cost_model.workload_cost(observed, proposed),
             migration_ios=self.migration_ios(resident_pages),
-            horizon_ops=self.horizon_ops,
-            safety_factor=self.safety_factor,
-            rho=rho if self.mode == "robust" else 0.0,
+            horizon_ops=self.config.horizon_ops,
+            rho=rho if self.config.mode == "robust" else 0.0,
         )

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..knobs import FRACTION, NON_NEGATIVE, POSITIVE_INT, check_knobs, knob
 from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
@@ -221,59 +222,67 @@ class ShardRun:
 class ExecutorConfig:
     """Knobs of the system-measurement harness."""
 
-    #: Number of concrete queries executed per workload of a session.
-    queries_per_workload: int = 2_000
-    #: Number of keys touched by one short range query.
-    range_scan_keys: int = 16
-    #: Number of keys touched by one long range query (issued for the
-    #: ``long_range_fraction`` share of a workload's range lookups).
-    long_scan_keys: int = 512
-    #: Fraction of the writes that update an existing key (creating obsolete
-    #: versions the next compaction must consolidate) instead of inserting a
-    #: fresh one.
-    update_fraction: float = 0.0
-    #: Zipf exponent concentrating those updates on a hot key subset (0 =
-    #: uniform over the resident keys).
-    update_skew: float = 0.0
-    #: Simulated page read latency in microseconds.
-    read_latency_us: float = 100.0
-    #: Simulated page write latency in microseconds.
-    write_latency_us: float = 100.0
-    #: Seed controlling trace generation.
-    seed: int = 97
-    #: Upper bound on the pending reads (GET keys, ranges) trace replay drains at once.
-    max_batch_ops: int = 4_096
-    #: Run store the trees are built on: ``"simulated"`` keeps runs in memory
-    #: (the default), ``"persistent"`` puts each tree on a
-    #: :class:`~repro.storage.persistent.FileStore` — SSTable files, a
-    #: write-ahead log and a manifest in a directory of its own.  It is the
-    #: same tree charging identical virtual-disk counters either way; on
-    #: files it additionally pays real I/O, so its wall-clock time is
-    #: meaningful.
-    backend: str = "simulated"
-    #: Parent directory for the persistent backend's per-tree data
-    #: directories.  ``None`` uses the system temp dir and removes each
-    #: tree's files when it is disposed; a given directory keeps them on
-    #: disk for inspection.
-    data_dir: str | None = None
-    #: Whether the persistent backend's write-ahead log ``fsync``s every
-    #: append (durability against OS crashes, at a steep wall-clock cost).
-    sync_writes: bool = False
-    #: Number of hash-partitioned shards the serving layer
-    #: (:class:`~repro.serving.ShardedExecutor`) spreads the key space over.
+    queries_per_workload: int = knob(
+        2_000, "concrete queries executed per workload of a session", POSITIVE_INT
+    )
+    range_scan_keys: int = knob(16, "keys touched by one short range query", flag=False)
+    long_scan_keys: int = knob(
+        512,
+        "keys covered by one long range scan on the simulator (issued for the long-range "
+        "fraction of a workload's range lookups)",
+        POSITIVE_INT,
+    )
+    update_fraction: float = knob(
+        0.0,
+        "fraction of the trace's writes that update an existing key (creating obsolete "
+        "versions compactions must consolidate) instead of inserting a fresh one",
+        FRACTION,
+    )
+    update_skew: float = knob(
+        0.0,
+        "Zipf exponent concentrating updates on a hot key subset (0 = uniform over the "
+        "resident keys)",
+        NON_NEGATIVE,
+    )
+    read_latency_us: float = knob(100.0, "simulated page read latency (µs)", flag=False)
+    write_latency_us: float = knob(100.0, "simulated page write latency (µs)", flag=False)
+    #: Not a derived flag: the subcommands' own ``--seed`` sets it together
+    #: with the experiment's session-sampling seed.
+    seed: int = knob(97, "seed controlling trace generation", flag=False)
+    max_batch_ops: int = knob(
+        4_096,
+        "most pending reads (GET keys, ranges) handed to the vectorised read path at once",
+        POSITIVE_INT,
+    )
+    backend: str = knob(
+        "simulated",
+        "run store the compared trees are built on: 'simulated' keeps runs in memory, "
+        "'persistent' puts each tree on real files — SSTables, a write-ahead log and a "
+        "manifest in a directory of its own (identical I/O counters; wall-clock time "
+        "becomes meaningful)",
+        ("simulated", "persistent"),
+    )
+    data_dir: str | None = knob(
+        None,
+        "parent directory for the persistent backend's per-tree files (default: a temp dir, "
+        "removed after the run; a given directory is kept for inspection)",
+    )
+    sync_writes: bool = knob(
+        False,
+        "fsync the persistent backend's write-ahead log on every write (durability against "
+        "OS crashes, at a steep wall-clock cost)",
+    )
     #: The classic single-tree :class:`WorkloadExecutor` ignores it; 1 is the
     #: unsharded deployment either way.
-    num_shards: int = 1
+    num_shards: int = knob(
+        1,
+        "serve the comparison from a hash-partitioned shard fleet (one tree per shard, range "
+        "scans fanned out; merged fleet measurements plus p50/p95/worst-shard percentiles)",
+        POSITIVE_INT,
+    )
 
     def __post_init__(self) -> None:
-        if self.max_batch_ops <= 0:
-            raise ValueError("max_batch_ops must be positive")
-        if self.backend not in ("simulated", "persistent"):
-            raise ValueError(
-                f"backend must be 'simulated' or 'persistent', got {self.backend!r}"
-            )
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
+        check_knobs(self)
 
     def disk(self) -> VirtualDisk:
         """A zeroed virtual disk charging the configured page latencies."""

@@ -45,10 +45,6 @@ class TestSweepExpansion:
         tuner = _tuner(k_vector_search=True)
         assert any(len(spec.bounds) > 1 for spec in tuner.policy_specs)
 
-    def test_rejects_non_positive_vector_levels(self):
-        with pytest.raises(ValueError):
-            _tuner(k_vector_search=True, k_vector_levels=0)
-
 
 class TestVectorSearchResults:
     @pytest.mark.parametrize("polish", [True, False])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import AdaptiveTuner, OnlineConfig, OnlineLSMController
+from repro.online.retuner import RHO_CAP
 from repro.storage import LSMTree
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
@@ -30,10 +31,10 @@ def _controller(tiny_system, key_space, config, expected, tuning=None):
 class TestAdaptiveTuner:
     def test_rejects_unknown_mode(self, tiny_system):
         with pytest.raises(ValueError):
-            AdaptiveTuner(system=tiny_system, mode="oracle")
+            AdaptiveTuner(tiny_system, OnlineConfig(mode="oracle"))
 
     def test_retune_proposes_a_deployable_tuning(self, tiny_system):
-        tuner = AdaptiveTuner(system=tiny_system, mode="nominal")
+        tuner = AdaptiveTuner(tiny_system, OnlineConfig(mode="nominal"))
         current = LSMTuning(30.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(
             Workload(0.05, 0.05, 0.05, 0.85), current, resident_pages=1_000
@@ -44,9 +45,7 @@ class TestAdaptiveTuner:
         assert decision.predicted_gain > 0
 
     def test_unjustified_when_migration_dwarfs_the_horizon(self, tiny_system):
-        tuner = AdaptiveTuner(
-            system=tiny_system, mode="nominal", horizon_ops=10
-        )
+        tuner = AdaptiveTuner(tiny_system, OnlineConfig(mode="nominal", horizon_ops=10))
         current = LSMTuning(30.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(
             Workload(0.05, 0.05, 0.05, 0.85), current, resident_pages=10_000
@@ -54,7 +53,7 @@ class TestAdaptiveTuner:
         assert not decision.justified
 
     def test_robust_mode_uses_the_requested_radius(self, tiny_system):
-        tuner = AdaptiveTuner(system=tiny_system, mode="robust", rho=1.0)
+        tuner = AdaptiveTuner(tiny_system, OnlineConfig(mode="robust", rho=1.0))
         assert tuner.tuner.rho == 1.0
 
 
@@ -188,7 +187,7 @@ class TestControllerExecution:
         from repro.online.controller import RetuningEvent
         from repro.online.retuner import AdaptiveTuner
 
-        tuner = AdaptiveTuner(system=tiny_system, mode="nominal")
+        tuner = AdaptiveTuner(tiny_system, OnlineConfig(mode="nominal"))
         current = LSMTuning(30.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(
             Workload(0.0, 0.0, 0.0, 1.0), current, resident_pages=100
@@ -325,23 +324,23 @@ class TestIncrementalMigration:
 
 class TestAdaptiveRho:
     def test_effective_rho_widens_with_volatility(self, tiny_system):
-        tuner = AdaptiveTuner(
-            system=tiny_system, mode="robust", rho=0.5,
-            rho_adaptive=True, volatility_gain=2.0, rho_cap=4.0,
+        config = OnlineConfig(
+            mode="robust", rho=0.5, rho_adaptive=True, volatility_gain=2.0
         )
+        tuner = AdaptiveTuner(tiny_system, config)
         assert tuner.effective_rho(0.0) == 0.5
         assert tuner.effective_rho(0.4) == pytest.approx(1.3)
-        assert tuner.effective_rho(100.0) == 4.0  # capped
+        assert tuner.effective_rho(100.0) == RHO_CAP == 4.0  # capped
 
     def test_fixed_rho_ignores_volatility(self, tiny_system):
-        tuner = AdaptiveTuner(system=tiny_system, mode="robust", rho=0.5)
+        tuner = AdaptiveTuner(tiny_system, OnlineConfig(mode="robust", rho=0.5))
         assert tuner.effective_rho(5.0) == 0.5
 
     def test_decision_records_the_widened_radius(self, tiny_system):
-        tuner = AdaptiveTuner(
-            system=tiny_system, mode="robust", rho=0.25, rho_adaptive=True,
-            volatility_gain=1.0,
+        config = OnlineConfig(
+            mode="robust", rho=0.25, rho_adaptive=True, volatility_gain=1.0
         )
+        tuner = AdaptiveTuner(tiny_system, config)
         current = LSMTuning(30.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(
             Workload(0.05, 0.05, 0.05, 0.85), current,
@@ -414,9 +413,9 @@ class TestOnlineConfig:
     def test_large_rho_does_not_trip_the_adaptive_cap(self, tiny_system):
         """A radius above the default cap must not crash (the cap bounds the
         widening, never the configured radius itself)."""
-        tuner = AdaptiveTuner(
-            system=tiny_system, mode="robust", rho=5.0,
-            rho_adaptive=True, volatility_gain=2.0, rho_cap=4.0,
+        config = OnlineConfig(
+            mode="robust", rho=5.0, rho_adaptive=True, volatility_gain=2.0
         )
+        tuner = AdaptiveTuner(tiny_system, config)
         assert tuner.effective_rho(0.0) == 5.0
         assert tuner.effective_rho(10.0) == 5.0  # cap clamped up to rho

@@ -24,10 +24,7 @@ _SYSTEM = simulator_system(num_entries=3_000)
 class TestAdaptiveTunerVectors:
     def test_k_vector_search_threads_to_the_tuners(self):
         tuner = AdaptiveTuner(
-            system=_SYSTEM,
-            mode="robust",
-            policies=(Policy.FLUID,),
-            k_vector_search=True,
+            _SYSTEM, OnlineConfig(mode="robust", k_vector_search=True), (Policy.FLUID,)
         )
         assert tuner.tuner.k_vector_search
         # A widened-radius re-tuner keeps the flag too.
@@ -35,9 +32,7 @@ class TestAdaptiveTunerVectors:
 
     def test_pinned_vector_policy_proposes_a_vector_tuning(self):
         spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
-        tuner = AdaptiveTuner(
-            system=_SYSTEM, mode="nominal", policies=(spec,), polish=False
-        )
+        tuner = AdaptiveTuner(_SYSTEM, OnlineConfig(mode="nominal"), (spec,))
         observed = Workload(0.05, 0.25, 0.05, 0.65)
         current = LSMTuning(10.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(observed, current, resident_pages=1_000)
@@ -49,9 +44,7 @@ class TestAdaptiveTunerVectors:
 
     def test_decision_with_vector_proposal_is_json_serialisable(self):
         spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
-        tuner = AdaptiveTuner(
-            system=_SYSTEM, mode="nominal", policies=(spec,), polish=False
-        )
+        tuner = AdaptiveTuner(_SYSTEM, OnlineConfig(mode="nominal"), (spec,))
         decision = tuner.retune(
             Workload(0.05, 0.25, 0.05, 0.65),
             LSMTuning(10.0, 8.0, Policy.LEVELING),
@@ -71,7 +64,7 @@ class TestControllerThreading:
             config=OnlineConfig(k_vector_search=True),
             policies=(Policy.FLUID,),
         )
-        assert controller.retuner.k_vector_search
+        assert controller.retuner.config.k_vector_search
 
     def test_full_migration_deploys_a_vector_tuning(self):
         """An in-place rebuild towards a vector tuning leaves the live tree
@@ -86,7 +79,7 @@ class TestControllerThreading:
         target = LSMTuning(
             5.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0
         )
-        read_pages, write_pages = controller._migrate(target)
+        read_pages, write_pages, _ = controller._migrate(target)
         assert read_pages > 0 and write_pages > 0
         assert controller.tree.tuning.k_bounds == (4.0, 2.0, 1.0)
         probes = np.random.default_rng(7).choice(keys, size=50, replace=False)

@@ -130,20 +130,24 @@ class TestRadiusAndIndexValidation:
     _TUNE = ["tune", "--workload", "0.25", "0.25", "0.25", "0.25"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            _TUNE + ["--rho", "-1"],
-            ["table", "--rho", "-0.5"],
-            ["compare", "--rho", "-0.5"],
-            ["online", "--rho", "-0.5"],
-            ["online", "--retune-rho", "-1"],
+            (_TUNE + ["--rho", "-1"], "non-negative"),
+            (["table", "--rho", "-0.5"], "non-negative"),
+            (["compare", "--rho", "-0.5"], "non-negative"),
+            (["online", "--rho", "-0.5"], "non-negative"),
+            (["online", "--retune-rho", "-1"], "non-negative"),
+            # A non-positive size used to reach ``SystemConfig`` and die there.
+            (_TUNE + ["--num-entries", "-5"], "a positive integer"),
+            (["compare", "--num-entries", "0"], "a positive integer"),
         ],
     )
-    def test_rejects_a_negative_radius(self, capsys, argv):
+    def test_rejects_a_negative_radius_or_size(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["compare", "online"])
     @pytest.mark.parametrize("value", ["99", "15", "-1", "1.5"])
@@ -444,12 +448,13 @@ class TestOnlineCommand:
                 assert event["migration_steps"] >= 1
             assert "rho" in event["decision"]
 
-    def test_online_rejects_rho_adaptive_without_robust_mode(self):
+    def test_online_rejects_rho_adaptive_without_robust_mode(self, capsys):
         """--rho-adaptive would silently widen a ball no nominal tuning
         covers; the CLI refuses the combination outright."""
         with pytest.raises(SystemExit) as excinfo:
             main(["online", "--rho-adaptive", "--mode", "nominal"])
-        assert "--rho-adaptive requires --mode robust" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "rho_adaptive requires mode='robust'" in capsys.readouterr().err
 
     def test_online_accepts_large_retune_rho_without_adaptivity(self):
         """A radius above the adaptive cap must not crash a non-adaptive
@@ -458,9 +463,7 @@ class TestOnlineCommand:
         from repro.online import AdaptiveTuner, OnlineConfig
 
         config = OnlineConfig(rho=5.0, mode="robust")
-        tuner = AdaptiveTuner(
-            system=simulator_system(1_000), mode=config.mode, rho=config.rho
-        )
+        tuner = AdaptiveTuner(simulator_system(1_000), config)
         assert tuner.effective_rho(10.0) == 5.0  # not adaptive: unwidened
 
     def test_online_rejects_negative_volatility_gain(self, capsys):
@@ -487,6 +490,8 @@ class TestOnlineKnobValidation:
             ("--sessions-per-phase", "0"),
             ("--horizon", "0"),
             ("--min-observations", "-1"),
+            # Unbounded until the flag took its bound from the field.
+            ("--threshold", "-1"),
         ],
     )
     def test_rejects_out_of_range_values(self, capsys, flag, value):
@@ -495,7 +500,18 @@ class TestOnlineKnobValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flag in err
-        assert "integer" in err
+        assert "integer" in err or "non-negative" in err
+
+    def test_a_cross_field_rule_is_a_usage_error_too(self, capsys):
+        """The starvation bound may not undercut the step cadence: the config
+        rejects the pair, the CLI reports it like any single bad value."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["online", "--admission", "queue-depth",
+                  "--admission-starvation-ops", "10"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "starvation_ops must be at least step_ops" in err
+        assert "Traceback" not in err
 
     def test_rejects_non_integer_values(self, capsys):
         with pytest.raises(SystemExit):

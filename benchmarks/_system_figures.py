@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.analysis import SequenceComparison, format_comparison
+from repro.analysis import Comparison, format_comparison
 from repro.workloads import expected_workload
 
 
@@ -24,7 +24,7 @@ def run_system_figure(
     rho: float,
     include_writes: bool = True,
     expect_robust_wins_overall: bool | None = None,
-) -> SequenceComparison:
+) -> Comparison:
     """Run one Figure 8–18 style experiment and record its report.
 
     Parameters
@@ -53,14 +53,13 @@ def run_system_figure(
             expected.workload, rho=rho, include_writes=include_writes
         ),
     )
-    assert len(comparison.sessions) == 6
+    assert len(comparison.labels) == 6
 
     # Sanity: every session produced finite, non-negative measurements under
     # both tunings.
-    for session in comparison.sessions:
-        for tuning_name in ("nominal", "robust"):
-            assert 0.0 <= session.system_ios[tuning_name] < 1e5
-            assert 0.0 <= session.latency_us[tuning_name] < 1e8
+    for tuning_name in ("nominal", "robust"):
+        assert all(0.0 <= ios < 1e5 for ios in comparison.system_ios(tuning_name))
+        assert all(0.0 <= us < 1e8 for us in comparison.latency_us(tuning_name))
 
     # Record whether the model-predicted ordering of the two tunings matches
     # the measured one over the whole sequence.  The paper itself reports
@@ -69,14 +68,14 @@ def run_system_figure(
     # w9/w10 in §8.3), so this is reported rather than asserted; hard
     # assertions live in the per-figure files where the paper's claim is
     # unambiguous (e.g. Figure 11).
-    model_nominal = sum(s.model_ios["nominal"] for s in comparison.sessions)
-    model_robust = sum(s.model_ios["robust"] for s in comparison.sessions)
-    system_nominal = sum(s.system_ios["nominal"] for s in comparison.sessions)
-    system_robust = sum(s.system_ios["robust"] for s in comparison.sessions)
+    model_nominal = sum(comparison.model_ios["nominal"])
+    model_robust = sum(comparison.model_ios["robust"])
+    system_nominal = sum(comparison.system_ios("nominal"))
+    system_robust = sum(comparison.system_ios("robust"))
     orderings_agree = (model_robust < model_nominal) == (system_robust < system_nominal)
 
     if expect_robust_wins_overall is not None:
-        robust_wins = comparison.summary()["io_reduction"] > 0.0
+        robust_wins = comparison.summary["io_reduction"] > 0.0
         assert robust_wins == expect_robust_wins_overall
 
     header = f"{name}: expected workload {expected.name} {expected.workload.describe()}"

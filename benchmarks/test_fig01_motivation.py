@@ -20,7 +20,7 @@ def test_fig01_motivating_example(benchmark, system_experiment, report):
         benchmark,
         lambda: system_experiment.run_motivation(expected, shifted, rho=1.0),
     )
-    assert len(comparison.sessions) == 3
+    assert len(comparison.labels) == 3
 
     # Per-session "perfect" tunings for the second line of the figure.
     tuner = NominalTuner(system=system_experiment.system)
@@ -35,12 +35,12 @@ def test_fig01_motivating_example(benchmark, system_experiment, report):
         f"{'session':<22}{'expected tuning':<18}{'perfect tuning':<18}",
     ]
     expected_tuning_degrades = []
-    for session in comparison.sessions:
-        observed = session.observed_workload
-        expected_cost = session.model_ios["nominal"]
-        perfect_cost = model.workload_cost(observed, perfect[session.session])
+    for label, observed, expected_cost in zip(
+        comparison.labels, comparison.observed_workloads, comparison.model_ios["nominal"]
+    ):
+        perfect_cost = model.workload_cost(observed, perfect[label])
         expected_tuning_degrades.append(expected_cost)
-        lines.append(f"{session.session:<22}{expected_cost:<18.2f}{perfect_cost:<18.2f}")
+        lines.append(f"{label:<22}{expected_cost:<18.2f}{perfect_cost:<18.2f}")
 
     # Paper shape: the shifted middle session costs the statically tuned
     # system noticeably more than the surrounding expected sessions.

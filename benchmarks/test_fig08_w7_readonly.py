@@ -16,6 +16,6 @@ def test_fig08_w7_read_only_sequence(benchmark, system_experiment, report):
     # w7 expects half point reads / half writes, so its nominal tuning leans
     # on tiering; under a read-only observed sequence the robust leveling
     # tuning should be predicted cheaper by the model on range queries.
-    range_sessions = [s for s in comparison.sessions if s.session == "range"]
-    assert range_sessions
-    assert range_sessions[0].model_ios["robust"] <= range_sessions[0].model_ios["nominal"]
+    first_range = comparison.labels.index("range")
+    model = comparison.model_ios
+    assert model["robust"][first_range] <= model["nominal"][first_range]

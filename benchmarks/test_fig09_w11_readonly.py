@@ -15,6 +15,5 @@ def test_fig09_w11_read_only_sequence(benchmark, system_experiment, report):
     )
     # Read-only sessions keep the tree shape fixed, so per-session measured
     # I/Os should stay modest for both tunings (no compaction storms).
-    for session in comparison.sessions:
-        assert session.system_ios["nominal"] < 50
-        assert session.system_ios["robust"] < 50
+    assert max(comparison.system_ios("nominal")) < 50
+    assert max(comparison.system_ios("robust")) < 50

@@ -14,14 +14,13 @@ def test_fig10_write_heavy_expected_workload(benchmark, system_experiment, repor
         benchmark,
         lambda: system_experiment.run(expected, rho=0.5, include_writes=True),
     )
-    assert len(comparison.sessions) == 6
+    assert len(comparison.labels) == 6
 
     # A write-heavy expected workload leads both tunings to write-friendly
     # designs, so neither should collapse during the write session.
-    write_sessions = [s for s in comparison.sessions if s.session == "write"]
-    assert write_sessions
-    nominal_io = write_sessions[0].system_ios["nominal"]
-    robust_io = write_sessions[0].system_ios["robust"]
+    write = comparison.labels.index("write")
+    nominal_io = comparison.system_ios("nominal")[write]
+    robust_io = comparison.system_ios("robust")[write]
     assert nominal_io == pytest.approx(robust_io, rel=2.0, abs=10.0)
 
     text = "fig10: expected workload (10%, 10%, 10%, 70%)\n" + format_comparison(comparison)

@@ -17,8 +17,6 @@ def test_fig11_w11_sequence_with_writes(benchmark, system_experiment, report):
     # The nominal tuning for w11 uses a very large size ratio; once the write
     # session arrives its compactions become much more expensive than the
     # robust tuning's (the paper reports up to 90% I/O and latency reduction).
-    write_sessions = [s for s in comparison.sessions if s.session == "write"]
-    assert write_sessions
-    session = write_sessions[0]
-    assert session.system_ios["robust"] < session.system_ios["nominal"]
-    assert session.latency_us["robust"] < session.latency_us["nominal"]
+    write = comparison.labels.index("write")
+    assert comparison.system_ios("robust")[write] < comparison.system_ios("nominal")[write]
+    assert comparison.latency_us("robust")[write] < comparison.latency_us("nominal")[write]

@@ -19,4 +19,4 @@ def test_fig12_uniform_workload(benchmark, system_experiment, report):
     # tunings produce similar designs and similar performance.
     assert nominal.policy == robust.policy
     assert abs(nominal.size_ratio - robust.size_ratio) <= 2.0
-    assert abs(comparison.summary()["io_reduction"]) < 0.5
+    assert abs(comparison.summary["io_reduction"]) < 0.5

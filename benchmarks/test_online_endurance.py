@@ -23,7 +23,8 @@ drift-checked by the ``online-endurance`` CI job.
 
 from conftest import run_once
 
-from repro.analysis import EnduranceComparison, format_endurance_comparison
+from repro.analysis import endurance, format_endurance_comparison
+from repro.analysis.comparison import ADAPTIVE_RHO, FULL, INCREMENTAL
 from repro.analysis.online_eval import AdaptiveExperiment
 from repro.online import OnlineConfig
 from repro.workloads import expected_workload
@@ -64,13 +65,13 @@ _INCREMENTAL = dict(
 
 def _variants() -> dict[str, OnlineConfig]:
     return {
-        EnduranceComparison.FULL: OnlineConfig(
+        FULL: OnlineConfig(
             **_BASE, mode="nominal", migration="full"
         ),
-        EnduranceComparison.INCREMENTAL: OnlineConfig(
+        INCREMENTAL: OnlineConfig(
             **_BASE, mode="nominal", **_INCREMENTAL
         ),
-        EnduranceComparison.ADAPTIVE_RHO: OnlineConfig(
+        ADAPTIVE_RHO: OnlineConfig(
             **_BASE,
             mode="robust",
             **_INCREMENTAL,
@@ -84,20 +85,18 @@ def test_endurance_a_b_a(benchmark, report):
     experiment = AdaptiveExperiment(seed=29)
     comparison = run_once(
         benchmark,
-        lambda: EnduranceComparison(
-            variants=experiment.run_variants(
-                expected_workload(EXPECTED_INDEX).workload,
-                rho=RHO,
-                variants=_variants(),
-                phases=PHASES,
-                sessions_per_phase=3,
-            )
-        ),
+        lambda: experiment.run_variants(
+            expected_workload(EXPECTED_INDEX).workload,
+            rho=RHO,
+            variants=_variants(),
+            phases=PHASES,
+            sessions_per_phase=3,
+        ).claiming(endurance),
     )
-    summary = comparison.summary()
-    full = comparison.variants[EnduranceComparison.FULL]
-    incremental = comparison.variants[EnduranceComparison.INCREMENTAL]
-    adaptive_rho = comparison.variants[EnduranceComparison.ADAPTIVE_RHO]
+    summary = comparison.summary
+    full = comparison.measurements[FULL]
+    incremental = comparison.measurements[INCREMENTAL]
+    adaptive_rho = comparison.measurements[ADAPTIVE_RHO]
 
     # The cyclic trace really thrashes the fixed-radius executors: into the
     # write tuning at phase B, back out when phase A returns.

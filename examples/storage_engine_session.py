@@ -39,7 +39,7 @@ def main() -> None:
     comparison = experiment.run(expected.workload, rho=0.25, include_writes=True)
     print(format_comparison(comparison))
 
-    summary = comparison.summary()
+    summary = comparison.summary
     print(
         "\nOver the whole sequence the robust tuning reduces measured I/O by "
         f"{100 * summary['io_reduction']:.0f}% and simulated latency by "

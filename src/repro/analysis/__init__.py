@@ -1,5 +1,12 @@
 """Evaluation metrics and experiment drivers for the paper's figures."""
 
+from .comparison import (
+    Comparison,
+    endurance,
+    format_adaptive_comparison,
+    format_comparison,
+    format_endurance_comparison,
+)
 from .metrics import (
     average_delta_throughput,
     delta_throughput,
@@ -24,30 +31,12 @@ from .model_eval import (
     section84_win_rate,
     tuning_table,
 )
-from .online_eval import (
-    AdaptiveComparison,
-    AdaptiveExperiment,
-    AdaptiveSessionRow,
-    EnduranceComparison,
-    drifting_sequence,
-    format_adaptive_comparison,
-    format_endurance_comparison,
-)
-from .system_eval import (
-    SequenceComparison,
-    SessionComparison,
-    SystemExperiment,
-    format_comparison,
-    scaling_experiment,
-)
+from .online_eval import AdaptiveExperiment, drifting_sequence
+from .system_eval import SystemExperiment, scaling_experiment
 
 __all__ = [
-    "AdaptiveComparison",
     "AdaptiveExperiment",
-    "AdaptiveSessionRow",
-    "EnduranceComparison",
-    "SequenceComparison",
-    "SessionComparison",
+    "Comparison",
     "SystemExperiment",
     "TuningCatalog",
     "average_delta_throughput",
@@ -55,6 +44,7 @@ __all__ = [
     "delta_throughput",
     "delta_throughputs",
     "drifting_sequence",
+    "endurance",
     "figure3_kl_histograms",
     "figure4_delta_by_category",
     "figure5_rho_impact",

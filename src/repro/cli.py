@@ -39,15 +39,15 @@ import sys
 from dataclasses import MISSING, fields, replace
 from typing import Sequence
 
+from .analysis.comparison import format_adaptive_comparison, format_comparison
 from .analysis.model_eval import TuningCatalog, tuning_table
-from .analysis.online_eval import AdaptiveExperiment, format_adaptive_comparison
-from .analysis.system_eval import SystemExperiment, format_comparison
+from .analysis.online_eval import AdaptiveExperiment
+from .analysis.system_eval import SystemExperiment
 from .core.nominal import NominalTuner
 from .core.robust import RobustTuner
 from .knobs import FRACTION, NON_NEGATIVE, POSITIVE_INT, Bound, flag_of
 from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, CompactionPolicy, Policy
 from .lsm.system import SystemConfig, simulator_system
-from .serving import format_sharded_comparison
 from .workloads.benchmark import expected_workloads
 from .workloads.sessions import SessionType
 from .workloads.workload import Workload
@@ -278,11 +278,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     expected = expected_workloads()[args.expected_index].workload
     if args.long_range_fraction > 0:
         expected = expected.with_long_range_fraction(args.long_range_fraction)
-    experiment = _experiment(args)
-    if args.num_shards > 1:
-        comparison = experiment.run_sharded(expected, rho=args.rho)
-        return _emit(args, comparison, format_sharded_comparison)
-    return _emit(args, experiment.run(expected, rho=args.rho), format_comparison)
+    comparison = _experiment(args).run(expected, rho=args.rho)
+    return _emit(args, comparison, format_comparison)
 
 
 def _cmd_online(args: argparse.Namespace) -> int:

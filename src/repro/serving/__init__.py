@@ -25,23 +25,19 @@ With ``num_shards=1`` every measurement is bit-identical to the classic
 # a later benchmark PR can drop it.
 from ..storage.lsm_tree import execute_operations_batched as execute_serving_batched
 from .executor import (
-    ShardedComparison,
     ShardedExecutor,
     ShardedSequenceMeasurement,
     ShardRun,
     fleet_percentiles,
 )
-from .report import format_sharded_comparison
 from .sharding import partition_keys, shard_ids, shard_operations
 
 __all__ = [
     "ShardRun",
-    "ShardedComparison",
     "ShardedExecutor",
     "ShardedSequenceMeasurement",
     "execute_serving_batched",
     "fleet_percentiles",
-    "format_sharded_comparison",
     "partition_keys",
     "shard_ids",
     "shard_operations",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from ..storage.executor import (
     tree_fingerprint,  # noqa: F401 -- re-exported: bench/ and the tests import it from here
 )
 from ..workloads.sessions import SessionSequence
-from ..workloads.workload import Workload
 from .sharding import partition_keys, shard_operations
 
 
@@ -109,46 +108,6 @@ class ShardedSequenceMeasurement(SequenceMeasurement):
                 if session.num_queries > 0:
                     worst = max(worst, session.ios_per_query)
         return worst
-
-
-@dataclass(frozen=True)
-class ShardedComparison:
-    """Sharded measurements of several tunings over one sequence."""
-
-    expected: Workload
-    rho: float
-    num_shards: int
-    tunings: Mapping[str, LSMTuning]
-    measurements: Mapping[str, ShardedSequenceMeasurement]
-
-    def summary(self) -> dict[str, float]:
-        """Mean merged I/Os per query, per tuning."""
-        return {
-            name: measurement.average_ios_per_query
-            for name, measurement in self.measurements.items()
-        }
-
-    def to_dict(self) -> dict[str, object]:
-        """Serialise to plain JSON-compatible data."""
-        return {
-            "expected": self.expected.as_dict(),
-            "rho": self.rho,
-            "num_shards": self.num_shards,
-            "results": {
-                name: {
-                    "mean_ios_per_query": m.average_ios_per_query,
-                    "mean_latency_us": m.average_latency_us,
-                    "shard_percentiles": m.shard_ios_percentiles(),
-                    "critical_path_s": m.critical_path_s,
-                    "total_cpu_s": m.total_cpu_s,
-                    "sessions": m.session_series(),
-                    "shard_ios": [
-                        run.measurement.average_ios_per_query for run in m.shards
-                    ],
-                }
-                for name, m in self.measurements.items()
-            },
-        }
 
 
 def _run_shard(

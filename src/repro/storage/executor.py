@@ -133,18 +133,6 @@ class SequenceMeasurement:
             return 0.0
         return float(np.mean(per_session))
 
-    def session_series(self) -> list[dict[str, float | str]]:
-        """Per-session rows suitable for tabular reporting."""
-        return [
-            {
-                "session": s.label,
-                "workload": s.workload.describe(),
-                "ios_per_query": s.ios_per_query,
-                "latency_us_per_query": s.latency_us_per_query,
-            }
-            for s in self.sessions
-        ]
-
 
 @dataclass(frozen=True)
 class AdaptiveSequenceMeasurement(SequenceMeasurement):
@@ -160,11 +148,6 @@ class AdaptiveSequenceMeasurement(SequenceMeasurement):
 
     final_tuning: LSMTuning
     events: tuple
-
-    @property
-    def initial_tuning(self) -> LSMTuning:
-        """The tuning the sequence started under (alias of ``tuning``)."""
-        return self.tuning
 
     @property
     def num_migrations(self) -> int:
@@ -572,37 +555,6 @@ class WorkloadExecutor:
         ]
         runs = _map_tasks(tasks, parallel, processes)
         return {name: run.measurement for name, run in zip(tunings, runs)}
-
-    def compare_adaptive(
-        self,
-        tunings: dict[str, LSMTuning],
-        sequence: SessionSequence,
-        adaptive_from: str = "nominal",
-        online=None,
-        policies: Sequence[Policy] = CLASSIC_POLICIES,
-        parallel: bool = False,
-    ) -> dict[str, SequenceMeasurement]:
-        """Static tunings vs the adaptive executor over one sequence.
-
-        Runs :meth:`compare` for the static ``tunings`` (optionally in
-        parallel) and adds an ``"adaptive"`` entry: the same sequence
-        replayed with re-tuning enabled, starting from
-        ``tunings[adaptive_from]``.
-        """
-        if adaptive_from not in tunings:
-            raise KeyError(f"adaptive_from={adaptive_from!r} is not among the tunings")
-        if "adaptive" in tunings:
-            raise ValueError(
-                '"adaptive" is the reserved name of the adaptive run; '
-                "rename that static tuning"
-            )
-        results: dict[str, SequenceMeasurement] = dict(
-            self.compare(tunings, sequence, parallel=parallel)
-        )
-        results["adaptive"] = self.run_sequence_adaptive(
-            tunings[adaptive_from], sequence, online=online, policies=policies
-        )
-        return results
 
 
 def _run_tuning(

@@ -84,10 +84,9 @@ class TestReturningPhase:
         assert {"phase-read", "phase-write", "phase-read-2"} <= set(
             comparison.tunings
         )
-        oracle_names = [row.oracle_name for row in comparison.sessions]
-        assert oracle_names == ["phase-read", "phase-write", "phase-read-2"]
+        assert comparison.oracle_names == ("phase-read", "phase-write", "phase-read-2")
         # The converged metric covers both drifted-away-from-start phases.
-        assert comparison.summary()["adaptive_vs_oracle_converged"] > 0
+        assert comparison.summary["adaptive_vs_oracle_converged"] > 0
 
 
 class TestAdaptiveComparison:
@@ -95,18 +94,18 @@ class TestAdaptiveComparison:
         assert {"nominal", "robust", "phase-read", "phase-write"} == set(
             comparison.tunings
         )
-        for row in comparison.sessions:
-            assert set(row.system_ios) == set(comparison.tunings) | {"adaptive"}
+        assert set(comparison.measurements) == set(comparison.tunings) | {"adaptive"}
+        for row in comparison.to_dict()["sessions"]:
+            assert set(row["system_ios"]) == set(comparison.measurements)
 
     def test_sessions_are_phase_tagged(self, comparison):
-        phases = [row.phase for row in comparison.sessions]
-        assert phases == ["read", "read", "write", "write"]
-        assert all(
-            row.oracle_name == f"phase-{row.phase}" for row in comparison.sessions
+        assert comparison.phases == ("read", "read", "write", "write")
+        assert comparison.oracle_names == tuple(
+            f"phase-{phase}" for phase in comparison.phases
         )
 
     def test_summary_reports_the_headline_metrics(self, comparison):
-        summary = comparison.summary()
+        summary = comparison.summary
         assert {
             "nominal_mean_io_per_query",
             "adaptive_mean_io_per_query",
@@ -121,8 +120,9 @@ class TestAdaptiveComparison:
         import json
 
         payload = json.loads(json.dumps(comparison.to_dict()))
-        assert payload["summary"]["num_migrations"] == comparison.num_migrations
-        assert len(payload["sessions"]) == len(comparison.sessions)
+        adaptive = comparison.measurements["adaptive"]
+        assert payload["summary"]["num_migrations"] == adaptive.num_migrations
+        assert len(payload["sessions"]) == len(comparison.labels)
 
     def test_format_renders_all_columns(self, comparison):
         text = format_adaptive_comparison(comparison)

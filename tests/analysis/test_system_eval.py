@@ -32,30 +32,30 @@ class TestSystemExperiment:
             assert float(tuning.size_ratio).is_integer()
 
     def test_comparison_has_six_sessions(self, w11_comparison):
-        assert len(w11_comparison.sessions) == 6
+        assert len(w11_comparison.labels) == 6
 
     def test_each_session_reports_model_and_system_numbers(self, w11_comparison):
-        for session in w11_comparison.sessions:
-            assert set(session.model_ios) == {"nominal", "robust"}
-            assert set(session.system_ios) == {"nominal", "robust"}
-            assert set(session.latency_us) == {"nominal", "robust"}
-            assert all(v >= 0 for v in session.system_ios.values())
+        assert set(w11_comparison.model_ios) == {"nominal", "robust"}
+        assert set(w11_comparison.measurements) == {"nominal", "robust"}
+        for name in ("nominal", "robust"):
+            assert len(w11_comparison.model_ios[name]) == 6
+            assert len(w11_comparison.latency_us(name)) == 6
+            assert all(v >= 0 for v in w11_comparison.system_ios(name))
 
     def test_model_predicts_robust_wins_write_session(self, w11_comparison):
         """Figure 11's mechanism: w11's nominal tuning has a huge size ratio,
         so the model predicts it loses badly once writes appear."""
-        write_sessions = [s for s in w11_comparison.sessions if s.session == "write"]
-        assert write_sessions
-        session = write_sessions[0]
-        assert session.model_ios["robust"] < session.model_ios["nominal"]
+        write = w11_comparison.labels.index("write")
+        model = w11_comparison.model_ios
+        assert model["robust"][write] < model["nominal"][write]
 
     def test_system_confirms_robust_wins_write_session(self, w11_comparison):
-        write_sessions = [s for s in w11_comparison.sessions if s.session == "write"]
-        session = write_sessions[0]
-        assert session.system_ios["robust"] < session.system_ios["nominal"]
+        write = w11_comparison.labels.index("write")
+        system = w11_comparison.system_ios
+        assert system("robust")[write] < system("nominal")[write]
 
     def test_summary_reports_reductions(self, w11_comparison):
-        summary = w11_comparison.summary()
+        summary = w11_comparison.summary
         assert {"io_reduction", "latency_reduction"} <= set(summary)
         assert summary["io_reduction"] > 0.0  # robust reduces total I/O for w11
 
@@ -77,8 +77,8 @@ class TestMotivationExperiment:
         shifted = Workload(0.02, 0.02, 0.41, 0.55)
         comparison = experiment.run_motivation(expected, shifted, rho=1.0,
                                                workloads_per_session=1)
-        assert len(comparison.sessions) == 3
-        nominal_io = [s.model_ios["nominal"] for s in comparison.sessions]
+        assert len(comparison.labels) == 3
+        nominal_io = comparison.model_ios["nominal"]
         # The middle (shifted) session is the expensive one for the expected tuning.
         assert nominal_io[1] > nominal_io[0]
         assert nominal_io[1] > nominal_io[2]
@@ -95,7 +95,7 @@ class TestUniformWorkload:
         robust = comparison.tunings["robust"]
         assert nominal.policy == robust.policy
         assert abs(nominal.size_ratio - robust.size_ratio) <= 2.0
-        summary = comparison.summary()
+        summary = comparison.summary
         assert abs(summary["io_reduction"]) < 0.5
 
 

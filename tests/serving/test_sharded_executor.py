@@ -7,14 +7,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import Comparison, format_comparison
+from repro.analysis.comparison import robust_vs_nominal
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig
-from repro.serving import (
-    ShardedComparison,
-    ShardedExecutor,
-    fleet_percentiles,
-    format_sharded_comparison,
-)
+from repro.serving import ShardedExecutor, fleet_percentiles
 from repro.serving.executor import tree_fingerprint
 from repro.serving.sharding import partition_keys, shard_operations
 from repro.storage import (
@@ -300,21 +297,24 @@ class TestFleetViews:
             "nominal": _TUNING,
             "robust": LSMTuning(8.0, 6.0, Policy.TIERING),
         }
-        comparison = ShardedComparison(
+        comparison = Comparison(
             expected=_EXPECTED,
             rho=0.25,
-            num_shards=2,
+            observed_divergence=sequence.observed_divergence(),
             tunings=tunings,
             measurements=executor.compare(tunings, sequence),
-        )
-        summary = comparison.summary()
-        assert set(summary) == {"nominal", "robust"}
-        assert all(value > 0 for value in summary.values())
+            model_ios={name: (0.0,) * len(sequence) for name in tunings},
+        ).claiming(robust_vs_nominal)
+        for name in tunings:
+            assert comparison.summary[f"{name}_mean_io_per_query"] == pytest.approx(
+                comparison.measurements[name].average_ios_per_query
+            )
+            assert comparison.summary[f"{name}_mean_io_per_query"] > 0
         payload = comparison.to_dict()
         assert payload["num_shards"] == 2
         assert set(payload["results"]) == {"nominal", "robust"}
         assert len(payload["results"]["nominal"]["shard_ios"]) == 2
-        text = format_sharded_comparison(comparison)
+        text = format_comparison(comparison)
         assert "shards=2" in text
         assert "fleet io/q" in text
         assert "wall-clock critical-path=" in text

@@ -119,15 +119,6 @@ class TestSequenceExecution:
         for name in sequential:
             assert parallel[name] == sequential[name]
 
-    def test_session_series_is_reportable(self, executor, tunings, session_generator, w11):
-        sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
-        measurement = executor.run_sequence(tunings["robust"], sequence)
-        series = measurement.session_series()
-        assert len(series) == len(sequence)
-        assert {"session", "workload", "ios_per_query", "latency_us_per_query"} <= set(
-            series[0]
-        )
-
     def test_average_metrics_are_finite(self, executor, tunings, session_generator, w11):
         sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
         measurement = executor.run_sequence(tunings["nominal"], sequence)
@@ -173,7 +164,7 @@ class TestAdaptiveExecution:
         )
         assert isinstance(measurement, AdaptiveSequenceMeasurement)
         assert len(measurement.sessions) == len(sequence)
-        assert measurement.initial_tuning == measurement.tuning
+        assert measurement.tuning == tunings["nominal"].rounded()
         assert measurement.average_ios_per_query >= 0.0
 
     def test_adaptive_migration_io_lands_in_session_measurements(
@@ -222,31 +213,6 @@ class TestAdaptiveExecution:
         # The trailing drained steps land outside the session windows, so
         # the in-session compaction total undercuts the planned pages...
         assert total_compaction < measurement.migration_pages
-
-    def test_compare_adaptive_adds_the_adaptive_entry(
-        self, executor, tunings, session_generator, w11, online_config
-    ):
-        sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
-        results = executor.compare_adaptive(
-            tunings, sequence, adaptive_from="robust", online=online_config
-        )
-        assert set(results) == {"nominal", "robust", "adaptive"}
-        assert results["adaptive"].initial_tuning == tunings["robust"].rounded()
-
-    def test_compare_adaptive_rejects_unknown_start(
-        self, executor, tunings, session_generator, w11
-    ):
-        sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
-        with pytest.raises(KeyError):
-            executor.compare_adaptive(tunings, sequence, adaptive_from="oracle")
-
-    def test_compare_adaptive_rejects_reserved_name(
-        self, executor, tunings, session_generator, w11
-    ):
-        sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
-        clashing = dict(tunings, adaptive=tunings["nominal"])
-        with pytest.raises(ValueError):
-            executor.compare_adaptive(clashing, sequence, adaptive_from="nominal")
 
 
 class TestEmptySessionAccounting:

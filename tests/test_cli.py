@@ -422,8 +422,8 @@ class TestOnlineCommand:
     def test_online_emits_machine_readable_json(self, capsys):
         payload = json.loads(_run_main(capsys, _ONLINE_SMOKE_ARGS + ["--json"]))
         assert set(payload) == {
-            "expected_workload", "rho", "tunings", "final_tuning",
-            "sessions", "events", "summary",
+            "expected_workload", "rho", "observed_divergence", "tunings",
+            "final_tuning", "sessions", "events", "variants", "summary",
         }
         assert {"nominal", "robust", "phase-read", "phase-write"} <= set(
             payload["tunings"]
@@ -668,6 +668,13 @@ class TestServingFlags:
             ["compare", "--expected-index", "11", "--num-entries", "4000",
              "--seed", "7", "--num-shards", "2", "--json"],
         ))
+        unsharded = json.loads(_run_main(
+            capsys,
+            ["compare", "--expected-index", "11", "--num-entries", "4000",
+             "--seed", "7", "--json"],
+        ))
+        assert set(payload) == set(unsharded) | {"num_shards", "results"}
+        assert set(payload["tunings"]) == {"nominal", "robust"}
         assert payload["num_shards"] == 2
         for result in payload["results"].values():
             assert len(result["shard_ios"]) == 2

@@ -273,21 +273,22 @@ class TestSystemPipeline:
         """§8.3: the cost model accurately captures the *relative* performance
         of tunings — the tuning the model prefers over the whole sequence is
         also the one the simulator measures as cheaper."""
-        model_nominal = sum(s.model_ios["nominal"] for s in comparison.sessions)
-        model_robust = sum(s.model_ios["robust"] for s in comparison.sessions)
-        system_nominal = sum(s.system_ios["nominal"] for s in comparison.sessions)
-        system_robust = sum(s.system_ios["robust"] for s in comparison.sessions)
+        model_nominal = sum(comparison.model_ios["nominal"])
+        model_robust = sum(comparison.model_ios["robust"])
+        system_nominal = sum(comparison.system_ios("nominal"))
+        system_robust = sum(comparison.system_ios("robust"))
         assert (model_robust < model_nominal) == (system_robust < system_nominal)
 
     def test_robust_reduces_io_and_latency_for_w11(self, comparison):
-        summary = comparison.summary()
+        summary = comparison.summary
         assert summary["io_reduction"] > 0.0
         assert summary["latency_reduction"] > 0.0
 
     def test_latency_tracks_io(self, comparison):
         """The simulated latency is derived from page I/O, so the two metrics
         must order the tunings identically within every session."""
-        for session in comparison.sessions:
-            io_order = session.system_ios["robust"] <= session.system_ios["nominal"]
-            latency_order = session.latency_us["robust"] <= session.latency_us["nominal"]
+        ios, latency = comparison.system_ios, comparison.latency_us
+        for index in range(len(comparison.labels)):
+            io_order = ios("robust")[index] <= ios("nominal")[index]
+            latency_order = latency("robust")[index] <= latency("nominal")[index]
             assert io_order == latency_order

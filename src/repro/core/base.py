@@ -26,11 +26,18 @@ the paper reports.  The original Endure implementation — and this module
 until the cliffs were measured — polished with SciPy's SLSQP from several
 starting points; a gradient step cannot cross a level cliff, so it was both
 the slowest stage and the one that missed the optimum.
+
+The cost vectors of stage 1 do not depend on the workload beyond its
+long-range fraction ``ν`` (``C(w, Φ) = w · c(Φ)``), so the coarse grid is
+priced once per process for each system, ratio rows, ``polish``, policy stack
+and ``ν`` (:func:`_memoised_grid`); a later solve on the same key only
+evaluates its own objective over the stored cost vectors.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,6 +74,12 @@ _ZOOM_CANDIDATES = 24
 #: Largest ``policy × point × level`` tensor of one pass (8 MB of float64).
 _MAX_ELEMENTS = 1 << 20
 
+#: Priced coarse grids kept per process.  An entry on the 20k-entry simulator
+#: system is ~0.25 MB under the classic policies, ~4.4 MB under
+#: ``ALL_POLICIES`` and ~7.3 MB for a k-vector search (~1.7× that on the
+#: default system).
+_GRID_MEMO_SIZE = 4
+
 #: Per-level candidate bounds tried by the coordinate descent over a fluid
 #: bound vector (clamped per ``T``): a geometric ladder spanning the
 #: leveling → tiering spectrum.
@@ -94,6 +107,78 @@ def _window(centre: np.ndarray, step: np.ndarray, counts: tuple[int, int]):
     )
     a, b = np.broadcast_arrays(a[:, :, None], b[:, None, :])
     return a.reshape(len(centre), -1), b.reshape(len(centre), -1)
+
+
+def _coarse_window(polish: bool) -> tuple[tuple[int, int], np.ndarray]:
+    """Points per axis and half-width of the coarse grid of every band."""
+    return (_COARSE[0] if polish else 1, _COARSE[1]), np.array([0.5 * polish, 0.5])
+
+
+@dataclass(frozen=True)
+class _CoarseGrid:
+    """Stage 1 of the search up to the objective: the coarse grid of every
+    band and the cost vectors of every policy on it.
+
+    ``levels`` / ``low`` / ``high`` have shape ``(R, 1)``, one row per search
+    region; ``a`` / ``b`` / ``ratios`` / ``bits`` have shape ``(R, n)``, and
+    ``costs`` has shape ``(P, R·n, 4)``, priced in passes of ``chunk``
+    points.  Every array is read-only: one grid serves many solves.
+    """
+
+    policies: tuple[CompactionPolicy, ...]
+    levels: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    ratios: np.ndarray
+    bits: np.ndarray
+    costs: np.ndarray
+    chunk: int
+
+
+def _coarse_grid(
+    system: SystemConfig,
+    rows: tuple[float, ...],
+    polish: bool,
+    policies: tuple[CompactionPolicy, ...],
+    long_range_fraction: float,
+) -> _CoarseGrid:
+    """Price every band of every policy on the coarse grid.
+
+    The points are priced in chunks that keep the ``(policy, point, level)``
+    tensor bounded.  A chunk's level axis runs to its deepest band, which can
+    move the last bit of a level sum, so the chunks are part of the result.
+    """
+    bands = LevelBands(system, np.asarray(rows, dtype=float), polish)
+    levels, low, high = (column[:, None] for column in bands.regions)
+    counts, step = _coarse_window(polish)
+    a, b = _window(np.full((len(levels), 2), 0.5), step, counts)
+    ratios, bits = bands.points(levels, low + a * (high - low), b)
+    model = LSMCostModel(system)
+    chunk = max(1, _MAX_ELEMENTS // (len(policies) * int(levels.max())))
+    costs = np.concatenate(
+        [
+            model.cost_points(
+                ratios.reshape(1, -1)[:, start : start + chunk],
+                bits.reshape(1, -1)[:, start : start + chunk],
+                policies,
+                long_range_fraction,
+            )
+            for start in range(0, ratios.size, chunk)
+        ],
+        axis=1,
+    )
+    arrays = (levels, low, high, a, b, ratios, bits, costs)
+    for array in arrays:
+        array.setflags(write=False)
+    return _CoarseGrid(policies, *arrays, chunk)
+
+
+#: :func:`_coarse_grid` memoised on its hashable arguments.  Only a search
+#: over a tuner's own policy stack goes through it; the k-vector descent's
+#: one-policy re-searches would only evict the grids worth keeping.
+_memoised_grid = functools.lru_cache(maxsize=_GRID_MEMO_SIZE)(_coarse_grid)
 
 
 @dataclass(frozen=True)
@@ -193,30 +278,32 @@ class BaseTuner(abc.ABC):
     def _price(self, ratios, bits, policies, workload: Workload, bound=np.inf) -> np.ndarray:
         """Objective of paired ``(T, h)`` points (axis 0: the policy axis)."""
         costs = self.cost_model.cost_points(ratios, bits, policies, workload.long_range_fraction)
+        return self._values(costs, workload, bound)
+
+    def _values(self, costs: np.ndarray, workload: Workload, bound=np.inf) -> np.ndarray:
+        """Objective of priced cost vectors; ``inf`` where it cannot win."""
         values = self._objective_from_costs(costs, workload, bound * (1.0 + _TIE))
         return np.where(np.isfinite(values), values, np.inf)
 
-    def _search(
-        self, policies: Sequence[CompactionPolicy], workload: Workload
-    ) -> tuple[_Design, dict[str, float]]:
-        """Best ``(T, h, π)`` over ``policies`` and each policy's best value."""
-        levels, low, high = (column[:, None] for column in self.bands.regions)
-        counts = (_COARSE[0] if self.polish else 1, _COARSE[1])
-        step = np.array([0.5 * self.polish, 0.5])
-        a, b = _window(np.full((len(levels), 2), 0.5), step, counts)
-        ratios, bits = self.bands.points(levels, low + a * (high - low), b)
+    def _grid_key(self, policies: Sequence[CompactionPolicy], workload: Workload) -> tuple:
+        """Arguments of :func:`_coarse_grid` for a search over ``policies``."""
+        rows = tuple(self.ratio_candidates.tolist())
+        return self.system, rows, self.polish, tuple(policies), workload.long_range_fraction
 
-        # Stage 1: every band of every policy on the coarse grid, in chunks
-        # of points that keep the (policy, point, level) tensor bounded.
+    def _search(self, grid: _CoarseGrid, workload: Workload) -> tuple[_Design, dict[str, float]]:
+        """Best ``(T, h, π)`` over the grid's policies and each policy's best value."""
+        policies = grid.policies
+        levels, low, high = grid.levels, grid.low, grid.high
+        a, b, ratios, bits = grid.a, grid.b, grid.ratios, grid.bits
+        counts, step = _coarse_window(self.polish)
+
+        # Stage 1: this workload's objective on the priced coarse grid, chunk
+        # by chunk, so that a robust objective prunes by the running bound.
         values = np.empty((len(policies), ratios.size))
-        chunk = max(1, _MAX_ELEMENTS // (len(policies) * int(levels.max())))
         bound = np.inf
-        for start in range(0, ratios.size, chunk):
-            part = slice(start, start + chunk)
-            values[:, part] = self._price(
-                ratios.reshape(1, -1)[:, part], bits.reshape(1, -1)[:, part],
-                policies, workload, bound,
-            )
+        for start in range(0, ratios.size, grid.chunk):
+            part = slice(start, start + grid.chunk)
+            values[:, part] = self._values(grid.costs[:, part], workload, bound)
             bound = min(bound, float(values[:, part].min()))
         if not np.isfinite(bound):
             raise RuntimeError("the optimiser failed to produce any finite solution")
@@ -266,7 +353,8 @@ class BaseTuner(abc.ABC):
     # ------------------------------------------------------------------
     def tune(self, workload: Workload) -> TuningResult:
         """Solve the tuning problem for ``workload`` and return the best result."""
-        design, per_policy = self._search(self.policy_specs, workload)
+        grid = _memoised_grid(*self._grid_key(self.policy_specs, workload))
+        design, per_policy = self._search(grid, workload)
         solver_info: dict = {"per_policy_objective": per_policy}
         if self.k_vector_search and design.policy.policy is Policy.FLUID:
             design = self._descend_k_vector(design, workload)
@@ -304,7 +392,8 @@ class BaseTuner(abc.ABC):
             return float(max(1, round_half_up(size_ratio) - 1))
 
         def research(bounds: list[float]) -> _Design:
-            return self._search([CompactionPolicy.fluid(bounds[:-1], bounds[-1])], workload)[0]
+            policy = CompactionPolicy.fluid(bounds[:-1], bounds[-1])
+            return self._search(_coarse_grid(*self._grid_key([policy], workload)), workload)[0]
 
         cap = cap_at(design.size_ratio)
         bounds = list(design.policy.bounds)

@@ -134,7 +134,7 @@ class FileStore:
         """Atomically replace the manifest file with ``_manifest``."""
         tmp_path = self._manifest_path.with_suffix(".tmp")
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(self._manifest, handle)
+            handle.write(json.dumps(self._manifest))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self._manifest_path)

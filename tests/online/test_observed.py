@@ -76,6 +76,30 @@ class TestRecording:
         assert estimator.observations == 0
 
 
+class TestBatchFold:
+    """``record_batch`` folds exactly what a ``record_kind`` loop folds."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_is_bit_identical_to_a_record_kind_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        batched, looped = ObservedWorkload(window=37), ObservedWorkload(window=37)
+        for size in (0, 1, 700, 0, 2_500, 64):
+            if size == 64:
+                batched.reset()
+                looped.reset()
+            kinds = rng.choice(4, size=size, p=rng.dirichlet(np.ones(4)))
+            batched.record_batch(Trace(kinds, np.zeros(size), np.zeros(size)))
+            for kind in kinds.tolist():
+                looped.record_kind(kind)
+            assert batched._counts == looped._counts
+            assert batched._weight == looped._weight
+            assert batched.observations == looped.observations
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError):
+            ObservedWorkload(window=10).record_batch(Trace([4], [0], [0]))
+
+
 class TestWindowing:
     def test_short_window_tracks_the_new_mix(self):
         """A window shorter than one session forgets the previous session."""

@@ -1,10 +1,29 @@
-"""Setuptools shim so `pip install -e .` works without network access.
+"""Packaging for the Endure reproduction: `pip install -e .` installs the
+`repro` package and the `repro-endure` command.
 
-All project metadata lives in pyproject.toml; this file only exists because
-the build environment has no `wheel` package, which the PEP 660 editable
-route would require.
+The metadata lives here, not in a pyproject.toml, so that an editable
+install takes setuptools' `develop` route, which needs no `wheel` package
+(the PEP 660 editable route does).
 """
 
-from setuptools import setup
+import pathlib
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro-endure",
+    version=VERSION,
+    description="Robust LSM-tree tuning under workload uncertainty (Endure reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro-endure = repro.cli:main"]},
+)

@@ -404,13 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(structured ladder/perturbation families and a coordinate descent "
         "over integer bounds) instead of only uniform (K, Z) pairs",
     )
-    tune.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for symmetry with the simulating commands; the "
-        "tuners are deterministic, so every seed prints the same output",
-    )
     tune.set_defaults(func=_cmd_tune, subparser=tune)
 
     workloads = subparsers.add_parser("workloads", help="print Table 2 workloads")

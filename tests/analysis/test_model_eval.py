@@ -1,4 +1,10 @@
-"""Tests for the model-based evaluation drivers (Figures 3–7)."""
+"""Tests for the model-based evaluation (``analysis.model_eval``).
+
+The Figure 3–7, Table 3 and §8.4 functions also back rows of
+``benchmarks/figures.py``, whose claims check them at figure scale; the cases
+here run them on a small benchmark set and with the arguments no row passes
+(custom bins, category and expected-workload subsets, two-ρ grids).
+"""
 
 import numpy as np
 import pytest
@@ -53,12 +59,6 @@ class TestFigure3:
         assert result["w0"]["density"].shape == (20,)
         assert result["w0"]["bin_edges"].shape == (21,)
 
-    def test_uniform_reference_concentrates_near_zero(self, small_benchmark):
-        """Figure 3's key observation: divergences w.r.t. w0 are small, w.r.t.
-        the skewed w1 they spread out to large values."""
-        result = figure3_kl_histograms(small_benchmark, reference_indices=(0, 1))
-        assert result["w0"]["mean"][0] < result["w1"]["mean"][0]
-
 
 class TestFigure4:
     def test_shape_and_keys(self, catalog, small_benchmark):
@@ -91,24 +91,6 @@ class TestFigure5:
         assert set(result) == {0.0, 1.0}
         assert result[1.0]["kl"].shape == (len(small_benchmark),)
         assert result[1.0]["delta"].shape == (len(small_benchmark),)
-
-    def test_rho_zero_deltas_are_small(self, catalog, small_benchmark):
-        """At rho = 0 the robust tuning matches the nominal, so deltas hug zero."""
-        result = figure5_rho_impact(
-            catalog, small_benchmark, expected_index=11, rhos=(0.0,)
-        )
-        assert np.abs(np.median(result[0.0]["delta"])) < 0.25
-
-    def test_high_divergence_workloads_gain_more(self, catalog, small_benchmark):
-        """Figure 5: the robust advantage grows with the observed divergence."""
-        result = figure5_rho_impact(
-            catalog, small_benchmark, expected_index=11, rhos=(1.0,)
-        )
-        kl = result[1.0]["kl"]
-        delta = result[1.0]["delta"]
-        far = delta[kl > np.median(kl)]
-        near = delta[kl <= np.median(kl)]
-        assert far.mean() > near.mean()
 
 
 class TestFigure6:

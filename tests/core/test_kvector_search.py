@@ -19,7 +19,7 @@ from repro.workloads import Workload
 _SYSTEM = SystemConfig(read_write_asymmetry=2.0)
 
 #: The workload where a front-loaded ladder strictly beats every uniform
-#: (K, Z) pair (see benchmarks/test_kvector_frontier.py).
+#: (K, Z) pair (see the ``kvector_frontier`` row of benchmarks/figures.py).
 _LADDER_WORKLOAD = Workload(0.05, 0.25, 0.05, 0.65, long_range_fraction=0.3)
 
 _CANDS = np.arange(2.0, 13.0)
@@ -91,6 +91,23 @@ class TestVectorSearchResults:
         deployed = result.tuning.rounded()
         if deployed.k_bounds is not None:
             assert len(set(deployed.k_bounds)) == 1
+
+    def test_uniform_families_recover_the_scalar_corners_exactly(self):
+        """Restricting the vector search space to uniform families reproduces
+        every scalar (K, Z) fluid optimum exactly: same objective, same (T, h)."""
+        for k, z in ((1.0, 1.0), (2.0, 1.0), (4.0, 2.0), (8.0, 8.0)):
+            scalar, uniform = (
+                _tuner(policies=(spec,), ratio_candidates=np.arange(2.0, 21.0)).tune(
+                    _LADDER_WORKLOAD
+                )
+                for spec in (
+                    CompactionPolicy.fluid((k,), z),
+                    CompactionPolicy.fluid((k,) * 4, z),
+                )
+            )
+            assert uniform.objective == scalar.objective, (k, z)
+            assert uniform.tuning.size_ratio == scalar.tuning.size_ratio, (k, z)
+            assert uniform.tuning.bits_per_entry == scalar.tuning.bits_per_entry, (k, z)
 
 
 class TestCoordinateDescent:

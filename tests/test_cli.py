@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import configparser
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +61,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nominal" in out and "robust" in out
         assert "I/O reduction" in out
+
+
+class TestInstall:
+    def test_setup_declares_the_command_and_its_dependency(self, tmp_path):
+        """What `pip install -e .` installs: the documented `repro-endure`
+        command and numpy, the one runtime dependency."""
+        subprocess.run(
+            [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(tmp_path)],
+            cwd=pathlib.Path(__file__).parents[1],
+            check=True,
+            capture_output=True,
+        )
+        (egg_info,) = tmp_path.glob("*.egg-info")
+        entry_points = configparser.ConfigParser()
+        entry_points.read(egg_info / "entry_points.txt")
+        assert entry_points["console_scripts"]["repro-endure"] == "repro.cli:main"
+        assert (egg_info / "requires.txt").read_text().split() == ["numpy"]
 
 
 class TestFractionValidation:
@@ -363,19 +384,18 @@ class TestKBoundsFlag:
             capsys,
             ["tune", "--workload", "0.05", "0.25", "0.05", "0.65",
              "--rho", "0", "--policy", "fluid",
-             "--long-range-fraction", "0.3", "--k-vector-search",
-             "--seed", "7"],
+             "--long-range-fraction", "0.3", "--k-vector-search"],
         )
         payload = json.loads(out)
         assert payload["nominal"]["policy"] == "fluid"
         # The vector search surfaced a per-level (non-uniform) ladder here.
         assert "k_bounds" in payload["nominal"]
 
-    def test_k_vector_search_same_seed_is_byte_identical(self, capsys):
+    def test_k_vector_search_is_byte_identical(self, capsys):
         argv = [
             "tune", "--workload", "0.05", "0.25", "0.05", "0.65",
             "--rho", "0.25", "--policy", "fluid",
-            "--long-range-fraction", "0.3", "--k-vector-search", "--seed", "7",
+            "--long-range-fraction", "0.3", "--k-vector-search",
         ]
         assert _run_main(capsys, argv) == _run_main(capsys, argv)
 
@@ -557,13 +577,13 @@ class TestSeedFlag:
         second = _run_main(capsys, argv)
         assert first == second
 
-    def test_tune_fluid_same_seed_is_byte_identical(self, capsys):
-        """`tune --seed N` twice -> byte-identical JSON, fluid search space
-        included (the (K, Z) sweep and the seeded polish are deterministic)."""
+    def test_tune_fluid_is_byte_identical(self, capsys):
+        """`tune` twice -> byte-identical JSON, fluid search space included
+        (the (K, Z) sweep and the polish are deterministic)."""
         argv = [
             "tune", "--workload", "0.1", "0.3", "0.1", "0.5",
             "--rho", "0.25", "--policy", "fluid",
-            "--long-range-fraction", "0.3", "--seed", "7",
+            "--long-range-fraction", "0.3",
         ]
         first = _run_main(capsys, argv)
         second = _run_main(capsys, argv)
@@ -572,6 +592,15 @@ class TestSeedFlag:
         assert payload["nominal"]["policy"] == "fluid"
         assert {"k_bound", "z_bound"} <= set(payload["nominal"])
         assert {"k_bound", "z_bound"} <= set(payload["robust"])
+
+    def test_tune_takes_no_seed(self, capsys):
+        """The tuners are deterministic, so `tune` has no `--seed` to ignore."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--workload", "0.25", "0.25", "0.25", "0.25", "--seed", "7"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 7" in err
+        assert "Traceback" not in err
 
     def test_compare_fluid_same_seed_is_byte_identical(self, capsys):
         """`compare --seed N` twice -> byte-identical JSON for a fluid tuning

@@ -22,11 +22,12 @@ from repro.online.controller import OnlineConfig as ControllerOnlineConfig
 from repro.storage import ExecutorConfig
 
 #: Option strings of the three flag-carrying subcommands at the parent of the
-#: PR that derived them from the dataclasses — none added, none lost.
+#: PR that derived them from the dataclasses — none added, and none lost but
+#: ``tune --seed``, which the deterministic tuners never read.
 PARENT_OPTIONS = {
     "tune": {
         "--k-bounds", "--k-vector-search", "--long-range-fraction",
-        "--long-range-selectivity", "--num-entries", "--policy", "--rho", "--seed",
+        "--long-range-selectivity", "--num-entries", "--policy", "--rho",
         "--workload", "--z-bound",
     },
     "compare": {

@@ -50,16 +50,20 @@ def _hash_pair(keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two 64-bit hash streams for each key (vectorised double hashing).
 
     ``uint64`` arithmetic wraps mod 2^64, which is the ``& _HASH_MASK`` the
-    plain-int twin in :meth:`BloomFilter.might_contain` spells out.
+    plain-int twin in :meth:`BloomFilter.might_contain` spells out.  An
+    ``int64`` key array is read as its ``uint64`` image without a copy, and
+    the seeded keys' buffer becomes the second stream.
     """
+    if keys.dtype == np.int64:
+        keys = keys.view(np.uint64)
     mixed = keys.astype(np.uint64, copy=False) + np.uint64(seed)
     h1 = mixed * _U64_MULT_1
     h1 ^= h1 >> _U64_SHIFT_1
-    h2 = mixed * _U64_MULT_2
-    h2 ^= h2 >> _U64_SHIFT_2
+    mixed *= _U64_MULT_2
+    mixed ^= mixed >> _U64_SHIFT_2
     # Force h2 odd so the double-hash probes cover the whole table.
-    h2 |= _U64_ONE
-    return h1, h2
+    mixed |= _U64_ONE
+    return h1, mixed
 
 
 class BloomFilter:
@@ -102,15 +106,23 @@ class BloomFilter:
     # Construction
     # ------------------------------------------------------------------
     def _probe_positions(self, keys: np.ndarray) -> np.ndarray:
-        """Bit positions every key probes, as one ``(num_hashes, n)`` array.
+        """Bit positions every key probes, as one ``(num_hashes, n)`` ``int64`` array.
 
         The only place a batch of keys becomes positions: the build and the
         batched membership test both index with this, so they cannot
         disagree.  ``uint64`` arithmetic wraps mod 2^64 exactly like the
-        scalar path's explicit mask.
+        scalar path's explicit mask.  The remainder is ``x - (x // m) * m``:
+        NumPy divides a ``uint64`` array by a scalar with a multiply-and-shift
+        but takes ``%`` with a hardware divide per element, ~3x slower.  Every
+        position is below ``num_bits``, so the result is read as ``int64`` —
+        the native index type, which a gather or scatter takes without a cast.
         """
         h1, h2 = _hash_pair(keys, self.seed)
-        return (h1 + self._probe_offsets * h2) % self._num_bits_u64
+        positions = h1 + self._probe_offsets * h2
+        quotient = positions // self._num_bits_u64
+        quotient *= self._num_bits_u64
+        positions -= quotient
+        return positions.view(np.int64)
 
     def add_many(self, keys: np.ndarray) -> None:
         """Insert a batch of integer keys."""
@@ -171,9 +183,7 @@ class BloomFilter:
         if self._degenerate:
             return np.ones(keys.size, dtype=bool)
         positions = self._probe_positions(keys)
-        bytes_idx = (positions >> np.uint64(3)).astype(np.int64)
-        bit_idx = (positions & np.uint64(7)).astype(np.uint8)
-        probed = (self._bits[bytes_idx] >> bit_idx) & np.uint8(1)
+        probed = (self._bits[positions >> 3] >> (positions & 7).astype(np.uint8)) & 1
         return probed.all(axis=0)
 
     def __contains__(self, key: int) -> bool:
@@ -182,32 +192,23 @@ class BloomFilter:
     # ------------------------------------------------------------------
     # Serialisation (the persistent backend's SSTable footer)
     # ------------------------------------------------------------------
-    def to_state(self) -> dict[str, np.ndarray]:
-        """The filter's full state as plain arrays (for an SSTable's footer).
+    @property
+    def bit_table(self) -> np.ndarray:
+        """The packed bit table: bit ``p`` is byte ``p // 8``, bit ``p % 8``.
 
-        Everything a filter answers with is captured — parameters, insert
-        count and the bit table — so :meth:`from_state` reproduces a filter
-        whose probe answers are bit-identical to this one's.
+        With ``expected_entries``, ``bits_per_entry``, ``seed`` and ``count``
+        it is everything the filter answers with — what a footer stores.
         """
-        params = np.array(
-            [self.expected_entries, self.seed, self._count], dtype=np.int64
-        )
-        return {
-            "params": params,
-            "bits_per_entry": np.array([self.bits_per_entry], dtype=np.float64),
-            "bits": self._bits,
-        }
+        return self._bits
 
     @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "BloomFilter":
-        """Rebuild a filter from :meth:`to_state` arrays (e.g. a table's footer)."""
-        expected_entries, seed, count = (int(v) for v in state["params"])
-        filt = cls(
-            expected_entries=expected_entries,
-            bits_per_entry=float(state["bits_per_entry"][0]),
-            seed=seed,
-        )
-        bits = np.asarray(state["bits"], dtype=np.uint8)
+    def from_state(
+        cls, expected_entries: int, bits_per_entry: float, seed: int, count: int, bits
+    ) -> "BloomFilter":
+        """Rebuild a filter from its stored state (e.g. a table's footer): its
+        probe answers are bit-identical to those of the filter it was taken from."""
+        filt = cls(expected_entries, bits_per_entry, seed)
+        bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != filt._bits.shape:
             raise ValueError(
                 f"stored bit table has {bits.size} bytes but the filter "

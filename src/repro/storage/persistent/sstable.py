@@ -36,9 +36,9 @@ from ..run import NO_KEYS, NO_TOMBSTONES, build_run_index
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
 
 #: The last bytes of every table file: entry count, entries per page, the
-#: filter's ``to_state()`` parameters (expected entries, seed, insert count,
-#: bits per entry), the footer lengths (pages of the sparse index, bytes of
-#: the filter's bit table) and the magic.
+#: filter's parameters (expected entries, seed, insert count, bits per
+#: entry), the footer lengths (pages of the sparse index, bytes of the
+#: filter's bit table) and the magic.
 _TRAILER = struct.Struct("<5qd2q8s")
 _MAGIC = b"ENDURSST"
 
@@ -111,16 +111,15 @@ class SSTable:
         # SortedRun's span arithmetic exactly.
         page_max = np.append(keys[entries_per_page - 1 :: entries_per_page], keys[-1:])
         page_max = page_max[: fences.size]
-        state = bloom.to_state()
+        bits = bloom.bit_table
         image = b"".join(
             (
                 records.tobytes(),
                 np.concatenate((fences, page_max)).astype("<i8", copy=False).tobytes(),
-                state["bits"].tobytes(),
+                bits.tobytes(),
                 _TRAILER.pack(
-                    keys.size, entries_per_page, *state["params"].tolist(),
-                    state["bits_per_entry"].item(), fences.size, state["bits"].size,
-                    _MAGIC,
+                    keys.size, entries_per_page, bloom.expected_entries, bloom.seed,
+                    bloom.count, bloom.bits_per_entry, fences.size, bits.size, _MAGIC,
                 ),
             )
         )
@@ -163,11 +162,8 @@ class SSTable:
             footer = os.pread(descriptor, footer_bytes, data_bytes)
             index = np.frombuffer(footer, "<i8", 2 * num_pages)
             bloom = BloomFilter.from_state(
-                {
-                    "params": (expected_entries, seed, count),
-                    "bits_per_entry": (bits_per_entry,),
-                    "bits": np.frombuffer(footer, np.uint8, filter_bytes, index.nbytes),
-                }
+                expected_entries, bits_per_entry, seed, count,
+                np.frombuffer(footer, np.uint8, filter_bytes, index.nbytes),
             )
             return cls(
                 path, descriptor, entries_per_page,
@@ -187,15 +183,13 @@ class SSTable:
 
     def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
         """``pread`` the contiguous page range — clamped to the record region, as
-        the final partial page ends where the footer starts — and unpack it
-        into read-only ``(keys, tombstones)``."""
+        the final partial page ends where the footer starts — and return its
+        ``(keys, tombstones)`` as read-only field views of the bytes read."""
         offset = first_page * self._page_bytes
         end = min((last_page + 1) * self._page_bytes, self._data_bytes)
         data = os.pread(self._descriptor(), end - offset, offset)
         records = np.frombuffer(data, dtype=RECORD_DTYPE)
-        tombstones = records["tombstone"].astype(bool)
-        tombstones.setflags(write=False)
-        return records["key"].astype(np.int64, copy=False), tombstones
+        return records["key"], records["tombstone"].view(bool)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The table's full contents as read-only ``(keys, tombstones)``, charging no I/O.
@@ -316,7 +310,7 @@ class SSTable:
         if in_bounds.size == 0:
             return found, tombstone, 0
         bounded = keys[in_bounds]
-        probe_idx = in_bounds[self._filter.might_contain_many(bounded.astype(np.uint64))]
+        probe_idx = in_bounds[self._filter.might_contain_many(bounded)]
         pages_read = int(probe_idx.size)
         if pages_read:
             probed = keys[probe_idx]
@@ -394,4 +388,7 @@ class SSTable:
     def delete_files(self) -> None:
         """Close the table and remove its file."""
         self.close()
-        self.path.unlink(missing_ok=True)
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass

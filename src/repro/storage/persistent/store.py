@@ -10,6 +10,7 @@ is why time measured on files can be set against the cost model's ranking.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -84,6 +85,9 @@ class FileStore:
         #: The structure as last committed; what ``close`` persists again.
         self._manifest = {"version": MANIFEST_VERSION, "run_counter": 0, "levels": []}
         self._manifest_path = self.data_dir / self.MANIFEST_NAME
+        #: The swap's two names as strings: every commit opens and renames them.
+        self._manifest_file = str(self._manifest_path)
+        self._manifest_tmp = str(self._manifest_path.with_suffix(".tmp"))
         self._wal = WriteAheadLog(self.data_dir / self.WAL_NAME, sync=sync_writes)
 
     # ------------------------------------------------------------------
@@ -120,24 +124,38 @@ class FileStore:
         buffered: Iterable[tuple[int, bool]] | None,
     ) -> None:
         """Make ``levels`` the durable structure (order: see the class docs)."""
-        self._manifest = {
+        manifest = {
             "version": MANIFEST_VERSION,
             "run_counter": run_counter,
             "levels": [[run.path.name for run in runs] for runs in levels],
         }
-        self._swap_manifest()
+        self._swap_manifest(manifest)
+        self._manifest = manifest
         if buffered is not None:
             self._rewrite_log(buffered)
         self._collect_garbage()
 
-    def _swap_manifest(self) -> None:
-        """Atomically replace the manifest file with ``_manifest``."""
-        tmp_path = self._manifest_path.with_suffix(".tmp")
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self._manifest))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self._manifest_path)
+    def _swap_manifest(self, manifest: dict) -> None:
+        """Atomically replace the manifest file with ``manifest``.
+
+        The new manifest is one ``write`` to a temporary file, synced, then
+        renamed over the old one; a write that fails or comes up short leaves
+        the old manifest in place and neither the temporary file nor its
+        descriptor behind.
+        """
+        image = json.dumps(manifest).encode()
+        tmp = self._manifest_tmp
+        descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            if os.write(descriptor, image) != len(image):
+                raise OSError(errno.EIO, "short write of the manifest", tmp)
+            os.fsync(descriptor)
+        except BaseException:
+            os.close(descriptor)
+            os.unlink(tmp)
+            raise
+        os.close(descriptor)
+        os.replace(tmp, self._manifest_file)
         if self.sync_writes:
             _fsync_path(self.data_dir)
 
@@ -165,10 +183,9 @@ class FileStore:
         manifest, which gets its first (empty) one.
         """
         if not self._manifest_path.exists():
-            self._swap_manifest()
+            self._swap_manifest(self._manifest)
             return None
-        with open(self._manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = json.loads(self._manifest_path.read_bytes())
         if manifest.get("version") != MANIFEST_VERSION:
             raise ValueError(
                 f"manifest {self._manifest_path} has version "
@@ -204,7 +221,7 @@ class FileStore:
 
     def close(self) -> None:
         """Persist the committed structure once more and release every handle."""
-        self._swap_manifest()
+        self._swap_manifest(self._manifest)
         self.abandon()
 
     def abandon(self) -> None:

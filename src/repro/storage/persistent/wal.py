@@ -15,6 +15,7 @@ replay.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from pathlib import Path
@@ -33,43 +34,56 @@ class WriteAheadLog:
         Location of the log file; created empty if missing.
     sync:
         Whether to ``fsync`` after every append.  Off by default (the
-        benchmark measures both regimes); even without it, records are
-        flushed to the OS on every append, so only an OS crash — not a
-        process crash — can lose them.
+        benchmark measures both regimes); even without it, every append is a
+        ``write`` straight to the OS — the log keeps no user-space buffer — so
+        only an OS crash, not a process crash, can lose a record.
     """
 
     def __init__(self, path: str | os.PathLike[str], sync: bool = False) -> None:
         self.path = Path(path)
         self.sync = sync
-        self._file = open(self.path, "ab")
+        # Unbuffered: each ``write`` of the file object is one raw ``write``.
+        self._file = open(self.path, "ab", buffering=0)
+        self._fd = self._file.fileno()
         # A torn trailing record (crash mid-append or mid-group) is dead on
         # arrival — replay drops it — but leaving its bytes in place would
         # misalign every record appended after reopen.  Truncate it away.
-        torn = self._file.tell() % _RECORD.size
-        if torn:
-            self._file.truncate(self._file.tell() - torn)
-            self._file.seek(0, os.SEEK_END)
-            self._file.flush()
-            if self.sync:
-                os.fsync(self._file.fileno())
+        size = os.fstat(self._fd).st_size
+        if size % _RECORD.size:
+            self._truncate(size - size % _RECORD.size)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def _write(self, payload: bytes) -> None:
+        """Append ``payload`` with one ``write``; a short one is undone and raises.
+
+        Whatever part of the payload did land is cut off again, so the log
+        ends on a whole record and the records before it stay readable.
+        """
+        written = self._file.write(payload)
+        if written != len(payload):
+            self._truncate(os.fstat(self._fd).st_size - written)
+            raise OSError(errno.EIO, "short write of the write-ahead log", str(self.path))
+        if self.sync:
+            os.fsync(self._fd)
+
+    def _truncate(self, size: int) -> None:
+        os.ftruncate(self._fd, size)
+        if self.sync:
+            os.fsync(self._fd)
+
     def append(self, key: int, tombstone: bool = False) -> None:
         """Durably record one write before it is applied to the memtable."""
-        self._file.write(_RECORD.pack(int(key), int(bool(tombstone))))
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
+        self._write(_RECORD.pack(int(key), int(bool(tombstone))))
 
     def append_many(self, records: Iterable[tuple[int, bool]]) -> None:
-        """Group-commit a batch of writes: one buffer, one flush, one fsync.
+        """Group-commit a batch of writes: one buffer, one ``write``, one fsync.
 
         Semantically identical to calling :meth:`append` per record — the
         records land in the log in order, and :meth:`replay` cannot tell the
         difference — but the whole batch is packed into a single buffer and
-        pays a single ``flush()`` (plus at most one ``fsync``) instead of one
+        pays a single ``write`` (plus at most one ``fsync``) instead of one
         per record.  Crash semantics carry over unchanged: the packed buffer
         is a plain concatenation of fixed-size records, so a crash mid-group
         tears at most the last record on a page boundary and replay's
@@ -80,20 +94,12 @@ class WriteAheadLog:
             _RECORD.pack(int(key), int(bool(tombstone)))
             for key, tombstone in records
         )
-        if not payload:
-            return
-        self._file.write(payload)
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
+        if payload:
+            self._write(payload)
 
     def reset(self) -> None:
         """Truncate the log (after its entries were flushed to an SSTable)."""
-        self._file.truncate(0)
-        self._file.seek(0)
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
+        self._truncate(0)
 
     # ------------------------------------------------------------------
     # Recovery

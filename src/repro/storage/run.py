@@ -172,7 +172,7 @@ def build_run_index(
         expected_entries=int(keys.size), bits_per_entry=bits_per_entry, seed=seed
     )
     if keys.size:
-        bloom.add_many(keys.astype(np.uint64))
+        bloom.add_many(keys)
     return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), bloom
 
 
@@ -328,7 +328,7 @@ class SortedRun:
         if in_bounds.size == 0:
             return found, tombstone, 0
         bounded = keys[in_bounds]
-        probe_idx = in_bounds[self._filter.might_contain_many(bounded.astype(np.uint64))]
+        probe_idx = in_bounds[self._filter.might_contain_many(bounded)]
         pages_read = probe_idx.size
         if pages_read:
             probed = keys[probe_idx]

@@ -111,7 +111,7 @@ class TestBitTableBytes:
 
     The digests were recorded with the hash-function-at-a-time
     ``np.bitwise_or.at`` builder this filter used to have; the table is what
-    ``to_state()`` hands every SSTable footer, and it decides
+    ``bit_table`` hands every SSTable footer, and it decides
     which probes are false positives, i.e. every golden page counter.
     """
 
@@ -188,3 +188,68 @@ class TestScalarBatchedParity:
         for key in probes:
             batched = bf.might_contain_many(np.array([key], dtype=np.int64))[0]
             assert bf.might_contain(key) == batched
+
+
+_MASK = 2**64 - 1
+_M1, _M2 = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+#: The values where ``int64`` and ``uint64`` images and the seed's addition wrap.
+_EDGES = [0, 1, 2**63 - 1, -(2**63), -1, 2**63, _MASK - 1, _MASK]
+
+
+def _oracle_positions(key: int, seed: int, num_hashes: int, num_bits: int) -> list[int]:
+    """The probe positions of one key, in plain Python ints."""
+    mixed = (key + seed) & _MASK
+    h1 = (mixed * _M1) & _MASK
+    h1 ^= h1 >> 29
+    h2 = (mixed * _M2) & _MASK
+    h2 ^= h2 >> 31
+    h2 |= 1
+    return [((h1 + i * h2) & _MASK) % num_bits for i in range(num_hashes)]
+
+
+@st.composite
+def _typed_keys(draw) -> np.ndarray:
+    """A non-empty ``int64`` or ``uint64`` key array, edges of either range included."""
+    signed = draw(st.booleans())
+    low, high = (-(2**63), 2**63 - 1) if signed else (0, _MASK)
+    edges = [key for key in _EDGES if low <= key <= high]
+    keys = draw(st.lists(st.sampled_from(edges) | st.integers(low, high), min_size=1, max_size=40))
+    return np.array(keys, dtype=np.int64 if signed else np.uint64)
+
+
+class TestProbePositionOracle:
+    """The vectorised kernel is the plain-int formula ``((h1 + i*h2) & MASK) % m``."""
+
+    @given(
+        keys=_typed_keys(),
+        bits_per_entry=st.integers(0, 20) | st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32) | st.sampled_from([2**63, _MASK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positions_are_int64_in_range_and_equal_the_oracle(
+        self, keys, bits_per_entry, seed
+    ):
+        bf = BloomFilter(keys.size, bits_per_entry, seed=seed)
+        positions = bf._probe_positions(keys)
+        assert positions.dtype == np.int64
+        assert positions.shape == (bf.num_hashes, keys.size)
+        assert ((positions >= 0) & (positions < bf.num_bits)).all()
+        assert positions.T.tolist() == [
+            _oracle_positions(key, seed, bf.num_hashes, bf.num_bits) for key in keys.tolist()
+        ]
+
+    @given(keys=_typed_keys(), probes=_typed_keys(), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_every_key_type_answers_alike(self, keys, probes, seed):
+        """``int64``, its ``uint64`` image and a list of the ``int64`` keys ask
+        the same question.  (A list mixing keys below and above 2^63 is not a
+        key array: NumPy reads it as ``float64``.)"""
+        bf = BloomFilter(keys.size, 6.0, seed=seed)
+        bf.add_many(keys)
+        assert bf.might_contain_many(keys).all()
+        unsigned = probes.astype(np.uint64)
+        answers = bf.might_contain_many(unsigned)
+        signed = unsigned.view(np.int64)
+        assert bf.might_contain_many(signed).tolist() == answers.tolist()
+        assert bf.might_contain_many(signed.tolist()).tolist() == answers.tolist()
+        assert [bf.might_contain(key) for key in signed.tolist()] == answers.tolist()

@@ -13,6 +13,7 @@ of a commit, orphan sweeping, garbage collection and the on-disk layout.
 from __future__ import annotations
 
 import errno
+import fnmatch
 import json
 import os
 import tempfile
@@ -194,9 +195,9 @@ class _StoppableStore(FileStore):
             self.stop_at = None
             raise _FlushCrash(f"killed at: {point}")
 
-    def _swap_manifest(self) -> None:
+    def _swap_manifest(self, manifest) -> None:
         self._reach("tables written")
-        super()._swap_manifest()
+        super()._swap_manifest(manifest)
         self._reach("manifest swapped")
 
     def _rewrite_log(self, buffered) -> None:
@@ -595,10 +596,10 @@ class TestSSTable:
             created, read = getattr(table, name), getattr(reopened, name)
             assert created.dtype == read.dtype == np.int64
             assert created.tobytes() == read.tobytes()
-        created, read = table.bloom_filter.to_state(), reopened.bloom_filter.to_state()
-        assert created.keys() == read.keys()
-        for name in created:
-            assert created[name].tobytes() == read[name].tobytes()
+        created, read = table.bloom_filter, reopened.bloom_filter
+        for name in ("expected_entries", "bits_per_entry", "seed", "count"):
+            assert getattr(created, name) == getattr(read, name)
+        assert created.bit_table.tobytes() == read.bit_table.tobytes()
         # So every probe answers, and charges, like the in-memory run.
         for key in range(-3, 2 * count + 3):
             assert reopened.lookup(key) == run.lookup(key)
@@ -693,7 +694,7 @@ def _run_and_probes(draw):
     many pages; keys are clustered, or anywhere in ``int64``.  Probe batches
     are empty, all on one page, one per page, or a mix of resident keys (with
     duplicates), their neighbours in the gaps, and keys anywhere — below,
-    above and between.
+    above and between — in the order drawn or sorted.
     """
     size = draw(st.sampled_from([0, 1, 3, 4, 5, 8, 13, 30]))
     domain = draw(st.sampled_from([st.integers(-60, 60), _ANY_KEY]))
@@ -711,6 +712,8 @@ def _run_and_probes(draw):
         near = [min(max(key + d, _INT64.min), _INT64.max) for key in keys for d in (-1, 0, 0, 1)]
         probe = draw(st.lists(st.sampled_from(near) if near else _ANY_KEY, max_size=40))
         probe += draw(st.lists(_ANY_KEY | st.integers(-70, 70), max_size=10))
+    if draw(st.booleans()):  # in key order, as a drain hands a batch over
+        probe = sorted(probe)
     bits = draw(st.sampled_from([0.0, 3.0, 10.0]))
     return keys, tombstones, bits, probe
 
@@ -896,6 +899,76 @@ class TestFailedTableWrite:
         recovered.destroy()
 
 
+def _failing(real_write, fault: str):
+    """A ``write`` that raises ``ENOSPC``, or lands half its bytes."""
+
+    def write(*args):
+        *descriptor, data = args
+        if fault == "ENOSPC":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(*descriptor, data[: len(data) // 2])
+
+    return write
+
+
+@needs_proc
+@pytest.mark.parametrize("fault", ["ENOSPC", "short write"])
+class TestFailedManifestAndLogWrite:
+    """A manifest or log write that fails or comes up short raises and leaves
+    the previous file as it was, and no descriptor behind."""
+
+    _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
+
+    def test_the_previous_manifest_survives(self, tmp_path, monkeypatch, fault):
+        tree = PersistentLSMTree(self._TUNING, _SYSTEM, data_dir=tmp_path / "db", seed=3)
+        for key in range(2 * tree.buffer_entries):
+            tree.put(key)
+        manifest = (tree.data_dir / "MANIFEST.json").read_bytes()
+        files = sorted(path.name for path in tree.data_dir.iterdir())
+        descriptors = _descriptors_under(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", _failing(os.write, fault))
+            with pytest.raises(OSError, match="No space left|short write of the manifest"):
+                tree.store.commit(tree.levels, tree._run_counter + 1, None)
+        assert (tree.data_dir / "MANIFEST.json").read_bytes() == manifest
+        assert sorted(path.name for path in tree.data_dir.iterdir()) == files
+        assert _descriptors_under(tmp_path) == descriptors
+        # What closing persists again is the last *committed* manifest.
+        tree.close()
+        assert (tree.data_dir / "MANIFEST.json").read_bytes() == manifest
+
+    def test_the_logged_records_survive_and_the_next_append_lines_up(
+        self, tmp_path, monkeypatch, fault
+    ):
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append_many([(-7, False), (2**63 - 1, True)])
+        wal.append(11)
+        logged = (tmp_path / "wal.log").read_bytes()
+        descriptors = _descriptors_under(tmp_path)
+        for append in (lambda: wal.append(12), lambda: wal.append_many([(13, False)] * 3)):
+            with monkeypatch.context() as patch:
+                patch.setattr(wal._file, "write", _failing(wal._file.write, fault))
+                with pytest.raises(OSError, match="No space left|short write of the write-ahead"):
+                    append()
+            assert (tmp_path / "wal.log").read_bytes() == logged
+            assert _descriptors_under(tmp_path) == descriptors
+        wal.append(14, tombstone=True)
+        assert wal.replay() == [(-7, False), (2**63 - 1, True), (11, False), (14, True)]
+        wal.close()
+
+    def test_a_put_the_log_refused_is_not_buffered(self, tmp_path, monkeypatch, fault):
+        tree = PersistentLSMTree(self._TUNING, _SYSTEM, data_dir=tmp_path / "db", seed=3)
+        tree.put(1)
+        wal = tree.store._wal
+        with monkeypatch.context() as patch:
+            patch.setattr(wal._file, "write", _failing(wal._file.write, fault))
+            with pytest.raises(OSError):
+                tree.put(2)
+        assert tree.memtable.sorted_items()[0].tolist() == [1]
+        assert wal.replay() == [(1, False)]
+        tree.destroy()
+
+
 class TestPersistentHousekeeping:
     _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
 
@@ -963,17 +1036,26 @@ class TestPersistentHousekeeping:
 
 
 class _SyscallRecorder:
-    """Records ``os.fsync`` (by the path it hits) and ``os.replace`` calls as
-    ``events``, and the name of every file ``os.open`` creates as ``created``."""
+    """Records ``os.write`` and ``os.fsync`` (by the path they hit) and
+    ``os.replace`` calls as ``events``, and the name of every file ``os.open``
+    creates as ``created``."""
 
     def __init__(self, monkeypatch) -> None:
         self.events: list[tuple[str, str]] = []
         self.created: list[str] = []
-        real_fsync, real_replace, real_open = os.fsync, os.replace, os.open
+        real_write, real_fsync = os.write, os.fsync
+        real_replace, real_open = os.replace, os.open
+
+        def on(call, descriptor):
+            path = os.readlink(f"/proc/self/fd/{descriptor}")
+            self.events.append((call, os.path.basename(path)))
+
+        def write(descriptor, data):
+            on("write", descriptor)
+            return real_write(descriptor, data)
 
         def fsync(descriptor):
-            path = os.readlink(f"/proc/self/fd/{descriptor}")
-            self.events.append(("fsync", os.path.basename(path)))
+            on("fsync", descriptor)
             return real_fsync(descriptor)
 
         def replace(source, target):
@@ -985,9 +1067,15 @@ class _SyscallRecorder:
                 self.created.append(os.path.basename(path))
             return real_open(path, flags, *args, **kwargs)
 
+        monkeypatch.setattr(os, "write", write)
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(os, "open", open_)
+
+    @property
+    def syncs(self) -> list[tuple[str, str]]:
+        """The ``fsync`` and ``replace`` events, in order."""
+        return [event for event in self.events if event[0] != "write"]
 
 
 @needs_proc
@@ -1017,17 +1105,20 @@ class TestFlushDurability:
         and swapped — but never the table the flush replaced the log's
         records with, nor the directory entry of the swap."""
         recorder = self._flush_recorder(tmp_path, monkeypatch, sync_writes=True)
-        events = recorder.events
+        events = recorder.syncs
         swap = events.index(("replace", "MANIFEST.json"))
         # One table per flush: the merge's output.  The memtable took run id
         # 2 on its way into the merge and was never a file.
         assert events[:swap] == [("fsync", "run-00000003.sst"), ("fsync", "MANIFEST.tmp")]
-        assert recorder.created == ["run-00000003.sst"]
+        assert fnmatch.filter(recorder.created, "run-*.sst") == ["run-00000003.sst"]
         # The swap's directory entry, then the truncated log.
         assert events[swap + 1 :] == [("fsync", "db"), ("fsync", "wal.log")]
+        # The new manifest is one write, then its sync.
+        tmp = [event for event in recorder.events if event[1] == "MANIFEST.tmp"]
+        assert tmp == [("write", "MANIFEST.tmp"), ("fsync", "MANIFEST.tmp")]
 
     def test_without_sync_writes_a_flush_is_one_fsync(self, tmp_path, monkeypatch):
-        events = self._flush_recorder(tmp_path, monkeypatch, sync_writes=False).events
+        events = self._flush_recorder(tmp_path, monkeypatch, sync_writes=False).syncs
         assert events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
 
     def test_a_bulk_load_swaps_the_manifest_once(self, tmp_path, monkeypatch):
@@ -1039,7 +1130,7 @@ class TestFlushDurability:
         recorder = _SyscallRecorder(monkeypatch)
         tree.bulk_load(np.arange(0, 20_000, 11))
         assert sum(len(runs) for runs in tree.levels) == 3
-        assert recorder.events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+        assert recorder.syncs == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
         tree.destroy()
 
 

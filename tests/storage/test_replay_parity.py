@@ -671,6 +671,43 @@ class TestEpochFence:
             assert delta.query_reads > 0
 
 
+@pytest.mark.parametrize("kind", _ENGINE_KINDS)
+class TestDrainOrder:
+    """A drain walks its span in key order: a probe's pages depend on its key
+    and the runs alone, so the order a span was asked in is invisible."""
+
+    @pytest.mark.parametrize(
+        "width", [SCALAR_SPAN_CUTOFF - 1, SCALAR_SPAN_CUTOFF, 5 * SCALAR_SPAN_CUTOFF]
+    )
+    def test_a_shuffled_span_charges_what_its_sorted_copy_does(self, kind, width):
+        rng = np.random.default_rng(width)
+        span = np.concatenate(
+            [
+                rng.choice(_KEY_SPACE.existing, size=width - width // 3),
+                rng.choice(_KEY_SPACE.missing, size=width // 3 - 1),
+                _KEY_SPACE.existing[:1],  # a key asked twice
+            ]
+        )
+        shuffled = rng.permutation(span)
+        assert shuffled.tolist() != sorted(shuffled.tolist())
+        fresh = _puts(*range(_KEY_SPACE.fresh_start, _KEY_SPACE.fresh_start + 8))
+        outcomes = []
+        for keys in (shuffled, np.sort(shuffled)):
+            # Each span is drained twice, on either side of a flush; the
+            # scalar reference asks in stream order.
+            with _engine_pair(kind, _ROOMY) as engines:
+                delta, answers, _ = _check_windows(engines, [_gets(*keys) + fresh + _gets(*keys)])
+                assert delta.flush_writes > 0
+                fingerprints = [tree_fingerprint(tree) for tree in _trees(engines[1])]
+                outcomes.append((delta, sorted(answers), fingerprints))
+            with _engine_pair(kind, _ROOMY) as engines:
+                walk = _RunSideAnswers(engines[0])
+                lsm_tree.drain_get_span(walk, keys.tolist())
+                walked = [key for key, _ in walk.answers]
+                assert walked == (sorted(walked) if width >= SCALAR_SPAN_CUTOFF else keys.tolist())
+        assert outcomes[0] == outcomes[1]
+
+
 def _step_between_windows(windows):
     """The end-of-window drain is what lets the plan advance between calls."""
     with _engine_pair("mid-migration", _ROOMY) as engines:

@@ -24,7 +24,6 @@ from .lsm import (
     CLASSIC_POLICIES,
     DEFAULT_SYSTEM,
     CompactionPolicy,
-    CostBreakdown,
     LSMCostModel,
     LSMTuning,
     Policy,
@@ -46,7 +45,6 @@ __all__ = [
     "ALL_POLICIES",
     "CLASSIC_POLICIES",
     "CompactionPolicy",
-    "CostBreakdown",
     "DEFAULT_SYSTEM",
     "GridTuner",
     "LSMCostModel",

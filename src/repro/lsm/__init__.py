@@ -5,9 +5,8 @@ from .bloom import (
     monkey_false_positive_rates,
     monkey_false_positive_rates_batch,
     optimal_hash_count,
-    uniform_false_positive_rate,
 )
-from .cost_model import COST_COMPONENTS, CostBreakdown, LSMCostModel
+from .cost_model import LSMCostModel
 from .policy import (
     ALL_POLICIES,
     CLASSIC_POLICIES,
@@ -28,9 +27,7 @@ from .tuning import LSMTuning, round_half_up
 __all__ = [
     "ALL_POLICIES",
     "CLASSIC_POLICIES",
-    "COST_COMPONENTS",
     "CompactionPolicy",
-    "CostBreakdown",
     "DEFAULT_FLUID_K_GRID",
     "DEFAULT_FLUID_Z_GRID",
     "DEFAULT_LADDER_PEAKS",
@@ -50,5 +47,4 @@ __all__ = [
     "optimal_hash_count",
     "round_half_up",
     "simulator_system",
-    "uniform_false_positive_rate",
 ]

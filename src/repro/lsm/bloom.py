@@ -5,31 +5,18 @@ rather than giving every level the same bits-per-entry, memory is skewed
 towards the smaller levels so that the *sum* of false-positive rates (and
 hence the expected number of wasted I/Os of an empty point lookup) is
 minimised.  Equation (11) of the Endure paper gives the resulting per-level
-false-positive rate, which this module implements, along with the classical
-uniform-allocation formula for comparison and for the simulator's concrete
-filters.
+false-positive rate, which this module implements, along with its inversion
+into the per-level bits the simulator's concrete filters are built with.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 #: ln(2)^2, the constant appearing in the standard Bloom-filter FPR formula.
 LN2_SQUARED = math.log(2.0) ** 2
-
-
-def uniform_false_positive_rate(bits_per_entry: float) -> float:
-    """False-positive rate of a standard Bloom filter with ``m/n`` bits/entry.
-
-    Uses the classical approximation ``ε = exp(-(m/n) · ln(2)²)`` which assumes
-    the optimal number of hash functions.
-    """
-    if bits_per_entry < 0:
-        raise ValueError("bits_per_entry must be non-negative")
-    return float(min(1.0, math.exp(-bits_per_entry * LN2_SQUARED)))
 
 
 def optimal_hash_count(bits_per_entry: float) -> int:
@@ -92,25 +79,14 @@ def monkey_false_positive_rates_batch(size_ratio, bits_per_entry, num_levels, le
     return np.clip(rates, 0.0, 1.0)
 
 
-def expected_empty_probe_cost(false_positive_rates: Sequence[float]) -> float:
-    """Expected wasted I/Os of an empty point lookup with one run per level.
-
-    This is simply the sum of the per-level false-positive rates; a tiered
-    tree multiplies this by the number of runs per level.
-    """
-    return float(np.sum(np.asarray(false_positive_rates, dtype=float)))
-
-
 def monkey_bits_per_level(
-    size_ratio: float,
-    bits_per_entry: float,
-    num_levels: int,
-    level_entries: Sequence[float],
+    size_ratio: float, bits_per_entry: float, num_levels: int
 ) -> np.ndarray:
     """Translate Monkey false-positive rates into per-level bits-per-entry.
 
     The simulator needs a concrete number of bits to allocate to the filters
-    of each level.  Inverting the uniform-FPR formula per level gives
+    of each level.  Inverting the standard Bloom-filter rate
+    ``exp(-(m/n) · ln(2)²)`` per level gives
     ``bits_i = -ln(f_i) / ln(2)²`` (0 when ``f_i >= 1``, i.e. the level keeps
     no filter at all).
 
@@ -118,17 +94,12 @@ def monkey_bits_per_level(
     ----------
     size_ratio, bits_per_entry, num_levels:
         Same as :func:`monkey_false_positive_rates`.
-    level_entries:
-        Number of entries expected to reside at each level; only used to
-        validate the length of the result.
 
     Returns
     -------
     numpy.ndarray
         Bits-per-entry to use for the filter(s) of each level.
     """
-    if len(level_entries) != num_levels:
-        raise ValueError("level_entries must have one entry per level")
     rates = monkey_false_positive_rates(size_ratio, bits_per_entry, num_levels)
     bits = np.zeros(num_levels, dtype=float)
     positive = rates < 1.0

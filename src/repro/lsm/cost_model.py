@@ -29,64 +29,35 @@ A workload's ``long_range_fraction`` ``ν`` blends the two:
 ``Q = (1 - ν) · Q_short + ν · Q_long``; with ``ν = 0`` every cost is
 identical to the pre-split model.
 
-All per-policy structure enters through exactly two quantities supplied by
-the :class:`~repro.lsm.policy.CompactionPolicy` value — the expected number
-of runs per level and the per-level merge amortisation factor — so a new
-policy is a new bound vector and never touches the equations here.  Both
-quantities are evaluated along an explicit level axis and *summed per
-level* (never via a closed-form scalar ``K``), which is what lets a
-policy carry a per-level run-bound vector ``K_i``: the policy answers
-each level from its vector, and every cost term — the false-positive sum of
-``Z0``/``Z1``, the per-run seeks and worst-case scan pages of ``Q``, the
-merge amortisation of ``W`` — picks the per-level bound up unchanged.  The
-same definitions power two evaluation paths:
+All per-policy structure enters through one quantity supplied by the
+:class:`~repro.lsm.policy.CompactionPolicy` value — the run bound of each
+level (:func:`~repro.lsm.policy.stacked_run_bounds`) — so a new policy is a
+new bound vector and never touches the equations here.  The bound is
+evaluated along an explicit level axis and every term is *summed per
+level* (never via a closed-form scalar ``K``), which is what lets a policy
+carry a per-level run-bound vector ``K_i``: every cost term — the
+false-positive sum of ``Z0``/``Z1``, the per-run seeks and worst-case scan
+pages of ``Q``, the merge amortisation ``(T-1)/(K_i+1)`` of ``W`` — picks
+the per-level bound up unchanged.
 
-* the scalar methods (:meth:`LSMCostModel.cost_vector` and friends), and
-* :meth:`LSMCostModel.cost_points`, which evaluates paired ``(T, h)`` points
-  under a whole stack of policies in one broadcasted NumPy pass — the
-  tuners' hot path (:meth:`LSMCostModel.cost_matrix` is its outer product).
+One kernel evaluates the equations: :meth:`LSMCostModel.cost_points`, which
+prices paired ``(T, h)`` points under a whole stack of policies in one
+broadcasted NumPy pass.  :meth:`LSMCostModel.cost_matrix` is its outer
+product and :meth:`LSMCostModel.cost_vector` its one-point view, which
+:meth:`~LSMCostModel.workload_cost` and :meth:`~LSMCostModel.throughputs`
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bloom import monkey_false_positive_rates, monkey_false_positive_rates_batch
+from .bloom import monkey_false_positive_rates_batch
 from .policy import CompactionPolicy, Policy, stacked_run_bounds
 from .system import SystemConfig
 from .tuning import LSMTuning
-
-#: Names of the cost-vector components, in workload order.
-COST_COMPONENTS: tuple[str, ...] = ("empty_read", "non_empty_read", "range", "write")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """The expected per-query I/O costs of one tuning, by query type."""
-
-    empty_read: float
-    non_empty_read: float
-    range_read: float
-    write: float
-
-    def as_array(self) -> np.ndarray:
-        """Return the cost vector ``c(Φ) = (Z0, Z1, Q, W)`` as a NumPy array."""
-        return np.array(
-            [self.empty_read, self.non_empty_read, self.range_read, self.write],
-            dtype=float,
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Return the costs keyed by query-type name."""
-        return {
-            "empty_read": self.empty_read,
-            "non_empty_read": self.non_empty_read,
-            "range": self.range_read,
-            "write": self.write,
-        }
 
 
 class LSMCostModel:
@@ -100,175 +71,18 @@ class LSMCostModel:
     def __init__(self, system: SystemConfig | None = None) -> None:
         self.system = system if system is not None else SystemConfig()
 
-    # ------------------------------------------------------------------
-    # Structural helpers
-    # ------------------------------------------------------------------
-    def num_levels(self, tuning: LSMTuning) -> int:
-        """Number of disk levels ``L(T)`` for this tuning."""
-        return self.system.num_levels(tuning.size_ratio, tuning.bits_per_entry)
-
-    def false_positive_rates(self, tuning: LSMTuning) -> np.ndarray:
-        """Per-level Monkey false-positive rates for this tuning."""
-        return monkey_false_positive_rates(
-            tuning.size_ratio, tuning.bits_per_entry, self.num_levels(tuning)
-        )
-
-    def _level_structure(
-        self, tuning: LSMTuning
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Per-level ``(L, false-positive rates, runs)`` of one tuning."""
-        levels = self.num_levels(tuning)
-        rates = self.false_positive_rates(tuning)
-        indices = np.arange(1, levels + 1, dtype=float)
-        runs = np.asarray(
-            tuning.compaction.runs_per_level(
-                tuning.size_ratio, indices, float(levels)
-            ),
-            dtype=float,
-        )
-        return levels, rates, runs
-
-    def _level_capacities(self, tuning: LSMTuning, levels: int) -> np.ndarray:
-        """Per-level capacities in entries: ``(T-1) T^(i-1) · m_buf / E``.
-
-        Computed with integer exponents, exactly as the pre-split model did,
-        so the scalar costs of classical tunings stay bit-identical.
-        """
-        size_ratio = tuning.size_ratio
-        buffer_entries = self.system.buffer_entries(tuning.bits_per_entry)
-        return np.array(
-            [
-                (size_ratio - 1.0) * size_ratio ** (i - 1) * buffer_entries
-                for i in range(1, levels + 1)
-            ],
-            dtype=float,
-        )
-
-    # ------------------------------------------------------------------
-    # Individual query costs
-    # ------------------------------------------------------------------
-    def empty_read_cost(self, tuning: LSMTuning) -> float:
-        """Expected I/Os of a zero-result point lookup, ``Z0(Φ)`` (Eq. 12).
-
-        Every run in the tree may trigger a false positive, so the cost is
-        the sum over levels of (runs per level) × (false-positive rate) —
-        one run per level under leveling, ``T - 1`` under tiering, and the
-        hybrid split under lazy leveling.
-        """
-        _, rates, runs = self._level_structure(tuning)
-        return float(np.sum(runs * rates))
-
-    def non_empty_read_cost(self, tuning: LSMTuning) -> float:
-        """Expected I/Os of a successful point lookup, ``Z1(Φ)`` (Eq. 14).
-
-        The lookup finds its key at level ``i`` with probability proportional
-        to the level's capacity; it pays one guaranteed I/O there plus the
-        expected false-positive I/Os of every run above it and, on average,
-        of half the other runs within level ``i`` probed before the match.
-        """
-        levels, rates, runs = self._level_structure(tuning)
-        level_capacity = self._level_capacities(tuning, levels)
-        residence_probability = level_capacity / float(np.sum(level_capacity))
-        level_fp = runs * rates
-        preceding_fp = np.cumsum(level_fp) - level_fp
-        per_level_cost = 1.0 + preceding_fp + (runs - 1.0) / 2.0 * rates
-        return float(np.sum(residence_probability * per_level_cost))
-
-    def short_range_cost(self, tuning: LSMTuning) -> float:
-        """Expected I/Os of a *short* (seek-dominated) range lookup.
-
-        One seek per qualifying run plus a sequential scan governed by the
-        short-range selectivity ``S_RQ`` (near zero in the paper's setup).
-        This is the historical ``Q(Φ)`` of the pre-split model.
-        """
-        _, _, runs = self._level_structure(tuning)
-        scan_pages = (
-            self.system.range_selectivity
-            * self.system.num_entries
-            / self.system.entries_per_page
-        )
-        return scan_pages + float(np.sum(runs))
-
-    def long_range_cost(self, tuning: LSMTuning) -> float:
-        """Expected I/Os of a *long* (scan-dominated) range lookup.
-
-        Besides the per-run seeks, every level contributes its worst-case
-        sequential pages: the long-range selectivity's share of the level's
-        capacity, *per resident run* — overlapping runs may each hold (live
-        or obsolete) versions of the interval's entries, so a tiered level
-        costs up to ``T - 1`` times a leveled one (Dostoevsky §4).  A
-        single-run largest level therefore dominates this term.
-        """
-        levels, _, runs = self._level_structure(tuning)
-        capacities = self._level_capacities(tuning, levels)
-        scan_pages = (
-            self.system.long_range_selectivity
-            * float(np.sum(runs * capacities))
-            / self.system.entries_per_page
-        )
-        return scan_pages + float(np.sum(runs))
-
-    def range_read_cost(
-        self, tuning: LSMTuning, long_range_fraction: float = 0.0
-    ) -> float:
-        """Expected I/Os of a range lookup, ``Q(Φ)`` (Eq. 15, split regimes).
-
-        Blend of the short- and long-range costs weighted by the workload's
-        long-range fraction ``ν``.  The ``ν = 0`` fast path never evaluates
-        the long-range selectivity split, so workloads without long ranges
-        (and the pre-split call sites) see bit-identical costs — and a
-        degenerate long-range term can never poison a short-range workload.
-        """
-        if long_range_fraction <= 0.0:
-            return self.short_range_cost(tuning)
-        if long_range_fraction >= 1.0:
-            return self.long_range_cost(tuning)
-        return (1.0 - long_range_fraction) * self.short_range_cost(
-            tuning
-        ) + long_range_fraction * self.long_range_cost(tuning)
-
-    def write_cost(self, tuning: LSMTuning) -> float:
-        """Amortised I/Os of one write, ``W(Φ)`` (Eq. 16).
-
-        Every entry is eventually merged through all ``L(T)`` levels, taking
-        part in the policy's per-level merge amortisation factor worth of
-        rewrites at each.  Costs are expressed per page (``/B``) and writes
-        are weighted by the device's read/write asymmetry.
-        """
-        levels = self.num_levels(tuning)
-        indices = np.arange(1, levels + 1, dtype=float)
-        merges = np.asarray(
-            tuning.compaction.merge_factor(
-                tuning.size_ratio, indices, float(levels)
-            ),
-            dtype=float,
-        )
-        asymmetry = 1.0 + self.system.read_write_asymmetry
-        return float(np.sum(merges)) / self.system.entries_per_page * asymmetry
-
-    # ------------------------------------------------------------------
-    # Aggregate costs
-    # ------------------------------------------------------------------
-    def cost_breakdown(
-        self, tuning: LSMTuning, long_range_fraction: float = 0.0
-    ) -> CostBreakdown:
-        """All four per-query costs of a tuning as a :class:`CostBreakdown`."""
-        return CostBreakdown(
-            empty_read=self.empty_read_cost(tuning),
-            non_empty_read=self.non_empty_read_cost(tuning),
-            range_read=self.range_read_cost(tuning, long_range_fraction),
-            write=self.write_cost(tuning),
-        )
-
     def cost_vector(
         self, tuning: LSMTuning, long_range_fraction: float = 0.0
     ) -> np.ndarray:
-        """The cost vector ``c(Φ) = (Z0, Z1, Q, W)``.
+        """The cost vector ``c(Φ) = (Z0, Z1, Q, W)`` of one tuning.
 
-        ``long_range_fraction`` is the workload's ``ν``: the range component
-        blends the short- and long-range regimes accordingly.
+        The one-point view of :meth:`cost_points`.  ``long_range_fraction``
+        is the workload's ``ν``: the range component blends the short- and
+        long-range regimes accordingly.
         """
-        return self.cost_breakdown(tuning, long_range_fraction).as_array()
+        ratio = np.array([[tuning.size_ratio]])
+        bits = np.array([[tuning.bits_per_entry]])
+        return self.cost_points(ratio, bits, (tuning.compaction,), long_range_fraction)[0, 0]
 
     def cost_matrix(
         self,
@@ -300,8 +114,8 @@ class LSMCostModel:
         """Cost vectors of paired ``(T, h)`` points under a stack of policies.
 
         One broadcasted NumPy computation over a ``(policy, point…, level)``
-        tensor instead of a Python loop of scalar :meth:`cost_vector` calls
-        — the tuners' hot path.  Everything but the per-level run bounds is
+        tensor — the only code that evaluates Equations 11–16, and the
+        tuners' hot path.  Everything but the per-level run bounds is
         policy-independent and computed once for the whole stack.
 
         Parameters
@@ -311,8 +125,9 @@ class LSMCostModel:
             other *element-wise* — point ``i`` is ``(T_i, h_i)`` — to a
             shape whose axis 0 is the policy axis: length 1 prices the same
             points under every policy, length ``len(policies)`` gives each
-            policy its own points.  Each ``T >= 2``, each ``h >= 0`` and
-            small enough to leave room for a write buffer.
+            policy its own points.  Each ``T`` finite and ``>= 2``, each
+            ``h >= 0`` and small enough to leave room for a write buffer;
+            anything else (NaN included) raises :class:`ValueError`.
         policies:
             The compaction policies — :class:`~repro.lsm.policy.CompactionPolicy`
             values, or the enum members or strings naming them.
@@ -324,8 +139,7 @@ class LSMCostModel:
         -------
         numpy.ndarray
             Shape ``(len(policies), *points, 4)``: ``(Z0, Z1, Q, W)`` of
-            every point under every policy.  Matches the scalar
-            :meth:`cost_vector` to ~1e-12 relative error.
+            every point under every policy.
         """
         system = self.system
         stack = [CompactionPolicy.of(policy) for policy in policies]
@@ -336,17 +150,18 @@ class LSMCostModel:
             raise ValueError("size_ratios and bits_per_entry must be non-empty arrays")
         if points[0] not in (1, len(stack)):
             raise ValueError("axis 0 of the points must have length 1 or len(policies)")
-        if np.any(ratios < 2.0):
-            raise ValueError("every size ratio must be at least 2")
-        if np.any(bits < 0.0):
-            raise ValueError("bits_per_entry must be non-negative")
+        # Written so that a NaN fails every comparison.
+        if not np.all(ratios >= 2.0) or not np.all(np.isfinite(ratios)):
+            raise ValueError("every size ratio must be finite and at least 2")
+        if not np.all(bits >= 0.0):
+            raise ValueError("bits_per_entry must be non-negative and not NaN")
         # Trailing level axis; the two operands stay un-broadcast so an outer
         # product only pays for its policy-independent terms once per row.
         ratios = ratios.reshape((1,) * (len(points) - ratios.ndim) + ratios.shape + (1,))
         bits = bits.reshape((1,) * (len(points) - bits.ndim) + bits.shape + (1,))
 
         buffer_bits = system.total_memory_bits - bits * system.num_entries
-        if np.any(buffer_bits <= 0):
+        if not np.all(buffer_bits > 0):
             raise ValueError("bits_per_entry exceeds the total memory budget")
         buffer_entries = buffer_bits / system.entry_size_bits
 
@@ -363,11 +178,11 @@ class LSMCostModel:
         bounds = stacked_run_bounds(stack, ratios, levels, max_levels)
         runs = np.where(mask, bounds, 0.0)
 
-        # Z0: every run may cost one false-positive probe.
+        # Z0 (Eq. 12): every run may cost one false-positive probe.
         level_fp = np.where(mask, runs * rates, 0.0)
         empty_read = np.sum(level_fp, axis=-1)
 
-        # Z1: guaranteed hit at the residence level plus the false-positive
+        # Z1 (Eq. 14): guaranteed hit at the residence level plus the false-positive
         # probes of every run above it and half the runs beside it.
         capacity = np.where(
             mask, (ratios - 1.0) * ratios ** (index - 1.0) * buffer_entries, 0.0
@@ -377,7 +192,7 @@ class LSMCostModel:
         per_level_cost = 1.0 + preceding_fp + (runs - 1.0) / 2.0 * rates
         non_empty_read = np.sum(residence * per_level_cost, axis=-1)
 
-        # Q: one seek per run plus the selectivity-governed sequential scans.
+        # Q (Eq. 15): one seek per run plus the selectivity-governed sequential scans.
         # Short ranges scan S_RQ of the whole store; long ranges pay the
         # worst-case per-run share of every level's capacity.  The ν = 0 fast
         # path never evaluates the long-range split (zero-weight guard).
@@ -396,7 +211,7 @@ class LSMCostModel:
             )
             range_read = seeks + (1.0 - nu) * short_scan + nu * long_scan
 
-        # W: per-level merge amortisation ``(T-1)/(m+1)`` of a level bounded
+        # W (Eq. 16): per-level merge amortisation ``(T-1)/(m+1)`` of a level bounded
         # at ``m`` runs, per page, weighted by asymmetry.
         merges = np.where(mask, (ratios - 1.0) / (bounds + 1.0), 0.0)
         write = (

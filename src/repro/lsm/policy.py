@@ -122,11 +122,11 @@ _ALIASES: dict[str, Policy] = {
 class CompactionPolicy:
     """A compaction policy: a run bound per level.
 
-    The analytical methods (:meth:`runs_per_level`, :meth:`merge_factor`)
-    accept scalars *or* NumPy arrays and broadcast, so the same definition
-    powers both the scalar cost equations and the vectorised
-    :meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` grid pass.  The
-    runtime methods steer the simulated LSM tree in
+    The cost model reads a stack of these values through
+    :func:`stacked_run_bounds` — the clamped bound of every level, from
+    which :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` derives the
+    runs a read probes and the merge amortisation ``(T-1)/(K_i+1)`` a write
+    pays.  The runtime methods steer the simulated LSM tree in
     :mod:`repro.storage.lsm_tree`.  Values are hashable, so they can key
     per-policy result dictionaries.
 
@@ -198,48 +198,6 @@ class CompactionPolicy:
         return f"fluid[K={k},Z={self.z_bound:g}]"
 
     # ------------------------------------------------------------------
-    # Analytical quantities (NumPy broadcastable)
-    # ------------------------------------------------------------------
-    def _runs(self, size_ratio, level, num_levels):
-        """Clamped bound of each level, not yet broadcast to the full shape."""
-        cap = np.asarray(size_ratio, dtype=float) - 1.0
-        if len(self.bounds) == 1:
-            runs = np.minimum(self.bounds[0], cap)
-        else:
-            vector = np.asarray(self.bounds)
-            index = np.minimum(level, vector.size).astype(np.intp) - 1
-            runs = np.minimum(vector[index], cap)
-        if self.z_bound is not None:
-            runs = np.where(level >= num_levels, np.minimum(self.z_bound, cap), runs)
-        return runs
-
-    def runs_per_level(self, size_ratio, level, num_levels):
-        """Expected number of sorted runs resident at ``level``.
-
-        All arguments broadcast: ``size_ratio`` is ``T >= 2`` (scalar or
-        array), ``level`` the 1-based level index and ``num_levels`` the
-        tree depth ``L``.  The answer is the level's bound — ``Z`` on the
-        largest level when one is set — clamped to ``T - 1``.  This single
-        quantity determines the false-positive probes of point lookups, the
-        seeks of range queries and the worst-case pages a long range scan
-        touches per level.
-        """
-        runs = self._runs(size_ratio, level, num_levels)
-        return _broadcast(runs, size_ratio, level, num_levels)
-
-    def merge_factor(self, size_ratio, level, num_levels):
-        """Expected number of merges an entry takes part in at ``level``.
-
-        Broadcastable like :meth:`runs_per_level`.  A level with run bound
-        ``m`` rewrites an entry about ``(T-1)/(m+1)`` times: ``(T-1)/2``
-        under leveling (``m = 1``) and ``(T-1)/T`` under tiering
-        (``m = T - 1``, merged once when the level fills up).
-        """
-        runs = self._runs(size_ratio, level, num_levels)
-        merges = (np.asarray(size_ratio, dtype=float) - 1.0) / (runs + 1.0)
-        return _broadcast(merges, size_ratio, level, num_levels)
-
-    # ------------------------------------------------------------------
     # Runtime hooks for the simulated LSM tree
     # ------------------------------------------------------------------
     def _bound(self, level: int, last_level: int) -> float:
@@ -271,13 +229,16 @@ def stacked_run_bounds(
 ) -> np.ndarray:
     """Clamped run bound of every level under a stack of policies.
 
-    The batched counterpart of :meth:`CompactionPolicy.runs_per_level` for
+    The one place the cost model reads a policy, for
     :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points`: ``size_ratio``
     and ``num_levels`` have shape ``(1 | P, …, 1)`` — axis 0 is the policy
     axis, the trailing axis the level axis — and the result has shape
     ``(P, …, max_levels)`` (or one that broadcasts to it): each level's bound
     — deeper levels reusing the vector's last element, ``Z`` overriding the
-    largest level when one is set — clamped to ``T - 1``.
+    largest level when one is set — clamped to ``T - 1``.  A level's bound
+    is the number of runs it holds in the model, and a level bounded at
+    ``m`` runs rewrites an entry ``(T-1)/(m+1)`` times: ``(T-1)/2`` under
+    leveling, ``(T-1)/T`` under tiering.
     """
     lead = (len(policies),) + (1,) * (np.ndim(size_ratio) - 2)
     vectors = np.array(
@@ -295,11 +256,6 @@ def stacked_run_bounds(
     ).reshape(lead + (1,))
     largest = np.arange(1, max_levels + 1) >= num_levels
     return np.where(largest & ~np.isnan(z_bounds), np.minimum(z_bounds, cap), bounds)
-
-
-def _broadcast(values, *operands):
-    """``values`` viewed at the shape its ``operands`` broadcast to."""
-    return np.broadcast_to(values, np.broadcast(*operands).shape)
 
 
 #: The named policies: four rows of bounds, all spilling a full level down.

@@ -176,26 +176,6 @@ class SystemConfig:
         levels = math.ceil(math.log(ratio) / math.log(size_ratio))
         return max(1, int(levels))
 
-    def level_capacity_entries(
-        self, level: int, size_ratio: float, bits_per_entry: float
-    ) -> float:
-        """Capacity of disk level ``i`` in entries: ``(T-1) T^(i-1) m_buf / E``."""
-        if level < 1:
-            raise ValueError("disk levels are numbered from 1")
-        buffer_entries = self.buffer_entries(bits_per_entry)
-        return (size_ratio - 1.0) * size_ratio ** (level - 1) * buffer_entries
-
-    def full_tree_entries(self, size_ratio: float, bits_per_entry: float) -> float:
-        """Number of entries in a tree completely full up to ``L(T)`` levels.
-
-        This is ``N_f(T)`` from Equation (13).
-        """
-        levels = self.num_levels(size_ratio, bits_per_entry)
-        return sum(
-            self.level_capacity_entries(i, size_ratio, bits_per_entry)
-            for i in range(1, levels + 1)
-        )
-
     # ------------------------------------------------------------------
     # Convenience constructors / serialisation
     # ------------------------------------------------------------------

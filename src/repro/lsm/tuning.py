@@ -44,7 +44,8 @@ class LSMTuning:
     Parameters
     ----------
     size_ratio:
-        Size ratio ``T`` between consecutive levels (``T >= 2``).  Stored as a
+        Size ratio ``T`` between consecutive levels (finite, ``T >= 2``;
+        like ``bits_per_entry``, a NaN or infinity raises).  Stored as a
         float because the optimiser works in a continuous relaxation; use
         :meth:`rounded` before deploying on the simulator.
     bits_per_entry:
@@ -81,11 +82,11 @@ class LSMTuning:
         z_bound: float | None = None,
         k_bounds: Sequence[float] | None = None,
     ) -> None:
-        if size_ratio < 2.0:
-            raise ValueError(f"size_ratio must be >= 2, got {size_ratio}")
-        if bits_per_entry < 0.0:
+        if not (math.isfinite(size_ratio) and size_ratio >= 2.0):
+            raise ValueError(f"size_ratio must be finite and >= 2, got {size_ratio}")
+        if not (math.isfinite(bits_per_entry) and bits_per_entry >= 0.0):
             raise ValueError(
-                f"bits_per_entry must be non-negative, got {bits_per_entry}"
+                f"bits_per_entry must be finite and non-negative, got {bits_per_entry}"
             )
         if not isinstance(policy, CompactionPolicy):
             if Policy.from_value(policy) is Policy.FLUID:

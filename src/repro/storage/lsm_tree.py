@@ -434,14 +434,8 @@ class LSMTree(BufferFirstReads):
         self._estimated_levels = system.num_levels(
             self.tuning.size_ratio, self.tuning.bits_per_entry
         )
-        level_entries = [
-            self.level_capacity_entries(i) for i in range(1, self._estimated_levels + 1)
-        ]
         self._bits_per_level = monkey_bits_per_level(
-            self.tuning.size_ratio,
-            self.tuning.bits_per_entry,
-            self._estimated_levels,
-            level_entries,
+            self.tuning.size_ratio, self.tuning.bits_per_entry, self._estimated_levels
         )
 
         recovered = self.store.recover()

@@ -75,7 +75,7 @@ def test_search_is_no_worse_than_the_golden_objective(key: str):
         system.num_levels(tuning.size_ratio, tuning.bits_per_entry)
         == result.solver_info["levels"]
     )
-    # … and the scalar cost model agrees with the batched pass about it.
+    # … and re-pricing it point by point agrees with the search's batched pass.
     assert result.objective == pytest.approx(
         _price(model, workload, rho, tuning), rel=1e-9
     )

@@ -1,6 +1,4 @@
-"""Tests for the Bloom-filter model (uniform and Monkey allocation)."""
-
-import math
+"""Tests for the Bloom-filter model (Monkey allocation)."""
 
 import numpy as np
 import pytest
@@ -9,32 +7,8 @@ from repro.lsm import (
     monkey_bits_per_level,
     monkey_false_positive_rates,
     optimal_hash_count,
-    uniform_false_positive_rate,
 )
 from repro.lsm.bloom import LN2_SQUARED
-
-
-class TestUniformFalsePositiveRate:
-    def test_zero_bits_gives_certain_false_positive(self):
-        assert uniform_false_positive_rate(0.0) == 1.0
-
-    def test_matches_closed_form(self):
-        bits = 10.0
-        assert uniform_false_positive_rate(bits) == pytest.approx(
-            math.exp(-bits * LN2_SQUARED)
-        )
-
-    def test_decreases_with_more_bits(self):
-        rates = [uniform_false_positive_rate(b) for b in (1, 2, 5, 10, 20)]
-        assert rates == sorted(rates, reverse=True)
-
-    def test_never_exceeds_one(self):
-        assert uniform_false_positive_rate(0.0) <= 1.0
-        assert uniform_false_positive_rate(100.0) <= 1.0
-
-    def test_rejects_negative_bits(self):
-        with pytest.raises(ValueError):
-            uniform_false_positive_rate(-1.0)
 
 
 class TestOptimalHashCount:
@@ -98,20 +72,16 @@ class TestMonkeyBitsPerLevel:
     def test_inverts_rates(self):
         size_ratio, bits, levels = 5.0, 8.0, 4
         rates = monkey_false_positive_rates(size_ratio, bits, levels)
-        per_level = monkey_bits_per_level(size_ratio, bits, levels, [1.0] * levels)
+        per_level = monkey_bits_per_level(size_ratio, bits, levels)
         recovered = np.exp(-per_level * LN2_SQUARED)
         assert np.allclose(recovered[rates < 1.0], rates[rates < 1.0], rtol=1e-9)
 
     def test_saturated_levels_get_zero_bits(self):
-        per_level = monkey_bits_per_level(5.0, 0.0, 3, [1.0, 1.0, 1.0])
+        per_level = monkey_bits_per_level(5.0, 0.0, 3)
         # The deepest level is saturated (rate 1) and therefore keeps no filter.
         assert per_level[-1] == 0.0
         assert np.all(per_level >= 0.0)
 
     def test_smaller_levels_get_more_bits(self):
-        per_level = monkey_bits_per_level(5.0, 8.0, 4, [1.0] * 4)
+        per_level = monkey_bits_per_level(5.0, 8.0, 4)
         assert np.all(np.diff(per_level) <= 0.0)
-
-    def test_rejects_mismatched_level_entries(self):
-        with pytest.raises(ValueError):
-            monkey_bits_per_level(5.0, 8.0, 4, [1.0, 1.0])

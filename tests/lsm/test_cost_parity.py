@@ -5,8 +5,9 @@ These pin the algebraic identities that keep the strategy layer honest:
 * at ``T = 2`` tiering degenerates to leveling (one run per level, same
   merge amortisation), so their cost vectors must coincide exactly;
 * with a single disk level lazy leveling *is* leveling;
-* the vectorised ``cost_matrix`` grid pass must reproduce the scalar
-  ``cost_vector`` path to ≤ 1e-9 across the whole design space.
+* ``cost_matrix`` is the outer product and ``cost_points`` the paired,
+  policy-stacked form of one kernel (its values are pinned by
+  ``test_golden_costs.py``).
 """
 
 import numpy as np
@@ -23,6 +24,9 @@ from repro.lsm import (
 )
 
 BITS_SAMPLES = (0.0, 1.5, 5.0, 10.0)
+
+#: Indices of ``(Z0, Z1, Q, W)`` in a cost vector.
+Z0, Z1, Q, W = range(4)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +49,10 @@ class TestTieringLevelingParityAtTTwo:
         np.testing.assert_allclose(leveling, lazy, atol=1e-12)
 
     def test_parity_holds_component_by_component(self, model):
-        leveling = model.cost_breakdown(LSMTuning(2.0, 4.0, Policy.LEVELING)).as_dict()
-        tiering = model.cost_breakdown(LSMTuning(2.0, 4.0, Policy.TIERING)).as_dict()
-        for component, value in leveling.items():
-            assert tiering[component] == pytest.approx(value, abs=1e-12), component
+        leveling = model.cost_vector(LSMTuning(2.0, 4.0, Policy.LEVELING))
+        tiering = model.cost_vector(LSMTuning(2.0, 4.0, Policy.TIERING))
+        for component, name in enumerate(("Z0", "Z1", "Q", "W")):
+            assert tiering[component] == pytest.approx(leveling[component], abs=1e-12), name
 
 
 class TestLazyLevelingSingleLevelReduction:
@@ -58,72 +62,42 @@ class TestLazyLevelingSingleLevelReduction:
         model = LSMCostModel(system)
         lazy = LSMTuning(60.0, 2.0, Policy.LAZY_LEVELING)
         leveled = LSMTuning(60.0, 2.0, Policy.LEVELING)
-        assert model.num_levels(lazy) == 1
+        assert lazy.num_levels(system) == 1
         np.testing.assert_allclose(
             model.cost_vector(lazy), model.cost_vector(leveled), atol=1e-12
         )
 
     def test_multi_level_tree_costs_sit_between_the_classical_policies(self, model):
         tuning = {p: LSMTuning(6.0, 4.0, p) for p in ALL_POLICIES}
-        assert model.num_levels(tuning[Policy.LAZY_LEVELING]) > 1
+        assert tuning[Policy.LAZY_LEVELING].num_levels(model.system) > 1
+        costs = {policy: model.cost_vector(t) for policy, t in tuning.items()}
+        leveled, lazy, tiered = (
+            costs[Policy.LEVELING], costs[Policy.LAZY_LEVELING], costs[Policy.TIERING]
+        )
         # Writes: lazy leveling is cheaper than leveling, dearer than tiering.
-        assert (
-            model.write_cost(tuning[Policy.TIERING])
-            < model.write_cost(tuning[Policy.LAZY_LEVELING])
-            < model.write_cost(tuning[Policy.LEVELING])
-        )
+        assert tiered[W] < lazy[W] < leveled[W]
         # Reads: lazy leveling is cheaper than tiering, dearer than leveling.
-        assert (
-            model.empty_read_cost(tuning[Policy.LEVELING])
-            < model.empty_read_cost(tuning[Policy.LAZY_LEVELING])
-            < model.empty_read_cost(tuning[Policy.TIERING])
-        )
-        assert (
-            model.range_read_cost(tuning[Policy.LEVELING])
-            < model.range_read_cost(tuning[Policy.LAZY_LEVELING])
-            < model.range_read_cost(tuning[Policy.TIERING])
-        )
+        assert leveled[Z0] < lazy[Z0] < tiered[Z0]
+        assert leveled[Q] < lazy[Q] < tiered[Q]
 
     def test_lazy_non_empty_reads_track_leveling_closely(self, model):
         """The largest level dominates residence, so Z1 stays near leveling."""
-        lazy = model.non_empty_read_cost(LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING))
-        leveled = model.non_empty_read_cost(LSMTuning(6.0, 6.0, Policy.LEVELING))
-        tiered = model.non_empty_read_cost(LSMTuning(6.0, 6.0, Policy.TIERING))
+        lazy = model.cost_vector(LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING))[Z1]
+        leveled = model.cost_vector(LSMTuning(6.0, 6.0, Policy.LEVELING))[Z1]
+        tiered = model.cost_vector(LSMTuning(6.0, 6.0, Policy.TIERING))[Z1]
         assert abs(lazy - leveled) < abs(tiered - leveled)
 
 
-class TestCostMatrixMatchesScalarPath:
+class TestCostMatrix:
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
-    def test_grid_parity_model_scale(self, model, policy):
-        system = model.system
-        ratios = np.arange(2.0, system.max_size_ratio + 1.0, 7.0)
-        bits = np.linspace(0.0, system.max_bits_per_entry - 1e-6, 9)
+    def test_the_outer_product_has_one_cost_vector_per_cell(self, model, policy):
+        ratios = np.array([2.0, 3.0, 10.0, 42.0, 100.0])
+        bits = np.linspace(0.0, model.system.max_bits_per_entry - 1e-6, 9)
         matrix = model.cost_matrix(ratios, bits, policy)
         assert matrix.shape == (ratios.size, bits.size, 4)
-        for i, size_ratio in enumerate(ratios):
-            for j, bits_per_entry in enumerate(bits):
-                scalar = model.cost_vector(
-                    LSMTuning(float(size_ratio), float(bits_per_entry), policy)
-                )
-                np.testing.assert_allclose(
-                    matrix[i, j], scalar, atol=1e-9, rtol=1e-9
-                )
-
-    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
-    def test_grid_parity_simulator_scale(self, policy):
-        system = simulator_system(num_entries=8_000)
-        model = LSMCostModel(system)
-        ratios = np.array([2.0, 3.0, 10.0, 42.0, 100.0])
-        bits = np.linspace(0.0, system.max_bits_per_entry - 1e-6, 5)
-        matrix = model.cost_matrix(ratios, bits, policy)
-        for i, size_ratio in enumerate(ratios):
-            for j, bits_per_entry in enumerate(bits):
-                scalar = model.cost_vector(
-                    LSMTuning(float(size_ratio), float(bits_per_entry), policy)
-                )
-                np.testing.assert_allclose(
-                    matrix[i, j], scalar, atol=1e-9, rtol=1e-9
-                )
+        np.testing.assert_array_equal(
+            matrix[3, 7], model.cost_vector(LSMTuning(42.0, bits[7], policy))
+        )
 
     def test_workload_cost_matrix_is_the_dot_product(self, model):
         ratios = np.array([3.0, 9.0])
@@ -150,6 +124,26 @@ class TestCostMatrixMatchesScalarPath:
         with pytest.raises(ValueError):
             model.cost_matrix(np.array([4.0]), np.array([too_many]), Policy.LEVELING)
 
+    @pytest.mark.parametrize(
+        "ratio,bits,field",
+        [
+            (np.nan, 5.0, "size ratio"),
+            (np.inf, 5.0, "size ratio"),
+            (4.0, np.nan, "bits_per_entry"),
+            (4.0, np.inf, "bits_per_entry"),
+        ],
+        ids=["T=nan", "T=inf", "h=nan", "h=inf"],
+    )
+    def test_rejects_non_finite_points(self, model, ratio, bits, field):
+        """A NaN fails the guard of its own field instead of slipping past
+        it, and an infinite T no longer prices a one-level tree."""
+        with pytest.raises(ValueError, match=field):
+            model.cost_matrix(np.array([ratio]), np.array([bits]), Policy.LEVELING)
+        with pytest.raises(ValueError, match=field):
+            model.cost_points(
+                np.array([[4.0, ratio]]), np.array([[1.0, bits]]), (Policy.TIERING,)
+            )
+
 
 class TestCostPointsPairsPointsAndStacksPolicies:
     """``cost_points`` is the one implementation: paired ``(T_i, h_i)``
@@ -164,13 +158,12 @@ class TestCostPointsPairsPointsAndStacksPolicies:
     _BITS = np.array([0.0, 2.5, 7.0, 11.0])
 
     @pytest.mark.parametrize("nu", [0.0, 0.4])
-    def test_shared_points_match_the_scalar_path_under_every_policy(self, model, nu):
+    def test_shared_points_are_priced_under_every_policy(self, model, nu):
         costs = model.cost_points(self._RATIOS[None], self._BITS[None], self._STACK, nu)
         assert costs.shape == (len(self._STACK), self._RATIOS.size, 4)
         for p, policy in enumerate(self._STACK):
-            for i, (size_ratio, bits) in enumerate(zip(self._RATIOS, self._BITS)):
-                scalar = model.cost_vector(LSMTuning(size_ratio, bits, policy), nu)
-                np.testing.assert_allclose(costs[p, i], scalar, rtol=1e-9)
+            alone = model.cost_points(self._RATIOS[None], self._BITS[None], (policy,), nu)
+            np.testing.assert_allclose(costs[p], alone[0], rtol=1e-14)
 
     def test_a_leading_policy_axis_gives_each_policy_its_own_points(self, model):
         ratios = np.array([[2.0, 5.0], [3.0, 8.0], [6.0, 30.0]])
@@ -178,9 +171,8 @@ class TestCostPointsPairsPointsAndStacksPolicies:
         costs = model.cost_points(ratios, bits, self._STACK)
         assert costs.shape == (3, 2, 4)
         for p, policy in enumerate(self._STACK):
-            for i in range(2):
-                scalar = model.cost_vector(LSMTuning(ratios[p, i], bits[p, i], policy))
-                np.testing.assert_allclose(costs[p, i], scalar, rtol=1e-9)
+            alone = model.cost_points(ratios[p][None], bits[p][None], (policy,))
+            np.testing.assert_allclose(costs[p], alone[0], rtol=1e-14)
 
     def test_rejects_points_that_do_not_line_up_with_the_policies(self, model):
         with pytest.raises(ValueError):

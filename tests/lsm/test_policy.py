@@ -16,9 +16,23 @@ from repro.lsm import (
     fluid_vector_specs,
     halving_ladder,
 )
+from repro.lsm.policy import stacked_run_bounds
 
 of = CompactionPolicy.of
 fluid = CompactionPolicy.fluid
+
+
+def _runs(policy, size_ratio, num_levels):
+    """The model's runs at levels ``1..L`` of a tree ``num_levels`` deep: the
+    bounds the cost kernel reads, for a scalar ``T`` or a ``(n, 1)`` column."""
+    ratio = np.asarray(size_ratio, dtype=float)
+    ratio = ratio.reshape((1,) + ratio.shape[:-1] + (1,))
+    return stacked_run_bounds([policy], ratio, float(num_levels), int(num_levels))[0]
+
+
+def _merges(policy, size_ratio, num_levels):
+    """The kernel's per-level merge amortisation ``(T-1)/(K_i+1)``."""
+    return (np.asarray(size_ratio) - 1.0) / (_runs(policy, size_ratio, num_levels) + 1.0)
 
 
 class TestPolicyFromValue:
@@ -125,9 +139,8 @@ class TestNamedPolicies:
     ):
         """1, T-1, (T-1)/2 and (T-1)/T exactly — integer and fractional T,
         scalar and broadcast; at L = 1 the two hybrids are plain leveling."""
-        levels = np.arange(1.0, num_levels + 1.0)
-        runs = of(policy).runs_per_level(size_ratio, levels, float(num_levels))
-        merges = of(policy).merge_factor(size_ratio, levels, float(num_levels))
+        runs = _runs(of(policy), size_ratio, num_levels)
+        merges = _merges(of(policy), size_ratio, num_levels)
         assert runs.shape == merges.shape == np.shape(size_ratio)[:-1] + (num_levels,)
         ratios = np.ravel(size_ratio)
         for level in range(1, num_levels + 1):
@@ -154,77 +167,69 @@ class TestNamedPolicies:
 
 
 class TestAnalyticalQuantities:
-    LEVELS = np.arange(1.0, 6.0)
+    """The per-level bounds the cost kernel reads, and the merge
+    amortisation its ``W`` line derives from them."""
 
     def test_lazy_leveling_mixes_both(self):
-        runs = of(Policy.LAZY_LEVELING).runs_per_level(7.0, self.LEVELS, 5.0)
+        runs = _runs(of(Policy.LAZY_LEVELING), 7.0, 5)
         assert np.all(runs[:-1] == 6.0)
         assert runs[-1] == 1.0
 
     def test_one_leveling_levels_only_the_first(self):
         one = of(Policy.ONE_LEVELING)
-        runs = one.runs_per_level(7.0, self.LEVELS, 5.0)
+        runs = _runs(one, 7.0, 5)
         assert runs[0] == 1.0
         assert np.all(runs[1:] == 6.0)
-        merges = one.merge_factor(8.0, self.LEVELS, 5.0)
+        merges = _merges(one, 8.0, 5)
         assert merges[0] == pytest.approx(3.5)
         assert np.allclose(merges[1:], 7.0 / 8.0)
 
     def test_quantities_broadcast_over_size_ratio_grids(self):
         ratios = np.array([2.0, 5.0, 10.0]).reshape(-1, 1)
         for policy in ALL_POLICIES:
-            runs = of(policy).runs_per_level(ratios, self.LEVELS, 5.0)
-            merges = of(policy).merge_factor(ratios, self.LEVELS, 5.0)
+            runs = _runs(of(policy), ratios, 5)
+            merges = _merges(of(policy), ratios, 5)
             assert runs.shape == (3, 5)
             assert merges.shape == (3, 5)
 
     def test_fluid_runs_follow_the_bounds(self):
-        runs = fluid((3,), 2).runs_per_level(7.0, self.LEVELS, 5.0)
+        runs = _runs(fluid((3,), 2), 7.0, 5)
         assert np.all(runs[:-1] == 3.0)
         assert runs[-1] == 2.0
 
-    def test_fluid_merge_factor_interpolates_the_classical_formulas(self):
-        merges = fluid((3,), 1).merge_factor(9.0, self.LEVELS, 5.0)
+    def test_fluid_merges_interpolate_the_classical_formulas(self):
+        merges = _merges(fluid((3,), 1), 9.0, 5)
         assert np.allclose(merges[:-1], 8.0 / 4.0)
         assert merges[-1] == pytest.approx(4.0)
 
     def test_bounds_clamp_to_the_feasible_range(self):
-        runs = fluid((64,), 16).runs_per_level(5.0, self.LEVELS, 5.0)
+        runs = _runs(fluid((64,), 16), 5.0, 5)
         assert np.all(runs == 4.0)  # clamped to T - 1
 
-    def test_runs_per_level_reads_the_vector(self):
-        runs = fluid((4.0, 2.0, 1.0)).runs_per_level(8.0, self.LEVELS, 5.0)
+    def test_runs_read_the_vector(self):
+        runs = _runs(fluid((4.0, 2.0, 1.0)), 8.0, 5)
         # Levels 1..3 read the vector, level 4 reuses the last element,
         # level 5 (largest) reads Z = 1.
         np.testing.assert_allclose(runs, [4.0, 2.0, 1.0, 1.0, 1.0])
 
-    def test_merge_factor_reads_the_vector(self):
-        merges = fluid((3.0, 1.0), 1.0).merge_factor(8.0, np.arange(1.0, 5.0), 4.0)
+    def test_merges_read_the_vector(self):
+        merges = _merges(fluid((3.0, 1.0), 1.0), 8.0, 4)
         np.testing.assert_allclose(merges, [7.0 / 4.0, 7.0 / 2.0, 7.0 / 2.0, 7.0 / 2.0])
 
     def test_vector_clamps_per_level_to_the_feasible_range(self):
-        runs = fluid((64.0, 2.0)).runs_per_level(4.0, np.arange(1.0, 4.0), 3.0)
+        runs = _runs(fluid((64.0, 2.0)), 4.0, 3)
         np.testing.assert_allclose(runs, [3.0, 2.0, 1.0])  # 64 capped at T - 1
 
     def test_uniform_vector_matches_the_scalar_everywhere(self):
         scalar = fluid((3.0,), 2.0)
         vector = fluid((3.0,) * 8, 2.0)
         ratios = np.array([2.0, 3.5, 8.0, 40.0]).reshape(-1, 1)
-        levels = np.arange(1.0, 7.0).reshape(1, -1)
-        np.testing.assert_array_equal(
-            scalar.runs_per_level(ratios, levels, 6.0),
-            vector.runs_per_level(ratios, levels, 6.0),
-        )
-        np.testing.assert_array_equal(
-            scalar.merge_factor(ratios, levels, 6.0),
-            vector.merge_factor(ratios, levels, 6.0),
-        )
+        np.testing.assert_array_equal(_runs(scalar, ratios, 6), _runs(vector, ratios, 6))
+        np.testing.assert_array_equal(_merges(scalar, ratios, 6), _merges(vector, ratios, 6))
 
     def test_without_z_the_largest_level_reads_its_own_bound(self):
         no_z = CompactionPolicy(Policy.FLUID, (4.0, 2.0), in_place=True)
-        np.testing.assert_array_equal(
-            no_z.runs_per_level(8.0, np.arange(1.0, 4.0), 3.0), [4.0, 2.0, 2.0]
-        )
+        np.testing.assert_array_equal(_runs(no_z, 8.0, 3), [4.0, 2.0, 2.0])
         assert no_z.max_resident_runs(8, 3, 3) == 2
 
 

@@ -120,21 +120,6 @@ class TestTreeShape:
         with pytest.raises(ValueError):
             SystemConfig().num_levels(1.5, 5.0)
 
-    def test_level_capacities_grow_by_t(self):
-        config = SystemConfig()
-        cap2 = config.level_capacity_entries(2, 10.0, 5.0)
-        cap3 = config.level_capacity_entries(3, 10.0, 5.0)
-        assert cap3 == pytest.approx(10.0 * cap2)
-
-    def test_level_capacity_rejects_level_zero(self):
-        with pytest.raises(ValueError):
-            SystemConfig().level_capacity_entries(0, 10.0, 5.0)
-
-    def test_full_tree_holds_all_entries(self):
-        config = SystemConfig()
-        full = config.full_tree_entries(10.0, 5.0)
-        assert full >= config.num_entries
-
 
 class TestScalingAndSerialisation:
     def test_scaled_preserves_bits_per_entry(self):

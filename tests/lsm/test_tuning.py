@@ -27,6 +27,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LSMTuning(size_ratio=5.0, bits_per_entry=-1.0, policy=Policy.LEVELING)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["size_ratio", "bits_per_entry"])
+    def test_rejects_non_finite_values_naming_the_field(self, field, value):
+        """A NaN fails no ``<`` guard, and ``T = inf`` used to price a one-level
+        tree as ``[nan nan inf nan]``; both are refused where they enter."""
+        arguments = {"size_ratio": 5.0, "bits_per_entry": 5.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            LSMTuning(policy=Policy.LEVELING, **arguments)
+        document = {"policy": "tiering", **arguments, field: str(value)}
+        with pytest.raises(ValueError, match=field):
+            LSMTuning.from_dict(json.loads(json.dumps(document)))
+
     def test_is_hashable_and_comparable(self):
         a = LSMTuning(5.0, 3.0, Policy.LEVELING)
         b = LSMTuning(5.0, 3.0, Policy.LEVELING)

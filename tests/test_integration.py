@@ -229,7 +229,7 @@ class TestLongRangeAgreementUnderChurn:
                 f"{tuning.describe()}: update churn must amplify long scans "
                 f"(fresh {fresh:.2f}, churned {churned:.2f})"
             )
-            predicted = model.long_range_cost(tuning)
+            predicted = model.cost_vector(tuning, 1.0)[2]  # Q at ν = 1
             ratio = churned / predicted
             assert lo <= ratio <= hi, (
                 f"{tuning.describe()}: churned long scans measured "
@@ -239,7 +239,7 @@ class TestLongRangeAgreementUnderChurn:
 
     def test_churned_measurements_rank_policies_like_the_model(self, harness):
         model, measure = harness
-        predicted = [model.long_range_cost(t) for t in self.POLICY_TUNINGS]
+        predicted = [model.cost_vector(t, 1.0)[2] for t in self.POLICY_TUNINGS]
         churned = [measure(t, update_fraction=0.9) for t in self.POLICY_TUNINGS]
         model_order = sorted(range(len(predicted)), key=predicted.__getitem__)
         measured_order = sorted(range(len(churned)), key=churned.__getitem__)

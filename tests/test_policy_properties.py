@@ -5,9 +5,11 @@ split enlarge the design space the model, simulator and tuners must agree
 on.  This module pins the invariants that keep them consistent as the space
 grows:
 
-* **batch/scalar parity** — for every registered policy (and a spread of
-  fluid ``(K, Z)`` bounds), ``cost_matrix`` equals the scalar
-  ``cost_vector`` to 1e-9, at every long-range fraction;
+* **grid/point parity** — for every registered policy (and a spread of
+  fluid ``(K, Z)`` bounds), a cell of the ``cost_matrix`` outer product
+  equals the one-point ``cost_vector`` to 1e-9, at every long-range
+  fraction (both read the one kernel, ``cost_points``, whose values
+  ``tests/lsm/test_golden_costs.py`` pins);
 * **positivity** — every cost component is positive and finite across the
   whole design box;
 * **special-case recovery** — leveling, tiering and lazy leveling are exact
@@ -20,6 +22,8 @@ grows:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from repro.lsm import (
     Policy,
     SystemConfig,
 )
+from repro.lsm.policy import stacked_run_bounds
 from repro.workloads import Workload
 
 _SYSTEM = SystemConfig()
@@ -95,7 +100,7 @@ class TestBatchScalarParity:
     @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_ids)
     @pytest.mark.parametrize("nu", [0.0, 0.35, 1.0])
     def test_cost_matrix_matches_scalar_costs(self, spec, nu):
-        """`cost_matrix` == scalar `cost_vector` to 1e-9 on a random grid."""
+        """`cost_matrix` == one-point `cost_vector` to 1e-9 on a random grid."""
         matrix = _MODEL.cost_matrix(_RATIOS, _BITS, spec, long_range_fraction=nu)
         for i, ratio in enumerate(_RATIOS):
             for j, bits in enumerate(_BITS):
@@ -160,11 +165,11 @@ class TestFluidSpecialCases:
         """Interior K sits between the leveling and tiering corners on every
         cost component (reads increase with K, writes decrease)."""
         interior = CompactionPolicy.fluid((min(3.0, size_ratio - 1.0),), 1.0)
-        levels = np.arange(1.0, 6.0)
-        runs = interior.runs_per_level(size_ratio, levels, 6.0)
+        # Levels 1..5 of a six-level tree, as the cost kernel reads them.
+        runs = stacked_run_bounds([interior], np.full((1, 1), size_ratio), 6.0, 5)
         assert np.all(runs >= 1.0 - 1e-12)
         assert np.all(runs <= size_ratio - 1.0 + 1e-12)
-        merges = interior.merge_factor(size_ratio, levels, 6.0)
+        merges = (size_ratio - 1.0) / (runs + 1.0)
         assert np.all(merges <= (size_ratio - 1.0) / 2.0 + 1e-12)
         assert np.all(merges >= (size_ratio - 1.0) / size_ratio - 1e-12)
 
@@ -172,11 +177,12 @@ class TestFluidSpecialCases:
 class TestRangeSplitProperties:
     @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_ids)
     def test_blend_is_monotone_between_the_regimes(self, spec):
-        """Q(ν) is the convex blend of the short and long costs."""
+        """Q(ν) is the convex blend of the short (ν = 0) and long (ν = 1)
+        costs."""
         tuning = _tuning_of(spec, 8.0, 5.0)
-        short = _MODEL.short_range_cost(tuning)
-        long = _MODEL.long_range_cost(tuning)
-        blended = _MODEL.range_read_cost(tuning, 0.4)
+        short = _MODEL.cost_vector(tuning, 0.0)[2]
+        long = _MODEL.cost_vector(tuning, 1.0)[2]
+        blended = _MODEL.cost_vector(tuning, 0.4)[2]
         assert blended == pytest.approx(0.6 * short + 0.4 * long, rel=1e-12)
         assert min(short, long) - 1e-12 <= blended <= max(short, long) + 1e-12
 
@@ -186,17 +192,17 @@ class TestRangeSplitProperties:
         tiered = LSMTuning(8.0, 5.0, Policy.TIERING)
         lazy = LSMTuning(8.0, 5.0, Policy.LAZY_LEVELING)
         fluid = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=7, z_bound=1)
-        assert _MODEL.long_range_cost(tiered) > _MODEL.long_range_cost(lazy)
-        assert _MODEL.long_range_cost(fluid) == pytest.approx(
-            _MODEL.long_range_cost(lazy), rel=1e-12
-        )
+        long = {t: _MODEL.cost_vector(t, 1.0)[2] for t in (tiered, lazy, fluid)}
+        assert long[tiered] > long[lazy]
+        assert long[fluid] == pytest.approx(long[lazy], rel=1e-12)
 
-    def test_zero_fraction_reproduces_the_pre_split_cost(self):
+    def test_zero_fraction_never_reads_the_long_range_selectivity(self):
+        """ν = 0 is the pre-split cost: no long-range selectivity, however
+        large, moves it by a bit."""
+        scan_everything = LSMCostModel(replace(_SYSTEM, long_range_selectivity=1.0))
         for spec in _ALL_SPECS:
             tuning = _tuning_of(spec, 6.0, 4.0)
-            assert _MODEL.range_read_cost(tuning) == pytest.approx(
-                _MODEL.short_range_cost(tuning), rel=0
-            )
+            assert scan_everything.cost_vector(tuning)[2] == _MODEL.cost_vector(tuning)[2]
 
 
 class TestZeroWeightGuard:
@@ -209,12 +215,14 @@ class TestZeroWeightGuard:
     def test_workload_cost_ignores_an_infinite_range_component(self, monkeypatch):
         tuning = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=4, z_bound=2)
         finite = _MODEL.workload_cost(self._NO_RANGES, tuning)
-        monkeypatch.setattr(
-            LSMCostModel, "long_range_cost", lambda self, t: float("inf")
-        )
-        monkeypatch.setattr(
-            LSMCostModel, "short_range_cost", lambda self, t: float("inf")
-        )
+        priced = LSMCostModel.cost_vector
+
+        def infinite_ranges(self, tuning, long_range_fraction=0.0):
+            vector = priced(self, tuning, long_range_fraction).copy()
+            vector[2] = float("inf")
+            return vector
+
+        monkeypatch.setattr(LSMCostModel, "cost_vector", infinite_ranges)
         guarded = _MODEL.workload_cost(self._NO_RANGES, tuning)
         assert np.isfinite(guarded)
         assert guarded == pytest.approx(finite, rel=1e-12)

@@ -66,20 +66,21 @@ class TestCostModelProperties:
         lo, hi = sorted((low, high))
         cheap = LSMTuning(size_ratio, hi, policy)
         expensive = LSMTuning(size_ratio, lo, policy)
-        assert _MODEL.empty_read_cost(cheap) <= _MODEL.empty_read_cost(expensive) + 1e-9
+        assert _MODEL.cost_vector(cheap)[0] <= _MODEL.cost_vector(expensive)[0] + 1e-9
 
     @given(tuning=tunings())
     @settings(max_examples=40, deadline=None)
     def test_non_empty_read_at_least_one_io(self, tuning):
-        assert _MODEL.non_empty_read_cost(tuning) >= 1.0 - 1e-9
+        assert _MODEL.cost_vector(tuning)[1] >= 1.0 - 1e-9
 
     @given(tuning=tunings())
     @settings(max_examples=40, deadline=None)
     def test_tiering_reads_cost_at_least_leveling(self, tuning):
         leveled = tuning.with_policy(Policy.LEVELING)
         tiered = tuning.with_policy(Policy.TIERING)
-        assert _MODEL.empty_read_cost(tiered) >= _MODEL.empty_read_cost(leveled) - 1e-9
-        assert _MODEL.write_cost(tiered) <= _MODEL.write_cost(leveled) + 1e-9
+        tiered_costs, leveled_costs = _MODEL.cost_vector(tiered), _MODEL.cost_vector(leveled)
+        assert tiered_costs[0] >= leveled_costs[0] - 1e-9  # Z0
+        assert tiered_costs[3] <= leveled_costs[3] + 1e-9  # W
 
     @given(tuning=tunings())
     @settings(max_examples=40, deadline=None)

@@ -373,3 +373,13 @@ class MigrationPlan(BufferFirstReads):
         target = self.target.scan_runs(start_key, end_key, buffered)
         source = self.source.scan_versions(start_key, end_key)
         return consolidate_versions(*zip(target, source))
+
+    def charge_range(self, start_key: int, end_key: int) -> None:
+        """The pages :meth:`scan_runs` charges: the target's runs, then the source's."""
+        self.target.charge_range(start_key, end_key)
+        self.source.charge_range(start_key, end_key)
+
+    def charge_ranges(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Batched :meth:`charge_range`, a batch on each side."""
+        self.target.charge_ranges(starts, ends)
+        self.source.charge_ranges(starts, ends)

@@ -44,14 +44,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import (
-    MemoryStore,
-    SortedRun,
-    consolidate_versions,
-    count_live_versions,
-    live_prefix,
-    locate_many,
-)
+from .run import MemoryStore, SortedRun, consolidate_versions, locate_many
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,8 @@ def execute_operation(engine, operation: Operation) -> None:
 
     The scalar reference of :func:`execute_operations_batched`: replaying a
     trace row by row through here defines the disk counters, tree state and
-    answers the batched loop must reproduce bit for bit.  ``engine`` is the
+    GET answers the batched loop must reproduce bit for bit; a range's answer
+    is discarded here as it is there.  ``engine`` is the
     live :class:`LSMTree` or the online subsystem's mixed migration state;
     the batched loop asks more of it (see there).
     """
@@ -117,35 +111,38 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     span_keys.clear()
 
 
-#: Fewer pending ranges than this scan the runs one range at a time, for the
+#: Fewer pending ranges than this are charged one range at a time, for the
 #: same reason.  In a tight loop on the post-replay ``range_scan`` trees,
-#: ``scan_runs`` per range vs ``count_runs_many`` per range at widths 1 / 8 / 12 /
-#: 64: leveling T=6 h=8 (4 runs) 10 us vs 50 / 12.7 / 9.0 / 3.1 (walk wins from
-#: 11-12 ranges), leveling T=6 h=10 11 us vs 74 / 13.0 / 9.0 / 3.5 (from 10),
-#: tiering T=8 h=1 (6 runs) 18 us vs 98 / 13.8 / 11.0 / 4.7 (from 7-8), 50-100 us
-#: fixed a walk.  Once per flush epoch its ~45 NumPy entry points run cold and
-#: the crossover is later — user ms of one bench call at cutoff 12 / 32 / 48 /
-#: never: ``point_read`` (drains of ~18) 116 / 112 / 110 / 110, ``online_drift``
-#: 118 / 114 / 113 / 117, ``sharded_serving`` 114 / 114 / 116 / 171,
-#: ``range_scan`` 104 / 101 / 104 / 162 (and 137 at 96).
-RANGE_SPAN_CUTOFF = 32
+#: ``charge_range`` per range vs ``charge_ranges`` per batch of 1 / 4 / 8 / 64:
+#: leveling T=6 h=8 (4 runs) 6.0 us vs 17.6 / 20.8 / 22.9 / 51 us, leveling
+#: T=6 h=10 6.2 us vs 18.6 / 20.5 / 22.9 / 53, tiering T=8 h=1 (6 runs) 8.9 us
+#: vs 22.2 / 26.1 / 33.1 / 80: the batch wins from 3-4 ranges.  It runs cold
+#: once per flush epoch, so whole calls decide — median reference ms of one
+#: bench call at cutoff 4 / 6 / 8 / 16 (5 runs each, 2-vCPU VM):
+#: ``sharded_serving`` 92.8 / 90.5 / 91.7 / 92.5, ``online_drift`` 106.5 / 105.1
+#: / 105.0 / 104.0; ``range_scan`` (drains of ~90) 58-62 anywhere in 2-32 and
+#: 121-125 never batched (2 runs); ``point_read``, ``persistent_mixed`` flat.
+RANGE_SPAN_CUTOFF = 6
 
-#: No key lies past it, so a range that ends beyond is cut here at capture.
+#: No key lies past it, so a range that ends beyond is cut here when queued.
 _MAX_KEY = 2**63 - 1
 
 
-def drain_range_span(engine, ranges: list[tuple]) -> None:
-    """Scan the engine's runs for the pending ranges and empty the list.
+def drain_range_span(engine, ranges: list[tuple[int, int]]) -> None:
+    """Charge the engine's runs for the pending ``(start, end)`` ranges and
+    empty the list.
 
-    Each range carries the buffer's versions inside it as captured at its
-    stream position; the buffer is *not* read again — a key put since is not
-    the range's to count.  Either path charges the same pages.
+    A replayed range's answer is read by nobody, so only its pages are
+    charged: the runs' share of a scan depends on the interval and the runs
+    alone, and the buffer's share costs no I/O.  Either path charges the same
+    pages.
     """
     if len(ranges) < RANGE_SPAN_CUTOFF:
-        for start_key, end_key, buffered in ranges:
-            engine.scan_runs(start_key, end_key, buffered)
+        for start_key, end_key in ranges:
+            engine.charge_range(start_key, end_key)
     else:
-        engine.count_runs_many(ranges)
+        starts, ends = zip(*ranges)
+        engine.charge_ranges(np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
     ranges.clear()
 
 
@@ -153,32 +150,30 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
     """Replay a trace against an engine, batching reads between flushes.
 
     The one loop that walks a trace.  Every PUT executes at its stream
-    position, and so does the buffer's half of every read: a GET asks the
-    write buffer — a buffered version, live or tombstone, answers with no
-    I/O — and a RANGE takes the buffer's versions inside its interval.  The
-    *run side* — the unanswered GET keys, the ranges with their captured
-    parts — joins two pending lists (each capped at ``max_batch_ops``) that
-    are issued when the run set is about to change: before a put that may
-    fill the buffer, and when the trace ends.  Between two flushes the runs
-    are immutable and a read's page charge depends on the key or interval and
-    the runs alone, so only the order of read I/O inside a flush epoch shifts
-    — which no measurement observes, sessions measure counter deltas.  The
-    drain precedes the flushing put because a flush on files unlinks the
-    tables it replaced.  Disk counters, tree state and answers are
-    bit-identical to replaying the trace row by row through
-    :func:`execute_operation`.
+    position, and so does the buffer's half of every GET: a buffered version,
+    live or tombstone, answers with no I/O.  The *run side* — the unanswered
+    GET keys, and every RANGE's ``(start, end)`` — joins two pending lists
+    (each capped at ``max_batch_ops``) that are issued when the run set is
+    about to change: before a put that may fill the buffer, and when the
+    trace ends.  Between two flushes the runs are immutable and a read's page
+    charge depends on the key or interval and the runs alone, so only the
+    order of read I/O inside a flush epoch shifts — which no measurement
+    observes, sessions measure counter deltas.  The drain precedes the
+    flushing put because a flush on files unlinks the tables it replaced.
+    Disk counters, tree state and GET answers are bit-identical to replaying
+    the trace row by row through :func:`execute_operation`; a range is
+    charged its pages and answered by nobody, there as here.
 
     ``engine`` (an :class:`LSMTree`, or a mid-flight ``MigrationPlan``, whose
-    steps run between calls) exposes ``put``, the ``memtable`` consulted
-    first, ``write_room()`` — puts that certainly cannot flush — and the
-    buffer-skipping ``probe_runs`` / ``probe_runs_many`` and ``scan_runs`` /
-    ``count_runs_many``.
+    steps run between calls) exposes ``put``, the ``memtable`` a GET asks
+    first, ``write_room()`` — puts that certainly cannot flush — the
+    buffer-skipping ``probe_runs`` / ``probe_runs_many``, and
+    ``charge_range`` / ``charge_ranges``.
     """
     range_kind = OperationType.RANGE.value
     buffered = engine.memtable.holds
-    scan_buffer = engine.memtable.scan_items
     pending: list[int] = []
-    ranges: list[tuple] = []
+    ranges: list[tuple[int, int]] = []
     append = pending.append
     room = 0
     # Plain-int columns: per-window array work would cost more than it saves
@@ -192,8 +187,7 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
                 if len(pending) >= max_batch_ops:
                     drain_get_span(engine, pending)
         elif kind == range_kind:
-            end_key = min(key + scan_length, _MAX_KEY)
-            ranges.append((key, end_key, scan_buffer(key, end_key)))
+            ranges.append((key, min(key + scan_length, _MAX_KEY)))
             if len(ranges) >= max_batch_ops:
                 drain_range_span(engine, ranges)
         else:
@@ -355,14 +349,6 @@ class BufferFirstReads:
         them; when a single run answers, the arrays are read-only views of it.
         """
         return self.scan_runs(start_key, end_key, self.memtable.scan_items(start_key, end_key))
-
-    def count_runs_many(self, ranges: list[tuple]) -> np.ndarray:
-        """What :meth:`range_query` answers, per ``(start_key, end_key, buffered)``
-        range of a non-empty batch whose buffer parts were taken earlier: here
-        one ``scan_runs`` after the other."""
-        return np.array(
-            [np.count_nonzero(~self.scan_runs(*each)[1]) for each in ranges], dtype=np.int64
-        )
 
 
 class LSMTree(BufferFirstReads):
@@ -710,30 +696,29 @@ class LSMTree(BufferFirstReads):
         # Parts were collected newest-first; keep the most recent version.
         return consolidate_versions(key_parts, tombstone_parts)
 
-    def count_runs_many(self, ranges: list[tuple]) -> np.ndarray:
-        """Batched :meth:`scan_runs`, counted: live keys per range.
+    def charge_range(self, start_key: int, end_key: int) -> None:
+        """Charge the pages :meth:`scan_runs` would for the interval, and no more."""
+        pages = 0
+        for runs in self.levels:
+            for run in runs:
+                pages += run.scan_entries(start_key, end_key)[2]
+        if pages:
+            self.disk.read_pages(pages)
 
-        Resident runs are walked once for the batch: two ``searchsorted`` a
-        run locate every interval, one ``read_pages`` charges what per-range
-        scans would have, and no slice is touched unless versions of one range
-        lie in two parts.  On files a span needs its own ``pread`` anyway.
+    def charge_ranges(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Batched :meth:`charge_range` over the ``int64`` interval columns.
+
+        Resident runs are located once for the batch — two ``searchsorted`` a
+        run — and charged in one ``read_pages``.  On files every charged page
+        is still ``pread``, so there it is one :meth:`charge_range` a range.
         """
         if not self.store.runs_resident:
-            return super().count_runs_many(ranges)
-        starts, ends, buffered = zip(*ranges)
+            for start_key, end_key in zip(starts.tolist(), ends.tolist()):
+                self.charge_range(start_key, end_key)
+            return
         runs = [run for level in self.levels for run in level]
-        lo, hi, pages = locate_many(
-            runs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
-        )
-        self.disk.read_pages(int(pages.sum()))
-        # The buffer's parts, joined: the newest "run", each range its slice.
-        keys, tombstones = (np.concatenate(column) for column in zip(*buffered))
-        top = np.cumsum([part.size for part, _ in buffered])
-        parts = [(keys, tombstones, live_prefix(tombstones))]
-        parts += [(run.keys, run.tombstones, run.live_prefix) for run in runs]
-        return count_live_versions(
-            parts, np.vstack((np.append(0, top[:-1]), lo)), np.vstack((top, hi))
-        )
+        if runs:
+            self.disk.read_pages(int(locate_many(runs, starts, ends)[2].sum()))
 
     # ------------------------------------------------------------------
     # Trace operations

@@ -10,8 +10,6 @@ caller.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .bloom_filter import BloomFilter
@@ -70,13 +68,6 @@ def consolidate_versions(
     return sorted_keys, sorted_tombstones
 
 
-def live_prefix(tombstones: np.ndarray) -> np.ndarray | None:
-    """Live entries before each index; ``None`` when nothing is tombstoned."""
-    if not tombstones.any():
-        return None
-    return np.concatenate(([0], np.cumsum(~tombstones)))
-
-
 def locate_many(runs: list, starts: np.ndarray, ends: np.ndarray) -> tuple:
     """``scan_entries`` of every run for a batch of intervals, entries left in place.
 
@@ -98,44 +89,6 @@ def locate_many(runs: list, starts: np.ndarray, ends: np.ndarray) -> tuple:
     # ... unless the interval is inverted or misses the run's bounds.
     pages[(hi == 0) | (lo == size) | (ends < starts)] = 0
     return lo, hi, pages
-
-
-def count_live_versions(parts: list[tuple], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Live keys per range, newest-wins, for a whole batch of ranges at once.
-
-    ``parts`` are ``(keys, tombstones, live_prefix)`` newest first, and range
-    ``i`` reads ``keys[lo[p, i]:hi[p, i]]`` of part ``p``.  The sizes of what
-    :func:`consolidate_versions` would return with ``drop_tombstones`` for
-    every range's slices, without building them: a range with at most one
-    non-empty slice has nothing to collide, and the others are resolved
-    together in one sort by ``(range, key)``.
-    """
-    width = hi - lo
-    counts = width.sum(axis=0)
-    for row, (_, _, prefix) in enumerate(parts):
-        if prefix is not None:  # the tombstones inside a slice are not live
-            counts += prefix[hi[row]] - prefix[lo[row]] - width[row]
-    shared = np.flatnonzero(np.count_nonzero(width, axis=0) > 1)
-    if shared.size == 0:
-        return counts
-    # Gather the shared ranges' slices part by part, newest first: entry ``j``
-    # of a slice sits at ``lo + j``.
-    lo, width = lo[:, shared].ravel(), width[:, shared]
-    bounds = np.append(0, np.cumsum(width.sum(axis=1)))
-    width = width.ravel()
-    index = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(bounds[-1])
-    owners = np.repeat(np.tile(np.arange(shared.size), len(parts)), width)
-    slices = [index[a:b] for a, b in zip(bounds, bounds[1:])]
-    keys = np.concatenate([part[0][each] for part, each in zip(parts, slices)])
-    tombstones = np.concatenate([part[1][each] for part, each in zip(parts, slices)])
-    # A stable sort, so the first of each ``(range, key)`` is its newest version.
-    order = np.lexsort((keys, owners))
-    owners, keys, tombstones = owners[order], keys[order], tombstones[order]
-    newest = np.empty(keys.size, dtype=bool)
-    newest[:1] = True
-    newest[1:] = (keys[1:] != keys[:-1]) | (owners[1:] != owners[:-1])
-    counts[shared] = np.bincount(owners[newest & ~tombstones], minlength=shared.size)
-    return counts
 
 
 def build_run_index(
@@ -375,14 +328,6 @@ class SortedRun:
             self._tombstones[lo:hi],
             (hi - 1) // per_page - lo // per_page + 1,
         )
-
-    @cached_property
-    def live_prefix(self) -> np.ndarray | None:
-        """Live entries before each index, ``None`` for a run without tombstones.
-
-        A run is immutable, so this is built at most once.
-        """
-        return live_prefix(self._tombstones)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -1,14 +1,17 @@
 """Tests for the simulated LSM tree (structure, queries, compaction, I/O)."""
 
+import itertools
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.storage import LSMTree, MemoryStore, SortedRun
-from repro.storage.lsm_tree import BufferFirstReads
-from repro.storage.run import consolidate_versions
+from repro.online import MigrationPlan
+from repro.storage import LSMTree, MemoryStore
+from repro.storage.persistent import FileStore
 
 
 def make_tree(policy=Policy.LEVELING, size_ratio=4.0, bits=6.0, num_entries=4_000):
@@ -516,40 +519,77 @@ class TestBatchedGets:
 _SMALL_KEY = st.integers(-12, 12)
 #: One part's versions, ``key -> is_tombstone``: a run's, or the buffer's.
 _VERSIONS = st.dictionaries(_SMALL_KEY, st.booleans(), max_size=10)
+#: Levels of up to three runs each; a level may be empty, and so may the tree.
+_LEVELS = st.lists(st.lists(_VERSIONS, max_size=3), max_size=3)
+#: Interval ends: among the keys, between them, past them, and int64's own.
+_BOUND = _SMALL_KEY | st.sampled_from([-(2**63), 2**63 - 1])
 
 
-def _arrays(versions: dict, start=-12, end=12) -> tuple[np.ndarray, np.ndarray]:
-    keys = sorted(key for key in versions if start <= key <= end)
-    return np.array(keys, dtype=np.int64), np.array([versions[k] for k in keys], dtype=bool)
+def _install(tree: LSMTree, levels: list, buffered: dict) -> None:
+    """Give ``tree`` runs of ``levels``' versions, created on its own store,
+    and a buffer holding ``buffered``."""
+    run_ids = itertools.count(1)
+    tree.levels = []
+    for runs in levels:
+        tree.levels.append([])
+        for versions in runs:
+            keys = np.array(sorted(versions), dtype=np.int64)
+            tombstones = np.array([versions[key] for key in keys.tolist()], dtype=bool)
+            run = tree.store.create_run(keys, tombstones, next(run_ids), 2, 0.0, 0)
+            tree.levels[-1].append(run)
+    for key, tombstone in buffered.items():
+        (tree.memtable.delete if tombstone else tree.memtable.put)(key)
 
 
-class TestBatchedRangeCounts:
-    """The batched count is ``consolidate_versions``, range by range."""
+class TestRangeCharge:
+    """A replayed range is charged its pages and nothing else: one batch, one
+    range at a time and the answering ``range_query`` charge the same."""
 
+    @pytest.mark.parametrize("kind", ["memory", "files", "mid-migration"])
     @given(
-        levels=st.lists(st.lists(_VERSIONS, max_size=3), max_size=3),
-        ranges=st.lists(st.tuples(_SMALL_KEY, _SMALL_KEY, _VERSIONS), min_size=1, max_size=10),
+        levels=_LEVELS,
+        source_levels=_LEVELS,
+        buffered=_VERSIONS,
+        intervals=st.lists(st.tuples(_BOUND, _BOUND), max_size=12),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_counts_and_pages_of_every_range(self, levels, ranges):
-        """Up to three versions of a key and more, live and tombstoned, across
-        the buffer's part — each range has its own, as captured — and the runs."""
-        tree = make_tree()
-        tree.levels = [
-            [SortedRun(*_arrays(run)[:1], 2, tombstones=_arrays(run)[1]) for run in runs]
-            for runs in levels
-        ]
-        runs = [run for level in tree.levels for run in level]
-        ranges = [(start, end, _arrays(held, start, end)) for start, end, held in ranges]
-        want, pages = [], 0
-        for start, end, buffered in ranges:
-            scans = [run.scan_entries(start, end) for run in runs]
-            parts = [buffered] + [scan[:2] for scan in scans]
-            live, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
-            want.append(live.size)
-            pages += sum(scan[2] for scan in scans)
-        assert tree.count_runs_many(ranges).tolist() == want
-        assert tree.disk.counters.query_reads == tree.disk.counters.total == pages
-        # The loop over the scalar scan — what a tree on files runs — agrees.
-        assert BufferFirstReads.count_runs_many(tree, ranges).tolist() == want
-        assert tree.disk.counters.total == 2 * pages
+    @settings(max_examples=100, deadline=None)
+    def test_every_path_charges_the_scans_pages(
+        self, kind, levels, source_levels, buffered, intervals
+    ):
+        """Inverted and empty intervals, ends at int64's bounds, empty levels
+        and runs, a tree with none: each path is charged exactly what
+        ``scan_entries`` counts, run by run and range by range."""
+        with tempfile.TemporaryDirectory() as root:
+            store = FileStore(root) if kind == "files" else None
+            system = simulator_system(4_000)
+            tree = LSMTree(LSMTuning(4.0, 6.0, Policy.TIERING), system, store=store)
+            try:
+                _install(tree, levels, buffered)
+                engine, trees = tree, [tree]
+                if kind == "mid-migration":
+                    source = LSMTree(LSMTuning(6.0, 6.0, Policy.LEVELING), system, tree.disk)
+                    _install(source, source_levels, {})
+                    engine = MigrationPlan(source, tree, np.empty(0, dtype=np.int64))
+                    trees.append(source)
+                    assert not engine.completed
+                want = sum(
+                    run.scan_entries(start, end)[2]
+                    for start, end in intervals
+                    for each in trees
+                    for runs in each.levels
+                    for run in runs
+                )
+                starts = np.array([start for start, _ in intervals], dtype=np.int64)
+                ends = np.array([end for _, end in intervals], dtype=np.int64)
+                paths = [
+                    lambda: engine.charge_ranges(starts, ends),
+                    lambda: [engine.charge_range(*each) for each in intervals],
+                    lambda: [engine.range_query(*each) for each in intervals],
+                ]
+                for charge in paths:
+                    before = tree.disk.snapshot()
+                    charge()
+                    delta = tree.disk.counters.delta(before)
+                    assert delta.query_reads == delta.total == want
+            finally:
+                tree.close()

@@ -20,9 +20,11 @@ every engine the loop runs on:
 
 Streams are dense in the shape the loop reorders — GET · RANGE · GET · PUT with
 no flush in between, where the run side of the pending GETs and RANGEs waits
-past the puts — and ``TestEpochFence`` pins the fence itself by name, down to
-the answer of every single range: a read's buffer half is taken at its stream
-position, and no page counter can see a buffer read at the wrong time.
+past the puts — and ``TestEpochFence`` pins the fence itself by name: a GET's
+buffer half is taken at its stream position, and a RANGE is charged, never
+answered, by the loop — it must charge the intervals the scalar side asked,
+in stream order, and the same pages in every flush epoch.  What a range
+*answers* is pinned on the scalar side's ``range_query``, on every engine.
 Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
 ``get``/``lookup_entry`` on hostile probes.
 """
@@ -30,6 +32,7 @@ Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
@@ -228,20 +231,37 @@ _RANGE_CUTOFFS = [2, RANGE_SPAN_CUTOFF]
 _MAX_KEY = 2**63 - 1
 
 
-class _RunSideAnswers:
-    """Forwards to an engine, noting every answer that came from the runs.
+def _charge(log, engine, intervals: list[tuple[int, int]], charge):
+    """``charge()``, with its ``intervals`` appended to ``log.ranges`` and the
+    query pages it cost added to ``log.pages`` under the flush epoch — the
+    flush pages written so far, the same count at the same stream position on
+    either side."""
+    counters = _trees(engine)[0].disk.counters
+    epoch, before = counters.flush_writes, counters.query_reads
+    result = charge()
+    log.ranges += intervals
+    log.pages[epoch] += counters.query_reads - before
+    return result
 
-    On the scalar side that is a ``get`` of a key the buffer did not hold, on
-    the loop's side every run-side probe: the two lists hold the same
-    ``(key, live)`` pairs, in another order inside a flush epoch.  ``ranges``
-    holds ``(start, end, count)`` of every range on either side; ranges are
-    drained in the order they were asked, so the two lists are *equal*.
+
+class _RunSideAnswers:
+    """Forwards to an engine, noting what the runs were asked.
+
+    GETs: on the scalar side a ``get`` of a key the buffer did not hold, on
+    the loop's side every run-side probe — the two ``answers`` lists hold the
+    same ``(key, live)`` pairs, in another order inside a flush epoch.
+    RANGEs: ``ranges`` holds every interval charged, on either side; ranges
+    are drained in the order they were asked, so the two lists are *equal*,
+    and so are the ``pages`` they cost per flush epoch.  Only the scalar side
+    answers a range: ``counts`` holds what its ``range_query`` returned.
     """
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self.answers: list[tuple[int, bool]] = []
-        self.ranges: list[tuple[int, int, int]] = []
+        self.ranges: list[tuple[int, int]] = []
+        self.pages: Counter[int] = Counter()
+        self.counts: list[int] = []
 
     def __getattr__(self, name):
         return getattr(self.engine, name)
@@ -262,20 +282,22 @@ class _RunSideAnswers:
 
     def range_query(self, start, end):
         # The loop cuts a range at the largest key there is.
-        self.ranges.append((start, min(end, _MAX_KEY), self.engine.range_query(start, end)))
+        interval = [(start, min(end, _MAX_KEY))]
+        count = _charge(self, self.engine, interval, lambda: self.engine.range_query(start, end))
+        self.counts.append(count)
 
-    def scan_runs(self, start, end, buffered):
-        _, tombstones = self.engine.scan_runs(start, end, buffered)
-        self.ranges.append((start, end, int(np.count_nonzero(~tombstones))))
+    def charge_range(self, start, end):
+        _charge(self, self.engine, [(start, end)], lambda: self.engine.charge_range(start, end))
 
-    def count_runs_many(self, ranges):
-        counts = self.engine.count_runs_many(ranges)
-        self.ranges += [(start, end, count) for (start, end, _), count in zip(ranges, counts)]
+    def charge_ranges(self, starts, ends):
+        intervals = list(zip(starts.tolist(), ends.tolist()))
+        _charge(self, self.engine, intervals, lambda: self.engine.charge_ranges(starts, ends))
 
 
 def _assert_same_answers(batched: _RunSideAnswers, scalar: _RunSideAnswers) -> None:
     assert sorted(batched.answers) == sorted(scalar.answers)
     assert batched.ranges == scalar.ranges
+    assert batched.pages == scalar.pages and not batched.counts
 
 
 class TestLoopMatchesScalarReference:
@@ -346,11 +368,9 @@ class TestLoopMatchesScalarReference:
         A recording engine sees: the roomy puts in stream position with no
         read of the runs before them; the run side of the pending reads — one
         batched probe holding a key put *after* its GET, not the key put
-        *before* its GET, and the ranges, each carrying the buffer's part as
-        it was at the range's position: a key put *before* it, not one put
-        *after* — immediately before the put that may flush; the rest when
-        the trace ends.  The buffer is scanned for a range once, at its
-        position.
+        *before* its GET, and one batched charge of the ranges' intervals —
+        immediately before the put that may flush; the rest when the trace
+        ends.  The buffer is never scanned for a range.
         """
         calls = []
 
@@ -372,12 +392,11 @@ class TestLoopMatchesScalarReference:
             def probe_runs_many(self, keys):
                 calls.append(("probe_runs_many", keys.tolist()))
 
-            def scan_runs(self, start, end, buffered):
-                calls.append(("scan_runs", start, end, buffered[0].tolist()))
+            def charge_range(self, start, end):
+                calls.append(("charge_range", start, end))
 
-            def count_runs_many(self, ranges):
-                parts = [(start, end, held.tolist()) for start, end, (held, _) in ranges]
-                calls.append(("count_runs_many", parts))
+            def charge_ranges(self, starts, ends):
+                calls.append(("charge_ranges", list(zip(starts.tolist(), ends.tolist()))))
 
             def put(self, key):
                 calls.append(("put", key, "room" if self.write_room() else "may flush"))
@@ -399,18 +418,15 @@ class TestLoopMatchesScalarReference:
         ops += [put(100)] + gets(200) + [put(101)] + gets(99, 7) + [scan]
         execute_operations_batched(Engine(), Trace.of(ops))
         assert calls == [
-            ("buffer scan", 95, 105),
             ("put", 99, "room"),
             ("put", 3, "room"),
-            *[("buffer scan", 95, 105)] * scans,
             ("put", 100, "room"),
             ("probe_runs_many", list(range(width)) + [200]),
-            ("count_runs_many", [(95, 105, [])] + [(95, 105, [99])] * scans),
+            ("charge_ranges", [(95, 105)] * (1 + scans)),
             ("put", 101, "may flush"),
-            ("buffer scan", 95, 105),
             ("probe_runs", 99),  # flushed since: no longer the buffer's to answer
             ("probe_runs", 7),
-            ("scan_runs", 95, 105, []),
+            ("charge_range", 95, 105),
         ]
 
 
@@ -471,7 +487,8 @@ def _check_windows(engines, windows, max_batch_ops=4_096, between=lambda engine:
     call a window, on the other; everything observable must agree.
 
     ``between`` is what happens to an engine after each window.  Returns the
-    loop's side's counter delta, the run-side answers and the ranges' answers.
+    loop's side's counter delta, the run-side GET answers and what the scalar
+    side's ``range_query`` answered, range by range.
     """
     scalar, batched = (_RunSideAnswers(engine) for engine in engines)
     disk = _trees(batched.engine)[0].disk
@@ -491,13 +508,15 @@ def _check_windows(engines, windows, max_batch_ops=4_096, between=lambda engine:
     assert [batched.engine.get(key) for key in touched] == [
         scalar.engine.get(key) for key in touched
     ]
-    return delta, scalar.answers, [count for _, _, count in scalar.ranges]
+    return delta, scalar.answers, scalar.counts
 
 
 @pytest.mark.parametrize("kind", _ENGINE_KINDS)
 class TestEpochFence:
-    """A read's run side is fenced by the next change of the run set, its
-    buffer side is taken at its stream position — case by case."""
+    """A read's run side is fenced by the next change of the run set, a GET's
+    buffer side is taken at its stream position — case by case.  Counters and
+    fingerprints are the loop's against the scalar side's; a range's answer
+    is the scalar side's ``range_query``, asked at its stream position."""
 
     def test_get_then_put_of_the_key_in_one_epoch(self, kind):
         """At drain time the key *is* buffered; its run probes are still owed."""
@@ -525,7 +544,8 @@ class TestEpochFence:
             assert not engines[1].get(key)
 
     def test_range_then_put_of_a_key_inside_it(self, kind):
-        """At drain time the key *is* buffered, and it is not the range's to count."""
+        """At drain time the key *is* buffered; it is not the earlier ranges' to
+        count, and costs the later ones no page."""
         start = int(_KEY_SPACE.existing[40])
         fresh = start + 1
         assert fresh not in _KEY_SPACE.existing
@@ -729,8 +749,8 @@ def test_a_migration_step_between_windows_moves_no_run_under_a_probe():
 
 
 def test_a_migration_step_between_windows_moves_no_run_under_a_scan():
-    """A scan left pending past its window would count, and be charged for,
-    the run the step installed."""
+    """A range left pending past its window would be charged for the run the
+    step installed."""
     rng = np.random.default_rng(7)
     fresh = _KEY_SPACE.fresh_start + 140_000
     _step_between_windows(
@@ -770,8 +790,9 @@ class TestControllerParity:
 
     The same drifting stream must observe the same drift, fire the same
     re-tunings, advance the same migration steps at the same positions,
-    answer every range alike — on the live tree and on the mixed state — and
-    leave bit-identical estimators, trees and disks.
+    charge every range's interval in stream order and the same pages per
+    flush epoch — on the live tree and on the mixed state — and leave
+    bit-identical estimators, trees and disks.
     """
 
     def _run(self, batched, admission, seed, length, max_batch_ops=4_096):
@@ -783,16 +804,19 @@ class TestControllerParity:
             expected=_CALM,
             config=OnlineConfig(**_ONLINE, admission=admission),
         )
-        controller.ranges = []  # (start, end, count) of every range, either way
+        # Every range's interval, and the query pages of ranges per flush epoch.
+        controller.ranges, controller.pages = [], Counter()
         query, drain = BufferFirstReads.range_query, lsm_tree.drain_range_span
 
         def range_query(engine, start, end):  # the scalar side's one entry point
-            controller.ranges.append((start, end, query(engine, start, end)))
+            interval = [(start, min(end, _MAX_KEY))]
+            _charge(controller, engine, interval, lambda: query(engine, start, end))
 
         def drain_range_span(engine, ranges):  # the loop's
             recorder = _RunSideAnswers(engine)
             drain(recorder, ranges)
             controller.ranges += recorder.ranges
+            controller.pages.update(recorder.pages)
 
         generator = TraceGenerator(_KEY_SPACE, seed=seed)
         with (
@@ -809,6 +833,7 @@ class TestControllerParity:
 
     def _assert_same(self, batched, scalar):
         assert batched.ranges == scalar.ranges and scalar.ranges
+        assert batched.pages == scalar.pages
         assert batched.events == scalar.events
         assert batched.position == scalar.position
         assert batched.migration_in_progress == scalar.migration_in_progress

@@ -4,8 +4,10 @@ The analytical model only needs false-positive *rates*; the simulator needs a
 real membership structure so that empty point lookups genuinely pay I/O only
 when the filter errs — exactly the mechanism the paper's system experiments
 measure.  The implementation is a plain (unpartitioned) Bloom filter with
-double hashing: every probe of a key indexes the one bit table, kept packed
-in a NumPy ``uint8`` array, bit ``p`` at byte ``p // 8``, bit ``p % 8``.
+double hashing: every probe of a key indexes the one bit table, held as one
+``bool`` per bit (padded to whole bytes) so a build is a scatter and a probe a
+gather.  It is packed, bit ``p`` at byte ``p // 8``, bit ``p % 8``, only for
+an SSTable footer (:attr:`BloomFilter.bit_table`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _probe_offsets(num_hashes: int) -> np.ndarray:
     return column
 
 
-def _hash_pair(keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _hash_pair(keys: np.ndarray, seed: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """Two 64-bit hash streams for each key (vectorised double hashing).
 
     ``uint64`` arithmetic wraps mod 2^64, which is the ``& _HASH_MASK`` the
@@ -56,7 +58,7 @@ def _hash_pair(keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if keys.dtype == np.int64:
         keys = keys.view(np.uint64)
-    mixed = keys.astype(np.uint64, copy=False) + np.uint64(seed)
+    mixed = keys.astype(np.uint64, copy=False) + seed
     h1 = mixed * _U64_MULT_1
     h1 ^= h1 >> _U64_SHIFT_1
     mixed *= _U64_MULT_2
@@ -94,13 +96,14 @@ class BloomFilter:
         self._degenerate = total_bits < 8 or expected_entries == 0
         self.num_bits = max(total_bits, 8)
         self.num_hashes = optimal_hash_count(bits_per_entry)
-        self._bits = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
+        self._table = np.zeros(-(-self.num_bits // 8) * 8, dtype=bool)
         self._count = 0
-        # Probe-offset column vector and modulus, precomputed so the build and
-        # the batched membership test run a fixed number of array ops per
-        # call instead of a Python loop over hash functions.
+        # Probe-offset column vector, modulus and seed, precomputed so the
+        # build and the batched membership test run a fixed number of array
+        # ops per call instead of a Python loop over hash functions.
         self._probe_offsets = _probe_offsets(self.num_hashes)
         self._num_bits_u64 = np.uint64(self.num_bits)
+        self._seed_u64 = np.uint64(int(seed) & _HASH_MASK)
 
     # ------------------------------------------------------------------
     # Construction
@@ -117,7 +120,7 @@ class BloomFilter:
         position is below ``num_bits``, so the result is read as ``int64`` —
         the native index type, which a gather or scatter takes without a cast.
         """
-        h1, h2 = _hash_pair(keys, self.seed)
+        h1, h2 = _hash_pair(keys, self._seed_u64)
         positions = h1 + self._probe_offsets * h2
         quotient = positions // self._num_bits_u64
         quotient *= self._num_bits_u64
@@ -132,14 +135,10 @@ class BloomFilter:
         self._count += int(keys.size)
         if self._degenerate:
             return
-        # Scatter into an unpacked table, then fold it into the packed one:
-        # little bit order is exactly byte ``p // 8``, bit ``p % 8``, and
-        # ``|=`` keeps what earlier calls inserted.  Keys go through in
-        # blocks so the position matrix stays cache-sized on a big run.
-        table = np.zeros(self._bits.size * 8, dtype=bool)
+        # One scatter into the table, which keeps what earlier calls set;
+        # keys go through in blocks so the position matrix stays cache-sized.
         for start in range(0, keys.size, _BUILD_BLOCK_KEYS):
-            table[self._probe_positions(keys[start : start + _BUILD_BLOCK_KEYS])] = True
-        self._bits |= np.packbits(table, bitorder="little")
+            self._table[self._probe_positions(keys[start : start + _BUILD_BLOCK_KEYS])] = True
 
     def add(self, key: int) -> None:
         """Insert a single key (wrapped to 64 bits like an array key)."""
@@ -163,10 +162,9 @@ class BloomFilter:
         second = (mixed * _HASH_MULT_2) & _HASH_MASK
         second ^= second >> 31
         second |= 1
-        byte_at = self._bits.item
+        bit_at = self._table.item
         for i in range(self.num_hashes):
-            position = ((first + i * second) & _HASH_MASK) % self.num_bits
-            if not (byte_at(position >> 3) >> (position & 7)) & 1:
+            if not bit_at(((first + i * second) & _HASH_MASK) % self.num_bits):
                 return False
         return True
 
@@ -182,9 +180,7 @@ class BloomFilter:
             return np.empty(0, dtype=bool)
         if self._degenerate:
             return np.ones(keys.size, dtype=bool)
-        positions = self._probe_positions(keys)
-        probed = (self._bits[positions >> 3] >> (positions & 7).astype(np.uint8)) & 1
-        return probed.all(axis=0)
+        return self._table[self._probe_positions(keys)].all(axis=0)
 
     def __contains__(self, key: int) -> bool:
         return self.might_contain(int(key))
@@ -194,12 +190,13 @@ class BloomFilter:
     # ------------------------------------------------------------------
     @property
     def bit_table(self) -> np.ndarray:
-        """The packed bit table: bit ``p`` is byte ``p // 8``, bit ``p % 8``.
+        """The bit table packed: bit ``p`` is byte ``p // 8``, bit ``p % 8``.
 
         With ``expected_entries``, ``bits_per_entry``, ``seed`` and ``count``
-        it is everything the filter answers with — what a footer stores.
+        it is everything the filter answers with — what a footer stores.  A
+        new array each call: the filter itself never reads the packed form.
         """
-        return self._bits
+        return np.packbits(self._table, bitorder="little")
 
     @classmethod
     def from_state(
@@ -209,12 +206,12 @@ class BloomFilter:
         probe answers are bit-identical to those of the filter it was taken from."""
         filt = cls(expected_entries, bits_per_entry, seed)
         bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != filt._bits.shape:
+        if bits.shape != (filt._table.size // 8,):
             raise ValueError(
                 f"stored bit table has {bits.size} bytes but the filter "
-                f"parameters imply {filt._bits.size}"
+                f"parameters imply {filt._table.size // 8}"
             )
-        filt._bits = bits.copy()
+        filt._table = np.unpackbits(bits, bitorder="little").view(bool)
         filt._count = count
         return filt
 

@@ -44,7 +44,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import MemoryStore, SortedRun, consolidate_versions, locate_many
+from .run import MemoryStore, SortedRun, consolidate_versions, locate_many, unique_sorted
 
 
 @dataclass(frozen=True)
@@ -701,7 +701,7 @@ class LSMTree(BufferFirstReads):
         pages = 0
         for runs in self.levels:
             for run in runs:
-                pages += run.scan_entries(start_key, end_key)[2]
+                pages += run.scan_pages(start_key, end_key)
         if pages:
             self.disk.read_pages(pages)
 
@@ -710,7 +710,9 @@ class LSMTree(BufferFirstReads):
 
         Resident runs are located once for the batch — two ``searchsorted`` a
         run — and charged in one ``read_pages``.  On files every charged page
-        is still ``pread``, so there it is one :meth:`charge_range` a range.
+        is still ``pread``, so there it is one :meth:`charge_range` a range:
+        a table's ``scan_pages`` locates the range on its resident sparse
+        index and ``pread``s the charged span, decoding none of it.
         """
         if not self.store.runs_resident:
             for start_key, end_key in zip(starts.tolist(), ends.tolist()):
@@ -766,7 +768,7 @@ class LSMTree(BufferFirstReads):
         one bounded step at a time, so the migrated tree is byte-identical to
         a freshly loaded one.
         """
-        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        keys = unique_sorted(np.asarray(keys, dtype=np.int64))
         remaining = keys
         level_chunks: list[tuple[int, np.ndarray]] = []
         # Levels that merge on arrival trigger compaction on *size*, so bulk

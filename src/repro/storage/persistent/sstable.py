@@ -13,11 +13,14 @@ magic.  Only the footer's structures are held resident.
 
 Reads answer from the file: a point lookup that survives the Bloom filter
 and the fence bounds ``pread``s exactly one page; a range scan ``pread``s
-the contiguous page span.  The *accounting* (pages charged per probe, span
-arithmetic including the one-page seek of an empty interval) mirrors
-``SortedRun`` operation for operation, so a tree on files reports disk
-counters byte-identical to the one in memory while its wall-clock time
-reflects real I/O.
+the contiguous page span, located on the resident sparse index.  A range
+*charge* (:meth:`SSTable.scan_pages`, what a replayed range pays) ``pread``s
+that same span and decodes none of it: a charged page is still a read page.
+The *accounting* (pages charged per probe, span arithmetic including the
+one-page seek of an empty interval) mirrors ``SortedRun`` operation for
+operation, so a tree on files reports disk counters byte-identical to the
+one in memory while its wall-clock time reflects real I/O.  A read that
+comes back short raises ``OSError(EIO)`` naming the table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bloom_filter import BloomFilter
-from ..run import NO_KEYS, NO_TOMBSTONES, build_run_index
+from ..run import NO_KEYS, NO_TOMBSTONES, build_run_index, unique_sorted
 
 #: One on-disk record: little-endian int64 key + tombstone flag byte.
 RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
@@ -181,14 +184,20 @@ class SSTable:
             raise ValueError(f"SSTable {self.path} is closed")
         return self._fd
 
-    def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
-        """``pread`` the contiguous page range — clamped to the record region, as
-        the final partial page ends where the footer starts — and return its
-        ``(keys, tombstones)`` as read-only field views of the bytes read."""
+    def _read_span(self, first_page: int, last_page: int) -> bytes:
+        """``pread`` the contiguous page range, clamped to the record region as
+        the final partial page ends where the footer starts; a short read
+        raises ``OSError(EIO)`` instead of handing back fewer records."""
         offset = first_page * self._page_bytes
-        end = min((last_page + 1) * self._page_bytes, self._data_bytes)
-        data = os.pread(self._descriptor(), end - offset, offset)
-        records = np.frombuffer(data, dtype=RECORD_DTYPE)
+        length = min((last_page + 1) * self._page_bytes, self._data_bytes) - offset
+        data = os.pread(self._descriptor(), length, offset)
+        if len(data) != length:
+            raise OSError(errno.EIO, f"short read of an SSTable at byte {offset}", str(self.path))
+        return data
+
+    def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_read_span`'s ``(keys, tombstones)``: read-only field views of the bytes read."""
+        records = np.frombuffer(self._read_span(first_page, last_page), dtype=RECORD_DTYPE)
         return records["key"], records["tombstone"].view(bool)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +323,8 @@ class SSTable:
         pages_read = int(probe_idx.size)
         if pages_read:
             probed = keys[probe_idx]
-            pages = np.unique(np.maximum(self._fences.searchsorted(probed, side="right") - 1, 0))
-            fd, size, end = self._descriptor(), self._page_bytes, self._data_bytes
-            # The final partial page ends where the footer starts.
-            chunks = [
-                os.pread(fd, min(size, end - offset), offset)
-                for offset in (pages * size).tolist()
-            ]
+            pages = unique_sorted(np.maximum(self._fences.searchsorted(probed, "right") - 1, 0))
+            chunks = [self._read_span(page, page) for page in pages.tolist()]
             records = np.frombuffer(b"".join(chunks), dtype=RECORD_DTYPE)
             page_keys = records["key"]
             # A probe past its page's last key may index one past the join.
@@ -356,6 +360,17 @@ class SSTable:
         # still reads the page with the largest key below ``start_key``: that
         # is ``last``, the page before the one whose max reaches the interval.
         return min(first, last), last
+
+    def scan_pages(self, start_key: int, end_key: int) -> int:
+        """The pages :meth:`scan_entries` charges for the interval.
+
+        ``pread``s exactly that span, as the scan does, and decodes none of it.
+        """
+        first, last = self._locate(start_key, end_key)
+        if last < first:
+            return 0
+        self._read_span(first, last)
+        return last - first + 1
 
     def scan_entries(
         self, start_key: int, end_key: int

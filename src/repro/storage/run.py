@@ -27,6 +27,16 @@ NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
 NO_TOMBSTONES = _frozen(np.empty(0, dtype=bool))
 
 
+def unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of ``keys`` by sort and mask (empty in, empty out).
+
+    NumPy 2's ``np.unique`` hashes integers, many times slower than a sort on
+    the already sorted key arrays a bulk load or a GET batch hands in.
+    """
+    keys = np.sort(keys, axis=None)
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
 def consolidate_versions(
     key_parts: list[np.ndarray],
     tombstone_parts: list[np.ndarray],
@@ -297,6 +307,27 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
+    def _span(self, start_key: int, end_key: int) -> tuple[int, int, int]:
+        """``(lo, hi, pages)``: the interval holds ``keys[lo:hi]``, a scan of it
+        reads ``pages`` pages — the seek page too, when it falls between keys."""
+        if (
+            end_key < start_key
+            or end_key < self._min_key
+            or start_key > self._max_key
+            or not self._size
+        ):
+            return 0, 0, 0
+        lo = int(self._keys.searchsorted(start_key, "left"))
+        hi = int(self._keys.searchsorted(end_key, "right"))
+        if hi <= lo:
+            return lo, lo, 1
+        per_page = self.entries_per_page
+        return lo, hi, (hi - 1) // per_page - lo // per_page + 1
+
+    def scan_pages(self, start_key: int, end_key: int) -> int:
+        """The pages :meth:`scan_entries` charges for the interval, slicing nothing."""
+        return self._span(start_key, end_key)[2]
+
     def scan_entries(
         self, start_key: int, end_key: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -307,27 +338,12 @@ class SortedRun:
         to shadow older live versions below it.  The two arrays are read-only
         views of the run, not copies.  An interval inside the run's bounds
         that holds no key still seeks, reading the one page with the largest
-        key below ``start_key``; the pages are counted in plain ints, a range
-        query runs this once per run.
+        key below ``start_key``; the pages are counted in plain ints.
         """
-        if (
-            end_key < start_key
-            or end_key < self._min_key
-            or start_key > self._max_key
-            or not self._size
-        ):
-            return NO_KEYS, NO_TOMBSTONES, 0
-        keys = self._keys
-        lo = int(keys.searchsorted(start_key, "left"))
-        hi = int(keys.searchsorted(end_key, "right"))
-        if hi <= lo:
-            return NO_KEYS, NO_TOMBSTONES, 1
-        per_page = self.entries_per_page
-        return (
-            keys[lo:hi],
-            self._tombstones[lo:hi],
-            (hi - 1) // per_page - lo // per_page + 1,
-        )
+        lo, hi, pages = self._span(start_key, end_key)
+        if hi == lo:
+            return NO_KEYS, NO_TOMBSTONES, pages
+        return self._keys[lo:hi], self._tombstones[lo:hi], pages
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -71,7 +71,7 @@ class TestBloomFilterBasics:
         b = BloomFilter(1_000, 8.0, seed=2)
         a.add_many(keys)
         b.add_many(keys)
-        assert not np.array_equal(a._bits, b._bits)
+        assert not np.array_equal(a.bit_table, b.bit_table)
 
     def test_add_many_with_empty_array_is_noop(self):
         bf = BloomFilter(expected_entries=10, bits_per_entry=8.0)
@@ -103,7 +103,7 @@ class TestBatchedMembership:
 
 
 def bits_digest(bf: BloomFilter) -> str:
-    return hashlib.sha256(bf._bits.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(bf.bit_table.tobytes()).hexdigest()[:16]
 
 
 class TestBitTableBytes:
@@ -140,7 +140,7 @@ class TestBitTableBytes:
             single.add(key)
         single.add_many(keys[300:4_000])
         single.add_many(keys[4_000:])
-        assert np.array_equal(whole._bits, single._bits)
+        assert np.array_equal(whole.bit_table, single.bit_table)
         assert whole.count == single.count == keys.size
 
     def test_add_wraps_a_negative_key_like_an_array_key(self):
@@ -149,8 +149,37 @@ class TestBitTableBytes:
         for key in (-(2**63), -5, 2**63 - 1):
             by_add.add(key)
         by_batch.add_many(np.array([-(2**63), -5, 2**63 - 1], dtype=np.int64).astype(np.uint64))
-        assert np.array_equal(by_add._bits, by_batch._bits)
+        assert np.array_equal(by_add.bit_table, by_batch.bit_table)
         assert -5 in by_add
+
+
+class TestFromState:
+    """A footer's bit table comes back as the filter it was taken from, or not at all."""
+
+    def _filter(self):
+        bf = BloomFilter(100, 7.3, seed=4)
+        bf.add_many(np.arange(0, 700, 7, dtype=np.int64))
+        return bf
+
+    def test_the_stored_table_round_trips(self):
+        bf = self._filter()
+        restored = BloomFilter.from_state(100, 7.3, 4, bf.count, bf.bit_table)
+        assert restored.bit_table.tobytes() == bf.bit_table.tobytes()
+        probes = np.arange(-50, 800, dtype=np.int64)
+        assert restored.might_contain_many(probes).tolist() == bf.might_contain_many(probes).tolist()
+        assert [restored.might_contain(key) for key in range(-50, 800)] == [
+            bf.might_contain(key) for key in range(-50, 800)
+        ]
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+    def test_a_table_of_another_length_is_refused(self, delta):
+        bits = self._filter().bit_table
+        stored = bits[:delta] if delta < 0 else np.append(bits, np.uint8(0))
+        with pytest.raises(
+            ValueError,
+            match=f"has {bits.size + delta} bytes but the filter parameters imply {bits.size}$",
+        ):
+            BloomFilter.from_state(100, 7.3, 4, 100, stored)
 
 
 class TestSharedProbeOffsets:

@@ -30,6 +30,7 @@ from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
+from repro.storage.persistent.sstable import _TRAILER
 from repro.storage.run import locate_many
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -529,7 +530,8 @@ class TestSSTable:
     def test_a_charged_page_is_a_read_page(self, tmp_path, monkeypatch):
         """Bytes ``pread`` by a scan are the pages it returns, clamped to the
         record region: a hit reads its span, an interval between two keys
-        reads the one seek page it charges, a miss reads nothing."""
+        reads the one seek page it charges, a miss reads nothing.  A charge
+        (``scan_pages``) reads the same one span and decodes none of it."""
         keys = np.arange(0, 150, 5)  # 30 entries: seven full pages and a half
         run, table = self._pair(tmp_path, keys)
         page_bytes, data_bytes = 4 * 9, 30 * 9
@@ -551,18 +553,51 @@ class TestSSTable:
             "below the table": ((-30, -1), 0),
             "inverted": ((60, 20), 0),
         }
+
+        def frombuffer(*args, **kwargs):
+            raise AssertionError("a page charge decoded the bytes it read")
+
         for name, ((start, end), pages) in cases.items():
             reads.clear()
             first_page, last_page = table._locate(start, end)
             assert not reads, name  # the sparse index is resident
+            first_byte = first_page * page_bytes
+            want_bytes = min(first_byte + pages * page_bytes, data_bytes) - first_byte
+            want_reads = [(first_byte, want_bytes)] if pages else []
+            with monkeypatch.context() as undecoded:
+                undecoded.setattr(np, "frombuffer", frombuffer)
+                charged = table.scan_pages(start, end), run.scan_pages(start, end)
+            assert charged == (pages, pages), name
+            assert reads == want_reads, name
+            reads.clear()
             got_keys, _, got_pages = table.scan_entries(start, end)
             want_keys, _, want_pages = run.scan_entries(start, end)
             assert got_keys.tolist() == want_keys.tolist(), name
             assert got_pages == want_pages == pages == last_page - first_page + 1, name
-            assert len(reads) == (1 if pages else 0), name
-            first_byte = first_page * page_bytes
-            want_bytes = min(first_byte + pages * page_bytes, data_bytes) - first_byte
-            assert reads == ([(first_byte, want_bytes)] if pages else []), name
+            assert reads == want_reads, name
+        table.close()
+
+    def test_a_short_read_raises_eio_naming_the_table(self, tmp_path):
+        """A file cut under an open table: every read that reaches the lost
+        bytes raises, where it used to answer from the records it got."""
+        keys = np.arange(0, 150, 5)  # 30 entries: seven full pages and a half
+        run, table = self._pair(tmp_path, keys)
+        os.truncate(tmp_path / "t.sst", 26 * 9)  # page 6 ends short, page 7 is gone
+        reads = {
+            "scan_entries": lambda: table.scan_entries(100, 200),
+            "scan_pages": lambda: table.scan_pages(100, 200),
+            "lookup": lambda: table.lookup(140),
+            "lookup_many": lambda: table.lookup_many(keys[-5:]),
+            "entries": table.entries,
+        }
+        for name, read in reads.items():
+            with pytest.raises(OSError, match="short read of an SSTable") as raised:
+                read()
+            assert raised.value.errno == errno.EIO, name
+            assert raised.value.filename == str(tmp_path / "t.sst"), name
+        # The pages the cut left whole still read as they did.
+        assert table.scan_entries(0, 100)[0].tolist() == run.scan_entries(0, 100)[0].tolist()
+        assert table.scan_pages(0, 100) == run.scan_pages(0, 100)
         table.close()
 
     def test_num_pages_is_integer_arithmetic_on_both_run_kinds(self, tmp_path):
@@ -666,6 +701,26 @@ class TestSSTable:
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=f"holds {len(damaged)} bytes"):
                 SSTable.open(path)
+
+    @needs_proc
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+    def test_a_filter_length_its_parameters_do_not_imply_is_refused(self, tmp_path, delta):
+        """The trailer's filter length rewritten, and the file resized to
+        match it: the length check passes, ``BloomFilter.from_state`` does not."""
+        path = tmp_path / "t.sst"
+        raw = self._table_bytes(tmp_path)
+        trailer = list(_TRAILER.unpack(raw[-_TRAILER.size :]))
+        filter_bytes = trailer[7]
+        trailer[7] += delta
+        body = raw[: -_TRAILER.size]
+        body = body[:delta] if delta < 0 else body + b"\0"
+        path.write_bytes(body + _TRAILER.pack(*trailer))
+        before = _descriptors_under(tmp_path)
+        with pytest.raises(
+            ValueError, match=f"{filter_bytes + delta} bytes .* imply {filter_bytes}$"
+        ):
+            SSTable.open(path)
+        assert _descriptors_under(tmp_path) == before
 
     @needs_proc
     def test_a_rejected_file_leaves_no_descriptor_open(self, tmp_path):

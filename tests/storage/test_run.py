@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.storage import LSMTree, SortedRun
 from repro.storage.persistent import SSTable
-from repro.storage.run import consolidate_versions
+from repro.storage.run import consolidate_versions, unique_sorted
 
 
 def make_run(keys, bits=8.0, entries_per_page=4, tombstones=None, seed=0):
@@ -434,6 +434,33 @@ class TestConsolidationAgainstItsOldBody:
 
     def test_only_empty_parts(self):
         _assert_consolidates_as_before(*map(list, zip(_part({}), _part({}))))
+
+
+_EDGE_KEYS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+
+
+class TestUniqueSorted:
+    """The sort-and-mask dedupe is ``np.unique``, value for value and dtype for dtype."""
+
+    @given(
+        keys=st.lists(st.integers(-4, 4) | _EDGE_KEYS | st.integers(-(2**63), 2**63 - 1)),
+        presorted=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique(self, keys, presorted):
+        keys = np.array(sorted(keys) if presorted else keys, dtype=np.int64)
+        given_keys = keys.copy()
+        got, want = unique_sorted(keys), np.unique(keys)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert np.array_equal(keys, given_keys)  # the input is left as it was
+
+    def test_empty_and_page_indices(self):
+        for empty in (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)):
+            got = unique_sorted(empty)
+            assert got.dtype == empty.dtype and got.size == 0
+        pages = np.array([3, 3, 0, 7, 0, 3], dtype=np.intp)
+        assert unique_sorted(pages).tolist() == [0, 3, 7]
 
 
 def _consolidate(runs, drop_tombstones=False):

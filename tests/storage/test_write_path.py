@@ -137,7 +137,7 @@ class TestNothingObservableMoved:
             (run for runs in memory.levels for run in runs),
             (run for runs in files.levels for run in runs),
         ):
-            assert np.array_equal(in_memory.bloom_filter._bits, on_file.bloom_filter._bits)
+            assert np.array_equal(in_memory.bloom_filter.bit_table, on_file.bloom_filter.bit_table)
         files.close()
         listing = {path.name for path in (tmp_path / "db").iterdir()}
         assert listing == {"MANIFEST.json", "wal.log", *(n for level in names for n in level)}

@@ -138,7 +138,7 @@ class TestByteIdentity:
                 assert np.array_equal(got_run.keys, want_run.keys)
                 assert got_run.bits_per_entry == want_run.bits_per_entry
                 assert np.array_equal(
-                    got_run.bloom_filter._bits, want_run.bloom_filter._bits
+                    got_run.bloom_filter.bit_table, want_run.bloom_filter.bit_table
                 ), "Bloom assignments must be byte-identical"
         got_buffer, _ = migrated.memtable.sorted_items()
         want_buffer, _ = fresh.memtable.sorted_items()

@@ -437,7 +437,7 @@ class TestUniformVectorCornerRecovery:
                 assert got_run.num_pages == want_run.num_pages
                 assert got_run.bits_per_entry == want_run.bits_per_entry
                 assert np.array_equal(
-                    got_run.bloom_filter._bits, want_run.bloom_filter._bits
+                    got_run.bloom_filter.bit_table, want_run.bloom_filter.bit_table
                 ), "Bloom assignments must be byte-identical"
 
     @pytest.mark.parametrize(

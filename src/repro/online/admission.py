@@ -12,11 +12,11 @@ admitted is a serving-layer policy:
 ``"queue-depth"``
     Backpressure-aware pacing.  A step is admitted only once the shard's
     observed backlog (operations still queued in the chunk being served) has
-    drained to ``max_backlog``, so a loaded shard defers reorganisation I/O
-    out of its busy window; a starvation bound forces a step every
-    ``starvation_ops`` operations so an always-busy shard still completes its
-    plan, and an idle shard drains up to ``idle_step_burst`` steps per idle
-    notification.
+    drained to ``admission_max_backlog``, so a loaded shard defers
+    reorganisation I/O out of its busy window; a starvation bound forces a
+    step every ``admission_starvation_ops`` operations so an always-busy shard
+    still completes its plan, and an idle shard drains up to
+    ``admission_idle_steps`` steps per idle notification.
 
 :class:`StepAdmission` is deliberately stateless: callers pass the stream
 position, the plan's start position, the position of the last admitted step,
@@ -30,6 +30,10 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .config import OnlineConfig
 
 #: Admission policies for incremental migration steps.
 ADMISSION_MODES: tuple[str, ...] = ("fixed", "queue-depth")
@@ -37,44 +41,21 @@ ADMISSION_MODES: tuple[str, ...] = ("fixed", "queue-depth")
 
 @dataclass(frozen=True)
 class StepAdmission:
-    """Decides at which stream positions migration steps are admitted."""
+    """Decides at which stream positions migration steps are admitted.
 
-    #: One of :data:`ADMISSION_MODES`.
-    mode: str = "fixed"
-    #: Base cadence in operations (the ``migration_step_ops`` knob).
-    step_ops: int = 256
-    #: Backlog (queued operations) at or below which a due step is admitted
-    #: under ``"queue-depth"``.
-    max_backlog: int = 256
-    #: Hard bound on operations between steps under ``"queue-depth"``: a step
-    #: is forced once this many operations passed since the last one, however
-    #: deep the backlog.
-    starvation_ops: int = 4_096
-    #: Steps drained per :meth:`~repro.online.controller.OnlineLSMController.
-    #: note_idle` call under ``"queue-depth"`` (0 under ``"fixed"``).
-    idle_step_burst: int = 8
+    A view of the :class:`~repro.online.config.OnlineConfig` it is given,
+    which declares and checks the knobs: ``admission`` (the mode),
+    ``migration_step_ops`` (the cadence), ``admission_max_backlog``,
+    ``admission_starvation_ops`` and ``admission_idle_steps``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.mode not in ADMISSION_MODES:
-            raise ValueError(
-                f"admission mode must be one of {ADMISSION_MODES}, got {self.mode!r}"
-            )
-        if self.step_ops <= 0:
-            raise ValueError("step_ops must be positive")
-        if self.max_backlog < 0:
-            raise ValueError("max_backlog must be non-negative")
-        if self.mode != "fixed" and self.starvation_ops < self.step_ops:
-            raise ValueError(
-                "starvation_ops must be at least step_ops: the starvation "
-                "bound can only defer steps, not speed them up"
-            )
-        if self.idle_step_burst < 0:
-            raise ValueError("idle_step_burst must be non-negative")
+    config: OnlineConfig
 
     @property
     def idle_steps(self) -> int:
         """Steps to drain on an idle notification (0 under ``"fixed"``)."""
-        return 0 if self.mode == "fixed" else self.idle_step_burst
+        config = self.config
+        return 0 if config.admission == "fixed" else config.admission_idle_steps
 
     def should_step(
         self, position: int, plan_started: int, last_step: int, backlog: int
@@ -82,17 +63,19 @@ class StepAdmission:
         """Whether a step is admitted at ``position`` (checked after each op).
 
         ``"fixed"`` reproduces the historical cadence bit-for-bit:
-        ``(position - plan_started) % step_ops == 0``.  ``"queue-depth"``
-        admits once ``step_ops`` operations passed since the last step *and*
-        the backlog drained to ``max_backlog``, or unconditionally at the
-        ``starvation_ops`` bound.
+        ``(position - plan_started) % migration_step_ops == 0``.
+        ``"queue-depth"`` admits once ``migration_step_ops`` operations passed
+        since the last step *and* the backlog drained to
+        ``admission_max_backlog``, or unconditionally at the
+        ``admission_starvation_ops`` bound.
         """
-        if self.mode == "fixed":
-            return (position - plan_started) % self.step_ops == 0
+        config = self.config
+        if config.admission == "fixed":
+            return (position - plan_started) % config.migration_step_ops == 0
         since = position - last_step
-        if since >= self.starvation_ops:
+        if since >= config.admission_starvation_ops:
             return True
-        return since >= self.step_ops and backlog <= self.max_backlog
+        return since >= config.migration_step_ops and backlog <= config.admission_max_backlog
 
     def ops_until_step(
         self, position: int, plan_started: int, last_step: int, backlog: int
@@ -106,9 +89,11 @@ class StepAdmission:
         spans by this, guaranteeing a span never skips over an admission the
         scalar loop would have taken.
         """
-        if self.mode == "fixed":
-            return self.step_ops - (position - plan_started) % self.step_ops
+        config = self.config
+        step_ops = config.migration_step_ops
+        if config.admission == "fixed":
+            return step_ops - (position - plan_started) % step_ops
         since = position - last_step
-        until_starved = self.starvation_ops - since
-        until_due = max(self.step_ops - since, backlog - self.max_backlog)
+        until_starved = config.admission_starvation_ops - since
+        until_due = max(step_ops - since, backlog - config.admission_max_backlog)
         return max(1, min(until_starved, until_due))

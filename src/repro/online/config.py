@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..knobs import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, check_knobs, knob
-from .admission import ADMISSION_MODES, StepAdmission
+from .admission import ADMISSION_MODES
 
 #: Re-tuning modes: re-run the nominal tuner on the observed workload, or the
 #: robust tuner with the configured radius around it.
@@ -126,19 +126,13 @@ class OnlineConfig:
                 "rho_adaptive requires mode='robust': nominal re-tunings have "
                 "no radius to widen"
             )
-        # Constructing the admission policy checks the one cross-field rule
-        # of its knobs (starvation ≥ step cadence).
-        self.step_admission()
-
-    def step_admission(self) -> StepAdmission:
-        """The migration-step admission policy these knobs describe."""
-        return StepAdmission(
-            mode=self.admission,
-            step_ops=self.migration_step_ops,
-            max_backlog=self.admission_max_backlog,
-            starvation_ops=self.admission_starvation_ops,
-            idle_step_burst=self.admission_idle_steps,
-        )
+        # ``fixed`` admission ignores the starvation bound.
+        starved = self.admission_starvation_ops < self.migration_step_ops
+        if starved and self.admission != "fixed":
+            raise ValueError(
+                "starvation_ops must be at least step_ops: the starvation "
+                "bound can only defer steps, not speed them up"
+            )
 
     @property
     def drift_threshold(self) -> float:

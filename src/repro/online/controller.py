@@ -44,6 +44,7 @@ from ..storage.lsm_tree import LSMTree, execute_operations_batched
 from ..storage.run import consolidate_versions
 from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
+from .admission import StepAdmission
 from .config import OnlineConfig
 from .drift import DriftDetector
 from .migration import MigrationPlan
@@ -131,7 +132,7 @@ class OnlineLSMController:
             confirm_checks=self.config.confirm_checks,
         )
         self.retuner = AdaptiveTuner(self.system, self.config, self.policies)
-        self.admission = self.config.step_admission()
+        self.admission = StepAdmission(self.config)
         self.position = 0
         self.events: list[RetuningEvent] = []
         self._plan: MigrationPlan | None = None

@@ -116,6 +116,9 @@ class MigrationPlan(BufferFirstReads):
         self._placements = bulk_plan.placements
         self._leftover = bulk_plan.leftover
         target._ensure_level(bulk_plan.deepest)
+        # Levels are structure: committed now, a target on files reopens with
+        # them even when the plan installs no run (an empty checkpoint).
+        target.store.commit(target.levels, target._run_counter, buffered=None)
         self.steps = self._cut_steps(bulk_plan, max_step_pages)
         self._cursor = 0
         self._installed_runs = 0

@@ -540,12 +540,19 @@ class LSMTree(BufferFirstReads):
             self._maybe_compact_stacked(plan, level)
 
     def _merge_runs(self, plan: _FlushPlan, runs: list, target_level: int) -> _PendingRun:
-        """Sort-merge runs' entries, adding the compaction I/O to the plan."""
+        """Sort-merge runs' entries, adding the compaction I/O to the plan.
+
+        Tombstones go only when nothing older survives the merge: no deeper
+        run, and no run the target level keeps beside it (stacked levels do).
+        """
         plan.reads += sum(r.num_pages for r in runs)
-        is_last_level = not any(plan.levels[target_level:])
+        merging = {id(run) for run in runs}
+        nothing_older = not any(plan.levels[target_level:]) and all(
+            id(run) in merging for run in plan.levels[target_level - 1]
+        )
         keys, tombstones = consolidate_versions(
             *zip(*(run.entries() for run in runs)),
-            drop_tombstones=is_last_level and not self.preserve_tombstones,
+            drop_tombstones=nothing_older and not self.preserve_tombstones,
         )
         merged = plan.pend(keys, tombstones, target_level)
         plan.writes += merged.num_pages

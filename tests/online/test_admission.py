@@ -23,17 +23,24 @@ def _controller(config, expected, tuning=None):
     return OnlineLSMController(tree=tree, expected=expected, config=config)
 
 
+def _admission(mode="fixed", step_ops=256, **knobs) -> StepAdmission:
+    """The policy a config with these admission knobs describes."""
+    return StepAdmission(
+        OnlineConfig(admission=mode, migration_step_ops=step_ops, **knobs)
+    )
+
+
 class TestStepAdmissionPolicy:
     def test_fixed_reproduces_the_historical_cadence(self):
-        admission = StepAdmission(mode="fixed", step_ops=64)
+        admission = _admission(step_ops=64)
         for position in range(1, 400):
             assert admission.should_step(position, 7, 0, backlog=10**6) == (
                 (position - 7) % 64 == 0
             )
 
     def test_queue_depth_defers_while_the_backlog_is_deep(self):
-        admission = StepAdmission(
-            mode="queue-depth", step_ops=10, max_backlog=5, starvation_ops=100
+        admission = _admission(
+            "queue-depth", 10, admission_max_backlog=5, admission_starvation_ops=100
         )
         # Due by cadence but the queue is deep: deferred.
         assert not admission.should_step(50, 0, 30, backlog=500)
@@ -45,29 +52,27 @@ class TestStepAdmissionPolicy:
         assert admission.should_step(130, 0, 30, backlog=10**9)
 
     def test_idle_steps_only_under_queue_depth(self):
-        assert StepAdmission(mode="fixed", idle_step_burst=8).idle_steps == 0
-        assert (
-            StepAdmission(mode="queue-depth", idle_step_burst=3).idle_steps == 3
-        )
+        assert _admission(admission_idle_steps=8).idle_steps == 0
+        assert _admission("queue-depth", admission_idle_steps=3).idle_steps == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(mode="asap"),
-            dict(step_ops=0),
-            dict(max_backlog=-1),
-            dict(idle_step_burst=-1),
-            dict(mode="queue-depth", step_ops=100, starvation_ops=50),
+            dict(admission="asap"),
+            dict(migration_step_ops=0),
+            dict(admission_max_backlog=-1),
+            dict(admission_idle_steps=-1),
+            dict(admission="queue-depth", migration_step_ops=100, admission_starvation_ops=50),
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
-            StepAdmission(**kwargs)
+            OnlineConfig(**kwargs)
 
     def test_fixed_mode_tolerates_small_starvation_bound(self):
         # Pre-existing fixed configs with huge migration_step_ops must not
         # start raising because the (unused) starvation default is smaller.
-        StepAdmission(mode="fixed", step_ops=10_000, starvation_ops=4_096)
+        OnlineConfig(migration_step_ops=10_000, admission_starvation_ops=4_096)
 
     @given(
         mode=st.sampled_from(ADMISSION_MODES),
@@ -91,9 +96,9 @@ class TestStepAdmissionPolicy:
         would have taken, because within a span the backlog drains by one per
         operation and the elapsed count grows by one.
         """
-        admission = StepAdmission(
-            mode=mode, step_ops=step_ops, max_backlog=max_backlog,
-            starvation_ops=step_ops + slack,
+        admission = _admission(
+            mode, step_ops, admission_max_backlog=max_backlog,
+            admission_starvation_ops=step_ops + slack,
         )
         plan_started = max(0, position - started_ago)
         last_step = max(0, position - stepped_ago)
@@ -109,20 +114,19 @@ class TestStepAdmissionPolicy:
 
 
 class TestOnlineConfigWiring:
-    def test_step_admission_mirrors_the_config(self):
+    def test_the_controller_reads_its_config(self):
         config = OnlineConfig(
             migration="incremental", migration_step_ops=128,
             admission="queue-depth", admission_max_backlog=32,
             admission_starvation_ops=999, admission_idle_steps=2,
         )
-        admission = config.step_admission()
-        assert admission == StepAdmission(
-            mode="queue-depth", step_ops=128, max_backlog=32,
-            starvation_ops=999, idle_step_burst=2,
-        )
+        controller = _controller(config, Workload(0.25, 0.25, 0.25, 0.25))
+        assert controller.admission.config is config
+        assert controller.admission.idle_steps == 2
 
     def test_default_is_fixed(self):
-        assert OnlineConfig().step_admission().mode == "fixed"
+        assert OnlineConfig().admission == "fixed"
+        assert StepAdmission(OnlineConfig()).idle_steps == 0
 
     def test_rejects_unknown_admission_at_construction(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, OnlineLSMController
 from repro.serving import ShardedExecutor
 from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
-from repro.storage.persistent import PersistentLSMTree
 from repro.workloads import Session, SessionSequence, SessionType, Workload
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -58,7 +57,7 @@ class TestBuildTreeFailure:
         def explode(self, keys):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(PersistentLSMTree, "bulk_load", explode)
+        monkeypatch.setattr(LSMTree, "bulk_load", explode)
         with pytest.raises(RuntimeError, match="disk full"):
             _persistent_executor().build_tree(_TUNING)
         assert list(private_tmp.iterdir()) == []
@@ -69,7 +68,7 @@ class TestBuildTreeFailure:
         def explode(self, keys):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(PersistentLSMTree, "bulk_load", explode)
+        monkeypatch.setattr(LSMTree, "bulk_load", explode)
         executor = _persistent_executor(data_dir=str(tmp_path / "db"))
         with pytest.raises(RuntimeError):
             executor.build_tree(_TUNING)
@@ -81,7 +80,7 @@ class TestMidRunDisposal:
         self, private_tmp, monkeypatch
     ):
         state = {"puts": 0}
-        original = PersistentLSMTree.put
+        original = LSMTree.put
 
         def poisoned(self, key):
             state["puts"] += 1
@@ -89,7 +88,7 @@ class TestMidRunDisposal:
                 raise RuntimeError("injected put failure")
             return original(self, key)
 
-        monkeypatch.setattr(PersistentLSMTree, "put", poisoned)
+        monkeypatch.setattr(LSMTree, "put", poisoned)
         executor = _persistent_executor()
         with pytest.raises(RuntimeError, match="injected put failure"):
             executor.run_sequence(_TUNING, _sequence(Workload(0, 0, 0, 1.0)))
@@ -165,7 +164,7 @@ class TestParallelCompareHygiene:
         def explode(self, keys):
             raise RuntimeError("worker down")
 
-        monkeypatch.setattr(PersistentLSMTree, "bulk_load", explode)
+        monkeypatch.setattr(LSMTree, "bulk_load", explode)
         executor = _persistent_executor()
         sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
         with pytest.raises(RuntimeError, match="worker down"):

@@ -1,4 +1,9 @@
-"""Tests for the simulated LSM tree (structure, queries, compaction, I/O)."""
+"""Tests for the simulated LSM tree (structure, queries, compaction, I/O).
+
+What a tree answers on random streams — ``get``, ``get_many`` against per-key
+``get``, ``range_query`` — ``tests/test_engine_machine.py`` checks against an
+oracle; the cases here pin those reads on small hand-built trees.
+"""
 
 import itertools
 import tempfile

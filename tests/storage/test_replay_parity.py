@@ -4,13 +4,15 @@
 contract is **bit identity** with the scalar reference — the same trace
 replayed row by row through ``execute_operation``.  Virtual-disk counters,
 tree state, and (under the online controller) the drift events and the
-estimator's floats must come out equal.  These tests pin that contract on
-every engine the loop runs on:
+estimator's floats must come out equal.  ``tests/test_engine_machine.py``
+checks that against an oracle on random streams with deletes, crashes,
+migrations and fleets; these tests pin the contract on every engine the loop
+runs on:
 
 * the simulated ``LSMTree`` under every registered compaction policy —
   including per-level K_i vector bounds — with pre-seeded tombstones and tiny
   buffers so flushes and compactions land mid-stream;
-* the ``PersistentLSMTree`` on real files;
+* the tree on a ``FileStore``;
 * a ``MigrationPlan`` paused mid-flight, where reads fall through the mixed
   old/new state;
 * the ``OnlineLSMController`` under ``fixed`` and ``queue-depth`` admission,
@@ -61,7 +63,7 @@ from repro.storage.lsm_tree import (
     execute_operations_batched,
 )
 from repro.storage.memtable import Memtable
-from repro.storage.persistent import FileStore, PersistentLSMTree
+from repro.storage.persistent import FileStore
 from repro.workloads import (
     KeySpace,
     Operation,
@@ -332,7 +334,9 @@ class TestLoopMatchesScalarReference:
         with tempfile.TemporaryDirectory() as root:
             trees = []
             for name in ("scalar", "batched"):
-                tree = PersistentLSMTree(_TUNINGS[1], _SYSTEM, Path(root) / name, seed=9)
+                tree = LSMTree(
+                    _TUNINGS[1], _SYSTEM, seed=9, store=FileStore(Path(root) / name)
+                )
                 tree.bulk_load(_KEY_SPACE.existing)
                 tree.disk.reset()
                 trees.append(tree)

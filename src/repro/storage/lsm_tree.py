@@ -44,7 +44,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import MemoryStore, SortedRun, consolidate_versions, locate_many, unique_sorted
+from .run import MemoryStore, RunIndex, consolidate_versions, locate_many, unique_sorted
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ class LSMTree(BufferFirstReads):
         self.memtable = Memtable(self.buffer_entries)
         #: Disk levels; ``levels[i]`` holds the runs of disk level ``i + 1``,
         #: ordered from most to least recent.
-        self.levels: list[list[SortedRun]] = []
+        self.levels: list[list[RunIndex]] = []
 
         self._estimated_levels = system.num_levels(
             self.tuning.size_ratio, self.tuning.bits_per_entry
@@ -455,7 +455,7 @@ class LSMTree(BufferFirstReads):
             return 0.0
         return float(self._bits_per_level[index])
 
-    def _build_run(self, keys, tombstones, run_id: int, level: int) -> SortedRun:
+    def _build_run(self, keys, tombstones, run_id: int, level: int) -> RunIndex:
         """Create run number ``run_id`` on the store, filtered as a run of ``level``."""
         return self.store.create_run(
             keys,
@@ -715,19 +715,18 @@ class LSMTree(BufferFirstReads):
     def charge_ranges(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """Batched :meth:`charge_range` over the ``int64`` interval columns.
 
-        Resident runs are located once for the batch — two ``searchsorted`` a
-        run — and charged in one ``read_pages``.  On files every charged page
-        is still ``pread``, so there it is one :meth:`charge_range` a range:
-        a table's ``scan_pages`` locates the range on its resident sparse
-        index and ``pread``s the charged span, decoding none of it.
+        One path on every store: the batch is located on the runs' resident
+        sparse indexes at once (:func:`locate_many`, two ``searchsorted`` a
+        run), each run reads the spans it is charged — a table ``pread``s
+        each and decodes nothing, a resident run has nothing to read — and
+        the disk is charged the sum in one ``read_pages``.
         """
-        if not self.store.runs_resident:
-            for start_key, end_key in zip(starts.tolist(), ends.tolist()):
-                self.charge_range(start_key, end_key)
-            return
         runs = [run for level in self.levels for run in level]
         if runs:
-            self.disk.read_pages(int(locate_many(runs, starts, ends)[2].sum()))
+            first, last, pages = locate_many(runs, starts, ends)
+            for run, run_first, run_last in zip(runs, first, last):
+                run.read_spans(run_first, run_last)
+            self.disk.read_pages(int(pages.sum()))
 
     # ------------------------------------------------------------------
     # Trace operations

@@ -68,7 +68,6 @@ class FileStore:
     ``fsync``: everything survives a process kill, not a power cut.
     """
 
-    runs_resident = False
     MANIFEST_NAME = "MANIFEST.json"
     WAL_NAME = "wal.log"
 
@@ -192,11 +191,14 @@ class FileStore:
                 f"{manifest.get('version')!r}, expected {MANIFEST_VERSION}"
             )
         self._manifest = manifest
-        levels = [
-            [SSTable.open(self.data_dir / name) for name in level]
-            for level in manifest["levels"]
-        ]
-        self._tables = {run.path.name: run for runs in levels for run in runs}
+        try:
+            for name in (name for level in manifest["levels"] for name in level):
+                self._tables[name] = SSTable.open(self.data_dir / name)
+        except BaseException:
+            # Release the tables opened before the one that failed, and the log.
+            self.abandon()
+            raise
+        levels = [[self._tables[name] for name in level] for level in manifest["levels"]]
         logged = self._wal.replay()
         # Files no table of this process owns: a crash stranded them between
         # SSTable creation and manifest swap, or before garbage collection.

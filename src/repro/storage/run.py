@@ -1,11 +1,14 @@
-"""Immutable sorted runs with fence pointers and per-run Bloom filters.
+"""Sorted runs: the resident index that prices every read, and its two kinds.
 
 A sorted run is the on-disk unit of an LSM tree: a key-ordered sequence of
-entries laid out in fixed-size pages.  The simulator keeps, in memory, the
-run's Bloom filter and its fence pointers (smallest key per page), exactly
-the acceleration structures the paper describes; the entries themselves are
-"on disk", i.e. every page touched is charged to the virtual disk by the
-caller.
+entries laid out in fixed-size pages.  What an engine keeps resident for a run
+— the sparse index (fence pointers and each page's largest key), the key
+bounds and the Bloom filter, exactly the acceleration structures the paper
+describes — is a :class:`RunIndex`, and so is every decision about which pages
+a read of the run costs.  Its two kinds differ only in where a page's records
+come from: a :class:`SortedRun` slices resident arrays, an ``SSTable``
+(``repro.storage.persistent``) ``pread``s its file.  So a tree charges its
+virtual disk the same pages on either store, by construction.
 """
 
 from __future__ import annotations
@@ -78,45 +81,22 @@ def consolidate_versions(
     return sorted_keys, sorted_tombstones
 
 
-def locate_many(runs: list, starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """``scan_entries`` of every run for a batch of intervals, entries left in place.
-
-    Returns ``(lo, hi, pages)``, each ``(len(runs), len(starts))``: interval
-    ``i`` holds ``keys[lo[r, i]:hi[r, i]]`` of run ``r`` (``hi >= lo``) and is
-    charged ``pages[r, i]`` pages there — two ``searchsorted`` per resident
-    run for the whole batch, the span arithmetic once for all of them.
-    """
-    lo = np.empty((len(runs), starts.size), dtype=np.intp)
-    hi = np.empty_like(lo)
-    for row, run in enumerate(runs):
-        lo[row] = run.keys.searchsorted(starts, "left")
-        hi[row] = run.keys.searchsorted(ends, "right")
-    np.maximum(hi, lo, out=hi)
-    size = np.array([len(run) for run in runs]).reshape(-1, 1)
-    per_page = np.array([run.entries_per_page for run in runs]).reshape(-1, 1)
-    pages = (hi - 1) // per_page - lo // per_page + 1
-    pages[hi == lo] = 1  # no key inside: the seek page ...
-    # ... unless the interval is inverted or misses the run's bounds.
-    pages[(hi == 0) | (lo == size) | (ends < starts)] = 0
-    return lo, hi, pages
-
-
 def build_run_index(
     keys: np.ndarray,
     tombstones: np.ndarray | None,
     entries_per_page: int,
     bits_per_entry: float,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
     """Validate a new run's entries and build what stays resident for it.
 
-    Returns ``(keys, tombstones, fences, bloom)``: the entries as read-only
-    ``int64`` / ``bool`` arrays (a run is immutable, so every slice a scan
-    hands out may be a view), the fence pointers (smallest key of each page)
-    and the run's Bloom filter.  The one constructor of both run kinds — the
-    in-memory :class:`SortedRun` and the on-disk ``SSTable`` — so a run
-    created from the same entries, budget and seed holds the same filter
-    bits and fences wherever it lives.
+    Returns ``(keys, tombstones, fences, page_max, bloom)``: the entries as
+    read-only ``int64`` / ``bool`` arrays (a run is immutable, so every slice
+    a scan hands out may be a view), the sparse index — fence pointers
+    (smallest key of each page) and the largest key of each page — and the
+    run's Bloom filter.  The one constructor of both run kinds, so a run
+    created from the same entries, budget and seed holds the same filter bits
+    and index wherever it lives.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 1:
@@ -136,45 +116,82 @@ def build_run_index(
     )
     if keys.size:
         bloom.add_many(keys)
-    return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), bloom
+    # Each page's last key, copied as the fences are: a table holds no key array.
+    page_max = keys[entries_per_page - 1 :: entries_per_page].copy()
+    if keys.size % entries_per_page:  # a partial last page ends at the last key
+        page_max = np.concatenate((page_max, keys[-1:]))
+    return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), page_max, bloom
 
 
-class SortedRun:
-    """One immutable sorted run of an LSM tree level.
+def locate_many(
+    runs: list[RunIndex], starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`RunIndex._locate` of every run for a batch of intervals.
 
-    Parameters
-    ----------
-    keys:
-        Sorted, unique integer keys of the run.
-    entries_per_page:
-        How many entries fit in one disk page (``B``).
-    bits_per_entry:
-        Bloom-filter budget for this run; 0 disables the filter.
-    tombstones:
-        Optional boolean mask marking deleted keys.
-    seed:
-        Hash seed for the run's Bloom filter.
+    Returns ``(first, last, pages)``, each ``(len(runs), len(starts))``:
+    interval ``i`` covers pages ``first[r, i]..last[r, i]`` of run ``r`` and
+    is charged ``pages[r, i]`` of them — ``(0, -1, 0)`` where it misses the
+    run.  Reads only the resident sparse indexes, two ``searchsorted`` a run
+    for the whole batch, and runs the span arithmetic once for all of them.
+    """
+    first = np.empty((len(runs), starts.size), dtype=np.intp)
+    last = np.empty_like(first)
+    for row, run in enumerate(runs):
+        first[row] = run._page_max.searchsorted(starts, "left")
+        last[row] = run._fences.searchsorted(ends, "right")
+    last -= 1
+    np.minimum(first, last, out=first)
+    bounds = np.array(
+        [(run._min_key, run._max_key, run._size) for run in runs], dtype=np.int64
+    ).reshape(-1, 3, 1)
+    low, high, size = bounds[:, 0], bounds[:, 1], bounds[:, 2]
+    miss = (ends < starts) | (ends < low) | (starts > high) | (size == 0)
+    first[miss] = 0
+    last[miss] = -1
+    return first, last, last - first + 1
+
+
+class RunIndex:
+    """What stays resident of one immutable sorted run, and what reading it costs.
+
+    Holds the entry count and page size (``B``), the sparse index (fence
+    pointers and each page's largest key), the key bounds and the Bloom
+    filter, and makes every decision about which pages a read is charged: a
+    probe the filter and bounds rule out costs nothing, one they do not costs
+    its single candidate page, and an interval costs the page span
+    :meth:`_locate` finds — the seek page too, when it falls between keys.
+    A subclass says only where a page's records come from:
+
+    * ``_read_pages(first, last)``: the ``(keys, tombstones)`` of pages
+      ``first..last``;
+    * ``_page_records(key)`` / ``_pages_records(keys)``: those of the page a
+      key — each key of a batch — would be on, in key order;
+    * ``_read_span(first, last)``: read pages ``first..last``, decode nothing;
+    * ``read_spans(first, last)``: the same for every non-empty span of a
+      :func:`locate_many` row.
+
+    The record hooks may hand back any key-ordered stretch of the run that
+    includes the pages asked for; a resident run hands back all of it.
     """
 
     def __init__(
         self,
-        keys: np.ndarray,
         entries_per_page: int,
-        bits_per_entry: float = 0.0,
-        tombstones: np.ndarray | None = None,
-        seed: int = 0,
+        num_entries: int,
+        fences: np.ndarray,
+        page_max: np.ndarray,
+        bloom: BloomFilter,
     ) -> None:
-        self._keys, self._tombstones, self._fences, self._filter = build_run_index(
-            keys, tombstones, entries_per_page, bits_per_entry, seed
-        )
-        self.entries_per_page = entries_per_page
-        self.bits_per_entry = float(bits_per_entry)
-        # Size and key bounds cached as plain ints: the lookup and scan hot
-        # paths compare against them on every probe.
-        self._size = int(self._keys.size)
+        self.entries_per_page = int(entries_per_page)
+        self._size = int(num_entries)
+        self._fences = fences
+        self._page_max = page_max
+        self._filter = bloom
+        # Key bounds cached as plain ints: every probe and scan compares
+        # against them.
         if self._size:
-            self._min_key = int(self._keys[0])
-            self._max_key = int(self._keys[-1])
+            self._min_key = int(fences[0])
+            self._max_key = int(page_max[-1])
         else:
             self._min_key = self._max_key = 0
 
@@ -209,19 +226,19 @@ class SortedRun:
         return self._max_key
 
     @property
-    def keys(self) -> np.ndarray:
-        """The run's keys (read-only)."""
-        return self._keys
-
-    @property
-    def tombstones(self) -> np.ndarray:
-        """Boolean mask of deleted keys (read-only)."""
-        return self._tombstones
-
-    @property
     def bloom_filter(self) -> BloomFilter:
-        """The run's Bloom filter."""
+        """The run's resident Bloom filter."""
         return self._filter
+
+    @property
+    def filter_size_bits(self) -> int:
+        """Memory used by the run's Bloom filter, in bits."""
+        return self._filter.size_bits
+
+    @property
+    def bits_per_entry(self) -> float:
+        """Bloom budget the run was built with; 0 disables the filter."""
+        return self._filter.bits_per_entry
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The run's full contents as read-only ``(keys, tombstones)``, charging no I/O.
@@ -230,18 +247,23 @@ class SortedRun:
         that model the read cost (a compaction, a migration checkpoint)
         charge it separately.
         """
-        return self._keys, self._tombstones
+        return self._read_pages(0, self.num_pages - 1)
 
     @property
-    def filter_size_bits(self) -> int:
-        """Memory used by the run's Bloom filter, in bits."""
-        return self._filter.size_bits
+    def keys(self) -> np.ndarray:
+        """The run's keys (read-only, no I/O charged)."""
+        return self.entries()[0]
+
+    @property
+    def tombstones(self) -> np.ndarray:
+        """Boolean mask of deleted keys (read-only, no I/O charged)."""
+        return self.entries()[1]
 
     # ------------------------------------------------------------------
     # Point lookups
     # ------------------------------------------------------------------
     def may_contain(self, key: int) -> bool:
-        """Filter + fence-pointer pre-check, costing no I/O."""
+        """Filter + fence-bound pre-check, costing no I/O."""
         if not self._size:
             return False
         if key < self._min_key or key > self._max_key:
@@ -265,11 +287,11 @@ class SortedRun:
         """
         if not self.may_contain(key):
             return False, False, 0
-        index = int(self._keys.searchsorted(key))
-        pages_read = 1
-        if index < self._size and self._keys[index] == key:
-            return True, bool(self._tombstones[index]), pages_read
-        return False, False, pages_read
+        keys, tombstones = self._page_records(key)
+        index = int(keys.searchsorted(key))
+        if index < keys.size and keys[index] == key:
+            return True, bool(tombstones[index]), 1
+        return False, False, 1
 
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Probe the run for a batch of keys in one vectorised pass.
@@ -280,6 +302,8 @@ class SortedRun:
         two lookups landing on the same candidate page still charge two
         reads, exactly as issuing the scalar :meth:`lookup` per key would —
         so the caller's I/O accounting is bit-identical to the scalar path.
+        A probe hits iff it hits in its own page, so one ``searchsorted`` over
+        the candidate pages' records, joined in key order, resolves the batch.
         """
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(keys.size, dtype=bool)
@@ -290,43 +314,54 @@ class SortedRun:
         in_bounds = np.flatnonzero((keys >= self._min_key) & (keys <= self._max_key))
         if in_bounds.size == 0:
             return found, tombstone, 0
-        bounded = keys[in_bounds]
-        probe_idx = in_bounds[self._filter.might_contain_many(bounded)]
+        probe_idx = in_bounds[self._filter.might_contain_many(keys[in_bounds])]
         pages_read = probe_idx.size
         if pages_read:
             probed = keys[probe_idx]
-            # One searchsorted over the run's keys resolves every candidate;
-            # the bound check above guarantees the indices are in range.
-            indices = self._keys.searchsorted(probed)
-            hit = self._keys[indices] == probed
+            page_keys, page_tombstones = self._pages_records(probed)
+            # A probe past its page's last key may index one past the records.
+            indices = page_keys.searchsorted(probed)
+            hit = page_keys.take(indices, mode="clip") == probed
             hits = probe_idx[hit]
             found[hits] = True
-            tombstone[hits] = self._tombstones[indices[hit]]
+            tombstone[hits] = page_tombstones[indices[hit]]
         return found, tombstone, pages_read
 
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
-    def _span(self, start_key: int, end_key: int) -> tuple[int, int, int]:
-        """``(lo, hi, pages)``: the interval holds ``keys[lo:hi]``, a scan of it
-        reads ``pages`` pages — the seek page too, when it falls between keys."""
+    def _locate(self, start_key: int, end_key: int) -> tuple[int, int]:
+        """First and last page a scan of ``[start_key, end_key]`` reads, as plain ints.
+
+        The first page is the first whose max key reaches ``start_key``, the
+        last the last whose fence stays at or below ``end_key``; ``(0, -1)``
+        when the interval misses the run's key bounds.  :func:`locate_many`
+        is the same arithmetic for a batch.
+        """
         if (
             end_key < start_key
             or end_key < self._min_key
             or start_key > self._max_key
             or not self._size
         ):
-            return 0, 0, 0
-        lo = int(self._keys.searchsorted(start_key, "left"))
-        hi = int(self._keys.searchsorted(end_key, "right"))
-        if hi <= lo:
-            return lo, lo, 1
-        per_page = self.entries_per_page
-        return lo, hi, (hi - 1) // per_page - lo // per_page + 1
+            return 0, -1
+        first = int(self._page_max.searchsorted(start_key, "left"))
+        last = int(self._fences.searchsorted(end_key, "right")) - 1
+        # An interval in the gap between two pages holds no key, but its seek
+        # still reads the page with the largest key below ``start_key``: that
+        # is ``last``, the page before the one whose max reaches the interval.
+        return (first if first < last else last), last
 
     def scan_pages(self, start_key: int, end_key: int) -> int:
-        """The pages :meth:`scan_entries` charges for the interval, slicing nothing."""
-        return self._span(start_key, end_key)[2]
+        """The pages :meth:`scan_entries` charges for the interval.
+
+        Reads that span, as the scan does, and decodes none of it.
+        """
+        first, last = self._locate(start_key, end_key)
+        if last < first:
+            return 0
+        self._read_span(first, last)
+        return last - first + 1
 
     def scan_entries(
         self, start_key: int, end_key: int
@@ -336,33 +371,62 @@ class SortedRun:
         Tombstoned entries are returned (flagged in the boolean mask) rather
         than dropped — callers that merge several runs need a run's deletions
         to shadow older live versions below it.  The two arrays are read-only
-        views of the run, not copies.  An interval inside the run's bounds
-        that holds no key still seeks, reading the one page with the largest
-        key below ``start_key``; the pages are counted in plain ints.
+        views of the pages read, not copies.  An interval inside the run's
+        bounds that holds no key still seeks, reading the one page with the
+        largest key below ``start_key``: a charged page is a read page.
         """
-        lo, hi, pages = self._span(start_key, end_key)
-        if hi == lo:
-            return NO_KEYS, NO_TOMBSTONES, pages
-        return self._keys[lo:hi], self._tombstones[lo:hi], pages
+        first, last = self._locate(start_key, end_key)
+        if last < first:
+            return NO_KEYS, NO_TOMBSTONES, 0
+        keys, tombstones = self._read_pages(first, last)
+        lo = int(keys.searchsorted(start_key, "left"))
+        hi = int(keys.searchsorted(end_key, "right"))
+        return keys[lo:hi], tombstones[lo:hi], last - first + 1
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_sorted_keys(
-        cls,
+
+class SortedRun(RunIndex):
+    """One immutable sorted run held in memory, as the simulator keeps it.
+
+    Its records are resident arrays, so reading a page costs no time here:
+    the tree charges the pages a read touches to its virtual disk.
+
+    Parameters
+    ----------
+    keys:
+        Sorted, unique integer keys of the run.
+    entries_per_page:
+        How many entries fit in one disk page (``B``).
+    bits_per_entry:
+        Bloom-filter budget for this run; 0 disables the filter.
+    tombstones:
+        Optional boolean mask marking deleted keys.
+    seed:
+        Hash seed for the run's Bloom filter.
+    """
+
+    def __init__(
+        self,
         keys: np.ndarray,
         entries_per_page: int,
         bits_per_entry: float = 0.0,
+        tombstones: np.ndarray | None = None,
         seed: int = 0,
-    ) -> "SortedRun":
-        """Build a run from already sorted, unique keys."""
-        return cls(
-            keys=np.asarray(keys, dtype=np.int64),
-            entries_per_page=entries_per_page,
-            bits_per_entry=bits_per_entry,
-            seed=seed,
+    ) -> None:
+        self._keys, self._tombstones, fences, page_max, bloom = build_run_index(
+            keys, tombstones, entries_per_page, bits_per_entry, seed
         )
+        super().__init__(entries_per_page, self._keys.size, fences, page_max, bloom)
+
+    def _records(self, *_) -> tuple[np.ndarray, np.ndarray]:
+        """The whole run: it is resident, and includes every page asked for."""
+        return self._keys, self._tombstones
+
+    entries = _read_pages = _page_records = _pages_records = _records
+
+    def _read_span(self, *_) -> None:
+        """Nothing to read: the pages are resident."""
+
+    read_spans = _read_span
 
 
 class MemoryStore:
@@ -384,16 +448,14 @@ class MemoryStore:
       records)`` of an earlier tree on this store, or ``None`` for a fresh one;
     * ``sibling()`` for the empty store a successor tree is built on;
     * ``close()``, ``abandon()`` (a process kill: drop every handle, sync
-      nothing) and ``destroy()`` (delete what the store owns);
+      nothing) and ``destroy()`` (delete what the store owns).
 
-    and reads ``runs_resident``: whether a run's entries are arrays in memory
-    (a :class:`SortedRun`), which a batch of scans can be located in at once.
+    Every read goes to the runs, which are :class:`RunIndex` subclasses on
+    either store: the tree never asks the store where a run's records are.
 
     Memory keeps nothing across a restart, so all but ``create_run`` are
     no-ops here; ``repro.storage.persistent.FileStore`` is the one on files.
     """
-
-    runs_resident = True
 
     def create_run(
         self,

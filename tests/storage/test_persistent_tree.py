@@ -32,7 +32,7 @@ from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
 from repro.storage.persistent.sstable import _TRAILER
-from repro.storage.run import locate_many
+from repro.storage.run import RunIndex, locate_many
 
 _SYSTEM = simulator_system(num_entries=2_000)
 
@@ -584,6 +584,58 @@ class TestSSTable:
             assert reads == want_reads, name
         table.close()
 
+    def test_a_batch_charge_reads_the_spans_it_charges(self, tmp_path, monkeypatch):
+        """``charge_ranges`` on files: one run at a time, each charged span is
+        ``pread`` once and none is decoded; the pages and the reads are those
+        of a ``charge_range`` per range."""
+        tree = LSMTree(
+            LSMTuning(5.0, 5.0, Policy.TIERING), _SYSTEM, disk=VirtualDisk(), seed=3,
+            store=FileStore(tmp_path / "db"),
+        )
+        tree.bulk_load(np.arange(0, 20_000, 11))
+        for key in range(5, 2 * tree.buffer_entries * 11, 11):
+            tree.put(key)
+        runs = [run for level in tree.levels for run in level]
+        assert len(runs) >= 3
+        intervals = [
+            (0, 19_999), (3, 9), (16, 19), (500, 1_700), (7_000, 7_000),
+            (-30, -1), (30_000, 40_000), (900, 100), (19_990, 2**63 - 1),
+        ]
+        starts = np.array([start for start, _ in intervals], dtype=np.int64)
+        ends = np.array([end for _, end in intervals], dtype=np.int64)
+        want_reads = []
+        for run in runs:
+            page_bytes = run.entries_per_page * 9
+            for start, end in intervals:
+                first, last = run._locate(start, end)
+                if first <= last:
+                    length = min((last + 1) * page_bytes, 9 * len(run)) - first * page_bytes
+                    want_reads.append((first * page_bytes, length))
+        reads: list[tuple[int, int]] = []
+        real_pread = os.pread
+
+        def pread(descriptor, length, offset):
+            reads.append((offset, length))
+            return real_pread(descriptor, length, offset)
+
+        def frombuffer(*args, **kwargs):
+            raise AssertionError("a page charge decoded the bytes it read")
+
+        monkeypatch.setattr(os, "pread", pread)
+        before = tree.disk.counters.query_reads
+        with monkeypatch.context() as undecoded:
+            undecoded.setattr(np, "frombuffer", frombuffer)
+            tree.charge_ranges(starts, ends)
+            batch_reads, batch_pages = list(reads), tree.disk.counters.query_reads - before
+            reads.clear()
+            for start, end in intervals:
+                tree.charge_range(start, end)
+        scalar_pages = tree.disk.counters.query_reads - before - batch_pages
+        assert batch_reads == want_reads
+        assert sorted(reads) == sorted(want_reads)
+        assert batch_pages == scalar_pages > 0
+        tree.close()
+
     def test_a_short_read_raises_eio_naming_the_table(self, tmp_path):
         """A file cut under an open table: every read that reaches the lost
         bytes raises, where it used to answer from the records it got."""
@@ -614,12 +666,11 @@ class TestSSTable:
             assert run.num_pages == table.num_pages == -(-count // 4)
             assert type(run.num_pages) is type(table.num_pages) is int
             table.delete_files()
-        # Past 2**53 a float quotient loses the last entry's page.
+        # One definition for both kinds; past 2**53 a float quotient would
+        # lose the last entry's page.
+        assert SortedRun.num_pages is SSTable.num_pages is RunIndex.num_pages
         huge = 2**53 + 1
-        stub_run = SimpleNamespace(_size=huge, entries_per_page=1)
-        stub_table = SimpleNamespace(_num_entries=huge, entries_per_page=1)
-        assert SortedRun.num_pages.fget(stub_run) == huge
-        assert SSTable.num_pages.fget(stub_table) == huge
+        assert RunIndex.num_pages.fget(SimpleNamespace(_size=huge, entries_per_page=1)) == huge
 
     @pytest.mark.parametrize("count", [0, 3, 150], ids=["empty", "one-partial-page", "many"])
     def test_open_round_trips_all_state(self, tmp_path, count):
@@ -730,6 +781,25 @@ class TestSSTable:
         assert _descriptors_under(tmp_path) == before
 
     @needs_proc
+    @pytest.mark.parametrize("per_page", [0, 2, 8])
+    def test_a_page_geometry_its_entry_count_does_not_imply_is_refused(
+        self, tmp_path, per_page
+    ):
+        """The trailer's page size rewritten: 50 entries in 13 pages of 4 are
+        not 13 pages of 2 or of 8, and no page holds 0 entries."""
+        path = tmp_path / "t.sst"
+        raw = self._table_bytes(tmp_path)
+        trailer = list(_TRAILER.unpack(raw[-_TRAILER.size :]))
+        trailer[1] = per_page
+        path.write_bytes(raw[: -_TRAILER.size] + _TRAILER.pack(*trailer))
+        before = _descriptors_under(tmp_path)
+        with pytest.raises(
+            ValueError, match=f"^{path} describes 13 pages of {per_page} entries for 50"
+        ):
+            SSTable.open(path)
+        assert _descriptors_under(tmp_path) == before
+
+    @needs_proc
     def test_a_rejected_file_leaves_no_descriptor_open(self, tmp_path):
         path = tmp_path / "t.sst"
         path.write_bytes(self._table_bytes(tmp_path)[:-1])
@@ -781,7 +851,7 @@ def _run_and_probes(draw):
 
 
 class TestSSTableLookupMany:
-    """``SSTable.lookup_many`` is ``SortedRun.lookup_many``, one read a page."""
+    """A batched probe on files answers and charges as one in memory, one read a page."""
 
     @given(case=_run_and_probes())
     @settings(max_examples=150, deadline=None)
@@ -858,7 +928,7 @@ def _run_and_intervals(draw):
 
 
 class TestLocateMany:
-    """The vectorised locate is ``scan_entries``, on both run kinds."""
+    """The batched locate is ``_locate``, and so ``scan_entries``, on both run kinds."""
 
     @given(case=_run_and_intervals(), runs_in_batch=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
@@ -866,29 +936,34 @@ class TestLocateMany:
         keys, tombstones, intervals = case
         keys = np.array(keys, dtype=np.int64)
         tombstones = np.array(tombstones, dtype=bool)
-        run = SortedRun(keys, entries_per_page=4, tombstones=tombstones)
-        other = SortedRun(keys[::2], entries_per_page=3)
-        runs = [run, other, run][:runs_in_batch]
         starts = np.array([start for start, _ in intervals], dtype=np.int64)
         ends = np.array([end for _, end in intervals], dtype=np.int64)
-        lo, hi, pages = locate_many(runs, starts, ends)
-        assert lo.shape == hi.shape == pages.shape == (len(runs), len(intervals))
-        assert (hi >= lo).all()
+        run = SortedRun(keys, entries_per_page=4, tombstones=tombstones)
         with tempfile.TemporaryDirectory() as root:
             table = SSTable.create(Path(root) / "t.sst", keys, tombstones, entries_per_page=4)
             try:
+                other = SortedRun(keys[::2], entries_per_page=3)
+                runs = [run, table, other, run][: runs_in_batch + 1]
+                first, last, pages = locate_many(runs, starts, ends)
+                assert first.shape == last.shape == pages.shape == (len(runs), len(intervals))
                 for row, each in enumerate(runs):
+                    run_keys, run_tombstones = each.entries()
+                    per_page = each.entries_per_page
                     for column, (start, end) in enumerate(intervals):
+                        span = first[row, column], last[row, column]
+                        assert span == each._locate(start, end)
                         want_keys, want_tombstones, want_pages = each.scan_entries(start, end)
-                        inside = slice(lo[row, column], hi[row, column])
-                        assert each.keys[inside].tolist() == want_keys.tolist()
-                        assert each.tombstones[inside].tolist() == want_tombstones.tolist()
-                        assert pages[row, column] == want_pages
-                        if each is run:
-                            on_file = table.scan_entries(start, end)
-                            assert on_file[0].tolist() == want_keys.tolist()
-                            assert on_file[1].tolist() == want_tombstones.tolist()
-                            assert on_file[2] == want_pages
+                        assert pages[row, column] == want_pages == max(span[1] - span[0] + 1, 0)
+                        # The located pages, trimmed to the interval, are the scan.
+                        read = slice(span[0] * per_page, (span[1] + 1) * per_page)
+                        span_keys, span_tombstones = run_keys[read], run_tombstones[read]
+                        inside = (span_keys >= start) & (span_keys <= end)
+                        assert span_keys[inside].tolist() == want_keys.tolist()
+                        assert span_tombstones[inside].tolist() == want_tombstones.tolist()
+                        if each is table:
+                            in_memory = run.scan_entries(start, end)
+                            assert want_keys.tolist() == in_memory[0].tolist()
+                            assert want_pages == in_memory[2]
             finally:
                 table.close()
 
@@ -1066,6 +1141,24 @@ class TestPersistentHousekeeping:
         leaked = [t for t in _descriptors_under(tmp_path) if t.endswith(" (deleted)")]
         assert leaked == []
         tree.dispose()
+
+    @needs_proc
+    def test_a_failed_recovery_closes_the_tables_it_opened(self, tmp_path):
+        """The last table the manifest names is cut short: reopening raises,
+        and the tables opened before it, and the log, are closed again."""
+        tuning = LSMTuning(4.0, 5.0, Policy.TIERING)
+        tree = LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
+        tree.bulk_load(np.arange(2_000))
+        for key in range(2_000, 2_150):
+            tree.put(key)
+        names = [run.path.name for runs in tree.levels for run in runs]
+        assert len(names) > 2
+        tree.close()
+        os.truncate(tmp_path / "db" / names[-1], (tmp_path / "db" / names[-1]).stat().st_size - 1)
+        assert _descriptors_under(tmp_path) == []
+        with pytest.raises(ValueError, match=names[-1]):
+            LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
+        assert _descriptors_under(tmp_path) == []
 
     def test_compaction_disabled_stacks_runs(self, tmp_path):
         tree = LSMTree(

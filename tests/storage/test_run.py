@@ -509,9 +509,9 @@ class TestMerging:
         merged = SortedRun(keys, entries_per_page=8, tombstones=tombstones)
         assert merged.num_entries == keys.size
 
-    def test_from_sorted_keys_constructor(self):
-        run = SortedRun.from_sorted_keys(np.array([1, 5, 9]), entries_per_page=2)
-        assert run.num_entries == 3
+    def test_constructor_takes_any_sorted_key_sequence(self):
+        run = SortedRun([1, 5, 9], entries_per_page=2)
+        assert run.num_entries == 3 and run.keys.dtype == np.int64
 
 
 class TestBatchedLookup:

@@ -966,9 +966,9 @@ def _render_sharded(result) -> str:
             f"{_counter_cells(row['merged'])}"
             for row in scaling
         ),
-        # True by construction (one loop replays both; tests/serving pins
-        # num_shards=1 against the unsharded executor); kept so the table
-        # does not move.
+        # True by construction (a 1-shard fleet is one bare ``run_shard``:
+        # no partition, no route, no merge; tests/serving pins it); kept so
+        # the table does not move.
         "single-shard parity: counters, stats and tree fingerprint identical "
         "to the classic batched executor replay",
         f"admission pacing — 5 sessions x {_QUERIES_PER_SESSION} queries "

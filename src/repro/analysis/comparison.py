@@ -3,14 +3,15 @@
 Every system result of the paper (Figures 1 and 8–18) and every experiment
 built on top of them (the sharded fleet, static-vs-adaptive drift, the A→B→A
 endurance trio) is one shape: a column per named deployment, a row per
-session.  ``WorkloadExecutor.compare`` / ``ShardedExecutor.compare`` already
-return exactly that, so :class:`Comparison` keeps their mapping as returned
-and adds only what an engine cannot measure — the cost model's prediction
-for each static column and, for a phased sequence, each row's phase and
-hindsight column.  What is specific to a column lives on the column's own
-type: an :class:`~repro.storage.executor.AdaptiveSequenceMeasurement` carries
-its events and migrations, a
-:class:`~repro.serving.executor.ShardedSequenceMeasurement` its shards.
+session.  ``WorkloadExecutor.compare`` already returns exactly that, so
+:class:`Comparison` keeps its mapping as returned and adds only what an
+engine cannot measure — the cost model's prediction for each static column
+and, for a phased sequence, each row's phase and hindsight column.  What is
+specific to a column lives on the column's own type: an
+:class:`~repro.storage.executor.AdaptiveSequenceMeasurement` carries its
+events and migrations, and every
+:class:`~repro.storage.executor.SequenceMeasurement` its shards (a column
+served by more than one is a fleet).
 
 The numbers an experiment claims (``io_reduction``,
 ``adaptive_vs_oracle_converged``, ``spike_reduction`` …) are three small
@@ -29,7 +30,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..lsm.tuning import LSMTuning
-from ..serving.executor import ShardedSequenceMeasurement
 from ..storage.executor import AdaptiveSequenceMeasurement, SequenceMeasurement
 from ..workloads.workload import Workload
 
@@ -176,13 +176,9 @@ class Comparison:
         return document
 
 
-def _fleets(comparison: Comparison) -> dict[str, ShardedSequenceMeasurement]:
-    """The columns that were served by a shard fleet."""
-    return {
-        name: m
-        for name, m in comparison.measurements.items()
-        if isinstance(m, ShardedSequenceMeasurement)
-    }
+def _fleets(comparison: Comparison) -> dict[str, SequenceMeasurement]:
+    """The columns that were served by more than one shard."""
+    return {name: m for name, m in comparison.measurements.items() if m.num_shards > 1}
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig, simulator_system
 from ..lsm.tuning import LSMTuning
 from ..online.config import OnlineConfig
-from ..serving.executor import ShardedExecutor
 from ..storage.executor import ExecutorConfig, WorkloadExecutor
 from ..workloads.benchmark import UncertaintyBenchmark, expected_workloads
 from ..workloads.sessions import SessionGenerator, SessionSequence
@@ -42,10 +41,11 @@ class SystemExperiment:
         Simulator-scale system configuration; defaults to a 50k-entry store.
     executor_config:
         Execution knobs (queries per session workload, latency model, seed).
-        With ``num_shards > 1`` the comparison is served by a hash-partitioned
-        shard fleet (per-shard data dirs for the persistent backend); the
-        merged fleet measurements read like the single tree's and collapse to
-        them exactly at ``num_shards=1``.
+        The executor serves every static column from ``num_shards``
+        hash-partitioned shards (per-shard data dirs for the persistent
+        backend); the merged fleet measurements read like a single tree's,
+        and ``num_shards=1`` is the single tree.  Adaptive variants need one
+        shard.
     benchmark:
         Uncertainty benchmark supplying the session workloads.
     policies:
@@ -68,10 +68,7 @@ class SystemExperiment:
         if self.benchmark is None:
             self.benchmark = UncertaintyBenchmark(size=1_000, seed=self.seed)
         self.cost_model = LSMCostModel(self.system)
-        sharded = self.executor_config.num_shards > 1
-        self.executor = (ShardedExecutor if sharded else WorkloadExecutor)(
-            self.system, self.executor_config
-        )
+        self.executor = WorkloadExecutor(self.system, self.executor_config)
 
     # ------------------------------------------------------------------
     # Tunings
@@ -153,16 +150,18 @@ class SystemExperiment:
         adaptive executor, started from the nominal tuning.  ``phases`` and
         ``oracle_names`` are a drifting sequence's, one entry per row.
         """
-        if variants and isinstance(self.executor, ShardedExecutor):
-            raise ValueError(
-                "adaptive variants are compared on a single tree: a fleet's "
-                "per-shard controllers report no fleet-level drift events"
-            )
-        measurements = dict(self.executor.compare(tunings, sequence, parallel=self.parallel))
-        for name, online in variants.items():
-            measurements[name] = self.executor.run_sequence_adaptive(
+        # The variants run first, so a fleet, which cannot run them, fails
+        # before any static column is measured.
+        adaptive = {
+            name: self.executor.run_sequence_adaptive(
                 tunings["nominal"], sequence, online=online, policies=self.policies
             )
+            for name, online in variants.items()
+        }
+        measurements = {
+            **self.executor.compare(tunings, sequence, parallel=self.parallel),
+            **adaptive,
+        }
         return Comparison(
             expected=sequence.expected,
             rho=rho,

@@ -6,10 +6,16 @@ and reports the same quantities the paper reads out of RocksDB's statistics
 module — average I/Os per query (with compaction traffic amortised over the
 writes of the session) and a simulated per-query latency.
 
-:meth:`WorkloadExecutor.run_shard` is the one runner, static or adaptive:
-``run_sequence`` and ``run_sequence_adaptive`` are shard 0 of a 1-shard
-fleet, and :mod:`repro.serving` calls it once per shard with a key partition
-and a route.  :func:`_map_tasks` is the one process pool both fan out on.
+:class:`WorkloadExecutor` is the fleet: ``ExecutorConfig.num_shards`` hash
+shards, each one :meth:`WorkloadExecutor.run_shard` call that loads the
+shard's partition of the key space and serves the sub-stream routed to it
+(:mod:`repro.serving.sharding`).  The single tree is the 1-shard fleet, which
+computes no partition and no route.  ``run_sequence``, ``run_sequence_adaptive``
+and ``compare`` all go through one fleet runner, whose tuning x shard tasks
+share the one process pool (:func:`_map_tasks`).  A fleet's sessions sum the
+per-shard :class:`~repro.storage.disk.IOCounters` deltas, priced by the same
+:class:`~repro.storage.disk.VirtualDisk` latencies and amortised over the
+global query count, so they read exactly like a single tree's.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -32,7 +38,7 @@ from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.sessions import Session, SessionSequence
-from ..workloads.traces import KeySpace, Trace, TraceGenerator
+from ..workloads.traces import KeySpace, TraceGenerator
 from ..workloads.workload import Workload
 from .disk import IOCounters, VirtualDisk
 from .lsm_tree import LSMTree, TreeStats, execute_operations_batched
@@ -102,12 +108,32 @@ class SessionMeasurement:
         return self.query_reads / self.num_queries
 
 
+def fleet_percentiles(values: Sequence[float]) -> dict[str, float]:
+    """p50/p95/worst of a per-shard metric, fleet-style."""
+    data = np.asarray(list(values), dtype=float)
+    if data.size == 0:
+        return {"p50": 0.0, "p95": 0.0, "worst": 0.0}
+    return {
+        "p50": float(np.percentile(data, 50)),
+        "p95": float(np.percentile(data, 95)),
+        "worst": float(data.max()),
+    }
+
+
 @dataclass(frozen=True)
 class SequenceMeasurement:
-    """Measurements of a whole session sequence under one tuning."""
+    """Measurements of a whole session sequence under one tuning.
+
+    ``sessions`` is the fleet view: on several shards, counter sums over
+    every shard and query counts of the global stream.
+    """
 
     tuning: LSMTuning
     sessions: tuple[SessionMeasurement, ...]
+    #: Each shard's own run, for percentile and imbalance analysis (one on a
+    #: single tree; none on a shard's own measurement).  Left out of equality:
+    #: a run holds its wall-clock seconds.
+    shards: tuple["ShardRun", ...] = field(default=(), compare=False, kw_only=True)
 
     @property
     def average_ios_per_query(self) -> float:
@@ -132,6 +158,40 @@ class SequenceMeasurement:
         if not per_session:
             return 0.0
         return float(np.mean(per_session))
+
+    @property
+    def num_shards(self) -> int:
+        """Trees that served the sequence."""
+        return max(len(self.shards), 1)
+
+    @property
+    def critical_path_s(self) -> float:
+        """Wall clock of the slowest shard — a one-worker-per-shard fleet's
+        makespan (shards share nothing)."""
+        return max((run.elapsed_s for run in self.shards), default=0.0)
+
+    @property
+    def total_cpu_s(self) -> float:
+        """Summed per-shard execution seconds (what this harness spent)."""
+        return sum(run.elapsed_s for run in self.shards)
+
+    def shard_ios_percentiles(self) -> dict[str, float]:
+        """Fleet percentiles of per-shard average I/Os per query."""
+        return fleet_percentiles(
+            [run.measurement.average_ios_per_query for run in self.shards]
+        )
+
+    def worst_shard_session_ios(self) -> float:
+        """The worst per-session I/O cost any shard saw (tail sessions)."""
+        return max(
+            (
+                session.ios_per_query
+                for run in self.shards
+                for session in run.measurement.sessions
+                if session.num_queries > 0
+            ),
+            default=0.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -183,8 +243,8 @@ def tree_fingerprint(tree: LSMTree) -> str:
 
 @dataclass(frozen=True)
 class ShardRun:
-    """One tree's complete replay of a session sequence (the classic
-    executor's is shard 0 of a 1-shard fleet)."""
+    """One tree's complete replay of a session sequence (a single tree is
+    shard 0 of a 1-shard fleet)."""
 
     shard: int
     #: Per-shard sessions: counters of this shard's disk, query counts of the
@@ -255,8 +315,8 @@ class ExecutorConfig:
         "fsync the persistent backend's write-ahead log on every write (durability against "
         "OS crashes, at a steep wall-clock cost)",
     )
-    #: The classic single-tree :class:`WorkloadExecutor` ignores it; 1 is the
-    #: unsharded deployment either way.
+    #: Every entry point of :class:`WorkloadExecutor` serves this many shards;
+    #: 1 is the single tree (no partition, no route).
     num_shards: int = knob(
         1,
         "serve the comparison from a hash-partitioned shard fleet (one tree per shard, range "
@@ -276,7 +336,8 @@ class ExecutorConfig:
 
 
 class WorkloadExecutor:
-    """Runs session sequences against freshly built LSM-tree instances."""
+    """Runs session sequences on freshly built LSM-tree fleets (one tree per
+    shard; ``config.num_shards`` of them)."""
 
     def __init__(
         self, system: SystemConfig, config: ExecutorConfig | None = None
@@ -285,33 +346,42 @@ class WorkloadExecutor:
         self.config = config if config is not None else ExecutorConfig()
         self.key_space = KeySpace.build(system.num_entries, seed=self.config.seed)
 
+    def __reduce__(self):
+        # A pool task ships ``(system, config)``, and the worker rebuilds the
+        # key space from the same seed (see :func:`_map_tasks`).
+        return type(self), (self.system, self.config)
+
     # ------------------------------------------------------------------
     # Database construction
     # ------------------------------------------------------------------
     def build_tree(
-        self, tuning: LSMTuning, keys: np.ndarray | None = None
+        self, tuning: LSMTuning, keys: np.ndarray | None = None, shard: int = 0
     ) -> LSMTree:
         """Instantiate and bulk-load a tree for one tuning.
 
         Every tuning gets the exact same initial key set, mirroring the
         paper's identical bulk-loading across database instances; ``keys``
-        substitutes a subset (the serving layer loads each shard with its
-        hash partition of the key space).  The configured backend picks the
-        run store: memory, or files in a fresh per-tree directory.  Dispose
-        of the tree through :meth:`dispose_tree` so the store's resources are
-        released either way.  A failure while constructing or loading a tree
-        on files releases its descriptors and removes its half-built
-        directory before re-raising — a crashed build must not leak ``tree-*``
-        dirs into the temp dir (or a shared user ``data_dir``).
+        substitutes a subset (a shard loads its hash partition of the key
+        space).  The configured backend picks the run store: memory, or files
+        in a fresh per-tree directory — under ``shard-NN/`` of a configured
+        ``data_dir`` when the fleet has several shards.  Dispose of the tree
+        through :meth:`dispose_tree` so the store's resources are released
+        either way.  A failure while constructing or loading a tree on files
+        releases its descriptors and removes its half-built directory before
+        re-raising — a crashed build must not leak ``tree-*`` dirs into the
+        temp dir (or a shared user ``data_dir``).
         """
         disk = self.config.disk()
         if keys is None:
             keys = self.key_space.existing
         make_tree, data_dir = LSMTree, None
         if self.config.backend == "persistent":
-            if self.config.data_dir is not None:
-                os.makedirs(self.config.data_dir, exist_ok=True)
-            data_dir = tempfile.mkdtemp(prefix="tree-", dir=self.config.data_dir)
+            parent = self.config.data_dir
+            if parent is not None:
+                if self.config.num_shards > 1:
+                    parent = os.path.join(parent, f"shard-{shard:02d}")
+                os.makedirs(parent, exist_ok=True)
+            data_dir = tempfile.mkdtemp(prefix="tree-", dir=parent)
             make_tree = partial(
                 PersistentLSMTree,
                 data_dir=data_dir,
@@ -345,48 +415,6 @@ class WorkloadExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _measure_session(
-        self,
-        disk: VirtualDisk,
-        execute: Callable[[Trace], None],
-        session: Session,
-        operations: Callable[[Workload, int], Trace],
-    ) -> SessionMeasurement:
-        """Generate one session's traces, run them through ``execute``, and
-        measure the I/O delta on ``disk``.
-
-        ``operations`` produces each workload's trace (a generator's
-        ``operations``, or the serving layer's per-shard mask of it) and
-        ``execute`` is whatever consumes it — a plain tree replay or the
-        adaptive controller's loop; everything that hits ``disk`` between the
-        snapshots (queries, flushes, compactions, migrations) is attributed
-        to the session.
-        """
-        before = disk.snapshot()
-        num_queries = 0
-        for workload in session.workloads:
-            trace = operations(workload, self.config.queries_per_workload)
-            num_queries += len(trace)
-            execute(trace)
-        return SessionMeasurement.of(
-            session, num_queries, disk.counters.delta(before), disk
-        )
-
-    def run_session(
-        self, tree: LSMTree, session: Session, trace: TraceGenerator
-    ) -> SessionMeasurement:
-        """Execute one session on an existing tree and measure its I/O."""
-        return self._measure_session(
-            tree.disk,
-            partial(
-                execute_operations_batched,
-                tree,
-                max_batch_ops=self.config.max_batch_ops,
-            ),
-            session,
-            trace.operations,
-        )
-
     def trace_generator(self) -> TraceGenerator:
         """A fresh, deterministically seeded trace generator.
 
@@ -406,23 +434,19 @@ class WorkloadExecutor:
         self,
         tuning: LSMTuning,
         sequence: SessionSequence,
-        *,
-        keys: np.ndarray | None = None,
-        route: Callable[[Trace], Trace] | None = None,
         shard: int = 0,
         adaptive: bool = False,
         online=None,
         policies: Sequence[Policy] = CLASSIC_POLICIES,
     ) -> ShardRun:
         """Bulk-load a fresh tree for ``tuning``, replay ``sequence`` on it,
-        dispose it: the one runner behind every sequence entry point.
+        dispose it: shard ``shard`` of the configured fleet, and the one pool
+        task behind every sequence entry point.
 
-        ``keys`` is the key set the tree is loaded with (default: the whole
-        key space) and ``route`` maps each generated trace to the sub-stream
-        this tree serves (default: all of it, so operations keep their global
-        stream positions either way); the serving layer passes a shard's hash
-        partition and its ``shard_operations`` mask, and ``shard`` labels the
-        result.
+        On several shards the tree loads the shard's hash partition of the key
+        space and serves each generated trace masked down to the operations
+        routed to it (operations keep their global stream positions); a
+        1-shard fleet loads the whole key space and serves the whole stream.
 
         With ``adaptive`` the operations flow through an
         :class:`~repro.online.controller.OnlineLSMController`: it watches the
@@ -433,17 +457,20 @@ class WorkloadExecutor:
         :class:`~repro.online.controller.OnlineConfig` (defaults when
         omitted) and ``policies`` bounds what re-tunings may deploy.
         """
-        tree = self.build_tree(tuning, keys=keys)
+        num_shards = self.config.num_shards
+        keys, route = None, None
+        if num_shards > 1:
+            # Imported here: the serving package builds on this module.
+            from ..serving.sharding import partition_keys, shard_operations
+
+            keys = partition_keys(self.key_space.existing, num_shards)[shard]
+            route = partial(shard_operations, shard=shard, num_shards=num_shards)
+        tree = self.build_tree(tuning, keys=keys, shard=shard)
         # A migration swaps the live tree for a successor on the same disk,
         # so this one disk sees every page of the run.
         initial_tuning, disk = tree.tuning, tree.disk
         controller = None
         generator = self.trace_generator()
-
-        def operations(workload: Workload, count: int) -> Trace:
-            trace = generator.operations(workload, count)
-            return trace if route is None else route(trace)
-
         try:
             if adaptive:
                 # Imported here so the storage layer stays loadable without
@@ -460,17 +487,26 @@ class WorkloadExecutor:
             else:
                 replay = partial(execute_operations_batched, tree)
             elapsed = 0.0
-
-            def execute(trace: Trace) -> None:
-                nonlocal elapsed
-                start = time.perf_counter()
-                replay(trace, max_batch_ops=self.config.max_batch_ops)
-                elapsed += time.perf_counter() - start
-
             sessions = []
             for session in sequence:
+                # Everything that hits the disk between the snapshots
+                # (queries, flushes, compactions, migrations) is the session's.
+                before = disk.snapshot()
+                num_queries = 0
+                for workload in session.workloads:
+                    trace = generator.operations(
+                        workload, self.config.queries_per_workload
+                    )
+                    if route is not None:
+                        trace = route(trace)
+                    num_queries += len(trace)
+                    start = time.perf_counter()
+                    replay(trace, max_batch_ops=self.config.max_batch_ops)
+                    elapsed += time.perf_counter() - start
                 sessions.append(
-                    self._measure_session(disk, execute, session, operations)
+                    SessionMeasurement.of(
+                        session, num_queries, disk.counters.delta(before), disk
+                    )
                 )
                 if controller is not None:
                     # The gap between sessions is a serving lull: under
@@ -516,11 +552,63 @@ class WorkloadExecutor:
                     self.dispose_tree(controller.migration_plan.target)
             self.dispose_tree(tree)
 
+    def _run_fleets(
+        self,
+        tunings: Sequence[LSMTuning],
+        sequence: SessionSequence,
+        parallel: bool,
+        processes: int | None,
+        **run_options,
+    ) -> list[SequenceMeasurement]:
+        """One fleet per tuning; every tuning x shard task shares one pool.
+
+        A 1-shard fleet's measurement is its one run's.  A larger fleet's
+        sessions sum the shards' counters, and count the *global* stream's
+        queries (a range scan once, not once per shard it fanned out to), so
+        the merged amortisation matches a single tree's definition exactly.
+        """
+        num_shards = self.config.num_shards
+        runs = _map_tasks(
+            [
+                partial(self.run_shard, tuning, sequence, shard, **run_options)
+                for tuning in tunings
+                for shard in range(num_shards)
+            ],
+            parallel,
+            processes,
+        )
+        disk = self.config.disk()
+        fleets = []
+        for index, tuning in enumerate(tunings):
+            fleet = tuple(runs[index * num_shards : (index + 1) * num_shards])
+            if num_shards == 1:
+                fleets.append(replace(fleet[0].measurement, shards=fleet))
+                continue
+            merged = []
+            for row, session in enumerate(sequence):
+                parts = [run.measurement.sessions[row] for run in fleet]
+                delta = IOCounters(
+                    **{
+                        counter.name: sum(getattr(part, counter.name) for part in parts)
+                        for counter in fields(IOCounters)
+                    }
+                )
+                num_queries = self.config.queries_per_workload * len(session.workloads)
+                merged.append(SessionMeasurement.of(session, num_queries, delta, disk))
+            fleets.append(
+                SequenceMeasurement(tuning=tuning, sessions=tuple(merged), shards=fleet)
+            )
+        return fleets
+
     def run_sequence(
-        self, tuning: LSMTuning, sequence: SessionSequence
+        self,
+        tuning: LSMTuning,
+        sequence: SessionSequence,
+        parallel: bool = False,
+        processes: int | None = None,
     ) -> SequenceMeasurement:
-        """Bulk-load a fresh tree for ``tuning`` and execute a full sequence."""
-        return self.run_shard(tuning, sequence).measurement
+        """Bulk-load a fresh fleet for ``tuning`` and execute a full sequence."""
+        return self._run_fleets([tuning], sequence, parallel, processes)[0]
 
     def run_sequence_adaptive(
         self,
@@ -530,10 +618,17 @@ class WorkloadExecutor:
         policies: Sequence[Policy] = CLASSIC_POLICIES,
     ) -> AdaptiveSequenceMeasurement:
         """:meth:`run_sequence` with the online adaptive-tuning loop enabled
-        (see :meth:`run_shard` for ``online`` and ``policies``)."""
-        return self.run_shard(
-            initial_tuning, sequence, adaptive=True, online=online, policies=policies
-        ).measurement
+        (see :meth:`run_shard` for ``online`` and ``policies``), on a single
+        tree."""
+        if self.config.num_shards > 1:
+            raise ValueError(
+                "adaptive runs are measured on a single tree: a fleet's "
+                "per-shard controllers report no fleet-level drift events"
+            )
+        return self._run_fleets(
+            [initial_tuning], sequence, False, None,
+            adaptive=True, online=online, policies=policies,
+        )[0]
 
     def compare(
         self,
@@ -544,27 +639,13 @@ class WorkloadExecutor:
     ) -> dict[str, SequenceMeasurement]:
         """Run the same sequence under several tunings (nominal vs robust).
 
-        The per-tuning simulations are independent, so with ``parallel=True``
-        they run on the process pool (one worker per tuning, capped at
+        The per-shard simulations are independent, so with ``parallel=True``
+        they run on the process pool (one worker per tuning x shard, capped at
         ``processes`` or the CPU count) with measurements identical to the
         sequential path's — see :func:`_map_tasks`.
         """
-        tasks = [
-            partial(_run_tuning, self.system, self.config, tuning, sequence)
-            for tuning in tunings.values()
-        ]
-        runs = _map_tasks(tasks, parallel, processes)
-        return {name: run.measurement for name, run in zip(tunings, runs)}
-
-
-def _run_tuning(
-    system: SystemConfig,
-    config: ExecutorConfig,
-    tuning: LSMTuning,
-    sequence: SessionSequence,
-) -> ShardRun:
-    """One pooled :meth:`WorkloadExecutor.compare` task (see :func:`_map_tasks`)."""
-    return WorkloadExecutor(system, config).run_shard(tuning, sequence)
+        fleets = self._run_fleets(list(tunings.values()), sequence, parallel, processes)
+        return dict(zip(tunings, fleets))
 
 
 def _map_tasks(
@@ -573,12 +654,12 @@ def _map_tasks(
     """Call every task, results in task order: the one process pool.
 
     With ``parallel`` the tasks run on at most ``processes`` workers (default:
-    the CPU count).  A task is picklable and rebuilds its executor in the
-    worker from ``(system, config)`` instead of shipping the parent's: key
-    space and traces come from the same seeds, so pooled runs are
-    bit-identical to sequential ones.  Each worker's persistent tree gets its
-    own ``mkdtemp``-fresh ``tree-*`` directory (collision-free even under a
-    shared ``data_dir``) and ``run_shard`` disposes it in ``try/finally``, so
+    the CPU count).  A task is a bound :meth:`WorkloadExecutor.run_shard`,
+    whose executor pickles as ``(system, config)`` and rebuilds in the worker
+    instead of shipping the parent's key space: key space and traces come
+    from the same seeds, so pooled runs are bit-identical to sequential ones.
+    Each worker's persistent tree gets its own ``mkdtemp``-fresh ``tree-*``
+    directory (collision-free even under a shared ``data_dir``) and ``run_shard`` disposes it in ``try/finally``, so
     the first failing task re-raises here without orphaning directories.  A
     worker that dies (``os._exit``, OOM kill) raises ``BrokenProcessPool`` —
     ``Pool.map`` would block the parent forever.

@@ -1,4 +1,4 @@
-"""The sharded serving layer: bit-identity, merging, pooling, disposal."""
+"""The executor as a shard fleet: bit-identity, merging, pooling, disposal."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from repro.analysis import Comparison, format_comparison
 from repro.analysis.comparison import robust_vs_nominal
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig
-from repro.serving import ShardedExecutor, fleet_percentiles
-from repro.serving.executor import tree_fingerprint
+from repro.serving import sharding
 from repro.serving.sharding import partition_keys, shard_operations
 from repro.storage import (
     AdaptiveSequenceMeasurement,
@@ -22,8 +21,9 @@ from repro.storage import (
     VirtualDisk,
     WorkloadExecutor,
 )
+from repro.storage.executor import fleet_percentiles, tree_fingerprint
 from repro.storage.lsm_tree import execute_operation
-from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload
+from repro.workloads import KeySpace, SessionGenerator, UncertaintyBenchmark, Workload
 
 _SYSTEM = simulator_system(num_entries=4_000)
 _TUNING = LSMTuning(size_ratio=5.0, bits_per_entry=5.0, policy=Policy.LEVELING)
@@ -48,18 +48,30 @@ def _config(**kwargs) -> ExecutorConfig:
 
 
 class TestSingleShardBitIdentity:
-    """num_shards=1 must reproduce the classic executor byte for byte."""
+    """num_shards=1 must be a bare ``run_shard`` byte for byte: no key
+    partition, no route, no merge."""
 
-    def test_static_sessions_match_unsharded(self, sequence):
-        base = WorkloadExecutor(_SYSTEM, _config()).run_sequence(_TUNING, sequence)
-        one = ShardedExecutor(_SYSTEM, _config()).run_sequence(_TUNING, sequence)
-        assert one.num_shards == 1
+    def test_static_sessions_match_a_bare_run(self, sequence):
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        base = executor.run_shard(_TUNING, sequence).measurement
+        one = executor.run_sequence(_TUNING, sequence)
+        assert one.num_shards == len(one.shards) == 1
         assert one.sessions == base.sessions
         assert one.average_ios_per_query == base.average_ios_per_query
         assert one.average_latency_us == base.average_latency_us
 
+    def test_one_shard_computes_no_partition_or_route(self, sequence, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a 1-shard fleet partitioned or routed")
+
+        monkeypatch.setattr(sharding, "partition_keys", unreachable)
+        monkeypatch.setattr(sharding, "shard_operations", unreachable)
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        assert executor.run_sequence(_TUNING, sequence).num_shards == 1
+        assert len(executor.compare({"only": _TUNING}, sequence)["only"].shards) == 1
+
     def test_static_final_state_matches_scalar_replay(self, sequence):
-        one = ShardedExecutor(_SYSTEM, _config()).run_sequence(_TUNING, sequence)
+        one = WorkloadExecutor(_SYSTEM, _config()).run_sequence(_TUNING, sequence)
         executor = WorkloadExecutor(_SYSTEM, _config())
         tree = executor.build_tree(_TUNING)
         trace = executor.trace_generator()
@@ -71,14 +83,13 @@ class TestSingleShardBitIdentity:
         assert one.shards[0].stats == tree.stats()
 
     @pytest.mark.parametrize("admission", ["fixed", "queue-depth"])
-    def test_adaptive_run_matches_unsharded(self, sequence, admission):
+    def test_adaptive_run_matches_a_bare_run(self, sequence, admission):
         online = replace(_ONLINE, admission=admission)
-        base = WorkloadExecutor(_SYSTEM, _config()).run_sequence_adaptive(
-            _TUNING, sequence, online=online
-        )
-        one = ShardedExecutor(_SYSTEM, _config()).run_sequence_adaptive(
-            _TUNING, sequence, online=online
-        )
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        base = executor.run_shard(
+            _TUNING, sequence, adaptive=True, online=online
+        ).measurement
+        one = executor.run_sequence_adaptive(_TUNING, sequence, online=online)
         shard = one.shards[0].measurement
         assert shard.sessions == base.sessions
         assert shard.events == base.events
@@ -116,7 +127,8 @@ class TestOneRunner:
         config = _config(
             num_shards=num_shards, read_latency_us=50.0, write_latency_us=200.0
         )
-        fleet = ShardedExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+        executor = WorkloadExecutor(_SYSTEM, config)
+        fleet = executor.run_sequence(_TUNING, sequence)
         disk = VirtualDisk(read_latency_us=50.0, write_latency_us=200.0)
         for index, merged in enumerate(fleet.sessions):
             parts = [run.measurement.sessions[index] for run in fleet.shards]
@@ -134,13 +146,13 @@ class TestOneRunner:
         assert sum(s.query_reads for s in fleet.sessions) > 0
         assert sum(s.flush_writes for s in fleet.sessions) > 0
         if num_shards == 1:
-            base = WorkloadExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+            base = executor.run_shard(_TUNING, sequence).measurement
             assert fleet.sessions == base.sessions
 
 
 class TestShardedRuns:
     def test_shard_trees_load_the_hash_partition(self, sequence):
-        runs = ShardedExecutor(_SYSTEM, _config(num_shards=3)).run_sequence(
+        runs = WorkloadExecutor(_SYSTEM, _config(num_shards=3)).run_sequence(
             _TUNING, sequence
         ).shards
         parts = partition_keys(
@@ -151,10 +163,16 @@ class TestShardedRuns:
         for run, part in zip(runs, parts):
             assert run.stats.num_entries >= part.size
 
-    def test_merged_sessions_sum_shard_counters(self, sequence):
-        measurement = ShardedExecutor(_SYSTEM, _config(num_shards=4)).run_sequence(
-            _TUNING, sequence
-        )
+    @pytest.mark.parametrize("entry", ["run_sequence", "compare"])
+    def test_merged_sessions_sum_shard_counters(self, sequence, entry):
+        """Every entry point serves the configured number of shards."""
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=3))
+        if entry == "compare":
+            measurement = executor.compare({"only": _TUNING}, sequence)["only"]
+        else:
+            measurement = executor.run_sequence(_TUNING, sequence)
+        assert measurement.num_shards == len(measurement.shards) == 3
+        assert [run.shard for run in measurement.shards] == [0, 1, 2]
         for index, merged in enumerate(measurement.sessions):
             parts = [run.measurement.sessions[index] for run in measurement.shards]
             for field in (
@@ -174,7 +192,7 @@ class TestShardedRuns:
         """Each shard's sessions and final tree equal a row-by-row replay of
         the global trace masked down to that shard."""
         num_shards = 2
-        fleet = ShardedExecutor(_SYSTEM, _config(num_shards=num_shards)).run_sequence(
+        fleet = WorkloadExecutor(_SYSTEM, _config(num_shards=num_shards)).run_sequence(
             _TUNING, sequence
         )
         executor = WorkloadExecutor(_SYSTEM, _config())
@@ -202,12 +220,22 @@ class TestShardedRuns:
                 )
             assert run.fingerprint == tree_fingerprint(tree)
 
+    def test_sequential_fleet_reuses_the_executor_key_space(self, sequence, monkeypatch):
+        """Only a pool worker rebuilds the key space (from ``(system, config)``)."""
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=2))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sequential path rebuilt the key space")
+
+        monkeypatch.setattr(KeySpace, "build", unreachable)
+        assert executor.compare({"only": _TUNING}, sequence)["only"].num_shards == 2
+
     def test_parallel_pool_matches_sequential(self, sequence):
         config = _config(num_shards=2)
-        sequential = ShardedExecutor(_SYSTEM, config).run_sequence(
+        sequential = WorkloadExecutor(_SYSTEM, config).run_sequence(
             _TUNING, sequence
         )
-        pooled = ShardedExecutor(_SYSTEM, config).run_sequence(
+        pooled = WorkloadExecutor(_SYSTEM, config).run_sequence(
             _TUNING, sequence, parallel=True, processes=2
         )
         assert pooled.sessions == sequential.sessions
@@ -222,7 +250,7 @@ class TestShardedRuns:
             "nominal": _TUNING,
             "robust": LSMTuning(8.0, 6.0, Policy.TIERING),
         }
-        executor = ShardedExecutor(_SYSTEM, _config(num_shards=2))
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=2))
         sequential = executor.compare(tunings, sequence)
         pooled = executor.compare(tunings, sequence, parallel=True, processes=2)
         assert list(pooled) == list(sequential) == list(tunings)
@@ -240,7 +268,7 @@ class TestShardedRuns:
         )
 
     def test_wall_clock_views(self, sequence):
-        measurement = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
+        measurement = WorkloadExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
             _TUNING, sequence
         )
         per_shard = [run.elapsed_s for run in measurement.shards]
@@ -253,7 +281,7 @@ class TestPersistentSharding:
         config = _config(
             num_shards=2, backend="persistent", data_dir=str(tmp_path / "fleet")
         )
-        ShardedExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+        WorkloadExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
         shard_dirs = sorted(p.name for p in (tmp_path / "fleet").iterdir())
         assert shard_dirs == ["shard-00", "shard-01"]
         for name in shard_dirs:
@@ -264,17 +292,33 @@ class TestPersistentSharding:
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         config = _config(num_shards=2, backend="persistent")
-        measurement = ShardedExecutor(_SYSTEM, config).run_sequence(
+        measurement = WorkloadExecutor(_SYSTEM, config).run_sequence(
             _TUNING, sequence
         )
         assert measurement.num_shards == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_shard_builds_directly_under_the_data_dir(self, sequence, tmp_path):
+        config = _config(backend="persistent", data_dir=str(tmp_path / "one"))
+        WorkloadExecutor(_SYSTEM, config).run_sequence(_TUNING, sequence)
+        kept = [p.name for p in (tmp_path / "one").iterdir()]
+        assert len(kept) == 1 and kept[0].startswith("tree-")
+
+    def test_adaptive_fleet_fails_before_building_a_tree(self, sequence, tmp_path):
+        config = _config(
+            num_shards=2, backend="persistent", data_dir=str(tmp_path / "fleet")
+        )
+        with pytest.raises(ValueError, match="single tree"):
+            WorkloadExecutor(_SYSTEM, config).run_sequence_adaptive(
+                _TUNING, sequence, online=_ONLINE
+            )
+        assert list(tmp_path.glob("**/tree-*")) == []
+
     def test_persistent_matches_simulated_counters(self, sequence):
-        simulated = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
+        simulated = WorkloadExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
             _TUNING, sequence
         )
-        persistent = ShardedExecutor(
+        persistent = WorkloadExecutor(
             _SYSTEM, _config(num_shards=2, backend="persistent")
         ).run_sequence(_TUNING, sequence)
         assert simulated.sessions == persistent.sessions
@@ -292,7 +336,7 @@ class TestFleetViews:
         assert fleet_percentiles([]) == {"p50": 0.0, "p95": 0.0, "worst": 0.0}
 
     def test_comparison_summary_format_and_json(self, sequence):
-        executor = ShardedExecutor(_SYSTEM, _config(num_shards=2))
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=2))
         tunings = {
             "nominal": _TUNING,
             "robust": LSMTuning(8.0, 6.0, Policy.TIERING),
@@ -320,7 +364,7 @@ class TestFleetViews:
         assert "wall-clock critical-path=" in text
 
     def test_worst_shard_session_ios(self, sequence):
-        measurement = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
+        measurement = WorkloadExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
             _TUNING, sequence
         )
         worst = measurement.worst_shard_session_ios()

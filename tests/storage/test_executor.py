@@ -11,7 +11,7 @@ from repro.storage import (
     SessionMeasurement,
     WorkloadExecutor,
 )
-from repro.workloads import SessionType, Workload
+from repro.workloads import SessionSequence, SessionType, Workload
 
 
 def _session_measurement(num_queries, **overrides):
@@ -50,12 +50,9 @@ class TestExecutorBasics:
         assert tree_a.num_entries == tree_b.num_entries
 
     def test_run_session_reports_query_count(self, executor, tunings, session_generator, w11):
-        tree = executor.build_tree(tunings["robust"])
-        from repro.workloads import TraceGenerator
-
         session = session_generator.session(SessionType.READ, w11, workloads_per_session=2)
-        trace = TraceGenerator(executor.key_space, seed=1)
-        measurement = executor.run_session(tree, session, trace)
+        sequence = SessionSequence(expected=w11, sessions=(session,))
+        (measurement,) = executor.run_sequence(tunings["robust"], sequence).sessions
         assert measurement.num_queries == 2 * executor.config.queries_per_workload
 
     def test_session_measurement_has_non_negative_ios(

@@ -17,7 +17,6 @@ import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, OnlineLSMController
-from repro.serving import ShardedExecutor
 from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
 from repro.workloads import Session, SessionSequence, SessionType, Workload
 
@@ -218,7 +217,7 @@ class TestWorkerDeath:
         assert isinstance(outcome, BrokenProcessPool)
 
     def test_sharded_run_raises_when_a_worker_dies(self, dying_bulk_load):
-        executor = ShardedExecutor(_SYSTEM, self._CONFIG)
+        executor = WorkloadExecutor(_SYSTEM, self._CONFIG)
         sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
         outcome = self._outcome_within(
             30, lambda: executor.run_sequence(_TUNING, sequence, parallel=True)
@@ -231,6 +230,5 @@ class TestWorkerDeath:
         sequence = _sequence(Workload(0.3, 0.3, 0.1, 0.3))
         with pytest.raises(ValueError, match="processes"):
             executor.compare(self._TUNINGS, sequence, processes=processes)
-        fleet = ShardedExecutor(_SYSTEM, ExecutorConfig(queries_per_workload=50))
         with pytest.raises(ValueError, match="processes"):
-            fleet.run_sequence(_TUNING, sequence, processes=processes)
+            executor.run_sequence(_TUNING, sequence, processes=processes)

@@ -53,7 +53,7 @@ from repro.online import (
     OnlineConfig,
     OnlineLSMController,
 )
-from repro.serving.executor import tree_fingerprint
+from repro.storage.executor import tree_fingerprint
 from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor, lsm_tree
 from repro.storage.lsm_tree import (
     RANGE_SPAN_CUTOFF,

@@ -1,9 +1,10 @@
 """Which ``src/`` functions does nothing but the unit tests reach?
 
-Runs three drivers, every Python process of each under ``sys.setprofile``:
-the figure rows (``pytest benchmarks``), the CLI commands CI runs, and the
-seven ``bench/`` workloads with ``--smoke --trace 0|1`` (from a copy of
-``bench/``, so no trace dump lands in the checkout).  Prints each function
+Runs four drivers, every Python process of each under ``sys.setprofile``:
+the figure rows (``pytest benchmarks``), the CLI commands CI runs, the
+scripts under ``examples/``, and the seven ``bench/`` workloads with
+``--smoke --trace 0|1`` (from a copy of ``bench/``, so no trace dump lands in
+the checkout).  Prints each function
 under ``src/`` that none of them called, as ``path:line name (n lines)``.
 
     python benchmarks/reachability.py
@@ -38,6 +39,7 @@ CLI = [
     "online --threshold -1", "compare --num-entries 0",
     "tune --workload .25 .25 .25 .25 --num-entries -5", "tune --workload .25 .25 .25 .25 --seed 7",
     "online --admission queue-depth --admission-starvation-ops 10",
+    "table --rho 1", "workloads",
 ]
 WORKLOADS = ["point_read", "write_ingest", "range_scan", "persistent_mixed",
              "tune_sweep", "online_drift", "sharded_serving"]
@@ -55,6 +57,7 @@ def reached(tmp: Path) -> set[tuple[str, int]]:
     env = dict(os.environ, REACH_OUT=str(out), PYTHONPATH=f"{tmp / 'hook'}{os.pathsep}{SRC}")
     commands = [["-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"]]
     commands += [["-m", "repro.cli", *line.format(tmp=tmp / "data").split()] for line in CLI]
+    commands += [[str(script)] for script in sorted((REPO / "examples").glob("*.py"))]
     commands += [[str(bench / "run.py"), "--workload", name, "--smoke", "--trace", trace]
                  for name in WORKLOADS for trace in "01"]
     for command in commands:

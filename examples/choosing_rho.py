@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import LSMCostModel, NominalTuner, RobustTuner, SystemConfig
-from repro.workloads import UncertaintyBenchmark, Workload, expected_workload
+from repro.workloads import UncertaintyBenchmark, expected_workload
 
 
 def main() -> None:

@@ -13,9 +13,10 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
 
-from repro import LSMCostModel, NominalTuner, RobustTuner, SystemConfig, UncertaintyBenchmark
-from repro.analysis import average_delta_throughput, throughput_range
+from repro import SystemConfig, UncertaintyBenchmark
+from repro.analysis import TuningCatalog, delta_throughputs, throughput_range
 from repro.workloads import expected_workload
 
 #: Expected workloads studied here (uniform, bimodal, trimodal).
@@ -26,10 +27,10 @@ RHOS = (0.25, 1.0, 2.0)
 
 
 def main() -> None:
-    system = SystemConfig()
-    model = LSMCostModel(system)
-    benchmark = UncertaintyBenchmark(size=500, seed=7)
-    sampled = list(benchmark)
+    # One throughput vector 1/C(w, Φ) over the benchmark per tuning, cached.
+    catalog = TuningCatalog(
+        system=SystemConfig(), benchmark=UncertaintyBenchmark(size=500, seed=7)
+    )
 
     print("Average delta throughput and throughput range over 500 noisy workloads\n")
     header = f"{'workload':<10}{'rho':<6}{'nominal tuning':<30}{'robust tuning':<30}" \
@@ -39,17 +40,17 @@ def main() -> None:
 
     for index in WORKLOAD_INDICES:
         expected = expected_workload(index)
-        nominal = NominalTuner(system=system).tune(expected.workload)
-        nominal_range = throughput_range(model, sampled, nominal.tuning)
+        nominal = catalog.nominal(expected).tuning
+        nominal_tp = catalog.throughputs(expected)
+        nominal_range = throughput_range(nominal_tp)
         for rho in RHOS:
-            robust = RobustTuner(rho=rho, system=system).tune(expected.workload)
-            delta = average_delta_throughput(
-                model, sampled, nominal.tuning, robust.tuning
-            )
-            robust_range = throughput_range(model, sampled, robust.tuning)
+            robust = catalog.robust(expected, rho).tuning
+            robust_tp = catalog.throughputs(expected, rho)
+            delta = float(np.mean(delta_throughputs(nominal_tp, robust_tp)))
+            robust_range = throughput_range(robust_tp)
             print(
-                f"{expected.name:<10}{rho:<6g}{nominal.tuning.describe():<30}"
-                f"{robust.tuning.describe():<30}{delta:<12.3f}"
+                f"{expected.name:<10}{rho:<6g}{nominal.describe():<30}"
+                f"{robust.describe():<30}{delta:<12.3f}"
                 f"{nominal_range:<15.3f}{robust_range:<15.3f}"
             )
         print()

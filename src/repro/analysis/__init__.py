@@ -7,18 +7,9 @@ from .comparison import (
     format_comparison,
     format_endurance_comparison,
 )
-from .metrics import (
-    average_delta_throughput,
-    delta_throughput,
-    delta_throughputs,
-    throughput,
-    throughput_range,
-    throughputs,
-    win_rate,
-)
+from .metrics import delta_throughputs, throughput_range, win_rate
 from .model_eval import (
     TuningCatalog,
-    cost_landscape,
     figure3_kl_histograms,
     figure4_delta_by_category,
     figure5_rho_impact,
@@ -27,7 +18,6 @@ from .model_eval import (
     figure7_contour,
     kvector_frontier,
     policy_frontier,
-    policy_table,
     section84_win_rate,
     tuning_table,
 )
@@ -39,9 +29,6 @@ __all__ = [
     "Comparison",
     "SystemExperiment",
     "TuningCatalog",
-    "average_delta_throughput",
-    "cost_landscape",
-    "delta_throughput",
     "delta_throughputs",
     "drifting_sequence",
     "endurance",
@@ -56,12 +43,9 @@ __all__ = [
     "format_endurance_comparison",
     "kvector_frontier",
     "policy_frontier",
-    "policy_table",
     "scaling_experiment",
     "section84_win_rate",
-    "throughput",
     "throughput_range",
-    "throughputs",
     "tuning_table",
     "win_rate",
 ]

@@ -1,19 +1,23 @@
-"""Model-based evaluation drivers (Section 7, Figures 3–7).
+"""Model-based evaluation drivers (Section 7, Figures 3–7, Table 3, §8.4).
 
-Each public function regenerates the data behind one figure of the paper's
-model-based study: it computes nominal and robust tunings with the solvers in
-:mod:`repro.core`, evaluates them over the uncertainty benchmark with the
-analytical cost model, and returns plain data structures (dictionaries,
-NumPy arrays) that the benchmark harness prints as the paper's rows/series.
+A :class:`TuningCatalog` holds, for one system and one benchmark set ``B``,
+the nominal and robust tunings of the expected workloads and — computed once
+per tuning through the analytical cost model — each tuning's throughput
+vector ``1 / C(w, Φ)`` over ``B``.  Every Figure 4–7 and §8.4 driver is a
+reduction of those vectors with the Section 7.1 metrics of
+:mod:`repro.analysis.metrics`, returning plain data structures
+(dictionaries, NumPy arrays) that the benchmark harness prints as the
+paper's rows/series.
 
-The functions accept a scaled-down benchmark and ρ grid so the full pipeline
+The drivers take a scaled-down benchmark and ρ grid so the full pipeline
 stays fast enough for CI; passing the paper's sizes (10,000 samples, 17 ρ
-values) reproduces the original experiment.
+values) reproduces the original experiment at one vector per tuning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,40 +28,36 @@ from ..core.robust import RobustTuner
 from ..lsm.cost_model import LSMCostModel
 from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
+from ..lsm.tuning import LSMTuning
 from ..workloads.benchmark import (
     ExpectedWorkload,
     UncertaintyBenchmark,
     WorkloadCategory,
     expected_workloads,
-    rho_grid,
 )
 from ..workloads.workload import Workload
-from .metrics import (
-    average_delta_throughput,
-    delta_throughputs,
-    throughput_range,
-    throughputs,
-    win_rate,
-)
+from .metrics import delta_throughputs, throughput_range, win_rate
 
 
 @dataclass
 class TuningCatalog:
-    """Caches nominal and robust tunings for the expected workloads.
+    """Caches nominal and robust tunings, and their throughputs over ``B``.
 
     Computing a tuning takes a fraction of a second; the model evaluation
     needs hundreds of them (15 workloads × the ρ grid), so they are computed
-    lazily and memoised here.
+    lazily and memoised here, and so is each tuning's throughput vector over
+    the catalog's ``benchmark`` — the one place the figures reach the model.
+    A catalog without a benchmark still serves tunings (Table 3).
     """
 
     system: SystemConfig = field(default_factory=SystemConfig)
     policies: Sequence[Policy] = CLASSIC_POLICIES
+    benchmark: UncertaintyBenchmark | None = None
     _nominal: dict[int, TuningResult] = field(default_factory=dict, init=False)
-    _robust: dict[tuple[int, float], TuningResult] = field(
-        default_factory=dict, init=False
-    )
+    _robust: dict[tuple[int, float], TuningResult] = field(default_factory=dict, init=False)
+    _throughputs: dict[LSMTuning, np.ndarray] = field(default_factory=dict, init=False)
 
-    @property
+    @cached_property
     def cost_model(self) -> LSMCostModel:
         """Cost model bound to the catalog's system configuration."""
         return LSMCostModel(self.system)
@@ -65,10 +65,7 @@ class TuningCatalog:
     def nominal(self, expected: ExpectedWorkload) -> TuningResult:
         """Nominal tuning ``Φ_N`` for one expected workload (cached)."""
         if expected.index not in self._nominal:
-            tuner = NominalTuner(
-                system=self.system,
-                policies=self.policies,
-            )
+            tuner = NominalTuner(system=self.system, policies=self.policies)
             self._nominal[expected.index] = tuner.tune(expected.workload)
         return self._nominal[expected.index]
 
@@ -76,13 +73,27 @@ class TuningCatalog:
         """Robust tuning ``Φ_R`` for one expected workload and ``ρ`` (cached)."""
         key = (expected.index, round(float(rho), 6))
         if key not in self._robust:
-            tuner = RobustTuner(
-                rho=float(rho),
-                system=self.system,
-                policies=self.policies,
-            )
+            tuner = RobustTuner(rho=float(rho), system=self.system, policies=self.policies)
             self._robust[key] = tuner.tune(expected.workload)
         return self._robust[key]
+
+    def throughputs(
+        self, expected: ExpectedWorkload, rho: float | None = None
+    ) -> np.ndarray:
+        """Read-only ``1 / C(w, Φ)`` for every ``w`` of the benchmark (cached).
+
+        ``Φ`` is the nominal tuning of ``expected`` when ``rho`` is ``None``
+        and its robust tuning for ``rho`` otherwise; two entries that resolve
+        to the same tuning share one vector.
+        """
+        if self.benchmark is None:
+            raise ValueError("throughputs need a catalog built with a benchmark")
+        result = self.nominal(expected) if rho is None else self.robust(expected, rho)
+        if result.tuning not in self._throughputs:
+            values = self.cost_model.throughputs(self.benchmark, result.tuning)
+            values.flags.writeable = False
+            self._throughputs[result.tuning] = values
+        return self._throughputs[result.tuning]
 
 
 # ----------------------------------------------------------------------
@@ -119,35 +130,24 @@ def figure3_kl_histograms(
 # Figure 4 — average delta throughput per workload category vs ρ
 # ----------------------------------------------------------------------
 def figure4_delta_by_category(
-    catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
-    rhos: Sequence[float] | None = None,
-    categories: Sequence[WorkloadCategory] | None = None,
+    catalog: TuningCatalog, rhos: Sequence[float]
 ) -> dict[str, dict[float, float]]:
     """Average ``Δ_ŵ(Φ_N, Φ_R)`` per expected-workload category and ρ.
 
     Returns ``{category: {rho: mean delta}}`` — the series of Figure 4.
     """
-    if rhos is None:
-        rhos = [r for r in rho_grid() if r > 0]
-    if categories is None:
-        categories = list(WorkloadCategory)
-    model = catalog.cost_model
-    sampled = list(benchmark)
     result: dict[str, dict[float, float]] = {}
-    for category in categories:
+    for category in WorkloadCategory:
         members = [w for w in expected_workloads() if w.category is category]
-        per_rho: dict[float, float] = {}
-        for rho in rhos:
-            deltas = []
-            for expected in members:
-                nominal = catalog.nominal(expected).tuning
-                robust = catalog.robust(expected, rho).tuning
-                deltas.append(
-                    average_delta_throughput(model, sampled, nominal, robust)
-                )
-            per_rho[float(rho)] = float(np.mean(deltas))
-        result[category.value] = per_rho
+        result[category.value] = {
+            float(rho): float(np.mean([
+                float(np.mean(delta_throughputs(
+                    catalog.throughputs(expected), catalog.throughputs(expected, rho)
+                )))
+                for expected in members
+            ]))
+            for rho in rhos
+        }
     return result
 
 
@@ -155,10 +155,7 @@ def figure4_delta_by_category(
 # Figure 5 — impact of ρ on delta throughput vs observed divergence
 # ----------------------------------------------------------------------
 def figure5_rho_impact(
-    catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
-    expected_index: int = 11,
-    rhos: Sequence[float] = (0.0, 0.25, 1.0, 2.0),
+    catalog: TuningCatalog, expected_index: int, rhos: Sequence[float]
 ) -> dict[float, dict[str, np.ndarray | str]]:
     """Per-ρ scatter data of ``Δ_ŵ(Φ_N, Φ_R)`` against ``I_KL(ŵ, w)``.
 
@@ -166,87 +163,62 @@ def figure5_rho_impact(
     the panels of Figure 5.
     """
     expected = expected_workloads()[expected_index]
-    model = catalog.cost_model
-    nominal = catalog.nominal(expected).tuning
-    divergences = benchmark.kl_divergences(expected.workload)
-    result: dict[float, dict[str, np.ndarray | str]] = {}
-    for rho in rhos:
-        robust = catalog.robust(expected, rho).tuning
-        deltas = delta_throughputs(model, benchmark, nominal, robust)
-        result[float(rho)] = {
+    nominal = catalog.throughputs(expected)
+    divergences = catalog.benchmark.kl_divergences(expected.workload)
+    return {
+        float(rho): {
             "kl": divergences.copy(),
-            "delta": deltas,
-            "tuning": robust.describe(),
+            "delta": delta_throughputs(nominal, catalog.throughputs(expected, rho)),
+            "tuning": catalog.robust(expected, rho).tuning.describe(),
         }
-    return result
+        for rho in rhos
+    }
 
 
 # ----------------------------------------------------------------------
 # Figure 6 — throughput histograms and throughput range vs ρ
 # ----------------------------------------------------------------------
 def figure6_throughput_histograms(
-    catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
-    expected_index: int = 11,
-    rhos: Sequence[float] = (0.0, 0.25, 1.0, 2.0),
-    bins: int = 30,
+    catalog: TuningCatalog, expected_index: int, rhos: Sequence[float]
 ) -> dict[str, dict]:
-    """Throughput distributions of the nominal and robust tunings (Fig. 6a)."""
+    """Throughput distributions of the nominal and robust tunings (Fig. 6a).
+
+    Returns ``{"nominal" | "robust_rho_<ρ>": {"throughput", "tuning"}}``.
+    """
     expected = expected_workloads()[expected_index]
-    model = catalog.cost_model
-    workloads = list(benchmark)
-    nominal = catalog.nominal(expected).tuning
-    nominal_tp = throughputs(model, workloads, nominal)
-    edges = np.histogram_bin_edges(nominal_tp, bins=bins)
-    result: dict[str, dict] = {
+    result = {
         "nominal": {
-            "throughput": nominal_tp,
-            "tuning": nominal.describe(),
+            "throughput": catalog.throughputs(expected),
+            "tuning": catalog.nominal(expected).tuning.describe(),
         }
     }
     for rho in rhos:
-        robust = catalog.robust(expected, rho).tuning
         result[f"robust_rho_{rho:g}"] = {
-            "throughput": throughputs(model, workloads, robust),
-            "tuning": robust.describe(),
+            "throughput": catalog.throughputs(expected, rho),
+            "tuning": catalog.robust(expected, rho).tuning.describe(),
         }
-    result["bin_edges"] = {"edges": edges}
     return result
 
 
 def figure6_throughput_range(
-    catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
-    rhos: Sequence[float] | None = None,
-    expected_indices: Sequence[int] | None = None,
+    catalog: TuningCatalog, rhos: Sequence[float], expected_indices: Sequence[int]
 ) -> dict[str, dict[float, float]]:
     """Throughput range ``Θ_B`` vs ρ, averaged over expected workloads (Fig. 6b).
 
     Returns ``{"nominal": {rho: mean range}, "robust": {rho: mean range}}``
     (the nominal range is constant in ρ but repeated for easy plotting).
     """
-    if rhos is None:
-        rhos = [r for r in rho_grid() if r > 0]
-    table = expected_workloads()
-    if expected_indices is None:
-        expected_indices = range(len(table))
-    model = catalog.cost_model
-    workloads = list(benchmark)
-    nominal_ranges = {}
-    robust_ranges: dict[float, list[float]] = {float(r): [] for r in rhos}
-    for index in expected_indices:
-        expected = table[index]
-        nominal = catalog.nominal(expected).tuning
-        nominal_ranges[index] = throughput_range(model, workloads, nominal)
-        for rho in rhos:
-            robust = catalog.robust(expected, rho).tuning
-            robust_ranges[float(rho)].append(
-                throughput_range(model, workloads, robust)
-            )
-    mean_nominal = float(np.mean(list(nominal_ranges.values())))
+    members = [expected_workloads()[index] for index in expected_indices]
+
+    def mean_range(rho: float | None) -> float:
+        return float(np.mean([
+            throughput_range(catalog.throughputs(expected, rho)) for expected in members
+        ]))
+
+    nominal = mean_range(None)
     return {
-        "nominal": {float(r): mean_nominal for r in rhos},
-        "robust": {r: float(np.mean(v)) for r, v in robust_ranges.items()},
+        "nominal": {float(rho): nominal for rho in rhos},
+        "robust": {float(rho): mean_range(rho) for rho in rhos},
     }
 
 
@@ -255,9 +227,8 @@ def figure6_throughput_range(
 # ----------------------------------------------------------------------
 def figure7_contour(
     catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
     expected_index: int,
-    rhos: Sequence[float] | None = None,
+    rhos: Sequence[float],
     kl_bins: int = 8,
     max_divergence: float = 3.2,
 ) -> dict[str, np.ndarray]:
@@ -268,19 +239,15 @@ def figure7_contour(
     is the mean delta of benchmark workloads falling in KL bin j under the
     robust tuning computed with ρ = rho_values[i].
     """
-    if rhos is None:
-        rhos = [r for r in rho_grid(0.25, 3.0, 0.25)]
     expected = expected_workloads()[expected_index]
-    model = catalog.cost_model
-    nominal = catalog.nominal(expected).tuning
-    divergences = benchmark.kl_divergences(expected.workload)
+    nominal = catalog.throughputs(expected)
+    divergences = catalog.benchmark.kl_divergences(expected.workload)
     kl_edges = np.linspace(0.0, max_divergence, kl_bins + 1)
     bin_index = np.clip(np.digitize(divergences, kl_edges) - 1, 0, kl_bins - 1)
 
     grid = np.full((len(rhos), kl_bins), np.nan)
     for i, rho in enumerate(rhos):
-        robust = catalog.robust(expected, rho).tuning
-        deltas = delta_throughputs(model, benchmark, nominal, robust)
+        deltas = delta_throughputs(nominal, catalog.throughputs(expected, rho))
         for j in range(kl_bins):
             mask = bin_index == j
             if np.any(mask):
@@ -321,57 +288,6 @@ def tuning_table(
     return rows
 
 
-def cost_landscape(
-    workload: Workload,
-    policy: Policy | str,
-    system: SystemConfig | None = None,
-    size_ratios: Sequence[float] | np.ndarray | None = None,
-    bits_grid_points: int = 33,
-) -> dict[str, np.ndarray]:
-    """Expected-cost surface of one policy over the ``(T, h)`` design grid.
-
-    Evaluates ``C(w, Φ)`` for every candidate tuning in a single vectorised
-    :meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` pass — the data
-    behind design-landscape contour plots and a direct way to eyeball why
-    the tuner picks the configuration it picks.
-
-    Returns ``{"size_ratios", "bits_per_entry", "cost"}`` where ``cost`` has
-    shape ``(len(size_ratios), bits_grid_points)``.
-    """
-    system = system if system is not None else SystemConfig()
-    model = LSMCostModel(system)
-    if size_ratios is None:
-        size_ratios = np.arange(2, int(system.max_size_ratio) + 1, dtype=float)
-    size_ratios = np.asarray(size_ratios, dtype=float)
-    bits = np.linspace(
-        system.min_bits_per_entry, system.max_bits_per_entry * 0.999, bits_grid_points
-    )
-    cost = model.workload_cost_matrix(workload, size_ratios, bits, policy)
-    return {"size_ratios": size_ratios, "bits_per_entry": bits, "cost": cost}
-
-
-def policy_table(
-    catalog: TuningCatalog,
-    policies: Sequence[Policy] | None = None,
-    expected_indices: Sequence[int] | None = None,
-) -> list[dict[str, str | float]]:
-    """Best nominal tuning of every expected workload under each policy alone.
-
-    :func:`policy_frontier` over the Table 2 workloads: one row per workload
-    with, per policy, the optimal ``(T, h)`` and its expected cost — the
-    side-by-side view that shows where lazy leveling's hybrid wins over the
-    two classical policies.
-    """
-    table = expected_workloads()
-    if expected_indices is None:
-        expected_indices = range(len(table))
-    return policy_frontier(
-        [(table[i].name, table[i].workload) for i in expected_indices],
-        system=catalog.system,
-        policies=policies,
-    )
-
-
 def policy_frontier(
     workloads: Sequence[tuple[str, Workload]],
     system: SystemConfig | None = None,
@@ -380,13 +296,12 @@ def policy_frontier(
 ) -> list[dict[str, str | float]]:
     """Best nominal tuning of each named workload under every policy alone.
 
-    The generalisation of :func:`policy_table` to arbitrary (possibly
-    long-range-carrying) workloads: one row per workload with, per policy,
-    the optimal tuning and its expected cost, plus the winning policy.  For
-    ``Policy.FLUID`` the tuner selects the run bounds ``K``/``Z`` itself, so
-    the table shows where in the workload space the hybrids pay off —
-    Dostoevsky's frontier, evaluated under this model's short/long range
-    split.
+    Named workloads may carry long ranges: one row per workload with, per
+    policy, the optimal tuning and its expected cost, plus the winning
+    policy.  For ``Policy.FLUID`` the tuner selects the run bounds ``K``/``Z``
+    itself, so the table shows where in the workload space the hybrids pay
+    off — Dostoevsky's frontier, evaluated under this model's short/long
+    range split.
     """
     if system is None:
         system = SystemConfig()
@@ -481,28 +396,23 @@ def kvector_frontier(
 
 def section84_win_rate(
     catalog: TuningCatalog,
-    benchmark: UncertaintyBenchmark,
-    rhos: Sequence[float] | None = None,
+    rhos: Sequence[float],
     expected_indices: Sequence[int] | None = None,
 ) -> dict[str, float]:
-    """Fraction of (workload, ρ, ŵ) comparisons the robust tuning wins (§8.4)."""
-    if rhos is None:
-        rhos = [r for r in rho_grid() if r > 0]
+    """Fraction of (workload, ρ, ŵ) comparisons the robust tuning wins (§8.4).
+
+    Every Table 2 workload is compared unless ``expected_indices`` names a
+    subset.
+    """
     table = expected_workloads()
-    if expected_indices is None:
-        expected_indices = range(len(table))
-    model = catalog.cost_model
-    workloads = list(benchmark)
-    rates = []
-    comparisons = 0
-    for index in expected_indices:
-        expected = table[index]
-        nominal = catalog.nominal(expected).tuning
-        for rho in rhos:
-            robust = catalog.robust(expected, rho).tuning
-            rates.append(win_rate(model, workloads, nominal, robust))
-            comparisons += len(workloads)
+    if expected_indices is not None:
+        table = [table[index] for index in expected_indices]
+    rates = [
+        win_rate(catalog.throughputs(expected), catalog.throughputs(expected, rho))
+        for expected in table
+        for rho in rhos
+    ]
     return {
         "win_rate": float(np.mean(rates)),
-        "comparisons": float(comparisons),
+        "comparisons": float(len(rates) * len(catalog.benchmark)),
     }

@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_fraction,
         default=None,
         help="selectivity of long range queries (fraction of all entries; "
-        "default: the system's built-in 0.001)",
+        f"default: the system's built-in {SystemConfig.long_range_selectivity:g})",
     )
     tune.add_argument(
         "--k-bounds",

@@ -237,29 +237,12 @@ class LSMCostModel:
         vector = self.cost_vector(tuning, _long_range_fraction(workload))
         return _support_dot(vector, weights)
 
-    def workload_cost_matrix(
-        self,
-        workload,
-        size_ratios: Sequence[float] | np.ndarray,
-        bits_per_entry: Sequence[float] | np.ndarray,
-        policy: Policy | str | CompactionPolicy,
-    ) -> np.ndarray:
-        """``C(w, Φ)`` over a whole ``(T, h)`` grid in one broadcasted pass."""
-        weights = _workload_array(workload)
-        costs = self.cost_matrix(
-            size_ratios, bits_per_entry, policy, _long_range_fraction(workload)
-        )
-        return _support_dot(costs, weights)
-
-    def throughput(self, workload, tuning: LSMTuning) -> float:
-        """Throughput proxy ``1 / C(w, Φ)`` used throughout the evaluation."""
-        return float(self.throughputs((workload,), tuning)[0])
-
     def throughputs(self, workloads, tuning: LSMTuning) -> np.ndarray:
-        """:meth:`throughput` of one tuning on each of ``workloads``.
+        """Throughput proxy ``1 / C(w, Φ)`` of one tuning on each of ``workloads``.
 
-        ``c(Φ)`` depends on the tuning and a workload's ``ν`` only, so it is
-        built once per distinct ``ν``, not once per workload.
+        The one place the evaluation computes a throughput.  ``c(Φ)`` depends
+        on the tuning and a workload's ``ν`` only, so it is built once per
+        distinct ``ν``, not once per workload.
         """
         vectors: dict[float, np.ndarray] = {}
         costs = []
@@ -268,7 +251,9 @@ class LSMCostModel:
             if nu not in vectors:
                 vectors[nu] = self.cost_vector(tuning, nu)
             costs.append(_support_dot(vectors[nu], _workload_array(workload)))
-        if costs and min(costs) <= 0:
+        if not costs:
+            raise ValueError("at least one workload is required")
+        if min(costs) <= 0:
             raise ValueError("workload cost must be positive to define throughput")
         return 1.0 / np.array(costs, dtype=float)
 

@@ -1,14 +1,21 @@
-"""Tests for the evaluation metrics of Section 7.1."""
+"""Tests for the evaluation metrics of Section 7.1.
+
+The metrics reduce throughput vectors; the vectors come from
+``LSMCostModel.throughputs``, the one place a throughput is computed.
+"""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    average_delta_throughput,
-    delta_throughput,
-    throughput,
+    TuningCatalog,
+    delta_throughputs,
+    figure4_delta_by_category,
+    figure6_throughput_range,
+    section84_win_rate,
     throughput_range,
-    throughputs,
     win_rate,
 )
 from repro.lsm import LSMCostModel, LSMTuning, Policy
@@ -31,120 +38,141 @@ def write_tuning():
     return LSMTuning(4.0, 2.0, Policy.TIERING)
 
 
+def _delta(model, workloads, baseline, candidate):
+    """``Δ_w(baseline, candidate)`` on ``workloads``, from their vectors."""
+    return delta_throughputs(
+        model.throughputs(workloads, baseline), model.throughputs(workloads, candidate)
+    )
+
+
 class TestThroughput:
     def test_is_reciprocal_of_cost(self, model, read_tuning, w11):
-        assert throughput(model, w11, read_tuning) == pytest.approx(
+        assert model.throughputs([w11], read_tuning)[0] == pytest.approx(
             1.0 / model.workload_cost(w11, read_tuning)
         )
 
     def test_throughputs_vectorises(self, model, read_tuning, bench_set):
         workloads = list(bench_set)[:20]
-        values = throughputs(model, workloads, read_tuning)
+        values = model.throughputs(workloads, read_tuning)
         assert values.shape == (20,)
         assert np.all(values > 0)
 
 
 class TestDeltaThroughput:
     def test_zero_for_identical_tunings(self, model, read_tuning, w11):
-        assert delta_throughput(model, w11, read_tuning, read_tuning) == pytest.approx(0.0)
+        assert _delta(model, [w11], read_tuning, read_tuning).tolist() == [0.0]
 
     def test_sign_convention(self, model, read_tuning, write_tuning, w11):
         """Positive when the candidate beats the baseline, and antisymmetric in
         the normalised sense of the paper's definition."""
-        forward = delta_throughput(model, w11, read_tuning, write_tuning)
-        backward = delta_throughput(model, w11, write_tuning, read_tuning)
+        forward = _delta(model, [w11], read_tuning, write_tuning)[0]
+        backward = _delta(model, [w11], write_tuning, read_tuning)[0]
         assert (forward > 0) != (backward > 0)
 
     def test_write_heavy_workload_favours_write_tuning(self, model, read_tuning, write_tuning):
         from repro.workloads import expected_workload
 
         write_heavy = expected_workload(4).workload
-        assert delta_throughput(model, write_heavy, read_tuning, write_tuning) > 0
+        assert _delta(model, [write_heavy], read_tuning, write_tuning)[0] > 0
 
     def test_average_delta(self, model, read_tuning, write_tuning, bench_set):
         workloads = list(bench_set)[:30]
-        mean = average_delta_throughput(model, workloads, read_tuning, write_tuning)
+        mean = np.mean(_delta(model, workloads, read_tuning, write_tuning))
         individual = [
-            delta_throughput(model, w, read_tuning, write_tuning) for w in workloads
+            _delta(model, [w], read_tuning, write_tuning)[0] for w in workloads
         ]
         assert mean == pytest.approx(np.mean(individual))
 
-    def test_average_delta_rejects_empty(self, model, read_tuning, write_tuning):
-        with pytest.raises(ValueError):
-            average_delta_throughput(model, [], read_tuning, write_tuning)
+    def test_average_delta_rejects_empty(self, model, read_tuning):
+        """An empty benchmark set is refused where its vector is built."""
+        with pytest.raises(ValueError, match="at least one workload"):
+            model.throughputs([], read_tuning)
 
 
 class TestThroughputRange:
     def test_non_negative(self, model, read_tuning, bench_set):
         workloads = list(bench_set)[:30]
-        assert throughput_range(model, workloads, read_tuning) >= 0.0
+        assert throughput_range(model.throughputs(workloads, read_tuning)) >= 0.0
 
     def test_zero_for_single_workload(self, model, read_tuning, w11):
-        assert throughput_range(model, [w11], read_tuning) == pytest.approx(0.0)
+        assert throughput_range(model.throughputs([w11], read_tuning)) == 0.0
 
     def test_matches_max_minus_min(self, model, read_tuning, bench_set):
-        workloads = list(bench_set)[:30]
-        values = throughputs(model, workloads, read_tuning)
-        assert throughput_range(model, workloads, read_tuning) == pytest.approx(
-            values.max() - values.min()
-        )
+        values = model.throughputs(list(bench_set)[:30], read_tuning)
+        assert throughput_range(values) == float(values.max() - values.min())
 
-    def test_rejects_empty(self, model, read_tuning):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            throughput_range(model, [], read_tuning)
+            throughput_range(np.array([]))
 
 
 class TestWinRate:
     def test_bounds(self, model, read_tuning, write_tuning, bench_set):
         workloads = list(bench_set)[:30]
-        rate = win_rate(model, workloads, read_tuning, write_tuning)
-        assert 0.0 <= rate <= 1.0
+        base, cand = (model.throughputs(workloads, t) for t in (read_tuning, write_tuning))
+        assert 0.0 <= win_rate(base, cand) <= 1.0
 
     def test_complementary_rates(self, model, read_tuning, write_tuning, bench_set):
         workloads = list(bench_set)[:30]
-        forward = win_rate(model, workloads, read_tuning, write_tuning)
-        backward = win_rate(model, workloads, write_tuning, read_tuning)
-        assert forward + backward <= 1.0 + 1e-9
+        base, cand = (model.throughputs(workloads, t) for t in (read_tuning, write_tuning))
+        assert win_rate(base, cand) + win_rate(cand, base) <= 1.0 + 1e-9
 
     def test_identical_tunings_never_win(self, model, read_tuning, bench_set):
-        workloads = list(bench_set)[:10]
-        assert win_rate(model, workloads, read_tuning, read_tuning) == 0.0
+        values = model.throughputs(list(bench_set)[:10], read_tuning)
+        assert win_rate(values, values) == 0.0
 
-    def test_rejects_empty(self, model, read_tuning, write_tuning):
-        with pytest.raises(ValueError):
-            win_rate(model, [], read_tuning, write_tuning)
+    def test_rejects_empty(self, model, write_tuning):
+        """No win rate over an empty set: its vector is never built."""
+        with pytest.raises(ValueError, match="at least one workload"):
+            model.throughputs(iter(()), write_tuning)
+
+
+def _count_cost_vectors(model, monkeypatch) -> list:
+    """The ``(tuning, ν)`` of every ``model.cost_vector`` call from now on."""
+    calls = []
+    real = model.cost_vector
+
+    def cost_vector(tuning, long_range_fraction=0.0):
+        calls.append((tuning, long_range_fraction))
+        return real(tuning, long_range_fraction)
+
+    monkeypatch.setattr(model, "cost_vector", cost_vector)
+    return calls
 
 
 class TestOneCostVectorPerTuning:
-    """``c(Φ)`` depends on ``(Φ, ν)`` only: built once per call, not per workload."""
+    """``c(Φ)`` depends on ``(Φ, ν)`` only: built once per call, not per
+    workload, and once per tuning per catalog, not per figure."""
 
     @pytest.fixture()
     def counting(self, model, monkeypatch):
-        calls = []
-        real = model.cost_vector
+        return _count_cost_vectors(model, monkeypatch)
 
-        def cost_vector(tuning, long_range_fraction=0.0):
-            calls.append((tuning, long_range_fraction))
-            return real(tuning, long_range_fraction)
+    def test_figs_4_6b_and_84_build_one_vector_per_tuning(self, monkeypatch):
+        """Figs 4, 6b and §8.4 over 1 000 workloads price each (expected
+        workload, tuning) once, however many figures reduce its vector."""
+        from repro.workloads import UncertaintyBenchmark, expected_workloads
 
-        monkeypatch.setattr(model, "cost_vector", cost_vector)
-        return calls
-
-    def test_average_delta_builds_two_vectors_for_a_thousand_workloads(
-        self, model, read_tuning, write_tuning, bench_set, counting
-    ):
-        workloads = list(bench_set) * 2
-        assert len(workloads) == 1_000
-        assert len({w.long_range_fraction for w in workloads}) == 1
-        average_delta_throughput(model, workloads, read_tuning, write_tuning)
-        assert len(counting) <= 2
+        rhos = (0.5, 1.0)
+        catalog = TuningCatalog(benchmark=UncertaintyBenchmark(size=1_000, seed=42))
+        calls = _count_cost_vectors(catalog.cost_model, monkeypatch)
+        figure4_delta_by_category(catalog, rhos=rhos)
+        figure6_throughput_range(catalog, rhos=rhos, expected_indices=(7, 11))
+        section84_win_rate(catalog, rhos=rhos)
+        tunings = {
+            result.tuning
+            for expected in expected_workloads()
+            for result in (catalog.nominal(expected), *(catalog.robust(expected, r) for r in rhos))
+        }
+        assert Counter(calls) == Counter((tuning, 0.0) for tuning in tunings)
+        assert len(calls) <= len(expected_workloads()) * (1 + len(rhos))
 
     def test_one_vector_per_distinct_nu(self, model, read_tuning, bench_set, counting):
         from dataclasses import replace
 
         workloads = list(bench_set)[:30]
         workloads += [replace(w, long_range_fraction=0.5) for w in workloads]
-        throughputs(model, workloads, read_tuning)
+        model.throughputs(workloads, read_tuning)
         assert sorted(nu for _, nu in counting) == [0.0, 0.5]
 
     def test_every_float_is_the_per_workload_one(
@@ -154,21 +182,20 @@ class TestOneCostVectorPerTuning:
 
         workloads = list(bench_set)[:40]
         workloads += [replace(w, long_range_fraction=0.3) for w in workloads[:10]]
-        singles = [throughput(model, w, read_tuning) for w in workloads]
-        assert throughputs(model, workloads, read_tuning).tolist() == singles
-        assert throughput_range(model, workloads, read_tuning) == max(singles) - min(singles)
-        deltas = [delta_throughput(model, w, read_tuning, write_tuning) for w in workloads]
-        mean = average_delta_throughput(model, iter(workloads), read_tuning, write_tuning)
-        assert mean == float(np.mean(deltas))
+        singles = [1.0 / model.workload_cost(w, read_tuning) for w in workloads]
+        others = [1.0 / model.workload_cost(w, write_tuning) for w in workloads]
+        base = model.throughputs(iter(workloads), read_tuning)
+        cand = model.throughputs(workloads, write_tuning)
+        assert base.tolist() == singles
+        assert throughput_range(base) == max(singles) - min(singles)
+        deltas = [(c - b) / b for b, c in zip(singles, others)]
+        assert delta_throughputs(base, cand).tolist() == deltas
+        assert float(np.mean(delta_throughputs(base, cand))) == float(np.mean(deltas))
         for tolerance in (0.0, 0.1):
             wins = sum(delta > tolerance for delta in deltas)
-            assert win_rate(
-                model, workloads, read_tuning, write_tuning, tolerance
-            ) == wins / len(workloads)
+            assert win_rate(base, cand, tolerance) == wins / len(workloads)
 
     def test_a_non_positive_cost_is_refused(self, model, read_tuning, w11, monkeypatch):
         monkeypatch.setattr(model, "cost_vector", lambda tuning, nu=0.0: np.zeros(4))
         with pytest.raises(ValueError, match="must be positive"):
-            throughputs(model, [w11], read_tuning)
-        with pytest.raises(ValueError, match="must be positive"):
-            throughput(model, w11, read_tuning)
+            model.throughputs([w11], read_tuning)

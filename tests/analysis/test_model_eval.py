@@ -3,7 +3,7 @@
 The Figure 3–7, Table 3 and §8.4 functions also back rows of
 ``benchmarks/figures.py``, whose claims check them at figure scale; the cases
 here run them on a small benchmark set and with the arguments no row passes
-(custom bins, category and expected-workload subsets, two-ρ grids).
+(custom bins, expected-workload subsets, two-ρ grids).
 """
 
 import numpy as np
@@ -20,17 +20,17 @@ from repro.analysis import (
     section84_win_rate,
     tuning_table,
 )
-from repro.workloads import UncertaintyBenchmark, WorkloadCategory, expected_workload
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return TuningCatalog()
+from repro.workloads import UncertaintyBenchmark, expected_workload
 
 
 @pytest.fixture(scope="module")
 def small_benchmark():
     return UncertaintyBenchmark(size=200, seed=17)
+
+
+@pytest.fixture(scope="module")
+def catalog(small_benchmark):
+    return TuningCatalog(benchmark=small_benchmark)
 
 
 class TestTuningCatalog:
@@ -51,6 +51,27 @@ class TestTuningCatalog:
     def test_robust_records_rho(self, catalog):
         assert catalog.robust(expected_workload(7), 0.5).rho == 0.5
 
+    def test_throughputs_are_cached_per_tuning_and_read_only(self, catalog, small_benchmark):
+        expected = expected_workload(11)
+        vector = catalog.throughputs(expected, 1.0)
+        assert catalog.throughputs(expected, 1.0) is vector
+        assert vector.shape == (len(small_benchmark),)
+        assert not vector.flags.writeable
+        tuning = catalog.robust(expected, 1.0).tuning
+        assert vector.tolist() == catalog.cost_model.throughputs(small_benchmark, tuning).tolist()
+
+    def test_two_benchmark_sets_never_share_a_vector(self, catalog):
+        other = TuningCatalog(benchmark=UncertaintyBenchmark(size=50, seed=17))
+        expected = expected_workload(11)
+        assert other.throughputs(expected).shape == (50,)
+        assert catalog.throughputs(expected).shape == (200,)
+
+    def test_a_catalog_without_a_benchmark_serves_tunings_only(self):
+        bare = TuningCatalog()
+        assert bare.nominal(expected_workload(11)).tuning is not None
+        with pytest.raises(ValueError, match="benchmark"):
+            bare.throughputs(expected_workload(11))
+
 
 class TestFigure3:
     def test_histogram_structure(self, small_benchmark):
@@ -62,32 +83,20 @@ class TestFigure3:
 
 class TestFigure4:
     def test_shape_and_keys(self, catalog, small_benchmark):
-        result = figure4_delta_by_category(
-            catalog,
-            small_benchmark,
-            rhos=[1.0],
-            categories=[WorkloadCategory.UNIFORM, WorkloadCategory.TRIMODAL],
-        )
-        assert set(result) == {"uniform", "trimodal"}
+        result = figure4_delta_by_category(catalog, rhos=[1.0])
+        assert set(result) == {"uniform", "unimodal", "bimodal", "trimodal"}
         assert set(result["trimodal"]) == {1.0}
 
     def test_skewed_categories_benefit_from_robustness(self, catalog, small_benchmark):
         """The paper's headline: robust tunings help the non-uniform categories."""
-        result = figure4_delta_by_category(
-            catalog,
-            small_benchmark,
-            rhos=[1.0],
-            categories=[WorkloadCategory.UNIFORM, WorkloadCategory.TRIMODAL],
-        )
+        result = figure4_delta_by_category(catalog, rhos=[1.0])
         assert result["trimodal"][1.0] > result["uniform"][1.0]
         assert result["trimodal"][1.0] > 0.2
 
 
 class TestFigure5:
     def test_structure(self, catalog, small_benchmark):
-        result = figure5_rho_impact(
-            catalog, small_benchmark, expected_index=11, rhos=(0.0, 1.0)
-        )
+        result = figure5_rho_impact(catalog, expected_index=11, rhos=(0.0, 1.0))
         assert set(result) == {0.0, 1.0}
         assert result[1.0]["kl"].shape == (len(small_benchmark),)
         assert result[1.0]["delta"].shape == (len(small_benchmark),)
@@ -95,37 +104,25 @@ class TestFigure5:
 
 class TestFigure6:
     def test_histogram_keys(self, catalog, small_benchmark):
-        result = figure6_throughput_histograms(
-            catalog, small_benchmark, expected_index=11, rhos=(1.0,)
-        )
-        assert "nominal" in result
-        assert "robust_rho_1" in result
+        result = figure6_throughput_histograms(catalog, expected_index=11, rhos=(1.0,))
+        assert set(result) == {"nominal", "robust_rho_1"}
 
     def test_robust_narrows_throughput_range(self, catalog, small_benchmark):
         """Figure 6b: the robust throughput range shrinks as rho grows."""
-        result = figure6_throughput_range(
-            catalog,
-            small_benchmark,
-            rhos=[0.25, 2.0],
-            expected_indices=[7, 11],
-        )
+        result = figure6_throughput_range(catalog, rhos=[0.25, 2.0], expected_indices=[7, 11])
         assert result["robust"][2.0] <= result["robust"][0.25] + 1e-9
         assert result["robust"][2.0] <= result["nominal"][2.0]
 
 
 class TestFigure7:
     def test_grid_shape(self, catalog, small_benchmark):
-        result = figure7_contour(
-            catalog, small_benchmark, expected_index=11, rhos=[0.5, 1.0], kl_bins=4
-        )
+        result = figure7_contour(catalog, expected_index=11, rhos=[0.5, 1.0], kl_bins=4)
         assert result["delta"].shape == (2, 4)
         assert result["rho_values"].shape == (2,)
         assert result["kl_edges"].shape == (5,)
 
     def test_moderate_rho_high_divergence_cell_is_positive(self, catalog, small_benchmark):
-        result = figure7_contour(
-            catalog, small_benchmark, expected_index=11, rhos=[1.0], kl_bins=4
-        )
+        result = figure7_contour(catalog, expected_index=11, rhos=[1.0], kl_bins=4)
         row = result["delta"][0]
         finite = row[~np.isnan(row)]
         assert finite[-1] > 0  # the highest-divergence bin favours robustness
@@ -145,45 +142,20 @@ class TestTableAndWinRate:
     def test_win_rate_exceeds_half_for_skewed_workloads(self, catalog, small_benchmark):
         """§8.4 (scaled down): the robust tuning wins the majority of
         comparisons for non-uniform expected workloads."""
-        result = section84_win_rate(
-            catalog,
-            small_benchmark,
-            rhos=[1.0],
-            expected_indices=[7, 11],
-        )
+        result = section84_win_rate(catalog, rhos=[1.0], expected_indices=[7, 11])
         assert result["win_rate"] > 0.5
         assert result["comparisons"] == 2 * len(small_benchmark)
 
 
-class TestCostLandscape:
-    def test_landscape_shape_and_positivity(self):
-        from repro.analysis import cost_landscape
-        from repro.lsm import Policy
-
-        workload = expected_workload(0).workload
-        surface = cost_landscape(workload, Policy.LAZY_LEVELING, bits_grid_points=7)
-        assert surface["cost"].shape == (
-            surface["size_ratios"].size,
-            surface["bits_per_entry"].size,
-        )
-        assert np.all(surface["cost"] > 0)
-
-    def test_landscape_minimum_matches_grid_tuner(self):
-        from repro.analysis import cost_landscape
-        from repro.core import GridTuner
-        from repro.lsm import Policy
-
-        workload = expected_workload(11).workload
-        surface = cost_landscape(workload, Policy.LEVELING, bits_grid_points=33)
-        grid = GridTuner(bits_grid_points=33, policies=(Policy.LEVELING,)).tune(workload)
-        assert float(surface["cost"].min()) == pytest.approx(grid.objective, rel=1e-9)
-
-
 class TestPolicyTable:
     def test_rows_cover_every_policy(self, catalog):
-        from repro.analysis import policy_table
+        """``policy_frontier`` over Table 2 rows, one policy at a time."""
+        from repro.analysis import policy_frontier
 
-        rows = policy_table(catalog, expected_indices=(4, 11))
+        rows = policy_frontier(
+            [(f"w{i}", expected_workload(i).workload) for i in (4, 11)],
+            system=catalog.system,
+        )
         assert len(rows) == 2
         for row in rows:
             for key in (

@@ -157,7 +157,7 @@ class TestWorkloadCost:
 
     def test_throughput_is_reciprocal_cost(self, model, leveling_tuning, w11):
         cost = model.workload_cost(w11, leveling_tuning)
-        assert model.throughput(w11, leveling_tuning) == pytest.approx(1.0 / cost)
+        assert model.throughputs([w11], leveling_tuning)[0] == pytest.approx(1.0 / cost)
 
     def test_write_heavy_workload_prefers_tiering(self, model):
         write_heavy = expected_workload(4).workload  # 97% writes

@@ -99,17 +99,43 @@ class TestCostMatrix:
             matrix[3, 7], model.cost_vector(LSMTuning(42.0, bits[7], policy))
         )
 
-    def test_workload_cost_matrix_is_the_dot_product(self, model):
+    def test_cost_matrix_dotted_with_a_workload_is_its_cost(self, model):
         ratios = np.array([3.0, 9.0])
         bits = np.array([2.0, 6.0])
         weights = np.array([0.3, 0.3, 0.2, 0.2])
-        costs = model.workload_cost_matrix(weights, ratios, bits, Policy.LAZY_LEVELING)
+        costs = model.cost_matrix(ratios, bits, Policy.LAZY_LEVELING) @ weights
         for i, size_ratio in enumerate(ratios):
             for j, bits_per_entry in enumerate(bits):
                 tuning = LSMTuning(size_ratio, bits_per_entry, Policy.LAZY_LEVELING)
                 assert costs[i, j] == pytest.approx(
                     model.workload_cost(weights, tuning), rel=1e-12
                 )
+
+    def test_landscape_shape_and_positivity(self, model):
+        """The ``(T, h)`` cost surface of one workload is positive everywhere."""
+        from repro.workloads import expected_workload
+
+        ratios = np.arange(2.0, model.system.max_size_ratio + 1.0)
+        bits = np.linspace(0.0, model.system.max_bits_per_entry * 0.999, 7)
+        weights = expected_workload(0).workload.as_array()
+        costs = model.cost_matrix(ratios, bits, Policy.LAZY_LEVELING) @ weights
+        assert costs.shape == (ratios.size, bits.size)
+        assert np.all(costs > 0)
+
+    def test_landscape_minimum_matches_grid_tuner(self, model):
+        from repro.core import GridTuner
+        from repro.workloads import expected_workload
+
+        ratios = np.arange(2.0, model.system.max_size_ratio + 1.0)
+        bits = np.linspace(
+            model.system.min_bits_per_entry, model.system.max_bits_per_entry * 0.999, 33
+        )
+        workload = expected_workload(11).workload
+        costs = model.cost_matrix(ratios, bits, Policy.LEVELING) @ workload.as_array()
+        grid = GridTuner(
+            system=model.system, bits_grid_points=33, policies=(Policy.LEVELING,)
+        ).tune(workload)
+        assert float(costs.min()) == pytest.approx(grid.objective, rel=1e-9)
 
     def test_rejects_empty_grids(self, model):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lsm import SystemConfig
 
 
 class TestParser:
@@ -89,6 +90,14 @@ class TestFractionValidation:
     """
 
     _TUNE = ["tune", "--workload", "0.25", "0.25", "0.25", "0.25", "--rho", "0"]
+
+    def test_tune_help_states_the_default_long_range_selectivity(self, capsys):
+        """The help names the value ``tune`` falls back to: the system's."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--help"])
+        assert excinfo.value.code == 0
+        default = SystemConfig().long_range_selectivity
+        assert f"built-in {default:g})" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "two"])
     def test_tune_rejects_bad_long_range_fraction(self, capsys, value):

@@ -9,7 +9,7 @@ and confirm that the analytical predictions carry over to measured I/O.
 import numpy as np
 import pytest
 
-from repro.analysis import SystemExperiment, delta_throughput, win_rate
+from repro.analysis import SystemExperiment, delta_throughputs, win_rate
 from repro.core import NominalTuner, RobustTuner, UncertaintyRegion
 from repro.lsm import LSMCostModel, LSMTuning, Policy, simulator_system
 from repro.storage import ExecutorConfig, WorkloadExecutor
@@ -27,7 +27,8 @@ class TestModelPipeline:
         tuning outperforms the nominal one on the bulk of the bench_set."""
         model = LSMCostModel(system)
         rate = win_rate(
-            model, list(bench_set), nominal_w11.tuning, robust_w11_rho1.tuning
+            model.throughputs(bench_set, nominal_w11.tuning),
+            model.throughputs(bench_set, robust_w11_rho1.tuning),
         )
         assert rate > 0.6
 
@@ -37,10 +38,10 @@ class TestModelPipeline:
         """§7.3 reports >95% average improvement for skewed workloads with
         rho >= 0.5; require a substantial improvement on the reduced set."""
         model = LSMCostModel(system)
-        deltas = [
-            delta_throughput(model, w, nominal_w11.tuning, robust_w11_rho1.tuning)
-            for w in bench_set
-        ]
+        deltas = delta_throughputs(
+            model.throughputs(bench_set, nominal_w11.tuning),
+            model.throughputs(bench_set, robust_w11_rho1.tuning),
+        )
         assert float(np.mean(deltas)) > 0.3
 
     def test_nominal_slightly_better_when_workload_matches(
@@ -49,7 +50,10 @@ class TestModelPipeline:
         """On the exact expected workload the nominal tuning must win (it is
         the optimum there) but the robust loss stays bounded."""
         model = LSMCostModel(system)
-        delta = delta_throughput(model, w11, nominal_w11.tuning, robust_w11_rho1.tuning)
+        (delta,) = delta_throughputs(
+            model.throughputs([w11], nominal_w11.tuning),
+            model.throughputs([w11], robust_w11_rho1.tuning),
+        )
         assert delta <= 0.0
         assert delta > -0.9
 

@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_POLICY_CHOICES,
         default="classic",
         help="compaction policies the tuner may choose from "
-        "('classic' = the paper's leveling+tiering pair, 'all' additionally "
-        "allows lazy-leveling)",
+        "('classic' = the paper's leveling+tiering pair, 'all' = "
+        f"{', '.join(policy.value for policy in ALL_POLICIES)})",
     )
     tune.add_argument(
         "--num-entries",

@@ -307,46 +307,37 @@ def halving_ladder(peak: float) -> tuple[float, ...]:
     return tuple(bounds)
 
 
-def fluid_vector_specs(
-    max_size_ratio: float = 100.0,
-    ladder_peaks: Sequence[float] | None = None,
-    z_grid: Sequence[float] | None = None,
-    vector_levels: int = DEFAULT_VECTOR_LEVELS,
-) -> tuple[CompactionPolicy, ...]:
+def fluid_vector_specs(max_size_ratio: float = 100.0) -> tuple[CompactionPolicy, ...]:
     """Structured per-level bound-vector candidates for the fluid sweep.
 
     Two families keep the enumeration polynomial while covering the
     non-uniform part of the Dostoevsky design space:
 
     * **front-loaded ladders** — :func:`halving_ladder` of each peak in
-      ``ladder_peaks``, crossed with the ``Z`` grid (``Z <= peak``, matching
-      the scalar sweep's diagonal cut);
+      :data:`DEFAULT_LADDER_PEAKS`, crossed with :data:`DEFAULT_FLUID_Z_GRID`
+      (``Z <= peak``, matching the scalar sweep's diagonal cut);
     * **single-level perturbations** — the all-leveled vector with one level
-      bumped to a peak, for each of the first ``vector_levels`` levels: the
-      minimal non-uniform designs, and the natural seeds of the
+      bumped to a peak, for each of the first :data:`DEFAULT_VECTOR_LEVELS`
+      levels: the minimal non-uniform designs, and the natural seeds of the
       coordinate-descent refinement the tuners run afterwards.
 
     Uniform vectors are deliberately absent: the scalar ``(K, Z)`` grid of
     :func:`expand_policy_specs` covers them bit-identically.
     """
-    if ladder_peaks is None:
-        ladder_peaks = DEFAULT_LADDER_PEAKS
-    if z_grid is None:
-        z_grid = DEFAULT_FLUID_Z_GRID
     cap = max(1.0, float(max_size_ratio) - 1.0)
     # Filter on the *clamped* peak: at a tiny ratio cap every peak collapses
     # to 1 and would only re-emit the all-leveled uniform vectors the scalar
     # grid already covers.
     peaks = sorted(
-        {float(min(peak, cap)) for peak in ladder_peaks if min(peak, cap) > 1}
+        {float(min(peak, cap)) for peak in DEFAULT_LADDER_PEAKS if min(peak, cap) > 1}
     )
-    zs = sorted({float(min(z, cap)) for z in z_grid if z >= 1})
+    zs = sorted({float(min(z, cap)) for z in DEFAULT_FLUID_Z_GRID})
     specs: list[CompactionPolicy] = []
     for peak in peaks:
         ladder = halving_ladder(peak)
         if len(set(ladder)) > 1:
             specs += [CompactionPolicy.fluid(ladder, z) for z in zs if z <= peak]
-        for position in range(max(1, int(vector_levels))):
+        for position in range(DEFAULT_VECTOR_LEVELS):
             bumped = [1.0] * max(position + 1, 2)
             bumped[position] = peak
             specs.append(CompactionPolicy.fluid(bumped, 1.0))
@@ -356,10 +347,7 @@ def fluid_vector_specs(
 def expand_policy_specs(
     policies: Iterable["Policy | str | CompactionPolicy"],
     max_size_ratio: float = 100.0,
-    k_grid: Sequence[float] | None = None,
-    z_grid: Sequence[float] | None = None,
     include_k_vectors: bool = False,
-    vector_levels: int = DEFAULT_VECTOR_LEVELS,
 ) -> tuple[CompactionPolicy, ...]:
     """Unfold a policy list into the concrete policies a tuner sweeps.
 
@@ -371,7 +359,8 @@ def expand_policy_specs(
       stay coupled to ``T`` across a fractional size-ratio search exactly
       like the named lazy policy does (a fixed ``K`` has a clamp kink at
       ``T = K + 1``);
-    * all combinations of ``k_grid`` × ``z_grid`` with ``Z <= K`` (bounds
+    * all combinations of :data:`DEFAULT_FLUID_K_GRID` ×
+      :data:`DEFAULT_FLUID_Z_GRID` with ``Z <= K`` (bounds
       above ``K`` never beat the ``Z = K`` diagonal for the workloads a
       bounded largest level targets), plus the ``Z = K`` diagonal itself so
       the tiering corner is represented exactly, plus a top candidate at
@@ -388,10 +377,6 @@ def expand_policy_specs(
     untouched, so callers can pin ``K``/``Z`` — or a whole ``K_i`` vector —
     by hand.
     """
-    if k_grid is None:
-        k_grid = DEFAULT_FLUID_K_GRID
-    if z_grid is None:
-        z_grid = DEFAULT_FLUID_Z_GRID
     cap = max(1.0, float(max_size_ratio) - 1.0)
     specs: list[CompactionPolicy] = []
     for entry in policies:
@@ -400,18 +385,14 @@ def expand_policy_specs(
         ):
             specs.append(CompactionPolicy.of(entry))
             continue
-        ks = sorted({float(min(k, cap)) for k in k_grid if k >= 1} | {cap})
-        zs = sorted({float(min(z, cap)) for z in z_grid if z >= 1})
+        ks = sorted({float(min(k, cap)) for k in DEFAULT_FLUID_K_GRID} | {cap})
+        zs = sorted({float(min(z, cap)) for z in DEFAULT_FLUID_Z_GRID})
         specs += [CompactionPolicy.fluid(z_bound=z) for z in zs]
         for k in ks:
             specs += [CompactionPolicy.fluid((k,), z) for z in zs if z <= k]
             specs.append(CompactionPolicy.fluid((k,), k))
         if include_k_vectors:
-            specs += fluid_vector_specs(
-                max_size_ratio=max_size_ratio,
-                z_grid=z_grid,
-                vector_levels=vector_levels,
-            )
+            specs += fluid_vector_specs(max_size_ratio)
     if not specs:
         raise ValueError("at least one compaction policy is required")
     return tuple(dict.fromkeys(specs))

@@ -18,13 +18,11 @@ admitted is a serving-layer policy:
     still completes its plan, and an idle shard drains up to
     ``admission_idle_steps`` steps per idle notification.
 
-:class:`StepAdmission` is deliberately stateless: callers pass the stream
-position, the plan's start position, the position of the last admitted step,
-and the current backlog.  That keeps the scalar per-operation check and the
-batched span-bounding math (:meth:`ops_until_step`) provably consistent —
-both read the same inputs, and within a span the backlog decreases by exactly
-one per operation, so the first admitting position can be computed in closed
-form.
+:class:`StepAdmission` is stateless: callers pass the stream position, the
+plan's start position, the position of the last admitted step and the current
+backlog, and :meth:`~StepAdmission.ops_until_step` answers, in closed form,
+how many operations remain until the next step.  The controller runs that
+many operations (one window) and then the step.
 """
 
 from __future__ import annotations
@@ -57,37 +55,19 @@ class StepAdmission:
         config = self.config
         return 0 if config.admission == "fixed" else config.admission_idle_steps
 
-    def should_step(
-        self, position: int, plan_started: int, last_step: int, backlog: int
-    ) -> bool:
-        """Whether a step is admitted at ``position`` (checked after each op).
-
-        ``"fixed"`` reproduces the historical cadence bit-for-bit:
-        ``(position - plan_started) % migration_step_ops == 0``.
-        ``"queue-depth"`` admits once ``migration_step_ops`` operations passed
-        since the last step *and* the backlog drained to
-        ``admission_max_backlog``, or unconditionally at the
-        ``admission_starvation_ops`` bound.
-        """
-        config = self.config
-        if config.admission == "fixed":
-            return (position - plan_started) % config.migration_step_ops == 0
-        since = position - last_step
-        if since >= config.admission_starvation_ops:
-            return True
-        return since >= config.migration_step_ops and backlog <= config.admission_max_backlog
-
     def ops_until_step(
         self, position: int, plan_started: int, last_step: int, backlog: int
     ) -> int:
-        """Operations until :meth:`should_step` next admits (at least 1).
+        """Operations until the next step is admitted (at least 1).
 
-        Exact under the serving loop's invariant that the backlog decreases
-        by one per executed operation: after ``k`` more operations the elapsed
-        count grows by ``k`` and the backlog shrinks by ``k``, so the first
-        admitting ``k`` solves in closed form.  Batched execution bounds GET
-        spans by this, guaranteeing a span never skips over an admission the
-        scalar loop would have taken.
+        ``"fixed"`` admits every ``migration_step_ops`` operations past
+        ``plan_started``.  ``"queue-depth"`` admits once ``migration_step_ops``
+        operations passed since ``last_step`` *and* the backlog drained to
+        ``admission_max_backlog``, or unconditionally at the
+        ``admission_starvation_ops`` bound.  The backlog drains by one per
+        executed operation, so after ``k`` more operations the elapsed count
+        grows by ``k`` and the backlog shrinks by ``k``, and the first
+        admitting ``k`` solves in closed form.
         """
         config = self.config
         step_ops = config.migration_step_ops

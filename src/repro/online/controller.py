@@ -34,14 +34,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..core.uncertainty import UncertaintyRegion
 from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..storage.lsm_tree import LSMTree, execute_operations_batched
-from ..storage.run import consolidate_versions
+from ..storage.lsm_tree import LSMTree, execute_operation, execute_operations_batched
 from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
 from .admission import StepAdmission
@@ -124,12 +121,10 @@ class OnlineLSMController:
         if self.system is None:
             self.system = self.tree.system
         self.disk = self.tree.disk
-        self.estimator = ObservedWorkload(window=self.config.window)
+        self.estimator = ObservedWorkload(self.config.window)
         self.detector = DriftDetector(
             UncertaintyRegion(expected=self.expected, rho=self.config.drift_threshold),
-            min_observations=self.config.min_observations,
-            cooldown=self.config.cooldown,
-            confirm_checks=self.config.confirm_checks,
+            self.config,
         )
         self.retuner = AdaptiveTuner(self.system, self.config, self.policies)
         self.admission = StepAdmission(self.config)
@@ -154,22 +149,9 @@ class OnlineLSMController:
         return sum(1 for event in self.events if event.migrated)
 
     @property
-    def migration_in_progress(self) -> bool:
-        """Whether an incremental migration plan is currently executing."""
-        return self._plan is not None
-
-    @property
     def migration_plan(self) -> MigrationPlan | None:
         """The active incremental migration plan, if any."""
         return self._plan
-
-    def observed_workload(self) -> Workload | None:
-        """The estimator's current workload estimate."""
-        return self.estimator.workload()
-
-    def resident_pages(self) -> int:
-        """Disk pages currently occupied by the tree's runs."""
-        return self.tree.resident_pages
 
     # ------------------------------------------------------------------
     # Execution
@@ -184,28 +166,28 @@ class OnlineLSMController:
         and the estimator keeps observing, so the loop resumes with a warm
         window once the plan completes.
         """
-        engine = self._plan if self._plan is not None else self.tree
-        engine.apply(operation)
+        due = self._ops_until_boundary()
+        execute_operation(self._engine, operation)
         self.estimator.record_kind(operation.kind)
-        self._advance(1)
+        self._advance(1, due)
 
-    def _advance(self, count: int) -> None:
-        """Account for ``count`` executed operations, then run boundary work.
+    @property
+    def _engine(self) -> LSMTree | MigrationPlan:
+        """What serves the stream: the mixed state while a plan is in flight."""
+        return self._plan if self._plan is not None else self.tree
 
-        The boundary work — the next admitted migration step, or the drift
-        check every ``check_interval`` operations — is decided from the
-        stream position reached, so callers must not advance past a boundary
-        (see :meth:`_ops_until_boundary`).
-        """
+    def _advance(self, count: int, due: int) -> None:
+        """Account for ``count`` executed operations of a window that was
+        ``due`` operations from the next boundary, then run the boundary
+        work — the admitted migration step, or the drift check — if the
+        window reached it."""
         self.position += count
         self._backlog = max(0, self._backlog - count)
+        if count < due:
+            return
         if self._plan is not None:
-            if self.admission.should_step(
-                self.position, self._plan_started, self._last_step_position,
-                self._backlog,
-            ):
-                self.advance_migration()
-        elif self.position % self.config.check_interval == 0:
+            self.advance_migration()
+        else:
             self.maybe_retune()
 
     def execute(self, operations: Iterable[Operation]) -> None:
@@ -274,12 +256,12 @@ class OnlineLSMController:
         self._backlog = total
         start = 0
         while start < total:
-            stop = min(start + self._ops_until_boundary(), total)
+            due = self._ops_until_boundary()
+            stop = min(start + due, total)
             window = trace[start:stop]
-            engine = self._plan if self._plan is not None else self.tree
-            execute_operations_batched(engine, window, max_batch_ops)
+            execute_operations_batched(self._engine, window, max_batch_ops)
             self.estimator.record_batch(window)
-            self._advance(stop - start)
+            self._advance(stop - start, due)
             start = stop
         self._backlog = 0
 
@@ -313,7 +295,7 @@ class OnlineLSMController:
         decision = self.retuner.retune(
             observed,
             self.tree.tuning,
-            self.resident_pages(),
+            self.tree.resident_pages,
             volatility=self.detector.volatility(),
         )
         migrated = decision.justified and decision.proposed != self.tree.tuning
@@ -345,33 +327,6 @@ class OnlineLSMController:
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------
-    def _live_keys(self) -> np.ndarray:
-        """All live keys of the tree (runs + memtable), tombstones resolved.
-
-        Versions are consolidated newest-first exactly like a full compaction
-        (via :func:`~repro.storage.run.consolidate_versions`): a tombstone in
-        a recent run *shadows* older live versions of its key in deeper runs,
-        so deleted keys are not resurrected by the rebuild.  Run contents are
-        read through ``entries()``, which a run answers wherever its store
-        keeps it.
-        """
-        tree = self.tree
-        key_parts: list[np.ndarray] = []
-        tombstone_parts: list[np.ndarray] = []
-        buffered_keys, buffered_tombstones = tree.memtable.sorted_items()
-        if buffered_keys.size:
-            key_parts.append(buffered_keys)
-            tombstone_parts.append(buffered_tombstones)
-        # ``levels`` runs shallow-to-deep, and runs within a level are kept
-        # most-recent first — the recency order consolidation expects.
-        for runs in tree.levels:
-            for run in runs:
-                run_keys, run_tombstones = run.entries()
-                key_parts.append(run_keys)
-                tombstone_parts.append(run_tombstones)
-        keys, _ = consolidate_versions(key_parts, tombstone_parts, drop_tombstones=True)
-        return keys.copy()
-
     def _replacement_tree(self, new_tuning: LSMTuning) -> LSMTree:
         """An empty tree under ``new_tuning`` sharing the live disk.
 
@@ -402,9 +357,8 @@ class OnlineLSMController:
         """
         incremental = self.config.migration == "incremental"
         plan = self._plan = MigrationPlan(
-            source=self.tree,
-            target=self._replacement_tree(new_tuning),
-            checkpoint_keys=self._live_keys(),
+            self.tree,
+            self._replacement_tree(new_tuning),
             max_step_pages=self.config.migration_step_pages if incremental else None,
         )
         self._plan_started = self._last_step_position = self.position

@@ -27,11 +27,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.uncertainty import UncertaintyRegion
 from ..workloads.workload import Workload
+
+if TYPE_CHECKING:
+    from .config import OnlineConfig
+
+#: Recent finite check divergences kept as the KL trajectory.
+TRAJECTORY_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -54,53 +61,31 @@ class DriftDetector:
     region:
         The uncertainty region the deployed tuning was computed for; its
         ``rho`` is the drift threshold.
-    min_observations:
-        Number of operations the estimator must have folded in before a
-        check may fire (the empirical workload of a handful of queries is
-        noise, not drift).
-    cooldown:
-        Number of operations after a firing (or an explicit
-        :meth:`mute`/:meth:`recenter`) during which further firings are
-        suppressed, so one drift episode triggers one re-tuning.
-    confirm_checks:
-        Number of *consecutive* out-of-region checks required before the
-        detector fires.  Confirmation delays the firing past the front of a
-        drift episode, by which time the rolling estimator's window has
-        flushed the pre-drift mix — so the re-tuner solves for the settled
-        new workload, not for a transient blend of old and new.
-    trajectory_window:
-        Number of recent (finite) check divergences kept as the *KL
-        trajectory*.  Its dispersion is the detector's volatility signal: a
-        stream that keeps swinging around its nominal centre — a cyclic
-        HTAP-style workload — shows a high-variance trajectory even when
-        individual checks stay quiet, and the adaptive re-tuner widens its
-        robust radius with it (see
-        :meth:`~repro.online.retuner.AdaptiveTuner.effective_rho`).
+    config:
+        The loop's :class:`~repro.online.config.OnlineConfig`, which declares
+        and checks the detector's knobs: ``min_observations`` (the warm-up
+        floor: the empirical workload of a handful of queries is noise, not
+        drift), ``cooldown`` (operations after a firing, or an explicit
+        :meth:`mute`/:meth:`recenter`, during which further firings are
+        suppressed, so one drift episode triggers one re-tuning) and
+        ``confirm_checks`` (*consecutive* out-of-region checks required before
+        firing, which delays the firing past the front of a drift episode
+        until the rolling estimator's window has flushed the pre-drift mix).
+
+    The last :data:`TRAJECTORY_WINDOW` finite check divergences are kept as
+    the *KL trajectory*.  Its dispersion is the detector's volatility signal:
+    a stream that keeps swinging around its nominal centre — a cyclic
+    HTAP-style workload — shows a high-variance trajectory even when
+    individual checks stay quiet, and the adaptive re-tuner widens its robust
+    radius with it (see :meth:`~repro.online.retuner.AdaptiveTuner.effective_rho`).
     """
 
-    def __init__(
-        self,
-        region: UncertaintyRegion,
-        min_observations: int = 512,
-        cooldown: int = 4_096,
-        confirm_checks: int = 1,
-        trajectory_window: int = 32,
-    ) -> None:
-        if min_observations < 0:
-            raise ValueError("min_observations must be non-negative")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        if confirm_checks <= 0:
-            raise ValueError("confirm_checks must be positive")
-        if trajectory_window <= 1:
-            raise ValueError("trajectory_window must be at least 2")
+    def __init__(self, region: UncertaintyRegion, config: OnlineConfig) -> None:
         self.region = region
-        self.min_observations = int(min_observations)
-        self.cooldown = int(cooldown)
-        self.confirm_checks = int(confirm_checks)
+        self.config = config
         self._muted_until = 0
         self._consecutive_outside = 0
-        self._trajectory: deque[float] = deque(maxlen=int(trajectory_window))
+        self._trajectory: deque[float] = deque(maxlen=TRAJECTORY_WINDOW)
 
     # ------------------------------------------------------------------
     # Checking
@@ -131,7 +116,7 @@ class DriftDetector:
         without firing.  A firing check arms the cooldown.
         """
         if observed is None or (
-            observations is not None and observations < self.min_observations
+            observations is not None and observations < self.config.min_observations
         ):
             return DriftCheck(position, math.nan, False, "warmup")
         divergence = self.divergence(observed)
@@ -143,7 +128,7 @@ class DriftDetector:
             self._consecutive_outside = 0
             return DriftCheck(position, divergence, False, "inside")
         self._consecutive_outside += 1
-        if self._consecutive_outside < self.confirm_checks:
+        if self._consecutive_outside < self.config.confirm_checks:
             return DriftCheck(position, divergence, False, "confirming")
         if position < self._muted_until:
             return DriftCheck(position, divergence, False, "cooldown")
@@ -178,7 +163,7 @@ class DriftDetector:
     # ------------------------------------------------------------------
     def mute(self, position: int) -> None:
         """Suppress firings for ``cooldown`` operations starting at ``position``."""
-        self._muted_until = position + self.cooldown
+        self._muted_until = position + self.config.cooldown
 
     def recenter(
         self, expected: Workload, position: int, rho: float | None = None

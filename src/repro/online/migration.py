@@ -6,10 +6,11 @@ spike proportional to the database size, concentrated in whichever session
 the drift detector happened to fire in.  A :class:`MigrationPlan` replaces
 that with a sequence of bounded steps:
 
-1. at planning time the live contents of the *source* tree are consolidated
-   into a checkpoint snapshot (tombstones resolved, exactly like a full
-   compaction), and the *target* tree's bulk-load placements are computed for
-   it via :meth:`~repro.storage.lsm_tree.LSMTree.plan_bulk_load` — the same
+1. the plan derives its checkpoint from the *source* tree itself: the live
+   keys of its buffer and runs, consolidated newest first with tombstones
+   resolved, exactly like a full compaction, and read without charging a
+   page.  The *target* tree's bulk-load placements are computed for it via
+   :meth:`~repro.storage.lsm_tree.LSMTree.plan_bulk_load` — the same
    placements a fresh bulk load would install, so the finished migration is
    byte-identical to rebuilding from scratch;
 2. the placements are cut into steps of at most ``max_step_pages`` pages;
@@ -39,13 +40,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..storage.lsm_tree import BufferFirstReads, LSMTree, execute_operation
+from ..storage.lsm_tree import BufferFirstReads, LSMTree
 from ..storage.run import consolidate_versions
-from ..workloads.traces import Operation
 
 
 class MigrationInvariantError(RuntimeError):
     """The migrated placements do not reproduce the checkpoint snapshot."""
+
+
+def _live_keys(tree: LSMTree) -> np.ndarray:
+    """All live keys of ``tree`` (memtable + runs), tombstones resolved.
+
+    Versions are consolidated newest first exactly like a full compaction
+    (via :func:`~repro.storage.run.consolidate_versions`): a tombstone in a
+    recent run *shadows* older live versions of its key in deeper runs, so
+    deleted keys are not resurrected by the rebuild.  ``levels`` runs shallow
+    to deep with each level's runs most recent first, the recency order
+    consolidation expects; run contents are read through ``entries()``,
+    which a run answers wherever its store keeps it.
+    """
+    parts = [tree.memtable.sorted_items()]
+    parts += [run.entries() for runs in tree.levels for run in runs]
+    keys, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
+    return keys.copy()
 
 
 @dataclass(frozen=True)
@@ -90,20 +107,13 @@ class MigrationPlan(BufferFirstReads):
         A freshly constructed, empty tree under the new tuning, sharing the
         source's virtual disk so every step's I/O lands on the measured
         stream.
-    checkpoint_keys:
-        The consolidated live keys of the source at planning time (sorted,
-        unique, tombstones resolved).
     max_step_pages:
         Upper bound on the pages written per step; ``None`` migrates one
         whole run per step (a level-by-level migration in the classic sense).
     """
 
     def __init__(
-        self,
-        source: LSMTree,
-        target: LSMTree,
-        checkpoint_keys: np.ndarray,
-        max_step_pages: int | None = None,
+        self, source: LSMTree, target: LSMTree, max_step_pages: int | None = None
     ) -> None:
         if source.disk is not target.disk:
             raise ValueError("source and target must share one virtual disk")
@@ -111,7 +121,8 @@ class MigrationPlan(BufferFirstReads):
             raise ValueError("max_step_pages must be positive")
         self.source = source
         self.target = target
-        self.checkpoint_keys = np.asarray(checkpoint_keys, dtype=np.int64)
+        #: The source's live keys at planning time (sorted, unique).
+        self.checkpoint_keys = _live_keys(source)
         bulk_plan = target.plan_bulk_load(self.checkpoint_keys)
         self._placements = bulk_plan.placements
         self._leftover = bulk_plan.leftover
@@ -318,14 +329,6 @@ class MigrationPlan(BufferFirstReads):
     # ------------------------------------------------------------------
     # Mixed-state serving
     # ------------------------------------------------------------------
-    def apply(self, operation: Operation) -> None:
-        """Execute one trace operation against the mixed old/new state.
-
-        Routed through the same dispatch the live tree uses, so the mixed
-        state handles exactly the operation kinds the plain path handles.
-        """
-        execute_operation(self, operation)
-
     def put(self, key: int) -> None:
         """Insert or update ``key``; lands in the surviving (target) tree."""
         self._dirty_keys.add(int(key))

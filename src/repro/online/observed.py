@@ -26,22 +26,15 @@ class ObservedWorkload:
         accumulated counts by ``1 - 1/window``, so the total decayed weight
         converges to ``window`` and an operation ``window`` steps in the past
         contributes ``~1/e`` of a fresh one.
-    smoothing:
-        Optional floor applied to every component of the reported workload
-        (mirroring :meth:`~repro.workloads.workload.Workload.smoothed`).  A
-        small positive floor keeps KL divergences finite when a query type
-        momentarily disappears from the stream; ``0`` reports the raw
-        empirical mix, where zero-weight components are legal and handled by
-        the divergence machinery.
+
+    The estimate is the raw empirical mix: a query type absent from the
+    window has weight zero, which the divergence machinery handles exactly.
     """
 
-    def __init__(self, window: int = 2_000, smoothing: float = 0.0) -> None:
+    def __init__(self, window: int) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        if not 0.0 <= smoothing < 0.25:
-            raise ValueError("smoothing must lie in [0, 0.25)")
         self.window = int(window)
-        self.smoothing = float(smoothing)
         self.decay = 1.0 - 1.0 / self.window
         self._counts = [0.0, 0.0, 0.0, 0.0]
         self._weight = 0.0
@@ -119,7 +112,4 @@ class ObservedWorkload:
         """The current empirical workload, or ``None`` before any operation."""
         if self._weight <= 0.0:
             return None
-        estimate = Workload.from_counts(self._counts)
-        if self.smoothing > 0.0:
-            estimate = estimate.smoothed(self.smoothing)
-        return estimate
+        return Workload.from_counts(self._counts)

@@ -729,17 +729,6 @@ class LSMTree(BufferFirstReads):
             self.disk.read_pages(int(pages.sum()))
 
     # ------------------------------------------------------------------
-    # Trace operations
-    # ------------------------------------------------------------------
-    def apply(self, operation: Operation) -> None:
-        """Execute one concrete trace operation against the tree.
-
-        Dispatches through :func:`execute_operation`, as the online
-        controller and the mixed migration state do.
-        """
-        execute_operation(self, operation)
-
-    # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
     def bulk_load(self, keys: np.ndarray) -> None:

@@ -193,19 +193,6 @@ class Workload:
             fraction = 0.0
         return Workload.from_array(blended, long_range_fraction=fraction)
 
-    def smoothed(self, floor: float = 0.01) -> "Workload":
-        """Return a copy where every component is at least ``floor``.
-
-        The uncertainty benchmark guarantees at least 1% of every query type
-        so that KL divergences stay finite; this mirrors that procedure.
-        """
-        if not 0.0 <= floor < 0.25:
-            raise ValueError("floor must lie in [0, 0.25)")
-        arr = np.maximum(self.as_array(), floor)
-        return Workload.from_array(
-            arr / arr.sum(), long_range_fraction=self.long_range_fraction
-        )
-
     def distance_to(self, other: "Workload") -> float:
         """KL divergence ``I_KL(self, other)`` from this workload to ``other``."""
         return kl_divergence(self.as_array(), other.as_array())

@@ -30,26 +30,38 @@ def _admission(mode="fixed", step_ops=256, **knobs) -> StepAdmission:
     )
 
 
+def _admits(admission, position, plan_started, last_step, backlog) -> bool:
+    """Whether a step is admitted at ``position``, checked after each
+    operation: the per-position predicate ``ops_until_step`` solves."""
+    config = admission.config
+    if config.admission == "fixed":
+        return (position - plan_started) % config.migration_step_ops == 0
+    since = position - last_step
+    if since >= config.admission_starvation_ops:
+        return True
+    return since >= config.migration_step_ops and backlog <= config.admission_max_backlog
+
+
 class TestStepAdmissionPolicy:
     def test_fixed_reproduces_the_historical_cadence(self):
         admission = _admission(step_ops=64)
         for position in range(1, 400):
-            assert admission.should_step(position, 7, 0, backlog=10**6) == (
-                (position - 7) % 64 == 0
+            assert admission.ops_until_step(position, 7, 0, backlog=10**6) == (
+                64 - (position - 7) % 64
             )
 
     def test_queue_depth_defers_while_the_backlog_is_deep(self):
         admission = _admission(
             "queue-depth", 10, admission_max_backlog=5, admission_starvation_ops=100
         )
-        # Due by cadence but the queue is deep: deferred.
-        assert not admission.should_step(50, 0, 30, backlog=500)
-        # Queue drained: admitted.
-        assert admission.should_step(50, 0, 30, backlog=5)
+        # Due by cadence but the queue is deep: deferred until it drains.
+        assert admission.ops_until_step(49, 0, 30, backlog=500) == 81
+        # Queue drained: admitted at the next operation.
+        assert admission.ops_until_step(49, 0, 30, backlog=6) == 1
         # Not yet due by cadence even when idle.
-        assert not admission.should_step(35, 0, 30, backlog=0)
+        assert admission.ops_until_step(34, 0, 30, backlog=0) == 6
         # Starvation bound overrides any backlog.
-        assert admission.should_step(130, 0, 30, backlog=10**9)
+        assert admission.ops_until_step(129, 0, 30, backlog=10**9) == 1
 
     def test_idle_steps_only_under_queue_depth(self):
         assert _admission(admission_idle_steps=8).idle_steps == 0
@@ -105,12 +117,10 @@ class TestStepAdmissionPolicy:
         k = admission.ops_until_step(position, plan_started, last_step, backlog)
         assert k >= 1
         for j in range(1, k):
-            assert not admission.should_step(
-                position + j, plan_started, last_step, max(0, backlog - j)
+            assert not _admits(
+                admission, position + j, plan_started, last_step, max(0, backlog - j)
             )
-        assert admission.should_step(
-            position + k, plan_started, last_step, max(0, backlog - k)
-        )
+        assert _admits(admission, position + k, plan_started, last_step, max(0, backlog - k))
 
 
 class TestOnlineConfigWiring:
@@ -163,7 +173,7 @@ def _mid_flight_controller(**admission_kwargs):
     trace = TraceGenerator(_KEY_SPACE, seed=9)
     for operation in trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 2_000):
         controller.apply(operation)
-        if controller.migration_in_progress:
+        if controller.migration_plan is not None:
             return controller
     raise AssertionError("no migration started")
 

@@ -69,7 +69,7 @@ class TestControllerExecution:
         operations = trace.operations(Workload.uniform(), 400)
         controller.execute(operations)
         assert controller.position == 400
-        estimate = controller.observed_workload().as_array()
+        estimate = controller.estimator.workload().as_array()
         assert np.allclose(estimate, 0.25, atol=0.15)
 
     def test_quiet_stream_never_retunes(self, tiny_system, key_space):
@@ -256,7 +256,7 @@ class TestIncrementalMigration:
         assert event.migration_steps > 1
         assert event.migration_read_pages > 0
         assert event.migration_write_pages > 0
-        assert not controller.migration_in_progress
+        assert controller.migration_plan is None
         assert controller.tuning != initial_tuning
 
     def test_plan_advances_with_the_stream_not_at_the_firing(
@@ -278,15 +278,15 @@ class TestIncrementalMigration:
         operations = trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 600)
         for operation in operations:
             controller.apply(operation)
-            if controller.migration_in_progress:
+            if controller.migration_plan is not None:
                 break
-        assert controller.migration_in_progress
+        assert controller.migration_plan is not None
         event = controller.events[-1]
         charged = controller.disk.counters.compaction_reads
         assert 0 < charged < event.migration_read_pages
         # Draining the plan charges exactly the planned remainder.
         controller.finish_migration()
-        assert not controller.migration_in_progress
+        assert controller.migration_plan is None
         counters = controller.disk.counters
         assert counters.compaction_reads == event.migration_read_pages
         assert counters.compaction_writes == event.migration_write_pages
@@ -306,7 +306,7 @@ class TestIncrementalMigration:
         controller = _controller(tiny_system, key_space, config, expected)
         trace = TraceGenerator(key_space, seed=9)
         controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_000))
-        assert controller.migration_in_progress
+        assert controller.migration_plan is not None
         # Even with no cooldown, the in-flight plan blocks further firings.
         assert controller.num_migrations == 1
 

@@ -13,14 +13,16 @@ import math
 import pytest
 
 from repro.core import UncertaintyRegion
-from repro.online import DriftDetector, ObservedWorkload
+from repro.online import DriftDetector, ObservedWorkload, OnlineConfig
+from repro.online.drift import TRAJECTORY_WINDOW
 from repro.workloads import Operation, OperationType, Workload
 
 
-def _detector(expected: Workload, rho: float = 0.5, **kwargs) -> DriftDetector:
-    defaults = {"min_observations": 0, "cooldown": 1_000, "confirm_checks": 1}
-    defaults.update(kwargs)
-    return DriftDetector(UncertaintyRegion(expected=expected, rho=rho), **defaults)
+def _detector(expected: Workload, rho: float = 0.5, **knobs) -> DriftDetector:
+    """A detector reading a config with these knobs (no warm-up, one check)."""
+    config = OnlineConfig(**{"min_observations": 0, "cooldown": 1_000, "confirm_checks": 1,
+                             **knobs})
+    return DriftDetector(UncertaintyRegion(expected=expected, rho=rho), config)
 
 
 class TestBasicDetection:
@@ -212,15 +214,15 @@ class TestVolatility:
         assert math.isfinite(detector.volatility())
 
     def test_trajectory_window_bounds_the_memory(self):
-        detector = _detector(Workload.uniform(), rho=10.0, trajectory_window=4)
+        detector = _detector(Workload.uniform(), rho=10.0)
         drifted = Workload(0.85, 0.05, 0.05, 0.05)
         steady = Workload(0.3, 0.3, 0.2, 0.2)
         for position in range(1, 10):
             detector.check(drifted, position=position)
         # The old (large) divergences roll out of the window...
-        for position in range(10, 20):
+        for position in range(10, 11 + TRAJECTORY_WINDOW):
             detector.check(steady, position=position)
-        assert len(detector.trajectory) == 4
+        assert len(detector.trajectory) == TRAJECTORY_WINDOW
         assert detector.volatility() == pytest.approx(0.0, abs=1e-12)
 
     def test_recenter_preserves_the_trajectory_and_widens_the_radius(self):
@@ -238,14 +240,23 @@ class TestVolatility:
 
 
 class TestValidation:
+    """The detector's knobs are bounded where they are declared, on the config."""
+
     def test_rejects_negative_cooldown(self):
         with pytest.raises(ValueError):
-            _detector(Workload.uniform(), cooldown=-1)
+            OnlineConfig(cooldown=-1)
 
     def test_rejects_non_positive_confirm_checks(self):
         with pytest.raises(ValueError):
-            _detector(Workload.uniform(), confirm_checks=0)
+            OnlineConfig(confirm_checks=0)
 
-    def test_rejects_degenerate_trajectory_window(self):
-        with pytest.raises(ValueError):
-            _detector(Workload.uniform(), trajectory_window=1)
+    def test_the_detector_reads_its_config(self):
+        config = OnlineConfig(min_observations=7, cooldown=11, confirm_checks=2)
+        detector = DriftDetector(UncertaintyRegion(Workload.uniform(), 0.1), config)
+        drifted = Workload(0.85, 0.05, 0.05, 0.05)
+        assert detector.check(drifted, position=1, observations=6).reason == "warmup"
+        assert detector.check(drifted, position=2, observations=7).reason == "confirming"
+        assert detector.check(drifted, position=3, observations=8).fired
+        assert detector.check(drifted, position=13, observations=18).reason == "confirming"
+        assert detector.check(drifted, position=13, observations=18).reason == "cooldown"
+        assert detector.check(drifted, position=14, observations=19).fired

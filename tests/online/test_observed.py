@@ -23,10 +23,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ObservedWorkload(window=0)
 
-    def test_rejects_out_of_range_smoothing(self):
-        with pytest.raises(ValueError):
-            ObservedWorkload(window=100, smoothing=0.3)
-
     def test_empty_estimator_has_no_workload(self):
         estimator = ObservedWorkload(window=100)
         assert estimator.workload() is None
@@ -118,16 +114,3 @@ class TestWindowing:
         estimate = estimator.workload()
         assert 0.4 < estimate.w < 0.6
         assert 0.4 < estimate.z1 < 0.6
-
-
-class TestSmoothing:
-    def test_smoothing_floors_zero_components(self):
-        estimator = ObservedWorkload(window=100, smoothing=0.01)
-        estimator.record_batch(_ops(OperationType.PUT, 100))
-        estimate = estimator.workload()
-        # Flooring renormalises, so each floored component sits just below
-        # the floor — but strictly above zero, keeping KL divergences finite.
-        assert estimate.z0 == pytest.approx(0.01, rel=0.05)
-        assert estimate.z1 == pytest.approx(0.01, rel=0.05)
-        assert estimate.q == pytest.approx(0.01, rel=0.05)
-        assert estimate.w == pytest.approx(0.97, abs=0.01)

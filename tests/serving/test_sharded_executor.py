@@ -78,7 +78,7 @@ class TestSingleShardBitIdentity:
         for session in sequence:
             for workload in session.workloads:
                 for op in trace.operations(workload, 250):
-                    tree.apply(op)
+                    execute_operation(tree, op)
         assert one.shards[0].fingerprint == tree_fingerprint(tree)
         assert one.shards[0].stats == tree.stats()
 

@@ -103,7 +103,7 @@ class TestMidRunDisposal:
 
         def poisoned(self, operations, max_batch_ops):
             original(self, operations, max_batch_ops)
-            if self.migration_in_progress:
+            if self.migration_plan is not None:
                 saw_plan.append(True)
                 raise RuntimeError("crashed while migrating")
 

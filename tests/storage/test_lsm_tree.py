@@ -574,7 +574,7 @@ class TestRangeCharge:
                 if kind == "mid-migration":
                     source = LSMTree(LSMTuning(6.0, 6.0, Policy.LEVELING), system, tree.disk)
                     _install(source, source_levels, {})
-                    engine = MigrationPlan(source, tree, np.empty(0, dtype=np.int64))
+                    engine = MigrationPlan(source, tree)
                     trees.append(source)
                     assert not engine.completed
                 want = sum(

@@ -320,7 +320,7 @@ class TestCrashRecovery:
         def migrate(store, installs, stop_at=None):
             """Two installs, the mixed state's writes, then the rest."""
             target = LSMTree(new_tuning, _SYSTEM, disk=disk, seed=17, store=store)
-            plan = MigrationPlan(source, target, checkpoint)
+            plan = MigrationPlan(source, target)
 
             def install(count):
                 while count:
@@ -367,7 +367,7 @@ class TestCrashRecovery:
             self._TUNING, _SYSTEM, disk=disk, seed=17,
             store=FileStore(tmp_path / "target"),
         )
-        plan = MigrationPlan(source, target, checkpoint)
+        plan = MigrationPlan(source, target)
         # No checkpoint of this size leaves keys over by itself (the plan
         # deepens the tree until everything fits), so take three out of the
         # last placement by hand.

@@ -99,6 +99,16 @@ class TestFractionValidation:
         default = SystemConfig().long_range_selectivity
         assert f"built-in {default:g})" in " ".join(capsys.readouterr().out.split())
 
+    def test_tune_help_names_every_policy_of_all(self, capsys):
+        """``--policy all`` is every policy, not the classic pair plus one."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--help"])
+        assert excinfo.value.code == 0
+        assert (
+            "'all' = leveling, tiering, lazy-leveling, 1-leveling, fluid)"
+            in " ".join(capsys.readouterr().out.split())
+        )
+
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "two"])
     def test_tune_rejects_bad_long_range_fraction(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:

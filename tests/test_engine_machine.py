@@ -17,12 +17,16 @@ Keys cover the whole ``int64`` range, both ends of it always loaded, with a
 dense band where updates, deletes, misses and ranges collide.  Rules write,
 read, replay short mixed traces, write bursts deep enough to cascade into the
 deepest level, kill and reopen the file tree, and migrate every engine to a
-drawn tuning one step at a time.  After every rule each answer, and each
-engine's contents read without I/O, have matched the oracle; the memory, file
-and batched engines have equal disk counters, shapes and fingerprints (source
-and target apart mid-migration); a one-shard fleet equals the memory tree; a
-shard's part of a trace is what ``shard_of_key`` routes to it; and every
-engine holds at least one entry per live key and at most one per write.
+drawn tuning one step at a time; mid-migration, one rule overwrites a key a
+placement not yet installed holds, flushes the newer version out of the
+target's buffer and steps the plan until that placement is installed, after
+which the target must hold the newer version only.  After every rule each
+answer, and each engine's contents read without I/O, have matched the
+oracle; the memory, file and batched engines have equal disk counters,
+shapes and fingerprints (source and target apart mid-migration); a one-shard
+fleet equals the memory tree; a shard's part of a trace is what
+``shard_of_key`` routes to it; and every engine holds at least one entry per
+live key and at most one per write.
 Teardown leaves no file and no open descriptor behind.  The sequences the
 machine failed on, as it shrank them, stay below it as plain tests.
 """
@@ -96,6 +100,13 @@ def _live_keys(engine) -> np.ndarray:
         parts += [run.entries() for runs in tree.levels for run in runs]
     keys, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
     return keys.copy()
+
+
+def _versions(tree: LSMTree) -> np.ndarray:
+    """Every key version a tree holds, buffered or in a run, one per copy."""
+    return np.concatenate(
+        [tree.memtable.sorted_items()[0]] + [run.keys for runs in tree.levels for run in runs]
+    )
 
 
 def _descriptors_under(directory: Path) -> list[str]:
@@ -207,24 +218,41 @@ class EngineMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
-    @rule(key=_KEY)
-    def put(self, key):
-        key = self._key(key)
+    def _put(self, key: int) -> None:
         memory, files, _ = self._singles()
         for engine in (memory, files, self._owner(key)):
             engine.put(key)
         self._feed_twin(Trace.of([Operation(OperationType.PUT, key)]))
         self._wrote([key])
 
-    @rule(keys=st.lists(_KNOWN, min_size=1, max_size=8))
-    def delete(self, keys):
-        """Used keys; the twin's one scalar call, as a trace has no delete kind."""
-        keys = [self._key(key) for key in keys]
+    def _delete(self, keys: list[int]) -> None:
         memory, files, batched = self._singles()
         for key in keys:
             for engine in (memory, files, batched, self._owner(key)):
                 engine.delete(key)
         self._wrote(keys, delete=True)
+
+    def _burst(self, keys: list[int]) -> None:
+        memory, files, _ = self._singles()
+        for key in keys:
+            memory.put(key)
+            files.put(key)
+        self._replay(Trace.of(Operation(OperationType.PUT, key) for key in keys))
+        self._wrote(keys)
+
+    def _fresh(self, rng, count: int, exclude: int | None = None) -> list[int]:
+        """Up to ``count`` band keys that are not live (nor ``exclude``)."""
+        drawn = (self.base + rng.integers(0, _BAND, size=count)).tolist()
+        return [key for key in drawn if key not in self.live and key != exclude]
+
+    @rule(key=_KEY)
+    def put(self, key):
+        self._put(self._key(key))
+
+    @rule(keys=st.lists(_KNOWN, min_size=1, max_size=8))
+    def delete(self, keys):
+        """Used keys; the twin's one scalar call, as a trace has no delete kind."""
+        self._delete([self._key(key) for key in keys])
 
     @rule(key=_KEY)
     def get(self, key):
@@ -281,14 +309,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(count=st.integers(20, 200), seed=st.integers(0, 2**32 - 1))
     def write_burst(self, count, seed):
         """Fresh puts in the band, enough to cascade into the deepest level."""
-        offsets = np.random.default_rng(seed).integers(0, _BAND, size=count)
-        keys = [key for key in (self.base + offsets).tolist() if key not in self.live]
-        memory, files, _ = self._singles()
-        for key in keys:
-            memory.put(key)
-            files.put(key)
-        self._replay(Trace.of(Operation(OperationType.PUT, key) for key in keys))
-        self._wrote(keys)
+        self._burst(self._fresh(np.random.default_rng(seed), count))
 
     @precondition(lambda self: not self._migrating())
     @rule()
@@ -312,7 +333,6 @@ class EngineMachine(RuleBasedStateMachine):
                 MigrationPlan(
                     tree,
                     tree.successor(tuning, seed=tree._seed + 1),
-                    _live_keys(tree),
                     max_step_pages=max_step_pages,
                 )
                 for tree in shards
@@ -326,6 +346,43 @@ class EngineMachine(RuleBasedStateMachine):
                 if isinstance(plan, MigrationPlan):
                     plan.run_next_step()
         self._retire_finished_plans()
+
+    @precondition(lambda self: self._pending_keys().size > 0)
+    @rule(rank=st.integers(0, 2**16), delete=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def overwrite_a_pending_placement(self, rank, delete, seed):
+        """Write a key whose checkpoint copy a placement not yet installed
+        holds, put fresh keys until the target flushes so the newer version
+        sinks out of its buffer, then step the plan until that placement is
+        installed.  The copy is stale: the target must hold the newer version
+        only, and a copy installed above it would also shadow it."""
+        plan = self.engines["memory"][0]
+        pending = self._pending_keys()
+        key = int(pending[rank % pending.size])
+        if delete:
+            self._delete([key])
+        else:
+            self._put(key)
+        rng = np.random.default_rng(seed)
+        while plan.target.memtable.get(key)[0]:
+            self._burst(self._fresh(rng, plan.target.buffer_entries, exclude=key))
+        placement = next(
+            index
+            for index, (_, piece) in enumerate(plan._placements)
+            if key in piece.tolist()
+        )
+        while plan._installed_runs <= placement and not plan.completed:
+            self.step()
+        assert np.count_nonzero(_versions(plan.target) == key) == 1
+
+    def _pending_keys(self) -> np.ndarray:
+        """Checkpoint keys of the memory plan's placements not yet installed
+        that the mixed state has not written since it began."""
+        plan = self.engines["memory"][0]
+        if not isinstance(plan, MigrationPlan):
+            return np.empty(0, dtype=np.int64)
+        pending = [piece for _, piece in plan._placements[plan._installed_runs :]]
+        keys = np.concatenate(pending) if pending else np.empty(0, dtype=np.int64)
+        return keys[~np.isin(keys, _versions(plan.target))]
 
     @precondition(lambda self: self._migrating())
     @rule()

@@ -58,19 +58,12 @@ def _loaded_tree(tuning: LSMTuning, seed: int = 5) -> LSMTree:
     return tree
 
 
-def _checkpoint(tree: LSMTree) -> np.ndarray:
-    return np.sort(
-        np.concatenate(
-            [run.keys for runs in tree.levels for run in runs]
-            + [np.asarray(sorted(k for k in tree.memtable._entries), dtype=np.int64)]
-        )
-    )
-
-
 def _plan(source: LSMTree, target_tuning: LSMTuning, max_step_pages, seed=33):
+    """A plan from a :func:`_loaded_tree`, whose checkpoint is every loaded key."""
     target = LSMTree(target_tuning, _SYSTEM, disk=source.disk, seed=seed)
-    checkpoint = _checkpoint(source)
-    return MigrationPlan(source, target, checkpoint, max_step_pages=max_step_pages), checkpoint
+    plan = MigrationPlan(source, target, max_step_pages=max_step_pages)
+    assert np.array_equal(plan.checkpoint_keys, _KEYS)
+    return plan, _KEYS
 
 
 class TestIOParity:
@@ -294,12 +287,16 @@ class TestInterruptibility:
         """A tree whose live key set was deleted away migrates through a
         single read-only step: the source's resident (tombstone) pages are
         charged, and finalisation releases the tombstone hold."""
-        source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
+        # Tiering stacks the tombstones beside the keys they delete, so the
+        # source still holds resident pages once nothing in it is live.
+        source = _loaded_tree(LSMTuning(6.0, 6.0, Policy.TIERING))
+        for key in _KEYS.tolist():
+            source.delete(key)
+        assert source.resident_pages > 0
         target_tuning = LSMTuning(4.0, 6.0, Policy.TIERING)
         target = LSMTree(target_tuning, _SYSTEM, disk=source.disk, seed=33)
-        plan = MigrationPlan(
-            source, target, np.empty(0, dtype=np.int64), max_step_pages=8
-        )
+        plan = MigrationPlan(source, target, max_step_pages=8)
+        assert plan.checkpoint_keys.size == 0
         assert plan.num_steps == 1
         assert not plan.completed
         assert plan.total_read_pages == source.resident_pages

@@ -2,7 +2,8 @@
 back, or per definition that must stay counted.
 
 A row's text is every file its globs match (``scope``: only the named
-functions and classes in them, found with ``ast``), and its pattern is
+functions and classes in them, found with ``ast``; ``Class.method`` names a
+method of one class), and its pattern is
 searched in each file with ``re.M``: ``^`` and ``$`` anchor lines, and ``\\A``
 matches once per file, which is how a file count is a row.  ``bound`` is
 ``None`` (no match), ``"== n"`` or ``"<= n"`` matches.  Every row is checked
@@ -38,6 +39,8 @@ BLOOM = "src/repro/storage/bloom_filter.py"
 IMPORTED = "<sys.modules after import repro.cli>"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 DRAIN = ("drain_get_span", "drain_range_span", "execute_operations_batched")
+# A name in a signature: first on its line, or after ``(`` or ``,``.
+PARAMETER = r"(^\s*|[(,]\s*)"
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,18 @@ RULES = (
              f"    def {entry}(self, tuning, sequence):", "== 1")
         for entry in ("run_sequence", "run_sequence_adaptive", "compare")
     ),
+    Rule("no-should-step", SRC, r"\bshould_step\b", 37,
+         "    def should_step(self, position, plan_started, last_step, backlog):"),
+    Rule("plan-derives-checkpoint", "src/repro/online/migration.py",
+         rf"{PARAMETER}checkpoint_keys\b", 37, "        checkpoint_keys: np.ndarray,",
+         scope=("MigrationPlan.__init__",)),
+    Rule("detector-reads-config", "src/repro/online/drift.py",
+         rf"{PARAMETER}(min_observations|cooldown|confirm_checks|trajectory_window)\b", 37,
+         "        cooldown: int = 4_096,", scope=("DriftDetector.__init__",)),
+    Rule("no-estimator-smoothing", SRC, r"\bsmooth(ing|ed)\b", 37,
+         "    def __init__(self, window: int = 2_000, smoothing: float = 0.0) -> None:"),
+    Rule("no-apply-wrapper", f"{LSM_TREE} src/repro/online/migration.py", r"def apply\b", 37,
+         "    def apply(self, operation: Operation) -> None:"),
 )
 
 
@@ -170,14 +185,25 @@ def read(rule: Rule) -> tuple[str, ...]:
     found = {}
     for path in files:
         lines = path.read_text().splitlines(keepends=True)
-        for node in ast.walk(ast.parse("".join(lines))):
-            if isinstance(node, DEFINITIONS) and node.name in rule.scope:
+        for name, node in definitions(ast.parse("".join(lines))):
+            key = name if name in rule.scope else node.name
+            if key in rule.scope:
                 start = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 text = "".join(lines[start - 1 : node.end_lineno])
-                found[node.name] = found.get(node.name, "") + text
+                found[key] = found.get(key, "") + text
     missing = sorted(set(rule.scope) - found.keys())
     assert not missing, f"{rule.paths} defines no {missing}"
     return tuple(found[name] for name in rule.scope)
+
+
+def definitions(node: ast.AST, prefix: str = ""):
+    """Every function and class under ``node``, with its dotted name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            yield prefix + child.name, child
+            yield from definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from definitions(child, prefix)
 
 
 def matches(rule: Rule, texts: tuple[str, ...]) -> list[str]:

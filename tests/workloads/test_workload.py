@@ -87,18 +87,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             Workload.uniform().mix(Workload.uniform(), 1.5)
 
-    def test_smoothed_enforces_floor(self):
-        w = Workload(0.98, 0.02, 0.0, 0.0).smoothed(floor=0.01)
-        assert min(w.as_tuple()) >= 0.009  # floor minus renormalisation slack
-
-    def test_smoothed_still_sums_to_one(self):
-        w = Workload(1.0, 0.0, 0.0, 0.0).smoothed(floor=0.01)
-        assert sum(w.as_tuple()) == pytest.approx(1.0)
-
-    def test_smoothed_rejects_large_floor(self):
-        with pytest.raises(ValueError):
-            Workload.uniform().smoothed(floor=0.3)
-
     def test_average_workload(self):
         a = Workload(0.6, 0.2, 0.1, 0.1)
         b = Workload(0.2, 0.2, 0.3, 0.3)
@@ -199,10 +187,6 @@ class TestLongRangeFraction:
         light = Workload(0.3, 0.3, 0.2, 0.2, long_range_fraction=0.0)
         averaged = average_workload([heavy, light])
         assert averaged.long_range_fraction == pytest.approx(0.5 * 0.6 / 0.8)
-
-    def test_smoothed_preserves_the_fraction(self):
-        w = Workload(0.0, 0.2, 0.4, 0.4, long_range_fraction=0.3).smoothed(0.01)
-        assert w.long_range_fraction == 0.3
 
     def test_describe_mentions_long_ranges_only_when_present(self):
         assert "long-range" not in Workload(0.25, 0.25, 0.25, 0.25).describe()

@@ -34,7 +34,9 @@ measure I/O counts and their derived latency, never value contents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -44,7 +46,14 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.traces import Operation, OperationType, Trace
 from .disk import VirtualDisk
 from .memtable import Memtable
-from .run import MemoryStore, RunIndex, consolidate_versions, locate_many, unique_sorted
+from .run import (
+    NO_KEYS,
+    MemoryStore,
+    RunIndex,
+    consolidate_versions,
+    locate_many,
+    unique_sorted,
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,9 @@ def execute_operation(engine, operation: Operation) -> None:
 SCALAR_SPAN_CUTOFF = 14
 
 
-def drain_get_span(engine, span_keys: list[int]) -> None:
-    """Probe the engine's runs for the pending GET keys and empty the list.
+def drain_get_span(engine, span_keys: list[int], queued: np.ndarray = NO_KEYS) -> None:
+    """Probe the engine's runs for the pending GET keys: ``queued``, the
+    ``int64`` misses of wide windows, then ``span_keys``.
 
     The buffer is *not* consulted again: it answered, or did not, at each
     GET's stream position, and a key put since would wrongly skip the run
@@ -100,15 +110,17 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     a wall-clock choice.  The walk gets the keys in ascending order: a probe's
     pages depend on its key alone and the answers are discarded, so the order
     is free, and every run's ``searchsorted`` runs ~3x faster on sorted probes.
+    The caller empties its queue.
     """
-    if len(span_keys) < SCALAR_SPAN_CUTOFF:
-        for key in span_keys:
+    if queued.size + len(span_keys) < SCALAR_SPAN_CUTOFF:
+        for key in queued.tolist() + span_keys if queued.size else span_keys:
             engine.probe_runs(key)
     else:
         keys = np.array(span_keys, dtype=np.int64)
+        if queued.size:
+            keys = np.concatenate((queued, keys))
         keys.sort()
         engine.probe_runs_many(keys)
-    span_keys.clear()
 
 
 #: Fewer pending ranges than this are charged one range at a time, for the
@@ -126,16 +138,17 @@ RANGE_SPAN_CUTOFF = 6
 
 #: No key lies past it, so a range that ends beyond is cut here when queued.
 _MAX_KEY = 2**63 - 1
+#: Kind codes of a trace row; both point-read codes sort below ``_RANGE``.
+_RANGE, _PUT = OperationType.RANGE.value, OperationType.PUT.value
 
 
 def drain_range_span(engine, ranges: list[tuple[int, int]]) -> None:
-    """Charge the engine's runs for the pending ``(start, end)`` ranges and
-    empty the list.
+    """Charge the engine's runs for the pending ``(start, end)`` ranges.
 
     A replayed range's answer is read by nobody, so only its pages are
     charged: the runs' share of a scan depends on the interval and the runs
     alone, and the buffer's share costs no I/O.  Either path charges the same
-    pages.
+    pages.  The caller empties its list.
     """
     if len(ranges) < RANGE_SPAN_CUTOFF:
         for start_key, end_key in ranges:
@@ -143,7 +156,80 @@ def drain_range_span(engine, ranges: list[tuple[int, int]]) -> None:
     else:
         starts, ends = zip(*ranges)
         engine.charge_ranges(np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
-    ranges.clear()
+
+
+#: A flush-free window of at least this many trace rows is classified with
+#: array operations (:func:`classify_window`); a narrower one runs the per-row
+#: body.  Not a knob: the two paths are bit-identical, so it is purely a
+#: wall-clock choice.  Bench calls at seed 11 (process time, median of 9,
+#: 2-vCPU VM) are flat anywhere in 64-1 024: ``point_read`` 117-122 ms against
+#: 157 ms with no window wide, ``online_drift`` and ``sharded_serving``
+#: within their noise.  Write-dense traces have no window this wide.
+WIDE_WINDOW_OPS = 256
+
+
+def classify_window(engine, trace: Trace, start: int, end: int):
+    """Execute the flush-free window ``trace[start:end]`` with array operations.
+
+    No put of the window can flush, so the buffer a GET meets at its row is
+    the buffer at the window's start plus the keys the window put at earlier
+    rows: a GET is buffered iff :meth:`Memtable.lookup_many` finds its key
+    (tombstones included), or a stable sort of the window's put keys shows
+    that key's first put at an earlier row.  The puts then run in stream
+    order through ``engine.put``.  Returns the window's run side: the
+    unbuffered GET keys, and every RANGE's ``(starts, ends)`` columns with
+    the end cut at the largest key, all in stream order.
+    """
+    kinds, keys = trace.kinds[start:end], trace.keys[start:end]
+    get_rows = np.flatnonzero(kinds < _RANGE)
+    get_keys = keys[get_rows]
+    buffered = engine.memtable.lookup_many(get_keys)[0]
+    put_rows = np.flatnonzero(kinds == _PUT)
+    put_keys = keys[put_rows]
+    if put_keys.size and get_keys.size:
+        order = np.argsort(put_keys, kind="stable")
+        ordered = put_keys[order]
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        ordered, first_rows = ordered[first], put_rows[order[first]]
+        at = np.minimum(np.searchsorted(ordered, get_keys), ordered.size - 1)
+        buffered |= (ordered[at] == get_keys) & (first_rows[at] < get_rows)
+    scans = np.flatnonzero(kinds == _RANGE)
+    starts = keys[scans]
+    lengths = trace.scan_lengths[start:end][scans].astype(np.int64)
+    ends = np.minimum(starts, _MAX_KEY - lengths) + lengths  # no int64 overflow
+    for key in put_keys.tolist():
+        engine.put(key)
+    return get_keys[~buffered], starts, ends
+
+
+def _rows_from(trace: Trace, start: int, rows, at: int):
+    """The per-row body's iterator over plain-int rows, moved from row ``at``
+    to row ``start``.
+
+    The rows from ``start`` to the trace's end are made at the first narrow
+    window, so a trace whose windows are all wide makes none.  A later narrow
+    window skips the rows the wide ones took, unless the skip is longer than
+    the rest of the trace: then the rest is made anew, which costs less.
+    """
+    if rows is None or start - at > len(trace) - start:
+        kinds, keys, lengths = trace.kinds[start:], trace.keys[start:], trace.scan_lengths[start:]
+        return zip(kinds.tolist(), keys.tolist(), lengths.tolist())
+    if start > at:
+        next(islice(rows, start - at, start - at), None)
+    return rows
+
+
+def _drain(engine, pending: list[int], queued: np.ndarray, ranges: list, cap: int):
+    """Issue the run side of every pending read and empty ``pending`` and
+    ``ranges``; returns the loop's emptied ``(queued, limit)``."""
+    if pending or queued.size:
+        drain_get_span(engine, pending, queued)
+        pending.clear()
+    if ranges:
+        drain_range_span(engine, ranges)
+        ranges.clear()
+    return NO_KEYS, cap
 
 
 def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
@@ -152,7 +238,7 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
     The one loop that walks a trace.  Every PUT executes at its stream
     position, and so does the buffer's half of every GET: a buffered version,
     live or tombstone, answers with no I/O.  The *run side* — the unanswered
-    GET keys, and every RANGE's ``(start, end)`` — joins two pending lists
+    GET keys, and every RANGE's ``(start, end)`` — joins two pending queues
     (each capped at ``max_batch_ops``) that are issued when the run set is
     about to change: before a put that may fill the buffer, and when the
     trace ends.  Between two flushes the runs are immutable and a read's page
@@ -164,49 +250,99 @@ def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096)
     the trace row by row through :func:`execute_operation`; a range is
     charged its pages and answered by nobody, there as here.
 
+    The trace is walked in flush-free *windows*: the rows before the next put
+    that may flush, as ``write_room()`` bounds them.  A window of at least
+    :data:`WIDE_WINDOW_OPS` rows — a read-dense stretch — is classified in
+    one array pass (:func:`classify_window`), and its misses queue as one
+    ``int64`` array; a narrower one runs the per-row body below, so a
+    write-dense trace never enters the array path.
+
     ``engine`` (an :class:`LSMTree`, or a mid-flight ``MigrationPlan``, whose
     steps run between calls) exposes ``put``, the ``memtable`` a GET asks
     first, ``write_room()`` — puts that certainly cannot flush — the
     buffer-skipping ``probe_runs`` / ``probe_runs_many``, and
     ``charge_range`` / ``charge_ranges``.
     """
-    range_kind = OperationType.RANGE.value
+    range_kind = _RANGE
     buffered = engine.memtable.holds
     pending: list[int] = []
     ranges: list[tuple[int, int]] = []
     append = pending.append
-    room = 0
-    # Plain-int columns: per-window array work would cost more than it saves
-    # on write-dense traces, where epochs hold a handful of reads.
-    for kind, key, scan_length in zip(
-        trace.kinds.tolist(), trace.keys.tolist(), trace.scan_lengths.tolist()
-    ):
-        if kind < range_kind:  # both point-read codes sort below RANGE
-            if not buffered(key):
-                append(key)
-                if len(pending) >= max_batch_ops:
-                    drain_get_span(engine, pending)
-        elif kind == range_kind:
-            ranges.append((key, min(key + scan_length, _MAX_KEY)))
-            if len(ranges) >= max_batch_ops:
-                drain_range_span(engine, ranges)
-        else:
-            if not room:
-                # Updates do not grow the buffer, so the room is a lower
-                # bound: re-read from the engine when it runs out.
-                room = engine.write_room()
+    # Wide windows' misses, fewer than the cap, queue ahead of ``pending``,
+    # which reaches the cap at ``limit`` keys.
+    queued, limit = NO_KEYS, max_batch_ops
+    size = len(trace)
+    # The put rows bound the windows; a trace too short to hold a wide one
+    # skips them.
+    put_rows = (trace.kinds == _PUT).nonzero()[0] if size >= WIDE_WINDOW_OPS else NO_KEYS
+    # The least room that can span a wide window: ``room`` puts span at most
+    # ``room`` of the widest gaps after a put, the trace's end closing the last.
+    reach = math.inf
+    if put_rows.size:
+        reach = -(-WIDE_WINDOW_OPS // int(np.diff(put_rows, append=size).max()))
+    # Read as plain ints through a memoryview: cheaper on a write-dense trace
+    # than a list of them.
+    put_rows = memoryview(put_rows)
+    puts = len(put_rows)
+    rows, at = None, -1  # the per-row body's iterator, yielding row ``at`` next
+    start = put = 0  # the next row, and the first put at or after it in put_rows
+    while start < size:
+        room = engine.write_room()
+        if not room and put < puts and put_rows[put] == start:  # a put that may flush
+            queued, limit = _drain(engine, pending, queued, ranges, max_batch_ops)
+            engine.put(int(trace.keys[start]))
+            start, put = start + 1, put + 1
+            continue
+        ahead = put + room
+        end = put_rows[ahead] if ahead < puts else size
+        if end - start >= WIDE_WINDOW_OPS:
+            misses, starts, ends = classify_window(engine, trace, start, end)
+            queued = np.concatenate((queued, np.array(pending, dtype=np.int64), misses))
+            pending.clear()
+            while queued.size >= max_batch_ops:
+                drain_get_span(engine, [], queued[:max_batch_ops])
+                queued = queued[max_batch_ops:]
+            limit = max_batch_ops - queued.size
+            ranges += zip(starts.tolist(), ends.tolist())
+            while len(ranges) >= max_batch_ops:
+                drain_range_span(engine, ranges[:max_batch_ops])
+                del ranges[:max_batch_ops]
+            start, put = end, min(ahead, puts)
+            continue
+        # A narrow window: the per-row body, on until a put finds the window
+        # ahead of it wide, or the trace ends.
+        rows = _rows_from(trace, start, rows, at)
+        granted = room
+        for kind, key, scan_length in rows:
+            if kind < range_kind:  # both point-read codes sort below RANGE
+                if not buffered(key):
+                    append(key)
+                    if len(pending) >= limit:
+                        queued, limit = _drain(engine, pending, queued, ranges, max_batch_ops)
+            elif kind == range_kind:
+                ranges.append((key, min(key + scan_length, _MAX_KEY)))
+                if len(ranges) >= max_batch_ops:
+                    queued, limit = _drain(engine, pending, queued, ranges, max_batch_ops)
+            else:
                 if not room:
-                    if pending:
-                        drain_get_span(engine, pending)
-                    if ranges:
-                        drain_range_span(engine, ranges)
-                    room = 1
-            room -= 1
-            engine.put(key)
-    if pending:
-        drain_get_span(engine, pending)
-    if ranges:
-        drain_range_span(engine, ranges)
+                    # Updates do not grow the buffer, so the room is a lower
+                    # bound: re-read from the engine when it runs out.
+                    put += granted
+                    room = granted = engine.write_room()
+                    if not room:
+                        queued, limit = _drain(engine, pending, queued, ranges, max_batch_ops)
+                        room = granted = 1
+                    elif room >= reach and (
+                        put_rows[put + room] if put + room < puts else size
+                    ) - put_rows[put] >= WIDE_WINDOW_OPS:
+                        start = put_rows[put]
+                        at = start + 1
+                        break
+                room -= 1
+                engine.put(key)
+        else:
+            break
+    _drain(engine, pending, queued, ranges, max_batch_ops)
 
 
 @dataclass(frozen=True)

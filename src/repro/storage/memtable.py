@@ -67,21 +67,24 @@ class Memtable:
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`get`: ``(present, is_tombstone)`` masks for ``keys``.
 
-        A plain dict probe per key: the buffer is a hash map, so a Python
-        loop beats sort-based vectorisation at the batch sizes the executor
-        produces, and memtable lookups charge no I/O either way.
+        One ``searchsorted`` over the sorted buffered keys, tombstones
+        included; only the keys it finds read their flag from the dict.
+        Against the per-key dict probe it replaced, on 4-36 entry buffers with
+        a tenth of the keys buffered (2-vCPU VM): a fixed ~9-10 us of array
+        calls against ~0.13 us a key, so the dict loop is faster below
+        ~100-200 keys and this one above (256 keys: 17-19 us vs 29-34 us;
+        2 048: 69-113 us vs 279-289 us).  The replay loop's wide windows ask
+        hundreds to thousands.  Making the key array grows with the buffer:
+        at 4 096 entries the dict loop stays faster past 2 048 keys.
         """
         found = np.zeros(keys.size, dtype=bool)
         tombstone = np.zeros(keys.size, dtype=bool)
-        entries = self._entries
-        if entries:
-            probe = entries.get
-            for index, key in enumerate(keys.tolist()):
-                state = probe(key)
-                if state is not None:
-                    found[index] = True
-                    if state:
-                        tombstone[index] = True
+        if self._entries and keys.size:
+            ordered = np.array(self._sorted_keys, dtype=np.int64)
+            np.equal(ordered.take(np.searchsorted(ordered, keys), mode="clip"), keys, out=found)
+            hits = np.flatnonzero(found)
+            if hits.size:
+                tombstone[hits] = [self._entries[key] for key in keys[hits].tolist()]
         return found, tombstone
 
     def scan_items(self, start_key: int, end_key: int) -> tuple[np.ndarray, np.ndarray]:

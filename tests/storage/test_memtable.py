@@ -140,6 +140,21 @@ class TestMemtableAgainstADict:
             assert keys.tolist() == inside
             assert tombstones.tolist() == [reference[key] for key in inside]
 
+    @given(
+        steps=_STEPS,
+        probes=st.lists(st.one_of(_KEYS, st.integers(INT64_MIN, INT64_MAX)), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_many_is_get_per_key(self, steps, probes):
+        """Random and repeated keys, buffered tombstones and an empty buffer
+        (no steps, or a clear last) among them."""
+        table = Memtable(5)
+        for step, key in steps:
+            table.clear() if step == "clear" else getattr(table, step)(key)
+        found, tombstone = table.lookup_many(np.array(probes, dtype=np.int64))
+        assert found.dtype == tombstone.dtype == bool
+        assert list(zip(found.tolist(), tombstone.tolist())) == [table.get(key) for key in probes]
+
     def test_a_tombstone_overwritten_by_a_put_reads_live(self):
         table = Memtable(4)
         table.put(3)

@@ -27,7 +27,10 @@ buffer half is taken at its stream position, and a RANGE is charged, never
 answered, by the loop — it must charge the intervals the scalar side asked,
 in stream order, and the same pages in every flush epoch.  What a range
 *answers* is pinned on the scalar side's ``range_query``, on every engine.
-Below the loop, ``get_many``/``lookup_entries`` are pinned against per-key
+The random streams' flush-free windows take the per-row body or, at a window
+cutoff of 2, the array pass (``classify_window``); ``TestWideWindow`` pins
+the array pass at its own cutoff.  Below the loop,
+``get_many``/``lookup_entries`` are pinned against per-key
 ``get``/``lookup_entry`` on hostile probes.
 """
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from itertools import groupby
+from itertools import count, groupby
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -58,6 +61,7 @@ from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor,
 from repro.storage.lsm_tree import (
     RANGE_SPAN_CUTOFF,
     SCALAR_SPAN_CUTOFF,
+    WIDE_WINDOW_OPS,
     BufferFirstReads,
     execute_operation,
     execute_operations_batched,
@@ -223,9 +227,11 @@ def _replay_loop(engine, ops, max_batch_ops: int = 4_096) -> None:
             execute_operations_batched(engine, Trace.of(list(stretch)), max_batch_ops)
 
 
-#: The cutoff is a wall-clock choice: parity must hold wherever it sits, and a
-#: low one sends the short random streams' ranges through the batched walk.
+#: The cutoffs are wall-clock choices: parity must hold wherever they sit, and
+#: a low one sends the short random streams' ranges through the batched walk,
+#: and their flush-free windows through the array pass.
 _RANGE_CUTOFFS = [2, RANGE_SPAN_CUTOFF]
+_WINDOW_CUTOFFS = [2, WIDE_WINDOW_OPS]
 
 
 _MAX_KEY = 2**63 - 1
@@ -309,16 +315,22 @@ class TestLoopMatchesScalarReference:
         max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
         delete_seed=st.integers(0, 2**16),
         range_cutoff=st.sampled_from(_RANGE_CUTOFFS),
+        window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
     )
     @settings(max_examples=15, deadline=None)
-    def test_simulated_tree(self, tuning, ops, max_batch_ops, delete_seed, range_cutoff):
+    def test_simulated_tree(
+        self, tuning, ops, max_batch_ops, delete_seed, range_cutoff, window_cutoff
+    ):
         rng = np.random.default_rng(delete_seed)
         deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
         scalar = _RunSideAnswers(_loaded_tree(tuning, deletes))
         batched = _RunSideAnswers(_loaded_tree(tuning, deletes))
 
         _replay_scalar(scalar, ops)
-        with mock.patch.object(lsm_tree, "RANGE_SPAN_CUTOFF", range_cutoff):
+        with (
+            mock.patch.object(lsm_tree, "RANGE_SPAN_CUTOFF", range_cutoff),
+            mock.patch.object(lsm_tree, "WIDE_WINDOW_OPS", window_cutoff),
+        ):
             _replay_loop(batched, ops, max_batch_ops)
 
         assert batched.disk.counters == scalar.disk.counters
@@ -326,9 +338,13 @@ class TestLoopMatchesScalarReference:
         assert tree_fingerprint(batched.engine) == tree_fingerprint(scalar.engine)
         _assert_same_answers(batched, scalar)
 
-    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @given(
+        ops=_operation_streams(),
+        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
+        window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
+    )
     @settings(max_examples=10, deadline=None)
-    def test_persistent_tree(self, ops, max_batch_ops):
+    def test_persistent_tree(self, ops, max_batch_ops, window_cutoff):
         with tempfile.TemporaryDirectory() as root:
             trees = []
             for name in ("scalar", "batched"):
@@ -341,7 +357,8 @@ class TestLoopMatchesScalarReference:
             scalar, batched = (_RunSideAnswers(tree) for tree in trees)
             try:
                 _replay_scalar(scalar, ops)
-                _replay_loop(batched, ops, max_batch_ops)
+                with mock.patch.object(lsm_tree, "WIDE_WINDOW_OPS", window_cutoff):
+                    _replay_loop(batched, ops, max_batch_ops)
                 assert batched.disk.counters == scalar.disk.counters
                 assert batched.stats() == scalar.stats()
                 assert tree_fingerprint(batched.engine) == tree_fingerprint(scalar.engine)
@@ -350,13 +367,18 @@ class TestLoopMatchesScalarReference:
                 for tree in trees:
                     tree.close()
 
-    @given(ops=_operation_streams(), max_batch_ops=st.sampled_from(_BATCH_BOUNDS))
+    @given(
+        ops=_operation_streams(),
+        max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
+        window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
+    )
     @settings(max_examples=15, deadline=None)
-    def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops):
+    def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops, window_cutoff):
         scalar, batched = (_RunSideAnswers(_mid_flight_plan()[0]) for _ in range(2))
 
         _replay_scalar(scalar, ops)
-        _replay_loop(batched, ops, max_batch_ops)
+        with mock.patch.object(lsm_tree, "WIDE_WINDOW_OPS", window_cutoff):
+            _replay_loop(batched, ops, max_batch_ops)
 
         assert batched.source.disk.counters == scalar.source.disk.counters
         assert batched.target.stats() == scalar.target.stats()
@@ -691,6 +713,112 @@ class TestEpochFence:
             delta, _, counts = _check_windows(engines, [ops])
             assert counts == [min(10, filling)] * copies
             assert delta.query_reads > 0
+
+
+#: Reads of absent keys, enough on their own to make the window they open wide.
+_WIDE_PADDING = _gets(*_KEY_SPACE.missing[:WIDE_WINDOW_OPS])
+
+
+def _flush_buffers(engines, fresh: int) -> None:
+    """Put keys from ``fresh`` on into each engine until its buffer has just
+    flushed, so the next window has all the buffer's room."""
+    for engine in engines:
+        for key in count(fresh):
+            engine.put(key)
+            if not len(engine.memtable):
+                break
+
+
+@contextmanager
+def _classified():
+    """A spy on the loop's calls of ``classify_window``."""
+    with mock.patch.object(lsm_tree, "classify_window", wraps=lsm_tree.classify_window) as spy:
+        yield spy
+
+
+@pytest.mark.parametrize("kind", _ENGINE_KINDS)
+class TestWideWindow:
+    """The array pass at its own cutoff: each trace below is one wide window,
+    classified in one call, and the loop must still agree with the scalar
+    reference on every case the per-row body gets right by construction."""
+
+    def test_a_get_of_a_key_put_earlier_in_the_window(self, kind):
+        fresh = _KEY_SPACE.fresh_start + 160_000
+        resident = int(_KEY_SPACE.existing[31])
+        ops = _WIDE_PADDING + _gets(fresh, resident) + _puts(fresh, resident)
+        ops += _gets(resident, fresh, fresh) + _WIDE_PADDING
+        with _engine_pair(kind, _ROOMY) as engines:
+            _flush_buffers(engines, fresh + 1)
+            with _classified() as spy:
+                delta, answers, _ = _check_windows(engines, [ops])
+            assert spy.call_count == 1 and delta.flush_writes == 0
+            # Only the GETs before the puts were the runs' to answer.
+            assert [a for a in answers if a[0] in (fresh, resident)] == [
+                (fresh, False),
+                (resident, True),
+            ]
+
+    def test_a_get_of_a_buffered_tombstone(self, kind):
+        key = int(_KEY_SPACE.existing[23])
+        with _engine_pair(kind, _ROOMY) as engines:
+            _flush_buffers(engines, _KEY_SPACE.fresh_start + 170_000)
+            for engine in engines:
+                engine.delete(key)
+            with _classified() as spy:
+                _, answers, _ = _check_windows(engines, [_WIDE_PADDING + _gets(key, key)])
+            assert spy.call_count == 1
+            assert key not in [asked for asked, _ in answers]
+            assert not engines[1].get(key)
+
+    @pytest.mark.parametrize("copies", [1, RANGE_SPAN_CUTOFF + 3], ids=["below", "above"])
+    @pytest.mark.parametrize("edge", ["smallest", "largest"])
+    def test_a_range_at_an_end_of_int64(self, kind, edge, copies):
+        """Columns of starts and ends: ``start + length`` neither overflows
+        past the largest key nor, from the smallest, wraps round to it."""
+        with _engine_pair(kind, _ROOMY) as engines:
+            filling = engines[0].write_room() + 1
+            first = -(2**63) if edge == "smallest" else 2**63 - filling
+            for engine in engines:  # the end's keys, flushed into a run
+                for key in range(first, first + filling):
+                    engine.put(key)
+            assert len(engines[1].memtable) == 0
+            # The end's ten keys: from the smallest, or to past the largest.
+            start, length = (first, 9) if edge == "smallest" else (2**63 - 10, 512)
+            ops = _WIDE_PADDING + [Operation(OperationType.RANGE, start, length)] * copies
+            with _classified() as spy:
+                delta, _, counts = _check_windows(engines, [ops])
+            assert spy.call_count == 1
+            assert counts == [min(10, filling)] * copies
+            assert delta.query_reads > 0
+
+    @pytest.mark.parametrize("max_batch_ops", [1, 3])
+    def test_a_long_read_window_never_drains_past_the_cap(self, kind, max_batch_ops):
+        rng = np.random.default_rng(8)
+        ops = _gets(*rng.choice(_KEY_SPACE.existing, size=1_000))
+        ops += _gets(*rng.choice(_KEY_SPACE.missing, size=600))
+        ops += _ranges(*rng.choice(_KEY_SPACE.existing, size=400))
+        ops = [ops[index] for index in rng.permutation(len(ops))]
+        drained = []
+        get_span, range_span = lsm_tree.drain_get_span, lsm_tree.drain_range_span
+
+        def drain_gets(engine, span_keys, queued=lsm_tree.NO_KEYS):
+            drained.append(len(span_keys) + queued.size)
+            get_span(engine, span_keys, queued)
+
+        def drain_ranges(engine, ranges):
+            drained.append(len(ranges))
+            range_span(engine, ranges)
+
+        with _engine_pair(kind, _ROOMY) as engines:
+            _flush_buffers(engines, _KEY_SPACE.fresh_start + 180_000)
+            with (
+                mock.patch.object(lsm_tree, "drain_get_span", drain_gets),
+                mock.patch.object(lsm_tree, "drain_range_span", drain_ranges),
+                _classified() as spy,
+            ):
+                _check_windows(engines, [ops], max_batch_ops)
+            assert spy.call_count == 1
+            assert max(drained) <= max_batch_ops and sum(drained) == len(ops) == 2_000
 
 
 @pytest.mark.parametrize("kind", _ENGINE_KINDS)

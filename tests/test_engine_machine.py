@@ -9,7 +9,8 @@ all of them in lockstep:
   ``range_query``);
 * a memory twin fed only through ``execute_operations_batched`` (a trace has
   no delete kind, so deletes are its one scalar call) at a drawn
-  ``max_batch_ops``;
+  ``max_batch_ops`` and a drawn ``WIDE_WINDOW_OPS``, so its flush-free windows
+  take the per-row body or the array pass;
 * a fleet of one or three memory trees, loaded with ``partition_keys`` and
   routed by ``shard_of_key`` (scalar calls) or ``shard_operations`` (traces).
 
@@ -37,6 +38,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -52,9 +54,9 @@ from hypothesis.stateful import (
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.serving.sharding import partition_keys, shard_ids, shard_of_key, shard_operations
-from repro.storage import FileStore, LSMTree
+from repro.storage import FileStore, LSMTree, lsm_tree
 from repro.storage.executor import tree_fingerprint
-from repro.storage.lsm_tree import execute_operations_batched
+from repro.storage.lsm_tree import WIDE_WINDOW_OPS, execute_operations_batched
 from repro.storage.run import consolidate_versions
 from repro.workloads import Operation, OperationType, Trace
 
@@ -136,8 +138,13 @@ class EngineMachine(RuleBasedStateMachine):
         seed=st.integers(0, 2**32 - 1),
         max_batch_ops=st.sampled_from([1, 3, 4_096]),
         num_shards=st.sampled_from([1, 3]),
+        window_ops=st.sampled_from([2, WIDE_WINDOW_OPS]),
     )
-    def load(self, tuning, size, base, seed, max_batch_ops, num_shards):
+    def load(self, tuning, size, base, seed, max_batch_ops, num_shards, window_ops):
+        # The window cutoff is a wall-clock choice: the loop's every call in
+        # this example, on the twin and the fleet, runs under the drawn one.
+        self.windows = mock.patch.object(lsm_tree, "WIDE_WINDOW_OPS", window_ops)
+        self.windows.start()
         offsets = np.random.default_rng(seed).choice(_BAND, size=size, replace=False)
         keys = np.unique(np.r_[base + offsets, _MIN_KEY, _MAX_KEY])
         self.base, self.max_batch_ops = base, max_batch_ops
@@ -422,6 +429,8 @@ class EngineMachine(RuleBasedStateMachine):
                 assert entries <= self.writes
 
     def teardown(self):
+        if hasattr(self, "windows"):
+            self.windows.stop()
         try:
             for shards in self.engines.values():
                 for shard in shards:
@@ -448,7 +457,9 @@ def test_a_deleted_key_stays_deleted_through_a_merge_into_a_stacked_level():
     1 into that level beside the old run, and the merge dropped the deleted
     key's tombstone although the old run still held the key."""
     state = EngineMachine()
-    state.load(tuning=_TUNINGS[1], size=27, base=0, seed=0, max_batch_ops=1, num_shards=1)
+    state.load(
+        tuning=_TUNINGS[1], size=27, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
+    )
     try:
         state.delete(keys=[("known", 0)])
         state.write_burst(count=20, seed=0)
@@ -463,7 +474,9 @@ def test_a_migration_that_installs_no_run_reopens_with_its_levels():
     plan installs nothing, and the target on files reopened without the level
     the plan had given it."""
     state = EngineMachine()
-    state.load(tuning=_TUNINGS[0], size=0, base=0, seed=0, max_batch_ops=1, num_shards=1)
+    state.load(
+        tuning=_TUNINGS[0], size=0, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
+    )
     try:
         state.delete(keys=[("known", 0), ("known", 1)])
         state.begin_migration(tuning=_TUNINGS[0], max_step_pages=None)

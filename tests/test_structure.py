@@ -38,7 +38,9 @@ BLOOM = "src/repro/storage/bloom_filter.py"
 # ``import repro.cli``, one per line.
 IMPORTED = "<sys.modules after import repro.cli>"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-DRAIN = ("drain_get_span", "drain_range_span", "execute_operations_batched")
+DRAIN = (
+    "drain_get_span", "drain_range_span", "_drain", "classify_window", "execute_operations_batched"
+)
 # A name in a signature: first on its line, or after ``(`` or ``,``.
 PARAMETER = r"(^\s*|[(,]\s*)"
 
@@ -167,6 +169,11 @@ RULES = (
          "    def __init__(self, window: int = 2_000, smoothing: float = 0.0) -> None:"),
     Rule("no-apply-wrapper", f"{LSM_TREE} src/repro/online/migration.py", r"def apply\b", 37,
          "    def apply(self, operation: Operation) -> None:"),
+    Rule("wide-window-not-a-flag", "src/repro/knobs.py src/repro/cli.py", r"(?i)wide.window", 38,
+         '    parser.add_argument("--wide-window-ops", type=int)'),
+    Rule("wide-window-not-a-field", "src/repro/storage/executor.py", r"(?i)wide.window", 38,
+         "    wide_window_ops: int = knob(256, \"rows a window needs for the array pass\")",
+         scope=("ExecutorConfig",)),
 )
 
 

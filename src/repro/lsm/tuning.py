@@ -158,7 +158,7 @@ class LSMTuning:
 
         Real LSM engines cannot use fractional size ratios, so — like the
         paper does when deploying on RocksDB — we round the continuous value
-        produced by the optimiser up to the nearest integer (never below 2),
+        produced by the optimiser to the nearest integer (never below 2),
         with ties at the midpoint going up (:func:`round_half_up`; built-in
         ``round`` would send ``T = 2.5`` *down* to 2, where the deployable
         bound range ``[1, T - 1]`` collapses to 1 and crushes every fluid

@@ -12,9 +12,11 @@ evaluation (§8).  It implements the structure the analytical model assumes:
   the analytical cost model uses): the compaction triggers
   (``max_resident_runs``), the in-place-merge decision (``in_place``) and
   the bulk-load run splitting all consult it *per level*, so each level
-  obeys its own bound; fluid levels that hit their run bound below
-  capacity compact in place, and spill down once the level's entry
-  capacity is exhausted,
+  obeys its own bound.  A flushed run reaches its level through one loop,
+  ``LSMTree._cascade``: a single-run level merges what arrives with its
+  resident run and carries the result down once it outgrows the level; a
+  stacking level stacks what arrives and, past its run bound, merges in
+  place (fluid levels below capacity) or carries all its runs down,
 * one Bloom filter per run with Monkey-style per-level allocation,
 * fence pointers (one per page) so point lookups read at most one page per
   probed run,
@@ -501,7 +503,8 @@ class LSMTree(BufferFirstReads):
     ----------
     tuning:
         The LSM tuning ``Φ = (T, h, π)`` to deploy.  Fractional size ratios
-        are rounded up exactly as the paper does when deploying on RocksDB.
+        are rounded to the nearest integer, ties up, as the paper does when
+        deploying on RocksDB (:meth:`~repro.lsm.tuning.LSMTuning.rounded`).
     system:
         System parameters (entry size, page size, memory budget, …).  Use
         :func:`repro.lsm.system.simulator_system` for laptop-scale instances.
@@ -607,14 +610,6 @@ class LSMTree(BufferFirstReads):
         while len(levels) < level:
             levels.append([])
 
-    def _merges_on_arrival(self, level: int, levels: list) -> bool:
-        """Whether ``level`` keeps a single run (leveled behaviour) in ``levels``.
-
-        Asks the compaction policy with the deepest level of ``levels``, so
-        lazy leveling's single-run largest level tracks the tree as it grows.
-        """
-        return self.compaction.merges_on_arrival(level, max(len(levels), 1))
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
@@ -649,7 +644,7 @@ class LSMTree(BufferFirstReads):
             return
         plan = _FlushPlan(self.levels, self._run_counter, self.entries_per_page)
         arrival = plan.pend(*self.memtable.sorted_items(), level=1)
-        self._install_run(plan, arrival, level=1)
+        self._cascade(plan, [arrival], 1)
         rest = next(runs for runs in plan.levels if runs and type(runs[0]) is _PendingRun)
         rest[0] = self._build_run(*rest[0].entries(), plan.run_counter, rest[0].level)
         self.levels[:] = plan.levels
@@ -660,20 +655,6 @@ class LSMTree(BufferFirstReads):
         self.memtable.clear()
         # The flushed run now covers everything that was logged.
         self.store.commit(self.levels, self._run_counter, buffered=())
-
-    def _install_run(self, plan: _FlushPlan, run: _PendingRun, level: int) -> None:
-        """Add ``run`` to ``level`` of the plan and restore the size invariants."""
-        levels = plan.levels
-        self._ensure_level(level, levels)
-        runs = levels[level - 1]
-        if not self.compaction_enabled:
-            runs.insert(0, run)
-        elif self._merges_on_arrival(level, levels):
-            levels[level - 1] = [self._merge_runs(plan, [run] + runs, level) if runs else run]
-            self._maybe_spill_merging(plan, level)
-        else:
-            runs.insert(0, run)
-            self._maybe_compact_stacked(plan, level)
 
     def _merge_runs(self, plan: _FlushPlan, runs: list, target_level: int) -> _PendingRun:
         """Sort-merge runs' entries, adding the compaction I/O to the plan.
@@ -694,80 +675,44 @@ class LSMTree(BufferFirstReads):
         plan.writes += merged.num_pages
         return merged
 
-    def _maybe_spill_merging(self, plan: _FlushPlan, level: int) -> None:
-        """Cascade over-full single-run (leveled) levels into deeper levels."""
-        levels = plan.levels
-        current = level
-        while True:
-            self._ensure_level(current, levels)
-            runs = levels[current - 1]
-            if not runs:
-                return
-            run = runs[0]
-            if run.num_entries <= self.level_capacity_entries(current):
-                return
-            # Move the over-full run one level down, merging if necessary.
-            levels[current - 1] = []
-            target = current + 1
-            self._ensure_level(target, levels)
-            below = levels[target - 1]
-            if self._merges_on_arrival(target, levels):
-                # With nothing below it is a trivial move: the run is adopted
-                # by the level below without any I/O (RocksDB does the same
-                # when the target level is empty).
-                levels[target - 1] = [
-                    self._merge_runs(plan, [run] + below, target) if below else run
-                ]
-                current = target
-            else:
-                # Spilling into a run-stacking level (possible when the tree
-                # outgrows a hybrid policy's largest level): stack the run
-                # and let the count-based trigger take over.
-                below.insert(0, run)
-                self._maybe_compact_stacked(plan, target)
-                return
+    def _cascade(self, plan: _FlushPlan, arriving: list, level: int) -> None:
+        """Bring ``arriving`` runs to ``level`` of the plan, carrying down until they rest.
 
-    def _maybe_compact_stacked(self, plan: _FlushPlan, level: int) -> None:
-        """Merge a run-stacking level once its run count exceeds the trigger.
-
-        Classic tiering merges the accumulated runs into a new run one level
-        down.  When the destination is a single-run level (lazy leveling's
-        largest level), the resident run joins the same merge so the compact
-        happens in one pass, exactly as the analytical model amortises it.
-
-        The run-count trigger is per level: fluid policies bound upper levels
-        by ``K`` and the largest by ``Z``.  A fluid level that hits its bound
-        while still below its entry capacity compacts *within* the level
-        (Dostoevsky's fluid LSM restores the bound in place); only a level at
-        capacity spills into the next one.
+        The policy is asked with the plan's depth once ``level`` exists, so
+        lazy leveling's single-run largest level tracks the tree as it grows.
+        A single-run level merges the arrivals with its resident run (a lone
+        run is taken as-is, with no I/O, as RocksDB moves a file into an
+        empty level) and carries the result down once it outgrows the level's
+        capacity.  A stacking level merges the arrivals into one run and
+        stacks it newest-first; past its run bound it either merges in place
+        (fluid policies, while the level has entry headroom) or carries all
+        its runs down, where a single-run level takes them in one merge.
         """
         levels = plan.levels
-        current = level
         while True:
-            self._ensure_level(current, levels)
-            runs = levels[current - 1]
-            trigger = self.compaction.max_resident_runs(
-                self.size_ratio, current, max(len(levels), 1)
-            )
-            if self._merges_on_arrival(current, levels) or len(runs) <= trigger:
+            self._ensure_level(level, levels)
+            runs = levels[level - 1]
+            if not self.compaction_enabled:
+                runs[:0] = arriving
                 return
-            if self.compaction.in_place:
-                total_entries = sum(run.num_entries for run in runs)
-                if total_entries < self.level_capacity_entries(current):
-                    levels[current - 1] = [self._merge_runs(plan, runs, current)]
+            depth = len(levels)
+            leveled = self.compaction.merges_on_arrival(level, depth)
+            merging = arriving + runs if leveled else arriving
+            run = self._merge_runs(plan, merging, level) if len(merging) > 1 else merging[0]
+            if leveled:
+                levels[level - 1] = [run]
+                if run.num_entries <= self.level_capacity_entries(level):
                     return
-            target = current + 1
-            self._ensure_level(target, levels)
-            if self._merges_on_arrival(target, levels):
-                merged = self._merge_runs(plan, runs + levels[target - 1], target)
-                levels[current - 1] = []
-                levels[target - 1] = [merged]
-                self._maybe_spill_merging(plan, target)
-                return
-            merged = self._merge_runs(plan, runs, target)
-            levels[current - 1] = []
-            levels[target - 1].insert(0, merged)
-            current = target
+            else:
+                runs.insert(0, run)
+                if len(runs) <= self.compaction.max_resident_runs(self.size_ratio, level, depth):
+                    return
+                room = self.level_capacity_entries(level) - sum(r.num_entries for r in runs)
+                if self.compaction.in_place and room > 0:
+                    levels[level - 1] = [self._merge_runs(plan, runs, level)]
+                    return
+            arriving, levels[level - 1] = levels[level - 1], []
+            level += 1
 
     # ------------------------------------------------------------------
     # Reads
@@ -965,10 +910,11 @@ class LSMTree(BufferFirstReads):
         """Split a bulk-loaded level into runs matching the policy's steady state.
 
         Levels that merge on arrival keep a single run.  Run-stacking levels
-        accumulate up to ``T - 1`` runs, each the size of a compaction
-        arriving from the level above, so a bulk-loaded tree must expose the
-        same number of runs a naturally filled one would — otherwise measured
-        read costs would be unrealistically low.
+        accumulate up to the level's ``max_resident_runs`` (``T - 1`` at most,
+        fewer under a fluid bound), each the size of a compaction arriving
+        from the level above, so a bulk-loaded tree must expose the same
+        number of runs a naturally filled one would — otherwise measured read
+        costs would be unrealistically low.
         """
         if chunk.size == 0 or self.compaction.merges_on_arrival(level, deepest):
             return [chunk]

@@ -69,9 +69,10 @@ class TestDerivedMemory:
 
 
 class TestTransformations:
-    def test_rounded_produces_integer_ratio(self):
-        tuning = LSMTuning(7.6, 3.0, Policy.LEVELING)
-        assert tuning.rounded().size_ratio == 8.0
+    @pytest.mark.parametrize("ratio, deployed", [(7.6, 8), (4.3, 4), (4.5, 5)])
+    def test_rounded_produces_integer_ratio(self, ratio, deployed):
+        tuning = LSMTuning(ratio, 3.0, Policy.LEVELING)
+        assert tuning.rounded().size_ratio == float(deployed)
 
     def test_rounded_never_below_two(self):
         tuning = LSMTuning(2.0, 3.0, Policy.LEVELING)

@@ -146,7 +146,10 @@ RULES = (
          "        run = self.store.create_run(keys, tombstones, run_id, level)", "== 1"),
     Rule("flush-plan-touches-no-disk", LSM_TREE, r"self\.disk\.|self\.levels|_build_run", 20,
          "        self.disk.write_pages(run.num_pages)",
-         scope=("_install_run", "_merge_runs", "_maybe_spill_merging", "_maybe_compact_stacked")),
+         scope=("_cascade", "_merge_runs")),
+    Rule("one-compaction-cascade", LSM_TREE,
+         r"def (_install_run|_maybe_spill_merging|_maybe_compact_stacked|_merges_on_arrival)\b", 39,
+         "    def _maybe_compact_stacked(self, plan, level):"),
     Rule("one-pool-site", SRC, r"multiprocessing.*Pool\(|\.Pool\(", 13,
          "    with multiprocessing.Pool(processes) as pool:"),
     Rule("no-sharded-executor", SRC,

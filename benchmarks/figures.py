@@ -46,13 +46,7 @@ from repro.lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_s
 from repro.lsm.system import MIB
 from repro.online import OnlineConfig
 from repro.serving import partition_keys, shard_operations
-from repro.storage import (
-    ExecutorConfig,
-    IOCounters,
-    LSMTree,
-    PersistentLSMTree,
-    WorkloadExecutor,
-)
+from repro.storage import ExecutorConfig, FileStore, IOCounters, LSMTree, WorkloadExecutor
 from repro.storage.lsm_tree import execute_operation, execute_operations_batched
 from repro.workloads import (
     KeySpace,
@@ -340,9 +334,9 @@ def _sane_sequence(comparison, max_ios: float = 1e5) -> bool:
     """Six sessions, each with finite, non-negative measurements under both
     tunings."""
     return len(comparison.labels) == 6 and all(
-        all(0.0 <= ios < max_ios for ios in comparison.system_ios(tuning))
-        and all(0.0 <= us < 1e8 for us in comparison.latency_us(tuning))
+        0.0 <= ios < max_ios
         for tuning in ("nominal", "robust")
+        for ios in comparison.system_ios(tuning)
     )
 
 
@@ -373,11 +367,9 @@ def _robust_wins_the_write_session(c) -> bool:
     # The nominal tuning for w11 uses a very large size ratio; once the write
     # session arrives its compactions cost much more than the robust
     # tuning's (the paper reports up to 90% I/O and latency reduction).
-    write = c.labels.index("write")
     return (
         c.summary["io_reduction"] > 0.0
         and _system_io(c, "robust", "write") < _system_io(c, "nominal", "write")
-        and c.latency_us("robust")[write] < c.latency_us("nominal")[write]
     )
 
 
@@ -719,10 +711,9 @@ _RANKED_WORKLOADS = (
 )
 
 
-def _file_tree(tuning, compaction_enabled=True) -> PersistentLSMTree:
-    tree = PersistentLSMTree(
-        tuning, _ENGINE_SYSTEM, data_dir=tempfile.mkdtemp(prefix="bench-tree-"), seed=7
-    )
+def _file_tree(tuning, compaction_enabled=True) -> LSMTree:
+    store = FileStore(tempfile.mkdtemp(prefix="bench-tree-"))
+    tree = LSMTree(tuning, _ENGINE_SYSTEM, seed=7, store=store)
     tree.compaction_enabled = compaction_enabled
     return tree
 
@@ -731,8 +722,8 @@ def _persistent_backend(_: SessionState):
     """The tree on real files, lsmtreedb ``simple_bench`` style — fillrandom
     then readrandom with compaction on and off — and the cost model ranking
     a read-tuned and a write-tuned deployment the way the pages they moved
-    do (priced by ``VirtualDisk.latency_us``).  Every line is deterministic;
-    how long the files take is ``bench/``'s ``persistent_mixed``."""
+    do.  Every line is deterministic; how long the files take is
+    ``bench/``'s ``persistent_mixed``."""
     rng = np.random.default_rng(17)
     fill_keys = rng.choice(
         np.arange(4 * _ENGINE_SYSTEM.num_entries), size=_SIMPLE_BENCH_OPS, replace=False
@@ -752,7 +743,7 @@ def _persistent_backend(_: SessionState):
                 "num_runs": sum(len(runs) for runs in tree.levels),
             })
         finally:
-            tree.destroy()
+            tree.dispose()
 
     space = KeySpace.build(_ENGINE_SYSTEM.num_entries, seed=29)
     generator = TraceGenerator(space, seed=29)
@@ -772,10 +763,10 @@ def _persistent_backend(_: SessionState):
                 cells[tuning_label, workload_label] = {
                     "model_cost": float(workload.as_array() @ model.cost_vector(tuning)),
                     "counters": tree.disk.counters.snapshot(),
-                    "latency_us": tree.disk.latency_us(),
+                    "pages": tree.disk.counters.total,
                 }
             finally:
-                tree.destroy()
+                tree.dispose()
     return bench_rows, cells
 
 
@@ -790,7 +781,7 @@ def _persistent_claim(result) -> bool:
     off = next(row for row in bench_rows if not row["compaction"])
     return (
         all(
-            _winner(cells, label, "model_cost") == _winner(cells, label, "latency_us")
+            _winner(cells, label, "model_cost") == _winner(cells, label, "pages")
             for label, _ in _RANKED_WORKLOADS
         )
         # Compaction-off must actually skip compaction I/O.

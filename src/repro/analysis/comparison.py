@@ -101,10 +101,6 @@ class Comparison:
         """Measured I/Os per query of one column, per session."""
         return [s.ios_per_query for s in self.measurements[name].sessions]
 
-    def latency_us(self, name: str) -> list[float]:
-        """Simulated latency per query of one column, per session."""
-        return [s.latency_us_per_query for s in self.measurements[name].sessions]
-
     @property
     def oracle_ios(self) -> list[float]:
         """Measured I/Os of each row's hindsight (per-phase static) column."""
@@ -126,7 +122,6 @@ class Comparison:
         per-tuning ``results``.
         """
         system = {name: self.system_ios(name) for name in self.measurements}
-        latency = {name: self.latency_us(name) for name in self.measurements}
         rows = []
         for index, (label, observed) in enumerate(zip(self.labels, self.observed_workloads)):
             row = {
@@ -134,7 +129,6 @@ class Comparison:
                 "observed_workload": observed.as_dict(),
                 "model_ios": {name: ios[index] for name, ios in self.model_ios.items()},
                 "system_ios": {name: ios[index] for name, ios in system.items()},
-                "latency_us": {name: us[index] for name, us in latency.items()},
             }
             if self.phases:
                 row["phase"] = self.phases[index]
@@ -165,7 +159,6 @@ class Comparison:
             document["results"] = {
                 name: {
                     "mean_ios_per_query": m.average_ios_per_query,
-                    "mean_latency_us": m.average_latency_us,
                     "shard_percentiles": m.shard_ios_percentiles(),
                     "critical_path_s": m.critical_path_s,
                     "total_cpu_s": m.total_cpu_s,
@@ -185,18 +178,13 @@ def _fleets(comparison: Comparison) -> dict[str, SequenceMeasurement]:
 # Claims
 # ----------------------------------------------------------------------
 def robust_vs_nominal(comparison: Comparison) -> dict[str, float]:
-    """Figures 8–18: aggregate I/O and latency reductions of robust over nominal."""
+    """Figures 8–18: aggregate I/O reduction of robust over nominal."""
     nominal_io = np.array(comparison.system_ios("nominal"))
     robust_io = np.array(comparison.system_ios("robust"))
-    nominal_lat = np.array(comparison.latency_us("nominal"))
-    robust_lat = np.array(comparison.latency_us("robust"))
-    io_reduction = 1.0 - robust_io.sum() / max(nominal_io.sum(), 1e-12)
-    latency_reduction = 1.0 - robust_lat.sum() / max(nominal_lat.sum(), 1e-12)
     return {
-        "io_reduction": float(io_reduction),
-        "latency_reduction": float(latency_reduction),
-        "nominal_mean_io_per_query": float(nominal_io.mean()),
-        "robust_mean_io_per_query": float(robust_io.mean()),
+        "io_reduction": float(1.0 - robust_io.sum() / max(nominal_io.sum(), 1e-12)),
+        "nominal_mean_io_per_query": comparison.measurements["nominal"].average_ios_per_query,
+        "robust_mean_io_per_query": comparison.measurements["robust"].average_ios_per_query,
     }
 
 
@@ -304,8 +292,8 @@ def _describe(tunings: Mapping[str, LSMTuning]) -> dict[str, str]:
 
 
 def format_comparison(comparison: Comparison) -> str:
-    """The paper-style table: model I/O, system I/O and latency per static
-    column, then — for a fleet — per-shard I/O percentiles and the two
+    """The paper-style table: model I/O and system I/O per static column,
+    then — for a fleet — per-shard I/O percentiles and the two
     wall-clock views (critical path = slowest shard, harness total = summed
     shard seconds) of each tuning."""
     fleets = _fleets(comparison)
@@ -319,15 +307,11 @@ def format_comparison(comparison: Comparison) -> str:
     columns = (
         [(f"model {i}", 9, ".2f", comparison.model_ios[n]) for n, i in initials.items()]
         + [(f"sys {i}", 9, ".2f", comparison.system_ios(n)) for n, i in initials.items()]
-        + [(f"lat {i}(us)", 11, ".1f", comparison.latency_us(n)) for n, i in initials.items()]
     )
     lines = _heading(title, _describe(comparison.tunings))
     lines += _grid(comparison.labels, 16, columns)
     summary = comparison.summary
-    lines.append(
-        f"  I/O reduction: {100 * summary['io_reduction']:.1f}%"
-        f"  latency reduction: {100 * summary['latency_reduction']:.1f}%"
-    )
+    lines.append(f"  I/O reduction: {100 * summary['io_reduction']:.1f}%")
     for name, fleet in fleets.items():
         pct = fleet.shard_ios_percentiles()
         lines.append(

@@ -6,10 +6,10 @@ stand-in for RocksDB.  Each driver returns, per session of a query sequence,
 
 * the model-predicted I/Os per query for the nominal and robust tunings,
 * the measured I/Os per query on the simulator,
-* the simulated latency per query,
 
-which is exactly the triptych (model I/O, system I/O, latency) the paper
-plots in Figures 8–18.
+the model and system I/O panels the paper plots in Figures 8–18.  The
+paper's third panel, latency, is RocksDB wall-clock, which the simulator
+does not reproduce: it counts pages and prices no time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SystemExperiment:
     system:
         Simulator-scale system configuration; defaults to a 50k-entry store.
     executor_config:
-        Execution knobs (queries per session workload, latency model, seed).
+        Execution knobs (queries per session workload, trace shape, seed).
         The executor serves every static column from ``num_shards``
         hash-partitioned shards (per-shard data dirs for the persistent
         backend); the merged fleet measurements read like a single tree's,

@@ -60,24 +60,10 @@ class IOCounters:
 
 @dataclass
 class VirtualDisk:
-    """Counts page I/Os and converts them into simulated latency.
+    """Counts page I/Os, split by the query, flush or compaction that caused
+    them.  Pages are the simulator's unit of cost: it prices no time."""
 
-    Parameters
-    ----------
-    read_latency_us:
-        Simulated cost of reading one page, in microseconds.
-    write_latency_us:
-        Simulated cost of writing one page, in microseconds.  The ratio of the
-        two plays the role of the paper's read/write asymmetry ``A_rw``.
-    """
-
-    read_latency_us: float = 100.0
-    write_latency_us: float = 100.0
     counters: IOCounters = field(default_factory=IOCounters)
-
-    def __post_init__(self) -> None:
-        if self.read_latency_us < 0 or self.write_latency_us < 0:
-            raise ValueError("latencies must be non-negative")
 
     # ------------------------------------------------------------------
     # Recording
@@ -110,14 +96,6 @@ class VirtualDisk:
     def snapshot(self) -> IOCounters:
         """Snapshot of the counters for later delta computation."""
         return self.counters.snapshot()
-
-    def latency_us(self, counters: IOCounters | None = None) -> float:
-        """Simulated latency implied by a set of counters (default: totals)."""
-        c = counters if counters is not None else self.counters
-        return (
-            c.total_reads * self.read_latency_us
-            + c.total_writes * self.write_latency_us
-        )
 
     def reset(self) -> None:
         """Zero all counters."""

@@ -3,8 +3,9 @@
 This is the system-based measurement harness (§8.1–8.2): it bulk-loads a
 database instance per tuning, replays session sequences of concrete queries,
 and reports the same quantities the paper reads out of RocksDB's statistics
-module — average I/Os per query (with compaction traffic amortised over the
-writes of the session) and a simulated per-query latency.
+module — average I/Os per query, with compaction traffic amortised over the
+writes of the session.  It prices no time: the paper's latencies are RocksDB
+wall-clock, which a page count does not reproduce.
 
 :class:`WorkloadExecutor` is the fleet: ``ExecutorConfig.num_shards`` hash
 shards, each one :meth:`WorkloadExecutor.run_shard` call that loads the
@@ -13,8 +14,7 @@ shard's partition of the key space and serves the sub-stream routed to it
 computes no partition and no route.  ``run_sequence``, ``run_sequence_adaptive``
 and ``compare`` all go through one fleet runner, whose tuning x shard tasks
 share the one process pool (:func:`_map_tasks`).  A fleet's sessions sum the
-per-shard :class:`~repro.storage.disk.IOCounters` deltas, priced by the same
-:class:`~repro.storage.disk.VirtualDisk` latencies and amortised over the
+per-shard :class:`~repro.storage.disk.IOCounters` deltas, amortised over the
 global query count, so they read exactly like a single tree's.
 """
 
@@ -40,7 +40,7 @@ from ..lsm.tuning import LSMTuning
 from ..workloads.sessions import Session, SessionSequence
 from ..workloads.traces import KeySpace, TraceGenerator
 from ..workloads.workload import Workload
-from .disk import IOCounters, VirtualDisk
+from .disk import IOCounters
 from .lsm_tree import LSMTree, TreeStats, execute_operations_batched
 from .persistent import PersistentLSMTree
 
@@ -57,22 +57,16 @@ class SessionMeasurement:
     flush_writes: int
     compaction_reads: int
     compaction_writes: int
-    latency_us_per_query: float
 
     @classmethod
-    def of(
-        cls, session: Session, num_queries: int, delta: IOCounters, disk: VirtualDisk
-    ) -> "SessionMeasurement":
+    def of(cls, session: Session, num_queries: int, delta: IOCounters) -> "SessionMeasurement":
         """``session`` measured by the pages it moved: ``delta`` is what one
-        disk counted over it (or the sum over every shard's disk), priced by
-        ``disk`` and amortised over ``num_queries``."""
+        disk counted over it (or the sum over every shard's disk), amortised
+        over ``num_queries``."""
         return cls(
             label=session.label,
             workload=session.average,
             num_queries=num_queries,
-            latency_us_per_query=(
-                disk.latency_us(delta) / num_queries if num_queries else 0.0
-            ),
             **asdict(delta),
         )
 
@@ -145,16 +139,6 @@ class SequenceMeasurement:
         nothing, and averaging their 0.0 in would understate the cost.
         """
         per_session = [s.ios_per_query for s in self.sessions if s.num_queries > 0]
-        if not per_session:
-            return 0.0
-        return float(np.mean(per_session))
-
-    @property
-    def average_latency_us(self) -> float:
-        """Simulated latency per query averaged over non-empty sessions."""
-        per_session = [
-            s.latency_us_per_query for s in self.sessions if s.num_queries > 0
-        ]
         if not per_session:
             return 0.0
         return float(np.mean(per_session))
@@ -268,7 +252,6 @@ class ExecutorConfig:
     queries_per_workload: int = knob(
         2_000, "concrete queries executed per workload of a session", POSITIVE_INT
     )
-    range_scan_keys: int = knob(16, "keys touched by one short range query", flag=False)
     long_scan_keys: int = knob(
         512,
         "keys covered by one long range scan on the simulator (issued for the long-range "
@@ -287,8 +270,6 @@ class ExecutorConfig:
         "resident keys)",
         NON_NEGATIVE,
     )
-    read_latency_us: float = knob(100.0, "simulated page read latency (µs)", flag=False)
-    write_latency_us: float = knob(100.0, "simulated page write latency (µs)", flag=False)
     #: Not a derived flag: the subcommands' own ``--seed`` sets it together
     #: with the experiment's session-sampling seed.
     seed: int = knob(97, "seed controlling trace generation", flag=False)
@@ -327,13 +308,6 @@ class ExecutorConfig:
     def __post_init__(self) -> None:
         check_knobs(self)
 
-    def disk(self) -> VirtualDisk:
-        """A zeroed virtual disk charging the configured page latencies."""
-        return VirtualDisk(
-            read_latency_us=self.read_latency_us,
-            write_latency_us=self.write_latency_us,
-        )
-
 
 class WorkloadExecutor:
     """Runs session sequences on freshly built LSM-tree fleets (one tree per
@@ -371,7 +345,6 @@ class WorkloadExecutor:
         re-raising — a crashed build must not leak ``tree-*`` dirs into the
         temp dir (or a shared user ``data_dir``).
         """
-        disk = self.config.disk()
         if keys is None:
             keys = self.key_space.existing
         make_tree, data_dir = LSMTree, None
@@ -389,7 +362,7 @@ class WorkloadExecutor:
             )
         tree = None
         try:
-            tree = make_tree(tuning=tuning, system=self.system, disk=disk)
+            tree = make_tree(tuning=tuning, system=self.system)
             tree.bulk_load(keys)
         except BaseException:
             if tree is not None:
@@ -423,7 +396,6 @@ class WorkloadExecutor:
         """
         return TraceGenerator(
             key_space=self.key_space,
-            range_scan_keys=self.config.range_scan_keys,
             long_scan_keys=self.config.long_scan_keys,
             update_fraction=self.config.update_fraction,
             update_skew=self.config.update_skew,
@@ -504,9 +476,7 @@ class WorkloadExecutor:
                     replay(trace, max_batch_ops=self.config.max_batch_ops)
                     elapsed += time.perf_counter() - start
                 sessions.append(
-                    SessionMeasurement.of(
-                        session, num_queries, disk.counters.delta(before), disk
-                    )
+                    SessionMeasurement.of(session, num_queries, disk.counters.delta(before))
                 )
                 if controller is not None:
                     # The gap between sessions is a serving lull: under
@@ -577,7 +547,6 @@ class WorkloadExecutor:
             parallel,
             processes,
         )
-        disk = self.config.disk()
         fleets = []
         for index, tuning in enumerate(tunings):
             fleet = tuple(runs[index * num_shards : (index + 1) * num_shards])
@@ -594,7 +563,7 @@ class WorkloadExecutor:
                     }
                 )
                 num_queries = self.config.queries_per_workload * len(session.workloads)
-                merged.append(SessionMeasurement.of(session, num_queries, delta, disk))
+                merged.append(SessionMeasurement.of(session, num_queries, delta))
             fleets.append(
                 SequenceMeasurement(tuning=tuning, sessions=tuple(merged), shards=fleet)
             )

@@ -31,7 +31,7 @@ evaluation (§8).  It implements the structure the analytical model assumes:
 
 Values are not materialised — every entry has the fixed size configured in
 the :class:`~repro.lsm.system.SystemConfig` — because the experiments only
-measure I/O counts and their derived latency, never value contents.
+measure page I/O counts, never value contents.
 """
 
 from __future__ import annotations

@@ -30,10 +30,10 @@ _ROBUST = LSMTuning(6.0, 4.0, Policy.TIERING)
 
 
 def _column(tuning, labels, ios, events=None):
-    """A hand-built column: ``ios[i]`` pages per query over 100 queries,
-    100 µs a page.  ``events`` makes it an adaptive one."""
+    """A hand-built column: ``ios[i]`` pages per query over 100 queries.
+    ``events`` makes it an adaptive one."""
     sessions = tuple(
-        SessionMeasurement(label, _EXPECTED, 100, round(100 * io), 0, 0, 0, 0, 100.0 * io)
+        SessionMeasurement(label, _EXPECTED, 100, round(100 * io), 0, 0, 0, 0)
         for label, io in zip(labels, ios)
     )
     if events is None:
@@ -74,11 +74,11 @@ class TestTables:
             "expected workload: (25%, 25%, 25%, 25%)  rho=0.5  observed KL=0.12",
             "  nominal: π: leveling, T: 20.0, h: 6.0",
             "  robust:  π: tiering, T: 6.0, h: 4.0",
-            "  session           model N  model R    sys N    sys R  lat N(us)  lat R(us)",
-            "  read                 0.50     0.50     1.00     1.50      100.0      150.0",
-            "  read                 1.50     1.50     2.00     1.00      200.0      100.0",
-            "  range                2.50     2.50     4.00     1.00      400.0      100.0",
-            "  I/O reduction: 50.0%  latency reduction: 50.0%",
+            "  session           model N  model R    sys N    sys R",
+            "  read                 0.50     0.50     1.00     1.50",
+            "  read                 1.50     1.50     2.00     1.00",
+            "  range                2.50     2.50     4.00     1.00",
+            "  I/O reduction: 50.0%",
         ])
 
     def test_drift_table_numbers_its_rows(self):
@@ -180,6 +180,27 @@ class TestTables:
         ])
         with pytest.raises(KeyError, match="incremental"):
             _grid(labels, {**statics, "full": variants["full"]}).claiming(endurance)
+
+
+class TestClaims:
+    def test_robust_vs_nominal_means_skip_an_empty_session(self):
+        """A session that ran no queries measured nothing: the claim's means
+        are each column's ``average_ios_per_query``, which leaves it out,
+        not a re-average that counts it as 0.0."""
+        idle = SessionMeasurement("idle", _EXPECTED, 0, 0, 0, 0, 0, 0)
+        columns = {}
+        for name, tuning, ios in (
+            ("nominal", _NOMINAL, (2.0, 4.0)),
+            ("robust", _ROBUST, (1.0, 2.0)),
+        ):
+            read, scan = _column(tuning, ("read", "range"), ios).sessions
+            columns[name] = SequenceMeasurement(tuning, (read, idle, scan))
+        summary = robust_vs_nominal(_grid(("read", "idle", "range"), columns))
+        assert summary == {
+            "io_reduction": 0.5,
+            "nominal_mean_io_per_query": 3.0,
+            "robust_mean_io_per_query": 1.5,
+        }
 
 
 _ONLINE = OnlineConfig(

@@ -39,7 +39,7 @@ class TestSystemExperiment:
         assert set(w11_comparison.measurements) == {"nominal", "robust"}
         for name in ("nominal", "robust"):
             assert len(w11_comparison.model_ios[name]) == 6
-            assert len(w11_comparison.latency_us(name)) == 6
+            assert len(w11_comparison.system_ios(name)) == 6
             assert all(v >= 0 for v in w11_comparison.system_ios(name))
 
     def test_model_predicts_robust_wins_write_session(self, w11_comparison):
@@ -56,7 +56,7 @@ class TestSystemExperiment:
 
     def test_summary_reports_reductions(self, w11_comparison):
         summary = w11_comparison.summary
-        assert {"io_reduction", "latency_reduction"} <= set(summary)
+        assert "io_reduction" in summary
         assert summary["io_reduction"] > 0.0  # robust reduces total I/O for w11
 
     def test_observed_divergence_recorded(self, w11_comparison):

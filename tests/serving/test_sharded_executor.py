@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -18,7 +18,6 @@ from repro.storage import (
     ExecutorConfig,
     IOCounters,
     SequenceMeasurement,
-    VirtualDisk,
     WorkloadExecutor,
 )
 from repro.storage.executor import fleet_percentiles, tree_fingerprint
@@ -58,7 +57,6 @@ class TestSingleShardBitIdentity:
         assert one.num_shards == len(one.shards) == 1
         assert one.sessions == base.sessions
         assert one.average_ios_per_query == base.average_ios_per_query
-        assert one.average_latency_us == base.average_latency_us
 
     def test_one_shard_computes_no_partition_or_route(self, sequence, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -119,30 +117,19 @@ class TestOneRunner:
         assert measured == run.measurement
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_fleet_latency_is_the_disk_price_of_the_summed_counters(
-        self, sequence, num_shards
-    ):
-        """Reads and writes priced differently: the merged latency must come
-        from ``VirtualDisk.latency_us`` over the fleet's summed delta."""
-        config = _config(
-            num_shards=num_shards, read_latency_us=50.0, write_latency_us=200.0
-        )
-        executor = WorkloadExecutor(_SYSTEM, config)
+    def test_fleet_session_is_the_sum_of_its_shards(self, sequence, num_shards):
+        """A merged session holds each of its shards' five counters summed,
+        amortised over the global stream's query count."""
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=num_shards))
         fleet = executor.run_sequence(_TUNING, sequence)
-        disk = VirtualDisk(read_latency_us=50.0, write_latency_us=200.0)
-        for index, merged in enumerate(fleet.sessions):
+        counters = [counter.name for counter in fields(IOCounters)]
+        for index, (merged, session) in enumerate(zip(fleet.sessions, sequence)):
             parts = [run.measurement.sessions[index] for run in fleet.shards]
-            summed = IOCounters(
-                query_reads=sum(p.query_reads for p in parts),
-                query_writes=sum(p.query_writes for p in parts),
-                compaction_reads=sum(p.compaction_reads for p in parts),
-                compaction_writes=sum(p.compaction_writes for p in parts),
-                flush_writes=sum(p.flush_writes for p in parts),
-            )
-            assert merged.latency_us_per_query == (
-                disk.latency_us(summed) / merged.num_queries
-            )
-        # Both prices matter: the sequence reads and writes pages.
+            summed = {name: sum(getattr(part, name) for part in parts) for name in counters}
+            assert {name: getattr(merged, name) for name in counters} == summed
+            assert merged.num_queries == 250 * len(session.workloads)
+            assert merged.ios_per_query == sum(summed.values()) / merged.num_queries
+        # The sums are not vacuous: the sequence reads and writes pages.
         assert sum(s.query_reads for s in fleet.sessions) > 0
         assert sum(s.flush_writes for s in fleet.sessions) > 0
         if num_shards == 1:

@@ -1,5 +1,7 @@
 """Tests for the I/O-accounting virtual disk."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.storage import IOCounters, VirtualDisk
@@ -50,20 +52,14 @@ class TestVirtualDisk:
         with pytest.raises(ValueError):
             disk.write_pages(-1)
 
-    def test_rejects_negative_latencies(self):
-        with pytest.raises(ValueError):
-            VirtualDisk(read_latency_us=-1.0)
-
-    def test_latency_model(self):
-        disk = VirtualDisk(read_latency_us=10.0, write_latency_us=30.0)
+    def test_counts_pages_and_nothing_else(self):
+        """Pages are the disk's only unit: a disk is its counters."""
+        disk = VirtualDisk()
         disk.read_pages(4)
         disk.write_pages(2, flush=True)
-        assert disk.latency_us() == pytest.approx(4 * 10.0 + 2 * 30.0)
-
-    def test_latency_of_explicit_counters(self):
-        disk = VirtualDisk(read_latency_us=1.0, write_latency_us=2.0)
-        counters = IOCounters(query_reads=3, compaction_writes=5)
-        assert disk.latency_us(counters) == pytest.approx(3 * 1.0 + 5 * 2.0)
+        assert [f.name for f in fields(VirtualDisk)] == ["counters"]
+        assert disk.counters == IOCounters(query_reads=4, flush_writes=2)
+        assert disk.counters.total == 6
 
     def test_reset(self):
         disk = VirtualDisk()

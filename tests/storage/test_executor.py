@@ -1,17 +1,17 @@
 """Tests for the workload executor (system-measurement harness)."""
 
+import inspect
+
 import pytest
 
 from repro.lsm import LSMTuning, Policy
 from repro.online import OnlineConfig
 from repro.storage import (
     AdaptiveSequenceMeasurement,
-    ExecutorConfig,
     SequenceMeasurement,
     SessionMeasurement,
-    WorkloadExecutor,
 )
-from repro.workloads import SessionSequence, SessionType, Workload
+from repro.workloads import SessionSequence, SessionType, TraceGenerator, Workload
 
 
 def _session_measurement(num_queries, **overrides):
@@ -24,7 +24,6 @@ def _session_measurement(num_queries, **overrides):
         flush_writes=0,
         compaction_reads=0,
         compaction_writes=0,
-        latency_us_per_query=0.0,
     )
     base.update(overrides)
     return SessionMeasurement(**base)
@@ -63,7 +62,12 @@ class TestExecutorBasics:
         )
         for session in measurement.sessions:
             assert session.ios_per_query >= 0.0
-            assert session.latency_us_per_query >= 0.0
+
+    def test_trace_generator_scans_the_generators_default_range(self, executor):
+        """No executor knob sets the short-range length: every measurement
+        path scans ``TraceGenerator``'s own default."""
+        default = inspect.signature(TraceGenerator).parameters["range_scan_keys"].default
+        assert executor.trace_generator().range_scan_keys == default == 16
 
 
 class TestSequenceExecution:
@@ -120,22 +124,6 @@ class TestSequenceExecution:
         sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
         measurement = executor.run_sequence(tunings["nominal"], sequence)
         assert measurement.average_ios_per_query >= 0.0
-        assert measurement.average_latency_us >= 0.0
-
-    def test_latency_scales_with_configured_page_cost(self, small_system, session_generator, w11):
-        fast = WorkloadExecutor(
-            small_system,
-            ExecutorConfig(queries_per_workload=200, read_latency_us=10.0, write_latency_us=10.0, seed=5),
-        )
-        slow = WorkloadExecutor(
-            small_system,
-            ExecutorConfig(queries_per_workload=200, read_latency_us=100.0, write_latency_us=100.0, seed=5),
-        )
-        tuning = LSMTuning(5.0, 3.0, Policy.LEVELING)
-        sequence = session_generator.paper_sequence(w11, workloads_per_session=1)
-        fast_measure = fast.run_sequence(tuning, sequence)
-        slow_measure = slow.run_sequence(tuning, sequence)
-        assert slow_measure.average_latency_us > fast_measure.average_latency_us
 
 
 class TestAdaptiveExecution:
@@ -238,17 +226,14 @@ class TestEmptySessionAccounting:
         zero-query session measured nothing, so averaging its 0.0 in would
         understate the sequence's cost."""
         tuning = LSMTuning(5.0, 5.0, policy=Policy.LEVELING)
-        busy_a = _session_measurement(num_queries=10, query_reads=40,
-                                      latency_us_per_query=4.0)
-        busy_b = _session_measurement(num_queries=1_000, query_reads=2_000,
-                                      latency_us_per_query=2.0)
+        busy_a = _session_measurement(num_queries=10, query_reads=40)
+        busy_b = _session_measurement(num_queries=1_000, query_reads=2_000)
         ghost = _session_measurement(num_queries=0, flush_writes=512)
         sequence = SequenceMeasurement(
             tuning=tuning, sessions=(busy_a, ghost, busy_b)
         )
         # (40/10 + 2000/1000) / 2 — equal session weights, ghost excluded.
         assert sequence.average_ios_per_query == pytest.approx(3.0)
-        assert sequence.average_latency_us == pytest.approx(3.0)
 
     def test_all_empty_sequence_averages_to_zero(self):
         tuning = LSMTuning(5.0, 5.0, policy=Policy.LEVELING)
@@ -256,7 +241,6 @@ class TestEmptySessionAccounting:
             tuning=tuning, sessions=(_session_measurement(num_queries=0),)
         )
         assert sequence.average_ios_per_query == 0.0
-        assert sequence.average_latency_us == 0.0
 
 
 class TestLazyLevelingExecution:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, OnlineLSMController
-from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
+from repro.storage import ExecutorConfig, FileStore, LSMTree, WorkloadExecutor
 from repro.workloads import Session, SessionSequence, SessionType, Workload
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -58,6 +58,15 @@ class TestBuildTreeFailure:
 
         monkeypatch.setattr(LSMTree, "bulk_load", explode)
         with pytest.raises(RuntimeError, match="disk full"):
+            _persistent_executor().build_tree(_TUNING)
+        assert list(private_tmp.iterdir()) == []
+
+    def test_failed_store_removes_its_dir(self, private_tmp, monkeypatch):
+        def explode(self, data_dir, sync_writes=False):
+            raise OSError("too many open files")
+
+        monkeypatch.setattr(FileStore, "__init__", explode)
+        with pytest.raises(OSError, match="too many open files"):
             _persistent_executor().build_tree(_TUNING)
         assert list(private_tmp.iterdir()) == []
 

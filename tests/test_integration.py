@@ -283,16 +283,13 @@ class TestSystemPipeline:
         system_robust = sum(comparison.system_ios("robust"))
         assert (model_robust < model_nominal) == (system_robust < system_nominal)
 
-    def test_robust_reduces_io_and_latency_for_w11(self, comparison):
-        summary = comparison.summary
-        assert summary["io_reduction"] > 0.0
-        assert summary["latency_reduction"] > 0.0
+    def test_robust_reduces_io_for_w11(self, comparison):
+        assert comparison.summary["io_reduction"] > 0.0
 
-    def test_latency_tracks_io(self, comparison):
-        """The simulated latency is derived from page I/O, so the two metrics
-        must order the tunings identically within every session."""
-        ios, latency = comparison.system_ios, comparison.latency_us
-        for index in range(len(comparison.labels)):
-            io_order = ios("robust")[index] <= ios("nominal")[index]
-            latency_order = latency("robust")[index] <= latency("nominal")[index]
-            assert io_order == latency_order
+    def test_summary_means_are_the_sequence_averages(self, comparison):
+        """One definition of a sequence mean: the summary reads each
+        column's ``average_ios_per_query`` rather than re-averaging."""
+        summary = comparison.summary
+        for name in ("nominal", "robust"):
+            column = comparison.measurements[name]
+            assert summary[f"{name}_mean_io_per_query"] == column.average_ios_per_query

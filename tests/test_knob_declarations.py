@@ -63,7 +63,7 @@ HAND_WRITTEN = {
 
 #: ``ExecutorConfig`` fields declared ``flag=False``.  ``seed`` is set by the
 #: subcommands' own ``--seed`` together with the experiment's seed.
-NOT_FLAGS = {"read_latency_us", "write_latency_us", "range_scan_keys", "seed"}
+NOT_FLAGS = {"seed"}
 
 #: Which subcommands expose which ``ExecutorConfig`` knob.
 EXECUTOR_EXPOSURE = {

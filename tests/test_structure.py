@@ -177,6 +177,9 @@ RULES = (
     Rule("wide-window-not-a-field", "src/repro/storage/executor.py", r"(?i)wide.window", 38,
          "    wide_window_ops: int = knob(256, \"rows a window needs for the array pass\")",
          scope=("ExecutorConfig",)),
+    Rule("no-simulated-latency", "src/**/*.py benchmarks/*.py examples/*.py",
+         r"latency_us|latency_reduction", 40,
+         '    read_latency_us: float = knob(100.0, "simulated page read latency (µs)")'),
 )
 
 

@@ -644,8 +644,7 @@ def _endurance(state: SessionState):
         FULL: OnlineConfig(**_ENDURANCE_BASE, mode="nominal", migration="full"),
         INCREMENTAL: OnlineConfig(**_ENDURANCE_BASE, mode="nominal", **_INCREMENTAL),
         ADAPTIVE_RHO: OnlineConfig(
-            **_ENDURANCE_BASE, mode="robust", **_INCREMENTAL,
-            rho_adaptive=True, volatility_gain=2.0,
+            **_ENDURANCE_BASE, mode="robust", **_INCREMENTAL, rho_adaptive=True
         ),
     }
     return AdaptiveExperiment(seed=29).run_variants(

@@ -92,12 +92,9 @@ _expected_index = _arg_type(
 #: ``OnlineConfig`` knob).
 _EXECUTOR_KNOBS = {
     SystemExperiment: (
-        "long_scan_keys", "backend", "data_dir", "sync_writes", "num_shards",
-        "update_fraction", "update_skew", "max_batch_ops",
+        "long_scan_keys", "backend", "data_dir", "sync_writes", "num_shards", "update_fraction",
     ),
-    AdaptiveExperiment: (
-        "queries_per_workload", "update_fraction", "update_skew", "max_batch_ops",
-    ),
+    AdaptiveExperiment: ("queries_per_workload", "update_fraction"),
 }
 
 

@@ -222,34 +222,19 @@ class SystemConfig:
 DEFAULT_SYSTEM = SystemConfig()
 
 
-def simulator_system(
-    num_entries: int = 50_000,
-    entry_size_bytes: int = 1024,
-    page_size_bytes: int = 4096,
-    bits_per_entry_budget: float = 16.0,
-    read_write_asymmetry: float = 1.0,
-    range_selectivity: float = 0.0,
-    long_range_selectivity: float = 0.01,
-) -> SystemConfig:
+def simulator_system(num_entries: int = 50_000) -> SystemConfig:
     """Build a small :class:`SystemConfig` suitable for the LSM simulator.
 
     The paper runs its system experiments on RocksDB with 10M entries; the
     pure-Python simulator uses a scaled-down database so experiments finish
-    quickly, keeping the per-entry memory budget comparable.  For very small
-    stores the budget is raised to the minimum that still leaves room for a
-    couple of write-buffer pages next to the Bloom filters.
+    quickly, keeping the per-entry memory budget comparable (16 bits per
+    entry).  For very small stores the budget is raised to the minimum that
+    still leaves room for a couple of write-buffer pages next to the Bloom
+    filters.  A long range scans 1 % of the entries.
     """
-    entries_per_page = max(1, page_size_bytes // entry_size_bytes)
-    minimum_bytes = 2.0 * entries_per_page * entry_size_bytes
-    total_memory_bytes = max(
-        bits_per_entry_budget * num_entries / BITS_PER_BYTE, minimum_bytes
-    )
+    budget = 16.0 * num_entries / BITS_PER_BYTE
     return SystemConfig(
-        entry_size_bytes=entry_size_bytes,
-        page_size_bytes=page_size_bytes,
         num_entries=num_entries,
-        total_memory_bytes=total_memory_bytes,
-        read_write_asymmetry=read_write_asymmetry,
-        range_selectivity=range_selectivity,
-        long_range_selectivity=long_range_selectivity,
+        total_memory_bytes=max(budget, 2.0 * SystemConfig.page_size_bytes),
+        long_range_selectivity=0.01,
     )

@@ -108,14 +108,6 @@ class OnlineConfig:
         "workloads get tuned once for the whole cycle instead of migrating every phase); "
         "requires --mode robust",
     )
-    volatility_gain: float = knob(
-        2.0, "multiplier on the KL-trajectory volatility added to rho", NON_NEGATIVE
-    )
-    k_vector_search: bool = knob(
-        False,
-        "let fluid re-tunings search per-level K_i bound vectors (vector proposals migrate "
-        "like any other tuning: the decision serialises the vector, the plan deploys it)",
-    )
 
     def __post_init__(self) -> None:
         check_knobs(self)
@@ -130,8 +122,8 @@ class OnlineConfig:
         starved = self.admission_starvation_ops < self.migration_step_ops
         if starved and self.admission != "fixed":
             raise ValueError(
-                "starvation_ops must be at least step_ops: the starvation "
-                "bound can only defer steps, not speed them up"
+                "admission_starvation_ops must be at least migration_step_ops: "
+                "the starvation bound can only defer steps, not speed them up"
             )
 
     @property

@@ -38,7 +38,12 @@ from ..core.uncertainty import UncertaintyRegion
 from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..storage.lsm_tree import LSMTree, execute_operation, execute_operations_batched
+from ..storage.lsm_tree import (
+    MAX_BATCH_OPS,
+    LSMTree,
+    execute_operation,
+    execute_operations_batched,
+)
 from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
 from .admission import StepAdmission
@@ -239,7 +244,7 @@ class OnlineLSMController:
         interval = self.config.check_interval
         return interval - self.position % interval
 
-    def execute_batched(self, trace: Trace, max_batch_ops: int = 4_096) -> None:
+    def execute_batched(self, trace: Trace, max_batch_ops: int = MAX_BATCH_OPS) -> None:
         """Execute a trace through the adaptive loop, one window at a time.
 
         The trace is cut into windows that end at the next adaptive-loop

@@ -31,6 +31,10 @@ from .config import OnlineConfig
 #: 4, where robust tunings are essentially workload-agnostic.
 RHO_CAP = 4.0
 
+#: Multiplier on the detector's KL-trajectory volatility that a drift-aware
+#: re-tuning adds to the configured ρ.
+VOLATILITY_GAIN = 2.0
+
 
 @dataclass(frozen=True)
 class RetuningDecision:
@@ -93,8 +97,8 @@ class AdaptiveTuner:
     It reads its knobs off the :class:`~repro.online.config.OnlineConfig` it
     is handed: ``mode`` and ``rho`` (``"nominal"`` re-tunes for the observed
     point estimate, ``"robust"`` with radius ``rho`` around it — the stream
-    that drifted once will drift again), ``horizon_ops``, ``rho_adaptive`` /
-    ``volatility_gain`` (:meth:`effective_rho`) and ``k_vector_search``.
+    that drifted once will drift again), ``horizon_ops`` and ``rho_adaptive``
+    (:meth:`effective_rho`).
 
     Parameters
     ----------
@@ -128,12 +132,7 @@ class AdaptiveTuner:
         anyway, so the online search prices the tunings that can actually be
         deployed — and nothing else.
         """
-        options = dict(
-            system=self.system,
-            policies=self._policies,
-            polish=False,
-            k_vector_search=self.config.k_vector_search,
-        )
+        options = dict(system=self.system, policies=self._policies, polish=False)
         if self.config.mode == "robust":
             return RobustTuner(rho=rho, **options)
         return NominalTuner(**options)
@@ -156,7 +155,7 @@ class AdaptiveTuner:
         """The uncertainty radius a re-tuning solves for, given ``volatility``.
 
         With drift-aware widening enabled, the configured ρ grows by
-        ``volatility_gain`` times the detector's KL-trajectory dispersion
+        :data:`VOLATILITY_GAIN` times the detector's KL-trajectory dispersion
         (capped at :data:`RHO_CAP`): the more the stream has been swinging
         around its nominal centre, the larger the ball the replacement tuning
         must cover.  A cyclic workload keeps re-escaping any tuning computed
@@ -170,7 +169,7 @@ class AdaptiveTuner:
         # rho is simply inert — raised rather than rejected (a large
         # --retune-rho must not crash a non-adaptive run).
         cap = max(RHO_CAP, config.rho)
-        return min(config.rho + config.volatility_gain * float(volatility), cap)
+        return min(config.rho + VOLATILITY_GAIN * float(volatility), cap)
 
     def retune(
         self,

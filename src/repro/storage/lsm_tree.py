@@ -169,6 +169,11 @@ def drain_range_span(engine, ranges: list[tuple[int, int]]) -> None:
 #: within their noise.  Write-dense traces have no window this wide.
 WIDE_WINDOW_OPS = 256
 
+#: Most pending reads (GET keys, ranges) the replay loop hands the vectorised
+#: read path at once.  Not a knob: every bound replays bit-identical counters
+#: and answers (the parity suite and the engine machine draw 1, 3 and this).
+MAX_BATCH_OPS = 4_096
+
 
 def classify_window(engine, trace: Trace, start: int, end: int):
     """Execute the flush-free window ``trace[start:end]`` with array operations.
@@ -234,7 +239,9 @@ def _drain(engine, pending: list[int], queued: np.ndarray, ranges: list, cap: in
     return NO_KEYS, cap
 
 
-def execute_operations_batched(engine, trace: Trace, max_batch_ops: int = 4_096) -> None:
+def execute_operations_batched(
+    engine, trace: Trace, max_batch_ops: int = MAX_BATCH_OPS
+) -> None:
     """Replay a trace against an engine, batching reads between flushes.
 
     The one loop that walks a trace.  Every PUT executes at its stream

@@ -8,16 +8,15 @@ concrete operations (get/range/put) against a key domain, mirroring §8.2:
 * non-empty point reads query keys that exist in the database,
 * empty point reads query keys drawn from the same domain that are guaranteed
   not to exist,
-* range queries are short scans with minimal selectivity; a workload with a
-  non-zero ``long_range_fraction`` issues that share of its range queries as
-  *long* scans covering ``long_scan_keys`` consecutive keys,
+* range queries are short scans of :data:`RANGE_SCAN_KEYS` keys (minimal
+  selectivity); a workload with a non-zero ``long_range_fraction`` issues that
+  share of its range queries as *long* scans covering ``long_scan_keys``
+  consecutive keys,
 * writes insert fresh, previously unused keys — unless ``update_fraction``
   directs a share of them at keys that already exist.  Updates create
   *obsolete versions*: until a compaction consolidates them, every run on a
   key's path keeps its own stale copy, and long range scans pay to read them
-  all.  The ``update_skew`` knob concentrates updates on a Zipf-hot subset
-  of the keys, deepening the duplication exactly where scans will find it —
-  the worst-case amplification the long-range cost model charges per run.
+  all.
 """
 
 from __future__ import annotations
@@ -149,41 +148,33 @@ class KeySpace:
         return int(self.existing.size)
 
 
+#: Keys covered by one short range scan.
+RANGE_SCAN_KEYS = 16
+
+
 class TraceGenerator:
     """Generates operation traces for a workload over a fixed key space."""
 
     def __init__(
         self,
         key_space: KeySpace,
-        range_scan_keys: int = 16,
         long_scan_keys: int = 512,
         seed: int = 23,
         update_fraction: float = 0.0,
-        update_skew: float = 0.0,
     ) -> None:
-        if range_scan_keys <= 0:
-            raise ValueError("range_scan_keys must be positive")
-        if long_scan_keys < range_scan_keys:
-            raise ValueError("long_scan_keys must be at least range_scan_keys")
+        if long_scan_keys < RANGE_SCAN_KEYS:
+            raise ValueError(f"long_scan_keys must be at least {RANGE_SCAN_KEYS}")
         if not 0.0 <= update_fraction <= 1.0:
             raise ValueError("update_fraction must lie in [0, 1]")
-        if update_skew < 0.0:
-            raise ValueError("update_skew must be non-negative")
         self.key_space = key_space
-        self.range_scan_keys = range_scan_keys
         self.long_scan_keys = long_scan_keys
         #: Fraction of the writes that *update* an existing key (duplicate
         #: versions) instead of inserting a fresh one.
         self.update_fraction = float(update_fraction)
-        #: Zipf exponent concentrating updates on a hot subset of the keys;
-        #: 0 spreads updates uniformly over the resident key set.
-        self.update_skew = float(update_skew)
         self._rng = np.random.default_rng(seed)
         # Updates draw from a dedicated stream so enabling them leaves every
         # other operation of a seeded trace bit-identical.
         self._update_rng = np.random.default_rng(seed + 104_729)
-        self._hot_order: np.ndarray | None = None
-        self._hot_probabilities: np.ndarray | None = None
         self._next_fresh_key = key_space.fresh_start
 
     # ------------------------------------------------------------------
@@ -218,7 +209,7 @@ class TraceGenerator:
         first_range = empty_gets + gets
         num_long = int(round(ranges * workload.long_range_fraction))
         scan_lengths[first_range : first_range + num_long] = self.long_scan_keys
-        scan_lengths[first_range + num_long : first_range + ranges] = self.range_scan_keys
+        scan_lengths[first_range + num_long : first_range + ranges] = RANGE_SCAN_KEYS
         order = self._rng.permutation(num_operations)
         return Trace(kinds[order], keys[order], scan_lengths[order])
 
@@ -237,22 +228,10 @@ class TraceGenerator:
         )
 
     def _update_keys(self, count: int) -> np.ndarray:
-        """Existing keys to overwrite, drawn uniformly or Zipf-skewed."""
+        """Existing keys to overwrite, drawn uniformly."""
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        existing = self.key_space.existing
-        if self.update_skew <= 0.0:
-            return self._update_rng.choice(existing, size=count, replace=True)
-        if self._hot_order is None:
-            # Heat is assigned to a random permutation of the resident keys so
-            # the hot set is spread across the key domain (and across runs).
-            self._hot_order = self._update_rng.permutation(existing)
-            ranks = np.arange(1, existing.size + 1, dtype=float)
-            weights = ranks ** -self.update_skew
-            self._hot_probabilities = weights / weights.sum()
-        return self._update_rng.choice(
-            self._hot_order, size=count, replace=True, p=self._hot_probabilities
-        )
+        return self._update_rng.choice(self.key_space.existing, size=count, replace=True)
 
 
 def operation_mix(trace: Trace) -> Workload:

@@ -140,6 +140,9 @@ class TestScalingAndSerialisation:
         assert config.num_entries == 5_000
         assert config.total_bits_per_entry == pytest.approx(16.0)
 
-    def test_simulator_system_budget_configurable(self):
-        config = simulator_system(num_entries=5_000, bits_per_entry_budget=24.0)
-        assert config.total_bits_per_entry == pytest.approx(24.0)
+    def test_simulator_system_floors_the_memory_at_two_buffer_pages(self):
+        """A store too small for 16 bits per entry still gets a write buffer."""
+        config = simulator_system(num_entries=10)
+        assert config.total_memory_bytes == 2 * config.page_size_bytes
+        assert config.total_bits_per_entry > 16.0
+

@@ -81,6 +81,14 @@ class TestStepAdmissionPolicy:
         with pytest.raises(ValueError):
             OnlineConfig(**kwargs)
 
+    def test_starvation_rule_names_the_fields(self):
+        with pytest.raises(ValueError, match=(
+            "admission_starvation_ops must be at least migration_step_ops"
+        )):
+            OnlineConfig(
+                admission="queue-depth", migration_step_ops=100, admission_starvation_ops=50
+            )
+
     def test_fixed_mode_tolerates_small_starvation_bound(self):
         # Pre-existing fixed configs with huge migration_step_ops must not
         # start raising because the (unused) starvation default is smaller.

@@ -5,7 +5,7 @@ import pytest
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import AdaptiveTuner, OnlineConfig, OnlineLSMController
-from repro.online.retuner import RHO_CAP
+from repro.online.retuner import RHO_CAP, VOLATILITY_GAIN
 from repro.storage import LSMTree
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
@@ -324,11 +324,10 @@ class TestIncrementalMigration:
 
 class TestAdaptiveRho:
     def test_effective_rho_widens_with_volatility(self, tiny_system):
-        config = OnlineConfig(
-            mode="robust", rho=0.5, rho_adaptive=True, volatility_gain=2.0
-        )
+        config = OnlineConfig(mode="robust", rho=0.5, rho_adaptive=True)
         tuner = AdaptiveTuner(tiny_system, config)
         assert tuner.effective_rho(0.0) == 0.5
+        assert VOLATILITY_GAIN == 2.0
         assert tuner.effective_rho(0.4) == pytest.approx(1.3)
         assert tuner.effective_rho(100.0) == RHO_CAP == 4.0  # capped
 
@@ -337,17 +336,15 @@ class TestAdaptiveRho:
         assert tuner.effective_rho(5.0) == 0.5
 
     def test_decision_records_the_widened_radius(self, tiny_system):
-        config = OnlineConfig(
-            mode="robust", rho=0.25, rho_adaptive=True, volatility_gain=1.0
-        )
+        config = OnlineConfig(mode="robust", rho=0.25, rho_adaptive=True)
         tuner = AdaptiveTuner(tiny_system, config)
         current = LSMTuning(30.0, 8.0, Policy.LEVELING)
         decision = tuner.retune(
             Workload(0.05, 0.05, 0.05, 0.85), current,
             resident_pages=1_000, volatility=0.5,
         )
-        assert decision.rho == pytest.approx(0.75)
-        assert decision.to_dict()["rho"] == pytest.approx(0.75)
+        assert decision.rho == pytest.approx(1.25)  # 0.25 + 2.0 × 0.5
+        assert decision.to_dict()["rho"] == pytest.approx(1.25)
 
     def test_migration_widens_the_watched_ball(self, tiny_system, key_space):
         """After a drift-aware migration the detector watches the widened
@@ -356,7 +353,7 @@ class TestAdaptiveRho:
         config = OnlineConfig(
             window=150, check_interval=32, min_observations=64,
             cooldown=256, confirm_checks=2, rho=0.5, mode="robust",
-            horizon_ops=50_000, rho_adaptive=True, volatility_gain=2.0,
+            horizon_ops=50_000, rho_adaptive=True,
         )
         controller = _controller(tiny_system, key_space, config, expected)
         assert controller.detector.threshold == pytest.approx(0.5)
@@ -413,9 +410,7 @@ class TestOnlineConfig:
     def test_large_rho_does_not_trip_the_adaptive_cap(self, tiny_system):
         """A radius above the default cap must not crash (the cap bounds the
         widening, never the configured radius itself)."""
-        config = OnlineConfig(
-            mode="robust", rho=5.0, rho_adaptive=True, volatility_gain=2.0
-        )
+        config = OnlineConfig(mode="robust", rho=5.0, rho_adaptive=True)
         tuner = AdaptiveTuner(tiny_system, config)
         assert tuner.effective_rho(0.0) == 5.0
         assert tuner.effective_rho(10.0) == 5.0  # cap clamped up to rho

@@ -3,8 +3,8 @@
 The online stack serialises tunings at two seams — the retuning decision
 (JSON events) and the migration target — so per-level ``k_bounds`` vectors
 must survive both.  The heavyweight migration invariants for vector targets
-live in ``tests/test_migration_properties.py``; here the re-tuner and
-config threading are pinned.
+live in ``tests/test_migration_properties.py``; here a pinned vector policy's
+proposal and its deployment are.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ _SYSTEM = simulator_system(num_entries=3_000)
 
 
 class TestAdaptiveTunerVectors:
-    def test_k_vector_search_threads_to_the_tuners(self):
-        tuner = AdaptiveTuner(
-            _SYSTEM, OnlineConfig(mode="robust", k_vector_search=True), (Policy.FLUID,)
-        )
-        assert tuner.tuner.k_vector_search
-        # A widened-radius re-tuner keeps the flag too.
-        assert tuner._tuner_for(1.5).k_vector_search
+    def test_online_retunings_search_scalar_bounds(self):
+        """The online loop has no K-vector switch: only a pinned vector
+        policy (below) proposes a vector."""
+        tuner = AdaptiveTuner(_SYSTEM, OnlineConfig(mode="robust"), (Policy.FLUID,))
+        assert not tuner.tuner.k_vector_search
+        assert not tuner._tuner_for(1.5).k_vector_search
 
     def test_pinned_vector_policy_proposes_a_vector_tuning(self):
         spec = CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
@@ -56,16 +55,6 @@ class TestAdaptiveTunerVectors:
 
 
 class TestControllerThreading:
-    def test_online_config_threads_the_flag(self):
-        tree = LSMTree(LSMTuning(10.0, 8.0, Policy.LEVELING), _SYSTEM, seed=5)
-        controller = OnlineLSMController(
-            tree=tree,
-            expected=Workload(0.25, 0.25, 0.25, 0.25),
-            config=OnlineConfig(k_vector_search=True),
-            policies=(Policy.FLUID,),
-        )
-        assert controller.retuner.config.k_vector_search
-
     def test_full_migration_deploys_a_vector_tuning(self):
         """An in-place rebuild towards a vector tuning leaves the live tree
         under the vector bounds, still serving reads."""

@@ -1,17 +1,17 @@
 """Tests for the workload executor (system-measurement harness)."""
 
-import inspect
-
 import pytest
 
 from repro.lsm import LSMTuning, Policy
 from repro.online import OnlineConfig
 from repro.storage import (
     AdaptiveSequenceMeasurement,
+    ExecutorConfig,
     SequenceMeasurement,
     SessionMeasurement,
 )
-from repro.workloads import SessionSequence, SessionType, TraceGenerator, Workload
+from repro.workloads import SessionSequence, SessionType, Workload
+from repro.workloads.traces import RANGE_SCAN_KEYS
 
 
 def _session_measurement(num_queries, **overrides):
@@ -64,10 +64,20 @@ class TestExecutorBasics:
             assert session.ios_per_query >= 0.0
 
     def test_trace_generator_scans_the_generators_default_range(self, executor):
-        """No executor knob sets the short-range length: every measurement
-        path scans ``TraceGenerator``'s own default."""
-        default = inspect.signature(TraceGenerator).parameters["range_scan_keys"].default
-        assert executor.trace_generator().range_scan_keys == default == 16
+        """No knob sets the short-range length: every measurement path scans
+        the generator's one constant."""
+        trace = executor.trace_generator().operations(Workload(0.0, 0.0, 1.0, 0.0), 50)
+        assert set(trace.scan_lengths.tolist()) == {RANGE_SCAN_KEYS} == {16}
+
+    @pytest.mark.parametrize(
+        "option", [{"sync_writes": True}, {"data_dir": "trees"}], ids=["sync_writes", "data_dir"]
+    )
+    def test_files_only_options_require_the_persistent_backend(self, option):
+        """On memory they would be accepted and silently ignored."""
+        (name,) = option
+        with pytest.raises(ValueError, match=f"{name} requires backend='persistent'"):
+            ExecutorConfig(**option)
+        assert getattr(ExecutorConfig(backend="persistent", **option), name) == option[name]
 
 
 class TestSequenceExecution:

@@ -110,8 +110,8 @@ class TestMidRunDisposal:
         saw_plan = []
         original = OnlineLSMController.execute_batched
 
-        def poisoned(self, operations, max_batch_ops):
-            original(self, operations, max_batch_ops)
+        def poisoned(self, operations):
+            original(self, operations)
             if self.migration_plan is not None:
                 saw_plan.append(True)
                 raise RuntimeError("crashed while migrating")

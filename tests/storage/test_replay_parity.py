@@ -39,6 +39,7 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from itertools import count, groupby
 from pathlib import Path
 from typing import NamedTuple
@@ -1020,10 +1021,12 @@ class TestExecutorParity:
         "tuning", [_TUNINGS[0], _TUNINGS[1], _TUNINGS[5]], ids=["leveling", "tiering", "kvector"]
     )
     @pytest.mark.parametrize("max_batch_ops", [1, 13, 4_096])
-    def test_run_sequence_matches_scalar_replay(self, tuning, max_batch_ops, sequence):
-        config = ExecutorConfig(
-            queries_per_workload=200, seed=5, max_batch_ops=max_batch_ops
-        )
+    def test_run_sequence_matches_scalar_replay(
+        self, tuning, max_batch_ops, sequence, monkeypatch
+    ):
+        config = ExecutorConfig(queries_per_workload=200, seed=5)
+        capped = partial(execute_operations_batched, max_batch_ops=max_batch_ops)
+        monkeypatch.setattr("repro.storage.executor.execute_operations_batched", capped)
         measured = WorkloadExecutor(_SYSTEM, config).run_sequence(tuning, sequence)
 
         executor = WorkloadExecutor(_SYSTEM, config)
@@ -1038,10 +1041,6 @@ class TestExecutorParity:
                 _replay_scalar(tree, trace)
             assert measurement.num_queries == queries
             assert _session_counters(measurement) == tree.disk.counters.delta(before)
-
-    def test_max_batch_ops_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_batch_ops"):
-            ExecutorConfig(max_batch_ops=0)
 
     def test_adaptive_run_matches_a_scalar_controller(self, sequence):
         online = OnlineConfig(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import configparser
+import functools
 import json
 import pathlib
 import subprocess
@@ -144,13 +145,6 @@ class TestFractionValidation:
         assert "--update-fraction" in err
         assert "fraction in [0, 1]" in err
 
-    @pytest.mark.parametrize("command", ["compare", "online"])
-    def test_rejects_negative_update_skew(self, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--update-skew", "-1.0"])
-        assert excinfo.value.code == 2
-        assert "non-negative" in capsys.readouterr().err
-
     def test_boundary_fractions_parse(self):
         args = build_parser().parse_args(
             ["compare", "--long-range-fraction", "1.0", "--update-fraction", "0"]
@@ -233,6 +227,21 @@ class TestBackendFlag:
         # The user-chosen data dir keeps the tree files for inspection.
         manifests = list((tmp_path / "trees").glob("tree-*/MANIFEST.json"))
         assert manifests
+
+    @pytest.mark.parametrize("flags", [["--sync-writes"], ["--data-dir", "trees"]],
+                             ids=["sync-writes", "data-dir"])
+    def test_compare_rejects_a_files_only_flag_on_the_simulated_backend(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        """Memory has no log to sync and no directory to keep: the flag would
+        be silently ignored, so it is a usage error."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--num-entries", "3000", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "requires backend='persistent'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPolicyFlag:
@@ -505,11 +514,6 @@ class TestOnlineCommand:
         tuner = AdaptiveTuner(simulator_system(1_000), config)
         assert tuner.effective_rho(10.0) == 5.0  # not adaptive: unwidened
 
-    def test_online_rejects_negative_volatility_gain(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["online", "--volatility-gain", "-1"])
-        assert "must be non-negative" in capsys.readouterr().err
-
 
 class TestOnlineKnobValidation:
     """Bad knob values die at the parser with a clear usage error, not a
@@ -549,7 +553,7 @@ class TestOnlineKnobValidation:
                   "--admission-starvation-ops", "10"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "starvation_ops must be at least step_ops" in err
+        assert "admission_starvation_ops must be at least migration_step_ops" in err
         assert "Traceback" not in err
 
     def test_rejects_non_integer_values(self, capsys):
@@ -657,25 +661,16 @@ class TestCompareJson:
 
 
 class TestBatchExecutionFlags:
-    def test_max_batch_ops_default(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.max_batch_ops == 4_096
-
-    def test_max_batch_ops_parses(self):
-        args = build_parser().parse_args(["online", "--max-batch-ops", "128"])
-        assert args.max_batch_ops == 128
-
-    def test_max_batch_ops_rejects_non_positive(self):
-        for bad in ("0", "-4", "1.5"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["compare", "--max-batch-ops", bad])
-
-    def test_compare_output_does_not_depend_on_the_batch_bound(self, capsys):
+    def test_compare_output_does_not_depend_on_the_batch_bound(self, capsys, monkeypatch):
         """One read per span (the scalar ``get`` path) prints the same JSON."""
+        from repro.storage.lsm_tree import execute_operations_batched
+
         argv = ["compare", "--num-entries", "4000", "--seed", "3", "--json"]
         assert main(argv) == 0
         batched = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--max-batch-ops", "1"]) == 0
+        scalar_replay = functools.partial(execute_operations_batched, max_batch_ops=1)
+        monkeypatch.setattr("repro.storage.executor.execute_operations_batched", scalar_replay)
+        assert main(argv) == 0
         scalar = json.loads(capsys.readouterr().out)
         assert batched == scalar
 

@@ -215,7 +215,6 @@ class TestLongRangeAgreementUnderChurn:
                     queries_per_workload=600,
                     seed=17,
                     update_fraction=update_fraction,
-                    update_skew=0.8,
                     long_scan_keys=long_keys,
                 ),
             )

@@ -20,10 +20,16 @@ from repro.knobs import Bound, flag_of
 from repro.online import OnlineConfig
 from repro.online.controller import OnlineConfig as ControllerOnlineConfig
 from repro.storage import ExecutorConfig
+from repro.storage.lsm_tree import MAX_BATCH_OPS
 
 #: Option strings of the three flag-carrying subcommands at the parent of the
 #: PR that derived them from the dataclasses — none added, and none lost but
-#: ``tune --seed``, which the deterministic tuners never read.
+#: ``tune --seed``, which the deterministic tuners never read, and six knobs
+#: no driver ever set off their default: ``compare --update-skew
+#: --max-batch-ops`` and ``online --update-skew --max-batch-ops
+#: --volatility-gain --k-vector-search`` (the batch bound and the gain are
+#: module constants now, the Zipf update path and the online K-vector switch
+#: are gone; ``tune --k-vector-search`` stays).
 PARENT_OPTIONS = {
     "tune": {
         "--k-bounds", "--k-vector-search", "--long-range-fraction",
@@ -32,20 +38,17 @@ PARENT_OPTIONS = {
     },
     "compare": {
         "--backend", "--data-dir", "--expected-index", "--json",
-        "--long-range-fraction", "--long-scan-keys", "--max-batch-ops",
-        "--num-entries", "--num-shards", "--policy", "--rho", "--seed",
-        "--sync-writes", "--update-fraction", "--update-skew",
+        "--long-range-fraction", "--long-scan-keys", "--num-entries", "--num-shards",
+        "--policy", "--rho", "--seed", "--sync-writes", "--update-fraction",
     },
     "online": {
         "--admission", "--admission-idle-steps", "--admission-max-backlog",
         "--admission-starvation-ops", "--check-interval", "--confirm-checks",
-        "--cooldown", "--expected-index", "--horizon", "--json", "--k-vector-search",
-        "--max-batch-ops", "--migration", "--migration-step-ops",
-        "--migration-step-pages", "--min-observations", "--mode", "--num-entries",
-        "--parallel", "--phases", "--policy", "--queries-per-workload",
+        "--cooldown", "--expected-index", "--horizon", "--json", "--migration",
+        "--migration-step-ops", "--migration-step-pages", "--min-observations", "--mode",
+        "--num-entries", "--parallel", "--phases", "--policy", "--queries-per-workload",
         "--retune-rho", "--rho", "--rho-adaptive", "--seed", "--sessions-per-phase",
-        "--threshold", "--update-fraction", "--update-skew", "--volatility-gain",
-        "--window",
+        "--threshold", "--update-fraction", "--window",
     },
 }
 
@@ -70,8 +73,6 @@ EXECUTOR_EXPOSURE = {
     "queries_per_workload": ("online",),
     "long_scan_keys": ("compare",),
     "update_fraction": ("compare", "online"),
-    "update_skew": ("compare", "online"),
-    "max_batch_ops": ("compare", "online"),
     "backend": ("compare",),
     "data_dir": ("compare",),
     "sync_writes": ("compare",),
@@ -200,10 +201,18 @@ class TestOptionStrings:
 
 
 class TestDroppedKnobs:
-    def test_online_config_lost_its_four_never_set_fields(self):
+    def test_online_config_lost_its_never_varied_fields(self):
         names = {spec.name for spec in fields(OnlineConfig)}
-        assert len(names) == 19
-        assert not names & {"safety_factor", "smoothing", "polish", "rho_cap"}
+        assert len(names) == 17
+        assert not names & {
+            "safety_factor", "smoothing", "polish", "rho_cap", "volatility_gain",
+            "k_vector_search",
+        }
+
+    def test_executor_config_lost_its_never_varied_fields(self):
+        names = {spec.name for spec in fields(ExecutorConfig)}
+        assert not names & {"update_skew", "max_batch_ops"}
+        assert ExecutorConfig().max_batch_ops == MAX_BATCH_OPS
 
     def test_online_config_still_resolves_from_the_controller_module(self):
         assert ControllerOnlineConfig is OnlineConfig

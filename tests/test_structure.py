@@ -57,7 +57,8 @@ class Rule:
 
 
 RULES = (
-    Rule("one-figure-test", "benchmarks/test_*.py", r"\A", 26, "def test_table(): ...", "== 1"),
+    # The figure rows' one test, and the reachability tool's.
+    Rule("one-figure-test", "benchmarks/test_*.py", r"\A", 26, "def test_table(): ...", "== 2"),
     Rule("no-timing-wrapper", "benchmarks/*.py", r"pedantic|run_once|report\(", 26,
          "    benchmark.pedantic(run, rounds=1)"),
     Rule("metrics-import-no-model", "src/repro/analysis/metrics.py",
@@ -180,6 +181,14 @@ RULES = (
     Rule("no-simulated-latency", "src/**/*.py benchmarks/*.py examples/*.py",
          r"latency_us|latency_reduction", 40,
          '    read_latency_us: float = knob(100.0, "simulated page read latency (µs)")'),
+    Rule("no-update-skew", SRC, r"update_skew|_hot_order|volatility_gain", 41,
+         "        update_skew: float = 0.0,"),
+    Rule("batch-bound-not-a-knob", "src/repro/storage/executor.py src/repro/online/config.py",
+         r"^\s+(max_batch_ops|k_vector_search): \w+ = knob\(", 41,
+         '    k_vector_search: bool = knob(False, "search K_i vectors when re-tuning")'),
+    Rule("batch-bound-once", SRC, r"max_batch_ops\b[^=\n]*= *\d", 41,
+         "    def execute_batched(self, trace: Trace, max_batch_ops: int = 4_096) -> None:"),
+    Rule("one-short-scan-length", SRC, r"range_scan_keys", 41, "        range_scan_keys: int = 16,"),
 )
 
 

@@ -81,6 +81,8 @@ CLI = [
     "tune --workload .25 .25 .25 .25 --num-entries -5", "tune --workload .25 .25 .25 .25 --seed 7",
     "online --admission queue-depth --admission-starvation-ops 10",
     "table --rho 1", "workloads",
+    "tune --workload 0.1 0.2 0.1 0.6 --policy fluid --k-bounds 4,2,1 --z-bound 1 "
+    "--num-entries 100000 --long-range-fraction 0.2 --rho 0.25",
 ]
 WORKLOADS = ["point_read", "write_ingest", "range_scan", "persistent_mixed",
              "tune_sweep", "online_drift", "sharded_serving"]

@@ -192,9 +192,9 @@ def scaling_experiment(
 ) -> list[dict[str, float | str]]:
     """Average I/Os per query as the database size ``N`` grows (Figure 16).
 
-    The nominal and robust tunings are computed once on the model-scale
-    system (they depend only on the workload and the per-entry memory
-    budget), then deployed on simulators of increasing size; the paper's
+    Each size gets its own ``simulator_system(size)`` and its own
+    :class:`SystemExperiment`, so the nominal and robust tunings are solved
+    anew on every simulator (once per size) and deployed there; the paper's
     observation is that the performance gap is stable across sizes.
     """
     expected = expected_workloads()[expected_index].workload

@@ -3,7 +3,7 @@
 from .grid import GridTuner
 from .nominal import NominalTuner
 from .results import TuningResult
-from .robust import RobustTuner, tune_nominal, tune_robust
+from .robust import RobustTuner
 from .uncertainty import (
     UncertaintyRegion,
     dual_objective,
@@ -18,6 +18,4 @@ __all__ = [
     "UncertaintyRegion",
     "dual_objective",
     "kl_conjugate",
-    "tune_nominal",
-    "tune_robust",
 ]

@@ -34,13 +34,3 @@ class TuningResult:
     expected_workload: Workload
     rho: float = 0.0
     solver_info: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def nominal(self) -> bool:
-        """Whether this result came from a zero-uncertainty (nominal) problem."""
-        return self.rho == 0.0
-
-    def describe(self) -> str:
-        """One-line human-readable description of the result."""
-        kind = "nominal" if self.nominal else f"robust(rho={self.rho:g})"
-        return f"{kind}: {self.tuning.describe()} | objective={self.objective:.4f}"

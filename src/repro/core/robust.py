@@ -103,13 +103,3 @@ class RobustTuner(BaseTuner):
         result.solver_info["lambda"] = lam
         result.solver_info["dual_objective"] = self.dual_value(costs, workload, lam)
         return result
-
-
-def tune_robust(workload: Workload, rho: float, system=None, **kwargs) -> TuningResult:
-    """Convenience wrapper: build a :class:`RobustTuner` and solve once."""
-    return RobustTuner(rho=rho, system=system, **kwargs).tune(workload)
-
-
-def tune_nominal(workload: Workload, system=None, **kwargs) -> TuningResult:
-    """Convenience wrapper: build a :class:`NominalTuner` and solve once."""
-    return NominalTuner(system=system, **kwargs).tune(workload)

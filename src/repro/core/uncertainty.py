@@ -144,6 +144,9 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
     spread, weights = np.ascontiguousarray(spread.T), weights[:, None]
     squared = spread * spread
     variance = (weights * squared).sum(axis=0) - (weights * spread).sum(axis=0) ** 2
+    # Cancellation can leave a (numerically) zero variance a hair below zero,
+    # e.g. when all but a subnormal weight sits on one component.
+    variance = np.maximum(variance, 0.0)
     low = np.zeros(variance.shape)
     high = np.full(variance.shape, _MAX_TILT)
     with np.errstate(divide="ignore"):  # a vanishing variance starts mid-bracket

@@ -68,9 +68,6 @@ class Policy(enum.Enum):
     ONE_LEVELING = "1-leveling"
     FLUID = "fluid"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
     @classmethod
     def from_value(cls, value: "Policy | str") -> "Policy":
         """Coerce a user-supplied value (enum member or string) to a policy.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
 
 #: Number of bits in one byte; used for the many bit/byte conversions below.
 BITS_PER_BYTE = 8
@@ -128,11 +127,6 @@ class SystemConfig:
         min_buffer_bits = self.entries_per_page * self.entry_size_bits
         return (self.total_memory_bits - min_buffer_bits) / self.num_entries
 
-    @property
-    def data_size_bytes(self) -> float:
-        """Total logical size of the stored data in bytes (``N * E``)."""
-        return float(self.num_entries) * self.entry_size_bytes
-
     # ------------------------------------------------------------------
     # Memory split helpers
     # ------------------------------------------------------------------
@@ -177,14 +171,16 @@ class SystemConfig:
         return max(1, int(levels))
 
     # ------------------------------------------------------------------
-    # Convenience constructors / serialisation
+    # Convenience constructors
     # ------------------------------------------------------------------
     def scaled(self, num_entries: int) -> "SystemConfig":
         """Return a copy with a different number of entries.
 
         The memory budget is scaled proportionally so that the bits-per-entry
         budget (and therefore the qualitative tuning landscape) is preserved.
-        This is how the scaling experiment (Figure 16) varies database size.
+        ``tune --num-entries`` resizes the default system this way; the
+        scaling experiment (Figure 16) builds a ``simulator_system`` per size
+        instead.
         """
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")
@@ -194,25 +190,6 @@ class SystemConfig:
             num_entries=num_entries,
             total_memory_bytes=self.total_memory_bytes * factor,
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise to a plain dictionary (useful for logging and JSON)."""
-        return {
-            "entry_size_bytes": self.entry_size_bytes,
-            "page_size_bytes": self.page_size_bytes,
-            "num_entries": self.num_entries,
-            "total_memory_bytes": self.total_memory_bytes,
-            "read_write_asymmetry": self.read_write_asymmetry,
-            "range_selectivity": self.range_selectivity,
-            "long_range_selectivity": self.long_range_selectivity,
-            "min_bits_per_entry": self.min_bits_per_entry,
-            "max_size_ratio": self.max_size_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SystemConfig":
-        """Build a configuration from a mapping produced by :meth:`to_dict`."""
-        return cls(**dict(data))
 
 
 #: Default configuration used throughout the model-based evaluation.  It

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .policy import CompactionPolicy, Policy
 from .system import SystemConfig
@@ -54,19 +54,12 @@ class LSMTuning:
         Compaction policy: a :class:`~repro.lsm.policy.Policy` name (or its
         string) — leveling, tiering, lazy leveling, 1-leveling or fluid — or
         a :class:`~repro.lsm.policy.CompactionPolicy` value, stored as
-        :attr:`compaction`.
-    k_bound, z_bound, k_bounds:
-        Shorthand for the bounds of a tuning built from the *name*
-        ``Policy.FLUID`` (ignored for every other name, so classical tunings
-        compare equal regardless of how they were built): ``k_bounds`` is
-        the per-level vector ``(K_1, K_2, …)`` of the upper levels,
-        shallowest first; ``k_bound`` the single bound shared by all of
-        them (the length-1 vector; ``k_bounds`` wins when both are given),
-        defaulting to ``T - 1`` (tiering-like upper levels); ``z_bound`` the
-        bound of the largest level, defaulting to ``1`` (a single leveled
-        run).  The attributes of the same names read them back — ``None``
-        on non-fluid tunings, and exactly one of ``k_bound`` / ``k_bounds``
-        set on fluid ones.
+        :attr:`compaction`.  The bare name ``Policy.FLUID`` means
+        ``K = T - 1`` and ``Z = 1``; a fluid tuning with explicit bounds is
+        ``LSMTuning(T, h, CompactionPolicy.fluid(k_bounds, z_bound))``.  The
+        attributes ``k_bound``, ``k_bounds`` and ``z_bound`` read the bounds
+        back — ``None`` on non-fluid tunings, and exactly one of ``k_bound``
+        / ``k_bounds`` set on fluid ones.
     """
 
     size_ratio: float
@@ -78,9 +71,6 @@ class LSMTuning:
         size_ratio: float,
         bits_per_entry: float,
         policy: Policy | str | CompactionPolicy,
-        k_bound: float | None = None,
-        z_bound: float | None = None,
-        k_bounds: Sequence[float] | None = None,
     ) -> None:
         if not (math.isfinite(size_ratio) and size_ratio >= 2.0):
             raise ValueError(f"size_ratio must be finite and >= 2, got {size_ratio}")
@@ -88,13 +78,7 @@ class LSMTuning:
             raise ValueError(
                 f"bits_per_entry must be finite and non-negative, got {bits_per_entry}"
             )
-        if not isinstance(policy, CompactionPolicy):
-            if Policy.from_value(policy) is Policy.FLUID:
-                if k_bounds is None:
-                    k_bounds = (math.inf if k_bound is None else k_bound,)
-                policy = CompactionPolicy.fluid(k_bounds, z_bound)
-            else:
-                policy = CompactionPolicy.of(policy)
+        policy = CompactionPolicy.of(policy)
         if policy.policy is Policy.FLUID and math.inf in policy.bounds:
             # A fluid tuning serialises its bounds, so "T - 1 at every T" is
             # pinned to this tuning's T.
@@ -134,21 +118,9 @@ class LSMTuning:
     # ------------------------------------------------------------------
     # Derived memory quantities
     # ------------------------------------------------------------------
-    def filter_memory_bits(self, system: SystemConfig) -> float:
-        """Total memory devoted to Bloom filters (``m_filt``) in bits."""
-        return system.filter_memory_bits(self.bits_per_entry)
-
-    def buffer_memory_bits(self, system: SystemConfig) -> float:
-        """Memory left for the write buffer (``m_buf``) in bits."""
-        return system.buffer_memory_bits(self.bits_per_entry)
-
     def buffer_memory_bytes(self, system: SystemConfig) -> float:
         """Write-buffer memory in bytes."""
         return system.buffer_memory_bytes(self.bits_per_entry)
-
-    def num_levels(self, system: SystemConfig) -> int:
-        """Number of disk levels ``L(T)`` this tuning produces."""
-        return system.num_levels(self.size_ratio, self.bits_per_entry)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -180,25 +152,6 @@ class LSMTuning:
             z_bound=deploy(self.compaction.z_bound),
         )
         return LSMTuning(float(ratio), self.bits_per_entry, compaction)
-
-    def with_policy(self, policy: Policy | str) -> "LSMTuning":
-        """Return a copy with a different compaction policy.
-
-        Switching to fluid materialises the default run bounds (``K = T - 1``,
-        ``Z = 1``); switching away drops them.
-        """
-        return LSMTuning(self.size_ratio, self.bits_per_entry, policy)
-
-    def with_bounds(
-        self,
-        k_bound: float | None = None,
-        z_bound: float | None = None,
-        k_bounds: Sequence[float] | None = None,
-    ) -> "LSMTuning":
-        """Return a fluid copy of this tuning with the given run bounds."""
-        return LSMTuning(
-            self.size_ratio, self.bits_per_entry, Policy.FLUID, k_bound, z_bound, k_bounds
-        )
 
     def clamped(self, system: SystemConfig) -> "LSMTuning":
         """Return a copy with parameters clamped to the system's legal ranges."""
@@ -232,18 +185,6 @@ class LSMTuning:
         if self.k_bounds is not None:
             data["k_bounds"] = list(self.k_bounds)
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LSMTuning":
-        """Build a tuning from a mapping produced by :meth:`to_dict`."""
-        return cls(
-            float(data["size_ratio"]),
-            float(data["bits_per_entry"]),
-            data["policy"],
-            data.get("k_bound"),
-            data.get("z_bound"),
-            data.get("k_bounds"),
-        )
 
     def describe(self) -> str:
         """Human-readable one-line description, matching the paper's figures."""

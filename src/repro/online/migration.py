@@ -83,16 +83,6 @@ class MigrationStep:
     #: Whether this step completes its run (the run is installed).
     installs_run: bool
 
-    @property
-    def num_entries(self) -> int:
-        """Entries moved by the step."""
-        return self.stop - self.start
-
-    @property
-    def pages(self) -> int:
-        """Total pages moved by the step."""
-        return self.read_pages + self.write_pages
-
 
 class MigrationPlan(BufferFirstReads):
     """A resumable, step-bounded rebuild of ``source`` under ``target``'s tuning.

@@ -7,7 +7,6 @@ from .benchmark import (
     expected_workload,
     expected_workloads,
     rho_grid,
-    workloads_by_category,
 )
 from .sessions import (
     DOMINANT_FRACTION,
@@ -57,5 +56,4 @@ __all__ = [
     "kl_divergence",
     "operation_mix",
     "rho_grid",
-    "workloads_by_category",
 ]

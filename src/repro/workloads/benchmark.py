@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -31,9 +31,6 @@ class WorkloadCategory(enum.Enum):
     UNIMODAL = "unimodal"
     BIMODAL = "bimodal"
     TRIMODAL = "trimodal"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -96,15 +93,6 @@ def expected_workload(index: int) -> ExpectedWorkload:
     return table[index]
 
 
-def workloads_by_category(
-    category: WorkloadCategory | str,
-) -> tuple[ExpectedWorkload, ...]:
-    """All Table 2 workloads belonging to one category."""
-    if isinstance(category, str):
-        category = WorkloadCategory(category.lower())
-    return tuple(w for w in expected_workloads() if w.category is category)
-
-
 class UncertaintyBenchmark:
     """The benchmark set ``B`` of sampled workloads (Section 6).
 
@@ -146,14 +134,6 @@ class UncertaintyBenchmark:
     def __iter__(self) -> Iterator[Workload]:
         return iter(self._workloads)
 
-    def __getitem__(self, index: int) -> Workload:
-        return self._workloads[index]
-
-    @property
-    def workloads(self) -> Sequence[Workload]:
-        """The sampled workloads, in sampling order."""
-        return tuple(self._workloads)
-
     @property
     def query_counts(self) -> np.ndarray:
         """Raw query counts (size × 4) used to derive the workloads.
@@ -192,18 +172,6 @@ class UncertaintyBenchmark:
         divergences = self.kl_divergences(reference)
         return [wl for wl, d in zip(self._workloads, divergences) if d <= rho]
 
-    def mean_divergence(self, reference: Workload) -> float:
-        """Mean KL divergence of the benchmark w.r.t. ``reference``.
-
-        The paper recommends this statistic (computed over historical
-        workloads) as the value of the uncertainty parameter ``ρ``.
-        """
-        divergences = self.kl_divergences(reference)
-        finite = divergences[np.isfinite(divergences)]
-        if finite.size == 0:
-            raise ValueError("no finite divergences w.r.t. the reference workload")
-        return float(finite.mean())
-
     def sample(self, count: int, seed: int | None = None) -> list[Workload]:
         """Draw ``count`` workloads from the benchmark uniformly at random."""
         if count <= 0:
@@ -238,5 +206,4 @@ __all__ = [
     "expected_workloads",
     "kl_divergence",
     "rho_grid",
-    "workloads_by_category",
 ]

@@ -35,9 +35,6 @@ class SessionType(enum.Enum):
     RANGE = "range"
     WRITE = "write"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: Dominant-query weight of a non-expected session (80% in the paper).
 DOMINANT_FRACTION = 0.8
@@ -73,9 +70,6 @@ class Session:
                 wl.with_long_range_fraction(fraction) for wl in self.workloads
             ),
         )
-
-    def __len__(self) -> int:
-        return len(self.workloads)
 
 
 @dataclass(frozen=True)

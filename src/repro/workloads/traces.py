@@ -42,9 +42,6 @@ class OperationType(enum.IntEnum):
     RANGE = 2
     PUT = 3
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name.lower()
-
 
 #: Kind code -> member (a tuple index is cheaper than the enum's value lookup).
 _KINDS = tuple(OperationType)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,17 +113,6 @@ class Workload:
         return cls.from_array(arr / total)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Workload":
-        """Build a workload from a mapping with keys ``z0, z1, q, w``."""
-        return cls(
-            z0=float(data["z0"]),
-            z1=float(data["z1"]),
-            q=float(data["q"]),
-            w=float(data["w"]),
-            long_range_fraction=float(data.get("long_range_fraction", 0.0)),
-        )
-
-    @classmethod
     def uniform(cls) -> "Workload":
         """The uniform workload (25% of each query type)."""
         return cls(0.25, 0.25, 0.25, 0.25)
@@ -149,22 +138,6 @@ class Workload:
         if self.long_range_fraction > 0.0:
             data["long_range_fraction"] = self.long_range_fraction
         return data
-
-    @property
-    def read_fraction(self) -> float:
-        """Total fraction of read operations (point + range lookups)."""
-        return self.z0 + self.z1 + self.q
-
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of write operations (alias of ``w``)."""
-        return self.w
-
-    @property
-    def dominant_query(self) -> str:
-        """Name (``z0``/``z1``/``q``/``w``) of the most frequent query type."""
-        values = self.as_tuple()
-        return QUERY_TYPES[int(np.argmax(values))]
 
     # ------------------------------------------------------------------
     # Algebra

@@ -10,7 +10,6 @@ from repro.workloads import expected_workload
 class TestNominalTunerBasics:
     def test_returns_result_with_zero_rho(self, nominal_w11):
         assert nominal_w11.rho == 0.0
-        assert nominal_w11.nominal
 
     def test_tuning_respects_bounds(self, system, nominal_w11):
         tuning = nominal_w11.tuning

@@ -15,17 +15,6 @@ def _make_result(rho: float = 0.0) -> TuningResult:
 
 
 class TestTuningResult:
-    def test_nominal_flag(self):
-        assert _make_result(rho=0.0).nominal
-        assert not _make_result(rho=0.5).nominal
-
-    def test_describe_mentions_kind(self):
-        assert "nominal" in _make_result(0.0).describe()
-        assert "robust" in _make_result(0.5).describe()
-
-    def test_describe_mentions_objective(self):
-        assert "1.5" in _make_result().describe()
-
     def test_solver_info_defaults_to_empty_dict(self):
         assert _make_result().solver_info == {}
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import GridTuner, RobustTuner, UncertaintyRegion
-from repro.core.robust import tune_nominal, tune_robust
 from repro.lsm import LSMCostModel
 from repro.workloads import expected_workload
 
@@ -15,7 +14,6 @@ class TestRobustTunerBasics:
 
     def test_result_records_rho(self, robust_w11_rho1):
         assert robust_w11_rho1.rho == 1.0
-        assert not robust_w11_rho1.nominal
 
     def test_tuning_respects_bounds(self, system, robust_w11_rho1):
         tuning = robust_w11_rho1.tuning
@@ -37,12 +35,6 @@ class TestRobustTunerBasics:
         """Strong duality at the solution found by SLSQP."""
         dual = robust_w11_rho1.solver_info["dual_objective"]
         assert dual == pytest.approx(robust_w11_rho1.objective, rel=0.05)
-
-    def test_convenience_wrappers(self, system, w7):
-        nominal = tune_nominal(w7, system=system, seed=3)
-        robust = tune_robust(w7, rho=0.5, system=system, seed=3)
-        assert nominal.rho == 0.0
-        assert robust.rho == 0.5
 
 
 class TestRobustVersusNominal:

@@ -103,6 +103,15 @@ class TestSearchProperties:
         assert result.tuning.size_ratio == round(result.tuning.size_ratio)
         assert result.tuning.rounded().size_ratio == result.tuning.size_ratio
 
+    @pytest.mark.parametrize("polish", [False, True], ids=["rows", "bands"])
+    def test_a_subnormal_weight_still_yields_a_tuning(self, polish):
+        """The falsifying example that found a NaN in the tilt solve's start."""
+        workload = Workload(
+            z0=0.9999999999999982, z1=1.7763568394002473e-15, q=0.0, w=1.7800590868057597e-308
+        )
+        result = RobustTuner(rho=1.0, system=_SMALL, polish=polish).tune(workload)
+        assert np.isfinite(result.objective)
+
     def test_continuous_search_is_no_worse_than_the_integer_rows(self):
         for index in range(15):
             workload = expected_workload(index).workload

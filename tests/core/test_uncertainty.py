@@ -207,3 +207,34 @@ class TestZeroWeightComponents:
         result = RobustTuner(rho=0.5, system=system).tune(expected)
         assert np.isfinite(result.objective)
         assert result.objective > 0
+
+
+class TestSubnormalWeights:
+    """All the mass but a subnormal weight on one component: the variance
+    the tilt solve starts from cancels to a hair below zero.  Its square root
+    used to be NaN, which made the worst case NaN and left the robust search
+    with no finite design at all."""
+
+    EXPECTED = Workload(
+        z0=0.9999999999999982, z1=1.7763568394002473e-15, q=0.0, w=1.7800590868057597e-308
+    )
+    COST = np.array([0.54842583, 1.04940773, 3.0, 6.75])  # leveling, T = 10, h = 2
+
+    def test_worst_case_cost_is_finite_and_bounded(self):
+        region = UncertaintyRegion(expected=self.EXPECTED, rho=1.0)
+        worst = region.worst_case_cost(self.COST)
+        assert np.isfinite(worst)
+        assert float(np.dot(self.EXPECTED.as_array(), self.COST)) - 1e-12 <= worst
+        assert worst <= self.COST.max()
+
+    def test_worst_case_constraint_is_tight(self):
+        region = UncertaintyRegion(expected=self.EXPECTED, rho=1.0)
+        worst = region.worst_case_workload(self.COST)
+        assert region.divergence(worst) == pytest.approx(1.0, abs=1e-6)
+
+    def test_robust_tuner_handles_subnormal_weights(self, system):
+        from repro.core import RobustTuner
+
+        result = RobustTuner(rho=1.0, system=system).tune(self.EXPECTED)
+        assert np.isfinite(result.objective)
+        assert result.objective > 0

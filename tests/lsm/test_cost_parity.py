@@ -62,14 +62,14 @@ class TestLazyLevelingSingleLevelReduction:
         model = LSMCostModel(system)
         lazy = LSMTuning(60.0, 2.0, Policy.LAZY_LEVELING)
         leveled = LSMTuning(60.0, 2.0, Policy.LEVELING)
-        assert lazy.num_levels(system) == 1
+        assert system.num_levels(60.0, 2.0) == 1
         np.testing.assert_allclose(
             model.cost_vector(lazy), model.cost_vector(leveled), atol=1e-12
         )
 
     def test_multi_level_tree_costs_sit_between_the_classical_policies(self, model):
         tuning = {p: LSMTuning(6.0, 4.0, p) for p in ALL_POLICIES}
-        assert tuning[Policy.LAZY_LEVELING].num_levels(model.system) > 1
+        assert model.system.num_levels(6.0, 4.0) > 1
         costs = {policy: model.cost_vector(t) for policy, t in tuning.items()}
         leveled, lazy, tiered = (
             costs[Policy.LEVELING], costs[Policy.LAZY_LEVELING], costs[Policy.TIERING]

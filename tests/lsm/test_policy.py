@@ -93,9 +93,12 @@ class TestPolicyCollection:
         assert CLASSIC_POLICIES == (Policy.LEVELING, Policy.TIERING)
 
     def test_str_rendering(self):
-        assert str(Policy.LEVELING) == "leveling"
-        assert str(Policy.TIERING) == "tiering"
-        assert str(Policy.LAZY_LEVELING) == "lazy-leveling"
+        """Outputs render a policy by its value, not by the enum member."""
+        assert CompactionPolicy.of(Policy.LEVELING).name == "leveling"
+        assert CompactionPolicy.of(Policy.TIERING).name == "tiering"
+        assert CompactionPolicy.of(Policy.LAZY_LEVELING).name == "lazy-leveling"
+        text = LSMTuning(8.0, 4.0, Policy.LAZY_LEVELING).describe()
+        assert text.startswith("π: lazy-leveling,")
 
     def test_value_round_trip(self):
         for policy in ALL_POLICIES:
@@ -127,7 +130,7 @@ class TestNamedPolicies:
         assert of("tiered") is NAMED_POLICIES[Policy.TIERING]
         assert of(Policy.FLUID) == fluid() and fluid().in_place
 
-    @pytest.mark.parametrize("policy", NAMED_POLICIES)
+    @pytest.mark.parametrize("policy", NAMED_POLICIES, ids=lambda policy: policy.value)
     @pytest.mark.parametrize("num_levels", [1, 2, 5])
     @pytest.mark.parametrize(
         "size_ratio",
@@ -314,9 +317,9 @@ class TestRuntimeHooks:
 
 class TestTuningBinding:
     def test_a_fluid_tuning_carries_its_bounds(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3, z_bound=2)
+        tuning = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((3,), 2))
         assert tuning.compaction == fluid((3,), 2)
-        vector = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0), z_bound=2.0)
+        vector = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4.0, 2.0), 2.0))
         assert vector.compaction == fluid((4.0, 2.0), 2.0)
         assert LSMTuning(8.0, 4.0, fluid((4.0, 2.0), 2.0)) == vector
 

@@ -1,5 +1,6 @@
 """Tests for the system-parameter configuration."""
 
+import dataclasses
 import math
 
 import pytest
@@ -70,10 +71,6 @@ class TestDerivedQuantities:
         leftover_bits = config.total_memory_bits - config.max_bits_per_entry * config.num_entries
         assert leftover_bits >= config.entries_per_page * config.entry_size_bits
 
-    def test_data_size(self):
-        config = SystemConfig()
-        assert config.data_size_bytes == config.num_entries * config.entry_size_bytes
-
 
 class TestMemorySplit:
     def test_filter_plus_buffer_equals_total(self):
@@ -133,7 +130,7 @@ class TestScalingAndSerialisation:
 
     def test_round_trip_dict(self):
         config = SystemConfig(read_write_asymmetry=2.0, range_selectivity=0.001)
-        assert SystemConfig.from_dict(config.to_dict()) == config
+        assert SystemConfig(**dataclasses.asdict(config)) == config
 
     def test_simulator_system_is_small(self):
         config = simulator_system(num_entries=5_000)

@@ -1,12 +1,32 @@
 """Tests for the LSM tuning configuration object."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm import ALL_POLICIES, LSMTuning, Policy, SystemConfig
+from repro.lsm import ALL_POLICIES, CompactionPolicy, LSMTuning, Policy, SystemConfig
+
+
+def _read_back(tuning: LSMTuning) -> LSMTuning:
+    """Rebuild ``tuning`` from its JSON payload with the public constructor.
+
+    The payload is what ``tune`` and ``compare --json`` emit; rebuilding it
+    checks that it carries the whole tuning — policy, ``T``, ``h`` and, on a
+    fluid tuning, exactly one of ``k_bound`` / ``k_bounds`` plus ``z_bound``.
+    """
+    payload = json.loads(json.dumps(tuning.to_dict()))
+    if payload["policy"] != Policy.FLUID.value:
+        return LSMTuning(**payload)
+    assert ("k_bound" in payload) != ("k_bounds" in payload)
+    bounds = payload["k_bounds"] if "k_bounds" in payload else [payload["k_bound"]]
+    return LSMTuning(
+        payload["size_ratio"],
+        payload["bits_per_entry"],
+        CompactionPolicy.fluid(bounds, payload["z_bound"]),
+    )
 
 
 class TestConstruction:
@@ -35,9 +55,6 @@ class TestConstruction:
         arguments = {"size_ratio": 5.0, "bits_per_entry": 5.0, field: value}
         with pytest.raises(ValueError, match=field):
             LSMTuning(policy=Policy.LEVELING, **arguments)
-        document = {"policy": "tiering", **arguments, field: str(value)}
-        with pytest.raises(ValueError, match=field):
-            LSMTuning.from_dict(json.loads(json.dumps(document)))
 
     def test_is_hashable_and_comparable(self):
         a = LSMTuning(5.0, 3.0, Policy.LEVELING)
@@ -49,23 +66,21 @@ class TestConstruction:
 class TestDerivedMemory:
     def test_memory_split_adds_up(self, system: SystemConfig):
         tuning = LSMTuning(5.0, 4.0, Policy.LEVELING)
-        total = tuning.filter_memory_bits(system) + tuning.buffer_memory_bits(system)
+        total = system.filter_memory_bits(tuning.bits_per_entry) + 8.0 * (
+            tuning.buffer_memory_bytes(system)
+        )
         assert total == pytest.approx(system.total_memory_bits)
 
     def test_buffer_bytes_consistent(self, system: SystemConfig):
         tuning = LSMTuning(5.0, 4.0, Policy.LEVELING)
         assert tuning.buffer_memory_bytes(system) == pytest.approx(
-            tuning.buffer_memory_bits(system) / 8.0
+            system.buffer_memory_bits(4.0) / 8.0
         )
-
-    def test_num_levels_delegates_to_system(self, system: SystemConfig):
-        tuning = LSMTuning(5.0, 4.0, Policy.LEVELING)
-        assert tuning.num_levels(system) == system.num_levels(5.0, 4.0)
 
     def test_more_filter_memory_means_smaller_buffer(self, system: SystemConfig):
         small = LSMTuning(5.0, 2.0, Policy.LEVELING)
         large = LSMTuning(5.0, 10.0, Policy.LEVELING)
-        assert large.buffer_memory_bits(system) < small.buffer_memory_bits(system)
+        assert large.buffer_memory_bytes(system) < small.buffer_memory_bytes(system)
 
 
 class TestTransformations:
@@ -84,10 +99,6 @@ class TestTransformations:
         assert rounded.bits_per_entry == tuning.bits_per_entry
         assert rounded.policy is tuning.policy
 
-    def test_with_policy(self):
-        tuning = LSMTuning(5.0, 3.0, Policy.LEVELING)
-        assert tuning.with_policy("tiering").policy is Policy.TIERING
-
     def test_clamped_respects_system_bounds(self, system: SystemConfig):
         tuning = LSMTuning(1000.0, 1000.0, Policy.LEVELING)
         clamped = tuning.clamped(system)
@@ -100,9 +111,14 @@ class TestTransformations:
 
 
 class TestSerialisation:
-    def test_dict_round_trip(self):
-        tuning = LSMTuning(7.5, 3.25, Policy.TIERING)
-        assert LSMTuning.from_dict(tuning.to_dict()) == tuning
+    @pytest.mark.parametrize(
+        "policy",
+        [p for p in ALL_POLICIES if p is not Policy.FLUID],
+        ids=lambda policy: policy.value,
+    )
+    def test_dict_round_trip(self, policy):
+        tuning = LSMTuning(7.5, 3.25, policy)
+        assert _read_back(tuning) == tuning
 
     def test_describe_mentions_all_fields(self):
         tuning = LSMTuning(7.5, 3.25, Policy.TIERING)
@@ -118,47 +134,44 @@ class TestFluidBounds:
         assert tuning.k_bound == 7.0  # T - 1
         assert tuning.z_bound == 1.0
 
-    def test_classical_policies_normalise_bounds_to_none(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.LEVELING, k_bound=3.0, z_bound=2.0)
+    def test_classical_policies_read_no_bounds(self):
+        tuning = LSMTuning(8.0, 4.0, Policy.LEVELING)
         assert tuning.k_bound is None
         assert tuning.z_bound is None
-        # ... so equality is independent of how the tuning was built.
-        assert tuning == LSMTuning(8.0, 4.0, Policy.LEVELING)
+        # ... and equality is independent of how the policy was spelled.
+        assert tuning == LSMTuning(8.0, 4.0, CompactionPolicy.of("level"))
 
     def test_rejects_sub_unit_bounds(self):
         with pytest.raises(ValueError):
-            LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=0.5)
+            LSMTuning(8.0, 4.0, CompactionPolicy.fluid((0.5,)))
         with pytest.raises(ValueError):
-            LSMTuning(8.0, 4.0, Policy.FLUID, z_bound=0.0)
+            LSMTuning(8.0, 4.0, CompactionPolicy.fluid(z_bound=0.0))
 
     def test_round_trip_preserves_bounds(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3.0, z_bound=2.0)
-        assert LSMTuning.from_dict(tuning.to_dict()) == tuning
+        tuning = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((3.0,), 2.0))
+        assert _read_back(tuning) == tuning
 
     def test_classical_serialisation_has_no_bound_keys(self):
         tuning = LSMTuning(8.0, 4.0, Policy.TIERING)
         assert set(tuning.to_dict()) == {"size_ratio", "bits_per_entry", "policy"}
 
     def test_rounded_clamps_bounds_to_the_deployable_range(self):
-        tuning = LSMTuning(4.4, 4.0, Policy.FLUID, k_bound=7.6, z_bound=1.4)
+        tuning = LSMTuning(4.4, 4.0, CompactionPolicy.fluid((7.6,), 1.4))
         rounded = tuning.rounded()
         assert rounded.size_ratio == 4.0
         assert rounded.k_bound == 3.0  # min(round(7.6), T - 1)
         assert rounded.z_bound == 1.0
 
     def test_with_policy_materialises_and_drops_bounds(self):
-        fluid = LSMTuning(8.0, 4.0, Policy.TIERING).with_policy(Policy.FLUID)
+        tiering = LSMTuning(8.0, 4.0, Policy.TIERING)
+        fluid = LSMTuning(tiering.size_ratio, tiering.bits_per_entry, Policy.FLUID)
         assert fluid.k_bound == 7.0 and fluid.z_bound == 1.0
-        back = fluid.with_policy("tiering")
+        back = LSMTuning(fluid.size_ratio, fluid.bits_per_entry, "tiering")
         assert back.k_bound is None and back.z_bound is None
-
-    def test_with_bounds_builds_a_fluid_copy(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.LEVELING).with_bounds(3.0, 2.0)
-        assert tuning.policy is Policy.FLUID
-        assert (tuning.k_bound, tuning.z_bound) == (3.0, 2.0)
+        assert back == tiering
 
     def test_describe_includes_the_bounds(self):
-        text = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3.0, z_bound=2.0).describe()
+        text = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((3.0,), 2.0)).describe()
         assert "K: 3" in text and "Z: 2" in text
 
 
@@ -166,61 +179,53 @@ class TestKBoundVectors:
     """Per-level ``k_bounds`` vectors: full Dostoevsky generality."""
 
     def test_vector_construction_normalises_to_floats(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4, 2, 1), z_bound=2)
+        tuning = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4, 2, 1), 2))
         assert tuning.k_bounds == (4.0, 2.0, 1.0)
         assert tuning.z_bound == 2.0
         assert tuning.k_bound is None  # the vector is authoritative
 
-    def test_vector_wins_over_scalar_when_both_given(self):
-        with_both = LSMTuning(
-            8.0, 4.0, Policy.FLUID, k_bound=5.0, k_bounds=(4.0, 2.0)
-        )
-        assert with_both == LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0))
-
     def test_rejects_empty_and_sub_unit_vectors(self):
         with pytest.raises(ValueError):
-            LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=())
+            LSMTuning(8.0, 4.0, CompactionPolicy.fluid(()))
         with pytest.raises(ValueError):
-            LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(2.0, 0.5))
+            LSMTuning(8.0, 4.0, CompactionPolicy.fluid((2.0, 0.5)))
 
-    def test_classical_policies_drop_the_vector(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.LEVELING, k_bounds=(4.0, 2.0))
-        assert tuning.k_bounds is None
-        assert tuning == LSMTuning(8.0, 4.0, Policy.LEVELING)
+    @pytest.mark.parametrize(
+        "policy",
+        [p for p in ALL_POLICIES if p is not Policy.FLUID],
+        ids=lambda policy: policy.value,
+    )
+    def test_classical_policies_read_no_vector(self, policy):
+        assert LSMTuning(8.0, 4.0, policy).k_bounds is None
 
     def test_vector_round_trip(self):
-        tuning = LSMTuning(6.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=2.0)
-        assert LSMTuning.from_dict(tuning.to_dict()) == tuning
+        tuning = LSMTuning(6.0, 4.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 2.0))
+        assert _read_back(tuning) == tuning
+
+    def test_with_policy_drops_the_vector(self):
+        fluid = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4.0, 2.0)))
+        tiering = LSMTuning(fluid.size_ratio, fluid.bits_per_entry, "tiering")
+        assert tiering.k_bounds is None
+        assert tiering == LSMTuning(8.0, 4.0, Policy.TIERING)
 
     def test_scalar_serialisation_has_no_vector_key(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.FLUID, k_bound=3.0)
+        tuning = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((3.0,)))
         assert "k_bounds" not in tuning.to_dict()
 
     def test_rounded_clamps_the_vector_elementwise(self):
-        tuning = LSMTuning(4.4, 4.0, Policy.FLUID, k_bounds=(7.6, 2.4, 1.4), z_bound=1.4)
+        tuning = LSMTuning(4.4, 4.0, CompactionPolicy.fluid((7.6, 2.4, 1.4), 1.4))
         rounded = tuning.rounded()
         assert rounded.size_ratio == 4.0
         assert rounded.k_bounds == (3.0, 2.0, 1.0)  # 7.6 capped at T - 1
         assert rounded.z_bound == 1.0
 
-    def test_with_bounds_accepts_a_vector(self):
-        tuning = LSMTuning(8.0, 4.0, Policy.LEVELING).with_bounds(
-            k_bounds=(4.0, 1.0), z_bound=2.0
-        )
-        assert tuning.policy is Policy.FLUID
-        assert tuning.k_bounds == (4.0, 1.0)
-
-    def test_with_policy_drops_the_vector(self):
-        fluid = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0))
-        assert fluid.with_policy("tiering").k_bounds is None
-
     def test_describe_shows_the_vector(self):
-        text = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0)).describe()
+        text = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4.0, 2.0, 1.0))).describe()
         assert "K: [4,2,1]" in text and "Z: 1" in text
 
     def test_vector_tunings_are_hashable(self):
-        a = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0))
-        b = LSMTuning(8.0, 4.0, Policy.FLUID, k_bounds=(4.0, 2.0))
+        a = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4.0, 2.0)))
+        b = LSMTuning(8.0, 4.0, CompactionPolicy.fluid((4.0, 2.0)))
         assert a == b and hash(a) == hash(b)
 
 
@@ -236,30 +241,30 @@ class TestRoundedAtTheSmallestRatio:
     """
 
     def test_midpoint_ratio_rounds_up_not_to_the_collapsed_cap(self):
-        rounded = LSMTuning(2.5, 3.0, Policy.FLUID, k_bound=1.5, z_bound=1.5).rounded()
+        rounded = LSMTuning(2.5, 3.0, CompactionPolicy.fluid((1.5,), 1.5)).rounded()
         assert rounded.size_ratio == 3.0
         assert rounded.k_bound == 2.0
         assert rounded.z_bound == 2.0
 
     def test_at_exactly_t2_every_bound_clamps_to_one(self):
-        rounded = LSMTuning(2.0, 3.0, Policy.FLUID, k_bound=7.0, z_bound=3.0).rounded()
+        rounded = LSMTuning(2.0, 3.0, CompactionPolicy.fluid((7.0,), 3.0)).rounded()
         assert rounded.size_ratio == 2.0
         assert (rounded.k_bound, rounded.z_bound) == (1.0, 1.0)
 
     def test_t2_clamp_is_vector_aware(self):
-        rounded = LSMTuning(
-            2.2, 3.0, Policy.FLUID, k_bounds=(8.0, 2.0, 1.0), z_bound=4.0
-        ).rounded()
+        rounded = LSMTuning(2.2, 3.0, CompactionPolicy.fluid((8.0, 2.0, 1.0), 4.0)).rounded()
         assert rounded.size_ratio == 2.0
         assert rounded.k_bounds == (1.0, 1.0, 1.0)
         assert rounded.z_bound == 1.0
 
     def test_rounded_vector_stays_valid_through_reconstruction(self):
-        rounded = LSMTuning(2.5, 3.0, Policy.FLUID, k_bounds=(1.5, 1.5)).rounded()
+        rounded = LSMTuning(2.5, 3.0, CompactionPolicy.fluid((1.5, 1.5))).rounded()
         assert rounded.size_ratio == 3.0
         assert rounded.k_bounds == (2.0, 2.0)
         # replace() re-runs validation; the clamped copy must satisfy it.
-        assert LSMTuning.from_dict(rounded.to_dict()) == rounded
+        rebuilt = LSMTuning(rounded.size_ratio, rounded.bits_per_entry, rounded.compaction)
+        assert rebuilt == rounded
+        assert _read_back(rounded) == rounded
 
 
 #: Strategy for one fluid run bound in the deployable range.
@@ -267,33 +272,27 @@ _bounds = st.floats(min_value=1.0, max_value=64.0, allow_nan=False)
 
 
 class TestSerialisationProperty:
-    """Exhaustive to_dict/from_dict round-trip: all policies × scalar and
-    vector bounds.  The online subsystem ships tunings through JSON (retuning
-    decisions, events); drift there is caught here, at the tuning layer."""
+    """Exhaustive JSON round trip: all policies × scalar and vector bounds.
+    The online subsystem ships tunings through JSON (retuning decisions,
+    events); drift there is caught here, at the tuning layer."""
 
     @given(
         policy=st.sampled_from(ALL_POLICIES),
         size_ratio=st.floats(min_value=2.0, max_value=100.0, allow_nan=False),
         bits=st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
-        k_bound=st.one_of(st.none(), _bounds),
         z_bound=st.one_of(st.none(), _bounds),
         k_vector=st.one_of(
             st.none(), st.lists(_bounds, min_size=1, max_size=6).map(tuple)
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_round_trip_is_lossless(
-        self, policy, size_ratio, bits, k_bound, z_bound, k_vector
-    ):
-        tuning = LSMTuning(
-            size_ratio=size_ratio,
-            bits_per_entry=bits,
-            policy=policy,
-            k_bound=k_bound,
-            z_bound=z_bound,
-            k_bounds=k_vector,
-        )
-        restored = LSMTuning.from_dict(tuning.to_dict())
+    def test_round_trip_is_lossless(self, policy, size_ratio, bits, z_bound, k_vector):
+        if policy is Policy.FLUID:
+            compaction = CompactionPolicy.fluid(k_vector or (math.inf,), z_bound)
+        else:
+            compaction = CompactionPolicy.of(policy)
+        tuning = LSMTuning(size_ratio, bits, compaction)
+        restored = _read_back(tuning)
         assert restored == tuning
         # And the serialised form itself is stable (no normalisation drift).
         assert restored.to_dict() == tuning.to_dict()
@@ -304,41 +303,43 @@ class TestSerialisationProperty:
         z_bound=_bounds,
     )
     @settings(max_examples=100, deadline=None)
-    def test_rounded_vectors_survive_the_round_trip(
-        self, size_ratio, k_vector, z_bound
-    ):
-        tuning = LSMTuning(
-            size_ratio, 4.0, Policy.FLUID, k_bounds=k_vector, z_bound=z_bound
-        ).rounded()
+    def test_rounded_vectors_survive_the_round_trip(self, size_ratio, k_vector, z_bound):
+        tuning = LSMTuning(size_ratio, 4.0, CompactionPolicy.fluid(k_vector, z_bound)).rounded()
         cap = tuning.size_ratio - 1.0
         bounds = tuning.compaction.bounds
         assert all(1.0 <= bound <= max(cap, 1.0) for bound in bounds)
+        assert 1.0 <= tuning.z_bound <= max(cap, 1.0)
         # The stored vector reads back as exactly one of the two views: a
         # single bound is the scalar K, anything longer the K_i vector.
         assert (tuning.k_bound, tuning.k_bounds) == (
             (bounds[0], None) if len(bounds) == 1 else (None, bounds)
         )
-        assert LSMTuning.from_dict(tuning.to_dict()) == tuning
+        assert _read_back(tuning) == tuning
 
 
 #: Payloads written by ``to_dict`` before the bounds became one stored vector
-#: (recorded at the parent of that change), each with the ``describe()`` line,
-#: the ``rounded().to_dict()`` payload and the ``rounded().describe()`` line it
-#: produced there: no bound keys, a scalar ``k_bound``, a ``k_bounds`` vector.
+#: (recorded at the parent of that change), each with the tuning that wrote it,
+#: its ``describe()`` line, the ``rounded().to_dict()`` payload and the
+#: ``rounded().describe()`` line it produced there: no bound keys, a scalar
+#: ``k_bound``, a ``k_bounds`` vector.  ``compare --json`` and ``tune`` emit
+#: this format.
 _RECORDED_PAYLOADS = [
     (
+        LSMTuning(7.5, 3.25, Policy.TIERING),
         {"size_ratio": 7.5, "bits_per_entry": 3.25, "policy": "tiering"},
         "π: tiering, T: 7.5, h: 3.2",
         {"size_ratio": 8.0, "bits_per_entry": 3.25, "policy": "tiering"},
         "π: tiering, T: 8.0, h: 3.2",
     ),
     (
+        LSMTuning(8.0, 4.0, Policy.LAZY_LEVELING),
         {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "lazy-leveling"},
         "π: lazy-leveling, T: 8.0, h: 4.0",
         {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "lazy-leveling"},
         "π: lazy-leveling, T: 8.0, h: 4.0",
     ),
     (
+        LSMTuning(8.0, 4.0, CompactionPolicy.fluid((7.0,), 1.0)),
         {"size_ratio": 8.0, "bits_per_entry": 4.0, "policy": "fluid",
          "k_bound": 7.0, "z_bound": 1.0},
         "π: fluid, T: 8.0, h: 4.0, K: 7, Z: 1",
@@ -347,6 +348,7 @@ _RECORDED_PAYLOADS = [
         "π: fluid, T: 8.0, h: 4.0, K: 7, Z: 1",
     ),
     (
+        LSMTuning(4.4, 4.0, CompactionPolicy.fluid((7.6,), 1.4)),
         {"size_ratio": 4.4, "bits_per_entry": 4.0, "policy": "fluid",
          "k_bound": 7.6, "z_bound": 1.4},
         "π: fluid, T: 4.4, h: 4.0, K: 8, Z: 1",
@@ -355,6 +357,7 @@ _RECORDED_PAYLOADS = [
         "π: fluid, T: 4.0, h: 4.0, K: 3, Z: 1",
     ),
     (
+        LSMTuning(4.4, 4.0, CompactionPolicy.fluid((7.6, 2.4, 1.4), 1.4)),
         {"size_ratio": 4.4, "bits_per_entry": 4.0, "policy": "fluid",
          "z_bound": 1.4, "k_bounds": [7.6, 2.4, 1.4]},
         "π: fluid, T: 4.4, h: 4.0, K: [8,2,1], Z: 1",
@@ -366,19 +369,20 @@ _RECORDED_PAYLOADS = [
 
 
 class TestRecordedPayloads:
-    @pytest.mark.parametrize("payload,described,rounded,rounded_described", _RECORDED_PAYLOADS)
-    def test_old_payloads_round_trip_byte_identically(
-        self, payload, described, rounded, rounded_described
+    @pytest.mark.parametrize(
+        "tuning,payload,described,rounded,rounded_described", _RECORDED_PAYLOADS
+    )
+    def test_old_payloads_are_written_byte_identically(
+        self, tuning, payload, described, rounded, rounded_described
     ):
-        tuning = LSMTuning.from_dict(payload)
         assert json.dumps(tuning.to_dict()) == json.dumps(payload)
         assert tuning.describe() == described
         assert json.dumps(tuning.rounded().to_dict()) == json.dumps(rounded)
         assert tuning.rounded().describe() == rounded_described
-        assert LSMTuning.from_dict(rounded) == tuning.rounded()
+        assert _read_back(tuning.rounded()) == tuning.rounded()
 
     def test_a_default_fluid_tuning_serialises_its_materialised_bounds(self):
         """``LSMTuning(T, h, Policy.FLUID)`` wrote ``K = T - 1, Z = 1``."""
         assert json.dumps(LSMTuning(8.0, 4.0, Policy.FLUID).to_dict()) == json.dumps(
-            _RECORDED_PAYLOADS[2][0]
+            _RECORDED_PAYLOADS[2][1]
         )

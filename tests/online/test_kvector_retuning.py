@@ -49,9 +49,10 @@ class TestAdaptiveTunerVectors:
             LSMTuning(10.0, 8.0, Policy.LEVELING),
             resident_pages=1_000,
         )
-        payload = json.loads(json.dumps(decision.to_dict()))
-        restored = LSMTuning.from_dict(payload["proposed"])
-        assert restored == decision.proposed
+        payload = json.loads(json.dumps(decision.to_dict()))["proposed"]
+        assert payload["policy"] == decision.proposed.policy.value == "fluid"
+        assert payload["k_bounds"] == list(decision.proposed.k_bounds)
+        assert payload["z_bound"] == decision.proposed.z_bound
 
 
 class TestControllerThreading:
@@ -66,7 +67,7 @@ class TestControllerThreading:
             expected=Workload(0.25, 0.25, 0.25, 0.25),
         )
         target = LSMTuning(
-            5.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0
+            5.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         )
         read_pages, write_pages, _ = controller._migrate(target)
         assert read_pages > 0 and write_pages > 0

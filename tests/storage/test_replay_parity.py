@@ -50,7 +50,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.online import (
     ADMISSION_MODES,
     MigrationPlan,
@@ -90,8 +90,8 @@ _TUNINGS = [
     LSMTuning(5.0, 5.0, Policy.TIERING),
     LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING),
     LSMTuning(6.0, 6.0, Policy.ONE_LEVELING),
-    LSMTuning(5.0, 5.0, Policy.FLUID, k_bound=3, z_bound=2),
-    LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0),
+    LSMTuning(5.0, 5.0, CompactionPolicy.fluid((3,), 2)),
+    LSMTuning(6.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)),
 ]
 _TUNING_IDS = [
     "leveling",

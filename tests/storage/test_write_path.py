@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.storage import FileStore, LSMTree, MemoryStore, VirtualDisk
 from repro.storage.executor import tree_fingerprint
 
@@ -48,7 +48,7 @@ _GOLDEN = {
         272, (0, 0, 993, 872, 298), [[], [272], [265], [236, 119]], "58f1c8b9c98a3563",
     ),
     "fluid-kvec": (
-        LSMTuning(5.0, 5.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1),
+        LSMTuning(5.0, 5.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1)),
         191, (0, 0, 950, 796, 298), [[191, 190, 189], [188], [169]], "abc4d6af38957a96",
     ),
 }

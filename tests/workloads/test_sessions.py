@@ -54,14 +54,15 @@ class TestSingleSessions:
             generator.session(SessionType.READ, w11, workloads_per_session=0)
 
     def test_session_length(self, generator, w11):
-        assert len(generator.session(SessionType.READ, w11, workloads_per_session=3)) == 3
+        session = generator.session(SessionType.READ, w11, workloads_per_session=3)
+        assert len(session.workloads) == 3
 
     def test_expected_session_for_extreme_workload_still_works(self, generator):
         # w1 is 97% empty reads; the benchmark may contain nothing that close,
         # so the generator falls back to perturbing the expected workload.
         extreme = expected_workload(1).workload
         session = generator.session(SessionType.EXPECTED, extreme)
-        assert len(session) > 0
+        assert len(session.workloads) > 0
 
 
 class TestSequences:

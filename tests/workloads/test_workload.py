@@ -47,7 +47,7 @@ class TestConstruction:
 
     def test_from_dict_round_trip(self):
         w = Workload(0.1, 0.2, 0.3, 0.4)
-        assert Workload.from_dict(w.as_dict()) == w
+        assert Workload(**w.as_dict()) == w
 
     def test_uniform_constructor(self):
         assert Workload.uniform().as_tuple() == (0.25, 0.25, 0.25, 0.25)
@@ -56,15 +56,6 @@ class TestConstruction:
 class TestViews:
     def test_query_type_order(self):
         assert QUERY_TYPES == ("z0", "z1", "q", "w")
-
-    def test_read_write_fractions(self):
-        w = Workload(0.1, 0.2, 0.3, 0.4)
-        assert w.read_fraction == pytest.approx(0.6)
-        assert w.write_fraction == pytest.approx(0.4)
-
-    def test_dominant_query(self):
-        assert Workload(0.7, 0.1, 0.1, 0.1).dominant_query == "z0"
-        assert Workload(0.1, 0.1, 0.1, 0.7).dominant_query == "w"
 
     def test_describe_shows_percentages(self):
         assert Workload(0.25, 0.25, 0.25, 0.25).describe() == "(25%, 25%, 25%, 25%)"
@@ -165,7 +156,7 @@ class TestLongRangeFraction:
 
     def test_round_trips_through_dicts(self):
         w = Workload(0.1, 0.2, 0.3, 0.4, long_range_fraction=0.5)
-        assert Workload.from_dict(w.as_dict()) == w
+        assert Workload(**w.as_dict()) == w
         assert w.as_dict()["long_range_fraction"] == 0.5
         # Zero fractions stay out of the serialisation (old format preserved).
         assert "long_range_fraction" not in Workload(0.1, 0.2, 0.3, 0.4).as_dict()

@@ -210,7 +210,7 @@ def scaling_experiment(
         comparison = experiment.run(expected, rho=rho, include_writes=True)
         summary = comparison.summary
         buffer_bytes = {
-            name: tuning.buffer_memory_bytes(system)
+            name: system.buffer_memory_bytes(tuning.bits_per_entry)
             for name, tuning in comparison.tunings.items()
         }
         rows.append(

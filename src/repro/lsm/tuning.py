@@ -116,13 +116,6 @@ class LSMTuning:
         return self.compaction.z_bound if self.policy is Policy.FLUID else None
 
     # ------------------------------------------------------------------
-    # Derived memory quantities
-    # ------------------------------------------------------------------
-    def buffer_memory_bytes(self, system: SystemConfig) -> float:
-        """Write-buffer memory in bytes."""
-        return system.buffer_memory_bytes(self.bits_per_entry)
-
-    # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
     def rounded(self) -> "LSMTuning":

@@ -91,12 +91,12 @@ def execute_operation(engine, operation: Operation) -> None:
 #: Fewer pending GETs than this probe the runs one key at a time: per-batch
 #: array overhead beats per-key filter probes only once a batch has some
 #: width, and the two paths are bit-identical either way.  Measured on the
-#: post-replay bench trees (seed 11, sorted batches of 8-32 keys),
-#: ``probe_runs`` per key vs ``probe_runs_many`` per call: ``point_read``
-#: 3.7 us vs 38-45 us (batch wins from 11-12 keys), ``write_ingest`` 5.3-5.5 us
-#: vs 68-77 us (from 13-14), ``persistent_mixed`` on files 5.0-6.3 us vs
-#: 56-75 us (from 11-12).  The per-call cost is mostly fixed per run, so the
-#: cheaper Bloom kernel left the crossover where it was on the same machine.
+#: post-replay bench trees (seed 11, sorted batches of 8-32 of the trace's GET
+#: keys, 2-vCPU VM), ``probe_runs`` per key vs ``probe_runs_many`` per call:
+#: ``point_read`` 5.3-5.4 us vs 63-74 us (batch wins from 13 keys),
+#: ``write_ingest`` 8.3-8.9 us vs 102-120 us (from 13), ``persistent_mixed``
+#: on files 8.6-9.3 us vs 97-136 us (from 12).  The bytearray scalar probe
+#: moved the crossover up from 11-12 keys on the same trees, to this cutoff.
 SCALAR_SPAN_CUTOFF = 14
 
 
@@ -651,8 +651,7 @@ class LSMTree(BufferFirstReads):
             return
         plan = _FlushPlan(self.levels, self._run_counter, self.entries_per_page)
         arrival = plan.pend(*self.memtable.sorted_items(), level=1)
-        self._cascade(plan, [arrival], 1)
-        rest = next(runs for runs in plan.levels if runs and type(runs[0]) is _PendingRun)
+        rest = self._cascade(plan, [arrival], 1)
         rest[0] = self._build_run(*rest[0].entries(), plan.run_counter, rest[0].level)
         self.levels[:] = plan.levels
         self._run_counter = plan.run_counter
@@ -670,9 +669,9 @@ class LSMTree(BufferFirstReads):
         run, and no run the target level keeps beside it (stacked levels do).
         """
         plan.reads += sum(r.num_pages for r in runs)
-        merging = {id(run) for run in runs}
+        # ``in`` on runs is identity: neither kind of run defines ``==``.
         nothing_older = not any(plan.levels[target_level:]) and all(
-            id(run) in merging for run in plan.levels[target_level - 1]
+            run in runs for run in plan.levels[target_level - 1]
         )
         keys, tombstones = consolidate_versions(
             *zip(*(run.entries() for run in runs)),
@@ -682,8 +681,11 @@ class LSMTree(BufferFirstReads):
         plan.writes += merged.num_pages
         return merged
 
-    def _cascade(self, plan: _FlushPlan, arriving: list, level: int) -> None:
+    def _cascade(self, plan: _FlushPlan, arriving: list, level: int) -> list:
         """Bring ``arriving`` runs to ``level`` of the plan, carrying down until they rest.
+
+        Returns the plan's run list of the level they rest in, whose newest
+        run is the one :class:`_PendingRun` left standing.
 
         The policy is asked with the plan's depth once ``level`` exists, so
         lazy leveling's single-run largest level tracks the tree as it grows.
@@ -701,23 +703,23 @@ class LSMTree(BufferFirstReads):
             runs = levels[level - 1]
             if not self.compaction_enabled:
                 runs[:0] = arriving
-                return
+                return runs
             depth = len(levels)
             leveled = self.compaction.merges_on_arrival(level, depth)
             merging = arriving + runs if leveled else arriving
             run = self._merge_runs(plan, merging, level) if len(merging) > 1 else merging[0]
             if leveled:
-                levels[level - 1] = [run]
+                runs = levels[level - 1] = [run]
                 if run.num_entries <= self.level_capacity_entries(level):
-                    return
+                    return runs
             else:
                 runs.insert(0, run)
                 if len(runs) <= self.compaction.max_resident_runs(self.size_ratio, level, depth):
-                    return
+                    return runs
                 room = self.level_capacity_entries(level) - sum(r.num_entries for r in runs)
                 if self.compaction.in_place and room > 0:
-                    levels[level - 1] = [self._merge_runs(plan, runs, level)]
-                    return
+                    runs = levels[level - 1] = [self._merge_runs(plan, runs, level)]
+                    return runs
             arriving, levels[level - 1] = levels[level - 1], []
             level += 1
 

@@ -104,7 +104,7 @@ class Memtable:
         """``keys`` and their buffered flags as ``int64`` / ``bool`` arrays."""
         return (
             np.array(keys, dtype=np.int64),
-            np.array([self._entries[key] for key in keys], dtype=bool),
+            np.fromiter(map(self._entries.__getitem__, keys), bool, len(keys)),
         )
 
     # ------------------------------------------------------------------

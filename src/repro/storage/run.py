@@ -65,13 +65,14 @@ def consolidate_versions(
         all_keys = np.concatenate(key_parts)
         # Parts are concatenated newest first, so a stable sort on the key
         # alone leaves each key's newest version first among its duplicates.
-        order = np.argsort(all_keys, kind="stable")
+        # ``ndarray.argsort`` and ``count_nonzero``, not ``np.argsort`` and
+        # ``ndarray.all``: those Python wrappers cost more than the merge.
+        order = all_keys.argsort(kind="stable")
         sorted_keys = all_keys[order]
         sorted_tombstones = np.concatenate(tombstone_parts)[order]
-        keep = np.empty(sorted_keys.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-        if not keep.all():
+        older = sorted_keys[1:] == sorted_keys[:-1]  # a key's older versions
+        if np.count_nonzero(older):
+            keep = np.concatenate(([True], ~older))
             sorted_keys = sorted_keys[keep]
             sorted_tombstones = sorted_tombstones[keep]
     if drop_tombstones:
@@ -101,7 +102,8 @@ def build_run_index(
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 1:
         raise ValueError("keys must be a one-dimensional array")
-    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+    # ``count_nonzero`` is one C call; ``ndarray.all`` a Python-level reduction.
+    if np.count_nonzero(keys[1:] <= keys[:-1]):
         raise ValueError("keys must be strictly increasing")
     if entries_per_page <= 0:
         raise ValueError("entries_per_page must be positive")
@@ -111,15 +113,15 @@ def build_run_index(
         tombstones = np.asarray(tombstones, dtype=bool)
         if tombstones.shape != keys.shape:
             raise ValueError("tombstones mask must match keys")
-    bloom = BloomFilter(
-        expected_entries=int(keys.size), bits_per_entry=bits_per_entry, seed=seed
-    )
-    if keys.size:
-        bloom.add_many(keys)
-    # Each page's last key, copied as the fences are: a table holds no key array.
-    page_max = keys[entries_per_page - 1 :: entries_per_page].copy()
-    if keys.size % entries_per_page:  # a partial last page ends at the last key
+    bloom = BloomFilter(keys.size, bits_per_entry, seed)
+    bloom.add_many(keys)
+    # Each page's last key — a partial last page's is the last key — copied
+    # as the fences are: a table holds no key array.
+    page_max = keys[entries_per_page - 1 :: entries_per_page]
+    if keys.size % entries_per_page:
         page_max = np.concatenate((page_max, keys[-1:]))
+    else:
+        page_max = page_max.copy()
     return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), page_max, bloom
 
 
@@ -188,10 +190,10 @@ class RunIndex:
         self._page_max = page_max
         self._filter = bloom
         # Key bounds cached as plain ints: every probe and scan compares
-        # against them.
+        # against them (``item`` makes one without a NumPy scalar between).
         if self._size:
-            self._min_key = int(fences[0])
-            self._max_key = int(page_max[-1])
+            self._min_key = fences.item(0)
+            self._max_key = page_max.item(-1)
         else:
             self._min_key = self._max_key = 0
 
@@ -268,7 +270,7 @@ class RunIndex:
             return False
         if key < self._min_key or key > self._max_key:
             return False
-        return self._filter.might_contain(int(key))
+        return self._filter.might_contain(key)
 
     def page_of(self, key: int) -> int:
         """Index of the page that would hold ``key`` (via fence pointers)."""

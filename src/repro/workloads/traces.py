@@ -149,6 +149,16 @@ class KeySpace:
 RANGE_SCAN_KEYS = 16
 
 
+def _draw(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
+    """``count`` uniform draws from ``pool``, with replacement.
+
+    The values and the generator state ``rng.choice(pool, size=count)`` leaves,
+    without its argument handling: ~10 us instead of ~18 us for 40 draws
+    (2-vCPU VM).
+    """
+    return pool[rng.integers(0, pool.size, size=count)]
+
+
 class TraceGenerator:
     """Generates operation traces for a workload over a fixed key space."""
 
@@ -193,9 +203,9 @@ class TraceGenerator:
         # too, so a seeded trace never changes.
         keys = np.concatenate(
             [
-                self._rng.choice(space.missing, size=empty_gets, replace=True),
-                self._rng.choice(space.existing, size=gets, replace=True),
-                self._rng.choice(space.existing, size=ranges, replace=True),
+                _draw(self._rng, space.missing, empty_gets),
+                _draw(self._rng, space.existing, gets),
+                _draw(self._rng, space.existing, ranges),
                 self._put_keys(puts),
             ]
         )
@@ -228,7 +238,7 @@ class TraceGenerator:
         """Existing keys to overwrite, drawn uniformly."""
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        return self._update_rng.choice(self.key_space.existing, size=count, replace=True)
+        return _draw(self._update_rng, self.key_space.existing, count)
 
 
 def operation_mix(trace: Trace) -> Workload:

@@ -65,22 +65,16 @@ class TestConstruction:
 
 class TestDerivedMemory:
     def test_memory_split_adds_up(self, system: SystemConfig):
-        tuning = LSMTuning(5.0, 4.0, Policy.LEVELING)
-        total = system.filter_memory_bits(tuning.bits_per_entry) + 8.0 * (
-            tuning.buffer_memory_bytes(system)
-        )
+        total = system.filter_memory_bits(4.0) + 8.0 * system.buffer_memory_bytes(4.0)
         assert total == pytest.approx(system.total_memory_bits)
 
     def test_buffer_bytes_consistent(self, system: SystemConfig):
-        tuning = LSMTuning(5.0, 4.0, Policy.LEVELING)
-        assert tuning.buffer_memory_bytes(system) == pytest.approx(
+        assert system.buffer_memory_bytes(4.0) == pytest.approx(
             system.buffer_memory_bits(4.0) / 8.0
         )
 
     def test_more_filter_memory_means_smaller_buffer(self, system: SystemConfig):
-        small = LSMTuning(5.0, 2.0, Policy.LEVELING)
-        large = LSMTuning(5.0, 10.0, Policy.LEVELING)
-        assert large.buffer_memory_bytes(system) < small.buffer_memory_bytes(system)
+        assert system.buffer_memory_bytes(10.0) < system.buffer_memory_bytes(2.0)
 
 
 class TestTransformations:

@@ -12,6 +12,7 @@ last wrote it.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -26,30 +27,36 @@ _SYSTEM = simulator_system(num_entries=2_000)
 #: The four named policies and one fluid k-vector, each with what the trace
 #: of :func:`_writes` leaves: the final run counter (every merge on the way
 #: takes an id, built or not), the five ``IOCounters``, the run ids level by
-#: level and the first 16 hex digits of ``tree_fingerprint``.  The tiering and
+#: level, the first 16 hex digits of ``tree_fingerprint`` and those of
+#: :func:`_filter_digest`.  The tiering and
 #: 1-leveling rows keep the tombstones a merge into a level that keeps older
 #: runs beside it must not drop (they read 18 and 15 keys wrongly before).
 _GOLDEN = {
     "leveling": (
         LSMTuning(5.0, 5.0, Policy.LEVELING),
         295, (0, 0, 1723, 1568, 298), [[295], [290], [261]], "bcae1e00914b45e1",
+        "2df4f2634273efd3",
     ),
     "tiering": (
         LSMTuning(5.0, 5.0, Policy.TIERING),
         184, (0, 0, 654, 508, 298),
         [[184, 183, 182, 181], [180, 174, 168, 162], [], [156]], "c5bff69e0173a88a",
+        "526a3e333d3a298e",
     ),
     "lazy-leveling": (
         LSMTuning(4.0, 6.0, Policy.LAZY_LEVELING),
         198, (0, 0, 889, 725, 298), [[], [198], [], [193]], "243db9ed3144fca6",
+        "2f68fba947c1de36",
     ),
     "one-leveling": (
         LSMTuning(4.0, 6.0, Policy.ONE_LEVELING),
         272, (0, 0, 993, 872, 298), [[], [272], [265], [236, 119]], "58f1c8b9c98a3563",
+        "97a92631a2b6abd3",
     ),
     "fluid-kvec": (
         LSMTuning(5.0, 5.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1)),
         191, (0, 0, 950, 796, 298), [[191, 190, 189], [188], [169]], "abc4d6af38957a96",
+        "97f067d802af07f0",
     ),
 }
 
@@ -63,6 +70,20 @@ def _writes(seed: int = 20, num_ops: int = 900) -> list[tuple[bool, int]]:
     deletes = rng.random(num_ops) < 0.15
     keys = rng.integers(0, 1_200, size=num_ops)
     return list(zip(deletes.tolist(), keys.tolist()))
+
+
+def _filter_digest(tree: LSMTree) -> str:
+    """sha256 of every resident run's packed bit table, level by level.
+
+    Pins the filters the engine builds — per-level Monkey bits, ``seed + run
+    id`` and merged contents — which no page counter reads when no query ran.
+    """
+    digest = hashlib.sha256()
+    for runs in tree.levels:
+        digest.update(b"level")
+        for run in runs:
+            digest.update(run.bloom_filter.bit_table.tobytes())
+    return digest.hexdigest()
 
 
 def _apply(tree: LSMTree, is_delete: bool, key: int) -> None:
@@ -118,7 +139,7 @@ class TestCreatedIsResident:
 @pytest.mark.parametrize("policy", _GOLDEN)
 class TestNothingObservableMoved:
     def test_counters_ids_and_contents_equal_the_parents(self, policy, tmp_path):
-        tuning, run_counter, counters, run_ids, fingerprint = _GOLDEN[policy]
+        tuning, run_counter, counters, run_ids, fingerprint, filters = _GOLDEN[policy]
         memory = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3)
         files = LSMTree(
             tuning, _SYSTEM, disk=VirtualDisk(), seed=3, store=FileStore(tmp_path / "db")
@@ -132,6 +153,7 @@ class TestNothingObservableMoved:
         for tree in (memory, files):
             assert dataclasses.astuple(tree.disk.counters) == counters
             assert tree_fingerprint(tree)[:16] == fingerprint
+            assert _filter_digest(tree)[:16] == filters
             assert tree._run_counter == run_counter
         # A run's filter seed is ``seed + run id``: the ids are the filters.
         assert [

@@ -137,6 +137,8 @@ RULES = (
     Rule("one-packbits", BLOOM, r"\bpackbits\b", 30, "        return np.packbits(self._table)",
          "<= 1"),
     Rule("bloom-no-byte-shift", BLOOM, r">> 3([^0-9]|$)", 30, "        byte = positions >> 3"),
+    Rule("bloom-scalar-probe-no-item", BLOOM, r"\.item\(", 43,
+         "            if not self._table.item(position % num_bits):"),
     Rule("storage-no-hashing-unique", "src/repro/storage/**/*.py", r"np\.unique\(", 30,
          "    keys = np.unique(keys)"),
     Rule("no-eager-level1-run", LSM_TREE, r"_new_run\(keys, tombstones, level=1\)", 20,

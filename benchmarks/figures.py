@@ -51,6 +51,7 @@ from repro.storage.lsm_tree import execute_operation, execute_operations_batched
 from repro.workloads import (
     KeySpace,
     Session,
+    SessionGenerator,
     SessionSequence,
     SessionType,
     TraceGenerator,
@@ -120,17 +121,20 @@ def _motivation(state: SessionState) -> list[tuple[str, float, float]]:
     expected = Workload(z0=0.20, z1=0.20, q=0.06, w=0.54)
     shifted = Workload(z0=0.02, z1=0.02, q=0.41, w=0.55)
     experiment = state.system_experiment
-    comparison = experiment.run_motivation(expected, shifted, rho=1.0)
+    sequence = SessionGenerator(experiment.benchmark, seed=experiment.seed).motivation_sequence(
+        expected, shifted, workloads_per_session=2
+    )
+    deployed = experiment.tunings_for(expected, 1.0)["nominal"]
     tuner = NominalTuner(system=experiment.system)
     perfect = {
         "expected workload": tuner.tune(expected).tuning,
         "uncertain workload": tuner.tune(shifted).tuning,
     }
+    cost = experiment.cost_model.workload_cost
     return [
-        (label, cost, experiment.cost_model.workload_cost(observed, perfect[label]))
-        for label, observed, cost in zip(
-            comparison.labels, comparison.observed_workloads, comparison.model_ios["nominal"]
-        )
+        (session.label, cost(session.average, deployed),
+         cost(session.average, perfect[session.label]))
+        for session in sequence
     ]
 
 

@@ -1,6 +1,6 @@
 """One comparison: the grid an executor returned, and its text and JSON forms.
 
-Every system result of the paper (Figures 1 and 8–18) and every experiment
+Every system result of the paper (Figures 8–18) and every experiment
 built on top of them (the sharded fleet, static-vs-adaptive drift, the A→B→A
 endurance trio) is one shape: a column per named deployment, a row per
 session.  ``WorkloadExecutor.compare`` already returns exactly that, so

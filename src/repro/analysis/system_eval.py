@@ -1,4 +1,4 @@
-"""System-based evaluation drivers (Section 8, Figures 1 and 8–18).
+"""System-based evaluation drivers (Section 8, Figures 8–18).
 
 These functions pair the analytical cost model's predictions with actual
 measurements from the pure-Python LSM-tree simulator, the reproduction's
@@ -116,21 +116,6 @@ class SystemExperiment:
             sequence = sequence.with_long_range_fraction(
                 expected.long_range_fraction
             )
-        comparison = self._compare(sequence, rho, self.tunings_for(expected, rho), {})
-        return comparison.claiming(robust_vs_nominal)
-
-    def run_motivation(
-        self,
-        expected: Workload,
-        shifted: Workload,
-        rho: float = 1.0,
-        workloads_per_session: int = 2,
-    ) -> Comparison:
-        """Figure 1: expected / shifted / expected sessions, expected vs ideal tuning."""
-        generator = SessionGenerator(self.benchmark, seed=self.seed)
-        sequence = generator.motivation_sequence(
-            expected, shifted, workloads_per_session=workloads_per_session
-        )
         comparison = self._compare(sequence, rho, self.tunings_for(expected, rho), {})
         return comparison.claiming(robust_vs_nominal)
 

@@ -27,7 +27,10 @@ Following Dostoevsky §4 the range cost distinguishes two regimes:
 
 A workload's ``long_range_fraction`` ``ν`` blends the two:
 ``Q = (1 - ν) · Q_short + ν · Q_long``; with ``ν = 0`` every cost is
-identical to the pre-split model.
+identical to the pre-split model.  ``Q_long`` is a deliberate worst case
+that a fresh-key trace does not reach, so model and simulator are held to
+agree on short ranges; traces with updates (``update_fraction``) rank the
+policies' long scans as the model does (``tests/test_integration.py``).
 
 All per-policy structure enters through one quantity supplied by the
 :class:`~repro.lsm.policy.CompactionPolicy` value — the run bound of each

@@ -37,12 +37,14 @@ leveling is.  All four spill a full level down.  **Fluid** policies
 a level that hits a bound below ``T - 1`` still has entry headroom, so it
 restores the bound within the level and only spills once its capacity is
 exhausted.  ``K = Z = 1`` recovers leveling's costs exactly, ``K = Z = T - 1``
-tiering's and ``K = T - 1, Z = 1`` lazy leveling's; non-uniform vectors (e.g.
-front-loaded "lazy ladders" — tiered shallow levels descending to leveled
-deep ones) open the part of the design space no scalar ``(K, Z)`` pair
-reaches.  The tuners sweep a sequence of these values:
-:func:`expand_policy_specs` unfolds ``Policy.FLUID`` into the default
-``(K, Z)`` candidate grid.
+tiering's and ``K = T - 1, Z = 1`` lazy leveling's — in the cost model; on
+the engine under updates tiering (spill) and the ``K = Z = T - 1`` corner
+(merge in place) keep different runs, which is why ``in_place`` is data on
+the value.  Non-uniform vectors (e.g. front-loaded "lazy ladders" — tiered
+shallow levels descending to leveled deep ones) open the part of the design
+space no scalar ``(K, Z)`` pair reaches.  The tuners sweep a sequence of
+these values: :func:`expand_policy_specs` unfolds ``Policy.FLUID`` into the
+default ``(K, Z)`` candidate grid.
 
 :class:`Policy` is only the *name* of a policy — the enum used by CLI flags,
 dictionary keys, ``LSMTuning(T, h, Policy.X)`` and ``tuning.policy is
@@ -70,49 +72,15 @@ class Policy(enum.Enum):
 
     @classmethod
     def from_value(cls, value: "Policy | str") -> "Policy":
-        """Coerce a user-supplied value (enum member or string) to a policy.
-
-        Accepts the enum member itself, its ``value`` string, or common
-        abbreviations (``"level"``/``"tier"``/``"lazy"``, ``"L"``/``"T"``) so
-        that configuration files and CLI flags stay pleasant to write.
-        """
+        """Coerce a user-supplied value (enum member or its ``value``) to a policy."""
         if isinstance(value, cls):
             return value
         if not isinstance(value, str):
             raise TypeError(f"cannot interpret {value!r} as a compaction policy")
         try:
-            return _ALIASES[value.strip().lower()]
-        except KeyError as exc:
+            return cls(value)
+        except ValueError as exc:
             raise ValueError(f"unknown compaction policy {value!r}") from exc
-
-
-_ALIASES: dict[str, Policy] = {
-    "leveling": Policy.LEVELING,
-    "level": Policy.LEVELING,
-    "levelled": Policy.LEVELING,
-    "leveled": Policy.LEVELING,
-    "l": Policy.LEVELING,
-    "tiering": Policy.TIERING,
-    "tier": Policy.TIERING,
-    "tiered": Policy.TIERING,
-    "t": Policy.TIERING,
-    "lazy-leveling": Policy.LAZY_LEVELING,
-    "lazy_leveling": Policy.LAZY_LEVELING,
-    "lazyleveling": Policy.LAZY_LEVELING,
-    "lazy": Policy.LAZY_LEVELING,
-    "ll": Policy.LAZY_LEVELING,
-    "1-leveling": Policy.ONE_LEVELING,
-    "1_leveling": Policy.ONE_LEVELING,
-    "1leveling": Policy.ONE_LEVELING,
-    "one-leveling": Policy.ONE_LEVELING,
-    "one_leveling": Policy.ONE_LEVELING,
-    "1l": Policy.ONE_LEVELING,
-    "fluid": Policy.FLUID,
-    "fluid-lsm": Policy.FLUID,
-    "k-hybrid": Policy.FLUID,
-    "khybrid": Policy.FLUID,
-    "f": Policy.FLUID,
-}
 
 
 @dataclass(frozen=True)

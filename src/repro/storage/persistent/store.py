@@ -27,7 +27,9 @@ from ..lsm_tree import LSMTree
 from .sstable import SSTable
 from .wal import WriteAheadLog
 
-#: Manifest schema version, bumped on incompatible layout changes.
+#: Manifest schema version, bumped on incompatible layout changes.  Version 1
+#: directories (a table as an ``.sst`` plus index and filter sidecar files)
+#: are refused by it; a bare old ``.sst`` also lacks the trailer magic.
 MANIFEST_VERSION = 2
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import SystemExperiment, format_comparison, scaling_experiment
 from repro.lsm import simulator_system
 from repro.storage import ExecutorConfig
-from repro.workloads import UncertaintyBenchmark, Workload, expected_workload
+from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload, expected_workload
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,14 @@ class TestMotivationExperiment:
         mostly point reads, and the session returns to normal afterwards."""
         expected = Workload(0.20, 0.20, 0.06, 0.54)
         shifted = Workload(0.02, 0.02, 0.41, 0.55)
-        comparison = experiment.run_motivation(expected, shifted, rho=1.0,
-                                               workloads_per_session=1)
-        assert len(comparison.labels) == 3
-        nominal_io = comparison.model_ios["nominal"]
+        sequence = SessionGenerator(experiment.benchmark, seed=experiment.seed).motivation_sequence(
+            expected, shifted, workloads_per_session=1
+        )
+        deployed = experiment.tunings_for(expected, 1.0)["nominal"]
+        nominal_io = [
+            experiment.cost_model.workload_cost(session.average, deployed) for session in sequence
+        ]
+        assert len(nominal_io) == 3
         # The middle (shifted) session is the expensive one for the expected tuning.
         assert nominal_io[1] > nominal_io[0]
         assert nominal_io[1] > nominal_io[2]

@@ -44,30 +44,21 @@ class TestPolicyFromValue:
         assert Policy.from_value("tiering") is Policy.TIERING
         assert Policy.from_value("lazy-leveling") is Policy.LAZY_LEVELING
 
-    def test_accepts_aliases(self):
-        assert Policy.from_value("level") is Policy.LEVELING
-        assert Policy.from_value("leveled") is Policy.LEVELING
-        assert Policy.from_value("L") is Policy.LEVELING
-        assert Policy.from_value("tier") is Policy.TIERING
-        assert Policy.from_value("tiered") is Policy.TIERING
-        assert Policy.from_value("T") is Policy.TIERING
-        assert Policy.from_value("lazy") is Policy.LAZY_LEVELING
-        assert Policy.from_value("lazy_leveling") is Policy.LAZY_LEVELING
-        assert Policy.from_value("ll") is Policy.LAZY_LEVELING
-        assert Policy.from_value("one-leveling") is Policy.ONE_LEVELING
-        assert Policy.from_value("1leveling") is Policy.ONE_LEVELING
-        assert Policy.from_value("1l") is Policy.ONE_LEVELING
-        assert Policy.from_value("k-hybrid") is Policy.FLUID
-        assert Policy.from_value("fluid-lsm") is Policy.FLUID
-        assert Policy.from_value("f") is Policy.FLUID
+    def test_rejects_aliases(self):
+        # One spelling per policy: abbreviations are unknown names.
+        for alias in ("level", "leveled", "L", "tier", "tiered", "T", "lazy", "lazy_leveling",
+                      "ll", "one-leveling", "1leveling", "1l", "k-hybrid", "fluid-lsm", "f"):
+            with pytest.raises(ValueError, match=repr(alias)):
+                Policy.from_value(alias)
 
-    def test_is_case_insensitive(self):
-        assert Policy.from_value("LEVELING") is Policy.LEVELING
-        assert Policy.from_value("Tiering") is Policy.TIERING
-        assert Policy.from_value("Lazy-Leveling") is Policy.LAZY_LEVELING
+    def test_is_case_sensitive(self):
+        for spelling in ("LEVELING", "Tiering", "Lazy-Leveling"):
+            with pytest.raises(ValueError, match=spelling):
+                Policy.from_value(spelling)
 
-    def test_strips_whitespace(self):
-        assert Policy.from_value("  leveling  ") is Policy.LEVELING
+    def test_rejects_surrounding_whitespace(self):
+        with pytest.raises(ValueError):
+            Policy.from_value("  leveling  ")
 
     def test_rejects_unknown_string(self):
         with pytest.raises(ValueError):
@@ -127,7 +118,7 @@ class TestNamedPolicies:
             assert value.policy is policy
             assert value.name == policy.value
             assert not value.in_place
-        assert of("tiered") is NAMED_POLICIES[Policy.TIERING]
+        assert of("tiering") is NAMED_POLICIES[Policy.TIERING]
         assert of(Policy.FLUID) == fluid() and fluid().in_place
 
     @pytest.mark.parametrize("policy", NAMED_POLICIES, ids=lambda policy: policy.value)

@@ -133,7 +133,7 @@ class TestFluidBounds:
         assert tuning.k_bound is None
         assert tuning.z_bound is None
         # ... and equality is independent of how the policy was spelled.
-        assert tuning == LSMTuning(8.0, 4.0, CompactionPolicy.of("level"))
+        assert tuning == LSMTuning(8.0, 4.0, CompactionPolicy.of("leveling"))
 
     def test_rejects_sub_unit_bounds(self):
         with pytest.raises(ValueError):

@@ -195,6 +195,12 @@ RULES = (
          r"k_bounds?: |def with_(bounds|policy)\b", 42, "        k_bound: float | None = None,"),
     Rule("no-dict-readback", SRC, r"def from_dict\b", 42,
          "    def from_dict(cls, data: Mapping[str, Any]) -> \"LSMTuning\":"),
+    # The docs are a specification, not a log: each line count has a ceiling.
+    Rule("readme-lines", "README.md", r"\n", 44, "A paragraph of history.\n", "<= 400"),
+    Rule("skill-lines", ".claude/skills/verify/SKILL.md", r"\n", 44,
+         "A paragraph of history.\n", "<= 150"),
+    Rule("no-policy-aliases", "src/repro/lsm/policy.py", r"_ALIASES|\.lower\(\)", 44,
+         "            return _ALIASES[value.strip().lower()]"),
 )
 
 

@@ -938,8 +938,6 @@ def _sharded_serving(_: SessionState):
                 confirm_checks=2, mode="nominal", horizon_ops=200_000,
                 migration="incremental", migration_step_ops=32,
                 migration_step_pages=8, admission=mode,
-                admission_max_backlog=0, admission_starvation_ops=100_000,
-                admission_idle_steps=1_000,
             ),
         )
         for mode in ("fixed", "queue-depth")

@@ -74,12 +74,12 @@ ONLINE = "online --num-entries 3000 --queries-per-workload 150 --sessions-per-ph
     "--window 200 --check-interval 50 --min-observations 100 --cooldown 400"
 CLI = [
     f"{ONLINE} --confirm-checks 2 --seed 7 --json",
-    f"{ONLINE} --migration incremental --admission queue-depth --admission-max-backlog 32 --json",
+    f"{ONLINE} --migration incremental --admission queue-depth --json",
     "compare --expected-index 2 --num-entries 4000 --backend persistent --data-dir {tmp} --seed 7",
     "compare --expected-index 11 --num-entries 4000 --num-shards 2 --seed 7",
     "online --threshold -1", "compare --num-entries 0", "compare --sync-writes",
     "tune --workload .25 .25 .25 .25 --num-entries -5", "tune --workload .25 .25 .25 .25 --seed 7",
-    "online --admission queue-depth --admission-starvation-ops 10",
+    "online --rho-adaptive --mode nominal",
     "table --rho 1", "workloads",
     "tune --workload 0.1 0.2 0.1 0.6 --policy fluid --k-bounds 4,2,1 --z-bound 1 "
     "--num-entries 100000 --long-range-fraction 0.2 --rho 0.25",

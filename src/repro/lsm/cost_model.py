@@ -154,8 +154,6 @@ class LSMCostModel:
         if points[0] not in (1, len(stack)):
             raise ValueError("axis 0 of the points must have length 1 or len(policies)")
         # Written so that a NaN fails every comparison.
-        if not np.all(ratios >= 2.0) or not np.all(np.isfinite(ratios)):
-            raise ValueError("every size ratio must be finite and at least 2")
         if not np.all(bits >= 0.0):
             raise ValueError("bits_per_entry must be non-negative and not NaN")
         # Trailing level axis; the two operands stay un-broadcast so an outer
@@ -163,15 +161,12 @@ class LSMCostModel:
         ratios = ratios.reshape((1,) * (len(points) - ratios.ndim) + ratios.shape + (1,))
         bits = bits.reshape((1,) * (len(points) - bits.ndim) + bits.shape + (1,))
 
-        buffer_bits = system.total_memory_bits - bits * system.num_entries
-        if not np.all(buffer_bits > 0):
-            raise ValueError("bits_per_entry exceeds the total memory budget")
-        buffer_entries = buffer_bits / system.entry_size_bits
-
-        # L(T, h) = ceil(log_T(N·E / m_buf + 1)), clipped to at least 1.
-        size_bits = float(system.num_entries) * system.entry_size_bits
-        log_ratio = np.log(size_bits / buffer_bits + 1.0)
-        levels = np.maximum(1.0, np.ceil(log_ratio / np.log(ratios)))
+        # L(T, h) (Eq. 1); it also rejects a T below 2 and an h that leaves
+        # no write buffer.
+        levels = system.disk_levels(ratios, bits)
+        buffer_entries = (
+            system.total_memory_bits - bits * system.num_entries
+        ) / system.entry_size_bits
 
         max_levels = int(levels.max())
         index = np.arange(1, max_levels + 1, dtype=float)

@@ -9,8 +9,9 @@ Table 1 in the paper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 #: Number of bits in one byte; used for the many bit/byte conversions below.
 BITS_PER_BYTE = 8
@@ -158,17 +159,26 @@ class SystemConfig:
     # ------------------------------------------------------------------
     # Tree shape helpers
     # ------------------------------------------------------------------
-    def num_levels(self, size_ratio: float, bits_per_entry: float) -> int:
-        """Number of disk-resident levels ``L(T)`` (Equation 1 of the paper).
+    def disk_levels(self, size_ratios, bits_per_entry) -> np.ndarray:
+        """Number of disk-resident levels ``L(T)`` (Equation 1 of the paper),
+        elementwise over broadcast ``T`` and ``h``.
 
-        ``L(T) = ceil( log_T( N * E / m_buf + 1 ) )`` with all sizes in bits.
+        ``L(T) = ceil( log_T( N * E / m_buf + 1 ) )`` with all sizes in bits,
+        at least 1.  The cost model's arrays and the engine's one tree both
+        read this expression, so a tuning on a level cliff lies on the same
+        side of it in both.  Each ``T`` must be finite and at least 2, and
+        each ``h`` must leave room for a write buffer.
         """
-        if size_ratio < 2.0:
-            raise ValueError("size_ratio must be at least 2")
-        buffer_bits = self.buffer_memory_bits(bits_per_entry)
-        ratio = (self.num_entries * self.entry_size_bits) / buffer_bits + 1.0
-        levels = math.ceil(math.log(ratio) / math.log(size_ratio))
-        return max(1, int(levels))
+        ratios = np.asarray(size_ratios, dtype=float)
+        # Written so that a NaN fails every comparison.
+        if not np.all(ratios >= 2.0) or not np.all(np.isfinite(ratios)):
+            raise ValueError("every size ratio must be finite and at least 2")
+        bits = np.asarray(bits_per_entry, dtype=float)
+        buffer_bits = self.total_memory_bits - bits * self.num_entries
+        if not np.all(buffer_bits > 0):
+            raise ValueError("bits_per_entry exceeds the total memory budget")
+        size_bits = float(self.num_entries) * self.entry_size_bits
+        return np.maximum(1.0, np.ceil(np.log(size_bits / buffer_bits + 1.0) / np.log(ratios)))
 
     # ------------------------------------------------------------------
     # Convenience constructors

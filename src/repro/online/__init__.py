@@ -16,8 +16,7 @@ expected workload; this subsystem closes the loop at run time:
   the migration's I/O to the same virtual disk the measurements read.
 """
 
-from .admission import ADMISSION_MODES, StepAdmission
-from .config import MIGRATION_MODES, OnlineConfig
+from .config import ADMISSION_MODES, MIGRATION_MODES, OnlineConfig
 from .controller import OnlineLSMController, RetuningEvent
 from .drift import DriftCheck, DriftDetector
 from .migration import MigrationInvariantError, MigrationPlan, MigrationStep
@@ -38,5 +37,4 @@ __all__ = [
     "OnlineLSMController",
     "RetuningDecision",
     "RetuningEvent",
-    "StepAdmission",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..knobs import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, check_knobs, knob
-from .admission import ADMISSION_MODES
 
 #: Re-tuning modes: re-run the nominal tuner on the observed workload, or the
 #: robust tuner with the configured radius around it.
@@ -21,6 +20,11 @@ RETUNING_MODES: tuple[str, ...] = ("nominal", "robust")
 #: level-by-level :class:`~repro.online.migration.MigrationPlan` over the
 #: operation stream.
 MIGRATION_MODES: tuple[str, ...] = ("full", "incremental")
+
+#: Admission policies for incremental migration steps: a fixed cadence, or
+#: steps deferred until the served chunk drains (see
+#: :func:`~repro.online.controller.ops_until_step`).
+ADMISSION_MODES: tuple[str, ...] = ("fixed", "queue-depth")
 
 
 @dataclass
@@ -84,24 +88,6 @@ class OnlineConfig:
         "backlog is deep and drains them in idle gaps",
         ADMISSION_MODES,
     )
-    admission_max_backlog: int = knob(
-        256,
-        "backlog (queued operations) at or below which a due step is admitted under "
-        "queue-depth admission",
-        NON_NEGATIVE_INT,
-    )
-    admission_starvation_ops: int = knob(
-        4_096,
-        "operations after which a migration step is forced regardless of backlog "
-        "(queue-depth starvation bound; at least --migration-step-ops)",
-        POSITIVE_INT,
-    )
-    admission_idle_steps: int = knob(
-        8,
-        "migration steps drained per inter-session idle gap under queue-depth admission "
-        "('fixed' ignores idle notifications)",
-        NON_NEGATIVE_INT,
-    )
     rho_adaptive: bool = knob(
         False,
         "widen the robust re-tuning radius with the observed KL-trajectory volatility (cyclic "
@@ -117,13 +103,6 @@ class OnlineConfig:
             raise ValueError(
                 "rho_adaptive requires mode='robust': nominal re-tunings have "
                 "no radius to widen"
-            )
-        # ``fixed`` admission ignores the starvation bound.
-        starved = self.admission_starvation_ops < self.migration_step_ops
-        if starved and self.admission != "fixed":
-            raise ValueError(
-                "admission_starvation_ops must be at least migration_step_ops: "
-                "the starvation bound can only defer steps, not speed them up"
             )
 
     @property

@@ -20,6 +20,15 @@ and executes the operation stream through it while running the adaptive loop:
    spreads the same pages over bounded steps while the mixed old/new state
    keeps serving the stream.
 
+*When* an incremental plan's steps run is the ``admission`` policy, answered
+in closed form by :func:`ops_until_step`: ``"fixed"`` runs one every
+``migration_step_ops`` operations past the plan's start, wherever the stream
+is; ``"queue-depth"`` defers a due step until the chunk being served (the
+backlog) has drained, and a serving lull (:meth:`~OnlineLSMController.note_idle`)
+finishes the plan, so reorganisation I/O lands between busy windows.  The
+backlog is the unserved rest of the current ``execute`` call, 0 at its end,
+so a deferred step always runs by the end of its chunk.
+
 After a migration the detector is re-centred on the workload the new tuning
 was computed for, and its cooldown gives the migration time to pay off
 before the next drift episode may fire.  With ``rho_adaptive`` enabled the
@@ -46,12 +55,30 @@ from ..storage.lsm_tree import (
 )
 from ..workloads.traces import Operation, Trace
 from ..workloads.workload import Workload
-from .admission import StepAdmission
 from .config import OnlineConfig
 from .drift import DriftDetector
 from .migration import MigrationPlan
 from .observed import ObservedWorkload
 from .retuner import AdaptiveTuner, RetuningDecision
+
+
+def ops_until_step(
+    config: OnlineConfig, position: int, plan_started: int, last_step: int, backlog: int
+) -> int:
+    """Operations until the next incremental migration step (at least 1).
+
+    ``"fixed"`` admits every ``migration_step_ops`` operations past
+    ``plan_started``.  ``"queue-depth"`` admits once ``migration_step_ops``
+    operations have passed since ``last_step`` *and* the ``backlog`` has
+    drained.  The backlog drains by one per executed operation, so after
+    ``k`` more operations the elapsed count grows by ``k`` and the backlog
+    shrinks by ``k``, and the first admitting ``k`` is a closed form.
+    """
+    step_ops = config.migration_step_ops
+    if config.admission == "fixed":
+        return step_ops - (position - plan_started) % step_ops
+    return max(1, step_ops - (position - last_step), backlog)
+
 
 @dataclass(frozen=True)
 class RetuningEvent:
@@ -132,7 +159,6 @@ class OnlineLSMController:
             self.config,
         )
         self.retuner = AdaptiveTuner(self.system, self.config, self.policies)
-        self.admission = StepAdmission(self.config)
         self.position = 0
         self.events: list[RetuningEvent] = []
         self._plan: MigrationPlan | None = None
@@ -201,8 +227,7 @@ class OnlineLSMController:
         The per-operation reference of :meth:`execute_batched`.  The length
         of the stream seeds the serving backlog the admission policy
         observes: under ``admission="queue-depth"`` migration steps that fall
-        due while the chunk is still deep are deferred until it has drained
-        to ``admission_max_backlog`` (or the starvation bound).
+        due while the chunk is being served are deferred until it has drained.
         """
         operations = list(operations)
         self._backlog = len(operations)
@@ -211,35 +236,31 @@ class OnlineLSMController:
         self._backlog = 0
 
     def note_idle(self) -> None:
-        """Signal a serving lull: drain deferred migration steps.
+        """Signal a serving lull: drain the deferred migration steps.
 
-        Under ``admission="queue-depth"`` an idle shard runs up to
-        ``admission_idle_steps`` steps of its in-flight plan immediately —
-        reorganisation I/O lands in the lull instead of the next busy window.
-        Under ``admission="fixed"`` this is a no-op, preserving the classic
-        cadence bit-for-bit.
+        Under ``admission="queue-depth"`` an idle shard finishes its in-flight
+        plan immediately — reorganisation I/O lands in the lull instead of the
+        next busy window.  Under ``admission="fixed"`` this is a no-op,
+        preserving the classic cadence bit-for-bit.
         """
         self._backlog = 0
-        for _ in range(self.admission.idle_steps):
-            if self._plan is None:
-                break
-            self.advance_migration()
+        if self.config.admission != "fixed":
+            self.finish_migration()
 
     def _ops_until_boundary(self) -> int:
         """Operations until the next adaptive-loop boundary (at least 1).
 
         While a migration plan is in flight the boundary is its next admitted
-        step (the admission policy's closed-form
-        :meth:`~repro.online.admission.StepAdmission.ops_until_step`);
+        step (the admission policy's closed form, :func:`ops_until_step`);
         otherwise it is the next drift check (``check_interval``).  Neither
         depends on the kinds of the operations in between, so a window of the
         stream that ends at the boundary can be replayed in one go: the
         engine it runs on cannot change before the boundary work does.
         """
         if self._plan is not None:
-            return self.admission.ops_until_step(
-                self.position, self._plan_started, self._last_step_position,
-                self._backlog,
+            return ops_until_step(
+                self.config, self.position, self._plan_started,
+                self._last_step_position, self._backlog,
             )
         interval = self.config.check_interval
         return interval - self.position % interval

@@ -9,7 +9,7 @@ compaction work over writes exactly as the paper does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -39,23 +39,14 @@ class IOCounters:
 
     def snapshot(self) -> "IOCounters":
         """Copy of the current counters (for before/after deltas)."""
-        return IOCounters(
-            query_reads=self.query_reads,
-            query_writes=self.query_writes,
-            compaction_reads=self.compaction_reads,
-            compaction_writes=self.compaction_writes,
-            flush_writes=self.flush_writes,
-        )
+        return IOCounters(**{f.name: getattr(self, f.name) for f in fields(IOCounters)})
 
     def delta(self, earlier: "IOCounters") -> "IOCounters":
         """Counters accumulated since an earlier snapshot."""
-        return IOCounters(
-            query_reads=self.query_reads - earlier.query_reads,
-            query_writes=self.query_writes - earlier.query_writes,
-            compaction_reads=self.compaction_reads - earlier.compaction_reads,
-            compaction_writes=self.compaction_writes - earlier.compaction_writes,
-            flush_writes=self.flush_writes - earlier.flush_writes,
-        )
+        return IOCounters(**{
+            f.name: getattr(self, f.name) - getattr(earlier, f.name)
+            for f in fields(IOCounters)
+        })
 
 
 @dataclass

@@ -563,8 +563,8 @@ class LSMTree(BufferFirstReads):
         #: ordered from most to least recent.
         self.levels: list[list[RunIndex]] = []
 
-        self._estimated_levels = system.num_levels(
-            self.tuning.size_ratio, self.tuning.bits_per_entry
+        self._estimated_levels = int(
+            system.disk_levels(self.tuning.size_ratio, self.tuning.bits_per_entry)
         )
         self._bits_per_level = monkey_bits_per_level(
             self.tuning.size_ratio, self.tuning.bits_per_entry, self._estimated_levels

@@ -72,7 +72,7 @@ def test_search_is_no_worse_than_the_golden_objective(key: str):
     assert _price(model, workload, rho, deployed) <= GOLDEN[key] * (1.0 + 1e-6)
     # The winner sits on the side of its level cliff the search priced it on …
     assert (
-        system.num_levels(tuning.size_ratio, tuning.bits_per_entry)
+        system.disk_levels(tuning.size_ratio, tuning.bits_per_entry)
         == result.solver_info["levels"]
     )
     # … and re-pricing it point by point agrees with the search's batched pass.

@@ -38,7 +38,7 @@ class TestLevelBands:
         ratios, bits = bands.points(levels, pinned, fraction)
         assert ratios.min() >= 2.0 and ratios.max() <= 100.0
         assert bits.min() >= bands.bits_bounds[0] and bits.max() <= bands.bits_bounds[1]
-        counted = np.vectorize(system.num_levels)(ratios, bits)
+        counted = system.disk_levels(ratios, bits)
         assert np.array_equal(counted, np.broadcast_to(levels, counted.shape))
 
     def test_regions_cover_every_level_count_of_the_design_box(self):
@@ -46,8 +46,8 @@ class TestLevelBands:
         bands = LevelBands(system, np.arange(2.0, 101.0), True)
         levels, _, _ = bands.regions
         h_lo, h_hi = bands.bits_bounds
-        assert levels.min() == system.num_levels(100.0, h_lo)
-        assert levels.max() == system.num_levels(2.0, h_hi)
+        assert levels.min() == system.disk_levels(100.0, h_lo)
+        assert levels.max() == system.disk_levels(2.0, h_hi)
         assert np.array_equal(np.diff(levels), np.ones(levels.size - 1))
 
 

@@ -45,14 +45,14 @@ class TestEmptyReadCost:
 
     def test_equals_sum_of_false_positive_rates_for_leveling(self, model):
         tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
-        rates = monkey_false_positive_rates(5.0, 5.0, model.system.num_levels(5.0, 5.0))
+        rates = monkey_false_positive_rates(5.0, 5.0, int(model.system.disk_levels(5.0, 5.0)))
         assert model.cost_vector(tuning)[Z0] == pytest.approx(float(np.sum(rates)))
 
     def test_zero_filter_memory_cost_bounded_by_level_count(self, model):
         # With no filter memory an empty lookup may probe every level; the
         # clipped Monkey closed form keeps the cost within (0, L].
         tuning = LSMTuning(5.0, 0.0, Policy.LEVELING)
-        levels = model.system.num_levels(5.0, 0.0)
+        levels = model.system.disk_levels(5.0, 0.0)
         cost = model.cost_vector(tuning)[Z0]
         assert 1.0 <= cost <= float(levels)
 
@@ -83,13 +83,13 @@ class TestRangeCost:
     def test_leveling_pays_one_seek_per_level(self, model):
         tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
         assert model.cost_vector(tuning)[Q] == pytest.approx(
-            float(model.system.num_levels(5.0, 5.0))
+            float(model.system.disk_levels(5.0, 5.0))
         )
 
     def test_tiering_pays_t_minus_one_seeks_per_level(self, model):
         tuning = LSMTuning(5.0, 5.0, Policy.TIERING)
         assert model.cost_vector(tuning)[Q] == pytest.approx(
-            float(model.system.num_levels(5.0, 5.0)) * 4.0
+            float(model.system.disk_levels(5.0, 5.0)) * 4.0
         )
 
     def test_selectivity_adds_scan_pages(self):
@@ -98,7 +98,7 @@ class TestRangeCost:
         tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
         scan_pages = 0.001 * selective.num_entries / selective.entries_per_page
         assert model.cost_vector(tuning)[Q] == pytest.approx(
-            model.system.num_levels(5.0, 5.0) + scan_pages
+            model.system.disk_levels(5.0, 5.0) + scan_pages
         )
 
     def test_larger_size_ratio_reduces_leveling_range_cost(self, model):
@@ -133,7 +133,7 @@ class TestWriteCost:
 
     def test_matches_closed_form_for_leveling(self, model, system):
         tuning = LSMTuning(8.0, 5.0, Policy.LEVELING)
-        levels = system.num_levels(8.0, 5.0)
+        levels = system.disk_levels(8.0, 5.0)
         expected = levels / system.entries_per_page * (8.0 - 1.0) / 2.0 * 2.0
         assert model.cost_vector(tuning)[W] == pytest.approx(expected)
 

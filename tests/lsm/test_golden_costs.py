@@ -75,7 +75,7 @@ def test_cost_points_reproduce_the_golden_costs(system: str, nu: float):
     # cost is one seek per level: the depth the kernel priced each point at.
     depth = model.cost_points(ratios[None], bits[None], (Policy.LEVELING,))[0, :, 2]
     np.testing.assert_array_equal(depth, levels)
-    engine = [_SYSTEMS[system].num_levels(t, h) for t, h in zip(ratios, bits)]
+    engine = [_SYSTEMS[system].disk_levels(t, h) for t, h in zip(ratios, bits)]
     np.testing.assert_array_equal(engine, levels)
 
 

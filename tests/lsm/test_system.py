@@ -3,9 +3,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.lsm import SystemConfig, simulator_system
+from repro.lsm import LSMTuning, Policy, SystemConfig, simulator_system
 from repro.lsm.system import BITS_PER_BYTE, MIB
 
 
@@ -101,21 +104,68 @@ class TestTreeShape:
             math.log(config.num_entries * config.entry_size_bits / buffer_bits + 1)
             / math.log(size_ratio)
         )
-        assert config.num_levels(size_ratio, bits) == expected
+        assert config.disk_levels(size_ratio, bits) == expected
 
     def test_num_levels_decreases_with_size_ratio(self):
         config = SystemConfig()
-        shallow = config.num_levels(50.0, 5.0)
-        deep = config.num_levels(3.0, 5.0)
+        shallow = config.disk_levels(50.0, 5.0)
+        deep = config.disk_levels(3.0, 5.0)
         assert shallow <= deep
 
     def test_num_levels_at_least_one(self):
         config = SystemConfig()
-        assert config.num_levels(config.max_size_ratio, 0.0) >= 1
+        assert config.disk_levels(config.max_size_ratio, 0.0) >= 1
 
     def test_num_levels_rejects_small_ratio(self):
         with pytest.raises(ValueError):
-            SystemConfig().num_levels(1.5, 5.0)
+            SystemConfig().disk_levels(1.5, 5.0)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [float("nan"), float("inf"), [4.0, 1.5], [4.0, float("nan")]],
+        ids=["nan", "inf", "one-below-2", "one-nan"],
+    )
+    def test_disk_levels_rejects_every_bad_ratio(self, ratios):
+        with pytest.raises(ValueError, match="finite and at least 2"):
+            SystemConfig().disk_levels(ratios, 5.0)
+
+    def test_disk_levels_rejects_bits_beyond_the_memory_budget(self):
+        config = SystemConfig()
+        with pytest.raises(ValueError, match="memory budget"):
+            config.disk_levels([4.0, 8.0], [5.0, config.total_bits_per_entry])
+
+    def test_disk_levels_is_elementwise_over_broadcast_operands(self):
+        config = SystemConfig()
+        ratios = np.array([[2.0], [3.5], [10.0]])
+        bits = np.array([0.0, 2.0, 5.0, 9.0])
+        levels = config.disk_levels(ratios, bits)
+        assert levels.shape == (3, 4)
+        for i, ratio in enumerate(ratios[:, 0]):
+            for j, bits_per_entry in enumerate(bits):
+                assert levels[i, j] == config.disk_levels(ratio, bits_per_entry)
+
+    @given(
+        ratio=st.floats(min_value=2.0, max_value=100.0),
+        more=st.floats(min_value=0.0, max_value=50.0),
+        bits=st.floats(min_value=0.0, max_value=9.0),
+        more_bits=st.floats(min_value=0.0, max_value=0.9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_disk_levels_is_monotone(self, ratio, more, bits, more_bits):
+        """A larger size ratio never deepens the tree; more filter memory
+        (a smaller write buffer) never makes it shallower."""
+        config = simulator_system(num_entries=20_000)
+        assert config.disk_levels(ratio + more, bits) <= config.disk_levels(ratio, bits)
+        assert config.disk_levels(ratio, bits) <= config.disk_levels(ratio, bits + more_bits)
+
+    def test_the_tree_is_built_at_the_depth_disk_levels_gives(self):
+        from repro.storage import LSMTree
+
+        system = simulator_system(num_entries=20_000)
+        for ratio in (2.0, 3.0, 4.0, 7.5, 20.0, 60.0):
+            for bits in (0.0, 2.0, 8.0):
+                tree = LSMTree(LSMTuning(ratio, bits, Policy.LEVELING), system)
+                assert tree._estimated_levels == system.disk_levels(ratio, bits)
 
 
 class TestScalingAndSerialisation:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.online import ADMISSION_MODES, OnlineConfig, OnlineLSMController, StepAdmission
+from repro.online import ADMISSION_MODES, OnlineConfig, OnlineLSMController
+from repro.online.controller import ops_until_step
 from repro.storage import LSMTree
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
@@ -23,76 +24,51 @@ def _controller(config, expected, tuning=None):
     return OnlineLSMController(tree=tree, expected=expected, config=config)
 
 
-def _admission(mode="fixed", step_ops=256, **knobs) -> StepAdmission:
-    """The policy a config with these admission knobs describes."""
-    return StepAdmission(
-        OnlineConfig(admission=mode, migration_step_ops=step_ops, **knobs)
-    )
+def _config(mode="fixed", step_ops=256) -> OnlineConfig:
+    """A config with this admission mode and step cadence."""
+    return OnlineConfig(admission=mode, migration_step_ops=step_ops)
 
 
-def _admits(admission, position, plan_started, last_step, backlog) -> bool:
+def _admits(config, position, plan_started, last_step, backlog) -> bool:
     """Whether a step is admitted at ``position``, checked after each
     operation: the per-position predicate ``ops_until_step`` solves."""
-    config = admission.config
     if config.admission == "fixed":
         return (position - plan_started) % config.migration_step_ops == 0
-    since = position - last_step
-    if since >= config.admission_starvation_ops:
-        return True
-    return since >= config.migration_step_ops and backlog <= config.admission_max_backlog
+    return position - last_step >= config.migration_step_ops and backlog == 0
 
 
 class TestStepAdmissionPolicy:
     def test_fixed_reproduces_the_historical_cadence(self):
-        admission = _admission(step_ops=64)
+        config = _config(step_ops=64)
         for position in range(1, 400):
-            assert admission.ops_until_step(position, 7, 0, backlog=10**6) == (
+            assert ops_until_step(config, position, 7, 0, backlog=10**6) == (
                 64 - (position - 7) % 64
             )
 
     def test_queue_depth_defers_while_the_backlog_is_deep(self):
-        admission = _admission(
-            "queue-depth", 10, admission_max_backlog=5, admission_starvation_ops=100
-        )
-        # Due by cadence but the queue is deep: deferred until it drains.
-        assert admission.ops_until_step(49, 0, 30, backlog=500) == 81
-        # Queue drained: admitted at the next operation.
-        assert admission.ops_until_step(49, 0, 30, backlog=6) == 1
+        config = _config("queue-depth", 10)
+        # Due by cadence but the chunk is still being served: deferred until
+        # it has drained, however long ago the last step ran.
+        assert ops_until_step(config, 49, 0, 30, backlog=500) == 500
+        assert ops_until_step(config, 10_000, 0, 30, backlog=10**6) == 10**6
+        # Chunk drained: admitted at the next operation.
+        assert ops_until_step(config, 49, 0, 30, backlog=0) == 1
         # Not yet due by cadence even when idle.
-        assert admission.ops_until_step(34, 0, 30, backlog=0) == 6
-        # Starvation bound overrides any backlog.
-        assert admission.ops_until_step(129, 0, 30, backlog=10**9) == 1
-
-    def test_idle_steps_only_under_queue_depth(self):
-        assert _admission(admission_idle_steps=8).idle_steps == 0
-        assert _admission("queue-depth", admission_idle_steps=3).idle_steps == 3
+        assert ops_until_step(config, 34, 0, 30, backlog=0) == 6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(admission="asap"),
             dict(migration_step_ops=0),
-            dict(admission_max_backlog=-1),
-            dict(admission_idle_steps=-1),
-            dict(admission="queue-depth", migration_step_ops=100, admission_starvation_ops=50),
+            dict(admission="Queue-Depth"),
+            dict(migration="stepwise"),
+            dict(migration_step_pages=0),
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             OnlineConfig(**kwargs)
-
-    def test_starvation_rule_names_the_fields(self):
-        with pytest.raises(ValueError, match=(
-            "admission_starvation_ops must be at least migration_step_ops"
-        )):
-            OnlineConfig(
-                admission="queue-depth", migration_step_ops=100, admission_starvation_ops=50
-            )
-
-    def test_fixed_mode_tolerates_small_starvation_bound(self):
-        # Pre-existing fixed configs with huge migration_step_ops must not
-        # start raising because the (unused) starvation default is smaller.
-        OnlineConfig(migration_step_ops=10_000, admission_starvation_ops=4_096)
 
     @given(
         mode=st.sampled_from(ADMISSION_MODES),
@@ -101,13 +77,10 @@ class TestStepAdmissionPolicy:
         stepped_ago=st.integers(min_value=0, max_value=5_000),
         backlog=st.integers(min_value=0, max_value=10_000),
         step_ops=st.integers(min_value=1, max_value=512),
-        max_backlog=st.integers(min_value=0, max_value=512),
-        slack=st.integers(min_value=0, max_value=4_096),
     )
     @settings(max_examples=200, deadline=None)
     def test_ops_until_step_is_the_first_admitting_position(
-        self, mode, position, started_ago, stepped_ago, backlog,
-        step_ops, max_backlog, slack,
+        self, mode, position, started_ago, stepped_ago, backlog, step_ops,
     ):
         """The closed form agrees with stepping one operation at a time.
 
@@ -116,46 +89,37 @@ class TestStepAdmissionPolicy:
         would have taken, because within a span the backlog drains by one per
         operation and the elapsed count grows by one.
         """
-        admission = _admission(
-            mode, step_ops, admission_max_backlog=max_backlog,
-            admission_starvation_ops=step_ops + slack,
-        )
+        config = _config(mode, step_ops)
         plan_started = max(0, position - started_ago)
         last_step = max(0, position - stepped_ago)
-        k = admission.ops_until_step(position, plan_started, last_step, backlog)
+        k = ops_until_step(config, position, plan_started, last_step, backlog)
         assert k >= 1
         for j in range(1, k):
             assert not _admits(
-                admission, position + j, plan_started, last_step, max(0, backlog - j)
+                config, position + j, plan_started, last_step, max(0, backlog - j)
             )
-        assert _admits(admission, position + k, plan_started, last_step, max(0, backlog - k))
+        assert _admits(config, position + k, plan_started, last_step, max(0, backlog - k))
 
 
 class TestOnlineConfigWiring:
     def test_the_controller_reads_its_config(self):
-        config = OnlineConfig(
-            migration="incremental", migration_step_ops=128,
-            admission="queue-depth", admission_max_backlog=32,
-            admission_starvation_ops=999, admission_idle_steps=2,
-        )
-        controller = _controller(config, Workload(0.25, 0.25, 0.25, 0.25))
-        assert controller.admission.config is config
-        assert controller.admission.idle_steps == 2
+        controller = _mid_flight_controller(admission="queue-depth")
+        assert controller.config.admission == "queue-depth"
+        controller._backlog = 500
+        assert controller._ops_until_boundary() == ops_until_step(
+            controller.config, controller.position, controller._plan_started,
+            controller._last_step_position, 500,
+        ) == 500
 
     def test_default_is_fixed(self):
-        assert OnlineConfig().admission == "fixed"
-        assert StepAdmission(OnlineConfig()).idle_steps == 0
+        config = OnlineConfig()
+        assert config.admission == "fixed"
+        # The fixed cadence does not read the backlog.
+        assert ops_until_step(config, 100, 0, 0, backlog=10**6) == 156
 
     def test_rejects_unknown_admission_at_construction(self):
         with pytest.raises(ValueError):
             OnlineConfig(admission="eager")
-
-    def test_rejects_starving_faster_than_the_cadence(self):
-        with pytest.raises(ValueError):
-            OnlineConfig(
-                admission="queue-depth", migration_step_ops=512,
-                admission_starvation_ops=256,
-            )
 
 
 _PLAN_KWARGS = dict(
@@ -193,48 +157,75 @@ class TestControllerAdmission:
         controller.note_idle()
         assert controller.migration_plan.steps_completed == before
 
-    def test_note_idle_drains_steps_under_queue_depth(self):
-        controller = _mid_flight_controller(
-            admission="queue-depth", admission_idle_steps=2,
+    def test_note_idle_without_a_plan_is_harmless(self):
+        controller = _controller(
+            OnlineConfig(**_PLAN_KWARGS, admission="queue-depth"),
+            Workload(0.49, 0.49, 0.01, 0.01),
         )
-        plan = controller.migration_plan
-        before = plan.steps_completed
+        tree, counters = controller.tree, controller.tree.disk.snapshot()
         controller.note_idle()
-        drained = (
-            plan.num_steps if plan.completed else plan.steps_completed
-        ) - before
-        assert 0 < drained <= 2
+        assert controller.migration_plan is None
+        assert controller.tree is tree
+        assert controller.num_migrations == 0
+        assert controller.tree.disk.counters == counters
+
+    def test_note_idle_drains_steps_under_queue_depth(self):
+        """A lull finishes the whole in-flight plan, not a few of its steps."""
+        controller = _mid_flight_controller(admission="queue-depth")
+        plan = controller.migration_plan
+        assert plan.num_steps - plan.steps_completed > 8
+        controller.note_idle()
+        assert plan.completed
+        assert controller.migration_plan is None
+        assert controller.tree is plan.target
 
     def test_queue_depth_defers_steps_inside_a_busy_chunk(self):
         """Serving a deep queue, queue-depth admits fewer steps than fixed."""
         results = {}
         for admission in ADMISSION_MODES:
-            controller = _mid_flight_controller(
-                admission=admission, admission_max_backlog=0,
-                admission_starvation_ops=100_000,
-            )
+            controller = _mid_flight_controller(admission=admission)
+            plan = controller.migration_plan
             trace = TraceGenerator(_KEY_SPACE, seed=31)
             # One big busy chunk: the backlog stays deep almost throughout.
             controller.execute(
                 trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_500)
             )
-            plan = controller.migration_plan
-            results[admission] = (
-                plan.num_steps if plan is None or plan.completed
-                else plan.steps_completed
-            )
+            results[admission] = plan.steps_completed
+        # Queue-depth runs its one due step as the chunk drains.
+        assert results["queue-depth"] == 2
         assert results["queue-depth"] < results["fixed"]
 
     def test_starvation_bound_keeps_the_plan_moving(self):
-        controller = _mid_flight_controller(
-            admission="queue-depth", admission_max_backlog=0,
-            admission_starvation_ops=_PLAN_KWARGS["migration_step_ops"],
-        )
-        before = controller.migration_plan.steps_completed
-        trace = TraceGenerator(_KEY_SPACE, seed=31)
-        controller.execute(
-            trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_500)
-        )
+        """The end of the served chunk bounds how long a due step waits.
+
+        The backlog is the unserved rest of the chunk, so it reaches 0 at the
+        chunk's last operation: however deep each chunk, every chunk at least
+        one cadence long runs exactly one step, at its end.
+        """
+        controller = _mid_flight_controller(admission="queue-depth")
         plan = controller.migration_plan
-        after = plan.num_steps if plan is None or plan.completed else plan.steps_completed
-        assert after > before
+        trace = TraceGenerator(_KEY_SPACE, seed=31)
+        for _ in range(4):
+            before = plan.steps_completed
+            controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 300))
+            assert plan.steps_completed == before + 1
+            assert controller._last_step_position == controller.position
+            assert controller._backlog == 0
+
+    def test_short_chunks_step_at_the_first_chunk_end_past_the_cadence(self):
+        """Chunks shorter than the cadence: a step runs at the first chunk end
+        at least ``migration_step_ops`` operations after the last step."""
+        controller = _mid_flight_controller(admission="queue-depth")
+        step_ops = controller.config.migration_step_ops
+        plan = controller.migration_plan
+        trace = TraceGenerator(_KEY_SPACE, seed=31)
+        last = controller._last_step_position
+        for _ in range(40):
+            before = plan.steps_completed
+            controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 10))
+            due = controller.position - last >= step_ops
+            assert plan.steps_completed == before + due
+            if due:
+                assert controller._last_step_position == controller.position
+                last = controller.position
+        assert plan.steps_completed >= 2

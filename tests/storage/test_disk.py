@@ -30,6 +30,15 @@ class TestIOCounters:
         assert delta.flush_writes == 3
         assert delta.compaction_reads == 2
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(IOCounters)])
+    def test_snapshot_and_delta_carry_every_counter(self, name):
+        counters = IOCounters(**{name: 7})
+        snap = counters.snapshot()
+        setattr(counters, name, 12)
+        assert snap == IOCounters(**{name: 7})
+        assert counters.delta(snap) == IOCounters(**{name: 5})
+        assert counters.delta(counters) == IOCounters()
+
 
 class TestVirtualDisk:
     def test_read_write_recording(self):

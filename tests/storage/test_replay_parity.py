@@ -905,9 +905,6 @@ _ONLINE = dict(
     migration="incremental",
     migration_step_ops=64,
     migration_step_pages=8,
-    admission_max_backlog=16,
-    admission_starvation_ops=512,
-    admission_idle_steps=4,
 )
 
 #: Scan-heavy reads with a trickle of writes, then a write burst: the calm

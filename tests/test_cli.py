@@ -545,17 +545,6 @@ class TestOnlineKnobValidation:
         assert flag in err
         assert "integer" in err or "non-negative" in err
 
-    def test_a_cross_field_rule_is_a_usage_error_too(self, capsys):
-        """The starvation bound may not undercut the step cadence: the config
-        rejects the pair, the CLI reports it like any single bad value."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["online", "--admission", "queue-depth",
-                  "--admission-starvation-ops", "10"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "admission_starvation_ops must be at least migration_step_ops" in err
-        assert "Traceback" not in err
-
     def test_rejects_non_integer_values(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["online", "--window", "many"])
@@ -682,9 +671,8 @@ class TestServingFlags:
         assert build_parser().parse_args(["compare"]).num_shards == 1
         args = build_parser().parse_args(["online"])
         assert args.admission == "fixed"
-        assert args.admission_max_backlog == 256
-        assert args.admission_starvation_ops == 4096
-        assert args.admission_idle_steps == 8
+        assert not {"admission_max_backlog", "admission_starvation_ops",
+                    "admission_idle_steps"} & set(vars(args))
 
     def test_num_shards_rejects_non_positive(self):
         for bad in ("0", "-2", "1.5"):
@@ -731,9 +719,6 @@ class TestServingFlags:
                 "--migration-step-ops", "64",
                 "--migration-step-pages", "16",
                 "--admission", "queue-depth",
-                "--admission-max-backlog", "32",
-                "--admission-starvation-ops", "512",
-                "--admission-idle-steps", "4",
                 "--json",
             ],
         ))

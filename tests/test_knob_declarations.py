@@ -24,12 +24,16 @@ from repro.storage.lsm_tree import MAX_BATCH_OPS
 
 #: Option strings of the three flag-carrying subcommands at the parent of the
 #: PR that derived them from the dataclasses — none added, and none lost but
-#: ``tune --seed``, which the deterministic tuners never read, and six knobs
+#: ``tune --seed``, which the deterministic tuners never read, six knobs
 #: no driver ever set off their default: ``compare --update-skew
 #: --max-batch-ops`` and ``online --update-skew --max-batch-ops
 #: --volatility-gain --k-vector-search`` (the batch bound and the gain are
 #: module constants now, the Zipf update path and the online K-vector switch
-#: are gone; ``tune --k-vector-search`` stays).
+#: are gone; ``tune --k-vector-search`` stays), and the three queue-depth
+#: pacing knobs ``online --admission-max-backlog --admission-starvation-ops
+#: --admission-idle-steps``, which the one driver of queue-depth admission
+#: set to the values that are now its rule (a due step waits for the served
+#: chunk to drain, a lull finishes the plan).
 PARENT_OPTIONS = {
     "tune": {
         "--k-bounds", "--k-vector-search", "--long-range-fraction",
@@ -42,10 +46,9 @@ PARENT_OPTIONS = {
         "--policy", "--rho", "--seed", "--sync-writes", "--update-fraction",
     },
     "online": {
-        "--admission", "--admission-idle-steps", "--admission-max-backlog",
-        "--admission-starvation-ops", "--check-interval", "--confirm-checks",
-        "--cooldown", "--expected-index", "--horizon", "--json", "--migration",
-        "--migration-step-ops", "--migration-step-pages", "--min-observations", "--mode",
+        "--admission", "--check-interval", "--confirm-checks", "--cooldown",
+        "--expected-index", "--horizon", "--json", "--migration", "--migration-step-ops",
+        "--migration-step-pages", "--min-observations", "--mode",
         "--num-entries", "--parallel", "--phases", "--policy", "--queries-per-workload",
         "--retune-rho", "--rho", "--rho-adaptive", "--seed", "--sessions-per-phase",
         "--threshold", "--update-fraction", "--window",
@@ -203,10 +206,11 @@ class TestOptionStrings:
 class TestDroppedKnobs:
     def test_online_config_lost_its_never_varied_fields(self):
         names = {spec.name for spec in fields(OnlineConfig)}
-        assert len(names) == 17
+        assert len(names) == 14
         assert not names & {
             "safety_factor", "smoothing", "polish", "rho_cap", "volatility_gain",
-            "k_vector_search",
+            "k_vector_search", "admission_max_backlog", "admission_starvation_ops",
+            "admission_idle_steps",
         }
 
     def test_executor_config_lost_its_never_varied_fields(self):

@@ -72,12 +72,11 @@ RULES = (
          23, "        threshold=args.threshold,", scope=("_cmd_online",)),
     Rule("rho-adaptive-rule-once", SRC, r"rho_adaptive requires", 23,
          '    raise ValueError("rho_adaptive requires --mode robust")', "== 1"),
-    Rule("starvation-rule-once", SRC, r"starvation_ops must be at least", 32,
-         '    raise ValueError("admission_starvation_ops must be at least the cadence")', "== 1"),
     Rule("no-step-admission-factory", SRC, r"def step_admission", 32,
          "    def step_admission(self) -> StepAdmission:"),
-    Rule("step-admission-no-fields", "src/repro/online/admission.py", r"^    \w+: \w+ = ", 32,
-         "    max_backlog: int = 32", scope=("StepAdmission",)),
+    Rule("no-admission-pacing-knobs", f"{SRC} benchmarks/*.py",
+         r"admission_(max_backlog|starvation_ops|idle_steps)|class StepAdmission", 45,
+         "                admission_max_backlog=0, admission_starvation_ops=100_000,"),
     Rule("one-policy-class", SRC, r"^class \w+\((CompactionPolicy|FluidPolicy)\)", 14,
          "class Foo(CompactionPolicy):"),
     Rule("no-policy-spec", SRC, r"PolicySpec|_resolve_strategy|for_tuning", 14,

@@ -1,4 +1,4 @@
-"""Regenerate every table of ``figures.FIGURES`` and check its claim.
+"""Regenerate every table of ``repro.figures.FIGURES`` and check its claim.
 
 ``pytest benchmarks -k fig11`` regenerates one table; a full run rewrites
 all of them, and ``git diff benchmarks/results/`` is the review of a re-pin.
@@ -7,7 +7,8 @@ all of them, and ``git diff benchmarks/results/`` is the review of a re-pin.
 import pathlib
 
 import pytest
-from figures import FIGURES, SessionState
+
+from repro.figures import FIGURES, SessionState
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

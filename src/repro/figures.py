@@ -1,11 +1,12 @@
 """The paper's tables and figures, one row each.
 
-A row of ``FIGURES`` is one table under ``results/``: its name, the
-experiment call that computes it from the shared ``SessionState``, the claim
-the paper (or this repository) makes about it — a predicate on that call's
-result — and the renderer that prints it.  ``test_figures.py`` runs every row once,
-asserts its claim and writes ``results/<name>.txt``; the committed copies
-are the paper-vs-measured record (README.md, "Paper-reproduction notes").
+A row of ``FIGURES`` is one table under ``benchmarks/results/``: its name,
+the experiment call that computes it from the shared ``SessionState``, the
+claim the paper (or this repository) makes about it — a predicate on that
+call's result — and the renderer that prints it.  ``benchmarks/test_figures.py``
+runs every row once, asserts its claim and writes ``results/<name>.txt``; the
+committed copies are the paper-vs-measured record (README.md,
+"Paper-reproduction notes").
 
 Scale knobs (benchmark-set size, queries per session, ρ grid) default to
 laptop-friendly values; the paper's own settings are noted next to each.
@@ -20,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis import (
+from .analysis import (
     AdaptiveExperiment,
     SystemExperiment,
     TuningCatalog,
@@ -40,15 +41,15 @@ from repro.analysis import (
     section84_win_rate,
     tuning_table,
 )
-from repro.analysis.comparison import ADAPTIVE_RHO, FULL, INCREMENTAL
-from repro.core import NominalTuner
-from repro.lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
-from repro.lsm.system import MIB
-from repro.online import OnlineConfig
-from repro.serving import partition_keys, shard_operations
-from repro.storage import ExecutorConfig, FileStore, IOCounters, LSMTree, WorkloadExecutor
-from repro.storage.lsm_tree import execute_operation, execute_operations_batched
-from repro.workloads import (
+from .analysis.comparison import ADAPTIVE_RHO, FULL, INCREMENTAL
+from .core import NominalTuner
+from .lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
+from .lsm.system import MIB
+from .online import OnlineConfig
+from .serving import partition_keys, shard_operations
+from .storage import ExecutorConfig, FileStore, IOCounters, LSMTree, WorkloadExecutor
+from .storage.lsm_tree import execute_operation, execute_operations_batched
+from .workloads import (
     KeySpace,
     Session,
     SessionGenerator,

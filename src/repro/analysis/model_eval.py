@@ -1,17 +1,11 @@
-"""Model-based evaluation drivers (Section 7, Figures 3–7, Table 3, §8.4).
+"""Model-based evaluation (Section 7): the tuning catalog and Table 3.
 
 A :class:`TuningCatalog` holds, for one system and one benchmark set ``B``,
 the nominal and robust tunings of the expected workloads and — computed once
 per tuning through the analytical cost model — each tuning's throughput
-vector ``1 / C(w, Φ)`` over ``B``.  Every Figure 4–7 and §8.4 driver is a
-reduction of those vectors with the Section 7.1 metrics of
-:mod:`repro.analysis.metrics`, returning plain data structures
-(dictionaries, NumPy arrays) that the benchmark harness prints as the
-paper's rows/series.
-
-The drivers take a scaled-down benchmark and ρ grid so the full pipeline
-stays fast enough for CI; passing the paper's sizes (10,000 samples, 17 ρ
-values) reproduces the original experiment at one vector per tuning.
+vector ``1 / C(w, Φ)`` over ``B``.  The Figure 4–7 and §8.4 rows of
+:mod:`repro.figures` reduce those vectors with the Section 7.1 metrics of
+:mod:`repro.analysis.metrics`.
 """
 
 from __future__ import annotations
@@ -29,14 +23,7 @@ from ..lsm.cost_model import LSMCostModel
 from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..workloads.benchmark import (
-    ExpectedWorkload,
-    UncertaintyBenchmark,
-    WorkloadCategory,
-    expected_workloads,
-)
-from ..workloads.workload import Workload
-from .metrics import delta_throughputs, throughput_range, win_rate
+from ..workloads.benchmark import ExpectedWorkload, UncertaintyBenchmark, expected_workloads
 
 
 @dataclass
@@ -96,175 +83,7 @@ class TuningCatalog:
         return self._throughputs[result.tuning]
 
 
-# ----------------------------------------------------------------------
-# Figure 3 — KL-divergence histograms of the benchmark set
-# ----------------------------------------------------------------------
-def figure3_kl_histograms(
-    benchmark: UncertaintyBenchmark,
-    reference_indices: Sequence[int] = (0, 1),
-    bins: int = 40,
-    max_divergence: float = 4.0,
-) -> dict[str, dict[str, np.ndarray]]:
-    """Histogram the KL divergence of the benchmark w.r.t. expected workloads.
-
-    Returns, per reference workload name, the histogram densities and bin
-    edges — the data plotted in Figure 3.
-    """
-    table = expected_workloads()
-    result: dict[str, dict[str, np.ndarray]] = {}
-    edges = np.linspace(0.0, max_divergence, bins + 1)
-    for index in reference_indices:
-        reference = table[index]
-        divergences = benchmark.kl_divergences(reference.workload)
-        finite = divergences[np.isfinite(divergences)]
-        density, _ = np.histogram(finite, bins=edges, density=True)
-        result[reference.name] = {
-            "density": density,
-            "bin_edges": edges,
-            "mean": np.array([finite.mean()]),
-        }
-    return result
-
-
-# ----------------------------------------------------------------------
-# Figure 4 — average delta throughput per workload category vs ρ
-# ----------------------------------------------------------------------
-def figure4_delta_by_category(
-    catalog: TuningCatalog, rhos: Sequence[float]
-) -> dict[str, dict[float, float]]:
-    """Average ``Δ_ŵ(Φ_N, Φ_R)`` per expected-workload category and ρ.
-
-    Returns ``{category: {rho: mean delta}}`` — the series of Figure 4.
-    """
-    result: dict[str, dict[float, float]] = {}
-    for category in WorkloadCategory:
-        members = [w for w in expected_workloads() if w.category is category]
-        result[category.value] = {
-            float(rho): float(np.mean([
-                float(np.mean(delta_throughputs(
-                    catalog.throughputs(expected), catalog.throughputs(expected, rho)
-                )))
-                for expected in members
-            ]))
-            for rho in rhos
-        }
-    return result
-
-
-# ----------------------------------------------------------------------
-# Figure 5 — impact of ρ on delta throughput vs observed divergence
-# ----------------------------------------------------------------------
-def figure5_rho_impact(
-    catalog: TuningCatalog, expected_index: int, rhos: Sequence[float]
-) -> dict[float, dict[str, np.ndarray | str]]:
-    """Per-ρ scatter data of ``Δ_ŵ(Φ_N, Φ_R)`` against ``I_KL(ŵ, w)``.
-
-    Returns ``{rho: {"kl": ..., "delta": ..., "tuning": description}}`` —
-    the panels of Figure 5.
-    """
-    expected = expected_workloads()[expected_index]
-    nominal = catalog.throughputs(expected)
-    divergences = catalog.benchmark.kl_divergences(expected.workload)
-    return {
-        float(rho): {
-            "kl": divergences.copy(),
-            "delta": delta_throughputs(nominal, catalog.throughputs(expected, rho)),
-            "tuning": catalog.robust(expected, rho).tuning.describe(),
-        }
-        for rho in rhos
-    }
-
-
-# ----------------------------------------------------------------------
-# Figure 6 — throughput histograms and throughput range vs ρ
-# ----------------------------------------------------------------------
-def figure6_throughput_histograms(
-    catalog: TuningCatalog, expected_index: int, rhos: Sequence[float]
-) -> dict[str, dict]:
-    """Throughput distributions of the nominal and robust tunings (Fig. 6a).
-
-    Returns ``{"nominal" | "robust_rho_<ρ>": {"throughput", "tuning"}}``.
-    """
-    expected = expected_workloads()[expected_index]
-    result = {
-        "nominal": {
-            "throughput": catalog.throughputs(expected),
-            "tuning": catalog.nominal(expected).tuning.describe(),
-        }
-    }
-    for rho in rhos:
-        result[f"robust_rho_{rho:g}"] = {
-            "throughput": catalog.throughputs(expected, rho),
-            "tuning": catalog.robust(expected, rho).tuning.describe(),
-        }
-    return result
-
-
-def figure6_throughput_range(
-    catalog: TuningCatalog, rhos: Sequence[float], expected_indices: Sequence[int]
-) -> dict[str, dict[float, float]]:
-    """Throughput range ``Θ_B`` vs ρ, averaged over expected workloads (Fig. 6b).
-
-    Returns ``{"nominal": {rho: mean range}, "robust": {rho: mean range}}``
-    (the nominal range is constant in ρ but repeated for easy plotting).
-    """
-    members = [expected_workloads()[index] for index in expected_indices]
-
-    def mean_range(rho: float | None) -> float:
-        return float(np.mean([
-            throughput_range(catalog.throughputs(expected, rho)) for expected in members
-        ]))
-
-    nominal = mean_range(None)
-    return {
-        "nominal": {float(rho): nominal for rho in rhos},
-        "robust": {float(rho): mean_range(rho) for rho in rhos},
-    }
-
-
-# ----------------------------------------------------------------------
-# Figure 7 — contour of delta throughput over (ρ, KL divergence)
-# ----------------------------------------------------------------------
-def figure7_contour(
-    catalog: TuningCatalog,
-    expected_index: int,
-    rhos: Sequence[float],
-    kl_bins: int = 8,
-    max_divergence: float = 3.2,
-) -> dict[str, np.ndarray]:
-    """Mean ``Δ_ŵ(Φ_N, Φ_R)`` binned over (ρ, observed KL divergence).
-
-    Returns the contour grid of Figure 7: ``rho_values``, ``kl_edges`` and a
-    matrix ``delta`` of shape (len(rho_values), kl_bins) whose entry (i, j)
-    is the mean delta of benchmark workloads falling in KL bin j under the
-    robust tuning computed with ρ = rho_values[i].
-    """
-    expected = expected_workloads()[expected_index]
-    nominal = catalog.throughputs(expected)
-    divergences = catalog.benchmark.kl_divergences(expected.workload)
-    kl_edges = np.linspace(0.0, max_divergence, kl_bins + 1)
-    bin_index = np.clip(np.digitize(divergences, kl_edges) - 1, 0, kl_bins - 1)
-
-    grid = np.full((len(rhos), kl_bins), np.nan)
-    for i, rho in enumerate(rhos):
-        deltas = delta_throughputs(nominal, catalog.throughputs(expected, rho))
-        for j in range(kl_bins):
-            mask = bin_index == j
-            if np.any(mask):
-                grid[i, j] = float(np.mean(deltas[mask]))
-    return {
-        "rho_values": np.asarray(list(rhos), dtype=float),
-        "kl_edges": kl_edges,
-        "delta": grid,
-    }
-
-
-# ----------------------------------------------------------------------
-# Tuning table and §8.4 aggregate win rate
-# ----------------------------------------------------------------------
-def tuning_table(
-    catalog: TuningCatalog, rho: float = 1.0
-) -> list[dict[str, str | float]]:
+def tuning_table(catalog: TuningCatalog, rho: float) -> list[dict[str, str | float]]:
     """Nominal vs robust tunings for every expected workload.
 
     One row per Table 2 workload with both tunings' (policy, T, h); this is
@@ -286,133 +105,3 @@ def tuning_table(
             }
         )
     return rows
-
-
-def policy_frontier(
-    workloads: Sequence[tuple[str, Workload]],
-    system: SystemConfig | None = None,
-    policies: Sequence[Policy] | None = None,
-    ratio_candidates: Sequence[float] | None = None,
-) -> list[dict[str, str | float]]:
-    """Best nominal tuning of each named workload under every policy alone.
-
-    Named workloads may carry long ranges: one row per workload with, per
-    policy, the optimal tuning and its expected cost, plus the winning
-    policy.  For ``Policy.FLUID`` the tuner selects the run bounds ``K``/``Z``
-    itself, so the table shows where in the workload space the hybrids pay
-    off — Dostoevsky's frontier, evaluated under this model's short/long
-    range split.
-    """
-    if system is None:
-        system = SystemConfig()
-    if policies is None:
-        policies = list(Policy)
-    rows: list[dict[str, str | float]] = []
-    for name, workload in workloads:
-        row: dict[str, str | float] = {
-            "workload": name,
-            "composition": workload.describe(),
-        }
-        best_policy, best_cost = None, np.inf
-        for policy in policies:
-            tuner = NominalTuner(
-                system=system,
-                policies=(policy,),
-                ratio_candidates=ratio_candidates,
-            )
-            result = tuner.tune(workload)
-            row[f"{policy.value}_tuning"] = result.tuning.describe()
-            row[f"{policy.value}_cost"] = result.objective
-            if result.objective < best_cost:
-                best_policy, best_cost = policy, result.objective
-        row["best_policy"] = best_policy.value if best_policy is not None else ""
-        rows.append(row)
-    return rows
-
-
-def kvector_frontier(
-    workloads: Sequence[tuple[str, Workload]],
-    system: SystemConfig | None = None,
-    ratio_candidates: Sequence[float] | None = None,
-) -> list[dict[str, object]]:
-    """Where a non-uniform per-level ``K_i`` ladder beats every uniform hybrid.
-
-    For each named workload two fluid tuners run side by side, both on the
-    integer size ratios (``polish=False``) — the deployable space, where no
-    bound is relaxed and the two arms get exactly the same refinement:
-
-    * the **uniform** tuner — the scalar ``(K, Z)`` search, i.e. the best
-      tuning any single shared upper-level bound can reach;
-    * the **vector** tuner — the same search plus the structured ``K_i``
-      families and the coordinate descent over integer bounds
-      (``k_vector_search=True``).
-
-    The row reports both optima and the vector advantage
-    ``1 − vector_cost / uniform_cost``; a strictly positive advantage means
-    no uniform ``(K, Z)`` pair — hence no classical policy either — can
-    match the per-level ladder.  Because the vector search contains every
-    uniform design, the advantage can never be negative.
-    """
-    if system is None:
-        system = SystemConfig()
-    rows: list[dict[str, object]] = []
-    common = dict(
-        system=system,
-        policies=(Policy.FLUID,),
-        ratio_candidates=ratio_candidates,
-        polish=False,
-    )
-    for name, workload in workloads:
-        uniform = NominalTuner(**common).tune(workload)
-        vector = NominalTuner(**common, k_vector_search=True).tune(workload)
-        uniform_cost = float(uniform.objective)
-        # Every uniform design is a member of the vector space, so the
-        # vector-space winner is whichever of the two solves came out ahead
-        # — the reported tuning always achieves the reported cost, and a
-        # vector-search regression surfaces as a zero advantage with the
-        # uniform design reported, never as a phantom cost.
-        if float(vector.objective) > uniform_cost:
-            vector = uniform
-        vector_cost = float(vector.objective)
-        deployed = vector.tuning.rounded()
-        rows.append(
-            {
-                "workload": name,
-                "composition": workload.describe(),
-                "uniform_cost": uniform_cost,
-                "uniform_tuning": uniform.tuning.describe(),
-                "vector_cost": vector_cost,
-                "vector_tuning": vector.tuning.describe(),
-                "vector_advantage": 1.0 - vector_cost / uniform_cost,
-                # Machine-readable *deployable* bounds of the vector winner
-                # (``None`` when it stayed scalar), rounded and clamped
-                # exactly as the simulator would deploy them.
-                "vector_k_bounds": deployed.to_dict().get("k_bounds"),
-                "vector_z_bound": deployed.z_bound,
-            }
-        )
-    return rows
-
-
-def section84_win_rate(
-    catalog: TuningCatalog,
-    rhos: Sequence[float],
-    expected_indices: Sequence[int] | None = None,
-) -> dict[str, float]:
-    """Fraction of (workload, ρ, ŵ) comparisons the robust tuning wins (§8.4).
-
-    Every Table 2 workload is compared unless ``expected_indices`` names a
-    subset.
-    """
-    table = expected_workloads()
-    if expected_indices is not None:
-        table = [table[index] for index in expected_indices]
-    rates = [
-        win_rate(catalog.throughputs(expected), catalog.throughputs(expected, rho))
-        for expected in table
-        for rho in rhos
-    ]
-    return {
-        "win_rate": float(np.mean(rates)),
-        "comparisons": float(len(rates) * len(catalog.benchmark)),
-    }

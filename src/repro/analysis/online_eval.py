@@ -128,11 +128,7 @@ class AdaptiveExperiment(SystemExperiment):
         expected: Workload,
         rho: float,
         variants: Mapping[str, OnlineConfig],
-        phases: Sequence[SessionType | str] = (
-            SessionType.READ,
-            SessionType.WRITE,
-            SessionType.READ,
-        ),
+        phases: Sequence[SessionType | str],
         sessions_per_phase: int = 3,
         workloads_per_session: int = 2,
     ) -> Comparison:

@@ -1,15 +1,11 @@
-"""System-based evaluation drivers (Section 8, Figures 8–18).
+"""System-based evaluation (Section 8, Figures 8–18).
 
-These functions pair the analytical cost model's predictions with actual
-measurements from the pure-Python LSM-tree simulator, the reproduction's
-stand-in for RocksDB.  Each driver returns, per session of a query sequence,
-
-* the model-predicted I/Os per query for the nominal and robust tunings,
-* the measured I/Os per query on the simulator,
-
-the model and system I/O panels the paper plots in Figures 8–18.  The
-paper's third panel, latency, is RocksDB wall-clock, which the simulator
-does not reproduce: it counts pages and prices no time.
+A :class:`SystemExperiment` pairs the analytical cost model's predicted I/Os
+per query with the I/Os the pure-Python LSM-tree simulator, the
+reproduction's stand-in for RocksDB, measures, per session of a query
+sequence: the model and system panels of Figures 8–18.  The paper's third
+panel, latency, is RocksDB wall-clock, which the simulator does not
+reproduce: it counts pages and prices no time.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from ..lsm.system import SystemConfig, simulator_system
 from ..lsm.tuning import LSMTuning
 from ..online.config import OnlineConfig
 from ..storage.executor import ExecutorConfig, WorkloadExecutor
-from ..workloads.benchmark import UncertaintyBenchmark, expected_workloads
+from ..workloads.benchmark import UncertaintyBenchmark
 from ..workloads.sessions import SessionGenerator, SessionSequence
 from ..workloads.workload import Workload
 from .comparison import Comparison, robust_vs_nominal
@@ -70,9 +66,6 @@ class SystemExperiment:
         self.cost_model = LSMCostModel(self.system)
         self.executor = WorkloadExecutor(self.system, self.executor_config)
 
-    # ------------------------------------------------------------------
-    # Tunings
-    # ------------------------------------------------------------------
     def _deployed(self, tuner: type, workload: Workload, **options) -> LSMTuning:
         """``tuner``'s deployable (integer ``T``) tuning for ``workload``.
 
@@ -90,9 +83,6 @@ class SystemExperiment:
             "robust": self._deployed(RobustTuner, expected, rho=rho),
         }
 
-    # ------------------------------------------------------------------
-    # Experiment execution
-    # ------------------------------------------------------------------
     def run(
         self,
         expected: Workload,
@@ -163,50 +153,3 @@ class SystemExperiment:
             phases=phases,
             oracle_names=oracle_names,
         )
-
-
-# ----------------------------------------------------------------------
-# Figure 16 — scaling with database size
-# ----------------------------------------------------------------------
-def scaling_experiment(
-    expected_index: int = 11,
-    rho: float = 0.25,
-    sizes: Sequence[int] = (10_000, 30_000, 100_000),
-    queries_per_workload: int = 1_000,
-    seed: int = 11,
-) -> list[dict[str, float | str]]:
-    """Average I/Os per query as the database size ``N`` grows (Figure 16).
-
-    Each size gets its own ``simulator_system(size)`` and its own
-    :class:`SystemExperiment`, so the nominal and robust tunings are solved
-    anew on every simulator (once per size) and deployed there; the paper's
-    observation is that the performance gap is stable across sizes.
-    """
-    expected = expected_workloads()[expected_index].workload
-    rows: list[dict[str, float | str]] = []
-    for size in sizes:
-        system = simulator_system(num_entries=size)
-        experiment = SystemExperiment(
-            system=system,
-            executor_config=ExecutorConfig(queries_per_workload=queries_per_workload),
-            benchmark=UncertaintyBenchmark(size=500, seed=seed),
-            seed=seed,
-        )
-        comparison = experiment.run(expected, rho=rho, include_writes=True)
-        summary = comparison.summary
-        buffer_bytes = {
-            name: system.buffer_memory_bytes(tuning.bits_per_entry)
-            for name, tuning in comparison.tunings.items()
-        }
-        rows.append(
-            {
-                "num_entries": float(size),
-                "nominal_io_per_query": summary["nominal_mean_io_per_query"],
-                "robust_io_per_query": summary["robust_mean_io_per_query"],
-                "nominal_tuning": comparison.tunings["nominal"].describe(),
-                "robust_tuning": comparison.tunings["robust"].describe(),
-                "nominal_buffer_bytes": float(buffer_bytes["nominal"]),
-                "robust_buffer_bytes": float(buffer_bytes["robust"]),
-            }
-        )
-    return rows

@@ -4,20 +4,10 @@ The metrics reduce throughput vectors; the vectors come from
 ``LSMCostModel.throughputs``, the one place a throughput is computed.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    TuningCatalog,
-    delta_throughputs,
-    figure4_delta_by_category,
-    figure6_throughput_range,
-    section84_win_rate,
-    throughput_range,
-    win_rate,
-)
+from repro.analysis import delta_throughputs, throughput_range, win_rate
 from repro.lsm import LSMCostModel, LSMTuning, Policy
 
 
@@ -142,30 +132,12 @@ def _count_cost_vectors(model, monkeypatch) -> list:
 
 class TestOneCostVectorPerTuning:
     """``c(Φ)`` depends on ``(Φ, ν)`` only: built once per call, not per
-    workload, and once per tuning per catalog, not per figure."""
+    workload (once per tuning per catalog, not per figure, is
+    ``tests/test_figure_rows.py``'s)."""
 
     @pytest.fixture()
     def counting(self, model, monkeypatch):
         return _count_cost_vectors(model, monkeypatch)
-
-    def test_figs_4_6b_and_84_build_one_vector_per_tuning(self, monkeypatch):
-        """Figs 4, 6b and §8.4 over 1 000 workloads price each (expected
-        workload, tuning) once, however many figures reduce its vector."""
-        from repro.workloads import UncertaintyBenchmark, expected_workloads
-
-        rhos = (0.5, 1.0)
-        catalog = TuningCatalog(benchmark=UncertaintyBenchmark(size=1_000, seed=42))
-        calls = _count_cost_vectors(catalog.cost_model, monkeypatch)
-        figure4_delta_by_category(catalog, rhos=rhos)
-        figure6_throughput_range(catalog, rhos=rhos, expected_indices=(7, 11))
-        section84_win_rate(catalog, rhos=rhos)
-        tunings = {
-            result.tuning
-            for expected in expected_workloads()
-            for result in (catalog.nominal(expected), *(catalog.robust(expected, r) for r in rhos))
-        }
-        assert Counter(calls) == Counter((tuning, 0.0) for tuning in tunings)
-        assert len(calls) <= len(expected_workloads()) * (1 + len(rhos))
 
     def test_one_vector_per_distinct_nu(self, model, read_tuning, bench_set, counting):
         from dataclasses import replace

@@ -1,8 +1,8 @@
-"""Tests for the system-based evaluation drivers (Figures 1, 8-18, 16)."""
+"""Tests for the system-based evaluation drivers (Figures 1 and 8-18)."""
 
 import pytest
 
-from repro.analysis import SystemExperiment, format_comparison, scaling_experiment
+from repro.analysis import SystemExperiment, format_comparison
 from repro.lsm import simulator_system
 from repro.storage import ExecutorConfig
 from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload, expected_workload
@@ -101,21 +101,3 @@ class TestUniformWorkload:
         assert abs(nominal.size_ratio - robust.size_ratio) <= 2.0
         summary = comparison.summary
         assert abs(summary["io_reduction"]) < 0.5
-
-
-class TestScalingExperiment:
-    def test_figure16_gap_is_stable_across_sizes(self):
-        rows = scaling_experiment(
-            expected_index=11,
-            rho=0.25,
-            sizes=(4_000, 12_000),
-            queries_per_workload=200,
-            seed=7,
-        )
-        assert len(rows) == 2
-        for row in rows:
-            assert row["nominal_io_per_query"] >= 0.0
-            assert row["robust_io_per_query"] >= 0.0
-        # Buffer memory grows with the database size for both tunings.
-        assert rows[1]["nominal_buffer_bytes"] > rows[0]["nominal_buffer_bytes"]
-        assert rows[1]["robust_buffer_bytes"] > rows[0]["robust_buffer_bytes"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import TuningCatalog
 from repro.core import NominalTuner, RobustTuner
 from repro.lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
 from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
@@ -18,7 +19,6 @@ from repro.workloads import (
     UncertaintyBenchmark,
     Workload,
     expected_workload,
-    expected_workloads,
 )
 
 
@@ -44,6 +44,18 @@ def small_system() -> SystemConfig:
 def bench_set() -> UncertaintyBenchmark:
     """A reduced bench_set set (500 samples) used by evaluation tests."""
     return UncertaintyBenchmark(size=500, seed=42)
+
+
+@pytest.fixture(scope="session")
+def small_benchmark() -> UncertaintyBenchmark:
+    """A 200-sample benchmark set for the model-evaluation tests."""
+    return UncertaintyBenchmark(size=200, seed=17)
+
+
+@pytest.fixture(scope="session")
+def catalog(small_benchmark: UncertaintyBenchmark) -> TuningCatalog:
+    """Tunings and their throughput vectors over ``small_benchmark``."""
+    return TuningCatalog(benchmark=small_benchmark)
 
 
 @pytest.fixture(scope="session")

@@ -390,6 +390,7 @@ def figure7_contour(
     nominal = catalog.throughputs(expected)
     divergences = catalog.benchmark.kl_divergences(expected.workload)
     kl_edges = np.linspace(0.0, CONTOUR_MAX_KL, kl_bins + 1)
+    kl_edges[-1] = np.inf  # the last column holds every divergence past its left edge
     bin_index = np.clip(np.digitize(divergences, kl_edges) - 1, 0, kl_bins - 1)
 
     grid = np.full((len(rhos), kl_bins), np.nan)
@@ -429,8 +430,8 @@ def _contour(index: int) -> Figure:
         )
         rows = (
             f"{rho:<8g}"
-            + "".join(("   nan      " if np.isnan(v) else f"{v:<12.3f}") for v in grid[i])
-            for i, rho in enumerate(CONTOUR_RHOS)
+            + "".join(("   nan      " if np.isnan(v) else f"{v:<12.3f}") for v in row)
+            for rho, row in zip(result["rho_values"], grid)
         )
         return "\n".join(
             [f"Figure 7: mean delta throughput over (rho, KL) for w{index}", header, *rows]
@@ -1151,8 +1152,8 @@ def _sharded_serving(_: SessionState):
     holding its partition of the keys (what sharding buys in time is
     ``bench/``'s ``serving.critical_path_s``); then an adaptive run over a
     bursty drift sequence under the fixed step cadence and under
-    ``queue-depth`` admission, which defers steps into the inter-session
-    lulls."""
+    ``queue-depth`` admission, where a due step waits for its chunk to drain
+    and a lull between sessions finishes the plan."""
     space = KeySpace.build(_ENGINE_SYSTEM.num_entries, seed=29)
     operations = TraceGenerator(space, seed=29).operations(_SERVING_WORKLOAD, _SERVING_OPS)
     scaling = []
@@ -1222,7 +1223,7 @@ def _render_sharded(result) -> str:
         "to the classic batched executor replay",
         f"admission pacing — 5 sessions x {_QUERIES_PER_SESSION} queries "
         "(calm/burst alternating), incremental migration step_ops=32 "
-        "step_pages=8, queue-depth max_backlog=0",
+        "step_pages=8, queue-depth: a due step waits for its chunk to drain",
     ]
     for mode, measurement in admission.items():
         ios = " ".join(f"{s.ios_per_query:.4f}" for s in measurement.sessions)

@@ -9,8 +9,10 @@ from collections import Counter
 
 import numpy as np
 
-from repro.analysis import TuningCatalog
+from repro.analysis import TuningCatalog, delta_throughputs
 from repro.figures import (
+    CONTOUR_MAX_KL,
+    FIGURES,
     figure3_kl_histograms,
     figure4_delta_by_category,
     figure5_rho_impact,
@@ -79,6 +81,30 @@ class TestFigure7:
         row = result["delta"][0]
         finite = row[~np.isnan(row)]
         assert finite[-1] > 0  # the highest-divergence bin favours robustness
+
+    def test_the_last_column_is_open_ended(self):
+        """A divergence past the last edge is averaged in the last column, and
+        that column's header has no right edge."""
+        catalog = TuningCatalog(benchmark=_W7AndAFarMix(size=2))
+        w7 = expected_workload(7)
+        divergences = catalog.benchmark.kl_divergences(w7.workload)
+        assert divergences[0] < 0.8 and divergences[1] > CONTOUR_MAX_KL
+        result = figure7_contour(catalog, expected_index=7, rhos=[1.0], kl_bins=4)
+        deltas = delta_throughputs(catalog.throughputs(w7), catalog.throughputs(w7, 1.0))
+        assert result["delta"][0, 0] == deltas[0]
+        assert np.isnan(result["delta"][0, 1:3]).all()
+        assert result["delta"][0, -1] == deltas[1]
+        render = next(figure.render for figure in FIGURES if figure.name == "fig07_contour_w7")
+        header = render(result).splitlines()[1].split()
+        assert header == ["rho", "[0.0,0.8)", "[0.8,1.6)", "[1.6,2.4)", "[2.4,inf)"]
+
+
+class _W7AndAFarMix(UncertaintyBenchmark):
+    """w7's own mix, and a point-lookup mix at KL 4.4 from it."""
+
+    def _sample(self):
+        counts = np.array([[49.0, 1.0, 1.0, 49.0], [1.0, 97.0, 1.0, 1.0]])
+        return counts, [Workload.from_counts(row) for row in counts]
 
 
 class TestSection84:

@@ -75,8 +75,8 @@ RULES = (
     Rule("no-step-admission-factory", SRC, r"def step_admission", 32,
          "    def step_admission(self) -> StepAdmission:"),
     Rule("no-admission-pacing-knobs", f"{SRC} benchmarks/*.py",
-         r"admission_(max_backlog|starvation_ops|idle_steps)|class StepAdmission", 45,
-         "                admission_max_backlog=0, admission_starvation_ops=100_000,"),
+         r"max_backlog|admission_(starvation_ops|idle_steps)|class StepAdmission", 45,
+         '        "step_pages=8, queue-depth max_backlog=0",'),
     Rule("one-policy-class", SRC, r"^class \w+\((CompactionPolicy|FluidPolicy)\)", 14,
          "class Foo(CompactionPolicy):"),
     Rule("no-policy-spec", SRC, r"PolicySpec|_resolve_strategy|for_tuning", 14,

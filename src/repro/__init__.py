@@ -13,9 +13,10 @@ The package is organised as:
 * :mod:`repro.online` — the online adaptive-tuning subsystem: workload-drift
   detection over the live operation stream and in-place re-tuning of a
   running tree.
-* :mod:`repro.analysis` — evaluation metrics and the experiment drivers that
-  regenerate every figure and table of the paper, plus the static-vs-adaptive
-  drift experiments.
+* :mod:`repro.analysis` — evaluation metrics, the tuning catalog, and the
+  static and static-vs-adaptive experiments the command line runs.
+* :mod:`repro.figures` — every figure and table of the paper, one row each:
+  the experiment that computes it, the claim it checks and its renderer.
 """
 
 from .core import GridTuner, NominalTuner, RobustTuner, TuningResult, UncertaintyRegion

@@ -1,11 +1,11 @@
 """System-based evaluation (Section 8, Figures 8–18).
 
-A :class:`SystemExperiment` pairs the analytical cost model's predicted I/Os
-per query with the I/Os the pure-Python LSM-tree simulator, the
-reproduction's stand-in for RocksDB, measures, per session of a query
-sequence: the model and system panels of Figures 8–18.  The paper's third
-panel, latency, is RocksDB wall-clock, which the simulator does not
-reproduce: it counts pages and prices no time.
+A :class:`SystemExperiment` runs a query sequence on the pure-Python LSM-tree
+simulator, the reproduction's stand-in for RocksDB, and pairs each session's
+measured I/Os per query with the cost model's prediction: the system and
+model panels of Figures 8–18.  The paper's third panel, latency, is RocksDB
+wall-clock, which the simulator does not reproduce: it counts pages and
+prices no time.
 """
 
 from __future__ import annotations

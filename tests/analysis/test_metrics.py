@@ -117,27 +117,14 @@ class TestWinRate:
             model.throughputs(iter(()), write_tuning)
 
 
-def _count_cost_vectors(model, monkeypatch) -> list:
-    """The ``(tuning, ν)`` of every ``model.cost_vector`` call from now on."""
-    calls = []
-    real = model.cost_vector
-
-    def cost_vector(tuning, long_range_fraction=0.0):
-        calls.append((tuning, long_range_fraction))
-        return real(tuning, long_range_fraction)
-
-    monkeypatch.setattr(model, "cost_vector", cost_vector)
-    return calls
-
-
 class TestOneCostVectorPerTuning:
     """``c(Φ)`` depends on ``(Φ, ν)`` only: built once per call, not per
     workload (once per tuning per catalog, not per figure, is
     ``tests/test_figure_rows.py``'s)."""
 
     @pytest.fixture()
-    def counting(self, model, monkeypatch):
-        return _count_cost_vectors(model, monkeypatch)
+    def counting(self, model, count_cost_vectors):
+        return count_cost_vectors(model)
 
     def test_one_vector_per_distinct_nu(self, model, read_tuning, bench_set, counting):
         from dataclasses import replace

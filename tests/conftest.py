@@ -58,6 +58,25 @@ def catalog(small_benchmark: UncertaintyBenchmark) -> TuningCatalog:
     return TuningCatalog(benchmark=small_benchmark)
 
 
+@pytest.fixture()
+def count_cost_vectors(monkeypatch):
+    """``count(model)`` records the ``(tuning, ν)`` of every later
+    ``model.cost_vector`` call in the list it returns."""
+
+    def count(model: LSMCostModel) -> list:
+        calls = []
+        real = model.cost_vector
+
+        def cost_vector(tuning, long_range_fraction=0.0):
+            calls.append((tuning, long_range_fraction))
+            return real(tuning, long_range_fraction)
+
+        monkeypatch.setattr(model, "cost_vector", cost_vector)
+        return calls
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def w0() -> Workload:
     """The uniform expected workload."""

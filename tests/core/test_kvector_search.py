@@ -21,7 +21,7 @@ from repro.workloads import Workload
 _SYSTEM = SystemConfig(read_write_asymmetry=2.0)
 
 #: The workload where a front-loaded ladder strictly beats every uniform
-#: (K, Z) pair (see the ``kvector_frontier`` row of benchmarks/figures.py).
+#: (K, Z) pair (see the ``kvector_frontier`` row of ``repro.figures``).
 _LADDER_WORKLOAD = Workload(0.05, 0.25, 0.05, 0.65, long_range_fraction=0.3)
 
 _CANDS = np.arange(2.0, 13.0)

@@ -116,29 +116,16 @@ class TestSection84:
         assert result["comparisons"] == 2 * len(small_benchmark)
 
 
-def _count_cost_vectors(model, monkeypatch) -> list:
-    """The ``(tuning, ν)`` of every ``model.cost_vector`` call from now on."""
-    calls = []
-    real = model.cost_vector
-
-    def cost_vector(tuning, long_range_fraction=0.0):
-        calls.append((tuning, long_range_fraction))
-        return real(tuning, long_range_fraction)
-
-    monkeypatch.setattr(model, "cost_vector", cost_vector)
-    return calls
-
-
 class TestOneCostVectorPerTuning:
-    def test_figs_4_6b_and_84_build_one_vector_per_tuning(self, monkeypatch):
+    def test_figs_4_6b_and_84_build_one_vector_per_tuning(self, count_cost_vectors):
         """Figs 4, 6b and §8.4 over 1 000 workloads price each (expected
         workload, tuning) once, however many figures reduce its vector."""
         rhos = (0.5, 1.0)
         catalog = TuningCatalog(benchmark=UncertaintyBenchmark(size=1_000, seed=42))
-        calls = _count_cost_vectors(catalog.cost_model, monkeypatch)
+        calls = count_cost_vectors(catalog.cost_model)
         figure4_delta_by_category(catalog, rhos=rhos)
         figure6_throughput_range(catalog, rhos=rhos, expected_indices=(7, 11))
-        section84_win_rate(catalog, rhos=rhos)
+        section84_win_rate(catalog, rhos=rhos, expected_indices=range(15))
         tunings = {
             result.tuning
             for expected in expected_workloads()

@@ -59,8 +59,15 @@ class Rule:
 RULES = (
     # The figure rows' one test, and the reachability tool's.
     Rule("one-figure-test", "benchmarks/test_*.py", r"\A", 26, "def test_table(): ...", "== 2"),
-    Rule("no-timing-wrapper", "benchmarks/*.py", r"pedantic|run_once|report\(", 26,
-         "    benchmark.pedantic(run, rounds=1)"),
+    Rule("no-timing-wrapper", "benchmarks/*.py src/repro/figures.py", r"pedantic|run_once|report\(",
+         26, "    benchmark.pedantic(run, rounds=1)"),
+    # The figure rows live in ``repro.figures``; the CLI does not import them, and
+    # ``repro.analysis`` defines no driver that only a row calls.
+    Rule("cli-imports-no-figures", IMPORTED, r"^repro\.figures$", 46, "repro.figures"),
+    Rule("no-figure-driver-in-analysis", "src/repro/analysis/*.py",
+         r"^def (figure\d\w*|policy_frontier|kvector_frontier|section84_win_rate"
+         r"|scaling_experiment)\b", 46,
+         "def figure7_contour(catalog, expected_index, rhos, kl_bins):"),
     Rule("metrics-import-no-model", "src/repro/analysis/metrics.py",
          r"(from|import) +(\.\.|repro\.)lsm", 35, "from ..lsm import LSMCostModel"),
     Rule("no-model-metric-wrappers", SRC,

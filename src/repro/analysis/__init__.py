@@ -2,10 +2,8 @@
 
 from .comparison import (
     Comparison,
-    endurance,
     format_adaptive_comparison,
     format_comparison,
-    format_endurance_comparison,
 )
 from .metrics import delta_throughputs, throughput_range, win_rate
 from .model_eval import TuningCatalog, tuning_table
@@ -19,10 +17,8 @@ __all__ = [
     "TuningCatalog",
     "delta_throughputs",
     "drifting_sequence",
-    "endurance",
     "format_adaptive_comparison",
     "format_comparison",
-    "format_endurance_comparison",
     "throughput_range",
     "tuning_table",
     "win_rate",

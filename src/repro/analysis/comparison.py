@@ -2,8 +2,9 @@
 
 Every system result of the paper (Figures 8–18) and every experiment
 built on top of them (the sharded fleet, static-vs-adaptive drift, the A→B→A
-endurance trio) is one shape: a column per named deployment, a row per
-session.  ``WorkloadExecutor.compare`` already returns exactly that, so
+endurance trio of ``repro.figures``) is one shape: a column per named
+deployment, a row per session.  ``WorkloadExecutor.compare`` already returns
+exactly that, so
 :class:`Comparison` keeps its mapping as returned and adds only what an
 engine cannot measure — the cost model's prediction for each static column
 and, for a phased sequence, each row's phase and hindsight column.  What is
@@ -14,12 +15,12 @@ events and migrations, and every
 served by more than one is a fleet).
 
 The numbers an experiment claims (``io_reduction``,
-``adaptive_vs_oracle_converged``, ``spike_reduction`` …) are three small
-functions of the grid — :func:`robust_vs_nominal`, :func:`adaptive_vs_static`,
-:func:`endurance` — stored on the comparison as its ``summary`` by whoever
-makes the claim (:meth:`Comparison.claiming`).  The three tables share one
-heading helper and one grid helper; each ``format_*`` owns its column list
-and its footer sentences.
+``adaptive_vs_oracle_converged`` …) are small functions of the grid —
+:func:`robust_vs_nominal`, :func:`adaptive_vs_static` — stored on the
+comparison as its ``summary`` by whoever makes the claim
+(:meth:`Comparison.claiming`).  The tables (these two, and the endurance
+row's) share one heading helper and one grid helper; each ``format_*`` owns
+its column list and its footer sentences.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ from ..workloads.workload import Workload
 
 #: Name of the drift experiment's one adaptive column.
 ADAPTIVE = "adaptive"
-
-#: The endurance trio's adaptive columns: all-at-once migrations with a fixed
-#: radius; the level-by-level migration plan, fixed radius; incremental
-#: migrations with the drift-aware (volatility-widened) robust radius.
-FULL = "full"
-INCREMENTAL = "incremental"
-ADAPTIVE_RHO = "adaptive-rho"
 
 
 @dataclass(frozen=True)
@@ -229,35 +223,6 @@ def adaptive_vs_static(comparison: Comparison) -> dict[str, float]:
     }
 
 
-def endurance(comparison: Comparison) -> dict[str, float]:
-    """A→B→A: the endurance suite's pinned claims over the canonical trio.
-
-    The spike metric is the worst per-session I/Os per query of a variant: a
-    full migration concentrates its whole rebuild in the session the detector
-    fired in, an incremental plan spreads it.
-    """
-    full, incremental, adaptive_rho = (
-        comparison.measurements[name] for name in (FULL, INCREMENTAL, ADAPTIVE_RHO)
-    )
-    full_worst = max(comparison.system_ios(FULL))
-    incremental_worst = max(comparison.system_ios(INCREMENTAL))
-    oracle = float(np.mean(comparison.oracle_ios))
-    return {
-        "full_worst_session_io": full_worst,
-        "incremental_worst_session_io": incremental_worst,
-        "spike_reduction": 1.0 - incremental_worst / max(full_worst, 1e-12),
-        "full_mean_io": full.average_ios_per_query,
-        "incremental_mean_io": incremental.average_ios_per_query,
-        "oracle_mean_io": oracle,
-        "incremental_vs_oracle_ratio": incremental.average_ios_per_query / max(oracle, 1e-12),
-        "fixed_rho_migrations": float(incremental.num_migrations),
-        "adaptive_rho_migrations": float(adaptive_rho.num_migrations),
-        "adaptive_rho_mean_io": adaptive_rho.average_ios_per_query,
-        "adaptive_rho_migration_pages": float(adaptive_rho.migration_pages),
-        "incremental_migration_pages": float(incremental.migration_pages),
-    }
-
-
 # ----------------------------------------------------------------------
 # Tables
 # ----------------------------------------------------------------------
@@ -367,64 +332,5 @@ def format_adaptive_comparison(comparison: Comparison) -> str:
         f" {summary['adaptive_vs_oracle_converged']:.2f}x converged"
         f" ({adaptive.num_migrations} migration(s),"
         f" {adaptive.migration_pages} pages)"
-    )
-    return "\n".join(lines)
-
-
-def format_endurance_comparison(comparison: Comparison) -> str:
-    """The endurance table: the oracle and every adaptive variant per
-    session, then each variant's migrations and drift events."""
-    lines = _heading(
-        f"expected workload: {comparison.expected.describe()}"
-        f"  rho={comparison.rho:g}  (A->B->A endurance)",
-        _describe(comparison.tunings),
-    )
-    lines += _grid(
-        comparison.labels,
-        18,
-        [("oracle", 13, ".2f", comparison.oracle_ios)]
-        + [(name, 15, ".2f", comparison.system_ios(name)) for name in comparison.variants],
-    )
-    for name in comparison.variants:
-        variant = comparison.measurements[name]
-        lines.append(
-            f"  {name}: {variant.num_migrations} migration(s),"
-            f" {variant.migration_pages} pages,"
-            f" worst session {max(comparison.system_ios(name)):.2f} io/q,"
-            f" mean {variant.average_ios_per_query:.2f} io/q,"
-            f" final [{variant.final_tuning.describe()}]"
-        )
-        for event in variant.events:
-            decision = event.decision
-            action = (
-                f"migrated over {event.migration_steps} step(s)"
-                f" to [{decision.proposed.describe()}]"
-                if event.migrated
-                else "declined"
-            )
-            lines.append(
-                f"    drift @ op {event.position}:"
-                f" rho={decision.rho:.2f}"
-                f"  migration={decision.migration_ios:.0f} I/Os -> {action}"
-            )
-    summary = comparison.summary
-    lines.append(
-        "  worst per-session I/O spike:"
-        f" full {summary['full_worst_session_io']:.2f}"
-        f" -> incremental {summary['incremental_worst_session_io']:.2f}"
-        f" ({100 * summary['spike_reduction']:.1f}% lower)"
-    )
-    lines.append(
-        "  mean I/Os per query:"
-        f" full {summary['full_mean_io']:.2f}"
-        f"  incremental {summary['incremental_mean_io']:.2f}"
-        f"  adaptive-rho {summary['adaptive_rho_mean_io']:.2f}"
-        f"  oracle {summary['oracle_mean_io']:.2f}"
-        f"  (incremental {summary['incremental_vs_oracle_ratio']:.2f}x oracle)"
-    )
-    lines.append(
-        "  migrations on the cyclic trace:"
-        f" fixed-rho {summary['fixed_rho_migrations']:.0f}"
-        f" -> adaptive-rho {summary['adaptive_rho_migrations']:.0f}"
     )
     return "\n".join(lines)

@@ -23,25 +23,24 @@ import numpy as np
 
 from .analysis import (
     AdaptiveExperiment,
+    Comparison,
     SystemExperiment,
     TuningCatalog,
     delta_throughputs,
-    endurance,
     format_adaptive_comparison,
     format_comparison,
-    format_endurance_comparison,
     throughput_range,
     tuning_table,
     win_rate,
 )
-from .analysis.comparison import ADAPTIVE_RHO, FULL, INCREMENTAL
+from .analysis.comparison import _describe, _grid, _heading
 from .core import NominalTuner
 from .lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
 from .lsm.system import MIB
 from .online import OnlineConfig
 from .serving import partition_keys, shard_operations
 from .storage import ExecutorConfig, FileStore, IOCounters, LSMTree, WorkloadExecutor
-from .storage.lsm_tree import execute_operation, execute_operations_batched
+from .storage.lsm_tree import execute_operations_batched
 from .workloads import (
     KeySpace,
     Session,
@@ -63,7 +62,7 @@ RHO_VALUES = (0.25, 0.5, 1.0, 2.0)
 PANEL_RHOS = (0.0, 0.25, 1.0, 2.0)
 PANEL_INDEX = 11
 
-#: Largest divergence the Figure 3 histograms bin.
+#: Span of the Figure 3 histograms' bins; the last bin is open-ended.
 KL_HISTOGRAM_MAX = 4.0
 
 #: Figure 16's expected workload and ρ.
@@ -162,17 +161,21 @@ def _render_motivation(rows) -> str:
 def figure3_kl_histograms(
     benchmark: UncertaintyBenchmark, bins: int
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Histogram the KL divergence of the benchmark from w0 and from w1."""
+    """Histogram the KL divergence of the benchmark from w0 and from w1.
+
+    The last bin is open: it holds every divergence past its left edge, so
+    the densities count the same workloads the mean does."""
     result = {}
     edges = np.linspace(0.0, KL_HISTOGRAM_MAX, bins + 1)
     for index in (0, 1):
         reference = expected_workload(index)
         divergences = benchmark.kl_divergences(reference.workload)
         finite = divergences[np.isfinite(divergences)]
-        density, _ = np.histogram(finite, bins=edges, density=True)
+        clipped = np.minimum(finite, KL_HISTOGRAM_MAX)
+        density, _ = np.histogram(clipped, bins=edges, density=True)
         result[reference.name] = {
             "density": density,
-            "bin_edges": edges,
+            "bin_edges": np.append(edges[:-1], np.inf),
             "mean": np.array([finite.mean()]),
         }
     return result
@@ -870,6 +873,102 @@ def _adaptive_claim(c) -> bool:
     )
 
 
+#: The endurance trio's adaptive columns: all-at-once migrations with a fixed
+#: radius; the level-by-level migration plan, fixed radius; incremental
+#: migrations with the drift-aware (volatility-widened) robust radius.
+FULL = "full"
+INCREMENTAL = "incremental"
+ADAPTIVE_RHO = "adaptive-rho"
+
+
+def endurance(comparison: Comparison) -> dict[str, float]:
+    """A→B→A: the endurance suite's pinned claims over the canonical trio.
+
+    The spike metric is the worst per-session I/Os per query of a variant: a
+    full migration concentrates its whole rebuild in the session the detector
+    fired in, an incremental plan spreads it.
+    """
+    full, incremental, adaptive_rho = (
+        comparison.measurements[name] for name in (FULL, INCREMENTAL, ADAPTIVE_RHO)
+    )
+    full_worst = max(comparison.system_ios(FULL))
+    incremental_worst = max(comparison.system_ios(INCREMENTAL))
+    oracle = float(np.mean(comparison.oracle_ios))
+    return {
+        "full_worst_session_io": full_worst,
+        "incremental_worst_session_io": incremental_worst,
+        "spike_reduction": 1.0 - incremental_worst / max(full_worst, 1e-12),
+        "full_mean_io": full.average_ios_per_query,
+        "incremental_mean_io": incremental.average_ios_per_query,
+        "oracle_mean_io": oracle,
+        "incremental_vs_oracle_ratio": incremental.average_ios_per_query / max(oracle, 1e-12),
+        "fixed_rho_migrations": float(incremental.num_migrations),
+        "adaptive_rho_migrations": float(adaptive_rho.num_migrations),
+        "adaptive_rho_mean_io": adaptive_rho.average_ios_per_query,
+        "adaptive_rho_migration_pages": float(adaptive_rho.migration_pages),
+        "incremental_migration_pages": float(incremental.migration_pages),
+    }
+
+
+def format_endurance_comparison(comparison: Comparison) -> str:
+    """The endurance table: the oracle and every adaptive variant per
+    session, then each variant's migrations and drift events."""
+    lines = _heading(
+        f"expected workload: {comparison.expected.describe()}"
+        f"  rho={comparison.rho:g}  (A->B->A endurance)",
+        _describe(comparison.tunings),
+    )
+    lines += _grid(
+        comparison.labels,
+        18,
+        [("oracle", 13, ".2f", comparison.oracle_ios)]
+        + [(name, 15, ".2f", comparison.system_ios(name)) for name in comparison.variants],
+    )
+    for name in comparison.variants:
+        variant = comparison.measurements[name]
+        lines.append(
+            f"  {name}: {variant.num_migrations} migration(s),"
+            f" {variant.migration_pages} pages,"
+            f" worst session {max(comparison.system_ios(name)):.2f} io/q,"
+            f" mean {variant.average_ios_per_query:.2f} io/q,"
+            f" final [{variant.final_tuning.describe()}]"
+        )
+        for event in variant.events:
+            decision = event.decision
+            action = (
+                f"migrated over {event.migration_steps} step(s)"
+                f" to [{decision.proposed.describe()}]"
+                if event.migrated
+                else "declined"
+            )
+            lines.append(
+                f"    drift @ op {event.position}:"
+                f" rho={decision.rho:.2f}"
+                f"  migration={decision.migration_ios:.0f} I/Os -> {action}"
+            )
+    summary = comparison.summary
+    lines.append(
+        "  worst per-session I/O spike:"
+        f" full {summary['full_worst_session_io']:.2f}"
+        f" -> incremental {summary['incremental_worst_session_io']:.2f}"
+        f" ({100 * summary['spike_reduction']:.1f}% lower)"
+    )
+    lines.append(
+        "  mean I/Os per query:"
+        f" full {summary['full_mean_io']:.2f}"
+        f"  incremental {summary['incremental_mean_io']:.2f}"
+        f"  adaptive-rho {summary['adaptive_rho_mean_io']:.2f}"
+        f"  oracle {summary['oracle_mean_io']:.2f}"
+        f"  (incremental {summary['incremental_vs_oracle_ratio']:.2f}x oracle)"
+    )
+    lines.append(
+        "  migrations on the cyclic trace:"
+        f" fixed-rho {summary['fixed_rho_migrations']:.0f}"
+        f" -> adaptive-rho {summary['adaptive_rho_migrations']:.0f}"
+    )
+    return "\n".join(lines)
+
+
 #: Knobs every endurance variant shares.  The confirmation span covers ~3
 #: estimator windows, so the detector re-centres on the settled phase mix
 #: rather than a transient blend (a blended centre sits between the phases
@@ -930,7 +1029,7 @@ def _endurance_claim(c) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The engine: files vs the model, batched vs scalar replay, shards
+# The engine: files vs the model, shards
 # ----------------------------------------------------------------------
 _ENGINE_SYSTEM = simulator_system(num_entries=20_000)
 
@@ -1009,8 +1108,7 @@ def _persistent_backend(_: SessionState):
             try:
                 tree.bulk_load(space.existing)
                 tree.disk.reset()
-                for operation in traces[workload_label]:
-                    execute_operation(tree, operation)
+                execute_operations_batched(tree, traces[workload_label])
                 cells[tuning_label, workload_label] = {
                     "model_cost": float(workload.as_array() @ model.cost_vector(tuning)),
                     "counters": tree.disk.counters.snapshot(),
@@ -1092,52 +1190,10 @@ def _counter_cells(counters: IOCounters) -> str:
     return "".join(f"{getattr(counters, field):>{len(field) + 2}}" for field in _COUNTER_FIELDS)
 
 
-#: An endurance-style read phase (98% point reads, the stream an online
-#: tuner idles through between drift events) at 1M ops, and a mixed trace.
-_REPLAYED_TRACES = (
-    ("read-heavy", Workload(z0=0.30, z1=0.68, q=0.01, w=0.01), 1_000_000),
-    ("mixed", Workload(z0=0.20, z1=0.30, q=0.20, w=0.30), 200_000),
-)
-
-
-def _replay_both_ways(_: SessionState) -> list[dict[str, Any]]:
-    """Each trace replayed row by row through ``execute_operation`` and
-    through the one batched loop, whose contract is bit identity.  How fast
-    either runs is ``bench/``'s business (``point_read``, ``write_ingest``)."""
-    space = KeySpace.build(_ENGINE_SYSTEM.num_entries, seed=29)
-    generator = TraceGenerator(space, seed=29)
-    rows = []
-    for label, workload, num_ops in _REPLAYED_TRACES:
-        trace = generator.operations(workload, num_ops)
-        scalar = _loaded_tree(space.existing)
-        for operation in trace:
-            execute_operation(scalar, operation)
-        batched = _loaded_tree(space.existing)
-        execute_operations_batched(batched, trace)
-        rows.append({
-            "trace": label,
-            "ops": num_ops,
-            "counters": scalar.disk.counters,
-            "parity": batched.disk.counters == scalar.disk.counters
-            and batched.stats() == scalar.stats(),
-        })
-    return rows
-
-
-def _render_replay(rows) -> str:
-    return "\n".join([
-        f"{'trace':<12}{'ops':>10}{_COUNTER_HEADER}",
-        *(
-            f"{row['trace']:<12}{row['ops']:>10}{_counter_cells(row['counters'])}"
-            for row in rows
-        ),
-        "io parity: batched == scalar, counter for counter",
-    ])
-
-
-#: The read-heavy endurance trace of ``vectorized_execute``, served at 1, 2
-#: and 4 hash shards.
-_SERVING_WORKLOAD, _SERVING_OPS = _REPLAYED_TRACES[0][1:]
+#: An endurance-style read phase (98% point reads, the stream an online tuner
+#: idles through between drift events), served at 1, 2 and 4 hash shards.
+_SERVING_WORKLOAD = Workload(z0=0.30, z1=0.68, q=0.01, w=0.01)
+_SERVING_OPS = 1_000_000
 _SHARD_COUNTS = (1, 2, 4)
 
 #: Admission section: calm read sessions alternating with write bursts that
@@ -1216,11 +1272,6 @@ def _render_sharded(result) -> str:
             f"{_counter_cells(row['merged'])}"
             for row in scaling
         ),
-        # True by construction (a 1-shard fleet is one bare ``run_shard``:
-        # no partition, no route, no merge; tests/serving pins it); kept so
-        # the table does not move.
-        "single-shard parity: counters, stats and tree fingerprint identical "
-        "to the classic batched executor replay",
         f"admission pacing — 5 sessions x {_QUERIES_PER_SESSION} queries "
         "(calm/burst alternating), incremental migration step_ops=32 "
         "step_pages=8, queue-depth: a due step waits for its chunk to drain",
@@ -1396,11 +1447,5 @@ FIGURES: tuple[Figure, ...] = (
         lambda s: tuning_table(s.catalog, rho=1.0),
         _tunings_claim,
         _render_tunings,
-    ),
-    Figure(
-        "vectorized_execute",
-        _replay_both_ways,
-        lambda rows: all(row["parity"] for row in rows),
-        _render_replay,
     ),
 )

@@ -8,12 +8,11 @@ from repro.analysis import (
     AdaptiveExperiment,
     Comparison,
     SystemExperiment,
-    endurance,
     format_adaptive_comparison,
     format_comparison,
-    format_endurance_comparison,
 )
 from repro.analysis.comparison import adaptive_vs_static, robust_vs_nominal
+from repro.figures import endurance, format_endurance_comparison
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, RetuningDecision, RetuningEvent
 from repro.storage import (

@@ -11,8 +11,10 @@ import numpy as np
 
 from repro.analysis import TuningCatalog, delta_throughputs
 from repro.figures import (
+    BENCH_SET_SIZE,
     CONTOUR_MAX_KL,
     FIGURES,
+    KL_HISTOGRAM_MAX,
     figure3_kl_histograms,
     figure4_delta_by_category,
     figure5_rho_impact,
@@ -34,6 +36,24 @@ class TestFigure3:
         assert set(result) == {"w0", "w1"}
         assert result["w0"]["density"].shape == (20,)
         assert result["w0"]["bin_edges"].shape == (21,)
+
+    def test_every_finite_divergence_is_binned(self):
+        """The last bin is open: the benchmark set B of the table has one
+        workload past KL 4.0 from w1, and the densities count it as the
+        printed mean does."""
+        benchmark = UncertaintyBenchmark(size=BENCH_SET_SIZE, seed=42)
+        result = figure3_kl_histograms(benchmark, bins=16)
+        width = KL_HISTOGRAM_MAX / 16
+        for index in (0, 1):
+            data = result[f"w{index}"]
+            divergences = benchmark.kl_divergences(expected_workload(index).workload)
+            finite = divergences[np.isfinite(divergences)]
+            np.testing.assert_allclose(
+                data["density"][-1] * width, np.mean(finite >= KL_HISTOGRAM_MAX - width)
+            )
+            np.testing.assert_allclose(data["density"].sum() * width, 1.0)
+        assert np.nanmax(divergences) > KL_HISTOGRAM_MAX  # w1's, the case under test
+        assert data["bin_edges"].shape == (17,) and data["bin_edges"][-1] == np.inf
 
 
 class TestFigure4:

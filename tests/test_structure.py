@@ -61,13 +61,17 @@ RULES = (
     Rule("one-figure-test", "benchmarks/test_*.py", r"\A", 26, "def test_table(): ...", "== 2"),
     Rule("no-timing-wrapper", "benchmarks/*.py src/repro/figures.py", r"pedantic|run_once|report\(",
          26, "    benchmark.pedantic(run, rounds=1)"),
-    # The figure rows live in ``repro.figures``; the CLI does not import them, and
-    # ``repro.analysis`` defines no driver that only a row calls.
+    # The figure rows live in ``repro.figures``; the CLI does not import them,
+    # ``repro.analysis`` defines no driver or claim that only a row calls, and
+    # the rows replay traces through the one loop, not the scalar reference.
     Rule("cli-imports-no-figures", IMPORTED, r"^repro\.figures$", 46, "repro.figures"),
     Rule("no-figure-driver-in-analysis", "src/repro/analysis/*.py",
          r"^def (figure\d\w*|policy_frontier|kvector_frontier|section84_win_rate"
-         r"|scaling_experiment)\b", 46,
-         "def figure7_contour(catalog, expected_index, rhos, kl_bins):"),
+         r"|scaling_experiment|endurance|format_endurance_comparison)\b"
+         r"|^(FULL|INCREMENTAL|ADAPTIVE_RHO) =", 46,
+         "def endurance(comparison: Comparison) -> dict[str, float]:"),
+    Rule("figures-no-scalar-replay", "src/repro/figures.py", r"\bexecute_operation\b", 47,
+         "from .storage.lsm_tree import execute_operation, execute_operations_batched"),
     Rule("metrics-import-no-model", "src/repro/analysis/metrics.py",
          r"(from|import) +(\.\.|repro\.)lsm", 35, "from ..lsm import LSMCostModel"),
     Rule("no-model-metric-wrappers", SRC,

@@ -172,7 +172,7 @@ def _rng_state_digest(generator: TraceGenerator) -> str:
 #: update_fraction)`` -> sha256 prefixes of the first call's columns, of a
 #: second call's on the same generator, and of both RNG states plus the
 #: fresh-key cursor afterwards.  Seeds 29 and 97 are the ones behind
-#: ``benchmarks/results/vectorized_execute.txt`` and the executor default.
+#: ``benchmarks/results/sharded_serving.txt`` and the executor default.
 #: Cases 3 and 7 were keyed with a Zipf update skew until it went; both are
 #: recorded at skew 0 on the last commit that had it (case 7's short trace
 #: draws no update, so its digests did not move).

@@ -29,8 +29,39 @@ from .wal import WriteAheadLog
 
 #: Manifest schema version, bumped on incompatible layout changes.  Version 1
 #: directories (a table as an ``.sst`` plus index and filter sidecar files)
-#: are refused by it; a bare old ``.sst`` also lacks the trailer magic.
-MANIFEST_VERSION = 2
+#: and version 2 ones (a manifest of one JSON object, swapped in whole at
+#: every commit) are refused by it; a bare old ``.sst`` also lacks the
+#: trailer magic.
+MANIFEST_VERSION = 3
+
+#: Size past which a commit rolls the manifest log down to its one record
+#: instead of appending to it.
+MANIFEST_ROLL_BYTES = 1 << 20
+
+
+def _record(manifest: dict) -> bytes:
+    """``manifest`` as one line of the manifest log."""
+    return json.dumps(manifest).encode() + b"\n"
+
+
+def _last_record(data: bytes) -> tuple[dict, int] | None:
+    """The last complete record of a manifest log and the log's length up to
+    and including it, or ``None`` if the log holds none.
+
+    Only the last line can be torn, by an append cut short: one without its
+    newline, or one whose bytes do not parse, is skipped.
+    """
+    end = data.rfind(b"\n") + 1  # what follows the last newline is torn
+    start = data.rfind(b"\n", 0, max(end - 1, 0)) + 1
+    if end:
+        try:
+            return json.loads(data[start:end]), end
+        except ValueError:  # a torn last line: the one before it is whole
+            pass
+    if not start:
+        return None
+    previous = data.rfind(b"\n", 0, start - 1) + 1
+    return json.loads(data[previous:start]), start
 
 
 def _fsync_path(path: Path) -> None:
@@ -44,30 +75,43 @@ def _fsync_path(path: Path) -> None:
 
 class FileStore:
     """Run store of one tree under ``data_dir`` (created if missing): runs are
-    :class:`SSTable` files, writes go to a :class:`WriteAheadLog`, and a JSON
+    :class:`SSTable` files, writes go to a :class:`WriteAheadLog`, and a
     manifest names the installed runs so the tree survives restarts and kills.
 
     **Acknowledgement point.**  ``log`` appends the write to the log before
     the tree buffers it; a write is acknowledged once ``log`` returns.
 
+    **The manifest** is an append-only log of records, one JSON line each.  A
+    record is the whole structure — ``version``, ``run_counter`` and the table
+    names of every level — and the last complete one is what recovery opens.
+    It is replaced whole (one record written to ``MANIFEST.tmp``, synced and
+    renamed over ``MANIFEST.json``) in three places only: when the store
+    creates it, at ``close``, and when a commit's record would take it past
+    :data:`MANIFEST_ROLL_BYTES`.  A kill around a swap leaves the old log or
+    the new one-record file, each ending on a complete record.
+
     **Commit order.**  The one table a flush adds (a bulk load: its tables) was
     written by ``create_run`` before ``commit`` is called; ``commit`` then (1)
-    atomically replaces the manifest, (2) rewrites the log to the records the
-    memtable still holds, (3) deletes the tables the new manifest no longer
-    references.  A crash at any point recovers to a consistent tree: before
-    (1) the old manifest and the intact log reproduce the previous structure
-    and every acknowledged write, and the freshly written table is swept as
-    an orphan; between (1) and (2) the new manifest is authoritative and the
-    stale log re-applies writes the flushed run already holds, which
-    newest-wins reads absorb; between (2) and (3) only unreferenced files are
-    left over, and recovery sweeps them.
+    appends the new record to the manifest with one ``write`` and syncs it,
+    (2) rewrites the log to the records the memtable still holds, (3) deletes
+    the tables the new record no longer references.  A crash at any point
+    recovers to a consistent tree: before (1) completes, the previous record
+    and the intact log reproduce the previous structure and every
+    acknowledged write — a record torn mid-append is skipped, and cut off on
+    reopen — and the freshly written table is swept as an orphan; between
+    (1) and (2) the new record is authoritative and the stale log re-applies
+    writes the flushed run already holds, which newest-wins reads absorb;
+    between (2) and (3) only unreferenced files are left over, and recovery
+    sweeps them.
 
     ``sync_writes`` makes that hold across an *operating-system* crash too:
     the log ``fsync``s every append, the new table's file is synced before
-    the manifest that names it is swapped in, and the directory is synced
-    after the swap.  Without it (the default, and what the benchmark
-    runs) only the manifest's contents are synced and a flush is one
-    ``fsync``: everything survives a process kill, not a power cut.
+    the record that names it is appended, and the directory is synced after
+    a swap, which changes its entries.  An append changes no entry, so a
+    commit that appends needs no directory sync.  Without ``sync_writes``
+    (the default, and what the benchmark runs) only the manifest's contents
+    are synced, and a flush is one ``write`` and one ``fsync`` of it:
+    everything survives a process kill, not a power cut.
     """
 
     MANIFEST_NAME = "MANIFEST.json"
@@ -83,12 +127,15 @@ class FileStore:
         #: installed runs plus, until the commit, those a flush's merges
         #: replaced.
         self._tables: dict[str, SSTable] = {}
-        #: The structure as last committed; what ``close`` persists again.
+        #: The structure as last committed; what ``close`` rolls the manifest to.
         self._manifest = {"version": MANIFEST_VERSION, "run_counter": 0, "levels": []}
         self._manifest_path = self.data_dir / self.MANIFEST_NAME
-        #: The swap's two names as strings: every commit opens and renames them.
+        #: The swap's two names as strings.
         self._manifest_file = str(self._manifest_path)
         self._manifest_tmp = str(self._manifest_path.with_suffix(".tmp"))
+        #: The descriptor commits append to, and the manifest log's length.
+        self._manifest_fd: int | None = None
+        self._manifest_size = 0
         self._wal = WriteAheadLog(self.data_dir / self.WAL_NAME, sync=sync_writes)
 
     # ------------------------------------------------------------------
@@ -130,35 +177,91 @@ class FileStore:
             "run_counter": run_counter,
             "levels": [[run.path.name for run in runs] for runs in levels],
         }
-        self._swap_manifest(manifest)
+        self._append_manifest(manifest)
         self._manifest = manifest
         if buffered is not None:
             self._rewrite_log(buffered)
         self._collect_garbage()
 
-    def _swap_manifest(self, manifest: dict) -> None:
-        """Atomically replace the manifest file with ``manifest``.
+    def _append_manifest(self, manifest: dict) -> None:
+        """Append ``manifest`` to the manifest log with one ``write``, and sync it.
 
-        The new manifest is one ``write`` to a temporary file, synced, then
-        renamed over the old one; a write that fails or comes up short leaves
-        the old manifest in place and neither the temporary file nor its
-        descriptor behind.
+        A record that would take the log past :data:`MANIFEST_ROLL_BYTES`
+        replaces it instead.  A write that fails or comes up short is cut off
+        again, so the log ends on the previous record.
         """
-        image = json.dumps(manifest).encode()
-        tmp = self._manifest_tmp
-        descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        record = _record(manifest)
+        if self._manifest_size + len(record) > MANIFEST_ROLL_BYTES:
+            self._swap_manifest(record)
+            return
+        descriptor = self._manifest_fd
         try:
-            if os.write(descriptor, image) != len(image):
+            if os.write(descriptor, record) != len(record):
+                raise OSError(errno.EIO, "short write of the manifest", self._manifest_file)
+            os.fsync(descriptor)
+        except BaseException:
+            os.ftruncate(descriptor, self._manifest_size)
+            raise
+        self._manifest_size += len(record)
+
+    def _swap_manifest(self, record: bytes) -> None:
+        """Atomically replace the manifest log with the one ``record``.
+
+        The record is one ``write`` to a temporary file, synced, then renamed
+        over the log, and the temporary file's descriptor is the one later
+        commits append to; a write that fails or comes up short leaves the old
+        log in place and neither the temporary file nor its descriptor behind.
+        """
+        tmp = self._manifest_tmp
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+        descriptor = os.open(tmp, flags, 0o666)
+        try:
+            if os.write(descriptor, record) != len(record):
                 raise OSError(errno.EIO, "short write of the manifest", tmp)
             os.fsync(descriptor)
+            os.replace(tmp, self._manifest_file)
         except BaseException:
             os.close(descriptor)
             os.unlink(tmp)
             raise
-        os.close(descriptor)
-        os.replace(tmp, self._manifest_file)
+        self._close_manifest()
+        self._manifest_fd, self._manifest_size = descriptor, len(record)
         if self.sync_writes:
             _fsync_path(self.data_dir)
+
+    def _open_manifest(self) -> dict:
+        """The manifest log's last complete record, with the log opened for
+        appending and a torn append after that record cut off."""
+        data = self._manifest_path.read_bytes()
+        found = _last_record(data)
+        if found is None:
+            # Up to version 2 the manifest was one JSON object and no newline;
+            # a version-3 record without its newline is a torn append.
+            try:
+                legacy = json.loads(data)
+            except ValueError:
+                legacy = {}
+            if legacy.get("version", MANIFEST_VERSION) == MANIFEST_VERSION:
+                raise ValueError(f"manifest {self._manifest_path} holds no complete record")
+            found = legacy, len(data)
+        manifest, end = found
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise ValueError(
+                f"manifest {self._manifest_path} has version "
+                f"{manifest.get('version')!r}, expected {MANIFEST_VERSION}"
+            )
+        self._manifest_fd = os.open(self._manifest_file, os.O_WRONLY | os.O_APPEND)
+        self._manifest_size = end
+        if end < len(data):
+            os.ftruncate(self._manifest_fd, end)
+            if self.sync_writes:
+                os.fsync(self._manifest_fd)
+        return manifest
+
+    def _close_manifest(self) -> None:
+        if self._manifest_fd is not None:
+            os.close(self._manifest_fd)
+            self._manifest_fd = None
 
     def _rewrite_log(self, buffered: Iterable[tuple[int, bool]]) -> None:
         self._wal.reset()
@@ -184,26 +287,21 @@ class FileStore:
         manifest, which gets its first (empty) one.
         """
         if not self._manifest_path.exists():
-            self._swap_manifest(self._manifest)
+            self._swap_manifest(_record(self._manifest))
             return None
-        manifest = json.loads(self._manifest_path.read_bytes())
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"manifest {self._manifest_path} has version "
-                f"{manifest.get('version')!r}, expected {MANIFEST_VERSION}"
-            )
-        self._manifest = manifest
         try:
+            manifest = self._open_manifest()
             for name in (name for level in manifest["levels"] for name in level):
                 self._tables[name] = SSTable.open(self.data_dir / name)
         except BaseException:
-            # Release the tables opened before the one that failed, and the log.
+            # Release the tables opened before the one that failed, and the logs.
             self.abandon()
             raise
+        self._manifest = manifest
         levels = [[self._tables[name] for name in level] for level in manifest["levels"]]
         logged = self._wal.replay()
         # Files no table of this process owns: a crash stranded them between
-        # SSTable creation and manifest swap, or before garbage collection.
+        # SSTable creation and manifest append, or before garbage collection.
         for path in self.data_dir.glob("run-*.sst"):
             if path.name not in self._tables:
                 path.unlink()
@@ -224,8 +322,9 @@ class FileStore:
         return FileStore(data_dir, self.sync_writes)
 
     def close(self) -> None:
-        """Persist the committed structure once more and release every handle."""
-        self._swap_manifest(self._manifest)
+        """Roll the manifest down to the committed structure's one record and
+        release every handle."""
+        self._swap_manifest(_record(self._manifest))
         self.abandon()
 
     def abandon(self) -> None:
@@ -236,6 +335,7 @@ class FileStore:
         orphan sweep).
         """
         self._wal.close()
+        self._close_manifest()
         for table in self._tables.values():
             table.close()
 

@@ -118,13 +118,8 @@ class WriteAheadLog:
         ]
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def num_records(self) -> int:
-        """Number of complete records currently in the log."""
-        return self.path.stat().st_size // _RECORD.size
-
     def close(self) -> None:
         """Release the file handle (log contents are left on disk)."""
         if not self._file.closed:

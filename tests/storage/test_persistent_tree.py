@@ -17,6 +17,7 @@ import errno
 import fnmatch
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.online import MigrationPlan
 from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
+from repro.storage.persistent import store as persistent_store
 from repro.storage.persistent.sstable import _TRAILER
 from repro.storage.run import RunIndex, locate_many
 
@@ -188,7 +190,7 @@ class _StoppableStore(FileStore):
 
     POINTS = (
         "tables written",  # nothing of the commit has happened yet
-        "manifest swapped",
+        "manifest appended",
         "log rewritten",  # reached by commits that rewrite the log
         "before garbage collection",
     )
@@ -199,10 +201,10 @@ class _StoppableStore(FileStore):
             self.stop_at = None
             raise _FlushCrash(f"killed at: {point}")
 
-    def _swap_manifest(self, manifest) -> None:
+    def _append_manifest(self, manifest) -> None:
         self._reach("tables written")
-        super()._swap_manifest(manifest)
-        self._reach("manifest swapped")
+        super()._append_manifest(manifest)
+        self._reach("manifest appended")
 
     def _rewrite_log(self, buffered) -> None:
         super()._rewrite_log(buffered)
@@ -288,7 +290,7 @@ class TestCrashRecovery:
             tuning, _SYSTEM, disk=VirtualDisk(), seed=3,
             store=FileStore(tmp_path / "db"),
         )
-        # Before the swap the flush rolled back (every write is back in the
+        # Before the append the flush rolled back (every write is back in the
         # memtable); after it the stale log re-applies what the flushed run
         # holds, until the rewrite empties it.
         replayed = 0 if point in self._LOG_IS_REWRITTEN else len(writes)
@@ -344,7 +346,7 @@ class TestCrashRecovery:
         )
         assert recovered.stats().memtable_entries == len(writes)
         _assert_no_orphan_files(recovered)
-        # The third run is installed exactly when its manifest was swapped in.
+        # The third run is installed exactly when its record was appended.
         installed = 2 if point == "tables written" else 3
         assert sum(len(runs) for runs in recovered.levels) == installed
         reference = migrate(FileStore(tmp_path / "reference"), installs=installed)
@@ -399,7 +401,7 @@ class TestWriteAheadLog:
         wal.append(-3, tombstone=True)
         wal.append(2**40)
         assert wal.replay() == [(7, False), (-3, True), (2**40, False)]
-        assert wal.num_records == 3
+        assert len(wal.replay()) == 3
         wal.reset()
         assert wal.replay() == []
         wal.close()
@@ -1072,9 +1074,10 @@ class TestFailedManifestAndLogWrite:
         assert (tree.store.data_dir / "MANIFEST.json").read_bytes() == manifest
         assert sorted(path.name for path in tree.store.data_dir.iterdir()) == files
         assert _descriptors_under(tmp_path) == descriptors
-        # What closing persists again is the last *committed* manifest.
+        # What closing rolls the log down to is the last *committed* record.
         tree.close()
-        assert (tree.store.data_dir / "MANIFEST.json").read_bytes() == manifest
+        last = manifest[manifest.rfind(b"\n", 0, -1) + 1 :]
+        assert (tree.store.data_dir / "MANIFEST.json").read_bytes() == last
 
     def test_the_logged_records_survive_and_the_next_append_lines_up(
         self, tmp_path, monkeypatch, fault
@@ -1241,7 +1244,8 @@ class _SyscallRecorder:
 
 @needs_proc
 class TestFlushDurability:
-    """What one flush syncs, and in which order, under each ``sync_writes``."""
+    """What one flush syncs, and in which order, under each ``sync_writes``;
+    what a bulk load and a close sync."""
 
     _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
 
@@ -1263,26 +1267,26 @@ class TestFlushDurability:
         self, tmp_path, monkeypatch
     ):
         """Regression: the log was synced and truncated, the manifest synced
-        and swapped — but never the table the flush replaced the log's
-        records with, nor the directory entry of the swap."""
+        — but never the table the flush replaced the log's records with."""
         recorder = self._flush_recorder(tmp_path, monkeypatch, sync_writes=True)
-        events = recorder.syncs
-        swap = events.index(("replace", "MANIFEST.json"))
         # One table per flush: the merge's output.  The memtable took run id
-        # 2 on its way into the merge and was never a file.
-        assert events[:swap] == [("fsync", "run-00000003.sst"), ("fsync", "MANIFEST.tmp")]
+        # 2 on its way into the merge and was never a file.  Its record is
+        # appended after it is synced, then the log is truncated; an append
+        # changes no directory entry, so the directory is not synced.
+        assert recorder.syncs == [
+            ("fsync", "run-00000003.sst"), ("fsync", "MANIFEST.json"), ("fsync", "wal.log")
+        ]
         assert fnmatch.filter(recorder.created, "run-*.sst") == ["run-00000003.sst"]
-        # The swap's directory entry, then the truncated log.
-        assert events[swap + 1 :] == [("fsync", "db"), ("fsync", "wal.log")]
-        # The new manifest is one write, then its sync.
-        tmp = [event for event in recorder.events if event[1] == "MANIFEST.tmp"]
-        assert tmp == [("write", "MANIFEST.tmp"), ("fsync", "MANIFEST.tmp")]
+        # The new record is one write to the manifest, then its sync.
+        manifest = [event for event in recorder.events if event[1].startswith("MANIFEST")]
+        assert manifest == [("write", "MANIFEST.json"), ("fsync", "MANIFEST.json")]
 
     def test_without_sync_writes_a_flush_is_one_fsync(self, tmp_path, monkeypatch):
-        events = self._flush_recorder(tmp_path, monkeypatch, sync_writes=False).syncs
-        assert events == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+        recorder = self._flush_recorder(tmp_path, monkeypatch, sync_writes=False)
+        assert recorder.syncs == [("fsync", "MANIFEST.json")]
+        assert fnmatch.filter(recorder.created, "MANIFEST*") == []
 
-    def test_a_bulk_load_swaps_the_manifest_once(self, tmp_path, monkeypatch):
+    def test_a_bulk_load_commits_the_manifest_once(self, tmp_path, monkeypatch):
         """Regression: once per placed run, and once more at the end."""
         tree = LSMTree(
             LSMTuning(5.0, 5.0, Policy.TIERING), _SYSTEM, disk=VirtualDisk(), seed=3,
@@ -1291,8 +1295,29 @@ class TestFlushDurability:
         recorder = _SyscallRecorder(monkeypatch)
         tree.bulk_load(np.arange(0, 20_000, 11))
         assert sum(len(runs) for runs in tree.levels) == 3
-        assert recorder.syncs == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")]
+        assert recorder.syncs == [("fsync", "MANIFEST.json")]
         tree.dispose()
+
+    @pytest.mark.parametrize("sync_writes", [False, True])
+    def test_close_swaps_the_manifest_once(self, tmp_path, monkeypatch, sync_writes):
+        """Closing rolls the log of one record per commit down to the last."""
+        tree = LSMTree(
+            self._TUNING, _SYSTEM, disk=VirtualDisk(), seed=3,
+            store=FileStore(tmp_path / "db", sync_writes=sync_writes),
+        )
+        for key in range(3 * tree.buffer_entries):
+            tree.put(key)
+        path = tmp_path / "db" / "MANIFEST.json"
+        assert path.read_bytes().count(b"\n") == 4  # its creation and three flushes
+        recorder = _SyscallRecorder(monkeypatch)
+        tree.close()
+        directory = [("fsync", "db")] if sync_writes else []
+        assert recorder.syncs == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")] + directory
+        record = {"version": 3, "run_counter": tree._run_counter, "levels": [
+            [run.path.name for run in runs] for runs in tree.levels
+        ]}
+        assert path.read_bytes() == json.dumps(record).encode() + b"\n"
+        assert not (tmp_path / "db" / "MANIFEST.tmp").exists()
 
 
 class TestDiskLayout:
@@ -1312,8 +1337,9 @@ class TestDiskLayout:
         assert runs == [["run-00000004.sst"], [], ["run-00000001.sst"]]
         files = {"MANIFEST.json", "wal.log", *(name for level in runs for name in level)}
         assert {path.name for path in (tmp_path / "db").iterdir()} == files
-        manifest = json.loads((tmp_path / "db" / "MANIFEST.json").read_text())
-        assert manifest == {"version": 2, "run_counter": 4, "levels": runs}
+        manifest = (tmp_path / "db" / "MANIFEST.json").read_text()
+        assert manifest.count("\n") == 1  # closing rolled the log to one record
+        assert json.loads(manifest) == {"version": 3, "run_counter": 4, "levels": runs}
         # A table file is 9-byte records (little-endian int64 key + tombstone)
         # from offset 0, two int64 per page of sparse index, the filter's bit
         # table and the 72-byte trailer.
@@ -1332,9 +1358,11 @@ class TestDiskLayout:
         assert (tmp_path / "db" / "wal.log").read_bytes() == expected
 
 
-    def test_a_version_1_directory_is_refused(self, tmp_path):
-        """The three-file layout is not read any more: its manifest says so
-        before any table is opened."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_version_1_or_2_directory_is_refused(self, tmp_path, version):
+        """Neither the three-file layout nor a manifest swapped in whole at
+        every commit is read any more: the manifest, one JSON object and no
+        newline in both, says so before any table is opened."""
         tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
         tree = LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
         for key in range(tree.buffer_entries):
@@ -1342,9 +1370,117 @@ class TestDiskLayout:
         tree.close()
         manifest_path = tmp_path / "db" / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps(manifest | {"version": 1}))
-        with pytest.raises(ValueError, match="has version 1, expected 2"):
+        manifest_path.write_text(json.dumps(manifest | {"version": version}))
+        with pytest.raises(ValueError, match=f"has version {version}, expected 3"):
             LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
+
+
+class TestManifestLog:
+    """The manifest is an append-only log of whole-structure records: a torn
+    last record is skipped and cut off, a log without a complete record is
+    refused, and a log past ``MANIFEST_ROLL_BYTES`` rolls down to one record."""
+
+    _TUNING = LSMTuning(5.0, 5.0, Policy.LEVELING)
+
+    def _tree(self, directory, store=None) -> LSMTree:
+        store = FileStore(directory) if store is None else store
+        return LSMTree(self._TUNING, _SYSTEM, disk=VirtualDisk(), seed=3, store=store)
+
+    @staticmethod
+    def _levels(tree: LSMTree) -> list[list[str]]:
+        return [[run.path.name for run in runs] for runs in tree.levels]
+
+    def test_a_torn_last_record_recovers_the_previous_commit(self, tmp_path):
+        """A kill mid-append, with the log not rewritten yet: the manifest is
+        cut at every byte inside the record the flush was appending, and its
+        last line is garbled instead."""
+        store = _StoppableStore(tmp_path / "db")
+        tree = self._tree(tmp_path / "db", store)
+        tree.bulk_load(np.arange(0, 20_000, 11))
+        # One flush, then a buffer one short of the next.
+        writes = list(range(50_000, 50_000 + 2 * tree.buffer_entries - 1))
+        for key in writes:
+            tree.put(key)
+        previous = self._levels(tree)
+        store.stop_at = "manifest appended"
+        writes.append(writes[-1] + 1)
+        with pytest.raises(_FlushCrash):
+            tree.put(writes[-1])
+        store.abandon()
+        reference = LSMTree(self._TUNING, _SYSTEM, disk=VirtualDisk(), seed=3)
+        reference.bulk_load(np.arange(0, 20_000, 11))
+        for key in writes:
+            reference.put(key)
+        probe = np.r_[np.arange(0, 22_000, 7), np.array(writes)]
+
+        data = (tmp_path / "db" / "MANIFEST.json").read_bytes()
+        torn = data.rfind(b"\n", 0, len(data) - 1) + 1  # where the last append began
+        assert json.loads(data[torn:])["levels"] != previous
+        images = [data[:cut] for cut in range(torn, len(data))]
+        images.append(data[:-2] + b"\n")  # a newline, but no closing brace
+        for number, image in enumerate(images):
+            directory = tmp_path / f"image-{number}"
+            shutil.copytree(tmp_path / "db", directory)
+            (directory / "MANIFEST.json").write_bytes(image)
+            recovered = self._tree(directory)
+            assert self._levels(recovered) == previous
+            _assert_no_orphan_files(recovered)
+            _assert_same_answers(reference, recovered, probe)
+            # The torn bytes were cut off: the next commit's record follows
+            # the previous one.
+            recovered.flush()
+            appended = (directory / "MANIFEST.json").read_bytes()
+            assert appended[:torn] == data[:torn]
+            assert json.loads(appended[torn:]) == {
+                "version": 3,
+                "run_counter": recovered._run_counter,
+                "levels": self._levels(recovered),
+            }
+            recovered.store.abandon()
+            reopened = self._tree(directory)
+            _assert_same_answers(reference, reopened, probe)
+            reopened.dispose()
+
+    def test_a_manifest_of_only_a_torn_record_is_refused(self, tmp_path):
+        """Never opened as an empty tree: such a log names no structure."""
+        tree = self._tree(tmp_path / "db")
+        for key in range(tree.buffer_entries):
+            tree.put(key)
+        tree.close()
+        path = tmp_path / "db" / "MANIFEST.json"
+        data = path.read_bytes()
+        for cut in (0, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="holds no complete record"):
+                self._tree(tmp_path / "db")
+
+    @needs_proc
+    def test_a_log_past_the_roll_bound_rolls_to_one_record(self, tmp_path, monkeypatch):
+        bound = 400
+        monkeypatch.setattr(persistent_store, "MANIFEST_ROLL_BYTES", bound)
+        tree = self._tree(tmp_path / "db")
+        recorder = _SyscallRecorder(monkeypatch)
+        for key in range(12 * tree.buffer_entries):
+            tree.put(key)
+        # Every flush appends one record or, when that would pass the bound,
+        # swaps the log for a file of its one record.
+        commits = [
+            event for event in recorder.syncs
+            if event in (("fsync", "MANIFEST.json"), ("replace", "MANIFEST.json"))
+        ]
+        assert len(commits) == 12
+        rolls = commits.count(("replace", "MANIFEST.json"))
+        assert rolls >= 2
+        data = (tmp_path / "db" / "MANIFEST.json").read_bytes()
+        assert len(data) <= bound
+        since_roll = commits[::-1].index(("replace", "MANIFEST.json"))
+        assert data.count(b"\n") == 1 + since_roll and data.endswith(b"\n")
+        assert json.loads(data.splitlines()[-1])["levels"] == self._levels(tree)
+        tree.store.abandon()
+        recovered = self._tree(tmp_path / "db")
+        assert self._levels(recovered) == self._levels(tree)
+        assert recovered.get_many(np.arange(12 * tree.buffer_entries)).all()
+        recovered.dispose()
 
 
 class TestExecutorIntegration:

@@ -792,6 +792,32 @@ class TestWideWindow:
             assert counts == [min(10, filling)] * copies
             assert delta.query_reads > 0
 
+    def test_a_flush_in_the_per_row_body_then_a_read_dense_stretch(self, kind):
+        """The re-entry from the per-row body into the array pass.
+
+        The trace opens write-dense, so its first window is narrow and the
+        per-row body takes it; it flushes there twice, then turns read-dense.
+        Only the body's re-entry hands a window back to the array pass, so
+        every ``classify_window`` call below was made through it."""
+        rng = np.random.default_rng(5)
+        fresh = _KEY_SPACE.fresh_start + 190_000
+        ops = []
+        for key in range(fresh, fresh + 14):  # two flushes of the 6-entry buffer
+            ops += _puts(key) + _gets(int(rng.choice(_KEY_SPACE.existing)))
+        for key in range(fresh + 14, fresh + 30):
+            reads = _gets(*rng.choice(_KEY_SPACE.existing, size=60))
+            reads += _gets(*rng.choice(_KEY_SPACE.missing, size=30), key)
+            reads += _ranges(*rng.choice(_KEY_SPACE.existing, size=10))
+            ops += _puts(key) + [reads[index] for index in rng.permutation(len(reads))]
+        with _engine_pair(kind, _ROOMY) as engines:
+            _flush_buffers(engines, fresh + 1_000)
+            assert engines[1].write_room() == 5  # the first window is narrow
+            with _classified() as spy:
+                delta, answers, _ = _check_windows(engines, [ops])
+            assert spy.call_count >= 2
+            assert delta.flush_writes > 0 and delta.query_reads > 0
+            assert len(answers) > 1_000
+
     @pytest.mark.parametrize("max_batch_ops", [1, 3])
     def test_a_long_read_window_never_drains_past_the_cap(self, kind, max_batch_ops):
         rng = np.random.default_rng(8)

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = "src/**/*.py"
 LSM_TREE = "src/repro/storage/lsm_tree.py"
 SSTABLE = "src/repro/storage/persistent/sstable.py"
+STORE = "src/repro/storage/persistent/store.py"
 BLOOM = "src/repro/storage/bloom_filter.py"
 # The one text that is not a file: the names in ``sys.modules`` after
 # ``import repro.cli``, one per line.
@@ -211,6 +212,14 @@ RULES = (
          "A paragraph of history.\n", "<= 150"),
     Rule("no-policy-aliases", "src/repro/lsm/policy.py", r"_ALIASES|\.lower\(\)", 44,
          "            return _ALIASES[value.strip().lower()]"),
+    # A commit appends one manifest record; the one rename is the swap's,
+    # which creation, close and the roll share.
+    Rule("commit-appends-the-manifest", STORE, r"_swap_manifest\(|os\.replace\(", 48,
+         "        self._swap_manifest(_record(manifest))", scope=("FileStore.commit",)),
+    Rule("one-manifest-rename", STORE, r"os\.replace\(", 48,
+         "        os.replace(tmp, self._manifest_file)", "== 1"),
+    Rule("no-wal-record-count", "src/repro/storage/persistent/wal.py", r"def num_records\b", 48,
+         "    def num_records(self) -> int:"),
 )
 
 

@@ -105,13 +105,15 @@ class FileStore:
     sweeps them.
 
     ``sync_writes`` makes that hold across an *operating-system* crash too:
-    the log ``fsync``s every append, the new table's file is synced before
-    the record that names it is appended, and the directory is synced after
-    a swap, which changes its entries.  An append changes no entry, so a
-    commit that appends needs no directory sync.  Without ``sync_writes``
-    (the default, and what the benchmark runs) only the manifest's contents
-    are synced, and a flush is one ``write`` and one ``fsync`` of it:
-    everything survives a process kill, not a power cut.
+    the log ``fsync``s every append; before a commit appends its record,
+    the new table's file is synced and then the directory, because syncing
+    a file does not make its directory entry durable — else the record could
+    name a table a power cut took away, after the log was truncated; and the
+    directory is synced again after a swap, whose rename changes an entry.
+    Without ``sync_writes`` (the default, and what the benchmark
+    runs) only the manifest's contents are synced, and a flush is one
+    ``write`` and one ``fsync`` of it: everything survives a process kill,
+    not a power cut.
     """
 
     MANIFEST_NAME = "MANIFEST.json"
@@ -130,9 +132,6 @@ class FileStore:
         #: The structure as last committed; what ``close`` rolls the manifest to.
         self._manifest = {"version": MANIFEST_VERSION, "run_counter": 0, "levels": []}
         self._manifest_path = self.data_dir / self.MANIFEST_NAME
-        #: The swap's two names as strings.
-        self._manifest_file = str(self._manifest_path)
-        self._manifest_tmp = str(self._manifest_path.with_suffix(".tmp"))
         #: The descriptor commits append to, and the manifest log's length.
         self._manifest_fd: int | None = None
         self._manifest_size = 0
@@ -177,6 +176,8 @@ class FileStore:
             "run_counter": run_counter,
             "levels": [[run.path.name for run in runs] for runs in levels],
         }
+        if self.sync_writes:  # the new tables' directory entries
+            _fsync_path(self.data_dir)
         self._append_manifest(manifest)
         self._manifest = manifest
         if buffered is not None:
@@ -197,7 +198,7 @@ class FileStore:
         descriptor = self._manifest_fd
         try:
             if os.write(descriptor, record) != len(record):
-                raise OSError(errno.EIO, "short write of the manifest", self._manifest_file)
+                raise OSError(errno.EIO, "short write of the manifest", str(self._manifest_path))
             os.fsync(descriptor)
         except BaseException:
             os.ftruncate(descriptor, self._manifest_size)
@@ -212,14 +213,14 @@ class FileStore:
         commits append to; a write that fails or comes up short leaves the old
         log in place and neither the temporary file nor its descriptor behind.
         """
-        tmp = self._manifest_tmp
+        tmp = self._manifest_path.with_suffix(".tmp")
         flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND
         descriptor = os.open(tmp, flags, 0o666)
         try:
             if os.write(descriptor, record) != len(record):
-                raise OSError(errno.EIO, "short write of the manifest", tmp)
+                raise OSError(errno.EIO, "short write of the manifest", str(tmp))
             os.fsync(descriptor)
-            os.replace(tmp, self._manifest_file)
+            os.replace(tmp, self._manifest_path)
         except BaseException:
             os.close(descriptor)
             os.unlink(tmp)
@@ -250,7 +251,7 @@ class FileStore:
                 f"manifest {self._manifest_path} has version "
                 f"{manifest.get('version')!r}, expected {MANIFEST_VERSION}"
             )
-        self._manifest_fd = os.open(self._manifest_file, os.O_WRONLY | os.O_APPEND)
+        self._manifest_fd = os.open(self._manifest_path, os.O_WRONLY | os.O_APPEND)
         self._manifest_size = end
         if end < len(data):
             os.ftruncate(self._manifest_fd, end)

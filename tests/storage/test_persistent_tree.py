@@ -1267,14 +1267,16 @@ class TestFlushDurability:
         self, tmp_path, monkeypatch
     ):
         """Regression: the log was synced and truncated, the manifest synced
-        — but never the table the flush replaced the log's records with."""
+        — but never the table the flush replaced the log's records with, nor
+        that table's directory entry."""
         recorder = self._flush_recorder(tmp_path, monkeypatch, sync_writes=True)
         # One table per flush: the merge's output.  The memtable took run id
-        # 2 on its way into the merge and was never a file.  Its record is
-        # appended after it is synced, then the log is truncated; an append
-        # changes no directory entry, so the directory is not synced.
+        # 2 on its way into the merge and was never a file.  The table, then
+        # its directory entry, are synced before the record naming it is
+        # appended; then the log is truncated.
         assert recorder.syncs == [
-            ("fsync", "run-00000003.sst"), ("fsync", "MANIFEST.json"), ("fsync", "wal.log")
+            ("fsync", "run-00000003.sst"), ("fsync", "db"),
+            ("fsync", "MANIFEST.json"), ("fsync", "wal.log"),
         ]
         assert fnmatch.filter(recorder.created, "run-*.sst") == ["run-00000003.sst"]
         # The new record is one write to the manifest, then its sync.

@@ -217,7 +217,7 @@ RULES = (
     Rule("commit-appends-the-manifest", STORE, r"_swap_manifest\(|os\.replace\(", 48,
          "        self._swap_manifest(_record(manifest))", scope=("FileStore.commit",)),
     Rule("one-manifest-rename", STORE, r"os\.replace\(", 48,
-         "        os.replace(tmp, self._manifest_file)", "== 1"),
+         "        os.replace(tmp, self._manifest_path)", "== 1"),
     Rule("no-wal-record-count", "src/repro/storage/persistent/wal.py", r"def num_records\b", 48,
          "    def num_records(self) -> int:"),
 )

@@ -6,7 +6,10 @@ with the one executor: a :class:`~repro.storage.executor.WorkloadExecutor`
 whose ``ExecutorConfig.num_shards`` is above 1 serves each shard as one
 :meth:`~repro.storage.executor.WorkloadExecutor.run_shard` call — each
 persistent shard in its own data dir — and merges the shards' counters into
-fleet measurements.  This package holds what that call routes by:
+fleet measurements.  The fleet makes the query stream once per call: it
+generates each global trace, routes it to every shard in one pass and
+partitions the key space once, and each tuning x shard task replays what it
+is handed.  This package holds what that call routes by:
 
 * :mod:`~repro.serving.sharding` hash-partitions the int64 key space with a
   splitmix64-style mixer and routes operation streams: point operations go

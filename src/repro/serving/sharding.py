@@ -56,6 +56,14 @@ def partition_keys(keys: np.ndarray, num_shards: int) -> list[np.ndarray]:
     return [keys[sids == shard] for shard in range(num_shards)]
 
 
+def route_operations(trace: Trace, num_shards: int) -> list[Trace]:
+    """Every shard's sub-stream of ``trace`` from one :func:`shard_ids` pass:
+    entry ``s`` equals ``shard_operations(trace, s, num_shards)``."""
+    owners = shard_ids(trace.keys, num_shards)
+    fanned_out = trace.kinds == OperationType.RANGE
+    return [trace[(owners == shard) | fanned_out] for shard in range(num_shards)]
+
+
 def shard_operations(trace: Trace, shard: int, num_shards: int) -> Trace:
     """The sub-stream one shard serves, in original stream order.
 

@@ -13,9 +13,12 @@ shard's partition of the key space and serves the sub-stream routed to it
 (:mod:`repro.serving.sharding`).  The single tree is the 1-shard fleet, which
 computes no partition and no route.  ``run_sequence``, ``run_sequence_adaptive``
 and ``compare`` all go through one fleet runner, whose tuning x shard tasks
-share the one process pool (:func:`_map_tasks`).  A fleet's sessions sum the
-per-shard :class:`~repro.storage.disk.IOCounters` deltas, amortised over the
-global query count, so they read exactly like a single tree's.
+share the one process pool (:func:`_map_tasks`).  The query stream belongs to
+the call, not to a task: the runner generates each global trace, routes it
+and partitions the key space once, and every task replays what it is handed
+(§8 compares tunings on one bulk load and one stream).  A fleet's sessions
+sum the per-shard :class:`~repro.storage.disk.IOCounters` deltas, amortised
+over the global query count, so they read exactly like a single tree's.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +40,8 @@ from ..knobs import FRACTION, POSITIVE_INT, check_knobs, knob
 from ..lsm.policy import CLASSIC_POLICIES, Policy
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..workloads.sessions import Session, SessionSequence
-from ..workloads.traces import KeySpace, TraceGenerator
+from ..workloads.sessions import SessionSequence
+from ..workloads.traces import KeySpace, Trace, TraceGenerator
 from ..workloads.workload import Workload
 from .disk import IOCounters
 from .lsm_tree import MAX_BATCH_OPS, LSMTree, TreeStats, execute_operations_batched
@@ -59,15 +62,17 @@ class SessionMeasurement:
     compaction_writes: int
 
     @classmethod
-    def of(cls, session: Session, num_queries: int, delta: IOCounters) -> "SessionMeasurement":
-        """``session`` measured by the pages it moved: ``delta`` is what one
-        disk counted over it (or the sum over every shard's disk), amortised
-        over ``num_queries``."""
+    def of(
+        cls, label: str, workload: Workload, num_queries: int, delta: IOCounters
+    ) -> "SessionMeasurement":
+        """The session ``label`` (average workload ``workload``) measured by
+        the pages it moved: ``delta`` is what one disk counted over it (or the
+        sum over every shard's disk), amortised over ``num_queries``."""
         return cls(
-            label=session.label,
-            workload=session.average,
+            label=label,
+            workload=workload,
             num_queries=num_queries,
-            **asdict(delta),
+            **{f.name: getattr(delta, f.name) for f in fields(IOCounters)},
         )
 
     @property
@@ -239,9 +244,9 @@ class ShardRun:
     stats: TreeStats
     #: Digest of the shard tree's final logical state.
     fingerprint: str
-    #: Seconds this shard spent executing operations (trace generation and
-    #: routing excluded — those costs are the harness's, identical in shape
-    #: across shard counts, and not part of a worker's serving path).
+    #: Seconds this shard spent executing operations.  Trace generation,
+    #: routing and partitioning are excluded: the fleet runner does them once
+    #: per call, outside every task, and they are no worker's serving path.
     elapsed_s: float
 
 
@@ -320,8 +325,8 @@ class WorkloadExecutor:
         self.key_space = KeySpace.build(system.num_entries, seed=self.config.seed)
 
     def __reduce__(self):
-        # A pool task ships ``(system, config)``, and the worker rebuilds the
-        # key space from the same seed (see :func:`_map_tasks`).
+        # A pool task ships ``(system, config)`` beside its traces and keys; the
+        # worker rebuilds the key space from the same seed (see :func:`_map_tasks`).
         return type(self), (self.system, self.config)
 
     # ------------------------------------------------------------------
@@ -390,8 +395,8 @@ class WorkloadExecutor:
     def trace_generator(self) -> TraceGenerator:
         """A fresh, deterministically seeded trace generator.
 
-        Every measurement path builds its own from the executor's config, so
-        sequential, parallel and adaptive runs replay bit-identical traces.
+        Built from the executor's config, so every call of :meth:`stream`
+        (sequential, parallel or adaptive) yields bit-identical traces.
         """
         return TraceGenerator(
             key_space=self.key_space,
@@ -400,10 +405,21 @@ class WorkloadExecutor:
             seed=self.config.seed,
         )
 
+    def stream(self, sequence: SessionSequence) -> Iterator[Trace]:
+        """The global query stream of ``sequence``: one trace per workload of
+        every session, in order, each generated only when it is asked for."""
+        generator = self.trace_generator()
+        for session in sequence:
+            for workload in session.workloads:
+                yield generator.operations(workload, self.config.queries_per_workload)
+
     def run_shard(
         self,
         tuning: LSMTuning,
         sequence: SessionSequence,
+        traces: Iterable[Trace],
+        averages: Sequence[Workload],
+        keys: np.ndarray | None = None,
         shard: int = 0,
         adaptive: bool = False,
         online=None,
@@ -413,10 +429,13 @@ class WorkloadExecutor:
         dispose it: shard ``shard`` of the configured fleet, and the one pool
         task behind every sequence entry point.
 
-        On several shards the tree loads the shard's hash partition of the key
-        space and serves each generated trace masked down to the operations
-        routed to it (operations keep their global stream positions); a
-        1-shard fleet loads the whole key space and serves the whole stream.
+        The task makes no stream of its own.  ``traces`` holds one trace per
+        workload of ``sequence``, in order — the shard's routed sub-streams
+        (operations keep their global stream positions), or the whole stream
+        on a single tree — and is read one trace at a time, so a generator
+        keeps a single trace alive.  ``averages`` holds each session's average
+        workload.  The tree loads ``keys``, the shard's hash partition of the
+        key space, or the whole key space when ``keys`` is ``None``.
 
         With ``adaptive`` the operations flow through an
         :class:`~repro.online.controller.OnlineLSMController`: it watches the
@@ -427,20 +446,12 @@ class WorkloadExecutor:
         :class:`~repro.online.controller.OnlineConfig` (defaults when
         omitted) and ``policies`` bounds what re-tunings may deploy.
         """
-        num_shards = self.config.num_shards
-        keys, route = None, None
-        if num_shards > 1:
-            # Imported here: the serving package builds on this module.
-            from ..serving.sharding import partition_keys, shard_operations
-
-            keys = partition_keys(self.key_space.existing, num_shards)[shard]
-            route = partial(shard_operations, shard=shard, num_shards=num_shards)
+        traces = iter(traces)
         tree = self.build_tree(tuning, keys=keys, shard=shard)
         # A migration swaps the live tree for a successor on the same disk,
         # so this one disk sees every page of the run.
         initial_tuning, disk = tree.tuning, tree.disk
         controller = None
-        generator = self.trace_generator()
         try:
             if adaptive:
                 # Imported here so the storage layer stays loadable without
@@ -458,23 +469,21 @@ class WorkloadExecutor:
                 replay = partial(execute_operations_batched, tree)
             elapsed = 0.0
             sessions = []
-            for session in sequence:
+            for session, average in zip(sequence, averages, strict=True):
                 # Everything that hits the disk between the snapshots
                 # (queries, flushes, compactions, migrations) is the session's.
                 before = disk.snapshot()
                 num_queries = 0
-                for workload in session.workloads:
-                    trace = generator.operations(
-                        workload, self.config.queries_per_workload
-                    )
-                    if route is not None:
-                        trace = route(trace)
+                for _ in session.workloads:
+                    trace = next(traces)
                     num_queries += len(trace)
                     start = time.perf_counter()
                     replay(trace)
                     elapsed += time.perf_counter() - start
                 sessions.append(
-                    SessionMeasurement.of(session, num_queries, disk.counters.delta(before))
+                    SessionMeasurement.of(
+                        session.label, average, num_queries, disk.counters.delta(before)
+                    )
                 )
                 if controller is not None:
                     # The gap between sessions is a serving lull: under
@@ -530,15 +539,37 @@ class WorkloadExecutor:
     ) -> list[SequenceMeasurement]:
         """One fleet per tuning; every tuning x shard task shares one pool.
 
+        The call's inputs are made once, and every task reads them: each
+        session's average workload, each global trace, one routing pass per
+        trace (:func:`~repro.serving.sharding.route_operations`) and one
+        partition of the key space.  All tunings replay the same stream.  With
+        more than one task the traces are materialised; a 1-task fleet is fed
+        the lazy :meth:`stream`, one trace alive at a time.
+
         A 1-shard fleet's measurement is its one run's.  A larger fleet's
         sessions sum the shards' counters, and count the *global* stream's
         queries (a range scan once, not once per shard it fanned out to), so
         the merged amortisation matches a single tree's definition exactly.
         """
         num_shards = self.config.num_shards
+        averages = [session.average for session in sequence]
+        stream = self.stream(sequence)
+        if num_shards > 1:
+            # Imported here: the serving package builds on this module.
+            from ..serving.sharding import partition_keys, route_operations
+
+            keys = partition_keys(self.key_space.existing, num_shards)
+            routed = [route_operations(trace, num_shards) for trace in stream]
+            streams = [[parts[shard] for parts in routed] for shard in range(num_shards)]
+        else:
+            keys = [None]
+            streams = [stream if len(tunings) == 1 else list(stream)]
         runs = _map_tasks(
             [
-                partial(self.run_shard, tuning, sequence, shard, **run_options)
+                partial(
+                    self.run_shard, tuning, sequence, streams[shard], averages,
+                    keys=keys[shard], shard=shard, **run_options,
+                )
                 for tuning in tunings
                 for shard in range(num_shards)
             ],
@@ -561,7 +592,9 @@ class WorkloadExecutor:
                     }
                 )
                 num_queries = self.config.queries_per_workload * len(session.workloads)
-                merged.append(SessionMeasurement.of(session, num_queries, delta))
+                merged.append(
+                    SessionMeasurement.of(session.label, averages[row], num_queries, delta)
+                )
             fleets.append(
                 SequenceMeasurement(tuning=tuning, sessions=tuple(merged), shards=fleet)
             )
@@ -621,10 +654,11 @@ def _map_tasks(
     """Call every task, results in task order: the one process pool.
 
     With ``parallel`` the tasks run on at most ``processes`` workers (default:
-    the CPU count).  A task is a bound :meth:`WorkloadExecutor.run_shard`,
-    whose executor pickles as ``(system, config)`` and rebuilds in the worker
-    instead of shipping the parent's key space: key space and traces come
-    from the same seeds, so pooled runs are bit-identical to sequential ones.
+    the CPU count).  A task is a bound :meth:`WorkloadExecutor.run_shard`
+    carrying the traces it replays (routed, on several shards) and its
+    shard's keys, so a worker generates and routes nothing.  Its executor
+    pickles as ``(system, config)`` and rebuilds in the worker, the key space
+    from the same seed, so pooled runs are bit-identical to sequential ones.
     Each worker's persistent tree gets its own ``mkdtemp``-fresh ``tree-*``
     directory (collision-free even under a shared ``data_dir``) and ``run_shard`` disposes it in ``try/finally``, so
     the first failing task re-raises here without orphaning directories.  A

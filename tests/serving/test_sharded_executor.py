@@ -21,8 +21,14 @@ from repro.storage import (
     WorkloadExecutor,
 )
 from repro.storage.executor import fleet_percentiles, tree_fingerprint
-from repro.storage.lsm_tree import execute_operation
-from repro.workloads import KeySpace, SessionGenerator, UncertaintyBenchmark, Workload
+from repro.storage.lsm_tree import execute_operation, execute_operations_batched
+from repro.workloads import (
+    KeySpace,
+    SessionGenerator,
+    TraceGenerator,
+    UncertaintyBenchmark,
+    Workload,
+)
 
 _SYSTEM = simulator_system(num_entries=4_000)
 _TUNING = LSMTuning(size_ratio=5.0, bits_per_entry=5.0, policy=Policy.LEVELING)
@@ -46,13 +52,21 @@ def _config(**kwargs) -> ExecutorConfig:
     return ExecutorConfig(**base)
 
 
+def _bare_run(executor, sequence, **options):
+    """One ``run_shard`` of ``_TUNING`` fed the executor's lazy stream."""
+    averages = [session.average for session in sequence]
+    return executor.run_shard(
+        _TUNING, sequence, executor.stream(sequence), averages, **options
+    )
+
+
 class TestSingleShardBitIdentity:
     """num_shards=1 must be a bare ``run_shard`` byte for byte: no key
     partition, no route, no merge."""
 
     def test_static_sessions_match_a_bare_run(self, sequence):
         executor = WorkloadExecutor(_SYSTEM, _config())
-        base = executor.run_shard(_TUNING, sequence).measurement
+        base = _bare_run(executor, sequence).measurement
         one = executor.run_sequence(_TUNING, sequence)
         assert one.num_shards == len(one.shards) == 1
         assert one.sessions == base.sessions
@@ -84,9 +98,7 @@ class TestSingleShardBitIdentity:
     def test_adaptive_run_matches_a_bare_run(self, sequence, admission):
         online = replace(_ONLINE, admission=admission)
         executor = WorkloadExecutor(_SYSTEM, _config())
-        base = executor.run_shard(
-            _TUNING, sequence, adaptive=True, online=online
-        ).measurement
+        base = _bare_run(executor, sequence, adaptive=True, online=online).measurement
         one = executor.run_sequence_adaptive(_TUNING, sequence, online=online)
         shard = one.shards[0].measurement
         assert shard.sessions == base.sessions
@@ -100,14 +112,14 @@ class TestOneRunner:
 
     def test_run_sequence_is_shard_zero_of_one(self, sequence):
         executor = WorkloadExecutor(_SYSTEM, _config())
-        run = executor.run_shard(_TUNING, sequence)
+        run = _bare_run(executor, sequence)
         assert run.shard == 0
         assert type(run.measurement) is SequenceMeasurement
         assert executor.run_sequence(_TUNING, sequence) == run.measurement
 
     def test_run_sequence_adaptive_is_the_adaptive_shard(self, sequence):
         executor = WorkloadExecutor(_SYSTEM, _config())
-        run = executor.run_shard(_TUNING, sequence, adaptive=True, online=_ONLINE)
+        run = _bare_run(executor, sequence, adaptive=True, online=_ONLINE)
         measured = executor.run_sequence_adaptive(_TUNING, sequence, online=_ONLINE)
         assert isinstance(measured, AdaptiveSequenceMeasurement)
         assert measured.events  # the comparison below is not vacuous
@@ -133,7 +145,7 @@ class TestOneRunner:
         assert sum(s.query_reads for s in fleet.sessions) > 0
         assert sum(s.flush_writes for s in fleet.sessions) > 0
         if num_shards == 1:
-            base = executor.run_shard(_TUNING, sequence).measurement
+            base = _bare_run(executor, sequence).measurement
             assert fleet.sessions == base.sessions
 
 
@@ -230,18 +242,22 @@ class TestShardedRuns:
             assert a.measurement == b.measurement
             assert a.fingerprint == b.fingerprint
 
-    def test_parallel_compare_matches_sequential_on_one_pool(self, sequence):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_parallel_compare_matches_sequential_on_one_pool(self, sequence, num_shards):
         """Every tuning x shard task shares one pool; results come back in
-        task order, so each tuning gets its own shards."""
+        task order, so each tuning gets its own shards.  Tasks carry the
+        call's traces: routed on two shards, whole on one (the figure rows'
+        shape)."""
         tunings = {
             "nominal": _TUNING,
             "robust": LSMTuning(8.0, 6.0, Policy.TIERING),
         }
-        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=2))
+        executor = WorkloadExecutor(_SYSTEM, _config(num_shards=num_shards))
         sequential = executor.compare(tunings, sequence)
         pooled = executor.compare(tunings, sequence, parallel=True, processes=2)
         assert list(pooled) == list(sequential) == list(tunings)
         for name in tunings:
+            assert len(pooled[name].shards) == num_shards
             assert pooled[name].tuning == sequential[name].tuning == tunings[name]
             assert pooled[name].sessions == sequential[name].sessions
             for a, b in zip(pooled[name].shards, sequential[name].shards, strict=True):
@@ -261,6 +277,68 @@ class TestShardedRuns:
         per_shard = [run.elapsed_s for run in measurement.shards]
         assert measurement.critical_path_s == max(per_shard)
         assert measurement.total_cpu_s == pytest.approx(sum(per_shard))
+
+
+class TestOneStreamPerCall:
+    """The query stream belongs to the call: generated, routed and
+    partitioned once, whatever the number of tuning x shard tasks."""
+
+    @pytest.fixture(scope="class")
+    def two_per_session(self):
+        generator = SessionGenerator(UncertaintyBenchmark(size=200, seed=13), seed=13)
+        return generator.paper_sequence(_EXPECTED, workloads_per_session=2)
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_a_fleet_compare_makes_its_stream_once(self, two_per_session, monkeypatch):
+        """2 tunings x 4 shards: one trace per workload of the sequence, one
+        partition, and one ``shard_ids`` pass per trace plus the partition's."""
+        num_workloads = sum(len(session.workloads) for session in two_per_session)
+        assert num_workloads > len(two_per_session)
+        generated = self._count(monkeypatch, TraceGenerator, "operations")
+        partitioned = self._count(monkeypatch, sharding, "partition_keys")
+        mixed = self._count(monkeypatch, sharding, "shard_ids")
+        tunings = {"nominal": _TUNING, "robust": LSMTuning(8.0, 6.0, Policy.TIERING)}
+        compared = WorkloadExecutor(_SYSTEM, _config(num_shards=4)).compare(
+            tunings, two_per_session
+        )
+        assert [len(compared[name].shards) for name in tunings] == [4, 4]
+        assert len(generated) == num_workloads
+        assert len(partitioned) == 1
+        assert len(mixed) == num_workloads + 1
+
+    def test_one_task_generates_each_trace_after_replaying_the_last(
+        self, two_per_session, monkeypatch
+    ):
+        """A 1-task fleet is fed lazily: one trace alive at a time."""
+        events = []
+        generate = TraceGenerator.operations
+
+        def generating(self, workload, num_operations):
+            events.append("generate")
+            return generate(self, workload, num_operations)
+
+        def replaying(tree, trace, *args, **kwargs):
+            events.append("replay")
+            return execute_operations_batched(tree, trace, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "operations", generating)
+        monkeypatch.setattr(
+            "repro.storage.executor.execute_operations_batched", replaying
+        )
+        WorkloadExecutor(_SYSTEM, _config()).run_sequence(_TUNING, two_per_session)
+        num_workloads = sum(len(session.workloads) for session in two_per_session)
+        assert events == ["generate", "replay"] * num_workloads
 
 
 class TestPersistentSharding:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.serving.sharding import (
     partition_keys,
+    route_operations,
     shard_ids,
     shard_of_key,
     shard_operations,
@@ -103,6 +104,15 @@ class TestShardOperations:
                     or shard_of_key(op.key, num_shards) == shard
                 ]
                 assert list(shard_operations(Trace.of(ops), shard, num_shards)) == by_row
+
+    def test_one_routing_pass_equals_every_shards_mask(self):
+        """``route_operations`` is ``shard_operations`` for every shard at once."""
+        trace = Trace.of(_ops())
+        for num_shards in (1, 2, 3, 5):
+            routed = route_operations(trace, num_shards)
+            assert routed == [
+                shard_operations(trace, shard, num_shards) for shard in range(num_shards)
+            ]
 
     def test_stream_order_is_preserved(self):
         ops = _ops()

@@ -47,7 +47,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
@@ -234,6 +234,11 @@ def _replay_loop(engine, ops, max_batch_ops: int = 4_096) -> None:
 _RANGE_CUTOFFS = [2, RANGE_SPAN_CUTOFF]
 _WINDOW_CUTOFFS = [2, WIDE_WINDOW_OPS]
 
+#: The parity cases skip shrinking: a real loop bug fails dozens of them, and
+#: shrinking each for minutes makes a failing run look hung.  The unshrunk
+#: example is printed, and ``.hypothesis/`` replays it.
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 
 _MAX_KEY = 2**63 - 1
 
@@ -318,7 +323,7 @@ class TestLoopMatchesScalarReference:
         range_cutoff=st.sampled_from(_RANGE_CUTOFFS),
         window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=_NO_SHRINK)
     def test_simulated_tree(
         self, tuning, ops, max_batch_ops, delete_seed, range_cutoff, window_cutoff
     ):
@@ -344,7 +349,7 @@ class TestLoopMatchesScalarReference:
         max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
         window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
     def test_persistent_tree(self, ops, max_batch_ops, window_cutoff):
         with tempfile.TemporaryDirectory() as root:
             trees = []
@@ -373,7 +378,7 @@ class TestLoopMatchesScalarReference:
         max_batch_ops=st.sampled_from(_BATCH_BOUNDS),
         window_cutoff=st.sampled_from(_WINDOW_CUTOFFS),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=_NO_SHRINK)
     def test_migration_plan_paused_mid_flight(self, ops, max_batch_ops, window_cutoff):
         scalar, batched = (_RunSideAnswers(_mid_flight_plan()[0]) for _ in range(2))
 

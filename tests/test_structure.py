@@ -35,6 +35,7 @@ LSM_TREE = "src/repro/storage/lsm_tree.py"
 SSTABLE = "src/repro/storage/persistent/sstable.py"
 STORE = "src/repro/storage/persistent/store.py"
 BLOOM = "src/repro/storage/bloom_filter.py"
+EXECUTOR = "src/repro/storage/executor.py"
 # The one text that is not a file: the names in ``sys.modules`` after
 # ``import repro.cli``, one per line.
 IMPORTED = "<sys.modules after import repro.cli>"
@@ -220,6 +221,13 @@ RULES = (
          "        os.replace(tmp, self._manifest_path)", "== 1"),
     Rule("no-wal-record-count", "src/repro/storage/persistent/wal.py", r"def num_records\b", 48,
          "    def num_records(self) -> int:"),
+    # The fleet runner makes a call's stream once; a task replays what it is
+    # handed, and the executor has one generator for it.
+    Rule("run-shard-makes-no-stream", EXECUTOR,
+         r"trace_generator\(|partition_keys\(|shard_operations\(", 49,
+         "        generator = self.trace_generator()", scope=("WorkloadExecutor.run_shard",)),
+    Rule("one-stream-source", EXECUTOR, r"self\.trace_generator\(\)", 49,
+         "        generator = self.trace_generator()", "== 1"),
 )
 
 

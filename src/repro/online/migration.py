@@ -6,10 +6,10 @@ spike proportional to the database size, concentrated in whichever session
 the drift detector happened to fire in.  A :class:`MigrationPlan` replaces
 that with a sequence of bounded steps:
 
-1. the plan derives its checkpoint from the *source* tree itself: the live
-   keys of its buffer and runs, consolidated newest first with tombstones
-   resolved, exactly like a full compaction, and read without charging a
-   page.  The *target* tree's bulk-load placements are computed for it via
+1. the plan derives its checkpoint from the *source* tree itself: the keys
+   of its buffer and runs, each once, exactly like a full compaction, and
+   read without charging a page.  The *target* tree's bulk-load placements
+   are computed for it via
    :meth:`~repro.storage.lsm_tree.LSMTree.plan_bulk_load` — the same
    placements a fresh bulk load would install, so the finished migration is
    byte-identical to rebuilding from scratch;
@@ -21,8 +21,8 @@ that with a sequence of bounded steps:
    the step completing a run installs it into the target;
 3. between steps the pair serves the live stream in a *mixed state*: writes
    land in the target (it survives the migration), point and range reads
-   consult the target first and fall back to the frozen source, with the
-   target's tombstones shadowing the source snapshot;
+   consult the target first and fall back to the frozen source — a key the
+   target holds shadows the source's copy;
 4. the final step verifies the **checkpoint-equality invariant** — the
    migrated placements, re-assembled, must equal the checkpoint snapshot
    key-for-key — and raises :class:`MigrationInvariantError` otherwise, so a
@@ -49,20 +49,16 @@ class MigrationInvariantError(RuntimeError):
 
 
 def _live_keys(tree: LSMTree) -> np.ndarray:
-    """All live keys of ``tree`` (memtable + runs), tombstones resolved.
+    """All keys of ``tree`` (memtable + runs), each once and sorted.
 
-    Versions are consolidated newest first exactly like a full compaction
-    (via :func:`~repro.storage.run.consolidate_versions`): a tombstone in a
-    recent run *shadows* older live versions of its key in deeper runs, so
-    deleted keys are not resurrected by the rebuild.  ``levels`` runs shallow
-    to deep with each level's runs most recent first, the recency order
-    consolidation expects; run contents are read through ``entries()``,
-    which a run answers wherever its store keeps it.
+    Versions are consolidated exactly like a full compaction (via
+    :func:`~repro.storage.run.consolidate_versions`), so an updated key is
+    migrated once; run contents are read through ``keys``, which a run
+    answers wherever its store keeps it.
     """
     parts = [tree.memtable.sorted_items()]
-    parts += [run.entries() for runs in tree.levels for run in runs]
-    keys, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
-    return keys.copy()
+    parts += [run.keys for runs in tree.levels for run in runs]
+    return consolidate_versions(parts).copy()
 
 
 @dataclass(frozen=True)
@@ -123,12 +119,9 @@ class MigrationPlan(BufferFirstReads):
         self.steps = self._cut_steps(bulk_plan, max_step_pages)
         self._cursor = 0
         self._installed_runs = 0
-        #: Keys written/deleted through the mixed state; a leftover checkpoint
-        #: key that was overwritten mid-migration must not be replayed over
-        #: the newer version at finalisation.
+        #: Keys written through the mixed state; a checkpoint copy of one is
+        #: obsolete, neither installed nor re-homed at finalisation.
         self._dirty_keys: set[int] = set()
-        source.preserve_tombstones = True
-        target.preserve_tombstones = True
 
     # ------------------------------------------------------------------
     # Planning
@@ -180,23 +173,10 @@ class MigrationPlan(BufferFirstReads):
                 start = stop
                 if start >= piece.size:
                     break
-        if total_entries == 0 and total_read > 0 and steps:
-            # A checkpoint with no placeable entries still reads the source.
-            last = steps[-1]
-            steps[-1] = MigrationStep(
-                index=last.index,
-                level=last.level,
-                start=last.start,
-                stop=last.stop,
-                read_pages=total_read,
-                write_pages=last.write_pages,
-                installs_run=last.installs_run,
-            )
         if not steps:
-            # An empty checkpoint (every key deleted) still needs one step:
-            # it charges the read of the source's resident (tombstone) pages
-            # and, crucially, drives the plan through finalisation — which
-            # releases the tombstone hold and checks the invariant.
+            # An empty checkpoint (a never-loaded source) still needs one
+            # step: it drives the plan through finalisation, which checks the
+            # invariant.
             steps.append(
                 MigrationStep(
                     index=0,
@@ -245,7 +225,7 @@ class MigrationPlan(BufferFirstReads):
         """Execute the next step, charging its I/O; ``None`` when done.
 
         The final step verifies the checkpoint-equality invariant and
-        releases the target's tombstone hold.
+        re-homes the leftover keys.
         """
         if self.completed:
             return None
@@ -272,15 +252,13 @@ class MigrationPlan(BufferFirstReads):
         return executed
 
     def _without_dirty(self, piece: np.ndarray) -> np.ndarray:
-        """Drop checkpoint keys the mixed state has since overwritten.
+        """Drop checkpoint keys the mixed state has since written.
 
-        A key written (or deleted) during the migration has its newest
-        version somewhere in the target already — possibly *deeper* than
-        this placement's level, if the target's own compactions cascaded it
-        down.  Installing the stale checkpoint copy above that version would
-        shadow it (``lookup_entry`` stops at the shallowest hit), serving
-        stale reads or resurrecting deleted keys; the obsolete copy is
-        dropped instead, exactly as the next compaction would have.
+        A key written during the migration is in the target already —
+        possibly *deeper* than this placement's level, if the target's own
+        compactions cascaded it down.  Installing the checkpoint copy too
+        would hold the key twice, one copy obsolete; it is dropped instead,
+        exactly as the next compaction would have.
         """
         if not self._dirty_keys:
             return piece
@@ -311,10 +289,8 @@ class MigrationPlan(BufferFirstReads):
         # which could flush and move counters.
         for key in self._leftover.tolist():
             if key not in self._dirty_keys:
-                self.target.store.log(key, False)
+                self.target.store.log(key)
                 self.target.memtable.put(key)
-        self.target.preserve_tombstones = False
-        self.source.preserve_tombstones = False
 
     # ------------------------------------------------------------------
     # Mixed-state serving
@@ -323,11 +299,6 @@ class MigrationPlan(BufferFirstReads):
         """Insert or update ``key``; lands in the surviving (target) tree."""
         self._dirty_keys.add(int(key))
         self.target.put(key)
-
-    def delete(self, key: int) -> None:
-        """Delete ``key``; the target's tombstone shadows the source copy."""
-        self._dirty_keys.add(int(key))
-        self.target.delete(key)
 
     # ``get`` & co. are :class:`BufferFirstReads`' over this buffer and these probes.
     @property
@@ -339,36 +310,30 @@ class MigrationPlan(BufferFirstReads):
         """Puts that certainly cannot flush the target."""
         return self.target.write_room()
 
-    def probe_runs(self, key: int) -> tuple[bool, bool]:
-        """Newest version past the buffer: the target's runs, then the source.
+    def probe_runs(self, key: int) -> bool:
+        """Whether a run past the buffer holds ``key``: the target's, then the source.
 
         The target holds everything written since the plan started plus the
-        already-migrated placements, so its verdict (live *or* deleted) is
-        authoritative; only a key the target has never seen falls back to the
+        already-migrated placements, so a key it holds shadows the source's
+        copy; only a key the target has never seen is looked up in the
         frozen source snapshot.
         """
-        found, tombstone = self.target.probe_runs(key)
-        return (True, tombstone) if found else self.source.lookup_entry(key)
+        return self.target.probe_runs(key) or self.source.get(key)
 
-    def probe_runs_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def probe_runs_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`probe_runs`, each side charging exactly the pages
         the per-key scalar path would have."""
-        found, tombstone = self.target.probe_runs_many(keys)
+        found = self.target.probe_runs_many(keys)
         unseen = np.flatnonzero(~found)
         if unseen.size:
-            found[unseen], tombstone[unseen] = self.source.lookup_entries(keys[unseen])
-        return found, tombstone
+            found[unseen] = self.source.get_many(keys[unseen])
+        return found
 
-    def scan_runs(
-        self, start_key: int, end_key: int, buffered: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Versions past the buffer: the target's runs under ``buffered``, then
-        the frozen source (each side charging its own pages).  Any version the
-        target holds — live or tombstone — shadows the source's copy of the key.
-        """
+    def scan_runs(self, start_key: int, end_key: int, buffered: np.ndarray) -> np.ndarray:
+        """Keys past the buffer: the target's runs with ``buffered``, then the
+        frozen source (each side charging its own pages), each key once."""
         target = self.target.scan_runs(start_key, end_key, buffered)
-        source = self.source.scan_versions(start_key, end_key)
-        return consolidate_versions(*zip(target, source))
+        return consolidate_versions([target, self.source.scan_versions(start_key, end_key)])
 
     def charge_range(self, start_key: int, end_key: int) -> None:
         """The pages :meth:`scan_runs` charges: the target's runs, then the source's."""

@@ -212,21 +212,19 @@ class AdaptiveSequenceMeasurement(SequenceMeasurement):
 def tree_fingerprint(tree: LSMTree) -> str:
     """Deterministic digest of a tree's logical state (runs + memtable).
 
-    Run contents are read through ``entries()``, so trees holding the same
-    data fingerprint alike whichever run store they are on.
+    Run contents are read through ``keys``, so trees holding the same data
+    fingerprint alike whichever run store they are on.
     Used to pin that two execution paths left a tree in identical state.
     """
     digest = hashlib.sha256()
     for level_index, runs in enumerate(tree.levels):
         for run in runs:
-            keys, tombstones = run.entries()
+            keys = run.keys
             digest.update(f"L{level_index}:{keys.size};".encode())
             digest.update(np.ascontiguousarray(keys, dtype=np.int64).tobytes())
-            digest.update(np.ascontiguousarray(tombstones, dtype=bool).tobytes())
-    buffered_keys, buffered_tombstones = tree.memtable.sorted_items()
-    digest.update(f"M:{buffered_keys.size};".encode())
-    digest.update(np.ascontiguousarray(buffered_keys, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(buffered_tombstones, dtype=bool).tobytes())
+    buffered = tree.memtable.sorted_items()
+    digest.update(f"M:{buffered.size};".encode())
+    digest.update(buffered.tobytes())
     return digest.hexdigest()
 
 
@@ -500,9 +498,8 @@ class WorkloadExecutor:
                 # now, as an operator would during quiescence: the trailing
                 # steps land on the shared disk (after the last session's
                 # window — per-session metrics keep their in-stream shape) so
-                # the events' page totals are fully charged, ``final_tuning``
-                # reports the tuning actually reached, and the target's
-                # tombstone hold is released.
+                # the events' page totals are fully charged and
+                # ``final_tuning`` reports the tuning actually reached.
                 controller.finish_migration()
                 tree = controller.tree
                 measurement = AdaptiveSequenceMeasurement(

@@ -31,7 +31,10 @@ evaluation (§8).  It implements the structure the analytical model assumes:
 
 Values are not materialised — every entry has the fixed size configured in
 the :class:`~repro.lsm.system.SystemConfig` — because the experiments only
-measure page I/O counts, never value contents.
+measure page I/O counts, never value contents.  Nor are deletes: the paper's
+workload (empty and non-empty point reads, range reads, writes) issues none,
+so an entry is its key.  An update still leaves an obsolete version of its
+key in an older run until a merge consolidates the two.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ def classify_window(engine, trace: Trace, start: int, end: int):
 
     No put of the window can flush, so the buffer a GET meets at its row is
     the buffer at the window's start plus the keys the window put at earlier
-    rows: a GET is buffered iff :meth:`Memtable.lookup_many` finds its key
-    (tombstones included), or a stable sort of the window's put keys shows
+    rows: a GET is buffered iff :meth:`Memtable.lookup_many` finds its key,
+    or a stable sort of the window's put keys shows
     that key's first put at an earlier row.  The puts then run in stream
     order through ``engine.put``.  Returns the window's run side: the
     unbuffered GET keys, and every RANGE's ``(starts, ends)`` columns with
@@ -190,7 +193,7 @@ def classify_window(engine, trace: Trace, start: int, end: int):
     kinds, keys = trace.kinds[start:end], trace.keys[start:end]
     get_rows = np.flatnonzero(kinds < _RANGE)
     get_keys = keys[get_rows]
-    buffered = engine.memtable.lookup_many(get_keys)[0]
+    buffered = engine.memtable.lookup_many(get_keys)
     put_rows = np.flatnonzero(kinds == _PUT)
     put_keys = keys[put_rows]
     if put_keys.size and get_keys.size:
@@ -245,8 +248,8 @@ def execute_operations_batched(
     """Replay a trace against an engine, batching reads between flushes.
 
     The one loop that walks a trace.  Every PUT executes at its stream
-    position, and so does the buffer's half of every GET: a buffered version,
-    live or tombstone, answers with no I/O.  The *run side* — the unanswered
+    position, and so does the buffer's half of every GET: a buffered key
+    answers with no I/O.  The *run side* — the unanswered
     GET keys, and every RANGE's ``(start, end)`` — joins two pending queues
     (each capped at ``max_batch_ops``) that are issued when the run set is
     about to change: before a put that may fill the buffer, and when the
@@ -385,15 +388,12 @@ class _PendingRun:
     with (a trivially moved run keeps the level it left).
     """
 
-    __slots__ = ("keys", "tombstones", "level", "num_entries", "num_pages")
+    __slots__ = ("keys", "level", "num_entries", "num_pages")
 
-    def __init__(self, keys, tombstones, level: int, entries_per_page: int) -> None:
-        self.keys, self.tombstones, self.level = keys, tombstones, level
+    def __init__(self, keys, level: int, entries_per_page: int) -> None:
+        self.keys, self.level = keys, level
         self.num_entries = int(keys.size)
         self.num_pages = -(-self.num_entries // entries_per_page)
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.keys, self.tombstones
 
 
 class _FlushPlan:
@@ -412,10 +412,10 @@ class _FlushPlan:
         self.entries_per_page = entries_per_page
         self.reads = self.writes = 0  # compaction pages
 
-    def pend(self, keys: np.ndarray, tombstones: np.ndarray, level: int) -> _PendingRun:
+    def pend(self, keys: np.ndarray, level: int) -> _PendingRun:
         """The next run id's entries, travelling; whatever it merged is consumed."""
         self.run_counter += 1
-        return _PendingRun(keys, tombstones, level, self.entries_per_page)
+        return _PendingRun(keys, level, self.entries_per_page)
 
 
 class BufferFirstReads:
@@ -427,71 +427,45 @@ class BufferFirstReads:
     """
 
     def get(self, key: int) -> bool:
-        """Point lookup; returns whether the key is live.
+        """Point lookup; returns whether the key is held.
 
         Probes the memtable first (no I/O), then every run from the smallest
         to the largest level, newest run first within a level, charging one
         page read for every run whose Bloom filter and fence pointers fail to
-        rule it out.
+        rule it out, until one holds the key.
         """
-        found, tombstone = self.lookup_entry(key)
-        return found and not tombstone
-
-    def lookup_entry(self, key: int) -> tuple[bool, bool]:
-        """Newest version of ``key``: ``(found, is_tombstone)``, charging I/O.
-
-        The three-state answer (missing / live / deleted) lets a caller
-        layering two trees — the online subsystem's mixed migration state —
-        distinguish "this tree never heard of the key" (fall through to the
-        older tree) from "this tree deleted it" (the deletion shadows any
-        older version).
-        """
-        present, tombstone = self.memtable.get(key)
-        if present:
-            return True, tombstone
-        return self.probe_runs(key)
+        return self.memtable.holds(key) or self.probe_runs(key)
 
     def get_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batched point lookups; returns a per-key liveness mask.
+        """Batched point lookups; returns a per-key mask of the keys held.
 
         The vectorised twin of :meth:`get`: the whole batch walks the levels
         *once*, so a span of reads pays one Python-level pass over the runs
         instead of one per key, while the disk sees exactly the page counts
         the scalar loop would have charged.
         """
-        found, tombstone = self.lookup_entries(keys)
-        return found & ~tombstone
-
-    def lookup_entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`lookup_entry`: per-key ``(found, is_tombstone)`` masks."""
         keys = np.asarray(keys, dtype=np.int64)
-        found, tombstone = self.memtable.lookup_many(keys)
+        found = self.memtable.lookup_many(keys)
         unbuffered = np.flatnonzero(~found)
         if unbuffered.size:
-            found[unbuffered], tombstone[unbuffered] = self.probe_runs_many(keys[unbuffered])
-        return found, tombstone
+            found[unbuffered] = self.probe_runs_many(keys[unbuffered])
+        return found
 
     def range_query(self, start_key: int, end_key: int) -> int:
-        """Range lookup; returns the number of live keys in the interval.
+        """Range lookup; returns the number of keys in the interval.
 
         Every overlapping run pays at least one page read (the seek) plus the
-        sequential pages covered by the interval; versions from all runs are
-        consolidated newest-first, so an obsolete version — or a live version
-        shadowed by a more recent tombstone — is never counted.
+        sequential pages covered by the interval; the versions of all runs
+        are consolidated, so an obsolete version is never counted.
         """
-        return int(np.count_nonzero(~self.scan_versions(start_key, end_key)[1]))
+        return int(self.scan_versions(start_key, end_key).size)
 
-    def scan_versions(
-        self, start_key: int, end_key: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Newest surviving version of every key in ``[start_key, end_key]``.
+    def scan_versions(self, start_key: int, end_key: int) -> np.ndarray:
+        """Every key in ``[start_key, end_key]``, once and sorted.
 
-        Returns ``(keys, tombstones)`` sorted by key, charging the same page
-        reads as :meth:`range_query`.  Keys whose newest version is a
-        tombstone are *returned* (flagged), not dropped: a caller overlaying
-        this engine on an older snapshot needs the deletions to shadow it.
-        The buffer's versions inside the interval, then ``scan_runs`` under
-        them; when a single run answers, the arrays are read-only views of it.
+        Charges the same page reads as :meth:`range_query`: the buffer's keys
+        inside the interval, then ``scan_runs`` under them; when a single run
+        answers, the array is a read-only view of it.
         """
         return self.scan_runs(start_key, end_key, self.memtable.scan_items(start_key, end_key))
 
@@ -543,13 +517,9 @@ class LSMTree(BufferFirstReads):
         self.disk = disk if disk is not None else VirtualDisk()
         self._seed = seed
         self._run_counter = 0
-        #: While true, merges never drop tombstones — set by an in-flight
-        #: incremental migration, whose deeper (not yet installed) runs may
-        #: still hold live versions a premature drop would resurrect.
-        self.preserve_tombstones = False
         #: Benchmark knob: when False, arriving runs stack without merging —
         #: the classic "compaction off" regime of engine benchmarks.  Reads
-        #: stay correct (newest-wins consolidation is unconditional), only
+        #: stay correct (consolidation is unconditional), only
         #: the structure degrades.
         self.compaction_enabled = True
         self.store = store if store is not None else MemoryStore()
@@ -575,11 +545,8 @@ class LSMTree(BufferFirstReads):
             self.levels, self._run_counter, logged = recovered
             # Acknowledged writes no flush had persisted: replaying them
             # rebuilds the memtable the restart wiped out.
-            for key, tombstone in logged:
-                if tombstone:
-                    self.memtable.delete(key)
-                else:
-                    self.memtable.put(key)
+            for key in logged:
+                self.memtable.put(key)
 
     # ------------------------------------------------------------------
     # Structure helpers
@@ -601,11 +568,10 @@ class LSMTree(BufferFirstReads):
             return 0.0
         return float(self._bits_per_level[index])
 
-    def _build_run(self, keys, tombstones, run_id: int, level: int) -> RunIndex:
+    def _build_run(self, keys, run_id: int, level: int) -> RunIndex:
         """Create run number ``run_id`` on the store, filtered as a run of ``level``."""
         return self.store.create_run(
             keys,
-            tombstones,
             run_id=run_id,
             entries_per_page=self.entries_per_page,
             bits_per_entry=self._bits_for_level(level),
@@ -622,15 +588,8 @@ class LSMTree(BufferFirstReads):
     # ------------------------------------------------------------------
     def put(self, key: int) -> None:
         """Insert or update a key; may trigger a flush and compactions."""
-        self._log(key, False)
+        self._log(key)
         self.memtable.put(key)
-        if self.memtable.is_full:
-            self.flush()
-
-    def delete(self, key: int) -> None:
-        """Delete a key by writing a tombstone."""
-        self._log(key, True)
-        self.memtable.delete(key)
         if self.memtable.is_full:
             self.flush()
 
@@ -650,9 +609,9 @@ class LSMTree(BufferFirstReads):
         if self.memtable.is_empty:
             return
         plan = _FlushPlan(self.levels, self._run_counter, self.entries_per_page)
-        arrival = plan.pend(*self.memtable.sorted_items(), level=1)
+        arrival = plan.pend(self.memtable.sorted_items(), level=1)
         rest = self._cascade(plan, [arrival], 1)
-        rest[0] = self._build_run(*rest[0].entries(), plan.run_counter, rest[0].level)
+        rest[0] = self._build_run(rest[0].keys, plan.run_counter, rest[0].level)
         self.levels[:] = plan.levels
         self._run_counter = plan.run_counter
         self.disk.write_pages(arrival.num_pages, flush=True)
@@ -663,21 +622,9 @@ class LSMTree(BufferFirstReads):
         self.store.commit(self.levels, self._run_counter, buffered=())
 
     def _merge_runs(self, plan: _FlushPlan, runs: list, target_level: int) -> _PendingRun:
-        """Sort-merge runs' entries, adding the compaction I/O to the plan.
-
-        Tombstones go only when nothing older survives the merge: no deeper
-        run, and no run the target level keeps beside it (stacked levels do).
-        """
+        """Sort-merge runs' keys, adding the compaction I/O to the plan."""
         plan.reads += sum(r.num_pages for r in runs)
-        # ``in`` on runs is identity: neither kind of run defines ``==``.
-        nothing_older = not any(plan.levels[target_level:]) and all(
-            run in runs for run in plan.levels[target_level - 1]
-        )
-        keys, tombstones = consolidate_versions(
-            *zip(*(run.entries() for run in runs)),
-            drop_tombstones=nothing_older and not self.preserve_tombstones,
-        )
-        merged = plan.pend(keys, tombstones, target_level)
+        merged = plan.pend(consolidate_versions([run.keys for run in runs]), target_level)
         plan.writes += merged.num_pages
         return merged
 
@@ -726,19 +673,19 @@ class LSMTree(BufferFirstReads):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def probe_runs(self, key: int) -> tuple[bool, bool]:
-        """:meth:`lookup_entry` past the buffer: the disk levels' newest version."""
+    def probe_runs(self, key: int) -> bool:
+        """:meth:`get` past the buffer: whether a disk level holds the key."""
         for runs in self.levels:
             for run in runs:
-                found, tombstone, pages = run.lookup(key)
+                found, pages = run.lookup(key)
                 if pages:
                     self.disk.read_pages(pages)
                 if found:
-                    return True, tombstone
-        return False, False
+                    return True
+        return False
 
-    def probe_runs_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`probe_runs`: per-key ``(found, is_tombstone)`` masks.
+    def probe_runs_many(self, keys: np.ndarray) -> np.ndarray:
+        """Batched :meth:`probe_runs`: a per-key mask of the keys held.
 
         Probes every run from the smallest to the largest level, newest run
         first within a level, carrying an *unresolved* index: a key stops
@@ -749,49 +696,37 @@ class LSMTree(BufferFirstReads):
         counts are per probe, not per unique page).
         """
         found = np.zeros(keys.size, dtype=bool)
-        tombstone = np.zeros(keys.size, dtype=bool)
         # Indices of keys no probe has answered yet; shrinks as runs hit.
         pending = np.arange(keys.size)
         for runs in self.levels:
             for run in runs:
                 if pending.size == 0:
-                    return found, tombstone
-                run_found, run_tombstone, pages = run.lookup_many(keys[pending])
+                    return found
+                run_found, pages = run.lookup_many(keys[pending])
                 if pages:
                     self.disk.read_pages(pages)
                 if run_found.any():
-                    hits = pending[run_found]
-                    found[hits] = True
-                    tombstone[hits] = run_tombstone[run_found]
+                    found[pending[run_found]] = True
                     pending = pending[~run_found]
-        return found, tombstone
+        return found
 
-    def scan_runs(
-        self, start_key: int, end_key: int, buffered: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`scan_versions` past the buffer, whose part is ``buffered``.
+    def scan_runs(self, start_key: int, end_key: int, buffered: np.ndarray) -> np.ndarray:
+        """:meth:`scan_versions` past the buffer, whose keys are ``buffered``.
 
         The one scalar walk of the levels for ranges: every run is scanned and
-        charged, the parts consolidated under ``buffered`` — the newest part.
+        charged, and its keys consolidated with ``buffered``.
         """
-        key_parts: list[np.ndarray] = []
-        tombstone_parts: list[np.ndarray] = []
-        keys, tombstones = buffered
-        if keys.size:
-            key_parts.append(keys)
-            tombstone_parts.append(tombstones)
+        key_parts = [buffered] if buffered.size else []
         total_pages = 0
         for runs in self.levels:
             for run in runs:
-                keys, tombstones, pages = run.scan_entries(start_key, end_key)
+                keys, pages = run.scan_entries(start_key, end_key)
                 total_pages += pages
                 if keys.size:
                     key_parts.append(keys)
-                    tombstone_parts.append(tombstones)
         if total_pages:
             self.disk.read_pages(total_pages)
-        # Parts were collected newest-first; keep the most recent version.
-        return consolidate_versions(key_parts, tombstone_parts)
+        return consolidate_versions(key_parts)
 
     def charge_range(self, start_key: int, end_key: int) -> None:
         """Charge the pages :meth:`scan_runs` would for the interval, and no more."""
@@ -841,9 +776,7 @@ class LSMTree(BufferFirstReads):
         # the log — so the commit rewrites the log from the memtable.
         for key in plan.leftover:
             self.memtable.put(int(key))
-        buffered_keys, buffered_tombstones = self.memtable.sorted_items()
-        buffered = zip(buffered_keys.tolist(), buffered_tombstones.tolist())
-        self.store.commit(self.levels, self._run_counter, buffered)
+        self.store.commit(self.levels, self._run_counter, self.memtable.sorted_items().tolist())
 
     def plan_bulk_load(self, keys: np.ndarray) -> BulkLoadPlan:
         """Compute the run placements of a bulk load without applying them.
@@ -894,10 +827,10 @@ class LSMTree(BufferFirstReads):
         self.store.commit(self.levels, self._run_counter, buffered=None)
 
     def _place_bulk_run(self, keys: np.ndarray, level: int) -> None:
-        """Build a run of live ``keys`` as the oldest of ``level``; no commit."""
+        """Build a run of ``keys`` as the oldest of ``level``; no commit."""
         self._ensure_level(level)
         self._run_counter += 1
-        run = self._build_run(keys, np.zeros(keys.size, dtype=bool), self._run_counter, level)
+        run = self._build_run(keys, self._run_counter, level)
         self.levels[level - 1].append(run)
 
     def _bulk_load_level_capacity(self, level: int, deepest: int) -> int:

@@ -8,9 +8,9 @@ costs, so a tree on files reports the disk counters of the one in memory
 while its wall-clock time reflects real I/O: a table says only where a page's
 records come from.
 
-A table is **one file written by one ``write``**: the entries first (9-byte
-packed records: little-endian ``int64`` key + tombstone byte, laid out in
-pages of ``entries_per_page`` records from offset 0), then a footer with the
+A table is **one file written by one ``write``**: the entries first (8-byte
+records, each a little-endian ``int64`` key, laid out in pages of
+``entries_per_page`` records from offset 0), then a footer with the
 structures a real LSM engine pins in memory — the sparse index (fence
 pointers, then per-page max keys) and the Bloom filter's bit table — and last
 a fixed-size trailer (:data:`_TRAILER`) that says how long each part is and
@@ -35,8 +35,8 @@ import numpy as np
 from ..bloom_filter import BloomFilter
 from ..run import RunIndex, build_run_index, unique_sorted
 
-#: One on-disk record: little-endian int64 key + tombstone flag byte.
-RECORD_DTYPE = np.dtype([("key", "<i8"), ("tombstone", "u1")])
+#: One on-disk record: a little-endian int64 key.
+RECORD_DTYPE = np.dtype("<i8")
 
 #: The last bytes of every table file: entry count, entries per page, the
 #: filter's parameters (expected entries, seed, insert count, bits per
@@ -80,12 +80,11 @@ class SSTable(RunIndex):
         cls,
         path: str | os.PathLike[str],
         keys: np.ndarray,
-        tombstones: np.ndarray,
         entries_per_page: int,
         bits_per_entry: float = 0.0,
         seed: int = 0,
     ) -> "SSTable":
-        """Write sorted unique keys (+ tombstone mask) as a new table.
+        """Write sorted unique keys as a new table.
 
         Entries are validated, and the sparse index and Bloom filter built, by
         the function ``SortedRun`` uses, so the filter's probe answers — and
@@ -94,16 +93,13 @@ class SSTable(RunIndex):
         it fails or comes up short, nothing of the table is left behind.
         """
         path = Path(path)
-        keys, tombstones, fences, page_max, bloom = build_run_index(
-            keys, tombstones, entries_per_page, bits_per_entry, seed
+        keys, fences, page_max, bloom = build_run_index(
+            keys, entries_per_page, bits_per_entry, seed
         )
-        records = np.empty(keys.size, dtype=RECORD_DTYPE)
-        records["key"] = keys
-        records["tombstone"] = tombstones
         bits = bloom.bit_table
         image = b"".join(
             (
-                records.tobytes(),
+                keys.astype(RECORD_DTYPE, copy=False).tobytes(),
                 np.concatenate((fences, page_max)).astype("<i8", copy=False).tobytes(),
                 bits.tobytes(),
                 _TRAILER.pack(
@@ -187,26 +183,24 @@ class SSTable(RunIndex):
             raise OSError(errno.EIO, f"short read of an SSTable at byte {offset}", str(self.path))
         return data
 
-    def _read_pages(self, first_page: int, last_page: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_read_span`'s ``(keys, tombstones)``: read-only field views of the bytes read."""
-        records = np.frombuffer(self._read_span(first_page, last_page), dtype=RECORD_DTYPE)
-        return records["key"], records["tombstone"].view(bool)
+    def _read_pages(self, first_page: int, last_page: int) -> np.ndarray:
+        """:meth:`_read_span`'s keys: a read-only view of the bytes read."""
+        return np.frombuffer(self._read_span(first_page, last_page), dtype=RECORD_DTYPE)
 
-    def _page_records(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+    def _page_records(self, key: int) -> np.ndarray:
         """The records of the one page that would hold ``key``: one ``pread``."""
         page = self.page_of(key)
         return self._read_pages(page, page)
 
-    def _pages_records(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _pages_records(self, keys: np.ndarray) -> np.ndarray:
         """The records of every page a key of the batch would be on, joined in
         key order: each distinct page is ``pread`` once."""
         # Every key passed the bounds check, so none lies before the first fence.
         pages = unique_sorted(self._fences.searchsorted(keys, "right") - 1)
-        records = np.frombuffer(
+        return np.frombuffer(
             b"".join([self._read_span(page, page) for page in pages.tolist()]),
             dtype=RECORD_DTYPE,
         )
-        return records["key"], records["tombstone"].view(bool)
 
     def read_spans(self, first: np.ndarray, last: np.ndarray) -> None:
         """``pread`` every non-empty span ``first[i]..last[i]``, decoding nothing."""

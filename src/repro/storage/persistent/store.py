@@ -28,11 +28,12 @@ from .sstable import SSTable
 from .wal import WriteAheadLog
 
 #: Manifest schema version, bumped on incompatible layout changes.  Version 1
-#: directories (a table as an ``.sst`` plus index and filter sidecar files)
-#: and version 2 ones (a manifest of one JSON object, swapped in whole at
-#: every commit) are refused by it; a bare old ``.sst`` also lacks the
-#: trailer magic.
-MANIFEST_VERSION = 3
+#: directories (a table as an ``.sst`` plus index and filter sidecar files),
+#: version 2 ones (a manifest of one JSON object, swapped in whole at every
+#: commit) and version 3 ones (9-byte table and log records: a key and a
+#: deletion flag) are refused by it before their log or tables are read; a
+#: bare old ``.sst`` also lacks the trailer magic.
+MANIFEST_VERSION = 4
 
 #: Size past which a commit rolls the manifest log down to its one record
 #: instead of appending to it.
@@ -100,7 +101,7 @@ class FileStore:
     acknowledged write — a record torn mid-append is skipped, and cut off on
     reopen — and the freshly written table is swept as an orphan; between
     (1) and (2) the new record is authoritative and the stale log re-applies
-    writes the flushed run already holds, which newest-wins reads absorb;
+    writes the flushed run already holds, which reads absorb as updates;
     between (2) and (3) only unreferenced files are left over, and recovery
     sweeps them.
 
@@ -135,31 +136,27 @@ class FileStore:
         #: The descriptor commits append to, and the manifest log's length.
         self._manifest_fd: int | None = None
         self._manifest_size = 0
-        self._wal = WriteAheadLog(self.data_dir / self.WAL_NAME, sync=sync_writes)
+        #: Opened by :meth:`recover` once the manifest's version is known, as
+        #: opening it cuts a record the version's format calls torn.
+        self._wal: WriteAheadLog | None = None
 
     # ------------------------------------------------------------------
     # Runs and writes
     # ------------------------------------------------------------------
     def create_run(
-        self,
-        keys: np.ndarray,
-        tombstones: np.ndarray,
-        run_id: int,
-        entries_per_page: int,
-        bits_per_entry: float,
-        seed: int,
+        self, keys: np.ndarray, run_id: int, entries_per_page: int, bits_per_entry: float, seed: int
     ) -> SSTable:
         """Write run number ``run_id`` as an SSTable and track it."""
         path = self.data_dir / f"run-{run_id:08d}.sst"
-        table = SSTable.create(path, keys, tombstones, entries_per_page, bits_per_entry, seed)
+        table = SSTable.create(path, keys, entries_per_page, bits_per_entry, seed)
         self._tables[table.path.name] = table
         if self.sync_writes:
             _fsync_path(table.path)
         return table
 
-    def log(self, key: int, tombstone: bool) -> None:
+    def log(self, key: int) -> None:
         """Record one write; it is acknowledged when this returns."""
-        self._wal.append(key, tombstone)
+        self._wal.append(key)
 
     # ------------------------------------------------------------------
     # Commit + recovery
@@ -168,7 +165,7 @@ class FileStore:
         self,
         levels: list[list[SSTable]],
         run_counter: int,
-        buffered: Iterable[tuple[int, bool]] | None,
+        buffered: Iterable[int] | None,
     ) -> None:
         """Make ``levels`` the durable structure (order: see the class docs)."""
         manifest = {
@@ -237,7 +234,7 @@ class FileStore:
         found = _last_record(data)
         if found is None:
             # Up to version 2 the manifest was one JSON object and no newline;
-            # a version-3 record without its newline is a torn append.
+            # a current record without its newline is a torn append.
             try:
                 legacy = json.loads(data)
             except ValueError:
@@ -264,7 +261,7 @@ class FileStore:
             os.close(self._manifest_fd)
             self._manifest_fd = None
 
-    def _rewrite_log(self, buffered: Iterable[tuple[int, bool]]) -> None:
+    def _rewrite_log(self, buffered: Iterable[int]) -> None:
         self._wal.reset()
         self._wal.append_many(buffered)
 
@@ -280,20 +277,24 @@ class FileStore:
         for name in self._tables.keys() - live:
             self._tables.pop(name).delete_files()
 
-    def recover(self) -> tuple[list[list[SSTable]], int, list[tuple[int, bool]]] | None:
-        """Reopen what an earlier tree left in the directory.
+    def recover(self) -> tuple[list[list[SSTable]], int, list[int]] | None:
+        """Reopen what an earlier tree left in the directory, and open its log.
 
-        Returns the installed runs, the run counter and the logged writes no
+        Returns the installed runs, the run counter and the logged keys no
         flush had persisted — or ``None`` for a directory without a
-        manifest, which gets its first (empty) one.
+        manifest, which gets its first (empty) one.  A manifest of another
+        version is refused before the log or a table is touched.
         """
+        wal_path = self.data_dir / self.WAL_NAME
         if not self._manifest_path.exists():
+            self._wal = WriteAheadLog(wal_path, sync=self.sync_writes)
             self._swap_manifest(_record(self._manifest))
             return None
         try:
             manifest = self._open_manifest()
             for name in (name for level in manifest["levels"] for name in level):
                 self._tables[name] = SSTable.open(self.data_dir / name)
+            self._wal = WriteAheadLog(wal_path, sync=self.sync_writes)
         except BaseException:
             # Release the tables opened before the one that failed, and the logs.
             self.abandon()
@@ -335,7 +336,8 @@ class FileStore:
         directory exercises the real recovery path (manifest + log replay +
         orphan sweep).
         """
-        self._wal.close()
+        if self._wal is not None:
+            self._wal.close()
         self._close_manifest()
         for table in self._tables.values():
             table.close()

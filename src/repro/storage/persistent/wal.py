@@ -1,16 +1,15 @@
 """Write-ahead log of the persistent LSM-tree backend.
 
-Every ``put``/``delete`` is appended here *before* it touches the memtable,
+Every ``put`` is appended here *before* it touches the memtable,
 so a crash loses nothing that was acknowledged: on reopen the log is
 replayed into a fresh memtable.  The log only ever holds the writes since
 the last successful flush — the flush that persists those entries as an
 SSTable truncates it.
 
 The record format is deliberately minimal (the reproduction's trees store
-keys and tombstone flags, never values): 9 bytes per record, a little-endian
-``int64`` key followed by one tombstone byte.  A torn trailing record —  the
-classic crash-mid-append artefact — is detected by length and dropped during
-replay.
+keys, never values): 8 bytes per record, the key as a little-endian
+``int64``.  A torn trailing record — the classic crash-mid-append artefact —
+is detected by length and dropped during replay.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import struct
 from pathlib import Path
 from typing import Iterable
 
-#: One log record: little-endian int64 key + tombstone flag byte.
-_RECORD = struct.Struct("<qB")
+#: One log record: a little-endian int64 key.
+_RECORD = struct.Struct("<q")
 
 
 class WriteAheadLog:
@@ -73,11 +72,11 @@ class WriteAheadLog:
         if self.sync:
             os.fsync(self._fd)
 
-    def append(self, key: int, tombstone: bool = False) -> None:
+    def append(self, key: int) -> None:
         """Durably record one write before it is applied to the memtable."""
-        self._write(_RECORD.pack(int(key), int(bool(tombstone))))
+        self._write(_RECORD.pack(int(key)))
 
-    def append_many(self, records: Iterable[tuple[int, bool]]) -> None:
+    def append_many(self, keys: Iterable[int]) -> None:
         """Group-commit a batch of writes: one buffer, one ``write``, one fsync.
 
         Semantically identical to calling :meth:`append` per record — the
@@ -90,10 +89,7 @@ class WriteAheadLog:
         length-prefix truncation drops exactly the torn tail, keeping every
         complete record that preceded it.
         """
-        payload = b"".join(
-            _RECORD.pack(int(key), int(bool(tombstone)))
-            for key, tombstone in records
-        )
+        payload = b"".join(_RECORD.pack(int(key)) for key in keys)
         if payload:
             self._write(payload)
 
@@ -104,18 +100,15 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def replay(self) -> list[tuple[int, bool]]:
-        """All records currently in the log, oldest first.
+    def replay(self) -> list[int]:
+        """The keys of all records currently in the log, oldest first.
 
         A trailing partial record (crash mid-append) is silently dropped —
         the write it belonged to was never acknowledged.
         """
         data = self.path.read_bytes()
         complete = len(data) - len(data) % _RECORD.size
-        return [
-            (key, bool(tombstone))
-            for key, tombstone in _RECORD.iter_unpack(data[:complete])
-        ]
+        return [key for (key,) in _RECORD.iter_unpack(data[:complete])]
 
     # ------------------------------------------------------------------
     # Lifecycle

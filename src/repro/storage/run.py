@@ -1,7 +1,9 @@
 """Sorted runs: the resident index that prices every read, and its two kinds.
 
 A sorted run is the on-disk unit of an LSM tree: a key-ordered sequence of
-entries laid out in fixed-size pages.  What an engine keeps resident for a run
+entries laid out in fixed-size pages.  An entry is its key — no trace
+deletes, and values are not materialised — so a run's contents are one
+``int64`` array.  What an engine keeps resident for a run
 — the sparse index (fence pointers and each page's largest key), the key
 bounds and the Bloom filter, exactly the acceleration structures the paper
 describes — is a :class:`RunIndex`, and so is every decision about which pages
@@ -27,77 +29,49 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 #: What every scan that finds nothing returns: shared, so nobody may write.
 NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
-NO_TOMBSTONES = _frozen(np.empty(0, dtype=bool))
 
 
 def unique_sorted(keys: np.ndarray) -> np.ndarray:
     """``np.unique`` of ``keys`` by sort and mask (empty in, empty out).
 
     NumPy 2's ``np.unique`` hashes integers, many times slower than a sort on
-    the already sorted key arrays a bulk load or a GET batch hands in.
+    the already sorted key arrays a bulk load or a GET batch hands in.  The
+    sort is stable (a timsort): it merges presorted stretches, such as the
+    runs :func:`consolidate_versions` joins, in one pass each.
     """
-    keys = np.sort(keys, axis=None)
+    keys = np.sort(keys, axis=None, kind="stable")
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
-def consolidate_versions(
-    key_parts: list[np.ndarray],
-    tombstone_parts: list[np.ndarray],
-    drop_tombstones: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newest-wins consolidation of several sorted-run contents.
+def consolidate_versions(key_parts: list[np.ndarray]) -> np.ndarray:
+    """The keys of several sorted-run contents, each once, sorted.
 
-    ``key_parts`` are ordered newest first; duplicate keys keep the version
-    from the earliest part, matching compaction semantics.  Returns the
-    consolidated ``(keys, tombstones)`` sorted by key (empty for no parts).
     Every merge of versions — a compaction, a range scan, a migration
-    checkpoint — goes through here, whatever store the runs live on.
-
-    Each part must be sorted and unique, as a run's or the memtable's
-    contents are; a single part is therefore handed back as it is — possibly
-    a read-only view of a run — and nothing is merged where nothing collides.
+    checkpoint — goes through here, whatever store the runs live on.  An
+    update leaves a key in several parts; a key is one entry, so which part
+    held its newest version does not matter.  Each part must be sorted and
+    unique, as a run's or the memtable's contents are; a single part is
+    therefore handed back as it is — possibly a read-only view of a run.
     """
-    if not key_parts:
-        return NO_KEYS, NO_TOMBSTONES
     if len(key_parts) == 1:
-        sorted_keys, sorted_tombstones = key_parts[0], tombstone_parts[0]
-    else:
-        all_keys = np.concatenate(key_parts)
-        # Parts are concatenated newest first, so a stable sort on the key
-        # alone leaves each key's newest version first among its duplicates.
-        # ``ndarray.argsort`` and ``count_nonzero``, not ``np.argsort`` and
-        # ``ndarray.all``: those Python wrappers cost more than the merge.
-        order = all_keys.argsort(kind="stable")
-        sorted_keys = all_keys[order]
-        sorted_tombstones = np.concatenate(tombstone_parts)[order]
-        older = sorted_keys[1:] == sorted_keys[:-1]  # a key's older versions
-        if np.count_nonzero(older):
-            keep = np.concatenate(([True], ~older))
-            sorted_keys = sorted_keys[keep]
-            sorted_tombstones = sorted_tombstones[keep]
-    if drop_tombstones:
-        live = ~sorted_tombstones
-        sorted_keys = sorted_keys[live]
-        sorted_tombstones = sorted_tombstones[live]
-    return sorted_keys, sorted_tombstones
+        return key_parts[0]
+    return unique_sorted(np.concatenate(key_parts)) if key_parts else NO_KEYS
 
 
 def build_run_index(
     keys: np.ndarray,
-    tombstones: np.ndarray | None,
     entries_per_page: int,
     bits_per_entry: float,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
-    """Validate a new run's entries and build what stays resident for it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, BloomFilter]:
+    """Validate a new run's keys and build what stays resident for it.
 
-    Returns ``(keys, tombstones, fences, page_max, bloom)``: the entries as
-    read-only ``int64`` / ``bool`` arrays (a run is immutable, so every slice
-    a scan hands out may be a view), the sparse index — fence pointers
-    (smallest key of each page) and the largest key of each page — and the
-    run's Bloom filter.  The one constructor of both run kinds, so a run
-    created from the same entries, budget and seed holds the same filter bits
-    and index wherever it lives.
+    Returns ``(keys, fences, page_max, bloom)``: the keys as a read-only
+    ``int64`` array (a run is immutable, so every slice a scan hands out may
+    be a view), the sparse index — fence pointers (smallest key of each page)
+    and the largest key of each page — and the run's Bloom filter.  The one
+    constructor of both run kinds, so a run created from the same keys,
+    budget and seed holds the same filter bits and index wherever it lives.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 1:
@@ -107,12 +81,6 @@ def build_run_index(
         raise ValueError("keys must be strictly increasing")
     if entries_per_page <= 0:
         raise ValueError("entries_per_page must be positive")
-    if tombstones is None:
-        tombstones = np.zeros(keys.size, dtype=bool)
-    else:
-        tombstones = np.asarray(tombstones, dtype=bool)
-        if tombstones.shape != keys.shape:
-            raise ValueError("tombstones mask must match keys")
     bloom = BloomFilter(keys.size, bits_per_entry, seed)
     bloom.add_many(keys)
     # Each page's last key — a partial last page's is the last key — copied
@@ -122,7 +90,7 @@ def build_run_index(
         page_max = np.concatenate((page_max, keys[-1:]))
     else:
         page_max = page_max.copy()
-    return _frozen(keys), _frozen(tombstones), keys[::entries_per_page].copy(), page_max, bloom
+    return _frozen(keys), keys[::entries_per_page].copy(), page_max, bloom
 
 
 def locate_many(
@@ -164,8 +132,7 @@ class RunIndex:
     :meth:`_locate` finds — the seek page too, when it falls between keys.
     A subclass says only where a page's records come from:
 
-    * ``_read_pages(first, last)``: the ``(keys, tombstones)`` of pages
-      ``first..last``;
+    * ``_read_pages(first, last)``: the keys of pages ``first..last``;
     * ``_page_records(key)`` / ``_pages_records(keys)``: those of the page a
       key — each key of a batch — would be on, in key order;
     * ``_read_span(first, last)``: read pages ``first..last``, decode nothing;
@@ -242,24 +209,15 @@ class RunIndex:
         """Bloom budget the run was built with; 0 disables the filter."""
         return self._filter.bits_per_entry
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The run's full contents as read-only ``(keys, tombstones)``, charging no I/O.
+    @property
+    def keys(self) -> np.ndarray:
+        """The run's full contents, read-only, charging no I/O.
 
         What compaction, migration planning and fingerprints read; callers
         that model the read cost (a compaction, a migration checkpoint)
         charge it separately.
         """
         return self._read_pages(0, self.num_pages - 1)
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The run's keys (read-only, no I/O charged)."""
-        return self.entries()[0]
-
-    @property
-    def tombstones(self) -> np.ndarray:
-        """Boolean mask of deleted keys (read-only, no I/O charged)."""
-        return self.entries()[1]
 
     # ------------------------------------------------------------------
     # Point lookups
@@ -279,27 +237,25 @@ class RunIndex:
         page = int(self._fences.searchsorted(key, side="right")) - 1
         return max(0, page)
 
-    def lookup(self, key: int) -> tuple[bool, bool, int]:
+    def lookup(self, key: int) -> tuple[bool, int]:
         """Probe the run for ``key``.
 
-        Returns ``(found, is_tombstone, pages_read)`` where ``pages_read`` is
-        the number of disk pages the lookup had to touch: 0 when the Bloom
-        filter or the fence pointers rule the run out, 1 otherwise (fence
-        pointers identify the single candidate page).
+        Returns ``(found, pages_read)`` where ``pages_read`` is the number of
+        disk pages the lookup had to touch: 0 when the Bloom filter or the
+        fence pointers rule the run out, 1 otherwise (fence pointers identify
+        the single candidate page).
         """
         if not self.may_contain(key):
-            return False, False, 0
-        keys, tombstones = self._page_records(key)
+            return False, 0
+        keys = self._page_records(key)
         index = int(keys.searchsorted(key))
-        if index < keys.size and keys[index] == key:
-            return True, bool(tombstones[index]), 1
-        return False, False, 1
+        return index < keys.size and keys.item(index) == key, 1
 
-    def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
         """Probe the run for a batch of keys in one vectorised pass.
 
-        Returns ``(found, is_tombstone, pages_read)`` where the two masks are
-        aligned with ``keys`` and ``pages_read`` is the *total* disk pages the
+        Returns ``(found, pages_read)`` where the mask is aligned with
+        ``keys`` and ``pages_read`` is the *total* disk pages the
         batch had to touch.  Page counts are per probe, not per unique page —
         two lookups landing on the same candidate page still charge two
         reads, exactly as issuing the scalar :meth:`lookup` per key would —
@@ -309,25 +265,20 @@ class RunIndex:
         """
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(keys.size, dtype=bool)
-        tombstone = np.zeros(keys.size, dtype=bool)
         if keys.size == 0 or not self._size:
-            return found, tombstone, 0
+            return found, 0
         # Fence-bound + Bloom pre-check, both as array ops (no I/O charged).
         in_bounds = np.flatnonzero((keys >= self._min_key) & (keys <= self._max_key))
         if in_bounds.size == 0:
-            return found, tombstone, 0
+            return found, 0
         probe_idx = in_bounds[self._filter.might_contain_many(keys[in_bounds])]
         pages_read = probe_idx.size
         if pages_read:
             probed = keys[probe_idx]
-            page_keys, page_tombstones = self._pages_records(probed)
+            page_keys = self._pages_records(probed)
             # A probe past its page's last key may index one past the records.
-            indices = page_keys.searchsorted(probed)
-            hit = page_keys.take(indices, mode="clip") == probed
-            hits = probe_idx[hit]
-            found[hits] = True
-            tombstone[hits] = page_tombstones[indices[hit]]
-        return found, tombstone, pages_read
+            found[probe_idx] = page_keys.take(page_keys.searchsorted(probed), mode="clip") == probed
+        return found, pages_read
 
     # ------------------------------------------------------------------
     # Range scans
@@ -365,25 +316,21 @@ class RunIndex:
         self._read_span(first, last)
         return last - first + 1
 
-    def scan_entries(
-        self, start_key: int, end_key: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """All versions in ``[start_key, end_key]``: ``(keys, tombstones, pages)``.
+    def scan_entries(self, start_key: int, end_key: int) -> tuple[np.ndarray, int]:
+        """The run's keys in ``[start_key, end_key]`` and the pages read: ``(keys, pages)``.
 
-        Tombstoned entries are returned (flagged in the boolean mask) rather
-        than dropped — callers that merge several runs need a run's deletions
-        to shadow older live versions below it.  The two arrays are read-only
-        views of the pages read, not copies.  An interval inside the run's
-        bounds that holds no key still seeks, reading the one page with the
-        largest key below ``start_key``: a charged page is a read page.
+        The keys are a read-only view of the pages read, not a copy.  An
+        interval inside the run's bounds that holds no key still seeks,
+        reading the one page with the largest key below ``start_key``: a
+        charged page is a read page.
         """
         first, last = self._locate(start_key, end_key)
         if last < first:
-            return NO_KEYS, NO_TOMBSTONES, 0
-        keys, tombstones = self._read_pages(first, last)
+            return NO_KEYS, 0
+        keys = self._read_pages(first, last)
         lo = int(keys.searchsorted(start_key, "left"))
         hi = int(keys.searchsorted(end_key, "right"))
-        return keys[lo:hi], tombstones[lo:hi], last - first + 1
+        return keys[lo:hi], last - first + 1
 
 
 class SortedRun(RunIndex):
@@ -400,8 +347,6 @@ class SortedRun(RunIndex):
         How many entries fit in one disk page (``B``).
     bits_per_entry:
         Bloom-filter budget for this run; 0 disables the filter.
-    tombstones:
-        Optional boolean mask marking deleted keys.
     seed:
         Hash seed for the run's Bloom filter.
     """
@@ -411,19 +356,18 @@ class SortedRun(RunIndex):
         keys: np.ndarray,
         entries_per_page: int,
         bits_per_entry: float = 0.0,
-        tombstones: np.ndarray | None = None,
         seed: int = 0,
     ) -> None:
-        self._keys, self._tombstones, fences, page_max, bloom = build_run_index(
-            keys, tombstones, entries_per_page, bits_per_entry, seed
+        self._keys, fences, page_max, bloom = build_run_index(
+            keys, entries_per_page, bits_per_entry, seed
         )
         super().__init__(entries_per_page, self._keys.size, fences, page_max, bloom)
 
-    def _records(self, *_) -> tuple[np.ndarray, np.ndarray]:
+    def _records(self, *_) -> np.ndarray:
         """The whole run: it is resident, and includes every page asked for."""
-        return self._keys, self._tombstones
+        return self._keys
 
-    entries = _read_pages = _page_records = _pages_records = _records
+    _read_pages = _page_records = _pages_records = _records
 
     def _read_span(self, *_) -> None:
         """Nothing to read: the pages are resident."""
@@ -440,12 +384,12 @@ class MemoryStore:
     * ``create_run(...)`` for every run that comes to rest (the one a flush's
       cascade ends in, a bulk placement) — ``run_id`` rises per tree, skipping
       the ids of runs merged away before they were built;
-    * ``log(key, tombstone)`` before a write is applied to the memtable — the
-      point at which the write is acknowledged;
+    * ``log(key)`` before a write is applied to the memtable — the point at
+      which the write is acknowledged;
     * ``commit(levels, run_counter, buffered)`` after every structure change
       (``flush``, ``bulk_load``, ``install_bulk_run``); ``buffered`` is the
-      ``(key, tombstone)`` records the log must hold from now on, or ``None``
-      when the log already covers the memtable and stays as it is;
+      keys the log must hold from now on, or ``None`` when the log already
+      covers the memtable and stays as it is;
     * ``recover()`` once, at construction: ``(levels, run_counter, logged
       records)`` of an earlier tree on this store, or ``None`` for a fresh one;
     * ``sibling()`` for the empty store a successor tree is built on;
@@ -460,17 +404,11 @@ class MemoryStore:
     """
 
     def create_run(
-        self,
-        keys: np.ndarray,
-        tombstones: np.ndarray,
-        run_id: int,
-        entries_per_page: int,
-        bits_per_entry: float,
-        seed: int,
+        self, keys: np.ndarray, run_id: int, entries_per_page: int, bits_per_entry: float, seed: int
     ) -> SortedRun:
-        return SortedRun(keys, entries_per_page, bits_per_entry, tombstones, seed)
+        return SortedRun(keys, entries_per_page, bits_per_entry, seed)
 
-    def log(self, key: int, tombstone: bool) -> None:
+    def log(self, key: int) -> None:
         pass
 
     def commit(self, levels, run_counter: int, buffered) -> None:

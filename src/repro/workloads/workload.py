@@ -47,7 +47,7 @@ class Workload:
     q:
         Fraction of range lookups.
     w:
-        Fraction of writes (inserts/updates/deletes).
+        Fraction of writes (inserts and updates).
     long_range_fraction:
         Fraction ``ν`` of the range lookups that are long (scan-dominated);
         ``0`` (the default, matching the paper's short-range setup) leaves

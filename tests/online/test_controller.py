@@ -165,21 +165,6 @@ class TestControllerExecution:
             e.migration_write_pages for e in migrated
         )
 
-    def test_migration_does_not_resurrect_deleted_keys(
-        self, tiny_system, key_space
-    ):
-        """A tombstone shadowing an older live version (bulk-loaded into a
-        deeper run) must survive the migration's recency-aware rebuild."""
-        config = OnlineConfig(check_interval=10**9)
-        controller = _controller(tiny_system, key_space, config, Workload.uniform())
-        victim, neighbour = int(key_space.existing[10]), int(key_space.existing[11])
-        assert controller.tree.get(victim)
-        controller.tree.delete(victim)
-        assert not controller.tree.get(victim)
-        controller._migrate(LSMTuning(4.0, 4.0, Policy.TIERING))
-        assert not controller.tree.get(victim)
-        assert controller.tree.get(neighbour)
-
     def test_infinite_divergence_serialises_to_valid_json(self, tiny_system):
         import json
         import math

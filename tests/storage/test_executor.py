@@ -183,8 +183,8 @@ class TestAdaptiveExecution:
     ):
         """A migration plan still running when the stream ends is drained
         before the measurement is returned: the events' planned page totals
-        are fully charged, ``final_tuning`` is the tuning actually reached,
-        and no tombstone hold survives on the live tree."""
+        are fully charged and ``final_tuning`` is the tuning actually
+        reached."""
         from dataclasses import replace
 
         sequence = session_generator.paper_sequence(w11, workloads_per_session=1)

@@ -89,19 +89,6 @@ class TestWritesAndCompaction:
         tiered_io = tiered.disk.counters.compaction_writes
         assert tiered_io < leveled_io
 
-    def test_delete_hides_key(self):
-        tree = make_tree()
-        tree.put(42)
-        tree.delete(42)
-        assert tree.get(42) is False
-
-    def test_delete_survives_flush(self):
-        tree = make_tree()
-        tree.bulk_load(np.arange(0, 1_000))
-        tree.delete(500)
-        tree.flush()
-        assert tree.get(500) is False
-
     def test_explicit_flush_of_empty_memtable_is_noop(self):
         tree = make_tree()
         tree.flush()
@@ -182,92 +169,67 @@ class TestReads:
         assert tree.get(50)
         assert tree.range_query(50, 50) == 1
 
-    def test_range_query_does_not_resurrect_deleted_keys(self):
-        """A buffered tombstone shadows the bulk-loaded (deeper) live version
-        in range results, exactly as it already did for point lookups."""
-        tree = make_tree()
-        tree.bulk_load(np.arange(0, 1_000))
-        tree.delete(100)
-        tree.delete(105)
-        assert not tree.get(100)
-        assert tree.range_query(100, 109) == 8
-
-    def test_scan_versions_flags_tombstones_newest_first(self):
+    def test_scan_versions_holds_each_key_once(self):
         tree = make_tree()
         tree.bulk_load(np.arange(0, 100, 2))
-        tree.delete(10)
+        tree.put(10)
         tree.put(11)
-        keys, tombstones = tree.scan_versions(10, 12)
-        assert keys.tolist() == [10, 11, 12]
-        assert tombstones.tolist() == [True, False, False]
+        assert tree.scan_versions(10, 12).tolist() == [10, 11, 12]
 
 
 class TestScanVersionsEdges:
-    """Newest-wins dedup under hostile layouts: versions of one key spread
-    across the memtable and several runs with interleaved tombstones, point
-    intervals (``start_key == end_key``), and intervals overlapping no run."""
+    """Dedup under hostile layouts: versions of one key spread across the
+    memtable and several runs, point intervals (``start_key == end_key``),
+    and intervals overlapping no run."""
 
     def _interleaved_tree(self):
-        """Four on-disk runs plus a live memtable, with keys 10/11/12 flipping
-        between live and tombstoned at different depths:
+        """Four on-disk runs plus a live memtable, with keys 10/11/12 written
+        again at different depths:
 
-        * key 10 — live in bulk, tombstoned in run A, re-put in run B → live;
-        * key 11 — absent from bulk, put in run A, deleted in the memtable
-          → tombstone (the buffered delete shadows the on-disk put);
-        * key 12 — live in bulk, tombstoned in run B → tombstone.
+        * key 10 — in bulk, updated in run A and again in run B;
+        * key 11 — absent from bulk, put in run A, updated in the memtable;
+        * key 12 — in bulk, updated in run B.
         """
         tree = make_tree(policy=Policy.TIERING, size_ratio=4.0)
         tree.bulk_load(np.arange(0, 200, 2))
-        tree.delete(10)
+        tree.put(10)
         tree.put(11)
         tree.flush()  # run A
         tree.put(10)
-        tree.delete(12)
+        tree.put(12)
         tree.flush()  # run B, newer than A
-        tree.delete(11)  # memtable, newest of all
+        tree.put(11)  # memtable, newest of all
         assert sum(len(runs) for runs in tree.levels) >= 4
         return tree
 
-    def test_interleaved_tombstones_resolve_newest_first(self):
+    def test_interleaved_versions_count_once(self):
         tree = self._interleaved_tree()
-        keys, tombstones = tree.scan_versions(8, 14)
-        assert keys.tolist() == [8, 10, 11, 12, 14]
-        assert tombstones.tolist() == [False, False, True, True, False]
-        # range_query agrees: 8, 10, 14 live; 11 and 12 shadowed by deletes.
-        assert tree.range_query(8, 14) == 3
+        assert tree.scan_versions(8, 14).tolist() == [8, 10, 11, 12, 14]
+        assert tree.range_query(8, 14) == 5
 
-    def test_point_interval_returns_single_newest_version(self):
+    def test_point_interval_returns_the_key_once(self):
         tree = self._interleaved_tree()
-        for key, expect_tombstone in [(10, False), (11, True), (12, True)]:
-            keys, tombstones = tree.scan_versions(key, key)
-            assert keys.tolist() == [key]
-            assert tombstones.tolist() == [expect_tombstone]
-            assert tree.range_query(key, key) == (0 if expect_tombstone else 1)
+        for key in (10, 11, 12):
+            assert tree.scan_versions(key, key).tolist() == [key]
+            assert tree.range_query(key, key) == 1
 
     def test_point_interval_on_missing_key_is_empty(self):
         tree = make_tree()
         tree.bulk_load(np.arange(0, 100, 2))
-        keys, tombstones = tree.scan_versions(13, 13)
-        assert keys.size == 0
-        assert tombstones.size == 0
+        assert tree.scan_versions(13, 13).size == 0
 
     def test_interval_overlapping_no_run_is_empty_and_free(self):
         tree = make_tree()
         tree.bulk_load(np.arange(0, 1_000))
         tree.disk.reset()
-        keys, tombstones = tree.scan_versions(50_000, 60_000)
-        assert keys.size == 0
-        assert tombstones.size == 0
+        assert tree.scan_versions(50_000, 60_000).size == 0
         assert tree.disk.counters.total == 0
 
     def test_memtable_only_tree_scans_without_io(self):
         tree = make_tree()
-        tree.put(3)
-        tree.delete(5)
-        tree.put(7)
-        keys, tombstones = tree.scan_versions(0, 10)
-        assert keys.tolist() == [3, 5, 7]
-        assert tombstones.tolist() == [False, True, False]
+        for key in (7, 3, 5):
+            tree.put(key)
+        assert tree.scan_versions(0, 10).tolist() == [3, 5, 7]
         assert tree.disk.counters.total == 0
 
 
@@ -367,13 +329,11 @@ class TestLazyLeveling:
             < writes[Policy.LEVELING]
         )
 
-    def test_reads_and_deletes_behave(self):
+    def test_reads_behave(self):
         tree = make_tree(policy=Policy.LAZY_LEVELING)
         tree.bulk_load(np.arange(0, 2_000, 2))
         assert tree.get(100)
         assert not tree.get(101)
-        tree.delete(100)
-        assert tree.get(100) is False
         assert tree.range_query(200, 299) == 50
 
     def test_bulk_load_matches_policy_steady_state(self):
@@ -435,14 +395,12 @@ class _RecordingStore(MemoryStore):
     def __init__(self, tree_of):
         self.calls, self.tree_of = [], tree_of
 
-    def create_run(self, keys, tombstones, run_id, entries_per_page, bits_per_entry, seed):
+    def create_run(self, keys, run_id, entries_per_page, bits_per_entry, seed):
         self.calls.append(("create_run", run_id, seed))
-        return super().create_run(
-            keys, tombstones, run_id, entries_per_page, bits_per_entry, seed
-        )
+        return super().create_run(keys, run_id, entries_per_page, bits_per_entry, seed)
 
-    def log(self, key, tombstone):
-        self.calls.append(("log", key, tombstone, self.tree_of().memtable.get(key)))
+    def log(self, key):
+        self.calls.append(("log", key, self.tree_of().memtable.holds(key)))
 
     def commit(self, levels, run_counter, buffered):
         tree = self.tree_of()
@@ -458,12 +416,9 @@ class TestRunStoreProtocol:
         store = _RecordingStore(lambda: tree)
         tree = LSMTree(LSMTuning(4.0, 6.0, Policy.LEVELING), system, seed=40, store=store)
         tree.put(5)
-        tree.delete(5)
+        tree.put(5)
         # One log per write, made before the memtable changed.
-        assert store.calls == [
-            ("log", 5, False, (False, False)),
-            ("log", 5, True, (True, False)),
-        ]
+        assert store.calls == [("log", 5, False), ("log", 5, True)]
         store.calls.clear()
         tree.flush()
         tree.install_bulk_run(np.arange(10, 20), level=2)
@@ -487,12 +442,12 @@ class TestBatchedGets:
         scalar = make_tree(num_entries=2_000)
         batched = make_tree(num_entries=2_000)
         resident = np.arange(0, 4_000, 2)
-        deletes = rng.choice(resident, size=30, replace=False)
+        updates = rng.choice(resident, size=30, replace=False)
         puts = rng.integers(10_000, 12_000, size=200)
         for tree in (scalar, batched):
             tree.bulk_load(resident)
-            for key in deletes:
-                tree.delete(int(key))
+            for key in updates:
+                tree.put(int(key))
             for key in puts:
                 tree.put(int(key))
             tree.disk.reset()
@@ -514,7 +469,6 @@ class TestBatchedGets:
     def test_memtable_hits_charge_no_io(self):
         tree = make_tree()
         tree.put(7)
-        tree.delete(9)
         tree.disk.reset()
         answers = tree.get_many(np.array([7, 9], dtype=np.int64))
         assert answers.tolist() == [True, False]
@@ -522,8 +476,8 @@ class TestBatchedGets:
 
 
 _SMALL_KEY = st.integers(-12, 12)
-#: One part's versions, ``key -> is_tombstone``: a run's, or the buffer's.
-_VERSIONS = st.dictionaries(_SMALL_KEY, st.booleans(), max_size=10)
+#: One part's keys: a run's, or the buffer's.
+_VERSIONS = st.sets(_SMALL_KEY, max_size=10)
 #: Levels of up to three runs each; a level may be empty, and so may the tree.
 _LEVELS = st.lists(st.lists(_VERSIONS, max_size=3), max_size=3)
 #: Interval ends: among the keys, between them, past them, and int64's own.
@@ -539,11 +493,9 @@ def _install(tree: LSMTree, levels: list, buffered: dict) -> None:
         tree.levels.append([])
         for versions in runs:
             keys = np.array(sorted(versions), dtype=np.int64)
-            tombstones = np.array([versions[key] for key in keys.tolist()], dtype=bool)
-            run = tree.store.create_run(keys, tombstones, next(run_ids), 2, 0.0, 0)
-            tree.levels[-1].append(run)
-    for key, tombstone in buffered.items():
-        (tree.memtable.delete if tombstone else tree.memtable.put)(key)
+            tree.levels[-1].append(tree.store.create_run(keys, next(run_ids), 2, 0.0, 0))
+    for key in buffered:
+        tree.memtable.put(key)
 
 
 class TestRangeCharge:
@@ -573,12 +525,12 @@ class TestRangeCharge:
                 engine, trees = tree, [tree]
                 if kind == "mid-migration":
                     source = LSMTree(LSMTuning(6.0, 6.0, Policy.LEVELING), system, tree.disk)
-                    _install(source, source_levels, {})
+                    _install(source, source_levels, set())
                     engine = MigrationPlan(source, tree)
                     trees.append(source)
                     assert not engine.completed
                 want = sum(
-                    run.scan_entries(start, end)[2]
+                    run.scan_entries(start, end)[1]
                     for start, end in intervals
                     for each in trees
                     for runs in each.levels

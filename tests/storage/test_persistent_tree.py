@@ -1,7 +1,7 @@
 """The tree on a ``FileStore``: conformance with memory, durability, files.
 
 The tree on files must be observationally identical to the one in memory:
-same live-key answers, same virtual-disk counters, same tree shape.  The
+same answers, same virtual-disk counters, same tree shape.  The
 conformance cases here pin that on one fixed stream per policy;
 ``tests/test_engine_machine.py`` checks it on random streams with kills,
 reopens, migrations and batched reads.  Pinned here by hand besides: WAL
@@ -34,6 +34,7 @@ from repro.storage import LSMTree, PersistentLSMTree, SortedRun, VirtualDisk
 from repro.storage.persistent import FileStore, SSTable, WriteAheadLog
 from repro.storage.persistent import store as persistent_store
 from repro.storage.persistent.sstable import _TRAILER
+from repro.storage.persistent.store import MANIFEST_VERSION
 from repro.storage.run import RunIndex, locate_many
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -54,10 +55,9 @@ _TUNING_IDS = [
 
 
 def _mixed_trace(seed: int, num_ops: int = 600):
-    """A deterministic mixed put/get/delete/range stream."""
+    """A deterministic mixed put/get/range stream; puts update keys too."""
     rng = np.random.default_rng(seed)
-    kinds = rng.choice(["put", "get", "delete", "range"], size=num_ops,
-                       p=[0.45, 0.3, 0.15, 0.1])
+    kinds = rng.choice(["put", "get", "range"], size=num_ops, p=[0.6, 0.3, 0.1])
     keys = rng.integers(0, 60_000, size=num_ops)
     return list(zip(kinds.tolist(), keys.tolist()))
 
@@ -68,8 +68,6 @@ def _drive(tree, trace):
     for kind, key in trace:
         if kind == "put":
             tree.put(key)
-        elif kind == "delete":
-            tree.delete(key)
         elif kind == "get":
             answers.append(tree.get(key))
         else:
@@ -131,10 +129,7 @@ class TestBackendConformance:
                 tree.put(key)
             rng = np.random.default_rng(23)  # same writes for both trees
         batch = np.r_[load[:50], np.arange(1, 400, 3), load[:10]]
-        sim_found, sim_tomb = sim.lookup_entries(batch)
-        per_found, per_tomb = per.lookup_entries(batch)
-        assert np.array_equal(sim_found, per_found)
-        assert np.array_equal(sim_tomb, per_tomb)
+        assert np.array_equal(sim.get_many(batch), per.get_many(batch))
         assert sim.disk.counters == per.disk.counters
         per.dispose()
 
@@ -144,15 +139,12 @@ class TestBackendConformance:
         sim.bulk_load(load)
         per.bulk_load(load)
         for tree in (sim, per):
-            for key in range(100, 400, 5):
-                tree.delete(key)
+            for key in range(100, 400, 5):  # updates of loaded keys
+                tree.put(key)
             for key in range(1_000, 1_300, 3):
                 tree.put(key)
         for interval in [(0, 2_000), (150, 150), (99_000, 99_500), (395, 1_001)]:
-            sim_keys, sim_tombs = sim.scan_versions(*interval)
-            per_keys, per_tombs = per.scan_versions(*interval)
-            assert np.array_equal(sim_keys, per_keys)
-            assert np.array_equal(sim_tombs, per_tombs)
+            assert np.array_equal(sim.scan_versions(*interval), per.scan_versions(*interval))
         assert sim.disk.counters == per.disk.counters
         per.dispose()
 
@@ -174,10 +166,7 @@ class TestBackendConformance:
         )
         assert reopened.stats() == stats_before
         probe = np.arange(0, 60_000, 17)
-        sim_found, sim_tomb = sim.lookup_entries(probe)
-        re_found, re_tomb = reopened.lookup_entries(probe)
-        assert np.array_equal(sim_found, re_found)
-        assert np.array_equal(sim_tomb, re_tomb)
+        assert np.array_equal(sim.get_many(probe), reopened.get_many(probe))
         reopened.dispose()
 
 
@@ -222,9 +211,7 @@ def _assert_no_orphan_files(tree: LSMTree) -> None:
 
 
 def _assert_same_answers(reference: LSMTree, recovered: LSMTree, probe) -> None:
-    ref_found, ref_tomb = reference.lookup_entries(probe)
-    rec_found, rec_tomb = recovered.lookup_entries(probe)
-    assert np.array_equal(ref_found & ~ref_tomb, rec_found & ~rec_tomb)
+    assert np.array_equal(reference.get_many(probe), recovered.get_many(probe))
 
 
 class TestCrashRecovery:
@@ -378,9 +365,9 @@ class TestCrashRecovery:
         plan._placements = plan._placements[:-1] + ((level, piece[3:]),)
         plan._leftover = piece[:3]
         kept, overwritten, also_kept = piece[:3].tolist()
-        plan.delete(overwritten)  # a newer version: the leftover copy is obsolete
+        plan.put(overwritten)  # a newer version: the leftover copy is obsolete
         plan.run_to_completion()
-        assert target.memtable.get(kept) == (True, False)
+        assert target.memtable.holds(kept)
         target.store.abandon()
 
         recovered = LSMTree(
@@ -388,9 +375,8 @@ class TestCrashRecovery:
             store=FileStore(tmp_path / "target"),
         )
         assert recovered.stats().memtable_entries == 3
-        assert recovered.get(kept) and recovered.get(also_kept)
-        assert not recovered.get(overwritten)
-        assert recovered.get_many(checkpoint).sum() == checkpoint.size - 1
+        assert recovered.get(kept) and recovered.get(also_kept) and recovered.get(overwritten)
+        assert recovered.get_many(checkpoint).all()
         recovered.dispose()
 
 
@@ -398,9 +384,9 @@ class TestWriteAheadLog:
     def test_round_trip(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.append(7)
-        wal.append(-3, tombstone=True)
+        wal.append(-3)
         wal.append(2**40)
-        assert wal.replay() == [(7, False), (-3, True), (2**40, False)]
+        assert wal.replay() == [7, -3, 2**40]
         assert len(wal.replay()) == 3
         wal.reset()
         assert wal.replay() == []
@@ -415,21 +401,21 @@ class TestWriteAheadLog:
         data = path.read_bytes()
         path.write_bytes(data[:-4])  # tear the last record mid-write
         torn = WriteAheadLog(path)
-        assert torn.replay() == [(1, False)]
+        assert torn.replay() == [1]
         torn.close()
 
     def test_sync_mode_appends_survive(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log", sync=True)
-        wal.append(5, tombstone=True)
-        assert wal.replay() == [(5, True)]
+        wal.append(5)
+        assert wal.replay() == [5]
         wal.close()
 
-    _GROUP = [(7, False), (-3, True), (2**40, False), (0, False), (12, True)]
+    _GROUP = [7, -3, 2**40, 0, 12]
 
     def test_append_many_is_byte_identical_to_repeated_append(self, tmp_path):
         scalar = WriteAheadLog(tmp_path / "scalar.log")
-        for key, tombstone in self._GROUP:
-            scalar.append(key, tombstone)
+        for key in self._GROUP:
+            scalar.append(key)
         grouped = WriteAheadLog(tmp_path / "grouped.log")
         grouped.append_many(self._GROUP)
         scalar.close()
@@ -454,7 +440,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(path)
         wal.append_many(self._GROUP)
         wal.close()
-        record_size = 9  # struct "<qB"
+        record_size = 8  # struct "<q"
         data = path.read_bytes()
         assert len(data) == record_size * len(self._GROUP)
         path.write_bytes(data[: 3 * record_size + 4])  # tear inside record 4
@@ -462,7 +448,7 @@ class TestWriteAheadLog:
         assert torn.replay() == self._GROUP[:3]
         # The log stays appendable after a torn tail was truncated away.
         torn.append(99)
-        assert torn.replay() == self._GROUP[:3] + [(99, False)]
+        assert torn.replay() == self._GROUP[:3] + [99]
         torn.close()
 
     def test_append_many_pays_a_single_fsync(self, tmp_path, monkeypatch):
@@ -477,8 +463,8 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(tmp_path / "wal.log", sync=True)
         wal.append_many(self._GROUP)
         assert syncs["count"] == 1
-        for key, tombstone in self._GROUP:
-            wal.append(key, tombstone)
+        for key in self._GROUP:
+            wal.append(key)
         assert syncs["count"] == 1 + len(self._GROUP)
         wal.close()
 
@@ -486,54 +472,41 @@ class TestWriteAheadLog:
 class TestSSTable:
     """The on-disk table answers exactly like an in-memory sorted run."""
 
-    def _pair(self, tmp_path, keys, tombstones=None, bits=5.0, seed=9):
+    def _pair(self, tmp_path, keys, bits=5.0, seed=9):
         keys = np.asarray(keys, dtype=np.int64)
-        if tombstones is None:
-            tombstones = np.zeros(keys.size, dtype=bool)
-        run = SortedRun(
-            keys, entries_per_page=4, bits_per_entry=bits,
-            tombstones=tombstones, seed=seed,
-        )
+        run = SortedRun(keys, entries_per_page=4, bits_per_entry=bits, seed=seed)
         table = SSTable.create(
-            tmp_path / "t.sst", keys, tombstones,
-            entries_per_page=4, bits_per_entry=bits, seed=seed,
+            tmp_path / "t.sst", keys, entries_per_page=4, bits_per_entry=bits, seed=seed
         )
         return run, table
 
     def test_lookup_parity_including_page_charges(self, tmp_path):
-        keys = np.arange(0, 1_000, 3)
-        tombs = (keys % 30) == 0
-        run, table = self._pair(tmp_path, keys, tombs)
+        run, table = self._pair(tmp_path, np.arange(0, 1_000, 3))
         for key in range(-5, 1_010):
             assert run.lookup(key) == table.lookup(key)
         table.close()
 
     def test_lookup_many_parity(self, tmp_path):
         keys = np.arange(0, 2_000, 7)
-        tombs = (keys % 70) == 0
-        run, table = self._pair(tmp_path, keys, tombs)
+        run, table = self._pair(tmp_path, keys)
         probe = np.r_[keys[::5], np.arange(1, 500, 2), keys[:3], keys[:3]]
-        run_f, run_t, run_pages = run.lookup_many(probe)
-        tab_f, tab_t, tab_pages = table.lookup_many(probe)
-        assert np.array_equal(run_f, tab_f)
-        assert np.array_equal(run_t, tab_t)
-        assert run_pages == tab_pages
+        run_found, run_pages = run.lookup_many(probe)
+        table_found, table_pages = table.lookup_many(probe)
+        assert np.array_equal(run_found, table_found)
+        assert run_pages == table_pages
         table.close()
 
     def test_scan_parity_over_every_interval_shape(self, tmp_path):
-        keys = np.arange(0, 400, 5)
-        tombs = (keys % 20) == 0
-        run, table = self._pair(tmp_path, keys, tombs)
+        run, table = self._pair(tmp_path, np.arange(0, 400, 5))
         intervals = [
             (0, 399), (-50, -1), (401, 900), (3, 4), (100, 100),
             (101, 104), (0, 0), (395, 395), (17, 230),
         ]
         for start, end in intervals:
-            run_scan = run.scan_entries(start, end)
-            tab_scan = table.scan_entries(start, end)
-            assert np.array_equal(run_scan[0], tab_scan[0])
-            assert np.array_equal(run_scan[1], tab_scan[1])
-            assert run_scan[2] == tab_scan[2]
+            run_keys, run_pages = run.scan_entries(start, end)
+            table_keys, table_pages = table.scan_entries(start, end)
+            assert np.array_equal(run_keys, table_keys)
+            assert run_pages == table_pages
         table.close()
 
     def test_a_charged_page_is_a_read_page(self, tmp_path, monkeypatch):
@@ -543,7 +516,7 @@ class TestSSTable:
         (``scan_pages``) reads the same one span and decodes none of it."""
         keys = np.arange(0, 150, 5)  # 30 entries: seven full pages and a half
         run, table = self._pair(tmp_path, keys)
-        page_bytes, data_bytes = 4 * 9, 30 * 9
+        page_bytes, data_bytes = 4 * 8, 30 * 8
         reads: list[tuple[int, int]] = []
         real_pread = os.pread
 
@@ -579,8 +552,8 @@ class TestSSTable:
             assert charged == (pages, pages), name
             assert reads == want_reads, name
             reads.clear()
-            got_keys, _, got_pages = table.scan_entries(start, end)
-            want_keys, _, want_pages = run.scan_entries(start, end)
+            got_keys, got_pages = table.scan_entries(start, end)
+            want_keys, want_pages = run.scan_entries(start, end)
             assert got_keys.tolist() == want_keys.tolist(), name
             assert got_pages == want_pages == pages == last_page - first_page + 1, name
             assert reads == want_reads, name
@@ -607,11 +580,11 @@ class TestSSTable:
         ends = np.array([end for _, end in intervals], dtype=np.int64)
         want_reads = []
         for run in runs:
-            page_bytes = run.entries_per_page * 9
+            page_bytes = run.entries_per_page * 8
             for start, end in intervals:
                 first, last = run._locate(start, end)
                 if first <= last:
-                    length = min((last + 1) * page_bytes, 9 * len(run)) - first * page_bytes
+                    length = min((last + 1) * page_bytes, 8 * len(run)) - first * page_bytes
                     want_reads.append((first * page_bytes, length))
         reads: list[tuple[int, int]] = []
         real_pread = os.pread
@@ -643,13 +616,13 @@ class TestSSTable:
         bytes raises, where it used to answer from the records it got."""
         keys = np.arange(0, 150, 5)  # 30 entries: seven full pages and a half
         run, table = self._pair(tmp_path, keys)
-        os.truncate(tmp_path / "t.sst", 26 * 9)  # page 6 ends short, page 7 is gone
+        os.truncate(tmp_path / "t.sst", 26 * 8)  # page 6 ends short, page 7 is gone
         reads = {
             "scan_entries": lambda: table.scan_entries(100, 200),
             "scan_pages": lambda: table.scan_pages(100, 200),
             "lookup": lambda: table.lookup(140),
             "lookup_many": lambda: table.lookup_many(keys[-5:]),
-            "entries": table.entries,
+            "keys": lambda: table.keys,
         }
         for name, read in reads.items():
             with pytest.raises(OSError, match="short read of an SSTable") as raised:
@@ -677,15 +650,13 @@ class TestSSTable:
     @pytest.mark.parametrize("count", [0, 3, 150], ids=["empty", "one-partial-page", "many"])
     def test_open_round_trips_all_state(self, tmp_path, count):
         keys = np.arange(0, 2 * count, 2)
-        tombs = (keys % 10) == 0
-        run, table = self._pair(tmp_path, keys, tombs)
+        run, table = self._pair(tmp_path, keys)
         table.close()
         reopened = SSTable.open(tmp_path / "t.sst")
         assert reopened.num_entries == count
         assert reopened.num_pages == run.num_pages == -(-count // 4)
         assert reopened.entries_per_page == 4
         assert np.array_equal(reopened.keys, keys)
-        assert np.array_equal(reopened.tombstones, tombs)
         # The resident state is the created table's, bit for bit.
         for name in ("_fences", "_page_max"):
             created, read = getattr(table, name), getattr(reopened, name)
@@ -706,8 +677,8 @@ class TestSSTable:
     def test_empty_table(self, tmp_path):
         run, table = self._pair(tmp_path, np.empty(0, dtype=np.int64))
         assert table.num_pages == 0
-        assert table.lookup(5) == (False, False, 0)
-        assert table.scan_entries(0, 10)[2] == 0
+        assert table.lookup(5) == (False, 0)
+        assert table.scan_entries(0, 10)[1] == 0
         with pytest.raises(ValueError):
             table.min_key
         table.close()
@@ -717,20 +688,19 @@ class TestSSTable:
         end-of-file: a read that took a whole page there would unpack fence
         pointers as entries."""
         keys = np.arange(0, 60, 2)  # 30 entries: seven full pages and a half
-        run, table = self._pair(tmp_path, keys, (keys % 8) == 0)
-        assert table._read_pages(7, 7)[0].tolist() == [56, 58]
+        run, table = self._pair(tmp_path, keys)
+        assert table._read_pages(7, 7).tolist() == [56, 58]
         assert np.array_equal(table.keys, keys)
         for key in (55, 56, 57, 58, 59):
             assert table.lookup(key) == run.lookup(key)
         for start, end in [(50, 200), (56, 56), (57, 57), (58, 300), (0, 59)]:
             got, want = table.scan_entries(start, end), run.scan_entries(start, end)
-            assert [part.tolist() for part in got[:2]] == [part.tolist() for part in want[:2]]
-            assert got[2] == want[2]
-        found, _, pages = table.lookup_many(keys[-3:])
-        assert found.all() and pages == run.lookup_many(keys[-3:])[2]
+            assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+        found, pages = table.lookup_many(keys[-3:])
+        assert found.all() and pages == run.lookup_many(keys[-3:])[1]
         # Offsets did not move: the file starts with the bare record array.
-        raw = (tmp_path / "t.sst").read_bytes()[: 30 * 9]
-        assert np.array_equal(np.frombuffer(raw, dtype="<i8, u1")["f0"], keys)
+        raw = (tmp_path / "t.sst").read_bytes()[: 30 * 8]
+        assert np.array_equal(np.frombuffer(raw, dtype="<i8"), keys)
         table.close()
 
     def _table_bytes(self, tmp_path):
@@ -739,7 +709,7 @@ class TestSSTable:
         return (tmp_path / "t.sst").read_bytes()
 
     @pytest.mark.parametrize(
-        "cut", [0, 9 * 20, 9 * 50, 9 * 50 + 8 * 13 + 3, -40, -1],
+        "cut", [0, 8 * 20, 8 * 50, 8 * 50 + 8 * 13 + 3, -40, -1],
         ids=[
             "empty", "in-the-records", "bare-records-of-the-old-layout",
             "in-the-footer", "in-the-trailer", "in-the-magic",
@@ -757,10 +727,22 @@ class TestSSTable:
         """A record lost (or bytes gained) ahead of an intact trailer."""
         path = tmp_path / "t.sst"
         raw = self._table_bytes(tmp_path)
-        for damaged in (raw[9:], b"\0" * 9 + raw):
+        for damaged in (raw[8:], b"\0" * 8 + raw):
             path.write_bytes(damaged)
             with pytest.raises(ValueError, match=f"holds {len(damaged)} bytes"):
                 SSTable.open(path)
+
+    def test_open_refuses_a_table_of_9_byte_records(self, tmp_path):
+        """The format before version 4 followed each key with a flag byte:
+        such a table is longer than its trailer says, by one byte a record."""
+        path = tmp_path / "t.sst"
+        raw = self._table_bytes(tmp_path)
+        records = np.frombuffer(raw[: 8 * 50], dtype="<i8")
+        old = np.zeros(50, dtype=[("key", "<i8"), ("flag", "u1")])
+        old["key"] = records
+        path.write_bytes(old.tobytes() + raw[8 * 50 :])
+        with pytest.raises(ValueError, match=f"holds {len(raw) + 50} bytes but its trailer"):
+            SSTable.open(path)
 
     @needs_proc
     @pytest.mark.parametrize("delta", [-1, 1], ids=["one-byte-short", "one-byte-long"])
@@ -822,7 +804,7 @@ _ANY_KEY = st.integers(_INT64.min, _INT64.max)
 
 @st.composite
 def _run_and_probes(draw):
-    """``(keys, tombstones, bits_per_entry, probe)`` for a run of 4-entry pages.
+    """``(keys, bits_per_entry, probe)`` for a run of 4-entry pages.
 
     Sizes cover the empty run, one entry, one page, a last partial page and
     many pages; keys are clustered, or anywhere in ``int64``.  Probe batches
@@ -833,7 +815,6 @@ def _run_and_probes(draw):
     size = draw(st.sampled_from([0, 1, 3, 4, 5, 8, 13, 30]))
     domain = draw(st.sampled_from([st.integers(-60, 60), _ANY_KEY]))
     keys = sorted(draw(st.lists(domain, min_size=size, max_size=size, unique=True)))
-    tombstones = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     shape = draw(st.sampled_from(["empty", "one page", "every page", "mixed"]))
     if shape == "empty" or (not keys and shape != "mixed"):
         probe = []
@@ -849,7 +830,7 @@ def _run_and_probes(draw):
     if draw(st.booleans()):  # in key order, as a drain hands a batch over
         probe = sorted(probe)
     bits = draw(st.sampled_from([0.0, 3.0, 10.0]))
-    return keys, tombstones, bits, probe
+    return keys, bits, probe
 
 
 class TestSSTableLookupMany:
@@ -858,17 +839,13 @@ class TestSSTableLookupMany:
     @given(case=_run_and_probes())
     @settings(max_examples=150, deadline=None)
     def test_answers_charges_and_reads(self, case):
-        keys, tombstones, bits, probe = case
+        keys, bits, probe = case
         keys = np.array(keys, dtype=np.int64)
-        tombstones = np.array(tombstones, dtype=bool)
         probe = np.array(probe, dtype=np.int64)
-        run = SortedRun(
-            keys, entries_per_page=4, bits_per_entry=bits, tombstones=tombstones, seed=9
-        )
+        run = SortedRun(keys, entries_per_page=4, bits_per_entry=bits, seed=9)
         with tempfile.TemporaryDirectory() as root:
             table = SSTable.create(
-                Path(root) / "t.sst", keys, tombstones,
-                entries_per_page=4, bits_per_entry=bits, seed=9,
+                Path(root) / "t.sst", keys, entries_per_page=4, bits_per_entry=bits, seed=9
             )
             reads: list[tuple[int, int]] = []
             real_pread = os.pread
@@ -879,54 +856,51 @@ class TestSSTableLookupMany:
 
             try:
                 with mock.patch.object(os, "pread", pread):
-                    found, tombstone, pages = table.lookup_many(probe)
-                want_found, want_tombstone, want_pages = run.lookup_many(probe)
+                    found, pages = table.lookup_many(probe)
+                want_found, want_pages = run.lookup_many(probe)
                 assert found.tolist() == want_found.tolist()
-                assert tombstone.tolist() == want_tombstone.tolist()
                 assert pages == want_pages
                 scalar = [table.lookup(int(key)) for key in probe]
-                assert list(zip(found.tolist(), tombstone.tolist())) == [s[:2] for s in scalar]
-                assert pages == sum(s[2] for s in scalar)
+                assert found.tolist() == [s[0] for s in scalar]
+                assert pages == sum(s[1] for s in scalar)
                 # One pread per distinct candidate page, a page long, except
                 # the last: it ends where the records do.
                 candidates = sorted(
                     {table.page_of(int(key)) for key in probe if table.may_contain(int(key))}
                 )
-                data_bytes = 9 * keys.size
+                data_bytes = 8 * keys.size
                 assert reads == [
-                    (36 * page, min(36, data_bytes - 36 * page)) for page in candidates
+                    (32 * page, min(32, data_bytes - 32 * page)) for page in candidates
                 ]
             finally:
                 table.close()
 
     def test_a_closed_table_refuses_to_read(self, tmp_path):
         keys = np.arange(0, 40, 2)
-        table = SSTable.create(
-            tmp_path / "t.sst", keys, np.zeros(keys.size, dtype=bool), entries_per_page=4
-        )
+        table = SSTable.create(tmp_path / "t.sst", keys, entries_per_page=4)
         table.close()
         with pytest.raises(ValueError, match="is closed"):
             table.lookup_many(keys[:5])
         # Nothing to read, nothing refused: the resident index rules these out.
-        assert table.lookup_many(np.array([-3, 99]))[2] == 0
+        assert table.lookup_many(np.array([-3, 99]))[1] == 0
 
 
 @st.composite
 def _run_and_intervals(draw):
-    """``(keys, tombstones, intervals)`` for a run of 4-entry pages.
+    """``(keys, intervals)`` for a run of 4-entry pages.
 
     Run sizes and key domains as in :func:`_run_and_probes`; interval batches
     are empty, or mix intervals anchored on the run's keys and their
     neighbours — whole run, single keys, gaps, duplicates, overlaps — with
     intervals anywhere: below, above, inverted.
     """
-    keys, tombstones, _, _ = draw(_run_and_probes())
+    keys, _, _ = draw(_run_and_probes())
     near = [min(max(key + d, _INT64.min), _INT64.max) for key in keys for d in (-1, 0, 1)]
     bound = (st.sampled_from(near) if near else _ANY_KEY) | _ANY_KEY | st.integers(-70, 70)
     intervals = draw(st.lists(st.tuples(bound, bound), max_size=30))
     if keys and draw(st.booleans()):
         intervals += [(keys[0], keys[-1]), (_INT64.min, _INT64.max)] + intervals[:3]
-    return keys, tombstones, intervals
+    return keys, intervals
 
 
 class TestLocateMany:
@@ -935,37 +909,35 @@ class TestLocateMany:
     @given(case=_run_and_intervals(), runs_in_batch=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_slices_and_pages_of_every_interval(self, case, runs_in_batch):
-        keys, tombstones, intervals = case
+        keys, intervals = case
         keys = np.array(keys, dtype=np.int64)
-        tombstones = np.array(tombstones, dtype=bool)
         starts = np.array([start for start, _ in intervals], dtype=np.int64)
         ends = np.array([end for _, end in intervals], dtype=np.int64)
-        run = SortedRun(keys, entries_per_page=4, tombstones=tombstones)
+        run = SortedRun(keys, entries_per_page=4)
         with tempfile.TemporaryDirectory() as root:
-            table = SSTable.create(Path(root) / "t.sst", keys, tombstones, entries_per_page=4)
+            table = SSTable.create(Path(root) / "t.sst", keys, entries_per_page=4)
             try:
                 other = SortedRun(keys[::2], entries_per_page=3)
                 runs = [run, table, other, run][: runs_in_batch + 1]
                 first, last, pages = locate_many(runs, starts, ends)
                 assert first.shape == last.shape == pages.shape == (len(runs), len(intervals))
                 for row, each in enumerate(runs):
-                    run_keys, run_tombstones = each.entries()
+                    run_keys = each.keys
                     per_page = each.entries_per_page
                     for column, (start, end) in enumerate(intervals):
                         span = first[row, column], last[row, column]
                         assert span == each._locate(start, end)
-                        want_keys, want_tombstones, want_pages = each.scan_entries(start, end)
+                        want_keys, want_pages = each.scan_entries(start, end)
                         assert pages[row, column] == want_pages == max(span[1] - span[0] + 1, 0)
                         # The located pages, trimmed to the interval, are the scan.
                         read = slice(span[0] * per_page, (span[1] + 1) * per_page)
-                        span_keys, span_tombstones = run_keys[read], run_tombstones[read]
+                        span_keys = run_keys[read]
                         inside = (span_keys >= start) & (span_keys <= end)
                         assert span_keys[inside].tolist() == want_keys.tolist()
-                        assert span_tombstones[inside].tolist() == want_tombstones.tolist()
                         if each is table:
                             in_memory = run.scan_entries(start, end)
                             assert want_keys.tolist() == in_memory[0].tolist()
-                            assert want_pages == in_memory[2]
+                            assert want_pages == in_memory[1]
             finally:
                 table.close()
 
@@ -999,7 +971,7 @@ class TestFailedTableWrite:
             tree.put(key)
         assert [len(runs) for runs in tree.levels] == shape
         levels = [list(runs) for runs in tree.levels]
-        buffered = tree.memtable.sorted_items()[0].tolist()
+        buffered = tree.memtable.sorted_items().tolist()
         run_counter = tree._run_counter
         files = sorted(path.name for path in tree.store.data_dir.iterdir())
         descriptors = _descriptors_under(tmp_path)
@@ -1017,7 +989,7 @@ class TestFailedTableWrite:
                 tree.put(writes[-1] + 1)
         writes.append(writes[-1] + 1)  # logged and buffered before the flush was tried
         assert [list(runs) for runs in tree.levels] == levels  # the same run objects
-        assert tree.memtable.sorted_items()[0].tolist() == buffered + writes[-1:]
+        assert tree.memtable.sorted_items().tolist() == buffered + writes[-1:]
         assert tree._run_counter == run_counter
         assert tree.disk.counters.snapshot() == counters
         assert sorted(path.name for path in tree.store.data_dir.iterdir()) == files
@@ -1083,19 +1055,19 @@ class TestFailedManifestAndLogWrite:
         self, tmp_path, monkeypatch, fault
     ):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append_many([(-7, False), (2**63 - 1, True)])
+        wal.append_many([-7, 2**63 - 1])
         wal.append(11)
         logged = (tmp_path / "wal.log").read_bytes()
         descriptors = _descriptors_under(tmp_path)
-        for append in (lambda: wal.append(12), lambda: wal.append_many([(13, False)] * 3)):
+        for append in (lambda: wal.append(12), lambda: wal.append_many([13] * 3)):
             with monkeypatch.context() as patch:
                 patch.setattr(wal._file, "write", _failing(wal._file.write, fault))
                 with pytest.raises(OSError, match="No space left|short write of the write-ahead"):
                     append()
             assert (tmp_path / "wal.log").read_bytes() == logged
             assert _descriptors_under(tmp_path) == descriptors
-        wal.append(14, tombstone=True)
-        assert wal.replay() == [(-7, False), (2**63 - 1, True), (11, False), (14, True)]
+        wal.append(14)
+        assert wal.replay() == [-7, 2**63 - 1, 11, 14]
         wal.close()
 
     def test_a_put_the_log_refused_is_not_buffered(self, tmp_path, monkeypatch, fault):
@@ -1106,8 +1078,8 @@ class TestFailedManifestAndLogWrite:
             patch.setattr(wal._file, "write", _failing(wal._file.write, fault))
             with pytest.raises(OSError):
                 tree.put(2)
-        assert tree.memtable.sorted_items()[0].tolist() == [1]
-        assert wal.replay() == [(1, False)]
+        assert tree.memtable.sorted_items().tolist() == [1]
+        assert wal.replay() == [1]
         tree.dispose()
 
 
@@ -1187,14 +1159,14 @@ class TestPersistentHousekeeping:
         )
         assert tree.data_dir == tmp_path / "db" and tree.store.sync_writes
         tree.put(42)
-        tree.delete(7)
+        tree.put(7)
         tree.simulate_crash()
         recovered = PersistentLSMTree(
             self._TUNING, _SYSTEM, data_dir=tmp_path / "db",
             disk=VirtualDisk(), seed=3,
         )
         assert recovered.get(42)
-        assert recovered.memtable.get(7) == (True, True)
+        assert recovered.memtable.sorted_items().tolist() == [7, 42]
         recovered.destroy()
         assert not (tmp_path / "db").exists()
 
@@ -1315,7 +1287,7 @@ class TestFlushDurability:
         tree.close()
         directory = [("fsync", "db")] if sync_writes else []
         assert recorder.syncs == [("fsync", "MANIFEST.tmp"), ("replace", "MANIFEST.json")] + directory
-        record = {"version": 3, "run_counter": tree._run_counter, "levels": [
+        record = {"version": MANIFEST_VERSION, "run_counter": tree._run_counter, "levels": [
             [run.path.name for run in runs] for runs in tree.levels
         ]}
         assert path.read_bytes() == json.dumps(record).encode() + b"\n"
@@ -1333,7 +1305,7 @@ class TestDiskLayout:
         tree.bulk_load(np.arange(0, 2_000, 7))
         for key in range(5_000, 5_000 + 2 * tree.buffer_entries + 2):
             tree.put(key)
-        tree.delete(5_000)
+        tree.put(5_000)  # an update of a flushed key
         tree.close()
         runs = [[run.path.name for run in runs] for runs in tree.levels]
         assert runs == [["run-00000004.sst"], [], ["run-00000001.sst"]]
@@ -1341,40 +1313,53 @@ class TestDiskLayout:
         assert {path.name for path in (tmp_path / "db").iterdir()} == files
         manifest = (tmp_path / "db" / "MANIFEST.json").read_text()
         assert manifest.count("\n") == 1  # closing rolled the log to one record
-        assert json.loads(manifest) == {"version": 3, "run_counter": 4, "levels": runs}
-        # A table file is 9-byte records (little-endian int64 key + tombstone)
+        assert json.loads(manifest) == {
+            "version": MANIFEST_VERSION, "run_counter": 4, "levels": runs
+        }
+        # A table file is 8-byte records (little-endian int64 keys)
         # from offset 0, two int64 per page of sparse index, the filter's bit
         # table and the 72-byte trailer.
         table = tree.levels[2][0]
         assert (table.num_entries, table.num_pages) == (286, 72)
         filter_bytes = (table.filter_size_bits + 7) // 8
         size = (tmp_path / "db" / "run-00000001.sst").stat().st_size
-        assert size == 9 * 286 + 16 * 72 + filter_bytes + 72
+        assert size == 8 * 286 + 16 * 72 + filter_bytes + 72
         # The log holds exactly the writes since the last flush, in arrival
         # order and the same record format.
         last = 5_000 + 2 * tree.buffer_entries
         expected = b"".join(
-            key.to_bytes(8, "little", signed=True) + bytes([tombstone])
-            for key, tombstone in [(last, 0), (last + 1, 0), (5_000, 1)]
+            key.to_bytes(8, "little", signed=True) for key in [last, last + 1, 5_000]
         )
         assert (tmp_path / "db" / "wal.log").read_bytes() == expected
 
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_a_version_1_or_2_directory_is_refused(self, tmp_path, version):
-        """Neither the three-file layout nor a manifest swapped in whole at
-        every commit is read any more: the manifest, one JSON object and no
-        newline in both, says so before any table is opened."""
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_directory_of_an_older_version_is_refused(self, tmp_path, monkeypatch, version):
+        """Neither the three-file layout, nor a manifest swapped in whole at
+        every commit (one JSON object and no newline in both), nor 9-byte
+        records (a key and a deletion flag) in a manifest log of version 3 is
+        read any more: the manifest says so before the log or a table is
+        read, and the log is left as it was."""
         tuning = LSMTuning(5.0, 5.0, Policy.LEVELING)
         tree = LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
-        for key in range(tree.buffer_entries):
+        for key in range(tree.buffer_entries + 3):
             tree.put(key)
         tree.close()
         manifest_path = tmp_path / "db" / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps(manifest | {"version": version}))
-        with pytest.raises(ValueError, match=f"has version {version}, expected 3"):
+        manifest = json.dumps(json.loads(manifest_path.read_text()) | {"version": version})
+        manifest_path.write_text(manifest + "\n" if version == 3 else manifest)
+        # Three logged writes as version 3 wrote them: a torn record to this one.
+        log = b"".join(key.to_bytes(8, "little") + b"\0" for key in range(3))
+        (tmp_path / "db" / "wal.log").write_bytes(log)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an older directory's log or table was read")
+
+        monkeypatch.setattr(WriteAheadLog, "replay", unread)
+        monkeypatch.setattr(SSTable, "open", unread)
+        with pytest.raises(ValueError, match=f"has version {version}, expected 4"):
             LSMTree(tuning, _SYSTEM, store=FileStore(tmp_path / "db"))
+        assert (tmp_path / "db" / "wal.log").read_bytes() == log
 
 
 class TestManifestLog:
@@ -1434,7 +1419,7 @@ class TestManifestLog:
             appended = (directory / "MANIFEST.json").read_bytes()
             assert appended[:torn] == data[:torn]
             assert json.loads(appended[torn:]) == {
-                "version": 3,
+                "version": MANIFEST_VERSION,
                 "run_counter": recovered._run_counter,
                 "levels": self._levels(recovered),
             }

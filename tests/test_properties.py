@@ -181,7 +181,7 @@ class TestSortedRunProperties:
             np.array(sorted(keys), dtype=np.int64), entries_per_page=4, bits_per_entry=8.0
         )
         for key in keys:
-            found, _, pages = run.lookup(key)
+            found, pages = run.lookup(key)
             assert found
             assert pages == 1
 
@@ -192,11 +192,8 @@ class TestSortedRunProperties:
     @settings(max_examples=40, deadline=None)
     def test_consolidation_preserves_key_set(self, keys_a, keys_b):
         parts = [np.array(sorted(keys), dtype=np.int64) for keys in (keys_a, keys_b)]
-        keys, tombstones = consolidate_versions(
-            parts, [np.zeros(part.size, dtype=bool) for part in parts]
-        )
+        keys = consolidate_versions(parts)
         assert keys.tolist() == sorted(set(keys_a) | set(keys_b))
-        assert not tombstones.any()
 
 
 class TestLSMTreeProperties:

@@ -120,8 +120,9 @@ RULES = (
     Rule("no-per-page-unique-loop", SSTABLE, r"for page in np.unique\(", 21,
          "        for page in np.unique(pages):"),
     Rule("no-page-span", SRC, r"PageSpan|def range_span", 22, "class PageSpan(NamedTuple):"),
-    Rule("memtable-no-full-walk", "src/repro/storage/memtable.py", r"_entries\.items\(\)", 19,
-         "        for key, tombstone in self._entries.items():"),
+    Rule("memtable-no-full-walk", "src/repro/storage/memtable.py",
+         r"sorted\(self\._keys\)|for \w+ in self\._keys\b", 19,
+         "        return np.array(sorted(self._keys), dtype=np.int64)"),
     Rule("no-batched-scan-helpers", SRC, r"def scan_slices|def range_query_many|def scan_many",
          19, "    def scan_many(self, starts, ends):"),
     Rule("no-range-count-helpers", SRC, r"def (count_runs_many|count_live_versions|live_prefix)\b",
@@ -153,12 +154,12 @@ RULES = (
          "            if not self._table.item(position % num_bits):"),
     Rule("storage-no-hashing-unique", "src/repro/storage/**/*.py", r"np\.unique\(", 30,
          "    keys = np.unique(keys)"),
-    Rule("no-eager-level1-run", LSM_TREE, r"_new_run\(keys, tombstones, level=1\)", 20,
-         "        run = self._new_run(keys, tombstones, level=1)"),
+    Rule("no-eager-level1-run", LSM_TREE, r"_new_run\(keys, level=1\)", 20,
+         "        run = self._new_run(keys, level=1)"),
     Rule("no-second-install-path", SRC, r"lazy_filter|eager_build|build_transient", 20,
          "    def build_transient(self, keys):"),
     Rule("one-create-run-site", LSM_TREE, r"store\.create_run\(", 20,
-         "        run = self.store.create_run(keys, tombstones, run_id, level)", "== 1"),
+         "        run = self.store.create_run(keys, run_id, level)", "== 1"),
     Rule("flush-plan-touches-no-disk", LSM_TREE, r"self\.disk\.|self\.levels|_build_run", 20,
          "        self.disk.write_pages(run.num_pages)",
          scope=("_cascade", "_merge_runs")),
@@ -228,6 +229,9 @@ RULES = (
          "        generator = self.trace_generator()", scope=("WorkloadExecutor.run_shard",)),
     Rule("one-stream-source", EXECUTOR, r"self\.trace_generator\(\)", 49,
          "        generator = self.trace_generator()", "== 1"),
+    # No workload deletes: the engine stores keys, and no layer carries a flag.
+    Rule("no-tombstones", SRC, r"(?i)tombstone|\bdef delete\(", 50,
+         "    def delete(self, key: int) -> None:"),
 )
 
 

@@ -165,6 +165,18 @@ class TestControllerExecution:
             e.migration_write_pages for e in migrated
         )
 
+    def test_migration_keeps_an_updated_key_once(self, tiny_system, key_space):
+        """A buffered update over an older version bulk-loaded into a deeper
+        run: the migration's rebuild holds the key once, beside its
+        neighbours."""
+        config = OnlineConfig(check_interval=10**9)
+        controller = _controller(tiny_system, key_space, config, Workload.uniform())
+        victim, neighbour = int(key_space.existing[10]), int(key_space.existing[11])
+        controller.tree.put(victim)
+        controller._migrate(LSMTuning(4.0, 4.0, Policy.TIERING))
+        assert controller.tree.get(victim) and controller.tree.get(neighbour)
+        assert controller.tree.range_query(victim, neighbour) == 2
+
     def test_infinite_divergence_serialises_to_valid_json(self, tiny_system):
         import json
         import math

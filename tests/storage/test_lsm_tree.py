@@ -89,6 +89,23 @@ class TestWritesAndCompaction:
         tiered_io = tiered.disk.counters.compaction_writes
         assert tiered_io < leveled_io
 
+    def test_an_update_survives_flush(self):
+        tree = make_tree()
+        tree.bulk_load(np.arange(0, 1_000))
+        tree.put(500)
+        tree.flush()
+        assert tree.get(500)
+        assert tree.range_query(0, 999) == 1_000
+
+    def test_updates_through_compactions_count_each_key_once(self):
+        tree = make_tree(policy=Policy.TIERING, size_ratio=3.0)
+        keys = np.random.default_rng(2).integers(0, 400, size=3_000).tolist()
+        for key in keys:
+            tree.put(key)
+        assert tree.disk.counters.compaction_writes > 0
+        assert tree.range_query(0, 400) == len(set(keys))
+        assert tree.get_many(np.array(sorted(set(keys)), dtype=np.int64)).all()
+
     def test_explicit_flush_of_empty_memtable_is_noop(self):
         tree = make_tree()
         tree.flush()
@@ -168,6 +185,13 @@ class TestReads:
         tree.put(50)  # update existing key
         assert tree.get(50)
         assert tree.range_query(50, 50) == 1
+
+    def test_range_query_counts_buffered_updates_of_deeper_keys_once(self):
+        tree = make_tree()
+        tree.bulk_load(np.arange(0, 1_000))
+        tree.put(100)
+        tree.put(105)
+        assert tree.range_query(100, 109) == 10
 
     def test_scan_versions_holds_each_key_once(self):
         tree = make_tree()

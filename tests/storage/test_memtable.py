@@ -29,6 +29,14 @@ class TestMemtable:
         assert table.holds(5)
         assert len(table) == 1
 
+    def test_a_put_of_a_held_key_does_not_grow_a_full_table(self):
+        table = Memtable(2)
+        table.put(1)
+        table.put(2)
+        assert table.is_full
+        table.put(1)
+        assert len(table) == 2 and table.sorted_items().tolist() == [1, 2]
+
     def test_is_full_and_is_empty(self):
         table = Memtable(2)
         assert table.is_empty
@@ -133,6 +141,16 @@ class TestMemtableAgainstASet:
         found = table.lookup_many(np.array(probes, dtype=np.int64))
         assert found.dtype == bool
         assert found.tolist() == [table.holds(key) for key in probes]
+
+    def test_a_re_put_key_keeps_its_place_in_the_key_order(self):
+        table = Memtable(4)
+        for key in (3, -2, -2, 3):
+            table.put(key)
+        assert len(table) == 2 and not table.is_full
+        assert table.scan_items(-5, 5).tolist() == [-2, 3]
+        assert table.lookup_many(np.array([-2, 3, 0], dtype=np.int64)).tolist() == [
+            True, True, False
+        ]
 
     def test_a_scan_of_nothing_buffered_in_range_is_not_writable(self):
         table = Memtable(4)

@@ -540,6 +540,18 @@ class TestEpochFence:
             delta, answers, _ = _check_windows(engines, [_puts(key) + _gets(key, key)])
             assert answers == [] and delta.query_reads == 0
 
+    def test_buffered_update_read_back(self, kind):
+        """A resident key put before the call: its GETs are the buffer's."""
+        key = int(_KEY_SPACE.existing[23])
+        with _engine_pair(kind, _ROOMY) as engines:
+            for engine in engines:
+                engine.put(key)
+            delta, answers, _ = _check_windows(
+                engines, [_gets(key) + _puts(key + 1) + _gets(key)]
+            )
+            assert answers == [] and delta.query_reads == 0
+            assert engines[1].get(key)
+
     def test_range_then_put_of_a_key_inside_it(self, kind):
         """At drain time the key *is* buffered; it is not the earlier ranges' to
         count, and costs the later ones no page."""
@@ -561,6 +573,18 @@ class TestEpochFence:
             ops = _ranges(start) + _puts(start, start) + _ranges(start)
             _, _, (first, second) = _check_windows(engines, [ops])
             assert second == first >= 1
+
+    def test_a_buffered_update_leaves_a_scan_counting_the_resident_key_once(self, kind):
+        start = int(_KEY_SPACE.existing[40])
+        fresh = start + 1
+        assert fresh not in _KEY_SPACE.existing
+        with _engine_pair(kind, _ROOMY) as engines:
+            (before,) = _check_windows(engines, [_ranges(start)])[2]
+            for engine in engines:
+                engine.put(start)
+                engine.put(fresh)
+            (after,) = _check_windows(engines, [_ranges(start)])[2]
+            assert after == before + 1  # the fresh key, and the update not again
 
     def test_overlapping_and_repeated_ranges_in_one_epoch(self, kind):
         """Each takes the buffer as it stood when *it* was asked."""
@@ -719,6 +743,18 @@ class TestWideWindow:
                 (fresh, False),
                 (resident, True),
             ]
+
+    def test_a_get_of_a_buffered_update(self, kind):
+        key = int(_KEY_SPACE.existing[23])
+        with _engine_pair(kind, _ROOMY) as engines:
+            _flush_buffers(engines, _KEY_SPACE.fresh_start + 170_000)
+            for engine in engines:
+                engine.put(key)
+            with _classified() as spy:
+                _, answers, _ = _check_windows(engines, [_WIDE_PADDING + _gets(key, key)])
+            assert spy.call_count == 1
+            assert key not in [asked for asked, _ in answers]
+            assert engines[1].get(key)
 
     @pytest.mark.parametrize("copies", [1, RANGE_SPAN_CUTOFF + 3], ids=["below", "above"])
     @pytest.mark.parametrize("edge", ["smallest", "largest"])

@@ -65,6 +65,10 @@ class TestConstruction:
         # of two keys more than 2^63 apart wrapped negative and was refused.
         assert make_run(keys).keys.tolist() == keys
 
+    def test_rejects_keys_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make_run(np.arange(6).reshape(2, 3))
+
     def test_rejects_bad_page_size(self):
         with pytest.raises(ValueError):
             SortedRun(np.array([1, 2]), entries_per_page=0)
@@ -93,6 +97,11 @@ class TestPointLookups:
         found, pages = run.lookup(42)
         assert found
         assert pages == 1
+
+    @pytest.mark.parametrize("bits", [0.0, 8.0])
+    def test_every_key_is_found_at_one_page(self, bits):
+        run = make_run(range(-30, 30, 3), bits=bits)
+        assert [run.lookup(int(key)) for key in run.keys] == [(True, 1)] * run.num_entries
 
     def test_lookup_of_missing_key_out_of_range_costs_nothing(self):
         run = make_run(range(10, 20))
@@ -247,16 +256,24 @@ def union_reference(key_parts):
     return np.unique(np.concatenate(key_parts)) if key_parts else np.empty(0, dtype=np.int64)
 
 
+#: Keys a part is drawn from: forty, so most keys have several versions; or
+#: the whole ``int64`` range, its two ends in every draw.
+_SPANS = {
+    "dense": lambda rng, size: rng.integers(-20, 20, size=size),
+    "int64": lambda rng, size: np.concatenate(
+        [[-(2**63), 2**63 - 1], rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64)]
+    ),
+}
+
+
 class TestConsolidateVersions:
     @pytest.mark.parametrize("num_parts", [1, 2, 3, 4, 5])
-    def test_equals_the_unique_union(self, num_parts):
+    @pytest.mark.parametrize("span", sorted(_SPANS))
+    def test_equals_the_unique_union(self, num_parts, span):
         rng = np.random.default_rng(100 * num_parts)
         for _ in range(25):
-            # Forty possible keys, up to thirty per part: most keys have
-            # several versions.
             key_parts = [
-                np.unique(rng.integers(-20, 20, size=rng.integers(0, 31)))
-                for _ in range(num_parts)
+                np.unique(_SPANS[span](rng, rng.integers(0, 31))) for _ in range(num_parts)
             ]
             keys = consolidate_versions(key_parts)
             want = union_reference(key_parts)
@@ -388,6 +405,13 @@ class TestMerging:
     def test_consolidation_keeps_a_duplicate_once(self):
         keys = _consolidate([make_run([1, 2, 3]), make_run([2, 3, 4])])
         assert keys.tolist() == [1, 2, 3, 4]
+
+    def test_consolidation_does_not_depend_on_the_order_of_the_runs(self):
+        rng = np.random.default_rng(6)
+        runs = [make_run(np.unique(rng.integers(0, 60, size=30))) for _ in range(4)]
+        want = _consolidate(runs).tolist()
+        for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+            assert _consolidate([runs[index] for index in order]).tolist() == want
 
     def test_consolidation_of_disjoint_runs_preserves_all_keys(self):
         keys = _consolidate([make_run(range(0, 10)), make_run(range(10, 20))])

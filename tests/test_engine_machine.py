@@ -29,7 +29,8 @@ key and at most one per write.
 Teardown leaves no file and no open descriptor behind.  The machine does not
 shrink what it fails on: a real engine bug fails many rule sequences, and
 shrinking each one for minutes makes a failing run look hung.  The unshrunk
-sequence is printed, and ``.hypothesis/`` replays it.
+sequence is printed, and ``.hypothesis/`` replays it.  Two sequences
+it once failed on stay below it as plain tests.
 """
 
 from __future__ import annotations
@@ -439,3 +440,38 @@ EngineMachine.TestCase.settings = settings(
 )
 TestEngineMachine = EngineMachine.TestCase
 
+
+
+def test_an_updated_key_is_held_once_through_a_merge_into_a_stacked_level():
+    """Tiering's bulk load leaves every key in one run at the deepest level;
+    the second burst merges level 1 into that level beside the old run, which
+    still holds the updated key's older version."""
+    state = EngineMachine()
+    state.load(
+        tuning=_TUNINGS[1], size=27, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
+    )
+    try:
+        state.put(key=("known", 0))
+        state.write_burst(count=20, seed=0)
+        state.write_burst(count=20, seed=1)
+        state.contents_equal_the_oracle()
+        state.engines_agree()
+    finally:
+        state.teardown()
+
+
+def test_a_migration_that_installs_no_run_reopens_with_its_levels():
+    """A never-loaded tree: the plan installs nothing, and the target on
+    files must reopen with the level the plan gave it."""
+    state = EngineMachine()
+    state.load(
+        tuning=_TUNINGS[0], size=0, base=0, seed=0, max_batch_ops=1, num_shards=1, window_ops=2
+    )
+    try:
+        state.begin_migration(tuning=_TUNINGS[0], max_step_pages=None)
+        state.finish()
+        state.crash_reopen()
+        state.engines_agree()
+        state.contents_equal_the_oracle()
+    finally:
+        state.teardown()

@@ -17,6 +17,8 @@ Three invariants pin the tentpole of the online-migration work:
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,17 @@ class TestMixedStateScanEdges:
         plan.put(fresh)
         assert plan.range_query(victim, victim) == 1
         assert plan.range_query(fresh, fresh) == 1
+
+    def test_a_key_flushed_into_a_target_run_counts_once_through_point_interval(self):
+        """The newer copy in a run of the target, the older in the source."""
+        plan, checkpoint = self._paused_plan()
+        victim = int(checkpoint[checkpoint.size // 4])
+        plan.put(victim)
+        fresh = count(int(checkpoint[-1]) + 1)
+        while plan.target.memtable.holds(victim):
+            plan.put(next(fresh))
+        assert any(np.isin(victim, run.keys) for runs in plan.target.levels for run in runs)
+        assert plan.range_query(victim, victim) == 1 and plan.get(victim)
 
     def test_interval_overlapping_neither_tree_is_empty(self):
         plan, checkpoint = self._paused_plan()

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import SystemExperiment, format_comparison
+from repro.analysis import Experiment, format_comparison
 from repro.lsm import simulator_system
 from repro.storage import ExecutorConfig
 from repro.workloads import UncertaintyBenchmark, expected_workload
@@ -24,7 +24,7 @@ def main() -> None:
     # A laptop-scale database: 20k entries of 1 KiB (the paper uses 10M on a
     # server); the per-entry memory budget matches the paper's setup so the
     # resulting tunings have the same shape.
-    experiment = SystemExperiment(
+    experiment = Experiment(
         system=simulator_system(num_entries=20_000),
         executor_config=ExecutorConfig(queries_per_workload=1_000, seed=3),
         benchmark=UncertaintyBenchmark(size=500, seed=3),

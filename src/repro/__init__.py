@@ -7,14 +7,16 @@ The package is organised as:
 * :mod:`repro.core` — the nominal and robust tuners (the paper's
   contribution), plus a grid-search baseline.
 * :mod:`repro.workloads` — workload algebra, the uncertainty benchmark,
-  session sequences and concrete query traces.
+  session sequences (the paper's and drifting ones) and concrete query
+  traces.
 * :mod:`repro.storage` — a pure-Python LSM-tree storage engine with I/O
   accounting, standing in for RocksDB in the system-based evaluation.
 * :mod:`repro.online` — the online adaptive-tuning subsystem: workload-drift
   detection over the live operation stream and in-place re-tuning of a
   running tree.
 * :mod:`repro.analysis` — evaluation metrics, the tuning catalog, and the
-  static and static-vs-adaptive experiments the command line runs.
+  one experiment the command line runs: nominal against robust over the
+  paper's session sequence, or over a drifting one beside adaptive columns.
 * :mod:`repro.figures` — every figure and table of the paper, one row each:
   the experiment that computes it, the claim it checks and its renderer.
 """

@@ -1,22 +1,21 @@
-"""Evaluation metrics and the experiments the CLI and the figure rows run."""
+"""Evaluation metrics and the experiment the CLI and the figure rows run."""
 
 from .comparison import (
     Comparison,
+    Experiment,
+    drift_experiment,
     format_adaptive_comparison,
     format_comparison,
 )
 from .metrics import delta_throughputs, throughput_range, win_rate
 from .model_eval import TuningCatalog, tuning_table
-from .online_eval import AdaptiveExperiment, drifting_sequence
-from .system_eval import SystemExperiment
 
 __all__ = [
-    "AdaptiveExperiment",
     "Comparison",
-    "SystemExperiment",
+    "Experiment",
     "TuningCatalog",
     "delta_throughputs",
-    "drifting_sequence",
+    "drift_experiment",
     "format_adaptive_comparison",
     "format_comparison",
     "throughput_range",

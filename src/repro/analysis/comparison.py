@@ -1,10 +1,14 @@
-"""One comparison: the grid an executor returned, and its text and JSON forms.
+"""One experiment and the comparison it builds: the grid an executor
+returned, and its text and JSON forms.
 
 Every system result of the paper (Figures 8–18) and every experiment
 built on top of them (the sharded fleet, static-vs-adaptive drift, the A→B→A
 endurance trio of ``repro.figures``) is one shape: a column per named
-deployment, a row per session.  ``WorkloadExecutor.compare`` already returns
-exactly that, so
+deployment, a row per session.  :class:`Experiment` builds it — it tunes
+nominal and robust for an expected workload and replays one session
+sequence through both, the paper's (:meth:`Experiment.run`) or a drifting
+one with adaptive columns beside (:meth:`Experiment.drift`).
+``WorkloadExecutor.compare`` already returns that grid, so
 :class:`Comparison` keeps its mapping as returned and adds only what an
 engine cannot measure — the cost model's prediction for each static column
 and, for a phased sequence, each row's phase and hindsight column.  What is
@@ -30,9 +34,27 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..core.nominal import NominalTuner
+from ..core.robust import RobustTuner
+from ..lsm.cost_model import LSMCostModel
+from ..lsm.policy import CLASSIC_POLICIES, Policy
+from ..lsm.system import SystemConfig, simulator_system
 from ..lsm.tuning import LSMTuning
-from ..storage.executor import AdaptiveSequenceMeasurement, SequenceMeasurement
-from ..workloads.workload import Workload
+from ..online.config import OnlineConfig
+from ..storage.executor import (
+    AdaptiveSequenceMeasurement,
+    ExecutorConfig,
+    SequenceMeasurement,
+    WorkloadExecutor,
+)
+from ..workloads.benchmark import UncertaintyBenchmark
+from ..workloads.sessions import (
+    SessionGenerator,
+    SessionSequence,
+    SessionType,
+    drifting_sequence,
+)
+from ..workloads.workload import Workload, average_workload
 
 #: Name of the drift experiment's one adaptive column.
 ADAPTIVE = "adaptive"
@@ -224,16 +246,206 @@ def adaptive_vs_static(comparison: Comparison) -> dict[str, float]:
 
 
 # ----------------------------------------------------------------------
+# The experiment
+# ----------------------------------------------------------------------
+def phase_names(phases: Sequence[SessionType | str]) -> list[str]:
+    """Unique table-column name of each phase occurrence: a session type that
+    recurs (the returning phase of an A→B→A sequence) gets an occurrence
+    suffix, so every phase keeps its own per-phase static tuning."""
+    values = [SessionType(phase).value for phase in phases]
+    counts = [values[: index + 1].count(value) for index, value in enumerate(values)]
+    return [f"phase-{value}" + (f"-{n}" if n > 1 else "") for value, n in zip(values, counts)]
+
+
+@dataclass
+class Experiment:
+    """Nominal and robust tunings for one expected workload, measured over
+    one session sequence on the pure-Python LSM-tree simulator, the
+    reproduction's stand-in for RocksDB.
+
+    Each session's measured I/Os per query is paired with the cost model's
+    prediction: the system and model panels of Figures 8–18.  The paper's
+    third panel, latency, is RocksDB wall-clock, which the simulator does
+    not reproduce: it counts pages and prices no time.
+
+    Parameters
+    ----------
+    system:
+        Simulator-scale system configuration; defaults to a 50k-entry store.
+    executor_config:
+        Execution knobs (queries per session workload, trace shape, seed).
+        The executor serves every static column from ``num_shards``
+        hash-partitioned shards (per-shard data dirs for the persistent
+        backend); the merged fleet measurements read like a single tree's,
+        and ``num_shards=1`` is the single tree.  Adaptive variants need one
+        shard.
+    benchmark:
+        Uncertainty benchmark supplying the session workloads.
+    policies:
+        Compaction policies the tuners may choose from (the paper's
+        classical pair by default; include
+        :data:`~repro.lsm.policy.Policy.LAZY_LEVELING` to let the
+        experiment deploy lazy-leveling trees).
+    parallel:
+        Measure the static tunings on the executor's process pool.
+    """
+
+    system: SystemConfig = field(default_factory=simulator_system)
+    executor_config: ExecutorConfig = field(default_factory=ExecutorConfig)
+    benchmark: UncertaintyBenchmark | None = None
+    policies: Sequence[Policy] = CLASSIC_POLICIES
+    parallel: bool = False
+    seed: int = 11
+
+    def __post_init__(self) -> None:
+        if self.benchmark is None:
+            self.benchmark = UncertaintyBenchmark(size=1_000, seed=self.seed)
+        self.cost_model = LSMCostModel(self.system)
+        self.executor = WorkloadExecutor(self.system, self.executor_config)
+
+    def _deployed(self, tuner: type, workload: Workload, **options) -> LSMTuning:
+        """``tuner``'s deployable (integer ``T``) tuning for ``workload``.
+
+        Searched on the integer size ratios (``polish=False``): a fractional
+        optimum sits on a level cliff, and rounding it down would deploy a
+        tree one level deeper than the one the tuner priced.
+        """
+        search = tuner(system=self.system, policies=self.policies, polish=False, **options)
+        return search.tune(workload).tuning.rounded()
+
+    def tunings_for(self, expected: Workload, rho: float) -> dict[str, LSMTuning]:
+        """Nominal and robust tunings for ``expected``, as deployed."""
+        return {
+            "nominal": self._deployed(NominalTuner, expected),
+            "robust": self._deployed(RobustTuner, expected, rho=rho),
+        }
+
+    def run(self, expected: Workload, rho: float, include_writes: bool = True) -> Comparison:
+        """The six-session comparison of Figures 8–18, claiming
+        :func:`robust_vs_nominal`.
+
+        When ``expected`` carries a long-range fraction, the same split is
+        applied to every session workload: the benchmark set is sampled over
+        the four query types only, so the short/long range regime is a
+        property of the experiment, not of the sampling.
+        """
+        sequence = SessionGenerator(self.benchmark, seed=self.seed).paper_sequence(
+            expected, include_writes=include_writes, workloads_per_session=2
+        )
+        if expected.long_range_fraction > 0.0:
+            sequence = sequence.with_long_range_fraction(expected.long_range_fraction)
+        tunings = self.tunings_for(expected, rho)
+        return self._compare(sequence, rho, tunings, {}).claiming(robust_vs_nominal)
+
+    def drift(
+        self,
+        expected: Workload,
+        rho: float,
+        variants: Mapping[str, OnlineConfig],
+        phases: Sequence[SessionType | str] = (SessionType.READ, SessionType.WRITE),
+        sessions_per_phase: int = 3,
+    ) -> Comparison:
+        """A drifting sequence, with an adaptive column per online
+        configuration; the grid comes back unclaimed (empty ``summary``).
+
+        The static columns are nominal + robust for ``expected`` plus one
+        per drift phase: the nominal solution for the *realised* average
+        workload of that phase's sessions — what an oracle operator with
+        hindsight would have deployed.  ``{ADAPTIVE: online}`` is the
+        static-vs-adaptive experiment (claim :func:`adaptive_vs_static`);
+        ``{"full": ..., "incremental": ..., "adaptive-rho": ...}`` over an
+        A→B→A sequence isolates what the migration mode and the drift-aware
+        radius each change, everything else held fixed.
+        """
+        generator = SessionGenerator(self.benchmark, seed=self.seed)
+        sequence = drifting_sequence(generator, expected, phases, sessions_per_phase)
+        tunings = self.tunings_for(expected, rho)
+        names = phase_names(phases)
+        for position, name in enumerate(names):
+            dwell = sequence.sessions[position * sessions_per_phase :][:sessions_per_phase]
+            realised = average_workload(w for session in dwell for w in session.workloads)
+            tunings[name] = self._deployed(NominalTuner, realised)
+        oracle_names = tuple(name for name in names for _ in range(sessions_per_phase))
+        return self._compare(sequence, rho, tunings, variants, oracle_names)
+
+    def _compare(
+        self,
+        sequence: SessionSequence,
+        rho: float,
+        tunings: dict[str, LSMTuning],
+        variants: Mapping[str, OnlineConfig],
+        oracle_names: tuple[str, ...] = (),
+    ) -> Comparison:
+        """Measure every column of one grid over ``sequence``: the static
+        ``tunings`` through ``executor.compare``, and each of the ``variants``
+        by replaying the *same* operation stream through its own adaptive
+        executor, started from the nominal tuning.  A drifting sequence names
+        each row's hindsight column in ``oracle_names``."""
+        # The variants run first, so a fleet, which cannot run them, fails
+        # before any static column is measured.
+        adaptive = {
+            name: self.executor.run_sequence_adaptive(
+                tunings["nominal"], sequence, online=online, policies=self.policies
+            )
+            for name, online in variants.items()
+        }
+        measurements = {
+            **self.executor.compare(tunings, sequence, parallel=self.parallel),
+            **adaptive,
+        }
+        return Comparison(
+            expected=sequence.expected,
+            rho=rho,
+            observed_divergence=sequence.observed_divergence(),
+            tunings=tunings,
+            measurements=measurements,
+            model_ios={
+                name: tuple(
+                    self.cost_model.workload_cost(session.average, tuning)
+                    for session in sequence
+                )
+                for name, tuning in tunings.items()
+            },
+            phases=tuple(s.session_type.value for s in sequence) if oracle_names else (),
+            oracle_names=oracle_names,
+        )
+
+
+#: The drift experiment's scale, read by ``repro online`` and the
+#: ``online_adaptive`` and ``online_endurance`` rows: a 10 000-entry tree,
+#: 1 000 queries per session workload and a 500-sample B.
+DRIFT_ENTRIES = 10_000
+DRIFT_EXECUTOR = ExecutorConfig(queries_per_workload=1_000)
+DRIFT_BENCHMARK_SIZE = 500
+
+#: The online controller of ``repro online`` and the ``online_adaptive`` row.
+DRIFT_ONLINE = OnlineConfig(
+    window=400, check_interval=64, min_observations=256, cooldown=2_048, confirm_checks=5,
+    rho=1.0, mode="nominal", horizon_ops=12_000,
+)
+
+
+def drift_experiment(seed: int = Experiment.seed, **fields) -> Experiment:
+    """An :class:`Experiment` at the drift scale, its B sampled with ``seed``;
+    ``fields`` override the other fields."""
+    return Experiment(
+        **{"system": simulator_system(DRIFT_ENTRIES), "executor_config": DRIFT_EXECUTOR, **fields},
+        benchmark=UncertaintyBenchmark(size=DRIFT_BENCHMARK_SIZE, seed=seed),
+        seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
 # Tables
 # ----------------------------------------------------------------------
-def _heading(title: str, tunings: Mapping[str, str]) -> list[str]:
+def heading(title: str, tunings: Mapping[str, str]) -> list[str]:
     """Title line, then one ``name: tuning`` line per tuning, the labels
     padded to the longest name (plus its colon and a space)."""
     width = max(len(name) for name in tunings) + 2
     return [title] + [f"  {name + ':':<{width}}{text}" for name, text in tunings.items()]
 
 
-def _grid(
+def session_grid(
     labels: Sequence[str],
     label_width: int,
     columns: Sequence[tuple[str, int, str, Sequence[float]]],
@@ -252,7 +464,8 @@ def _grid(
     return lines
 
 
-def _describe(tunings: Mapping[str, LSMTuning]) -> dict[str, str]:
+def describe_tunings(tunings: Mapping[str, LSMTuning]) -> dict[str, str]:
+    """Each tuning's one-line description, by name, for :func:`heading`."""
     return {name: tuning.describe() for name, tuning in tunings.items()}
 
 
@@ -273,8 +486,8 @@ def format_comparison(comparison: Comparison) -> str:
         [(f"model {i}", 9, ".2f", comparison.model_ios[n]) for n, i in initials.items()]
         + [(f"sys {i}", 9, ".2f", comparison.system_ios(n)) for n, i in initials.items()]
     )
-    lines = _heading(title, _describe(comparison.tunings))
-    lines += _grid(comparison.labels, 16, columns)
+    lines = heading(title, describe_tunings(comparison.tunings))
+    lines += session_grid(comparison.labels, 16, columns)
     summary = comparison.summary
     lines.append(f"  I/O reduction: {100 * summary['io_reduction']:.1f}%")
     for name, fleet in fleets.items():
@@ -294,13 +507,13 @@ def format_adaptive_comparison(comparison: Comparison) -> str:
     """The drift table: measured I/O of every static column, every per-phase
     static and the ``adaptive`` column, then its drift events."""
     adaptive = comparison.measurements[ADAPTIVE]
-    tunings = _describe(comparison.tunings)
+    tunings = describe_tunings(comparison.tunings)
     tunings["final"] = f"{adaptive.final_tuning.describe()}  (adaptive)"
-    lines = _heading(
+    lines = heading(
         f"expected workload: {comparison.expected.describe()}  rho={comparison.rho:g}",
         tunings,
     )
-    lines += _grid(
+    lines += session_grid(
         comparison.labels,
         18,
         [(name, 13, ".2f", comparison.system_ios(name)) for name in comparison.measurements],

@@ -36,18 +36,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from typing import Sequence
 
-from .analysis.comparison import format_adaptive_comparison, format_comparison
+from .analysis.comparison import (
+    ADAPTIVE,
+    DRIFT_ENTRIES,
+    DRIFT_EXECUTOR,
+    DRIFT_ONLINE,
+    Experiment,
+    adaptive_vs_static,
+    drift_experiment,
+    format_adaptive_comparison,
+    format_comparison,
+)
 from .analysis.model_eval import TuningCatalog, tuning_table
-from .analysis.online_eval import AdaptiveExperiment
-from .analysis.system_eval import SystemExperiment
 from .core.nominal import NominalTuner
 from .core.robust import RobustTuner
 from .knobs import FRACTION, NON_NEGATIVE, POSITIVE_INT, Bound, flag_of
 from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, CompactionPolicy, Policy
 from .lsm.system import SystemConfig, simulator_system
+from .storage.executor import ExecutorConfig
 from .workloads.benchmark import expected_workloads
 from .workloads.sessions import SessionType
 from .workloads.workload import Workload
@@ -87,25 +96,16 @@ _expected_index = _arg_type(
     Bound(int, lambda v: 0 <= v <= _LAST_EXPECTED, f"a Table 2 index in 0..{_LAST_EXPECTED}")
 )
 
-#: The :class:`~repro.storage.executor.ExecutorConfig` knobs each simulating
-#: subcommand exposes, by its experiment (``online`` also exposes every
-#: ``OnlineConfig`` knob).
+#: Each simulating subcommand's :class:`~repro.storage.executor.ExecutorConfig`:
+#: the defaults its knobs start from and the knobs it exposes (``online`` also
+#: exposes every ``OnlineConfig`` knob).
 _EXECUTOR_KNOBS = {
-    SystemExperiment: (
-        "long_scan_keys", "backend", "data_dir", "sync_writes", "num_shards", "update_fraction",
+    "compare": (
+        ExecutorConfig(),
+        ("long_scan_keys", "backend", "data_dir", "sync_writes", "num_shards", "update_fraction"),
     ),
-    AdaptiveExperiment: ("queries_per_workload", "update_fraction"),
+    "online": (DRIFT_EXECUTOR, ("queries_per_workload", "update_fraction")),
 }
-
-
-def _default(experiment: type, name: str):
-    """What a default ``experiment()`` holds in ``name``.
-
-    Read off the dataclass field, so building the parser does not pay for the
-    benchmark set and key space an experiment instance builds.
-    """
-    spec = experiment.__dataclass_fields__[name]
-    return spec.default if spec.default is not MISSING else spec.default_factory()
 
 
 def _knob_flags(config, names: Sequence[str] | None = None):
@@ -247,18 +247,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment(args: argparse.Namespace, **extra):
-    """The subcommand's experiment as the flags describe it.
+def _experiment(args: argparse.Namespace, experiment, **extra):
+    """``experiment`` (the class or a factory of it) as the flags describe it.
 
-    The executor knobs start from the experiment's own default config, and
+    The executor knobs start from the subcommand's default config, and
     without a ``--seed`` every seed keeps its default.
     """
     seed = {} if args.seed is None else {"seed": args.seed}
-    return args.experiment(
+    return experiment(
         system=simulator_system(num_entries=args.num_entries),
-        executor_config=_config_from_flags(
-            args, args.executor_defaults, _EXECUTOR_KNOBS[args.experiment], **seed
-        ),
+        executor_config=_config_from_flags(args, *_EXECUTOR_KNOBS[args.command], **seed),
         policies=_policies_from_arg(args.policy),
         **seed,
         **extra,
@@ -275,26 +273,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     expected = expected_workloads()[args.expected_index].workload
     if args.long_range_fraction > 0:
         expected = expected.with_long_range_fraction(args.long_range_fraction)
-    comparison = _experiment(args).run(expected, rho=args.rho)
+    comparison = _experiment(args, Experiment).run(expected, rho=args.rho)
     return _emit(args, comparison, format_comparison)
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
     expected = expected_workloads()[args.expected_index].workload
-    online = _config_from_flags(args, args.online_defaults)
-    experiment = _experiment(args, online=online, parallel=args.parallel)
-    comparison = experiment.run(
-        expected, rho=args.rho, phases=args.phases, sessions_per_phase=args.sessions_per_phase
-    )
+    online = _config_from_flags(args, DRIFT_ONLINE)
+    experiment = _experiment(args, drift_experiment, parallel=args.parallel)
+    comparison = experiment.drift(
+        expected, args.rho, {ADAPTIVE: online}, args.phases, args.sessions_per_phase
+    ).claiming(adaptive_vs_static)
     return _emit(args, comparison, format_adaptive_comparison)
 
 
-def _add_simulation_flags(
-    subparser: argparse.ArgumentParser, experiment: type, rho: float, num_entries: int
-) -> None:
-    """What the simulating subcommands share: the expected workload, the
-    static radius, the size, the policies, ``experiment``'s executor knobs,
-    ``--seed`` and ``--json``."""
+def _simulation_parser(
+    subparsers, command: str, help: str, rho: float, num_entries: int
+) -> argparse.ArgumentParser:
+    """A simulating subcommand with the flags they share: the expected
+    workload, the static radius, the size, the policies, the command's
+    executor knobs, ``--seed`` and ``--json``."""
+    subparser = subparsers.add_parser(command, help=help)
     subparser.add_argument(
         "--expected-index",
         type=_expected_index,
@@ -311,8 +310,7 @@ def _add_simulation_flags(
         default="classic",
         help="compaction policies the tuners may deploy on the simulator",
     )
-    executor_defaults = _default(experiment, "executor_config")
-    _add_knob_flags(subparser, executor_defaults, _EXECUTOR_KNOBS[experiment])
+    _add_knob_flags(subparser, *_EXECUTOR_KNOBS[command])
     subparser.add_argument(
         "--seed",
         type=int,
@@ -325,9 +323,8 @@ def _add_simulation_flags(
         action="store_true",
         help="emit the comparison as machine-readable JSON instead of a table",
     )
-    subparser.set_defaults(
-        subparser=subparser, experiment=experiment, executor_defaults=executor_defaults
-    )
+    subparser.set_defaults(subparser=subparser)
+    return subparser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--rho", type=_non_negative_float, default=1.0)
     table.set_defaults(func=_cmd_table)
 
-    compare = subparsers.add_parser(
-        "compare", help="run the simulator comparison for one expected workload"
+    compare = _simulation_parser(
+        subparsers, "compare", "run the simulator comparison for one expected workload",
+        rho=0.25, num_entries=30_000,
     )
-    _add_simulation_flags(compare, SystemExperiment, rho=0.25, num_entries=30_000)
     compare.add_argument(
         "--long-range-fraction",
         type=_fraction,
@@ -422,15 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.set_defaults(func=_cmd_compare)
 
-    online = subparsers.add_parser(
-        "online",
-        help="replay a drifting session sequence with online adaptive re-tuning",
-    )
-    _add_simulation_flags(
-        online,
-        AdaptiveExperiment,
-        rho=0.5,
-        num_entries=_default(AdaptiveExperiment, "system").num_entries,
+    online = _simulation_parser(
+        subparsers, "online", "replay a drifting session sequence with online adaptive re-tuning",
+        rho=0.5, num_entries=DRIFT_ENTRIES,
     )
     online.add_argument(
         "--phases",
@@ -440,14 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="session types of the drift phases, in stream order",
     )
     online.add_argument("--sessions-per-phase", type=_positive_int, default=3)
-    online_defaults = _default(AdaptiveExperiment, "online")
-    _add_knob_flags(online, online_defaults)
+    _add_knob_flags(online, DRIFT_ONLINE)
     online.add_argument(
         "--parallel",
         action="store_true",
         help="measure the static tunings on a multiprocessing pool",
     )
-    online.set_defaults(func=_cmd_online, online_defaults=online_defaults)
+    online.set_defaults(func=_cmd_online)
     return parser
 
 

@@ -22,18 +22,25 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .analysis import (
-    AdaptiveExperiment,
     Comparison,
-    SystemExperiment,
+    Experiment,
     TuningCatalog,
     delta_throughputs,
+    drift_experiment,
     format_adaptive_comparison,
     format_comparison,
     throughput_range,
     tuning_table,
     win_rate,
 )
-from .analysis.comparison import _describe, _grid, _heading
+from .analysis.comparison import (
+    ADAPTIVE,
+    DRIFT_ONLINE,
+    adaptive_vs_static,
+    describe_tunings,
+    heading,
+    session_grid,
+)
 from .core import NominalTuner
 from .lsm import LSMCostModel, LSMTuning, Policy, SystemConfig, simulator_system
 from .lsm.system import MIB
@@ -103,9 +110,9 @@ class SessionState:
         return UncertaintyBenchmark(size=BENCH_SET_SIZE, seed=42)
 
     @cached_property
-    def system_experiment(self) -> SystemExperiment:
+    def system_experiment(self) -> Experiment:
         """The simulator experiment behind Figures 1 and 8–18."""
-        return SystemExperiment(
+        return Experiment(
             system=simulator_system(num_entries=20_000),
             executor_config=ExecutorConfig(queries_per_workload=1_000, seed=29),
             benchmark=UncertaintyBenchmark(size=500, seed=29),
@@ -590,7 +597,7 @@ def scaling_experiment(
     """Average I/Os per query as the database size ``N`` grows (Figure 16).
 
     Each size gets its own ``simulator_system(size)`` and its own
-    :class:`SystemExperiment`, so the nominal and robust tunings are solved
+    :class:`Experiment`, so the nominal and robust tunings are solved
     anew on every simulator and deployed there; the paper's observation is
     that the performance gap is stable across sizes.
     """
@@ -598,7 +605,7 @@ def scaling_experiment(
     rows = []
     for size in sizes:
         system = simulator_system(num_entries=size)
-        experiment = SystemExperiment(
+        experiment = Experiment(
             system=system,
             executor_config=ExecutorConfig(queries_per_workload=queries_per_workload),
             benchmark=UncertaintyBenchmark(size=500, seed=seed),
@@ -913,12 +920,12 @@ def endurance(comparison: Comparison) -> dict[str, float]:
 def format_endurance_comparison(comparison: Comparison) -> str:
     """The endurance table: the oracle and every adaptive variant per
     session, then each variant's migrations and drift events."""
-    lines = _heading(
+    lines = heading(
         f"expected workload: {comparison.expected.describe()}"
         f"  rho={comparison.rho:g}  (A->B->A endurance)",
-        _describe(comparison.tunings),
+        describe_tunings(comparison.tunings),
     )
-    lines += _grid(
+    lines += session_grid(
         comparison.labels,
         18,
         [("oracle", 13, ".2f", comparison.oracle_ios)]
@@ -998,7 +1005,7 @@ def _endurance(state: SessionState):
             **_ENDURANCE_BASE, mode="robust", **_INCREMENTAL, rho_adaptive=True
         ),
     }
-    return AdaptiveExperiment(seed=29).run_variants(
+    return drift_experiment(seed=29).drift(
         expected_workload(11).workload,
         rho=0.5,
         variants=variants,
@@ -1411,7 +1418,9 @@ FIGURES: tuple[Figure, ...] = (
     ),
     Figure(
         "online_adaptive",
-        lambda _: AdaptiveExperiment(seed=29).run(expected_workload(11).workload, rho=0.5),
+        lambda _: drift_experiment(seed=29)
+        .drift(expected_workload(11).workload, rho=0.5, variants={ADAPTIVE: DRIFT_ONLINE})
+        .claiming(adaptive_vs_static),
         _adaptive_claim,
         format_adaptive_comparison,
     ),

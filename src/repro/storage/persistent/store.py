@@ -282,12 +282,14 @@ class FileStore:
 
         Returns the installed runs, the run counter and the logged keys no
         flush had persisted — or ``None`` for a directory without a
-        manifest, which gets its first (empty) one.  A manifest of another
-        version is refused before the log or a table is touched.
+        manifest, which gets its first (empty) one and an empty log (the
+        next reopen would replay what this one ignored).  A manifest of
+        another version is refused before the log or a table is touched.
         """
         wal_path = self.data_dir / self.WAL_NAME
         if not self._manifest_path.exists():
             self._wal = WriteAheadLog(wal_path, sync=self.sync_writes)
+            self._wal.reset()
             self._swap_manifest(_record(self._manifest))
             return None
         try:

@@ -167,9 +167,6 @@ class RunIndex:
     # ------------------------------------------------------------------
     # Size / structure
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
     @property
     def num_entries(self) -> int:
         """Number of entries stored in the run."""
@@ -181,33 +178,9 @@ class RunIndex:
         return -(-self._size // self.entries_per_page)
 
     @property
-    def min_key(self) -> int:
-        """Smallest key in the run (undefined for an empty run)."""
-        if not self._size:
-            raise ValueError("empty run has no minimum key")
-        return self._min_key
-
-    @property
-    def max_key(self) -> int:
-        """Largest key in the run (undefined for an empty run)."""
-        if not self._size:
-            raise ValueError("empty run has no maximum key")
-        return self._max_key
-
-    @property
-    def bloom_filter(self) -> BloomFilter:
-        """The run's resident Bloom filter."""
-        return self._filter
-
-    @property
     def filter_size_bits(self) -> int:
         """Memory used by the run's Bloom filter, in bits."""
         return self._filter.size_bits
-
-    @property
-    def bits_per_entry(self) -> float:
-        """Bloom budget the run was built with; 0 disables the filter."""
-        return self._filter.bits_per_entry
 
     @property
     def keys(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from .sessions import (
     SessionGenerator,
     SessionSequence,
     SessionType,
+    drifting_sequence,
 )
 from .traces import (
     KeySpace,
@@ -51,6 +52,7 @@ __all__ = [
     "Workload",
     "WorkloadCategory",
     "average_workload",
+    "drifting_sequence",
     "expected_workload",
     "expected_workloads",
     "kl_divergence",

@@ -10,7 +10,9 @@ each catalogued into a session type according to its dominant query type:
   spread over the other types.
 
 This module reproduces that construction so the simulator experiments
-(Figures 8–18) can replay the same kind of query sequences RocksDB saw.
+(Figures 8–18) can replay the same kind of query sequences RocksDB saw, and
+builds the drifting sequences (sustained phases) the online experiments
+replay.
 """
 
 from __future__ import annotations
@@ -256,3 +258,29 @@ class SessionGenerator:
             repeat(expected, SessionType.EXPECTED, "expected workload"),
         )
         return SessionSequence(expected=expected, sessions=sessions)
+
+
+def drifting_sequence(
+    generator: SessionGenerator,
+    expected: Workload,
+    phases: Sequence[SessionType | str] = (SessionType.READ, SessionType.WRITE),
+    sessions_per_phase: int = 3,
+    workloads_per_session: int = 2,
+) -> SessionSequence:
+    """A session sequence that dwells in each phase before drifting to the next.
+
+    Unlike :meth:`SessionGenerator.paper_sequence`, which hops between
+    session types every session, this produces sustained phases
+    (``sessions_per_phase`` sessions each) — the kind of drift a windowed
+    estimator can actually detect and a migration can pay off on.
+    """
+    if sessions_per_phase <= 0:
+        raise ValueError("sessions_per_phase must be positive")
+    if not phases:
+        raise ValueError("at least one phase is required")
+    sessions = tuple(
+        generator.session(phase, expected, workloads_per_session)
+        for phase in phases
+        for _ in range(sessions_per_phase)
+    )
+    return SessionSequence(expected=expected, sessions=sessions)

@@ -5,13 +5,12 @@ import json
 import pytest
 
 from repro.analysis import (
-    AdaptiveExperiment,
     Comparison,
-    SystemExperiment,
+    Experiment,
     format_adaptive_comparison,
     format_comparison,
 )
-from repro.analysis.comparison import adaptive_vs_static, robust_vs_nominal
+from repro.analysis.comparison import ADAPTIVE, adaptive_vs_static, robust_vs_nominal
 from repro.figures import endurance, format_endurance_comparison
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig, RetuningDecision, RetuningEvent
@@ -208,37 +207,38 @@ _ONLINE = OnlineConfig(
 )
 
 
-def _experiment(kind, **config):
-    return kind(
+def _experiment(**config):
+    return Experiment(
         system=simulator_system(num_entries=4_000),
-        executor_config=ExecutorConfig(queries_per_workload=250, seed=13, **config),
+        executor_config=ExecutorConfig(**{"queries_per_workload": 250, "seed": 13, **config}),
         benchmark=UncertaintyBenchmark(size=200, seed=13),
         seed=13,
     )
 
 
 class TestOneMeasurementPath:
-    def test_run_is_run_variants_for_the_one_adaptive_column(self, w11):
-        experiment = _experiment(AdaptiveExperiment)
-        experiment.online = _ONLINE
-        run = experiment.run(w11, rho=0.5, sessions_per_phase=2)
-        variants = experiment.run_variants(
-            w11, 0.5, {"adaptive": _ONLINE}, phases=("read", "write"), sessions_per_phase=2
+    def test_a_drift_run_is_repeatable_and_claimed_by_its_caller(self, w11):
+        """Each run samples its sessions afresh from the experiment's seed, so
+        a second drift measures the same grid; the grid comes back unclaimed
+        and the online document is that grid under ``adaptive_vs_static``."""
+        experiment = _experiment()
+        variants = {ADAPTIVE: _ONLINE}
+        first = experiment.drift(w11, 0.5, variants, phases=("read", "write"), sessions_per_phase=2)
+        run = experiment.drift(w11, 0.5, variants, sessions_per_phase=2).claiming(
+            adaptive_vs_static
         )
-        assert run.measurements == variants.measurements
-        assert run.model_ios == variants.model_ios
-        assert not variants.summary and run.summary == adaptive_vs_static(variants)
-        assert run.measurements["adaptive"].tuning == run.tunings["nominal"]
+        assert run.measurements == first.measurements
+        assert run.model_ios == first.model_ios
+        assert not first.summary and run.summary == adaptive_vs_static(first)
+        assert run.measurements[ADAPTIVE].tuning == run.tunings["nominal"]
         assert set(run.model_ios) == set(run.tunings)
         payload = run.to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["events"] == payload["variants"]["adaptive"]["events"]
+        assert payload["events"] == payload["variants"][ADAPTIVE]["events"]
 
     def test_a_fleet_is_the_same_document_plus_its_fleet_section(self, w11):
-        single = _experiment(SystemExperiment).run(w11, rho=0.5, workloads_per_session=1)
-        fleet = _experiment(SystemExperiment, num_shards=2).run(
-            w11, rho=0.5, workloads_per_session=1
-        )
+        single = _experiment(queries_per_workload=125).run(w11, rho=0.5)
+        fleet = _experiment(queries_per_workload=125, num_shards=2).run(w11, rho=0.5)
         assert fleet.model_ios == single.model_ios
         payload, unsharded = fleet.to_dict(), single.to_dict()
         assert set(payload) == set(unsharded) | {"num_shards", "results"}
@@ -248,4 +248,4 @@ class TestOneMeasurementPath:
 
     def test_adaptive_variants_need_a_single_tree(self, w11):
         with pytest.raises(ValueError, match="single tree"):
-            _experiment(AdaptiveExperiment, num_shards=2).run(w11, rho=0.5)
+            _experiment(num_shards=2).drift(w11, 0.5, {ADAPTIVE: _ONLINE})

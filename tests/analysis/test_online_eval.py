@@ -1,86 +1,66 @@
-"""Tests for the online adaptive-tuning evaluation driver."""
+"""Tests for the online adaptive-tuning evaluation: ``Experiment.drift``."""
 
 import pytest
 
-from repro.analysis import (
-    AdaptiveExperiment,
-    drifting_sequence,
-    format_adaptive_comparison,
-)
+from repro.analysis import Experiment, format_adaptive_comparison
+from repro.analysis.comparison import ADAPTIVE, adaptive_vs_static, phase_names
 from repro.lsm import simulator_system
 from repro.online import OnlineConfig
 from repro.storage import ExecutorConfig
-from repro.workloads import SessionGenerator, SessionType
 
 
 @pytest.fixture(scope="module")
 def comparison(bench_set, w11):
-    experiment = AdaptiveExperiment(
+    experiment = Experiment(
         system=simulator_system(num_entries=4_000),
         executor_config=ExecutorConfig(queries_per_workload=250, seed=13),
         benchmark=bench_set,
-        online=OnlineConfig(
-            window=250,
-            check_interval=50,
-            min_observations=128,
-            cooldown=512,
-            confirm_checks=3,
-            rho=1.0,
-            mode="nominal",
-            horizon_ops=100_000,
-        ),
         seed=13,
     )
-    return experiment.run(w11, rho=0.5, sessions_per_phase=2)
+    online = OnlineConfig(
+        window=250,
+        check_interval=50,
+        min_observations=128,
+        cooldown=512,
+        confirm_checks=3,
+        rho=1.0,
+        mode="nominal",
+        horizon_ops=100_000,
+    )
+    return experiment.drift(w11, 0.5, {ADAPTIVE: online}, sessions_per_phase=2).claiming(
+        adaptive_vs_static
+    )
 
 
-class TestDriftingSequence:
-    def test_phases_are_sustained(self, bench_set, w11):
-        generator = SessionGenerator(bench_set, seed=5)
-        sequence = drifting_sequence(
-            generator, w11, phases=("read", "write"), sessions_per_phase=3
-        )
-        assert len(sequence) == 6
-        labels = [session.session_type for session in sequence]
-        assert labels == [SessionType.READ] * 3 + [SessionType.WRITE] * 3
-
-    def test_rejects_empty_phases(self, bench_set, w11):
-        generator = SessionGenerator(bench_set, seed=5)
-        with pytest.raises(ValueError):
-            drifting_sequence(generator, w11, phases=())
-
+class TestReturningPhase:
     def test_returning_phases_get_distinct_names(self):
-        from repro.analysis.online_eval import phase_names
-
         assert phase_names(["read", "write", "read"]) == [
             "phase-read",
             "phase-write",
             "phase-read-2",
         ]
 
-
-class TestReturningPhase:
     def test_each_phase_occurrence_keeps_its_own_oracle(self, bench_set, w11):
         """An A→B→A sequence must not collapse the two A phases onto one
         per-phase static tuning."""
-        experiment = AdaptiveExperiment(
+        experiment = Experiment(
             system=simulator_system(num_entries=3_000),
             executor_config=ExecutorConfig(queries_per_workload=120, seed=17),
             benchmark=bench_set,
-            online=OnlineConfig(
-                window=150,
-                check_interval=50,
-                min_observations=100,
-                cooldown=400,
-                confirm_checks=2,
-                rho=1.0,
-                mode="nominal",
-            ),
             seed=17,
         )
-        comparison = experiment.run(
-            w11, rho=0.5, phases=("read", "write", "read"), sessions_per_phase=1
+        online = OnlineConfig(
+            window=150,
+            check_interval=50,
+            min_observations=100,
+            cooldown=400,
+            confirm_checks=2,
+            rho=1.0,
+            mode="nominal",
         )
+        comparison = experiment.drift(
+            w11, 0.5, {ADAPTIVE: online}, phases=("read", "write", "read"), sessions_per_phase=1
+        ).claiming(adaptive_vs_static)
         assert {"phase-read", "phase-write", "phase-read-2"} <= set(
             comparison.tunings
         )

@@ -1,8 +1,8 @@
-"""Tests for the system-based evaluation drivers (Figures 1 and 8-18)."""
+"""Tests for the system-based evaluation: ``Experiment.run`` (Figures 1 and 8-18)."""
 
 import pytest
 
-from repro.analysis import SystemExperiment, format_comparison
+from repro.analysis import Experiment, format_comparison
 from repro.lsm import simulator_system
 from repro.storage import ExecutorConfig
 from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload, expected_workload
@@ -10,9 +10,9 @@ from repro.workloads import SessionGenerator, UncertaintyBenchmark, Workload, ex
 
 @pytest.fixture(scope="module")
 def experiment():
-    return SystemExperiment(
+    return Experiment(
         system=simulator_system(num_entries=6_000),
-        executor_config=ExecutorConfig(queries_per_workload=300, seed=5),
+        executor_config=ExecutorConfig(queries_per_workload=150, seed=5),
         benchmark=UncertaintyBenchmark(size=200, seed=5),
         seed=5,
     )
@@ -20,11 +20,10 @@ def experiment():
 
 @pytest.fixture(scope="module")
 def w11_comparison(experiment):
-    return experiment.run(expected_workload(11).workload, rho=1.0, include_writes=True,
-                          workloads_per_session=1)
+    return experiment.run(expected_workload(11).workload, rho=1.0, include_writes=True)
 
 
-class TestSystemExperiment:
+class TestPaperRun:
     def test_tunings_are_deployable(self, experiment):
         tunings = experiment.tunings_for(expected_workload(11).workload, rho=1.0)
         assert set(tunings) == {"nominal", "robust"}
@@ -92,9 +91,7 @@ class TestUniformWorkload:
     def test_figure12_nominal_and_robust_are_similar(self, experiment):
         """Figure 12: with the uniform workload and tiny rho the two tunings
         nearly coincide, and so does their performance."""
-        comparison = experiment.run(
-            expected_workload(0).workload, rho=0.01, workloads_per_session=1
-        )
+        comparison = experiment.run(expected_workload(0).workload, rho=0.01)
         nominal = comparison.tunings["nominal"]
         robust = comparison.tunings["robust"]
         assert nominal.policy == robust.policy

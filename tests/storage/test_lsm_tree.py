@@ -400,14 +400,14 @@ class TestBloomSeedAllocation:
         # without being built, and the merge's output is run 3, seeded as 3.
         assert built == [(1, 41), (3, 43)]
         assert tree._run_counter == 3
-        assert [run.bloom_filter.seed for run in tree.levels[0]] == [43]
+        assert [run._filter.seed for run in tree.levels[0]] == [43]
 
     def test_all_live_run_seeds_are_pairwise_distinct(self):
         tree = make_tree(policy=Policy.TIERING, size_ratio=3.0, num_entries=2_000)
         for key in range(0, 6_000, 2):
             tree.put(key)
         seeds = [
-            run.bloom_filter.seed for runs in tree.levels for run in runs
+            run._filter.seed for runs in tree.levels for run in runs
         ]
         assert len(tree.levels) >= 2  # compactions actually cascaded
         assert len(seeds) == len(set(seeds))

@@ -694,7 +694,7 @@ class TestEpochFence:
                 for key in range(top + 1 - filling, top + 1):
                     engine.put(key)
             tree = _trees(engines[1])[0]
-            assert len(tree.memtable) == 0 and tree.levels[0][0].max_key == top
+            assert len(tree.memtable) == 0 and tree.levels[0][0].keys[-1] == top
             ops = [Operation(OperationType.RANGE, top - 9, 512)] * copies
             delta, _, counts = _check_windows(engines, [ops])
             assert counts == [min(10, filling)] * copies

@@ -25,8 +25,7 @@ class TestConstruction:
         run = make_run(range(0, 40, 2))
         assert run.num_entries == 20
         assert run.num_pages == 5
-        assert run.min_key == 0
-        assert run.max_key == 38
+        assert (run.keys[0], run.keys[-1]) == (0, 38)
 
     def test_rejects_unsorted_keys(self):
         with pytest.raises(ValueError):
@@ -77,8 +76,7 @@ class TestConstruction:
         run = make_run([])
         assert run.num_entries == 0
         assert run.num_pages == 0
-        with pytest.raises(ValueError):
-            _ = run.min_key
+        assert run.keys.size == 0 and not run.may_contain(0)
 
     def test_keys_view_is_read_only(self):
         run = make_run([1, 2, 3])

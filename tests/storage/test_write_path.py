@@ -77,7 +77,7 @@ def _filter_digest(tree: LSMTree) -> str:
     for runs in tree.levels:
         digest.update(b"level")
         for run in runs:
-            digest.update(run.bloom_filter.bit_table.tobytes())
+            digest.update(run._filter.bit_table.tobytes())
     return digest.hexdigest()
 
 
@@ -148,13 +148,13 @@ class TestNothingObservableMoved:
             assert tree._run_counter == run_counter
         # A run's filter seed is ``seed + run id``: the ids are the filters.
         assert [
-            [run.bloom_filter.seed - 3 for run in runs] for runs in memory.levels
+            [run._filter.seed - 3 for run in runs] for runs in memory.levels
         ] == run_ids
         for in_memory, on_file in zip(
             (run for runs in memory.levels for run in runs),
             (run for runs in files.levels for run in runs),
         ):
-            assert np.array_equal(in_memory.bloom_filter.bit_table, on_file.bloom_filter.bit_table)
+            assert np.array_equal(in_memory._filter.bit_table, on_file._filter.bit_table)
         # Every key the trace wrote is held, and no other.
         for tree in (memory, files):
             assert [tree.get(key) for key in range(1_200)] == [

@@ -9,7 +9,7 @@ and confirm that the analytical predictions carry over to measured I/O.
 import numpy as np
 import pytest
 
-from repro.analysis import SystemExperiment, delta_throughputs, win_rate
+from repro.analysis import Experiment, delta_throughputs, win_rate
 from repro.core import NominalTuner, RobustTuner, UncertaintyRegion
 from repro.lsm import CompactionPolicy, LSMCostModel, LSMTuning, Policy, simulator_system
 from repro.storage import ExecutorConfig, WorkloadExecutor
@@ -258,19 +258,16 @@ class TestSystemPipeline:
 
     @pytest.fixture(scope="class")
     def experiment(self):
-        return SystemExperiment(
+        return Experiment(
             system=simulator_system(num_entries=6_000),
-            executor_config=ExecutorConfig(queries_per_workload=400, seed=19),
+            executor_config=ExecutorConfig(queries_per_workload=200, seed=19),
             benchmark=UncertaintyBenchmark(size=300, seed=19),
             seed=19,
         )
 
     @pytest.fixture(scope="class")
     def comparison(self, experiment):
-        return experiment.run(
-            expected_workload(11).workload, rho=1.0, include_writes=True,
-            workloads_per_session=1,
-        )
+        return experiment.run(expected_workload(11).workload, rho=1.0, include_writes=True)
 
     def test_model_and_system_agree_on_who_wins_overall(self, comparison):
         """§8.3: the cost model accurately captures the *relative* performance

@@ -2,10 +2,10 @@
 
 Every ``OnlineConfig`` / ``ExecutorConfig`` field carries its help, bound and
 flag name as field metadata; the CLI derives the flag from it, the
-constructor holds the value to it, and the default comes from the experiment
-that owns the config.  These tests walk the fields, so a knob re-typed
-anywhere (a second default, a second validator, a second help string) or a
-flag added by hand for a config field shows up as a mismatch.
+constructor holds the value to it, and the default comes from the config the
+subcommand's experiment starts from.  These tests walk the fields, so a knob
+re-typed anywhere (a second default, a second validator, a second help
+string) or a flag added by hand for a config field shows up as a mismatch.
 """
 
 import argparse
@@ -13,8 +13,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.analysis.online_eval import AdaptiveExperiment
-from repro.analysis.system_eval import SystemExperiment
+from repro.analysis import Experiment
+from repro.analysis.comparison import DRIFT_EXECUTOR, DRIFT_ONLINE
 from repro.cli import build_parser
 from repro.knobs import Bound, flag_of
 from repro.online import OnlineConfig
@@ -94,12 +94,12 @@ def subparsers():
 
 @pytest.fixture(scope="module")
 def owners():
-    """The default config each subcommand starts from."""
-    adaptive, system = AdaptiveExperiment(), SystemExperiment()
+    """The default config each subcommand starts from: the drift defaults
+    for ``online``, a default experiment's for ``compare``."""
     return {
-        ("online", OnlineConfig): adaptive.online,
-        ("online", ExecutorConfig): adaptive.executor_config,
-        ("compare", ExecutorConfig): system.executor_config,
+        ("online", OnlineConfig): DRIFT_ONLINE,
+        ("online", ExecutorConfig): DRIFT_EXECUTOR,
+        ("compare", ExecutorConfig): Experiment().executor_config,
     }
 
 

@@ -131,9 +131,9 @@ class TestByteIdentity:
             assert len(got) == len(want), f"run count differs at level {level_index + 1}"
             for got_run, want_run in zip(got, want):
                 assert np.array_equal(got_run.keys, want_run.keys)
-                assert got_run.bits_per_entry == want_run.bits_per_entry
+                assert got_run.filter_size_bits == want_run.filter_size_bits
                 assert np.array_equal(
-                    got_run.bloom_filter.bit_table, want_run.bloom_filter.bit_table
+                    got_run._filter.bit_table, want_run._filter.bit_table
                 ), "Bloom assignments must be byte-identical"
         assert np.array_equal(migrated.memtable.sorted_items(), fresh.memtable.sorted_items())
 

@@ -232,6 +232,16 @@ RULES = (
     # No workload deletes: the engine stores keys, and no layer carries a flag.
     Rule("no-tombstones", SRC, r"(?i)tombstone|\bdef delete\(", 50,
          "    def delete(self, key: int) -> None:"),
+    # One experiment class runs the paper's sequence and the drifting one;
+    # the CLI's drift defaults are named constants, not dataclass fields it
+    # reads, and the module ``bench/`` imports the drift sequence from only
+    # re-exports it.
+    Rule("one-experiment-class", SRC, r"^class \w*Experiment\b", 51,
+         "class AdaptiveExperiment(Experiment):", "== 1"),
+    Rule("cli-reads-no-dataclass-defaults", "src/repro/cli.py", r"__dataclass_fields__|MISSING",
+         51, "    spec = experiment.__dataclass_fields__[name]"),
+    Rule("online-eval-is-a-reexport", "src/repro/analysis/online_eval.py", r"^(def|class) ", 51,
+         "def drifting_sequence(generator, expected):"),
 )
 
 

@@ -9,6 +9,7 @@ from repro.workloads import (
     SessionType,
     UncertaintyBenchmark,
     Workload,
+    drifting_sequence,
     expected_workload,
 )
 
@@ -105,3 +106,19 @@ class TestSequences:
         seq_b = SessionGenerator(bench, seed=9).paper_sequence(w11)
         for sa, sb in zip(seq_a, seq_b):
             assert sa.workloads == sb.workloads
+
+
+class TestDriftingSequence:
+    def test_phases_are_sustained(self, bench_set, w11):
+        generator = SessionGenerator(bench_set, seed=5)
+        sequence = drifting_sequence(
+            generator, w11, phases=("read", "write"), sessions_per_phase=3
+        )
+        assert len(sequence) == 6
+        labels = [session.session_type for session in sequence]
+        assert labels == [SessionType.READ] * 3 + [SessionType.WRITE] * 3
+
+    def test_rejects_empty_phases(self, bench_set, w11):
+        generator = SessionGenerator(bench_set, seed=5)
+        with pytest.raises(ValueError):
+            drifting_sequence(generator, w11, phases=())

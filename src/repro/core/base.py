@@ -11,7 +11,10 @@ works band by band and never evaluates a scalar objective:
 1. every band is a box in ``(T, v)``, ``v`` being the fraction of the way
    from the band's lower cliff to its upper cliff at that ``T``; all bands of
    all policies are priced on a coarse ``(T, v)`` grid in batched
-   :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes;
+   :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes, and
+   the objective of a point that can matter neither to the zoom nor to its
+   policy's best value may be skipped (the robust objective's mixture
+   bound);
 2. every (policy, band) whose coarse optimum is within a few percent of the
    best is zoomed — the grid shrinks around its best point for a fixed
    number of rounds, all candidates sharing one pass per round;
@@ -102,11 +105,18 @@ def _window(centre: np.ndarray, step: np.ndarray, counts: tuple[int, int]):
     ``centre`` has shape ``(K, 2)``; the two results have shape ``(K, n)``.
     """
     a, b = (
-        np.clip(centre[:, i, None] + step[i] * np.linspace(-1.0, 1.0, counts[i]), 0.0, 1.0)
-        for i in (0, 1)
+        np.clip(centre[:, i, None] + step[i] * _offsets(counts[i]), 0.0, 1.0) for i in (0, 1)
     )
     a, b = np.broadcast_arrays(a[:, :, None], b[:, None, :])
     return a.reshape(len(centre), -1), b.reshape(len(centre), -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _offsets(count: int) -> np.ndarray:
+    """``count`` evenly spaced points of ``[-1, 1]`` (read-only)."""
+    offsets = np.linspace(-1.0, 1.0, count)
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _coarse_window(polish: bool) -> tuple[tuple[int, int], np.ndarray]:
@@ -262,14 +272,22 @@ class BaseTuner(abc.ABC):
 
     @abc.abstractmethod
     def _objective_from_costs(
-        self, costs: np.ndarray, workload: Workload, bound: float | None = None
+        self,
+        costs: np.ndarray,
+        workload: Workload,
+        bound: float | None = None,
+        coarse: bool = False,
     ) -> np.ndarray:
         """Batched objective over cost vectors: ``(..., 4)`` → ``(...)``.
 
         ``bound`` is the incumbent of the search (``inf`` before it has
         one): an objective above it can no longer win, so an implementation
         may report it as ``inf`` instead of evaluating it.  ``None``
-        evaluates every cell.
+        evaluates every cell.  ``coarse`` marks a chunk of the coarse grid,
+        shape ``(P, n, 4)`` with axis 0 the policy axis: there a cell may
+        also read ``inf`` when its objective is beyond the zoom margin of
+        ``bound`` and above its policy's best, since stage 1 reads no more
+        of the grid than that.
         """
 
     # ------------------------------------------------------------------
@@ -280,10 +298,29 @@ class BaseTuner(abc.ABC):
         costs = self.cost_model.cost_points(ratios, bits, policies, workload.long_range_fraction)
         return self._values(costs, workload, bound)
 
-    def _values(self, costs: np.ndarray, workload: Workload, bound=np.inf) -> np.ndarray:
+    def _values(
+        self, costs: np.ndarray, workload: Workload, bound=np.inf, coarse: bool = False
+    ) -> np.ndarray:
         """Objective of priced cost vectors; ``inf`` where it cannot win."""
-        values = self._objective_from_costs(costs, workload, bound * (1.0 + _TIE))
+        values = self._objective_from_costs(costs, workload, bound * (1.0 + _TIE), coarse)
         return np.where(np.isfinite(values), values, np.inf)
+
+    def _coarse_values(self, grid: _CoarseGrid, workload: Workload) -> np.ndarray:
+        """Stage 1: this workload's objective on the priced coarse grid.
+
+        Chunk by chunk, so that the running bound prunes: a cell reads
+        ``inf`` where the objective shows it can neither win, nor put its
+        group within the zoom margin, nor be its policy's best
+        (:meth:`_objective_from_costs` with ``coarse``).  Every other cell
+        holds its exact objective.  The result has shape ``(P, R·n)``.
+        """
+        values = np.empty((len(grid.policies), grid.ratios.size))
+        bound = np.inf
+        for start in range(0, grid.ratios.size, grid.chunk):
+            part = slice(start, start + grid.chunk)
+            values[:, part] = self._values(grid.costs[:, part], workload, bound, coarse=True)
+            bound = min(bound, float(values[:, part].min()))
+        return values
 
     def _grid_key(self, policies: Sequence[CompactionPolicy], workload: Workload) -> tuple:
         """Arguments of :func:`_coarse_grid` for a search over ``policies``."""
@@ -297,14 +334,9 @@ class BaseTuner(abc.ABC):
         a, b, ratios, bits = grid.a, grid.b, grid.ratios, grid.bits
         counts, step = _coarse_window(self.polish)
 
-        # Stage 1: this workload's objective on the priced coarse grid, chunk
-        # by chunk, so that a robust objective prunes by the running bound.
-        values = np.empty((len(policies), ratios.size))
-        bound = np.inf
-        for start in range(0, ratios.size, grid.chunk):
-            part = slice(start, start + grid.chunk)
-            values[:, part] = self._values(grid.costs[:, part], workload, bound)
-            bound = min(bound, float(values[:, part].min()))
+        # Stage 1: this workload's objective on the priced coarse grid.
+        values = self._coarse_values(grid, workload)
+        bound = float(values.min())
         if not np.isfinite(bound):
             raise RuntimeError("the optimiser failed to produce any finite solution")
         values = values.reshape(len(policies), *ratios.shape)

@@ -17,7 +17,11 @@ class NominalTuner(BaseTuner):
     """Solves the nominal (classical, certainty-assuming) tuning problem."""
 
     def _objective_from_costs(
-        self, costs: np.ndarray, workload: Workload, bound: float | None = None
+        self,
+        costs: np.ndarray,
+        workload: Workload,
+        bound: float | None = None,
+        coarse: bool = False,
     ) -> np.ndarray:
         # Restrict the dot product to the workload's support so a degenerate
         # cost of a zero-weight query type cannot poison the search (0 · inf).

@@ -29,13 +29,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..workloads.workload import Workload
-from .base import BaseTuner
+from .base import _TIE, _ZOOM_MARGIN, BaseTuner
 from .nominal import NominalTuner
 from .results import TuningResult
 from .uncertainty import UncertaintyRegion
 
 #: Range of the dual variable ``λ`` the reported dual value is evaluated in.
 _LAMBDA_BOUNDS = (float(np.exp(-9.0)), float(np.exp(12.0)))
+
+#: Relative slack taken off a mixture bound before it prunes: the bound and
+#: the tilted worst case each carry their own rounding.
+_BOUND_SLACK = 1e-12
 
 
 class RobustTuner(BaseTuner):
@@ -66,7 +70,11 @@ class RobustTuner(BaseTuner):
         return float(self.rho * lam + lam * log_expectation)
 
     def _objective_from_costs(
-        self, costs: np.ndarray, workload: Workload, bound: float | None = None
+        self,
+        costs: np.ndarray,
+        workload: Workload,
+        bound: float | None = None,
+        coarse: bool = False,
     ) -> np.ndarray:
         """Exact worst-case cost of every cell of a batch of cost vectors.
 
@@ -74,6 +82,14 @@ class RobustTuner(BaseTuner):
         a ``bound`` the tilting is only solved for cells whose nominal cost
         beats it; an infinite one is first replaced by the worst case of the
         nominally best cell.
+
+        On the ``coarse`` grid (axis 0 the policy axis) the tilt also skips a
+        cell whose mixture bound (:meth:`UncertaintyRegion.mixture_bounds`,
+        less ``1e-12`` relative) lies both beyond the zoom margin of
+        ``bound`` and above its policy's seed — the worst case of the
+        policy's nominally best cell, all seeds from one tilt call.  Such a
+        cell can neither be zoomed into nor be its policy's best, so the
+        search does not change.
         """
         nominal = NominalTuner._objective_from_costs(self, costs, workload)
         if self.rho == 0.0:
@@ -81,11 +97,22 @@ class RobustTuner(BaseTuner):
         region = UncertaintyRegion(expected=workload, rho=self.rho)
         if bound is None:
             return region.worst_case_costs(costs)
-        if not np.isfinite(bound):
+        if coarse:
+            policy = np.arange(len(nominal))
+            best = nominal.argmin(axis=1)
+            seeds = region.worst_case_costs(costs[policy, best])
+            if not np.isfinite(bound):
+                first = int(np.argmin(nominal[policy, best]))
+                bound = max(seeds[first], nominal[first, best[first]])
+        elif not np.isfinite(bound):
             seed = np.unravel_index(np.argmin(nominal), nominal.shape)
             bound = max(region.worst_case_cost(costs[seed]), nominal[seed])
-        values = np.full(nominal.shape, np.inf)
         alive = nominal <= bound
+        if coarse:
+            lower = region.mixture_bounds(costs) * (1.0 - _BOUND_SLACK)
+            reach = bound * _ZOOM_MARGIN * (1.0 + _TIE)
+            alive &= (lower <= reach) | (lower <= seeds[:, None])
+        values = np.full(nominal.shape, np.inf)
         values[alive] = region.worst_case_costs(costs[alive])
         return values
 

@@ -11,11 +11,16 @@ module provides:
 
 * the conjugate function and the dual objective term,
 * an exact solver for the *inner* problem (worst-case workload for a fixed
-  cost vector), used both to evaluate tunings and to cross-check the dual.
+  cost vector), used both to evaluate tunings and to cross-check the dual,
+* a lower bound of the inner problem that needs no solve — the best mixture
+  of the expected workload with one query type — by which the robust search
+  skips cost vectors that cannot matter.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +122,41 @@ class UncertaintyRegion:
         """Value of the inner maximisation ``max_{ŵ ∈ U} ŵ · c``."""
         return float(self.worst_case_costs(cost_vector))
 
+    # ------------------------------------------------------------------
+    # A lower bound without the tilt
+    # ------------------------------------------------------------------
+    def mixture_shares(self) -> np.ndarray:
+        """Largest share ``t_j`` of each supported vertex ``e_j`` a mixture keeps.
+
+        The mixture ``(1 − t)·w + t·e_j`` diverges from ``w`` by
+        ``KL(t) = (1 − t)(1 − w_j)·ln(1 − t) + ((1 − t)·w_j + t)·ln(1 − t + t/w_j)``,
+        which grows from 0 at ``t = 0`` to ``−ln w_j`` at ``t = 1``.  A vertex
+        within the radius is reached outright (``t_j = 1``); otherwise
+        bisection in plain floats keeps the feasible end, so every mixture lies
+        in the region.  Radii the region answers by ``w`` itself give 0.
+        """
+        return np.array(_mixture_shares(tuple(self.expected.as_array().tolist()), self.rho))
+
+    def mixture_bounds(self, costs: np.ndarray) -> np.ndarray:
+        """Lower bound of the inner maximisation for every cost vector of a batch.
+
+        ``max(w·c, max_j [(1 − t_j)·w·c + t_j·c_j])``: the best of ``w`` and
+        its mixtures with one vertex (:meth:`mixture_shares`), each a point of
+        the region.  It needs no tilt, so a search can skip a cost vector
+        whose bound already loses.
+        """
+        weights = self.expected.as_array()
+        support = np.flatnonzero(weights > 0.0)
+        costs = np.asarray(costs, dtype=float)
+        nominal = costs[..., support] @ weights[support]
+        bound = nominal
+        # One component at a time: a reduction over a last axis of four is
+        # several times slower than four whole-batch maxima.
+        for share, j in zip(self.mixture_shares().tolist(), support.tolist()):
+            if share > 0.0:
+                bound = np.maximum(bound, (1.0 - share) * nominal + share * costs[..., j])
+        return bound
+
     def _supported_spread(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Supported costs shifted so the costliest is 0, and their weights."""
         base = self.expected.as_array()
@@ -131,6 +171,43 @@ _NO_UNCERTAINTY = 1e-10
 #: Upper end of the tilting bracket (``λ`` no smaller than ~1e-6).
 _MAX_TILT = 2.0**20
 
+#: Bisection steps of a mixture share: the share to within 2⁻³⁰.
+_MIXTURE_BISECTIONS = 30
+
+
+@functools.lru_cache(maxsize=64)
+def _mixture_shares(weights: tuple[float, ...], rho: float) -> tuple[float, ...]:
+    """:meth:`UncertaintyRegion.mixture_shares`, once per workload and radius."""
+    shares = []
+    for weight in weights:
+        if weight <= 0.0:
+            continue
+        if rho <= _NO_UNCERTAINTY:
+            share = 0.0
+        elif -math.log(weight) <= rho:
+            share = 1.0
+        else:
+            share, high = 0.0, 1.0
+            for _ in range(_MIXTURE_BISECTIONS):
+                middle = 0.5 * (share + high)
+                if _mixture_divergence(middle, weight) <= rho:
+                    share = middle
+                else:
+                    high = middle
+        shares.append(share)
+    return tuple(shares)
+
+
+def _mixture_divergence(share: float, weight: float) -> float:
+    """``I_KL((1 − t)·w + t·e_j, w)`` of a share ``0 < t < 1`` and weight ``w_j``.
+
+    ``ln(1 − t + t/w_j)`` is taken as ``ln t − ln w_j + ln(1 + (1 − t)·w_j/t)``,
+    which a subnormal ``w_j`` cannot overflow.
+    """
+    rest = (1.0 - share) * (1.0 - weight) * math.log1p(-share)
+    ratio = math.log(share) - math.log(weight) + math.log1p((1.0 - share) * weight / share)
+    return rest + ((1.0 - share) * weight + share) * ratio
+
 
 def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarray:
     """``θ`` with ``I_KL(tilted_θ, w) = ρ`` for every row of ``spread``.
@@ -138,36 +215,60 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
     Newton's iteration on the monotone divergence, started from the small-θ
     expansion ``I_KL ≈ θ² Var_w(c) / 2`` and safeguarded by a bisection
     bracket: a step that leaves ``[lo, hi]`` is replaced by its midpoint.
+    Each row stops at its own convergence: a converged row keeps its ``θ``
+    while the rest iterate on, and once half the rows are done they leave
+    the arrays.  A row's result therefore does not depend on the batch it is
+    solved in — ``worst_case_costs(batch)[i]`` equals
+    ``worst_case_cost(batch[i])`` bit for bit.
     """
     # Components along axis 0: reducing over the (at most four) query types
     # is then a handful of whole-batch additions.
-    spread, weights = np.ascontiguousarray(spread.T), weights[:, None]
-    squared = spread * spread
-    variance = (weights * squared).sum(axis=0) - (weights * spread).sum(axis=0) ** 2
+    columns, weights = np.ascontiguousarray(spread.T), weights[:, None]
+    squared = columns * columns
+    variance = (weights * squared).sum(axis=0) - (weights * columns).sum(axis=0) ** 2
     # Cancellation can leave a (numerically) zero variance a hair below zero,
     # e.g. when all but a subnormal weight sits on one component.
     variance = np.maximum(variance, 0.0)
     low = np.zeros(variance.shape)
     high = np.full(variance.shape, _MAX_TILT)
-    with np.errstate(divide="ignore"):  # a vanishing variance starts mid-bracket
+    done = np.zeros(variance.shape, dtype=bool)
+    solved = np.empty(variance.shape)
+    rows = np.arange(variance.size)  # the rows still in the arrays
+    # A vanishing variance starts mid-bracket; a vanishing θ·variance makes a
+    # Newton step the bracket replaces.
+    with np.errstate(all="ignore"):
         theta = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
-    for _ in range(100):
-        mass = weights * np.exp(theta * spread)
-        total = mass.sum(axis=0)
-        mean = (mass * spread).sum(axis=0) / total
-        variance = (mass * squared).sum(axis=0) / total - mean * mean
-        excess = theta * mean - np.log(total) - rho
-        low = np.where(excess < 0.0, theta, low)
-        high = np.where(excess < 0.0, high, theta)
-        with np.errstate(all="ignore"):
+        for _ in range(100):
+            mass = weights * np.exp(theta * columns)
+            total = mass.sum(axis=0)
+            mean = (mass * columns).sum(axis=0) / total
+            variance = (mass * squared).sum(axis=0) / total - mean * mean
+            excess = theta * mean - np.log(total) - rho
+            below = excess < 0.0
+            np.copyto(low, theta, where=below)
+            np.copyto(high, theta, where=~below)
             newton = theta - excess / (theta * variance)
-        inside = (newton >= low) & (newton <= high)
-        step = np.where(inside, newton, 0.5 * (low + high))
-        converged = np.abs(step - theta) <= 1e-13 * theta
-        theta = step
-        if converged.all():
-            break
-    return theta
+            inside = (newton >= low) & (newton <= high)
+            step = np.where(inside, newton, 0.5 * (low + high))
+            converged = np.abs(step - theta) <= 1e-13 * theta
+            np.copyto(theta, step, where=~done)
+            done |= converged
+            if done.all():
+                break
+            if 2 * np.count_nonzero(done) >= done.size:
+                solved[rows[done]] = theta[done]
+                keep = ~done
+                rows, theta, low, high = rows[keep], theta[keep], low[keep], high[keep]
+                columns, squared, done = columns[:, keep], squared[:, keep], done[keep]
+        solved[rows] = theta
+        # A root beyond the bracket needs a gap below ~1e-3 between the
+        # costliest component and the next: solve such rows again in units
+        # of that gap (a subnormal gap overflows to θ = ∞, the vertex).
+        stuck = solved > _MAX_TILT * (1.0 - 1e-12)
+        if stuck.any():
+            gap = -np.where(spread < 0.0, spread, -np.inf).max(axis=-1)[stuck]
+            solved[stuck] = _solve_tilt(spread[stuck] / gap[:, None], weights[:, 0], rho) / gap
+    return solved
 
 
 def dual_objective(

@@ -178,23 +178,23 @@ class LSMCostModel:
 
         # Z0 (Eq. 12): every run may cost one false-positive probe.
         level_fp = np.where(mask, runs * rates, 0.0)
-        empty_read = np.sum(level_fp, axis=-1)
+        empty_read = level_fp.sum(axis=-1)
 
         # Z1 (Eq. 14): guaranteed hit at the residence level plus the false-positive
         # probes of every run above it and half the runs beside it.
         capacity = np.where(
             mask, (ratios - 1.0) * ratios ** (index - 1.0) * buffer_entries, 0.0
         )
-        residence = capacity / np.sum(capacity, axis=-1, keepdims=True)
-        preceding_fp = np.cumsum(level_fp, axis=-1) - level_fp
+        residence = capacity / capacity.sum(axis=-1, keepdims=True)
+        preceding_fp = level_fp.cumsum(axis=-1) - level_fp
         per_level_cost = 1.0 + preceding_fp + (runs - 1.0) / 2.0 * rates
-        non_empty_read = np.sum(residence * per_level_cost, axis=-1)
+        non_empty_read = (residence * per_level_cost).sum(axis=-1)
 
         # Q (Eq. 15): one seek per run plus the selectivity-governed sequential scans.
         # Short ranges scan S_RQ of the whole store; long ranges pay the
         # worst-case per-run share of every level's capacity.  The ν = 0 fast
         # path never evaluates the long-range split (zero-weight guard).
-        seeks = np.sum(runs, axis=-1)
+        seeks = runs.sum(axis=-1)
         short_scan = (
             system.range_selectivity * system.num_entries / system.entries_per_page
         )
@@ -204,7 +204,7 @@ class LSMCostModel:
         else:
             long_scan = (
                 system.long_range_selectivity
-                * np.sum(runs * capacity, axis=-1)
+                * (runs * capacity).sum(axis=-1)
                 / system.entries_per_page
             )
             range_read = seeks + (1.0 - nu) * short_scan + nu * long_scan
@@ -213,7 +213,7 @@ class LSMCostModel:
         # at ``m`` runs, per page, weighted by asymmetry.
         merges = np.where(mask, (ratios - 1.0) / (bounds + 1.0), 0.0)
         write = (
-            np.sum(merges, axis=-1)
+            merges.sum(axis=-1)
             / system.entries_per_page
             * (1.0 + system.read_write_asymmetry)
         )

@@ -6,6 +6,12 @@ re-priced independently of the tuner.  It is the parity reference that
 replaced the scalar twin of the search: a cell whose objective rises above
 its golden value is a bug in the search, not a re-pin.
 
+``golden_tunings.json`` holds what the search itself returned on the same
+cells at commit ddc6e22 (the last one before the robust search skipped cells
+by the mixture bound): the tuning — deployed, on the k-vector cell — must
+match exactly and the objective to a relative 1e-14.  A speed-up of the
+search is exact up to the last bits of a tilt sum; it moves no tuning.
+
 Cells: the 15 Table-2 workloads × ρ ∈ {0, 0.25, 1, 2} × three policy spaces
 on the default system, the five ``tune_sweep`` cells of ``bench/`` and its
 k-vector cell (priced as *deployed*, i.e. ``tuning.rounded()``) on the
@@ -32,6 +38,9 @@ from repro.workloads import expected_workload
 
 GOLDEN: dict[str, float] = json.loads(
     (Path(__file__).parent / "golden_objectives.json").read_text()
+)
+GOLDEN_TUNINGS: dict[str, dict] = json.loads(
+    (Path(__file__).parent / "golden_tunings.json").read_text()
 )
 
 _SYSTEMS = {"default": SystemConfig(), "sim20k": simulator_system(num_entries=20_000)}
@@ -79,3 +88,7 @@ def test_search_is_no_worse_than_the_golden_objective(key: str):
     assert result.objective == pytest.approx(
         _price(model, workload, rho, tuning), rel=1e-9
     )
+    # … and the search returns the tuning it returned when the tables were made.
+    expected = dict(GOLDEN_TUNINGS[key])
+    assert result.objective == pytest.approx(expected.pop("objective"), rel=1e-14, abs=0)
+    assert deployed.to_dict() == expected

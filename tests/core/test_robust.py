@@ -1,9 +1,11 @@
 """Tests for the robust tuner (the paper's contribution)."""
 
+import numpy as np
 import pytest
 
 from repro.core import GridTuner, RobustTuner, UncertaintyRegion
-from repro.lsm import LSMCostModel
+from repro.core.base import _TIE, _ZOOM_MARGIN, _coarse_grid
+from repro.lsm import CLASSIC_POLICIES, LSMCostModel, Policy, simulator_system
 from repro.workloads import expected_workload
 
 
@@ -99,3 +101,55 @@ class TestRobustVersusNominal:
     def test_leveling_chosen_for_w7_under_uncertainty(self, system, w7, robust_w7_rho1):
         """§8.4: leveling is more robust than tiering once uncertainty matters."""
         assert robust_w7_rho1.tuning.policy.value == "leveling"
+
+
+class TestCoarsePrune:
+    """Stage 1 skips the tilt of a coarse cell whose mixture bound puts it
+    beyond the zoom margin and above its policy's seed; the search returns
+    exactly what it returns with only the nominal prune.
+
+    Cells: ``tune_sweep``'s two robust cells, the flat w4 at ρ = 1, and a
+    fluid search whose grid is priced in more than one chunk.
+    """
+
+    SYSTEM = simulator_system(num_entries=20_000)
+
+    @pytest.mark.parametrize(
+        "index, rho, policies",
+        [
+            (1, 0.25, CLASSIC_POLICIES),
+            (11, 1.0, CLASSIC_POLICIES),
+            (4, 1.0, CLASSIC_POLICIES),
+            (11, 1.0, (Policy.FLUID,)),
+        ],
+    )
+    def test_a_skipped_cell_could_not_matter(self, monkeypatch, index, rho, policies):
+        workload = expected_workload(index).workload
+        tuner = RobustTuner(rho=rho, system=self.SYSTEM, policies=policies)
+        grid = _coarse_grid(*tuner._grid_key(tuner.policy_specs, workload))
+        pruned = tuner._coarse_values(grid, workload)
+        result = tuner.tune(workload)
+        with monkeypatch.context() as patch:
+            # A bound of 0 skips nothing: the nominal prune alone.
+            patch.setattr(
+                UncertaintyRegion, "mixture_bounds", lambda self, costs: np.zeros(costs.shape[:-1])
+            )
+            reference = tuner._coarse_values(grid, workload)
+            unpruned = tuner.tune(workload)
+        exact = UncertaintyRegion(expected=workload, rho=rho).worst_case_costs(grid.costs)
+
+        kept, alive = np.isfinite(pruned), np.isfinite(reference)
+        assert (pruned[kept] == exact[kept]).all()
+        assert (reference[alive] == exact[alive]).all()
+        skipped = alive & ~kept
+        assert not (kept & ~alive).any()
+        bound = reference.min()
+        assert pruned.min() == bound
+        assert (exact[skipped] > bound * _ZOOM_MARGIN * (1.0 + _TIE)).all()
+        best = reference.min(axis=1, keepdims=True)
+        assert (exact > best)[skipped].all()
+        assert (pruned.min(axis=1) == reference.min(axis=1)).all()
+
+        assert result.tuning == unpruned.tuning
+        assert result.objective == unpruned.objective
+        assert result.solver_info == unpruned.solver_info

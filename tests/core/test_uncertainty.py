@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from repro.core import UncertaintyRegion, dual_objective, kl_conjugate
+from repro.core import RobustTuner, UncertaintyRegion, dual_objective, kl_conjugate
+from repro.core.base import _coarse_grid
 from repro.core.uncertainty import kl_divergence
-from repro.workloads import Workload, expected_workload
+from repro.lsm import simulator_system
+from repro.workloads import Workload, expected_workload, expected_workloads
 
 
 def minimize_dual_for_cost(
@@ -238,3 +242,108 @@ class TestSubnormalWeights:
         result = RobustTuner(rho=1.0, system=system).tune(self.EXPECTED)
         assert np.isfinite(result.objective)
         assert result.objective > 0
+
+
+@pytest.fixture(scope="module")
+def coarse_rows() -> np.ndarray:
+    """400 cost vectors spread over the coarse grid of the classic robust search."""
+    tuner = RobustTuner(rho=1.0, system=simulator_system(num_entries=20_000))
+    costs = _coarse_grid(*tuner._grid_key(tuner.policy_specs, Workload.uniform())).costs
+    costs = costs.reshape(-1, 4)
+    return costs[np.linspace(0, len(costs) - 1, 400).astype(int)]
+
+
+class TestBatchIndependence:
+    """A cost vector's worst case does not depend on the batch it is solved in.
+
+    Each row of the tilt solve stops at its own convergence; a row that kept
+    iterating until the slowest row of its batch converged moved in its last
+    bits, so the search's batched objective differed from a point re-pricing.
+    Batches of 7 and 81 leave SIMD tails.
+    """
+
+    @pytest.mark.parametrize("index", range(len(expected_workloads())))
+    def test_every_batch_solves_each_row_as_it_is_solved_alone(self, coarse_rows, index):
+        workload = expected_workload(index).workload
+        for rho in (0.25, 1.0, 2.0):
+            region = UncertaintyRegion(expected=workload, rho=rho)
+            alone = np.array([region.worst_case_cost(row) for row in coarse_rows])
+            for size in (7, 81, 400):
+                batched = np.concatenate(
+                    [
+                        region.worst_case_costs(coarse_rows[start : start + size])
+                        for start in range(0, len(coarse_rows), size)
+                    ]
+                )
+                assert (batched == alone).all(), (rho, size, np.flatnonzero(batched != alone))
+
+
+class TestSmallCostGaps:
+    """The tilt needed grows as the gap below the costliest cost shrinks;
+    beyond the bracket a row is solved again in units of its gap, so the
+    worst case scales with the costs however small they are."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-12])
+    def test_worst_case_scales_with_the_costs(self, scale):
+        region = UncertaintyRegion(expected=Workload(0.0, 2.0 / 3.0, 0.0, 1.0 / 3.0), rho=1.0)
+        costs = np.array([[0.0, 0.0, 0.0, 6.0], [0.0, 1.0, 0.0, 6.0]])
+        exact = region.worst_case_costs(costs)
+        assert region.worst_case_costs(costs * scale) == pytest.approx(exact * scale, rel=1e-12)
+
+
+@st.composite
+def _regions(draw) -> UncertaintyRegion:
+    """A KL ball around a workload on the simplex, some components empty.
+
+    Weights are zero or normal floats: a subnormal weight holds a few bits,
+    and the tilt solve multiplies by it, so its worst case is not exact to
+    1e-12 (``TestSubnormalWeights`` covers that regime on its own).
+    """
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    raw *= np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+    if raw.sum() == 0.0:
+        raw[draw(st.integers(0, 3))] = 1.0
+    weights = raw / raw.sum()
+    weights[weights < np.finfo(float).tiny] = 0.0
+    rho = draw(st.floats(0.0, 5.0))
+    return UncertaintyRegion(expected=Workload.from_array(weights / weights.sum()), rho=rho)
+
+
+class TestMixtureBound:
+    """The mixture bound is a point of the region, so it never exceeds the
+    worst case: the robust search may skip what it rules out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        region=_regions(),
+        costs=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4).map(np.array),
+    )
+    def test_every_share_is_feasible_and_the_bound_is_below_the_worst_case(
+        self, region, costs
+    ):
+        weights = region.expected.as_array()
+        support = np.flatnonzero(weights > 0.0)
+        for share, j in zip(region.mixture_shares(), support):
+            assert 0.0 <= share <= 1.0
+            mixture = (1.0 - share) * weights
+            mixture[j] += share
+            # ``ln p − ln q``: the ratio ``p / q`` overflows on a subnormal ``q``.
+            mass = mixture > 0.0
+            divergence = mixture[mass] @ (np.log(mixture[mass]) - np.log(weights[mass]))
+            assert divergence <= region.rho + 1e-12
+        bound = region.mixture_bounds(costs)
+        assert bound >= float(costs[support] @ weights[support])
+        # Below the smallest normal float a weighted sum loses even its units.
+        tiny = np.finfo(float).tiny
+        assert bound <= region.worst_case_cost(costs) * (1.0 + 1e-12) + tiny
+
+    def test_a_vertex_inside_the_radius_is_reached_outright(self):
+        region = UncertaintyRegion(expected=Workload(0.5, 0.25, 0.25, 0.0), rho=0.7)
+        # -ln 0.5 = 0.69 is inside the radius, -ln 0.25 = 1.39 is not.
+        shares = region.mixture_shares()
+        assert shares[0] == 1.0 and 0.0 < shares[1] < 1.0
+        assert region.mixture_bounds(np.array([4.0, 1.0, 1.0, 9.0])) == 4.0
+
+    def test_no_uncertainty_moves_no_mass(self):
+        region = UncertaintyRegion(expected=Workload.uniform(), rho=1e-11)
+        assert (region.mixture_shares() == 0.0).all()

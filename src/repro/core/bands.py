@@ -61,7 +61,9 @@ class LevelBands:
         """Inverse of :meth:`fill`, clipped to the legal ``h`` range."""
         system = self.system
         bits = (system.total_memory_bits - self._size_bits / (fill - 1.0)) / system.num_entries
-        return np.clip(bits, *self.bits_bounds)
+        # A difference of two large floats is never -0.0, so this is ``np.clip``.
+        low, high = self.bits_bounds
+        return np.minimum(np.maximum(bits, low), high)
 
     @cached_property
     def regions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,9 +103,11 @@ class LevelBands:
         if self.continuous:
             fill = self.fill(pinned)
             t_lo, t_hi = self.ratios[[0, -1]]
+            # Powers of a fill above 1 are positive: the clips are ``np.clip``.
             with np.errstate(divide="ignore", over="ignore"):
-                high = np.clip(fill ** (1.0 / (levels - 1.0)) * _BELOW, t_lo, t_hi)
-            low = np.minimum(np.clip(fill ** (1.0 / levels) * _ABOVE, t_lo, t_hi), high)
+                high = np.minimum(np.maximum(fill ** (1.0 / (levels - 1.0)) * _BELOW, t_lo), t_hi)
+            low = np.minimum(np.maximum(fill ** (1.0 / levels) * _ABOVE, t_lo), t_hi)
+            low = np.minimum(low, high)
             return low + fraction * (high - low), pinned + 0.0 * fraction
         top = self.bits_at(pinned**levels * _BELOW)
         bottom = np.minimum(self.bits_at(pinned ** (levels - 1.0) * _ABOVE), top)

@@ -92,11 +92,13 @@ _DESCENT_BOUNDS: tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 _DESCENT_MAX_PASSES = 4
 
 
-def _argbest(values: np.ndarray, *keys: np.ndarray) -> int:
-    """Index of the smallest value, ties going to the smallest ``keys``."""
-    tied = np.flatnonzero(values <= values.min() * (1.0 + _TIE))
-    order = np.lexsort([np.asarray(key)[tied] for key in reversed(keys)])
-    return int(tied[order[0]])
+def _argbest(values: np.ndarray, *keys) -> np.ndarray:
+    """Index of the smallest value along the last axis, ties going to the
+    smallest ``keys`` (then the smallest index); one per row of ``values``."""
+    tied = values <= np.minimum.reduce(values, axis=-1, keepdims=True) * (1.0 + _TIE)
+    # ``lexsort`` is stable and reads its last key first: the tied points,
+    # ordered by the keys.
+    return np.lexsort((*reversed(keys), ~tied))[..., 0]
 
 
 def _window(centre: np.ndarray, step: np.ndarray, counts: tuple[int, int]):
@@ -104,11 +106,16 @@ def _window(centre: np.ndarray, step: np.ndarray, counts: tuple[int, int]):
 
     ``centre`` has shape ``(K, 2)``; the two results have shape ``(K, n)``.
     """
+    # A centre is never -0.0, nor is its sum with an offset: the clips are
+    # ``np.clip``.
     a, b = (
-        np.clip(centre[:, i, None] + step[i] * _offsets(counts[i]), 0.0, 1.0) for i in (0, 1)
+        np.minimum(np.maximum(centre[:, i, None] + step[i] * _offsets(counts[i]), 0.0), 1.0)
+        for i in (0, 1)
     )
-    a, b = np.broadcast_arrays(a[:, :, None], b[:, None, :])
-    return a.reshape(len(centre), -1), b.reshape(len(centre), -1)
+    grid_a, grid_b = np.empty((2, len(centre), counts[0], counts[1]))
+    grid_a[...] = a[:, :, None]
+    grid_b[...] = b[:, None, :]
+    return grid_a.reshape(len(centre), -1), grid_b.reshape(len(centre), -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +326,7 @@ class BaseTuner(abc.ABC):
         for start in range(0, grid.ratios.size, grid.chunk):
             part = slice(start, start + grid.chunk)
             values[:, part] = self._values(grid.costs[:, part], workload, bound, coarse=True)
-            bound = min(bound, float(values[:, part].min()))
+            bound = min(bound, float(np.minimum.reduce(values[:, part], axis=None)))
         return values
 
     def _grid_key(self, policies: Sequence[CompactionPolicy], workload: Workload) -> tuple:
@@ -336,12 +343,12 @@ class BaseTuner(abc.ABC):
 
         # Stage 1: this workload's objective on the priced coarse grid.
         values = self._coarse_values(grid, workload)
-        bound = float(values.min())
+        bound = float(np.minimum.reduce(values, axis=None))
         if not np.isfinite(bound):
             raise RuntimeError("the optimiser failed to produce any finite solution")
         values = values.reshape(len(policies), *ratios.shape)
-        group_best = values.min(axis=2)
-        per_policy = group_best.min(axis=1)
+        group_best = np.minimum.reduce(values, axis=2)
+        per_policy = np.minimum.reduce(group_best, axis=1)
 
         # Stage 2: zoom into every (policy, group) within reach of the best;
         # all of them share one pass per round.
@@ -358,23 +365,27 @@ class BaseTuner(abc.ABC):
         ratios, bits = ratios[member], bits[member]
         best = np.full(ranked.size, np.inf)
         centre, design = np.empty((2, ranked.size, 2))
+        rows = np.arange(ranked.size)
         for zoom in range(_ZOOM_ROUNDS + 1):
             if zoom:
                 a, b = _window(centre, step, counts)
                 ratios, bits = self.bands.points(levels, low + a * (high - low), b)
                 values = self._price(ratios, bits, specs, workload, bound)
-            for k in range(ranked.size):
-                at = _argbest(values[k], ratios[k], bits[k])
-                if values[k, at] <= best[k] * (1.0 + _TIE):
-                    best[k], centre[k] = values[k, at], (a[k, at], b[k, at])
-                    design[k] = ratios[k, at], bits[k, at]
-            bound = min(bound, float(best.min()))
+            # Each candidate's best point of the round, kept where it ties
+            # or beats the candidate's best so far.
+            at = _argbest(values, ratios, bits)
+            kept = values[rows, at] <= best * (1.0 + _TIE)
+            at, k = at[kept], rows[kept]
+            best[k] = values[k, at]
+            centre[k, 0], centre[k, 1] = a[k, at], b[k, at]
+            design[k, 0], design[k, 1] = ratios[k, at], bits[k, at]
+            bound = min(bound, float(np.minimum.reduce(best, axis=None)))
             step = 2.0 * step / np.maximum(np.array(counts) - 1, 1)
             counts = (_ZOOM_POINTS if self.polish else 1, _ZOOM_POINTS)
 
         # Stage 3: the winner, under the canonical tie-break.
         np.minimum.at(per_policy, chosen, best)
-        k = _argbest(best, levels[:, 0], design[:, 0], design[:, 1], chosen)
+        k = int(_argbest(best, levels[:, 0], design[:, 0], design[:, 1], chosen))
         winner = _Design(float(best[k]), *design[k].tolist(), specs[k], int(levels[k, 0]))
         return winner, {
             policy.name: float(value) for policy, value in zip(policies, per_policy)
@@ -444,7 +455,7 @@ class BaseTuner(abc.ABC):
                     [CompactionPolicy.fluid(trial[:-1], trial[-1]) for trial in trials],
                     workload,
                 )[:, 0]
-                pick = _argbest(values, ladder)
+                pick = int(_argbest(values, ladder))
                 if values[pick] < incumbent.value * (1.0 - _TIE):
                     bounds, moved = trials[pick], True
                     incumbent = research(bounds)

@@ -78,10 +78,11 @@ class RobustTuner(BaseTuner):
     ) -> np.ndarray:
         """Exact worst-case cost of every cell of a batch of cost vectors.
 
-        The nominal cost is a free lower bound of the worst case, so under
-        a ``bound`` the tilting is only solved for cells whose nominal cost
-        beats it; an infinite one is first replaced by the worst case of the
-        nominally best cell.
+        The nominal cost under the normalised workload
+        (:meth:`UncertaintyRegion.nominal_costs`) is a free lower bound of
+        the worst case, so under a ``bound`` the tilting is only solved for
+        cells whose nominal cost beats it; an infinite one is first replaced
+        by the worst case of the nominally best cell.
 
         On the ``coarse`` grid (axis 0 the policy axis) the tilt also skips a
         cell whose mixture bound (:meth:`UncertaintyRegion.mixture_bounds`,
@@ -91,12 +92,12 @@ class RobustTuner(BaseTuner):
         cell can neither be zoomed into nor be its policy's best, so the
         search does not change.
         """
-        nominal = NominalTuner._objective_from_costs(self, costs, workload)
         if self.rho == 0.0:
-            return nominal
+            return NominalTuner._objective_from_costs(self, costs, workload)
         region = UncertaintyRegion(expected=workload, rho=self.rho)
         if bound is None:
             return region.worst_case_costs(costs)
+        nominal = region.nominal_costs(costs)
         if coarse:
             policy = np.arange(len(nominal))
             best = nominal.argmin(axis=1)

@@ -69,16 +69,42 @@ class UncertaintyRegion:
         in between by one vectorised safeguarded-Newton solve.  ``costs`` has
         shape ``(..., 4)``; the result drops the last axis.
         """
-        return self._tilt(*self._supported_spread(costs))
+        return self._tilt(self._supported_spread(self._supported_costs(costs)))
 
-    def _tilt(self, spread: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support mask of the expected workload and its weights there.
+
+        Read once per region: a robust objective call builds one region and
+        asks it for the weights several times.
+        """
+        weights = self.expected.as_array()
+        support = weights > 0.0
+        return support, weights[support]
+
+    def _supported_costs(self, costs: np.ndarray) -> np.ndarray:
+        """The supported components of a batch of cost vectors."""
+        return np.asarray(costs, dtype=float)[..., self._support[0]]
+
+    def _tilt(self, spread: np.ndarray) -> np.ndarray:
+        weights = self._support[1]
         if self.rho <= _NO_UNCERTAINTY:
             return np.zeros(spread.shape[:-1])
-        limit = -np.log(np.where(spread == 0.0, weights, 0.0).sum(axis=-1))
+        limit = -np.log(np.add.reduce(np.where(spread == 0.0, weights, 0.0), axis=-1))
         theta = np.full(limit.shape, np.inf)
         inside = self.rho < limit
         theta[inside] = _solve_tilt(spread[inside], weights, self.rho)
         return theta
+
+    def _worst_supported(self, supported: np.ndarray) -> np.ndarray:
+        """Worst-case weights on the support of a batch of supported costs."""
+        spread = self._supported_spread(supported)
+        theta = self._tilt(spread)[..., None]
+        with np.errstate(invalid="ignore"):
+            tilted = self._support[1] * np.where(
+                np.isinf(theta), spread == 0.0, np.exp(theta * spread)
+            )
+        return tilted / np.add.reduce(tilted, axis=-1, keepdims=True)
 
     def worst_case_weights(self, costs: np.ndarray) -> np.ndarray:
         """Worst-case workloads ``argmax_{ŵ ∈ U} ŵ · c`` of a batch, as arrays.
@@ -88,24 +114,14 @@ class UncertaintyRegion:
         stay zero, whatever their cost), so the stabilising shift is the
         largest *supported* cost.
         """
-        spread, weights = self._supported_spread(costs)
-        theta = self._tilt(spread, weights)[..., None]
-        with np.errstate(invalid="ignore"):
-            tilted = weights * np.where(
-                np.isinf(theta), spread == 0.0, np.exp(theta * spread)
-            )
         result = np.zeros(np.shape(costs))
-        result[..., self.expected.as_array() > 0.0] = tilted / tilted.sum(
-            axis=-1, keepdims=True
-        )
+        result[..., self._support[0]] = self._worst_supported(self._supported_costs(costs))
         return result
 
     def worst_case_costs(self, costs: np.ndarray) -> np.ndarray:
         """Value of the inner maximisation for every cost vector of a batch."""
-        costs = np.asarray(costs, dtype=float)
-        support = self.expected.as_array() > 0.0
-        worst = self.worst_case_weights(costs)
-        return (worst[..., support] * costs[..., support]).sum(axis=-1)
+        supported = self._supported_costs(costs)
+        return np.add.reduce(self._worst_supported(supported) * supported, axis=-1)
 
     def worst_case_workload(self, cost_vector: np.ndarray) -> Workload:
         """Workload in the region that maximises ``ŵ · c`` for a fixed ``c``."""
@@ -134,21 +150,39 @@ class UncertaintyRegion:
         within the radius is reached outright (``t_j = 1``); otherwise
         bisection in plain floats keeps the feasible end, so every mixture lies
         in the region.  Radii the region answers by ``w`` itself give 0.
+
+        Weights may sum to ``s = 1 ± 1e-6``.  The region, like the tilt,
+        measures divergence from the weights as given, and
+        ``I_KL(ŵ, w) = I_KL(ŵ, w/s) − ln s``, so the shares mix the normalised
+        ``w/s`` within the radius ``ρ + ln s``.
         """
-        return np.array(_mixture_shares(tuple(self.expected.as_array().tolist()), self.rho))
+        weights = self._support[1]
+        total = float(np.add.reduce(weights))
+        radius = self.rho + math.log(total) if self.rho > _NO_UNCERTAINTY else 0.0
+        return np.array(_mixture_shares(tuple((weights / total).tolist()), radius))
+
+    def nominal_costs(self, costs: np.ndarray) -> np.ndarray:
+        """``w·c / Σ w``: the cost under the normalised expected workload.
+
+        The worst case at ``θ = 0``, so a lower bound of the inner
+        maximisation.  A workload's weights may sum to ``1 ± 1e-6`` while the
+        worst case is a point of the simplex; ``w·c`` alone could then
+        exceed it.
+        """
+        weights = self._support[1]
+        return (self._supported_costs(costs) @ weights) / np.add.reduce(weights)
 
     def mixture_bounds(self, costs: np.ndarray) -> np.ndarray:
         """Lower bound of the inner maximisation for every cost vector of a batch.
 
-        ``max(w·c, max_j [(1 − t_j)·w·c + t_j·c_j])``: the best of ``w`` and
-        its mixtures with one vertex (:meth:`mixture_shares`), each a point of
-        the region.  It needs no tilt, so a search can skip a cost vector
-        whose bound already loses.
+        ``max(w·c, max_j [(1 − t_j)·w·c + t_j·c_j])``, ``w`` normalised: the
+        best of ``w`` and its mixtures with one vertex
+        (:meth:`mixture_shares`), each a point of the region.  It needs no
+        tilt, so a search can skip a cost vector whose bound already loses.
         """
-        weights = self.expected.as_array()
-        support = np.flatnonzero(weights > 0.0)
+        support = self._support[0].nonzero()[0]
         costs = np.asarray(costs, dtype=float)
-        nominal = costs[..., support] @ weights[support]
+        nominal = self.nominal_costs(costs)
         bound = nominal
         # One component at a time: a reduction over a last axis of four is
         # several times slower than four whole-batch maxima.
@@ -157,11 +191,9 @@ class UncertaintyRegion:
                 bound = np.maximum(bound, (1.0 - share) * nominal + share * costs[..., j])
         return bound
 
-    def _supported_spread(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Supported costs shifted so the costliest is 0, and their weights."""
-        base = self.expected.as_array()
-        supported = np.asarray(costs, dtype=float)[..., base > 0.0]
-        return supported - supported.max(axis=-1, keepdims=True), base[base > 0.0]
+    def _supported_spread(self, supported: np.ndarray) -> np.ndarray:
+        """Supported costs shifted so the costliest is 0."""
+        return supported - np.maximum.reduce(supported, axis=-1, keepdims=True)
 
 
 #: Radii at or below this are answered by the expected workload itself: the
@@ -220,12 +252,20 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
     the arrays.  A row's result therefore does not depend on the batch it is
     solved in — ``worst_case_costs(batch)[i]`` equals
     ``worst_case_cost(batch[i])`` bit for bit.
+
+    The search hands it one to a few hundred rows, and an iteration is some
+    forty ufunc calls on them: a 162-row solve costs about 1.4 times a 1-row
+    one.  The loop therefore calls the ufuncs and their reductions itself
+    (``np.add.reduce``, ``np.logical_and.reduce``), not NumPy's Python
+    wrappers around them.
     """
     # Components along axis 0: reducing over the (at most four) query types
     # is then a handful of whole-batch additions.
     columns, weights = np.ascontiguousarray(spread.T), weights[:, None]
     squared = columns * columns
-    variance = (weights * squared).sum(axis=0) - (weights * columns).sum(axis=0) ** 2
+    variance = (
+        np.add.reduce(weights * squared, axis=0) - np.add.reduce(weights * columns, axis=0) ** 2
+    )
     # Cancellation can leave a (numerically) zero variance a hair below zero,
     # e.g. when all but a subnormal weight sits on one component.
     variance = np.maximum(variance, 0.0)
@@ -240,9 +280,9 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
         theta = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
         for _ in range(100):
             mass = weights * np.exp(theta * columns)
-            total = mass.sum(axis=0)
-            mean = (mass * columns).sum(axis=0) / total
-            variance = (mass * squared).sum(axis=0) / total - mean * mean
+            total = np.add.reduce(mass, axis=0)
+            mean = np.add.reduce(mass * columns, axis=0) / total
+            variance = np.add.reduce(mass * squared, axis=0) / total - mean * mean
             excess = theta * mean - np.log(total) - rho
             below = excess < 0.0
             np.copyto(low, theta, where=below)
@@ -253,7 +293,7 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
             converged = np.abs(step - theta) <= 1e-13 * theta
             np.copyto(theta, step, where=~done)
             done |= converged
-            if done.all():
+            if np.logical_and.reduce(done, axis=None):
                 break
             if 2 * np.count_nonzero(done) >= done.size:
                 solved[rows[done]] = theta[done]
@@ -265,8 +305,8 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
         # costliest component and the next: solve such rows again in units
         # of that gap (a subnormal gap overflows to θ = ∞, the vertex).
         stuck = solved > _MAX_TILT * (1.0 - 1e-12)
-        if stuck.any():
-            gap = -np.where(spread < 0.0, spread, -np.inf).max(axis=-1)[stuck]
+        if np.logical_or.reduce(stuck, axis=None):
+            gap = -np.maximum.reduce(np.where(spread < 0.0, spread, -np.inf), axis=-1)[stuck]
             solved[stuck] = _solve_tilt(spread[stuck] / gap[:, None], weights[:, 0], rho) / gap
     return solved
 

@@ -76,7 +76,8 @@ def monkey_false_positive_rates_batch(size_ratio, bits_per_entry, num_levels, le
     rates = np.power(size_ratio, exponent) * np.exp(
         -np.asarray(bits_per_entry, dtype=float) * LN2_SQUARED
     )
-    return np.clip(rates, 0.0, 1.0)
+    # Never -0.0 (a product of non-negative factors), so this is ``np.clip``.
+    return np.minimum(np.maximum(rates, 0.0), 1.0)
 
 
 def monkey_bits_per_level(

@@ -119,7 +119,11 @@ class LSMCostModel:
         One broadcasted NumPy computation over a ``(policy, point…, level)``
         tensor — the only code that evaluates Equations 11–16, and the
         tuners' hot path.  Everything but the per-level run bounds is
-        policy-independent and computed once for the whole stack.
+        policy-independent and computed once for the whole stack.  A search
+        pass prices at most a few thousand points, so a call costs its
+        ufunc dispatches more than its arithmetic: the reductions are
+        ``np.add.reduce`` and friends, not the ``.sum`` wrappers, and the
+        result is filled column by column instead of ``np.stack``ed.
 
         Parameters
         ----------
@@ -148,13 +152,13 @@ class LSMCostModel:
         stack = [CompactionPolicy.of(policy) for policy in policies]
         ratios = np.asarray(size_ratios, dtype=float)
         bits = np.asarray(bits_per_entry, dtype=float)
-        points = np.broadcast_shapes(ratios.shape, bits.shape)
+        points = np.broadcast(ratios, bits).shape
         if not points or 0 in points:
             raise ValueError("size_ratios and bits_per_entry must be non-empty arrays")
         if points[0] not in (1, len(stack)):
             raise ValueError("axis 0 of the points must have length 1 or len(policies)")
         # Written so that a NaN fails every comparison.
-        if not np.all(bits >= 0.0):
+        if not np.logical_and.reduce(bits >= 0.0, axis=None):
             raise ValueError("bits_per_entry must be non-negative and not NaN")
         # Trailing level axis; the two operands stay un-broadcast so an outer
         # product only pays for its policy-independent terms once per row.
@@ -168,7 +172,7 @@ class LSMCostModel:
             system.total_memory_bits - bits * system.num_entries
         ) / system.entry_size_bits
 
-        max_levels = int(levels.max())
+        max_levels = int(np.maximum.reduce(levels, axis=None))
         index = np.arange(1, max_levels + 1, dtype=float)
         mask = index <= levels
 
@@ -178,23 +182,23 @@ class LSMCostModel:
 
         # Z0 (Eq. 12): every run may cost one false-positive probe.
         level_fp = np.where(mask, runs * rates, 0.0)
-        empty_read = level_fp.sum(axis=-1)
+        empty_read = np.add.reduce(level_fp, axis=-1)
 
         # Z1 (Eq. 14): guaranteed hit at the residence level plus the false-positive
         # probes of every run above it and half the runs beside it.
         capacity = np.where(
             mask, (ratios - 1.0) * ratios ** (index - 1.0) * buffer_entries, 0.0
         )
-        residence = capacity / capacity.sum(axis=-1, keepdims=True)
+        residence = capacity / np.add.reduce(capacity, axis=-1, keepdims=True)
         preceding_fp = level_fp.cumsum(axis=-1) - level_fp
         per_level_cost = 1.0 + preceding_fp + (runs - 1.0) / 2.0 * rates
-        non_empty_read = (residence * per_level_cost).sum(axis=-1)
+        non_empty_read = np.add.reduce(residence * per_level_cost, axis=-1)
 
         # Q (Eq. 15): one seek per run plus the selectivity-governed sequential scans.
         # Short ranges scan S_RQ of the whole store; long ranges pay the
         # worst-case per-run share of every level's capacity.  The ν = 0 fast
         # path never evaluates the long-range split (zero-weight guard).
-        seeks = runs.sum(axis=-1)
+        seeks = np.add.reduce(runs, axis=-1)
         short_scan = (
             system.range_selectivity * system.num_entries / system.entries_per_page
         )
@@ -204,7 +208,7 @@ class LSMCostModel:
         else:
             long_scan = (
                 system.long_range_selectivity
-                * (runs * capacity).sum(axis=-1)
+                * np.add.reduce(runs * capacity, axis=-1)
                 / system.entries_per_page
             )
             range_read = seeks + (1.0 - nu) * short_scan + nu * long_scan
@@ -213,12 +217,17 @@ class LSMCostModel:
         # at ``m`` runs, per page, weighted by asymmetry.
         merges = np.where(mask, (ratios - 1.0) / (bounds + 1.0), 0.0)
         write = (
-            merges.sum(axis=-1)
+            np.add.reduce(merges, axis=-1)
             / system.entries_per_page
             * (1.0 + system.read_write_asymmetry)
         )
 
-        return np.stack([empty_read, non_empty_read, range_read, write], axis=-1)
+        costs = np.empty(empty_read.shape + (4,))
+        costs[..., 0] = empty_read
+        costs[..., 1] = non_empty_read
+        costs[..., 2] = range_read
+        costs[..., 3] = write
+        return costs
 
     def workload_cost(self, workload, tuning: LSMTuning) -> float:
         """Expected cost ``C(w, Φ) = w · c(Φ)`` of one query from ``workload``.

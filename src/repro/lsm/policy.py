@@ -205,7 +205,7 @@ def stacked_run_bounds(
     ``m`` runs rewrites an entry ``(T-1)/(m+1)`` times: ``(T-1)/2`` under
     leveling, ``(T-1)/T`` under tiering.
     """
-    lead = (len(policies),) + (1,) * (np.ndim(size_ratio) - 2)
+    lead = (len(policies),) + (1,) * (size_ratio.ndim - 2)
     vectors = np.array(
         [
             [policy.bounds[min(level, len(policy.bounds) - 1)] for level in range(max_levels)]

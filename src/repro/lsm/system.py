@@ -171,11 +171,11 @@ class SystemConfig:
         """
         ratios = np.asarray(size_ratios, dtype=float)
         # Written so that a NaN fails every comparison.
-        if not np.all(ratios >= 2.0) or not np.all(np.isfinite(ratios)):
+        if not np.logical_and.reduce((ratios >= 2.0) & np.isfinite(ratios), axis=None):
             raise ValueError("every size ratio must be finite and at least 2")
         bits = np.asarray(bits_per_entry, dtype=float)
         buffer_bits = self.total_memory_bits - bits * self.num_entries
-        if not np.all(buffer_bits > 0):
+        if not np.logical_and.reduce(buffer_bits > 0, axis=None):
             raise ValueError("bits_per_entry exceeds the total memory budget")
         size_bits = float(self.num_entries) * self.entry_size_bits
         return np.maximum(1.0, np.ceil(np.log(size_bits / buffer_bits + 1.0) / np.log(ratios)))

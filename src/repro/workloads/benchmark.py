@@ -16,6 +16,7 @@ generator, so every experiment in the repository is deterministic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -71,8 +72,13 @@ _TABLE2_ROWS: tuple[tuple[float, float, float, float, WorkloadCategory], ...] = 
 )
 
 
+@functools.cache
 def expected_workloads() -> tuple[ExpectedWorkload, ...]:
-    """The 15 expected workloads of Table 2, in paper order (w0 … w14)."""
+    """The 15 expected workloads of Table 2, in paper order (w0 … w14).
+
+    Built once per process: the rows are frozen, so every caller may share
+    the one tuple.
+    """
     rows = []
     for index, (z0, z1, q, w, category) in enumerate(_TABLE2_ROWS):
         rows.append(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from repro.core import RobustTuner, UncertaintyRegion, dual_objective, kl_conjugate
-from repro.core.base import _coarse_grid
+from repro.core.base import _TIE, _coarse_grid
 from repro.core.uncertainty import kl_divergence
 from repro.lsm import simulator_system
 from repro.workloads import Workload, expected_workload, expected_workloads
@@ -293,11 +293,13 @@ class TestSmallCostGaps:
 
 @st.composite
 def _regions(draw) -> UncertaintyRegion:
-    """A KL ball around a workload on the simplex, some components empty.
+    """A KL ball around a workload near the simplex, some components empty.
 
     Weights are zero or normal floats: a subnormal weight holds a few bits,
     and the tilt solve multiplies by it, so its worst case is not exact to
-    1e-12 (``TestSubnormalWeights`` covers that regime on its own).
+    1e-12 (``TestSubnormalWeights`` covers that regime on its own).  They
+    sum to anything ``Workload`` accepts, ``1 ± 1e-6`` (less a rounding
+    margin).
     """
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
     raw *= np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
@@ -306,7 +308,10 @@ def _regions(draw) -> UncertaintyRegion:
     weights = raw / raw.sum()
     weights[weights < np.finfo(float).tiny] = 0.0
     rho = draw(st.floats(0.0, 5.0))
-    return UncertaintyRegion(expected=Workload.from_array(weights / weights.sum()), rho=rho)
+    total = 1.0 + draw(st.floats(-1e-6 + 1e-12, 1e-6 - 1e-12))
+    return UncertaintyRegion(
+        expected=Workload.from_array(weights / weights.sum() * total), rho=rho
+    )
 
 
 class TestMixtureBound:
@@ -323,16 +328,20 @@ class TestMixtureBound:
     ):
         weights = region.expected.as_array()
         support = np.flatnonzero(weights > 0.0)
+        total = weights[support].sum()
         for share, j in zip(region.mixture_shares(), support):
             assert 0.0 <= share <= 1.0
-            mixture = (1.0 - share) * weights
+            if share == 0.0:
+                continue  # the normalised ``w``, which the tilt answers at θ = 0
+            # A point of the simplex, measured from the weights as given.
+            mixture = (1.0 - share) * weights / total
             mixture[j] += share
             # ``ln p − ln q``: the ratio ``p / q`` overflows on a subnormal ``q``.
             mass = mixture > 0.0
             divergence = mixture[mass] @ (np.log(mixture[mass]) - np.log(weights[mass]))
             assert divergence <= region.rho + 1e-12
         bound = region.mixture_bounds(costs)
-        assert bound >= float(costs[support] @ weights[support])
+        assert bound >= float(costs[support] @ weights[support]) / total
         # Below the smallest normal float a weighted sum loses even its units.
         tiny = np.finfo(float).tiny
         assert bound <= region.worst_case_cost(costs) * (1.0 + 1e-12) + tiny
@@ -343,6 +352,25 @@ class TestMixtureBound:
         shares = region.mixture_shares()
         assert shares[0] == 1.0 and 0.0 < shares[1] < 1.0
         assert region.mixture_bounds(np.array([4.0, 1.0, 1.0, 9.0])) == 4.0
+
+    def test_weights_off_one_by_the_tolerance_bound_below_the_worst_case(self):
+        """The bounds use the normalised ``w``: ``w·c`` alone reads
+        ``2.0000018`` here, above the worst case."""
+        region = UncertaintyRegion(expected=Workload(0.5, 0.3, 0.2 + 9e-7, 0.0), rho=0.25)
+        costs = np.array([2.0, 2.0, 2.0, 1.0])
+        worst = region.worst_case_cost(costs)
+        assert region.mixture_bounds(costs) <= worst * (1.0 + 1e-12)
+        assert region.nominal_costs(costs) <= worst * (1.0 + 1e-12)
+
+    def test_the_robust_prune_keeps_a_cell_of_such_a_workload(self):
+        """Pruned by ``w·c`` against an incumbent at its own worst case (the
+        search's ties included), the cell would read ``inf``."""
+        workload = Workload(0.5, 0.3, 0.2 + 9e-7, 0.0)
+        tuner = RobustTuner(rho=0.25, system=simulator_system(2_000))
+        costs = np.array([[2.0, 2.0, 2.0, 1.0]])
+        worst = UncertaintyRegion(expected=workload, rho=0.25).worst_case_costs(costs)
+        bound = float(worst[0]) * (1.0 + _TIE)
+        assert tuner._objective_from_costs(costs, workload, bound=bound) == worst
 
     def test_no_uncertainty_moves_no_mass(self):
         region = UncertaintyRegion(expected=Workload.uniform(), rho=1e-11)

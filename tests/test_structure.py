@@ -45,6 +45,25 @@ DRAIN = (
 )
 # A name in a signature: first on its line, or after ``(`` or ``,``.
 PARAMETER = r"(^\s*|[(,]\s*)"
+# The functions every tuner solve calls per batch, by file.
+TUNER_KERNELS = {
+    "src/repro/core/uncertainty.py": (
+        "_solve_tilt", "UncertaintyRegion._support", "UncertaintyRegion._supported_costs",
+        "UncertaintyRegion._tilt", "UncertaintyRegion._worst_supported",
+        "UncertaintyRegion.worst_case_weights", "UncertaintyRegion.worst_case_costs",
+        "UncertaintyRegion.nominal_costs", "UncertaintyRegion.mixture_bounds",
+        "UncertaintyRegion._supported_spread",
+    ),
+    "src/repro/core/robust.py": ("RobustTuner._objective_from_costs",),
+    "src/repro/lsm/cost_model.py": ("LSMCostModel.cost_points",),
+    "src/repro/lsm/system.py": ("SystemConfig.disk_levels",),
+    "src/repro/lsm/bloom.py": ("monkey_false_positive_rates_batch",),
+    "src/repro/lsm/policy.py": ("stacked_run_bounds",),
+    "src/repro/core/bands.py": ("LevelBands.points", "LevelBands.bits_at"),
+    "src/repro/core/base.py": (
+        "_argbest", "_window", "BaseTuner._coarse_values", "BaseTuner._search",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -242,6 +261,12 @@ RULES = (
          51, "    spec = experiment.__dataclass_fields__[name]"),
     Rule("online-eval-is-a-reexport", "src/repro/analysis/online_eval.py", r"^(def|class) ", 51,
          "def drifting_sequence(generator, expected):"),
+    # The tuner's kernels are dispatch-bound: they call ufuncs and ufunc
+    # reductions, not NumPy's Python wrappers around them.
+    Rule("tuner-kernels-call-ufuncs", " ".join(TUNER_KERNELS),
+         r"np\.(clip|all|any|stack|broadcast_arrays|flatnonzero)\(|\.(sum|min|max|all|any|clip)\(",
+         53, "        total = mass.sum(axis=0)",
+         scope=tuple(name for names in TUNER_KERNELS.values() for name in names)),
 )
 
 

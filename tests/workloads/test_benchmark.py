@@ -16,6 +16,11 @@ class TestExpectedWorkloads:
     def test_there_are_fifteen(self):
         assert len(expected_workloads()) == 15
 
+    def test_built_once_per_process(self):
+        """The rows are frozen, so every call shares one tuple."""
+        assert expected_workloads() is expected_workloads()
+        assert expected_workload(3) is expected_workloads()[3]
+
     def test_indices_are_sequential(self):
         assert [w.index for w in expected_workloads()] == list(range(15))
 

@@ -34,7 +34,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.nominal import NominalTuner
 from ..core.robust import RobustTuner
 from ..lsm.cost_model import LSMCostModel
 from ..lsm.policy import CLASSIC_POLICIES, Policy
@@ -303,21 +302,21 @@ class Experiment:
         self.cost_model = LSMCostModel(self.system)
         self.executor = WorkloadExecutor(self.system, self.executor_config)
 
-    def _deployed(self, tuner: type, workload: Workload, **options) -> LSMTuning:
-        """``tuner``'s deployable (integer ``T``) tuning for ``workload``.
+    def _deployed(self, workload: Workload, rho: float = 0.0) -> LSMTuning:
+        """The deployable (integer ``T``) tuning of radius ``rho`` for ``workload``.
 
         Searched on the integer size ratios (``polish=False``): a fractional
         optimum sits on a level cliff, and rounding it down would deploy a
         tree one level deeper than the one the tuner priced.
         """
-        search = tuner(system=self.system, policies=self.policies, polish=False, **options)
+        search = RobustTuner(rho=rho, system=self.system, policies=self.policies, polish=False)
         return search.tune(workload).tuning.rounded()
 
     def tunings_for(self, expected: Workload, rho: float) -> dict[str, LSMTuning]:
         """Nominal and robust tunings for ``expected``, as deployed."""
         return {
-            "nominal": self._deployed(NominalTuner, expected),
-            "robust": self._deployed(RobustTuner, expected, rho=rho),
+            "nominal": self._deployed(expected),
+            "robust": self._deployed(expected, rho),
         }
 
     def run(self, expected: Workload, rho: float, include_writes: bool = True) -> Comparison:
@@ -364,7 +363,7 @@ class Experiment:
         for position, name in enumerate(names):
             dwell = sequence.sessions[position * sessions_per_phase :][:sessions_per_phase]
             realised = average_workload(w for session in dwell for w in session.workloads)
-            tunings[name] = self._deployed(NominalTuner, realised)
+            tunings[name] = self._deployed(realised)
         oracle_names = tuple(name for name in names for _ in range(sessions_per_phase))
         return self._compare(sequence, rho, tunings, variants, oracle_names)
 

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.nominal import NominalTuner
 from ..core.results import TuningResult
 from ..core.robust import RobustTuner
 from ..lsm.cost_model import LSMCostModel
@@ -40,8 +39,7 @@ class TuningCatalog:
     system: SystemConfig = field(default_factory=SystemConfig)
     policies: Sequence[Policy] = CLASSIC_POLICIES
     benchmark: UncertaintyBenchmark | None = None
-    _nominal: dict[int, TuningResult] = field(default_factory=dict, init=False)
-    _robust: dict[tuple[int, float], TuningResult] = field(default_factory=dict, init=False)
+    _tunings: dict[tuple[int, float], TuningResult] = field(default_factory=dict, init=False)
     _throughputs: dict[LSMTuning, np.ndarray] = field(default_factory=dict, init=False)
 
     @cached_property
@@ -50,32 +48,26 @@ class TuningCatalog:
         return LSMCostModel(self.system)
 
     def nominal(self, expected: ExpectedWorkload) -> TuningResult:
-        """Nominal tuning ``Φ_N`` for one expected workload (cached)."""
-        if expected.index not in self._nominal:
-            tuner = NominalTuner(system=self.system, policies=self.policies)
-            self._nominal[expected.index] = tuner.tune(expected.workload)
-        return self._nominal[expected.index]
+        """Nominal tuning ``Φ_N`` for one expected workload: ``ρ = 0``."""
+        return self.robust(expected, 0.0)
 
     def robust(self, expected: ExpectedWorkload, rho: float) -> TuningResult:
         """Robust tuning ``Φ_R`` for one expected workload and ``ρ`` (cached)."""
-        key = (expected.index, round(float(rho), 6))
-        if key not in self._robust:
+        key = (expected.index, float(rho))
+        if key not in self._tunings:
             tuner = RobustTuner(rho=float(rho), system=self.system, policies=self.policies)
-            self._robust[key] = tuner.tune(expected.workload)
-        return self._robust[key]
+            self._tunings[key] = tuner.tune(expected.workload)
+        return self._tunings[key]
 
-    def throughputs(
-        self, expected: ExpectedWorkload, rho: float | None = None
-    ) -> np.ndarray:
+    def throughputs(self, expected: ExpectedWorkload, rho: float = 0.0) -> np.ndarray:
         """Read-only ``1 / C(w, Φ)`` for every ``w`` of the benchmark (cached).
 
-        ``Φ`` is the nominal tuning of ``expected`` when ``rho`` is ``None``
-        and its robust tuning for ``rho`` otherwise; two entries that resolve
-        to the same tuning share one vector.
+        ``Φ`` is the tuning of ``expected`` for ``rho`` (nominal by default);
+        two entries that resolve to the same tuning share one vector.
         """
         if self.benchmark is None:
             raise ValueError("throughputs need a catalog built with a benchmark")
-        result = self.nominal(expected) if rho is None else self.robust(expected, rho)
+        result = self.robust(expected, rho)
         if result.tuning not in self._throughputs:
             values = self.cost_model.throughputs(self.benchmark, result.tuning)
             values.flags.writeable = False

@@ -51,8 +51,7 @@ from .analysis.comparison import (
     format_comparison,
 )
 from .analysis.model_eval import TuningCatalog, tuning_table
-from .core.nominal import NominalTuner
-from .core.robust import RobustTuner
+from .core import NominalTuner, RobustTuner
 from .knobs import FRACTION, NON_NEGATIVE, POSITIVE_INT, Bound, flag_of
 from .lsm.policy import ALL_POLICIES, CLASSIC_POLICIES, CompactionPolicy, Policy
 from .lsm.system import SystemConfig, simulator_system

@@ -1,7 +1,7 @@
-"""Endure's contribution: nominal and robust LSM-tree tuners."""
+"""Endure's contribution: the LSM-tree tuner, nominal at ρ = 0 and robust above."""
 
+from .base import NominalTuner
 from .grid import GridTuner
-from .nominal import NominalTuner
 from .results import TuningResult
 from .robust import RobustTuner
 from .uncertainty import (

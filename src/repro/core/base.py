@@ -1,20 +1,23 @@
-"""The one search behind the nominal and robust tuners.
+"""The tuning problem and its one search.
 
-Both tuners minimise an objective over the design space ``(T, h, π)``.  The
-only discontinuity of the cost surface is the level count ``L(T, h)``, a step
-function whose cliffs are closed-form — ``N·E / m_buf(h) + 1 = T^L`` is both
-the smallest ratio with at most ``L`` levels at a given ``h`` and the largest
-``h`` with at most ``L`` levels at a given ``T`` — and every optimum sits on
-one.  Inside a *band* ``{L(T, h) = L}`` the objective is smooth, so the search
-works band by band and never evaluates a scalar objective:
+Endure tunes ``(T, h, π)`` for the worst case over a KL ball of radius ``ρ``
+(§3.3–§4); at ``ρ = 0`` that is the nominal problem (Problem 1, §3.2).
+:func:`objective` prices it for any ``ρ``, :class:`NominalTuner` searches it
+at ``ρ = 0``, and :class:`~repro.core.robust.RobustTuner` adds the radius.
+
+The only discontinuity of the cost surface is the level count ``L(T, h)``, a
+step function whose cliffs are closed-form — ``N·E / m_buf(h) + 1 = T^L`` is
+both the smallest ratio with at most ``L`` levels at a given ``h`` and the
+largest ``h`` with at most ``L`` levels at a given ``T`` — and every optimum
+sits on one.  Inside a *band* ``{L(T, h) = L}`` the objective is smooth, so
+the search works band by band and never evaluates a scalar objective:
 
 1. every band is a box in ``(T, v)``, ``v`` being the fraction of the way
    from the band's lower cliff to its upper cliff at that ``T``; all bands of
    all policies are priced on a coarse ``(T, v)`` grid in batched
    :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes, and
    the objective of a point that can matter neither to the zoom nor to its
-   policy's best value may be skipped (the robust objective's mixture
-   bound);
+   policy's best value may be skipped (the mixture bound of ``ρ > 0``);
 2. every (policy, band) whose coarse optimum is within a few percent of the
    best is zoomed — the grid shrinks around its best point for a fixed
    number of rounds, all candidates sharing one pass per round;
@@ -39,14 +42,13 @@ evaluates its own objective over the stored cost vectors.
 
 from __future__ import annotations
 
-import abc
 import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..lsm.cost_model import LSMCostModel
+from ..lsm.cost_model import LSMCostModel, support_dot
 from ..lsm.policy import (
     CLASSIC_POLICIES,
     DEFAULT_VECTOR_LEVELS,
@@ -59,6 +61,7 @@ from ..lsm.tuning import LSMTuning, round_half_up
 from ..workloads.workload import Workload
 from .bands import LevelBands
 from .results import TuningResult
+from .uncertainty import UncertaintyRegion
 
 #: Objectives within this relative distance tie; see the module docstring.
 _TIE = 1e-9
@@ -90,6 +93,72 @@ _DESCENT_BOUNDS: tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: Hard cap on coordinate-descent passes; a pass with no move ends it early.
 _DESCENT_MAX_PASSES = 4
+
+#: Relative slack taken off a mixture bound before it prunes: the bound and
+#: the tilted worst case each carry their own rounding.
+_BOUND_SLACK = 1e-12
+
+
+def check_rho(rho: float) -> float:
+    """``rho`` if it is a radius (``ρ ≥ 0``, so not NaN); else ``ValueError``."""
+    if not rho >= 0:
+        raise ValueError("rho must be non-negative")
+    return rho
+
+
+def objective(
+    costs: np.ndarray,
+    workload: Workload,
+    rho: float,
+    bound: float | None = None,
+    coarse: bool = False,
+) -> np.ndarray:
+    """The tuning objective of a batch of cost vectors: ``(..., 4)`` → ``(...)``.
+
+    ``ρ = 0``: the expected cost over the workload's support
+    (:func:`~repro.lsm.cost_model.support_dot`); ``ρ > 0``: the exact worst
+    case over the KL ball (:meth:`UncertaintyRegion.worst_case_costs`).
+
+    ``bound`` is the incumbent of the search (``inf`` before it has one): a
+    cell above it may read ``inf``; ``None`` evaluates every cell.  For
+    ``ρ > 0`` the nominal cost under the normalised workload
+    (:meth:`UncertaintyRegion.nominal_costs`) is a free lower bound of the
+    worst case, so the tilt is only solved for cells whose nominal cost beats
+    the bound; an infinite one is first replaced by the worst case of the
+    nominally best cell.
+
+    ``coarse`` marks a chunk of the coarse grid, shape ``(P, n, 4)`` with
+    axis 0 the policy axis.  There the tilt also skips a cell whose mixture
+    bound (:meth:`UncertaintyRegion.mixture_bounds`, less ``1e-12``
+    relative) lies both beyond the zoom margin of ``bound`` and above its
+    policy's seed — the worst case of the policy's nominally best cell, all
+    seeds from one tilt call.  Such a cell can neither be zoomed into nor be
+    its policy's best, so the search does not change.
+    """
+    if rho == 0.0:
+        return support_dot(costs, workload.as_array())
+    region = UncertaintyRegion(expected=workload, rho=rho)
+    if bound is None:
+        return region.worst_case_costs(costs)
+    nominal = region.nominal_costs(costs)
+    if coarse:
+        policy = np.arange(len(nominal))
+        best = nominal.argmin(axis=1)
+        seeds = region.worst_case_costs(costs[policy, best])
+        if not np.isfinite(bound):
+            first = int(np.argmin(nominal[policy, best]))
+            bound = max(seeds[first], nominal[first, best[first]])
+    elif not np.isfinite(bound):
+        seed = np.unravel_index(np.argmin(nominal), nominal.shape)
+        bound = max(region.worst_case_cost(costs[seed]), nominal[seed])
+    alive = nominal <= bound
+    if coarse:
+        lower = region.mixture_bounds(costs) * (1.0 - _BOUND_SLACK)
+        reach = bound * _ZOOM_MARGIN * (1.0 + _TIE)
+        alive &= (lower <= reach) | (lower <= seeds[:, None])
+    values = np.full(nominal.shape, np.inf)
+    values[alive] = region.worst_case_costs(costs[alive])
+    return values
 
 
 def _argbest(values: np.ndarray, *keys) -> np.ndarray:
@@ -209,8 +278,8 @@ class _Design:
     levels: int
 
 
-class BaseTuner(abc.ABC):
-    """Band-by-band batched search shared by every tuner.
+class NominalTuner:
+    """The band-by-band search of :func:`objective`, at ``ρ = 0``.
 
     Parameters
     ----------
@@ -246,7 +315,7 @@ class BaseTuner(abc.ABC):
         ``bench/workloads.py`` passes it.
     """
 
-    #: Uncertainty radius of the objective (0 for the nominal problem).
+    #: Radius of the objective: 0, the nominal problem.
     rho = 0.0
 
     def __init__(
@@ -277,26 +346,6 @@ class BaseTuner(abc.ABC):
             raise ValueError("ratio_candidates must not be empty")
         self.bands = LevelBands(self.system, self.ratio_candidates, self.polish)
 
-    @abc.abstractmethod
-    def _objective_from_costs(
-        self,
-        costs: np.ndarray,
-        workload: Workload,
-        bound: float | None = None,
-        coarse: bool = False,
-    ) -> np.ndarray:
-        """Batched objective over cost vectors: ``(..., 4)`` → ``(...)``.
-
-        ``bound`` is the incumbent of the search (``inf`` before it has
-        one): an objective above it can no longer win, so an implementation
-        may report it as ``inf`` instead of evaluating it.  ``None``
-        evaluates every cell.  ``coarse`` marks a chunk of the coarse grid,
-        shape ``(P, n, 4)`` with axis 0 the policy axis: there a cell may
-        also read ``inf`` when its objective is beyond the zoom margin of
-        ``bound`` and above its policy's best, since stage 1 reads no more
-        of the grid than that.
-        """
-
     # ------------------------------------------------------------------
     # The search
     # ------------------------------------------------------------------
@@ -309,7 +358,7 @@ class BaseTuner(abc.ABC):
         self, costs: np.ndarray, workload: Workload, bound=np.inf, coarse: bool = False
     ) -> np.ndarray:
         """Objective of priced cost vectors; ``inf`` where it cannot win."""
-        values = self._objective_from_costs(costs, workload, bound * (1.0 + _TIE), coarse)
+        values = objective(costs, workload, self.rho, bound * (1.0 + _TIE), coarse)
         return np.where(np.isfinite(values), values, np.inf)
 
     def _coarse_values(self, grid: _CoarseGrid, workload: Workload) -> np.ndarray:
@@ -318,7 +367,7 @@ class BaseTuner(abc.ABC):
         Chunk by chunk, so that the running bound prunes: a cell reads
         ``inf`` where the objective shows it can neither win, nor put its
         group within the zoom margin, nor be its policy's best
-        (:meth:`_objective_from_costs` with ``coarse``).  Every other cell
+        (:func:`objective` with ``coarse``).  Every other cell
         holds its exact objective.  The result has shape ``(P, R·n)``.
         """
         values = np.empty((len(grid.policies), grid.ratios.size))

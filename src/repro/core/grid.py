@@ -9,8 +9,8 @@ optimum.
 
 The cost vectors of the whole grid come from one vectorised
 :meth:`~repro.lsm.cost_model.LSMCostModel.cost_matrix` pass per policy, and
-the exact worst-case solve of the robust objective (``ρ > 0``) from one
-batched tilting solve over them.
+their objective from one :func:`~repro.core.base.objective` call, the band
+search's own (at ``ρ > 0`` one batched tilting solve).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from ..lsm.policy import (
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
 from ..workloads.workload import Workload
+from .base import check_rho, objective
 from .results import TuningResult
-from .uncertainty import UncertaintyRegion
 
 
 class GridTuner:
@@ -69,13 +69,11 @@ class GridTuner:
         policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         k_vector_search: bool = False,
     ) -> None:
-        if rho < 0:
-            raise ValueError("rho must be non-negative")
         if bits_grid_points < 2:
             raise ValueError("bits_grid_points must be at least 2")
         self.system = system if system is not None else SystemConfig()
         self.cost_model = LSMCostModel(self.system)
-        self.rho = rho
+        self.rho = check_rho(rho)
         # An empty policy list is rejected by the expansion itself.
         self.policy_specs = expand_policy_specs(
             policies,
@@ -93,16 +91,6 @@ class GridTuner:
             bits_grid_points,
         )
 
-    def _objective_grid(self, workload: Workload, costs: np.ndarray) -> np.ndarray:
-        """Objective of every grid cell, given its pre-computed cost vectors."""
-        if self.rho == 0.0:
-            # Support-restricted dot mirrors the continuous tuners' 0 * inf
-            # guard for zero-weight query types.
-            weights = workload.as_array()
-            support = weights > 0.0
-            return costs[..., support] @ weights[support]
-        return UncertaintyRegion(expected=workload, rho=self.rho).worst_case_costs(costs)
-
     def tune(self, workload: Workload) -> TuningResult:
         """Exhaustively search the grid and return the best configuration."""
         best_tuning: LSMTuning | None = None
@@ -115,7 +103,7 @@ class GridTuner:
                 spec,
                 long_range_fraction=workload.long_range_fraction,
             )
-            values = self._objective_grid(workload, costs)
+            values = objective(costs, workload, self.rho)
             evaluated += values.size
             flat_best = int(np.argmin(values))
             row, col = np.unravel_index(flat_best, values.shape)

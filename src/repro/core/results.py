@@ -18,12 +18,12 @@ class TuningResult:
     tuning:
         The recommended LSM-tree configuration ``Φ``.
     objective:
-        The optimised objective value: the nominal cost ``C(w, Φ)`` for the
-        nominal tuner, or the worst-case (dual) cost for the robust tuner.
+        The optimised objective value: the nominal cost ``C(w, Φ)`` at
+        ``ρ = 0``, the primal worst case ``max_{ŵ ∈ U} ŵ · c(Φ)`` above it.
     expected_workload:
         The workload the tuner was given.
     rho:
-        Size of the uncertainty region used (0 for the nominal tuner).
+        Size of the uncertainty region used (0: the nominal problem).
     solver_info:
         Free-form diagnostics from the optimiser (iterations, success flags,
         per-policy candidate objectives, …).

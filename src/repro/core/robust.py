@@ -22,6 +22,10 @@ solved for a whole batch of designs at once), so the tuner evaluates the
 primal worst-case cost itself on the band-by-band search of
 :mod:`repro.core.base`.  Strong duality makes the two equal; the result
 reports ``λ*`` and the dual value next to the primal one.
+
+The tuner is :class:`~repro.core.base.NominalTuner` with a radius: the
+objective is :func:`~repro.core.base.objective` at ``ρ``, and ``ρ = 0``
+returns exactly the nominal tuner's result (no dual is reported there).
 """
 
 from __future__ import annotations
@@ -29,27 +33,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..workloads.workload import Workload
-from .base import _TIE, _ZOOM_MARGIN, BaseTuner
-from .nominal import NominalTuner
+from .base import NominalTuner, check_rho
 from .results import TuningResult
 from .uncertainty import UncertaintyRegion
 
 #: Range of the dual variable ``λ`` the reported dual value is evaluated in.
 _LAMBDA_BOUNDS = (float(np.exp(-9.0)), float(np.exp(12.0)))
 
-#: Relative slack taken off a mixture bound before it prunes: the bound and
-#: the tilted worst case each carry their own rounding.
-_BOUND_SLACK = 1e-12
 
-
-class RobustTuner(BaseTuner):
+class RobustTuner(NominalTuner):
     """Solves the robust tuning problem for a given uncertainty radius ``ρ``."""
 
     def __init__(self, rho: float, **kwargs) -> None:
-        if rho < 0:
-            raise ValueError("rho must be non-negative")
         super().__init__(**kwargs)
-        self.rho = rho
+        self.rho = check_rho(rho)
 
     def dual_value(self, cost_vector: np.ndarray, workload: Workload, lam: float) -> float:
         """Evaluate ``g(Φ, λ) = ρλ + λ log Σ_i w_i exp(c_i/λ)``.
@@ -62,72 +59,25 @@ class RobustTuner(BaseTuner):
         the shift it would drive every supported term to underflow.
         """
         lam = float(np.clip(lam, *_LAMBDA_BOUNDS))
-        weights = workload.as_array()
-        support = weights > 0.0
-        scaled = np.asarray(cost_vector, dtype=float)[support] / lam
+        region = UncertaintyRegion(expected=workload, rho=self.rho)
+        scaled = region._supported_costs(cost_vector) / lam
         shift = scaled.max()
-        log_expectation = np.log(np.exp(scaled - shift) @ weights[support]) + shift
+        log_expectation = np.log(np.exp(scaled - shift) @ region._support[1]) + shift
         return float(self.rho * lam + lam * log_expectation)
 
-    def _objective_from_costs(
-        self,
-        costs: np.ndarray,
-        workload: Workload,
-        bound: float | None = None,
-        coarse: bool = False,
-    ) -> np.ndarray:
-        """Exact worst-case cost of every cell of a batch of cost vectors.
-
-        The nominal cost under the normalised workload
-        (:meth:`UncertaintyRegion.nominal_costs`) is a free lower bound of
-        the worst case, so under a ``bound`` the tilting is only solved for
-        cells whose nominal cost beats it; an infinite one is first replaced
-        by the worst case of the nominally best cell.
-
-        On the ``coarse`` grid (axis 0 the policy axis) the tilt also skips a
-        cell whose mixture bound (:meth:`UncertaintyRegion.mixture_bounds`,
-        less ``1e-12`` relative) lies both beyond the zoom margin of
-        ``bound`` and above its policy's seed — the worst case of the
-        policy's nominally best cell, all seeds from one tilt call.  Such a
-        cell can neither be zoomed into nor be its policy's best, so the
-        search does not change.
-        """
-        if self.rho == 0.0:
-            return NominalTuner._objective_from_costs(self, costs, workload)
-        region = UncertaintyRegion(expected=workload, rho=self.rho)
-        if bound is None:
-            return region.worst_case_costs(costs)
-        nominal = region.nominal_costs(costs)
-        if coarse:
-            policy = np.arange(len(nominal))
-            best = nominal.argmin(axis=1)
-            seeds = region.worst_case_costs(costs[policy, best])
-            if not np.isfinite(bound):
-                first = int(np.argmin(nominal[policy, best]))
-                bound = max(seeds[first], nominal[first, best[first]])
-        elif not np.isfinite(bound):
-            seed = np.unravel_index(np.argmin(nominal), nominal.shape)
-            bound = max(region.worst_case_cost(costs[seed]), nominal[seed])
-        alive = nominal <= bound
-        if coarse:
-            lower = region.mixture_bounds(costs) * (1.0 - _BOUND_SLACK)
-            reach = bound * _ZOOM_MARGIN * (1.0 + _TIE)
-            alive &= (lower <= reach) | (lower <= seeds[:, None])
-        values = np.full(nominal.shape, np.inf)
-        values[alive] = region.worst_case_costs(costs[alive])
-        return values
-
     def tune(self, workload: Workload) -> TuningResult:
-        """Solve the robust problem; also report ``λ*`` and the dual value.
+        """Solve the robust problem; for ``ρ > 0`` also report ``λ*`` and the
+        dual value.
 
         The objective is the exact primal worst-case cost of the returned
         tuning; by strong duality the dual value at ``λ* = 1/θ*`` matches it.
         """
         result = super().tune(workload)
-        costs = self.cost_model.cost_vector(result.tuning, workload.long_range_fraction)
-        region = UncertaintyRegion(expected=workload, rho=self.rho)
-        with np.errstate(divide="ignore"):
-            lam = float(np.clip(1.0 / region.worst_case_tilt(costs), *_LAMBDA_BOUNDS))
-        result.solver_info["lambda"] = lam
-        result.solver_info["dual_objective"] = self.dual_value(costs, workload, lam)
+        if self.rho > 0.0:
+            costs = self.cost_model.cost_vector(result.tuning, workload.long_range_fraction)
+            region = UncertaintyRegion(expected=workload, rho=self.rho)
+            with np.errstate(divide="ignore"):
+                lam = float(np.clip(1.0 / region.worst_case_tilt(costs), *_LAMBDA_BOUNDS))
+            result.solver_info["lambda"] = lam
+            result.solver_info["dual_objective"] = self.dual_value(costs, workload, lam)
         return result

@@ -41,7 +41,7 @@ class UncertaintyRegion:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
 
     def contains(self, candidate: Workload, tolerance: float = 1e-9) -> bool:

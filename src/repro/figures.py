@@ -351,12 +351,12 @@ def figure6_throughput_range(
     nominal range does not depend on ρ and is repeated in every column."""
     members = [expected_workload(index) for index in expected_indices]
 
-    def mean_range(rho: float | None) -> float:
+    def mean_range(rho: float) -> float:
         return float(np.mean([
             throughput_range(catalog.throughputs(expected, rho)) for expected in members
         ]))
 
-    nominal = mean_range(None)
+    nominal = mean_range(0.0)
     return {
         "nominal": {float(rho): nominal for rho in rhos},
         "robust": {float(rho): mean_range(rho) for rho in rhos},

@@ -242,7 +242,7 @@ class LSMCostModel:
         """
         weights = _workload_array(workload)
         vector = self.cost_vector(tuning, _long_range_fraction(workload))
-        return _support_dot(vector, weights)
+        return support_dot(vector, weights)
 
     def throughputs(self, workloads, tuning: LSMTuning) -> np.ndarray:
         """Throughput proxy ``1 / C(w, Φ)`` of one tuning on each of ``workloads``.
@@ -257,7 +257,7 @@ class LSMCostModel:
             nu = _long_range_fraction(workload)
             if nu not in vectors:
                 vectors[nu] = self.cost_vector(tuning, nu)
-            costs.append(_support_dot(vectors[nu], _workload_array(workload)))
+            costs.append(support_dot(vectors[nu], _workload_array(workload)))
         if not costs:
             raise ValueError("at least one workload is required")
         if min(costs) <= 0:
@@ -283,18 +283,19 @@ def _long_range_fraction(workload) -> float:
     return float(getattr(workload, "long_range_fraction", 0.0))
 
 
-def _support_dot(costs: np.ndarray, weights: np.ndarray) -> np.ndarray | float:
+def support_dot(costs: np.ndarray, weights: np.ndarray) -> np.ndarray | float:
     """``costs @ weights`` restricted to the weights' support.
 
     Zero-weight components are excluded *before* the multiplication so that a
     non-finite cost of an unused query type cannot poison the total via
     ``0 · inf = nan`` — the same guard the robust dual applies to its
-    log-expectation.  ``costs`` may be a single vector or a ``(..., 4)``
-    batch; scalars come back as plain floats.
+    log-expectation.  It is also the tuners' objective at ``ρ = 0``
+    (:func:`repro.core.base.objective`).  ``costs`` may be a single vector
+    or a ``(..., 4)`` batch; scalars come back as plain floats.
     """
     support = weights > 0.0
     result = costs[..., support] @ weights[support]
-    if np.ndim(result) == 0:
+    if result.ndim == 0:
         return float(result)
     return result
 

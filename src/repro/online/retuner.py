@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.nominal import NominalTuner
 from ..core.robust import RobustTuner
 from ..lsm.cost_model import LSMCostModel
 from ..lsm.policy import CLASSIC_POLICIES, CompactionPolicy, Policy
@@ -123,19 +122,16 @@ class AdaptiveTuner:
         self.config = config
         self._policies = tuple(policies)
         self.cost_model = LSMCostModel(system)
-        self.tuner = self._tuner_for(config.rho)
+        self.tuner = self._tuner_for(self.effective_rho())
 
-    def _tuner_for(self, rho: float) -> NominalTuner | RobustTuner:
-        """A tuner for a re-tuning of radius ``rho`` (unused in nominal mode).
+    def _tuner_for(self, rho: float) -> RobustTuner:
+        """A tuner for a re-tuning of radius ``rho`` (0: the nominal tuner).
 
         It searches the integer size ratios only: a deployment rounds ``T``
         anyway, so the online search prices the tunings that can actually be
         deployed — and nothing else.
         """
-        options = dict(system=self.system, policies=self._policies, polish=False)
-        if self.config.mode == "robust":
-            return RobustTuner(rho=rho, **options)
-        return NominalTuner(**options)
+        return RobustTuner(rho=rho, system=self.system, policies=self._policies, polish=False)
 
     # ------------------------------------------------------------------
     # Re-tuning
@@ -152,7 +148,8 @@ class AdaptiveTuner:
         return 2.0 * resident_pages
 
     def effective_rho(self, volatility: float = 0.0) -> float:
-        """The uncertainty radius a re-tuning solves for, given ``volatility``.
+        """The uncertainty radius a re-tuning solves for, given ``volatility``:
+        0 in nominal mode, the configured ρ in robust mode.
 
         With drift-aware widening enabled, the configured ρ grows by
         :data:`VOLATILITY_GAIN` times the detector's KL-trajectory dispersion
@@ -163,6 +160,8 @@ class AdaptiveTuner:
         one migration serves it instead of one per phase.
         """
         config = self.config
+        if config.mode != "robust":
+            return 0.0
         if not config.rho_adaptive or volatility <= 0.0:
             return config.rho
         # Widening can never cut below the configured radius, so a cap under
@@ -187,7 +186,7 @@ class AdaptiveTuner:
         widens the robust radius when drift-aware re-tuning is enabled.
         """
         rho = self.effective_rho(volatility)
-        tuner = self.tuner if rho == self.config.rho else self._tuner_for(rho)
+        tuner = self.tuner if rho == self.tuner.rho else self._tuner_for(rho)
         result = tuner.tune(observed)
         proposed = result.tuning.rounded()
         return RetuningDecision(
@@ -197,5 +196,5 @@ class AdaptiveTuner:
             proposed_cost=self.cost_model.workload_cost(observed, proposed),
             migration_ios=self.migration_ios(resident_pages),
             horizon_ops=self.config.horizon_ops,
-            rho=rho if self.config.mode == "robust" else 0.0,
+            rho=rho,
         )

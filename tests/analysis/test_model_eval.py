@@ -27,6 +27,9 @@ class TestTuningCatalog:
 
     def test_robust_records_rho(self, catalog):
         assert catalog.robust(expected_workload(7), 0.5).rho == 0.5
+        # Nominal and robust share one cache: a radius near 0 is not ρ = 0.
+        assert catalog.robust(expected_workload(7), 4e-7).rho == 4e-7
+        assert catalog.nominal(expected_workload(7)).rho == 0.0
 
     def test_throughputs_are_cached_per_tuning_and_read_only(self, catalog, small_benchmark):
         expected = expected_workload(11)

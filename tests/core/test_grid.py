@@ -19,10 +19,6 @@ def coarse_grid(request) -> GridTuner:
 
 
 class TestGridTuner:
-    def test_rejects_negative_rho(self):
-        with pytest.raises(ValueError):
-            GridTuner(rho=-1.0)
-
     def test_rejects_degenerate_bits_grid(self):
         with pytest.raises(ValueError):
             GridTuner(bits_grid_points=1)

@@ -3,16 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.core import GridTuner, RobustTuner, UncertaintyRegion
+from repro.core import GridTuner, NominalTuner, RobustTuner, UncertaintyRegion
 from repro.core.base import _TIE, _ZOOM_MARGIN, _coarse_grid
 from repro.lsm import CLASSIC_POLICIES, LSMCostModel, Policy, simulator_system
-from repro.workloads import expected_workload
+from repro.workloads import expected_workload, expected_workloads
 
 
 class TestRobustTunerBasics:
-    def test_rejects_negative_rho(self, system):
+    @pytest.mark.parametrize("rho", [-0.5, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rho: RobustTuner(rho=rho, system=simulator_system(20_000)),
+            lambda rho: GridTuner(rho=rho, system=simulator_system(20_000)),
+            lambda rho: UncertaintyRegion(expected=expected_workload(11).workload, rho=rho),
+        ],
+        ids=["robust", "grid", "region"],
+    )
+    def test_rejects_a_radius_below_zero_or_nan(self, build, rho):
+        """``rho < 0`` is False for NaN, which would answer with the vertex
+        worst case."""
         with pytest.raises(ValueError):
-            RobustTuner(rho=-0.5, system=system)
+            build(rho)
 
     def test_result_records_rho(self, robust_w11_rho1):
         assert robust_w11_rho1.rho == 1.0
@@ -46,6 +58,14 @@ class TestRobustVersusNominal:
         model = LSMCostModel(system)
         robust_cost = model.workload_cost(w11, robust.tuning)
         assert robust_cost == pytest.approx(nominal_w11.objective, rel=0.02)
+
+    @pytest.mark.parametrize("polish", [True, False], ids=["polish", "integer"])
+    @pytest.mark.parametrize("index", [e.index for e in expected_workloads()])
+    def test_zero_rho_is_the_nominal_tuner(self, system, index, polish):
+        """ρ = 0 is Problem 1: the whole result is the nominal tuner's."""
+        workload = expected_workload(index).workload
+        nominal = NominalTuner(system=system, polish=polish).tune(workload)
+        assert RobustTuner(rho=0.0, system=system, polish=polish).tune(workload) == nominal
 
     def test_robust_has_lower_worst_case_than_nominal(
         self, system, w11, nominal_w11, robust_w11_rho1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import NominalTuner, RobustTuner, UncertaintyRegion
 from repro.core.bands import LevelBands
+from repro.core.base import objective
 from repro.lsm import ALL_POLICIES, LSMCostModel, Policy, SystemConfig, simulator_system
 from repro.workloads import Workload, expected_workload
 
@@ -118,6 +119,30 @@ class TestSearchProperties:
             rows = NominalTuner(system=_SMALL, polish=False).tune(workload)
             bands = NominalTuner(system=_SMALL).tune(workload)
             assert bands.objective <= rows.objective * (1.0 + 1e-9)
+
+
+class TestZeroWeightGuard:
+    """A zero-weight query type never reaches the objective: an infinite
+    range cost of a rangeless workload leaves every value as it was.  This
+    module runs with RuntimeWarning as an error, so a ``0 · inf`` fails."""
+
+    #: Workload with no range queries but a (vacuous) long-range fraction.
+    NO_RANGES = Workload(0.3, 0.3, 0.0, 0.4, long_range_fraction=0.9)
+
+    @pytest.mark.parametrize(
+        "rho, bound, coarse",
+        [(0.0, np.inf, True), (1.0, np.inf, True), (0.0, None, False)],
+        # The band search's stage-1 call at ρ = 0 and ρ = 1; GridTuner's call.
+        ids=["nominal", "robust", "grid"],
+    )
+    def test_objective_ignores_an_infinite_range_column(self, rho, bound, coarse):
+        model = LSMCostModel(SystemConfig())
+        costs = model.cost_matrix([4.0, 8.0], [3.0, 6.0], Policy.TIERING, 0.5)
+        poisoned = costs.copy()
+        poisoned[..., 2] = np.inf
+        values = objective(poisoned, self.NO_RANGES, rho, bound, coarse)
+        assert not np.isnan(values).any() and np.isfinite(values.min())
+        assert np.array_equal(values, objective(costs, self.NO_RANGES, rho, bound, coarse))
 
 
 class TestCanonicalTieBreak:

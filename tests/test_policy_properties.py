@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GridTuner, NominalTuner, RobustTuner
+from repro.core import NominalTuner
 from repro.lsm import (
     ALL_POLICIES,
     NAMED_POLICIES,
@@ -226,34 +226,6 @@ class TestZeroWeightGuard:
         guarded = _MODEL.workload_cost(self._NO_RANGES, tuning)
         assert np.isfinite(guarded)
         assert guarded == pytest.approx(finite, rel=1e-12)
-
-    def test_cost_matrix_objectives_ignore_infinite_range_columns(self):
-        costs = _MODEL.cost_matrix([4.0, 8.0], [3.0, 6.0], Policy.FLUID, 0.5)
-        poisoned = costs.copy()
-        poisoned[..., 2] = np.inf
-        tuner = NominalTuner(system=_SYSTEM)
-        objective = tuner._objective_from_costs(poisoned, self._NO_RANGES)
-        assert np.all(np.isfinite(objective))
-        np.testing.assert_allclose(
-            objective, tuner._objective_from_costs(costs, self._NO_RANGES)
-        )
-
-    def test_robust_batch_objective_ignores_infinite_range_columns(self):
-        costs = _MODEL.cost_matrix([4.0, 8.0], [3.0, 6.0], Policy.TIERING, 1.0)
-        poisoned = costs.copy()
-        poisoned[..., 2] = np.inf
-        for rho in (0.0, 1.0):
-            tuner = RobustTuner(rho=rho, system=_SYSTEM)
-            objective = tuner._objective_from_costs(poisoned, self._NO_RANGES)
-            assert np.all(np.isfinite(objective)), f"rho={rho}"
-
-    def test_grid_tuner_objective_ignores_infinite_range_columns(self):
-        costs = _MODEL.cost_matrix([4.0, 8.0], [3.0, 6.0], Policy.LEVELING, 1.0)
-        poisoned = costs.copy()
-        poisoned[..., 2] = np.inf
-        tuner = GridTuner(system=_SYSTEM, bits_grid_points=3)
-        values = tuner._objective_grid(self._NO_RANGES, poisoned)
-        assert np.all(np.isfinite(values))
 
     def test_tuning_a_rangeless_long_fraction_workload_succeeds(self):
         """End to end: the tuner solves a q = 0 workload that still carries a

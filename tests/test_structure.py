@@ -54,14 +54,13 @@ TUNER_KERNELS = {
         "UncertaintyRegion.nominal_costs", "UncertaintyRegion.mixture_bounds",
         "UncertaintyRegion._supported_spread",
     ),
-    "src/repro/core/robust.py": ("RobustTuner._objective_from_costs",),
-    "src/repro/lsm/cost_model.py": ("LSMCostModel.cost_points",),
+    "src/repro/lsm/cost_model.py": ("LSMCostModel.cost_points", "support_dot"),
     "src/repro/lsm/system.py": ("SystemConfig.disk_levels",),
     "src/repro/lsm/bloom.py": ("monkey_false_positive_rates_batch",),
     "src/repro/lsm/policy.py": ("stacked_run_bounds",),
     "src/repro/core/bands.py": ("LevelBands.points", "LevelBands.bits_at"),
     "src/repro/core/base.py": (
-        "_argbest", "_window", "BaseTuner._coarse_values", "BaseTuner._search",
+        "objective", "_argbest", "_window", "NominalTuner._coarse_values", "NominalTuner._search",
     ),
 }
 
@@ -261,6 +260,14 @@ RULES = (
          51, "    spec = experiment.__dataclass_fields__[name]"),
     Rule("online-eval-is-a-reexport", "src/repro/analysis/online_eval.py", r"^(def|class) ", 51,
          "def drifting_sequence(generator, expected):"),
+    # One tuning problem: the objective is defined once, for every ρ, with no
+    # abstract tuner base; its ρ = 0 branch is the cost model's support dot,
+    # one of the two places that mask a workload's support.
+    Rule("one-tuner-objective", "src/repro/core/*.py",
+         r"\babc\b|abstractmethod|^\s*def (_objective\w*|objective)\b", 54,
+         "    def _objective_from_costs(self, costs, workload, bound=None):", "== 1"),
+    Rule("support-mask-twice", SRC, r"support = weights > 0\.0", 54,
+         "        support = weights > 0.0", "<= 2"),
     # The tuner's kernels are dispatch-bound: they call ufuncs and ufunc
     # reductions, not NumPy's Python wrappers around them.
     Rule("tuner-kernels-call-ufuncs", " ".join(TUNER_KERNELS),

@@ -172,8 +172,9 @@ class UncertaintyBenchmark:
         return divergences
 
     def within_divergence(self, reference: Workload, rho: float) -> list[Workload]:
-        """Benchmark workloads whose KL divergence from ``reference`` is ≤ ``rho``."""
-        if rho < 0:
+        """Benchmark workloads whose KL divergence from ``reference`` is ≤ ``rho``
+        (a radius: ``ρ ≥ 0``, so not NaN)."""
+        if not rho >= 0:
             raise ValueError("rho must be non-negative")
         divergences = self.kl_divergences(reference)
         return [wl for wl, d in zip(self._workloads, divergences) if d <= rho]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +83,18 @@ class Trace:
             [op.kind for op in rows],
             [op.key for op in rows],
             [op.scan_length for op in rows],
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Trace"]) -> "Trace":
+        """The rows of ``parts``, in order, as one trace; a lone part is
+        returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            np.concatenate([part.kinds for part in parts]),
+            np.concatenate([part.keys for part in parts]),
+            np.concatenate([part.scan_lengths for part in parts]),
         )
 
     def __len__(self) -> int:

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import Comparison, format_comparison
 from repro.analysis.comparison import robust_vs_nominal
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.online import OnlineConfig
+from repro.online import OnlineConfig, OnlineLSMController
 from repro.serving import sharding
 from repro.serving.sharding import partition_keys, shard_operations
 from repro.storage import (
@@ -317,10 +317,11 @@ class TestOneStreamPerCall:
         assert len(partitioned) == 1
         assert len(mixed) == num_workloads + 1
 
-    def test_one_task_generates_each_trace_after_replaying_the_last(
+    def test_one_task_generates_each_session_after_replaying_the_last(
         self, two_per_session, monkeypatch
     ):
-        """A 1-task fleet is fed lazily: one trace alive at a time."""
+        """A 1-task fleet is fed lazily, one session's traces alive at a time,
+        and replays each session in one call of the loop."""
         events = []
         generate = TraceGenerator.operations
 
@@ -337,8 +338,29 @@ class TestOneStreamPerCall:
             "repro.storage.executor.execute_operations_batched", replaying
         )
         WorkloadExecutor(_SYSTEM, _config()).run_sequence(_TUNING, two_per_session)
+        expected = []
+        for session in two_per_session:
+            expected += ["generate"] * len(session.workloads) + ["replay"]
+        assert events == expected
+
+    def test_an_adaptive_run_replays_each_workload_trace_on_its_own(
+        self, two_per_session, monkeypatch
+    ):
+        """The controller's ``queue-depth`` backlog is the rest of one call,
+        so an adaptive run keeps one ``execute_batched`` call per trace."""
+        lengths = []
+        execute = OnlineLSMController.execute_batched
+
+        def executing(self, trace, *args, **kwargs):
+            lengths.append(len(trace))
+            return execute(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(OnlineLSMController, "execute_batched", executing)
+        WorkloadExecutor(_SYSTEM, _config()).run_sequence_adaptive(
+            _TUNING, two_per_session, online=_ONLINE
+        )
         num_workloads = sum(len(session.workloads) for session in two_per_session)
-        assert events == ["generate", "replay"] * num_workloads
+        assert lengths == [_config().queries_per_workload] * num_workloads
 
 
 class TestPersistentSharding:

@@ -18,7 +18,8 @@ runs on:
 * the ``OnlineLSMController`` under ``fixed`` and ``queue-depth`` admission,
   through a re-tune and an incremental migration;
 * the executors, whose session measurements must equal a scalar replay of the
-  traces they regenerate.
+  traces they regenerate; a static session, replayed as one trace, must equal
+  a call of the loop per workload trace (``TestSessionReplay``).
 
 Streams are dense in the shape the loop reorders — GET · RANGE · GET · PUT with
 no flush in between, where the run side of the pending GETs and RANGEs waits
@@ -55,6 +56,7 @@ from repro.online import (
     OnlineConfig,
     OnlineLSMController,
 )
+from repro.serving.sharding import partition_keys, route_operations
 from repro.storage.executor import tree_fingerprint
 from repro.storage import ExecutorConfig, IOCounters, LSMTree, WorkloadExecutor, lsm_tree
 from repro.storage.lsm_tree import (
@@ -71,11 +73,15 @@ from repro.workloads import (
     KeySpace,
     Operation,
     OperationType,
+    Session,
     SessionGenerator,
+    SessionSequence,
+    SessionType,
     Trace,
     TraceGenerator,
     UncertaintyBenchmark,
     Workload,
+    operation_mix,
 )
 
 _SYSTEM = simulator_system(num_entries=2_000)
@@ -1079,6 +1085,116 @@ class TestExecutorParity:
         controller.finish_migration()
         assert measured.events == tuple(controller.events)
         assert measured.final_tuning == controller.tuning
+
+
+def _two_session_stream(executor, buffer_entries: int):
+    """``(sequence, traces)``: one trace per workload of two sessions, shaped
+    where replaying a session as one trace could part from a call per trace.
+
+    Session 0's first trace flushes inside itself and leaves the buffer one
+    put short of full, so the second trace's first row flushes at the
+    boundary; the second trace ends and the third begins with 300 reads each,
+    a wide window across that boundary.  Session 1 is two generated traces
+    with updates.
+    """
+    space = executor.key_space
+    rng = np.random.default_rng(11)
+    fresh = count(space.fresh_start)
+
+    def reads(n: int) -> list[Operation]:
+        """Two ranges to a GET: ranges fan out, so a shard's window stays wide."""
+        keys = rng.choice(space.existing, size=n).tolist()
+        return [
+            Operation(OperationType.GET, key) if i % 3 == 2
+            else Operation(OperationType.RANGE, key, 16)
+            for i, key in enumerate(keys)
+        ]
+
+    def put() -> Operation:
+        return Operation(OperationType.PUT, next(fresh))
+
+    def writes(n: int) -> list[Operation]:
+        return [row for _ in range(n) for row in reads(2) + [put()]]
+
+    update = Operation(OperationType.PUT, int(space.existing[7]))
+    first = writes(2 * buffer_entries - 1)
+    second = [put()] + writes(2) + reads(300)
+    third = reads(300) + writes(2 * buffer_entries) + [update]
+    generator = TraceGenerator(space, update_fraction=0.3, seed=19)
+    write_heavy = Workload(z0=0.1, z1=0.2, q=0.2, w=0.5)
+    traces = [Trace.of(first), Trace.of(second), Trace.of(third)]
+    traces += [generator.operations(write_heavy, 200) for _ in range(2)]
+    session_workloads = [tuple(operation_mix(trace) for trace in traces[:3])]
+    session_workloads.append(tuple(operation_mix(trace) for trace in traces[3:]))
+    sessions = tuple(
+        Session(SessionType.EXPECTED, f"s{index}", workloads)
+        for index, workloads in enumerate(session_workloads)
+    )
+    return SessionSequence(expected=write_heavy, sessions=sessions), traces
+
+
+class TestSessionReplay:
+    """A static run replays each session as one trace; its sessions, final
+    tree and stats equal those of a call of the loop per workload trace."""
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("backend", ["simulated", "persistent"])
+    @pytest.mark.parametrize("tuning", _TUNINGS[:2], ids=_TUNING_IDS[:2])
+    def test_a_session_replay_matches_a_call_per_trace(
+        self, tuning, backend, num_shards, monkeypatch
+    ):
+        config = ExecutorConfig(
+            queries_per_workload=200, seed=5, backend=backend, num_shards=num_shards
+        )
+        executor = WorkloadExecutor(_SYSTEM, config)
+        buffer_entries = LSMTree(tuning, _SYSTEM).buffer_entries
+        sequence, traces = _two_session_stream(executor, buffer_entries)
+        monkeypatch.setattr(executor, "stream", lambda sequence: iter(traces))
+        windows = []
+        classify = lsm_tree.classify_window
+
+        def recording(engine, trace, start, end):
+            windows.append((len(trace), start, end))
+            return classify(engine, trace, start, end)
+
+        with mock.patch.object(lsm_tree, "classify_window", recording):
+            measured = executor.run_sequence(tuning, sequence)
+
+        assert len(measured.shards) == num_shards
+        keys = partition_keys(executor.key_space.existing, num_shards)
+        routed = [route_operations(trace, num_shards) for trace in traces]
+        for shard, run in enumerate(measured.shards):
+            shard_traces = iter([parts[shard] for parts in routed])
+            tree = executor.build_tree(tuning, keys=keys[shard], shard=shard)
+            try:
+                for index, (session, measurement) in enumerate(
+                    zip(sequence, run.measurement.sessions)
+                ):
+                    before = tree.disk.snapshot()
+                    lengths = []
+                    for _ in session.workloads:
+                        trace = next(shard_traces)
+                        flushed = tree.disk.counters.flush_writes
+                        execute_operations_batched(tree, trace)
+                        if num_shards == 1 and index == 0 and not lengths:
+                            # The first trace flushed, and the second's first
+                            # row, a put, flushes at the boundary.
+                            assert tree.disk.counters.flush_writes > flushed
+                            assert tree.write_room() == 0
+                        lengths.append(len(trace))
+                    assert measurement.num_queries == sum(lengths)
+                    assert _session_counters(measurement) == tree.disk.counters.delta(before)
+                    if index == 0:
+                        boundary = lengths[0] + lengths[1]
+                        assert any(
+                            size == sum(lengths) and start < boundary < end
+                            and end - start >= WIDE_WINDOW_OPS
+                            for size, start, end in windows
+                        )
+                assert run.fingerprint == tree_fingerprint(tree)
+                assert run.stats == tree.stats()
+            finally:
+                executor.dispose_tree(tree)
 
 
 class TestGetManyParity:

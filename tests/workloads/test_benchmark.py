@@ -130,6 +130,13 @@ class TestBenchmarkDivergences:
         with pytest.raises(ValueError):
             bench_set.within_divergence(w0, -0.1)
 
+    def test_within_divergence_rejects_nan_rho(self, w11):
+        """A NaN radius raised nothing and kept no workload (``d <= nan``)."""
+        bench = UncertaintyBenchmark(size=200, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            bench.within_divergence(w11, float("nan"))
+        assert len(bench.within_divergence(w11, 1.0)) == 145
+
     def test_mean_divergence_is_reasonable_rho(self, bench_set, w11):
         mean = float(np.mean(bench_set.kl_divergences(w11)))
         assert 0.0 < mean < 4.0

@@ -140,6 +140,18 @@ class TestTraceColumns:
         assert Trace.of(self.ROWS) != Trace.of(self.ROWS[:-1])
         assert Trace.of(self.ROWS) != Trace.of(self.ROWS[::-1])
 
+    def test_concatenate_keeps_row_order(self):
+        parts = [Trace.of(self.ROWS[:1]), Trace.of(self.ROWS[1:3]), Trace.of(self.ROWS[3:])]
+        joined = Trace.concatenate(parts)
+        assert list(joined) == self.ROWS
+        assert joined.kinds.dtype == np.uint8
+        assert joined.keys.dtype == np.int64
+        assert joined.scan_lengths.dtype == np.int32
+
+    def test_concatenate_returns_a_lone_trace_itself(self):
+        trace = Trace.of(self.ROWS)
+        assert Trace.concatenate([trace]) is trace
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
             Trace([0, 1], [5], [0, 0])

@@ -303,14 +303,9 @@ class Experiment:
         self.executor = WorkloadExecutor(self.system, self.executor_config)
 
     def _deployed(self, workload: Workload, rho: float = 0.0) -> LSMTuning:
-        """The deployable (integer ``T``) tuning of radius ``rho`` for ``workload``.
-
-        Searched on the integer size ratios (``polish=False``): a fractional
-        optimum sits on a level cliff, and rounding it down would deploy a
-        tree one level deeper than the one the tuner priced.
-        """
-        search = RobustTuner(rho=rho, system=self.system, policies=self.policies, polish=False)
-        return search.tune(workload).tuning.rounded()
+        """The tuning of radius ``rho`` for ``workload`` (it deploys as itself)."""
+        search = RobustTuner(rho=rho, system=self.system, policies=self.policies)
+        return search.tune(workload).tuning
 
     def tunings_for(self, expected: Workload, rho: float) -> dict[str, LSMTuning]:
         """Nominal and robust tunings for ``expected``, as deployed."""

@@ -204,7 +204,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 "the tuner to move it — pass one or the other"
             )
         # Pin the search to the explicit per-level vector: the tuners still
-        # optimise (T, h) but deploy exactly these bounds.
+        # optimise (T, h) but deploy these bounds, clamped to T - 1.
         policies = (CompactionPolicy.fluid(args.k_bounds, args.z_bound),)
     elif args.z_bound is not None:
         args.subparser.error("--z-bound is only meaningful alongside --k-bounds")

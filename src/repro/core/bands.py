@@ -27,7 +27,10 @@ _ABOVE, _BELOW = 1.0 + 1e-9, 1.0 - 1e-9
 
 
 class LevelBands:
-    """The level bands of one system over a set of size ratios.
+    """The level bands of one system over a set of integer size ratios.
+
+    Each ratio of a band is its own search region: ``T`` is pinned and ``h``
+    runs between the band's two cliffs at that ``T``.
 
     Parameters
     ----------
@@ -35,16 +38,11 @@ class LevelBands:
         System configuration (sizes the fill and bounds ``h``).
     ratios:
         Sorted candidate size ratios.
-    continuous:
-        Whether ``T`` ranges over the whole interval ``ratios`` spans (a
-        band is then one search region, pinned along ``h``) or only over the
-        given rows (each row of a band is its own region, pinned at ``T``).
     """
 
-    def __init__(self, system: SystemConfig, ratios: np.ndarray, continuous: bool) -> None:
+    def __init__(self, system: SystemConfig, ratios: np.ndarray) -> None:
         self.system = system
         self.ratios = ratios
-        self.continuous = continuous
         #: Legal range of the Bloom-filter bits per entry ``h``.
         self.bits_bounds = (
             system.min_bits_per_entry,
@@ -66,49 +64,27 @@ class LevelBands:
         return np.minimum(np.maximum(bits, low), high)
 
     @cached_property
-    def regions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every search region as ``(L, lo, hi)`` of its pinned coordinate.
-
-        With a continuous ``T`` a region is a whole band and ``[lo, hi]`` the
-        ``h`` range over which it is non-empty; otherwise it is one row
-        ``lo = hi = T`` of a band.
-        """
+    def regions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every search region as ``(L, T)``: one row of band ``L``."""
         rows = self.ratios
         fill_lo, fill_hi = (self.fill(bits) for bits in self.bits_bounds)
-        regions: list[tuple[float, float, float]] = []
+        regions: list[tuple[float, float]] = []
         for levels in range(1, int(np.ceil(np.log(fill_hi) / np.log(rows[0]))) + 1):
-            if self.continuous:
-                low = max(fill_lo, rows[0] ** (levels - 1) * _ABOVE)
-                high = min(fill_hi, rows[-1] ** levels * _BELOW)
-                if low <= high:
-                    regions.append((levels, self.bits_at(low), self.bits_at(high)))
-            else:
-                low = fill_lo ** (1.0 / levels) * _ABOVE
-                high = fill_hi ** (1.0 / (levels - 1)) * _BELOW if levels > 1 else np.inf
-                regions += [(levels, t, t) for t in rows[(rows >= low) & (rows <= high)]]
+            low = fill_lo ** (1.0 / levels) * _ABOVE
+            high = fill_hi ** (1.0 / (levels - 1)) * _BELOW if levels > 1 else np.inf
+            regions += [(levels, t) for t in rows[(rows >= low) & (rows <= high)]]
         if not regions:
             raise RuntimeError("the design box holds no (T, h) point to search")
         return tuple(np.array(column, dtype=float) for column in zip(*regions))
 
-    def points(self, levels, pinned, fraction) -> tuple[np.ndarray, np.ndarray]:
+    def points(self, levels, ratio, fraction) -> tuple[np.ndarray, np.ndarray]:
         """``(T, h)`` at ``fraction`` of the way between the cliffs of a band.
 
-        One coordinate is pinned and the other runs between the two level
-        cliffs of band ``levels`` (clipped to the legal box, nudged onto the
-        band's side of each cliff).  With a continuous ``T`` the pinned
-        coordinate is ``h`` and ``fraction = 0`` is the smallest ratio with
-        at most ``L`` levels; on rows it is ``T`` and ``fraction = 1`` is the
-        largest ``h`` with at most ``L`` levels.  All arguments broadcast.
+        ``T = ratio`` is pinned and ``h`` runs between the two level cliffs
+        of band ``levels`` at that ratio (clipped to the legal box, nudged
+        onto the band's side of each cliff); ``fraction = 1`` is the largest
+        ``h`` with at most ``L`` levels.  All arguments broadcast.
         """
-        if self.continuous:
-            fill = self.fill(pinned)
-            t_lo, t_hi = self.ratios[[0, -1]]
-            # Powers of a fill above 1 are positive: the clips are ``np.clip``.
-            with np.errstate(divide="ignore", over="ignore"):
-                high = np.minimum(np.maximum(fill ** (1.0 / (levels - 1.0)) * _BELOW, t_lo), t_hi)
-            low = np.minimum(np.maximum(fill ** (1.0 / levels) * _ABOVE, t_lo), t_hi)
-            low = np.minimum(low, high)
-            return low + fraction * (high - low), pinned + 0.0 * fraction
-        top = self.bits_at(pinned**levels * _BELOW)
-        bottom = np.minimum(self.bits_at(pinned ** (levels - 1.0) * _ABOVE), top)
-        return pinned + 0.0 * fraction, bottom + fraction * (top - bottom)
+        top = self.bits_at(ratio**levels * _BELOW)
+        bottom = np.minimum(self.bits_at(ratio ** (levels - 1.0) * _ABOVE), top)
+        return ratio + 0.0 * fraction, bottom + fraction * (top - bottom)

@@ -12,32 +12,28 @@ largest ``h`` with at most ``L`` levels at a given ``T`` — and every optimum
 sits on one.  Inside a *band* ``{L(T, h) = L}`` the objective is smooth, so
 the search works band by band and never evaluates a scalar objective:
 
-1. every band is a box in ``(T, v)``, ``v`` being the fraction of the way
-   from the band's lower cliff to its upper cliff at that ``T``; all bands of
-   all policies are priced on a coarse ``(T, v)`` grid in batched
-   :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes, and
-   the objective of a point that can matter neither to the zoom nor to its
-   policy's best value may be skipped (the mixture bound of ``ρ > 0``);
-2. every (policy, band) whose coarse optimum is within a few percent of the
-   best is zoomed — the grid shrinks around its best point for a fixed
+1. every integer ``T`` of a band is a *row*, a segment in ``v`` (the
+   fraction of the way from the band's lower cliff to its upper cliff at
+   that ``T``); all rows of all policies are priced on a coarse grid in ``v``
+   in batched :meth:`~repro.lsm.cost_model.LSMCostModel.cost_points` passes,
+   and the objective of a point that can matter neither to the zoom nor to
+   its policy's best value may be skipped (the mixture bound of ``ρ > 0``);
+2. every (policy, row) whose coarse optimum is within a few percent of the
+   best is zoomed — the grid shrinks around its best ``v`` for a fixed
    number of rounds, all candidates sharing one pass per round;
 3. the winner is picked under a canonical tie-break (within ``1e-9``
    relative: fewest levels, then smallest ``T``, then smallest ``h``, then
    policy order), so a flat objective yields one answer on every NumPy.
 
-With ``polish=False`` the same search runs on the integer size ratios only
-(each integer ``T`` of a band is a row, zoomed in ``v``); with ``polish=True``
-``T`` is continuous inside each band, which recovers the fractional ratios
-the paper reports.  The original Endure implementation — and this module
-until the cliffs were measured — polished with SciPy's SLSQP from several
-starting points; a gradient step cannot cross a level cliff, so it was both
-the slowest stage and the one that missed the optimum.
+``T`` takes integer values only, because an engine (RocksDB, and the ones
+in :mod:`repro.storage`) deploys an integer size ratio: the tuning a search
+returns deploys as itself, and its objective is the cost of what deploys.
 
 The cost vectors of stage 1 do not depend on the workload beyond its
 long-range fraction ``ν`` (``C(w, Φ) = w · c(Φ)``), so the coarse grid is
-priced once per process for each system, ratio rows, ``polish``, policy stack
-and ``ν`` (:func:`_memoised_grid`); a later solve on the same key only
-evaluates its own objective over the stored cost vectors.
+priced once per process for each system, ratio rows, policy stack and ``ν``
+(:func:`_memoised_grid`); a later solve on the same key only evaluates its
+own objective over the stored cost vectors.
 """
 
 from __future__ import annotations
@@ -66,12 +62,11 @@ from .uncertainty import UncertaintyRegion
 #: Objectives within this relative distance tie; see the module docstring.
 _TIE = 1e-9
 
-#: Coarse grid per band: points along the pinned coordinate (continuous
-#: search only) × points between the cliffs along the free one.
-_COARSE = (24, 9)
+#: Coarse grid per row: points between its two cliffs.
+_COARSE = 9
 
-#: Zoom: points per axis and round (odd, so the centre stays on the grid),
-#: rounds, and which (policy, band) optima are worth zooming into.
+#: Zoom: points per row and round (odd, so the centre stays on the grid),
+#: rounds, and which (policy, row) optima are worth zooming into.
 _ZOOM_POINTS = 9
 _ZOOM_ROUNDS = 6
 _ZOOM_MARGIN = 1.05
@@ -170,21 +165,13 @@ def _argbest(values: np.ndarray, *keys) -> np.ndarray:
     return np.lexsort((*reversed(keys), ~tied))[..., 0]
 
 
-def _window(centre: np.ndarray, step: np.ndarray, counts: tuple[int, int]):
-    """Unit-square grids of ``counts`` points within ``step`` of each centre.
+def _window(centre: np.ndarray, step: float, count: int) -> np.ndarray:
+    """``count`` points of ``[0, 1]`` within ``step`` of each centre.
 
-    ``centre`` has shape ``(K, 2)``; the two results have shape ``(K, n)``.
+    ``centre`` has shape ``(K,)``; the result has shape ``(K, count)``.
     """
-    # A centre is never -0.0, nor is its sum with an offset: the clips are
-    # ``np.clip``.
-    a, b = (
-        np.minimum(np.maximum(centre[:, i, None] + step[i] * _offsets(counts[i]), 0.0), 1.0)
-        for i in (0, 1)
-    )
-    grid_a, grid_b = np.empty((2, len(centre), counts[0], counts[1]))
-    grid_a[...] = a[:, :, None]
-    grid_b[...] = b[:, None, :]
-    return grid_a.reshape(len(centre), -1), grid_b.reshape(len(centre), -1)
+    # A centre is never -0.0, nor is its sum with an offset: this is ``np.clip``.
+    return np.minimum(np.maximum(centre[:, None] + step * _offsets(count), 0.0), 1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,28 +182,20 @@ def _offsets(count: int) -> np.ndarray:
     return offsets
 
 
-def _coarse_window(polish: bool) -> tuple[tuple[int, int], np.ndarray]:
-    """Points per axis and half-width of the coarse grid of every band."""
-    return (_COARSE[0] if polish else 1, _COARSE[1]), np.array([0.5 * polish, 0.5])
-
-
 @dataclass(frozen=True)
 class _CoarseGrid:
     """Stage 1 of the search up to the objective: the coarse grid of every
-    band and the cost vectors of every policy on it.
+    row and the cost vectors of every policy on it.
 
-    ``levels`` / ``low`` / ``high`` have shape ``(R, 1)``, one row per search
-    region; ``a`` / ``b`` / ``ratios`` / ``bits`` have shape ``(R, n)``, and
+    ``levels`` has shape ``(R, 1)``, one entry per row; ``fractions`` (the
+    ``v`` of each point) / ``ratios`` / ``bits`` have shape ``(R, n)``, and
     ``costs`` has shape ``(P, R·n, 4)``, priced in passes of ``chunk``
     points.  Every array is read-only: one grid serves many solves.
     """
 
     policies: tuple[CompactionPolicy, ...]
     levels: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    fractions: np.ndarray
     ratios: np.ndarray
     bits: np.ndarray
     costs: np.ndarray
@@ -226,21 +205,19 @@ class _CoarseGrid:
 def _coarse_grid(
     system: SystemConfig,
     rows: tuple[float, ...],
-    polish: bool,
     policies: tuple[CompactionPolicy, ...],
     long_range_fraction: float,
 ) -> _CoarseGrid:
-    """Price every band of every policy on the coarse grid.
+    """Price every row of every policy on the coarse grid.
 
     The points are priced in chunks that keep the ``(policy, point, level)``
     tensor bounded.  A chunk's level axis runs to its deepest band, which can
     move the last bit of a level sum, so the chunks are part of the result.
     """
-    bands = LevelBands(system, np.asarray(rows, dtype=float), polish)
-    levels, low, high = (column[:, None] for column in bands.regions)
-    counts, step = _coarse_window(polish)
-    a, b = _window(np.full((len(levels), 2), 0.5), step, counts)
-    ratios, bits = bands.points(levels, low + a * (high - low), b)
+    bands = LevelBands(system, np.asarray(rows, dtype=float))
+    levels, pinned = (column[:, None] for column in bands.regions)
+    fractions = _window(np.full(len(levels), 0.5), 0.5, _COARSE)
+    ratios, bits = bands.points(levels, pinned, fractions)
     model = LSMCostModel(system)
     chunk = max(1, _MAX_ELEMENTS // (len(policies) * int(levels.max())))
     costs = np.concatenate(
@@ -255,7 +232,7 @@ def _coarse_grid(
         ],
         axis=1,
     )
-    arrays = (levels, low, high, a, b, ratios, bits, costs)
+    arrays = (levels, fractions, ratios, bits, costs)
     for array in arrays:
         array.setflags(write=False)
     return _CoarseGrid(policies, *arrays, chunk)
@@ -295,12 +272,9 @@ class NominalTuner:
         :data:`~repro.lsm.policy.DEFAULT_FLUID_Z_GRID`, so the search
         optimises the fluid bounds alongside ``(T, h, π)``.
     ratio_candidates:
-        The size ratios searched: exactly these rows with ``polish=False``,
-        the continuous interval they span with ``polish=True``.  Defaults to
-        all integers in ``[2, max_size_ratio]``.
-    polish:
-        Whether ``T`` is continuous inside each level band (the fractional
-        ratios the paper reports) or restricted to ``ratio_candidates``.
+        The size ratios searched, each an integer ``≥ 2`` (a ratio that does
+        not deploy as itself raises ``ValueError``).  Defaults to all
+        integers in ``[2, max_size_ratio]``.
     k_vector_search:
         Whether the fluid search covers per-level ``K_i`` bound vectors: the
         candidate enumeration adds the structured vector families of
@@ -323,7 +297,6 @@ class NominalTuner:
         system: SystemConfig | None = None,
         policies: Sequence[Policy | str | CompactionPolicy] = CLASSIC_POLICIES,
         ratio_candidates: Sequence[float] | None = None,
-        polish: bool = True,
         k_vector_search: bool = False,
         seed: int = 0,
     ) -> None:
@@ -338,13 +311,16 @@ class NominalTuner:
         )
         # Enum-level view kept for introspection and backwards compatibility.
         self.policies = tuple(dict.fromkeys(spec.policy for spec in self.policy_specs))
-        self.polish = bool(polish)
         if ratio_candidates is None:
             ratio_candidates = np.arange(2, int(self.system.max_size_ratio) + 1)
         self.ratio_candidates = np.asarray(sorted(ratio_candidates), dtype=float)
         if self.ratio_candidates.size == 0:
             raise ValueError("ratio_candidates must not be empty")
-        self.bands = LevelBands(self.system, self.ratio_candidates, self.polish)
+        rows = self.ratio_candidates
+        bad = rows[~(np.isfinite(rows) & (rows >= 2.0) & (rows == np.floor(rows)))]
+        if bad.size:
+            raise ValueError(f"ratio_candidates must be integers >= 2, got {bad.tolist()}")
+        self.bands = LevelBands(self.system, self.ratio_candidates)
 
     # ------------------------------------------------------------------
     # The search
@@ -366,7 +342,7 @@ class NominalTuner:
 
         Chunk by chunk, so that the running bound prunes: a cell reads
         ``inf`` where the objective shows it can neither win, nor put its
-        group within the zoom margin, nor be its policy's best
+        row within the zoom margin, nor be its policy's best
         (:func:`objective` with ``coarse``).  Every other cell
         holds its exact objective.  The result has shape ``(P, R·n)``.
         """
@@ -381,14 +357,12 @@ class NominalTuner:
     def _grid_key(self, policies: Sequence[CompactionPolicy], workload: Workload) -> tuple:
         """Arguments of :func:`_coarse_grid` for a search over ``policies``."""
         rows = tuple(self.ratio_candidates.tolist())
-        return self.system, rows, self.polish, tuple(policies), workload.long_range_fraction
+        return self.system, rows, tuple(policies), workload.long_range_fraction
 
     def _search(self, grid: _CoarseGrid, workload: Workload) -> tuple[_Design, dict[str, float]]:
         """Best ``(T, h, π)`` over the grid's policies and each policy's best value."""
         policies = grid.policies
-        levels, low, high = grid.levels, grid.low, grid.high
-        a, b, ratios, bits = grid.a, grid.b, grid.ratios, grid.bits
-        counts, step = _coarse_window(self.polish)
+        levels, fractions, ratios, bits = grid.levels, grid.fractions, grid.ratios, grid.bits
 
         # Stage 1: this workload's objective on the priced coarse grid.
         values = self._coarse_values(grid, workload)
@@ -396,46 +370,47 @@ class NominalTuner:
         if not np.isfinite(bound):
             raise RuntimeError("the optimiser failed to produce any finite solution")
         values = values.reshape(len(policies), *ratios.shape)
-        group_best = np.minimum.reduce(values, axis=2)
-        per_policy = np.minimum.reduce(group_best, axis=1)
+        row_best = np.minimum.reduce(values, axis=2)
+        per_policy = np.minimum.reduce(row_best, axis=1)
 
-        # Stage 2: zoom into every (policy, group) within reach of the best;
+        # Stage 2: zoom into every (policy, row) within reach of the best;
         # all of them share one pass per round.
-        ranked = np.argsort(group_best, axis=None, kind="stable")
-        ranked = ranked[group_best.ravel()[ranked] <= bound * _ZOOM_MARGIN]
-        chosen, member = np.unravel_index(ranked, group_best.shape)
+        ranked = np.argsort(row_best, axis=None, kind="stable")
+        ranked = ranked[row_best.ravel()[ranked] <= bound * _ZOOM_MARGIN]
+        chosen, member = np.unravel_index(ranked, row_best.shape)
         # Fluid bounds that clamp to the same design tie exactly; zoom once.
-        twin = (np.diff(group_best[chosen, member]) == 0.0) & (np.diff(member) == 0)
+        twin = (np.diff(row_best[chosen, member]) == 0.0) & (np.diff(member) == 0)
         ranked = ranked[np.concatenate([[True], ~twin])][:_ZOOM_CANDIDATES]
-        chosen, member = np.unravel_index(ranked, group_best.shape)
+        chosen, member = np.unravel_index(ranked, row_best.shape)
         specs = [policies[i] for i in chosen]
-        levels, low, high = levels[member], low[member], high[member]
-        values, a, b = values[chosen, member], a[member], b[member]
+        levels, values, fractions = levels[member], values[chosen, member], fractions[member]
         ratios, bits = ratios[member], bits[member]
+        pinned = ratios[:, :1]
         best = np.full(ranked.size, np.inf)
-        centre, design = np.empty((2, ranked.size, 2))
+        centre, design_bits = np.empty((2, ranked.size))
         rows = np.arange(ranked.size)
+        count, step = _COARSE, 0.5
         for zoom in range(_ZOOM_ROUNDS + 1):
             if zoom:
-                a, b = _window(centre, step, counts)
-                ratios, bits = self.bands.points(levels, low + a * (high - low), b)
+                fractions = _window(centre, step, count)
+                ratios, bits = self.bands.points(levels, pinned, fractions)
                 values = self._price(ratios, bits, specs, workload, bound)
             # Each candidate's best point of the round, kept where it ties
             # or beats the candidate's best so far.
-            at = _argbest(values, ratios, bits)
+            at = _argbest(values, bits)
             kept = values[rows, at] <= best * (1.0 + _TIE)
             at, k = at[kept], rows[kept]
             best[k] = values[k, at]
-            centre[k, 0], centre[k, 1] = a[k, at], b[k, at]
-            design[k, 0], design[k, 1] = ratios[k, at], bits[k, at]
+            centre[k], design_bits[k] = fractions[k, at], bits[k, at]
             bound = min(bound, float(np.minimum.reduce(best, axis=None)))
-            step = 2.0 * step / np.maximum(np.array(counts) - 1, 1)
-            counts = (_ZOOM_POINTS if self.polish else 1, _ZOOM_POINTS)
+            count, step = _ZOOM_POINTS, 2.0 * step / (count - 1)
 
         # Stage 3: the winner, under the canonical tie-break.
         np.minimum.at(per_policy, chosen, best)
-        k = int(_argbest(best, levels[:, 0], design[:, 0], design[:, 1], chosen))
-        winner = _Design(float(best[k]), *design[k].tolist(), specs[k], int(levels[k, 0]))
+        k = int(_argbest(best, levels[:, 0], pinned[:, 0], design_bits, chosen))
+        winner = _Design(
+            float(best[k]), float(pinned[k, 0]), float(design_bits[k]), specs[k], int(levels[k, 0])
+        )
         return winner, {
             policy.name: float(value) for policy, value in zip(policies, per_policy)
         }
@@ -452,8 +427,10 @@ class NominalTuner:
             design = self._descend_k_vector(design, workload)
             solver_info["k_vector_search"] = design.policy.name
         solver_info["levels"] = design.levels
+        # ``T`` is an integer, so rounding only clamps fluid bounds above
+        # ``T - 1`` to what deploys; the model already priced them clamped.
         return TuningResult(
-            tuning=LSMTuning(design.size_ratio, design.bits, design.policy),
+            tuning=LSMTuning(design.size_ratio, design.bits, design.policy).rounded(),
             objective=design.value,
             expected_workload=workload,
             rho=self.rho,
@@ -468,34 +445,29 @@ class NominalTuner:
 
         The winning fluid policy is materialised to the explicit integer
         ``(K_1 … K_m, Z)`` it deploys as (padded to ``DEFAULT_VECTOR_LEVELS``
-        with its last element, clamped to the deployed ``T - 1``).  Each
-        level's bound (and ``Z``) is then moved in turn: all candidates of
-        the geometric ladder are priced in one pass at the incumbent's
-        ``(T, h)``, and an improving move is kept and ``(T, h)`` re-searched
-        under the moved vector.  Passes repeat until one completes with no
-        move.  The enumeration families only seed structured shapes — this
-        is what reaches arbitrary vectors without an exponential sweep, and
-        because it moves through deployable vectors only, the bounds it
-        reports are the bounds that deploy.  The (relaxed) search winner only
-        stands where no deployable vector matches it.
+        with its last element, clamped to ``T - 1``).  Each level's bound
+        (and ``Z``) is then moved in turn: all candidates of the geometric
+        ladder are priced in one pass at the incumbent's ``(T, h)``, and an
+        improving move is kept and ``(T, h)`` re-searched under the moved
+        vector.  Passes repeat until one completes with no move.  The
+        enumeration families only seed structured shapes — this is what
+        reaches arbitrary vectors without an exponential sweep.  The search
+        winner only stands where no vector beats it.
         """
-
-        def cap_at(size_ratio: float) -> float:
-            return float(max(1, round_half_up(size_ratio) - 1))
 
         def research(bounds: list[float]) -> _Design:
             policy = CompactionPolicy.fluid(bounds[:-1], bounds[-1])
             return self._search(_coarse_grid(*self._grid_key([policy], workload)), workload)[0]
 
-        cap = cap_at(design.size_ratio)
+        cap = design.size_ratio - 1.0
         bounds = list(design.policy.bounds)
         bounds += bounds[-1:] * (DEFAULT_VECTOR_LEVELS - len(bounds)) + [design.policy.z_bound]
-        bounds = [float(min(round_half_up(min(bound, cap)), cap)) for bound in bounds]
+        bounds = [float(round_half_up(min(bound, cap))) for bound in bounds]
         incumbent = research(bounds)
         for _ in range(_DESCENT_MAX_PASSES):
             moved = False
             for position in range(len(bounds)):
-                cap = cap_at(incumbent.size_ratio)
+                cap = incumbent.size_ratio - 1.0
                 ladder = sorted({min(float(b), cap) for b in _DESCENT_BOUNDS} | {cap})
                 trials = [bounds[:position] + [b] + bounds[position + 1 :] for b in ladder]
                 values = self._price(
@@ -510,9 +482,6 @@ class NominalTuner:
                     incumbent = research(bounds)
             if not moved:
                 break
-        cap = cap_at(incumbent.size_ratio)
-        if max(bounds) > cap:
-            # A re-search that shrank T left bounds above the new T - 1:
-            # report (and price) what deploys.
-            incumbent = research([min(bound, cap) for bound in bounds])
+        # A re-search that shrank ``T`` may leave bounds above ``T - 1``: the
+        # model prices them clamped, and :meth:`tune` reports them so.
         return incumbent if incumbent.value <= design.value * (1.0 + _TIE) else design

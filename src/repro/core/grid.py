@@ -51,13 +51,13 @@ class GridTuner:
         Compaction policies to consider (the paper's classical pair by
         default; pass :data:`~repro.lsm.policy.ALL_POLICIES` to include the
         hybrids).  ``Policy.FLUID`` expands into its default ``(K, Z)``
-        candidate grid, exactly like the continuous tuners; explicit
+        candidate grid, exactly like the band-by-band tuners; explicit
         :class:`~repro.lsm.policy.CompactionPolicy` entries — including
         per-level bound vectors — pass through untouched.
     k_vector_search:
         Whether the fluid expansion additionally sweeps the structured
         per-level ``K_i`` vector families (front-loaded ladders,
-        single-level perturbations), mirroring the continuous tuners.
+        single-level perturbations), mirroring the band-by-band tuners.
     """
 
     def __init__(

@@ -12,10 +12,8 @@ variable ``η`` in closed form leaves the exponential-tilting dual
     g(Φ, λ) = ρ·λ + λ · log Σ_i w_i · exp(c_i(Φ) / λ),
 
 a smooth function jointly minimised over the design and the remaining
-Lagrangian variable ``λ ≥ 0``.  The original Endure implementation (§4)
-hands that joint problem to SciPy's SLSQP; it left this reproduction because
-the design half is *not* smooth — the level count is a step function, every
-optimum sits on one of its cliffs, and a gradient step cannot cross one.
+Lagrangian variable ``λ ≥ 0``.  The design half is *not* smooth — the level
+count is a step function and every optimum sits on one of its cliffs.
 For a fixed design the minimisation over ``λ`` is one-dimensional and exact
 (the exponential tilting of :class:`~repro.core.uncertainty.UncertaintyRegion`,
 solved for a whole batch of designs at once), so the tuner evaluates the

@@ -670,9 +670,8 @@ def kvector_frontier(
 ) -> list[dict[str, object]]:
     """Where a non-uniform per-level ``K_i`` ladder beats every uniform hybrid.
 
-    Two fluid tuners run per workload on the integer size ratios
-    (``polish=False``), the deployable space, where no bound is relaxed and
-    both arms get the same refinement: the scalar ``(K, Z)`` search, and the
+    Two fluid tuners run per workload, and both arms get the same
+    refinement: the scalar ``(K, Z)`` search, and the
     same search plus the ``K_i`` families and the coordinate descent over
     integer bounds (``k_vector_search=True``).  A positive ``1 − vector_cost /
     uniform_cost`` means no uniform ``(K, Z)`` pair, hence no classical
@@ -683,7 +682,6 @@ def kvector_frontier(
         system=system,
         policies=(Policy.FLUID,),
         ratio_candidates=ratio_candidates,
-        polish=False,
     )
     for name, workload in workloads:
         uniform = NominalTuner(**common).tune(workload)
@@ -697,7 +695,6 @@ def kvector_frontier(
         if float(vector.objective) > uniform_cost:
             vector = uniform
         vector_cost = float(vector.objective)
-        deployed = vector.tuning.rounded()
         rows.append(
             {
                 "workload": name,
@@ -707,11 +704,10 @@ def kvector_frontier(
                 "vector_cost": vector_cost,
                 "vector_tuning": vector.tuning.describe(),
                 "vector_advantage": 1.0 - vector_cost / uniform_cost,
-                # Machine-readable *deployable* bounds of the vector winner
-                # (``None`` when it stayed scalar), rounded and clamped
-                # exactly as the simulator would deploy them.
-                "vector_k_bounds": deployed.to_dict().get("k_bounds"),
-                "vector_z_bound": deployed.z_bound,
+                # Machine-readable bounds of the vector winner (``None``
+                # when it stayed scalar), as the simulator deploys them.
+                "vector_k_bounds": vector.tuning.to_dict().get("k_bounds"),
+                "vector_z_bound": vector.tuning.z_bound,
             }
         )
     return rows

@@ -321,7 +321,7 @@ def expand_policy_specs(
 
     * the *K-tracking* candidates first — an infinite bound means
       ``K = T - 1`` at every size ratio, so the lazy-leveling-shaped designs
-      stay coupled to ``T`` across a fractional size-ratio search exactly
+      stay coupled to ``T`` across the size-ratio search exactly
       like the named lazy policy does (a fixed ``K`` has a clamp kink at
       ``T = K + 1``);
     * all combinations of :data:`DEFAULT_FLUID_K_GRID` ×

@@ -30,7 +30,7 @@ def round_half_up(value: float) -> int:
     ``round()`` rounds half to even, so a size ratio of exactly 2.5 would
     round *down* to 2 — and at ``T = 2`` the deployable run-bound range
     ``[1, T - 1]`` collapses to the single point 1, crushing any fluid bound
-    the continuous optimiser chose.  Deterministic half-up rounding keeps the
+    a hand-written tuning asked for.  Deterministic half-up rounding keeps the
     documented "round up at the midpoint" contract and the bound clamp
     consistent.
     """
@@ -46,8 +46,8 @@ class LSMTuning:
     size_ratio:
         Size ratio ``T`` between consecutive levels (finite, ``T >= 2``;
         like ``bits_per_entry``, a NaN or infinity raises).  Stored as a
-        float because the optimiser works in a continuous relaxation; use
-        :meth:`rounded` before deploying on the simulator.
+        float; the tuners return integer ratios, and :meth:`rounded` makes
+        any other tuning deployable.
     bits_per_entry:
         Bloom-filter budget ``h = m_filt / N`` in bits per entry.
     policy:
@@ -122,12 +122,12 @@ class LSMTuning:
         """Return a copy with an integer size ratio suitable for deployment.
 
         Real LSM engines cannot use fractional size ratios, so — like the
-        paper does when deploying on RocksDB — we round the continuous value
-        produced by the optimiser to the nearest integer (never below 2),
-        with ties at the midpoint going up (:func:`round_half_up`; built-in
-        ``round`` would send ``T = 2.5`` *down* to 2, where the deployable
-        bound range ``[1, T - 1]`` collapses to 1 and crushes every fluid
-        bound).  Run bounds are rounded the same way (runs are counted in
+        paper does when deploying on RocksDB — a fractional value (the
+        tuners only return integer ones) rounds to the nearest integer
+        (never below 2), with ties at the midpoint going up
+        (:func:`round_half_up`; built-in ``round`` would send ``T = 2.5``
+        *down* to 2, where the deployable bound range ``[1, T - 1]``
+        collapses to 1 and crushes every fluid bound).  Run bounds are rounded the same way (runs are counted in
         whole numbers) and clamped, element-wise, to the deployable range
         ``[1, T - 1]``; an infinite bound already means ``T - 1`` and stays.
         """

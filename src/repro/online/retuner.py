@@ -125,13 +125,8 @@ class AdaptiveTuner:
         self.tuner = self._tuner_for(self.effective_rho())
 
     def _tuner_for(self, rho: float) -> RobustTuner:
-        """A tuner for a re-tuning of radius ``rho`` (0: the nominal tuner).
-
-        It searches the integer size ratios only: a deployment rounds ``T``
-        anyway, so the online search prices the tunings that can actually be
-        deployed — and nothing else.
-        """
-        return RobustTuner(rho=rho, system=self.system, policies=self._policies, polish=False)
+        """A tuner for a re-tuning of radius ``rho`` (0: the nominal tuner)."""
+        return RobustTuner(rho=rho, system=self.system, policies=self._policies)
 
     # ------------------------------------------------------------------
     # Re-tuning
@@ -179,7 +174,7 @@ class AdaptiveTuner:
     ) -> RetuningDecision:
         """Solve for the best tuning of ``observed`` and price the switch.
 
-        The proposed tuning is deployable (integer size ratio); both it and
+        The proposed tuning is the tuner's, which deploys as itself; both it and
         the incumbent are evaluated by the analytical cost model on the same
         observed workload, so the decision compares like with like.
         ``volatility`` is the drift detector's KL-trajectory dispersion; it
@@ -187,8 +182,7 @@ class AdaptiveTuner:
         """
         rho = self.effective_rho(volatility)
         tuner = self.tuner if rho == self.tuner.rho else self._tuner_for(rho)
-        result = tuner.tune(observed)
-        proposed = result.tuning.rounded()
+        proposed = tuner.tune(observed).tuning
         return RetuningDecision(
             current=current,
             proposed=proposed,

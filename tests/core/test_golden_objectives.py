@@ -1,21 +1,22 @@
 """The golden gate of the tuner search.
 
-``golden_objectives.json`` holds the objective the last SLSQP-based tuner
-(multi-start polish, commit 5a0d4f5) reached on every cell below, each
-re-priced independently of the tuner.  It is the parity reference that
-replaced the scalar twin of the search: a cell whose objective rises above
-its golden value is a bug in the search, not a re-pin.
+Both files were written from the integer-ratio search at commit 93f4bfe, the
+last one at which the tuners could also search a continuous ``T``.
 
-``golden_tunings.json`` holds what the search itself returned on the same
-cells at commit ddc6e22 (the last one before the robust search skipped cells
-by the mixture bound): the tuning — deployed, on the k-vector cell — must
-match exactly and the objective to a relative 1e-14.  A speed-up of the
-search is exact up to the last bits of a tilt sum; it moves no tuning.
+``golden_objectives.json`` holds every cell's objective, re-priced
+independently of the tuner.  It is the parity reference that replaced the
+scalar twin of the search: a cell whose objective rises above its golden
+value is a bug in the search, not a re-pin.
+
+``golden_tunings.json`` holds the tuning the search returned on each cell, as
+it deploys (fluid bounds above ``T - 1`` clamped, which the model prices the
+same), and its objective: the tuning must match exactly and the objective to
+a relative 1e-14.  A speed-up of the search is exact up to the last bits of a
+tilt sum; it moves no tuning.
 
 Cells: the 15 Table-2 workloads × ρ ∈ {0, 0.25, 1, 2} × three policy spaces
 on the default system, the five ``tune_sweep`` cells of ``bench/`` and its
-k-vector cell (priced as *deployed*, i.e. ``tuning.rounded()``) on the
-20k-entry simulator system.
+k-vector cell on the 20k-entry simulator system.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def test_search_is_no_worse_than_the_golden_objective(key: str):
     result = tuner.tune(workload)
 
     tuning = result.tuning
-    deployed = tuning.rounded() if space == "kvector" else tuning
-    assert _price(model, workload, rho, deployed) <= GOLDEN[key] * (1.0 + 1e-6)
-    # The winner sits on the side of its level cliff the search priced it on …
+    assert _price(model, workload, rho, tuning) <= GOLDEN[key] * (1.0 + 1e-6)
+    # The winner deploys as itself …
+    assert tuning.rounded() == tuning
+    # … it sits on the side of its level cliff the search priced it on …
     assert (
         system.disk_levels(tuning.size_ratio, tuning.bits_per_entry)
         == result.solver_info["levels"]
@@ -91,4 +93,4 @@ def test_search_is_no_worse_than_the_golden_objective(key: str):
     # … and the search returns the tuning it returned when the tables were made.
     expected = dict(GOLDEN_TUNINGS[key])
     assert result.objective == pytest.approx(expected.pop("objective"), rel=1e-14, abs=0)
-    assert deployed.to_dict() == expected
+    assert tuning.to_dict() == expected

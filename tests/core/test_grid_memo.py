@@ -37,13 +37,12 @@ def _assert_same(warm, cold) -> None:
 
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("policies", [CLASSIC_POLICIES, ALL_POLICIES], ids=["classic", "all"])
-    @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("rho", [0.0, 1.0], ids=["nominal", "robust"])
-    def test_a_memoised_grid_returns_the_cold_result(self, rho, polish, policies):
+    def test_a_memoised_grid_returns_the_cold_result(self, rho, policies):
         workload = expected_workload(11).workload
-        cold = _cold(_tuner(rho, polish=polish, policies=policies), workload)
+        cold = _cold(_tuner(rho, policies=policies), workload)
         hits = _memoised_grid.cache_info().hits
-        warm = _tuner(rho, polish=polish, policies=policies).tune(workload)
+        warm = _tuner(rho, policies=policies).tune(workload)
         assert _memoised_grid.cache_info().hits == hits + 1
         _assert_same(warm, cold)
 
@@ -69,7 +68,7 @@ class TestMemoisedGrid:
         grid = _memoised_grid(*tuner._grid_key(tuner.policy_specs, workload))
         fields = (getattr(grid, field.name) for field in dataclasses.fields(grid))
         arrays = [value for value in fields if isinstance(value, np.ndarray)]
-        assert len(arrays) == 8
+        assert len(arrays) == 5
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0.0

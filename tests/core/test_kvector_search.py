@@ -49,21 +49,20 @@ class TestSweepExpansion:
 
 
 class TestVectorSearchResults:
-    @pytest.mark.parametrize("polish", [True, False])
-    def test_dominates_the_uniform_search_on_the_ladder_workload(self, polish):
-        uniform = _tuner(polish=polish).tune(_LADDER_WORKLOAD)
-        vector = _tuner(polish=polish, k_vector_search=True).tune(_LADDER_WORKLOAD)
+    def test_dominates_the_uniform_search_on_the_ladder_workload(self):
+        uniform = _tuner().tune(_LADDER_WORKLOAD)
+        vector = _tuner(k_vector_search=True).tune(_LADDER_WORKLOAD)
         assert vector.objective <= uniform.objective * (1.0 + 1e-8)
 
     def test_integer_rows_deploy_the_non_uniform_ladder_they_report(self):
-        """On integer size ratios nothing is relaxed: the reported vector is
-        the deployed one, and here it is a genuine ladder."""
-        vector = _tuner(polish=False, k_vector_search=True).tune(_LADDER_WORKLOAD)
+        """Nothing is relaxed: the reported vector is the deployed one, and
+        here it is a genuine ladder."""
+        vector = _tuner(k_vector_search=True).tune(_LADDER_WORKLOAD)
         assert vector.tuning.rounded() == vector.tuning
         assert len(set(vector.tuning.k_bounds)) > 1
 
     def test_solver_info_records_the_vector_winner(self):
-        result = _tuner(k_vector_search=True, polish=False).tune(_LADDER_WORKLOAD)
+        result = _tuner(k_vector_search=True).tune(_LADDER_WORKLOAD)
         assert "k_vector_search" in result.solver_info
 
     def test_same_seed_is_deterministic(self):
@@ -115,8 +114,8 @@ class TestVectorSearchResults:
 
 class TestCoordinateDescent:
     def test_descent_never_worsens_the_sweep_value(self):
-        tuner = _tuner(k_vector_search=True, polish=False)
-        sweep_only = _tuner(polish=False).tune(_LADDER_WORKLOAD)
+        tuner = _tuner(k_vector_search=True)
+        sweep_only = _tuner().tune(_LADDER_WORKLOAD)
         descended = tuner.tune(_LADDER_WORKLOAD)
         assert descended.objective <= sweep_only.objective * (1.0 + 1e-8)
 
@@ -127,12 +126,9 @@ class TestCoordinateDescent:
         (at T = 2 every bound collapses to 1)."""
         bad = CompactionPolicy.fluid((1.0, 64.0, 1.0), 4.0)
         cands = np.arange(6.0, 13.0)
-        pinned = _tuner(
-            policies=(bad,), polish=False, ratio_candidates=cands
-        ).tune(_LADDER_WORKLOAD)
+        pinned = _tuner(policies=(bad,), ratio_candidates=cands).tune(_LADDER_WORKLOAD)
         refined = _tuner(
             policies=(bad,),
-            polish=False,
             k_vector_search=True,
             ratio_candidates=cands,
         ).tune(_LADDER_WORKLOAD)
@@ -184,14 +180,13 @@ class TestRobustVectorSearch:
         assert vector.objective <= uniform.objective * (1.0 + 1e-8)
 
     def test_rho_zero_matches_the_nominal_vector_search(self):
-        nominal = _tuner(k_vector_search=True, polish=False).tune(_LADDER_WORKLOAD)
+        nominal = _tuner(k_vector_search=True).tune(_LADDER_WORKLOAD)
         robust = RobustTuner(
             rho=0.0,
             system=_SYSTEM,
             policies=(Policy.FLUID,),
             ratio_candidates=_CANDS,
             seed=0,
-            polish=False,
             k_vector_search=True,
         ).tune(_LADDER_WORKLOAD)
         assert robust.objective == pytest.approx(nominal.objective, rel=1e-9)

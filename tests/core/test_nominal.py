@@ -31,6 +31,14 @@ class TestNominalTunerBasics:
         best = min(per_policy, key=per_policy.get)
         assert nominal_w11.tuning.policy.value == best
 
+    @pytest.mark.parametrize(
+        "ratios", [[], [2.5], [1.0, 2.0], [2.0, 3.0, 7.5], [2.0, float("inf")], [float("nan")]]
+    )
+    def test_only_integer_ratios_from_two_are_searched(self, system, ratios):
+        """A ratio the search could not deploy as itself is refused."""
+        with pytest.raises(ValueError, match="ratio_candidates"):
+            NominalTuner(system=system, ratio_candidates=ratios)
+
     def test_restricted_policy_is_honoured(self, system, w7):
         result = NominalTuner(
             system=system, policies=(Policy.LEVELING,)

@@ -59,13 +59,12 @@ class TestRobustVersusNominal:
         robust_cost = model.workload_cost(w11, robust.tuning)
         assert robust_cost == pytest.approx(nominal_w11.objective, rel=0.02)
 
-    @pytest.mark.parametrize("polish", [True, False], ids=["polish", "integer"])
     @pytest.mark.parametrize("index", [e.index for e in expected_workloads()])
-    def test_zero_rho_is_the_nominal_tuner(self, system, index, polish):
+    def test_zero_rho_is_the_nominal_tuner(self, system, index):
         """ρ = 0 is Problem 1: the whole result is the nominal tuner's."""
         workload = expected_workload(index).workload
-        nominal = NominalTuner(system=system, polish=polish).tune(workload)
-        assert RobustTuner(rho=0.0, system=system, polish=polish).tune(workload) == nominal
+        nominal = NominalTuner(system=system).tune(workload)
+        assert RobustTuner(rho=0.0, system=system).tune(workload) == nominal
 
     def test_robust_has_lower_worst_case_than_nominal(
         self, system, w11, nominal_w11, robust_w11_rho1

@@ -320,12 +320,14 @@ class TestKBoundsFlag:
     parser with a usage error, matching the validated-knob convention."""
 
     def test_pinned_vector_round_trips_to_json(self, capsys):
+        """The vector comes back as it deploys: clamped to ``T - 1``."""
         out = _run_main(
             capsys, _KBOUNDS_TUNE_ARGS + ["--k-bounds", "4,2,1,1,1"]
         )
         payload = json.loads(out)
         assert payload["nominal"]["policy"] == "fluid"
-        assert payload["nominal"]["k_bounds"] == [4.0, 2.0, 1.0, 1.0, 1.0]
+        cap = payload["nominal"]["size_ratio"] - 1.0
+        assert payload["nominal"]["k_bounds"] == [min(k, cap) for k in (4.0, 2.0, 1.0, 1.0, 1.0)]
         assert payload["nominal"]["z_bound"] == 1.0
         assert "k_bound" not in payload["nominal"]
 
@@ -346,8 +348,9 @@ class TestKBoundsFlag:
             + ["--k-bounds", "4,2,1"],
         )
         payload = json.loads(out)
-        assert payload["nominal"]["k_bounds"] == [4.0, 2.0, 1.0]
-        assert payload["robust"]["k_bounds"] == [4.0, 2.0, 1.0]
+        for side in ("nominal", "robust"):
+            cap = payload[side]["size_ratio"] - 1.0
+            assert payload[side]["k_bounds"] == [min(k, cap) for k in (4.0, 2.0, 1.0)]
 
     def test_rejects_empty_value(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -591,7 +594,7 @@ class TestSeedFlag:
 
     def test_tune_fluid_is_byte_identical(self, capsys):
         """`tune` twice -> byte-identical JSON, fluid search space included
-        (the (K, Z) sweep and the polish are deterministic)."""
+        (the (K, Z) sweep and the band search are deterministic)."""
         argv = [
             "tune", "--workload", "0.1", "0.3", "0.1", "0.5",
             "--rho", "0.25", "--policy", "fluid",

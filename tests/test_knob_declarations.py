@@ -9,6 +9,7 @@ string) or a flag added by hand for a config field shows up as a mismatch.
 """
 
 import argparse
+import inspect
 from dataclasses import fields, replace
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.analysis import Experiment
 from repro.analysis.comparison import DRIFT_EXECUTOR, DRIFT_ONLINE
 from repro.cli import build_parser
+from repro.core import NominalTuner
 from repro.knobs import Bound, flag_of
 from repro.online import OnlineConfig
 from repro.online.controller import OnlineConfig as ControllerOnlineConfig
@@ -212,6 +214,9 @@ class TestDroppedKnobs:
             "k_vector_search", "admission_max_backlog", "admission_starvation_ops",
             "admission_idle_steps",
         }
+
+    def test_tuners_search_integer_ratios_with_no_option(self):
+        assert "polish" not in inspect.signature(NominalTuner.__init__).parameters
 
     def test_executor_config_lost_its_never_varied_fields(self):
         names = {spec.name for spec in fields(ExecutorConfig)}

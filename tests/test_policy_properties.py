@@ -234,7 +234,6 @@ class TestZeroWeightGuard:
             system=_SYSTEM,
             policies=(Policy.FLUID,),
             ratio_candidates=np.arange(2.0, 12.0),
-            polish=False,
         ).tune(self._NO_RANGES)
         assert np.isfinite(result.objective)
 
@@ -260,7 +259,6 @@ class TestTunerConsistencyAcrossPolicies:
                 system=_SYSTEM,
                 policies=(policy,),
                 ratio_candidates=cands,
-                polish=False,
             ).tune(workload).objective
         for corner in (Policy.LEVELING, Policy.TIERING, Policy.LAZY_LEVELING):
             assert costs[Policy.FLUID] <= costs[corner] * (1.0 + 1e-8)
@@ -275,13 +273,11 @@ class TestTunerConsistencyAcrossPolicies:
             system=_SYSTEM,
             policies=(Policy.FLUID,),
             ratio_candidates=cands,
-            polish=False,
         ).tune(workload).objective
         vector = NominalTuner(
             system=_SYSTEM,
             policies=(Policy.FLUID,),
             ratio_candidates=cands,
-            polish=False,
             k_vector_search=True,
         ).tune(workload).objective
         assert vector <= uniform * (1.0 + 1e-8)

@@ -37,12 +37,14 @@ def _assert_same(warm, cold) -> None:
 
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("policies", [CLASSIC_POLICIES, ALL_POLICIES], ids=["classic", "all"])
+    @pytest.mark.parametrize("ratios", [None, range(3, 40, 4)], ids=["every-ratio", "every-4th"])
     @pytest.mark.parametrize("rho", [0.0, 1.0], ids=["nominal", "robust"])
-    def test_a_memoised_grid_returns_the_cold_result(self, rho, policies):
+    def test_a_memoised_grid_returns_the_cold_result(self, rho, ratios, policies):
         workload = expected_workload(11).workload
-        cold = _cold(_tuner(rho, policies=policies), workload)
+        options = dict(policies=policies, ratio_candidates=ratios)
+        cold = _cold(_tuner(rho, **options), workload)
         hits = _memoised_grid.cache_info().hits
-        warm = _tuner(rho, policies=policies).tune(workload)
+        warm = _tuner(rho, **options).tune(workload)
         assert _memoised_grid.cache_info().hits == hits + 1
         _assert_same(warm, cold)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import GridTuner, NominalTuner, RobustTuner, UncertaintyRegion
 from repro.core.base import _TIE, _ZOOM_MARGIN, _coarse_grid
-from repro.lsm import CLASSIC_POLICIES, LSMCostModel, Policy, simulator_system
+from repro.lsm import ALL_POLICIES, CLASSIC_POLICIES, LSMCostModel, Policy, simulator_system
 from repro.workloads import expected_workload, expected_workloads
 
 
@@ -46,7 +46,7 @@ class TestRobustTunerBasics:
         assert robust_w11_rho1.objective == pytest.approx(worst, rel=1e-6)
 
     def test_dual_objective_close_to_primal_worst_case(self, robust_w11_rho1):
-        """Strong duality at the solution found by SLSQP."""
+        """Strong duality at the tuning the search found."""
         dual = robust_w11_rho1.solver_info["dual_objective"]
         assert dual == pytest.approx(robust_w11_rho1.objective, rel=0.05)
 
@@ -59,12 +59,14 @@ class TestRobustVersusNominal:
         robust_cost = model.workload_cost(w11, robust.tuning)
         assert robust_cost == pytest.approx(nominal_w11.objective, rel=0.02)
 
+    @pytest.mark.parametrize("policies", [CLASSIC_POLICIES, ALL_POLICIES], ids=["classic", "all"])
     @pytest.mark.parametrize("index", [e.index for e in expected_workloads()])
-    def test_zero_rho_is_the_nominal_tuner(self, system, index):
-        """ρ = 0 is Problem 1: the whole result is the nominal tuner's."""
+    def test_zero_rho_is_the_nominal_tuner(self, system, index, policies):
+        """ρ = 0 is Problem 1: the whole result is the nominal tuner's, on the
+        fluid ``(K, Z)`` rows as on the classic policies."""
         workload = expected_workload(index).workload
-        nominal = NominalTuner(system=system).tune(workload)
-        assert RobustTuner(rho=0.0, system=system).tune(workload) == nominal
+        nominal = NominalTuner(system=system, policies=policies).tune(workload)
+        assert RobustTuner(rho=0.0, system=system, policies=policies).tune(workload) == nominal
 
     def test_robust_has_lower_worst_case_than_nominal(
         self, system, w11, nominal_w11, robust_w11_rho1

@@ -29,13 +29,18 @@ class TestLevelBands:
     """Every point the geometry hands out lies in the band it names —
     edges included, on both sides of every cliff."""
 
+    @pytest.mark.parametrize(
+        "rows",
+        [np.arange(2.0, 101.0), np.array([2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0, 89.0])],
+        ids=["every-ratio", "fibonacci"],
+    )
     @pytest.mark.parametrize("system", [SystemConfig(), _SMALL], ids=["default", "small"])
-    def test_points_have_the_level_count_of_their_band(self, system):
-        bands = LevelBands(system, np.arange(2.0, 101.0))
+    def test_points_have_the_level_count_of_their_band(self, system, rows):
+        bands = LevelBands(system, rows)
         levels, pinned = (column[:, None] for column in bands.regions)
         fraction = np.array([0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0])
         ratios, bits = bands.points(levels, pinned, fraction)
-        assert ratios.min() >= 2.0 and ratios.max() <= 100.0
+        assert np.isin(ratios, rows).all(), "every point lies on a searched row"
         assert bits.min() >= bands.bits_bounds[0] and bits.max() <= bands.bits_bounds[1]
         counted = system.disk_levels(ratios, bits)
         assert np.array_equal(counted, np.broadcast_to(levels, counted.shape))

@@ -128,6 +128,15 @@ RULES = (
          r'"SLSQP"|minimize_scalar|starts_per_policy|batched_polish|vectorized=|scipy', 16,
          "from scipy.optimize import minimize"),
     Rule("cli-imports-no-scipy", IMPORTED, r"^scipy", 16, "scipy.optimize"),
+    # The tuners search integer size ratios only, with no option: no relaxed
+    # continuous-T path, and a 1-D coarse window in v.
+    Rule("no-polish-option", f"{SRC} examples/*.py README.md", r"polish", 56,
+         "    polish: bool = True,"),
+    Rule("bands-have-no-continuous-mode", "src/repro/core/bands.py", r"\bcontinuous\b", 56,
+         "    def __init__(self, system, ratios, continuous=True):"),
+    Rule("one-dimensional-coarse-window", "src/repro/core/base.py",
+         r"_coarse_window|\bcounts\b|^\s+(low|high|a): np\.ndarray", 56,
+         "    low: np.ndarray"),
     Rule("grid-memo-always-on", SRC, r"use_cache|memo(ize)?=|REPRO_[A-Z_]*CACHE", 25,
          "    grid = _coarse_grid(system, ratios, memo=False)"),
     Rule("drain-no-buffer-first-reads", LSM_TREE,

@@ -309,8 +309,6 @@ class NominalTuner:
             max_size_ratio=self.system.max_size_ratio,
             include_k_vectors=self.k_vector_search,
         )
-        # Enum-level view kept for introspection and backwards compatibility.
-        self.policies = tuple(dict.fromkeys(spec.policy for spec in self.policy_specs))
         if ratio_candidates is None:
             ratio_candidates = np.arange(2, int(self.system.max_size_ratio) + 1)
         self.ratio_candidates = np.asarray(sorted(ratio_candidates), dtype=float)

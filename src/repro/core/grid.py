@@ -80,7 +80,6 @@ class GridTuner:
             max_size_ratio=self.system.max_size_ratio,
             include_k_vectors=k_vector_search,
         )
-        self.policies = tuple(dict.fromkeys(spec.policy for spec in self.policy_specs))
         if size_ratios is None:
             upper = int(min(self.system.max_size_ratio, 100.0))
             size_ratios = np.arange(2, upper + 1, dtype=float)

@@ -9,6 +9,13 @@ byte per bit (padded to whole bytes) in a ``bytearray`` whose ``bool`` view a
 build scatters into and a batched probe gathers from, while a scalar probe
 indexes the ``bytearray`` itself.  It is packed, bit ``p`` at byte ``p // 8``,
 bit ``p % 8``, only for an SSTable footer (:attr:`BloomFilter.bit_table`).
+
+The table is hashed by the first consult, not by :meth:`BloomFilter.add_many`,
+which only keeps the keys it is given.  So a run's filter is hashed by the
+first probe that reaches it, and a run whose bounds rule out every read — as
+a run of fresh inserts, above every read key, is — never hashes one; an
+SSTable's filter is built at create, for its footer.  Answers and bytes are
+those of a build at insert.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ _U64_MULT_1, _U64_MULT_2, _U64_SHIFT_1, _U64_SHIFT_2, _U64_ONE = (
     np.array(value, dtype=np.uint64) for value in (_HASH_MULT_1, _HASH_MULT_2, 29, 31, 1)
 )
 
-#: Keys per block of :meth:`BloomFilter.add_many`'s scatter.  A flushed run is
+#: Keys per block of :meth:`BloomFilter._build`'s scatter.  A flushed run is
 #: one block; a 17k-key bulk-loaded run done as one block allocates a ~1 MiB
 #: position matrix and same-sized temporaries, and measured 1.7x slower than
 #: in 4k-key blocks, whose temporaries stay cache-sized.
@@ -67,7 +74,15 @@ def _hash_pair(keys: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class BloomFilter:
-    """Bloom filter over 64-bit integer keys.
+    """Bloom filter over 64-bit integer keys, hashed by its first consult.
+
+    :meth:`add_many` keeps the key arrays it is given; the first
+    :meth:`might_contain`, :meth:`might_contain_many` or :attr:`bit_table`
+    allocates the table and hashes them in, batch by batch in insertion
+    order, and a consult after a later insert hashes only what came since.
+    A scatter sets bits and never clears one, so the table is the same
+    however the inserts and consults interleave.  :attr:`count`,
+    :attr:`size_bits` and :meth:`expected_false_positive_rate` build nothing.
 
     Parameters
     ----------
@@ -94,19 +109,35 @@ class BloomFilter:
         self._degenerate = total_bits < 8 or expected_entries == 0
         self.num_bits = max(total_bits, 8)
         self.num_hashes = optimal_hash_count(bits_per_entry)
-        self._bytes = bytearray(-(-self.num_bits // 8) * 8)
-        self._table = np.frombuffer(self._bytes, bool)  # the same bytes, no copy
         self._count = 0
-        # Probe-offset column vector, modulus and seed, precomputed so the
-        # build and the batched membership test run a fixed number of array
-        # ops per call instead of a Python loop over hash functions.
-        self._probe_offsets = _probe_offsets(self.num_hashes)
-        self._num_bits_u64 = np.array(self.num_bits, dtype=np.uint64)
-        self._seed_u64 = np.array(int(seed) & _HASH_MASK, dtype=np.uint64)
+        # Key batches not yet hashed into the table; ``None`` once it holds
+        # every key.  The table and the kernel's constants are set by the
+        # first build.
+        self._pending: list[np.ndarray] | None = []
+        self._bytes: bytearray | None = None
+        self._table = self._probe_offsets = self._num_bits_u64 = self._seed_u64 = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _build(self) -> None:
+        """Hash every pending batch into the table, allocating it on first use."""
+        if self._bytes is None:
+            self._bytes = bytearray(-(-self.num_bits // 8) * 8)
+            self._table = np.frombuffer(self._bytes, bool)  # the same bytes, no copy
+            # Probe-offset column vector, modulus and seed, so the build and
+            # the batched membership test run a fixed number of array ops
+            # per call instead of a Python loop over hash functions.
+            self._probe_offsets = _probe_offsets(self.num_hashes)
+            self._num_bits_u64 = np.array(self.num_bits, dtype=np.uint64)
+            self._seed_u64 = np.array(int(self.seed) & _HASH_MASK, dtype=np.uint64)
+        # One scatter into the table, which keeps what earlier batches set;
+        # keys go through in blocks so the position matrix stays cache-sized.
+        for keys in self._pending:
+            for start in range(0, keys.size, _BUILD_BLOCK_KEYS):
+                self._table[self._probe_positions(keys[start : start + _BUILD_BLOCK_KEYS])] = True
+        self._pending = None
+
     def _probe_positions(self, keys: np.ndarray) -> np.ndarray:
         """Bit positions every key probes, as one ``(num_hashes, n)`` ``int64`` array.
 
@@ -118,6 +149,7 @@ class BloomFilter:
         but takes ``%`` with a hardware divide per element, ~3x slower.  Every
         position is below ``num_bits``, so the result is read as ``int64`` —
         the native index type, which a gather or scatter takes without a cast.
+        Reads the constants the first build sets.
         """
         h1, h2 = _hash_pair(keys, self._seed_u64)
         positions = self._probe_offsets * h2
@@ -128,17 +160,23 @@ class BloomFilter:
         return positions.view(np.int64)
 
     def add_many(self, keys: np.ndarray) -> None:
-        """Insert a batch of integer keys."""
+        """Insert a batch of integer keys: kept until the next consult hashes them.
+
+        A read-only array is held as it is, as a run's keys are; a writable
+        one is copied, so a later write to it changes no answer.
+        """
         keys = np.asarray(keys)
         if keys.size == 0:
             return
         self._count += keys.size
         if self._degenerate:
             return
-        # One scatter into the table, which keeps what earlier calls set;
-        # keys go through in blocks so the position matrix stays cache-sized.
-        for start in range(0, keys.size, _BUILD_BLOCK_KEYS):
-            self._table[self._probe_positions(keys[start : start + _BUILD_BLOCK_KEYS])] = True
+        if keys.flags.writeable:
+            keys = keys.copy()
+        if self._pending is None:
+            self._pending = [keys]
+        else:
+            self._pending.append(keys)
 
     def add(self, key: int) -> None:
         """Insert a single key (wrapped to 64 bits like an array key)."""
@@ -158,6 +196,8 @@ class BloomFilter:
         """
         if self._degenerate:
             return True
+        if self._pending is not None:
+            self._build()
         mixed = (int(key) + self.seed) & _HASH_MASK
         position = (mixed * _HASH_MULT_1) & _HASH_MASK
         position ^= position >> 29
@@ -183,6 +223,8 @@ class BloomFilter:
             return np.empty(0, dtype=bool)
         if self._degenerate:
             return np.ones(keys.size, dtype=bool)
+        if self._pending is not None:
+            self._build()
         return self._table[self._probe_positions(keys)].all(axis=0)
 
     def __contains__(self, key: int) -> bool:
@@ -198,7 +240,10 @@ class BloomFilter:
         With ``expected_entries``, ``bits_per_entry``, ``seed`` and ``count``
         it is everything the filter answers with — what a footer stores.  A
         new array each call: the filter itself never reads the packed form.
+        Hashes whatever is pending first, so a table's footer holds every key.
         """
+        if self._pending is not None:
+            self._build()
         return np.packbits(self._table, bitorder="little")
 
     @classmethod
@@ -208,6 +253,7 @@ class BloomFilter:
         """Rebuild a filter from its stored state (e.g. a table's footer): its
         probe answers are bit-identical to those of the filter it was taken from."""
         filt = cls(expected_entries, bits_per_entry, seed)
+        filt._build()
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (filt._table.size // 8,):
             raise ValueError(
@@ -223,7 +269,8 @@ class BloomFilter:
     # ------------------------------------------------------------------
     @property
     def size_bits(self) -> int:
-        """Allocated size of the filter in bits."""
+        """Size of the filter's table in bits, whether or not a consult has
+        allocated it yet: what the memory accounting charges a run."""
         return 0 if self._degenerate else self.num_bits
 
     @property

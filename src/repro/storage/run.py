@@ -72,6 +72,10 @@ def build_run_index(
     and the largest key of each page — and the run's Bloom filter.  The one
     constructor of both run kinds, so a run created from the same keys,
     budget and seed holds the same filter bits and index wherever it lives.
+    The filter holds the read-only keys, not a copy, and hashes them at the
+    first probe that reaches it: a read the run's bounds rule out never
+    does, so most runs of fresh inserts are never hashed.  A table builds
+    its filter at create, for its footer.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 1:
@@ -81,6 +85,7 @@ def build_run_index(
         raise ValueError("keys must be strictly increasing")
     if entries_per_page <= 0:
         raise ValueError("entries_per_page must be positive")
+    keys = _frozen(keys)
     bloom = BloomFilter(keys.size, bits_per_entry, seed)
     bloom.add_many(keys)
     # Each page's last key — a partial last page's is the last key — copied
@@ -90,7 +95,7 @@ def build_run_index(
         page_max = np.concatenate((page_max, keys[-1:]))
     else:
         page_max = page_max.copy()
-    return _frozen(keys), keys[::entries_per_page].copy(), page_max, bloom
+    return keys, keys[::entries_per_page].copy(), page_max, bloom
 
 
 def locate_many(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import BloomFilter
+from repro.storage.run import build_run_index
 
 
 class TestBloomFilterBasics:
@@ -183,11 +184,14 @@ class TestFromState:
 
 
 class TestSharedProbeOffsets:
-    """Filters of one hash count share one read-only probe-offset column."""
+    """Filters of one hash count share one read-only probe-offset column,
+    which a filter takes at its first consult."""
 
     def test_one_column_per_hash_count_and_nobody_may_write_it(self):
         first, second = BloomFilter(20, 7.3, seed=1), BloomFilter(500, 7.3, seed=2)
         other = BloomFilter(20, 3.0, seed=1)
+        for bf in (first, second, other):
+            bf.bit_table
         assert first._probe_offsets is second._probe_offsets
         assert first._probe_offsets.tolist() == [[i] for i in range(first.num_hashes)]
         assert other.num_hashes != first.num_hashes
@@ -217,6 +221,73 @@ class TestScalarBatchedParity:
         for key in probes:
             batched = bf.might_contain_many(np.array([key], dtype=np.int64))[0]
             assert bf.might_contain(key) == batched
+
+    @given(
+        members=st.lists(int64_keys, min_size=1, max_size=60),
+        probes=st.lists(int64_keys, min_size=1, max_size=60),
+        bits_per_entry=st.floats(min_value=0.0, max_value=16.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+        split=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_first_consult_moves_no_byte_and_no_answer(
+        self, members, probes, bits_per_entry, seed, split
+    ):
+        """A scalar, a batched and a ``bit_table`` first consult build the same
+        table, and so does a consult between two inserts."""
+        keys = np.asarray(members, dtype=np.int64)
+        split %= keys.size + 1
+        consults = (
+            lambda bf: bf.might_contain(members[0]),
+            lambda bf: bf.might_contain_many(keys[:1]),
+            lambda bf: bf.bit_table,
+        )
+        filters = []
+        for consult in consults:
+            bf = BloomFilter(keys.size, bits_per_entry, seed=seed)
+            bf.add_many(keys[:split])
+            consult(bf)
+            bf.add_many(keys[split:])
+            consult(bf)
+            filters.append(bf)
+        assert len({bf.bit_table.tobytes() for bf in filters}) == 1
+        answers = [filters[0].might_contain(key) for key in probes]
+        for bf in filters:
+            assert bf.count == keys.size
+            assert bf.might_contain_many(keys).all()
+            assert [bf.might_contain(key) for key in probes] == answers
+            assert bf.might_contain_many(np.asarray(probes, dtype=np.int64)).tolist() == answers
+
+
+class TestDeferredBuild:
+    """``add_many`` keeps keys; the first consult hashes them."""
+
+    def test_count_size_and_rate_build_nothing(self):
+        bf = BloomFilter(1_000, 8.0, seed=4)
+        bf.add_many(np.arange(1_000, dtype=np.int64))
+        assert (bf.count, bf.size_bits) == (1_000, 8_000)
+        assert 0 < bf.expected_false_positive_rate() < 0.05
+        assert bf._bytes is None
+        assert bf.might_contain(7) and bf._bytes is not None
+
+    def test_a_write_to_the_added_array_changes_no_answer(self):
+        keys = np.arange(0, 4_000, 2, dtype=np.int64)
+        bf = BloomFilter(keys.size, 8.0, seed=6)
+        bf.add_many(keys)
+        expected = BloomFilter(keys.size, 8.0, seed=6)
+        expected.add_many(keys.copy())
+        keys += 1  # every member is now an odd key nobody inserted
+        assert bf.bit_table.tobytes() == expected.bit_table.tobytes()
+        probes = np.arange(-10, 4_010, dtype=np.int64)
+        assert bf.might_contain_many(probes).tolist() == expected.might_contain_many(probes).tolist()
+        assert bf.might_contain_many(np.arange(0, 4_000, 2)).all()
+
+    def test_a_run_filter_holds_the_run_keys_without_a_copy(self):
+        keys, _, _, bloom = build_run_index(np.arange(0, 600, 3), 4, 10.0, seed=2)
+        assert not keys.flags.writeable
+        assert bloom._pending[0] is keys
+        assert bloom.might_contain_many(keys).all()
+        assert bloom._pending is None
 
 
 _MASK = 2**64 - 1
@@ -259,6 +330,7 @@ class TestProbePositionOracle:
         self, keys, bits_per_entry, seed
     ):
         bf = BloomFilter(keys.size, bits_per_entry, seed=seed)
+        bf.bit_table  # the first consult sets the constants the kernel reads
         positions = bf._probe_positions(keys)
         assert positions.dtype == np.int64
         assert positions.shape == (bf.num_hashes, keys.size)

@@ -168,3 +168,41 @@ class TestNothingObservableMoved:
         assert json.loads(manifest) == {
             "version": MANIFEST_VERSION, "run_counter": run_counter, "levels": names
         }
+
+
+#: What each policy's tree reports after :func:`_writes` and then sixty fresh
+#: puts, each followed by a read below them: the ``IOCounters``, recorded with
+#: filters hashed at build.
+_FRESH_COUNTERS = {
+    "leveling": (28, 0, 2027, 1882, 318),
+    "tiering": (37, 0, 726, 599, 318),
+    "lazy-leveling": (29, 0, 857, 727, 318),
+    "one-leveling": (29, 0, 1037, 930, 318),
+    "fluid-kvec": (29, 0, 1161, 1018, 318),
+}
+
+
+@pytest.mark.parametrize("policy", _GOLDEN)
+def test_a_run_no_read_reaches_never_hashes_its_filter(policy):
+    """Fresh inserts sit above every read key, as the trace generator's do, so
+    the runs they fill are ruled out by their bounds and never hash a key."""
+    tuning, _, counters, *_ = _GOLDEN[policy]
+    tree = LSMTree(tuning, _SYSTEM, disk=VirtualDisk(), seed=3)
+    written = _writes()
+    for key in written:
+        tree.put(key)
+    assert dataclasses.astuple(tree.disk.counters) == counters
+    runs = [run for level in tree.levels for run in level]
+    assert all(run._filter._bytes is None for run in runs)  # nothing asked yet
+    reads = np.random.default_rng(5).integers(0, 1_200, size=60).tolist()
+    answers = []
+    for offset, key in enumerate(reads):
+        tree.put(2_400 + offset)
+        answers.append(tree.get(key))
+    assert answers == [key in set(written) for key in reads]
+    assert dataclasses.astuple(tree.disk.counters) == _FRESH_COUNTERS[policy]
+    runs = [run for level in tree.levels for run in level]
+    unreached = [run for run in runs if run._min_key > max(reads)]
+    assert unreached
+    assert all(run._filter._bytes is None for run in unreached)
+    assert any(run._filter._bytes is not None for run in runs)

@@ -179,6 +179,11 @@ RULES = (
     Rule("bloom-no-byte-shift", BLOOM, r">> 3([^0-9]|$)", 30, "        byte = positions >> 3"),
     Rule("bloom-scalar-probe-no-item", BLOOM, r"\.item\(", 43,
          "            if not self._table.item(position % num_bits):"),
+    Rule("bloom-one-scatter", BLOOM, r"self\._table\[.*\] = True$", 57,
+         "        self._table[self._probe_positions(keys)] = True", "== 1"),
+    Rule("tuner-no-policies-view", "src/repro/core/base.py src/repro/core/grid.py",
+         r"self\.policies\s*=", 57,
+         "        self.policies = tuple(spec.policy for spec in self.policy_specs)"),
     Rule("storage-no-hashing-unique", "src/repro/storage/**/*.py", r"np\.unique\(", 30,
          "    keys = np.unique(keys)"),
     Rule("no-eager-level1-run", LSM_TREE, r"_new_run\(keys, level=1\)", 20,

@@ -1211,8 +1211,8 @@ def _sharded_serving(_: SessionState):
     holding its partition of the keys (what sharding buys in time is
     ``bench/``'s ``serving.critical_path_s``); then an adaptive run over a
     bursty drift sequence under the fixed step cadence and under
-    ``queue-depth`` admission, where a due step waits for its chunk to drain
-    and a lull between sessions finishes the plan."""
+    ``queue-depth`` admission, where a due step waits for the end of its
+    stream window and a lull between sessions finishes the plan."""
     space = KeySpace.build(_ENGINE_SYSTEM.num_entries, seed=29)
     operations = TraceGenerator(space, seed=29).operations(_SERVING_WORKLOAD, _SERVING_OPS)
     scaling = []
@@ -1277,7 +1277,7 @@ def _render_sharded(result) -> str:
         ),
         f"admission pacing — 5 sessions x {_QUERIES_PER_SESSION} queries "
         "(calm/burst alternating), incremental migration step_ops=32 "
-        "step_pages=8, queue-depth: a due step waits for its chunk to drain",
+        "step_pages=8, queue-depth: a due step waits for its window's end",
     ]
     for mode, measurement in admission.items():
         ios = " ".join(f"{s.ios_per_query:.4f}" for s in measurement.sessions)

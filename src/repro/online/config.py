@@ -22,7 +22,7 @@ RETUNING_MODES: tuple[str, ...] = ("nominal", "robust")
 MIGRATION_MODES: tuple[str, ...] = ("full", "incremental")
 
 #: Admission policies for incremental migration steps: a fixed cadence, or
-#: steps deferred until the served chunk drains (see
+#: steps deferred to the end of the stream's current window (see
 #: :func:`~repro.online.controller.ops_until_step`).
 ADMISSION_MODES: tuple[str, ...] = ("fixed", "queue-depth")
 
@@ -84,8 +84,8 @@ class OnlineConfig:
     admission: str = knob(
         "fixed",
         "incremental migration-step admission: 'fixed' paces one step every "
-        "--migration-step-ops operations, 'queue-depth' defers steps while the serving "
-        "backlog is deep and drains them in idle gaps",
+        "--migration-step-ops operations, 'queue-depth' defers a due step to the end of "
+        "the stream's current 4096-operation window and drains the plan in idle gaps",
         ADMISSION_MODES,
     )
     rho_adaptive: bool = knob(

@@ -23,11 +23,12 @@ and executes the operation stream through it while running the adaptive loop:
 *When* an incremental plan's steps run is the ``admission`` policy, answered
 in closed form by :func:`ops_until_step`: ``"fixed"`` runs one every
 ``migration_step_ops`` operations past the plan's start, wherever the stream
-is; ``"queue-depth"`` defers a due step until the chunk being served (the
-backlog) has drained, and a serving lull (:meth:`~OnlineLSMController.note_idle`)
-finishes the plan, so reorganisation I/O lands between busy windows.  The
-backlog is the unserved rest of the current ``execute`` call, 0 at its end,
-so a deferred step always runs by the end of its chunk.
+is; ``"queue-depth"`` defers a due step to the end of the stream-aligned
+window of :data:`~repro.storage.lsm_tree.MAX_BATCH_OPS` operations being
+served, and a serving lull (:meth:`~OnlineLSMController.note_idle`)
+finishes the plan, so reorganisation I/O lands between busy windows.  Both
+read the stream position alone, so the steps, and every counter after them,
+are the same however a caller cuts the stream into calls.
 
 After a migration the detector is re-centred on the workload the new tuning
 was computed for, and its cooldown gives the migration time to pay off
@@ -63,21 +64,22 @@ from .retuner import AdaptiveTuner, RetuningDecision
 
 
 def ops_until_step(
-    config: OnlineConfig, position: int, plan_started: int, last_step: int, backlog: int
+    config: OnlineConfig, position: int, plan_started: int, last_step: int
 ) -> int:
     """Operations until the next incremental migration step (at least 1).
 
     ``"fixed"`` admits every ``migration_step_ops`` operations past
     ``plan_started``.  ``"queue-depth"`` admits once ``migration_step_ops``
-    operations have passed since ``last_step`` *and* the ``backlog`` has
-    drained.  The backlog drains by one per executed operation, so after
-    ``k`` more operations the elapsed count grows by ``k`` and the backlog
-    shrinks by ``k``, and the first admitting ``k`` is a closed form.
+    operations have passed since ``last_step`` *and* the stream stands at
+    the end of a window of ``MAX_BATCH_OPS`` operations: the answer is the
+    first window end at least ``k0`` operations ahead, where ``k0`` is what
+    is left of the cadence.
     """
     step_ops = config.migration_step_ops
     if config.admission == "fixed":
         return step_ops - (position - plan_started) % step_ops
-    return max(1, step_ops - (position - last_step), backlog)
+    k0 = max(1, step_ops - (position - last_step))
+    return k0 + (-(position + k0)) % MAX_BATCH_OPS
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,6 @@ class OnlineLSMController:
         self._plan: MigrationPlan | None = None
         self._plan_started = 0
         self._last_step_position = 0
-        self._backlog = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,7 +214,6 @@ class OnlineLSMController:
         work — the admitted migration step, or the drift check — if the
         window reached it."""
         self.position += count
-        self._backlog = max(0, self._backlog - count)
         if count < due:
             return
         if self._plan is not None:
@@ -224,26 +224,22 @@ class OnlineLSMController:
     def execute(self, operations: Iterable[Operation]) -> None:
         """Execute a stream one operation at a time through :meth:`apply`.
 
-        The per-operation reference of :meth:`execute_batched`.  The length
-        of the stream seeds the serving backlog the admission policy
-        observes: under ``admission="queue-depth"`` migration steps that fall
-        due while the chunk is being served are deferred until it has drained.
+        The per-operation reference of :meth:`execute_batched`.  Admission
+        reads the stream position, not the call, so any cut of a stream into
+        calls replays it as one call would.
         """
-        operations = list(operations)
-        self._backlog = len(operations)
         for operation in operations:
             self.apply(operation)
-        self._backlog = 0
 
     def note_idle(self) -> None:
         """Signal a serving lull: drain the deferred migration steps.
 
         Under ``admission="queue-depth"`` an idle shard finishes its in-flight
-        plan immediately — reorganisation I/O lands in the lull instead of the
-        next busy window.  Under ``admission="fixed"`` this is a no-op,
-        preserving the classic cadence bit-for-bit.
+        plan immediately, without waiting for the end of the current window —
+        reorganisation I/O lands in the lull instead of the next busy window.
+        Under ``admission="fixed"`` this is a no-op, preserving the classic
+        cadence bit-for-bit.
         """
-        self._backlog = 0
         if self.config.admission != "fixed":
             self.finish_migration()
 
@@ -259,8 +255,7 @@ class OnlineLSMController:
         """
         if self._plan is not None:
             return ops_until_step(
-                self.config, self.position, self._plan_started,
-                self._last_step_position, self._backlog,
+                self.config, self.position, self._plan_started, self._last_step_position
             )
         interval = self.config.check_interval
         return interval - self.position % interval
@@ -279,7 +274,6 @@ class OnlineLSMController:
         per-operation :meth:`execute`.
         """
         total = len(trace)
-        self._backlog = total
         start = 0
         while start < total:
             due = self._ops_until_boundary()
@@ -289,7 +283,6 @@ class OnlineLSMController:
             self.estimator.record_batch(window)
             self._advance(stop - start, due)
             start = stop
-        self._backlog = 0
 
     # ------------------------------------------------------------------
     # Adaptive loop

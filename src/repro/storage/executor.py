@@ -16,13 +16,13 @@ and ``compare`` all go through one fleet runner, whose tuning x shard tasks
 share the one process pool (:func:`_map_tasks`).  The query stream belongs to
 the call, not to a task: the runner generates each global trace, routes it
 and partitions the key space once, and every task replays what it is handed
-(§8 compares tunings on one bulk load and one stream).  A static task replays
-one session at a time, its workload traces joined into one trace, so the
-replay loop drains its pending reads once per session, where §8 reads the
-counters; an adaptive task replays each workload trace on its own (see
-:meth:`WorkloadExecutor.run_shard`).  A fleet's sessions sum the per-shard
-:class:`~repro.storage.disk.IOCounters` deltas, amortised over the global
-query count, so they read exactly like a single tree's.
+(§8 compares tunings on one bulk load and one stream).  A task, static or
+adaptive, replays one session at a time, its workload traces joined into one
+trace, so the replay loop drains its pending reads once per session, where §8
+reads the counters (see :meth:`WorkloadExecutor.run_shard`).  A fleet's
+sessions sum the per-shard :class:`~repro.storage.disk.IOCounters` deltas,
+amortised over the global query count, so they read exactly like a single
+tree's.
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ class WorkloadExecutor:
     def stream(self, sequence: SessionSequence) -> Iterator[Trace]:
         """The global query stream of ``sequence``: one trace per workload of
         every session, in order, each generated only when it is asked for (a
-        static :meth:`run_shard` asks for a session's traces together)."""
+        :meth:`run_shard` asks for a session's traces together)."""
         generator = self.trace_generator()
         for session in sequence:
             for workload in session.workloads:
@@ -435,11 +435,11 @@ class WorkloadExecutor:
         The task makes no stream of its own.  ``traces`` holds one trace per
         workload of ``sequence``, in order — the shard's routed sub-streams
         (operations keep their global stream positions), or the whole stream
-        on a single tree — and is read one session at a time (one trace at a
-        time when adaptive), so a generator keeps no more than a session's
-        traces alive.  ``averages`` holds each session's average workload.
-        The tree loads ``keys``, the shard's hash partition of the key space,
-        or the whole key space when ``keys`` is ``None``.
+        on a single tree — and is read one session at a time, so a generator
+        keeps no more than a session's traces alive.  ``averages`` holds each
+        session's average workload.  The tree loads ``keys``, the shard's hash
+        partition of the key space, or the whole key space when ``keys`` is
+        ``None``.
 
         With ``adaptive`` the operations flow through an
         :class:`~repro.online.controller.OnlineLSMController`: it watches the
@@ -450,14 +450,13 @@ class WorkloadExecutor:
         :class:`~repro.online.controller.OnlineConfig` (defaults when
         omitted) and ``policies`` bounds what re-tunings may deploy.
 
-        A static tree replays each session's traces joined into one
+        Each session replays as its traces joined into one
         (:meth:`~repro.workloads.traces.Trace.concatenate`), in one call of
         the replay loop, which drains its pending reads at flushes and at the
         call's end; the counters are those of a call per trace, since a read's
-        pages depend on its key or interval and the runs alone.  The
-        controller keeps one call per workload trace: ``queue-depth``
-        admission holds a migration step back until the rest of the current
-        call is served, so a joined call would move the steps.
+        pages depend on its key or interval and the runs alone, and the
+        controller's drift checks and migration steps on the stream position
+        alone.
         """
         traces = iter(traces)
         tree = self.build_tree(tuning, keys=keys, shard=shard)
@@ -486,21 +485,16 @@ class WorkloadExecutor:
                 # Everything that hits the disk between the snapshots
                 # (queries, flushes, compactions, migrations) is the session's.
                 before = disk.snapshot()
-                parts = (next(traces) for _ in session.workloads)
-                if controller is None:
-                    # One replay per session: its pending reads drain at
-                    # flushes and once before the snapshot, not at every
-                    # workload's end, where no counter is read.
-                    parts = [Trace.concatenate(list(parts))]
-                num_queries = 0
-                for trace in parts:
-                    num_queries += len(trace)
-                    start = time.perf_counter()
-                    replay(trace)
-                    elapsed += time.perf_counter() - start
+                # One replay per session: its pending reads drain at flushes
+                # and once before the snapshot, not at every workload's end,
+                # where no counter is read.
+                trace = Trace.concatenate([next(traces) for _ in session.workloads])
+                start = time.perf_counter()
+                replay(trace)
+                elapsed += time.perf_counter() - start
                 sessions.append(
                     SessionMeasurement.of(
-                        session.label, average, num_queries, disk.counters.delta(before)
+                        session.label, average, len(trace), disk.counters.delta(before)
                     )
                 )
                 if controller is not None:
@@ -561,8 +555,7 @@ class WorkloadExecutor:
         trace (:func:`~repro.serving.sharding.route_operations`) and one
         partition of the key space.  All tunings replay the same stream.  With
         more than one task the traces are materialised; a 1-task fleet is fed
-        the lazy :meth:`stream`, one session's traces alive at a time (one
-        trace at a time when adaptive).
+        the lazy :meth:`stream`, one session's traces alive at a time.
 
         A 1-shard fleet's measurement is its one run's.  A larger fleet's
         sessions sum the shards' counters, and count the *global* stream's

@@ -10,6 +10,7 @@ from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import ADMISSION_MODES, OnlineConfig, OnlineLSMController
 from repro.online.controller import ops_until_step
 from repro.storage import LSMTree
+from repro.storage.lsm_tree import MAX_BATCH_OPS
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
 _SYSTEM = simulator_system(num_entries=4_000)
@@ -29,32 +30,36 @@ def _config(mode="fixed", step_ops=256) -> OnlineConfig:
     return OnlineConfig(admission=mode, migration_step_ops=step_ops)
 
 
-def _admits(config, position, plan_started, last_step, backlog) -> bool:
+def _admits(config, position, plan_started, last_step) -> bool:
     """Whether a step is admitted at ``position``, checked after each
     operation: the per-position predicate ``ops_until_step`` solves."""
     if config.admission == "fixed":
         return (position - plan_started) % config.migration_step_ops == 0
-    return position - last_step >= config.migration_step_ops and backlog == 0
+    return (
+        position - last_step >= config.migration_step_ops
+        and position % MAX_BATCH_OPS == 0
+    )
 
 
 class TestStepAdmissionPolicy:
     def test_fixed_reproduces_the_historical_cadence(self):
         config = _config(step_ops=64)
         for position in range(1, 400):
-            assert ops_until_step(config, position, 7, 0, backlog=10**6) == (
+            assert ops_until_step(config, position, 7, 0) == (
                 64 - (position - 7) % 64
             )
 
-    def test_queue_depth_defers_while_the_backlog_is_deep(self):
+    def test_queue_depth_defers_to_the_window_end(self):
         config = _config("queue-depth", 10)
-        # Due by cadence but the chunk is still being served: deferred until
-        # it has drained, however long ago the last step ran.
-        assert ops_until_step(config, 49, 0, 30, backlog=500) == 500
-        assert ops_until_step(config, 10_000, 0, 30, backlog=10**6) == 10**6
-        # Chunk drained: admitted at the next operation.
-        assert ops_until_step(config, 49, 0, 30, backlog=0) == 1
-        # Not yet due by cadence even when idle.
-        assert ops_until_step(config, 34, 0, 30, backlog=0) == 6
+        # Due by cadence but the window is still being served: deferred to
+        # its end, however long ago the last step ran.
+        assert ops_until_step(config, 49, 0, 30) == MAX_BATCH_OPS - 49
+        assert ops_until_step(config, 10_000, 0, 30) == 3 * MAX_BATCH_OPS - 10_000
+        # One operation before the window end: admitted at the next one.
+        assert ops_until_step(config, MAX_BATCH_OPS - 1, 0, 30) == 1
+        # Not yet due by cadence at the window end: the next window's end.
+        end = MAX_BATCH_OPS
+        assert ops_until_step(config, end - 4, 0, end - 6) == MAX_BATCH_OPS + 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,50 +77,46 @@ class TestStepAdmissionPolicy:
 
     @given(
         mode=st.sampled_from(ADMISSION_MODES),
-        position=st.integers(min_value=0, max_value=5_000),
+        position=st.integers(min_value=0, max_value=20_000),
         started_ago=st.integers(min_value=0, max_value=5_000),
         stepped_ago=st.integers(min_value=0, max_value=5_000),
-        backlog=st.integers(min_value=0, max_value=10_000),
-        step_ops=st.integers(min_value=1, max_value=512),
+        step_ops=st.integers(min_value=1, max_value=8_192),
     )
     @settings(max_examples=200, deadline=None)
     def test_ops_until_step_is_the_first_admitting_position(
-        self, mode, position, started_ago, stepped_ago, backlog, step_ops,
+        self, mode, position, started_ago, stepped_ago, step_ops,
     ):
         """The closed form agrees with stepping one operation at a time.
 
         This is the contract batched execution relies on: bounding a span by
         ``ops_until_step`` can never jump over an admission the scalar loop
-        would have taken, because within a span the backlog drains by one per
-        operation and the elapsed count grows by one.
+        would have taken, because within a span the position and the elapsed
+        count both grow by one per operation.
         """
         config = _config(mode, step_ops)
         plan_started = max(0, position - started_ago)
         last_step = max(0, position - stepped_ago)
-        k = ops_until_step(config, position, plan_started, last_step, backlog)
+        k = ops_until_step(config, position, plan_started, last_step)
         assert k >= 1
         for j in range(1, k):
-            assert not _admits(
-                config, position + j, plan_started, last_step, max(0, backlog - j)
-            )
-        assert _admits(config, position + k, plan_started, last_step, max(0, backlog - k))
+            assert not _admits(config, position + j, plan_started, last_step)
+        assert _admits(config, position + k, plan_started, last_step)
 
 
 class TestOnlineConfigWiring:
     def test_the_controller_reads_its_config(self):
         controller = _mid_flight_controller(admission="queue-depth")
         assert controller.config.admission == "queue-depth"
-        controller._backlog = 500
         assert controller._ops_until_boundary() == ops_until_step(
             controller.config, controller.position, controller._plan_started,
-            controller._last_step_position, 500,
-        ) == 500
+            controller._last_step_position,
+        ) == MAX_BATCH_OPS - controller.position
 
     def test_default_is_fixed(self):
         config = OnlineConfig()
         assert config.admission == "fixed"
-        # The fixed cadence does not read the backlog.
-        assert ops_until_step(config, 100, 0, 0, backlog=10**6) == 156
+        # The fixed cadence does not read the window.
+        assert ops_until_step(config, 100, 0, 0) == 156
 
     def test_rejects_unknown_admission_at_construction(self):
         with pytest.raises(ValueError):
@@ -179,53 +180,75 @@ class TestControllerAdmission:
         assert controller.migration_plan is None
         assert controller.tree is plan.target
 
-    def test_queue_depth_defers_steps_inside_a_busy_chunk(self):
-        """Serving a deep queue, queue-depth admits fewer steps than fixed."""
+    def test_queue_depth_defers_steps_inside_a_busy_window(self):
+        """Serving a window, queue-depth admits no step before its end; fixed
+        keeps its cadence."""
         results = {}
         for admission in ADMISSION_MODES:
             controller = _mid_flight_controller(admission=admission)
             plan = controller.migration_plan
+            before = plan.steps_completed
             trace = TraceGenerator(_KEY_SPACE, seed=31)
-            # One big busy chunk: the backlog stays deep almost throughout.
-            controller.execute(
-                trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_500)
-            )
-            results[admission] = plan.steps_completed
-        # Queue-depth runs its one due step as the chunk drains.
-        assert results["queue-depth"] == 2
+            # One big busy chunk that stops one operation short of the window end.
+            controller.execute(trace.operations(
+                Workload(0.0, 0.0, 1.0, 0.0), MAX_BATCH_OPS - 1 - controller.position
+            ))
+            results[admission] = plan.steps_completed - before
+            if admission == "queue-depth":
+                # The window end runs the one due step.
+                controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1))
+                assert plan.steps_completed == before + 1
+                assert controller._last_step_position == MAX_BATCH_OPS
+        assert results["queue-depth"] == 0
         assert results["queue-depth"] < results["fixed"]
 
     def test_starvation_bound_keeps_the_plan_moving(self):
-        """The end of the served chunk bounds how long a due step waits.
-
-        The backlog is the unserved rest of the chunk, so it reaches 0 at the
-        chunk's last operation: however deep each chunk, every chunk at least
-        one cadence long runs exactly one step, at its end.
-        """
-        controller = _mid_flight_controller(admission="queue-depth")
+        """The window end bounds how long a due step waits: however the
+        stream is cut into calls, every window end at least one cadence past
+        the last step runs exactly one step, and a lull runs the rest."""
+        controller, steps, expected = _step_positions(chunk=300, step_ops=64)
+        assert steps == expected == [MAX_BATCH_OPS, 2 * MAX_BATCH_OPS, 3 * MAX_BATCH_OPS]
         plan = controller.migration_plan
-        trace = TraceGenerator(_KEY_SPACE, seed=31)
-        for _ in range(4):
-            before = plan.steps_completed
-            controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 300))
-            assert plan.steps_completed == before + 1
-            assert controller._last_step_position == controller.position
-            assert controller._backlog == 0
+        controller.execute(TraceGenerator(_KEY_SPACE, seed=5).operations(
+            Workload(0.0, 0.0, 1.0, 0.0), 300
+        ))
+        assert len(steps) == 3
+        controller.note_idle()
+        assert plan.completed
 
-    def test_short_chunks_step_at_the_first_chunk_end_past_the_cadence(self):
-        """Chunks shorter than the cadence: a step runs at the first chunk end
-        at least ``migration_step_ops`` operations after the last step."""
-        controller = _mid_flight_controller(admission="queue-depth")
-        step_ops = controller.config.migration_step_ops
-        plan = controller.migration_plan
-        trace = TraceGenerator(_KEY_SPACE, seed=31)
-        last = controller._last_step_position
-        for _ in range(40):
-            before = plan.steps_completed
-            controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 10))
-            due = controller.position - last >= step_ops
-            assert plan.steps_completed == before + due
-            if due:
-                assert controller._last_step_position == controller.position
-                last = controller.position
-        assert plan.steps_completed >= 2
+    @pytest.mark.parametrize("chunk", [10, 700])
+    def test_short_chunks_step_at_the_first_window_end_past_the_cadence(self, chunk):
+        """A step runs at the first window end at least ``migration_step_ops``
+        operations after the last step: with a cadence longer than the rest
+        of the plan's first window, its end is skipped."""
+        controller, steps, expected = _step_positions(chunk, step_ops=4_050)
+        assert steps == expected == [2 * MAX_BATCH_OPS, 3 * MAX_BATCH_OPS]
+
+
+def _step_positions(chunk, step_ops):
+    """Serve three windows' worth of range scans in calls of ``chunk``
+    operations on a mid-flight queue-depth controller.  Returns the
+    controller, the positions its migration steps ran at, and the positions
+    the stream predicate admits."""
+    controller = _mid_flight_controller(admission="queue-depth", migration_step_ops=step_ops)
+    steps = []
+    advance = controller.advance_migration
+
+    def record():
+        steps.append(controller.position)
+        advance()
+
+    controller.advance_migration = record
+    trace = TraceGenerator(_KEY_SPACE, seed=31)
+    end = 3 * MAX_BATCH_OPS
+    while controller.position < end:
+        count = min(chunk, end - controller.position)
+        controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), count))
+    # The plan's first step ran at its start.
+    last, expected = controller._plan_started, []
+    for position in range(MAX_BATCH_OPS, end + 1, MAX_BATCH_OPS):
+        if position - last >= step_ops:
+            expected.append(position)
+            last = position
+    assert controller.migration_plan is not None
+    return controller, steps, expected

@@ -317,11 +317,12 @@ class TestOneStreamPerCall:
         assert len(partitioned) == 1
         assert len(mixed) == num_workloads + 1
 
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
     def test_one_task_generates_each_session_after_replaying_the_last(
-        self, two_per_session, monkeypatch
+        self, two_per_session, monkeypatch, adaptive
     ):
         """A 1-task fleet is fed lazily, one session's traces alive at a time,
-        and replays each session in one call of the loop."""
+        and replays each session in one call of the loop, static or adaptive."""
         events = []
         generate = TraceGenerator.operations
 
@@ -329,38 +330,31 @@ class TestOneStreamPerCall:
             events.append("generate")
             return generate(self, workload, num_operations)
 
-        def replaying(tree, trace, *args, **kwargs):
-            events.append("replay")
-            return execute_operations_batched(tree, trace, *args, **kwargs)
+        def replaying(replay):
+            def replayed(*args, **kwargs):
+                events.append("replay")
+                return replay(*args, **kwargs)
+
+            return replayed
 
         monkeypatch.setattr(TraceGenerator, "operations", generating)
         monkeypatch.setattr(
-            "repro.storage.executor.execute_operations_batched", replaying
+            "repro.storage.executor.execute_operations_batched",
+            replaying(execute_operations_batched),
         )
-        WorkloadExecutor(_SYSTEM, _config()).run_sequence(_TUNING, two_per_session)
+        monkeypatch.setattr(
+            OnlineLSMController, "execute_batched",
+            replaying(OnlineLSMController.execute_batched),
+        )
+        executor = WorkloadExecutor(_SYSTEM, _config())
+        if adaptive:
+            executor.run_sequence_adaptive(_TUNING, two_per_session, online=_ONLINE)
+        else:
+            executor.run_sequence(_TUNING, two_per_session)
         expected = []
         for session in two_per_session:
             expected += ["generate"] * len(session.workloads) + ["replay"]
         assert events == expected
-
-    def test_an_adaptive_run_replays_each_workload_trace_on_its_own(
-        self, two_per_session, monkeypatch
-    ):
-        """The controller's ``queue-depth`` backlog is the rest of one call,
-        so an adaptive run keeps one ``execute_batched`` call per trace."""
-        lengths = []
-        execute = OnlineLSMController.execute_batched
-
-        def executing(self, trace, *args, **kwargs):
-            lengths.append(len(trace))
-            return execute(self, trace, *args, **kwargs)
-
-        monkeypatch.setattr(OnlineLSMController, "execute_batched", executing)
-        WorkloadExecutor(_SYSTEM, _config()).run_sequence_adaptive(
-            _TUNING, two_per_session, online=_ONLINE
-        )
-        num_workloads = sum(len(session.workloads) for session in two_per_session)
-        assert lengths == [_config().queries_per_workload] * num_workloads
 
 
 class TestPersistentSharding:

@@ -18,8 +18,10 @@ runs on:
 * the ``OnlineLSMController`` under ``fixed`` and ``queue-depth`` admission,
   through a re-tune and an incremental migration;
 * the executors, whose session measurements must equal a scalar replay of the
-  traces they regenerate; a static session, replayed as one trace, must equal
-  a call of the loop per workload trace (``TestSessionReplay``).
+  traces they regenerate; a session, static or adaptive, replayed as one
+  trace, must equal a call of the loop per workload trace
+  (``TestSessionReplay``), and a controller's counters, events and step
+  positions must not depend on where its stream is cut into calls.
 
 Streams are dense in the shape the loop reorders — GET · RANGE · GET · PUT with
 no flush in between, where the run side of the pending GETs and RANGEs waits
@@ -39,7 +41,7 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from itertools import count
 from pathlib import Path
 from unittest import mock
@@ -928,6 +930,9 @@ _ONLINE = dict(
 #: phase is full of GET · RANGE · GET windows, the burst fires the detector.
 _CALM = Workload(0.40, 0.25, 0.30, 0.05)
 _BURST = Workload(0.05, 0.05, 0.05, 0.85)
+#: A calm-then-burst stream long enough that a migration is in flight across
+#: a ``MAX_BATCH_OPS`` window end.
+_CUT_STREAM = 6_000
 
 
 class TestControllerParity:
@@ -1007,6 +1012,62 @@ class TestControllerParity:
         scalar = self._run(False, admission, seed, length)
         batched = self._run(True, admission, seed, length, max_batch_ops)
         self._assert_same(batched, scalar)
+
+    @given(
+        admission=st.sampled_from(ADMISSION_MODES),
+        backend=st.sampled_from(["memory", "files"]),
+        seed=st.sampled_from([11, 12]),
+        cuts=st.lists(st.integers(1, _CUT_STREAM - 1), min_size=1, max_size=40),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_a_stream_cut_into_calls_replays_as_one_call(self, admission, backend, seed, cuts):
+        """Migration steps, events, counters, estimator and tree are functions
+        of the stream, not of where a caller cut it into calls."""
+        cut = _replay_cut(admission, backend, seed, tuple(sorted(set(cuts))))
+        assert cut == _replay_cut(admission, backend, seed, ())
+
+
+@cache
+def _replay_cut(admission, backend, seed, cuts):
+    """Replay the drifting stream of ``seed`` through one controller in calls
+    of ``execute_batched`` cut at ``cuts``.  Returns the positions its
+    migration steps ran at (beyond each plan's first, at the firing), its
+    events, counters, estimator state and final tree's fingerprint."""
+    generator = TraceGenerator(_KEY_SPACE, seed=seed)
+    half = _CUT_STREAM // 2
+    stream = Trace.concatenate(
+        [generator.operations(_CALM, half), generator.operations(_BURST, half)]
+    )
+    with tempfile.TemporaryDirectory() as root:
+        store = FileStore(Path(root) / "tree") if backend == "files" else None
+        tree = LSMTree(LSMTuning(20.0, 8.0, Policy.LEVELING), _SYSTEM, store=store)
+        tree.bulk_load(_KEY_SPACE.existing)
+        tree.disk.reset()
+        controller = OnlineLSMController(
+            tree=tree, expected=_CALM, config=OnlineConfig(**_ONLINE, admission=admission)
+        )
+        steps = []
+        advance = controller.advance_migration
+
+        def recording():
+            steps.append(controller.position)
+            advance()
+
+        controller.advance_migration = recording
+        bounds = [0, *cuts, len(stream)]
+        for start, stop in zip(bounds, bounds[1:]):
+            controller.execute_batched(stream[start:stop])
+        estimator = controller.estimator
+        try:
+            return (
+                steps, controller.events, controller.disk.counters, controller.position,
+                estimator._counts, estimator._weight, estimator.observations,
+                tree_fingerprint(controller.tree),
+            )
+        finally:
+            if controller.migration_plan is not None:
+                controller.migration_plan.target.dispose()
+            controller.tree.dispose()
 
 
 @pytest.fixture(scope="module")
@@ -1134,8 +1195,9 @@ def _two_session_stream(executor, buffer_entries: int):
 
 
 class TestSessionReplay:
-    """A static run replays each session as one trace; its sessions, final
-    tree and stats equal those of a call of the loop per workload trace."""
+    """A run replays each session as one trace; its sessions, final tree and
+    stats (and, when adaptive, its events and final tuning) equal those of a
+    call of the loop per workload trace."""
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("backend", ["simulated", "persistent"])
@@ -1195,6 +1257,51 @@ class TestSessionReplay:
                 assert run.stats == tree.stats()
             finally:
                 executor.dispose_tree(tree)
+
+    @pytest.mark.parametrize("backend", ["simulated", "persistent"])
+    @pytest.mark.parametrize("admission", ADMISSION_MODES)
+    def test_an_adaptive_session_replay_matches_a_call_per_trace(
+        self, admission, backend, monkeypatch
+    ):
+        """The controller fires in session 0, and a plan is in flight at the
+        trace boundaries inside a session after that: a step admitted at the
+        end of a call would part the two sides."""
+        online = OnlineConfig(**_ONLINE, admission=admission)
+        executor = WorkloadExecutor(
+            _SYSTEM, ExecutorConfig(queries_per_workload=200, seed=5, backend=backend)
+        )
+        tuning = _TUNINGS[0]
+        sequence, traces = _two_session_stream(executor, LSMTree(tuning, _SYSTEM).buffer_entries)
+        monkeypatch.setattr(executor, "stream", lambda sequence: iter(traces))
+        measured = executor.run_sequence_adaptive(tuning, sequence, online=online)
+
+        controller = OnlineLSMController(
+            tree=executor.build_tree(tuning), expected=sequence.expected, config=online
+        )
+        parts, in_flight = iter(traces), []
+        try:
+            for session, measurement in zip(sequence, measured.sessions, strict=True):
+                before = controller.disk.snapshot()
+                lengths = []
+                for _ in session.workloads:
+                    trace = next(parts)
+                    controller.execute_batched(trace)
+                    lengths.append(len(trace))
+                    if len(lengths) < len(session.workloads):
+                        in_flight.append(controller.migration_plan is not None)
+                assert measurement.num_queries == sum(lengths)
+                assert _session_counters(measurement) == controller.disk.counters.delta(before)
+                controller.note_idle()
+            controller.finish_migration()
+            assert in_flight == [False, True, True]
+            assert measured.events == tuple(controller.events)
+            assert measured.final_tuning == controller.tuning
+            assert measured.shards[0].fingerprint == tree_fingerprint(controller.tree)
+            assert measured.shards[0].stats == controller.tree.stats()
+        finally:
+            if controller.migration_plan is not None:
+                executor.dispose_tree(controller.migration_plan.target)
+            executor.dispose_tree(controller.tree)
 
 
 class TestGetManyParity:

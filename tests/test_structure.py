@@ -210,6 +210,15 @@ RULES = (
     ),
     Rule("no-should-step", SRC, r"\bshould_step\b", 37,
          "    def should_step(self, position, plan_started, last_step, backlog):"),
+    # Admission reads the stream position, not the call: no backlog, and
+    # ``run_shard`` replays a session in one call on both paths.
+    Rule("controller-no-backlog-field", "src/repro/online/controller.py", r"\b_backlog\b", 58,
+         "        self._backlog = 0"),
+    Rule("controller-no-backlog-parameter", "src/repro/online/controller.py",
+         rf"{PARAMETER}backlog\b", 58,
+         "    config: OnlineConfig, position: int, plan_started: int, last_step: int, backlog: int"),
+    Rule("run-shard-one-replay-path", EXECUTOR, r"^ {16,}if controller is None\b", 58,
+         "                if controller is None:", scope=("WorkloadExecutor.run_shard",)),
     Rule("plan-derives-checkpoint", "src/repro/online/migration.py",
          rf"{PARAMETER}checkpoint_keys\b", 37, "        checkpoint_keys: np.ndarray,",
          scope=("MigrationPlan.__init__",)),

@@ -4,11 +4,7 @@ from .base import NominalTuner
 from .grid import GridTuner
 from .results import TuningResult
 from .robust import RobustTuner
-from .uncertainty import (
-    UncertaintyRegion,
-    dual_objective,
-    kl_conjugate,
-)
+from .uncertainty import UncertaintyRegion
 
 __all__ = [
     "GridTuner",
@@ -16,6 +12,4 @@ __all__ = [
     "RobustTuner",
     "TuningResult",
     "UncertaintyRegion",
-    "dual_objective",
-    "kl_conjugate",
 ]

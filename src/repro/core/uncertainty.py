@@ -1,20 +1,24 @@
-"""KL-divergence uncertainty regions and their convex-duality machinery (§4).
+"""The KL uncertainty region: the worst case over it and its certificate (§4).
 
 The robust tuning problem maximises the worst-case cost over the uncertainty
 region
 
     U_w^ρ = { ŵ ≥ 0 : ŵᵀe = 1, I_KL(ŵ, w) ≤ ρ }.
 
-Ben-Tal et al. (2013) show that the inner maximisation has a tractable dual
-built on the conjugate of the KL divergence, ``φ*_KL(s) = eˢ − 1``.  This
-module provides:
+Its centre is a point of the simplex: the region normalises the expected
+weights once, to ``w / Σ w`` (a workload may sum to ``1 ± 1e-6``), and every
+quantity below reads that one vector.  :class:`UncertaintyRegion` provides
 
-* the conjugate function and the dual objective term,
-* an exact solver for the *inner* problem (worst-case workload for a fixed
-  cost vector), used both to evaluate tunings and to cross-check the dual,
-* a lower bound of the inner problem that needs no solve — the best mixture
-  of the expected workload with one query type — by which the robust search
-  skips cost vectors that cannot matter.
+* an exact solver for the *inner* problem — the worst-case workload of a cost
+  vector, the exponential tilt ``ŵ_i ∝ w_i · exp(θ c_i)`` — by which the
+  tuners price a tuning;
+* its dual, ``g(θ) = max c + (ρ + ln Σ_i w_i · exp(θ(c_i − max c))) / θ``
+  (Ben-Tal et al. 2013, with the conjugate ``φ*_KL(s) = eˢ − 1`` and its
+  intercept minimised out, ``λ = 1/θ``): every ``θ > 0`` bounds the worst
+  case from above, and the tilt's ``θ*`` attains it;
+* a lower bound that needs no solve — the best mixture of the expected
+  workload with one query type — by which the robust search skips cost
+  vectors that cannot matter.
 """
 
 from __future__ import annotations
@@ -28,11 +32,6 @@ import numpy as np
 from ..workloads.workload import Workload, kl_divergence
 
 
-def kl_conjugate(s: np.ndarray | float) -> np.ndarray | float:
-    """Conjugate of the KL divergence, ``φ*_KL(s) = eˢ − 1``."""
-    return np.exp(s) - 1.0
-
-
 @dataclass(frozen=True)
 class UncertaintyRegion:
     """The KL ball ``U_w^ρ`` around an expected workload ``w``."""
@@ -44,14 +43,12 @@ class UncertaintyRegion:
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
 
-    def contains(self, candidate: Workload, tolerance: float = 1e-9) -> bool:
-        """Whether ``candidate`` lies inside the region (up to ``tolerance``)."""
-        divergence = kl_divergence(candidate.as_array(), self.expected.as_array())
-        return bool(divergence <= self.rho + tolerance)
-
     def divergence(self, candidate: Workload) -> float:
-        """KL divergence of ``candidate`` from the expected workload."""
-        return kl_divergence(candidate.as_array(), self.expected.as_array())
+        """KL divergence of ``candidate`` from the (normalised) expected workload."""
+        support, weights, _ = self._support
+        centre = np.zeros(support.shape)
+        centre[support] = weights
+        return kl_divergence(candidate.as_array(), centre)
 
     # ------------------------------------------------------------------
     # Worst-case workload (inner maximisation)
@@ -69,37 +66,41 @@ class UncertaintyRegion:
         in between by one vectorised safeguarded-Newton solve.  ``costs`` has
         shape ``(..., 4)``; the result drops the last axis.
         """
-        return self._tilt(self._supported_spread(self._supported_costs(costs)))
+        supported = self._supported_costs(costs)
+        return self._tilt(supported, self._supported_spread(supported))
 
     @functools.cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support mask of the expected workload and its weights there.
+    def _support(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The support mask of the expected workload, its weights there
+        normalised to sum to 1 (the centre of the region), and the few ulps
+        ``Σ w − 1`` by which they do not.
 
         Read once per region: a robust objective call builds one region and
         asks it for the weights several times.
         """
         weights = self.expected.as_array()
         support = weights > 0.0
-        return support, weights[support]
+        centre = weights[support] / np.add.reduce(weights[support])
+        return support, centre, math.fsum((*centre.tolist(), -1.0))
 
     def _supported_costs(self, costs: np.ndarray) -> np.ndarray:
         """The supported components of a batch of cost vectors."""
         return np.asarray(costs, dtype=float)[..., self._support[0]]
 
-    def _tilt(self, spread: np.ndarray) -> np.ndarray:
-        weights = self._support[1]
+    def _tilt(self, supported: np.ndarray, spread: np.ndarray) -> np.ndarray:
+        _, weights, residual = self._support
         if self.rho <= _NO_UNCERTAINTY:
             return np.zeros(spread.shape[:-1])
         limit = -np.log(np.add.reduce(np.where(spread == 0.0, weights, 0.0), axis=-1))
         theta = np.full(limit.shape, np.inf)
         inside = self.rho < limit
-        theta[inside] = _solve_tilt(spread[inside], weights, self.rho)
+        theta[inside] = _solve_tilt(supported[inside], spread[inside], weights, residual, self.rho)
         return theta
 
     def _worst_supported(self, supported: np.ndarray) -> np.ndarray:
         """Worst-case weights on the support of a batch of supported costs."""
         spread = self._supported_spread(supported)
-        theta = self._tilt(spread)[..., None]
+        theta = self._tilt(supported, spread)[..., None]
         with np.errstate(invalid="ignore"):
             tilted = self._support[1] * np.where(
                 np.isinf(theta), spread == 0.0, np.exp(theta * spread)
@@ -123,20 +124,32 @@ class UncertaintyRegion:
         supported = self._supported_costs(costs)
         return np.add.reduce(self._worst_supported(supported) * supported, axis=-1)
 
-    def worst_case_workload(self, cost_vector: np.ndarray) -> Workload:
-        """Workload in the region that maximises ``ŵ · c`` for a fixed ``c``."""
-        cost = np.asarray(cost_vector, dtype=float)
-        if cost.shape != (4,):
-            raise ValueError("cost_vector must have exactly 4 components")
-        if self.rho <= _NO_UNCERTAINTY:
-            return self.expected
-        return Workload.from_array(
-            self.worst_case_weights(cost), self.expected.long_range_fraction
-        )
-
     def worst_case_cost(self, cost_vector: np.ndarray) -> float:
         """Value of the inner maximisation ``max_{ŵ ∈ U} ŵ · c``."""
         return float(self.worst_case_costs(cost_vector))
+
+    def dual_value(self, cost_vector: np.ndarray, theta: float) -> float:
+        """The dual ``g(θ) = a + (ρ + ln Σ_i w_i·exp(θ(c_i − a))) / θ`` at ``θ > 0``.
+
+        The same for every anchor ``a``; at the tilted mean ``m_θ`` it is
+        ``m_θ + (ρ − I_KL(tilted_θ, w)) / θ``, read as the tilt solve reads
+        it (:func:`_tilted`).  An upper bound of the worst case for every
+        ``θ``, equal to it at the tilt's ``θ*``.  ``θ = ∞`` reads the largest
+        supported cost, the vertex; a radius the region answers by ``w``
+        itself reads ``w · c``.
+        """
+        supported = self._supported_costs(cost_vector)
+        _, weights, residual = self._support
+        if self.rho <= _NO_UNCERTAINTY:
+            return float(supported @ weights)
+        if math.isinf(theta):
+            return float(np.maximum.reduce(supported))
+        spread = self._supported_spread(supported)[:, None]
+        with np.errstate(over="ignore"):
+            mean, _, divergence = _tilted(
+                theta, supported[:, None], spread, weights[:, None], residual
+            )
+        return float(mean[0] + (self.rho - divergence[0]) / theta)
 
     # ------------------------------------------------------------------
     # A lower bound without the tilt
@@ -149,36 +162,28 @@ class UncertaintyRegion:
         which grows from 0 at ``t = 0`` to ``−ln w_j`` at ``t = 1``.  A vertex
         within the radius is reached outright (``t_j = 1``); otherwise
         bisection in plain floats keeps the feasible end, so every mixture lies
-        in the region.  Radii the region answers by ``w`` itself give 0.
-
-        Weights may sum to ``s = 1 ± 1e-6``.  The region, like the tilt,
-        measures divergence from the weights as given, and
-        ``I_KL(ŵ, w) = I_KL(ŵ, w/s) − ln s``, so the shares mix the normalised
-        ``w/s`` within the radius ``ρ + ln s``.
+        in the region: the formula takes ``Σ w = 1``, which the normalised
+        weights meet to a few ulps, so it is held to ``ρ − max(1 − Σ w, 0)``.
+        Radii the region answers by ``w`` itself give 0.
         """
-        weights = self._support[1]
-        total = float(np.add.reduce(weights))
-        radius = self.rho + math.log(total) if self.rho > _NO_UNCERTAINTY else 0.0
-        return np.array(_mixture_shares(tuple((weights / total).tolist()), radius))
+        _, weights, residual = self._support
+        return np.array(_mixture_shares(tuple(weights.tolist()), self.rho, residual))
 
     def nominal_costs(self, costs: np.ndarray) -> np.ndarray:
-        """``w·c / Σ w``: the cost under the normalised expected workload.
+        """``w·c``: the cost under the expected workload, the region's centre.
 
         The worst case at ``θ = 0``, so a lower bound of the inner
-        maximisation.  A workload's weights may sum to ``1 ± 1e-6`` while the
-        worst case is a point of the simplex; ``w·c`` alone could then
-        exceed it.
+        maximisation.
         """
-        weights = self._support[1]
-        return (self._supported_costs(costs) @ weights) / np.add.reduce(weights)
+        return self._supported_costs(costs) @ self._support[1]
 
     def mixture_bounds(self, costs: np.ndarray) -> np.ndarray:
         """Lower bound of the inner maximisation for every cost vector of a batch.
 
-        ``max(w·c, max_j [(1 − t_j)·w·c + t_j·c_j])``, ``w`` normalised: the
-        best of ``w`` and its mixtures with one vertex
-        (:meth:`mixture_shares`), each a point of the region.  It needs no
-        tilt, so a search can skip a cost vector whose bound already loses.
+        ``max(w·c, max_j [(1 − t_j)·w·c + t_j·c_j])``: the best of ``w`` and
+        its mixtures with one vertex (:meth:`mixture_shares`), each a point of
+        the region.  It needs no tilt, so a search can skip a cost vector whose
+        bound already loses.
         """
         support = self._support[0].nonzero()[0]
         costs = np.asarray(costs, dtype=float)
@@ -208,8 +213,9 @@ _MIXTURE_BISECTIONS = 30
 
 
 @functools.lru_cache(maxsize=64)
-def _mixture_shares(weights: tuple[float, ...], rho: float) -> tuple[float, ...]:
+def _mixture_shares(weights: tuple[float, ...], rho: float, residual: float) -> tuple[float, ...]:
     """:meth:`UncertaintyRegion.mixture_shares`, once per workload and radius."""
+    radius = rho + min(residual, 0.0)
     shares = []
     for weight in weights:
         if weight <= 0.0:
@@ -222,7 +228,7 @@ def _mixture_shares(weights: tuple[float, ...], rho: float) -> tuple[float, ...]
             share, high = 0.0, 1.0
             for _ in range(_MIXTURE_BISECTIONS):
                 middle = 0.5 * (share + high)
-                if _mixture_divergence(middle, weight) <= rho:
+                if _mixture_divergence(middle, weight) <= radius:
                     share = middle
                 else:
                     high = middle
@@ -233,42 +239,81 @@ def _mixture_shares(weights: tuple[float, ...], rho: float) -> tuple[float, ...]
 def _mixture_divergence(share: float, weight: float) -> float:
     """``I_KL((1 − t)·w + t·e_j, w)`` of a share ``0 < t < 1`` and weight ``w_j``.
 
-    ``ln(1 − t + t/w_j)`` is taken as ``ln t − ln w_j + ln(1 + (1 − t)·w_j/t)``,
-    which a subnormal ``w_j`` cannot overflow.
+    ``ln(1 − t + t/w_j)`` is ``ln(1 + t·(1 − w_j)/w_j)`` up to ``t = w_j``,
+    exact for the small shares of small radii, and beyond it
+    ``ln t − ln w_j + ln(1 + (1 − t)·w_j/t)``, which no subnormal overflows.
     """
     rest = (1.0 - share) * (1.0 - weight) * math.log1p(-share)
-    ratio = math.log(share) - math.log(weight) + math.log1p((1.0 - share) * weight / share)
+    if share <= weight:
+        ratio = math.log1p(share * (1.0 - weight) / weight)
+    else:
+        ratio = math.log(share) - math.log(weight) + math.log1p((1.0 - share) * weight / share)
     return rest + ((1.0 - share) * weight + share) * ratio
 
 
-def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarray:
-    """``θ`` with ``I_KL(tilted_θ, w) = ρ`` for every row of ``spread``.
+def _tilted(
+    theta: np.ndarray | float,
+    costs: np.ndarray,
+    spread: np.ndarray,
+    weights: np.ndarray,
+    residual: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance and divergence ``I_KL(tilted_θ, w)`` of tilted workloads.
 
-    Newton's iteration on the monotone divergence, started from the small-θ
-    expansion ``I_KL ≈ θ² Var_w(c) / 2`` and safeguarded by a bisection
-    bracket: a step that leaves ``[lo, hi]`` is replaced by its midpoint.
-    Each row stops at its own convergence: a converged row keeps its ``θ``
-    while the rest iterate on, and once half the rows are done they leave
-    the arrays.  A row's result therefore does not depend on the batch it is
-    solved in — ``worst_case_costs(batch)[i]`` equals
+    Components run along axis 0 of ``costs`` and ``spread`` (the costs less
+    their largest), and of ``weights``, shape ``(k, 1)``; ``residual`` is
+    ``Σ w − 1``, a few ulps.  The divergence is taken about a float ``a``
+    next to the tilted mean ``m``, as ``θ(m − a) − log1p(Σ_i
+    w_i·expm1(θ(c_i − a)) + residual)``: its terms are of the size of
+    ``θ|c_i − a|``.  The shifted form, ``θ(m − c_max) − ln Σ_i
+    w_i·exp(θ(c_i − c_max))``, cancels two of size ``θ(c_max − m)``: 1e-9
+    relative and worse where the costliest component has a tiny weight.  It
+    stays for a column whose sum ``Σ_i w_i·exp(θ(c_i − a)) = exp(−I_KL)``
+    leaves ``[0.5, 1.5]``: the ``log1p`` form then cancels (``I_KL`` beyond
+    ``ln 2``, where ``θ(c_max − m)`` is no longer large against it) or
+    overflows (a weight near subnormal).
+    """
+    mass = weights * np.exp(theta * spread)
+    total = np.add.reduce(mass, axis=0)
+    anchor = np.add.reduce(mass * costs, axis=0) / total
+    deviation = costs - anchor
+    moment = mass * deviation
+    offset = np.add.reduce(moment, axis=0) / total
+    variance = np.add.reduce(moment * deviation, axis=0) / total
+    less_one = np.add.reduce(weights * np.expm1(theta * deviation), axis=0) + residual
+    log_sum = np.log1p(less_one)
+    far = np.abs(less_one) > 0.5
+    if np.logical_or.reduce(far, axis=None):
+        shifted = np.log(total) + theta * np.maximum.reduce(deviation, axis=0)
+        log_sum = np.where(far, shifted, log_sum)
+    return anchor + offset, variance, theta * offset - log_sum
+
+
+def _solve_tilt(
+    costs: np.ndarray, spread: np.ndarray, weights: np.ndarray, residual: float, rho: float
+) -> np.ndarray:
+    """``θ`` with ``I_KL(tilted_θ, w) = ρ`` for every row of ``costs``.
+
+    Newton's iteration on the monotone divergence (:func:`_tilted`), started
+    from the small-θ expansion ``I_KL ≈ θ² Var_w(c) / 2`` and safeguarded by
+    a bisection bracket: a step that leaves ``[lo, hi]`` is replaced by its
+    midpoint.  Each row stops at its own convergence: a converged row keeps
+    its ``θ`` while the rest iterate on, and once half the rows are done they
+    leave the arrays.  A row's result therefore does not depend on the batch
+    it is solved in — ``worst_case_costs(batch)[i]`` equals
     ``worst_case_cost(batch[i])`` bit for bit.
 
     The search hands it one to a few hundred rows, and an iteration is some
-    forty ufunc calls on them: a 162-row solve costs about 1.4 times a 1-row
+    fifty ufunc calls on them: a 162-row solve costs about twice a 1-row
     one.  The loop therefore calls the ufuncs and their reductions itself
     (``np.add.reduce``, ``np.logical_and.reduce``), not NumPy's Python
     wrappers around them.
     """
     # Components along axis 0: reducing over the (at most four) query types
     # is then a handful of whole-batch additions.
-    columns, weights = np.ascontiguousarray(spread.T), weights[:, None]
-    squared = columns * columns
-    variance = (
-        np.add.reduce(weights * squared, axis=0) - np.add.reduce(weights * columns, axis=0) ** 2
-    )
-    # Cancellation can leave a (numerically) zero variance a hair below zero,
-    # e.g. when all but a subnormal weight sits on one component.
-    variance = np.maximum(variance, 0.0)
+    columns, shifted = np.ascontiguousarray(costs.T), np.ascontiguousarray(spread.T)
+    weights = weights[:, None]
+    _, variance, _ = _tilted(0.0, columns, shifted, weights, residual)  # Var_w(c)
     low = np.zeros(variance.shape)
     high = np.full(variance.shape, _MAX_TILT)
     done = np.zeros(variance.shape, dtype=bool)
@@ -279,11 +324,8 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
     with np.errstate(all="ignore"):
         theta = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
         for _ in range(100):
-            mass = weights * np.exp(theta * columns)
-            total = np.add.reduce(mass, axis=0)
-            mean = np.add.reduce(mass * columns, axis=0) / total
-            variance = np.add.reduce(mass * squared, axis=0) / total - mean * mean
-            excess = theta * mean - np.log(total) - rho
+            _, variance, divergence = _tilted(theta, columns, shifted, weights, residual)
+            excess = divergence - rho
             below = excess < 0.0
             np.copyto(low, theta, where=below)
             np.copyto(high, theta, where=~below)
@@ -299,7 +341,7 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
                 solved[rows[done]] = theta[done]
                 keep = ~done
                 rows, theta, low, high = rows[keep], theta[keep], low[keep], high[keep]
-                columns, squared, done = columns[:, keep], squared[:, keep], done[keep]
+                columns, shifted, done = columns[:, keep], shifted[:, keep], done[keep]
         solved[rows] = theta
         # A root beyond the bracket needs a gap below ~1e-3 between the
         # costliest component and the next: solve such rows again in units
@@ -307,30 +349,6 @@ def _solve_tilt(spread: np.ndarray, weights: np.ndarray, rho: float) -> np.ndarr
         stuck = solved > _MAX_TILT * (1.0 - 1e-12)
         if np.logical_or.reduce(stuck, axis=None):
             gap = -np.maximum.reduce(np.where(spread < 0.0, spread, -np.inf), axis=-1)[stuck]
-            solved[stuck] = _solve_tilt(spread[stuck] / gap[:, None], weights[:, 0], rho) / gap
+            scaled = spread[stuck] / gap[:, None]
+            solved[stuck] = _solve_tilt(scaled, scaled, weights[:, 0], residual, rho) / gap
     return solved
-
-
-def dual_objective(
-    cost_vector: np.ndarray,
-    expected: Workload,
-    rho: float,
-    lam: float,
-    eta: float,
-) -> float:
-    """The dual objective ``g(λ, η)`` of Equation (9) for a fixed cost vector.
-
-    ``g = η + ρλ + λ Σ_i w_i φ*_KL((c_i − η)/λ)``.  As ``λ → 0`` the term
-    tends to the max-constraint indicator; we guard against numerical
-    overflow by clipping the exponent.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    cost = np.asarray(cost_vector, dtype=float)
-    weights = expected.as_array()
-    if lam == 0.0:
-        # Limit of the dual: eta must dominate every cost component.
-        overshoot = np.max(cost - eta)
-        return float(eta if overshoot <= 0 else np.inf)
-    scaled = np.clip((cost - eta) / lam, -700.0, 700.0)
-    return float(eta + rho * lam + lam * np.dot(weights, kl_conjugate(scaled)))

@@ -160,16 +160,7 @@ class UncertaintyBenchmark:
 
         This is the quantity histogrammed in Figure 3.
         """
-        reference_arr = reference.as_array()
-        matrix = self.as_matrix()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(matrix > 0, matrix / reference_arr, 1.0)
-            terms = np.where(matrix > 0, matrix * np.log(ratios), 0.0)
-        divergences = terms.sum(axis=1)
-        # Positive mass in the sample matched with zero reference mass -> inf.
-        infinite = np.any((matrix > 0) & (reference_arr == 0), axis=1)
-        divergences[infinite] = np.inf
-        return divergences
+        return kl_divergence(self.as_matrix(), reference.as_array())
 
     def within_divergence(self, reference: Workload, rho: float) -> list[Workload]:
         """Benchmark workloads whose KL divergence from ``reference`` is ≤ ``rho``

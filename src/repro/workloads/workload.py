@@ -178,22 +178,28 @@ class Workload:
         return base
 
 
-def kl_divergence(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:
+def kl_divergence(
+    p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray
+) -> float | np.ndarray:
     """Kullback–Leibler divergence ``I_KL(p, q) = Σ p_i log(p_i / q_i)``.
 
-    Components of ``p`` that are exactly zero contribute nothing; a positive
-    component of ``p`` matched with a zero component of ``q`` yields infinity.
+    ``q`` is a vector; ``p`` a vector of its shape (a float results) or a
+    stack of them (one divergence per row).  Components of ``p`` that are
+    exactly zero contribute nothing; a positive component of ``p`` matched
+    with a zero component of ``q`` yields infinity.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
-    if p_arr.shape != q_arr.shape:
-        raise ValueError("p and q must have the same shape")
+    if q_arr.ndim != 1 or p_arr.shape[-1:] != q_arr.shape:
+        raise ValueError("p must be a vector of q's shape, or a stack of them")
     if np.any(p_arr < 0) or np.any(q_arr < 0):
         raise ValueError("probability vectors must be non-negative")
-    mask = p_arr > 0
-    if np.any(q_arr[mask] == 0):
-        return float("inf")
-    return float(np.sum(p_arr[mask] * np.log(p_arr[mask] / q_arr[mask])))
+    # ``p / q`` is ``inf`` on a zero ``q``, and its logarithm too; a zero ``p``
+    # (``0 / 0`` included) is masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p_arr > 0, p_arr * np.log(p_arr / q_arr), 0.0)
+    divergence = np.add.reduce(terms, axis=-1)
+    return divergence if divergence.ndim else float(divergence)
 
 
 def average_workload(workloads: Iterable[Workload]) -> Workload:

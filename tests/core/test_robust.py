@@ -45,10 +45,14 @@ class TestRobustTunerBasics:
         worst = region.worst_case_cost(model.cost_vector(robust_w11_rho1.tuning))
         assert robust_w11_rho1.objective == pytest.approx(worst, rel=1e-6)
 
-    def test_dual_objective_close_to_primal_worst_case(self, robust_w11_rho1):
-        """Strong duality at the tuning the search found."""
-        dual = robust_w11_rho1.solver_info["dual_objective"]
-        assert dual == pytest.approx(robust_w11_rho1.objective, rel=0.05)
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("index", [e.index for e in expected_workloads()])
+    def test_dual_objective_close_to_primal_worst_case(self, system, index, rho):
+        """Strong duality at the tuning the search found, on every Table-2
+        cell: the dual at ``θ*`` is exact, at the vertex (``θ* = ∞``) too."""
+        result = RobustTuner(rho=rho, system=system).tune(expected_workload(index).workload)
+        dual = result.solver_info["dual_objective"]
+        assert dual == pytest.approx(result.objective, rel=1e-12)
 
 
 class TestRobustVersusNominal:

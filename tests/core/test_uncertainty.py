@@ -1,4 +1,6 @@
-"""Tests for the KL uncertainty region and the robust-dual machinery."""
+"""Tests for the KL uncertainty region: its worst case and the certificate."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,36 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from repro.core import RobustTuner, UncertaintyRegion, dual_objective, kl_conjugate
-from repro.core.base import _TIE, _coarse_grid, objective
+from repro.core import RobustTuner, UncertaintyRegion
+from repro.core.base import _BOUND_SLACK, _TIE, _ZOOM_MARGIN, _coarse_grid, objective
 from repro.core.uncertainty import kl_divergence
 from repro.lsm import simulator_system
 from repro.workloads import Workload, expected_workload, expected_workloads
 
 
-def minimize_dual_for_cost(
-    cost_vector: np.ndarray, expected: Workload, rho: float
-) -> tuple[float, float, float]:
-    """Minimise the two-variable dual over ``(λ, η)`` for a fixed cost vector.
+def minimize_dual(region: UncertaintyRegion, cost_vector: np.ndarray) -> float:
+    """Minimise the region's dual ``g(θ)`` over ``θ > 0`` for a fixed cost vector.
 
-    Returns ``(value, λ*, η*)``: an independent (Nelder-Mead) route to the
-    worst-case cost, confirming strong duality against the exact tilting
-    solve of :meth:`UncertaintyRegion.worst_case_cost`.
+    An independent (bounded Brent, in ``ln θ``) route to the worst-case cost,
+    confirming strong duality against the exact tilting solve of
+    :meth:`UncertaintyRegion.worst_case_cost`.
     """
-    cost = np.asarray(cost_vector, dtype=float)
-
-    def objective(params: np.ndarray) -> float:
-        lam, eta = params
-        return dual_objective(cost, expected, rho, max(lam, 1e-12), eta)
-
-    result = optimize.minimize(
-        objective,
-        np.array([1.0, float(np.mean(cost))]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000},
+    result = optimize.minimize_scalar(
+        lambda log_theta: region.dual_value(cost_vector, math.exp(log_theta)),
+        bounds=(-12.0, 12.0),
+        method="bounded",
+        options={"xatol": 1e-10},
     )
-    lam, eta = result.x
-    return float(result.fun), float(max(lam, 0.0)), float(eta)
+    return float(result.fun)
+
+
+def witness(region: UncertaintyRegion, cost_vector: np.ndarray) -> Workload:
+    """The worst-case workload of one cost vector."""
+    return Workload.from_array(region.worst_case_weights(cost_vector))
 
 
 @pytest.fixture()
@@ -49,35 +47,20 @@ def cost_vector() -> np.ndarray:
     return np.array([2.0, 1.5, 6.0, 0.5])
 
 
-class TestKLConjugate:
-    def test_zero_at_origin(self):
-        assert kl_conjugate(0.0) == pytest.approx(0.0)
-
-    def test_matches_exponential_form(self):
-        s = np.array([-1.0, 0.0, 2.0])
-        assert np.allclose(kl_conjugate(s), np.exp(s) - 1.0)
-
-    def test_is_convex_on_samples(self):
-        xs = np.linspace(-3, 3, 41)
-        values = kl_conjugate(xs)
-        midpoints = kl_conjugate((xs[:-1] + xs[1:]) / 2)
-        assert np.all(midpoints <= (values[:-1] + values[1:]) / 2 + 1e-12)
-
-
 class TestUncertaintyRegion:
     def test_expected_workload_always_contained(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=0.0)
-        assert region.contains(uniform)
+        assert region.divergence(uniform) <= region.rho + 1e-9
 
     def test_far_workload_not_contained_for_small_rho(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=0.05)
         skewed = Workload(0.9, 0.04, 0.03, 0.03)
-        assert not region.contains(skewed)
+        assert region.divergence(skewed) > region.rho + 1e-9
 
     def test_far_workload_contained_for_large_rho(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=4.0)
         skewed = Workload(0.9, 0.04, 0.03, 0.03)
-        assert region.contains(skewed)
+        assert region.divergence(skewed) <= region.rho + 1e-9
 
     def test_divergence_matches_free_function(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=1.0)
@@ -90,26 +73,24 @@ class TestUncertaintyRegion:
 class TestWorstCaseWorkload:
     def test_zero_rho_returns_expected(self, uniform, cost_vector):
         region = UncertaintyRegion(expected=uniform, rho=0.0)
-        assert region.worst_case_workload(cost_vector) == uniform
+        assert (region.worst_case_weights(cost_vector) == uniform.as_array()).all()
 
     def test_constant_costs_return_expected(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=1.0)
-        worst = region.worst_case_workload(np.full(4, 3.0))
-        assert np.allclose(worst.as_array(), uniform.as_array())
+        worst = region.worst_case_weights(np.full(4, 3.0))
+        assert np.allclose(worst, uniform.as_array())
 
     def test_worst_case_lies_inside_region(self, uniform, cost_vector):
         region = UncertaintyRegion(expected=uniform, rho=0.5)
-        worst = region.worst_case_workload(cost_vector)
-        assert region.contains(worst, tolerance=1e-6)
+        assert region.divergence(witness(region, cost_vector)) <= 0.5 + 1e-6
 
     def test_worst_case_constraint_is_tight(self, uniform, cost_vector):
         region = UncertaintyRegion(expected=uniform, rho=0.5)
-        worst = region.worst_case_workload(cost_vector)
-        assert region.divergence(worst) == pytest.approx(0.5, abs=1e-4)
+        assert region.divergence(witness(region, cost_vector)) == pytest.approx(0.5, abs=1e-4)
 
     def test_worst_case_shifts_mass_to_expensive_queries(self, uniform, cost_vector):
         region = UncertaintyRegion(expected=uniform, rho=0.5)
-        worst = region.worst_case_workload(cost_vector)
+        worst = witness(region, cost_vector)
         # Ranges are the most expensive component, writes the cheapest.
         assert worst.q > uniform.q
         assert worst.w < uniform.w
@@ -133,54 +114,41 @@ class TestWorstCaseWorkload:
     def test_skewed_expected_workload(self, cost_vector):
         expected = expected_workload(1).workload  # 97% empty reads
         region = UncertaintyRegion(expected=expected, rho=1.0)
-        worst = region.worst_case_workload(cost_vector)
-        assert region.contains(worst, tolerance=1e-6)
+        worst = witness(region, cost_vector)
+        assert region.divergence(worst) <= 1.0 + 1e-6
         assert worst.q > expected.q
 
     def test_rejects_wrong_cost_dimension(self, uniform):
         region = UncertaintyRegion(expected=uniform, rho=1.0)
-        with pytest.raises(ValueError):
-            region.worst_case_workload(np.array([1.0, 2.0]))
+        with pytest.raises(IndexError):
+            region.worst_case_weights(np.array([1.0, 2.0]))
 
 
 class TestDualObjective:
     def test_strong_duality(self, uniform, cost_vector):
         """The dual optimum equals the exact worst-case (primal) cost."""
-        rho = 0.5
-        region = UncertaintyRegion(expected=uniform, rho=rho)
+        region = UncertaintyRegion(expected=uniform, rho=0.5)
         primal = region.worst_case_cost(cost_vector)
-        dual_value, lam, _ = minimize_dual_for_cost(cost_vector, uniform, rho)
-        assert dual_value == pytest.approx(primal, rel=1e-3)
-        assert lam >= 0.0
+        assert minimize_dual(region, cost_vector) == pytest.approx(primal, rel=1e-9)
 
     def test_strong_duality_skewed_expected(self, cost_vector):
-        expected = expected_workload(7).workload
-        rho = 1.0
-        region = UncertaintyRegion(expected=expected, rho=rho)
+        region = UncertaintyRegion(expected=expected_workload(7).workload, rho=1.0)
         primal = region.worst_case_cost(cost_vector)
-        dual_value, _, _ = minimize_dual_for_cost(cost_vector, expected, rho)
-        assert dual_value == pytest.approx(primal, rel=1e-3)
+        assert minimize_dual(region, cost_vector) == pytest.approx(primal, rel=1e-9)
 
     def test_dual_upper_bounds_primal_everywhere(self, uniform, cost_vector):
-        """Weak duality: any feasible (λ, η) upper-bounds the worst-case cost."""
-        rho = 0.75
-        region = UncertaintyRegion(expected=uniform, rho=rho)
+        """Weak duality: any tilt ``θ = 1/λ > 0`` upper-bounds the worst-case cost."""
+        region = UncertaintyRegion(expected=uniform, rho=0.75)
         primal = region.worst_case_cost(cost_vector)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            lam = float(rng.uniform(0.05, 10.0))
-            eta = float(rng.uniform(-2.0, 8.0))
-            assert dual_objective(cost_vector, uniform, rho, lam, eta) >= primal - 1e-8
-
-    def test_rejects_negative_lambda(self, uniform, cost_vector):
-        with pytest.raises(ValueError):
-            dual_objective(cost_vector, uniform, 0.5, -1.0, 0.0)
+            theta = 1.0 / float(rng.uniform(0.05, 10.0))
+            assert region.dual_value(cost_vector, theta) >= primal - 1e-8
 
     def test_lambda_zero_limit(self, uniform, cost_vector):
-        # With λ = 0 the dual reduces to η when η dominates every cost.
-        value = dual_objective(cost_vector, uniform, 0.5, 0.0, 10.0)
-        assert value == pytest.approx(10.0)
-        assert dual_objective(cost_vector, uniform, 0.5, 0.0, 0.0) == np.inf
+        """``λ = 0`` (``θ = ∞``) is the vertex: the costliest component."""
+        region = UncertaintyRegion(expected=uniform, rho=0.5)
+        assert region.dual_value(cost_vector, math.inf) == 6.0
 
 
 class TestZeroWeightComponents:
@@ -192,13 +160,15 @@ class TestZeroWeightComponents:
         expected = Workload(z0=0.45, z1=0.05, q=0.0, w=0.5)
         region = UncertaintyRegion(expected=expected, rho=0.5)
         cost = np.array([1.0, 2.0, 50.0, 3.0])  # costliest component has no mass
-        worst = region.worst_case_workload(cost)
+        worst = witness(region, cost)
         assert worst.q == 0.0
-        assert region.contains(worst, tolerance=1e-5)
+        assert region.divergence(worst) <= 0.5 + 1e-5
         assert np.isfinite(region.worst_case_cost(cost))
         assert region.worst_case_cost(cost) >= float(
             np.dot(expected.as_array(), cost)
         ) - 1e-9
+        # The vertex of the dual is the costliest *supported* component.
+        assert region.dual_value(cost, math.inf) == 3.0
 
     def test_robust_tuner_handles_zero_weight_workloads(self, system):
         from repro.core import RobustTuner
@@ -229,8 +199,7 @@ class TestSubnormalWeights:
 
     def test_worst_case_constraint_is_tight(self):
         region = UncertaintyRegion(expected=self.EXPECTED, rho=1.0)
-        worst = region.worst_case_workload(self.COST)
-        assert region.divergence(worst) == pytest.approx(1.0, abs=1e-6)
+        assert region.divergence(witness(region, self.COST)) == pytest.approx(1.0, abs=1e-6)
 
     def test_robust_tuner_handles_subnormal_weights(self, system):
         from repro.core import RobustTuner
@@ -287,6 +256,40 @@ class TestSmallCostGaps:
         assert region.worst_case_costs(costs * scale) == pytest.approx(exact * scale, rel=1e-12)
 
 
+class TestTinyWeightOnADearQuery:
+    """A tiny weight on a dear query puts the worst case far above ``w·c``,
+    even at a radius just above ``_NO_UNCERTAINTY``.  Measured from the
+    costliest cost, the tilt's divergence would cancel two terms of the size
+    of ``θ·c_max`` and put these worst cases up to 4e-8 off.  The references
+    bisect the tilt to 50 digits on the same (normalised) weights."""
+
+    CASES = [
+        (Workload(1e-8, 0, 0, 1 - 1e-8), (100, 1, 1, 1e-8), 1.01e-10, 1.1554548967613934e-6),
+        (Workload(1e-10, 0, 0, 1 - 1e-10), (100, 1, 1, 1e-8), 1e-9, 9.174364626301079e-8),
+        (Workload(1e-10, 0.5, 0, 0.5 - 1e-10), (100, 1e-6, 1, 1e-8), 1e-9, 5.86743648481871e-7),
+    ]
+
+    @pytest.mark.parametrize("workload, costs, rho, reference", CASES)
+    def test_worst_case_matches_the_reference(self, workload, costs, rho, reference):
+        region = UncertaintyRegion(expected=workload, rho=rho)
+        worst = region.worst_case_cost(np.array(costs))
+        assert worst == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_the_coarse_prune_keeps_a_cell_tied_with_its_seed(self):
+        """The bound lies 9 % above ``w·c``, beyond the zoom margin of an
+        incumbent at ``w·c``: only the policy's seed, the worst case of the
+        first copy, keeps the second, and only while the bound (less
+        ``_BOUND_SLACK``) stays below the tilt."""
+        workload, cost_vector, rho, _ = self.CASES[0]
+        costs = np.array([[cost_vector, cost_vector]])
+        region = UncertaintyRegion(expected=workload, rho=rho)
+        nominal = float(region.nominal_costs(costs)[0, 0])
+        lower = region.mixture_bounds(costs)[0, 1] * (1.0 - _BOUND_SLACK)
+        assert lower > nominal * _ZOOM_MARGIN * (1.0 + _TIE)
+        worst = region.worst_case_costs(costs)
+        assert (objective(costs, workload, rho, bound=nominal, coarse=True) == worst).all()
+
+
 @st.composite
 def _regions(draw) -> UncertaintyRegion:
     """A KL ball around a workload near the simplex, some components empty.
@@ -311,36 +314,38 @@ def _regions(draw) -> UncertaintyRegion:
 
 
 class TestMixtureBound:
-    """The mixture bound is a point of the region, so it never exceeds the
-    worst case: the robust search may skip what it rules out."""
+    """The certificate of the worst case: the mixture bound and the tilt's
+    witness are points of the region, so ``w·c ≤ mixture bound ≤ worst case``
+    (the robust search may skip what the bound rules out), and the dual at the
+    tilt's ``θ*`` reads the worst case again."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         region=_regions(),
-        costs=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4).map(np.array),
+        costs=st.lists(st.floats(-8.0, 2.0), min_size=4, max_size=4).map(
+            lambda exponents: 10.0 ** np.array(exponents)
+        ),
     )
-    def test_every_share_is_feasible_and_the_bound_is_below_the_worst_case(
-        self, region, costs
-    ):
+    def test_the_worst_case_is_certified(self, region, costs):
         weights = region.expected.as_array()
         support = np.flatnonzero(weights > 0.0)
-        total = weights[support].sum()
+        centre = weights / weights.sum()
         for share, j in zip(region.mixture_shares(), support):
             assert 0.0 <= share <= 1.0
             if share == 0.0:
-                continue  # the normalised ``w``, which the tilt answers at θ = 0
-            # A point of the simplex, measured from the weights as given.
-            mixture = (1.0 - share) * weights / total
+                continue  # ``w`` itself, which the tilt answers at θ = 0
+            mixture = (1.0 - share) * centre
             mixture[j] += share
-            # ``ln p − ln q``: the ratio ``p / q`` overflows on a subnormal ``q``.
-            mass = mixture > 0.0
-            divergence = mixture[mass] @ (np.log(mixture[mass]) - np.log(weights[mass]))
-            assert divergence <= region.rho + 1e-12
+            assert region.divergence(Workload.from_array(mixture)) <= region.rho + 1e-12
+        assert region.divergence(witness(region, costs)) <= region.rho + 1e-12
+        worst = region.worst_case_cost(costs)
         bound = region.mixture_bounds(costs)
-        assert bound >= float(costs[support] @ weights[support]) / total
+        assert region.nominal_costs(costs) <= bound
         # Below the smallest normal float a weighted sum loses even its units.
         tiny = np.finfo(float).tiny
-        assert bound <= region.worst_case_cost(costs) * (1.0 + 1e-12) + tiny
+        assert bound <= worst * (1.0 + 1e-12) + tiny
+        theta = float(region.worst_case_tilt(costs))
+        assert abs(region.dual_value(costs, theta) - worst) <= 1e-11 * worst
 
     def test_a_vertex_inside_the_radius_is_reached_outright(self):
         region = UncertaintyRegion(expected=Workload(0.5, 0.25, 0.25, 0.0), rho=0.7)
@@ -357,6 +362,37 @@ class TestMixtureBound:
         worst = region.worst_case_cost(costs)
         assert region.mixture_bounds(costs) <= worst * (1.0 + 1e-12)
         assert region.nominal_costs(costs) <= worst * (1.0 + 1e-12)
+
+    def test_weights_below_one_keep_the_witness_in_the_region(self):
+        """The region is centred on ``w / Σw``.  Measured from weights that
+        sum to ``1 − 9e-7``, a radius of 1e-8 excluded even ``w / Σw``, the
+        witness sat 9.0e-7 from the centre, and ``θ*`` read 1.6e-34."""
+        region = UncertaintyRegion(expected=Workload(0.5, 0.3, 0.2 - 9e-7, 0.0), rho=1e-8)
+        costs = np.array([2.0, 1.0, 3.0, 0.0])
+        assert region.divergence(witness(region, costs)) <= region.rho + 1e-12
+        theta = float(region.worst_case_tilt(costs))
+        assert region.dual_value(costs, theta) == pytest.approx(
+            region.worst_case_cost(costs), rel=1e-11
+        )
+
+    @pytest.mark.parametrize(
+        "weights, costs",
+        [
+            (
+                (1.920475139371955e-07, 0.6334355849039448, 0.024255331191920002, 0.342308893365),
+                (0.00011558599117776523, 2.830671354305527, 1.0000000000214488, 1.00000000023831),
+            ),
+            ((0.2361616195794776, 0.3427649802899889, 0.0, 0.42107246566450574), (1, 1, 1e-6, 100)),
+        ],
+    )
+    def test_the_prune_slack_covers_the_bound_next_to_no_uncertainty(self, weights, costs):
+        """The coarse prune takes ``_BOUND_SLACK`` off the bound.  Here a
+        divergence taken as the difference of terms far larger than ``ρ`` (the
+        tilt's or the shares') would put the bound up to 6.2e-11 above the
+        tilt."""
+        region = UncertaintyRegion(expected=Workload.from_array(np.array(weights)), rho=1.01e-10)
+        costs = np.array(costs)
+        assert region.mixture_bounds(costs) * (1.0 - _BOUND_SLACK) <= region.worst_case_cost(costs)
 
     def test_the_robust_prune_keeps_a_cell_of_such_a_workload(self):
         """Pruned by ``w·c`` against an incumbent at its own worst case (the

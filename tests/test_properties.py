@@ -132,20 +132,6 @@ class TestKLProperties:
 class TestUncertaintyRegionProperties:
     @given(
         expected=workloads(),
-        rho=st.floats(min_value=0.0, max_value=3.0),
-        costs=st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=4, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_worst_case_is_feasible_and_dominates_nominal(self, expected, rho, costs):
-        region = UncertaintyRegion(expected=expected, rho=rho)
-        cost_vector = np.asarray(costs)
-        worst = region.worst_case_workload(cost_vector)
-        assert region.contains(worst, tolerance=1e-5)
-        nominal_cost = float(np.dot(expected.as_array(), cost_vector))
-        assert region.worst_case_cost(cost_vector) >= nominal_cost - 1e-8
-
-    @given(
-        expected=workloads(),
         costs=st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=4, max_size=4),
         rho_small=st.floats(min_value=0.0, max_value=1.0),
         rho_large=st.floats(min_value=1.0, max_value=3.0),

@@ -291,6 +291,18 @@ RULES = (
          "    def _objective_from_costs(self, costs, workload, bound=None):", "== 1"),
     Rule("support-mask-twice", SRC, r"support = weights > 0\.0", 54,
          "        support = weights > 0.0", "<= 2"),
+    # The KL region holds the worst case and its one dual, centred on the
+    # normalised workload: the weights are summed once, in ``_support``.
+    Rule("one-dual", SRC, r"^\s*def (dual_value|dual_objective|kl_conjugate)\b", 59,
+         "    def dual_value(self, cost_vector, workload, lam):", "== 1"),
+    Rule("no-spare-duals", SRC, r"kl_conjugate|_LAMBDA_BOUNDS|\bdual_objective\(", 59,
+         "_LAMBDA_BOUNDS = (float(np.exp(-9.0)), float(np.exp(12.0)))"),
+    Rule("region-no-membership-helpers", "src/repro/core/uncertainty.py",
+         r"def (contains|worst_case_workload)\b", 59,
+         "    def worst_case_workload(self, cost_vector: np.ndarray) -> Workload:"),
+    Rule("region-sums-weights-once", "src/repro/core/uncertainty.py",
+         r"np\.add\.reduce\(weights(\[\w+\])?\)|math\.log\(total\)", 59,
+         "        radius = self.rho + math.log(total)", "== 1"),
     # The tuner's kernels are dispatch-bound: they call ufuncs and ufunc
     # reductions, not NumPy's Python wrappers around them.
     Rule("tuner-kernels-call-ufuncs", " ".join(TUNER_KERNELS),

@@ -125,6 +125,10 @@ class TestKLDivergence:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
+        with pytest.raises(ValueError):
+            kl_divergence([0.5], [0.25] * 4)
+        with pytest.raises(ValueError):
+            kl_divergence(0.5, 0.25)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):

@@ -107,16 +107,21 @@ def objective(
     rho: float,
     bound: float | None = None,
     coarse: bool = False,
-) -> np.ndarray:
-    """The tuning objective of a batch of cost vectors: ``(..., 4)`` → ``(...)``.
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tuning objective of a batch of cost vectors, ``(..., 4)`` →
+    ``(...)``, and the tilt ``θ*`` each cell was priced at.
 
     ``ρ = 0``: the expected cost over the workload's support
-    (:func:`~repro.lsm.cost_model.support_dot`); ``ρ > 0``: the exact worst
-    case over the KL ball (:meth:`UncertaintyRegion.worst_case_costs`).
+    (:func:`~repro.lsm.cost_model.support_dot`), at ``θ = 0``; ``ρ > 0``:
+    the exact worst case over the KL ball
+    (:meth:`UncertaintyRegion.worst_case_costs`), each cell's tilt solve
+    started from its entry of ``start`` (broadcast to the cells; ``None``
+    starts every cell cold).
 
     ``bound`` is the incumbent of the search (``inf`` before it has one): a
-    cell above it may read ``inf``; ``None`` evaluates every cell.  For
-    ``ρ > 0`` the nominal cost under the normalised workload
+    cell above it may read ``inf`` (and ``θ`` NaN); ``None`` evaluates every
+    cell.  For ``ρ > 0`` the nominal cost under the normalised workload
     (:meth:`UncertaintyRegion.nominal_costs`) is a free lower bound of the
     worst case, so the tilt is only solved for cells whose nominal cost beats
     the bound; an infinite one is first replaced by the worst case of the
@@ -131,15 +136,16 @@ def objective(
     its policy's best, so the search does not change.
     """
     if rho == 0.0:
-        return support_dot(costs, workload.as_array())
+        values = support_dot(costs, workload.as_array())
+        return values, np.zeros(values.shape)
     region = UncertaintyRegion(expected=workload, rho=rho)
     if bound is None:
-        return region.worst_case_costs(costs)
+        return region.worst_case_costs(costs, start)
     nominal = region.nominal_costs(costs)
     if coarse:
         policy = np.arange(len(nominal))
         best = nominal.argmin(axis=1)
-        seeds = region.worst_case_costs(costs[policy, best])
+        seeds = region.worst_case_costs(costs[policy, best])[0]
         if not np.isfinite(bound):
             first = int(np.argmin(nominal[policy, best]))
             bound = max(seeds[first], nominal[first, best[first]])
@@ -152,8 +158,11 @@ def objective(
         reach = bound * _ZOOM_MARGIN * (1.0 + _TIE)
         alive &= (lower <= reach) | (lower <= seeds[:, None])
     values = np.full(nominal.shape, np.inf)
-    values[alive] = region.worst_case_costs(costs[alive])
-    return values
+    theta = np.full(nominal.shape, np.nan)
+    if start is not None:
+        start = np.broadcast_to(start, nominal.shape)[alive]
+    values[alive], theta[alive] = region.worst_case_costs(costs[alive], start)
+    return values, theta
 
 
 def _argbest(values: np.ndarray, *keys) -> np.ndarray:
@@ -246,13 +255,16 @@ _memoised_grid = functools.lru_cache(maxsize=_GRID_MEMO_SIZE)(_coarse_grid)
 
 @dataclass(frozen=True)
 class _Design:
-    """One priced design point and the band it was priced in."""
+    """One priced design point, the band it was priced in, and its cost
+    vector and the tilt ``θ*`` of its worst case (0 at ``ρ = 0``)."""
 
     value: float
     size_ratio: float
     bits: float
     policy: CompactionPolicy
     levels: int
+    costs: np.ndarray
+    theta: float
 
 
 class NominalTuner:
@@ -326,31 +338,36 @@ class NominalTuner:
     def _price(self, ratios, bits, policies, workload: Workload, bound=np.inf) -> np.ndarray:
         """Objective of paired ``(T, h)`` points (axis 0: the policy axis)."""
         costs = self.cost_model.cost_points(ratios, bits, policies, workload.long_range_fraction)
-        return self._values(costs, workload, bound)
+        return self._values(costs, workload, bound)[0]
 
     def _values(
-        self, costs: np.ndarray, workload: Workload, bound=np.inf, coarse: bool = False
-    ) -> np.ndarray:
-        """Objective of priced cost vectors; ``inf`` where it cannot win."""
-        values = objective(costs, workload, self.rho, bound * (1.0 + _TIE), coarse)
-        return np.where(np.isfinite(values), values, np.inf)
+        self, costs: np.ndarray, workload: Workload, bound=np.inf, coarse: bool = False, start=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Objective of priced cost vectors (``inf`` where it cannot win) and
+        the tilt of each (:func:`objective`)."""
+        values, theta = objective(costs, workload, self.rho, bound * (1.0 + _TIE), coarse, start)
+        return np.where(np.isfinite(values), values, np.inf), theta
 
-    def _coarse_values(self, grid: _CoarseGrid, workload: Workload) -> np.ndarray:
-        """Stage 1: this workload's objective on the priced coarse grid.
+    def _coarse_values(self, grid: _CoarseGrid, workload: Workload) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1: this workload's objective on the priced coarse grid, and
+        the tilt of each cell.
 
         Chunk by chunk, so that the running bound prunes: a cell reads
         ``inf`` where the objective shows it can neither win, nor put its
         row within the zoom margin, nor be its policy's best
         (:func:`objective` with ``coarse``).  Every other cell
-        holds its exact objective.  The result has shape ``(P, R·n)``.
+        holds its exact objective, solved cold.  Both results have shape
+        ``(P, R·n)``.
         """
-        values = np.empty((len(grid.policies), grid.ratios.size))
+        values, theta = np.empty((2, len(grid.policies), grid.ratios.size))
         bound = np.inf
         for start in range(0, grid.ratios.size, grid.chunk):
             part = slice(start, start + grid.chunk)
-            values[:, part] = self._values(grid.costs[:, part], workload, bound, coarse=True)
+            values[:, part], theta[:, part] = self._values(
+                grid.costs[:, part], workload, bound, coarse=True
+            )
             bound = min(bound, float(np.minimum.reduce(values[:, part], axis=None)))
-        return values
+        return values, theta
 
     def _grid_key(self, policies: Sequence[CompactionPolicy], workload: Workload) -> tuple:
         """Arguments of :func:`_coarse_grid` for a search over ``policies``."""
@@ -363,11 +380,12 @@ class NominalTuner:
         levels, fractions, ratios, bits = grid.levels, grid.fractions, grid.ratios, grid.bits
 
         # Stage 1: this workload's objective on the priced coarse grid.
-        values = self._coarse_values(grid, workload)
+        values, theta = self._coarse_values(grid, workload)
         bound = float(np.minimum.reduce(values, axis=None))
         if not np.isfinite(bound):
             raise RuntimeError("the optimiser failed to produce any finite solution")
-        values = values.reshape(len(policies), *ratios.shape)
+        shape = (len(policies), *ratios.shape)
+        values, theta = values.reshape(shape), theta.reshape(shape)
         row_best = np.minimum.reduce(values, axis=2)
         per_policy = np.minimum.reduce(row_best, axis=1)
 
@@ -382,17 +400,24 @@ class NominalTuner:
         chosen, member = np.unravel_index(ranked, row_best.shape)
         specs = [policies[i] for i in chosen]
         levels, values, fractions = levels[member], values[chosen, member], fractions[member]
-        ratios, bits = ratios[member], bits[member]
+        ratios, bits, theta = ratios[member], bits[member], theta[chosen, member]
+        costs = grid.costs.reshape(*shape, 4)[chosen, member]
         pinned = ratios[:, :1]
         best = np.full(ranked.size, np.inf)
-        centre, design_bits = np.empty((2, ranked.size))
+        # Each candidate's best point so far: its ``v``, ``h``, cost vector
+        # and tilt, which starts the tilt solves of its next window.
+        centre, design_bits, tilt = np.empty((3, ranked.size))
+        design_costs = np.empty((ranked.size, 4))
         rows = np.arange(ranked.size)
         count, step = _COARSE, 0.5
         for zoom in range(_ZOOM_ROUNDS + 1):
             if zoom:
                 fractions = _window(centre, step, count)
                 ratios, bits = self.bands.points(levels, pinned, fractions)
-                values = self._price(ratios, bits, specs, workload, bound)
+                costs = self.cost_model.cost_points(
+                    ratios, bits, specs, workload.long_range_fraction
+                )
+                values, theta = self._values(costs, workload, bound, start=tilt[:, None])
             # Each candidate's best point of the round, kept where it ties
             # or beats the candidate's best so far.
             at = _argbest(values, bits)
@@ -400,6 +425,7 @@ class NominalTuner:
             at, k = at[kept], rows[kept]
             best[k] = values[k, at]
             centre[k], design_bits[k] = fractions[k, at], bits[k, at]
+            design_costs[k], tilt[k] = costs[k, at], theta[k, at]
             bound = min(bound, float(np.minimum.reduce(best, axis=None)))
             count, step = _ZOOM_POINTS, 2.0 * step / (count - 1)
 
@@ -407,7 +433,13 @@ class NominalTuner:
         np.minimum.at(per_policy, chosen, best)
         k = int(_argbest(best, levels[:, 0], pinned[:, 0], design_bits, chosen))
         winner = _Design(
-            float(best[k]), float(pinned[k, 0]), float(design_bits[k]), specs[k], int(levels[k, 0])
+            float(best[k]),
+            float(pinned[k, 0]),
+            float(design_bits[k]),
+            specs[k],
+            int(levels[k, 0]),
+            design_costs[k],
+            float(tilt[k]),
         )
         return winner, {
             policy.name: float(value) for policy, value in zip(policies, per_policy)
@@ -418,6 +450,10 @@ class NominalTuner:
     # ------------------------------------------------------------------
     def tune(self, workload: Workload) -> TuningResult:
         """Solve the tuning problem for ``workload`` and return the best result."""
+        return self._tune(workload)[1]
+
+    def _tune(self, workload: Workload) -> tuple[_Design, TuningResult]:
+        """The winning design of the search and the result that reports it."""
         grid = _memoised_grid(*self._grid_key(self.policy_specs, workload))
         design, per_policy = self._search(grid, workload)
         solver_info: dict = {"per_policy_objective": per_policy}
@@ -427,7 +463,7 @@ class NominalTuner:
         solver_info["levels"] = design.levels
         # ``T`` is an integer, so rounding only clamps fluid bounds above
         # ``T - 1`` to what deploys; the model already priced them clamped.
-        return TuningResult(
+        return design, TuningResult(
             tuning=LSMTuning(design.size_ratio, design.bits, design.policy).rounded(),
             objective=design.value,
             expected_workload=workload,

@@ -102,7 +102,7 @@ class GridTuner:
                 spec,
                 long_range_fraction=workload.long_range_fraction,
             )
-            values = objective(costs, workload, self.rho)
+            values = objective(costs, workload, self.rho)[0]
             evaluated += values.size
             flat_best = int(np.argmin(values))
             row, col = np.unravel_index(flat_best, values.shape)

@@ -20,7 +20,8 @@ of designs at once), so the tuner evaluates the primal worst-case cost itself
 on the band-by-band search of :mod:`repro.core.base`.  Strong duality
 makes the two equal; the result reports ``λ* = 1/θ*`` and the region's dual
 value there (:meth:`~repro.core.uncertainty.UncertaintyRegion.dual_value`)
-next to the primal one.
+next to the primal one, both at the ``θ*`` and cost vector the search
+priced its winner at.
 
 The tuner is :class:`~repro.core.base.NominalTuner` with a radius: the
 objective is :func:`~repro.core.base.objective` at ``ρ``, and ``ρ = 0``
@@ -49,13 +50,14 @@ class RobustTuner(NominalTuner):
         and the dual value there.
 
         The objective is the exact primal worst-case cost of the returned
-        tuning; by strong duality the dual value at ``θ*`` matches it.
+        tuning; by strong duality the dual value at ``θ*`` matches it.  Both
+        read the search's own pricing of the winner: its cost vector and the
+        ``θ*`` its worst case was solved at, so nothing is solved again.
         """
-        result = super().tune(workload)
+        design, result = self._tune(workload)
         if self.rho > 0.0:
-            costs = self.cost_model.cost_vector(result.tuning, workload.long_range_fraction)
             region = UncertaintyRegion(expected=workload, rho=self.rho)
-            theta = float(region.worst_case_tilt(costs))
+            theta = design.theta
             result.solver_info["lambda"] = 1.0 / theta if theta else math.inf
-            result.solver_info["dual_objective"] = region.dual_value(costs, theta)
+            result.solver_info["dual_objective"] = region.dual_value(design.costs, theta)
         return result

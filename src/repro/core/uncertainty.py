@@ -53,7 +53,7 @@ class UncertaintyRegion:
     # ------------------------------------------------------------------
     # Worst-case workload (inner maximisation)
     # ------------------------------------------------------------------
-    def worst_case_tilt(self, costs: np.ndarray) -> np.ndarray:
+    def worst_case_tilt(self, costs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
         """Tilting parameter ``θ = 1/λ*`` of every cost vector of a batch.
 
         The maximiser of ``ŵ · c`` over the region has the exponential-tilting
@@ -63,11 +63,12 @@ class UncertaintyRegion:
         on the costliest supported components; a radius at or beyond that
         limit is answered by ``θ = ∞`` (all mass on those components), a
         radius of (numerically) zero by ``θ = 0`` (``ŵ = w``), and everything
-        in between by one vectorised safeguarded-Newton solve.  ``costs`` has
-        shape ``(..., 4)``; the result drops the last axis.
+        in between by one vectorised safeguarded-Newton solve, each row
+        started from its ``start`` (:func:`_solve_tilt`).  ``costs`` has shape
+        ``(..., 4)``; the result and ``start`` drop the last axis.
         """
         supported = self._supported_costs(costs)
-        return self._tilt(supported, self._supported_spread(supported))
+        return self._tilt(supported, self._supported_spread(supported), start)
 
     @functools.cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -75,11 +76,16 @@ class UncertaintyRegion:
         normalised to sum to 1 (the centre of the region), and the few ulps
         ``Σ w − 1`` by which they do not.
 
+        The support is the weights of at least the smallest normal float,
+        ``np.finfo(float).tiny``: a subnormal weight holds a few bits, so the
+        tilt's ``w_i·exp(θ c_i)`` could not price it to 1e-12, and the region
+        reads it as zero (it moves ``Σ w`` by less than an ulp).
+
         Read once per region: a robust objective call builds one region and
         asks it for the weights several times.
         """
         weights = self.expected.as_array()
-        support = weights > 0.0
+        support = weights >= _MIN_WEIGHT
         centre = weights[support] / np.add.reduce(weights[support])
         return support, centre, math.fsum((*centre.tolist(), -1.0))
 
@@ -87,25 +93,34 @@ class UncertaintyRegion:
         """The supported components of a batch of cost vectors."""
         return np.asarray(costs, dtype=float)[..., self._support[0]]
 
-    def _tilt(self, supported: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    def _tilt(
+        self, supported: np.ndarray, spread: np.ndarray, start: np.ndarray | None
+    ) -> np.ndarray:
         _, weights, residual = self._support
         if self.rho <= _NO_UNCERTAINTY:
             return np.zeros(spread.shape[:-1])
         limit = -np.log(np.add.reduce(np.where(spread == 0.0, weights, 0.0), axis=-1))
         theta = np.full(limit.shape, np.inf)
         inside = self.rho < limit
-        theta[inside] = _solve_tilt(supported[inside], spread[inside], weights, residual, self.rho)
+        start = np.broadcast_to(np.nan if start is None else start, limit.shape)[inside]
+        theta[inside] = _solve_tilt(
+            supported[inside], spread[inside], weights, residual, self.rho, start
+        )
         return theta
 
-    def _worst_supported(self, supported: np.ndarray) -> np.ndarray:
-        """Worst-case weights on the support of a batch of supported costs."""
+    def _worst_supported(
+        self, supported: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Worst-case weights on the support of a batch of supported costs,
+        and the tilt ``θ`` of each."""
         spread = self._supported_spread(supported)
-        theta = self._tilt(supported, spread)[..., None]
+        theta = self._tilt(supported, spread, start)
+        column = theta[..., None]
         with np.errstate(invalid="ignore"):
             tilted = self._support[1] * np.where(
-                np.isinf(theta), spread == 0.0, np.exp(theta * spread)
+                np.isinf(column), spread == 0.0, np.exp(column * spread)
             )
-        return tilted / np.add.reduce(tilted, axis=-1, keepdims=True)
+        return tilted / np.add.reduce(tilted, axis=-1, keepdims=True), theta
 
     def worst_case_weights(self, costs: np.ndarray) -> np.ndarray:
         """Worst-case workloads ``argmax_{ŵ ∈ U} ŵ · c`` of a batch, as arrays.
@@ -116,17 +131,28 @@ class UncertaintyRegion:
         largest *supported* cost.
         """
         result = np.zeros(np.shape(costs))
-        result[..., self._support[0]] = self._worst_supported(self._supported_costs(costs))
+        result[..., self._support[0]] = self._worst_supported(self._supported_costs(costs))[0]
         return result
 
-    def worst_case_costs(self, costs: np.ndarray) -> np.ndarray:
-        """Value of the inner maximisation for every cost vector of a batch."""
+    def worst_case_costs(
+        self, costs: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Value of the inner maximisation for every cost vector of a batch,
+        and the tilt ``θ*`` it was read at (:meth:`worst_case_tilt`).
+
+        ``start`` (shape ``costs.shape[:-1]``, or one that broadcasts to it)
+        is where each row's tilt solve starts, typically the ``θ*`` of a
+        nearby cost vector; a row without a usable one starts cold
+        (:func:`_solve_tilt`).  A start moves a result by no more than the
+        solve's own convergence, the last bits.
+        """
         supported = self._supported_costs(costs)
-        return np.add.reduce(self._worst_supported(supported) * supported, axis=-1)
+        weights, theta = self._worst_supported(supported, start)
+        return np.add.reduce(weights * supported, axis=-1), theta
 
     def worst_case_cost(self, cost_vector: np.ndarray) -> float:
         """Value of the inner maximisation ``max_{ŵ ∈ U} ŵ · c``."""
-        return float(self.worst_case_costs(cost_vector))
+        return float(self.worst_case_costs(cost_vector)[0])
 
     def dual_value(self, cost_vector: np.ndarray, theta: float) -> float:
         """The dual ``g(θ) = a + (ρ + ln Σ_i w_i·exp(θ(c_i − a))) / θ`` at ``θ > 0``.
@@ -208,6 +234,9 @@ _NO_UNCERTAINTY = 1e-10
 #: Upper end of the tilting bracket (``λ`` no smaller than ~1e-6).
 _MAX_TILT = 2.0**20
 
+#: Smallest expected weight on the support: the smallest normal float.
+_MIN_WEIGHT = float(np.finfo(float).tiny)
+
 #: Bisection steps of a mixture share: the share to within 2⁻³⁰.
 _MIXTURE_BISECTIONS = 30
 
@@ -251,6 +280,24 @@ def _mixture_divergence(share: float, weight: float) -> float:
     return rest + ((1.0 - share) * weight + share) * ratio
 
 
+def _moments(
+    mass: np.ndarray, costs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Total, anchor ``a``, deviations ``c − a``, offset ``m − a`` and second
+    moment about ``a`` of (unnormalised) weights ``mass`` on ``costs``.
+
+    Components run along axis 0.  The anchor is the weighted mean as the
+    first sum rounds it, and the offset the little that sum left out.
+    """
+    total = np.add.reduce(mass, axis=0)
+    anchor = np.add.reduce(mass * costs, axis=0) / total
+    deviation = costs - anchor
+    moment = mass * deviation
+    offset = np.add.reduce(moment, axis=0) / total
+    variance = np.add.reduce(moment * deviation, axis=0) / total
+    return total, anchor, deviation, offset, variance
+
+
 def _tilted(
     theta: np.ndarray | float,
     costs: np.ndarray,
@@ -273,13 +320,7 @@ def _tilted(
     ``ln 2``, where ``θ(c_max − m)`` is no longer large against it) or
     overflows (a weight near subnormal).
     """
-    mass = weights * np.exp(theta * spread)
-    total = np.add.reduce(mass, axis=0)
-    anchor = np.add.reduce(mass * costs, axis=0) / total
-    deviation = costs - anchor
-    moment = mass * deviation
-    offset = np.add.reduce(moment, axis=0) / total
-    variance = np.add.reduce(moment * deviation, axis=0) / total
+    total, anchor, deviation, offset, variance = _moments(weights * np.exp(theta * spread), costs)
     less_one = np.add.reduce(weights * np.expm1(theta * deviation), axis=0) + residual
     log_sum = np.log1p(less_one)
     far = np.abs(less_one) > 0.5
@@ -290,18 +331,28 @@ def _tilted(
 
 
 def _solve_tilt(
-    costs: np.ndarray, spread: np.ndarray, weights: np.ndarray, residual: float, rho: float
+    costs: np.ndarray,
+    spread: np.ndarray,
+    weights: np.ndarray,
+    residual: float,
+    rho: float,
+    start: np.ndarray,
 ) -> np.ndarray:
     """``θ`` with ``I_KL(tilted_θ, w) = ρ`` for every row of ``costs``.
 
-    Newton's iteration on the monotone divergence (:func:`_tilted`), started
-    from the small-θ expansion ``I_KL ≈ θ² Var_w(c) / 2`` and safeguarded by
-    a bisection bracket: a step that leaves ``[lo, hi]`` is replaced by its
-    midpoint.  Each row stops at its own convergence: a converged row keeps
-    its ``θ`` while the rest iterate on, and once half the rows are done they
-    leave the arrays.  A row's result therefore does not depend on the batch
-    it is solved in — ``worst_case_costs(batch)[i]`` equals
-    ``worst_case_cost(batch[i])`` bit for bit.
+    Newton's iteration on the monotone divergence (:func:`_tilted`),
+    safeguarded by a bisection bracket: a step that leaves ``[lo, hi]`` is
+    replaced by its midpoint.  Each row starts from its entry of ``start``,
+    typically the ``θ*`` of a nearby cost vector, from which a few iterations
+    reach the root (one, if it is that root).  A start that is not in
+    ``(0, _MAX_TILT / 2)`` — NaN, ``±∞``, ``≤ 0`` — is replaced by the cold
+    start, the small-θ expansion ``I_KL ≈ θ² Var_w(c) / 2``, whose variance
+    the weighted moments give without a tilt.  Each row stops at its own
+    convergence: a converged row keeps its ``θ`` while the rest iterate on,
+    and once half the rows are done they leave the arrays.  A row's result
+    therefore depends on its row and its start alone, not on the batch it is
+    solved in — ``worst_case_costs(batch)[0][i]`` equals
+    ``worst_case_cost(batch[i])`` bit for bit when neither has a start.
 
     The search hands it one to a few hundred rows, and an iteration is some
     fifty ufunc calls on them: a 162-row solve costs about twice a 1-row
@@ -313,16 +364,20 @@ def _solve_tilt(
     # is then a handful of whole-batch additions.
     columns, shifted = np.ascontiguousarray(costs.T), np.ascontiguousarray(spread.T)
     weights = weights[:, None]
-    _, variance, _ = _tilted(0.0, columns, shifted, weights, residual)  # Var_w(c)
-    low = np.zeros(variance.shape)
-    high = np.full(variance.shape, _MAX_TILT)
-    done = np.zeros(variance.shape, dtype=bool)
-    solved = np.empty(variance.shape)
-    rows = np.arange(variance.size)  # the rows still in the arrays
+    theta = np.array(start, dtype=float)
+    cold = ~((theta > 0.0) & (theta < 0.5 * _MAX_TILT))
+    low = np.zeros(theta.shape)
+    high = np.full(theta.shape, _MAX_TILT)
+    done = np.zeros(theta.shape, dtype=bool)
+    solved = np.empty(theta.shape)
+    rows = np.arange(theta.size)  # the rows still in the arrays
     # A vanishing variance starts mid-bracket; a vanishing θ·variance makes a
     # Newton step the bracket replaces.
     with np.errstate(all="ignore"):
-        theta = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
+        if np.logical_or.reduce(cold, axis=None):
+            variance = _moments(weights, columns)[4]  # Var_w(c), as _tilted reads it at θ = 0
+            guess = np.minimum(np.sqrt(2.0 * rho / variance), 0.5 * _MAX_TILT)
+            np.copyto(theta, guess, where=cold)
         for _ in range(100):
             _, variance, divergence = _tilted(theta, columns, shifted, weights, residual)
             excess = divergence - rho
@@ -344,11 +399,14 @@ def _solve_tilt(
                 columns, shifted, done = columns[:, keep], shifted[:, keep], done[keep]
         solved[rows] = theta
         # A root beyond the bracket needs a gap below ~1e-3 between the
-        # costliest component and the next: solve such rows again in units
-        # of that gap (a subnormal gap overflows to θ = ∞, the vertex).
+        # costliest component and the next: solve such rows again, cold, in
+        # units of that gap (a subnormal gap overflows to θ = ∞, the vertex).
         stuck = solved > _MAX_TILT * (1.0 - 1e-12)
         if np.logical_or.reduce(stuck, axis=None):
             gap = -np.maximum.reduce(np.where(spread < 0.0, spread, -np.inf), axis=-1)[stuck]
             scaled = spread[stuck] / gap[:, None]
-            solved[stuck] = _solve_tilt(scaled, scaled, weights[:, 0], residual, rho) / gap
+            solved[stuck] = (
+                _solve_tilt(scaled, scaled, weights[:, 0], residual, rho, np.full(gap.shape, np.nan))
+                / gap
+            )
     return solved

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GridTuner, NominalTuner, RobustTuner, UncertaintyRegion
+from repro.core import GridTuner, NominalTuner, RobustTuner, UncertaintyRegion, uncertainty
 from repro.core.base import _TIE, _ZOOM_MARGIN, _coarse_grid
 from repro.lsm import ALL_POLICIES, CLASSIC_POLICIES, LSMCostModel, Policy, simulator_system
 from repro.workloads import expected_workload, expected_workloads
@@ -53,6 +53,41 @@ class TestRobustTunerBasics:
         result = RobustTuner(rho=rho, system=system).tune(expected_workload(index).workload)
         dual = result.solver_info["dual_objective"]
         assert dual == pytest.approx(result.objective, rel=1e-12)
+
+
+class TestOneSolvePerCell:
+    """``tune`` reports ``λ*`` and the dual from the cost vector and ``θ*``
+    at which the search priced its winner: no tilt is solved after it."""
+
+    @pytest.mark.parametrize(
+        "policies, k_vector_search",
+        [(CLASSIC_POLICIES, False), ((Policy.FLUID,), True)],
+        ids=["classic", "k-vector"],
+    )
+    def test_tune_solves_nothing_after_the_search(self, monkeypatch, policies, k_vector_search):
+        solves, searched = [], []
+        solve, tune = uncertainty._solve_tilt, NominalTuner._tune
+
+        def counted(*args):
+            solves.append(len(args[0]))
+            return solve(*args)
+
+        def recorded(self, workload):
+            found = tune(self, workload)
+            searched.append(len(solves))
+            return found
+
+        monkeypatch.setattr(uncertainty, "_solve_tilt", counted)
+        monkeypatch.setattr(NominalTuner, "_tune", recorded)
+        tuner = RobustTuner(
+            rho=1.0,
+            system=simulator_system(num_entries=20_000),
+            policies=policies,
+            k_vector_search=k_vector_search,
+        )
+        result = tuner.tune(expected_workload(11).workload)
+        assert 0.0 < result.solver_info["lambda"] < np.inf
+        assert searched == [len(solves)] and solves
 
 
 class TestRobustVersusNominal:
@@ -152,19 +187,22 @@ class TestCoarsePrune:
         workload = expected_workload(index).workload
         tuner = RobustTuner(rho=rho, system=self.SYSTEM, policies=policies)
         grid = _coarse_grid(*tuner._grid_key(tuner.policy_specs, workload))
-        pruned = tuner._coarse_values(grid, workload)
+        pruned, pruned_tilt = tuner._coarse_values(grid, workload)
         result = tuner.tune(workload)
         with monkeypatch.context() as patch:
             # A bound of 0 skips nothing: the nominal prune alone.
             patch.setattr(
                 UncertaintyRegion, "mixture_bounds", lambda self, costs: np.zeros(costs.shape[:-1])
             )
-            reference = tuner._coarse_values(grid, workload)
+            reference = tuner._coarse_values(grid, workload)[0]
             unpruned = tuner.tune(workload)
-        exact = UncertaintyRegion(expected=workload, rho=rho).worst_case_costs(grid.costs)
+        exact, tilt = UncertaintyRegion(expected=workload, rho=rho).worst_case_costs(grid.costs)
 
         kept, alive = np.isfinite(pruned), np.isfinite(reference)
+        # The coarse stage solves cold: each kept cell and its tilt as a cold batch.
         assert (pruned[kept] == exact[kept]).all()
+        assert (pruned_tilt[kept] == tilt[kept]).all()
+        assert np.isnan(pruned_tilt[~kept]).all()
         assert (reference[alive] == exact[alive]).all()
         skipped = alive & ~kept
         assert not (kept & ~alive).any()

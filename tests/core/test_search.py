@@ -144,9 +144,9 @@ class TestZeroWeightGuard:
         costs = model.cost_matrix([4.0, 8.0], [3.0, 6.0], Policy.TIERING, 0.5)
         poisoned = costs.copy()
         poisoned[..., 2] = np.inf
-        values = objective(poisoned, self.NO_RANGES, rho, bound, coarse)
+        values = objective(poisoned, self.NO_RANGES, rho, bound, coarse)[0]
         assert not np.isnan(values).any() and np.isfinite(values.min())
-        assert np.array_equal(values, objective(costs, self.NO_RANGES, rho, bound, coarse))
+        assert np.array_equal(values, objective(costs, self.NO_RANGES, rho, bound, coarse)[0])
 
 
 class TestCanonicalTieBreak:
@@ -174,7 +174,7 @@ class TestCanonicalTieBreak:
         bits = np.linspace(0.0, 8.0, 33)
         values = region.worst_case_costs(
             model.cost_matrix(ratios, bits, result.tuning.policy)
-        )
+        )[0]
         tied = values <= result.objective * (1.0 + 1e-9)
         assert tied.any(axis=1).sum() >= 3 and tied.sum() > 60, "the plateau is wide"
         assert result.tuning.size_ratio <= ratios[tied.any(axis=1)].min()

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from repro.core import RobustTuner, UncertaintyRegion
+from repro.core import RobustTuner, UncertaintyRegion, uncertainty
 from repro.core.base import _BOUND_SLACK, _TIE, _ZOOM_MARGIN, _coarse_grid, objective
-from repro.core.uncertainty import kl_divergence
+from repro.core.uncertainty import _MAX_TILT, _MIN_WEIGHT, kl_divergence
 from repro.lsm import simulator_system
 from repro.workloads import Workload, expected_workload, expected_workloads
 
@@ -229,18 +229,27 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("index", range(len(expected_workloads())))
     def test_every_batch_solves_each_row_as_it_is_solved_alone(self, coarse_rows, index):
+        """Cold, and with each row started from its own ``θ``."""
         workload = expected_workload(index).workload
+        rng = np.random.default_rng(index)
         for rho in (0.25, 1.0, 2.0):
             region = UncertaintyRegion(expected=workload, rho=rho)
-            alone = np.array([region.worst_case_cost(row) for row in coarse_rows])
-            for size in (7, 81, 400):
-                batched = np.concatenate(
-                    [
-                        region.worst_case_costs(coarse_rows[start : start + size])
-                        for start in range(0, len(coarse_rows), size)
-                    ]
-                )
-                assert (batched == alone).all(), (rho, size, np.flatnonzero(batched != alone))
+            cold = np.array([region.worst_case_cost(row) for row in coarse_rows])
+            warm = region.worst_case_tilt(coarse_rows) * rng.uniform(0.25, 4.0, len(coarse_rows))
+            for starts, alone in (
+                (np.full(len(coarse_rows), np.nan), cold),
+                (warm, [region.worst_case_costs(*pair)[0] for pair in zip(coarse_rows, warm)]),
+            ):
+                for size in (7, 81, 400):
+                    batched = np.concatenate(
+                        [
+                            region.worst_case_costs(
+                                coarse_rows[start : start + size], starts[start : start + size]
+                            )[0]
+                            for start in range(0, len(coarse_rows), size)
+                        ]
+                    )
+                    assert (batched == alone).all(), (rho, size, np.flatnonzero(batched != alone))
 
 
 class TestSmallCostGaps:
@@ -252,8 +261,8 @@ class TestSmallCostGaps:
     def test_worst_case_scales_with_the_costs(self, scale):
         region = UncertaintyRegion(expected=Workload(0.0, 2.0 / 3.0, 0.0, 1.0 / 3.0), rho=1.0)
         costs = np.array([[0.0, 0.0, 0.0, 6.0], [0.0, 1.0, 0.0, 6.0]])
-        exact = region.worst_case_costs(costs)
-        assert region.worst_case_costs(costs * scale) == pytest.approx(exact * scale, rel=1e-12)
+        exact = region.worst_case_costs(costs)[0]
+        assert region.worst_case_costs(costs * scale)[0] == pytest.approx(exact * scale, rel=1e-12)
 
 
 class TestTinyWeightOnADearQuery:
@@ -286,31 +295,34 @@ class TestTinyWeightOnADearQuery:
         nominal = float(region.nominal_costs(costs)[0, 0])
         lower = region.mixture_bounds(costs)[0, 1] * (1.0 - _BOUND_SLACK)
         assert lower > nominal * _ZOOM_MARGIN * (1.0 + _TIE)
-        worst = region.worst_case_costs(costs)
-        assert (objective(costs, workload, rho, bound=nominal, coarse=True) == worst).all()
+        worst = region.worst_case_costs(costs)[0]
+        assert (objective(costs, workload, rho, bound=nominal, coarse=True)[0] == worst).all()
 
 
 @st.composite
 def _regions(draw) -> UncertaintyRegion:
     """A KL ball around a workload near the simplex, some components empty.
 
-    Weights are zero or normal floats: a subnormal weight holds a few bits,
-    and the tilt solve multiplies by it, so its worst case is not exact to
-    1e-12 (``TestSubnormalWeights`` covers that regime on its own).  They
-    sum to anything ``Workload`` accepts, ``1 ± 1e-6`` (less a rounding
-    margin).
+    Weights may be subnormal, which the region takes off its support
+    (:data:`~repro.core.uncertainty._MIN_WEIGHT`).  They sum to anything
+    ``Workload`` accepts, ``1 ± 1e-6`` (less a rounding margin).
     """
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
     raw *= np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
     if raw.sum() == 0.0:
         raw[draw(st.integers(0, 3))] = 1.0
     weights = raw / raw.sum()
-    weights[weights < np.finfo(float).tiny] = 0.0
     rho = draw(st.floats(0.0, 5.0))
     total = 1.0 + draw(st.floats(-1e-6 + 1e-12, 1e-6 - 1e-12))
     return UncertaintyRegion(
         expected=Workload.from_array(weights / weights.sum() * total), rho=rho
     )
+
+
+#: A cost vector of components ``10^U(−8, 2)``.
+_COSTS = st.lists(st.floats(-8.0, 2.0), min_size=4, max_size=4).map(
+    lambda exponents: 10.0 ** np.array(exponents)
+)
 
 
 class TestMixtureBound:
@@ -320,15 +332,11 @@ class TestMixtureBound:
     tilt's ``θ*`` reads the worst case again."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        region=_regions(),
-        costs=st.lists(st.floats(-8.0, 2.0), min_size=4, max_size=4).map(
-            lambda exponents: 10.0 ** np.array(exponents)
-        ),
-    )
+    @given(region=_regions(), costs=_COSTS)
     def test_the_worst_case_is_certified(self, region, costs):
         weights = region.expected.as_array()
-        support = np.flatnonzero(weights > 0.0)
+        weights = np.where(weights >= _MIN_WEIGHT, weights, 0.0)
+        support = np.flatnonzero(weights)
         centre = weights / weights.sum()
         for share, j in zip(region.mixture_shares(), support):
             assert 0.0 <= share <= 1.0
@@ -399,10 +407,83 @@ class TestMixtureBound:
         search's ties included), the cell would read ``inf``."""
         workload = Workload(0.5, 0.3, 0.2 + 9e-7, 0.0)
         costs = np.array([[2.0, 2.0, 2.0, 1.0]])
-        worst = UncertaintyRegion(expected=workload, rho=0.25).worst_case_costs(costs)
+        worst = UncertaintyRegion(expected=workload, rho=0.25).worst_case_costs(costs)[0]
         bound = float(worst[0]) * (1.0 + _TIE)
-        assert objective(costs, workload, 0.25, bound=bound) == worst
+        assert objective(costs, workload, 0.25, bound=bound)[0] == worst
+
+    def test_a_subnormal_weight_is_off_the_support(self):
+        """A weight of 5e-324 holds one bit.  Priced by the tilt as a weight,
+        the worst case of ``(1, 0, 0, 0)`` read 0.0013568521, below the
+        feasible mixture with that vertex, 0.0013571493; below the smallest
+        normal float the region reads a weight as zero."""
+        region = UncertaintyRegion(expected=Workload(5e-324, 1, 0, 0), rho=1.0)
+        costs = np.array([1.0, 0.0, 0.0, 0.0])
+        assert region.mixture_bounds(costs) <= region.worst_case_cost(costs) * (1.0 + 1e-12)
 
     def test_no_uncertainty_moves_no_mass(self):
         region = UncertaintyRegion(expected=Workload.uniform(), rho=1e-11)
         assert (region.mixture_shares() == 0.0).all()
+
+
+class TestStartedTilt:
+    """A tilt solve started from a nearby ``θ`` reaches the root the cold
+    solve reaches, to the solve's convergence; a start it cannot use is the
+    cold start."""
+
+    @pytest.mark.parametrize("index", range(len(expected_workloads())))
+    def test_a_start_near_the_root_reaches_the_cold_solve(self, coarse_rows, index):
+        """The search's rows: ``θ`` to 1e-13 relative, the worst case to 1e-14."""
+        rng = np.random.default_rng(index)
+        for rho in (0.25, 1.0, 2.0):
+            region = UncertaintyRegion(expected=expected_workload(index).workload, rho=rho)
+            worst, theta = region.worst_case_costs(coarse_rows)
+            factor = rng.uniform(0.25, 4.0, len(coarse_rows))
+            started, tilt = region.worst_case_costs(coarse_rows, theta * factor)
+            solved = np.isfinite(theta)
+            assert (tilt[~solved] == theta[~solved]).all()
+            assert (abs(tilt[solved] - theta[solved]) <= 1e-13 * theta[solved]).all()
+            assert (abs(started - worst) <= 1e-14 * worst).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(region=_regions(), costs=_COSTS, factor=st.floats(0.25, 4.0))
+    def test_a_start_near_the_root_certifies_the_worst_case(self, region, costs, factor):
+        """Any region: the started ``θ`` is a root as the cold one is, its dual
+        reading the worst case to the certificate's 1e-11.  Where a tiny
+        weight sits on a dear query the root is ill-conditioned — within the
+        divergence's rounding ``θ`` moves up to 6e-11 relative and the worst
+        case 3e-13 — so the worst case is held to 1e-14 of the costliest
+        supported cost, the scale of the terms it sums."""
+        worst, theta = region.worst_case_costs(costs)
+        started, tilt = region.worst_case_costs(costs, theta * factor)
+        scale = costs[region.expected.as_array() >= _MIN_WEIGHT].max()
+        assert abs(started - worst) <= 1e-14 * scale
+        assert abs(region.dual_value(costs, float(tilt)) - started) <= 1e-11 * started
+
+    @pytest.mark.parametrize("start", [np.nan, 0.0, -1.0, np.inf, _MAX_TILT])
+    @pytest.mark.parametrize("index", [1, 7, 11])
+    def test_an_unusable_start_is_the_cold_start(self, coarse_rows, index, start):
+        region = UncertaintyRegion(expected=expected_workload(index).workload, rho=0.25)
+        worst, theta = region.worst_case_costs(coarse_rows)
+        started, tilt = region.worst_case_costs(coarse_rows, np.full(len(coarse_rows), start))
+        assert (started == worst).all() and (tilt == theta).all()
+
+    @pytest.mark.parametrize("index", range(len(expected_workloads())))
+    def test_a_solve_started_at_its_root_takes_one_evaluation(
+        self, monkeypatch, coarse_rows, index
+    ):
+        """All the rows of a batch at once, each started at its cold ``θ*``."""
+        workload = expected_workload(index).workload
+        tilted = uncertainty._tilted
+        for rho in (0.25, 1.0):
+            region = UncertaintyRegion(expected=workload, rho=rho)
+            theta = region.worst_case_tilt(coarse_rows)
+            rows = (theta > 0.0) & (theta < 0.5 * _MAX_TILT)
+            if rho > 0.25 and not rows.any():
+                continue  # every row's worst case is its vertex (w10 at ρ = 1)
+            evaluations = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    uncertainty, "_tilted", lambda *args: evaluations.append(1) or tilted(*args)
+                )
+                region.worst_case_tilt(coarse_rows[rows], theta[rows])
+            assert len(evaluations) == 1, (rho, rows.sum())

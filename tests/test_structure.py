@@ -48,8 +48,9 @@ PARAMETER = r"(^\s*|[(,]\s*)"
 # The functions every tuner solve calls per batch, by file.
 TUNER_KERNELS = {
     "src/repro/core/uncertainty.py": (
-        "_solve_tilt", "UncertaintyRegion._support", "UncertaintyRegion._supported_costs",
-        "UncertaintyRegion._tilt", "UncertaintyRegion._worst_supported",
+        "_solve_tilt", "_tilted", "_moments", "UncertaintyRegion._support",
+        "UncertaintyRegion._supported_costs", "UncertaintyRegion._tilt",
+        "UncertaintyRegion._worst_supported",
         "UncertaintyRegion.worst_case_weights", "UncertaintyRegion.worst_case_costs",
         "UncertaintyRegion.nominal_costs", "UncertaintyRegion.mixture_bounds",
         "UncertaintyRegion._supported_spread",
@@ -303,6 +304,14 @@ RULES = (
     Rule("region-sums-weights-once", "src/repro/core/uncertainty.py",
          r"np\.add\.reduce\(weights(\[\w+\])?\)|math\.log\(total\)", 59,
          "        radius = self.rho + math.log(total)", "== 1"),
+    # The tilt solve starts cold from the weighted moments, not from a tilt
+    # at θ = 0, and the robust tuner reports the dual from the search's own
+    # pricing of its winner, not from a second cost vector and solve.
+    Rule("tilt-cold-start-no-zero-tilt", "src/repro/core/uncertainty.py", r"_tilted\(0\.0", 60,
+         "    _, variance, _ = _tilted(0.0, columns, shifted, weights, residual)"),
+    Rule("robust-tune-no-second-solve", "src/repro/core/robust.py",
+         r"\bworst_case_tilt\(|\bcost_vector\(", 60,
+         "        theta = float(region.worst_case_tilt(costs))"),
     # The tuner's kernels are dispatch-bound: they call ufuncs and ufunc
     # reductions, not NumPy's Python wrappers around them.
     Rule("tuner-kernels-call-ufuncs", " ".join(TUNER_KERNELS),
